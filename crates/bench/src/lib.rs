@@ -1,11 +1,9 @@
 //! # maps-bench
 //!
-//! Criterion benchmarks backing the paper's Time panels in micro form
-//! plus data-structure benchmarks for the substrates. Shared fixtures
-//! live here; the benches themselves are under `benches/`.
-//!
-//! Run everything with `cargo bench --workspace`; each bench uses small
-//! sample counts so the full suite completes in minutes.
+//! Fixtures shared by the `bench_report` kernel rows (the `bench_gate`
+//! binary checks its output against the committed `BENCH_PR*.json`
+//! trajectory). End-to-end serving numbers come from the separate
+//! `maps_benchmark` package under `src/bin/maps_benchmark/`.
 
 #![warn(missing_docs)]
 
@@ -70,30 +68,6 @@ impl PeriodFixture {
             graph: &self.graph,
         }
     }
-}
-
-/// A MAPS strategy over the paper-default ladder with coarse
-/// pseudorandom acceptance statistics (multiples of 1/8): plateau- and
-/// tie-heavy, the hard case for the pricing heap and the shape where
-/// the precomputed maximizer tables matter most. `parallel` selects the
-/// rayon table path vs the retained sequential on-demand path.
-pub fn seeded_maps(num_cells: usize, parallel: bool, seed: u64) -> MapsStrategy {
-    let mut maps = MapsStrategy::new(
-        num_cells,
-        PriceLadder::paper_default(),
-        MapsConfig {
-            parallel,
-            ..MapsConfig::default()
-        },
-    );
-    let mut rng = XorShift(seed | 1);
-    for cell in 0..num_cells {
-        for idx in 0..maps.ladder().len() {
-            maps.stats_mut(cell)
-                .observe_batch(idx, 8, rng.next_u64() % 9);
-        }
-    }
-    maps
 }
 
 /// A MAPS strategy seeded with the **plateau worst case** for the

@@ -27,12 +27,6 @@ pub struct CliArgs {
     /// `--max-edges K`: per-task edge cap of the period graph builder
     /// (default 64; use a huge value for the exact uncapped graph).
     pub max_edges: usize,
-    /// `--no-incremental`: drive simulations through the retained
-    /// rescan-and-rebuild oracle instead of the incremental period
-    /// engine (`--incremental`, the default). Revenue/count columns are
-    /// bit-identical either way (timing and peak-memory columns reflect
-    /// each engine's own cost); the toggle exists for A/B timing.
-    pub incremental: bool,
     /// `--shards N`: route every simulation through the grid-sharded
     /// online service (`maps-service`) with N ≥ 1 shards instead of the
     /// in-process batch loop. Revenue/count columns are bit-identical
@@ -117,7 +111,6 @@ impl CliArgs {
             out_dir: PathBuf::from("results"),
             no_memory: false,
             max_edges: defaults.max_edges_per_task,
-            incremental: defaults.incremental,
             shards: defaults.shards,
             producers: defaults.producers,
             journal: None,
@@ -140,8 +133,6 @@ impl CliArgs {
                 "--quick" => parsed.quick = true,
                 "--parallel" => parsed.parallel = true,
                 "--no-memory" => parsed.no_memory = true,
-                "--incremental" => parsed.incremental = true,
-                "--no-incremental" => parsed.incremental = false,
                 "--max-edges" => {
                     parsed.max_edges = value_of("--max-edges", it.next())?;
                     if parsed.max_edges == 0 {
@@ -241,7 +232,6 @@ impl CliArgs {
             parallel: self.parallel,
             track_memory: !self.no_memory && !self.parallel,
             max_edges_per_task: self.max_edges,
-            incremental: self.incremental,
             shards: self.shards,
             producers: self.producers,
         }
@@ -252,8 +242,7 @@ fn usage(bin: &str) -> ! {
     eprintln!(
         "usage: {bin} [--panel KEY] [--quick] [--parallel] [--seeds N] \
          [--out DIR] [--no-memory] [--max-edges K] [--shards N] \
-         [--producers N] [--journal DIR [--recover]] [--telemetry] \
-         [--incremental|--no-incremental]\n\
+         [--producers N] [--journal DIR [--recover]] [--telemetry]\n\
          panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha\n\
          --seeds N           average over N >= 1 seeds (default 1)\n\
          --max-edges K       per-task edge cap of the period graph (default 64)\n\
@@ -275,10 +264,7 @@ fn usage(bin: &str) -> ! {
          --telemetry         print the deterministic event-time latency dump\n\
                              (task wait / queue depth / worker pool quantiles)\n\
                              after each panel — diffable across shard/thread/\n\
-                             producer configurations\n\
-         --no-incremental    use the retained rescan-and-rebuild period engine\n\
-                             (bit-identical revenue/count columns; for A/B\n\
-                             timing of the incremental cache)"
+                             producer configurations"
     );
     std::process::exit(2)
 }
@@ -344,7 +330,6 @@ mod tests {
         let args = parse(&[]).unwrap();
         assert_eq!(args.seeds, 1);
         assert_eq!(args.shards, 0, "batch loop by default");
-        assert!(args.incremental);
         assert!(args.panel.is_none());
     }
 
@@ -366,7 +351,6 @@ mod tests {
             "4",
             "--producers",
             "2",
-            "--no-incremental",
             "--telemetry",
         ])
         .unwrap();
@@ -376,7 +360,6 @@ mod tests {
         assert_eq!(args.max_edges, 16);
         assert_eq!(args.shards, 4);
         assert_eq!(args.producers, 2);
-        assert!(!args.incremental);
         assert!(args.telemetry);
         assert!(!parse(&[]).unwrap().telemetry, "dump is opt-in");
         let options = args.run_options();

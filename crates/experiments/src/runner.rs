@@ -38,12 +38,6 @@ pub struct RunOptions {
     /// Per-task edge cap of the period graph builder, forwarded to
     /// [`SimOptions::max_edges_per_task`].
     pub max_edges_per_task: usize,
-    /// Drive simulations through the incremental period engine,
-    /// forwarded to [`SimOptions::incremental`]. Either value produces
-    /// bit-identical revenue/count columns (the wall-clock and
-    /// peak-memory columns reflect each engine's own cost); `false`
-    /// selects the retained rescan-and-rebuild oracle for A/B timing.
-    pub incremental: bool,
     /// With `shards ≥ 1`, replay every run through the grid-sharded
     /// online service (`maps-service`) with that many shards instead of
     /// the in-process batch loop; `0` (default) keeps the batch
@@ -73,7 +67,6 @@ impl Default for RunOptions {
             parallel: false,
             track_memory: true,
             max_edges_per_task: sim.max_edges_per_task,
-            incremental: sim.incremental,
             shards: 0,
             producers: 0,
         }
@@ -85,7 +78,6 @@ impl RunOptions {
     fn sim_options(&self) -> SimOptions {
         SimOptions {
             max_edges_per_task: self.max_edges_per_task,
-            incremental: self.incremental,
             ..SimOptions::default()
         }
     }
@@ -486,36 +478,6 @@ mod tests {
             "recovered rows diverged from the batch loop"
         );
         let _ = std::fs::remove_dir_all(&journal.dir);
-    }
-
-    /// The `incremental` toggle must not change any row: the event-queue
-    /// engine and the rescan oracle are bit-identical per simulation, so
-    /// they are bit-identical per panel.
-    #[test]
-    fn incremental_toggle_rows_are_bit_identical() {
-        let spec = tiny_panel();
-        let base = RunOptions {
-            scale: Scale::Quick,
-            num_seeds: 2,
-            parallel: true,
-            track_memory: false,
-            ..RunOptions::default()
-        };
-        let incremental = run_panel(
-            &spec,
-            RunOptions {
-                incremental: true,
-                ..base
-            },
-        );
-        let scan = run_panel(
-            &spec,
-            RunOptions {
-                incremental: false,
-                ..base
-            },
-        );
-        assert_eq!(rows_canon(&incremental), rows_canon(&scan));
     }
 
     #[test]

@@ -6,20 +6,18 @@
 //! replay-equals-batch contract (`replay` module) to hold bitwise.
 
 use maps_core::{
-    paper_default_strategy, Observation, PeriodGraphCache, PeriodInput, PricingStrategy,
+    paper_default_strategy, PeriodGraphCache, PricingStrategy, StateError, StateWords,
     StrategyKind, TaskInput, WorkerChurn, WorkerInput,
 };
-use maps_matching::{BipartiteGraph, BipartiteGraphBuilder, MatchScratch};
+use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
 use maps_simulator::{
-    settle_period, GroundTask, GroundWorker, MatchPolicy, Outcome, RunningMoments,
+    ChurnSink, GroundTask, GroundWorker, LifecycleTable, MatchPolicy, Outcome, PeriodEngine,
+    PeriodStep,
 };
 use maps_spatial::{BucketIndex, GridSpec, Point, ShardMap};
-use maps_telemetry::LatencyTelemetry;
 use rayon::prelude::*;
-use std::collections::BTreeMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::time::Instant;
 
 use crate::arena::{SlotArena, SlotHandle};
 
@@ -268,26 +266,10 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where a worker currently is in its lifecycle (mirrors the batch
-/// simulator's event-queue engine).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    /// In its owning shard's live set — can be matched.
-    Available,
-    /// Matched under the relocate policy; re-enters at its scheduled
-    /// release.
-    Busy,
-    /// Left permanently (consumed, expired, departed).
-    Gone,
-}
-
-/// Global per-worker record. The spatial state lives in the owning
-/// shard's cache; this is the routing + lifecycle view.
+/// Where worker `id`'s spatial state lives — the per-id side table the
+/// shard set keeps next to the shared [`LifecycleTable`].
 #[derive(Debug, Clone, Copy)]
-struct Record {
-    /// First period in which the worker no longer exists.
-    expires_at: u32,
-    status: Status,
+struct Route {
     /// Shard currently owning the worker's location. Updated when a
     /// relocation release lands the worker in another shard's cells.
     shard: u32,
@@ -300,13 +282,12 @@ struct Record {
     staged: SlotHandle,
 }
 
-/// A scheduled lifecycle transition, fired at the start of its tick.
-#[derive(Debug, Clone, Copy)]
-enum Timed {
-    /// The worker's availability window ends this period.
-    Expire(u32),
-    /// A busy worker re-enters this period at its relocation target.
-    Release(u32, WorkerInput),
+impl Route {
+    /// An id that never entered a live set.
+    const NONE: Route = Route {
+        shard: 0,
+        staged: SlotHandle::DEAD,
+    };
 }
 
 /// One shard: the spatial state for its cells plus the churn staged
@@ -320,7 +301,7 @@ struct Shard {
     /// Staged arrivals of the current inter-tick window in a dense
     /// generational [`SlotArena`]: staging is an O(1) slot write, a
     /// same-window departure cancels in O(1) through the handle stored
-    /// in the worker's [`Record`], and no hashing happens anywhere on
+    /// in the worker's [`Route`], and no hashing happens anywhere on
     /// the arrive/depart/cancel path. Handles from earlier windows are
     /// rejected by the arena's generation check (which holds in
     /// release builds), so the tick drain doubles as bulk handle
@@ -355,12 +336,6 @@ impl Shard {
         }
     }
 
-    /// Stages an arrival; the returned handle (stored in the worker's
-    /// [`Record`]) is the O(1) cancellation token.
-    fn stage_arrival(&mut self, id: u32, input: WorkerInput) -> SlotHandle {
-        self.staged.insert((id, input))
-    }
-
     /// Cancels a staged arrival through the handle issued when it was
     /// staged. Returns whether it was still staged in the current
     /// window: a handle from a pre-drain window fails the arena's
@@ -371,7 +346,7 @@ impl Shard {
             Some((staged_id, _)) => {
                 // The generation check already proves the slot is the
                 // one the handle was issued for; an id mismatch here
-                // would mean the record table itself is corrupt.
+                // would mean the route table itself is corrupt.
                 assert_eq!(staged_id, id, "staging arena returned a foreign id");
                 true
             }
@@ -431,54 +406,215 @@ impl Shard {
     }
 }
 
+/// The cell-routed shards: where the lifecycle table's churn lands.
+#[derive(Debug)]
+struct ShardLanes {
+    router: ShardMap,
+    shards: Vec<Shard>,
+    /// Indexed by admission id.
+    routes: Vec<Route>,
+}
+
+impl ShardLanes {
+    /// The spatial state of live worker `id`.
+    fn worker(&self, id: u32) -> &WorkerInput {
+        self.shards[self.routes[id as usize].shard as usize]
+            .cache
+            .worker(id)
+            .expect("live id is in its owning shard")
+    }
+}
+
+impl ChurnSink for ShardLanes {
+    fn arrive(&mut self, id: u32, input: WorkerInput) {
+        // Routed by the location it arrives at: a relocation release can
+        // migrate the worker to another shard's cells. The staging
+        // handle is the O(1) cancellation token.
+        let shard = self.router.shard_of(input.cell) as u32;
+        let staged = self.shards[shard as usize].staged.insert((id, input));
+        if self.routes.len() <= id as usize {
+            // Ids below that were skipped never entered a live set
+            // (zero-duration arrivals).
+            self.routes.resize(id as usize + 1, Route::NONE);
+        }
+        self.routes[id as usize] = Route { shard, staged };
+    }
+
+    fn depart(&mut self, id: u32) {
+        let route = self.routes[id as usize];
+        let shard = &mut self.shards[route.shard as usize];
+        // A worker departing in the same inter-tick window it arrived
+        // in is still a staged arrival: cancel it (O(1) through the
+        // route's arena handle) instead of staging a departure the
+        // cache has never seen. A handle from an already-applied window
+        // fails the generation check and falls through to a normal
+        // departure.
+        if !shard.cancel_staged(id, route.staged) {
+            shard.departures.push(id);
+        }
+    }
+}
+
+/// The service's [`PeriodEngine`]: the shared lifecycle table over
+/// cell-routed shards, plus the reducer that merges the shards' live
+/// sets and candidates into one period graph.
+#[derive(Debug)]
+struct ShardSet {
+    grid: GridSpec,
+    table: LifecycleTable,
+    lanes: ShardLanes,
+    /// The shards' post-churn `(live, max_radius)` of the current tick.
+    stats: Vec<(usize, f64)>,
+    // ---- tick scratch, reused across the stream ----
+    live_ids: Vec<u32>,
+    worker_inputs: Vec<WorkerInput>,
+    /// Per-task cross-shard candidate merge scratch (capped path).
+    merge_scratch: Vec<(f64, u32)>,
+    /// Recycled edge arena threaded through every graph build.
+    edge_arena: Vec<(u32, u32)>,
+}
+
+impl PeriodEngine for ShardSet {
+    type Error = ShardPanic;
+
+    /// Builds the period's capped bipartite graph from the per-shard
+    /// caches (after the tick's churn phase), bit-identical to the
+    /// batch builder on the merged live set. Per-shard query work is
+    /// panic-isolated like the churn phase.
+    fn build_graph(
+        &mut self,
+        t: u32,
+        tasks: &[TaskInput],
+        k: usize,
+    ) -> Result<BipartiteGraph, ShardPanic> {
+        let live_total: usize = self.stats.iter().map(|s| s.0).sum();
+        // Merge the shards' ascending (and mutually disjoint) live-id
+        // lists into the global ascending order — identical to the
+        // batch engine's single live list because ids are global
+        // admission order regardless of shard.
+        self.live_ids.clear();
+        self.live_ids.reserve(live_total);
+        {
+            let mut cursors: Vec<(&[u32], usize)> = self
+                .lanes
+                .shards
+                .iter()
+                .map(|s| (s.cache.live_ids(), 0))
+                .collect();
+            loop {
+                let mut best: Option<(u32, usize)> = None;
+                for (si, &(ids, pos)) in cursors.iter().enumerate() {
+                    if pos < ids.len() && best.is_none_or(|(b, _)| ids[pos] < b) {
+                        best = Some((ids[pos], si));
+                    }
+                }
+                let Some((id, si)) = best else { break };
+                cursors[si].1 += 1;
+                self.live_ids.push(id);
+            }
+        }
+        self.worker_inputs.clear();
+        self.worker_inputs.reserve(live_total);
+        for &id in &self.live_ids {
+            self.worker_inputs.push(*self.lanes.worker(id));
+        }
+
+        let mut builder = BipartiteGraphBuilder::with_arena(
+            tasks.len(),
+            live_total,
+            tasks.len() * k.min(live_total.max(1)),
+            std::mem::take(&mut self.edge_arena),
+        );
+        if live_total <= k {
+            // Fallback mirror of the batch builder: with no cap to
+            // enforce, enumerate every in-range (task, worker) pair.
+            // Shards emit their slices of the edge set in parallel; the
+            // builder canonicalizes order, so a union is enough.
+            let items: Vec<(maps_spatial::Point, u32)> = tasks
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (t.origin, i as u32))
+                .collect();
+            let task_index = BucketIndex::build(self.grid.region(), &items);
+            par_shards(&mut self.lanes.shards, t, |_, shard| {
+                shard.collect_edges(&task_index)
+            })?;
+            let live_ids = &self.live_ids;
+            for shard in &self.lanes.shards {
+                for &(t_idx, id) in &shard.edges {
+                    let dense = live_ids.binary_search(&id).expect("edge worker is live");
+                    builder.add_edge(t_idx as usize, dense);
+                }
+            }
+        } else {
+            // Capped path: every task takes its k nearest in-range
+            // workers under the total (distance, id) order. Each shard
+            // answers from its own index with the *global* max radius
+            // into reused flat buffers; merging the per-shard top-k
+            // lists and truncating to k is exactly the one-index query
+            // (the order is total and layout-independent).
+            let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
+            par_shards(&mut self.lanes.shards, t, |_, shard| {
+                shard.collect_candidates(tasks, max_radius, k)
+            })?;
+            let live_ids = &self.live_ids;
+            let merged = &mut self.merge_scratch;
+            for t_idx in 0..tasks.len() {
+                merged.clear();
+                for shard in &self.lanes.shards {
+                    merged.extend_from_slice(shard.task_candidates(t_idx));
+                }
+                merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                for &(_, id) in merged.iter().take(k) {
+                    let dense = live_ids.binary_search(&id).expect("candidate is live");
+                    builder.add_edge(t_idx, dense);
+                }
+            }
+        }
+        let (graph, arena) = builder.build_recycling();
+        self.edge_arena = arena;
+        Ok(graph)
+    }
+
+    fn worker_inputs(&self) -> &[WorkerInput] {
+        &self.worker_inputs
+    }
+
+    fn consume_matched(&mut self, dense: usize) {
+        self.table.consume(self.live_ids[dense], &mut self.lanes);
+    }
+
+    fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
+        let id = self.live_ids[dense];
+        let radius = self.lanes.worker(id).radius;
+        self.table
+            .dispatch(t, id, radius, destination, travel, &mut self.lanes);
+    }
+}
+
 /// The grid-sharded online pricing engine.
 ///
 /// Feed it [`ServiceEvent`]s via [`ShardedService::push`]; read the
 /// accumulated [`Outcome`] any time via [`ShardedService::outcome`] (or
 /// consume it with [`ShardedService::into_outcome`]).
 pub struct ShardedService {
-    grid: GridSpec,
-    router: ShardMap,
     match_policy: MatchPolicy,
-    strategy: Box<dyn PricingStrategy>,
-    shards: Vec<Shard>,
-    /// Per-worker lifecycle records, indexed by admission id.
-    records: Vec<Record>,
-    /// Scheduled expiries/releases, keyed by the period they fire in.
-    /// A `BTreeMap` (not per-period buckets) because the service has no
-    /// horizon: a `u32::MAX` expiry must be schedulable without
-    /// allocating 2³² buckets — it simply never fires.
-    schedule: BTreeMap<u32, Vec<Timed>>,
+    k: usize,
+    /// Strategy, outcome accumulator and the shared per-period body.
+    step: PeriodStep,
+    engine: ShardSet,
     /// Tasks submitted since the last tick, in stream order (the order
     /// pricing feedback and price moments are fed in — load-bearing for
     /// bit-identity with the batch loop).
     pending_tasks: Vec<GroundTask>,
     /// Current period (number of ticks processed so far).
     period: u32,
-    k: usize,
-    // ---- tick scratch, reused across the stream ----
-    task_inputs: Vec<TaskInput>,
-    live_ids: Vec<u32>,
-    worker_inputs: Vec<WorkerInput>,
-    observations: Vec<Observation>,
-    keep: Vec<bool>,
-    weights: Vec<f64>,
-    clearing: MatchScratch,
-    /// Per-task cross-shard candidate merge scratch (capped path).
-    merge_scratch: Vec<(f64, u32)>,
-    /// Recycled edge arena threaded through every graph build.
-    edge_arena: Vec<(u32, u32)>,
-    // ---- outcome accumulation ----
-    /// Kept fully finalized after every tick (price moments included),
-    /// so observing the live service is a borrow, not a clone.
-    outcome: Outcome,
-    price_moments: RunningMoments,
     // ---- durability & fault tolerance (PR 6) ----
     /// Per-producer high-water mark `(epoch, seq)` of the last admitted
     /// event: the idempotence filter for at-least-once producer resends
     /// after a reconnect. Rejected events advance it too (they *were*
-    /// delivered); suppressed resends count into
-    /// `outcome.suppressed_duplicates` and are not re-journaled.
+    /// delivered); suppressed resends count into the outcome's
+    /// `suppressed_duplicates` and are not re-journaled.
     watermarks: Vec<Option<(u64, u64)>>,
     /// Sequence counter for the serial [`ShardedService::try_push`]
     /// path (producer 0), reset at each tick so serial stamps mirror
@@ -526,51 +662,30 @@ impl ShardedService {
         strategy: Box<dyn PricingStrategy>,
         config: ServiceConfig,
     ) -> Self {
-        let router = ShardMap::new(config.shards);
         let per_shard = config.expected_workers.div_ceil(config.shards).max(16);
         let shards = (0..config.shards)
             .map(|_| Shard::new(PeriodGraphCache::new(&grid, per_shard)))
             .collect();
-        let outcome = Outcome {
-            strategy: strategy.name().to_string(),
-            total_revenue: 0.0,
-            issued_tasks: 0,
-            accepted_tasks: 0,
-            matched_tasks: 0,
-            pricing_secs: 0.0,
-            clearing_secs: 0.0,
-            calibration_secs: 0.0,
-            peak_memory_mib: None,
-            revenue_per_period: Vec::new(),
-            mean_posted_price: 0.0,
-            posted_price_std: 0.0,
-            matched_distance: 0.0,
-            rejected_events: 0,
-            suppressed_duplicates: 0,
-            latency: LatencyTelemetry::new(),
-        };
         Self {
-            grid,
-            router,
             match_policy,
-            strategy,
-            shards,
-            records: Vec::new(),
-            schedule: BTreeMap::new(),
+            k: config.max_edges_per_task,
+            step: PeriodStep::new(strategy),
+            engine: ShardSet {
+                grid,
+                table: LifecycleTable::new(grid, None),
+                lanes: ShardLanes {
+                    router: ShardMap::new(config.shards),
+                    shards,
+                    routes: Vec::new(),
+                },
+                stats: Vec::new(),
+                live_ids: Vec::new(),
+                worker_inputs: Vec::new(),
+                merge_scratch: Vec::new(),
+                edge_arena: Vec::new(),
+            },
             pending_tasks: Vec::new(),
             period: 0,
-            k: config.max_edges_per_task,
-            task_inputs: Vec::new(),
-            live_ids: Vec::new(),
-            worker_inputs: Vec::new(),
-            observations: Vec::new(),
-            keep: Vec::new(),
-            weights: Vec::new(),
-            clearing: MatchScratch::new(),
-            merge_scratch: Vec::new(),
-            edge_arena: Vec::new(),
-            outcome,
-            price_moments: RunningMoments::new(),
             watermarks: Vec::new(),
             serial_seq: 0,
             journal: None,
@@ -582,15 +697,12 @@ impl ShardedService {
     /// Runs the strategy's one-off Algorithm-1 calibration against
     /// `probe` (before the first tick, like the batch simulator).
     pub fn calibrate(&mut self, probe: &mut dyn maps_core::DemandProbe) {
-        // lint-allow(det-wallclock): calibration_secs is timing telemetry, excluded from deterministic_bits
-        let start = Instant::now();
-        self.strategy.calibrate(probe);
-        self.outcome.calibration_secs += start.elapsed().as_secs_f64();
+        self.step.calibrate(probe);
     }
 
     /// Number of shards.
     pub fn num_shards(&self) -> usize {
-        self.shards.len()
+        self.engine.lanes.shards.len()
     }
 
     /// Periods closed so far.
@@ -600,13 +712,14 @@ impl ShardedService {
 
     /// Workers admitted over the service's lifetime.
     pub fn admitted_workers(&self) -> usize {
-        self.records.len()
+        self.engine.table.admitted()
     }
 
     /// Workers currently in the live (matchable) set, summed over
     /// shards. Staged churn applies at the next tick.
     pub fn live_workers(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.live_count()).sum()
+        let shards = &self.engine.lanes.shards;
+        shards.iter().map(|s| s.cache.live_count()).sum()
     }
 
     /// Ingests one event, dropping it (and counting it in
@@ -692,7 +805,7 @@ impl ShardedService {
             self.watermarks.resize(lane + 1, None);
         }
         if self.watermarks[lane] >= Some((epoch, seq)) {
-            self.outcome.suppressed_duplicates += 1;
+            self.step.outcome_mut().suppressed_duplicates += 1;
             return Ok(());
         }
         self.watermarks[lane] = Some((epoch, seq));
@@ -704,7 +817,7 @@ impl ShardedService {
                 event,
             })?;
         }
-        self.admit(event)
+        Ok(self.admit(event)?)
     }
 
     /// Ingests a **contiguous run** of events from one producer:
@@ -760,7 +873,7 @@ impl ShardedService {
             Some((we, ws)) if we == epoch && ws >= first_seq => (ws - first_seq + 1) as usize,
             _ => 0,
         };
-        self.outcome.suppressed_duplicates += skip as u64;
+        self.step.outcome_mut().suppressed_duplicates += skip as u64;
         if skip == events.len() {
             return Ok(()); // fully suppressed: watermark unchanged
         }
@@ -783,43 +896,30 @@ impl ShardedService {
                     self.watermarks[lane] = Some((epoch, seq));
                     return Err(e.into());
                 }
-                self.admit_run_event(event);
+                // A rejection is counted and the run keeps going.
+                let _ = self.admit(event);
             }
         } else {
             for &event in &events[skip..] {
-                self.admit_run_event(event);
+                let _ = self.admit(event);
             }
         }
         self.watermarks[lane] = Some((epoch, last_seq));
         Ok(())
     }
 
-    /// Validation + dispatch of one event inside a batched run: like
-    /// [`ShardedService::admit`] but rejections only bump the counter
-    /// (the run keeps going; no error value is built).
+    /// Validation + dispatch of an already-journaled event. A rejected
+    /// event is counted and mutates nothing else.
     #[inline]
-    fn admit_run_event(&mut self, event: ServiceEvent) {
-        if event.validate().is_err() {
-            self.outcome.rejected_events += 1;
-            return;
-        }
-        match event {
-            ServiceEvent::WorkerArrive { worker } => self.worker_arrive(worker),
-            ServiceEvent::WorkerDepart { id } => self.worker_depart(id),
-            ServiceEvent::TaskRequest { task } => self.pending_tasks.push(task),
-            ServiceEvent::PeriodTick => unreachable!("runs must not contain PeriodTick"),
-        }
-    }
-
-    /// Validation + dispatch of an already-journaled event.
-    fn admit(&mut self, event: ServiceEvent) -> Result<(), ServiceError> {
+    fn admit(&mut self, event: ServiceEvent) -> Result<(), EventRejection> {
         if let Err(rejection) = event.validate() {
-            self.outcome.rejected_events += 1;
-            return Err(ServiceError::Rejected(rejection));
+            self.step.outcome_mut().rejected_events += 1;
+            return Err(rejection);
         }
+        let ShardSet { table, lanes, .. } = &mut self.engine;
         match event {
-            ServiceEvent::WorkerArrive { worker } => self.worker_arrive(worker),
-            ServiceEvent::WorkerDepart { id } => self.worker_depart(id),
+            ServiceEvent::WorkerArrive { worker } => table.admit(self.period, &worker, lanes),
+            ServiceEvent::WorkerDepart { id } => table.depart(id, lanes),
             ServiceEvent::TaskRequest { task } => self.pending_tasks.push(task),
             ServiceEvent::PeriodTick => unreachable!("ticks close via close_period"),
         }
@@ -862,17 +962,12 @@ impl ShardedService {
     pub fn attach_journal(&mut self, config: &JournalConfig) -> Result<(), ServiceError> {
         std::fs::create_dir_all(&config.dir).map_err(JournalError::Io)?;
         let writer = JournalWriter::create(&config.journal_path())?;
-        self.journal = Some(JournalState {
-            writer,
-            dir: config.dir.clone(),
-            checkpoint_every: config.checkpoint_every.max(1),
-        });
-        self.write_checkpoint()?;
-        Ok(())
+        self.resume_journal(writer, config);
+        self.write_checkpoint()
     }
 
-    /// Re-attaches a journal writer after recovery: the file already
-    /// holds the durable prefix (torn tail truncated by the caller via
+    /// Attaches `writer` as is. After recovery the file already holds
+    /// the durable prefix (torn tail truncated by the caller via
     /// [`JournalWriter::open_append`]); appending continues from there.
     pub(crate) fn resume_journal(&mut self, writer: JournalWriter, config: &JournalConfig) {
         self.journal = Some(JournalState {
@@ -910,13 +1005,13 @@ impl ShardedService {
     /// lifetime (non-finite locations, NaN valuations, …). Also
     /// available as [`maps_simulator::Outcome::rejected_events`].
     pub fn rejected_events(&self) -> u64 {
-        self.outcome.rejected_events
+        self.step.outcome().rejected_events
     }
 
     /// Producer resends suppressed by the per-producer watermark (see
     /// [`ShardedService::push_stamped`]).
     pub fn suppressed_duplicates(&self) -> u64 {
-        self.outcome.suppressed_duplicates
+        self.step.outcome().suppressed_duplicates
     }
 
     /// The `(epoch, seq)` of the last event admitted (or suppressed
@@ -945,7 +1040,7 @@ impl ShardedService {
     /// `revenue_per_period` series the way [`ShardedService::outcome`]
     /// does.
     pub fn outcome_snapshot(&self) -> &Outcome {
-        &self.outcome
+        self.step.outcome()
     }
 
     /// The outcome accumulated so far, as an owned clone (O(periods)).
@@ -953,200 +1048,13 @@ impl ShardedService {
     /// mid-stream observation and [`ShardedService::into_outcome`] for
     /// the final result.
     pub fn outcome(&self) -> Outcome {
-        self.outcome.clone()
+        self.step.outcome().clone()
     }
 
     /// Consumes the service, returning the final outcome. Move-only: no
     /// clone happens on this path.
     pub fn into_outcome(self) -> Outcome {
-        self.outcome
-    }
-
-    fn worker_arrive(&mut self, worker: GroundWorker) {
-        let id = self.records.len() as u32;
-        let t = self.period;
-        let expires_at = t.saturating_add(worker.duration);
-        // Mirrors the batch lifecycle: a worker whose window is already
-        // over still consumes an id (so later ids keep their batch-path
-        // positions) but never enters any live set.
-        if expires_at <= t {
-            self.records.push(Record {
-                expires_at,
-                status: Status::Gone,
-                shard: 0,
-                staged: SlotHandle::DEAD,
-            });
-            return;
-        }
-        let input = WorkerInput::new(&self.grid, worker.location, worker.radius);
-        let shard = self.router.shard_of(input.cell) as u32;
-        let staged = self.shards[shard as usize].stage_arrival(id, input);
-        self.records.push(Record {
-            expires_at,
-            status: Status::Available,
-            shard,
-            staged,
-        });
-        self.schedule
-            .entry(expires_at)
-            .or_default()
-            .push(Timed::Expire(id));
-    }
-
-    fn worker_depart(&mut self, id: u32) {
-        // Unknown ids are ignored like already-gone workers: an online
-        // stream can carry duplicate or stale departure events, and one
-        // bad client event must not take the whole service down.
-        let Some(record) = self.records.get_mut(id as usize) else {
-            return;
-        };
-        if record.status == Status::Available {
-            let shard = &mut self.shards[record.shard as usize];
-            // A worker departing in the same inter-tick window it
-            // arrived in is still a staged arrival: cancel it (O(1)
-            // through the record's arena handle) instead of staging a
-            // departure the cache has never seen. A handle from an
-            // already-applied window fails the generation check and
-            // falls through to a normal departure.
-            if !shard.cancel_staged(id, record.staged) {
-                shard.departures.push(id);
-            }
-        }
-        record.status = Status::Gone;
-    }
-
-    /// Fires the lifecycle events scheduled for period `t`, staging the
-    /// resulting churn into the owning shards.
-    fn fire_scheduled(&mut self, t: u32) {
-        let Some(events) = self.schedule.remove(&t) else {
-            return;
-        };
-        for event in events {
-            match event {
-                Timed::Expire(id) => {
-                    let record = &mut self.records[id as usize];
-                    if record.status == Status::Available {
-                        self.shards[record.shard as usize].departures.push(id);
-                    }
-                    record.status = Status::Gone;
-                }
-                Timed::Release(id, input) => {
-                    let record = &mut self.records[id as usize];
-                    if record.status == Status::Busy && t < record.expires_at {
-                        record.status = Status::Available;
-                        // Relocation can migrate the worker to another
-                        // shard's cells: re-route by the new location.
-                        let shard = self.router.shard_of(input.cell) as u32;
-                        record.shard = shard;
-                        record.staged = self.shards[shard as usize].stage_arrival(id, input);
-                    } else {
-                        record.status = Status::Gone;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Builds the period's capped bipartite graph from the per-shard
-    /// caches, bit-identical to the batch builder on the merged live
-    /// set. `stats` are the shards' post-churn `(live, max_radius)`.
-    /// Per-shard query work is panic-isolated like the churn phase.
-    fn build_graph(&mut self, stats: &[(usize, f64)]) -> Result<BipartiteGraph, ShardPanic> {
-        let live_total: usize = stats.iter().map(|s| s.0).sum();
-        // Merge the shards' ascending (and mutually disjoint) live-id
-        // lists into the global ascending order — identical to the
-        // batch engine's single live list because ids are global
-        // admission order regardless of shard.
-        self.live_ids.clear();
-        self.live_ids.reserve(live_total);
-        {
-            let mut cursors: Vec<(&[u32], usize)> = self
-                .shards
-                .iter()
-                .map(|s| (s.cache.live_ids(), 0))
-                .collect();
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (si, &(ids, pos)) in cursors.iter().enumerate() {
-                    if pos < ids.len() && best.is_none_or(|(b, _)| ids[pos] < b) {
-                        best = Some((ids[pos], si));
-                    }
-                }
-                let Some((id, si)) = best else { break };
-                cursors[si].1 += 1;
-                self.live_ids.push(id);
-            }
-        }
-        self.worker_inputs.clear();
-        self.worker_inputs.reserve(live_total);
-        for &id in &self.live_ids {
-            let shard = self.records[id as usize].shard as usize;
-            self.worker_inputs.push(
-                *self.shards[shard]
-                    .cache
-                    .worker(id)
-                    .expect("live id is in its owning shard"),
-            );
-        }
-
-        let k = self.k;
-        let mut builder = BipartiteGraphBuilder::with_arena(
-            self.task_inputs.len(),
-            live_total,
-            self.task_inputs.len() * k.min(live_total.max(1)),
-            std::mem::take(&mut self.edge_arena),
-        );
-        if live_total <= k {
-            // Fallback mirror of the batch builder: with no cap to
-            // enforce, enumerate every in-range (task, worker) pair.
-            // Shards emit their slices of the edge set in parallel; the
-            // builder canonicalizes order, so a union is enough.
-            let items: Vec<(maps_spatial::Point, u32)> = self
-                .task_inputs
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.origin, i as u32))
-                .collect();
-            let task_index = BucketIndex::build(self.grid.region(), &items);
-            par_shards(&mut self.shards, self.period, |_, shard| {
-                shard.collect_edges(&task_index)
-            })?;
-            let live_ids = &self.live_ids;
-            for shard in &self.shards {
-                for &(t_idx, id) in &shard.edges {
-                    let dense = live_ids.binary_search(&id).expect("edge worker is live");
-                    builder.add_edge(t_idx as usize, dense);
-                }
-            }
-        } else {
-            // Capped path: every task takes its k nearest in-range
-            // workers under the total (distance, id) order. Each shard
-            // answers from its own index with the *global* max radius
-            // into reused flat buffers; merging the per-shard top-k
-            // lists and truncating to k is exactly the one-index query
-            // (the order is total and layout-independent).
-            let max_radius = stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
-            let tasks = &self.task_inputs;
-            par_shards(&mut self.shards, self.period, |_, shard| {
-                shard.collect_candidates(tasks, max_radius, k)
-            })?;
-            let live_ids = &self.live_ids;
-            let merged = &mut self.merge_scratch;
-            for t_idx in 0..tasks.len() {
-                merged.clear();
-                for shard in &self.shards {
-                    merged.extend_from_slice(shard.task_candidates(t_idx));
-                }
-                merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for &(_, id) in merged.iter().take(k) {
-                    let dense = live_ids.binary_search(&id).expect("candidate is live");
-                    builder.add_edge(t_idx, dense);
-                }
-            }
-        }
-        let (graph, arena) = builder.build_recycling();
-        self.edge_arena = arena;
-        Ok(graph)
+        self.step.into_outcome()
     }
 
     /// Closes the current period: the deterministic reduce step.
@@ -1160,21 +1068,11 @@ impl ShardedService {
     /// propagates like any callback's (see `SequencerHandle::join`).
     fn run_tick(&mut self) -> Result<(), ShardPanic> {
         let t = self.period;
-        // 1. Scheduled lifecycle transitions stage their churn.
-        self.fire_scheduled(t);
-
-        // 2. Materialize the period's task list in stream order.
-        self.task_inputs.clear();
-        self.task_inputs
-            .extend(self.pending_tasks.iter().map(|task| TaskInput {
-                origin: task.origin,
-                distance: task.distance,
-                cell: task.cell,
-            }));
-        self.outcome.issued_tasks += self.task_inputs.len() as u64;
-
-        // 3. Parallel shard phase: apply staged churn, report live
-        //    counts and radii. `collect` preserves shard-id order.
+        // Scheduled lifecycle transitions stage their churn, the shards
+        // apply everything staged since the last tick, then the period
+        // is served exactly like a batch period.
+        let engine = &mut self.engine;
+        engine.table.fire(t, &mut engine.lanes);
         let fault = match self.shard_fault {
             Some((shard, period)) if period == t => {
                 self.shard_fault = None;
@@ -1182,100 +1080,24 @@ impl ShardedService {
             }
             _ => None,
         };
-        let stats: Vec<(usize, f64)> = par_shards(&mut self.shards, t, |i, shard| {
+        // The parallel shard phase: every shard applies its staged churn
+        // and reports its live count and radius (shard-id order).
+        engine.stats = par_shards(&mut engine.lanes.shards, t, |i, shard| {
             if fault == Some(i as u32) {
                 panic!("injected shard fault");
             }
             shard.apply_staged()
         })?;
-
-        // 4. Shard-merged graph + global period view.
-        let graph = self.build_graph(&stats)?;
-        // Event-time telemetry, the same call the batch loop makes with
-        // the same replay-contract-equal inputs (queued tasks, merged
-        // live pool), so the histograms land bit-identical to
-        // `Simulation::run` at any shard/thread/producer count.
-        self.outcome.latency.record_period(
-            self.task_inputs.len() as u64,
-            self.worker_inputs.len() as u64,
-        );
-        let input = PeriodInput {
-            grid: &self.grid,
-            tasks: &self.task_inputs,
-            workers: &self.worker_inputs,
-            graph: &graph,
-        };
-
-        // 5. Price the period (the strategy's own rayon fan-out is
-        //    bit-stable per the workspace invariant).
-        // lint-allow(det-wallclock): pricing_secs is timing telemetry, excluded from deterministic_bits
-        let start = Instant::now();
-        let schedule = self.strategy.price_period(&input);
-        self.outcome.pricing_secs += start.elapsed().as_secs_f64();
-
-        // 6+7. Requesters decide and the market clears — literally the
-        //    batch loop's code: `settle_period` is shared with
-        //    `Simulation::run`, so the two cannot drift.
-        let settlement = settle_period(
+        let grid = engine.grid;
+        self.step.run(
+            t,
+            &grid,
             &self.pending_tasks,
-            &self.task_inputs,
-            &schedule,
-            &graph,
-            &mut self.price_moments,
-            &mut self.observations,
-            &mut self.keep,
-            &mut self.weights,
-            &mut self.clearing,
-        );
-        self.outcome.accepted_tasks += settlement.accepted;
-        self.outcome.clearing_secs += settlement.clearing_secs;
-        self.outcome.total_revenue += settlement.revenue;
-        self.outcome.revenue_per_period.push(settlement.revenue);
-
-        // 8. Lifecycle for matched pairs, staged for the next tick.
-        for (l, dense) in self.clearing.matched_pairs() {
-            self.outcome.matched_tasks += 1;
-            let task = &self.pending_tasks[l];
-            self.outcome.matched_distance += task.distance;
-            let id = self.live_ids[dense as usize];
-            let record_shard = self.records[id as usize].shard as usize;
-            match self.match_policy {
-                MatchPolicy::Consume => {
-                    self.records[id as usize].status = Status::Gone;
-                    self.shards[record_shard].departures.push(id);
-                }
-                MatchPolicy::Relocate { speed } => {
-                    let travel = (task.distance / speed).ceil().max(1.0) as u32;
-                    let radius = self.shards[record_shard]
-                        .cache
-                        .worker(id)
-                        .expect("matched worker is live")
-                        .radius;
-                    self.shards[record_shard].departures.push(id);
-                    let busy_until = t.saturating_add(travel);
-                    let record = &mut self.records[id as usize];
-                    if busy_until < record.expires_at {
-                        record.status = Status::Busy;
-                        let input = WorkerInput::new(&self.grid, task.destination, radius);
-                        self.schedule
-                            .entry(busy_until)
-                            .or_default()
-                            .push(Timed::Release(id, input));
-                    } else {
-                        record.status = Status::Gone;
-                    }
-                }
-            }
-        }
-
-        // 9. Feedback to the learning strategy, then advance the clock.
-        self.strategy.observe(&self.observations);
+            self.match_policy,
+            self.k,
+            engine,
+        )?;
         self.pending_tasks.clear();
-        // Finalize the price moments into the outcome: moments only
-        // change inside a tick, so refreshing them here keeps
-        // `outcome_snapshot` a plain borrow at every observation point.
-        self.outcome.mean_posted_price = self.price_moments.mean();
-        self.outcome.posted_price_std = self.price_moments.population_std();
         self.period = t + 1;
         Ok(())
     }
@@ -1285,8 +1107,8 @@ impl ShardedService {
     /// Serializes the complete post-tick state as a flat word stream
     /// (floats as IEEE-754 bits). Taken at epoch boundaries only, when
     /// staged *arrivals* are empty by construction; staged departures
-    /// (step 8 of the closing tick) and everything else the next tick
-    /// reads are captured. The layout is private to this crate —
+    /// (the closing tick's matched pairs) and everything else the next
+    /// tick reads are captured. The layout is private to this crate —
     /// [`crate::recovery`] is the reader.
     ///
     /// Shard-count agnosticism: per-worker shard assignment is **not**
@@ -1294,12 +1116,15 @@ impl ShardedService {
     /// through the restoring service's own router, so a checkpoint
     /// taken at 4 shards restores bit-identically into 1/2/8 shards.
     pub(crate) fn checkpoint_words(&self) -> Vec<u64> {
+        let ShardSet {
+            grid, table, lanes, ..
+        } = &self.engine;
         // Dominated by the per-record and per-live-worker sections;
         // reserving up front avoids growth copies on ~MB snapshots.
-        let live_total: usize = self.shards.iter().map(|s| s.cache.live_count()).sum();
-        let mut w = Vec::with_capacity(64 + self.records.len() * 2 + live_total * 4);
+        let live_total: usize = lanes.shards.iter().map(|s| s.cache.live_count()).sum();
+        let mut w = Vec::with_capacity(64 + table.admitted() * 2 + live_total * 4);
         // -- validation header --
-        w.push(self.grid.num_cells() as u64);
+        w.push(grid.num_cells() as u64);
         w.push(self.k as u64);
         match self.match_policy {
             MatchPolicy::Consume => {
@@ -1311,34 +1136,22 @@ impl ShardedService {
                 w.push(speed.to_bits());
             }
         }
-        let name = self.strategy.name();
+        let name = &self.step.outcome().strategy;
         w.push(name.len() as u64);
         w.extend(name.bytes().map(u64::from));
         w.push(u64::from(self.period));
         // -- lifecycle records --
-        w.push(self.records.len() as u64);
-        for r in &self.records {
-            w.push(u64::from(r.expires_at));
-            w.push(match r.status {
-                Status::Available => 0,
-                Status::Busy => 1,
-                Status::Gone => 2,
-            });
-        }
+        table.save_records(&mut w);
         // -- live workers, global ascending id order --
         w.push(live_total as u64);
-        let mut live: Vec<u32> = self
+        let mut live: Vec<u32> = lanes
             .shards
             .iter()
             .flat_map(|s| s.cache.live_ids().iter().copied())
             .collect();
         live.sort_unstable();
         for id in live {
-            let shard = self.records[id as usize].shard as usize;
-            let input = self.shards[shard]
-                .cache
-                .worker(id)
-                .expect("live id is in its owning shard");
+            let input = lanes.worker(id);
             w.push(u64::from(id));
             w.push(input.location.x.to_bits());
             w.push(input.location.y.to_bits());
@@ -1346,40 +1159,22 @@ impl ShardedService {
         }
         // -- staged churn (arrivals empty at a boundary; departures =
         //    the closing tick's matched pairs) --
-        let staged_arrivals: usize = self.shards.iter().map(|s| s.staged.len()).sum();
+        let staged_arrivals: usize = lanes.shards.iter().map(|s| s.staged.len()).sum();
         debug_assert_eq!(staged_arrivals, 0, "checkpoint off an epoch boundary");
         w.push(
-            self.shards
+            lanes
+                .shards
                 .iter()
                 .map(|s| s.departures.len())
                 .sum::<usize>() as u64,
         );
-        for shard in &self.shards {
+        for shard in &lanes.shards {
             for &id in &shard.departures {
                 w.push(u64::from(id));
             }
         }
         // -- timed schedule --
-        w.push(self.schedule.len() as u64);
-        for (&t, entries) in &self.schedule {
-            w.push(u64::from(t));
-            w.push(entries.len() as u64);
-            for e in entries {
-                match e {
-                    Timed::Expire(id) => {
-                        w.push(0);
-                        w.push(u64::from(*id));
-                    }
-                    Timed::Release(id, input) => {
-                        w.push(1);
-                        w.push(u64::from(*id));
-                        w.push(input.location.x.to_bits());
-                        w.push(input.location.y.to_bits());
-                        w.push(input.radius.to_bits());
-                    }
-                }
-            }
-        }
+        table.save_schedule(&mut w);
         // -- pending tasks (non-empty only if a checkpoint is forced
         //    mid-window; kept for completeness) --
         w.push(self.pending_tasks.len() as u64);
@@ -1409,31 +1204,8 @@ impl ShardedService {
             }
         }
         w.push(self.serial_seq);
-        // -- outcome accumulator (wall-clock columns excluded: they are
-        //    excluded from `deterministic_bits` and restart at zero) --
-        w.push(self.outcome.total_revenue.to_bits());
-        w.push(self.outcome.issued_tasks);
-        w.push(self.outcome.accepted_tasks);
-        w.push(self.outcome.matched_tasks);
-        w.push(self.outcome.revenue_per_period.len() as u64);
-        for r in &self.outcome.revenue_per_period {
-            w.push(r.to_bits());
-        }
-        w.push(self.outcome.mean_posted_price.to_bits());
-        w.push(self.outcome.posted_price_std.to_bits());
-        w.push(self.outcome.matched_distance.to_bits());
-        w.push(self.outcome.rejected_events);
-        w.push(self.outcome.suppressed_duplicates);
-        self.outcome.latency.extend_words(&mut w);
-        let (count, mean_bits, m2_bits) = self.price_moments.to_raw();
-        w.push(count);
-        w.push(mean_bits);
-        w.push(m2_bits);
-        // -- strategy learning state --
-        let mut strategy_words = Vec::new();
-        self.strategy.save_state(&mut strategy_words);
-        w.push(strategy_words.len() as u64);
-        w.extend_from_slice(&strategy_words);
+        // -- outcome accumulator, price moments, strategy state --
+        self.step.save(&mut w);
         w
     }
 
@@ -1443,13 +1215,24 @@ impl ShardedService {
     /// strategy as the checkpointed one (validated against the header);
     /// shard count may differ freely.
     pub(crate) fn restore_from_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
-        let mut r = WordReader { words, pos: 0 };
+        self.restore(&mut StateWords::new(words))
+            .map_err(|e| match e {
+                StateError::Truncated => "checkpoint truncated",
+                StateError::Mismatch(what) => what,
+            })
+    }
+
+    fn restore(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        use StateError::Mismatch;
+        let ShardSet {
+            grid, table, lanes, ..
+        } = &mut self.engine;
         // -- validation header --
-        if r.take()? != self.grid.num_cells() as u64 {
-            return Err("checkpoint grid size mismatch");
+        if r.take()? != grid.num_cells() as u64 {
+            return Err(Mismatch("checkpoint grid size mismatch"));
         }
         if r.take()? != self.k as u64 {
-            return Err("checkpoint edge-cap mismatch");
+            return Err(Mismatch("checkpoint edge-cap mismatch"));
         }
         let (policy_tag, speed_bits) = (r.take()?, r.take()?);
         let policy_ok = match self.match_policy {
@@ -1457,94 +1240,60 @@ impl ShardedService {
             MatchPolicy::Relocate { speed } => policy_tag == 1 && speed_bits == speed.to_bits(),
         };
         if !policy_ok {
-            return Err("checkpoint match-policy mismatch");
+            return Err(Mismatch("checkpoint match-policy mismatch"));
         }
         let name_len = r.take()? as usize;
         let name: Vec<u8> = (0..name_len)
             .map(|_| r.take().map(|w| w as u8))
             .collect::<Result<_, _>>()?;
-        if name != self.strategy.name().as_bytes() {
-            return Err("checkpoint strategy mismatch");
+        if name != self.step.outcome().strategy.as_bytes() {
+            return Err(Mismatch("checkpoint strategy mismatch"));
         }
         self.period = r.take()? as u32;
         // -- lifecycle records --
-        let n_records = r.take()? as usize;
-        self.records.clear();
-        self.records.reserve(n_records);
-        for _ in 0..n_records {
-            let expires_at = r.take()? as u32;
-            let status = match r.take()? {
-                0 => Status::Available,
-                1 => Status::Busy,
-                2 => Status::Gone,
-                _ => return Err("checkpoint has invalid worker status"),
-            };
-            self.records.push(Record {
-                expires_at,
-                status,
-                shard: 0,
-                staged: SlotHandle::DEAD,
-            });
-        }
+        table.load_records(r)?;
+        lanes.routes.clear();
+        lanes.routes.resize(table.admitted(), Route::NONE);
         // -- live workers: re-route by cell into this service's shards
         //    and rebuild each shard's cache with one batch apply (the
         //    PR 3 cache contract makes query behavior depend only on
         //    the live *set*, so this equals the original build) --
         let live_total = r.take()? as usize;
-        let mut per_shard: Vec<Vec<(u32, WorkerInput)>> = vec![Vec::new(); self.shards.len()];
+        let mut per_shard: Vec<Vec<(u32, WorkerInput)>> = vec![Vec::new(); lanes.shards.len()];
         for _ in 0..live_total {
             let id = r.take()? as u32;
             let x = r.take_f64()?;
             let y = r.take_f64()?;
             let radius = r.take_f64()?;
-            let input = WorkerInput::new(&self.grid, Point::new(x, y), radius);
-            let shard = self.router.shard_of(input.cell) as u32;
-            self.records
+            let input = WorkerInput::new(grid, Point::new(x, y), radius);
+            let shard = lanes.router.shard_of(input.cell) as u32;
+            lanes
+                .routes
                 .get_mut(id as usize)
-                .ok_or("checkpoint live id out of range")?
+                .ok_or(Mismatch("checkpoint live id out of range"))?
                 .shard = shard;
             per_shard[shard as usize].push((id, input));
         }
-        for (shard, arrivals) in self.shards.iter_mut().zip(&per_shard) {
+        for (shard, arrivals) in lanes.shards.iter_mut().zip(&per_shard) {
             shard.cache.apply(WorkerChurn {
                 arrivals,
                 departures: &[],
                 relocations: &[],
             });
         }
-        // -- staged departures: re-route via the live records --
+        // -- staged departures: re-route via the live workers' routes --
         let n_departures = r.take()? as usize;
         for _ in 0..n_departures {
             let id = r.take()? as u32;
-            let shard = self
-                .records
+            let shard = lanes
+                .routes
                 .get(id as usize)
-                .ok_or("checkpoint departure id out of range")?
+                .ok_or(Mismatch("checkpoint departure id out of range"))?
                 .shard as usize;
-            self.shards[shard].departures.push(id);
+            lanes.shards[shard].departures.push(id);
         }
         // -- timed schedule --
-        let n_keys = r.take()? as usize;
-        self.schedule.clear();
-        for _ in 0..n_keys {
-            let t = r.take()? as u32;
-            let n_entries = r.take()? as usize;
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                entries.push(match r.take()? {
-                    0 => Timed::Expire(r.take()? as u32),
-                    1 => {
-                        let id = r.take()? as u32;
-                        let x = r.take_f64()?;
-                        let y = r.take_f64()?;
-                        let radius = r.take_f64()?;
-                        Timed::Release(id, WorkerInput::new(&self.grid, Point::new(x, y), radius))
-                    }
-                    _ => return Err("checkpoint has invalid schedule entry"),
-                });
-            }
-            self.schedule.insert(t, entries);
-        }
+        table.load_schedule(r)?;
         // -- pending tasks --
         let n_pending = r.take()? as usize;
         self.pending_tasks.clear();
@@ -1567,81 +1316,18 @@ impl ShardedService {
             self.watermarks.push((flag == 1).then_some((epoch, seq)));
         }
         self.serial_seq = r.take()?;
-        // -- outcome accumulator --
-        self.outcome.total_revenue = r.take_f64()?;
-        self.outcome.issued_tasks = r.take()?;
-        self.outcome.accepted_tasks = r.take()?;
-        self.outcome.matched_tasks = r.take()?;
-        let n_periods = r.take()? as usize;
-        self.outcome.revenue_per_period.clear();
-        for _ in 0..n_periods {
-            self.outcome.revenue_per_period.push(r.take_f64()?);
-        }
-        self.outcome.mean_posted_price = r.take_f64()?;
-        self.outcome.posted_price_std = r.take_f64()?;
-        self.outcome.matched_distance = r.take_f64()?;
-        self.outcome.rejected_events = r.take()?;
-        self.outcome.suppressed_duplicates = r.take()?;
-        self.outcome.latency = LatencyTelemetry::from_words(r.take_n(LatencyTelemetry::WORDS)?)
-            .ok_or("checkpoint latency telemetry corrupt")?;
-        let (count, mean_bits, m2_bits) = (r.take()?, r.take()?, r.take()?);
-        self.price_moments = RunningMoments::from_raw(count, mean_bits, m2_bits);
-        // -- strategy learning state --
-        let n_strategy = r.take()? as usize;
-        let state_words = r.rest();
-        if state_words.len() != n_strategy {
-            return Err("checkpoint strategy state length mismatch");
-        }
-        let mut state = maps_core::StateWords::new(state_words);
-        self.strategy
-            .load_state(&mut state)
-            .map_err(|_| "checkpoint strategy state rejected")?;
-        if state.remaining() != 0 {
-            return Err("checkpoint strategy state has trailing words");
-        }
-        Ok(())
-    }
-}
-
-/// Bounds-checked cursor over a checkpoint word stream.
-struct WordReader<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
-
-impl<'a> WordReader<'a> {
-    fn take(&mut self) -> Result<u64, &'static str> {
-        let w = *self.words.get(self.pos).ok_or("checkpoint truncated")?;
-        self.pos += 1;
-        Ok(w)
-    }
-
-    fn take_f64(&mut self) -> Result<f64, &'static str> {
-        self.take().map(f64::from_bits)
-    }
-
-    fn take_n(&mut self, n: usize) -> Result<&'a [u64], &'static str> {
-        let end = self.pos.checked_add(n).ok_or("checkpoint truncated")?;
-        let s = self
-            .words
-            .get(self.pos..end)
-            .ok_or("checkpoint truncated")?;
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn rest(&self) -> &'a [u64] {
-        &self.words[self.pos..]
+        // -- outcome accumulator, price moments, strategy state --
+        self.step.load(r)
     }
 }
 
 impl std::fmt::Debug for ShardedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedService")
-            .field("strategy", &self.outcome.strategy)
-            .field("shards", &self.shards.len())
+            .field("strategy", &self.step.outcome().strategy)
+            .field("shards", &self.num_shards())
             .field("period", &self.period)
-            .field("admitted", &self.records.len())
+            .field("admitted", &self.admitted_workers())
             .field("live", &self.live_workers())
             .finish_non_exhaustive()
     }
@@ -1651,6 +1337,7 @@ impl std::fmt::Debug for ShardedService {
 mod tests {
     use super::*;
     use maps_spatial::{Point, Rect};
+    use std::time::Instant;
 
     fn grid() -> GridSpec {
         GridSpec::square(Rect::square(10.0), 2)
@@ -1700,8 +1387,8 @@ mod tests {
         assert_eq!(svc.live_workers(), 2);
         assert_eq!(svc.admitted_workers(), 2);
         // Different cells on a 2-shard router: one worker per shard.
-        assert_eq!(svc.shards[0].cache.live_count(), 1);
-        assert_eq!(svc.shards[1].cache.live_count(), 1);
+        assert_eq!(svc.engine.lanes.shards[0].cache.live_count(), 1);
+        assert_eq!(svc.engine.lanes.shards[1].cache.live_count(), 1);
         svc.push(ServiceEvent::PeriodTick);
         assert_eq!(svc.live_workers(), 2, "duration 2 spans periods 0–1");
         svc.push(ServiceEvent::PeriodTick);
@@ -1788,10 +1475,18 @@ mod tests {
         assert_eq!(svc.outcome().matched_tasks, 1);
         svc.push(ServiceEvent::PeriodTick); // release fires at period 1
         assert_eq!(svc.live_workers(), 1);
-        assert_eq!(svc.shards[0].cache.live_count(), 0, "left shard 0");
-        assert_eq!(svc.shards[1].cache.live_count(), 1, "entered shard 1");
         assert_eq!(
-            svc.shards[1].cache.worker(0).unwrap().location,
+            svc.engine.lanes.shards[0].cache.live_count(),
+            0,
+            "left shard 0"
+        );
+        assert_eq!(
+            svc.engine.lanes.shards[1].cache.live_count(),
+            1,
+            "entered shard 1"
+        );
+        assert_eq!(
+            svc.engine.lanes.shards[1].cache.worker(0).unwrap().location,
             Point::new(9.0, 9.0)
         );
     }

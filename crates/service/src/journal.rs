@@ -272,7 +272,10 @@ pub fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
     out[header + 4..header + 12].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// Decodes one frame payload (must consume it exactly).
+/// Decodes one frame payload (must consume it exactly). The reserved
+/// [`TICK_PRODUCER`] lane carries nothing but `PeriodTick` barriers —
+/// replay closes a period on it without looking at the event — so any
+/// other event stamped with it is undecodable.
 fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
     let mut c = Cursor {
         bytes: payload,
@@ -302,6 +305,9 @@ fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
         3 => ServiceEvent::PeriodTick,
         _ => return None,
     };
+    if producer == TICK_PRODUCER && !matches!(event, ServiceEvent::PeriodTick) {
+        return None;
+    }
     (c.pos == payload.len()).then_some(JournalRecord {
         producer,
         epoch,
@@ -358,30 +364,28 @@ impl JournalWriter {
     pub fn create(path: &Path) -> Result<Self, JournalError> {
         let mut file = File::create(path)?;
         file.write_all(JOURNAL_MAGIC)?;
-        Ok(Self {
-            // 256 KiB buffer: an epoch's worth of frames usually fits,
-            // so the barrier flush is one or two write syscalls instead
-            // of hundreds through the default 8 KiB buffer.
-            file: BufWriter::with_capacity(256 * 1024, file),
-            scratch: Vec::new(),
-        })
+        Ok(Self::appending_to(file))
     }
 
     /// Reopens an existing journal for appending, first truncating it
     /// to `valid_len` (the durable prefix reported by
     /// [`read_journal`]) — this is how recovery drops a torn tail.
     pub fn open_append(path: &Path, valid_len: u64) -> Result<Self, JournalError> {
-        let file = OpenOptions::new().read(true).write(true).open(path)?;
+        let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
-        let mut file = file;
         file.seek(SeekFrom::End(0))?;
-        Ok(Self {
+        Ok(Self::appending_to(file))
+    }
+
+    /// A writer appending at `file`'s current position.
+    fn appending_to(file: File) -> Self {
+        Self {
             // 256 KiB buffer: an epoch's worth of frames usually fits,
             // so the barrier flush is one or two write syscalls instead
             // of hundreds through the default 8 KiB buffer.
             file: BufWriter::with_capacity(256 * 1024, file),
             scratch: Vec::new(),
-        })
+        }
     }
 
     /// Buffers one record (durable only after [`JournalWriter::sync`]).
@@ -631,6 +635,34 @@ mod tests {
         let (decoded, tail) = decode_records(&bytes);
         assert_eq!(decoded.len(), records.len() - 1);
         assert!(matches!(tail, Tail::Torn { .. }));
+    }
+
+    /// A frame that hashes correctly but stamps a non-tick event with
+    /// the reserved tick lane is a torn tail like any other undecodable
+    /// payload — replay must never close a period on it.
+    #[test]
+    fn non_tick_event_on_the_tick_lane_is_a_torn_tail() {
+        let records = sample_records();
+        let mut bytes = encode_all(&records);
+        let durable = bytes.len();
+        encode_record(
+            &JournalRecord {
+                producer: TICK_PRODUCER,
+                epoch: 1,
+                seq: 0,
+                event: ServiceEvent::WorkerDepart { id: 3 },
+            },
+            &mut bytes,
+        );
+        let (decoded, tail) = decode_records(&bytes);
+        assert_eq!(decoded.len(), records.len());
+        assert_eq!(
+            tail,
+            Tail::Torn {
+                valid_len: durable as u64,
+                dropped: (bytes.len() - durable) as u64,
+            }
+        );
     }
 
     #[test]

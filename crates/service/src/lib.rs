@@ -59,8 +59,9 @@
 //!    live list identical to the batch simulator's.
 //! 3. **The reducer is sequential and ordered**: per-tick shard results
 //!    are collected in shard-id order; pricing, acceptance (Welford
-//!    price moments), clearing and lifecycle run exactly the batch
-//!    loop's code path on the merged view.
+//!    price moments), clearing and lifecycle are the batch loop's own
+//!    code — [`maps_simulator::PeriodStep::run`] over one
+//!    [`maps_simulator::LifecycleTable`] — on the merged view.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -26,9 +26,7 @@ pub fn replay(truth: &GroundTruth, kind: StrategyKind, shards: usize) -> Outcome
 ///
 /// `options.calibrate` / `options.probe_seed` drive the same
 /// Algorithm-1 calibration the batch loop performs;
-/// `options.max_edges_per_task` is the per-task edge cap. The
-/// `incremental` flag has no meaning here — the service *is* the
-/// incremental engine — and is ignored.
+/// `options.max_edges_per_task` is the per-task edge cap.
 pub fn replay_with_options(
     truth: &GroundTruth,
     kind: StrategyKind,

@@ -13,12 +13,13 @@
 //!   with hotspot mixtures, the paper's exact task/worker counts, a
 //!   10×8 grid, 3 km worker range and configurable worker duration
 //!   `δ_w` (see DESIGN.md §5 for the substitution rationale).
-//! * [`platform`] — the per-period simulation loop: price → requesters
-//!   accept/reject against their private valuations → maximum-weight
-//!   market clearing → feedback to the strategy → worker lifecycle.
-//! * [`lifecycle`] — the event-queue worker engine behind the default
-//!   incremental platform path (arrive/expire/busy-release events
-//!   feeding [`maps_core::PeriodGraphCache`]).
+//! * [`platform`] — the per-period step shared by the batch loop and
+//!   the online service: price → requesters accept/reject against their
+//!   private valuations → maximum-weight market clearing → feedback to
+//!   the strategy → worker lifecycle.
+//! * [`lifecycle`] — the worker state machine (arrive/expire/
+//!   busy-release/depart events) and the batch engine feeding its churn
+//!   into a [`maps_core::PeriodGraphCache`].
 //! * [`probe`] — the ground-truth [`maps_core::DemandProbe`] used by the
 //!   Algorithm-1 calibration phase.
 //! * [`metrics`] — revenue / time / memory accounting (Figs. 6–8, 10).
@@ -37,9 +38,11 @@ pub mod synthetic;
 pub mod truth;
 
 pub use beijing::{BeijingConfig, BeijingWindow};
-pub use lifecycle::WorkerLifecycle;
+pub use lifecycle::{ChurnSink, LifecycleTable, WorkerLifecycle};
 pub use metrics::{Outcome, RunningMoments};
-pub use platform::{settle_period, PeriodSettlement, SimOptions, Simulation};
+pub use platform::{
+    settle_period, PeriodEngine, PeriodSettlement, PeriodStep, SimOptions, Simulation,
+};
 pub use probe::GroundTruthProbe;
 pub use synthetic::{DemandKind, DemandShift, SyntheticConfig};
 pub use truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};

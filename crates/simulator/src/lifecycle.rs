@@ -1,15 +1,17 @@
 //! Event-driven worker lifecycle feeding the incremental graph cache.
 //!
-//! The original platform loop kept every worker ever admitted in one
-//! growing `Vec` and rescanned it each period to find the available set
-//! — `O(all workers ever seen)` per period, with departed (`gone`)
-//! workers never reclaimed. [`WorkerLifecycle`] replaces the rescan with
-//! an explicit event queue: each worker's state transitions
-//! (**arrive → available**, **match → busy → release**, **expire**) are
-//! scheduled into per-period buckets when they become known, and a
-//! period only touches the events that fire in it plus that period's
-//! arrivals. The resulting churn feeds a [`PeriodGraphCache`], so the
-//! spatial index is mutated, never rebuilt.
+//! Each worker's state transitions (**arrive → available**, **match →
+//! busy → release**, **expire**, **depart**) are scheduled when they
+//! become known, and a period only touches the events that fire in it
+//! plus that period's arrivals — `O(churn)`, never `O(all workers ever
+//! seen)`. The state machine exists once, in [`LifecycleTable`]; it owns
+//! no spatial state and instead *emits* the resulting churn into a
+//! [`ChurnSink`]:
+//!
+//! * [`WorkerLifecycle`] (the batch engine) stages the churn for one
+//!   [`PeriodGraphCache`];
+//! * the sharded online service routes it by grid cell into per-shard
+//!   caches.
 //!
 //! Per-period event flow:
 //!
@@ -23,25 +25,40 @@
 //! ```
 //!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
-//! horizon), and a busy worker re-enters under its *original* id, so the
-//! materialized live set is always ordered exactly like the retained
-//! rescan oracle's available list — which is what makes the incremental
-//! simulation bit-identical to the scan path (`SimOptions::incremental =
-//! false`).
+//! stream), and a busy worker re-enters under its *original* id, so the
+//! materialized live set is always ordered exactly like the test-only
+//! rescan reference's available list — which is what makes the engine
+//! bit-identical to it (`incremental_run_matches_scan_oracle`).
 
+use crate::platform::PeriodEngine;
 use crate::truth::GroundWorker;
-use maps_core::{PeriodGraphCache, TaskInput, WorkerChurn, WorkerInput};
+use maps_core::{PeriodGraphCache, StateError, StateWords, TaskInput, WorkerChurn, WorkerInput};
 use maps_matching::BipartiteGraph;
 use maps_spatial::{GridSpec, Point};
+use std::collections::BTreeMap;
+use std::convert::Infallible;
+
+/// Where the live-set changes a [`LifecycleTable`] transition causes go:
+/// one cache's staging buffers (batch) or cell-routed shards (service).
+pub trait ChurnSink {
+    /// Worker `id` enters the live set at `input` (a fresh admission, or
+    /// a relocated worker re-entering under its original id).
+    fn arrive(&mut self, id: u32, input: WorkerInput);
+    /// Worker `id`, currently in the live set or staged to enter it,
+    /// leaves.
+    fn depart(&mut self, id: u32);
+}
 
 /// Where a worker currently is in its lifecycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// In the live set (spatial index) — can be matched.
     Available,
-    /// Matched under the relocate policy; re-enters at `busy_until`.
+    /// Matched under the relocate policy; re-enters at its scheduled
+    /// release.
     Busy,
-    /// Left permanently (consumed, expired, or released past horizon).
+    /// Left permanently (consumed, expired, departed, or released past
+    /// its window).
     Gone,
 }
 
@@ -53,28 +70,276 @@ struct Record {
     status: Status,
 }
 
-/// A scheduled lifecycle transition.
+/// A scheduled lifecycle transition, fired at the start of its period.
 #[derive(Debug, Clone, Copy)]
-enum Event {
+enum Timed {
     /// The worker's availability window ends this period.
     Expire(u32),
     /// A busy worker re-enters this period at its relocation target.
     Release(u32, WorkerInput),
 }
 
-/// The event-queue worker engine of the incremental simulation path.
+/// The worker state machine: per-worker records plus the schedule of
+/// timed transitions. Every transition reports its effect on the live
+/// set through the [`ChurnSink`] it is handed.
+#[derive(Debug)]
+pub struct LifecycleTable {
+    grid: GridSpec,
+    /// Per-worker state, indexed by id (admission order).
+    records: Vec<Record>,
+    /// Scheduled expiries/releases, keyed by the period they fire in. A
+    /// map (not per-period buckets) because a stream has no last period:
+    /// a `u32::MAX` expiry must be schedulable without allocating 2³²
+    /// buckets — it simply never fires.
+    schedule: BTreeMap<u32, Vec<Timed>>,
+    /// Number of periods of a bounded run. Transitions at or past it are
+    /// unobservable and never scheduled; `None` for an open-ended stream.
+    horizon: Option<u32>,
+}
+
+impl LifecycleTable {
+    /// An empty table over `grid`; see [`LifecycleTable`] for `horizon`.
+    pub fn new(grid: GridSpec, horizon: Option<u32>) -> Self {
+        Self {
+            grid,
+            records: Vec::new(),
+            schedule: BTreeMap::new(),
+            horizon,
+        }
+    }
+
+    /// Total workers ever admitted (the next admission id).
+    pub fn admitted(&self) -> usize {
+        self.records.len()
+    }
+
+    fn observable(&self, period: u32) -> bool {
+        self.horizon.is_none_or(|horizon| period < horizon)
+    }
+
+    fn input_at(&self, location: Point, radius: f64) -> WorkerInput {
+        WorkerInput {
+            location,
+            radius,
+            cell: self.grid.cell_of(location),
+        }
+    }
+
+    /// Admits `worker` in period `t` under the next id.
+    pub fn admit(&mut self, t: u32, worker: &GroundWorker, sink: &mut impl ChurnSink) {
+        let id = self.records.len() as u32;
+        let expires_at = t.saturating_add(worker.duration);
+        // A worker whose window is already over (duration 0 — rejected
+        // by `GroundTruth::validate`, but hand-built worlds and event
+        // streams can carry it) still consumes an id so later ids keep
+        // their positions, yet never enters the live set.
+        if expires_at <= t {
+            self.records.push(Record {
+                expires_at,
+                status: Status::Gone,
+            });
+            return;
+        }
+        self.records.push(Record {
+            expires_at,
+            status: Status::Available,
+        });
+        if self.observable(expires_at) {
+            self.schedule
+                .entry(expires_at)
+                .or_default()
+                .push(Timed::Expire(id));
+        }
+        sink.arrive(id, self.input_at(worker.location, worker.radius));
+    }
+
+    /// Worker `id` leaves now: its expiry firing, or an explicit
+    /// departure ahead of it. A no-op for workers already gone and for
+    /// ids never admitted: an online stream can carry duplicate or stale
+    /// departures, and one bad client event must not take the service
+    /// down. A busy worker's pending release is dropped when it fires.
+    pub fn depart(&mut self, id: u32, sink: &mut impl ChurnSink) {
+        let Some(record) = self.records.get_mut(id as usize) else {
+            return;
+        };
+        if record.status == Status::Available {
+            sink.depart(id);
+        }
+        record.status = Status::Gone;
+    }
+
+    /// Fires the transitions scheduled for period `t`. Call once per
+    /// period, in order, before the period's graph is built.
+    pub fn fire(&mut self, t: u32, sink: &mut impl ChurnSink) {
+        let Some(events) = self.schedule.remove(&t) else {
+            return;
+        };
+        for event in events {
+            match event {
+                Timed::Expire(id) => self.depart(id, sink),
+                Timed::Release(id, input) => {
+                    let record = &mut self.records[id as usize];
+                    if record.status == Status::Busy && t < record.expires_at {
+                        record.status = Status::Available;
+                        sink.arrive(id, input);
+                    } else {
+                        record.status = Status::Gone;
+                    }
+                }
+            }
+        }
+    }
+
+    /// A matched worker leaves permanently (`MatchPolicy::Consume`).
+    pub fn consume(&mut self, id: u32, sink: &mut impl ChurnSink) {
+        self.records[id as usize].status = Status::Gone;
+        sink.depart(id);
+    }
+
+    /// A worker of range `radius` matched in period `t` travels to
+    /// `destination` for `travel ≥ 1` periods (`MatchPolicy::Relocate`),
+    /// re-entering at `t + travel` under the same id — or leaving for
+    /// good when that lands on or past its expiry or the horizon.
+    pub fn dispatch(
+        &mut self,
+        t: u32,
+        id: u32,
+        radius: f64,
+        destination: Point,
+        travel: u32,
+        sink: &mut impl ChurnSink,
+    ) {
+        debug_assert!(travel >= 1, "relocation travel takes at least one period");
+        sink.depart(id);
+        let busy_until = t.saturating_add(travel);
+        let release = Timed::Release(id, self.input_at(destination, radius));
+        let returns = self.observable(busy_until);
+        let record = &mut self.records[id as usize];
+        if returns && busy_until < record.expires_at {
+            record.status = Status::Busy;
+            self.schedule.entry(busy_until).or_default().push(release);
+        } else {
+            record.status = Status::Gone;
+        }
+    }
+
+    /// Appends the per-worker records to a checkpoint word stream.
+    pub fn save_records(&self, w: &mut Vec<u64>) {
+        w.push(self.records.len() as u64);
+        for r in &self.records {
+            w.push(u64::from(r.expires_at));
+            w.push(match r.status {
+                Status::Available => 0,
+                Status::Busy => 1,
+                Status::Gone => 2,
+            });
+        }
+    }
+
+    /// Restores what [`LifecycleTable::save_records`] wrote.
+    pub fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        let n_records = r.take()? as usize;
+        self.records.clear();
+        self.records.reserve(n_records);
+        for _ in 0..n_records {
+            let expires_at = r.take()? as u32;
+            let status = match r.take()? {
+                0 => Status::Available,
+                1 => Status::Busy,
+                2 => Status::Gone,
+                _ => return Err(StateError::Mismatch("checkpoint has invalid worker status")),
+            };
+            self.records.push(Record { expires_at, status });
+        }
+        Ok(())
+    }
+
+    /// Appends the timed schedule to a checkpoint word stream (floats as
+    /// IEEE-754 bits).
+    pub fn save_schedule(&self, w: &mut Vec<u64>) {
+        w.push(self.schedule.len() as u64);
+        for (&t, entries) in &self.schedule {
+            w.push(u64::from(t));
+            w.push(entries.len() as u64);
+            for e in entries {
+                match e {
+                    Timed::Expire(id) => {
+                        w.push(0);
+                        w.push(u64::from(*id));
+                    }
+                    Timed::Release(id, input) => {
+                        w.push(1);
+                        w.push(u64::from(*id));
+                        w.push(input.location.x.to_bits());
+                        w.push(input.location.y.to_bits());
+                        w.push(input.radius.to_bits());
+                    }
+                }
+            }
+        }
+    }
+
+    /// Restores what [`LifecycleTable::save_schedule`] wrote (after
+    /// [`LifecycleTable::load_records`]: entries must name known ids).
+    pub fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        let n_keys = r.take()? as usize;
+        self.schedule.clear();
+        for _ in 0..n_keys {
+            let t = r.take()? as u32;
+            let n_entries = r.take()? as usize;
+            let mut entries = Vec::with_capacity(n_entries);
+            for _ in 0..n_entries {
+                let tag = r.take()?;
+                let id = r.take()? as u32;
+                if id as usize >= self.records.len() {
+                    return Err(StateError::Mismatch("checkpoint schedule id out of range"));
+                }
+                entries.push(match tag {
+                    0 => Timed::Expire(id),
+                    1 => {
+                        let location = Point::new(r.take_f64()?, r.take_f64()?);
+                        Timed::Release(id, self.input_at(location, r.take_f64()?))
+                    }
+                    _ => {
+                        return Err(StateError::Mismatch(
+                            "checkpoint has invalid schedule entry",
+                        ))
+                    }
+                });
+            }
+            self.schedule.insert(t, entries);
+        }
+        Ok(())
+    }
+}
+
+/// Churn staged between two graph builds of a single cache.
+#[derive(Debug, Default)]
+struct StagedChurn {
+    arrivals: Vec<(u32, WorkerInput)>,
+    departures: Vec<u32>,
+}
+
+impl ChurnSink for StagedChurn {
+    fn arrive(&mut self, id: u32, input: WorkerInput) {
+        self.arrivals.push((id, input));
+    }
+
+    fn depart(&mut self, id: u32) {
+        self.departures.push(id);
+    }
+}
+
+/// The batch period engine: a [`LifecycleTable`] whose churn feeds one
+/// [`PeriodGraphCache`], so the spatial index is mutated, never rebuilt.
 #[derive(Debug)]
 pub struct WorkerLifecycle {
     cache: PeriodGraphCache,
-    /// Per-worker state, indexed by id (admission order).
-    records: Vec<Record>,
-    /// `buckets[t]` holds the events firing at period `t`. Events past
-    /// the horizon are unobservable and never scheduled.
-    buckets: Vec<Vec<Event>>,
-    /// Staged churn, applied by the next [`WorkerLifecycle::build_graph_capped`].
-    arrivals: Vec<(u32, WorkerInput)>,
-    departures: Vec<u32>,
-    horizon: u32,
+    table: LifecycleTable,
+    /// Applied by the next [`WorkerLifecycle::build_graph_capped`].
+    staged: StagedChurn,
+    /// The live workers of the last [`PeriodEngine::build_graph`].
+    worker_inputs: Vec<WorkerInput>,
 }
 
 impl WorkerLifecycle {
@@ -83,11 +348,9 @@ impl WorkerLifecycle {
     pub fn new(grid: &GridSpec, horizon: usize, expected_workers: usize) -> Self {
         Self {
             cache: PeriodGraphCache::new(grid, expected_workers),
-            records: Vec::new(),
-            buckets: (0..horizon).map(|_| Vec::new()).collect(),
-            arrivals: Vec::new(),
-            departures: Vec::new(),
-            horizon: horizon as u32,
+            table: LifecycleTable::new(*grid, Some(horizon as u32)),
+            staged: StagedChurn::default(),
+            worker_inputs: Vec::new(),
         }
     }
 
@@ -96,66 +359,9 @@ impl WorkerLifecycle {
     /// per period, in order, followed by
     /// [`WorkerLifecycle::build_graph_capped`].
     pub fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
-        let mut events = std::mem::take(&mut self.buckets[t as usize]);
-        for event in events.drain(..) {
-            match event {
-                Event::Expire(id) => {
-                    let record = &mut self.records[id as usize];
-                    if record.status == Status::Available {
-                        self.departures.push(id);
-                    }
-                    record.status = Status::Gone;
-                }
-                Event::Release(id, input) => {
-                    let record = &mut self.records[id as usize];
-                    if record.status == Status::Busy && t < record.expires_at {
-                        record.status = Status::Available;
-                        self.arrivals.push((id, input));
-                    } else {
-                        record.status = Status::Gone;
-                    }
-                }
-            }
-        }
-        // Hand the emptied bucket back so its allocation is reused by
-        // events scheduled for later periods.
-        self.buckets[t as usize] = events;
-        for w in arrivals {
-            let id = self.records.len() as u32;
-            let expires_at = t.saturating_add(w.duration);
-            // A worker whose window is already over (duration 0 —
-            // rejected by `GroundTruth::validate`, but hand-built worlds
-            // can carry it) still consumes an id so later ids keep their
-            // scan-path positions, yet never enters the live set: the
-            // scan oracle's `t < expires_at` check never admits it.
-            if expires_at <= t {
-                self.records.push(Record {
-                    expires_at,
-                    status: Status::Gone,
-                });
-                continue;
-            }
-            self.records.push(Record {
-                expires_at,
-                status: Status::Available,
-            });
-            self.schedule(expires_at, Event::Expire(id));
-            self.arrivals.push((
-                id,
-                WorkerInput {
-                    location: w.location,
-                    radius: w.radius,
-                    cell: self.cache.grid().cell_of(w.location),
-                },
-            ));
-        }
-    }
-
-    /// Schedules `event` unless it fires past the horizon (then it is
-    /// unobservable).
-    fn schedule(&mut self, period: u32, event: Event) {
-        if period < self.horizon {
-            self.buckets[period as usize].push(event);
+        self.table.fire(t, &mut self.staged);
+        for worker in arrivals {
+            self.table.admit(t, worker, &mut self.staged);
         }
     }
 
@@ -164,15 +370,15 @@ impl WorkerLifecycle {
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
         let graph = self.cache.advance_capped(
             WorkerChurn {
-                arrivals: &self.arrivals,
-                departures: &self.departures,
+                arrivals: &self.staged.arrivals,
+                departures: &self.staged.departures,
                 relocations: &[],
             },
             tasks,
             k,
         );
-        self.arrivals.clear();
-        self.departures.clear();
+        self.staged.arrivals.clear();
+        self.staged.departures.clear();
         graph
     }
 
@@ -190,7 +396,7 @@ impl WorkerLifecycle {
 
     /// Total workers ever admitted.
     pub fn admitted(&self) -> usize {
-        self.records.len()
+        self.table.admitted()
     }
 
     /// The id of the `dense`-th right-side vertex of the last built
@@ -202,8 +408,7 @@ impl WorkerLifecycle {
     /// A matched worker leaves permanently (`MatchPolicy::Consume`).
     /// Staged as a departure for the next period's build.
     pub fn consume(&mut self, id: u32) {
-        self.records[id as usize].status = Status::Gone;
-        self.departures.push(id);
+        self.table.consume(id, &mut self.staged);
     }
 
     /// A matched worker travels to `destination` for `travel ≥ 1`
@@ -211,26 +416,40 @@ impl WorkerLifecycle {
     /// under the same id — or leaving for good when that lands past its
     /// expiry or the horizon.
     pub fn dispatch(&mut self, t: u32, id: u32, destination: Point, travel: u32) {
-        debug_assert!(travel >= 1, "relocation travel takes at least one period");
         let radius = self
             .cache
             .worker(id)
             .expect("dispatched worker is live")
             .radius;
-        self.departures.push(id);
-        let busy_until = t.saturating_add(travel);
-        let record = &mut self.records[id as usize];
-        if busy_until < self.horizon && busy_until < record.expires_at {
-            record.status = Status::Busy;
-            let input = WorkerInput {
-                location: destination,
-                radius,
-                cell: self.cache.grid().cell_of(destination),
-            };
-            self.buckets[busy_until as usize].push(Event::Release(id, input));
-        } else {
-            record.status = Status::Gone;
-        }
+        self.table
+            .dispatch(t, id, radius, destination, travel, &mut self.staged);
+    }
+}
+
+impl PeriodEngine for WorkerLifecycle {
+    type Error = Infallible;
+
+    fn build_graph(
+        &mut self,
+        _t: u32,
+        tasks: &[TaskInput],
+        k: usize,
+    ) -> Result<BipartiteGraph, Infallible> {
+        let graph = self.build_graph_capped(tasks, k);
+        self.cache.fill_worker_inputs(&mut self.worker_inputs);
+        Ok(graph)
+    }
+
+    fn worker_inputs(&self) -> &[WorkerInput] {
+        &self.worker_inputs
+    }
+
+    fn consume_matched(&mut self, dense: usize) {
+        self.consume(self.id_of_dense(dense));
+    }
+
+    fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
+        self.dispatch(t, self.id_of_dense(dense), destination, travel);
     }
 }
 
@@ -369,5 +588,113 @@ mod tests {
             let _ = engine.build_graph_capped(&[], 4);
             assert_eq!(engine.live_count(), 0, "period {t}");
         }
+    }
+
+    /// Records what a table transition emitted.
+    #[derive(Debug, Default, PartialEq)]
+    struct Emitted {
+        arrived: Vec<u32>,
+        departed: Vec<u32>,
+    }
+
+    impl ChurnSink for Emitted {
+        fn arrive(&mut self, id: u32, _input: WorkerInput) {
+            self.arrived.push(id);
+        }
+
+        fn depart(&mut self, id: u32) {
+            self.departed.push(id);
+        }
+    }
+
+    /// An open-ended table (the service's shape) with one admitted
+    /// worker, its arrival already drained from the sink.
+    fn table_with_one_worker(duration: u32) -> (LifecycleTable, Emitted) {
+        let mut table = LifecycleTable::new(grid(), None);
+        let mut sink = Emitted::default();
+        table.admit(0, &worker(1.0, duration), &mut sink);
+        assert_eq!(sink.arrived, [0]);
+        (table, Emitted::default())
+    }
+
+    #[test]
+    fn departing_an_available_worker_emits_one_departure() {
+        let (mut table, mut sink) = table_with_one_worker(3);
+        table.depart(0, &mut sink);
+        assert_eq!(sink.departed, [0]);
+        // Departing again is a no-op, and so is the expiry that was
+        // scheduled at admission.
+        table.depart(0, &mut sink);
+        table.fire(3, &mut sink);
+        assert_eq!(sink.departed, [0]);
+        assert!(sink.arrived.is_empty());
+    }
+
+    #[test]
+    fn departing_a_busy_worker_drops_its_release() {
+        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
+        table.dispatch(0, 0, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
+        assert_eq!(
+            sink.departed,
+            [0],
+            "dispatch takes the worker off the live set"
+        );
+        // Busy workers are in no live set: nothing to emit.
+        table.depart(0, &mut sink);
+        assert_eq!(sink.departed, [0]);
+        table.fire(2, &mut sink);
+        assert!(
+            sink.arrived.is_empty(),
+            "the release of a departed worker fired"
+        );
+    }
+
+    #[test]
+    fn departing_an_unknown_id_is_ignored() {
+        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
+        table.depart(42, &mut sink);
+        assert_eq!(sink, Emitted::default());
+        assert_eq!(table.admitted(), 1);
+    }
+
+    /// The two checkpoint sections restore a table that continues
+    /// exactly like the one that wrote them, busy workers and a
+    /// never-firing `u32::MAX` expiry included.
+    #[test]
+    fn saved_records_and_schedule_restore_the_same_transitions() {
+        let mut table = LifecycleTable::new(grid(), None);
+        let mut sink = Emitted::default();
+        table.admit(0, &worker(1.0, 4), &mut sink);
+        table.admit(0, &worker(2.0, u32::MAX), &mut sink);
+        table.admit(0, &worker(3.0, 0), &mut sink);
+        table.dispatch(0, 1, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
+        let mut words = Vec::new();
+        table.save_records(&mut words);
+        table.save_schedule(&mut words);
+
+        let mut restored = LifecycleTable::new(grid(), None);
+        let mut r = StateWords::new(&words);
+        restored.load_records(&mut r).unwrap();
+        restored.load_schedule(&mut r).unwrap();
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(restored.admitted(), 3);
+        let mut resaved = Vec::new();
+        restored.save_records(&mut resaved);
+        restored.save_schedule(&mut resaved);
+        assert_eq!(resaved, words);
+
+        for t in 1..6 {
+            let (mut a, mut b) = (Emitted::default(), Emitted::default());
+            table.fire(t, &mut a);
+            restored.fire(t, &mut b);
+            assert_eq!(a, b, "period {t}");
+            assert_eq!(a.arrived, if t == 2 { vec![1] } else { vec![] });
+            assert_eq!(a.departed, if t == 4 { vec![0] } else { vec![] });
+        }
+        // A truncated stream is an error, not a panic.
+        let mut short = LifecycleTable::new(grid(), None);
+        let mut r = StateWords::new(&words[..words.len() - 1]);
+        short.load_records(&mut r).unwrap();
+        assert_eq!(short.load_schedule(&mut r), Err(StateError::Truncated));
     }
 }

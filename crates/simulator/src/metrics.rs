@@ -139,6 +139,28 @@ pub struct Outcome {
 }
 
 impl Outcome {
+    /// The outcome of a run that has not served a period yet.
+    pub fn new(strategy: &str) -> Self {
+        Self {
+            strategy: strategy.to_string(),
+            total_revenue: 0.0,
+            issued_tasks: 0,
+            accepted_tasks: 0,
+            matched_tasks: 0,
+            pricing_secs: 0.0,
+            clearing_secs: 0.0,
+            calibration_secs: 0.0,
+            peak_memory_mib: None,
+            revenue_per_period: Vec::new(),
+            mean_posted_price: 0.0,
+            posted_price_std: 0.0,
+            matched_distance: 0.0,
+            rejected_events: 0,
+            suppressed_duplicates: 0,
+            latency: LatencyTelemetry::new(),
+        }
+    }
+
     /// Fraction of issued tasks that accepted their price.
     pub fn acceptance_rate(&self) -> f64 {
         if self.issued_tasks == 0 {
@@ -176,8 +198,8 @@ impl Outcome {
     /// `clearing_secs`, `calibration_secs`), which legitimately vary
     /// with thread count and machine load, and `peak_memory_mib`, which
     /// reflects the allocator schedule of whichever engine produced the
-    /// outcome (the `--no-incremental` and `--shards` paths are
-    /// bit-identical in *results* while allocating very differently).
+    /// outcome (the batch and `--shards` paths are bit-identical in
+    /// *results* while allocating very differently).
     ///
     /// This is the equality the workspace's replay/determinism oracles
     /// compare: two outcomes with equal `deterministic_bits` agree

@@ -10,17 +10,25 @@
 //!    `d_r · p_r` per served task;
 //! 5. accept/reject outcomes are fed back to the strategy, and matched
 //!    workers follow the scenario's lifecycle policy.
+//!
+//! Steps 1–5 exist once, as [`PeriodStep::run`]: the batch
+//! [`Simulation`] calls it in a loop over a [`WorkerLifecycle`], the
+//! sharded online service calls it from its tick over its shard set.
+//! Their float-op sequences — and therefore their bit-level outcomes —
+//! agree by construction rather than by mirrored code.
 
 use crate::lifecycle::WorkerLifecycle;
 use crate::metrics::{Outcome, RunningMoments};
 use crate::probe::GroundTruthProbe;
-use crate::truth::{GroundTruth, GroundWorker, MatchPolicy};
+use crate::truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy};
 use maps_core::{
-    build_period_graph_capped, paper_default_strategy, Observation, PeriodInput, PriceSchedule,
-    PricingStrategy, StrategyKind, TaskInput, WorkerInput,
+    paper_default_strategy, DemandProbe, Observation, PeriodInput, PriceSchedule, PricingStrategy,
+    StateError, StateWords, StrategyKind, TaskInput, WorkerInput,
 };
 use maps_matching::{BipartiteGraph, MatchScratch};
 use maps_spatial::{GridSpec, Point};
+use maps_telemetry::LatencyTelemetry;
+use std::convert::Infallible;
 use std::time::Instant;
 
 /// Results of one period's requester decisions and market clearing.
@@ -41,13 +49,11 @@ pub struct PeriodSettlement {
 /// task order, and the market clears over the accepting subgraph
 /// through the masked zero-allocation kernel.
 ///
-/// This is the **shared per-period core**: the batch loop
-/// ([`Simulation::run`]) and the sharded online service's tick reducer
-/// both call it, so their float-op sequences — and therefore their
-/// bit-level outcomes — agree by construction rather than by mirrored
-/// code. The matched pairs stay readable through `clearing` for the
-/// caller's lifecycle step (task indices are the original period
-/// indices — the masked kernel does not renumber).
+/// The accept/clear half of [`PeriodStep::run`], public so an
+/// independent reference loop can be assembled from the same parts.
+/// The matched pairs stay readable through `clearing` for the caller's
+/// lifecycle step (task indices are the original period indices — the
+/// masked kernel does not renumber).
 #[allow(clippy::too_many_arguments)]
 pub fn settle_period(
     tasks: &[crate::truth::GroundTask],
@@ -103,14 +109,6 @@ pub struct SimOptions {
     /// workers are simultaneously available. Keeps the paper's
     /// 500k-worker scalability run tractable.
     pub max_edges_per_task: usize,
-    /// Drive the period loop through the event-queue worker lifecycle
-    /// and the incremental [`maps_core::PeriodGraphCache`] (on by
-    /// default): per-period cost scales with worker *churn* instead of
-    /// with every worker ever admitted. The retained rescan-and-rebuild
-    /// path (`incremental = false`) is the oracle — both produce
-    /// bit-identical outcomes (wall-clock columns aside), enforced by
-    /// `incremental_run_matches_scan_oracle` below.
-    pub incremental: bool,
 }
 
 impl Default for SimOptions {
@@ -119,151 +117,241 @@ impl Default for SimOptions {
             calibrate: true,
             probe_seed: 0xCA11B,
             max_edges_per_task: 64,
-            incremental: true,
         }
     }
 }
 
-/// A worker currently known to the scan-path platform.
-#[derive(Debug, Clone, Copy)]
-struct ActiveWorker {
-    location: maps_spatial::Point,
-    radius: f64,
-    /// First period in which the worker is free again (relocation).
-    busy_until: u32,
-    /// Period at which the worker leaves the platform.
-    expires_at: u32,
-    /// Whether the worker left permanently (consumed).
-    gone: bool,
-}
-
-/// How the period loop materializes the available workers, builds the
-/// graph, and applies post-match lifecycle transitions. Two engines share
-/// the loop in [`Simulation::drive`]:
-///
-/// * [`ScanEngine`] — the retained from-scratch oracle: rescans every
-///   admitted worker each period and rebuilds the spatial index.
-/// * [`IncrementalEngine`] — the event-queue lifecycle feeding the
-///   [`maps_core::PeriodGraphCache`].
-trait PeriodEngine {
-    /// Starts period `t` and admits its arrivals.
-    fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]);
-    /// Builds the period's capped bipartite graph over the available
-    /// workers and leaves the matching worker list readable through
+/// What [`PeriodStep::run`] needs from the worker side of a period: the
+/// graph over the currently available workers, and the lifecycle
+/// transitions of the ones that got matched. Implemented by
+/// [`WorkerLifecycle`] (one spatial index) and by the online service's
+/// shard set (cell-routed indexes, merged under the total
+/// `(distance, id)` order).
+pub trait PeriodEngine {
+    /// Why a graph build can fail ([`Infallible`] for the batch engine;
+    /// the shard set reports a panicking shard).
+    type Error;
+    /// Builds period `t`'s capped bipartite graph over the available
+    /// workers — every transition reported so far applied — and leaves
+    /// the matching worker list readable through
     /// [`PeriodEngine::worker_inputs`].
-    fn build_graph(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph;
+    fn build_graph(
+        &mut self,
+        t: u32,
+        tasks: &[TaskInput],
+        k: usize,
+    ) -> Result<BipartiteGraph, Self::Error>;
     /// The available workers, in the graph's right-side order.
     fn worker_inputs(&self) -> &[WorkerInput];
     /// Right-side vertex `dense` was matched and leaves permanently.
-    fn consume(&mut self, dense: usize);
-    /// Right-side vertex `dense` was matched and relocates to
-    /// `destination`, busy for `travel ≥ 1` periods.
-    fn dispatch(&mut self, t: u32, dense: usize, destination: Point, travel: u32);
+    fn consume_matched(&mut self, dense: usize);
+    /// Right-side vertex `dense` was matched in period `t` and relocates
+    /// to `destination`, busy for `travel ≥ 1` periods.
+    fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32);
 }
 
-/// The original rescan path: every admitted worker is kept (and scanned)
-/// forever, the graph is rebuilt from scratch per period.
-struct ScanEngine {
-    grid: GridSpec,
-    workers: Vec<ActiveWorker>,
-    avail_idx: Vec<u32>,
-    worker_inputs: Vec<WorkerInput>,
+/// The state one run carries from period to period — the strategy, the
+/// [`Outcome`] accumulated so far, the posted-price moments — and the
+/// one function that advances it by a period.
+pub struct PeriodStep {
+    strategy: Box<dyn PricingStrategy>,
+    /// Kept fully finalized after every period (price moments included),
+    /// so observing a live run is a borrow.
+    outcome: Outcome,
+    /// Posted-price moments via Welford's algorithm (see
+    /// [`RunningMoments`]): the naive Σx/Σx² finish cancels
+    /// catastrophically on high-mean/low-spread price streams.
+    price_moments: RunningMoments,
+    // Scratch, allocated once and recycled across the run.
+    task_inputs: Vec<TaskInput>,
+    observations: Vec<Observation>,
+    keep: Vec<bool>,
+    weights: Vec<f64>,
+    clearing: MatchScratch,
 }
 
-impl ScanEngine {
-    fn new(grid: GridSpec) -> Self {
+impl PeriodStep {
+    /// A run of `strategy` that has not served a period yet.
+    pub fn new(strategy: Box<dyn PricingStrategy>) -> Self {
         Self {
-            grid,
-            workers: Vec::new(),
-            avail_idx: Vec::new(),
-            worker_inputs: Vec::new(),
+            outcome: Outcome::new(strategy.name()),
+            strategy,
+            price_moments: RunningMoments::new(),
+            task_inputs: Vec::new(),
+            observations: Vec::new(),
+            keep: Vec::new(),
+            weights: Vec::new(),
+            clearing: MatchScratch::new(),
         }
     }
-}
 
-impl PeriodEngine for ScanEngine {
-    fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
-        for w in arrivals {
-            self.workers.push(ActiveWorker {
-                location: w.location,
-                radius: w.radius,
-                busy_until: t,
-                expires_at: t.saturating_add(w.duration),
-                gone: false,
-            });
-        }
-        // Available = not gone, not busy, not expired.
-        self.avail_idx.clear();
-        self.worker_inputs.clear();
-        for (i, w) in self.workers.iter().enumerate() {
-            if !w.gone && w.busy_until <= t && t < w.expires_at {
-                self.avail_idx.push(i as u32);
-                self.worker_inputs.push(WorkerInput {
-                    location: w.location,
-                    radius: w.radius,
-                    cell: self.grid.cell_of(w.location),
-                });
+    /// Runs the strategy's one-off Algorithm-1 calibration against
+    /// `probe` (before the first period).
+    pub fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
+        // lint-allow(det-wallclock): calibration_secs is timing telemetry, excluded from deterministic_bits
+        let start = Instant::now();
+        self.strategy.calibrate(probe);
+        self.outcome.calibration_secs += start.elapsed().as_secs_f64();
+    }
+
+    /// The outcome accumulated so far.
+    pub fn outcome(&self) -> &Outcome {
+        &self.outcome
+    }
+
+    /// The outcome, for the counters a caller keeps outside the period
+    /// (`rejected_events`, `suppressed_duplicates`).
+    pub fn outcome_mut(&mut self) -> &mut Outcome {
+        &mut self.outcome
+    }
+
+    /// Ends the run, returning the final outcome.
+    pub fn into_outcome(self) -> Outcome {
+        self.outcome
+    }
+
+    /// Serves period `t`: prices `tasks` over `engine`'s available
+    /// workers, lets the requesters decide, clears the market, applies
+    /// `match_policy` to the matched workers and feeds the decisions
+    /// back to the strategy. Fails — before anything is priced or
+    /// recorded — only if the engine cannot build the period's graph.
+    pub fn run<E: PeriodEngine>(
+        &mut self,
+        t: u32,
+        grid: &GridSpec,
+        tasks: &[GroundTask],
+        match_policy: MatchPolicy,
+        max_edges_per_task: usize,
+        engine: &mut E,
+    ) -> Result<(), E::Error> {
+        self.task_inputs.clear();
+        self.task_inputs.extend(tasks.iter().map(|task| TaskInput {
+            origin: task.origin,
+            distance: task.distance,
+            cell: task.cell,
+        }));
+        let graph = engine.build_graph(t, &self.task_inputs, max_edges_per_task)?;
+        self.outcome.issued_tasks += tasks.len() as u64;
+        // Event-time telemetry: queued tasks and live workers at pricing
+        // time are pure functions of the event stream, so the histograms
+        // are bit-identical across engines, shard and thread counts.
+        self.outcome
+            .latency
+            .record_period(tasks.len() as u64, engine.worker_inputs().len() as u64);
+        let input = PeriodInput {
+            grid,
+            tasks: &self.task_inputs,
+            workers: engine.worker_inputs(),
+            graph: &graph,
+        };
+
+        // lint-allow(det-wallclock): pricing_secs is timing telemetry, excluded from deterministic_bits
+        let start = Instant::now();
+        let schedule = self.strategy.price_period(&input);
+        self.outcome.pricing_secs += start.elapsed().as_secs_f64();
+
+        let settlement = settle_period(
+            tasks,
+            &self.task_inputs,
+            &schedule,
+            &graph,
+            &mut self.price_moments,
+            &mut self.observations,
+            &mut self.keep,
+            &mut self.weights,
+            &mut self.clearing,
+        );
+        self.outcome.accepted_tasks += settlement.accepted;
+        self.outcome.clearing_secs += settlement.clearing_secs;
+        self.outcome.total_revenue += settlement.revenue;
+        self.outcome.revenue_per_period.push(settlement.revenue);
+
+        // Worker lifecycle for matched pairs (task indices are the
+        // original period indices — the masked kernel does not
+        // renumber). The churn is staged for the next period's build.
+        for (l, dense) in self.clearing.matched_pairs() {
+            self.outcome.matched_tasks += 1;
+            let task = &tasks[l];
+            self.outcome.matched_distance += task.distance;
+            match match_policy {
+                MatchPolicy::Consume => engine.consume_matched(dense as usize),
+                MatchPolicy::Relocate { speed } => {
+                    let travel = (task.distance / speed).ceil().max(1.0) as u32;
+                    engine.dispatch_matched(t, dense as usize, task.destination, travel);
+                }
             }
         }
+
+        self.strategy.observe(&self.observations);
+        self.outcome.mean_posted_price = self.price_moments.mean();
+        self.outcome.posted_price_std = self.price_moments.population_std();
+        Ok(())
     }
 
-    fn build_graph(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        build_period_graph_capped(&self.grid, tasks, &self.worker_inputs, k)
+    /// Appends the run state to a checkpoint word stream (floats as
+    /// IEEE-754 bits): the outcome accumulator — without the wall-clock
+    /// columns, which are excluded from `deterministic_bits` and restart
+    /// at zero — the price moments and the strategy's learning state.
+    pub fn save(&self, w: &mut Vec<u64>) {
+        w.push(self.outcome.total_revenue.to_bits());
+        w.push(self.outcome.issued_tasks);
+        w.push(self.outcome.accepted_tasks);
+        w.push(self.outcome.matched_tasks);
+        w.push(self.outcome.revenue_per_period.len() as u64);
+        w.extend(self.outcome.revenue_per_period.iter().map(|r| r.to_bits()));
+        w.push(self.outcome.mean_posted_price.to_bits());
+        w.push(self.outcome.posted_price_std.to_bits());
+        w.push(self.outcome.matched_distance.to_bits());
+        w.push(self.outcome.rejected_events);
+        w.push(self.outcome.suppressed_duplicates);
+        self.outcome.latency.extend_words(w);
+        let (count, mean_bits, m2_bits) = self.price_moments.to_raw();
+        w.extend([count, mean_bits, m2_bits]);
+        let len_at = w.len();
+        w.push(0);
+        self.strategy.save_state(w);
+        w[len_at] = (w.len() - len_at - 1) as u64;
     }
 
-    fn worker_inputs(&self) -> &[WorkerInput] {
-        &self.worker_inputs
-    }
-
-    fn consume(&mut self, dense: usize) {
-        self.workers[self.avail_idx[dense] as usize].gone = true;
-    }
-
-    fn dispatch(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
-        let worker = &mut self.workers[self.avail_idx[dense] as usize];
-        worker.busy_until = t.saturating_add(travel);
-        worker.location = destination;
-    }
-}
-
-/// The churn-driven path: [`WorkerLifecycle`] events feed the
-/// incremental graph cache.
-struct IncrementalEngine {
-    lifecycle: WorkerLifecycle,
-    worker_inputs: Vec<WorkerInput>,
-}
-
-impl IncrementalEngine {
-    fn new(grid: &GridSpec, horizon: usize, expected_workers: usize) -> Self {
-        Self {
-            lifecycle: WorkerLifecycle::new(grid, horizon, expected_workers),
-            worker_inputs: Vec::new(),
+    /// Restores what [`PeriodStep::save`] wrote into a step built around
+    /// an identically configured strategy. The run state is the last
+    /// section of a checkpoint: trailing words are an error.
+    pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        self.outcome.total_revenue = r.take_f64()?;
+        self.outcome.issued_tasks = r.take()?;
+        self.outcome.accepted_tasks = r.take()?;
+        self.outcome.matched_tasks = r.take()?;
+        let n_periods = r.take()? as usize;
+        self.outcome.revenue_per_period.clear();
+        for _ in 0..n_periods {
+            self.outcome.revenue_per_period.push(r.take_f64()?);
         }
-    }
-}
-
-impl PeriodEngine for IncrementalEngine {
-    fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
-        self.lifecycle.begin_period(t, arrivals);
-    }
-
-    fn build_graph(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        let graph = self.lifecycle.build_graph_capped(tasks, k);
-        self.lifecycle.fill_worker_inputs(&mut self.worker_inputs);
-        graph
-    }
-
-    fn worker_inputs(&self) -> &[WorkerInput] {
-        &self.worker_inputs
-    }
-
-    fn consume(&mut self, dense: usize) {
-        self.lifecycle.consume(self.lifecycle.id_of_dense(dense));
-    }
-
-    fn dispatch(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
-        self.lifecycle
-            .dispatch(t, self.lifecycle.id_of_dense(dense), destination, travel);
+        self.outcome.mean_posted_price = r.take_f64()?;
+        self.outcome.posted_price_std = r.take_f64()?;
+        self.outcome.matched_distance = r.take_f64()?;
+        self.outcome.rejected_events = r.take()?;
+        self.outcome.suppressed_duplicates = r.take()?;
+        let latency = r
+            .rest()
+            .get(..LatencyTelemetry::WORDS)
+            .ok_or(StateError::Truncated)?;
+        self.outcome.latency = LatencyTelemetry::from_words(latency)
+            .ok_or(StateError::Mismatch("checkpoint latency telemetry corrupt"))?;
+        r.advance(LatencyTelemetry::WORDS);
+        let (count, mean_bits, m2_bits) = (r.take()?, r.take()?, r.take()?);
+        self.price_moments = RunningMoments::from_raw(count, mean_bits, m2_bits);
+        if r.take()? as usize != r.remaining() {
+            return Err(StateError::Mismatch(
+                "checkpoint strategy state length mismatch",
+            ));
+        }
+        self.strategy.load_state(r)?;
+        if r.remaining() != 0 {
+            return Err(StateError::Mismatch(
+                "checkpoint strategy state has trailing words",
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -279,11 +367,7 @@ impl Simulation {
     /// paper-default parameters.
     pub fn new(truth: GroundTruth, kind: StrategyKind) -> Self {
         let strategy = paper_default_strategy(kind, truth.grid.num_cells());
-        Self {
-            truth,
-            strategy,
-            options: SimOptions::default(),
-        }
+        Self::with_strategy(truth, strategy)
     }
 
     /// Creates a simulation with a custom strategy instance.
@@ -302,140 +386,46 @@ impl Simulation {
     }
 
     /// Runs the full horizon and returns the aggregate outcome.
-    ///
-    /// Dispatches on [`SimOptions::incremental`]: the event-queue
-    /// lifecycle + graph cache (default), or the retained
-    /// rescan-and-rebuild oracle. Both paths produce bit-identical
-    /// outcomes (wall-clock columns aside).
     pub fn run(self) -> Outcome {
-        let grid = self.truth.grid;
-        if self.options.incremental {
-            let engine =
-                IncrementalEngine::new(&grid, self.truth.num_periods(), self.truth.total_workers());
-            self.drive(engine)
-        } else {
-            self.drive(ScanEngine::new(grid))
-        }
+        let engine = WorkerLifecycle::new(
+            &self.truth.grid,
+            self.truth.num_periods(),
+            self.truth.total_workers(),
+        );
+        self.drive(engine, WorkerLifecycle::begin_period)
     }
 
-    /// The shared period loop: price → accept/reject → clear → feedback
-    /// → lifecycle, with worker materialization delegated to `engine`.
-    fn drive(mut self, mut engine: impl PeriodEngine) -> Outcome {
-        let t_total = self.truth.num_periods();
-        let mut outcome = Outcome {
-            strategy: self.strategy.name().to_string(),
-            total_revenue: 0.0,
-            issued_tasks: 0,
-            accepted_tasks: 0,
-            matched_tasks: 0,
-            pricing_secs: 0.0,
-            clearing_secs: 0.0,
-            calibration_secs: 0.0,
-            peak_memory_mib: None,
-            revenue_per_period: Vec::with_capacity(t_total),
-            mean_posted_price: 0.0,
-            posted_price_std: 0.0,
-            matched_distance: 0.0,
-            rejected_events: 0,
-            suppressed_duplicates: 0,
-            latency: maps_telemetry::LatencyTelemetry::new(),
-        };
-        // Posted-price moments via Welford's algorithm (see
-        // [`RunningMoments`]): the naive Σx/Σx² finish cancels
-        // catastrophically on high-mean/low-spread price streams. The
-        // sharded service's tick reducer pushes prices through the same
-        // accumulator in the same order, keeping the two bit-identical.
-        let mut price_moments = RunningMoments::new();
-
-        if self.options.calibrate {
-            // lint-allow(det-wallclock): calibration_secs is timing telemetry, excluded from deterministic_bits
-            let start = Instant::now();
-            let mut probe = GroundTruthProbe::new(&self.truth.demands, self.options.probe_seed);
-            self.strategy.calibrate(&mut probe);
-            outcome.calibration_secs = start.elapsed().as_secs_f64();
+    /// The period loop: `begin_period` admits the period's arrivals into
+    /// `engine`, [`PeriodStep::run`] does the rest.
+    fn drive<E: PeriodEngine<Error = Infallible>>(
+        self,
+        mut engine: E,
+        begin_period: impl Fn(&mut E, u32, &[GroundWorker]),
+    ) -> Outcome {
+        let Simulation {
+            truth,
+            strategy,
+            options,
+        } = self;
+        let mut step = PeriodStep::new(strategy);
+        if options.calibrate {
+            step.calibrate(&mut GroundTruthProbe::new(
+                &truth.demands,
+                options.probe_seed,
+            ));
         }
-
-        // Reused scratch buffers: everything the per-period loop needs
-        // is allocated once here and recycled across the horizon.
-        let mut task_inputs: Vec<TaskInput> = Vec::new();
-        let mut observations: Vec<Observation> = Vec::new();
-        let mut keep: Vec<bool> = Vec::new();
-        let mut weights: Vec<f64> = Vec::new();
-        let mut clearing = MatchScratch::new();
-
-        for t in 0..t_total {
-            let period = &self.truth.periods[t];
-            engine.begin_period(t as u32, &period.workers);
-            task_inputs.clear();
-            task_inputs.extend(period.tasks.iter().map(|task| TaskInput {
-                origin: task.origin,
-                distance: task.distance,
-                cell: task.cell,
-            }));
-            outcome.issued_tasks += task_inputs.len() as u64;
-
-            let graph = engine.build_graph(&task_inputs, self.options.max_edges_per_task);
-            // Event-time telemetry for the settled period: both
-            // quantities (queued tasks, live workers at pricing time)
-            // are already replay-contract-equal across every engine and
-            // the sharded reducer, so recording them here and in the
-            // service's tick keeps the histograms bit-identical too.
-            outcome.latency.record_period(
-                task_inputs.len() as u64,
-                engine.worker_inputs().len() as u64,
-            );
-            let input = PeriodInput {
-                grid: &self.truth.grid,
-                tasks: &task_inputs,
-                workers: engine.worker_inputs(),
-                graph: &graph,
-            };
-
-            // lint-allow(det-wallclock): pricing_secs is timing telemetry, excluded from deterministic_bits
-            let start = Instant::now();
-            let schedule = self.strategy.price_period(&input);
-            outcome.pricing_secs += start.elapsed().as_secs_f64();
-
-            // Requesters decide and the market clears — the shared
-            // per-period core (also the service's tick reducer).
-            let settlement = settle_period(
+        for (t, period) in truth.periods.iter().enumerate() {
+            begin_period(&mut engine, t as u32, &period.workers);
+            let Ok(()) = step.run(
+                t as u32,
+                &truth.grid,
                 &period.tasks,
-                &task_inputs,
-                &schedule,
-                &graph,
-                &mut price_moments,
-                &mut observations,
-                &mut keep,
-                &mut weights,
-                &mut clearing,
+                truth.match_policy,
+                options.max_edges_per_task,
+                &mut engine,
             );
-            outcome.accepted_tasks += settlement.accepted;
-            outcome.clearing_secs += settlement.clearing_secs;
-            outcome.total_revenue += settlement.revenue;
-            outcome.revenue_per_period.push(settlement.revenue);
-
-            // Worker lifecycle for matched pairs (task indices are the
-            // original period indices — the masked kernel does not
-            // renumber).
-            for (l, dense) in clearing.matched_pairs() {
-                outcome.matched_tasks += 1;
-                let task = &period.tasks[l];
-                outcome.matched_distance += task.distance;
-                match self.truth.match_policy {
-                    MatchPolicy::Consume => engine.consume(dense as usize),
-                    MatchPolicy::Relocate { speed } => {
-                        let travel = (task.distance / speed).ceil().max(1.0) as u32;
-                        engine.dispatch(t as u32, dense as usize, task.destination, travel);
-                    }
-                }
-            }
-
-            self.strategy.observe(&observations);
         }
-
-        outcome.mean_posted_price = price_moments.mean();
-        outcome.posted_price_std = price_moments.population_std();
-        outcome
+        step.into_outcome()
     }
 }
 
@@ -444,8 +434,101 @@ mod tests {
     use super::*;
     use crate::synthetic::SyntheticConfig;
     use crate::truth::{GroundTask, GroundWorker, PeriodData};
+    use maps_core::build_period_graph_capped;
     use maps_market::Demand;
     use maps_spatial::{GridSpec, Point, Rect};
+
+    /// A worker currently known to the scan-path platform.
+    #[derive(Debug, Clone, Copy)]
+    struct ActiveWorker {
+        location: maps_spatial::Point,
+        radius: f64,
+        /// First period in which the worker is free again (relocation).
+        busy_until: u32,
+        /// Period at which the worker leaves the platform.
+        expires_at: u32,
+        /// Whether the worker left permanently (consumed).
+        gone: bool,
+    }
+
+    /// The reference engine `incremental_run_matches_scan_oracle`
+    /// compares [`WorkerLifecycle`] against: every admitted worker is
+    /// kept (and scanned) forever, the graph is rebuilt from scratch
+    /// per period.
+    struct ScanEngine {
+        grid: GridSpec,
+        workers: Vec<ActiveWorker>,
+        avail_idx: Vec<u32>,
+        worker_inputs: Vec<WorkerInput>,
+    }
+
+    impl ScanEngine {
+        fn new(grid: GridSpec) -> Self {
+            Self {
+                grid,
+                workers: Vec::new(),
+                avail_idx: Vec::new(),
+                worker_inputs: Vec::new(),
+            }
+        }
+
+        fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
+            for w in arrivals {
+                self.workers.push(ActiveWorker {
+                    location: w.location,
+                    radius: w.radius,
+                    busy_until: t,
+                    expires_at: t.saturating_add(w.duration),
+                    gone: false,
+                });
+            }
+            // Available = not gone, not busy, not expired.
+            self.avail_idx.clear();
+            self.worker_inputs.clear();
+            for (i, w) in self.workers.iter().enumerate() {
+                if !w.gone && w.busy_until <= t && t < w.expires_at {
+                    self.avail_idx.push(i as u32);
+                    self.worker_inputs.push(WorkerInput {
+                        location: w.location,
+                        radius: w.radius,
+                        cell: self.grid.cell_of(w.location),
+                    });
+                }
+            }
+        }
+    }
+
+    impl PeriodEngine for ScanEngine {
+        type Error = Infallible;
+
+        fn build_graph(
+            &mut self,
+            _t: u32,
+            tasks: &[TaskInput],
+            k: usize,
+        ) -> Result<BipartiteGraph, Infallible> {
+            Ok(build_period_graph_capped(
+                &self.grid,
+                tasks,
+                &self.worker_inputs,
+                k,
+            ))
+        }
+
+        fn worker_inputs(&self) -> &[WorkerInput] {
+            &self.worker_inputs
+        }
+
+        fn consume_matched(&mut self, dense: usize) {
+            self.workers[self.avail_idx[dense] as usize].gone = true;
+        }
+
+        fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
+            let worker = &mut self.workers[self.avail_idx[dense] as usize];
+            worker.busy_until = t.saturating_add(travel);
+            worker.location = destination;
+        }
+    }
 
     fn small_world(seed: u64) -> GroundTruth {
         SyntheticConfig {
@@ -512,9 +595,9 @@ mod tests {
         assert_eq!(a.matched_tasks, b.matched_tasks);
     }
 
-    /// The tentpole oracle at the whole-simulation level: the
-    /// event-queue + graph-cache path must reproduce the retained
-    /// rescan-and-rebuild path bit for bit, on every strategy and both
+    /// The engine oracle at the whole-simulation level: the
+    /// event-queue + graph-cache engine must reproduce the
+    /// rescan-and-rebuild reference bit for bit, on every strategy and both
     /// lifecycle policies (synthetic Consume and Beijing-like Relocate
     /// with finite worker durations).
     #[test]
@@ -536,16 +619,9 @@ mod tests {
         ];
         for (wi, world) in worlds.iter().enumerate() {
             for kind in StrategyKind::ALL {
-                let run = |incremental: bool| {
-                    Simulation::new(world.clone(), kind)
-                        .with_options(SimOptions {
-                            incremental,
-                            ..SimOptions::default()
-                        })
-                        .run()
-                };
-                let incremental = run(true);
-                let scan = run(false);
+                let incremental = Simulation::new(world.clone(), kind).run();
+                let scan = Simulation::new(world.clone(), kind)
+                    .drive(ScanEngine::new(world.grid), ScanEngine::begin_period);
                 assert_eq!(
                     incremental.deterministic_bits(),
                     scan.deterministic_bits(),
