@@ -4,7 +4,7 @@
 //! the PR-5/PR-7 multi-producer ingestion front-end, the PR-6
 //! write-ahead journal, the PR-8 SoA k-NN + telemetry rows, the PR-9
 //! static-analysis scan, and the PR-10 model-checker run against their
-//! retained baselines and writes `BENCH_PR10.json`.
+//! retained baselines and writes `BENCH_PR13.json`.
 //!
 //! ```sh
 //! cargo run --release -p maps-bench --bin bench_report [-- OUT.json]
@@ -964,9 +964,9 @@ fn model_check_runtime_report() -> Value {
 fn main() {
     let out_path = std::env::args()
         .nth(1)
-        .unwrap_or_else(|| "BENCH_PR10.json".to_string());
+        .unwrap_or_else(|| "BENCH_PR13.json".to_string());
 
-    println!("maps bench_report — PR 10 kernel trajectory");
+    println!("maps bench_report — PR 13 kernel trajectory");
     println!("===========================================");
     let (possible_worlds, pw_speedup) = possible_worlds_report();
     let (monte_carlo, _mc_speedup) = monte_carlo_report();
@@ -1045,7 +1045,7 @@ fn main() {
 
     let report = serde::object([
         ("schema", "maps-bench-report/v1".to_value()),
-        ("pr", 10.0f64.to_value()),
+        ("pr", 13.0f64.to_value()),
         (
             "host",
             serde::object([("threads", (rayon::current_num_threads() as f64).to_value())]),

@@ -20,10 +20,12 @@
 //! bit-determinism invariant) and the equivalence is enforced by unit
 //! tests here plus the cross-crate proptest churn oracle
 //! (`incremental_graph_matches_scratch_rebuild`). The identity holds
-//! because the dynamic index keeps bucket slots sorted by id (matching a
-//! fresh build's stable counting sort over the id-sorted live set) and
-//! capped queries use the total `(distance, id)` order, which is
-//! independent of either index's bucket grid.
+//! because capped queries use the total `(distance, id)` order, which is
+//! independent of either index's bucket grid — the dynamic index
+//! re-buckets itself as the live count moves, so the cache's grid and a
+//! fresh build's generally differ — and the complete graph is built
+//! from the id-ordered live list against a throwaway task index, never
+//! from the dynamic index's bucket order.
 
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
@@ -78,6 +80,11 @@ pub struct PeriodGraphCache {
     merged: Vec<u32>,
     /// Scratch for sorting churn id lists.
     sorted_ids: Vec<u32>,
+    /// Scratch for the `(location, id)` batches [`PeriodGraphCache::apply`]
+    /// hands to the index's bulk operations.
+    batch: Vec<(Point, u32)>,
+    /// Per-query scratch of the capped build's k-nearest queries.
+    query: Vec<(f64, u32)>,
     /// Recycled edge arena threaded through every
     /// [`BipartiteGraphBuilder`] this cache creates, so per-period graph
     /// construction stops allocating edge storage once warm.
@@ -85,8 +92,10 @@ pub struct PeriodGraphCache {
 }
 
 impl PeriodGraphCache {
-    /// An empty cache over the pricing `grid`, with the spatial index
-    /// sized for `expected_workers` simultaneously live workers.
+    /// An empty cache over the pricing `grid`. `expected_workers` is an
+    /// initial hint for the spatial index's resolution; the index
+    /// follows the live count from the first churn on
+    /// ([`DynamicBucketIndex::with_expected_len`]).
     pub fn new(grid: &GridSpec, expected_workers: usize) -> Self {
         Self {
             grid: *grid,
@@ -98,6 +107,8 @@ impl PeriodGraphCache {
             max_radius_dirty: false,
             merged: Vec::new(),
             sorted_ids: Vec::new(),
+            batch: Vec::new(),
+            query: Vec::new(),
             edge_arena: Vec::new(),
         }
     }
@@ -183,26 +194,28 @@ impl PeriodGraphCache {
     /// final bucket contents are identical to the one-at-a-time ops, so
     /// queries stay bit-identical.
     pub fn apply(&mut self, churn: WorkerChurn<'_>) {
-        let mut departing: Vec<(Point, u32)> = Vec::with_capacity(churn.departures.len());
+        let mut batch = std::mem::take(&mut self.batch);
+        batch.clear();
         for &id in churn.departures {
             let w = self.book_departure(id);
-            departing.push((w.location, id));
+            batch.push((w.location, id));
         }
-        let removed = self.index.remove_bulk(&departing);
+        let removed = self.index.remove_bulk(&batch);
         assert_eq!(
             removed,
-            departing.len(),
+            batch.len(),
             "live worker missing from the spatial index"
         );
         for &(id, to) in churn.relocations {
             self.relocate(id, to);
         }
-        let mut arriving: Vec<(Point, u32)> = Vec::with_capacity(churn.arrivals.len());
+        batch.clear();
         for &(id, w) in churn.arrivals {
             self.book_arrival(id, w);
-            arriving.push((w.location, id));
+            batch.push((w.location, id));
         }
-        self.index.insert_bulk(&arriving);
+        self.index.insert_bulk(&batch);
+        self.batch = batch;
         self.merge_live_ids(churn.departures, churn.arrivals);
     }
 
@@ -327,16 +340,18 @@ impl PeriodGraphCache {
             tasks.len() * k,
             std::mem::take(&mut self.edge_arena),
         );
-        let (index, slots, live_ids) = (&self.index, &self.slots, &self.live_ids);
+        let mut near = std::mem::take(&mut self.query);
         for (t_idx, task) in tasks.iter().enumerate() {
-            let near = index.k_nearest_within(task.origin, max_radius, k, |dist, id| {
-                dist <= slots[id as usize].expect("live id has a slot").radius
-            });
-            for (_, id) in near {
-                let dense = live_ids.binary_search(&id).expect("queried id is live");
+            self.k_nearest_candidates_into(task.origin, max_radius, k, &mut near);
+            for &(_, id) in &near {
+                let dense = self
+                    .live_ids
+                    .binary_search(&id)
+                    .expect("queried id is live");
                 builder.add_edge(t_idx, dense);
             }
         }
+        self.query = near;
         let (graph, arena) = builder.build_recycling();
         self.edge_arena = arena;
         graph

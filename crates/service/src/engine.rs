@@ -251,7 +251,10 @@ pub struct ServiceConfig {
     /// Per-task edge cap of the period graph (the batch simulator's
     /// [`maps_simulator::SimOptions::max_edges_per_task`]).
     pub max_edges_per_task: usize,
-    /// Sizing hint for the per-shard spatial indexes.
+    /// Initial sizing hint for the per-shard spatial indexes (split
+    /// evenly over the shards). Each index follows its shard's live
+    /// count from the first tick on, so this only shapes the empty
+    /// service; any value yields bit-identical outcomes.
     pub expected_workers: usize,
 }
 
@@ -468,10 +471,42 @@ struct ShardSet {
     // ---- tick scratch, reused across the stream ----
     live_ids: Vec<u32>,
     worker_inputs: Vec<WorkerInput>,
-    /// Per-task cross-shard candidate merge scratch (capped path).
-    merge_scratch: Vec<(f64, u32)>,
     /// Recycled edge arena threaded through every graph build.
     edge_arena: Vec<(u32, u32)>,
+}
+
+/// The total `(distance, id)` order of k-nearest candidates.
+fn candidate_precedes(a: &(f64, u32), b: &(f64, u32)) -> bool {
+    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
+}
+
+/// K-way merge for the reducer: `runs` are individually ascending under
+/// `precedes`; calls `emit(run, item)` for the `limit` smallest items of
+/// their union, ascending, consuming the runs' emitted prefixes. Every
+/// caller's keys are unique across runs (a worker id lives in one
+/// shard), so no tie-break between runs is needed — equal heads would
+/// go to the lower run. Linear in the number of runs per item: shard
+/// counts are small and the candidate merge stops after `k` items, where
+/// sorting the concatenation paid for all `shards · k`.
+fn merge_runs<T: Copy>(
+    runs: &mut [&[T]],
+    precedes: impl Fn(&T, &T) -> bool,
+    limit: usize,
+    mut emit: impl FnMut(usize, T),
+) {
+    for _ in 0..limit {
+        let mut first: Option<(usize, T)> = None;
+        for (run, items) in runs.iter().enumerate() {
+            if let Some(&head) = items.first() {
+                if first.is_none_or(|(_, best)| precedes(&head, &best)) {
+                    first = Some((run, head));
+                }
+            }
+        }
+        let Some((run, item)) = first else { return };
+        runs[run] = &runs[run][1..];
+        emit(run, item);
+    }
 }
 
 impl PeriodEngine for ShardSet {
@@ -491,33 +526,29 @@ impl PeriodEngine for ShardSet {
         // Merge the shards' ascending (and mutually disjoint) live-id
         // lists into the global ascending order — identical to the
         // batch engine's single live list because ids are global
-        // admission order regardless of shard.
-        self.live_ids.clear();
-        self.live_ids.reserve(live_total);
-        {
-            let mut cursors: Vec<(&[u32], usize)> = self
-                .lanes
-                .shards
-                .iter()
-                .map(|s| (s.cache.live_ids(), 0))
-                .collect();
-            loop {
-                let mut best: Option<(u32, usize)> = None;
-                for (si, &(ids, pos)) in cursors.iter().enumerate() {
-                    if pos < ids.len() && best.is_none_or(|(b, _)| ids[pos] < b) {
-                        best = Some((ids[pos], si));
-                    }
-                }
-                let Some((id, si)) = best else { break };
-                cursors[si].1 += 1;
-                self.live_ids.push(id);
-            }
-        }
-        self.worker_inputs.clear();
-        self.worker_inputs.reserve(live_total);
-        for &id in &self.live_ids {
-            self.worker_inputs.push(*self.lanes.worker(id));
-        }
+        // admission order regardless of shard — copying each worker's
+        // state out of the shard the merge just took its id from.
+        let ShardSet {
+            lanes,
+            live_ids,
+            worker_inputs,
+            ..
+        } = self;
+        live_ids.clear();
+        live_ids.reserve(live_total);
+        worker_inputs.clear();
+        worker_inputs.reserve(live_total);
+        let shards = &lanes.shards;
+        let mut runs: Vec<&[u32]> = shards.iter().map(|s| s.cache.live_ids()).collect();
+        merge_runs(
+            &mut runs,
+            |a, b| a < b,
+            usize::MAX,
+            |shard, id| {
+                live_ids.push(id);
+                worker_inputs.push(*shards[shard].cache.worker(id).expect("listed id is live"));
+            },
+        );
 
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
@@ -550,25 +581,23 @@ impl PeriodEngine for ShardSet {
             // Capped path: every task takes its k nearest in-range
             // workers under the total (distance, id) order. Each shard
             // answers from its own index with the *global* max radius
-            // into reused flat buffers; merging the per-shard top-k
-            // lists and truncating to k is exactly the one-index query
+            // into reused flat buffers, already in that order; the
+            // first k of their merge are exactly the one-index query
             // (the order is total and layout-independent).
             let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
             par_shards(&mut self.lanes.shards, t, |_, shard| {
                 shard.collect_candidates(tasks, max_radius, k)
             })?;
             let live_ids = &self.live_ids;
-            let merged = &mut self.merge_scratch;
+            let shards = &self.lanes.shards;
+            let mut runs: Vec<&[(f64, u32)]> = Vec::with_capacity(shards.len());
             for t_idx in 0..tasks.len() {
-                merged.clear();
-                for shard in &self.lanes.shards {
-                    merged.extend_from_slice(shard.task_candidates(t_idx));
-                }
-                merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                for &(_, id) in merged.iter().take(k) {
+                runs.clear();
+                runs.extend(shards.iter().map(|shard| shard.task_candidates(t_idx)));
+                merge_runs(&mut runs, candidate_precedes, k, |_, (_, id)| {
                     let dense = live_ids.binary_search(&id).expect("candidate is live");
                     builder.add_edge(t_idx, dense);
-                }
+                });
             }
         }
         let (graph, arena) = builder.build_recycling();
@@ -681,7 +710,6 @@ impl ShardedService {
                 stats: Vec::new(),
                 live_ids: Vec::new(),
                 worker_inputs: Vec::new(),
-                merge_scratch: Vec::new(),
                 edge_arena: Vec::new(),
             },
             pending_tasks: Vec::new(),
@@ -1722,6 +1750,127 @@ mod tests {
         assert!(truncated
             .restore_from_words(&words[..words.len() - 1])
             .is_err());
+    }
+
+    /// The k-way candidate merge against what it replaced: concatenate
+    /// the runs, sort by `(distance, id)`, truncate to `k`.
+    fn assert_merge_equals_sort_and_truncate(runs: &[&[(f64, u32)]], k: usize) {
+        let mut want: Vec<(f64, u32)> = runs.concat();
+        want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        want.truncate(k);
+        let mut got = Vec::new();
+        let mut cursors = runs.to_vec();
+        merge_runs(&mut cursors, candidate_precedes, k, |run, item| {
+            assert!(runs[run].contains(&item), "emitted from the run it names");
+            got.push(item);
+        });
+        let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
+            v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+        };
+        assert_eq!(bits(&got), bits(&want), "k = {k}, runs = {runs:?}");
+        let consumed: usize = runs
+            .iter()
+            .zip(&cursors)
+            .map(|(r, c)| r.len() - c.len())
+            .sum();
+        assert_eq!(consumed, got.len(), "cursors advance by what was emitted");
+    }
+
+    #[test]
+    fn candidate_merge_equals_sort_and_truncate() {
+        // Equal distances with different ids split across shards: the id
+        // decides, within a run and between runs.
+        let ties: [&[(f64, u32)]; 3] = [
+            &[(1.0, 4), (2.0, 1), (2.0, 9)],
+            &[(1.0, 2), (2.0, 0), (2.0, 7), (3.0, 3)],
+            &[(0.5, 8), (2.0, 5)],
+        ];
+        // Shards with fewer than k candidates, or none at all.
+        let sparse: [&[(f64, u32)]; 4] = [&[], &[(0.25, 6)], &[], &[(0.25, 2), (4.0, 0)]];
+        // -0.0 sorts before 0.0 under total_cmp: the merge must agree
+        // with the sort on that too.
+        let zeros: [&[(f64, u32)]; 2] = [&[(-0.0, 3), (0.0, 1)], &[(0.0, 0), (1.0, 2)]];
+        let one: [&[(f64, u32)]; 1] = [&[(1.0, 1), (1.0, 2), (5.0, 0)]];
+        let none: [&[(f64, u32)]; 0] = [];
+        for runs in [&ties[..], &sparse[..], &zeros[..], &one[..], &none[..]] {
+            // 0, below, at and beyond the size of the union.
+            for k in [0, 1, 2, 3, 5, 9, 10, usize::MAX] {
+                assert_merge_equals_sort_and_truncate(runs, k);
+            }
+        }
+        // Seeded runs at the service's shape: 8 shards × up to k = 64
+        // sorted candidates, distances drawn from few values so ties are
+        // the rule.
+        let mut rng = maps_testkit::XorShift(0x4B1D);
+        for _ in 0..50 {
+            let mut runs: Vec<Vec<(f64, u32)>> = vec![Vec::new(); 8];
+            for id in 0..(rng.next_u64() % 300) as u32 {
+                let distance = (rng.next_u64() % 16) as f64 / 4.0;
+                runs[(rng.next_u64() % 8) as usize].push((distance, id));
+            }
+            for run in &mut runs {
+                run.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                run.truncate(64);
+            }
+            let runs: Vec<&[(f64, u32)]> = runs.iter().map(Vec::as_slice).collect();
+            assert_merge_equals_sort_and_truncate(&runs, 64);
+        }
+    }
+
+    /// The reducer's one-pass live list and `worker_inputs` against the
+    /// two passes they replaced — collect and sort every shard's live
+    /// ids, then look each worker up through the route table — on a
+    /// stream whose relocated workers re-enter under their old ids, in
+    /// whichever shard owns the destination.
+    #[test]
+    fn one_pass_live_merge_equals_sort_and_route_lookup() {
+        let mut rng = maps_testkit::XorShift(0x11FE);
+        for shards in [1usize, 2, 3, 4] {
+            let mut svc = service(shards, MatchPolicy::Relocate { speed: 3.0 });
+            let mut reentries = 0;
+            let mut previous: Vec<u32> = Vec::new();
+            for t in 0..12u32 {
+                let admitted_before = svc.admitted_workers() as u32;
+                for _ in 0..6 {
+                    let (x, y) = (rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    svc.push(ServiceEvent::WorkerArrive {
+                        worker: worker(x, y, 2 + (rng.next_u64() % 6) as u32),
+                    });
+                }
+                for _ in 0..3 {
+                    let mut task = task(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    task.destination = Point::new(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    task.distance = 1.0 + rng.next_f64() * 6.0;
+                    svc.push(ServiceEvent::TaskRequest { task });
+                }
+                svc.push(ServiceEvent::PeriodTick);
+                // The tick's matches are staged departures now, so the
+                // caches still hold exactly the set the graph was built
+                // over.
+                let lanes = &svc.engine.lanes;
+                let mut want_ids: Vec<u32> = lanes
+                    .shards
+                    .iter()
+                    .flat_map(|s| s.cache.live_ids().iter().copied())
+                    .collect();
+                want_ids.sort_unstable();
+                let want_inputs: Vec<WorkerInput> =
+                    want_ids.iter().map(|&id| *lanes.worker(id)).collect();
+                assert_eq!(svc.engine.live_ids, want_ids, "{shards} shards, tick {t}");
+                assert_eq!(
+                    svc.engine.worker_inputs, want_inputs,
+                    "{shards} shards, tick {t}"
+                );
+                // Live now, admitted in an earlier period, yet absent
+                // from the previous tick's list: back from a relocation.
+                reentries += want_ids
+                    .iter()
+                    .filter(|&&id| id < admitted_before && previous.binary_search(&id).is_err())
+                    .count();
+                previous = want_ids;
+            }
+            assert!(reentries > 0, "{shards} shards: no worker ever re-entered");
+        }
     }
 
     #[test]

@@ -343,8 +343,10 @@ pub struct WorkerLifecycle {
 }
 
 impl WorkerLifecycle {
-    /// An empty lifecycle over `grid` for a `horizon`-period run,
-    /// with the spatial index sized for `expected_workers`.
+    /// An empty lifecycle over `grid` for a `horizon`-period run.
+    /// `expected_workers` is an initial hint for the spatial index's
+    /// resolution; the index follows the live count from the first
+    /// period on ([`PeriodGraphCache::new`]).
     pub fn new(grid: &GridSpec, horizon: usize, expected_workers: usize) -> Self {
         Self {
             cache: PeriodGraphCache::new(grid, expected_workers),

@@ -19,13 +19,35 @@
 //! so its per-cell order is also ascending payload — both stores answer
 //! disc queries through the same shared core in the same order, making
 //! their results bit-identical. `k_nearest_within` additionally orders by
-//! the total `(distance, payload)` key, so capped queries agree even
-//! between *differently sized* grids (the dynamic grid is fixed at
-//! creation while a fresh build sizes its grid by `√n`).
+//! the total `(distance, payload)` key, so capped queries agree between
+//! *differently sized* grids — which is what the next section leans on.
+//!
+//! ## The grid follows the live count
+//!
+//! Nearest-neighbour cost is set by the local density of buckets around
+//! the query, so the bucket resolution has to track how many points are
+//! live *now*, not how many the creator expected or how many ever passed
+//! through. The index therefore re-buckets itself: whenever a mutation
+//! would leave `len` outside the band `[cells / 4, 4 · cells]` it moves
+//! every live point onto the grid the static index would pick for that
+//! count (`√n × √n`, clamped to ≤ 256 per side). One regrid costs
+//! `O(live · log live + buckets)`; the band is 16× wide and a regrid
+//! lands `cells ≈ len` in its middle, so at least `~¾ · len` mutations
+//! separate two regrids and a run that grows to `N` points regrids
+//! `O(log N)` times — amortised `O(log live)` per churn event, next to
+//! the binary search every event pays anyway. The grid handed to
+//! [`DynamicBucketIndex::new`] / sized by
+//! [`DynamicBucketIndex::with_expected_len`] is thus only where the
+//! index *starts*.
+//!
+//! A regrid changes no answer: buckets stay payload-sorted (so
+//! `for_each_within_disc` keeps equalling a fresh static build on
+//! [`DynamicBucketIndex::grid`], the *current* grid), and
+//! `k_nearest_within` is a pure function of the point set.
 
 use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
-use crate::index::{for_each_within_disc_impl, k_nearest_within_impl, BucketStore};
+use crate::index::{for_each_within_disc_impl, k_nearest_within_impl, sqrt_side, BucketStore};
 
 /// One cell's live points in struct-of-arrays layout: coordinates in
 /// dense `f64` lanes separate from the payloads, kept sorted by payload.
@@ -64,32 +86,36 @@ pub struct DynamicBucketIndex<T> {
     /// ring-search early termination while non-zero, exactly like the
     /// static index's `any_outside` flag).
     outside: usize,
+    /// `(cell, payload, point)` scratch of the bulk operations and of a
+    /// regrid, reused so steady-state churn application allocates
+    /// nothing.
+    tagged: Vec<(u32, T, Point)>,
 }
 
 impl<T: Copy + Ord> DynamicBucketIndex<T> {
-    /// An empty index bucketed by `grid`. The grid is fixed for the
-    /// index's lifetime; pick a resolution for the *expected* population
-    /// (see [`DynamicBucketIndex::with_expected_len`]).
+    /// An empty index over `grid.region()`, initially bucketed by
+    /// `grid`. Only a starting point: the index re-buckets itself to
+    /// follow the live count (see the module docs).
     pub fn new(grid: GridSpec) -> Self {
-        let cells = grid.num_cells();
         Self {
             grid,
-            buckets: (0..cells).map(|_| CellSoA::new()).collect(),
+            buckets: empty_buckets(grid.num_cells()),
             len: 0,
             outside: 0,
+            tagged: Vec::new(),
         }
     }
 
-    /// An empty index over `region` with the bucket resolution the static
-    /// index would pick for `expected_len` points (`√n × √n`, clamped to
-    /// ≤ 256 per side).
+    /// An empty index over `region`, initially at the bucket resolution
+    /// the static index would pick for `expected_len` points (`√n × √n`,
+    /// clamped to ≤ 256 per side). `expected_len` is an initial hint;
+    /// the index follows the live count from the first mutation on.
     pub fn with_expected_len(region: Rect, expected_len: usize) -> Self {
-        let n = expected_len.max(1);
-        let side = ((n as f64).sqrt().ceil() as u32).clamp(1, 256);
+        let side = sqrt_side(expected_len);
         Self::new(GridSpec::new(region, side, side))
     }
 
-    /// The bucketing grid.
+    /// The *current* bucketing grid — it changes when the index regrids.
     pub fn grid(&self) -> &GridSpec {
         &self.grid
     }
@@ -109,6 +135,7 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// # Panics
     /// Panics if `payload` is already live in the same bucket.
     pub fn insert(&mut self, p: Point, payload: T) {
+        self.fit_grid(self.len + 1);
         let bucket = &mut self.buckets[self.grid.cell_of(p).index()];
         match bucket.payloads.binary_search(&payload) {
             Ok(_) => panic!("duplicate payload inserted into dynamic index"),
@@ -126,11 +153,14 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
 
     /// Removes the point previously inserted at `p` with `payload`.
     /// Returns whether it was present (callers enforcing a stricter
-    /// contract can treat `false` as a bug).
+    /// contract can treat `false` as a bug). `p` must be the inserted
+    /// point exactly: a live payload offered with any other point is a
+    /// miss whatever the current grid — a coarse grid that happens to
+    /// file both points in one bucket does not turn it into a hit.
     pub fn remove(&mut self, p: Point, payload: T) -> bool {
         let bucket = &mut self.buckets[self.grid.cell_of(p).index()];
         match bucket.payloads.binary_search(&payload) {
-            Ok(pos) => {
+            Ok(pos) if bucket.xs[pos] == p.x && bucket.ys[pos] == p.y => {
                 bucket.xs.remove(pos);
                 bucket.ys.remove(pos);
                 bucket.payloads.remove(pos);
@@ -138,9 +168,10 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
                 if !self.grid.region().contains(p) {
                     self.outside -= 1;
                 }
+                self.fit_grid(self.len);
                 true
             }
-            Err(_) => false,
+            _ => false,
         }
     }
 
@@ -176,23 +207,11 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
             }
             return;
         }
-        // Group by (cell, payload): each group is a payload-sorted run
-        // ready to back-merge into its bucket's payload-sorted lanes.
-        let mut tagged: Vec<(u32, T, Point)> = items
-            .iter()
-            .map(|&(p, t)| (self.grid.cell_of(p).index() as u32, t, p))
-            .collect();
-        tagged.sort_unstable_by_key(|&(cell, payload, _)| (cell, payload));
-        let mut start = 0;
-        while start < tagged.len() {
-            let cell = tagged[start].0;
-            let mut end = start + 1;
-            while end < tagged.len() && tagged[end].0 == cell {
-                end += 1;
-            }
-            merge_group(&mut self.buckets[cell as usize], &tagged[start..end]);
-            start = end;
-        }
+        // Regrid for the size the batch leaves behind *before* it goes
+        // in, so the arrivals are bucketed once.
+        self.fit_grid(self.len + items.len());
+        self.tag(items);
+        self.for_each_tagged_group(merge_group);
         self.len += items.len();
         let region = self.grid.region();
         self.outside += items.iter().filter(|&&(p, _)| !region.contains(p)).count();
@@ -202,9 +221,10 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// bucket** instead of one `O(bucket)` lane shift per point —
     /// the departure-side twin of [`DynamicBucketIndex::insert_bulk`].
     /// Each `(point, payload)` pair must match how the point was
-    /// inserted (the point selects the bucket). Returns how many were
-    /// found and removed; callers enforcing a stricter contract can
-    /// compare against `items.len()`.
+    /// inserted, exactly as for [`DynamicBucketIndex::remove`]; a pair
+    /// that does not is a miss. Returns how many were found and
+    /// removed; callers enforcing a stricter contract can compare
+    /// against `items.len()`.
     pub fn remove_bulk(&mut self, items: &[(Point, T)]) -> usize {
         if items.len() <= 1 {
             return match items.first() {
@@ -212,39 +232,30 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
                 None => 0,
             };
         }
-        let mut tagged: Vec<(u32, T, Point)> = items
-            .iter()
-            .map(|&(p, t)| (self.grid.cell_of(p).index() as u32, t, p))
-            .collect();
-        tagged.sort_unstable_by_key(|&(cell, payload, _)| (cell, payload));
+        self.tag(items);
         let region = self.grid.region();
         let mut removed = 0usize;
-        let mut start = 0;
-        while start < tagged.len() {
-            let cell = tagged[start].0;
-            let mut end = start + 1;
-            while end < tagged.len() && tagged[end].0 == cell {
-                end += 1;
-            }
-            let group = &tagged[start..end];
-            let bucket = &mut self.buckets[cell as usize];
+        let mut removed_outside = 0usize;
+        self.for_each_tagged_group(|bucket, group| {
             // Two-pointer compaction: both the bucket lanes and the
             // group are payload-sorted, so one forward pass keeps every
             // survivor in order.
-            let len = bucket.payloads.len();
             let mut write = 0usize;
             let mut g = 0usize;
-            for read in 0..len {
+            for read in 0..bucket.payloads.len() {
                 while g < group.len() && group[g].1 < bucket.payloads[read] {
                     g += 1;
                 }
-                if g < group.len() && group[g].1 == bucket.payloads[read] {
-                    removed += 1;
-                    if !region.contains(group[g].2) {
-                        self.outside -= 1;
+                if let Some(&(_, payload, p)) = group.get(g) {
+                    if payload == bucket.payloads[read]
+                        && p.x == bucket.xs[read]
+                        && p.y == bucket.ys[read]
+                    {
+                        removed += 1;
+                        removed_outside += usize::from(!region.contains(p));
+                        g += 1;
+                        continue;
                     }
-                    g += 1;
-                    continue;
                 }
                 bucket.xs[write] = bucket.xs[read];
                 bucket.ys[write] = bucket.ys[read];
@@ -254,10 +265,67 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
             bucket.xs.truncate(write);
             bucket.ys.truncate(write);
             bucket.payloads.truncate(write);
-            start = end;
-        }
+        });
         self.len -= removed;
+        self.outside -= removed_outside;
+        // Regrid *after* the batch left, so only survivors move.
+        self.fit_grid(self.len);
         removed
+    }
+
+    /// Re-buckets for `len` live points if that count lies outside the
+    /// band `[cells / 4, 4 · cells]` of the current grid (and the
+    /// `√n × √n` rule has a different grid to offer — it is clamped at
+    /// both ends). Callers pass the count the index is about to hold.
+    fn fit_grid(&mut self, len: usize) {
+        let cells = self.grid.num_cells();
+        if 4 * len >= cells && len <= 4 * cells {
+            return;
+        }
+        let side = sqrt_side(len);
+        if (self.grid.nx(), self.grid.ny()) != (side, side) {
+            self.regrid(GridSpec::new(self.grid.region(), side, side));
+        }
+    }
+
+    /// Moves every live point onto `grid`: one pass tags each point with
+    /// its new cell, then the bulk-insert merge files the `(cell,
+    /// payload)`-sorted runs into fresh buckets — payload order inside
+    /// every bucket is rebuilt, not assumed.
+    fn regrid(&mut self, grid: GridSpec) {
+        self.tagged.clear();
+        for bucket in &self.buckets {
+            for ((&x, &y), &payload) in bucket.xs.iter().zip(&bucket.ys).zip(&bucket.payloads) {
+                let p = Point::new(x, y);
+                self.tagged
+                    .push((grid.cell_of(p).index() as u32, payload, p));
+            }
+        }
+        self.grid = grid;
+        self.buckets = empty_buckets(grid.num_cells());
+        self.for_each_tagged_group(merge_group);
+    }
+
+    /// Fills the scratch with `items` tagged by their cell.
+    fn tag(&mut self, items: &[(Point, T)]) {
+        self.tagged.clear();
+        let grid = &self.grid;
+        self.tagged.extend(
+            items
+                .iter()
+                .map(|&(p, t)| (grid.cell_of(p).index() as u32, t, p)),
+        );
+    }
+
+    /// Sorts the scratch by `(cell, payload)` — each cell's group is
+    /// then a payload-sorted run — and hands every run to `f` together
+    /// with its bucket.
+    fn for_each_tagged_group(&mut self, mut f: impl FnMut(&mut CellSoA<T>, &[(u32, T, Point)])) {
+        self.tagged
+            .sort_unstable_by_key(|&(cell, payload, _)| (cell, payload));
+        for group in self.tagged.chunk_by(|a, b| a.0 == b.0) {
+            f(&mut self.buckets[group[0].0 as usize], group);
+        }
     }
 
     /// Calls `f(point, payload)` for every live point within the closed
@@ -305,13 +373,16 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     }
 }
 
+fn empty_buckets<T>(cells: usize) -> Vec<CellSoA<T>> {
+    std::iter::repeat_with(CellSoA::new).take(cells).collect()
+}
+
 /// Back-merges one payload-sorted group of `(cell, payload, point)`
-/// entries into a bucket whose lanes are payload-sorted: the new run is
-/// copied to a scratch, the lanes grow by `n`, and one backwards merge
-/// writes every slot exactly once — `O(old + n)` moves total, against
-/// `O(n · old)` for `n` one-at-a-time sorted inserts. Panics on any
-/// payload collision (within the group or against the bucket), matching
-/// [`DynamicBucketIndex::insert`].
+/// entries into a bucket whose lanes are payload-sorted: the lanes grow
+/// by `n` and one backwards merge writes every slot exactly once —
+/// `O(old + n)` moves total, against `O(n · old)` for `n` one-at-a-time
+/// sorted inserts. Panics on any payload collision (within the group or
+/// against the bucket), matching [`DynamicBucketIndex::insert`].
 fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]) {
     for pair in group.windows(2) {
         assert!(
@@ -321,7 +392,6 @@ fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]
     }
     let old = bucket.payloads.len();
     let n = group.len();
-    let scratch: Vec<(f64, f64, T)> = group.iter().map(|g| (g.2.x, g.2.y, g.1)).collect();
     bucket.xs.resize(old + n, 0.0);
     bucket.ys.resize(old + n, 0.0);
     bucket.payloads.extend(group.iter().map(|g| g.1));
@@ -329,22 +399,23 @@ fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]
     let mut ro = old;
     let mut rn = n;
     while rn > 0 {
+        let (_, payload, p) = group[rn - 1];
         if ro > 0 {
             assert!(
-                bucket.payloads[ro - 1] != scratch[rn - 1].2,
+                bucket.payloads[ro - 1] != payload,
                 "duplicate payload inserted into dynamic index"
             );
         }
         wp -= 1;
-        if ro > 0 && bucket.payloads[ro - 1] > scratch[rn - 1].2 {
+        if ro > 0 && bucket.payloads[ro - 1] > payload {
             bucket.xs[wp] = bucket.xs[ro - 1];
             bucket.ys[wp] = bucket.ys[ro - 1];
             bucket.payloads[wp] = bucket.payloads[ro - 1];
             ro -= 1;
         } else {
-            bucket.xs[wp] = scratch[rn - 1].0;
-            bucket.ys[wp] = scratch[rn - 1].1;
-            bucket.payloads[wp] = scratch[rn - 1].2;
+            bucket.xs[wp] = p.x;
+            bucket.ys[wp] = p.y;
+            bucket.payloads[wp] = payload;
             rn -= 1;
         }
     }
@@ -372,7 +443,7 @@ mod tests {
 
     use maps_testkit::XorShift;
 
-    /// Fresh static index over `live` (ascending payload), same grid.
+    /// Fresh static index over `live` (ascending payload) on `grid`.
     fn rebuild(grid: GridSpec, live: &[(Point, u32)]) -> BucketIndex<u32> {
         let mut sorted = live.to_vec();
         sorted.sort_by_key(|&(_, t)| t);
@@ -392,11 +463,12 @@ mod tests {
     }
 
     /// Random insert/remove/relocate churn: every query result (order
-    /// included) must equal a fresh static rebuild of the live set.
+    /// included) must equal a fresh static rebuild of the live set on
+    /// the index's current grid (`tests/regrid_oracle.rs` drives the
+    /// same comparison across regrids, bulk ops included).
     #[test]
     fn queries_match_fresh_rebuild_under_churn() {
-        let grid = GridSpec::square(Rect::square(100.0), 9);
-        let mut dynamic = DynamicBucketIndex::new(grid);
+        let mut dynamic = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 9));
         let mut live: Vec<(Point, u32)> = Vec::new();
         let mut rng = XorShift(0x5EED);
         let mut next_id = 0u32;
@@ -429,7 +501,7 @@ mod tests {
                 continue;
             }
             assert_eq!(dynamic.len(), live.len());
-            let fresh = rebuild(grid, &live);
+            let fresh = rebuild(*dynamic.grid(), &live);
             let c = Point::new(rng.next_f64() * 110.0 - 5.0, rng.next_f64() * 110.0 - 5.0);
             let r = rng.next_f64() * 40.0;
             assert_eq!(
@@ -486,10 +558,60 @@ mod tests {
         let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(10.0), 4));
         idx.insert(Point::new(1.0, 1.0), 7u32);
         assert!(!idx.remove(Point::new(1.0, 1.0), 8));
-        // Wrong bucket: same payload, different cell.
+        // Wrong point: same payload, different cell on any grid finer
+        // than the 1×1 a single point regrids to.
         assert!(!idx.remove(Point::new(9.0, 9.0), 7));
         assert_eq!(idx.len(), 1);
         assert!(idx.remove(Point::new(1.0, 1.0), 7));
+        assert!(idx.is_empty());
+    }
+
+    /// A live payload offered with a point it was not inserted at is a
+    /// miss for `remove` and `remove_bulk` alike — in another bucket (a
+    /// populated 8×8 grid), in the same bucket, and from outside the
+    /// region (which must not touch the `outside` count either). This is
+    /// the miss `PeriodGraphCache::apply` turns into its "live worker
+    /// missing from the spatial index" fault.
+    #[test]
+    fn remove_with_wrong_point_is_a_miss() {
+        let mut idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(80.0), 64);
+        let at = |i: u32| Point::new((i % 8) as f64 * 10.0 + 5.0, (i / 8) as f64 * 10.0 + 5.0);
+        let items: Vec<_> = (0..64).map(|i| (at(i), i)).collect();
+        idx.insert_bulk(&items);
+        assert_eq!(idx.grid().nx(), 8);
+        let wrong = [
+            (at(63), 0u32),              // far bucket
+            (Point::new(5.5, 5.5), 0),   // same bucket, other point
+            (Point::new(-3.0, -3.0), 0), // outside, clamps into 0's bucket
+            (at(1), 62),
+        ];
+        for &(p, id) in &wrong {
+            assert!(!idx.remove(p, id), "remove({p:?}, {id})");
+        }
+        assert_eq!(idx.remove_bulk(&wrong), 0);
+        // Misses next to hits in one batch: only the hits leave.
+        assert_eq!(
+            idx.remove_bulk(&[wrong[0], (at(7), 7), wrong[3], (at(9), 9)]),
+            2
+        );
+        assert_eq!(idx.len(), 62);
+        assert!(!idx.any_outside());
+        let mut left = idx.within_disc(Point::new(40.0, 40.0), 100.0);
+        left.sort_unstable();
+        let want: Vec<u32> = (0..64).filter(|i| ![7, 9].contains(i)).collect();
+        assert_eq!(left, want);
+        // Down at a handful of points the grid is 1×1 and every wrong
+        // point shares the one bucket with its payload: still a miss.
+        let rest: Vec<_> = (1..64)
+            .filter(|i| ![7, 9].contains(i))
+            .map(|i| (at(i), i))
+            .collect();
+        assert_eq!(idx.remove_bulk(&rest), rest.len());
+        assert_eq!((idx.len(), idx.grid().nx()), (1, 1));
+        assert!(!idx.remove(wrong[1].0, 0));
+        assert!(!idx.remove(wrong[2].0, 0));
+        assert_eq!(idx.remove_bulk(&wrong[..3]), 0);
+        assert!(idx.remove(at(0), 0));
         assert!(idx.is_empty());
     }
 
@@ -555,10 +677,16 @@ mod tests {
     }
 
     #[test]
-    fn expected_len_sizing_matches_static_heuristic() {
+    fn expected_len_sizes_only_the_empty_index() {
         let idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(100.0), 10_000);
         assert_eq!(idx.grid().nx(), 100);
-        let idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(100.0), 1_000_000);
+        let mut idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(100.0), 1_000_000);
         assert_eq!(idx.grid().nx(), 256, "clamped at 256 per side");
+        // The hint is where the index starts; the live count takes over.
+        let items: Vec<_> = (0..400u32)
+            .map(|i| (Point::new((i % 20) as f64 * 5.0, (i / 20) as f64 * 5.0), i))
+            .collect();
+        idx.insert_bulk(&items);
+        assert_eq!(idx.grid().nx(), 20, "√400");
     }
 }

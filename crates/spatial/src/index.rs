@@ -212,6 +212,13 @@ fn push<T: Copy + Ord>(d: f64, t: T, k: usize, best: &mut Vec<(f64, T)>) {
     }
 }
 
+/// The bucket-grid side both indexes size themselves by: `√n × √n`
+/// buckets for `n` points (a handful of points per bucket at most),
+/// clamped to `1..=256` per side.
+pub(crate) fn sqrt_side(n: usize) -> u32 {
+    ((n.max(1) as f64).sqrt().ceil() as u32).clamp(1, 256)
+}
+
 /// A static bucket index over a set of points.
 ///
 /// Generic over the payload `T` carried with each point (typically a task
@@ -239,8 +246,7 @@ impl<T: Copy> BucketIndex<T> {
     /// average bucket holds a handful of points (heuristic `√n × √n`,
     /// clamped to ≤ 256 per side).
     pub fn build(region: Rect, items: &[(Point, T)]) -> Self {
-        let n = items.len().max(1);
-        let side = ((n as f64).sqrt().ceil() as u32).clamp(1, 256);
+        let side = sqrt_side(items.len());
         Self::build_with_grid(GridSpec::new(region, side, side), items)
     }
 
@@ -320,9 +326,9 @@ impl<T: Copy + Ord> BucketIndex<T> {
     /// Equal distances are broken by the smaller payload, which makes the
     /// result a pure function of the *point set* — independent of the
     /// bucketing grid and of insertion order. This is what lets the
-    /// incremental [`crate::DynamicBucketIndex`] (whose grid is fixed at
-    /// creation) reproduce a fresh build's capped-graph queries
-    /// bit-for-bit.
+    /// incremental [`crate::DynamicBucketIndex`] (whose grid follows
+    /// its live count, regridding as it goes) reproduce a fresh build's
+    /// capped-graph queries bit-for-bit.
     ///
     /// Buckets are visited in concentric Chebyshev rings around the
     /// centre cell and the search stops as soon as the next ring cannot

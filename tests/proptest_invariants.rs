@@ -279,7 +279,10 @@ proptest! {
     /// set, every period — capped (`advance_capped`, odd periods) and
     /// complete (`advance`, even periods) — under the 1/2/3/8-thread
     /// `assert_deterministic` harness. Scripts start with 1–200 workers
-    /// and include out-of-region relocations (the clamped-bucket path).
+    /// and include out-of-region relocations (the clamped-bucket path);
+    /// a third of the periods surge the live set 16× or thin it to a
+    /// sixteenth, so the cache's spatial index regrids mid-script while
+    /// the oracle's fresh build sizes itself by its own rule.
     #[test]
     fn incremental_graph_matches_scratch_rebuild(
         seed in 0u64..10_000,
@@ -322,9 +325,11 @@ proptest! {
             let mut scratch_bits = Vec::new();
             for period in 0..periods {
                 let mut departures = Vec::new();
+                // 0 = surge, 1 = collapse, otherwise ordinary churn.
+                let swing = if period > 0 { next() % 6 } else { 2 };
                 if period > 0 {
                     live.retain(|&(id, _)| {
-                        let stays = next() % 5 != 0;
+                        let stays = if swing == 1 { next() % 16 == 0 } else { next() % 5 != 0 };
                         if !stays {
                             departures.push(id);
                         }
@@ -340,7 +345,11 @@ proptest! {
                         relocations.push((entry.0, to));
                     }
                 }
-                let n_arrivals = if period == 0 { initial as u64 } else { next() % 20 };
+                let n_arrivals = match (period, swing) {
+                    (0, _) => initial as u64,
+                    (_, 0) => (16 * live.len() as u64 + 17).min(4_000),
+                    _ => next() % 20,
+                };
                 let arrivals: Vec<(u32, WorkerInput)> = (0..n_arrivals)
                     .map(|_| {
                         let id = next_id;
