@@ -30,7 +30,8 @@ use maps_market::{PriceLadder, UcbStats};
 /// submodularity Theorem 8 exploits. Both coincide when the discrete
 /// maximizer sits on the demand curve; they differ when it is
 /// supply-limited. We default to the L-difference and keep the literal
-/// pseudocode rule as an ablation (`bench/ablation`).
+/// pseudocode rule as an ablation (`maps-experiments`' `ablation`
+/// binary).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum DeltaRule {
     /// `Δ = max_p L̂(n+1, p) − max_p L̂(n, p)` (Example 5 / Theorem 8).

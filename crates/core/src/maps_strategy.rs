@@ -32,17 +32,18 @@
 //!
 //! ## Parallel per-grid table builds (PR 2)
 //!
-//! With [`MapsConfig::parallel`] (the default), step 2 precomputes each
-//! grid's full maximizer table `max_p L̂(n, p)` for `n = 1..=|R^tg|` and
-//! fans the per-grid builds out over rayon. Grids are independent, every
-//! table entry is a pure function of `(L^g, Ŝ^g, ladder)`, and the
-//! per-cell results are collected in cell order, so the schedule is
-//! **bit-identical** to the retained sequential path (which computes the
-//! same maximizers on demand inside the heap loop) at any thread count —
-//! enforced by `price_period_bitwise_deterministic_across_threads` here
-//! and the cross-crate proptest oracle in `tests/proptest_invariants.rs`.
-//! The table also removes the per-pop plateau-lookahead rescans, an
-//! `O(n² · |ladder|)` worst case on plateau-heavy grids.
+//! Step 2 precomputes each grid's maximizer table `max_p L̂(n, p)` for
+//! `n = 1..=min(|R^tg|, |W| + 1)` and fans the per-grid builds out over
+//! rayon. Grids are independent, every table entry is a pure function
+//! of `(L^g, Ŝ^g, ladder)`, and the per-cell results are collected in
+//! cell order, so the schedule is **bit-identical** at any thread count
+//! to the sequential reference, which builds no table and computes the
+//! same maximizers on demand inside the heap loop. That reference
+//! lives in this module's tests, which pin the two together on fixed
+//! and random panels, on the plateau worst case and under proptest, at
+//! 1/2/3/8 threads. The table also removes the per-pop
+//! plateau-lookahead rescans, an `O(n² · |ladder|)` worst case on
+//! plateau-heavy grids.
 
 use crate::base::BasePricing;
 use crate::lfunc::{ApproxKind, DeltaRule, LFunction, Maximizer};
@@ -88,12 +89,6 @@ pub struct MapsConfig {
     /// Myerson regime under abundant supply. Disable to reproduce the
     /// pseudocode literally (ablation `A1`).
     pub plateau_lookahead: bool,
-    /// Precompute each grid's maximizer table `max_p L̂(n, p)` for
-    /// `n = 1..=|R^tg|` and fan the per-grid builds out over rayon
-    /// (bit-identical to the sequential on-demand path at any thread
-    /// count). Disable to run the retained sequential reference, the
-    /// oracle for the determinism tests.
-    pub parallel: bool,
 }
 
 impl Default for MapsConfig {
@@ -107,7 +102,6 @@ impl Default for MapsConfig {
             smoothing: None,
             approx: ApproxKind::MinCurves,
             plateau_lookahead: true,
-            parallel: true,
         }
     }
 }
@@ -164,10 +158,10 @@ struct CellState {
     cur_price_idx: u32,
     /// Whether the final price was already fixed by a Δ=0 pop.
     finalized: bool,
-    /// Precomputed `table[n-1] = maximize_kind(n)` for `n = 1..=|R^tg|`
-    /// ([`MapsConfig::parallel`]); `None` on the sequential reference
-    /// path, which computes the same maximizers on demand.
-    table: Option<Vec<Option<Maximizer>>>,
+    /// Precomputed `table[n-1] = maximize_kind(n)` for the supply
+    /// levels the heap reads directly; levels past its end are computed
+    /// on demand by [`MapsStrategy::maximizer_at`].
+    table: Vec<Option<Maximizer>>,
 }
 
 /// The MAPS pricing strategy.
@@ -241,12 +235,12 @@ impl MapsStrategy {
     }
 
     /// Builds one grid's working state: sorts its task indices by
-    /// decreasing distance, derives the demand/supply curves and (when
-    /// `table_depth > 0`) the Algorithm-3 maximizer table for supply
-    /// levels `1..=min(|R^tg|, table_depth)`. Pure in `(cell, list)`
-    /// given frozen statistics, which is what makes the rayon fan-out
-    /// in [`PricingStrategy::price_period`] bit-identical to the
-    /// sequential path.
+    /// decreasing distance, derives the demand/supply curves and the
+    /// Algorithm-3 maximizer table for supply levels
+    /// `1..=min(|R^tg|, table_depth)`. Pure in `(cell, list)` given
+    /// frozen statistics, which is what makes the rayon fan-out in
+    /// [`PricingStrategy::price_period`] bit-identical to the
+    /// sequential reference.
     ///
     /// The depth cap keeps worker-scarce periods cheap: a grid can
     /// never admit more than `|W|` workers, so the heap only ever reads
@@ -271,14 +265,10 @@ impl MapsStrategy {
         });
         let dists: Vec<f64> = list.iter().map(|&i| tasks[i as usize].distance).collect();
         let lf = LFunction::new(dists);
-        let table = (table_depth > 0).then(|| {
-            let stats = &self.stats[cell];
-            (1..=lf.num_tasks().min(table_depth))
-                .map(|n| {
-                    lf.maximize_kind(self.cfg.approx, n, stats, &self.ladder, self.cfg.use_ucb)
-                })
-                .collect()
-        });
+        let stats = &self.stats[cell];
+        let table = (1..=lf.num_tasks().min(table_depth))
+            .map(|n| lf.maximize_kind(self.cfg.approx, n, stats, &self.ladder, self.cfg.use_ucb))
+            .collect();
         Some(CellState {
             lf,
             tasks_desc: list,
@@ -296,13 +286,11 @@ impl MapsStrategy {
     /// The Algorithm-3 maximizer of `cell` at supply level `n`
     /// (`1 ..= |R^tg|`): a table lookup where the precomputed table
     /// covers `n`, otherwise the identical pure on-demand computation
-    /// (the sequential reference path, and lookahead levels beyond the
-    /// parallel table's depth cap).
+    /// (lookahead levels beyond the table's depth cap, and every level
+    /// of the table-less sequential reference).
     fn maximizer_at(&self, cell: u32, state: &CellState, n: usize) -> Option<Maximizer> {
-        if let Some(table) = &state.table {
-            if n <= table.len() {
-                return table[n - 1];
-            }
+        if n <= state.table.len() {
+            return state.table[n - 1];
         }
         state.lf.maximize_kind(
             self.cfg.approx,
@@ -387,59 +375,29 @@ impl MapsStrategy {
             None => heap.push(finalizer),
         }
     }
-}
 
-impl PricingStrategy for MapsStrategy {
-    fn name(&self) -> &'static str {
-        "MAPS"
-    }
-
-    fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        let bp = BasePricing::new(self.ladder.clone(), self.cfg.epsilon, self.cfg.delta);
-        let result = bp.learn(self.num_cells, probe);
-        self.base_price = self.ladder.clamp(result.base_price);
-        for (stats, freq) in self.stats.iter_mut().zip(&result.stats) {
-            stats.seed_from(freq);
-        }
-    }
-
-    fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
+    /// Task indices per grid, in stream order; [`Self::build_cell_state`]
+    /// sorts each list by decreasing distance so supply admission follows
+    /// the supply curve's top-n semantics.
+    fn group_tasks(&self, input: &PeriodInput<'_>) -> Vec<Vec<u32>> {
         let g = input.grid.num_cells();
         assert_eq!(g, self.num_cells, "grid size changed mid-simulation");
-        let mut prices = vec![self.base_price; g];
-
-        // Group task indices per grid, sorted by decreasing distance so
-        // supply admission follows the supply curve's top-n semantics.
         let mut cell_tasks: Vec<Vec<u32>> = vec![Vec::new(); g];
         for (i, t) in input.tasks.iter().enumerate() {
             cell_tasks[t.cell.index()].push(i as u32);
         }
-        // Per-grid curve (and maximizer-table) builds. Grids are
-        // independent and the computation is pure per grid, so the rayon
-        // fan-out with index-ordered collect is bit-identical to the
-        // sequential on-demand path.
-        let mut states: Vec<Option<CellState>> = if self.cfg.parallel {
-            // A grid can never admit more workers than exist, so the
-            // heap reads levels ≤ |W| + 1; deeper lookahead levels fall
-            // back to on-demand computation inside `maximizer_at`.
-            let table_depth = input.workers.len().saturating_add(1);
-            (0..g)
-                .into_par_iter()
-                .map(|cell| {
-                    self.build_cell_state(cell, cell_tasks[cell].clone(), input.tasks, table_depth)
-                })
-                .collect()
-        } else {
-            cell_tasks
-                .iter_mut()
-                .enumerate()
-                .map(|(cell, list)| {
-                    self.build_cell_state(cell, std::mem::take(list), input.tasks, 0)
-                })
-                .collect()
-        };
+        cell_tasks
+    }
 
-        // Greedy supply distribution over the shared pre-matching M′.
+    /// Steps 3–4: greedy supply distribution over the shared
+    /// pre-matching `M′`, then each grid's final price.
+    fn distribute_supply(
+        &self,
+        input: &PeriodInput<'_>,
+        mut states: Vec<Option<CellState>>,
+    ) -> PriceSchedule {
+        let g = states.len();
+        let mut prices = vec![self.base_price; g];
         let mut matching = IncrementalMatching::new(input.graph);
         let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(g + 1);
         for cell in 0..g as u32 {
@@ -498,6 +456,39 @@ impl PricingStrategy for MapsStrategy {
             smooth_prices(input.grid, &mut prices, beta);
         }
         PriceSchedule { prices }
+    }
+}
+
+impl PricingStrategy for MapsStrategy {
+    fn name(&self) -> &'static str {
+        "MAPS"
+    }
+
+    fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
+        let bp = BasePricing::new(self.ladder.clone(), self.cfg.epsilon, self.cfg.delta);
+        let result = bp.learn(self.num_cells, probe);
+        self.base_price = self.ladder.clamp(result.base_price);
+        for (stats, freq) in self.stats.iter_mut().zip(&result.stats) {
+            stats.seed_from(freq);
+        }
+    }
+
+    fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
+        let cell_tasks = self.group_tasks(input);
+        // A grid can never admit more workers than exist, so the heap
+        // reads levels ≤ |W| + 1; deeper lookahead levels fall back to
+        // on-demand computation inside `maximizer_at`. Grids are
+        // independent and the build is pure per grid, so the rayon
+        // fan-out with index-ordered collect is bit-identical to the
+        // sequential reference.
+        let table_depth = input.workers.len().saturating_add(1);
+        let states = (0..cell_tasks.len())
+            .into_par_iter()
+            .map(|cell| {
+                self.build_cell_state(cell, cell_tasks[cell].clone(), input.tasks, table_depth)
+            })
+            .collect();
+        self.distribute_supply(input, states)
     }
 
     fn observe(&mut self, feedback: &[Observation]) {
@@ -571,6 +562,21 @@ mod tests {
     use crate::builder::build_period_graph;
     use crate::problem::{TaskInput, WorkerInput};
     use maps_spatial::{GridSpec, Point, Rect};
+
+    impl MapsStrategy {
+        /// The sequential reference for [`PricingStrategy::price_period`]:
+        /// no rayon and no maximizer table, so every supply level the
+        /// heap reads is computed on demand by [`Self::maximizer_at`].
+        fn price_period_sequential(&self, input: &PeriodInput<'_>) -> PriceSchedule {
+            let states = self
+                .group_tasks(input)
+                .into_iter()
+                .enumerate()
+                .map(|(cell, list)| self.build_cell_state(cell, list, input.tasks, 0))
+                .collect();
+            self.distribute_supply(input, states)
+        }
+    }
 
     /// The running example: 4×4 grid over an 8×8 region; r1, r2 in grid 9
     /// (cell 8), r3 in grid 11 (cell 10); three workers with radius 2.5;
@@ -841,66 +847,86 @@ mod tests {
         (grid, tasks, workers)
     }
 
-    fn seeded_maps(num_cells: usize, parallel: bool, seed: u64) -> MapsStrategy {
-        let mut maps = MapsStrategy::new(
-            num_cells,
-            PriceLadder::paper_default(),
-            MapsConfig {
-                parallel,
-                ..MapsConfig::default()
-            },
-        );
+    /// MAPS over the paper ladder with coarse acceptance ratios
+    /// (multiples of 1/8, maximizing ties) drawn from `seed`.
+    fn seeded_maps(num_cells: usize, seed: u64) -> MapsStrategy {
+        let mut maps = MapsStrategy::paper_default(num_cells);
         let mut s = seed | 1;
         for cell in 0..num_cells {
             for idx in 0..maps.ladder().len() {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
-                // Coarse acceptance ratios (multiples of 1/8) maximize ties.
                 maps.stats_mut(cell).observe_batch(idx, 8, s % 9);
             }
         }
         maps
     }
 
+    /// MAPS seeded with the **plateau worst case** for the sequential
+    /// reference: the lowest rung has near-full acceptance (`Ŝ = 0.95`,
+    /// the global revenue maximum) while every other rung's product
+    /// `p·Ŝ(p)` is pinned at 0.8. Once the top rung's index is
+    /// demand-capped at 0.8, the lowest rung stays supply-capped (and
+    /// therefore better only at depth) until the supply ratio reaches
+    /// 0.8 — so the heap crosses a long `Δ = 0` plateau where the
+    /// lookahead reads every remaining supply level per admission.
+    /// Sample counts are large so UCB radii are negligible.
+    fn plateau_maps(num_cells: usize) -> MapsStrategy {
+        let mut maps = MapsStrategy::paper_default(num_cells);
+        let n = 1_000_000u64;
+        let ratios: Vec<f64> = maps
+            .ladder()
+            .prices()
+            .iter()
+            .enumerate()
+            .map(|(idx, &p)| if idx == 0 { 0.95 } else { 0.8 / p })
+            .collect();
+        for cell in 0..num_cells {
+            for (idx, &s) in ratios.iter().enumerate() {
+                maps.stats_mut(cell)
+                    .observe_batch(idx, n, (s * n as f64) as u64);
+            }
+        }
+        maps
+    }
+
+    /// Asserts the table-driven `price_period` of `maps` is
+    /// bit-identical at 1/2/3/8 threads, and to the sequential
+    /// reference.
+    fn assert_matches_sequential_reference(
+        maps: &MapsStrategy,
+        grid: &GridSpec,
+        tasks: &[TaskInput],
+        workers: &[WorkerInput],
+    ) {
+        let graph = build_period_graph(grid, tasks, workers);
+        let input = PeriodInput {
+            grid,
+            tasks,
+            workers,
+            graph: &graph,
+        };
+        let reference = maps.price_period_sequential(&input);
+        let prices =
+            maps_testkit::assert_deterministic(|| maps.clone().price_period(&input).prices);
+        assert_eq!(
+            maps_testkit::BitPattern::bits(&prices),
+            maps_testkit::BitPattern::bits(&reference.prices),
+            "table path diverged from the sequential reference"
+        );
+    }
+
     /// PR-2 acceptance: the parallel table-driven `price_period` is
-    /// bit-identical to the retained sequential on-demand path.
+    /// bit-identical to the sequential on-demand reference.
     #[test]
     fn parallel_tables_match_sequential_oracle() {
+        let (grid, tasks, workers, maps) = running_example_strategy();
+        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
         for seed in [3u64, 17, 99] {
-            let (grid, tasks, workers, _) = running_example_strategy();
-            let graph = build_period_graph(&grid, &tasks, &workers);
-            let input = PeriodInput {
-                grid: &grid,
-                tasks: &tasks,
-                workers: &workers,
-                graph: &graph,
-            };
-            let (_, _, _, mut maps) = running_example_strategy();
-            maps.cfg.parallel = false;
-            let sequential = maps.price_period(&input);
-            let (_, _, _, mut maps) = running_example_strategy();
-            maps.cfg.parallel = true;
-            let parallel = maps.price_period(&input);
-            assert_eq!(sequential, parallel);
-
             let (grid, tasks, workers) = random_period(8, 400, 250, seed);
-            let graph = build_period_graph(&grid, &tasks, &workers);
-            let input = PeriodInput {
-                grid: &grid,
-                tasks: &tasks,
-                workers: &workers,
-                graph: &graph,
-            };
-            let sequential = seeded_maps(grid.num_cells(), false, seed).price_period(&input);
-            let parallel = seeded_maps(grid.num_cells(), true, seed).price_period(&input);
-            for (cell, (s, p)) in sequential.prices.iter().zip(&parallel.prices).enumerate() {
-                assert_eq!(
-                    s.to_bits(),
-                    p.to_bits(),
-                    "seed {seed} cell {cell}: sequential {s} vs parallel {p}"
-                );
-            }
+            let maps = seeded_maps(grid.num_cells(), seed);
+            assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
         }
     }
 
@@ -909,29 +935,101 @@ mod tests {
     #[test]
     fn price_period_bitwise_deterministic_across_threads() {
         let (grid, tasks, workers) = random_period(8, 500, 300, 0xA11CE);
-        let graph = build_period_graph(&grid, &tasks, &workers);
-        let prices = maps_testkit::assert_deterministic(|| {
+        let maps = seeded_maps(grid.num_cells(), 0xA11CE);
+        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+    }
+
+    /// The plateau worst case (see [`plateau_maps`]), where almost every
+    /// admission runs the full lookahead: with abundant supply the table
+    /// covers every level the heap reads; on a worker-scarce period the
+    /// table stops at `|W| + 1` and the lookahead reads past it into
+    /// `maximizer_at`'s on-demand fallback. Both must price like the
+    /// reference.
+    #[test]
+    fn plateau_worst_case_matches_sequential_reference() {
+        let (grid, tasks, workers) = random_period(8, 1000, 1250, 11);
+        let maps = plateau_maps(grid.num_cells());
+        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+
+        // Every worker reaches every task, so all 40 are admitted and
+        // each grid's supply climbs well onto the plateau.
+        let (grid, tasks, mut workers) = random_period(2, 240, 40, 11);
+        for w in &mut workers {
+            w.radius = 150.0;
+        }
+        let maps = plateau_maps(grid.num_cells());
+        let mut tasks_per_grid = vec![0usize; grid.num_cells()];
+        for t in &tasks {
+            tasks_per_grid[t.cell.index()] += 1;
+        }
+        let deepest_grid = *tasks_per_grid.iter().max().unwrap();
+        assert!(
+            workers.len() + 1 < deepest_grid,
+            "the table must be shallower than a grid's supply curve"
+        );
+        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// PR-2 oracle: the table-driven `price_period` is bit-identical
+        /// to the sequential reference on randomized panels — 1–64
+        /// grids, tie-heavy distance ladders (multiples of 0.5) and
+        /// coarse acceptance ratios (eighths, maximizing cross-grid Δ
+        /// ties), including zero-worker and zero-task edge panels — at
+        /// 1/2/3-thread pools.
+        #[test]
+        fn parallel_pricing_matches_sequential_reference(
+            side in 1u32..=8,
+            n_tasks in 0usize..=80,
+            n_workers in 0usize..=50,
+            seed in 0u64..1000,
+        ) {
+            let grid = GridSpec::square(Rect::square(100.0), side);
+            let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
+            let mut next = move || {
+                s ^= s << 13;
+                s ^= s >> 7;
+                s ^= s << 17;
+                s
+            };
+            let tasks: Vec<TaskInput> = (0..n_tasks)
+                .map(|_| {
+                    let x = (next() % 10_000) as f64 / 100.0;
+                    let y = (next() % 10_000) as f64 / 100.0;
+                    let d = 0.5 * (1 + next() % 6) as f64;
+                    TaskInput::new(&grid, Point::new(x, y), d)
+                })
+                .collect();
+            let workers: Vec<WorkerInput> = (0..n_workers)
+                .map(|_| {
+                    let x = (next() % 10_000) as f64 / 100.0;
+                    let y = (next() % 10_000) as f64 / 100.0;
+                    WorkerInput::new(&grid, Point::new(x, y), 12.0)
+                })
+                .collect();
+            let graph = build_period_graph(&grid, &tasks, &workers);
             let input = PeriodInput {
                 grid: &grid,
                 tasks: &tasks,
                 workers: &workers,
                 graph: &graph,
             };
-            seeded_maps(grid.num_cells(), true, 0xA11CE)
-                .price_period(&input)
-                .prices
-        });
-        let input = PeriodInput {
-            grid: &grid,
-            tasks: &tasks,
-            workers: &workers,
-            graph: &graph,
-        };
-        let oracle = seeded_maps(grid.num_cells(), false, 0xA11CE).price_period(&input);
-        assert_eq!(
-            maps_testkit::BitPattern::bits(&prices),
-            maps_testkit::BitPattern::bits(&oracle.prices),
-            "parallel family diverged from the sequential oracle"
-        );
+            let maps = seeded_maps(grid.num_cells(), seed);
+            let sequential = maps.price_period_sequential(&input).prices;
+            let parallel = maps_testkit::assert_deterministic_across(&[1, 2, 3], || {
+                maps.clone().price_period(&input).prices
+            });
+            for (cell, (sp, pp)) in sequential.iter().zip(&parallel).enumerate() {
+                proptest::prop_assert!(
+                    sp.to_bits() == pp.to_bits(),
+                    "cell {}: sequential {} vs parallel {}",
+                    cell,
+                    sp,
+                    pp
+                );
+            }
+        }
     }
 }

@@ -32,12 +32,10 @@
 //! rules need.
 //!
 //! Run it as a binary (`cargo run -p maps-lint --release`), as a
-//! library ([`scan_workspace`] — `bench_report` times a full scan as
-//! the `lint_runtime` row), or in self-test mode
+//! library ([`scan_workspace`]), or in self-test mode
 //! (`--self-test`: every known-bad fixture under `fixtures/` must
 //! fail, guarding the pass against rotting into a no-op). The JSON
-//! report (`maps-lint/v1`, [`LintReport::to_value`]) mirrors
-//! `bench_report`'s schema conventions.
+//! report is `maps-lint/v1` ([`LintReport::to_value`]).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -88,10 +86,9 @@ impl LintReport {
         self.violations.is_empty()
     }
 
-    /// Renders the `maps-lint/v1` JSON schema (same `Value` conventions
-    /// as `maps-bench-report/v1`): a `rules` object with per-rule
-    /// violation/waiver counts, plus the flat `violations` / `waived`
-    /// arrays.
+    /// Renders the `maps-lint/v1` JSON schema: a `rules` object with
+    /// per-rule violation/waiver counts, plus the flat `violations` /
+    /// `waived` arrays.
     pub fn to_value(&self) -> Value {
         let mut per_rule: BTreeMap<String, (u64, u64)> = BTreeMap::new();
         for name in RULES.iter().chain(["waiver", "stale-waiver"].iter()) {

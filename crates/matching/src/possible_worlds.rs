@@ -42,10 +42,10 @@
 //! bounds accumulated rounding drift to a few hundred ULPs while
 //! amortizing to `O(m / RESYNC_PERIOD)` ≈ 0 work per world.
 //!
-//! The naive enumerator ([`PossibleWorlds::worlds`] /
-//! [`PossibleWorlds::expected_revenue_naive`]) is retained verbatim as
-//! the test oracle; `gray_code_matches_naive_enumeration` pins the two
-//! paths together to `1e-12` relative tolerance.
+//! The naive enumerator [`PossibleWorlds::worlds`] is retained verbatim
+//! as the test oracle: this module's tests fold it into the
+//! Definition-6 sum and `gray_code_matches_naive_enumeration` pins the
+//! two paths together to `1e-12` relative tolerance.
 
 use crate::graph::BipartiteGraph;
 use crate::greedy_weight::max_weight_matching_left_weights;
@@ -151,13 +151,6 @@ impl<'a> PossibleWorlds<'a> {
                 revenue,
             }
         })
-    }
-
-    /// The expected total revenue `E[U(B^t)|P^t]` (Definition 6) via the
-    /// naive oracle path. Quadratically slower in constants than
-    /// [`Self::expected_revenue`]; exists for testing and benchmarking.
-    pub fn expected_revenue_naive(&self) -> f64 {
-        self.worlds().map(|w| w.probability * w.revenue).sum()
     }
 
     /// The expected total revenue `E[U(B^t)|P^t]` (Definition 6),
@@ -601,6 +594,12 @@ mod tests {
         *state
     }
 
+    /// Definition 6 summed world by world over the naive enumerator: the
+    /// oracle for [`PossibleWorlds::expected_revenue`].
+    fn naive_expected_revenue(pw: &PossibleWorlds<'_>) -> f64 {
+        pw.worlds().map(|w| w.probability * w.revenue).sum()
+    }
+
     /// The satellite-task equivalence check: Gray-code enumeration must
     /// agree with naive enumeration to 1e-12 (relative) on pseudorandom
     /// graphs, including degenerate probabilities.
@@ -630,7 +629,7 @@ mod tests {
                 })
                 .collect();
             let pw = PossibleWorlds::new(&g, &weights, &probs);
-            let naive = pw.expected_revenue_naive();
+            let naive = naive_expected_revenue(&pw);
             let gray = pw.expected_revenue();
             let tolerance = 1e-12 * naive.abs().max(1.0);
             assert!(
@@ -668,7 +667,7 @@ mod tests {
                 .map(|_| 0.1 + 0.8 * ((xorshift(&mut s) % 64) as f64 / 64.0))
                 .collect();
             let pw = PossibleWorlds::new(&g, &weights, &probs);
-            let naive = pw.expected_revenue_naive();
+            let naive = naive_expected_revenue(&pw);
             let gray = pw.expected_revenue();
             assert!(
                 (gray - naive).abs() < 1e-12 * naive.abs().max(1.0),
@@ -691,7 +690,7 @@ mod tests {
         let weights: Vec<f64> = (0..n).map(|i| 1.0 + 0.37 * i as f64).collect();
         let probs: Vec<f64> = (0..n).map(|i| 0.05 + 0.9 * (i as f64) / n as f64).collect();
         let pw = PossibleWorlds::new(&g, &weights, &probs);
-        let naive = pw.expected_revenue_naive();
+        let naive = naive_expected_revenue(&pw);
         let gray = pw.expected_revenue();
         assert!(
             (gray - naive).abs() < 1e-12 * naive.max(1.0),

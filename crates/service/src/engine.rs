@@ -670,6 +670,9 @@ struct JournalState {
 impl ShardedService {
     /// A service for one of the five paper strategies with paper-default
     /// parameters (same factory as the batch simulator).
+    ///
+    /// # Panics
+    /// Panics if `config.shards` is 0.
     pub fn new(
         grid: GridSpec,
         match_policy: MatchPolicy,
@@ -685,12 +688,16 @@ impl ShardedService {
     }
 
     /// A service around a custom strategy instance.
+    ///
+    /// # Panics
+    /// Panics if `config.shards` is 0.
     pub fn with_strategy(
         grid: GridSpec,
         match_policy: MatchPolicy,
         strategy: Box<dyn PricingStrategy>,
         config: ServiceConfig,
     ) -> Self {
+        assert!(config.shards >= 1, "ServiceConfig::shards must be >= 1");
         let per_shard = config.expected_workers.div_ceil(config.shards).max(16);
         let shards = (0..config.shards)
             .map(|_| Shard::new(PeriodGraphCache::new(&grid, per_shard)))
@@ -1400,6 +1407,12 @@ mod tests {
 
     fn service(shards: usize, policy: MatchPolicy) -> ShardedService {
         ShardedService::new(grid(), policy, StrategyKind::BaseP, config(shards))
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceConfig::shards must be >= 1")]
+    fn zero_shards_panics_naming_the_field() {
+        service(0, MatchPolicy::Consume);
     }
 
     #[test]

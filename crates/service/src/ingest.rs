@@ -51,8 +51,9 @@
 //! the `ingest_oracle` test sweep (producers × shards × strategies ×
 //! forced interleavings × queue capacities), the root proptest
 //! `ingested_stream_matches_serial_push` (random producer partitions,
-//! schedule perturbation, per-epoch outcome checks) and the
-//! `ingest_throughput` row `bench_gate` fails CI without.
+//! schedule perturbation, per-epoch outcome checks); `maps_benchmark`'s
+//! `fanin` workload prices the front-end against serial push
+//! (`ingest.vs_serial`).
 //!
 //! ## Liveness
 //!

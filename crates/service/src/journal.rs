@@ -525,6 +525,21 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<u64>, JournalError> {
     Ok(epochs)
 }
 
+/// Deletes every `checkpoint_*.tmp` in `dir`: the staging files of
+/// checkpoints whose writer died before the rename. Only safe while no
+/// [`write_checkpoint_file`] is in flight on `dir` — recovery's case.
+pub(crate) fn remove_orphaned_checkpoint_temps(dir: &Path) -> Result<(), JournalError> {
+    for entry in std::fs::read_dir(dir)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        let Some(name) = name.to_str() else { continue };
+        if name.starts_with("checkpoint_") && name.ends_with(".tmp") {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -36,8 +36,9 @@ use maps_spatial::GridSpec;
 
 use crate::engine::{ServiceConfig, ServiceError, ShardedService};
 use crate::journal::{
-    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal, JournalConfig,
-    JournalError, JournalWriter, Tail, TICK_PRODUCER,
+    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal,
+    remove_orphaned_checkpoint_temps, JournalConfig, JournalError, JournalWriter, Tail,
+    TICK_PRODUCER,
 };
 
 #[cfg(doc)]
@@ -136,6 +137,9 @@ impl From<JournalError> for RecoveryError {
 /// count — may differ freely: recovery re-routes restored workers
 /// through the new shard map, and the shard-count-invariance contract
 /// keeps the outcome bits identical.
+///
+/// # Panics
+/// Panics if `config.shards` is 0, like [`ShardedService::new`].
 pub fn recover(
     grid: GridSpec,
     match_policy: MatchPolicy,
@@ -156,6 +160,15 @@ pub fn recover(
 /// state is overwritten from the checkpoint (so a freshly constructed,
 /// uncalibrated instance is the right thing to pass); only its
 /// [`PricingStrategy::name`] must match the checkpointed one.
+///
+/// Once the service is restored, `checkpoint_*.tmp` files in the journal
+/// directory are deleted: each is what a crash between creating a
+/// checkpoint's temp file and renaming it into place leaves behind, and
+/// nothing else ever reads or removes one.
+///
+/// # Panics
+/// Panics if `config.shards` is 0, like
+/// [`ShardedService::with_strategy`].
 pub fn recover_with_strategy(
     grid: GridSpec,
     match_policy: MatchPolicy,
@@ -193,6 +206,7 @@ pub fn recover_with_strategy(
     let writer = JournalWriter::open_append(&journal_path, contents.valid_len)?;
     service.resume_journal(writer, journal_cfg);
     service.sync_serial_seq();
+    remove_orphaned_checkpoint_temps(&journal_cfg.dir)?;
 
     let acks = producer_acks(&contents.records);
     Ok(Recovered {
@@ -368,6 +382,66 @@ mod tests {
             recovered.service.into_outcome().deterministic_bits(),
             uninterrupted
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "ServiceConfig::shards must be >= 1")]
+    fn recovering_into_zero_shards_panics_naming_the_field() {
+        let dir = crate::test_dir("recover_zero_shards");
+        let (_svc, cfg) = journaled_service(&dir);
+        let _ = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(0),
+            &cfg,
+        );
+    }
+
+    /// A crash between creating `checkpoint_<e>.tmp` and renaming it
+    /// leaves the temp file behind, whole or torn. Recovery ignores both
+    /// and clears them out.
+    #[test]
+    fn orphaned_checkpoint_temps_are_removed_on_recovery() {
+        let dir = crate::test_dir("recover_orphan_tmp");
+        let (mut svc, cfg) = journaled_service(&dir);
+        for period in 0..3 {
+            svc.push(ServiceEvent::WorkerArrive {
+                worker: worker(1.0 + f64::from(period)),
+            });
+            svc.push(ServiceEvent::PeriodTick);
+        }
+        let uninterrupted = svc.into_outcome().deterministic_bits();
+        let checkpoints = list_checkpoints(&dir).unwrap();
+        let whole = std::fs::read(checkpoint_path(&dir, 3)).unwrap();
+        std::fs::write(dir.join("checkpoint_4.tmp"), &whole).unwrap();
+        std::fs::write(dir.join("checkpoint_2.tmp"), &whole[..whole.len() / 2]).unwrap();
+
+        let recovered = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(recovered.epochs_replayed, 0, "restored from checkpoint 3");
+        assert_eq!(
+            recovered.service.into_outcome().deterministic_bits(),
+            uninterrupted
+        );
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().file_name().into_string().unwrap())
+            .collect();
+        left.sort();
+        let mut expected: Vec<String> = checkpoints
+            .iter()
+            .map(|epoch| format!("checkpoint_{epoch}.bin"))
+            .collect();
+        expected.push(JOURNAL_FILE.to_string());
+        expected.sort();
+        assert_eq!(left, expected);
     }
 
     #[test]

@@ -50,8 +50,7 @@ pub fn replay_with_options(
 /// event is journaled before it mutates state and each epoch is made
 /// durable (flush + fsync) at its tick, with checkpoints on the
 /// configured cadence. The outcome is bit-identical to the unjournaled
-/// replay — the journal is write-path-only — which doubles as the
-/// apples-to-apples driver for the `journal_throughput` benchmark.
+/// replay — the journal is write-path-only.
 pub fn replay_journaled(
     truth: &GroundTruth,
     kind: StrategyKind,

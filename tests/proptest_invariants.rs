@@ -198,81 +198,6 @@ proptest! {
         }
     }
 
-    /// PR-2 oracle: the rayon table-driven `price_period` is bit-identical
-    /// to the retained sequential on-demand path on randomized panels —
-    /// 1–64 grids, tie-heavy distance ladders (multiples of 0.5) and
-    /// coarse acceptance ratios (eighths, maximizing cross-grid Δ ties),
-    /// including zero-worker and zero-task edge panels — at 1/2/3-thread
-    /// pools.
-    #[test]
-    fn parallel_pricing_matches_sequential_oracle(
-        side in 1u32..=8,
-        n_tasks in 0usize..=80,
-        n_workers in 0usize..=50,
-        seed in 0u64..1000,
-    ) {
-        let grid = GridSpec::square(Rect::square(100.0), side);
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let tasks: Vec<TaskInput> = (0..n_tasks)
-            .map(|_| {
-                let x = (next() % 10_000) as f64 / 100.0;
-                let y = (next() % 10_000) as f64 / 100.0;
-                let d = 0.5 * (1 + next() % 6) as f64;
-                TaskInput::new(&grid, Point::new(x, y), d)
-            })
-            .collect();
-        let workers: Vec<WorkerInput> = (0..n_workers)
-            .map(|_| {
-                let x = (next() % 10_000) as f64 / 100.0;
-                let y = (next() % 10_000) as f64 / 100.0;
-                WorkerInput::new(&grid, Point::new(x, y), 12.0)
-            })
-            .collect();
-        let graph = build_period_graph(&grid, &tasks, &workers);
-        let input = PeriodInput {
-            grid: &grid,
-            tasks: &tasks,
-            workers: &workers,
-            graph: &graph,
-        };
-        let make = |parallel: bool| {
-            let mut maps = MapsStrategy::new(
-                grid.num_cells(),
-                PriceLadder::paper_default(),
-                MapsConfig { parallel, ..MapsConfig::default() },
-            );
-            let mut t = seed | 1;
-            for cell in 0..grid.num_cells() {
-                for idx in 0..maps.ladder().len() {
-                    t ^= t << 13;
-                    t ^= t >> 7;
-                    t ^= t << 17;
-                    maps.stats_mut(cell).observe_batch(idx, 8, t % 9);
-                }
-            }
-            maps
-        };
-        let sequential = make(false).price_period(&input).prices;
-        let parallel = maps_testkit::assert_deterministic_across(&[1, 2, 3], || {
-            make(true).price_period(&input).prices
-        });
-        for (cell, (sp, pp)) in sequential.iter().zip(&parallel).enumerate() {
-            prop_assert!(
-                sp.to_bits() == pp.to_bits(),
-                "cell {}: sequential {} vs parallel {}",
-                cell,
-                sp,
-                pp
-            );
-        }
-    }
-
     /// PR-3 oracle: the incremental `PeriodGraphCache` replayed over a
     /// random arrival/departure/relocation churn script is bit-identical
     /// to the retained from-scratch builders on the materialized live
