@@ -12,8 +12,10 @@
 //!
 //! ## Determinism contract (the scratch-rebuild oracle)
 //!
-//! [`PeriodGraphCache::advance`] and [`PeriodGraphCache::advance_capped`]
-//! are **bit-identical** to [`crate::build_period_graph`] /
+//! [`PeriodGraphCache::apply`] followed by
+//! [`PeriodGraphCache::build_graph`] /
+//! [`PeriodGraphCache::build_graph_capped`] is **bit-identical** to
+//! [`crate::build_period_graph`] /
 //! [`crate::build_period_graph_capped`] called on the *materialized live
 //! set*: the live workers listed in ascending id order. The from-scratch
 //! builders are retained as the oracle (per the workspace's standing
@@ -30,24 +32,6 @@
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
 use maps_spatial::{BucketIndex, DynamicBucketIndex, GridSpec, Point};
-
-/// One period's worth of worker-set changes, referenced by worker id.
-///
-/// Ids are caller-assigned `u32`s, unique among live workers; the
-/// ascending id order defines the materialized worker list (and thus the
-/// graph's right-side numbering). Re-using the id of a *departed* worker
-/// is allowed — the simulator does exactly that when a busy worker
-/// re-enters after relocating — and keeps the worker's position in the
-/// materialized order stable across its whole lifetime.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerChurn<'a> {
-    /// Workers entering the live set this period.
-    pub arrivals: &'a [(u32, WorkerInput)],
-    /// Ids leaving the live set this period (must be live).
-    pub departures: &'a [u32],
-    /// Live workers moving to a new location this period.
-    pub relocations: &'a [(u32, Point)],
-}
 
 /// Incremental per-period task–worker graph builder.
 ///
@@ -147,56 +131,31 @@ impl PeriodGraphCache {
         );
     }
 
-    /// Inserts one worker immediately (id must not be live).
-    pub fn insert(&mut self, id: u32, worker: WorkerInput) {
-        self.insert_slot(id, worker);
-        match self.live_ids.binary_search(&id) {
-            Ok(_) => unreachable!("insert_slot rejects live ids"),
-            Err(pos) => self.live_ids.insert(pos, id),
-        }
-    }
-
-    /// Removes one live worker immediately, returning its state.
+    /// Applies one period's churn — the cache's one mutation entry:
+    /// `departures` (ids that must be live) leave, then `arrivals`
+    /// enter, then a single merge pass rewrites the live-id list (so
+    /// bulk churn does not pay a per-event `O(live)` shift).
     ///
-    /// # Panics
-    /// Panics if `id` is not live.
-    pub fn remove(&mut self, id: u32) -> WorkerInput {
-        let w = self.remove_slot(id);
-        let pos = self
-            .live_ids
-            .binary_search(&id)
-            .expect("live id is in live_ids");
-        self.live_ids.remove(pos);
-        w
-    }
-
-    /// Moves one live worker to a new location immediately.
+    /// Ids are caller-assigned `u32`s, unique among live workers; the
+    /// ascending id order defines the materialized worker list (and
+    /// thus the graph's right-side numbering). Re-using the id of a
+    /// departed worker is allowed — a busy worker re-enters under its
+    /// own id after relocating, in a later call or, listed on both
+    /// sides, in this one — and keeps the worker's position in the
+    /// materialized order stable across its whole lifetime. The order
+    /// of `arrivals` is free: every structure below is keyed or sorted
+    /// by id.
     ///
-    /// # Panics
-    /// Panics if `id` is not live.
-    pub fn relocate(&mut self, id: u32, to: Point) {
-        let slot = self.slots[id as usize]
-            .as_mut()
-            .expect("relocation of a non-live worker");
-        let from = slot.location;
-        slot.location = to;
-        slot.cell = self.grid.cell_of(to);
-        self.index.relocate(from, to, id);
-    }
-
-    /// Applies one period's churn: departures, then relocations, then
-    /// arrivals, then a single merge pass over the live-id list (so bulk
-    /// churn does not pay a per-event `O(live)` shift). Departures and
-    /// arrivals go through the index's bulk paths
+    /// Both sides go through the index's bulk paths
     /// ([`DynamicBucketIndex::remove_bulk`] /
     /// [`DynamicBucketIndex::insert_bulk`]), one compaction/merge pass
     /// per touched bucket instead of one lane shift per event — the
     /// final bucket contents are identical to the one-at-a-time ops, so
     /// queries stay bit-identical.
-    pub fn apply(&mut self, churn: WorkerChurn<'_>) {
+    pub fn apply(&mut self, arrivals: &[(u32, WorkerInput)], departures: &[u32]) {
         let mut batch = std::mem::take(&mut self.batch);
         batch.clear();
-        for &id in churn.departures {
+        for &id in departures {
             let w = self.book_departure(id);
             batch.push((w.location, id));
         }
@@ -206,39 +165,14 @@ impl PeriodGraphCache {
             batch.len(),
             "live worker missing from the spatial index"
         );
-        for &(id, to) in churn.relocations {
-            self.relocate(id, to);
-        }
         batch.clear();
-        for &(id, w) in churn.arrivals {
+        for &(id, w) in arrivals {
             self.book_arrival(id, w);
             batch.push((w.location, id));
         }
         self.index.insert_bulk(&batch);
         self.batch = batch;
-        self.merge_live_ids(churn.departures, churn.arrivals);
-    }
-
-    /// Applies `churn` and builds the complete task–worker graph of the
-    /// resulting live set — bit-identical to
-    /// [`crate::build_period_graph`] on the materialized live workers.
-    pub fn advance(&mut self, churn: WorkerChurn<'_>, tasks: &[TaskInput]) -> BipartiteGraph {
-        self.apply(churn);
-        self.build_graph(tasks)
-    }
-
-    /// Applies `churn` and builds the capped graph (each task's `k`
-    /// nearest in-range workers) — bit-identical to
-    /// [`crate::build_period_graph_capped`] on the materialized live
-    /// workers.
-    pub fn advance_capped(
-        &mut self,
-        churn: WorkerChurn<'_>,
-        tasks: &[TaskInput],
-        k: usize,
-    ) -> BipartiteGraph {
-        self.apply(churn);
-        self.build_graph_capped(tasks, k)
+        self.merge_live_ids(departures, arrivals);
     }
 
     /// Builds the complete graph of the current live set (no churn).
@@ -281,23 +215,15 @@ impl PeriodGraphCache {
 
     /// The `k` nearest live workers within `radius` of `origin` under
     /// the total `(distance, id)` order, honouring each worker's own
-    /// range constraint — one task's worth of the capped build.
+    /// range constraint — one task's worth of the capped build —
+    /// written into `out` (cleared first; the sharded service issues
+    /// `shards × tasks` of these per tick).
     ///
     /// Because the order is total and grid-independent, the union of
     /// per-shard candidate lists re-sorted by `(distance, id)` and
     /// truncated to `k` equals the same query against one cache holding
     /// every worker: this is the decomposition the sharded service's
     /// cross-shard matching rests on.
-    pub fn k_nearest_candidates(&self, origin: Point, radius: f64, k: usize) -> Vec<(f64, u32)> {
-        let mut out = Vec::new();
-        self.k_nearest_candidates_into(origin, radius, k, &mut out);
-        out
-    }
-
-    /// [`PeriodGraphCache::k_nearest_candidates`] writing into a
-    /// caller-supplied buffer (cleared first): the per-tick hot loop of
-    /// the sharded service issues `shards × tasks` of these queries, so
-    /// the buffer amortizes per-query allocation away.
     pub fn k_nearest_candidates_into(
         &self,
         origin: Point,
@@ -357,11 +283,6 @@ impl PeriodGraphCache {
         graph
     }
 
-    fn insert_slot(&mut self, id: u32, worker: WorkerInput) {
-        self.book_arrival(id, worker);
-        self.index.insert(worker.location, id);
-    }
-
     /// The slot/max-radius bookkeeping of an arrival, *without* the
     /// spatial-index insert — [`PeriodGraphCache::apply`] books a whole
     /// batch first and then bulk-inserts into the index in one pass.
@@ -389,15 +310,6 @@ impl PeriodGraphCache {
                 self.max_radius_count += 1;
             }
         }
-    }
-
-    fn remove_slot(&mut self, id: u32) -> WorkerInput {
-        let w = self.book_departure(id);
-        assert!(
-            self.index.remove(w.location, id),
-            "live worker missing from the spatial index"
-        );
-        w
     }
 
     /// The slot/max-radius bookkeeping of a departure, *without* the
@@ -444,7 +356,8 @@ impl PeriodGraphCache {
 
     /// Rewrites `live_ids` as `(live_ids \ departures) ∪ arrivals` in one
     /// ordered merge pass. Departed ids are guaranteed present and
-    /// arrival ids absent (checked by the slot ops above).
+    /// arrival ids absent unless they also depart (checked by the slot
+    /// ops above).
     fn merge_live_ids(&mut self, departures: &[u32], arrivals: &[(u32, WorkerInput)]) {
         if departures.is_empty() && arrivals.is_empty() {
             return;
@@ -525,9 +438,11 @@ mod tests {
         }
     }
 
-    /// Random churn over several periods: advance must equal the
+    /// Random churn over several periods: apply + build must equal the
     /// from-scratch oracle bitwise (structural equality of the CSR graph
-    /// is exactly bit equality — all fields are integers).
+    /// is exactly bit equality — all fields are integers). A relocation
+    /// is written the way the lifecycle table performs it: the same id
+    /// on both sides of one `apply`.
     #[test]
     fn advance_matches_scratch_oracle_under_churn() {
         let grid = grid();
@@ -547,32 +462,27 @@ mod tests {
                     }
                 }
                 mirror.live = survivors;
-                let mut relocations = Vec::new();
+                let mut arrivals = Vec::new();
                 for entry in mirror.live.iter_mut() {
                     if rng.next_u64().is_multiple_of(6) {
                         let to =
                             Point::new(rng.next_f64() * 110.0 - 5.0, rng.next_f64() * 110.0 - 5.0);
                         entry.1.location = to;
                         entry.1.cell = grid.cell_of(to);
-                        relocations.push((entry.0, to));
+                        departures.push(entry.0);
+                        arrivals.push(*entry);
                     }
                 }
-                let arrivals: Vec<(u32, WorkerInput)> = (0..(rng.next_u64() % 20))
-                    .map(|_| {
-                        let id = next_id;
-                        next_id += 1;
-                        (id, random_worker(&grid, &mut rng))
-                    })
-                    .collect();
-                mirror.live.extend(arrivals.iter().copied());
+                for _ in 0..(rng.next_u64() % 20) {
+                    let fresh = (next_id, random_worker(&grid, &mut rng));
+                    next_id += 1;
+                    mirror.live.push(fresh);
+                    arrivals.push(fresh);
+                }
                 let n_tasks = (rng.next_u64() % 25) as usize;
                 let tasks = random_tasks(&grid, &mut rng, n_tasks);
-                let churn = WorkerChurn {
-                    arrivals: &arrivals,
-                    departures: &departures,
-                    relocations: &relocations,
-                };
-                let incremental = cache.advance_capped(churn, &tasks, k);
+                cache.apply(&arrivals, &departures);
+                let incremental = cache.build_graph_capped(&tasks, k);
                 let scratch = build_period_graph_capped(&grid, &tasks, &mirror.workers(), k);
                 assert_eq!(
                     incremental, scratch,
@@ -599,20 +509,14 @@ mod tests {
         let w0 = random_worker(&grid, &mut rng);
         let w1 = random_worker(&grid, &mut rng);
         let w2 = random_worker(&grid, &mut rng);
-        cache.apply(WorkerChurn {
-            arrivals: &[(0, w0), (1, w1), (2, w2)],
-            ..WorkerChurn::default()
-        });
-        let gone = cache.remove(1);
-        assert_eq!(gone, w1);
+        cache.apply(&[(0, w0), (1, w1), (2, w2)], &[]);
+        assert_eq!(cache.worker(1), Some(&w1));
+        cache.apply(&[], &[1]);
+        assert_eq!(cache.worker(1), None);
         assert_eq!(cache.live_ids(), &[0, 2]);
         // Same period: departure of 0 and re-arrival of 1 elsewhere.
         let w1b = random_worker(&grid, &mut rng);
-        cache.apply(WorkerChurn {
-            arrivals: &[(1, w1b)],
-            departures: &[0],
-            relocations: &[],
-        });
+        cache.apply(&[(1, w1b)], &[0]);
         assert_eq!(cache.live_ids(), &[1, 2]);
         let mut out = Vec::new();
         cache.fill_worker_inputs(&mut out);
@@ -625,11 +529,12 @@ mod tests {
         let mut cache = PeriodGraphCache::new(&grid, 4);
         let mut rng = XorShift(5);
         let tasks = random_tasks(&grid, &mut rng, 3);
-        let g = cache.advance_capped(WorkerChurn::default(), &tasks, 4);
+        cache.apply(&[], &[]);
+        let g = cache.build_graph_capped(&tasks, 4);
         assert_eq!(g.n_left(), 3);
         assert_eq!(g.n_right(), 0);
         assert_eq!(g.n_edges(), 0);
-        let g = cache.advance(WorkerChurn::default(), &[]);
+        let g = cache.build_graph(&[]);
         assert_eq!(g.n_left(), 0);
     }
 
@@ -642,17 +547,14 @@ mod tests {
         let wide = WorkerInput::new(&grid, Point::new(90.0, 90.0), 80.0);
         let tied = WorkerInput::new(&grid, Point::new(20.0, 10.0), 3.0);
         let mut cache = PeriodGraphCache::new(&grid, 4);
-        cache.apply(WorkerChurn {
-            arrivals: &[(0, near), (1, wide), (2, tied)],
-            ..WorkerChurn::default()
-        });
+        cache.apply(&[(0, near), (1, wide), (2, tied)], &[]);
         let tasks = [TaskInput::new(&grid, Point::new(50.0, 50.0), 1.0)];
         // k=2 < live: the capped path queries with max radius 80 and the
         // wide worker is the only one in range.
         let g = cache.build_graph_capped(&tasks, 2);
         assert_eq!(g.neighbors(0), &[1]);
-        cache.remove(1);
-        cache.insert(3, WorkerInput::new(&grid, Point::new(52.0, 50.0), 2.5));
+        let newcomer = WorkerInput::new(&grid, Point::new(52.0, 50.0), 2.5);
+        cache.apply(&[(3, newcomer)], &[1]);
         let g = cache.build_graph_capped(&tasks, 2);
         let oracle = {
             let mut out = Vec::new();
@@ -675,25 +577,28 @@ mod tests {
         let mut whole = PeriodGraphCache::new(&grid, 32);
         let mut even = PeriodGraphCache::new(&grid, 16);
         let mut odd = PeriodGraphCache::new(&grid, 16);
-        for id in 0..40u32 {
-            let w = random_worker(&grid, &mut rng);
-            whole.insert(id, w);
-            if id % 2 == 0 {
-                even.insert(id, w);
-            } else {
-                odd.insert(id, w);
-            }
-        }
+        let all: Vec<(u32, WorkerInput)> = (0..40)
+            .map(|id| (id, random_worker(&grid, &mut rng)))
+            .collect();
+        let (evens, odds): (Vec<_>, Vec<_>) = all.iter().partition(|&&(id, _)| id % 2 == 0);
+        whole.apply(&all, &[]);
+        even.apply(&evens, &[]);
+        odd.apply(&odds, &[]);
         let radius = even.max_live_radius().max(odd.max_live_radius());
         assert_eq!(radius.to_bits(), whole.max_live_radius().to_bits());
         let tasks = random_tasks(&grid, &mut rng, 12);
+        let candidates = |cache: &PeriodGraphCache, origin: Point, k: usize| {
+            let mut out = Vec::new();
+            cache.k_nearest_candidates_into(origin, radius, k, &mut out);
+            out
+        };
         for k in [1usize, 3, 8] {
             for task in &tasks {
-                let mut merged = even.k_nearest_candidates(task.origin, radius, k);
-                merged.extend(odd.k_nearest_candidates(task.origin, radius, k));
+                let mut merged = candidates(&even, task.origin, k);
+                merged.extend(candidates(&odd, task.origin, k));
                 merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 merged.truncate(k);
-                let direct = whole.k_nearest_candidates(task.origin, radius, k);
+                let direct = candidates(&whole, task.origin, k);
                 assert_eq!(merged.len(), direct.len(), "k {k}");
                 for (m, d) in merged.iter().zip(&direct) {
                     assert_eq!(m.0.to_bits(), d.0.to_bits(), "k {k}");
@@ -727,8 +632,8 @@ mod tests {
         let mut rng = XorShift(9);
         let mut cache = PeriodGraphCache::new(&grid, 4);
         let w = random_worker(&grid, &mut rng);
-        cache.insert(0, w);
-        cache.insert(0, w);
+        cache.apply(&[(0, w)], &[]);
+        cache.apply(&[(0, w)], &[]);
     }
 
     #[test]
@@ -736,9 +641,6 @@ mod tests {
     fn departure_of_dead_id_panics() {
         let grid = grid();
         let mut cache = PeriodGraphCache::new(&grid, 4);
-        cache.apply(WorkerChurn {
-            departures: &[3],
-            ..WorkerChurn::default()
-        });
+        cache.apply(&[], &[3]);
     }
 }

@@ -49,7 +49,7 @@ pub use baselines::{
     paper_default_strategy, BasePStrategy, CappedUcbStrategy, SdeStrategy, SdrStrategy,
 };
 pub use builder::{build_period_graph, build_period_graph_capped};
-pub use cache::{PeriodGraphCache, WorkerChurn};
+pub use cache::PeriodGraphCache;
 pub use evaluate::{
     monte_carlo_expected_revenue, monte_carlo_expected_revenue_parallel,
     monte_carlo_expected_revenue_seeded, monte_carlo_expected_revenue_with, realize_revenue,
@@ -69,7 +69,7 @@ pub mod prelude {
         paper_default_strategy, BasePStrategy, CappedUcbStrategy, SdeStrategy, SdrStrategy,
     };
     pub use crate::builder::{build_period_graph, build_period_graph_capped};
-    pub use crate::cache::{PeriodGraphCache, WorkerChurn};
+    pub use crate::cache::PeriodGraphCache;
     pub use crate::evaluate::{
         monte_carlo_expected_revenue, monte_carlo_expected_revenue_parallel,
         monte_carlo_expected_revenue_seeded, monte_carlo_expected_revenue_with, realize_revenue,

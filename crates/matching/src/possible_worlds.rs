@@ -38,7 +38,7 @@
 //!
 //! To keep the incremental products/sums within strict tolerance of
 //! the naive oracle, the running probability and revenue are
-//! re-synchronized from scratch every [`RESYNC_PERIOD`] worlds, which
+//! re-synchronized from scratch every `RESYNC_PERIOD` worlds, which
 //! bounds accumulated rounding drift to a few hundred ULPs while
 //! amortizing to `O(m / RESYNC_PERIOD)` ≈ 0 work per world.
 //!

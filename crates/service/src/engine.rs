@@ -7,7 +7,7 @@
 
 use maps_core::{
     paper_default_strategy, PeriodGraphCache, PricingStrategy, StateError, StateWords,
-    StrategyKind, TaskInput, WorkerChurn, WorkerInput,
+    StrategyKind, TaskInput, WorkerInput,
 };
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
 use maps_simulator::{
@@ -18,8 +18,6 @@ use maps_spatial::{BucketIndex, GridSpec, Point, ShardMap};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-
-use crate::arena::{SlotArena, SlotHandle};
 
 use crate::journal::{
     write_checkpoint_file, JournalConfig, JournalError, JournalRecord, JournalWriter, TICK_PRODUCER,
@@ -37,7 +35,8 @@ pub enum ServiceEvent {
         worker: GroundWorker,
     },
     /// The worker with the given admission id leaves the platform now
-    /// (takes effect at the next tick, like all staged churn). A no-op
+    /// (takes effect at the next tick, like all staged churn; a worker
+    /// that arrived since the last tick never becomes live). A no-op
     /// for workers already gone or ids never admitted.
     WorkerDepart {
         /// Admission id (position in the arrival stream).
@@ -269,51 +268,21 @@ impl Default for ServiceConfig {
     }
 }
 
-/// Where worker `id`'s spatial state lives — the per-id side table the
-/// shard set keeps next to the shared [`LifecycleTable`].
-#[derive(Debug, Clone, Copy)]
-struct Route {
-    /// Shard currently owning the worker's location. Updated when a
-    /// relocation release lands the worker in another shard's cells.
-    shard: u32,
-    /// Handle of the worker's most recent staged arrival in the owning
-    /// shard's staging arena. Only meaningful while that staging window
-    /// is open; the arena's generation check rejects it afterwards, so
-    /// it never needs clearing (and restores as [`SlotHandle::DEAD`],
-    /// since checkpoints are cut at tick boundaries where nothing is
-    /// staged).
-    staged: SlotHandle,
-}
-
-impl Route {
-    /// An id that never entered a live set.
-    const NONE: Route = Route {
-        shard: 0,
-        staged: SlotHandle::DEAD,
-    };
-}
-
 /// One shard: the spatial state for its cells plus the churn staged
-/// since the last tick. All mutation between ticks is staging; the
-/// cache is only touched inside the tick's parallel phases, which also
-/// fill the per-tick scratch buffers below (reused across the stream,
-/// so the hot path stops allocating once warm).
+/// since the last tick — two plain vectors, the shape of the batch
+/// engine's staging. All mutation between ticks is staging; the cache
+/// is only touched inside the tick's parallel phases, which also fill
+/// the per-tick scratch buffers below (reused across the stream, so the
+/// hot path stops allocating once warm).
 #[derive(Debug)]
 struct Shard {
     cache: PeriodGraphCache,
-    /// Staged arrivals of the current inter-tick window in a dense
-    /// generational [`SlotArena`]: staging is an O(1) slot write, a
-    /// same-window departure cancels in O(1) through the handle stored
-    /// in the worker's [`Route`], and no hashing happens anywhere on
-    /// the arrive/depart/cancel path. Handles from earlier windows are
-    /// rejected by the arena's generation check (which holds in
-    /// release builds), so the tick drain doubles as bulk handle
-    /// invalidation. Safe because `PeriodGraphCache::apply` is
-    /// arrival-order-independent: cancellation holes and slot reuse
-    /// can reorder the drained batch without moving a single bit.
-    staged: SlotArena<(u32, WorkerInput)>,
-    /// Tick-time drain buffer for `staged` (reused across ticks).
+    /// Arrivals routed here since the last tick: the closing window's
+    /// surviving admissions and this tick's relocation releases. The
+    /// [`LifecycleTable`] cancels a same-window arrival before it gets
+    /// this far, so every entry is applied.
     arrivals: Vec<(u32, WorkerInput)>,
+    /// Departures of workers this shard's cache holds.
     departures: Vec<u32>,
     /// Capped path: this tick's candidate lists, flattened;
     /// `candidate_starts[t]..candidate_starts[t+1]` indexes task `t`'s.
@@ -329,7 +298,6 @@ impl Shard {
     fn new(cache: PeriodGraphCache) -> Self {
         Self {
             cache,
-            staged: SlotArena::new(),
             arrivals: Vec::new(),
             departures: Vec::new(),
             candidates: Vec::new(),
@@ -339,38 +307,11 @@ impl Shard {
         }
     }
 
-    /// Cancels a staged arrival through the handle issued when it was
-    /// staged. Returns whether it was still staged in the current
-    /// window: a handle from a pre-drain window fails the arena's
-    /// generation check — in release builds too — instead of aliasing
-    /// whatever later arrival reused the slot.
-    fn cancel_staged(&mut self, id: u32, handle: SlotHandle) -> bool {
-        match self.staged.remove(handle) {
-            Some((staged_id, _)) => {
-                // The generation check already proves the slot is the
-                // one the handle was issued for; an id mismatch here
-                // would mean the route table itself is corrupt.
-                assert_eq!(staged_id, id, "staging arena returned a foreign id");
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Applies the staged churn and reports `(live_count, max_radius)`
     /// for the global reduction. Pure per-shard work: safe to run on
     /// any thread.
     fn apply_staged(&mut self) -> (usize, f64) {
-        // One dense pass: drain the arena into the reused batch buffer
-        // (O(staged) once per tick — amortized O(1) per event) and
-        // invalidate every outstanding staging handle via the
-        // generation bump.
-        self.staged.drain_dense(&mut self.arrivals);
-        self.cache.apply(WorkerChurn {
-            arrivals: &self.arrivals,
-            departures: &self.departures,
-            relocations: &[],
-        });
+        self.cache.apply(&self.arrivals, &self.departures);
         self.arrivals.clear();
         self.departures.clear();
         (self.cache.live_count(), self.cache.max_live_radius())
@@ -410,18 +351,22 @@ impl Shard {
 }
 
 /// The cell-routed shards: where the lifecycle table's churn lands.
+/// As a [`ChurnSink`] it is two pushes — the table has already settled
+/// which arrivals and departures are real — and checkpoint restore
+/// goes through the same two methods, so routing exists once.
 #[derive(Debug)]
 struct ShardLanes {
     router: ShardMap,
     shards: Vec<Shard>,
-    /// Indexed by admission id.
-    routes: Vec<Route>,
+    /// The shard each worker last arrived in, indexed by admission id
+    /// (`0` for ids that never entered a live set).
+    routes: Vec<u32>,
 }
 
 impl ShardLanes {
     /// The spatial state of live worker `id`.
     fn worker(&self, id: u32) -> &WorkerInput {
-        self.shards[self.routes[id as usize].shard as usize]
+        self.shards[self.routes[id as usize] as usize]
             .cache
             .worker(id)
             .expect("live id is in its owning shard")
@@ -431,30 +376,21 @@ impl ShardLanes {
 impl ChurnSink for ShardLanes {
     fn arrive(&mut self, id: u32, input: WorkerInput) {
         // Routed by the location it arrives at: a relocation release can
-        // migrate the worker to another shard's cells. The staging
-        // handle is the O(1) cancellation token.
-        let shard = self.router.shard_of(input.cell) as u32;
-        let staged = self.shards[shard as usize].staged.insert((id, input));
+        // migrate the worker to another shard's cells.
+        let shard = self.router.shard_of(input.cell);
+        self.shards[shard].arrivals.push((id, input));
         if self.routes.len() <= id as usize {
-            // Ids below that were skipped never entered a live set
-            // (zero-duration arrivals).
-            self.routes.resize(id as usize + 1, Route::NONE);
+            // Ids skipped below never entered a live set (zero-duration
+            // or same-window-cancelled admissions).
+            self.routes.resize(id as usize + 1, 0);
         }
-        self.routes[id as usize] = Route { shard, staged };
+        self.routes[id as usize] = shard as u32;
     }
 
     fn depart(&mut self, id: u32) {
-        let route = self.routes[id as usize];
-        let shard = &mut self.shards[route.shard as usize];
-        // A worker departing in the same inter-tick window it arrived
-        // in is still a staged arrival: cancel it (O(1) through the
-        // route's arena handle) instead of staging a departure the
-        // cache has never seen. A handle from an already-applied window
-        // fails the generation check and falls through to a normal
-        // departure.
-        if !shard.cancel_staged(id, route.staged) {
-            shard.departures.push(id);
-        }
+        self.shards[self.routes[id as usize] as usize]
+            .departures
+            .push(id);
     }
 }
 
@@ -835,6 +771,57 @@ impl ShardedService {
         if matches!(event, ServiceEvent::PeriodTick) {
             return self.close_period();
         }
+        self.admit_stamped(producer, epoch, seq, event)
+    }
+
+    /// Ingests a **contiguous run** of events from one producer:
+    /// `events[k]` carries the coordinates `(producer, epoch,
+    /// first_seq + k)` — the ingest sequencer's batched admission path.
+    /// Equivalent to [`ShardedService::push_stamped`] once per event
+    /// with the poisoned check and the tick dispatch hoisted out of the
+    /// loop, except that per-event *rejections* are counted in
+    /// [`ShardedService::rejected_events`] and the run keeps going.
+    ///
+    /// The same ordering contract as [`ShardedService::push_stamped`]
+    /// applies across runs, and runs must not contain
+    /// [`ServiceEvent::PeriodTick`] (ticks travel alone).
+    ///
+    /// # Errors
+    /// Only fatal faults ([`ServiceError::Poisoned`] /
+    /// [`ServiceError::Journal`]).
+    pub(crate) fn push_stamped_run(
+        &mut self,
+        producer: u32,
+        epoch: u64,
+        first_seq: u64,
+        events: &[ServiceEvent],
+    ) -> Result<(), ServiceError> {
+        if let Some(panic) = &self.poisoned {
+            return Err(ServiceError::Poisoned(panic.clone()));
+        }
+        debug_assert_ne!(producer, TICK_PRODUCER, "ticks travel via push_stamped");
+        debug_assert!(
+            !events.iter().any(|e| matches!(e, ServiceEvent::PeriodTick)),
+            "runs must not contain PeriodTick"
+        );
+        for (seq, &event) in (first_seq..).zip(events) {
+            match self.admit_stamped(producer, epoch, seq, event) {
+                Ok(()) | Err(ServiceError::Rejected(_)) => {}
+                Err(fatal) => return Err(fatal),
+            }
+        }
+        Ok(())
+    }
+
+    /// The one admission body: watermark compare → journal append →
+    /// validation + dispatch, for a non-tick event on a live service.
+    fn admit_stamped(
+        &mut self,
+        producer: u32,
+        epoch: u64,
+        seq: u64,
+        event: ServiceEvent,
+    ) -> Result<(), ServiceError> {
         let lane = producer as usize;
         if self.watermarks.len() <= lane {
             self.watermarks.resize(lane + 1, None);
@@ -844,6 +831,8 @@ impl ShardedService {
             return Ok(());
         }
         self.watermarks[lane] = Some((epoch, seq));
+        // Journaled **before** validation, so recovery re-counts
+        // rejections deterministically.
         if let Some(journal) = &mut self.journal {
             journal.writer.append(&JournalRecord {
                 producer,
@@ -852,109 +841,15 @@ impl ShardedService {
                 event,
             })?;
         }
-        Ok(self.admit(event)?)
-    }
-
-    /// Ingests a **contiguous run** of events from one producer:
-    /// `events[k]` carries the coordinates `(producer, epoch,
-    /// first_seq + k)`. Observably equivalent to calling
-    /// [`ShardedService::push_stamped`] once per event — same watermark
-    /// state, same journal byte stream, same rejection and suppression
-    /// counts — but the per-event stamping overhead (poisoned check,
-    /// tick dispatch, watermark compare-and-store) is hoisted out of
-    /// the loop: the at-least-once resend prefix is suppressed
-    /// arithmetically against the watermark, and the watermark is
-    /// stored once for the whole run. This is the ingest sequencer's
-    /// batched admission path.
-    ///
-    /// The same ordering contract as [`ShardedService::push_stamped`]
-    /// applies across runs, and runs must not contain
-    /// [`ServiceEvent::PeriodTick`] (ticks travel alone).
-    ///
-    /// # Errors
-    /// Only fatal faults ([`ServiceError::Poisoned`] /
-    /// [`ServiceError::Journal`]). Per-event *rejections* are counted
-    /// in [`ShardedService::rejected_events`] and the run keeps going —
-    /// the same net effect as the sequencer swallowing per-event
-    /// `Rejected` errors.
-    pub fn push_stamped_run(
-        &mut self,
-        producer: u32,
-        epoch: u64,
-        first_seq: u64,
-        events: &[ServiceEvent],
-    ) -> Result<(), ServiceError> {
-        if events.is_empty() {
-            return Ok(());
-        }
-        if let Some(panic) = &self.poisoned {
-            return Err(ServiceError::Poisoned(panic.clone()));
-        }
-        debug_assert_ne!(producer, TICK_PRODUCER, "ticks travel via push_stamped");
-        debug_assert!(
-            !events.iter().any(|e| matches!(e, ServiceEvent::PeriodTick)),
-            "runs must not contain PeriodTick"
-        );
-        let lane = producer as usize;
-        if self.watermarks.len() <= lane {
-            self.watermarks.resize(lane + 1, None);
-        }
-        let last_seq = first_seq + (events.len() as u64 - 1);
-        // The already-delivered resend prefix, computed arithmetically:
-        // per event, `watermark >= Some((epoch, seq))` suppresses.
-        let skip = match self.watermarks[lane] {
-            Some((we, _)) if we > epoch => events.len(),
-            Some((we, ws)) if we == epoch && ws >= last_seq => events.len(),
-            Some((we, ws)) if we == epoch && ws >= first_seq => (ws - first_seq + 1) as usize,
-            _ => 0,
-        };
-        self.step.outcome_mut().suppressed_duplicates += skip as u64;
-        if skip == events.len() {
-            return Ok(()); // fully suppressed: watermark unchanged
-        }
-        // Journal **before** validation, like `push_stamped`, so
-        // recovery re-counts rejections deterministically. The journal
-        // branch is hoisted out of the hot loop: the unjournaled run
-        // path pays no per-event `Option` check at all.
-        if self.journal.is_some() {
-            for (k, &event) in events[skip..].iter().enumerate() {
-                let seq = first_seq + (skip + k) as u64;
-                let journal = self.journal.as_mut().expect("checked above");
-                if let Err(e) = journal.writer.append(&JournalRecord {
-                    producer,
-                    epoch,
-                    seq,
-                    event,
-                }) {
-                    // The watermark the per-event path would leave on a
-                    // mid-run journal fault: the failing event's stamp.
-                    self.watermarks[lane] = Some((epoch, seq));
-                    return Err(e.into());
-                }
-                // A rejection is counted and the run keeps going.
-                let _ = self.admit(event);
-            }
-        } else {
-            for &event in &events[skip..] {
-                let _ = self.admit(event);
-            }
-        }
-        self.watermarks[lane] = Some((epoch, last_seq));
-        Ok(())
-    }
-
-    /// Validation + dispatch of an already-journaled event. A rejected
-    /// event is counted and mutates nothing else.
-    #[inline]
-    fn admit(&mut self, event: ServiceEvent) -> Result<(), EventRejection> {
         if let Err(rejection) = event.validate() {
             self.step.outcome_mut().rejected_events += 1;
-            return Err(rejection);
+            return Err(rejection.into());
         }
-        let ShardSet { table, lanes, .. } = &mut self.engine;
         match event {
-            ServiceEvent::WorkerArrive { worker } => table.admit(self.period, &worker, lanes),
-            ServiceEvent::WorkerDepart { id } => table.depart(id, lanes),
+            ServiceEvent::WorkerArrive { worker } => self.engine.table.admit(self.period, &worker),
+            ServiceEvent::WorkerDepart { id } => {
+                self.engine.table.depart(id, &mut self.engine.lanes)
+            }
             ServiceEvent::TaskRequest { task } => self.pending_tasks.push(task),
             ServiceEvent::PeriodTick => unreachable!("ticks close via close_period"),
         }
@@ -1141,7 +1036,8 @@ impl ShardedService {
 
     /// Serializes the complete post-tick state as a flat word stream
     /// (floats as IEEE-754 bits). Taken at epoch boundaries only, when
-    /// staged *arrivals* are empty by construction; staged departures
+    /// the table's admission window and the shards' staged *arrivals*
+    /// are empty by construction; staged departures
     /// (the closing tick's matched pairs) and everything else the next
     /// tick reads are captured. The layout is private to this crate —
     /// [`crate::recovery`] is the reader.
@@ -1194,8 +1090,10 @@ impl ShardedService {
         }
         // -- staged churn (arrivals empty at a boundary; departures =
         //    the closing tick's matched pairs) --
-        let staged_arrivals: usize = lanes.shards.iter().map(|s| s.staged.len()).sum();
-        debug_assert_eq!(staged_arrivals, 0, "checkpoint off an epoch boundary");
+        debug_assert!(
+            lanes.shards.iter().all(|s| s.arrivals.is_empty()),
+            "checkpoint off an epoch boundary"
+        );
         w.push(
             lanes
                 .shards
@@ -1287,45 +1185,37 @@ impl ShardedService {
         self.period = r.take()? as u32;
         // -- lifecycle records --
         table.load_records(r)?;
+        let admitted = table.admitted();
         lanes.routes.clear();
-        lanes.routes.resize(table.admitted(), Route::NONE);
-        // -- live workers: re-route by cell into this service's shards
-        //    and rebuild each shard's cache with one batch apply (the
-        //    PR 3 cache contract makes query behavior depend only on
-        //    the live *set*, so this equals the original build) --
+        lanes.routes.resize(admitted, 0);
+        // -- live workers: arrive through the sink, which re-routes them
+        //    by cell into this service's shards, then one batch apply
+        //    per shard (the PR 3 cache contract makes query behavior
+        //    depend only on the live *set*, so this equals the original
+        //    build) --
         let live_total = r.take()? as usize;
-        let mut per_shard: Vec<Vec<(u32, WorkerInput)>> = vec![Vec::new(); lanes.shards.len()];
         for _ in 0..live_total {
             let id = r.take()? as u32;
             let x = r.take_f64()?;
             let y = r.take_f64()?;
             let radius = r.take_f64()?;
-            let input = WorkerInput::new(grid, Point::new(x, y), radius);
-            let shard = lanes.router.shard_of(input.cell) as u32;
-            lanes
-                .routes
-                .get_mut(id as usize)
-                .ok_or(Mismatch("checkpoint live id out of range"))?
-                .shard = shard;
-            per_shard[shard as usize].push((id, input));
+            if id as usize >= admitted {
+                return Err(Mismatch("checkpoint live id out of range"));
+            }
+            lanes.arrive(id, WorkerInput::new(grid, Point::new(x, y), radius));
         }
-        for (shard, arrivals) in lanes.shards.iter_mut().zip(&per_shard) {
-            shard.cache.apply(WorkerChurn {
-                arrivals,
-                departures: &[],
-                relocations: &[],
-            });
+        for shard in &mut lanes.shards {
+            shard.apply_staged();
         }
-        // -- staged departures: re-route via the live workers' routes --
+        // -- staged departures: depart through the sink, which routes
+        //    them to where the live workers just went --
         let n_departures = r.take()? as usize;
         for _ in 0..n_departures {
             let id = r.take()? as u32;
-            let shard = lanes
-                .routes
-                .get(id as usize)
-                .ok_or(Mismatch("checkpoint departure id out of range"))?
-                .shard as usize;
-            lanes.shards[shard].departures.push(id);
+            if id as usize >= admitted {
+                return Err(Mismatch("checkpoint departure id out of range"));
+            }
+            lanes.depart(id);
         }
         // -- timed schedule --
         table.load_schedule(r)?;

@@ -23,13 +23,13 @@
 //!
 //! Each [`IngressProducer`] appends its events to its **own** bounded
 //! queue (a lock-free single-producer/single-consumer ring — see
-//! [`Queue`] — so producers never contend with each other, only with
+//! `Queue` — so producers never contend with each other, only with
 //! backpressure from their own lane). Ring slots carry **bare events,
 //! no stamps**: the `(epoch, seq)` coordinates of every slot are
 //! implicit in its position, mirrored by producer-side and
 //! consumer-side counters that advance in lock-step (an at-least-once
 //! reconnect, the one legal discontinuity, posts an out-of-band
-//! [`Rebase`] record). A producer's [`ServiceEvent::PeriodTick`] does
+//! `Rebase` record). A producer's [`ServiceEvent::PeriodTick`] does
 //! *not* tick the market: it closes the producer's current **epoch**
 //! (it *is* the in-band epoch-end marker).
 //! The sequencer drains every producer's epoch-`e` segment — in
@@ -755,7 +755,7 @@ impl IngressProducer {
     /// Sends every event an iterator yields with zero-copy amortized
     /// publication: items are constructed **directly into ring slots**
     /// and each acquired window is published with one release store
-    /// ([`Queue::push_iter`]) instead of one fence per event.
+    /// (`Queue::push_iter`) instead of one fence per event.
     /// [`ServiceEvent::PeriodTick`]s inside the stream close epochs
     /// exactly like [`IngressProducer::send`]. Semantically identical
     /// to sending every event individually — just cheaper.
@@ -777,11 +777,6 @@ impl IngressProducer {
             }));
         self.epoch = epoch.get();
         self.seq = seq.get();
-    }
-
-    /// [`IngressProducer::send_iter`] over a slice.
-    pub fn send_batch(&mut self, events: &[ServiceEvent]) {
-        self.send_iter(events.iter().copied());
     }
 
     /// Closes this producer's current epoch: its contribution to the
@@ -870,7 +865,7 @@ impl AbandonedLane {
     /// resuming at the last acked `(epoch, seq + 1)` replays nothing;
     /// resuming earlier re-sends events the service's per-producer
     /// watermark suppresses idempotently (at-least-once delivery). The
-    /// coordinates travel to the sequencer as an out-of-band [`Rebase`]
+    /// coordinates travel to the sequencer as an out-of-band `Rebase`
     /// record posted just before the reconnected producer's first
     /// enqueue — the one discontinuity the ring's implicit stamping
     /// cannot carry in-band.
@@ -1008,15 +1003,9 @@ impl IngestService {
                             "producer {producer} events arrived with a seq gap"
                         );
                         expected_seq = expected_seq.max(first_seq + events.len() as u64);
-                        match service.push_stamped_run(
-                            producer as u32,
-                            run_epoch,
-                            first_seq,
-                            events,
-                        ) {
-                            Ok(()) | Err(ServiceError::Rejected(_)) => Ok(()),
-                            Err(fatal) => Err(fatal),
-                        }
+                        // Only fatal faults come back: the run counts
+                        // its own rejections.
+                        service.push_stamped_run(producer as u32, run_epoch, first_seq, events)
                     })?;
                     match outcome {
                         Chunk::Marker(e) => {
@@ -1155,26 +1144,19 @@ impl SequencerHandle {
     }
 }
 
-/// The serial event list of one ground-truth period: worker arrivals in
-/// admission order, then task requests in stream order — exactly the
-/// per-period order [`crate::replay`] pushes. Splitting these lists
-/// into contiguous producer chunks (see [`chunk_bounds`]) reproduces
-/// the serial stream under the `(epoch, producer, seq)` merge.
-pub fn period_events(period: &PeriodData) -> Vec<ServiceEvent> {
-    let mut events = Vec::with_capacity(period.workers.len() + period.tasks.len());
-    events.extend(
-        period
-            .workers
-            .iter()
-            .map(|&worker| ServiceEvent::WorkerArrive { worker }),
-    );
-    events.extend(
-        period
-            .tasks
-            .iter()
-            .map(|&task| ServiceEvent::TaskRequest { task }),
-    );
-    events
+/// The serial event stream of one ground-truth period: worker arrivals
+/// in admission order, then task requests in stream order — exactly the
+/// per-period order [`mod@crate::replay`] pushes, borrowed off the period
+/// without allocating (`skip` resumes at an offset in O(1)). Splitting
+/// it into contiguous producer chunks (`skip`/`take` over
+/// [`chunk_bounds`]) reproduces the serial stream under the
+/// `(epoch, producer, seq)` merge.
+pub fn period_events(period: &PeriodData) -> impl Iterator<Item = ServiceEvent> + '_ {
+    let workers = period.workers.iter();
+    let tasks = period.tasks.iter();
+    workers
+        .map(|&worker| ServiceEvent::WorkerArrive { worker })
+        .chain(tasks.map(|&task| ServiceEvent::TaskRequest { task }))
 }
 
 /// Balanced contiguous chunk boundaries: splits `n` items into `parts`

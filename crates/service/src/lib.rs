@@ -34,14 +34,18 @@
 //! [`maps_spatial::ShardMap`] assigns it and carries its own
 //! [`maps_core::PeriodGraphCache`] (dynamic spatial index + graph
 //! arena) over the workers currently located in its cells. Between
-//! ticks, events only *stage* state; a [`ServiceEvent::PeriodTick`]
+//! ticks, events only *stage* state — arrivals in the shared
+//! [`maps_simulator::LifecycleTable`]'s window, where a departure in
+//! the same window cancels them; departures of earlier arrivals in the
+//! shard holding the worker. A [`ServiceEvent::PeriodTick`] routes the
+//! window's surviving arrivals by cell,
 //! fans the staged churn out across shards (rayon), then reduces the
 //! per-shard results in shard-id order into the global period view the
 //! pricing strategy and the market clearing see.
 //!
 //! ## The shard-count-invariance contract
 //!
-//! Replaying any `GroundTruth` through the service ([`replay`]) yields
+//! Replaying any `GroundTruth` through the service ([`replay()`]) yields
 //! an [`maps_simulator::Outcome`] **bit-identical** to
 //! [`maps_simulator::Simulation::run`] — at *any* shard count and any
 //! rayon thread count (enforced across 1/2/4/8 shards × 1/2/3/8
@@ -68,7 +72,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
-pub mod arena;
 pub mod engine;
 pub mod ingest;
 pub mod journal;
@@ -76,7 +79,6 @@ pub mod recovery;
 pub mod replay;
 pub(crate) mod sync;
 
-pub use arena::{SlotArena, SlotHandle};
 pub use engine::{
     EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardPanic, ShardedService,
 };

@@ -463,6 +463,70 @@ mod tests {
         );
     }
 
+    /// Recovers from a directory whose newest checkpoint had one word
+    /// replaced — re-encoded, so its frame hash is valid and only the
+    /// content lies. `pick` gets the decoded words and returns the
+    /// index to overwrite with `u64::MAX`.
+    fn recover_with_lying_word(tag: &str, pick: impl Fn(&[u64]) -> usize) -> RecoveryError {
+        let dir = crate::test_dir(tag);
+        let (mut svc, cfg) = journaled_service(&dir);
+        svc.push(ServiceEvent::WorkerArrive {
+            worker: worker(1.0),
+        });
+        svc.push(ServiceEvent::PeriodTick);
+        drop(svc);
+        let newest = *list_checkpoints(&dir).unwrap().last().unwrap();
+        let path = checkpoint_path(&dir, newest);
+        let mut words = decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
+        let at = pick(&words);
+        words[at] = u64::MAX;
+        std::fs::write(&path, crate::journal::encode_checkpoint(&words)).unwrap();
+        let err = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .expect_err("a lying count must not restore");
+        let _ = std::fs::remove_dir_all(&dir);
+        err
+    }
+
+    /// Index of the record-count word: the header is five words around
+    /// the strategy name, then the period.
+    fn record_count_index(words: &[u64]) -> usize {
+        5 + words[4] as usize + 1
+    }
+
+    #[test]
+    fn lying_record_count_is_a_typed_error() {
+        let err = recover_with_lying_word("recover_lying_records", record_count_index);
+        assert!(
+            matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn lying_schedule_count_is_a_typed_error() {
+        let err = recover_with_lying_word("recover_lying_schedule", |words| {
+            // Walk the sections between the records and the schedule:
+            // two words per record, four per live worker, one per
+            // staged departure, each behind its count.
+            let mut at = record_count_index(words);
+            at += 1 + 2 * words[at] as usize;
+            at += 1 + 4 * words[at] as usize;
+            at += 1 + words[at] as usize;
+            assert_eq!(words[at], 1, "one scheduled period: the worker's expiry");
+            at + 2 // its entry count
+        });
+        assert!(
+            matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),
+            "{err}"
+        );
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_appending_resumes() {
         let dir = crate::test_dir("recover_torn");

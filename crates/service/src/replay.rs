@@ -11,7 +11,7 @@
 //! the root proptest churn stream enforce exactly that.
 
 use crate::engine::{ServiceConfig, ServiceError, ServiceEvent, ShardedService};
-use crate::ingest::{chunk_bounds, IngestConfig, IngestService};
+use crate::ingest::{chunk_bounds, period_events, IngestConfig, IngestService};
 use crate::journal::JournalConfig;
 use maps_core::StrategyKind;
 use maps_simulator::{GroundTruth, GroundTruthProbe, Outcome, SimOptions};
@@ -22,11 +22,37 @@ pub fn replay(truth: &GroundTruth, kind: StrategyKind, shards: usize) -> Outcome
     replay_with_options(truth, kind, shards, SimOptions::default())
 }
 
+/// The serial drive loop: pushes `truth` from event `first_event` of
+/// period `first_period` on, each period's events then its tick. A
+/// rejected event is counted by the service and the stream keeps
+/// flowing; only fatal faults come back.
+fn drive(
+    service: &mut ShardedService,
+    truth: &GroundTruth,
+    first_period: usize,
+    first_event: usize,
+) -> Result<(), ServiceError> {
+    for (i, period) in truth.periods.iter().enumerate().skip(first_period) {
+        let resume = if i == first_period { first_event } else { 0 };
+        let tick = std::iter::once(ServiceEvent::PeriodTick);
+        for event in period_events(period).skip(resume).chain(tick) {
+            match service.try_push(event) {
+                Ok(()) | Err(ServiceError::Rejected(_)) => {}
+                Err(fatal) => return Err(fatal),
+            }
+        }
+    }
+    Ok(())
+}
+
 /// [`replay`] with explicit batch-simulator options.
 ///
 /// `options.calibrate` / `options.probe_seed` drive the same
 /// Algorithm-1 calibration the batch loop performs;
 /// `options.max_edges_per_task` is the per-task edge cap.
+///
+/// # Panics
+/// Panics if a shard panics mid-replay (the service is poisoned).
 pub fn replay_with_options(
     truth: &GroundTruth,
     kind: StrategyKind,
@@ -34,14 +60,8 @@ pub fn replay_with_options(
     options: SimOptions,
 ) -> Outcome {
     let mut service = replay_service(truth, kind, shards, options);
-    for period in &truth.periods {
-        for &worker in &period.workers {
-            service.push(ServiceEvent::WorkerArrive { worker });
-        }
-        for &task in &period.tasks {
-            service.push(ServiceEvent::TaskRequest { task });
-        }
-        service.push(ServiceEvent::PeriodTick);
+    if let Err(e) = drive(&mut service, truth, 0, 0) {
+        panic!("replay on a failed service: {e}");
     }
     service.into_outcome()
 }
@@ -60,15 +80,7 @@ pub fn replay_journaled(
 ) -> Result<Outcome, ServiceError> {
     let mut service = replay_service(truth, kind, shards, options);
     service.attach_journal(journal)?;
-    for period in &truth.periods {
-        for &worker in &period.workers {
-            service.try_push(ServiceEvent::WorkerArrive { worker })?;
-        }
-        for &task in &period.tasks {
-            service.try_push(ServiceEvent::TaskRequest { task })?;
-        }
-        service.try_push(ServiceEvent::PeriodTick)?;
-    }
+    drive(&mut service, truth, 0, 0)?;
     Ok(service.into_outcome())
 }
 
@@ -98,31 +110,11 @@ pub fn replay_recovered(
         crate::recovery::recover(truth.grid, truth.match_policy, kind, config, journal)?;
     let mut service = recovered.service;
     let served = service.periods_served() as usize;
-    let resume_start = match service.watermark(0) {
+    let resume = match service.watermark(0) {
         Some((epoch, seq)) if epoch == served as u64 => seq as usize + 1,
         _ => 0,
     };
-    for (i, period) in truth.periods.iter().enumerate().skip(served) {
-        let n_workers = period.workers.len();
-        let start = if i == served { resume_start } else { 0 };
-        for j in start..n_workers + period.tasks.len() {
-            let event = if j < n_workers {
-                ServiceEvent::WorkerArrive {
-                    worker: period.workers[j],
-                }
-            } else {
-                ServiceEvent::TaskRequest {
-                    task: period.tasks[j - n_workers],
-                }
-            };
-            service
-                .try_push(event)
-                .map_err(crate::recovery::RecoveryError::Replay)?;
-        }
-        service
-            .try_push(ServiceEvent::PeriodTick)
-            .map_err(crate::recovery::RecoveryError::Replay)?;
-    }
+    drive(&mut service, truth, served, resume).map_err(crate::recovery::RecoveryError::Replay)?;
     Ok(service.into_outcome())
 }
 
@@ -179,24 +171,11 @@ pub fn replay_ingested(
                 // truth (events are `Copy`), per period as one
                 // `send_iter` call: events are constructed directly in
                 // ring slots and published window-by-window with one
-                // release store each — no intermediate buffer. Index
-                // `i` walks the period's serial event list
-                // [workers…, tasks…], the same order `period_events`
-                // enumerates.
+                // release store each — no intermediate buffer.
                 for period in &truth.periods {
-                    let n_workers = period.workers.len();
-                    let bounds = chunk_bounds(n_workers + period.tasks.len(), producers);
-                    handle.send_iter((bounds[p]..bounds[p + 1]).map(|i| {
-                        if i < n_workers {
-                            ServiceEvent::WorkerArrive {
-                                worker: period.workers[i],
-                            }
-                        } else {
-                            ServiceEvent::TaskRequest {
-                                task: period.tasks[i - n_workers],
-                            }
-                        }
-                    }));
+                    let bounds = chunk_bounds(period.workers.len() + period.tasks.len(), producers);
+                    let chunk = bounds[p + 1] - bounds[p];
+                    handle.send_iter(period_events(period).skip(bounds[p]).take(chunk));
                     handle.end_epoch();
                 }
             });

@@ -95,7 +95,7 @@ fn ingested_epoch_bits(
     let mut service = service_for(world, kind, shards, options);
     let mut scripts: Vec<Vec<Vec<ServiceEvent>>> = vec![Vec::new(); producers];
     for period in &world.periods {
-        let events = period_events(period);
+        let events: Vec<_> = period_events(period).collect();
         let bounds = chunk_bounds(events.len(), producers);
         for (p, script) in scripts.iter_mut().enumerate() {
             script.push(events[bounds[p]..bounds[p + 1]].to_vec());

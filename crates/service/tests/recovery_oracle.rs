@@ -102,7 +102,7 @@ fn finish_serially(svc: &mut ShardedService, world: &GroundTruth) {
         _ => 0,
     };
     for (i, period) in world.periods.iter().enumerate().skip(served) {
-        let events = period_events(period);
+        let events: Vec<_> = period_events(period).collect();
         let start = if i == served { resume_start } else { 0 };
         for &event in &events[start..] {
             svc.push(event);
@@ -253,7 +253,7 @@ fn producer_kill_bits(
         }
         svc.push(ServiceEvent::PeriodTick);
     }
-    let events = period_events(&world.periods[crash_epoch]);
+    let events: Vec<_> = period_events(&world.periods[crash_epoch]).collect();
     let bounds = chunk_bounds(events.len(), producers);
     let mut delivered = vec![0usize; producers];
     for p in 0..producers {
@@ -334,7 +334,7 @@ fn producer_kill_bits(
                 }
                 lane.end_epoch();
                 for period in &world.periods[crash_epoch + 1..] {
-                    let events = period_events(period);
+                    let events: Vec<_> = period_events(period).collect();
                     let bounds = chunk_bounds(events.len(), producers);
                     for &event in &events[bounds[p]..bounds[p + 1]] {
                         lane.send(event);
@@ -407,7 +407,7 @@ fn producer_kill_mid_epoch_recovers_at_every_epoch() {
                 true,
             );
             let chunk_len = {
-                let events = period_events(&world.periods[crash_epoch]);
+                let events: Vec<_> = period_events(&world.periods[crash_epoch]).collect();
                 let bounds = chunk_bounds(events.len(), producers);
                 bounds[victim + 1] - bounds[victim]
             };
@@ -592,7 +592,7 @@ fn sequencer_death_surfaces_typed_error_and_recovers() {
                 let p = lane.id() as usize;
                 let timeout = std::time::Duration::from_millis(50);
                 'stream: for period in &world.periods {
-                    let events = period_events(period);
+                    let events: Vec<_> = period_events(period).collect();
                     let bounds = chunk_bounds(events.len(), producers);
                     for &event in &events[bounds[p]..bounds[p + 1]] {
                         loop {

@@ -16,13 +16,35 @@
 //! Per-period event flow:
 //!
 //! ```text
-//! arrivals ─────────────┐
-//! expiries (events) ────┼─► staged churn ─► PeriodGraphCache::advance
-//! busy releases (events)┘                   │ (dynamic index, id-stable)
-//!                                           ▼
-//!                          bipartite graph, bit-identical to the
-//!                          from-scratch build on the live set
+//! admit ─► window buffer ─(fire: survivors)─┐
+//!   depart of a same-window id marks the    │
+//!   record `Gone` and emits nothing         │
+//! expiries (events) ────────────────────────┼─► ChurnSink::{arrive, depart}
+//! busy releases (events) ───────────────────┤          │
+//! depart of an earlier id, consume, ────────┘          ▼
+//! dispatch                              PeriodGraphCache::apply
+//!                                       (dynamic index, id-stable)
+//!                                                      ▼
+//!                               bipartite graph, bit-identical to the
+//!                               from-scratch build on the live set
 //! ```
+//!
+//! **The window buffer.** Admission ids are consecutive, so the table
+//! keeps the admissions since the last `fire` in a vector whose entry
+//! `i` is worker `base + i`, and hands them to the sink only when the
+//! window closes. A worker departing in the window it arrived in is
+//! cancelled by marking its record — the id *is* the cancel token, so
+//! there is no handle to go stale — and a sink never sees a departure
+//! for a worker it was not told had arrived. (`consume` and `dispatch`
+//! name workers of a built graph, never a window id.) Both engines get
+//! this from the one table, so they agree on it bit for bit.
+//!
+//! **Arrival order into a sink is free.** A window's admissions reach
+//! the sink ahead of the period's busy releases, and a cancelled one
+//! leaves a gap in the id sequence. [`PeriodGraphCache::apply`] is
+//! arrival-order-independent (slots are keyed by id; the index's bulk
+//! insert and the live-id merge sort their batches), so sinks may
+//! regroup arrivals — by shard, say — without moving a bit.
 //!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
 //! stream), and a busy worker re-enters under its *original* id, so the
@@ -32,7 +54,7 @@
 
 use crate::platform::PeriodEngine;
 use crate::truth::GroundWorker;
-use maps_core::{PeriodGraphCache, StateError, StateWords, TaskInput, WorkerChurn, WorkerInput};
+use maps_core::{PeriodGraphCache, StateError, StateWords, TaskInput, WorkerInput};
 use maps_matching::BipartiteGraph;
 use maps_spatial::{GridSpec, Point};
 use std::collections::BTreeMap;
@@ -44,8 +66,8 @@ pub trait ChurnSink {
     /// Worker `id` enters the live set at `input` (a fresh admission, or
     /// a relocated worker re-entering under its original id).
     fn arrive(&mut self, id: u32, input: WorkerInput);
-    /// Worker `id`, currently in the live set or staged to enter it,
-    /// leaves.
+    /// Worker `id` leaves. Its `arrive` always came first: the table
+    /// cancels a same-window admission itself.
     fn depart(&mut self, id: u32);
 }
 
@@ -95,6 +117,10 @@ pub struct LifecycleTable {
     /// Number of periods of a bounded run. Transitions at or past it are
     /// unobservable and never scheduled; `None` for an open-ended stream.
     horizon: Option<u32>,
+    /// Admissions since the last [`LifecycleTable::fire`], not yet
+    /// handed to a sink: entry `i` is worker `records.len() -
+    /// window.len() + i`.
+    window: Vec<WorkerInput>,
 }
 
 impl LifecycleTable {
@@ -105,6 +131,7 @@ impl LifecycleTable {
             records: Vec::new(),
             schedule: BTreeMap::new(),
             horizon,
+            window: Vec::new(),
         }
     }
 
@@ -125,32 +152,33 @@ impl LifecycleTable {
         }
     }
 
-    /// Admits `worker` in period `t` under the next id.
-    pub fn admit(&mut self, t: u32, worker: &GroundWorker, sink: &mut impl ChurnSink) {
+    /// Admits `worker` in period `t` under the next id. The arrival
+    /// reaches a sink at the next [`LifecycleTable::fire`], unless the
+    /// worker departs first.
+    pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
         let id = self.records.len() as u32;
         let expires_at = t.saturating_add(worker.duration);
         // A worker whose window is already over (duration 0 — rejected
         // by `GroundTruth::validate`, but hand-built worlds and event
         // streams can carry it) still consumes an id so later ids keep
         // their positions, yet never enters the live set.
-        if expires_at <= t {
-            self.records.push(Record {
-                expires_at,
-                status: Status::Gone,
-            });
-            return;
-        }
+        let lives = expires_at > t;
         self.records.push(Record {
             expires_at,
-            status: Status::Available,
+            status: if lives {
+                Status::Available
+            } else {
+                Status::Gone
+            },
         });
-        if self.observable(expires_at) {
+        self.window
+            .push(self.input_at(worker.location, worker.radius));
+        if lives && self.observable(expires_at) {
             self.schedule
                 .entry(expires_at)
                 .or_default()
                 .push(Timed::Expire(id));
         }
-        sink.arrive(id, self.input_at(worker.location, worker.radius));
     }
 
     /// Worker `id` leaves now: its expiry firing, or an explicit
@@ -159,18 +187,31 @@ impl LifecycleTable {
     /// departures, and one bad client event must not take the service
     /// down. A busy worker's pending release is dropped when it fires.
     pub fn depart(&mut self, id: u32, sink: &mut impl ChurnSink) {
+        let window_base = self.records.len() - self.window.len();
         let Some(record) = self.records.get_mut(id as usize) else {
             return;
         };
-        if record.status == Status::Available {
+        // A worker admitted in this window has not reached the sink:
+        // marking the record is the whole cancellation.
+        if record.status == Status::Available && (id as usize) < window_base {
             sink.depart(id);
         }
         record.status = Status::Gone;
     }
 
-    /// Fires the transitions scheduled for period `t`. Call once per
-    /// period, in order, before the period's graph is built.
+    /// Closes the window — hands its surviving admissions to `sink` —
+    /// then fires the transitions scheduled for period `t`. Call once
+    /// per period, in order, before the period's graph is built.
     pub fn fire(&mut self, t: u32, sink: &mut impl ChurnSink) {
+        let window_base = self.records.len() - self.window.len();
+        let admitted = self.records[window_base..]
+            .iter()
+            .zip(self.window.drain(..));
+        for (id, (record, input)) in (window_base as u32..).zip(admitted) {
+            if record.status == Status::Available {
+                sink.arrive(id, input);
+            }
+        }
         let Some(events) = self.schedule.remove(&t) else {
             return;
         };
@@ -223,8 +264,11 @@ impl LifecycleTable {
         }
     }
 
-    /// Appends the per-worker records to a checkpoint word stream.
+    /// Appends the per-worker records to a checkpoint word stream. The
+    /// open window is not part of it: checkpoints are cut right after a
+    /// period closed, before anything is admitted into the next.
     pub fn save_records(&self, w: &mut Vec<u64>) {
+        debug_assert!(self.window.is_empty(), "checkpoint off a period boundary");
         w.push(self.records.len() as u64);
         for r in &self.records {
             w.push(u64::from(r.expires_at));
@@ -240,7 +284,10 @@ impl LifecycleTable {
     pub fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         let n_records = r.take()? as usize;
         self.records.clear();
-        self.records.reserve(n_records);
+        self.window.clear();
+        // The count is a word from the file: reserve no more than the
+        // words left can hold (two per record).
+        self.records.reserve(n_records.min(r.remaining() / 2));
         for _ in 0..n_records {
             let expires_at = r.take()? as u32;
             let status = match r.take()? {
@@ -287,7 +334,8 @@ impl LifecycleTable {
         for _ in 0..n_keys {
             let t = r.take()? as u32;
             let n_entries = r.take()? as usize;
-            let mut entries = Vec::with_capacity(n_entries);
+            // At least two words per entry, as above.
+            let mut entries = Vec::with_capacity(n_entries.min(r.remaining() / 2));
             for _ in 0..n_entries {
                 let tag = r.take()?;
                 let id = r.take()? as u32;
@@ -356,32 +404,25 @@ impl WorkerLifecycle {
         }
     }
 
-    /// Starts period `t`: fires the period's scheduled events and admits
-    /// this period's arrivals, staging the resulting churn. Call once
-    /// per period, in order, followed by
+    /// Starts period `t`: admits this period's arrivals and fires the
+    /// period's scheduled events, staging the resulting churn. Call
+    /// once per period, in order, followed by
     /// [`WorkerLifecycle::build_graph_capped`].
     pub fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
-        self.table.fire(t, &mut self.staged);
         for worker in arrivals {
-            self.table.admit(t, worker, &mut self.staged);
+            self.table.admit(t, worker);
         }
+        self.table.fire(t, &mut self.staged);
     }
 
     /// Applies the staged churn and builds the period's capped graph
     /// through the cache (`k = max_edges_per_task`).
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        let graph = self.cache.advance_capped(
-            WorkerChurn {
-                arrivals: &self.staged.arrivals,
-                departures: &self.staged.departures,
-                relocations: &[],
-            },
-            tasks,
-            k,
-        );
+        self.cache
+            .apply(&self.staged.arrivals, &self.staged.departures);
         self.staged.arrivals.clear();
         self.staged.departures.clear();
-        graph
+        self.cache.build_graph_capped(tasks, k)
     }
 
     /// Materializes the live worker list (ascending id — the graph's
@@ -609,12 +650,19 @@ mod tests {
         }
     }
 
-    /// An open-ended table (the service's shape) with one admitted
-    /// worker, its arrival already drained from the sink.
+    /// An open-ended table (the service's shape) with one worker
+    /// admitted in period 0, its window closed and its arrival already
+    /// drained from the sink.
     fn table_with_one_worker(duration: u32) -> (LifecycleTable, Emitted) {
         let mut table = LifecycleTable::new(grid(), None);
         let mut sink = Emitted::default();
-        table.admit(0, &worker(1.0, duration), &mut sink);
+        table.admit(0, &worker(1.0, duration));
+        assert_eq!(
+            sink,
+            Emitted::default(),
+            "nothing reaches a sink before fire"
+        );
+        table.fire(0, &mut sink);
         assert_eq!(sink.arrived, [0]);
         (table, Emitted::default())
     }
@@ -659,6 +707,45 @@ mod tests {
         assert_eq!(table.admitted(), 1);
     }
 
+    /// Admit → depart inside one window never reaches the sink, and the
+    /// admissions on either side — a zero-duration one among them, which
+    /// takes an id but never lives — keep their ids.
+    #[test]
+    fn same_window_departure_cancels_without_emitting() {
+        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
+        table.admit(1, &worker(2.0, u32::MAX)); // id 1
+        table.admit(1, &worker(3.0, u32::MAX)); // id 2, cancelled below
+        table.admit(1, &worker(4.0, 0)); // id 3
+        table.admit(1, &worker(5.0, 2)); // id 4
+        table.depart(2, &mut sink);
+        // Again, and an id the table has not issued yet: both no-ops.
+        table.depart(2, &mut sink);
+        table.depart(5, &mut sink);
+        assert_eq!(sink, Emitted::default(), "the window emits nothing itself");
+        table.fire(1, &mut sink);
+        assert_eq!(sink.arrived, [1, 4]);
+        assert!(sink.departed.is_empty());
+        // The cancelled worker's expiry (none: u32::MAX) and the
+        // survivor's fire as usual in later periods.
+        table.fire(3, &mut sink);
+        assert_eq!(sink.departed, [4]);
+        assert_eq!(table.admitted(), 5);
+    }
+
+    /// Once `fire` has closed the window an id arrived in, departing it
+    /// emits exactly one departure — even with a new window open.
+    #[test]
+    fn previous_window_departure_still_emits() {
+        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
+        table.admit(1, &worker(2.0, u32::MAX)); // id 1, open window
+        table.depart(0, &mut sink);
+        table.depart(0, &mut sink);
+        assert_eq!(sink.departed, [0]);
+        table.fire(1, &mut sink);
+        assert_eq!(sink.arrived, [1]);
+        assert_eq!(sink.departed, [0]);
+    }
+
     /// The two checkpoint sections restore a table that continues
     /// exactly like the one that wrote them, busy workers and a
     /// never-firing `u32::MAX` expiry included.
@@ -666,9 +753,11 @@ mod tests {
     fn saved_records_and_schedule_restore_the_same_transitions() {
         let mut table = LifecycleTable::new(grid(), None);
         let mut sink = Emitted::default();
-        table.admit(0, &worker(1.0, 4), &mut sink);
-        table.admit(0, &worker(2.0, u32::MAX), &mut sink);
-        table.admit(0, &worker(3.0, 0), &mut sink);
+        table.admit(0, &worker(1.0, 4));
+        table.admit(0, &worker(2.0, u32::MAX));
+        table.admit(0, &worker(3.0, 0));
+        table.fire(0, &mut sink);
+        assert_eq!(sink.arrived, [0, 1]);
         table.dispatch(0, 1, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
         let mut words = Vec::new();
         table.save_records(&mut words);

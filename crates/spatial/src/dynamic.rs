@@ -5,9 +5,9 @@
 //! paper's 500k-worker scalability setting the set barely changes between
 //! periods (a few percent of workers arrive, expire or relocate), so the
 //! rebuild dominates. [`DynamicBucketIndex`] keeps the same bucketed
-//! layout mutable: `insert` / `remove` / `relocate` cost one binary
-//! search plus a slot shift in a single bucket, turning per-period index
-//! maintenance into `O(churn · log bucket)`. Each bucket stores its
+//! layout mutable: `insert` / `remove` cost one binary search plus a
+//! slot shift in a single bucket, turning per-period index maintenance
+//! into `O(churn · log bucket)`. Each bucket stores its
 //! points struct-of-arrays (`xs` / `ys` / `payloads` lanes) so the
 //! capped k-nearest distance loop runs over contiguous `f64` slices.
 //!
@@ -74,8 +74,8 @@ impl<T> CellSoA<T> {
 /// A mutable bucket index over a changing set of points.
 ///
 /// Payloads must be unique while live (they identify the point for
-/// `remove` / `relocate`); the index panics on a duplicate insert into
-/// the same bucket, the cheapest detectable violation.
+/// `remove`); the index panics on a duplicate insert into the same
+/// bucket, the cheapest detectable violation.
 #[derive(Debug, Clone)]
 pub struct DynamicBucketIndex<T> {
     grid: GridSpec,
@@ -173,20 +173,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
             }
             _ => false,
         }
-    }
-
-    /// Moves the point with `payload` from `from` to `to` — the
-    /// relocation of a worker that finished a task. Equivalent to
-    /// `remove(from, payload)` + `insert(to, payload)`.
-    ///
-    /// # Panics
-    /// Panics if the point was not present at `from`.
-    pub fn relocate(&mut self, from: Point, to: Point, payload: T) {
-        assert!(
-            self.remove(from, payload),
-            "relocate of a payload that is not live at `from`"
-        );
-        self.insert(to, payload);
     }
 
     /// Inserts a batch of points with **one merge pass per touched
@@ -494,7 +480,8 @@ mod tests {
                 let mover = (rng.next_u64() as usize) % live.len();
                 let to = Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0);
                 let (from, id) = live[mover];
-                dynamic.relocate(from, to, id);
+                assert!(dynamic.remove(from, id));
+                dynamic.insert(to, id);
                 live[mover].0 = to;
             }
             if step % 13 != 0 {

@@ -1,7 +1,7 @@
 //! Deterministic grid-cell → shard routing for the sharded online
 //! pricing service.
 //!
-//! A [`ShardMap`] partitions the cells of a [`GridSpec`] into
+//! A [`ShardMap`] partitions the cells of a [`crate::GridSpec`] into
 //! `num_shards` disjoint ownership sets by round-robin over the cell
 //! index. The assignment is a pure function of `(cell, num_shards)` —
 //! no hashing, no registration order — so two services configured with

@@ -140,7 +140,8 @@ impl Harness {
             let stray = self.rng.next_u64().is_multiple_of(stray_one_in);
             let to = self.point(stray);
             let (from, id) = self.live[at];
-            self.dynamic.relocate(from, to, id);
+            assert!(self.dynamic.remove(from, id));
+            self.dynamic.insert(to, id);
             self.live[at].0 = to;
             self.mutations += 2;
             self.check();

@@ -13,9 +13,7 @@ use maps::prelude::{
     GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData, SimOptions, Simulation,
     SyntheticConfig,
 };
-use maps::service::{
-    IngestConfig, IngestService, ServiceConfig, ServiceEvent, ShardedService, SlotArena, SlotHandle,
-};
+use maps::service::{IngestConfig, IngestService, ServiceConfig, ServiceEvent, ShardedService};
 use maps::spatial::{CellId, GridSpec, Point, Rect};
 use maps_testkit::{InterleavePlan, Interleaver};
 use proptest::prelude::*;
@@ -201,9 +199,11 @@ proptest! {
     /// PR-3 oracle: the incremental `PeriodGraphCache` replayed over a
     /// random arrival/departure/relocation churn script is bit-identical
     /// to the retained from-scratch builders on the materialized live
-    /// set, every period — capped (`advance_capped`, odd periods) and
-    /// complete (`advance`, even periods) — under the 1/2/3/8-thread
-    /// `assert_deterministic` harness. Scripts start with 1–200 workers
+    /// set, every period — `apply`, then the capped build on odd periods
+    /// and the complete one on even periods — under the 1/2/3/8-thread
+    /// `assert_deterministic` harness. A relocation is written the way
+    /// the lifecycle table performs it: the same id in the departures
+    /// and the arrivals of one `apply`. Scripts start with 1–200 workers
     /// and include out-of-region relocations (the clamped-bucket path);
     /// a third of the periods surge the live set 16× or thin it to a
     /// sixteenth, so the cache's spatial index regrids mid-script while
@@ -261,13 +261,14 @@ proptest! {
                         stays
                     });
                 }
-                let mut relocations = Vec::new();
+                let mut arrivals = Vec::new();
                 for entry in live.iter_mut() {
                     if next() % 6 == 0 {
                         let to = point(&mut next);
                         entry.1.location = to;
                         entry.1.cell = grid.cell_of(to);
-                        relocations.push((entry.0, to));
+                        departures.push(entry.0);
+                        arrivals.push(*entry);
                     }
                 }
                 let n_arrivals = match (period, swing) {
@@ -275,16 +276,14 @@ proptest! {
                     (_, 0) => (16 * live.len() as u64 + 17).min(4_000),
                     _ => next() % 20,
                 };
-                let arrivals: Vec<(u32, WorkerInput)> = (0..n_arrivals)
-                    .map(|_| {
-                        let id = next_id;
-                        next_id += 1;
-                        let location = point(&mut next);
-                        let radius = (next() % 2_000) as f64 / 100.0;
-                        (id, WorkerInput::new(&grid, location, radius))
-                    })
-                    .collect();
-                live.extend(arrivals.iter().copied());
+                for _ in 0..n_arrivals {
+                    let location = point(&mut next);
+                    let radius = (next() % 2_000) as f64 / 100.0;
+                    let fresh = (next_id, WorkerInput::new(&grid, location, radius));
+                    next_id += 1;
+                    live.push(fresh);
+                    arrivals.push(fresh);
+                }
                 let tasks: Vec<TaskInput> = (0..next() % 20)
                     .map(|_| {
                         let origin = point(&mut next);
@@ -292,20 +291,16 @@ proptest! {
                         TaskInput::new(&grid, origin, distance)
                     })
                     .collect();
-                let churn = WorkerChurn {
-                    arrivals: &arrivals,
-                    departures: &departures,
-                    relocations: &relocations,
-                };
+                cache.apply(&arrivals, &departures);
                 let workers: Vec<WorkerInput> = live.iter().map(|&(_, w)| w).collect();
                 let (incremental, scratch) = if period % 2 == 1 {
                     (
-                        cache.advance_capped(churn, &tasks, k),
+                        cache.build_graph_capped(&tasks, k),
                         build_period_graph_capped(&grid, &tasks, &workers, k),
                     )
                 } else {
                     (
-                        cache.advance(churn, &tasks),
+                        cache.build_graph(&tasks),
                         build_period_graph(&grid, &tasks, &workers),
                     )
                 };
@@ -315,17 +310,20 @@ proptest! {
             (incremental_bits, scratch_bits)
         };
         let (incremental, scratch) = maps_testkit::assert_deterministic(replay);
-        prop_assert_eq!(incremental, scratch, "incremental advance diverged from the oracle");
+        prop_assert_eq!(incremental, scratch, "incremental build diverged from the oracle");
     }
 
     /// PR-4 oracle: a random event stream — worker arrivals with random
     /// durations, *explicit* `WorkerDepart` events (for a random subset
-    /// the service is told `u32::MAX` and departed externally), task
-    /// requests and period ticks — driven through the sharded online
-    /// service must leave the service's outcome equal, every tick, to
-    /// the batch simulator run over the equivalent ground-truth prefix
-    /// (`Outcome::deterministic_bits`, so bit-level). Shard count is
-    /// drawn 1..=8; both lifecycle policies are exercised.
+    /// the service is told `u32::MAX` and departed externally; another
+    /// subset is departed in the very window it arrived in, which the
+    /// ground truth writes as `duration: 0` — takes an id, never
+    /// lives), task requests and period ticks — driven through the
+    /// sharded online service must leave the service's outcome equal,
+    /// every tick, to the batch simulator run over the equivalent
+    /// ground-truth prefix (`Outcome::deterministic_bits`, so
+    /// bit-level). Shard count is drawn 1..=8; both lifecycle policies
+    /// are exercised.
     #[test]
     fn service_churn_stream_matches_batch_oracle_every_tick(
         seed in 0u64..2_000,
@@ -348,17 +346,28 @@ proptest! {
         let kind = StrategyKind::ALL[(next() % 5) as usize];
         // Script the world: per period, arrivals (with true durations)
         // and tasks. `external[id]` marks workers the service will see
-        // as immortal but departed by an explicit event at expiry.
+        // as immortal but departed by an explicit event at expiry;
+        // `cancelled[id]` holds the duration the service is told for a
+        // worker it is then told to depart before the window's tick —
+        // the ground truth gives that worker no lifetime at all.
         let mut world_periods: Vec<PeriodData> = Vec::new();
         let mut external: Vec<bool> = Vec::new();
+        let mut cancelled: Vec<Option<u32>> = Vec::new();
         for _ in 0..periods {
             let mut data = PeriodData::default();
             for _ in 0..next() % 5 {
-                let duration = match next() % 4 {
+                let mut duration = match next() % 4 {
                     0 => u32::MAX,
                     d => d as u32, // 1..=3
                 };
-                external.push(duration != u32::MAX && next() % 2 == 0);
+                if next() % 4 == 0 {
+                    cancelled.push(Some(duration));
+                    external.push(false);
+                    duration = 0;
+                } else {
+                    cancelled.push(None);
+                    external.push(duration != u32::MAX && next() % 2 == 0);
+                }
                 data.workers.push(GroundWorker {
                     location: Point::new(
                         (next() % 5_000) as f64 / 100.0,
@@ -403,6 +412,10 @@ proptest! {
                 let _ = fire;
                 service.push(ServiceEvent::WorkerDepart { id });
             }
+            // Same-window departures: even ids right behind their own
+            // arrival, odd ids after everything else of the window, so
+            // live arrivals sit on both sides of a cancelled one.
+            let mut late_cancels: Vec<u32> = Vec::new();
             for &w in &data.workers {
                 let id = next_id;
                 next_id += 1;
@@ -411,10 +424,23 @@ proptest! {
                     departs.push((t as u32 + w.duration, id));
                     streamed.duration = u32::MAX;
                 }
+                if let Some(told) = cancelled[id as usize] {
+                    streamed.duration = told;
+                }
                 service.push(ServiceEvent::WorkerArrive { worker: streamed });
+                if cancelled[id as usize].is_some() {
+                    if id.is_multiple_of(2) {
+                        service.push(ServiceEvent::WorkerDepart { id });
+                    } else {
+                        late_cancels.push(id);
+                    }
+                }
             }
             for &task in &data.tasks {
                 service.push(ServiceEvent::TaskRequest { task });
+            }
+            for id in late_cancels {
+                service.push(ServiceEvent::WorkerDepart { id });
             }
             service.push(ServiceEvent::PeriodTick);
             // The batch oracle over the equivalent ground-truth prefix.
@@ -702,64 +728,6 @@ proptest! {
                     cut
                 );
             }
-        }
-    }
-
-    /// PR-8 oracle: the staging slot arena never aliases a live id
-    /// through slot reuse. A random op script (insert / remove-live /
-    /// remove-stale / drain) is mirrored against a plain shadow model;
-    /// after every op, each live handle resolves to exactly the value
-    /// it was issued for, every freed handle is stale forever (the
-    /// generation bump — the release-mode ABA defence the service's
-    /// `cancel_staged` leans on), and `SlotHandle::DEAD` never
-    /// resolves.
-    #[test]
-    fn slot_arena_reuse_never_aliases_a_live_id(
-        ops in proptest::collection::vec((0u64..u64::MAX, 0u64..4), 1usize..200),
-    ) {
-        let mut arena: SlotArena<u64> = SlotArena::new();
-        let mut live: Vec<(SlotHandle, u64)> = Vec::new();
-        let mut stale: Vec<SlotHandle> = Vec::new();
-        let mut next_value = 0u64;
-        let mut drained = Vec::new();
-        for &(pick, op) in &ops {
-            match op {
-                // Insert (weighted double so scripts grow).
-                0 | 1 => {
-                    let value = next_value;
-                    next_value += 1;
-                    live.push((arena.insert(value), value));
-                }
-                // Remove a live handle: exactly its own value comes out.
-                2 if !live.is_empty() => {
-                    let (handle, value) = live.swap_remove(pick as usize % live.len());
-                    prop_assert_eq!(arena.remove(handle), Some(value));
-                    stale.push(handle);
-                }
-                // Remove through a stale handle: rejected, nothing moves.
-                3 if !stale.is_empty() => {
-                    let handle = stale[pick as usize % stale.len()];
-                    let before = arena.len();
-                    prop_assert_eq!(arena.remove(handle), None);
-                    prop_assert_eq!(arena.len(), before);
-                }
-                // Occasional window close: drain frees everything.
-                _ if pick % 11 == 0 => {
-                    arena.drain_dense(&mut drained);
-                    prop_assert_eq!(drained.len(), live.len());
-                    stale.extend(live.drain(..).map(|(h, _)| h));
-                }
-                _ => {}
-            }
-            // The aliasing invariants, after every single op.
-            prop_assert_eq!(arena.len(), live.len());
-            for &(handle, value) in &live {
-                prop_assert_eq!(arena.get(handle).copied(), Some(value));
-            }
-            for &handle in &stale {
-                prop_assert!(arena.get(handle).is_none(), "stale handle resolved");
-            }
-            prop_assert!(arena.get(SlotHandle::DEAD).is_none());
         }
     }
 
