@@ -10,6 +10,19 @@
 //! so a period with `c` worker events costs `O(c · log bucket)` index
 //! maintenance plus the output-sensitive query work.
 //!
+//! ## State is sized by who is live
+//!
+//! Nothing here is indexed by worker id — a stream's ids only grow, so
+//! a slot per id *ever seen* outgrows the live set without bound. The
+//! live set is two parallel lanes in ascending id order (`live_ids[j]`
+//! and `live_inputs[j]` describe the graph's right-side vertex `j`): a
+//! lookup by id is a binary search, the materialized worker list is the
+//! lane itself. The spatial index files each worker's range radius next
+//! to its id, so the capped query's range check reads a value the
+//! bucket scan has already streamed past; that payload orders by id, so
+//! bucket order, the `(distance, id)` order and the oracle argument
+//! below are what they were with bare ids.
+//!
 //! ## Determinism contract (the scratch-rebuild oracle)
 //!
 //! [`PeriodGraphCache::apply`] followed by
@@ -33,42 +46,91 @@ use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
 use maps_spatial::{BucketIndex, DynamicBucketIndex, GridSpec, Point};
 
-/// Incremental per-period task–worker graph builder.
-///
-/// Owns the dynamic spatial index over live workers plus the edge arena
-/// (via [`BipartiteGraphBuilder`]); see the module docs for the
-/// oracle contract.
+/// What the spatial index stores per live worker: its id and the range
+/// radius the capped query checks (as `f64::to_bits`, so the derive
+/// applies). Ids are unique among live workers, so the derived order
+/// *is* the id order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Ranged {
+    id: u32,
+    radius: u64,
+}
+
+fn ranged(id: u32, worker: &WorkerInput) -> Ranged {
+    let radius = worker.radius.to_bits();
+    Ranged { id, radius }
+}
+
+/// The capped query's per-candidate range check.
+fn in_range(distance: f64, worker: Ranged) -> bool {
+    distance <= f64::from_bits(worker.radius)
+}
+
+/// Lazily maintained maximum live radius: arrivals update it in O(1);
+/// the departure of the last max-radius holder marks it dirty and the
+/// next read rescans the live set once. Radii are effectively
+/// continuous, so the max departs with probability `churn/live` per
+/// period and the rescan is O(churn) amortized.
+#[derive(Debug, Clone, Default)]
+struct MaxRadius {
+    /// `0.0` while nothing is live.
+    max: f64,
+    /// How many live workers carry exactly `max`.
+    count: usize,
+    /// Invalidated by a departure; updates wait for the next rescan.
+    dirty: bool,
+}
+
+impl MaxRadius {
+    fn arrive(&mut self, radius: f64) {
+        // `-0.0` → `0.0`, so the comparisons below are bit-stable.
+        let radius = radius + 0.0;
+        if !self.dirty && radius > self.max {
+            self.max = radius;
+            self.count = 1;
+        } else if !self.dirty && radius == self.max {
+            self.count += 1;
+        }
+    }
+
+    fn depart(&mut self, radius: f64) {
+        if !self.dirty && radius + 0.0 == self.max {
+            self.count -= 1;
+            self.dirty = self.count == 0;
+        }
+    }
+
+    /// The maximum over `live` — the capped oracle's
+    /// `fold(0.0, f64::max)` over the materialized worker list.
+    fn get(&mut self, live: &[WorkerInput]) -> f64 {
+        if self.dirty {
+            *self = Self::default();
+            live.iter().for_each(|w| self.arrive(w.radius));
+        }
+        self.max
+    }
+}
+
+/// Incremental per-period task–worker graph builder: the live lanes, the
+/// dynamic spatial index over them and the edge arena (via
+/// [`BipartiteGraphBuilder`]); see the module docs for the contract.
 #[derive(Debug, Clone)]
 pub struct PeriodGraphCache {
     grid: GridSpec,
-    index: DynamicBucketIndex<u32>,
-    /// Worker state by id; `None` = not live. Grows to the largest id
-    /// ever seen (append-only — departures only clear the slot).
-    slots: Vec<Option<WorkerInput>>,
-    /// Live ids, ascending. Maintained by a single merge pass per
-    /// [`PeriodGraphCache::apply`] call.
+    index: DynamicBucketIndex<Ranged>,
+    /// Live ids, ascending; `live_inputs` is its parallel lane.
     live_ids: Vec<u32>,
-    /// Lazily maintained maximum live radius (`-0.0` normalized to
-    /// `0.0`): inserts update it in O(1); removing the last max-radius
-    /// holder marks the tracker dirty and the next capped build rescans
-    /// the live set once. Radii are effectively continuous, so the max
-    /// departs with probability `churn/live` per period and the rescan
-    /// is O(churn) amortized.
-    max_radius: f64,
-    /// How many live workers carry exactly `max_radius`.
-    max_radius_count: usize,
-    /// Whether the tracked max was invalidated by a removal (updates are
-    /// suspended until the next rescan).
-    max_radius_dirty: bool,
-    /// Scratch for the live-id merge (swapped with `live_ids`).
-    merged: Vec<u32>,
-    /// Scratch for sorting churn id lists.
+    live_inputs: Vec<WorkerInput>,
+    max_radius: MaxRadius,
+    /// Scratch: one `apply`'s departure ids, sorted.
     sorted_ids: Vec<u32>,
-    /// Scratch for the `(location, id)` batches [`PeriodGraphCache::apply`]
-    /// hands to the index's bulk operations.
-    batch: Vec<(Point, u32)>,
-    /// Per-query scratch of the capped build's k-nearest queries.
-    query: Vec<(f64, u32)>,
+    /// Scratch: one `apply`'s `(id, position in arrivals)`, sorted.
+    arrival_order: Vec<(u32, u32)>,
+    /// Scratch for the batches [`PeriodGraphCache::apply`] hands to the
+    /// index's bulk operations.
+    batch: Vec<(Point, Ranged)>,
+    /// Per-query scratch of the k-nearest queries.
+    query: Vec<(f64, Ranged)>,
     /// Recycled edge arena threaded through every
     /// [`BipartiteGraphBuilder`] this cache creates, so per-period graph
     /// construction stops allocating edge storage once warm.
@@ -76,21 +138,18 @@ pub struct PeriodGraphCache {
 }
 
 impl PeriodGraphCache {
-    /// An empty cache over the pricing `grid`. `expected_workers` is an
-    /// initial hint for the spatial index's resolution; the index
-    /// follows the live count from the first churn on
-    /// ([`DynamicBucketIndex::with_expected_len`]).
-    pub fn new(grid: &GridSpec, expected_workers: usize) -> Self {
+    /// An empty cache over the pricing `grid`. The spatial index starts
+    /// as a single bucket and sizes itself to the live count before the
+    /// first batch goes in.
+    pub fn new(grid: &GridSpec) -> Self {
         Self {
             grid: *grid,
-            index: DynamicBucketIndex::with_expected_len(grid.region(), expected_workers),
-            slots: Vec::new(),
+            index: DynamicBucketIndex::with_expected_len(grid.region(), 0),
             live_ids: Vec::new(),
-            max_radius: 0.0,
-            max_radius_count: 0,
-            max_radius_dirty: false,
-            merged: Vec::new(),
+            live_inputs: Vec::new(),
+            max_radius: MaxRadius::default(),
             sorted_ids: Vec::new(),
+            arrival_order: Vec::new(),
             batch: Vec::new(),
             query: Vec::new(),
             edge_arena: Vec::new(),
@@ -113,66 +172,128 @@ impl PeriodGraphCache {
         &self.live_ids
     }
 
-    /// The live worker with `id`, if any.
-    pub fn worker(&self, id: u32) -> Option<&WorkerInput> {
-        self.slots.get(id as usize).and_then(|s| s.as_ref())
+    /// The materialized live worker list, parallel to
+    /// [`PeriodGraphCache::live_ids`] — the `workers` argument the
+    /// from-scratch oracle and a [`crate::PeriodInput`] take.
+    pub fn live_inputs(&self) -> &[WorkerInput] {
+        &self.live_inputs
     }
 
-    /// Writes the materialized live worker list (ascending id) into
-    /// `out` — exactly the `workers` argument the from-scratch oracle
-    /// would receive, and what a [`crate::PeriodInput`] needs.
+    /// The live worker with `id`, if any (a binary search).
+    pub fn worker(&self, id: u32) -> Option<&WorkerInput> {
+        let dense = self.live_ids.binary_search(&id).ok()?;
+        Some(&self.live_inputs[dense])
+    }
+
+    /// Copies [`PeriodGraphCache::live_inputs`] into `out`.
     pub fn fill_worker_inputs(&self, out: &mut Vec<WorkerInput>) {
         out.clear();
-        out.reserve(self.live_ids.len());
-        out.extend(
-            self.live_ids
-                .iter()
-                .map(|&id| self.slots[id as usize].expect("live id has a slot")),
-        );
+        out.extend_from_slice(&self.live_inputs);
     }
 
     /// Applies one period's churn — the cache's one mutation entry:
     /// `departures` (ids that must be live) leave, then `arrivals`
-    /// enter, then a single merge pass rewrites the live-id list (so
-    /// bulk churn does not pay a per-event `O(live)` shift).
+    /// enter.
     ///
-    /// Ids are caller-assigned `u32`s, unique among live workers; the
-    /// ascending id order defines the materialized worker list (and
-    /// thus the graph's right-side numbering). Re-using the id of a
-    /// departed worker is allowed — a busy worker re-enters under its
-    /// own id after relocating, in a later call or, listed on both
-    /// sides, in this one — and keeps the worker's position in the
-    /// materialized order stable across its whole lifetime. The order
-    /// of `arrivals` is free: every structure below is keyed or sorted
-    /// by id.
+    /// Ids are caller-assigned `u32`s, unique among live workers and as
+    /// sparse as the caller likes (cost follows the live count, never
+    /// the largest id); the ascending id order defines the materialized
+    /// worker list (and thus the graph's right-side numbering). Re-using
+    /// the id of a departed worker is allowed — a busy worker re-enters
+    /// under its own id after relocating, in a later call or, listed on
+    /// both sides, in this one — and keeps its position in that order.
     ///
-    /// Both sides go through the index's bulk paths
-    /// ([`DynamicBucketIndex::remove_bulk`] /
-    /// [`DynamicBucketIndex::insert_bulk`]), one compaction/merge pass
-    /// per touched bucket instead of one lane shift per event — the
-    /// final bucket contents are identical to the one-at-a-time ops, so
-    /// queries stay bit-identical.
+    /// **Sort, then merge.** Either list may come in any order: each
+    /// side's *ids* are sorted into scratch (never the 36-byte arrival
+    /// records; the sort is run-adaptive, and a window's admissions
+    /// already ascend with only a few releases behind them), then a
+    /// forward pass closes the departures' gaps in the live lanes and a
+    /// backward pass opens the arrivals' slots, in place, block by
+    /// block. A non-live departure, an already-live arrival and a
+    /// duplicate on either side show up as sorted neighbours and panic.
+    ///
+    /// The index goes through its bulk paths (one pass per touched
+    /// bucket; contents identical to the one-at-a-time ops).
     pub fn apply(&mut self, arrivals: &[(u32, WorkerInput)], departures: &[u32]) {
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for &id in departures {
-            let w = self.book_departure(id);
-            batch.push((w.location, id));
+        self.depart(departures);
+        self.arrive(arrivals);
+    }
+
+    /// The departure half of [`PeriodGraphCache::apply`].
+    fn depart(&mut self, departures: &[u32]) {
+        self.sorted_ids.clear();
+        self.sorted_ids.extend_from_slice(departures);
+        self.sorted_ids.sort();
+        self.batch.clear();
+        let len = self.live_ids.len();
+        // Survivors below `write` are final; `read..` is still to scan.
+        let (mut write, mut read) = (0, 0);
+        for &id in &self.sorted_ids {
+            let mut at = read;
+            while at < len && self.live_ids[at] < id {
+                at += 1;
+            }
+            assert!(
+                self.live_ids.get(at) == Some(&id),
+                "departure of a non-live worker"
+            );
+            self.live_ids.copy_within(read..at, write);
+            self.live_inputs.copy_within(read..at, write);
+            write += at - read;
+            read = at + 1;
+            let w = &self.live_inputs[at];
+            self.max_radius.depart(w.radius);
+            self.batch.push((w.location, ranged(id, w)));
         }
-        let removed = self.index.remove_bulk(&batch);
+        self.live_ids.copy_within(read.., write);
+        self.live_inputs.copy_within(read.., write);
+        self.live_ids.truncate(write + len - read);
+        self.live_inputs.truncate(write + len - read);
         assert_eq!(
-            removed,
-            batch.len(),
+            self.index.remove_bulk(&self.batch),
+            self.batch.len(),
             "live worker missing from the spatial index"
         );
-        batch.clear();
-        for &(id, w) in arrivals {
-            self.book_arrival(id, w);
-            batch.push((w.location, id));
+    }
+
+    /// The arrival half of [`PeriodGraphCache::apply`].
+    fn arrive(&mut self, arrivals: &[(u32, WorkerInput)]) {
+        self.batch.clear();
+        self.arrival_order.clear();
+        for (&(id, w), at) in arrivals.iter().zip(0u32..) {
+            assert!(
+                w.radius.is_finite() && w.radius >= 0.0,
+                "worker radius must be non-negative, got {}",
+                w.radius
+            );
+            self.max_radius.arrive(w.radius);
+            self.batch.push((w.location, ranged(id, &w)));
+            self.arrival_order.push((id, at));
         }
-        self.index.insert_bulk(&batch);
-        self.batch = batch;
-        self.merge_live_ids(departures, arrivals);
+        self.arrival_order.sort();
+        // Grow by the batch; live entries at `read..` now sit at `write..`.
+        let mut read = self.live_ids.len();
+        let mut write = read + arrivals.len();
+        self.live_ids.extend(arrivals.iter().map(|a| a.0));
+        self.live_inputs.extend(arrivals.iter().map(|a| a.1));
+        for (below, &(id, from)) in self.arrival_order.iter().enumerate().rev() {
+            let mut at = read;
+            while at > 0 && self.live_ids[at - 1] > id {
+                at -= 1;
+            }
+            let twin = below > 0 && self.arrival_order[below - 1].0 == id;
+            assert!(
+                !twin && (at == 0 || self.live_ids[at - 1] != id),
+                "arrival of an already-live worker id {id}"
+            );
+            write -= read - at + 1;
+            self.live_ids.copy_within(at..read, write + 1);
+            self.live_inputs.copy_within(at..read, write + 1);
+            read = at;
+            self.live_ids[write] = id;
+            self.live_inputs[write] = arrivals[from as usize].1;
+        }
+        self.index.insert_bulk(&self.batch);
     }
 
     /// Builds the complete graph of the current live set (no churn).
@@ -193,8 +314,7 @@ impl PeriodGraphCache {
             self.live_ids.len() * 4,
             std::mem::take(&mut self.edge_arena),
         );
-        for (dense, &id) in self.live_ids.iter().enumerate() {
-            let w = &self.slots[id as usize].expect("live id has a slot");
+        for (dense, w) in self.live_inputs.iter().enumerate() {
             task_index.for_each_within_disc(w.location, w.radius, |_, t_idx| {
                 builder.add_edge(t_idx as usize, dense);
             });
@@ -204,20 +324,18 @@ impl PeriodGraphCache {
         graph
     }
 
-    /// The maximum live worker radius (`0.0` when empty) — exactly the
-    /// capped oracle's `fold(0.0, f64::max)` over the materialized
-    /// worker list. Public so a *sharded* deployment (one cache per
-    /// shard) can reduce the per-shard maxima into the global query
-    /// radius the capped build contract requires.
+    /// The maximum live worker radius (`0.0` when empty) — the capped
+    /// oracle's `fold(0.0, f64::max)` over the materialized worker list.
+    /// Public so a *sharded* deployment (one cache per shard) can reduce
+    /// the shards' maxima into the global query radius.
     pub fn max_live_radius(&mut self) -> f64 {
-        self.current_max_radius()
+        self.max_radius.get(&self.live_inputs)
     }
 
     /// The `k` nearest live workers within `radius` of `origin` under
     /// the total `(distance, id)` order, honouring each worker's own
     /// range constraint — one task's worth of the capped build —
-    /// written into `out` (cleared first; the sharded service issues
-    /// `shards × tasks` of these per tick).
+    /// appended to `out` (a shard flattens a tick's lists into one).
     ///
     /// Because the order is total and grid-independent, the union of
     /// per-shard candidate lists re-sorted by `(distance, id)` and
@@ -225,20 +343,15 @@ impl PeriodGraphCache {
     /// every worker: this is the decomposition the sharded service's
     /// cross-shard matching rests on.
     pub fn k_nearest_candidates_into(
-        &self,
+        &mut self,
         origin: Point,
         radius: f64,
         k: usize,
         out: &mut Vec<(f64, u32)>,
     ) {
-        let slots = &self.slots;
-        self.index.k_nearest_within_into(
-            origin,
-            radius,
-            k,
-            |dist, id| dist <= slots[id as usize].expect("live id has a slot").radius,
-            out,
-        );
+        self.index
+            .k_nearest_within_into(origin, radius, k, in_range, &mut self.query);
+        out.extend(self.query.iter().map(|&(distance, w)| (distance, w.id)));
     }
 
     /// Calls `f(task_idx, worker_id)` for every (in-range task, live
@@ -248,8 +361,7 @@ impl PeriodGraphCache {
     /// full graph in parallel (the edge set is a union; the graph
     /// builder canonicalizes insertion order).
     pub fn for_each_task_edge(&self, task_index: &BucketIndex<u32>, mut f: impl FnMut(u32, u32)) {
-        for &id in &self.live_ids {
-            let w = &self.slots[id as usize].expect("live id has a slot");
+        for (&id, w) in self.live_ids.iter().zip(&self.live_inputs) {
             task_index.for_each_within_disc(w.location, w.radius, |_, t_idx| f(t_idx, id));
         }
     }
@@ -259,141 +371,28 @@ impl PeriodGraphCache {
         if self.live_ids.len() <= k {
             return self.build_graph(tasks);
         }
-        let max_radius = self.current_max_radius();
+        let max_radius = self.max_live_radius();
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
             self.live_ids.len(),
             tasks.len() * k,
             std::mem::take(&mut self.edge_arena),
         );
-        let mut near = std::mem::take(&mut self.query);
         for (t_idx, task) in tasks.iter().enumerate() {
-            self.k_nearest_candidates_into(task.origin, max_radius, k, &mut near);
-            for &(_, id) in &near {
+            self.index
+                .k_nearest_within_into(task.origin, max_radius, k, in_range, &mut self.query);
+            for &(_, w) in &self.query {
                 let dense = self
                     .live_ids
-                    .binary_search(&id)
+                    .binary_search(&w.id)
                     .expect("queried id is live");
                 builder.add_edge(t_idx, dense);
             }
         }
-        self.query = near;
         let (graph, arena) = builder.build_recycling();
         self.edge_arena = arena;
         graph
     }
-
-    /// The slot/max-radius bookkeeping of an arrival, *without* the
-    /// spatial-index insert — [`PeriodGraphCache::apply`] books a whole
-    /// batch first and then bulk-inserts into the index in one pass.
-    fn book_arrival(&mut self, id: u32, worker: WorkerInput) {
-        assert!(
-            worker.radius.is_finite() && worker.radius >= 0.0,
-            "worker radius must be non-negative, got {}",
-            worker.radius
-        );
-        let idx = id as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        assert!(
-            self.slots[idx].is_none(),
-            "arrival of an already-live worker id {id}"
-        );
-        self.slots[idx] = Some(worker);
-        if !self.max_radius_dirty {
-            let radius = normalize_radius(worker.radius);
-            if self.max_radius_count == 0 || radius > self.max_radius {
-                self.max_radius = radius;
-                self.max_radius_count = 1;
-            } else if radius == self.max_radius {
-                self.max_radius_count += 1;
-            }
-        }
-    }
-
-    /// The slot/max-radius bookkeeping of a departure, *without* the
-    /// spatial-index removal — the bulk twin of [`Self::book_arrival`].
-    fn book_departure(&mut self, id: u32) -> WorkerInput {
-        let w = self
-            .slots
-            .get_mut(id as usize)
-            .and_then(Option::take)
-            .expect("departure of a non-live worker");
-        if !self.max_radius_dirty && normalize_radius(w.radius) == self.max_radius {
-            self.max_radius_count -= 1;
-            if self.max_radius_count == 0 {
-                self.max_radius_dirty = true;
-            }
-        }
-        w
-    }
-
-    /// The maximum live radius (0.0 when empty) — the capped oracle's
-    /// `fold(0.0, f64::max)` over the materialized worker list.
-    /// Rescans the live set if a removal invalidated the tracked max.
-    fn current_max_radius(&mut self) -> f64 {
-        if self.max_radius_dirty {
-            self.max_radius = 0.0;
-            self.max_radius_count = 0;
-            for &id in &self.live_ids {
-                let radius = normalize_radius(self.slots[id as usize].expect("live").radius);
-                if self.max_radius_count == 0 || radius > self.max_radius {
-                    self.max_radius = radius;
-                    self.max_radius_count = 1;
-                } else if radius == self.max_radius {
-                    self.max_radius_count += 1;
-                }
-            }
-            self.max_radius_dirty = false;
-        }
-        if self.max_radius_count == 0 {
-            0.0
-        } else {
-            self.max_radius
-        }
-    }
-
-    /// Rewrites `live_ids` as `(live_ids \ departures) ∪ arrivals` in one
-    /// ordered merge pass. Departed ids are guaranteed present and
-    /// arrival ids absent unless they also depart (checked by the slot
-    /// ops above).
-    fn merge_live_ids(&mut self, departures: &[u32], arrivals: &[(u32, WorkerInput)]) {
-        if departures.is_empty() && arrivals.is_empty() {
-            return;
-        }
-        self.sorted_ids.clear();
-        self.sorted_ids.extend(departures.iter().copied());
-        let dep_count = self.sorted_ids.len();
-        self.sorted_ids.extend(arrivals.iter().map(|&(id, _)| id));
-        self.sorted_ids[..dep_count].sort_unstable();
-        self.sorted_ids[dep_count..].sort_unstable();
-        let (dep, arr) = self.sorted_ids.split_at(dep_count);
-        self.merged.clear();
-        self.merged
-            .reserve(self.live_ids.len() + arr.len() - dep.len());
-        let (mut ai, mut di) = (0, 0);
-        for &id in &self.live_ids {
-            while ai < arr.len() && arr[ai] < id {
-                self.merged.push(arr[ai]);
-                ai += 1;
-            }
-            if di < dep.len() && dep[di] == id {
-                di += 1;
-                continue;
-            }
-            self.merged.push(id);
-        }
-        self.merged.extend_from_slice(&arr[ai..]);
-        debug_assert_eq!(di, dep.len(), "every departure id must be live");
-        std::mem::swap(&mut self.live_ids, &mut self.merged);
-    }
-}
-
-/// Canonical form of a non-negative radius (`-0.0` → `0.0`), so equality
-/// comparisons in the max tracker are bit-stable.
-fn normalize_radius(radius: f64) -> f64 {
-    radius + 0.0
 }
 
 #[cfg(test)]
@@ -401,8 +400,8 @@ mod tests {
     use super::*;
     use crate::builder::{build_period_graph, build_period_graph_capped};
     use maps_spatial::{Point, Rect};
-
     use maps_testkit::XorShift;
+    use std::collections::BTreeMap;
 
     fn grid() -> GridSpec {
         GridSpec::square(Rect::square(100.0), 5)
@@ -448,7 +447,7 @@ mod tests {
         let grid = grid();
         for (seed, k) in [(1u64, 4usize), (2, 1), (3, 13), (4, 200)] {
             let mut rng = XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) | 1);
-            let mut cache = PeriodGraphCache::new(&grid, 64);
+            let mut cache = PeriodGraphCache::new(&grid);
             let mut mirror = Mirror { live: Vec::new() };
             let mut next_id = 0u32;
             for period in 0..12 {
@@ -505,7 +504,7 @@ mod tests {
     fn departed_ids_can_be_reused() {
         let grid = grid();
         let mut rng = XorShift(77);
-        let mut cache = PeriodGraphCache::new(&grid, 8);
+        let mut cache = PeriodGraphCache::new(&grid);
         let w0 = random_worker(&grid, &mut rng);
         let w1 = random_worker(&grid, &mut rng);
         let w2 = random_worker(&grid, &mut rng);
@@ -526,7 +525,7 @@ mod tests {
     #[test]
     fn empty_cache_builds_empty_graphs() {
         let grid = grid();
-        let mut cache = PeriodGraphCache::new(&grid, 4);
+        let mut cache = PeriodGraphCache::new(&grid);
         let mut rng = XorShift(5);
         let tasks = random_tasks(&grid, &mut rng, 3);
         cache.apply(&[], &[]);
@@ -546,7 +545,7 @@ mod tests {
         let near = WorkerInput::new(&grid, Point::new(10.0, 10.0), 3.0);
         let wide = WorkerInput::new(&grid, Point::new(90.0, 90.0), 80.0);
         let tied = WorkerInput::new(&grid, Point::new(20.0, 10.0), 3.0);
-        let mut cache = PeriodGraphCache::new(&grid, 4);
+        let mut cache = PeriodGraphCache::new(&grid);
         cache.apply(&[(0, near), (1, wide), (2, tied)], &[]);
         let tasks = [TaskInput::new(&grid, Point::new(50.0, 50.0), 1.0)];
         // k=2 < live: the capped path queries with max radius 80 and the
@@ -574,9 +573,9 @@ mod tests {
     fn sharded_queries_merge_to_the_whole() {
         let grid = grid();
         let mut rng = XorShift(0x5AD);
-        let mut whole = PeriodGraphCache::new(&grid, 32);
-        let mut even = PeriodGraphCache::new(&grid, 16);
-        let mut odd = PeriodGraphCache::new(&grid, 16);
+        let mut whole = PeriodGraphCache::new(&grid);
+        let mut even = PeriodGraphCache::new(&grid);
+        let mut odd = PeriodGraphCache::new(&grid);
         let all: Vec<(u32, WorkerInput)> = (0..40)
             .map(|id| (id, random_worker(&grid, &mut rng)))
             .collect();
@@ -587,18 +586,18 @@ mod tests {
         let radius = even.max_live_radius().max(odd.max_live_radius());
         assert_eq!(radius.to_bits(), whole.max_live_radius().to_bits());
         let tasks = random_tasks(&grid, &mut rng, 12);
-        let candidates = |cache: &PeriodGraphCache, origin: Point, k: usize| {
+        let candidates = |cache: &mut PeriodGraphCache, origin: Point, k: usize| {
             let mut out = Vec::new();
             cache.k_nearest_candidates_into(origin, radius, k, &mut out);
             out
         };
         for k in [1usize, 3, 8] {
             for task in &tasks {
-                let mut merged = candidates(&even, task.origin, k);
-                merged.extend(candidates(&odd, task.origin, k));
+                let mut merged = candidates(&mut even, task.origin, k);
+                merged.extend(candidates(&mut odd, task.origin, k));
                 merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
                 merged.truncate(k);
-                let direct = candidates(&whole, task.origin, k);
+                let direct = candidates(&mut whole, task.origin, k);
                 assert_eq!(merged.len(), direct.len(), "k {k}");
                 for (m, d) in merged.iter().zip(&direct) {
                     assert_eq!(m.0.to_bits(), d.0.to_bits(), "k {k}");
@@ -625,12 +624,237 @@ mod tests {
         assert_eq!(sharded, direct);
     }
 
+    /// Applies `arrivals` / `departures` to `cache` and to the `mirror`
+    /// map, then checks every view of the cache — lanes, lookups, the
+    /// radius tracker, capped and complete graphs — against the mirror
+    /// and the from-scratch oracle on it.
+    fn apply_and_check(
+        cache: &mut PeriodGraphCache,
+        mirror: &mut BTreeMap<u32, WorkerInput>,
+        arrivals: &[(u32, WorkerInput)],
+        departures: &[u32],
+        what: &str,
+    ) {
+        for id in departures {
+            mirror.remove(id).expect("test departs a mirrored id");
+        }
+        mirror.extend(arrivals.iter().copied());
+        cache.apply(arrivals, departures);
+        let ids: Vec<u32> = mirror.keys().copied().collect();
+        let workers: Vec<WorkerInput> = mirror.values().copied().collect();
+        assert_eq!(cache.live_ids(), ids, "{what}: ids");
+        assert_eq!(cache.live_inputs(), workers, "{what}: inputs");
+        assert_eq!(cache.live_count(), ids.len(), "{what}: count");
+        for (id, w) in mirror.iter() {
+            assert_eq!(cache.worker(*id), Some(w), "{what}: lookup of {id}");
+        }
+        let max = workers.iter().map(|w| w.radius).fold(0.0, f64::max);
+        assert_eq!(cache.max_live_radius(), max, "{what}: max radius");
+        let grid = *cache.grid();
+        let tasks = random_tasks(&grid, &mut XorShift(0x7A5C), 9);
+        for k in [1, 2, 64] {
+            assert_eq!(
+                cache.build_graph_capped(&tasks, k),
+                build_period_graph_capped(&grid, &tasks, &workers, k),
+                "{what}: capped graph, k {k}"
+            );
+        }
+        assert_eq!(
+            cache.build_graph(&tasks),
+            build_period_graph(&grid, &tasks, &workers),
+            "{what}: complete graph"
+        );
+    }
+
+    /// One `apply` of a table-driven script: label, arrivals, departures.
+    type Step = (&'static str, Vec<(u32, WorkerInput)>, Vec<u32>);
+    /// A misuse of `apply` and the panic message it must produce.
+    type Misuse<'a> = (&'a str, &'a [(u32, WorkerInput)], &'a [u32], &'a str);
+
+    fn at(x: f64, y: f64, radius: f64) -> WorkerInput {
+        WorkerInput::new(&grid(), Point::new(x, y), radius)
+    }
+
+    /// `apply` sorts for itself: either side in any order, relocations
+    /// (one id on both sides) mixed in, gives the lanes the sorted call
+    /// gives — and a relocated worker keeps its position while taking
+    /// its new location and radius.
+    #[test]
+    fn apply_sorts_both_sides_and_relocates_in_place() {
+        let mut cache = PeriodGraphCache::new(&grid());
+        let mut mirror = BTreeMap::new();
+        let w = |i: u32| {
+            at(
+                5.0 + 9.0 * (i % 10) as f64,
+                5.0 + 9.0 * (i / 10) as f64,
+                30.0,
+            )
+        };
+        let steps: [Step; 6] = [
+            (
+                "descending arrivals",
+                (0..12).rev().map(|i| (i * 3, w(i))).collect(),
+                vec![],
+            ),
+            ("shuffled departures", vec![], vec![21, 0, 33, 9]),
+            (
+                "arrivals below, between and above, unsorted",
+                vec![(40, w(40)), (1, w(1)), (16, w(16)), (0, w(0)), (34, w(34))],
+                vec![],
+            ),
+            (
+                "relocations listed on both sides, out of order",
+                vec![
+                    (30, at(90.0, 90.0, 7.0)),
+                    (3, at(1.0, 99.0, 55.0)),
+                    (2, w(2)),
+                ],
+                vec![30, 3],
+            ),
+            (
+                "everything but one leaves, one enters below it",
+                vec![(4, w(4))],
+                vec![40, 34, 30, 27, 24, 18, 16, 15, 12, 3, 2, 1, 0],
+            ),
+            ("the rest leaves", vec![], vec![6, 4]),
+        ];
+        for (what, arrivals, departures) in &steps {
+            apply_and_check(&mut cache, &mut mirror, arrivals, departures, what);
+        }
+        assert_eq!(cache.live_count(), 0);
+        // The relocation step by itself: same slot, new state.
+        let mut cache = PeriodGraphCache::new(&grid());
+        cache.apply(&[(5, w(5)), (7, w(7)), (9, w(9))], &[]);
+        let moved = at(1.0, 99.0, 55.0);
+        cache.apply(&[(7, moved)], &[7]);
+        assert_eq!(cache.live_ids(), [5, 7, 9]);
+        assert_eq!(cache.live_inputs()[1], moved);
+        assert_eq!(cache.worker(7), Some(&moved));
+    }
+
+    /// Zero radii of either sign, alone and next to positive ones: the
+    /// radius in the index lane, the `max_live_radius` tracker and the
+    /// scratch oracle agree (a zero-radius worker is reachable only by a
+    /// task at its exact location).
+    #[test]
+    fn zero_and_negative_zero_radii_match_the_oracle() {
+        let mut cache = PeriodGraphCache::new(&grid());
+        let mut mirror = BTreeMap::new();
+        let spot = |i: u32, radius: f64| (i, at(10.0 + i as f64, 50.0, radius));
+        let steps: [Step; 5] = [
+            ("only -0.0", vec![spot(0, -0.0), spot(1, -0.0)], vec![]),
+            ("0.0 joins", vec![spot(2, 0.0), spot(3, 0.0)], vec![]),
+            (
+                "mixed",
+                vec![spot(4, 25.0), spot(5, -0.0), spot(6, 3.0)],
+                vec![],
+            ),
+            ("the widest leaves", vec![spot(7, 0.0)], vec![4]),
+            ("back to zeros", vec![spot(1, 0.0)], vec![6, 1]),
+        ];
+        for (what, arrivals, departures) in &steps {
+            apply_and_check(&mut cache, &mut mirror, arrivals, departures, what);
+            assert!(cache.max_live_radius().is_sign_positive(), "{what}");
+        }
+        // A task exactly on a zero-radius worker reaches it, capped too.
+        let task = [TaskInput::new(&grid(), Point::new(12.0, 50.0), 1.0)];
+        assert_eq!(cache.build_graph_capped(&task, 2).neighbors(0), &[2]);
+    }
+
+    /// Ids are names, not offsets: one arrival with an id near `u32::MAX`
+    /// costs what any other arrival costs (a slot-per-id table asked for
+    /// 160 GB here).
+    #[test]
+    fn sparse_ids_cost_nothing() {
+        let mut cache = PeriodGraphCache::new(&grid());
+        let mut mirror = BTreeMap::new();
+        let far = (4_000_000_000, at(60.0, 50.0, 20.0));
+        let near = (7, at(40.0, 50.0, 20.0));
+        apply_and_check(&mut cache, &mut mirror, &[far, near], &[], "sparse ids");
+        assert_eq!(cache.live_ids(), [7, 4_000_000_000]);
+        assert_eq!(cache.worker(4_000_000_000), Some(&far.1));
+        assert_eq!(cache.worker(7), Some(&near.1));
+        assert_eq!(cache.worker(8), None);
+        let tasks = [TaskInput::new(&grid(), Point::new(50.0, 50.0), 1.0)];
+        let workers = [near.1, far.1];
+        for k in [1, 8] {
+            assert_eq!(
+                cache.build_graph_capped(&tasks, k),
+                build_period_graph_capped(&grid(), &tasks, &workers, k)
+            );
+        }
+        apply_and_check(&mut cache, &mut mirror, &[], &[4_000_000_000], "it leaves");
+    }
+
+    /// Every misuse of `apply` panics with the message it always had,
+    /// however the offending ids are ordered among valid ones.
+    #[test]
+    fn misuse_panics_with_the_established_messages() {
+        let w = at(50.0, 50.0, 5.0);
+        let cases: [Misuse<'_>; 7] = [
+            (
+                "duplicate inside arrivals",
+                &[(9, w), (4, w), (9, w)],
+                &[],
+                "already-live worker id 9",
+            ),
+            (
+                "adjacent duplicate arrivals",
+                &[(4, w), (4, w)],
+                &[],
+                "already-live worker id 4",
+            ),
+            (
+                "arrival of a live id",
+                &[(8, w), (2, w)],
+                &[],
+                "already-live worker id 2",
+            ),
+            (
+                "live id arrives while another leaves",
+                &[(3, w)],
+                &[1],
+                "already-live worker id 3",
+            ),
+            (
+                "departure of a dead id",
+                &[],
+                &[2, 5],
+                "departure of a non-live worker",
+            ),
+            (
+                "departure above every live id",
+                &[],
+                &[77],
+                "departure of a non-live worker",
+            ),
+            (
+                "the same id twice in departures",
+                &[],
+                &[3, 1, 3],
+                "departure of a non-live worker",
+            ),
+        ];
+        for (what, arrivals, departures, message) in cases {
+            let mut cache = PeriodGraphCache::new(&grid());
+            cache.apply(&[(1, w), (2, w), (3, w)], &[]);
+            let panic = std::panic::catch_unwind(move || cache.apply(arrivals, departures))
+                .expect_err(what);
+            let text = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .expect("string panic payload");
+            assert!(text.contains(message), "{what}: panicked with {text:?}");
+        }
+    }
+
     #[test]
     #[should_panic(expected = "already-live")]
     fn duplicate_live_id_panics() {
         let grid = grid();
         let mut rng = XorShift(9);
-        let mut cache = PeriodGraphCache::new(&grid, 4);
+        let mut cache = PeriodGraphCache::new(&grid);
         let w = random_worker(&grid, &mut rng);
         cache.apply(&[(0, w)], &[]);
         cache.apply(&[(0, w)], &[]);
@@ -640,7 +864,7 @@ mod tests {
     #[should_panic(expected = "non-live")]
     fn departure_of_dead_id_panics() {
         let grid = grid();
-        let mut cache = PeriodGraphCache::new(&grid, 4);
+        let mut cache = PeriodGraphCache::new(&grid);
         cache.apply(&[], &[3]);
     }
 }

@@ -250,10 +250,8 @@ pub struct ServiceConfig {
     /// Per-task edge cap of the period graph (the batch simulator's
     /// [`maps_simulator::SimOptions::max_edges_per_task`]).
     pub max_edges_per_task: usize,
-    /// Initial sizing hint for the per-shard spatial indexes (split
-    /// evenly over the shards). Each index follows its shard's live
-    /// count from the first tick on, so this only shapes the empty
-    /// service; any value yields bit-identical outcomes.
+    /// Ignored: every shard's state is sized by who is live in it. Kept
+    /// for source compatibility, removed with ROADMAP 6(b).
     pub expected_workers: usize,
 }
 
@@ -290,8 +288,6 @@ struct Shard {
     candidate_starts: Vec<u32>,
     /// Uncapped fallback: this tick's `(task, worker-id)` edge slice.
     edges: Vec<(u32, u32)>,
-    /// Per-query scratch for the k-nearest candidate queries.
-    query: Vec<(f64, u32)>,
 }
 
 impl Shard {
@@ -303,7 +299,6 @@ impl Shard {
             candidates: Vec::new(),
             candidate_starts: Vec::new(),
             edges: Vec::new(),
-            query: Vec::new(),
         }
     }
 
@@ -326,8 +321,7 @@ impl Shard {
         self.candidate_starts.push(0);
         for task in tasks {
             self.cache
-                .k_nearest_candidates_into(task.origin, max_radius, k, &mut self.query);
-            self.candidates.extend_from_slice(&self.query);
+                .k_nearest_candidates_into(task.origin, max_radius, k, &mut self.candidates);
             self.candidate_starts.push(self.candidates.len() as u32);
         }
     }
@@ -364,12 +358,24 @@ struct ShardLanes {
 }
 
 impl ShardLanes {
-    /// The spatial state of live worker `id`.
-    fn worker(&self, id: u32) -> &WorkerInput {
-        self.shards[self.routes[id as usize] as usize]
-            .cache
-            .worker(id)
-            .expect("live id is in its owning shard")
+    /// Calls `f(id, worker)` for every live worker in global ascending
+    /// id order — identical to the batch engine's single live list,
+    /// because ids are global admission order regardless of shard. The
+    /// shards' live lanes are ascending and mutually disjoint, so this
+    /// is one k-way merge of their id lanes with a cursor per shard
+    /// into the parallel input lane: no lookup by id.
+    fn for_each_live(&self, mut f: impl FnMut(u32, &WorkerInput)) {
+        let mut runs: Vec<&[u32]> = self.shards.iter().map(|s| s.cache.live_ids()).collect();
+        let mut cursors = vec![0usize; self.shards.len()];
+        merge_runs(
+            &mut runs,
+            |a, b| a < b,
+            usize::MAX,
+            |shard, id| {
+                f(id, &self.shards[shard].cache.live_inputs()[cursors[shard]]);
+                cursors[shard] += 1;
+            },
+        );
     }
 }
 
@@ -459,11 +465,6 @@ impl PeriodEngine for ShardSet {
         k: usize,
     ) -> Result<BipartiteGraph, ShardPanic> {
         let live_total: usize = self.stats.iter().map(|s| s.0).sum();
-        // Merge the shards' ascending (and mutually disjoint) live-id
-        // lists into the global ascending order — identical to the
-        // batch engine's single live list because ids are global
-        // admission order regardless of shard — copying each worker's
-        // state out of the shard the merge just took its id from.
         let ShardSet {
             lanes,
             live_ids,
@@ -474,17 +475,10 @@ impl PeriodEngine for ShardSet {
         live_ids.reserve(live_total);
         worker_inputs.clear();
         worker_inputs.reserve(live_total);
-        let shards = &lanes.shards;
-        let mut runs: Vec<&[u32]> = shards.iter().map(|s| s.cache.live_ids()).collect();
-        merge_runs(
-            &mut runs,
-            |a, b| a < b,
-            usize::MAX,
-            |shard, id| {
-                live_ids.push(id);
-                worker_inputs.push(*shards[shard].cache.worker(id).expect("listed id is live"));
-            },
-        );
+        lanes.for_each_live(|id, input| {
+            live_ids.push(id);
+            worker_inputs.push(*input);
+        });
 
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
@@ -550,8 +544,7 @@ impl PeriodEngine for ShardSet {
     }
 
     fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
-        let id = self.live_ids[dense];
-        let radius = self.lanes.worker(id).radius;
+        let (id, radius) = (self.live_ids[dense], self.worker_inputs[dense].radius);
         self.table
             .dispatch(t, id, radius, destination, travel, &mut self.lanes);
     }
@@ -634,9 +627,8 @@ impl ShardedService {
         config: ServiceConfig,
     ) -> Self {
         assert!(config.shards >= 1, "ServiceConfig::shards must be >= 1");
-        let per_shard = config.expected_workers.div_ceil(config.shards).max(16);
         let shards = (0..config.shards)
-            .map(|_| Shard::new(PeriodGraphCache::new(&grid, per_shard)))
+            .map(|_| Shard::new(PeriodGraphCache::new(&grid)))
             .collect();
         Self {
             match_policy,
@@ -1075,19 +1067,12 @@ impl ShardedService {
         table.save_records(&mut w);
         // -- live workers, global ascending id order --
         w.push(live_total as u64);
-        let mut live: Vec<u32> = lanes
-            .shards
-            .iter()
-            .flat_map(|s| s.cache.live_ids().iter().copied())
-            .collect();
-        live.sort_unstable();
-        for id in live {
-            let input = lanes.worker(id);
+        lanes.for_each_live(|id, input| {
             w.push(u64::from(id));
             w.push(input.location.x.to_bits());
             w.push(input.location.y.to_bits());
             w.push(input.radius.to_bits());
-        }
+        });
         // -- staged churn (arrivals empty at a boundary; departures =
         //    the closing tick's matched pairs) --
         debug_assert!(
@@ -1297,6 +1282,28 @@ mod tests {
 
     fn service(shards: usize, policy: MatchPolicy) -> ShardedService {
         ShardedService::new(grid(), policy, StrategyKind::BaseP, config(shards))
+    }
+
+    /// The merged live set the way it was built before the run-cursor
+    /// walk: collect every shard's ids, sort, then look each worker up
+    /// through the route table.
+    fn live_by_sort_and_route_lookup(lanes: &ShardLanes) -> (Vec<u32>, Vec<WorkerInput>) {
+        let mut ids: Vec<u32> = lanes
+            .shards
+            .iter()
+            .flat_map(|s| s.cache.live_ids().iter().copied())
+            .collect();
+        ids.sort_unstable();
+        let routed = |id: u32| &lanes.shards[lanes.routes[id as usize] as usize].cache;
+        let inputs = ids
+            .iter()
+            .map(|&id| {
+                *routed(id)
+                    .worker(id)
+                    .expect("live id is in its owning shard")
+            })
+            .collect();
+        (ids, inputs)
     }
 
     #[test]
@@ -1637,6 +1644,48 @@ mod tests {
         }
     }
 
+    /// The checkpoint's live section keeps the layout it always had —
+    /// a count, then `id, x, y, radius` per live worker in global
+    /// ascending id order — now written by the run-cursor walk: compared
+    /// word for word with the walk it replaced (collect every shard's
+    /// ids, sort, look each worker up through the route table), at
+    /// several shard counts, with relocated workers back under old ids.
+    #[test]
+    fn checkpoint_live_section_keeps_its_layout() {
+        let mut rng = maps_testkit::XorShift(0xC4EC);
+        for shards in [1usize, 3, 4] {
+            let mut svc = service(shards, MatchPolicy::Relocate { speed: 3.0 });
+            for _ in 0..10 {
+                for _ in 0..7 {
+                    let (x, y) = (rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    let mut worker = worker(x, y, 3 + (rng.next_u64() % 5) as u32);
+                    worker.radius = 1.0 + rng.next_f64() * 4.0;
+                    svc.push(ServiceEvent::WorkerArrive { worker });
+                }
+                for _ in 0..3 {
+                    let mut task = task(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    task.destination = Point::new(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                    task.distance = 1.0 + rng.next_f64() * 6.0;
+                    svc.push(ServiceEvent::TaskRequest { task });
+                }
+                svc.push(ServiceEvent::PeriodTick);
+            }
+            let (ids, inputs) = live_by_sort_and_route_lookup(&svc.engine.lanes);
+            let mut want = vec![ids.len() as u64];
+            for (id, input) in ids.into_iter().zip(inputs) {
+                let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
+                want.extend([u64::from(id), x, y, input.radius.to_bits()]);
+            }
+            assert!(want.len() > 4 * 10, "{shards} shards: live set too small");
+            let words = svc.checkpoint_words();
+            // Header (five words around the strategy name, the period),
+            // then the records section: a count and two words each.
+            let records = 5 + words[4] as usize + 1;
+            let live = records + 1 + 2 * words[records] as usize;
+            assert_eq!(words[live..live + want.len()], want, "{shards} shards");
+        }
+    }
+
     /// The validation header refuses checkpoints from a differently
     /// configured service instead of restoring garbage.
     #[test]
@@ -1750,15 +1799,7 @@ mod tests {
                 // The tick's matches are staged departures now, so the
                 // caches still hold exactly the set the graph was built
                 // over.
-                let lanes = &svc.engine.lanes;
-                let mut want_ids: Vec<u32> = lanes
-                    .shards
-                    .iter()
-                    .flat_map(|s| s.cache.live_ids().iter().copied())
-                    .collect();
-                want_ids.sort_unstable();
-                let want_inputs: Vec<WorkerInput> =
-                    want_ids.iter().map(|&id| *lanes.worker(id)).collect();
+                let (want_ids, want_inputs) = live_by_sort_and_route_lookup(&svc.engine.lanes);
                 assert_eq!(svc.engine.live_ids, want_ids, "{shards} shards, tick {t}");
                 assert_eq!(
                     svc.engine.worker_inputs, want_inputs,

@@ -476,7 +476,9 @@ pub fn decode_checkpoint(bytes: &[u8]) -> Result<Vec<u64>, JournalError> {
     let count = c
         .u64()
         .ok_or(JournalError::Corrupt("checkpoint truncated"))? as usize;
-    if body.len() != 8 + count * 8 {
+    // The count is a word from the file: compare it with what the body
+    // holds before any arithmetic or reservation is done on it.
+    if count != (body.len() - 8) / 8 {
         return Err(JournalError::Corrupt("checkpoint length mismatch"));
     }
     let mut words = Vec::with_capacity(count);

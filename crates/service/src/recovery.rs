@@ -508,6 +508,38 @@ mod tests {
         );
     }
 
+    /// The frame's own word count lying: `2^61 * 8` wraps to 0, so a
+    /// 24-byte file used to pass the length check and die reserving
+    /// `2^61` words. It is a corrupt frame like any other — typed, and
+    /// recovery falls back to the checkpoint before it.
+    #[test]
+    fn lying_frame_count_is_a_typed_error() {
+        let dir = crate::test_dir("recover_lying_frame");
+        let (mut svc, cfg) = journaled_service(&dir);
+        svc.push(ServiceEvent::PeriodTick);
+        drop(svc);
+        assert_eq!(list_checkpoints(&dir).unwrap(), [0, 1]);
+        let path = checkpoint_path(&dir, 1);
+        let mut frame = std::fs::read(&path).unwrap()[..24].to_vec();
+        frame[16..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(matches!(
+            decode_checkpoint(&frame),
+            Err(JournalError::Corrupt("checkpoint length mismatch"))
+        ));
+        std::fs::write(&path, &frame).unwrap();
+        let recovered = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .expect("falls back to the baseline checkpoint");
+        assert_eq!(recovered.epochs_replayed, 1, "from epoch 0, not 1");
+        assert_eq!(recovered.service.periods_served(), 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn lying_schedule_count_is_a_typed_error() {
         let err = recover_with_lying_word("recover_lying_schedule", |words| {

@@ -42,9 +42,10 @@
 //! **Arrival order into a sink is free.** A window's admissions reach
 //! the sink ahead of the period's busy releases, and a cancelled one
 //! leaves a gap in the id sequence. [`PeriodGraphCache::apply`] is
-//! arrival-order-independent (slots are keyed by id; the index's bulk
-//! insert and the live-id merge sort their batches), so sinks may
-//! regroup arrivals — by shard, say — without moving a bit.
+//! arrival-order-independent (it sorts each side's ids before merging
+//! them into its live lanes, and the index's bulk insert sorts its
+//! batch), so sinks may regroup arrivals — by shard, say — without
+//! moving a bit.
 //!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
 //! stream), and a busy worker re-enters under its *original* id, so the
@@ -386,21 +387,17 @@ pub struct WorkerLifecycle {
     table: LifecycleTable,
     /// Applied by the next [`WorkerLifecycle::build_graph_capped`].
     staged: StagedChurn,
-    /// The live workers of the last [`PeriodEngine::build_graph`].
-    worker_inputs: Vec<WorkerInput>,
 }
 
 impl WorkerLifecycle {
     /// An empty lifecycle over `grid` for a `horizon`-period run.
-    /// `expected_workers` is an initial hint for the spatial index's
-    /// resolution; the index follows the live count from the first
-    /// period on ([`PeriodGraphCache::new`]).
-    pub fn new(grid: &GridSpec, horizon: usize, expected_workers: usize) -> Self {
+    /// `_expected_workers` is ignored (the cache sizes itself by who is
+    /// live); kept for source compatibility, removed with ROADMAP 6(b).
+    pub fn new(grid: &GridSpec, horizon: usize, _expected_workers: usize) -> Self {
         Self {
-            cache: PeriodGraphCache::new(grid, expected_workers),
+            cache: PeriodGraphCache::new(grid),
             table: LifecycleTable::new(*grid, Some(horizon as u32)),
             staged: StagedChurn::default(),
-            worker_inputs: Vec::new(),
         }
     }
 
@@ -478,13 +475,11 @@ impl PeriodEngine for WorkerLifecycle {
         tasks: &[TaskInput],
         k: usize,
     ) -> Result<BipartiteGraph, Infallible> {
-        let graph = self.build_graph_capped(tasks, k);
-        self.cache.fill_worker_inputs(&mut self.worker_inputs);
-        Ok(graph)
+        Ok(self.build_graph_capped(tasks, k))
     }
 
     fn worker_inputs(&self) -> &[WorkerInput] {
-        &self.worker_inputs
+        self.cache.live_inputs()
     }
 
     fn consume_matched(&mut self, dense: usize) {
