@@ -24,18 +24,21 @@ use crate::problem::{
 };
 use maps_market::{PriceLadder, UcbStats};
 
-/// Maps the market layer's slice-based state loaders onto the
-/// [`StateWords`] cursor (shared with the MAPS strategy impl).
-pub(crate) fn load_ucb(stats: &mut UcbStats, state: &mut StateWords<'_>) -> Result<(), StateError> {
-    let used = stats.load_words(state.rest()).map_err(|msg| {
-        if msg.ends_with("truncated") {
-            StateError::Truncated
-        } else {
-            StateError::Mismatch(msg)
-        }
-    })?;
-    state.advance(used);
-    Ok(())
+/// Loads every cell's statistics behind their count (shared with the
+/// MAPS strategy impl): each loader is handed exactly the words it
+/// reports, so only the cursor can come up short.
+pub(crate) fn load_ucb(
+    stats: &mut [UcbStats],
+    state: &mut StateWords<'_>,
+) -> Result<(), StateError> {
+    let words = stats.first().map_or(0, UcbStats::state_words);
+    if state.take_len(words)? != stats.len() {
+        return Err(StateError::Mismatch("strategy cell count"));
+    }
+    stats.iter_mut().try_for_each(|s| {
+        s.load_words(state.take_slice(words)?)
+            .map_err(StateError::Mismatch)
+    })
 }
 
 /// Counts tasks and workers per grid cell — shared by SDR/SDE/CappedUCB,
@@ -138,12 +141,6 @@ impl SdrStrategy {
     pub fn set_base_price(&mut self, p: f64) {
         self.inner.set_base_price(p);
     }
-
-    /// Overrides the ratio coefficient.
-    pub fn set_coefficient(&mut self, c: f64) {
-        assert!(c > 0.0, "coefficient must be positive");
-        self.coefficient = c;
-    }
 }
 
 impl PricingStrategy for SdrStrategy {
@@ -177,12 +174,10 @@ impl PricingStrategy for SdrStrategy {
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
-        out.push(self.coefficient.to_bits());
         self.inner.save_state(out);
     }
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.coefficient = state.take_f64()?;
         self.inner.load_state(state)
     }
 }
@@ -341,13 +336,7 @@ impl PricingStrategy for CappedUcbStrategy {
     }
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        if state.take()? as usize != self.stats.len() {
-            return Err(StateError::Mismatch("CappedUCB cell count"));
-        }
-        for stats in &mut self.stats {
-            load_ucb(stats, state)?;
-        }
-        Ok(())
+        load_ucb(&mut self.stats, state)
     }
 }
 

@@ -526,30 +526,19 @@ impl PricingStrategy for MapsStrategy {
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
         self.base_price = state.take_f64()?;
-        if state.take()? as usize != self.stats.len() {
-            return Err(StateError::Mismatch("MAPS cell count"));
-        }
-        for stats in self.stats.iter_mut() {
-            crate::baselines::load_ucb(stats, state)?;
-        }
+        crate::baselines::load_ucb(&mut self.stats, state)?;
         let has_change = state.take()?;
         match (&mut self.change, has_change) {
             (None, 0) => Ok(()),
             (Some(detectors), 1) => {
-                if state.take()? as usize != detectors.len() {
+                let words = detectors.first().map_or(0, ChangeDetector::state_words);
+                if state.take_len(words)? != detectors.len() {
                     return Err(StateError::Mismatch("MAPS change-detector count"));
                 }
-                for det in detectors.iter_mut() {
-                    let used = det.load_words(state.rest()).map_err(|msg| {
-                        if msg.ends_with("truncated") {
-                            StateError::Truncated
-                        } else {
-                            StateError::Mismatch(msg)
-                        }
-                    })?;
-                    state.advance(used);
-                }
-                Ok(())
+                detectors.iter_mut().try_for_each(|det| {
+                    det.load_words(state.take_slice(words)?)
+                        .map_err(StateError::Mismatch)
+                })
             }
             _ => Err(StateError::Mismatch("MAPS change-detector presence")),
         }

@@ -145,8 +145,8 @@ pub trait DemandProbe {
     fn probe(&mut self, cell: CellId, price: f64, n: u64) -> u64;
 }
 
-/// Why restoring a strategy-state snapshot failed
-/// ([`PricingStrategy::load_state`]).
+/// Why restoring a state snapshot failed
+/// ([`PricingStrategy::load_state`], a service checkpoint).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StateError {
     /// The word stream ended before the state was fully restored.
@@ -160,40 +160,33 @@ pub enum StateError {
 impl std::fmt::Display for StateError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            StateError::Truncated => f.write_str("strategy state stream truncated"),
-            StateError::Mismatch(what) => write!(f, "strategy state mismatch: {what}"),
+            StateError::Truncated => f.write_str("state word stream truncated"),
+            StateError::Mismatch(what) => write!(f, "state mismatch: {what}"),
         }
     }
 }
 
 impl std::error::Error for StateError {}
 
-/// Borrowing cursor over a strategy-state word stream (the flat `u64`
-/// encoding written by [`PricingStrategy::save_state`]). Floats travel
-/// as raw [`f64::to_bits`] patterns, so a save/load round trip is
-/// bit-exact — the property the service's crash-recovery contract
-/// (recovered outcome ≡ uninterrupted outcome) rests on.
+/// Borrowing cursor over a state word stream: the flat `u64` encoding
+/// written by [`PricingStrategy::save_state`] and by every section of a
+/// service checkpoint. Floats travel as raw [`f64::to_bits`] patterns,
+/// so a save/load round trip is bit-exact — the property the service's
+/// crash-recovery contract (recovered outcome ≡ uninterrupted outcome)
+/// rests on. The words come from disk: nothing read through the cursor
+/// can name more of the stream than is left in it.
 #[derive(Debug)]
-pub struct StateWords<'a> {
-    words: &'a [u64],
-    pos: usize,
-}
+pub struct StateWords<'a>(&'a [u64]);
 
 impl<'a> StateWords<'a> {
     /// A cursor at the start of `words`.
     pub fn new(words: &'a [u64]) -> Self {
-        Self { words, pos: 0 }
+        Self(words)
     }
 
     /// Takes the next word.
     pub fn take(&mut self) -> Result<u64, StateError> {
-        let word = self
-            .words
-            .get(self.pos)
-            .copied()
-            .ok_or(StateError::Truncated)?;
-        self.pos += 1;
-        Ok(word)
+        self.take_slice(1).map(|word| word[0])
     }
 
     /// Takes the next word as a bit-exact `f64`.
@@ -201,22 +194,30 @@ impl<'a> StateWords<'a> {
         self.take().map(f64::from_bits)
     }
 
-    /// The not-yet-consumed tail of the stream.
-    pub fn rest(&self) -> &'a [u64] {
-        &self.words[self.pos..]
+    /// Takes the next word as the count of items that follow, each at
+    /// least `min_words_per_item` words long — the one way a count
+    /// leaves the cursor. A count the remaining words cannot hold is
+    /// [`StateError::Truncated`], so no loop or reservation is ever
+    /// sized by a word the stream does not back.
+    pub fn take_len(&mut self, min_words_per_item: usize) -> Result<usize, StateError> {
+        let count = usize::try_from(self.take()?).map_err(|_| StateError::Truncated)?;
+        match count.checked_mul(min_words_per_item) {
+            Some(words) if words <= self.remaining() => Ok(count),
+            _ => Err(StateError::Truncated),
+        }
     }
 
-    /// Advances past `n` words already consumed through [`rest`].
-    ///
-    /// [`rest`]: StateWords::rest
-    pub fn advance(&mut self, n: usize) {
-        self.pos += n;
-        debug_assert!(self.pos <= self.words.len());
+    /// Takes the next `n` words: what a leaf decoder that reports its
+    /// own size is handed, so it cannot read short.
+    pub fn take_slice(&mut self, n: usize) -> Result<&'a [u64], StateError> {
+        let (head, rest) = self.0.split_at_checked(n).ok_or(StateError::Truncated)?;
+        self.0 = rest;
+        Ok(head)
     }
 
     /// Words remaining.
     pub fn remaining(&self) -> usize {
-        self.words.len() - self.pos
+        self.0.len()
     }
 }
 

@@ -146,21 +146,19 @@ impl ChangeDetector {
         out.extend_from_slice(&self.cur_accepted);
     }
 
-    /// Restores state written by [`ChangeDetector::save_words`],
-    /// returning the number of words consumed. Fails on truncation or a
+    /// Number of words [`ChangeDetector::save_words`] appends.
+    pub fn state_words(&self) -> usize {
+        1 + 4 * self.prev_ratio.len()
+    }
+
+    /// Restores state written by [`ChangeDetector::save_words`] from
+    /// exactly its [`ChangeDetector::state_words`] words. Fails on a
     /// ladder-length mismatch (the snapshot must come from an
     /// identically-configured detector).
-    pub fn load_words(&mut self, words: &[u64]) -> Result<usize, &'static str> {
+    pub fn load_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
         let k = self.prev_ratio.len();
-        let need = 1 + 2 * k + 2 * k;
-        let Some(&len) = words.first() else {
-            return Err("ChangeDetector state truncated");
-        };
-        if len as usize != k {
+        if words.len() != self.state_words() || words[0] != k as u64 {
             return Err("ChangeDetector ladder length mismatch");
-        }
-        if words.len() < need {
-            return Err("ChangeDetector state truncated");
         }
         for (i, ratio) in self.prev_ratio.iter_mut().enumerate() {
             let flag = words[1 + 2 * i];
@@ -174,7 +172,7 @@ impl ChangeDetector {
             .copy_from_slice(&words[1 + 2 * k..1 + 3 * k]);
         self.cur_accepted
             .copy_from_slice(&words[1 + 3 * k..1 + 4 * k]);
-        Ok(need)
+        Ok(())
     }
 }
 

@@ -188,27 +188,24 @@ impl UcbStats {
         out.push(self.n_total);
     }
 
-    /// Restores state written by [`UcbStats::save_words`] into this
-    /// instance, returning the number of words consumed. Fails when the
-    /// stream is truncated or its ladder length differs from this
-    /// instance's (the snapshot must come from an identically-configured
-    /// learner).
-    pub fn load_words(&mut self, words: &[u64]) -> Result<usize, &'static str> {
+    /// Number of words [`UcbStats::save_words`] appends.
+    pub fn state_words(&self) -> usize {
+        2 + 2 * self.n.len()
+    }
+
+    /// Restores state written by [`UcbStats::save_words`] from exactly
+    /// its [`UcbStats::state_words`] words. Fails when the ladder length
+    /// differs from this instance's (the snapshot must come from an
+    /// identically-configured learner).
+    pub fn load_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
         let k = self.n.len();
-        let need = 2 + 2 * k;
-        let Some(&len) = words.first() else {
-            return Err("UcbStats state truncated");
-        };
-        if len as usize != k {
+        if words.len() != self.state_words() || words[0] != k as u64 {
             return Err("UcbStats ladder length mismatch");
-        }
-        if words.len() < need {
-            return Err("UcbStats state truncated");
         }
         self.n.copy_from_slice(&words[1..1 + k]);
         self.accepted.copy_from_slice(&words[1 + k..1 + 2 * k]);
         self.n_total = words[1 + 2 * k];
-        Ok(need)
+        Ok(())
     }
 }
 

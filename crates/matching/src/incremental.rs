@@ -50,11 +50,6 @@ impl<'g> IncrementalMatching<'g> {
         IncrementalMatching::with_scratch(graph, self.core)
     }
 
-    /// Decomposes into the underlying scratch for further reuse.
-    pub fn into_scratch(self) -> MatchScratch {
-        self.core
-    }
-
     /// The graph this matching lives on.
     pub fn graph(&self) -> &'g BipartiteGraph {
         self.graph
@@ -70,12 +65,6 @@ impl<'g> IncrementalMatching<'g> {
     #[inline]
     pub fn matched_left(&self, r: usize) -> Option<u32> {
         self.core.matched_left(r)
-    }
-
-    /// Whether left vertex `l` is currently matched.
-    #[inline]
-    pub fn is_left_matched(&self, l: usize) -> bool {
-        self.core.matched_right(l).is_some()
     }
 
     /// Number of matched pairs.
@@ -104,11 +93,6 @@ impl<'g> IncrementalMatching<'g> {
     /// worker. Used by simulators when a task is cancelled.
     pub fn unmatch_left(&mut self, l: usize) {
         self.core.unmatch_left(l);
-    }
-
-    /// Freezes into a plain [`Matching`].
-    pub fn into_matching(self) -> Matching {
-        self.core.to_matching()
     }
 
     /// A snapshot of the current assignment.

@@ -20,7 +20,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use crate::journal::{
-    write_checkpoint_file, JournalConfig, JournalError, JournalRecord, JournalWriter, TICK_PRODUCER,
+    remove_checkpoint_files, write_checkpoint_file, JournalConfig, JournalError, JournalRecord,
+    JournalWriter, TICK_PRODUCER,
 };
 
 /// One event of the online stream.
@@ -879,24 +880,44 @@ impl ShardedService {
     /// Attaches a write-ahead journal, creating (truncating) its file
     /// and immediately writing a baseline checkpoint of the *current*
     /// state — including calibrated strategy state, which the journal
-    /// itself never carries. Attach after [`ShardedService::calibrate`]
-    /// and at an epoch boundary (normally: before the first event).
+    /// itself never carries, so attach after
+    /// [`ShardedService::calibrate`]. The journal owns its directory:
+    /// checkpoints a previous run left there are deleted, or recovery
+    /// would restore the newest of *them*.
+    ///
+    /// # Errors
+    /// [`JournalError::NotAtEpochBoundary`], with nothing written, if a
+    /// worker arrival or a task was admitted since the last tick: no
+    /// checkpoint section carries the open window, so recovery would
+    /// silently lose it (staged departures are one, and stay legal).
+    /// I/O failures as [`JournalError::Io`].
     pub fn attach_journal(&mut self, config: &JournalConfig) -> Result<(), ServiceError> {
+        if !(self.engine.table.window_is_empty() && self.pending_tasks.is_empty()) {
+            return Err(JournalError::NotAtEpochBoundary.into());
+        }
         std::fs::create_dir_all(&config.dir).map_err(JournalError::Io)?;
         let writer = JournalWriter::create(&config.journal_path())?;
+        remove_checkpoint_files(&config.dir, &[".bin", ".tmp"])?;
         self.resume_journal(writer, config);
         self.write_checkpoint()
     }
 
     /// Attaches `writer` as is. After recovery the file already holds
     /// the durable prefix (torn tail truncated by the caller via
-    /// [`JournalWriter::open_append`]); appending continues from there.
+    /// [`JournalWriter::open_append`]); appending continues from there,
+    /// and serial [`ShardedService::try_push`] resumes stamping past what
+    /// it holds for lane 0 instead of colliding with (and being
+    /// suppressed by) its own pre-crash sends.
     pub(crate) fn resume_journal(&mut self, writer: JournalWriter, config: &JournalConfig) {
         self.journal = Some(JournalState {
             writer,
             dir: config.dir.clone(),
             checkpoint_every: config.checkpoint_every.max(1),
         });
+        self.serial_seq = match self.watermark(0) {
+            Some((epoch, seq)) if epoch == u64::from(self.period) => seq + 1,
+            _ => 0,
+        };
     }
 
     /// Writes `checkpoint_<period>.bin` durably (temp + fsync + rename).
@@ -943,16 +964,11 @@ impl ShardedService {
         self.watermarks.get(producer as usize).copied().flatten()
     }
 
-    /// Aligns the serial [`ShardedService::try_push`] counter with
-    /// producer 0's durable watermark after recovery, so serial callers
-    /// resume stamping exactly past what the journal already holds
-    /// instead of colliding with (and being suppressed by) their own
-    /// pre-crash sends.
-    pub(crate) fn sync_serial_seq(&mut self) {
-        self.serial_seq = match self.watermark(0) {
-            Some((epoch, seq)) if epoch == u64::from(self.period) => seq + 1,
-            _ => 0,
-        };
+    /// Every lane's [`ShardedService::watermark`] as `(producer, epoch,
+    /// seq)`, ascending by producer; lanes that never sent are skipped.
+    pub(crate) fn watermarks(&self) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
+        let lanes = (0u32..).zip(&self.watermarks);
+        lanes.filter_map(|(producer, mark)| mark.map(|(epoch, seq)| (producer, epoch, seq)))
     }
 
     /// Borrowing snapshot of the outcome accumulated so far — **O(1)**,
@@ -1027,9 +1043,10 @@ impl ShardedService {
     // ---- checkpoint serialization (see `crate::recovery`) ----
 
     /// Serializes the complete post-tick state as a flat word stream
-    /// (floats as IEEE-754 bits). Taken at epoch boundaries only, when
-    /// the table's admission window and the shards' staged *arrivals*
-    /// are empty by construction; staged departures
+    /// (floats as IEEE-754 bits). Taken at epoch boundaries only —
+    /// right after a tick, or where [`ShardedService::attach_journal`]
+    /// checked — when the table's admission window, the pending tasks
+    /// and the shards' staged *arrivals* are empty; staged departures
     /// (the closing tick's matched pairs) and everything else the next
     /// tick reads are captured. The layout is private to this crate —
     /// [`crate::recovery`] is the reader.
@@ -1076,7 +1093,7 @@ impl ShardedService {
         // -- staged churn (arrivals empty at a boundary; departures =
         //    the closing tick's matched pairs) --
         debug_assert!(
-            lanes.shards.iter().all(|s| s.arrivals.is_empty()),
+            self.pending_tasks.is_empty() && lanes.shards.iter().all(|s| s.arrivals.is_empty()),
             "checkpoint off an epoch boundary"
         );
         w.push(
@@ -1093,33 +1110,10 @@ impl ShardedService {
         }
         // -- timed schedule --
         table.save_schedule(&mut w);
-        // -- pending tasks (non-empty only if a checkpoint is forced
-        //    mid-window; kept for completeness) --
-        w.push(self.pending_tasks.len() as u64);
-        for t in &self.pending_tasks {
-            w.push(t.origin.x.to_bits());
-            w.push(t.origin.y.to_bits());
-            w.push(t.destination.x.to_bits());
-            w.push(t.destination.y.to_bits());
-            w.push(t.distance.to_bits());
-            w.push(t.valuation.to_bits());
-            w.push(t.cell.0 as u64);
-        }
         // -- producer watermarks + serial counter --
         w.push(self.watermarks.len() as u64);
-        for wm in &self.watermarks {
-            match wm {
-                None => {
-                    w.push(0);
-                    w.push(0);
-                    w.push(0);
-                }
-                Some((epoch, seq)) => {
-                    w.push(1);
-                    w.push(*epoch);
-                    w.push(*seq);
-                }
-            }
+        for mark in &self.watermarks {
+            w.extend(mark.map_or([0; 3], |(epoch, seq)| [1, epoch, seq]));
         }
         w.push(self.serial_seq);
         // -- outcome accumulator, price moments, strategy state --
@@ -1131,17 +1125,12 @@ impl ShardedService {
     /// into this freshly constructed service. The service must have
     /// been built with the same grid, edge cap, match policy and
     /// strategy as the checkpointed one (validated against the header);
-    /// shard count may differ freely.
-    pub(crate) fn restore_from_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
-        self.restore(&mut StateWords::new(words))
-            .map_err(|e| match e {
-                StateError::Truncated => "checkpoint truncated",
-                StateError::Mismatch(what) => what,
-            })
-    }
-
-    fn restore(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+    /// shard count may differ freely. Every word is outside input:
+    /// counts go through [`StateWords::take_len`], and a value that
+    /// would trip an assertion of the cache is a [`StateError::Mismatch`].
+    pub(crate) fn restore(&mut self, words: &[u64]) -> Result<(), StateError> {
         use StateError::Mismatch;
+        let r = &mut StateWords::new(words);
         let ShardSet {
             grid, table, lanes, ..
         } = &mut self.engine;
@@ -1160,11 +1149,9 @@ impl ShardedService {
         if !policy_ok {
             return Err(Mismatch("checkpoint match-policy mismatch"));
         }
-        let name_len = r.take()? as usize;
-        let name: Vec<u8> = (0..name_len)
-            .map(|_| r.take().map(|w| w as u8))
-            .collect::<Result<_, _>>()?;
-        if name != self.step.outcome().strategy.as_bytes() {
+        let name_len = r.take_len(1)?;
+        let name = r.take_slice(name_len)?.iter().copied();
+        if !name.eq(self.step.outcome().strategy.bytes().map(u64::from)) {
             return Err(Mismatch("checkpoint strategy mismatch"));
         }
         self.period = r.take()? as u32;
@@ -1178,48 +1165,36 @@ impl ShardedService {
         //    per shard (the PR 3 cache contract makes query behavior
         //    depend only on the live *set*, so this equals the original
         //    build) --
-        let live_total = r.take()? as usize;
-        for _ in 0..live_total {
-            let id = r.take()? as u32;
-            let x = r.take_f64()?;
-            let y = r.take_f64()?;
-            let radius = r.take_f64()?;
-            if id as usize >= admitted {
-                return Err(Mismatch("checkpoint live id out of range"));
+        let mut next_id = 0;
+        for _ in 0..r.take_len(4)? {
+            let id = r.take()?;
+            let (x, y, radius) = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
+            // Ascending ids below the admission count, finite geometry:
+            // what the cache asserts of every arrival.
+            let sound = x.is_finite() && y.is_finite() && radius.is_finite() && radius >= 0.0;
+            if !(sound && (next_id..admitted as u64).contains(&id)) {
+                return Err(Mismatch("checkpoint live worker invalid"));
             }
-            lanes.arrive(id, WorkerInput::new(grid, Point::new(x, y), radius));
+            next_id = id + 1;
+            lanes.arrive(id as u32, WorkerInput::new(grid, Point::new(x, y), radius));
         }
         for shard in &mut lanes.shards {
             shard.apply_staged();
         }
         // -- staged departures: depart through the sink, which routes
         //    them to where the live workers just went --
-        let n_departures = r.take()? as usize;
-        for _ in 0..n_departures {
-            let id = r.take()? as u32;
-            if id as usize >= admitted {
+        for _ in 0..r.take_len(1)? {
+            let id = r.take()?;
+            if id >= admitted as u64 {
                 return Err(Mismatch("checkpoint departure id out of range"));
             }
-            lanes.depart(id);
+            lanes.depart(id as u32);
         }
         // -- timed schedule --
         table.load_schedule(r)?;
-        // -- pending tasks --
-        let n_pending = r.take()? as usize;
-        self.pending_tasks.clear();
-        for _ in 0..n_pending {
-            self.pending_tasks.push(GroundTask {
-                origin: Point::new(r.take_f64()?, r.take_f64()?),
-                destination: Point::new(r.take_f64()?, r.take_f64()?),
-                distance: r.take_f64()?,
-                valuation: r.take_f64()?,
-                cell: maps_spatial::CellId(r.take()? as u32),
-            });
-        }
         // -- watermarks + serial counter --
-        let n_watermarks = r.take()? as usize;
         self.watermarks.clear();
-        for _ in 0..n_watermarks {
+        for _ in 0..r.take_len(3)? {
             let flag = r.take()?;
             let epoch = r.take()?;
             let seq = r.take()?;
@@ -1632,7 +1607,7 @@ mod tests {
             let expected = reference.into_outcome().deterministic_bits();
             for shards in [1usize, 2, 4] {
                 let mut restored = service(shards, policy);
-                restored.restore_from_words(&words).unwrap();
+                restored.restore(&words).unwrap();
                 assert_eq!(restored.periods_served(), 4);
                 drive(&mut restored, 4, 8);
                 assert_eq!(
@@ -1694,14 +1669,12 @@ mod tests {
         svc.push(ServiceEvent::PeriodTick);
         let words = svc.checkpoint_words();
         let mut other_policy = service(2, MatchPolicy::Relocate { speed: 1.0 });
-        assert!(other_policy.restore_from_words(&words).is_err());
+        assert!(other_policy.restore(&words).is_err());
         let mut other_strategy =
             ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Maps, config(2));
-        assert!(other_strategy.restore_from_words(&words).is_err());
+        assert!(other_strategy.restore(&words).is_err());
         let mut truncated = service(2, MatchPolicy::Consume);
-        assert!(truncated
-            .restore_from_words(&words[..words.len() - 1])
-            .is_err());
+        assert!(truncated.restore(&words[..words.len() - 1]).is_err());
     }
 
     /// The k-way candidate merge against what it replaced: concatenate

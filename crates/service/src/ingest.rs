@@ -933,11 +933,6 @@ impl IngestService {
         (Self { queues }, producers)
     }
 
-    /// Number of producer lanes.
-    pub fn producer_count(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Runs the sequencer on the calling thread until every producer
     /// closes: merges the lanes under the total `(epoch, producer, seq)`
     /// order into `service`, firing one global `PeriodTick` per epoch

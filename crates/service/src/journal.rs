@@ -1,74 +1,99 @@
-//! Write-ahead event journal: the durability half of the service's
-//! crash-recovery contract (the other half is [`crate::recovery`]).
+//! Write-ahead event journal and checkpoint files: the durability half
+//! of the service's crash-recovery contract (the other half is
+//! [`crate::recovery`]).
 //!
-//! ## Why a hand-rolled binary frame format
+//! ## Why a hand-rolled binary format
 //!
 //! Every [`Outcome`](maps_simulator::Outcome) is a pure function of the
 //! admitted event stream in the total `(epoch, producer, seq)` order
 //! (the PR 4/5 standing invariants), so *bit-exact* durability needs a
-//! *bit-exact* event encoding: every `f64` is written as its IEEE-754
-//! bit pattern ([`f64::to_bits`]) — a text codec that round-trips
-//! through decimal would silently perturb the replay. The format
-//! doubles as the wire format for out-of-process producers (ROADMAP):
-//! a length-prefixed frame stream is exactly what a socket needs.
+//! *bit-exact* encoding: every `f64` is written as its IEEE-754 bit
+//! pattern ([`f64::to_bits`]) — a text codec that round-trips through
+//! decimal would silently perturb the replay. The format doubles as the
+//! wire format for out-of-process producers (ROADMAP): a length-prefixed
+//! frame stream is exactly what a socket needs.
 //!
-//! ## Format
+//! ## Format: one frame, two files
 //!
 //! ```text
-//! file   := MAGIC frame*
-//! MAGIC  := b"MAPSWAL1"                      (8 bytes)
-//! frame  := len:u32 crc:u64 payload          (all little-endian)
-//!           len = payload byte length; crc = FNV-1a 64 of payload
-//! payload:= producer:u32 epoch:u64 seq:u64 tag:u8 fields
+//! frame      := len:u32 hash:u64 payload      (little-endian)
+//!               len = payload bytes; hash = fnv1a64(payload)
+//! journal    := b"MAPSWAL2" frame*            one frame per record
+//! checkpoint := b"MAPSCKP2" frame             exactly one: the file
+//!                                             ends where it does
+//! record     := producer:u32 epoch:u64 seq:u64 tag:u8 fields
 //!   tag 0 WorkerArrive  fields = x:u64 y:u64 radius:u64 duration:u32
 //!   tag 1 WorkerDepart  fields = id:u32
 //!   tag 2 TaskRequest   fields = ox oy dx dy dist val (6×u64) cell:u32
 //!   tag 3 PeriodTick    fields = ∅
+//! state      := the engine's checkpoint words, 8 bytes each
 //! ```
 //!
 //! Floats are stored as `to_bits` words, so even NaN-carrying events
 //! (journaled *before* admission validation, so recovery re-counts the
-//! rejection deterministically) round-trip exactly.
+//! rejection deterministically) round-trip exactly. `frame` and
+//! `unframe` are the only writer and reader of the framing, and
+//! `unframe` is the only place a length read from disk meets the bytes
+//! present: a journal frame may claim at most `MAX_PAYLOAD` bytes, a
+//! checkpoint frame must end where its file does. The previous layout's
+//! magics (`MAPSWAL1` / `MAPSCKP1`) are [`JournalError::BadMagic`].
+//!
+//! ## What the hash promises
+//!
+//! `fnv1a64` is FNV-1a-64 taken eight little-endian bytes per round (a
+//! sub-word tail one byte per round): one multiply per word, so hashing
+//! a megabyte checkpoint costs less than writing it. It detects what a
+//! crash on a *trusted* local disk leaves — a frame cut short, a tail
+//! of zeros or stale bytes, a garbled byte. It is **not** a CRC: there
+//! is no burst-error bound (the multiply only carries upward, so flips
+//! in the top bits of two words can cancel), and an adversary simply
+//! re-hashes. Decided, not pending (ROADMAP 5(b)). Content that hashes
+//! but lies is the business of the bounded state decoders
+//! (`StateWords::take_len`) and of tail replay's two order checks
+//! ([`crate::recovery`]), not of the frame.
 //!
 //! ## Torn tails
 //!
-//! A crash can leave a partial frame at the end of the file. Decoding
-//! treats the first invalid frame (short header, short payload,
-//! CRC mismatch, or undecodable payload) as the torn tail: everything
-//! before it is the durable prefix, everything after is dropped and the
-//! file is truncated at the prefix on recovery ([`Tail::Torn`]). The
-//! root proptest round-trips arbitrary event streams through
-//! encode → truncate-at-every-byte → decode to pin this down.
+//! A crash can leave a partial frame at the end of the journal.
+//! Decoding treats the first invalid frame (short header, short
+//! payload, hash mismatch, or undecodable payload) as the torn tail:
+//! everything before it is the durable prefix, everything after is
+//! dropped and the file is truncated at the prefix on recovery
+//! ([`Tail::Torn`]). The root proptest round-trips arbitrary event
+//! streams through encode → truncate-at-every-byte → decode to pin this
+//! down. A checkpoint that does not unframe is skipped for the next
+//! older one — the journal covers the extra replay distance.
 //!
-//! Epoch checkpoints ride along in the same directory as
-//! `checkpoint_<epoch>.bin` files: a CRC-guarded `u64` word stream
-//! produced by the engine's state snapshot (see [`crate::recovery`]).
-//! The checkpoint CRC is a *word-stream* FNV-1a (one round per `u64`
-//! over `count` then the words) — checkpoints are megabytes, and the
-//! byte-wise hash's serial dependency chain would cost more than the
-//! write itself.
+//! ## One run per directory
+//!
+//! `checkpoint_<epoch>.bin` files sit beside the `journal.bin` they
+//! were cut from. [`crate::ShardedService::attach_journal`] creates a
+//! fresh journal and deletes every checkpoint already there: recovery
+//! prefers the newest checkpoint, whichever journal it described.
 
 use crate::engine::ServiceEvent;
 use maps_simulator::{GroundTask, GroundWorker};
 use maps_spatial::{CellId, Point};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File header of an event journal.
-pub const JOURNAL_MAGIC: &[u8; 8] = b"MAPSWAL1";
+pub const JOURNAL_MAGIC: &[u8; 8] = b"MAPSWAL2";
 /// File header of a checkpoint.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP1";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP2";
 /// Journal file name inside a journal directory.
 pub const JOURNAL_FILE: &str = "journal.bin";
 /// The pseudo-producer id stamped on `PeriodTick` barrier records (a
 /// real producer id would collide with lane 2³² − 1 only after far more
 /// lanes than any deployment opens).
 pub const TICK_PRODUCER: u32 = u32::MAX;
-/// Upper bound on a sane frame payload (a record is < 100 bytes; this
-/// bound just keeps a corrupt length prefix from looking like a
-/// 4-GiB allocation).
+/// Upper bound on a journal frame's payload (a record is < 100 bytes;
+/// this keeps a corrupt length prefix from swallowing the frames after
+/// it).
 const MAX_PAYLOAD: u32 = 4096;
+/// Bytes of a frame ahead of its payload: `len:u32 hash:u64`.
+const FRAME_HEADER: usize = 12;
 
 /// Where and how often the service journals.
 #[derive(Debug, Clone)]
@@ -132,8 +157,12 @@ pub enum JournalError {
     /// The file does not start with the expected magic bytes.
     BadMagic,
     /// A structurally invalid file (outside the recoverable torn-tail
-    /// shape), e.g. a checkpoint whose CRC does not match.
+    /// shape): a checkpoint that does not unframe, or journal records
+    /// out of the order they can only have been written in.
     Corrupt(&'static str),
+    /// A journal was attached between two ticks, with arrivals or tasks
+    /// admitted that no checkpoint section carries.
+    NotAtEpochBoundary,
 }
 
 impl std::fmt::Display for JournalError {
@@ -142,6 +171,9 @@ impl std::fmt::Display for JournalError {
             JournalError::Io(e) => write!(f, "journal I/O error: {e}"),
             JournalError::BadMagic => f.write_str("journal file has wrong magic header"),
             JournalError::Corrupt(what) => write!(f, "corrupt journal data: {what}"),
+            JournalError::NotAtEpochBoundary => f.write_str(
+                "journal attached off an epoch boundary: events admitted since the last tick",
+            ),
         }
     }
 }
@@ -161,30 +193,14 @@ impl From<std::io::Error> for JournalError {
     }
 }
 
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty to detect torn
-/// writes (this is corruption *detection* on a trusted local disk, not
-/// an adversarial integrity check).
+/// The frame hash (module docs: what it does and does not promise).
 fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
-}
-
-/// Word-stream FNV-1a variant: one XOR + multiply per `u64` instead of
-/// per byte. Journal frames keep the byte-wise hash (payloads are tens
-/// of bytes), but checkpoints hash megabytes of state words at every
-/// epoch boundary — the byte-wise loop is a serial dependency chain
-/// eight times longer than it needs to be there.
-fn fnv1a64_words(words: impl Iterator<Item = u64>) -> u64 {
-    let mut hash = 0xcbf2_9ce4_8422_2325u64;
-    for w in words {
-        hash ^= w;
-        hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-    hash
+    let round = |hash: u64, word: u64| (hash ^ word).wrapping_mul(0x100_0000_01b3);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let hash = words.iter().fold(0xcbf2_9ce4_8422_2325, |hash, word| {
+        round(hash, u64::from_le_bytes(*word))
+    });
+    tail.iter().fold(hash, |hash, &b| round(hash, u64::from(b)))
 }
 
 fn put_u32(out: &mut Vec<u8>, v: u32) {
@@ -199,24 +215,57 @@ fn put_f64(out: &mut Vec<u8>, v: f64) {
     put_u64(out, v.to_bits());
 }
 
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
+/// Appends one frame to `out`, its payload written in place by `fill`
+/// (no temporary buffer — this runs once per admitted event): the
+/// header is reserved up front and patched once the length is known.
+fn frame(out: &mut Vec<u8>, fill: impl FnOnce(&mut Vec<u8>)) -> Result<(), JournalError> {
+    let header = out.len();
+    out.extend_from_slice(&[0u8; FRAME_HEADER]);
+    fill(out);
+    let payload = &out[header + FRAME_HEADER..];
+    let too_large = |_| std::io::Error::other("frame payload of 4 GiB or more");
+    let len = u32::try_from(payload.len()).map_err(too_large)?;
+    let hash = fnv1a64(payload);
+    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
+    out[header + 4..header + FRAME_HEADER].copy_from_slice(&hash.to_le_bytes());
+    Ok(())
 }
 
-impl<'a> Cursor<'a> {
+/// Splits the frame at the start of `bytes` into its payload and what
+/// follows it — or says why there is no whole, hash-checked frame of at
+/// most `max_len` payload bytes there.
+fn unframe(bytes: &[u8], max_len: u32) -> Result<(&[u8], &[u8]), &'static str> {
+    let mut c = Cursor(bytes);
+    let (Some(len), Some(hash)) = (c.u32(), c.u64()) else {
+        return Err("frame header truncated");
+    };
+    if len > max_len {
+        return Err("frame length over its bound");
+    }
+    let (payload, rest) =
+        (c.0.split_at_checked(len as usize)).ok_or("frame longer than the bytes present")?;
+    if fnv1a64(payload) != hash {
+        return Err("frame hash mismatch");
+    }
+    Ok((payload, rest))
+}
+
+/// Reader over packed little-endian bytes.
+struct Cursor<'a>(&'a [u8]);
+
+impl Cursor<'_> {
+    fn take<const N: usize>(&mut self) -> Option<[u8; N]> {
+        let (head, rest) = self.0.split_first_chunk::<N>()?;
+        self.0 = rest;
+        Some(*head)
+    }
+
     fn u32(&mut self) -> Option<u32> {
-        let end = self.pos.checked_add(4)?;
-        let v = u32::from_le_bytes(self.bytes.get(self.pos..end)?.try_into().ok()?);
-        self.pos = end;
-        Some(v)
+        self.take().map(u32::from_le_bytes)
     }
 
     fn u64(&mut self) -> Option<u64> {
-        let end = self.pos.checked_add(8)?;
-        let v = u64::from_le_bytes(self.bytes.get(self.pos..end)?.try_into().ok()?);
-        self.pos = end;
-        Some(v)
+        self.take().map(u64::from_le_bytes)
     }
 
     fn f64(&mut self) -> Option<f64> {
@@ -224,52 +273,42 @@ impl<'a> Cursor<'a> {
     }
 
     fn u8(&mut self) -> Option<u8> {
-        let v = *self.bytes.get(self.pos)?;
-        self.pos += 1;
-        Some(v)
+        self.take::<1>().map(|[b]| b)
     }
 }
 
 /// Serializes one record as a self-delimiting frame, appending to `out`.
-///
-/// The payload is written straight into `out` (no temporary buffer —
-/// this runs once per admitted event); the 12-byte `len`/`crc` header
-/// is reserved up front and patched once the payload length is known.
 pub fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
-    let header = out.len();
-    out.extend_from_slice(&[0u8; 12]);
-    let start = out.len();
-    put_u32(out, record.producer);
-    put_u64(out, record.epoch);
-    put_u64(out, record.seq);
-    match record.event {
-        ServiceEvent::WorkerArrive { worker } => {
-            out.push(0);
-            put_f64(out, worker.location.x);
-            put_f64(out, worker.location.y);
-            put_f64(out, worker.radius);
-            put_u32(out, worker.duration);
+    frame(out, |out| {
+        put_u32(out, record.producer);
+        put_u64(out, record.epoch);
+        put_u64(out, record.seq);
+        match record.event {
+            ServiceEvent::WorkerArrive { worker } => {
+                out.push(0);
+                put_f64(out, worker.location.x);
+                put_f64(out, worker.location.y);
+                put_f64(out, worker.radius);
+                put_u32(out, worker.duration);
+            }
+            ServiceEvent::WorkerDepart { id } => {
+                out.push(1);
+                put_u32(out, id);
+            }
+            ServiceEvent::TaskRequest { task } => {
+                out.push(2);
+                put_f64(out, task.origin.x);
+                put_f64(out, task.origin.y);
+                put_f64(out, task.destination.x);
+                put_f64(out, task.destination.y);
+                put_f64(out, task.distance);
+                put_f64(out, task.valuation);
+                put_u32(out, task.cell.0);
+            }
+            ServiceEvent::PeriodTick => out.push(3),
         }
-        ServiceEvent::WorkerDepart { id } => {
-            out.push(1);
-            put_u32(out, id);
-        }
-        ServiceEvent::TaskRequest { task } => {
-            out.push(2);
-            put_f64(out, task.origin.x);
-            put_f64(out, task.origin.y);
-            put_f64(out, task.destination.x);
-            put_f64(out, task.destination.y);
-            put_f64(out, task.distance);
-            put_f64(out, task.valuation);
-            put_u32(out, task.cell.0);
-        }
-        ServiceEvent::PeriodTick => out.push(3),
-    }
-    let len = (out.len() - start) as u32;
-    let crc = fnv1a64(&out[start..]);
-    out[header..header + 4].copy_from_slice(&len.to_le_bytes());
-    out[header + 4..header + 12].copy_from_slice(&crc.to_le_bytes());
+    })
+    .expect("a record payload is under 100 bytes");
 }
 
 /// Decodes one frame payload (must consume it exactly). The reserved
@@ -277,10 +316,7 @@ pub fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
 /// replay closes a period on it without looking at the event — so any
 /// other event stamped with it is undecodable.
 fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
-    let mut c = Cursor {
-        bytes: payload,
-        pos: 0,
-    };
+    let mut c = Cursor(payload);
     let producer = c.u32()?;
     let epoch = c.u64()?;
     let seq = c.u64()?;
@@ -308,7 +344,7 @@ fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
     if producer == TICK_PRODUCER && !matches!(event, ServiceEvent::PeriodTick) {
         return None;
     }
-    (c.pos == payload.len()).then_some(JournalRecord {
+    c.0.is_empty().then_some(JournalRecord {
         producer,
         epoch,
         seq,
@@ -317,37 +353,26 @@ fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
 }
 
 /// Decodes a frame stream (no file magic). Returns every record of the
-/// durable prefix plus the tail shape; offsets in [`Tail::Torn`] are
-/// relative to `bytes`.
+/// durable prefix plus the tail shape — torn where no whole, decodable
+/// frame starts; offsets in [`Tail::Torn`] are relative to `bytes`.
 pub fn decode_records(bytes: &[u8]) -> (Vec<JournalRecord>, Tail) {
     let mut records = Vec::new();
-    let mut pos = 0usize;
-    while pos < bytes.len() {
-        let torn = |at: usize| Tail::Torn {
-            valid_len: at as u64,
-            dropped: (bytes.len() - at) as u64,
-        };
-        let Some(header) = bytes.get(pos..pos + 12) else {
-            return (records, torn(pos));
-        };
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
-        let crc = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        if len > MAX_PAYLOAD {
-            return (records, torn(pos));
-        }
-        let Some(payload) = bytes.get(pos + 12..pos + 12 + len as usize) else {
-            return (records, torn(pos));
-        };
-        if fnv1a64(payload) != crc {
-            return (records, torn(pos));
-        }
+    let mut rest = bytes;
+    while let Ok((payload, after)) = unframe(rest, MAX_PAYLOAD) {
         let Some(record) = decode_payload(payload) else {
-            return (records, torn(pos));
+            break;
         };
         records.push(record);
-        pos += 12 + len as usize;
+        rest = after;
     }
-    (records, Tail::Clean)
+    let tail = match rest.len() as u64 {
+        0 => Tail::Clean,
+        dropped => Tail::Torn {
+            valid_len: bytes.len() as u64 - dropped,
+            dropped,
+        },
+    };
+    (records, tail)
 }
 
 /// An open, appendable journal file. Appends are buffered;
@@ -418,24 +443,16 @@ pub struct JournalContents {
 
 /// Reads and decodes a journal file, classifying its tail.
 pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
-    let mut bytes = Vec::new();
-    File::open(path)?.read_to_end(&mut bytes)?;
-    if bytes.len() < JOURNAL_MAGIC.len() || &bytes[..JOURNAL_MAGIC.len()] != JOURNAL_MAGIC {
-        return Err(JournalError::BadMagic);
+    let bytes = std::fs::read(path)?;
+    let body = bytes
+        .strip_prefix(JOURNAL_MAGIC)
+        .ok_or(JournalError::BadMagic)?;
+    let (records, mut tail) = decode_records(body);
+    let mut valid_len = bytes.len() as u64;
+    if let Tail::Torn { valid_len: at, .. } = &mut tail {
+        *at += JOURNAL_MAGIC.len() as u64;
+        valid_len = *at;
     }
-    let body = &bytes[JOURNAL_MAGIC.len()..];
-    let (records, tail) = decode_records(body);
-    let magic = JOURNAL_MAGIC.len() as u64;
-    let (tail, valid_len) = match tail {
-        Tail::Clean => (Tail::Clean, bytes.len() as u64),
-        Tail::Torn { valid_len, dropped } => (
-            Tail::Torn {
-                valid_len: magic + valid_len,
-                dropped,
-            },
-            magic + valid_len,
-        ),
-    };
     Ok(JournalContents {
         records,
         tail,
@@ -443,52 +460,30 @@ pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
     })
 }
 
-/// Serializes a checkpoint word stream with magic + CRC framing.
-pub fn encode_checkpoint(words: &[u64]) -> Vec<u8> {
-    // CRC over the logical word stream (count, then words) with the
-    // word-wise FNV variant: checkpoints are megabytes, and hashing
-    // them byte-at-a-time costs more than writing them.
-    let crc = fnv1a64_words(std::iter::once(words.len() as u64).chain(words.iter().copied()));
-    let mut out = Vec::with_capacity(24 + words.len() * 8);
+/// Serializes a checkpoint file: the magic, then the state words as the
+/// payload of one frame. Fails only on a payload the frame's `u32`
+/// length cannot describe.
+pub fn encode_checkpoint(words: &[u64]) -> Result<Vec<u8>, JournalError> {
+    let mut out = Vec::with_capacity(CHECKPOINT_MAGIC.len() + FRAME_HEADER + words.len() * 8);
     out.extend_from_slice(CHECKPOINT_MAGIC);
-    put_u64(&mut out, crc);
-    put_u64(&mut out, words.len() as u64);
-    for &w in words {
-        put_u64(&mut out, w);
-    }
-    out
+    frame(&mut out, |out| words.iter().for_each(|&w| put_u64(out, w)))?;
+    Ok(out)
 }
 
-/// Decodes (and CRC-checks) a checkpoint byte stream.
+/// Decodes a checkpoint file: exactly one hash-checked frame after the
+/// magic, its payload whole words.
 pub fn decode_checkpoint(bytes: &[u8]) -> Result<Vec<u64>, JournalError> {
-    if bytes.len() < 16 || &bytes[..8] != CHECKPOINT_MAGIC {
-        return Err(JournalError::BadMagic);
+    let body = bytes
+        .strip_prefix(CHECKPOINT_MAGIC)
+        .ok_or(JournalError::BadMagic)?;
+    let (payload, rest) = unframe(body, u32::MAX).map_err(JournalError::Corrupt)?;
+    let (words, odd) = payload.as_chunks::<8>();
+    if !rest.is_empty() || !odd.is_empty() {
+        return Err(JournalError::Corrupt(
+            "checkpoint is not exactly one frame of words",
+        ));
     }
-    let crc = u64::from_le_bytes(bytes[8..16].try_into().unwrap());
-    let body = &bytes[16..];
-    if !body.len().is_multiple_of(8) {
-        return Err(JournalError::Corrupt("checkpoint length mismatch"));
-    }
-    let mut c = Cursor {
-        bytes: body,
-        pos: 0,
-    };
-    let count = c
-        .u64()
-        .ok_or(JournalError::Corrupt("checkpoint truncated"))? as usize;
-    // The count is a word from the file: compare it with what the body
-    // holds before any arithmetic or reservation is done on it.
-    if count != (body.len() - 8) / 8 {
-        return Err(JournalError::Corrupt("checkpoint length mismatch"));
-    }
-    let mut words = Vec::with_capacity(count);
-    for _ in 0..count {
-        words.push(c.u64().expect("length checked above"));
-    }
-    if fnv1a64_words(std::iter::once(count as u64).chain(words.iter().copied())) != crc {
-        return Err(JournalError::Corrupt("checkpoint CRC mismatch"));
-    }
-    Ok(words)
+    Ok(words.iter().map(|w| u64::from_le_bytes(*w)).collect())
 }
 
 /// Path of the checkpoint taken at the start of `epoch`.
@@ -498,7 +493,7 @@ pub fn checkpoint_path(dir: &Path, epoch: u64) -> PathBuf {
 
 /// Writes a checkpoint durably: temp file, fsync, atomic rename.
 pub fn write_checkpoint_file(dir: &Path, epoch: u64, words: &[u64]) -> Result<(), JournalError> {
-    let bytes = encode_checkpoint(words);
+    let bytes = encode_checkpoint(words)?;
     let tmp = dir.join(format!("checkpoint_{epoch}.tmp"));
     {
         let mut file = File::create(&tmp)?;
@@ -527,15 +522,16 @@ pub fn list_checkpoints(dir: &Path) -> Result<Vec<u64>, JournalError> {
     Ok(epochs)
 }
 
-/// Deletes every `checkpoint_*.tmp` in `dir`: the staging files of
-/// checkpoints whose writer died before the rename. Only safe while no
-/// [`write_checkpoint_file`] is in flight on `dir` — recovery's case.
-pub(crate) fn remove_orphaned_checkpoint_temps(dir: &Path) -> Result<(), JournalError> {
+/// Deletes every `checkpoint_*` file in `dir` with one of `suffixes`:
+/// recovery clears `.tmp`, the staging files of checkpoints whose writer
+/// died before the rename; a fresh journal clears `.bin` too. Only safe
+/// while no [`write_checkpoint_file`] is in flight on `dir`.
+pub(crate) fn remove_checkpoint_files(dir: &Path, suffixes: &[&str]) -> Result<(), JournalError> {
     for entry in std::fs::read_dir(dir)? {
         let entry = entry?;
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name.starts_with("checkpoint_") && name.ends_with(".tmp") {
+        if name.starts_with("checkpoint_") && suffixes.iter().any(|s| name.ends_with(s)) {
             std::fs::remove_file(entry.path())?;
         }
     }
@@ -717,7 +713,7 @@ mod tests {
     #[test]
     fn checkpoint_round_trip_and_crc_guard() {
         let words = vec![0u64, 1, u64::MAX, 0x8000_0000_0000_0000];
-        let bytes = encode_checkpoint(&words);
+        let bytes = encode_checkpoint(&words).unwrap();
         assert_eq!(decode_checkpoint(&bytes).unwrap(), words);
         let mut bad = bytes.clone();
         let last = bad.len() - 1;
@@ -727,7 +723,7 @@ mod tests {
             Err(JournalError::Corrupt(_))
         ));
         assert!(matches!(
-            decode_checkpoint(&bytes[..8]),
+            decode_checkpoint(&bytes[..7]),
             Err(JournalError::BadMagic)
         ));
     }

@@ -10,7 +10,7 @@
 //!   the tick closes.
 //!
 //! [`recover`] therefore reconstructs the exact pre-crash service:
-//! restore the newest checkpoint that decodes (CRC-checked; a torn
+//! restore the newest checkpoint that decodes (hash-checked; a torn
 //! checkpoint silently falls back to the previous one — the journal
 //! covers the gap), then re-drive the journal records whose epoch is at
 //! or past the checkpoint through the ordinary
@@ -21,8 +21,16 @@
 //! equals an uninterrupted run's — at any shard / thread count, which
 //! the `recovery_oracle` crash-at-every-epoch sweep enforces.
 //!
+//! Tail replay trusts no frame merely because it hashes: a record is
+//! replayed only inside the epoch being served and only above its
+//! lane's watermark — the order a journal is written in (suppressed
+//! resends are never journaled). A duplicated, reordered or missing
+//! frame breaks one of the two and is a typed [`JournalError::Corrupt`],
+//! never a silently different outcome (root proptest
+//! `recovery_survives_hostile_bytes`).
+//!
 //! A torn final frame (the crash hit mid-`write`) is detected by the
-//! per-frame CRC, truncated, and reported as [`Tail::Torn`]; the
+//! per-frame hash, truncated, and reported as [`Tail::Torn`]; the
 //! returned [`ProducerAck`] watermarks tell a supervisor exactly which
 //! `(epoch, seq)` each producer must resend from — resends at or below
 //! the watermark are suppressed idempotently, so at-least-once producer
@@ -30,15 +38,14 @@
 
 use std::path::Path;
 
-use maps_core::{PricingStrategy, StrategyKind};
+use maps_core::{PricingStrategy, StateError, StrategyKind};
 use maps_simulator::MatchPolicy;
 use maps_spatial::GridSpec;
 
 use crate::engine::{ServiceConfig, ServiceError, ShardedService};
 use crate::journal::{
-    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal,
-    remove_orphaned_checkpoint_temps, JournalConfig, JournalError, JournalWriter, Tail,
-    TICK_PRODUCER,
+    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal, remove_checkpoint_files,
+    JournalConfig, JournalError, JournalWriter, Tail, TICK_PRODUCER,
 };
 
 #[cfg(doc)]
@@ -71,14 +78,16 @@ pub struct Recovered {
     /// Whether the journal ended clean or with a torn (now truncated)
     /// final frame.
     pub tail: Tail,
-    /// Per-producer durable watermarks, ascending by producer id.
+    /// Per-producer durable watermarks, ascending by producer id: the
+    /// recovered service's own [`ShardedService::watermark`]s.
     pub acks: Vec<ProducerAck>,
 }
 
 /// Why recovery failed.
 #[derive(Debug)]
 pub enum RecoveryError {
-    /// The journal file is missing, unreadable, or not a journal.
+    /// The journal file is missing, unreadable, not a journal, or holds
+    /// records out of the order a journal is written in.
     Journal(JournalError),
     /// No checkpoint in the journal directory decodes — nothing to
     /// anchor replay on (the baseline checkpoint is written when the
@@ -86,12 +95,13 @@ pub enum RecoveryError {
     /// with or never initialized).
     NoCheckpoint,
     /// The newest decodable checkpoint does not structurally match the
-    /// service being recovered into (different grid, strategy, …).
+    /// service being recovered into (different grid, strategy, …), or
+    /// its content lies about itself.
     Checkpoint {
         /// Epoch of the offending checkpoint.
         epoch: u64,
         /// What did not match.
-        reason: &'static str,
+        reason: StateError,
     },
     /// Replaying the journal tail hit a fatal service error (a shard
     /// panic — a rejection is *not* fatal and is re-counted silently).
@@ -119,7 +129,8 @@ impl std::error::Error for RecoveryError {
         match self {
             RecoveryError::Journal(e) => Some(e),
             RecoveryError::Replay(e) => Some(e),
-            _ => None,
+            RecoveryError::Checkpoint { reason, .. } => Some(reason),
+            RecoveryError::NoCheckpoint => None,
         }
     }
 }
@@ -193,8 +204,13 @@ pub fn recover_with_strategy(
         if rec.epoch < cp_epoch {
             continue;
         }
+        if rec.epoch != u64::from(service.periods_served()) {
+            return Err(JournalError::Corrupt("record outside the epoch being replayed").into());
+        }
         if rec.producer == TICK_PRODUCER {
             epochs_replayed += 1;
+        } else if service.watermark(rec.producer) >= Some((rec.epoch, rec.seq)) {
+            return Err(JournalError::Corrupt("record at or below its lane's watermark").into());
         }
         match service.push_stamped(rec.producer, rec.epoch, rec.seq, rec.event) {
             Ok(()) | Err(ServiceError::Rejected(_)) => {}
@@ -205,10 +221,15 @@ pub fn recover_with_strategy(
     // Truncate the torn tail (if any) and continue appending in place.
     let writer = JournalWriter::open_append(&journal_path, contents.valid_len)?;
     service.resume_journal(writer, journal_cfg);
-    service.sync_serial_seq();
-    remove_orphaned_checkpoint_temps(&journal_cfg.dir)?;
+    remove_checkpoint_files(&journal_cfg.dir, &[".tmp"])?;
 
-    let acks = producer_acks(&contents.records);
+    let acks = service.watermarks();
+    let acks = acks.map(|(producer, epoch, seq)| ProducerAck {
+        producer,
+        epoch,
+        seq,
+    });
+    let acks = acks.collect();
     Ok(Recovered {
         service,
         epochs_replayed,
@@ -218,63 +239,34 @@ pub fn recover_with_strategy(
 }
 
 /// Restores the newest checkpoint that decodes *and* structurally
-/// matches, returning its epoch. A CRC-corrupt (torn) checkpoint file
-/// falls back to the next older one — the journal covers the extra
-/// replay distance. A checkpoint that decodes but describes a different
-/// service is a hard error: replaying someone else's journal would
-/// silently produce garbage.
+/// matches, returning its epoch. A checkpoint file that does not
+/// unframe (torn, garbled) falls back to the next older one — the
+/// journal covers the extra replay distance. A checkpoint that decodes
+/// but describes a different service, or another epoch than its file
+/// name, is a hard error: replaying a journal over it would silently
+/// produce garbage.
 fn restore_newest_checkpoint(
     service: &mut ShardedService,
     dir: &Path,
 ) -> Result<u64, RecoveryError> {
     let epochs = list_checkpoints(dir)?;
     for &epoch in epochs.iter().rev() {
-        let bytes = match std::fs::read(checkpoint_path(dir, epoch)) {
-            Ok(bytes) => bytes,
-            Err(_) => continue,
+        // Unreadable, torn or garbled: fall back to an older one.
+        let Ok(bytes) = std::fs::read(checkpoint_path(dir, epoch)) else {
+            continue;
         };
-        let words = match decode_checkpoint(&bytes) {
-            Ok(words) => words,
-            // Torn/garbled checkpoint: fall back to an older one.
-            Err(JournalError::Corrupt(_)) | Err(JournalError::BadMagic) => continue,
-            Err(e) => return Err(e.into()),
+        let Ok(words) = decode_checkpoint(&bytes) else {
+            continue;
         };
-        return match service.restore_from_words(&words) {
-            Ok(()) => {
-                debug_assert_eq!(u64::from(service.periods_served()), epoch);
-                Ok(epoch)
-            }
-            Err(reason) => Err(RecoveryError::Checkpoint { epoch, reason }),
-        };
+        let restored = service.restore(&words).and_then(|()| {
+            let named = u64::from(service.periods_served()) == epoch;
+            named.then_some(epoch).ok_or(StateError::Mismatch(
+                "checkpoint period is not its file name's",
+            ))
+        });
+        return restored.map_err(|reason| RecoveryError::Checkpoint { epoch, reason });
     }
     Err(RecoveryError::NoCheckpoint)
-}
-
-/// Per-producer maximum `(epoch, seq)` over the durable records —
-/// identical to the recovered service's internal watermarks, exposed
-/// for supervisor-driven producer reconnection.
-fn producer_acks(records: &[crate::journal::JournalRecord]) -> Vec<ProducerAck> {
-    let mut acks: Vec<ProducerAck> = Vec::new();
-    for rec in records {
-        if rec.producer == TICK_PRODUCER {
-            continue;
-        }
-        match acks.iter_mut().find(|a| a.producer == rec.producer) {
-            Some(ack) => {
-                if (rec.epoch, rec.seq) > (ack.epoch, ack.seq) {
-                    ack.epoch = rec.epoch;
-                    ack.seq = rec.seq;
-                }
-            }
-            None => acks.push(ProducerAck {
-                producer: rec.producer,
-                epoch: rec.epoch,
-                seq: rec.seq,
-            }),
-        }
-    }
-    acks.sort_unstable_by_key(|a| a.producer);
-    acks
 }
 
 #[cfg(test)]
@@ -444,6 +436,109 @@ mod tests {
         assert_eq!(left, expected);
     }
 
+    /// A fresh journal owns its directory. Run A leaves checkpoints
+    /// 0..=5 behind; run B attaches to the same directory and crashes at
+    /// period 2. Recovery used to restore run A's newest checkpoint over
+    /// run B's journal: "period 5, admitted 5", and `Ok`.
+    #[test]
+    fn fresh_journal_forgets_the_previous_runs_checkpoints() {
+        let dir = crate::test_dir("recover_reused_dir");
+        let (mut run_a, cfg) = journaled_service(&dir);
+        for period in 0..5 {
+            run_a.push(ServiceEvent::WorkerArrive {
+                worker: worker(1.0 + f64::from(period)),
+            });
+            run_a.push(ServiceEvent::PeriodTick);
+        }
+        drop(run_a);
+        assert_eq!(list_checkpoints(&dir).unwrap(), [0, 1, 2, 3, 4, 5]);
+        std::fs::write(dir.join("checkpoint_6.tmp"), b"run A died here").unwrap();
+
+        let (mut run_b, cfg_b) = journaled_service(&dir);
+        assert_eq!(cfg_b.dir, cfg.dir);
+        assert_eq!(list_checkpoints(&dir).unwrap(), [0], "run B's baseline");
+        assert!(!dir.join("checkpoint_6.tmp").exists());
+        run_b.push(ServiceEvent::PeriodTick);
+        run_b.push(ServiceEvent::PeriodTick);
+        let uninterrupted = run_b.into_outcome().deterministic_bits();
+
+        let recovered = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .unwrap();
+        assert_eq!(list_checkpoints(&dir).unwrap(), [0, 1, 2]);
+        assert_eq!(recovered.service.periods_served(), 2);
+        assert_eq!(recovered.service.admitted_workers(), 0);
+        assert_eq!(
+            recovered.service.into_outcome().deterministic_bits(),
+            uninterrupted
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint carries no open window: attaching with an arrival or
+    /// a task admitted since the last tick used to write a baseline
+    /// without it, and the recovered service ticked to live 0 where the
+    /// uninterrupted one had live 1. It is refused, typed, with nothing
+    /// written; staged departures are a checkpoint section and stay
+    /// legal.
+    #[test]
+    fn attaching_mid_window_is_refused_and_writes_nothing() {
+        let dir = crate::test_dir("attach_mid_window");
+        let cfg = JournalConfig::new(&dir, 1);
+        let fresh =
+            || ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config(2));
+        let task = maps_simulator::GroundTask {
+            origin: Point::new(1.0, 1.0),
+            destination: Point::new(2.0, 2.0),
+            distance: 1.5,
+            valuation: 3.0,
+            cell: grid().cell_of(Point::new(1.0, 1.0)),
+        };
+        let worker = worker(1.0);
+        for open in [
+            ServiceEvent::WorkerArrive { worker },
+            ServiceEvent::TaskRequest { task },
+        ] {
+            let mut svc = fresh();
+            svc.push(open);
+            let err = svc.attach_journal(&cfg).expect_err("mid-window attach");
+            assert!(
+                matches!(err, ServiceError::Journal(JournalError::NotAtEpochBoundary)),
+                "{err}"
+            );
+            assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 0, "{open:?}");
+            // The service is untouched: it ticks like one never asked.
+            svc.push(ServiceEvent::PeriodTick);
+            let expected = matches!(open, ServiceEvent::WorkerArrive { .. });
+            assert_eq!(svc.live_workers(), usize::from(expected));
+        }
+
+        let mut svc = fresh();
+        svc.push(ServiceEvent::WorkerArrive { worker });
+        svc.push(ServiceEvent::PeriodTick);
+        svc.push(ServiceEvent::WorkerDepart { id: 0 });
+        svc.attach_journal(&cfg).expect("a staged departure");
+        drop(svc);
+        let mut recovered = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .unwrap()
+        .service;
+        assert_eq!(recovered.live_workers(), 1, "staged until the tick");
+        recovered.push(ServiceEvent::PeriodTick);
+        assert_eq!(recovered.live_workers(), 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn mismatched_world_is_a_hard_checkpoint_error() {
         let dir = crate::test_dir("recover_mismatch");
@@ -480,7 +575,8 @@ mod tests {
         let mut words = decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
         let at = pick(&words);
         words[at] = u64::MAX;
-        std::fs::write(&path, crate::journal::encode_checkpoint(&words)).unwrap();
+        let lying = crate::journal::encode_checkpoint(&words).unwrap();
+        std::fs::write(&path, lying).unwrap();
         let err = recover(
             grid(),
             MatchPolicy::Consume,
@@ -508,9 +604,10 @@ mod tests {
         );
     }
 
-    /// The frame's own word count lying: `2^61 * 8` wraps to 0, so a
-    /// 24-byte file used to pass the length check and die reserving
-    /// `2^61` words. It is a corrupt frame like any other — typed, and
+    /// The frame's own length lying: a header-only file claiming 4 GiB
+    /// of payload (the word count it replaced used to wrap to 0 as
+    /// `2^61 * 8`, pass the length check and die reserving `2^61`
+    /// words). It is a corrupt frame like any other — typed, and
     /// recovery falls back to the checkpoint before it.
     #[test]
     fn lying_frame_count_is_a_typed_error() {
@@ -520,11 +617,11 @@ mod tests {
         drop(svc);
         assert_eq!(list_checkpoints(&dir).unwrap(), [0, 1]);
         let path = checkpoint_path(&dir, 1);
-        let mut frame = std::fs::read(&path).unwrap()[..24].to_vec();
-        frame[16..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        let mut frame = std::fs::read(&path).unwrap()[..20].to_vec();
+        frame[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
         assert!(matches!(
             decode_checkpoint(&frame),
-            Err(JournalError::Corrupt("checkpoint length mismatch"))
+            Err(JournalError::Corrupt("frame longer than the bytes present"))
         ));
         std::fs::write(&path, &frame).unwrap();
         let recovered = recover(

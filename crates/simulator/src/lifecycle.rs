@@ -141,6 +141,12 @@ impl LifecycleTable {
         self.records.len()
     }
 
+    /// Whether nothing was admitted since the last
+    /// [`LifecycleTable::fire`]: where a checkpoint can be cut.
+    pub fn window_is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
     fn observable(&self, period: u32) -> bool {
         self.horizon.is_none_or(|horizon| period < horizon)
     }
@@ -283,12 +289,10 @@ impl LifecycleTable {
 
     /// Restores what [`LifecycleTable::save_records`] wrote.
     pub fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
-        let n_records = r.take()? as usize;
+        let n_records = r.take_len(2)?;
         self.records.clear();
         self.window.clear();
-        // The count is a word from the file: reserve no more than the
-        // words left can hold (two per record).
-        self.records.reserve(n_records.min(r.remaining() / 2));
+        self.records.reserve(n_records);
         for _ in 0..n_records {
             let expires_at = r.take()? as u32;
             let status = match r.take()? {
@@ -330,13 +334,11 @@ impl LifecycleTable {
     /// Restores what [`LifecycleTable::save_schedule`] wrote (after
     /// [`LifecycleTable::load_records`]: entries must name known ids).
     pub fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
-        let n_keys = r.take()? as usize;
         self.schedule.clear();
-        for _ in 0..n_keys {
+        for _ in 0..r.take_len(2)? {
             let t = r.take()? as u32;
-            let n_entries = r.take()? as usize;
-            // At least two words per entry, as above.
-            let mut entries = Vec::with_capacity(n_entries.min(r.remaining() / 2));
+            let n_entries = r.take_len(2)?;
+            let mut entries = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
                 let tag = r.take()?;
                 let id = r.take()? as u32;

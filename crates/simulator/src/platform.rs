@@ -321,26 +321,20 @@ impl PeriodStep {
         self.outcome.issued_tasks = r.take()?;
         self.outcome.accepted_tasks = r.take()?;
         self.outcome.matched_tasks = r.take()?;
-        let n_periods = r.take()? as usize;
-        self.outcome.revenue_per_period.clear();
-        for _ in 0..n_periods {
-            self.outcome.revenue_per_period.push(r.take_f64()?);
-        }
+        let n_periods = r.take_len(1)?;
+        let revenues = r.take_slice(n_periods)?.iter().map(|&w| f64::from_bits(w));
+        self.outcome.revenue_per_period = revenues.collect();
         self.outcome.mean_posted_price = r.take_f64()?;
         self.outcome.posted_price_std = r.take_f64()?;
         self.outcome.matched_distance = r.take_f64()?;
         self.outcome.rejected_events = r.take()?;
         self.outcome.suppressed_duplicates = r.take()?;
-        let latency = r
-            .rest()
-            .get(..LatencyTelemetry::WORDS)
-            .ok_or(StateError::Truncated)?;
+        let latency = r.take_slice(LatencyTelemetry::WORDS)?;
         self.outcome.latency = LatencyTelemetry::from_words(latency)
             .ok_or(StateError::Mismatch("checkpoint latency telemetry corrupt"))?;
-        r.advance(LatencyTelemetry::WORDS);
         let (count, mean_bits, m2_bits) = (r.take()?, r.take()?, r.take()?);
         self.price_moments = RunningMoments::from_raw(count, mean_bits, m2_bits);
-        if r.take()? as usize != r.remaining() {
+        if r.take_len(1)? != r.remaining() {
             return Err(StateError::Mismatch(
                 "checkpoint strategy state length mismatch",
             ));

@@ -263,9 +263,10 @@ impl LatencyTelemetry {
     /// Number of words [`LatencyTelemetry::extend_words`] appends.
     pub const WORDS: usize = 3 * Log2Histogram::WORDS;
 
-    /// Rebuilds a block from [`LatencyTelemetry::extend_words`] output.
+    /// Rebuilds a block from exactly the [`LatencyTelemetry::WORDS`]
+    /// words [`LatencyTelemetry::extend_words`] appended.
     pub fn from_words(words: &[u64]) -> Option<LatencyTelemetry> {
-        if words.len() < Self::WORDS {
+        if words.len() != Self::WORDS {
             return None;
         }
         let w = Log2Histogram::WORDS;

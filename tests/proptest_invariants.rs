@@ -741,6 +741,136 @@ proptest! {
         }
     }
 
+    /// ROADMAP 5(c): hostile bytes anywhere in a journal directory. A
+    /// small journaled MAPS run (checkpoint every 2 epochs) crashed one
+    /// epoch past its newest checkpoint, then one seeded mutation of
+    /// `journal.bin`, the newest checkpoint or the one before it, then
+    /// `replay_recovered` over the whole 4–8-epoch world.
+    ///
+    /// Mutations 0–4 break the *framing* — flip a bit, truncate at a
+    /// byte, duplicate a frame, swap two adjacent frames, overwrite a
+    /// frame's `len` — and recovery must return a typed error or finish
+    /// bit-identical to the uninterrupted run: never a panic, never a
+    /// silently different outcome. Mutation 5 overwrites one checkpoint
+    /// *word* and re-frames it (valid hash, lying content: an edge
+    /// pattern or a value of any magnitude); no decoder can know what
+    /// the word should have been, so the property is only that recovery
+    /// returns — `Ok` or typed `Err` — without panicking.
+    #[test]
+    fn recovery_survives_hostile_bytes(
+        world in (0u64..1_000, 4usize..=8, proptest::bool::weighted(0.5)),
+        hit in (0usize..3, 0usize..6, 0u64..u64::MAX),
+        lie in (0u64..u64::MAX, 0usize..72),
+    ) {
+        use maps::service::journal::{
+            checkpoint_path, decode_checkpoint, encode_checkpoint, list_checkpoints, JOURNAL_FILE,
+        };
+        use maps::service::{
+            replay_journaled, replay_recovered, replay_with_options, JournalConfig,
+        };
+        use std::sync::atomic::{AtomicU64, Ordering};
+        static CASE: AtomicU64 = AtomicU64::new(0);
+
+        let ((seed, epochs, relocate), (target, mutation, at), (value, shape)) = (world, hit, lie);
+        let mut cfg = SyntheticConfig::paper_default()
+            .with_num_workers(40)
+            .with_num_tasks(120)
+            .with_periods(epochs)
+            .with_grid_side(3);
+        cfg.worker_duration = 3; // expiries in every checkpoint's schedule
+        if !relocate {
+            cfg.match_policy = MatchPolicy::Consume;
+        }
+        let world = cfg.build(seed);
+        let options = SimOptions::default();
+        let uninterrupted =
+            replay_with_options(&world, StrategyKind::Maps, 2, options).deterministic_bits();
+        // The crashed run: the first 3, 5 or 7 periods, so the journal's
+        // last epoch is past every checkpoint and recovery replays it.
+        let mut crashed = world.clone();
+        crashed.periods.truncate((epochs - 1) | 1);
+        let dir = std::env::temp_dir().join(format!(
+            "maps_hostile_bytes_{}_{}",
+            std::process::id(),
+            CASE.fetch_add(1, Ordering::Relaxed)
+        ));
+        let journal = JournalConfig::new(&dir, 2);
+        replay_journaled(&crashed, StrategyKind::Maps, 2, options, &journal)
+            .expect("journaled run");
+
+        let checkpoints = list_checkpoints(&dir).unwrap(); // 0, 2, …
+        // (A lying word is only ever read in the newest checkpoint.)
+        let path = match if mutation == 5 { 1 } else { target } {
+            0 => dir.join(JOURNAL_FILE),
+            back => checkpoint_path(&dir, checkpoints[checkpoints.len() - back]),
+        };
+        let mut bytes = std::fs::read(&path).unwrap();
+        // Frame `f` is `bounds[f]..bounds[f + 1]`: an 8-byte magic, then
+        // `len:u32 hash:u64 payload` frames to the end of the file.
+        let mut bounds = vec![8usize];
+        while let Some(len) = bytes.get(bounds[bounds.len() - 1]..).and_then(|b| b.first_chunk()) {
+            bounds.push(bounds[bounds.len() - 1] + 12 + u32::from_le_bytes(*len) as usize);
+        }
+        prop_assert_eq!(bounds[bounds.len() - 1], bytes.len(), "the run left whole frames");
+        let pick = |n: usize| (at % n as u64) as usize;
+        match mutation {
+            0 => {
+                let bit = pick(bytes.len() * 8);
+                bytes[bit / 8] ^= 1 << (bit % 8);
+            }
+            1 => bytes.truncate(pick(bytes.len())),
+            2 => {
+                let f = pick(bounds.len() - 1);
+                let frame = bytes[bounds[f]..bounds[f + 1]].to_vec();
+                bytes.splice(bounds[f + 1]..bounds[f + 1], frame);
+            }
+            // (A checkpoint is one frame: nothing to swap, and the
+            // untouched directory must recover like any other.)
+            3 if bounds.len() > 2 => {
+                let f = pick(bounds.len() - 2);
+                bytes[bounds[f]..bounds[f + 2]].rotate_left(bounds[f + 1] - bounds[f]);
+            }
+            4 => {
+                let f = pick(bounds.len() - 1);
+                bytes[bounds[f]..bounds[f] + 4].copy_from_slice(&(value as u32).to_le_bytes());
+            }
+            5 => {
+                let edges = [
+                    0,
+                    1,
+                    u64::MAX,
+                    u64::from(u32::MAX),
+                    f64::NAN.to_bits(),
+                    f64::INFINITY.to_bits(),
+                    (-1.0f64).to_bits(),
+                    (-0.0f64).to_bits(),
+                ];
+                let mut words = decode_checkpoint(&bytes).unwrap();
+                let word = pick(words.len());
+                words[word] = match edges.get(shape) {
+                    Some(&edge) => edge,
+                    None => value >> (shape - edges.len()),
+                };
+                bytes = encode_checkpoint(&words).unwrap();
+            }
+            _ => {}
+        }
+        std::fs::write(&path, &bytes).unwrap();
+
+        let recovered = std::panic::catch_unwind(|| {
+            replay_recovered(&world, StrategyKind::Maps, 2, options, &journal)
+        });
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert!(recovered.is_ok(), "recovery panicked");
+        if let (Ok(Ok(outcome)), 0..=4) = (recovered, mutation) {
+            prop_assert_eq!(
+                outcome.deterministic_bits(),
+                uninterrupted,
+                "recovery returned Ok on a silently different outcome"
+            );
+        }
+    }
+
     /// Demand distributions: survival is monotone non-increasing and
     /// sampling stays within the window.
     #[test]
