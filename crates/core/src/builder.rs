@@ -2,9 +2,11 @@
 //!
 //! Definition 5(ii): "There is an edge (r, w) ∈ E^t if the task r
 //! satisfies the range constraint of the worker w", i.e. the task origin
-//! lies within distance `a_w` of the worker's location. Built with the
-//! bucketed spatial index so the cost is output-sensitive — required for
-//! the paper's 500k×500k scalability experiment.
+//! lies within distance `a_w` of the worker's location: the spec,
+//! [`build_period_graph`]. [`build_period_graph_capped`] is the spec's
+//! edges cut to each task's `k` nearest — one k-NN pass at any pool
+//! size, no second code path — and the from-scratch oracle of
+//! [`crate::PeriodGraphCache::build_graph_capped`].
 
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
@@ -47,16 +49,13 @@ pub fn build_period_graph(
 /// enough *distinct* worker options per task; capping at `k` nearest
 /// workers preserves the matching value in all but adversarial cases
 /// while shrinking the graph to `O(k·|R^t|)` edges. With
-/// `k ≥ workers.len()` the result equals [`build_period_graph`].
+/// `k ≥ workers.len()` nothing is cut: [`build_period_graph`]'s edges.
 pub fn build_period_graph_capped(
     grid: &GridSpec,
     tasks: &[TaskInput],
     workers: &[WorkerInput],
     k: usize,
 ) -> BipartiteGraph {
-    if workers.len() <= k {
-        return build_period_graph(grid, tasks, workers);
-    }
     // Index worker locations; each task pulls its k nearest in-range.
     let items: Vec<_> = workers
         .iter()
@@ -65,8 +64,8 @@ pub fn build_period_graph_capped(
         .collect();
     let index = BucketIndex::build(grid.region(), &items);
     let max_radius = workers.iter().map(|w| w.radius).fold(0.0f64, f64::max);
-    let mut builder =
-        BipartiteGraphBuilder::with_capacity(tasks.len(), workers.len(), tasks.len() * k);
+    let hint = tasks.len() * k.min(workers.len());
+    let mut builder = BipartiteGraphBuilder::with_capacity(tasks.len(), workers.len(), hint);
     for (t_idx, task) in tasks.iter().enumerate() {
         let near = index.k_nearest_within(task.origin, max_radius, k, |dist, w_idx| {
             dist <= workers[w_idx as usize].radius

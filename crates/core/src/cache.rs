@@ -26,25 +26,23 @@
 //! ## Determinism contract (the scratch-rebuild oracle)
 //!
 //! [`PeriodGraphCache::apply`] followed by
-//! [`PeriodGraphCache::build_graph`] /
-//! [`PeriodGraphCache::build_graph_capped`] is **bit-identical** to
-//! [`crate::build_period_graph`] /
+//! [`PeriodGraphCache::build_graph_capped`] — the cache's one build
+//! entry; the edge cap `k` is its parameter, and `usize::MAX` asks for
+//! every in-range edge through the same code — is **bit-identical** to
 //! [`crate::build_period_graph_capped`] called on the *materialized live
 //! set*: the live workers listed in ascending id order. The from-scratch
-//! builders are retained as the oracle (per the workspace's standing
+//! builder is retained as the oracle (per the workspace's standing
 //! bit-determinism invariant) and the equivalence is enforced by unit
 //! tests here plus the cross-crate proptest churn oracle
 //! (`incremental_graph_matches_scratch_rebuild`). The identity holds
 //! because capped queries use the total `(distance, id)` order, which is
 //! independent of either index's bucket grid — the dynamic index
 //! re-buckets itself as the live count moves, so the cache's grid and a
-//! fresh build's generally differ — and the complete graph is built
-//! from the id-ordered live list against a throwaway task index, never
-//! from the dynamic index's bucket order.
+//! fresh build's generally differ.
 
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
-use maps_spatial::{BucketIndex, DynamicBucketIndex, GridSpec, Point};
+use maps_spatial::{DynamicBucketIndex, GridSpec, Point};
 
 /// What the spatial index stores per live worker: its id and the range
 /// radius the capped query checks (as `f64::to_bits`, so the derive
@@ -296,34 +294,6 @@ impl PeriodGraphCache {
         self.index.insert_bulk(&self.batch);
     }
 
-    /// Builds the complete graph of the current live set (no churn).
-    ///
-    /// Tasks change wholesale every period, so (like the oracle) this
-    /// builds a fresh throwaway index over *task origins* and queries it
-    /// once per live worker — the cached index only ever holds workers.
-    pub fn build_graph(&mut self, tasks: &[TaskInput]) -> BipartiteGraph {
-        let items: Vec<_> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.origin, i as u32))
-            .collect();
-        let task_index = BucketIndex::build(self.grid.region(), &items);
-        let mut builder = BipartiteGraphBuilder::with_arena(
-            tasks.len(),
-            self.live_ids.len(),
-            self.live_ids.len() * 4,
-            std::mem::take(&mut self.edge_arena),
-        );
-        for (dense, w) in self.live_inputs.iter().enumerate() {
-            task_index.for_each_within_disc(w.location, w.radius, |_, t_idx| {
-                builder.add_edge(t_idx as usize, dense);
-            });
-        }
-        let (graph, arena) = builder.build_recycling();
-        self.edge_arena = arena;
-        graph
-    }
-
     /// The maximum live worker radius (`0.0` when empty) — the capped
     /// oracle's `fold(0.0, f64::max)` over the materialized worker list.
     /// Public so a *sharded* deployment (one cache per shard) can reduce
@@ -354,28 +324,15 @@ impl PeriodGraphCache {
         out.extend(self.query.iter().map(|&(distance, w)| (distance, w.id)));
     }
 
-    /// Calls `f(task_idx, worker_id)` for every (in-range task, live
-    /// worker) pair against a caller-built index over task origins —
-    /// the *uncapped* edge enumeration of [`PeriodGraphCache::build_graph`],
-    /// exposed per-cache so shards can enumerate their slices of the
-    /// full graph in parallel (the edge set is a union; the graph
-    /// builder canonicalizes insertion order).
-    pub fn for_each_task_edge(&self, task_index: &BucketIndex<u32>, mut f: impl FnMut(u32, u32)) {
-        for (&id, w) in self.live_ids.iter().zip(&self.live_inputs) {
-            task_index.for_each_within_disc(w.location, w.radius, |_, t_idx| f(t_idx, id));
-        }
-    }
-
-    /// Builds the capped graph of the current live set (no churn).
+    /// Builds the graph of the current live set (no churn): each task's
+    /// `k` nearest in-range workers under the `(distance, id)` order —
+    /// every in-range worker once `k` reaches the live count.
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        if self.live_ids.len() <= k {
-            return self.build_graph(tasks);
-        }
         let max_radius = self.max_live_radius();
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
             self.live_ids.len(),
-            tasks.len() * k,
+            tasks.len() * k.min(self.live_ids.len()),
             std::mem::take(&mut self.edge_arena),
         );
         for (t_idx, task) in tasks.iter().enumerate() {
@@ -487,7 +444,7 @@ mod tests {
                     incremental, scratch,
                     "seed {seed} k {k} period {period}: capped graph diverged"
                 );
-                let full = cache.build_graph(&tasks);
+                let full = cache.build_graph_capped(&tasks, usize::MAX);
                 let full_oracle = build_period_graph(&grid, &tasks, &mirror.workers());
                 assert_eq!(
                     full, full_oracle,
@@ -533,7 +490,7 @@ mod tests {
         assert_eq!(g.n_left(), 3);
         assert_eq!(g.n_right(), 0);
         assert_eq!(g.n_edges(), 0);
-        let g = cache.build_graph(&[]);
+        let g = cache.build_graph_capped(&[], usize::MAX);
         assert_eq!(g.n_left(), 0);
     }
 
@@ -567,8 +524,7 @@ mod tests {
     /// The shard decomposition contract: splitting the live set across
     /// two caches, merging their per-task candidate lists by
     /// `(distance, id)` and truncating to `k` reproduces the single
-    /// cache's query exactly — and the per-cache uncapped edge
-    /// enumerations union to the full graph's edge set.
+    /// cache's query exactly.
     #[test]
     fn sharded_queries_merge_to_the_whole() {
         let grid = grid();
@@ -605,23 +561,6 @@ mod tests {
                 }
             }
         }
-        // Uncapped: per-shard edge enumerations union to the full set.
-        let items: Vec<_> = tasks
-            .iter()
-            .enumerate()
-            .map(|(i, t)| (t.origin, i as u32))
-            .collect();
-        let task_index = BucketIndex::build(grid.region(), &items);
-        let mut sharded: Vec<(u32, u32)> = Vec::new();
-        even.for_each_task_edge(&task_index, |t, w| sharded.push((t, w)));
-        odd.for_each_task_edge(&task_index, |t, w| sharded.push((t, w)));
-        sharded.sort_unstable();
-        let full = whole.build_graph(&tasks);
-        let mut direct: Vec<(u32, u32)> = full.edges().map(|(l, r)| (l as u32, r as u32)).collect();
-        // The whole cache's right side is dense over its own live ids
-        // (0..40 here, so dense == id) — keep the comparison honest.
-        direct.sort_unstable();
-        assert_eq!(sharded, direct);
     }
 
     /// Applies `arrivals` / `departures` to `cache` and to the `mirror`
@@ -660,7 +599,7 @@ mod tests {
             );
         }
         assert_eq!(
-            cache.build_graph(&tasks),
+            cache.build_graph_capped(&tasks, usize::MAX),
             build_period_graph(&grid, &tasks, &workers),
             "{what}: complete graph"
         );

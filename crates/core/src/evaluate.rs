@@ -1,33 +1,29 @@
-//! Revenue evaluation: market clearing and expected-revenue estimators.
+//! Revenue evaluation: the Monte-Carlo expected-revenue estimator.
 //!
 //! Definition 5: at the end of a period, the accepting tasks and the
 //! available workers form an instantiated bipartite graph whose
 //! maximum-weight matching value is the platform's revenue. The exact
-//! expectation (Definition 6) is `Σ_world U(world)·Pr[world]`; here we
-//! provide the per-world clearing primitive and Monte-Carlo estimators
-//! for instances too large for possible-world enumeration.
+//! expectation (Definition 6) is `Σ_world U(world)·Pr[world]`
+//! ([`maps_matching::PossibleWorlds`], `2^n` solves);
+//! [`monte_carlo_expected_revenue`] samples worlds instead, for
+//! instances too large to enumerate. It is the one estimator.
 //!
-//! # Estimator variants
+//! # Block seeding
 //!
-//! * [`monte_carlo_expected_revenue`] — classic single-stream sampler
-//!   over a caller-provided RNG. Since PR 1 each sample runs through
-//!   the zero-allocation masked kernel ([`MatchScratch`] +
-//!   [`BipartiteGraph::masked`]-style `keep` masks with a precomputed
-//!   weight order) instead of materializing a `filter_left` subgraph.
-//! * [`monte_carlo_expected_revenue_seeded`] — the deterministic
-//!   **block-seeded** sequential form: samples are grouped into fixed
-//!   blocks of [`MC_BLOCK`], each block draws from its own
-//!   `SmallRng` seeded by `(seed, block_index)`, and block sums are
-//!   reduced in block order.
-//! * [`monte_carlo_expected_revenue_parallel`] — the same computation
-//!   with blocks fanned out over rayon. Because block seeding and the
-//!   reduction order are fixed by construction, the result is
-//!   **bit-identical** to the seeded sequential form at any thread
-//!   count (enforced by `parallel_matches_sequential_bitwise`).
+//! Samples are grouped into fixed blocks of `MC_BLOCK`; each block
+//! draws from its own `SmallRng` seeded by `(seed, block_index)` and
+//! accumulates sequentially in sample order; blocks fan out over rayon
+//! and their sums are reduced in block order. Seeding and reduction
+//! order are fixed by construction, so the estimate is a function of
+//! `(instance, samples, seed)` alone — **bit-identical** at any thread
+//! count. The sequential form of the same computation lives beside the
+//! tests, where `parallel_matches_sequential_bitwise` pins the two
+//! together on the 1/2/3/8-thread harness; shipping builds have no
+//! second path. Each sample runs through the zero-allocation masked
+//! kernel ([`MatchScratch`] with a `keep` mask over a precomputed
+//! weight order) instead of materializing a `filter_left` subgraph.
 
-use maps_matching::{
-    max_weight_matching_left_weights, sort_by_weight_desc, BipartiteGraph, MatchScratch, Matching,
-};
+use maps_matching::{sort_by_weight_desc, BipartiteGraph, MatchScratch};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
@@ -37,49 +33,39 @@ use rayon::prelude::*;
 /// Each block owns an independent RNG stream and a sequential in-block
 /// accumulator, so the estimate is invariant to how blocks are
 /// distributed over threads.
-pub const MC_BLOCK: u32 = 64;
+const MC_BLOCK: u32 = 64;
 
-/// Clears the market: maximum-weight matching between (already accepted)
-/// tasks and workers, with task weights `d_r · p_r`.
-///
-/// Returns the matching and the realized revenue `U(B^t)`.
-pub fn realize_revenue(graph: &BipartiteGraph, weights: &[f64]) -> (Matching, f64) {
-    max_weight_matching_left_weights(graph, weights)
-}
-
-/// Reusable workspace for the Monte-Carlo estimators: acceptance mask,
-/// weight-sorted task order and the matching scratch. Binding sorts
-/// the weights once; sampling then runs allocation-free. The parallel
-/// engine binds a single template and hands each block a clone, so no
-/// block ever re-sorts.
-#[derive(Debug, Clone, Default)]
-pub struct McScratch {
+/// The estimator's workspace: acceptance mask, weight-sorted task
+/// order and the matching scratch. Binding sorts the weights once;
+/// sampling then runs allocation-free. One bound template is cloned per
+/// worker chunk, so no block ever re-sorts.
+#[derive(Debug, Clone)]
+struct McScratch {
     keep: Vec<bool>,
     order: Vec<u32>,
     matching: MatchScratch,
 }
 
 impl McScratch {
-    /// An empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// (Re)binds the workspace to an instance: sizes the mask and
-    /// recomputes the weight order.
-    fn bind(&mut self, graph: &BipartiteGraph, weights: &[f64]) {
-        self.keep.clear();
-        self.keep.resize(graph.n_left(), false);
-        sort_by_weight_desc(weights, &mut self.order);
+    /// A workspace bound to an instance: the mask sized, the weight
+    /// order computed.
+    fn bound(graph: &BipartiteGraph, weights: &[f64]) -> Self {
+        let mut order = Vec::new();
+        sort_by_weight_desc(weights, &mut order);
+        Self {
+            keep: vec![false; graph.n_left()],
+            order,
+            matching: MatchScratch::new(),
+        }
     }
 
     /// Draws one world from `rng` and returns its clearing revenue.
-    fn sample_once<R: Rng + ?Sized>(
+    fn sample_once(
         &mut self,
         graph: &BipartiteGraph,
         weights: &[f64],
         accept_probs: &[f64],
-        rng: &mut R,
+        rng: &mut SmallRng,
     ) -> f64 {
         for (k, &q) in self.keep.iter_mut().zip(accept_probs) {
             *k = rng.gen::<f64>() < q;
@@ -99,51 +85,6 @@ fn check_inputs(graph: &BipartiteGraph, weights: &[f64], accept_probs: &[f64], s
     assert!(samples > 0, "need at least one sample");
 }
 
-/// Monte-Carlo estimate of the expected total revenue
-/// `E[U(B^t) | P^t]` for given per-task acceptance probabilities,
-/// drawing all worlds from the caller's RNG stream.
-///
-/// Allocates a fresh workspace per call; strategies evaluating many
-/// candidate schedules should hold one [`McScratch`] and call
-/// [`monte_carlo_expected_revenue_with`] instead.
-///
-/// # Panics
-/// Panics if slice lengths disagree with the graph or `samples == 0`.
-pub fn monte_carlo_expected_revenue(
-    graph: &BipartiteGraph,
-    weights: &[f64],
-    accept_probs: &[f64],
-    samples: u32,
-    rng: &mut impl Rng,
-) -> f64 {
-    let mut scratch = McScratch::new();
-    monte_carlo_expected_revenue_with(graph, weights, accept_probs, samples, rng, &mut scratch)
-}
-
-/// [`monte_carlo_expected_revenue`] into a caller-owned workspace:
-/// after the first call at a given instance size, estimation performs
-/// no heap allocation (the weight order is still re-derived per call,
-/// since weights may change between calls).
-///
-/// # Panics
-/// Panics if slice lengths disagree with the graph or `samples == 0`.
-pub fn monte_carlo_expected_revenue_with(
-    graph: &BipartiteGraph,
-    weights: &[f64],
-    accept_probs: &[f64],
-    samples: u32,
-    rng: &mut impl Rng,
-    scratch: &mut McScratch,
-) -> f64 {
-    check_inputs(graph, weights, accept_probs, samples);
-    scratch.bind(graph, weights);
-    let mut total = 0.0;
-    for _ in 0..samples {
-        total += scratch.sample_once(graph, weights, accept_probs, rng);
-    }
-    total / samples as f64
-}
-
 /// The RNG for one seeding block: every `(seed, block)` pair owns an
 /// independent, reproducible stream.
 fn block_rng(seed: u64, block: u32) -> SmallRng {
@@ -153,8 +94,8 @@ fn block_rng(seed: u64, block: u32) -> SmallRng {
 }
 
 /// Sum of one block's samples, accumulated sequentially in sample
-/// order. Shared verbatim by the sequential and parallel front ends —
-/// this is what makes them bit-identical.
+/// order. Shared verbatim by the estimator and its test-only
+/// sequential form — this is what makes them bit-identical.
 fn block_sum(
     graph: &BipartiteGraph,
     weights: &[f64],
@@ -181,46 +122,14 @@ fn block_len(samples: u32, block: u32) -> u32 {
     MC_BLOCK.min(samples - start)
 }
 
-/// Deterministic block-seeded sequential Monte-Carlo estimate: the
-/// reference stream for [`monte_carlo_expected_revenue_parallel`].
-/// Same `seed` and `samples` ⇒ same result, always.
+/// Monte-Carlo estimate of the expected total revenue
+/// `E[U(B^t) | P^t]` for given per-task acceptance probabilities.
+/// Same instance, `samples` and `seed` ⇒ same bits, at any rayon thread
+/// count (see the module docs).
 ///
 /// # Panics
 /// Panics if slice lengths disagree with the graph or `samples == 0`.
-pub fn monte_carlo_expected_revenue_seeded(
-    graph: &BipartiteGraph,
-    weights: &[f64],
-    accept_probs: &[f64],
-    samples: u32,
-    seed: u64,
-) -> f64 {
-    check_inputs(graph, weights, accept_probs, samples);
-    let mut scratch = McScratch::new();
-    scratch.bind(graph, weights);
-    let mut total = 0.0;
-    for block in 0..num_blocks(samples) {
-        total += block_sum(
-            graph,
-            weights,
-            accept_probs,
-            seed,
-            block,
-            block_len(samples, block),
-            &mut scratch,
-        );
-    }
-    total / samples as f64
-}
-
-/// Rayon-parallel Monte-Carlo estimate, bit-identical to
-/// [`monte_carlo_expected_revenue_seeded`] for the same `seed` at any
-/// thread count: blocks are seeded by index, sampled independently
-/// (one [`McScratch`] per block invocation, reused buffers inside) and
-/// reduced in block order.
-///
-/// # Panics
-/// Panics if slice lengths disagree with the graph or `samples == 0`.
-pub fn monte_carlo_expected_revenue_parallel(
+pub fn monte_carlo_expected_revenue(
     graph: &BipartiteGraph,
     weights: &[f64],
     accept_probs: &[f64],
@@ -231,9 +140,7 @@ pub fn monte_carlo_expected_revenue_parallel(
     // Bind (and weight-sort) once; each worker chunk clones the
     // pre-bound workspace — O(threads) allocations per call, not
     // O(blocks) — and walks its contiguous block range with it.
-    let mut template = McScratch::new();
-    template.bind(graph, weights);
-    let template = template;
+    let template = McScratch::bound(graph, weights);
     let n_blocks = num_blocks(samples) as usize;
     let chunk = n_blocks.div_ceil(rayon::current_num_threads().max(1));
     let chunks: Vec<Vec<f64>> = (0..n_blocks.div_ceil(chunk))
@@ -258,7 +165,7 @@ pub fn monte_carlo_expected_revenue_parallel(
         .collect();
     // Ordered reduction: chunks are contiguous block ranges in chunk
     // order, so flattening yields block order — the identical float
-    // summation order to the sequential path under any chunking or
+    // summation order to the sequential form under any chunking or
     // thread schedule.
     chunks.iter().flatten().sum::<f64>() / samples as f64
 }
@@ -267,8 +174,34 @@ pub fn monte_carlo_expected_revenue_parallel(
 mod tests {
     use super::*;
     use maps_matching::{expected_total_revenue_exact, BipartiteGraphBuilder};
-    use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+
+    /// The sequential form of [`monte_carlo_expected_revenue`]: one
+    /// workspace, blocks summed in index order on the calling thread.
+    /// The reference `parallel_matches_sequential_bitwise` compares
+    /// against.
+    fn monte_carlo_expected_revenue_sequential(
+        graph: &BipartiteGraph,
+        weights: &[f64],
+        accept_probs: &[f64],
+        samples: u32,
+        seed: u64,
+    ) -> f64 {
+        check_inputs(graph, weights, accept_probs, samples);
+        let mut scratch = McScratch::bound(graph, weights);
+        let mut total = 0.0;
+        for block in 0..num_blocks(samples) {
+            total += block_sum(
+                graph,
+                weights,
+                accept_probs,
+                seed,
+                block,
+                block_len(samples, block),
+                &mut scratch,
+            );
+        }
+        total / samples as f64
+    }
 
     fn running_example() -> BipartiteGraph {
         BipartiteGraphBuilder::new(3, 3)
@@ -277,66 +210,24 @@ mod tests {
     }
 
     #[test]
-    fn realize_revenue_running_example() {
-        let g = running_example();
-        let (m, rev) = realize_revenue(&g, &[3.9, 2.1, 2.0]);
-        assert!((rev - 5.9).abs() < 1e-9);
-        assert!(m.is_valid(&g));
-    }
-
-    #[test]
-    fn monte_carlo_matches_exact_enumeration() {
-        let g = running_example();
-        let weights = [3.9, 2.1, 2.0];
-        let probs = [0.5, 0.5, 0.8];
-        let exact = expected_total_revenue_exact(&g, &weights, &probs);
-        let mut rng = SmallRng::seed_from_u64(12345);
-        let mc = monte_carlo_expected_revenue(&g, &weights, &probs, 40_000, &mut rng);
-        assert!(
-            (mc - exact).abs() < 0.05,
-            "MC {mc} vs exact {exact} (4.075 per Example 3)"
-        );
-    }
-
-    #[test]
     fn seeded_monte_carlo_matches_exact_enumeration() {
         let g = running_example();
         let weights = [3.9, 2.1, 2.0];
         let probs = [0.5, 0.5, 0.8];
         let exact = expected_total_revenue_exact(&g, &weights, &probs);
-        let mc = monte_carlo_expected_revenue_seeded(&g, &weights, &probs, 40_000, 7);
+        let mc = monte_carlo_expected_revenue_sequential(&g, &weights, &probs, 40_000, 7);
         assert!((mc - exact).abs() < 0.05, "seeded MC {mc} vs exact {exact}");
-        let mc_par = monte_carlo_expected_revenue_parallel(&g, &weights, &probs, 40_000, 7);
+        let mc_par = monte_carlo_expected_revenue(&g, &weights, &probs, 40_000, 7);
         assert!((mc_par - exact).abs() < 0.05, "parallel MC {mc_par}");
-    }
-
-    #[test]
-    fn scratch_reuse_matches_fresh_workspace() {
-        let g = running_example();
-        let weights = [3.9, 2.1, 2.0];
-        let probs = [0.5, 0.5, 0.8];
-        let mut scratch = McScratch::new();
-        // Same rng stream ⇒ identical estimates, fresh or reused.
-        let mut rng = SmallRng::seed_from_u64(9);
-        let reused_a =
-            monte_carlo_expected_revenue_with(&g, &weights, &probs, 200, &mut rng, &mut scratch);
-        let reused_b =
-            monte_carlo_expected_revenue_with(&g, &weights, &probs, 200, &mut rng, &mut scratch);
-        let mut rng = SmallRng::seed_from_u64(9);
-        let fresh_a = monte_carlo_expected_revenue(&g, &weights, &probs, 200, &mut rng);
-        let fresh_b = monte_carlo_expected_revenue(&g, &weights, &probs, 200, &mut rng);
-        assert_eq!(reused_a.to_bits(), fresh_a.to_bits());
-        assert_eq!(reused_b.to_bits(), fresh_b.to_bits());
     }
 
     #[test]
     fn monte_carlo_degenerate_probs() {
         let g = running_example();
         let weights = [3.9, 2.1, 2.0];
-        let mut rng = SmallRng::seed_from_u64(1);
-        let all = monte_carlo_expected_revenue(&g, &weights, &[1.0; 3], 10, &mut rng);
+        let all = monte_carlo_expected_revenue(&g, &weights, &[1.0; 3], 10, 1);
         assert!((all - 5.9).abs() < 1e-9);
-        let none = monte_carlo_expected_revenue(&g, &weights, &[0.0; 3], 10, &mut rng);
+        let none = monte_carlo_expected_revenue(&g, &weights, &[0.0; 3], 10, 1);
         assert_eq!(none, 0.0);
     }
 
@@ -368,11 +259,11 @@ mod tests {
 
         for &(samples, seed) in &[(1u32, 3u64), (63, 5), (64, 7), (65, 11), (1000, 13)] {
             let sequential =
-                monte_carlo_expected_revenue_seeded(&g, &weights, &probs, samples, seed);
+                monte_carlo_expected_revenue_sequential(&g, &weights, &probs, samples, seed);
             // 1/2/3/8-thread sweep + bitwise comparison via the shared
             // determinism harness.
             let parallel = maps_testkit::assert_deterministic(|| {
-                monte_carlo_expected_revenue_parallel(&g, &weights, &probs, samples, seed)
+                monte_carlo_expected_revenue(&g, &weights, &probs, samples, seed)
             });
             assert_eq!(
                 sequential.to_bits(),
@@ -387,10 +278,10 @@ mod tests {
         let g = running_example();
         let weights = [3.9, 2.1, 2.0];
         let probs = [0.5, 0.5, 0.8];
-        let a = monte_carlo_expected_revenue_seeded(&g, &weights, &probs, 500, 42);
-        let b = monte_carlo_expected_revenue_seeded(&g, &weights, &probs, 500, 42);
+        let a = monte_carlo_expected_revenue_sequential(&g, &weights, &probs, 500, 42);
+        let b = monte_carlo_expected_revenue_sequential(&g, &weights, &probs, 500, 42);
         assert_eq!(a.to_bits(), b.to_bits());
-        let c = monte_carlo_expected_revenue_seeded(&g, &weights, &probs, 500, 43);
+        let c = monte_carlo_expected_revenue_sequential(&g, &weights, &probs, 500, 43);
         assert_ne!(a.to_bits(), c.to_bits(), "different seeds must differ");
     }
 
@@ -398,14 +289,13 @@ mod tests {
     #[should_panic(expected = "at least one sample")]
     fn rejects_zero_samples() {
         let g = running_example();
-        let mut rng = SmallRng::seed_from_u64(1);
-        let _ = monte_carlo_expected_revenue(&g, &[1.0; 3], &[0.5; 3], 0, &mut rng);
+        let _ = monte_carlo_expected_revenue_sequential(&g, &[1.0; 3], &[0.5; 3], 0, 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one sample")]
     fn parallel_rejects_zero_samples() {
         let g = running_example();
-        let _ = monte_carlo_expected_revenue_parallel(&g, &[1.0; 3], &[0.5; 3], 0, 1);
+        let _ = monte_carlo_expected_revenue(&g, &[1.0; 3], &[0.5; 3], 0, 1);
     }
 }

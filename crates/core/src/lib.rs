@@ -50,11 +50,7 @@ pub use baselines::{
 };
 pub use builder::{build_period_graph, build_period_graph_capped};
 pub use cache::PeriodGraphCache;
-pub use evaluate::{
-    monte_carlo_expected_revenue, monte_carlo_expected_revenue_parallel,
-    monte_carlo_expected_revenue_seeded, monte_carlo_expected_revenue_with, realize_revenue,
-    McScratch, MC_BLOCK,
-};
+pub use evaluate::monte_carlo_expected_revenue;
 pub use lfunc::{ApproxKind, DeltaRule, LFunction};
 pub use maps_strategy::{MapsConfig, MapsStrategy};
 pub use problem::{
@@ -70,11 +66,7 @@ pub mod prelude {
     };
     pub use crate::builder::{build_period_graph, build_period_graph_capped};
     pub use crate::cache::PeriodGraphCache;
-    pub use crate::evaluate::{
-        monte_carlo_expected_revenue, monte_carlo_expected_revenue_parallel,
-        monte_carlo_expected_revenue_seeded, monte_carlo_expected_revenue_with, realize_revenue,
-        McScratch, MC_BLOCK,
-    };
+    pub use crate::evaluate::monte_carlo_expected_revenue;
     pub use crate::lfunc::{ApproxKind, DeltaRule, LFunction};
     pub use crate::maps_strategy::{MapsConfig, MapsStrategy};
     pub use crate::problem::{

@@ -3,7 +3,7 @@
 
 use crate::panels::{all_panels, panel_by_name, PanelSpec, Scale};
 use crate::report::{print_metric_tables, print_telemetry, write_jsonl};
-use crate::runner::{run_panel, run_panel_journaled, JournalOptions, RunOptions};
+use crate::runner::{run_panel, JournalOptions, RunOptions};
 use std::path::PathBuf;
 
 /// Parsed command-line options for a figure binary.
@@ -25,7 +25,8 @@ pub struct CliArgs {
     /// `--no-memory`: skip peak-heap tracking.
     pub no_memory: bool,
     /// `--max-edges K`: per-task edge cap of the period graph builder
-    /// (default 64; use a huge value for the exact uncapped graph).
+    /// (default 64; a huge value keeps every in-range edge — through
+    /// the same k-nearest build, there is no uncapped one).
     pub max_edges: usize,
     /// `--shards N`: route every simulation through the grid-sharded
     /// online service (`maps-service`) with N ≥ 1 shards instead of the
@@ -41,9 +42,10 @@ pub struct CliArgs {
     pub producers: usize,
     /// `--journal DIR`: attach a write-ahead event journal (plus epoch
     /// checkpoints) to every cell's service replay, one subdirectory of
-    /// DIR per cell (requires `--shards`; rows stay bit-identical — the
-    /// journal is write-path-only). `None` (the default) journals
-    /// nothing.
+    /// DIR per cell (requires `--shards`, refuses `--producers` and
+    /// `--parallel`; rows stay bit-identical — the journal is
+    /// write-path-only — and carry the Memory column like any serial
+    /// run). `None` (the default) journals nothing.
     pub journal: Option<PathBuf>,
     /// `--recover`: resume cells whose journal already exists in the
     /// `--journal` directory from a previous — possibly crashed — run
@@ -201,6 +203,14 @@ impl CliArgs {
                     .into(),
             );
         }
+        if parsed.journal.is_some() && parsed.parallel {
+            return Err(
+                "--journal runs cells serially (parallel cells would contend on fsync and \
+                 durability timings would mean nothing); drop --parallel"
+                    .to_string()
+                    .into(),
+            );
+        }
         if parsed.recover && parsed.journal.is_none() {
             return Err(
                 "--recover requires --journal DIR (there is no journal to recover from)"
@@ -245,7 +255,8 @@ fn usage(bin: &str) -> ! {
          [--producers N] [--journal DIR [--recover]] [--telemetry]\n\
          panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha\n\
          --seeds N           average over N >= 1 seeds (default 1)\n\
-         --max-edges K       per-task edge cap of the period graph (default 64)\n\
+         --max-edges K       per-task edge cap of the period graph (default 64;\n\
+                             a huge K keeps every in-range edge, same build)\n\
          --shards N          drive runs through the sharded online service\n\
                              (N >= 1 shards; rows bit-identical to the batch\n\
                              loop at any N — omit for the in-process loop)\n\
@@ -255,8 +266,9 @@ fn usage(bin: &str) -> ! {
                              bit-identical at any N — omit for serial push)\n\
          --journal DIR       attach a write-ahead event journal + epoch\n\
                              checkpoints to every cell's service replay, one\n\
-                             subdirectory of DIR per cell (requires --shards;\n\
-                             rows bit-identical — the journal is write-path-only)\n\
+                             subdirectory of DIR per cell (requires --shards,\n\
+                             refuses --producers and --parallel; rows\n\
+                             bit-identical — the journal is write-path-only)\n\
          --recover           resume cells whose journal already exists in the\n\
                              --journal DIR from a previous (possibly crashed)\n\
                              run instead of recomputing them; rows bit-identical\n\
@@ -296,10 +308,7 @@ pub fn run_figure(figure: &str, args: &CliArgs) {
         );
         // lint-allow(det-wallclock): progress reporting for the operator, never enters result rows
         let start = std::time::Instant::now();
-        let rows = match args.journal_options() {
-            Some(journal) => run_panel_journaled(&spec, options, &journal),
-            None => run_panel(&spec, options),
-        };
+        let rows = run_panel(&spec, options, args.journal_options().as_ref());
         eprintln!("  done in {:.1}s", start.elapsed().as_secs_f64());
         print_metric_tables(&rows);
         if args.telemetry {
@@ -403,9 +412,9 @@ mod tests {
 
     /// `--journal` is the durability layer of the sharded service:
     /// without `--shards` there is no service replay to journal, the
-    /// multi-producer front-end path is not journaled, and `--recover`
-    /// without a journal directory has nothing to recover from — all
-    /// parse errors, not silent fallbacks.
+    /// multi-producer front-end path is not journaled, journaled cells
+    /// run serially, and `--recover` without a journal directory has
+    /// nothing to recover from — all parse errors, not silent fallbacks.
     #[test]
     fn journal_flags_are_validated() {
         assert!(parse(&["--journal", "wal"])
@@ -416,6 +425,9 @@ mod tests {
                 .unwrap_err()
                 .contains("--producers")
         );
+        assert!(parse(&["--journal", "wal", "--shards", "2", "--parallel"])
+            .unwrap_err()
+            .contains("--parallel"));
         assert!(parse(&["--recover"])
             .unwrap_err()
             .contains("requires --journal"));

@@ -21,4 +21,4 @@ pub mod runner;
 pub use cli::{CliArgs, CliError};
 pub use panels::{all_panels, panel_by_name, PanelSpec, Scale};
 pub use report::{print_metric_tables, write_jsonl, Row};
-pub use runner::{run_panel, run_panel_journaled, JournalOptions, RunOptions};
+pub use runner::{run_panel, JournalOptions, RunOptions};

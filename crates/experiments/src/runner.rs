@@ -1,5 +1,7 @@
 //! Sweep execution: runs every (x, strategy) cell of a panel, optionally
-//! in parallel, and aggregates seeds into [`Row`]s.
+//! in parallel, and aggregates seeds into [`Row`]s. [`run_panel`] is the
+//! one cell loop; how a cell is driven (batch, service, ingested,
+//! journaled) is `run_cell`'s choice.
 //!
 //! ## Determinism contract (PR 2)
 //!
@@ -83,9 +85,9 @@ impl RunOptions {
     }
 }
 
-/// Durability options for [`run_panel_journaled`]: every cell's service
-/// replay writes a write-ahead journal (and epoch checkpoints) into its
-/// own subdirectory of `dir`, and `recover` resumes cells whose journal
+/// Durability options for [`run_panel`]: every cell's service replay
+/// writes a write-ahead journal (and epoch checkpoints) into its own
+/// subdirectory of `dir`, and `recover` resumes cells whose journal
 /// already exists from a previous — possibly crashed — run instead of
 /// recomputing them from scratch.
 #[derive(Debug, Clone)]
@@ -123,87 +125,43 @@ impl JournalOptions {
     }
 }
 
-/// [`run_panel`] with a write-ahead journal attached to every cell's
-/// service replay (requires `options.shards ≥ 1`; cells run serially —
-/// durability timing would be meaningless with cells contending on
-/// fsync). Rows are bit-identical to the unjournaled panel: the journal
-/// is write-path-only, and a `recover`ed cell replays to the same
-/// outcome as an uninterrupted one.
-pub fn run_panel_journaled(
-    spec: &PanelSpec,
-    options: RunOptions,
-    journal: &JournalOptions,
-) -> Vec<Row> {
-    assert!(
-        options.shards >= 1,
-        "journaling requires the sharded service path (shards >= 1)"
-    );
-    let seeds = options.num_seeds.max(1);
-    let cells: Vec<(f64, StrategyKind)> = spec
-        .xs
-        .iter()
-        .flat_map(|&x| StrategyKind::ALL.into_iter().map(move |k| (x, k)))
-        .collect();
-    cells
-        .iter()
-        .map(|&(x, kind)| {
-            let outcomes: Vec<Outcome> = (0..seeds)
-                .map(|seed| {
-                    let truth = (spec.build)(x, options.scale, seed);
-                    let config = journal.cell_config(spec, x, kind, seed);
-                    if journal.recover && config.journal_path().exists() {
-                        maps_service::replay_recovered(
-                            &truth,
-                            kind,
-                            options.shards,
-                            options.sim_options(),
-                            &config,
-                        )
-                        .unwrap_or_else(|e| panic!("cell recovery failed: {e}"))
-                    } else {
-                        maps_service::replay_journaled(
-                            &truth,
-                            kind,
-                            options.shards,
-                            options.sim_options(),
-                            &config,
-                        )
-                        .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
-                    }
-                })
-                .collect();
-            aggregate(spec, x, kind, &outcomes)
-        })
-        .collect()
-}
-
-/// Runs one simulation cell, with optional peak-memory accounting.
+/// Runs one simulation cell — through the batch loop, the sharded
+/// service, the ingestion front-end or, with `journal`, the journaled
+/// (or recovered) serial service replay — with peak-memory accounting
+/// on a serial run that asks for it. Rows are bit-identical whichever
+/// way the cell is driven: the journal is write-path-only, and a
+/// recovered cell replays to the same outcome as an uninterrupted one.
 fn run_cell(
     spec: &PanelSpec,
     x: f64,
     kind: StrategyKind,
     options: RunOptions,
+    journal: Option<&JournalOptions>,
     seed: u64,
-    track: bool,
 ) -> Outcome {
     let truth = (spec.build)(x, options.scale, seed);
+    let (shards, sim) = (options.shards.max(1), options.sim_options());
+    // The peak is process-wide: cells running side by side would read
+    // each other's.
+    let track = options.track_memory && !options.parallel;
     if track {
         TrackingAllocator::reset_peak();
     }
-    let mut outcome = if options.producers >= 1 {
-        maps_service::replay_ingested(
-            &truth,
-            kind,
-            options.shards.max(1),
-            options.producers,
-            options.sim_options(),
-        )
+    let mut outcome = if let Some(journal) = journal {
+        let config = journal.cell_config(spec, x, kind, seed);
+        if journal.recover && config.journal_path().exists() {
+            maps_service::replay_recovered(&truth, kind, shards, sim, &config)
+                .unwrap_or_else(|e| panic!("cell recovery failed: {e}"))
+        } else {
+            maps_service::replay_journaled(&truth, kind, shards, sim, &config)
+                .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
+        }
+    } else if options.producers >= 1 {
+        maps_service::replay_ingested(&truth, kind, shards, options.producers, sim)
     } else if options.shards >= 1 {
-        maps_service::replay_with_options(&truth, kind, options.shards, options.sim_options())
+        maps_service::replay_with_options(&truth, kind, shards, sim)
     } else {
-        Simulation::new(truth, kind)
-            .with_options(options.sim_options())
-            .run()
+        Simulation::new(truth, kind).with_options(sim).run()
     };
     if track {
         outcome.peak_memory_mib = Some(TrackingAllocator::peak_mib());
@@ -247,8 +205,14 @@ fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome])
     }
 }
 
-/// Runs a whole panel: every sweep value × the five strategies.
-pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
+/// Runs a whole panel: every sweep value × the five strategies, each
+/// cell's service replay journaled when `journal` is given (the service
+/// path with one shard if `options.shards` is 0).
+pub fn run_panel(
+    spec: &PanelSpec,
+    options: RunOptions,
+    journal: Option<&JournalOptions>,
+) -> Vec<Row> {
     let cells: Vec<(f64, StrategyKind)> = spec
         .xs
         .iter()
@@ -267,7 +231,7 @@ pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
             .par_iter()
             .map(|&(c, seed)| {
                 let (x, kind) = cells[c];
-                run_cell(spec, x, kind, options, seed, false)
+                run_cell(spec, x, kind, options, journal, seed)
             })
             .collect();
         cells
@@ -279,12 +243,11 @@ pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
             })
             .collect()
     } else {
-        let track = options.track_memory;
         cells
             .iter()
             .map(|&(x, kind)| {
                 let outcomes: Vec<Outcome> = (0..seeds)
-                    .map(|seed| run_cell(spec, x, kind, options, seed, track))
+                    .map(|seed| run_cell(spec, x, kind, options, journal, seed))
                     .collect();
                 aggregate(spec, x, kind, &outcomes)
             })
@@ -354,13 +317,14 @@ mod tests {
                 ..RunOptions::default()
             };
             let parallel =
-                maps_testkit::assert_deterministic(|| rows_canon(&run_panel(&spec, options)));
+                maps_testkit::assert_deterministic(|| rows_canon(&run_panel(&spec, options, None)));
             let serial = run_panel(
                 &spec,
                 RunOptions {
                     parallel: false,
                     ..options
                 },
+                None,
             );
             assert_eq!(
                 parallel,
@@ -384,9 +348,9 @@ mod tests {
             track_memory: false,
             ..RunOptions::default()
         };
-        let batch = rows_canon(&run_panel(&spec, base));
+        let batch = rows_canon(&run_panel(&spec, base, None));
         for shards in [1usize, 4] {
-            let service_rows = run_panel(&spec, RunOptions { shards, ..base });
+            let service_rows = run_panel(&spec, RunOptions { shards, ..base }, None);
             assert_eq!(
                 rows_canon(&service_rows),
                 batch,
@@ -410,7 +374,7 @@ mod tests {
             track_memory: false,
             ..RunOptions::default()
         };
-        let batch = rows_canon(&run_panel(&spec, base));
+        let batch = rows_canon(&run_panel(&spec, base, None));
         for (producers, shards) in [(1usize, 2usize), (3, 0), (4, 4)] {
             let ingested_rows = run_panel(
                 &spec,
@@ -419,6 +383,7 @@ mod tests {
                     shards,
                     ..base
                 },
+                None,
             );
             assert_eq!(
                 rows_canon(&ingested_rows),
@@ -451,6 +416,7 @@ mod tests {
                 parallel: true,
                 ..base
             },
+            None,
         ));
         let journal = JournalOptions {
             dir: std::env::temp_dir()
@@ -458,25 +424,30 @@ mod tests {
             recover: false,
             checkpoint_every: 2,
         };
-        let journaled = run_panel_journaled(&spec, base, &journal);
+        let journaled = run_panel(&spec, base, Some(&journal));
         assert_eq!(
             rows_canon(&journaled),
             batch,
             "journaled rows diverged from the batch loop"
         );
-        let recovered = run_panel_journaled(
-            &spec,
-            base,
-            &JournalOptions {
-                recover: true,
-                ..journal.clone()
-            },
-        );
+        let recover = JournalOptions {
+            recover: true,
+            ..journal.clone()
+        };
+        let recovered = run_panel(&spec, base, Some(&recover));
         assert_eq!(
             rows_canon(&recovered),
             batch,
             "recovered rows diverged from the batch loop"
         );
+        // The journaled cell is driven by the one loop, so it reads
+        // `track_memory` like every other cell (the column was `-`).
+        let tracked = RunOptions {
+            track_memory: true,
+            ..base
+        };
+        let rows = run_panel(&spec, tracked, Some(&recover));
+        assert!(rows.iter().all(|r| r.memory_mib.is_some()));
         let _ = std::fs::remove_dir_all(&journal.dir);
     }
 
@@ -492,6 +463,7 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
+            None,
         );
         assert_eq!(rows.len(), 5 * 5);
         for row in &rows {
@@ -522,6 +494,7 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
+            None,
         );
         let three = run_panel(
             &spec,
@@ -532,6 +505,7 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
+            None,
         );
         // Same shape, (almost surely) different values.
         assert_eq!(one.len(), three.len());

@@ -23,9 +23,8 @@
 //!   is optimal; this is what lets the simulator run the paper's
 //!   `|R| = |W| = 500 000` scalability experiment.
 //! * [`possible_worlds`] — exact expected total revenue over the `2^|R|`
-//!   possible worlds of Definition 6: a Gray-code fast path with O(1)
-//!   probability updates plus the naive enumerator kept as test oracle
-//!   (reproduces Example 3's expected revenue).
+//!   possible worlds of Definition 6, summed as the definition states
+//!   it (reproduces Example 3's expected revenue).
 //! * [`scratch`] — [`MatchScratch`], the reusable zero-allocation
 //!   workspace behind every matching kernel, and the
 //!   [`graph::MaskedGraph`] view that replaces `filter_left` copies in

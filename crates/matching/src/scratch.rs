@@ -1,7 +1,7 @@
 //! Reusable zero-allocation matching workspace.
 //!
-//! The evaluation hot paths — possible-world enumeration, Monte-Carlo
-//! revenue estimation, per-period market clearing — solve thousands to
+//! The evaluation hot paths — Monte-Carlo revenue estimation,
+//! per-period market clearing — solve thousands to
 //! millions of maximum-weight matchings over graphs of identical (or
 //! shrinking) size. Allocating fresh match/visited/order buffers per
 //! solve dominates the runtime at small `n`. [`MatchScratch`] owns all
@@ -21,7 +21,7 @@
 //!   [`BipartiteGraph::filter_left`] does. The `_ordered` variant
 //!   additionally reuses a caller-provided weight-sorted order, which
 //!   removes the per-solve `O(R log R)` sort when the weights are
-//!   fixed and only the mask changes (possible worlds, Monte-Carlo).
+//!   fixed and only the mask changes (Monte-Carlo).
 //!
 //! A masked solve never needs to consult the mask during augmentation:
 //! only kept vertices are used as augmentation sources, and every

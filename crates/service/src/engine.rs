@@ -14,7 +14,7 @@ use maps_simulator::{
     ChurnSink, GroundTask, GroundWorker, LifecycleTable, MatchPolicy, Outcome, PeriodEngine,
     PeriodStep,
 };
-use maps_spatial::{BucketIndex, GridSpec, Point, ShardMap};
+use maps_spatial::{GridSpec, Point, ShardMap};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -283,12 +283,10 @@ struct Shard {
     arrivals: Vec<(u32, WorkerInput)>,
     /// Departures of workers this shard's cache holds.
     departures: Vec<u32>,
-    /// Capped path: this tick's candidate lists, flattened;
+    /// This tick's candidate lists, flattened;
     /// `candidate_starts[t]..candidate_starts[t+1]` indexes task `t`'s.
     candidates: Vec<(f64, u32)>,
     candidate_starts: Vec<u32>,
-    /// Uncapped fallback: this tick's `(task, worker-id)` edge slice.
-    edges: Vec<(u32, u32)>,
 }
 
 impl Shard {
@@ -299,7 +297,6 @@ impl Shard {
             departures: Vec::new(),
             candidates: Vec::new(),
             candidate_starts: Vec::new(),
-            edges: Vec::new(),
         }
     }
 
@@ -313,8 +310,8 @@ impl Shard {
         (self.cache.live_count(), self.cache.max_live_radius())
     }
 
-    /// Capped path: answers every task's k-nearest query against this
-    /// shard's index into the reused flat buffers.
+    /// Answers every task's k-nearest query against this shard's index
+    /// into the reused flat buffers.
     fn collect_candidates(&mut self, tasks: &[TaskInput], max_radius: f64, k: usize) {
         self.candidates.clear();
         self.candidate_starts.clear();
@@ -333,15 +330,6 @@ impl Shard {
         let lo = self.candidate_starts[t_idx] as usize;
         let hi = self.candidate_starts[t_idx + 1] as usize;
         &self.candidates[lo..hi]
-    }
-
-    /// Uncapped fallback: enumerates this shard's slice of the full
-    /// edge set into the reused buffer.
-    fn collect_edges(&mut self, task_index: &BucketIndex<u32>) {
-        self.edges.clear();
-        let edges = &mut self.edges;
-        self.cache
-            .for_each_task_edge(task_index, |t_idx, id| edges.push((t_idx, id)));
     }
 }
 
@@ -484,52 +472,29 @@ impl PeriodEngine for ShardSet {
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
             live_total,
-            tasks.len() * k.min(live_total.max(1)),
+            tasks.len() * k.min(live_total),
             std::mem::take(&mut self.edge_arena),
         );
-        if live_total <= k {
-            // Fallback mirror of the batch builder: with no cap to
-            // enforce, enumerate every in-range (task, worker) pair.
-            // Shards emit their slices of the edge set in parallel; the
-            // builder canonicalizes order, so a union is enough.
-            let items: Vec<(maps_spatial::Point, u32)> = tasks
-                .iter()
-                .enumerate()
-                .map(|(i, t)| (t.origin, i as u32))
-                .collect();
-            let task_index = BucketIndex::build(self.grid.region(), &items);
-            par_shards(&mut self.lanes.shards, t, |_, shard| {
-                shard.collect_edges(&task_index)
-            })?;
-            let live_ids = &self.live_ids;
-            for shard in &self.lanes.shards {
-                for &(t_idx, id) in &shard.edges {
-                    let dense = live_ids.binary_search(&id).expect("edge worker is live");
-                    builder.add_edge(t_idx as usize, dense);
-                }
-            }
-        } else {
-            // Capped path: every task takes its k nearest in-range
-            // workers under the total (distance, id) order. Each shard
-            // answers from its own index with the *global* max radius
-            // into reused flat buffers, already in that order; the
-            // first k of their merge are exactly the one-index query
-            // (the order is total and layout-independent).
-            let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
-            par_shards(&mut self.lanes.shards, t, |_, shard| {
-                shard.collect_candidates(tasks, max_radius, k)
-            })?;
-            let live_ids = &self.live_ids;
-            let shards = &self.lanes.shards;
-            let mut runs: Vec<&[(f64, u32)]> = Vec::with_capacity(shards.len());
-            for t_idx in 0..tasks.len() {
-                runs.clear();
-                runs.extend(shards.iter().map(|shard| shard.task_candidates(t_idx)));
-                merge_runs(&mut runs, candidate_precedes, k, |_, (_, id)| {
-                    let dense = live_ids.binary_search(&id).expect("candidate is live");
-                    builder.add_edge(t_idx, dense);
-                });
-            }
+        // Every task takes its k nearest in-range workers under the
+        // total (distance, id) order. Each shard answers from its own
+        // index with the *global* max radius into reused flat buffers,
+        // already in that order; the first k of their merge are exactly
+        // the one-index query (the order is total and
+        // layout-independent).
+        let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
+        par_shards(&mut self.lanes.shards, t, |_, shard| {
+            shard.collect_candidates(tasks, max_radius, k)
+        })?;
+        let live_ids = &self.live_ids;
+        let shards = &self.lanes.shards;
+        let mut runs: Vec<&[(f64, u32)]> = Vec::with_capacity(shards.len());
+        for t_idx in 0..tasks.len() {
+            runs.clear();
+            runs.extend(shards.iter().map(|shard| shard.task_candidates(t_idx)));
+            merge_runs(&mut runs, candidate_precedes, k, |_, (_, id)| {
+                let dense = live_ids.binary_search(&id).expect("candidate is live");
+                builder.add_edge(t_idx, dense);
+            });
         }
         let (graph, arena) = builder.build_recycling();
         self.edge_arena = arena;
@@ -554,8 +519,9 @@ impl PeriodEngine for ShardSet {
 /// The grid-sharded online pricing engine.
 ///
 /// Feed it [`ServiceEvent`]s via [`ShardedService::push`]; read the
-/// accumulated [`Outcome`] any time via [`ShardedService::outcome`] (or
-/// consume it with [`ShardedService::into_outcome`]).
+/// accumulated [`Outcome`] any time via
+/// [`ShardedService::outcome_snapshot`] (or consume it with
+/// [`ShardedService::into_outcome`]).
 pub struct ShardedService {
     match_policy: MatchPolicy,
     k: usize,
@@ -975,18 +941,10 @@ impl ShardedService {
     /// no allocation: the reducer keeps every field (price moments
     /// included) finalized at each tick, so monitoring a live service
     /// mid-stream costs a borrow instead of cloning the O(periods)
-    /// `revenue_per_period` series the way [`ShardedService::outcome`]
-    /// does.
+    /// `revenue_per_period` series; [`ShardedService::into_outcome`]
+    /// moves the final result out.
     pub fn outcome_snapshot(&self) -> &Outcome {
         self.step.outcome()
-    }
-
-    /// The outcome accumulated so far, as an owned clone (O(periods)).
-    /// Prefer [`ShardedService::outcome_snapshot`] for repeated
-    /// mid-stream observation and [`ShardedService::into_outcome`] for
-    /// the final result.
-    pub fn outcome(&self) -> Outcome {
-        self.step.outcome().clone()
     }
 
     /// Consumes the service, returning the final outcome. Move-only: no
@@ -1364,7 +1322,7 @@ mod tests {
             task: task(1.5, 1.0),
         });
         svc.push(ServiceEvent::PeriodTick);
-        let out = svc.outcome();
+        let out = svc.outcome_snapshot();
         assert_eq!(out.issued_tasks, 1);
         assert_eq!(out.matched_tasks, 1);
         assert!(out.total_revenue > 0.0);
@@ -1385,7 +1343,7 @@ mod tests {
             task: task(1.5, 1.0),
         });
         svc.push(ServiceEvent::PeriodTick);
-        assert_eq!(svc.outcome().matched_tasks, 1);
+        assert_eq!(svc.outcome_snapshot().matched_tasks, 1);
         svc.push(ServiceEvent::PeriodTick); // release fires at period 1
         assert_eq!(svc.live_workers(), 1);
         assert_eq!(
@@ -1499,24 +1457,24 @@ mod tests {
         );
     }
 
-    /// The O(1) snapshot view must agree with the owned clone at every
-    /// observation point (including mid-stream, between ticks), and
-    /// `into_outcome` must hand back the same final value.
+    /// The O(1) snapshot view moves only at a tick (an owned copy taken
+    /// before a window's events still equals it mid-window), is finalized
+    /// after each one, and `into_outcome` hands back the same final value.
     #[test]
     fn snapshot_borrow_matches_cloned_outcome() {
         let mut svc = service(2, MatchPolicy::Consume);
-        assert_eq!(svc.outcome_snapshot(), &svc.outcome(), "pre-first-tick");
         for i in 0..3u32 {
+            let owned = svc.outcome_snapshot().clone();
             svc.push(ServiceEvent::WorkerArrive {
                 worker: worker(1.0 + i as f64, 1.0, u32::MAX),
             });
             svc.push(ServiceEvent::TaskRequest {
                 task: task(1.5 + i as f64, 1.0),
             });
-            assert_eq!(svc.outcome_snapshot(), &svc.outcome(), "mid-window");
+            assert_eq!(svc.outcome_snapshot(), &owned, "mid-window");
             svc.push(ServiceEvent::PeriodTick);
             let snapshot = svc.outcome_snapshot();
-            assert_eq!(snapshot, &svc.outcome(), "post-tick");
+            assert_ne!(snapshot, &owned, "post-tick");
             assert!(snapshot.mean_posted_price > 0.0, "moments are finalized");
         }
         let bits = svc.outcome_snapshot().deterministic_bits();
@@ -1803,7 +1761,7 @@ mod tests {
                 task: task(1.0 + t as f64, 1.0),
             });
             svc.push(ServiceEvent::PeriodTick);
-            let out = svc.outcome();
+            let out = svc.outcome_snapshot();
             assert!(out.is_consistent());
             assert_eq!(out.issued_tasks, t + 1);
             assert_eq!(out.revenue_per_period.len(), (t + 1) as usize);

@@ -86,8 +86,8 @@ fn service_replay_matches_simulation() {
 }
 
 /// The cap interacts with sharding (per-shard top-k merge vs one-index
-/// query): sweep a few k values including the uncapped-fallback regime
-/// (k ≥ live set) and k = 1.
+/// query): sweep a few k values including a cap no pool reaches
+/// (k ≥ live set: every in-range edge, through the same merge) and k = 1.
 #[test]
 fn service_replay_matches_simulation_across_edge_caps() {
     let world = SyntheticConfig {

@@ -105,9 +105,10 @@ pub struct SimOptions {
     pub probe_seed: u64,
     /// Keep only each task's `k` nearest in-range workers when building
     /// the per-period bipartite graph (see
-    /// [`maps_core::build_period_graph_capped`]); exact whenever fewer
-    /// workers are simultaneously available. Keeps the paper's
-    /// 500k-worker scalability run tractable.
+    /// [`maps_core::build_period_graph_capped`]). A value at or above
+    /// the live pool (`usize::MAX` is legal) keeps every in-range edge,
+    /// through the same k-nearest build — there is no second builder.
+    /// Keeps the paper's 500k-worker scalability run tractable.
     pub max_edges_per_task: usize,
 }
 

@@ -93,9 +93,7 @@ proptest! {
         let total: f64 = pw.worlds().map(|w| w.probability).sum();
         prop_assert!((total - 1.0).abs() < 1e-9);
         let exact = pw.expected_revenue();
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        use rand::SeedableRng;
-        let mc = monte_carlo_expected_revenue(&graph, &weights, &probs, 4000, &mut rng);
+        let mc = monte_carlo_expected_revenue(&graph, &weights, &probs, 4000, seed);
         // MC error scales with total weight; keep a generous band.
         let band = 0.1 * weights.iter().sum::<f64>().max(1.0);
         prop_assert!((mc - exact).abs() < band, "mc {} exact {}", mc, exact);
@@ -310,7 +308,7 @@ proptest! {
                     )
                 } else {
                     (
-                        cache.build_graph(&tasks),
+                        cache.build_graph_capped(&tasks, usize::MAX),
                         build_period_graph(&grid, &tasks, &workers),
                     )
                 };
@@ -944,4 +942,155 @@ fn generated_valuations_match_declared_demand() {
         }
     }
     assert!(checked >= 10, "only {checked} cells had enough samples");
+}
+
+/// The cap boundary and the closed disc, on every path (table-driven,
+/// no randomness). Pools of `k − 1`, `k`, `k + 1` and `2k` workers for
+/// `k ∈ {1, 3, 64}` sit on Pythagorean lattice offsets around one
+/// centre with the hypotenuse as their radius — so the task *at* the
+/// centre is exactly at range of every one of them, in ties of up to
+/// twelve per distance that only the id breaks — plus zero-radius
+/// workers on the centre itself. Three more tasks sit one ulp off the
+/// centre (`f64::next_up` / `next_down`: one ulp outside the workers it
+/// moved away from, inside the ones it moved toward, off the
+/// zero-radius ones) and on a worker's own location.
+///
+/// The edge set must be identical from the spec
+/// ([`build_period_graph`], Definition 5(ii)) cut to each task's `k`
+/// nearest by `(distance, id)`, from the scratch oracle
+/// [`build_period_graph_capped`] and from [`PeriodGraphCache`] after
+/// `apply`; and the one-period world over the same pool must replay
+/// through the sharded service, at 1 and 4 shards, to the batch
+/// simulator's bits.
+#[test]
+fn cap_boundary_and_closed_disc_agree_on_every_path() {
+    const TRIPLES: [(f64, f64, f64); 10] = [
+        (3.0, 4.0, 5.0),
+        (6.0, 8.0, 10.0),
+        (5.0, 12.0, 13.0),
+        (9.0, 12.0, 15.0),
+        (8.0, 15.0, 17.0),
+        (12.0, 16.0, 20.0),
+        (7.0, 24.0, 25.0),
+        (15.0, 20.0, 25.0),
+        (10.0, 24.0, 26.0),
+        (20.0, 21.0, 29.0),
+    ];
+    let grid = GridSpec::square(Rect::square(100.0), 4);
+    let centre = Point::new(50.0, 50.0);
+    // (offset from the centre, radius): 12 lattice points per triple,
+    // then 8 zero-radius workers on the centre — 128 in all.
+    let mut lattice: Vec<(f64, f64, f64)> = Vec::new();
+    for (a, b, c) in TRIPLES {
+        for (dx, dy) in [(a, b), (b, a), (c, 0.0), (0.0, c)] {
+            lattice.push((dx, dy, c));
+            lattice.push((-dx, -dy, c));
+            if dx != 0.0 && dy != 0.0 {
+                lattice.push((dx, -dy, c));
+                lattice.push((-dx, dy, c));
+            }
+        }
+    }
+    lattice.extend([(0.0, 0.0, 0.0); 8]);
+    assert_eq!(lattice.len(), 128);
+    let task_at = |origin: Point| GroundTask {
+        origin,
+        destination: centre,
+        distance: 1.0,
+        valuation: 5.0,
+        cell: grid.cell_of(origin),
+    };
+    let ground_tasks = [
+        task_at(centre),
+        task_at(Point::new(centre.x.next_up(), centre.y)),
+        task_at(Point::new(centre.x, centre.y.next_down())),
+        task_at(Point::new(centre.x - 3.0, centre.y + 4.0)),
+    ];
+    let tasks: Vec<TaskInput> = ground_tasks
+        .iter()
+        .map(|t| TaskInput::new(&grid, t.origin, t.distance))
+        .collect();
+    for k in [1usize, 3, 64] {
+        for n in [k - 1, k, k + 1, 2 * k] {
+            // Worker `id` takes lattice slot `37·id mod 128` (a
+            // permutation), so small pools already mix radii and rings.
+            let pool: Vec<(f64, f64, f64)> =
+                (0..n).map(|id| lattice[id * 37 % lattice.len()]).collect();
+            let ground_workers: Vec<GroundWorker> = pool
+                .iter()
+                .map(|&(dx, dy, radius)| GroundWorker {
+                    location: Point::new(centre.x + dx, centre.y + dy),
+                    radius,
+                    duration: u32::MAX,
+                })
+                .collect();
+            let workers: Vec<WorkerInput> = ground_workers
+                .iter()
+                .map(|w| WorkerInput::new(&grid, w.location, w.radius))
+                .collect();
+            let what = format!("k {k}, {n} workers");
+
+            let spec = build_period_graph(&grid, &tasks, &workers);
+            let capped = build_period_graph_capped(&grid, &tasks, &workers, k);
+            for (t, task) in tasks.iter().enumerate() {
+                let mut nearest: Vec<(f64, u32)> = spec
+                    .neighbors(t)
+                    .iter()
+                    .map(|&w| (task.origin.euclidean(workers[w as usize].location), w))
+                    .collect();
+                nearest.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                nearest.truncate(k);
+                let mut cut: Vec<u32> = nearest.iter().map(|&(_, w)| w).collect();
+                cut.sort_unstable();
+                assert_eq!(capped.neighbors(t), cut, "{what}: task {t} vs the spec");
+            }
+            // The closed disc, stated without an index: the centre is at
+            // range of everyone; one ulp toward +x is outside whoever
+            // sits at −x (and off the zero-radius workers), one ulp
+            // toward −y outside whoever sits at +y.
+            for (w, &(dx, dy, _)) in pool.iter().enumerate() {
+                assert!(spec.has_edge(0, w), "{what}: worker {w} at range");
+                let right = dx > 0.0 || (dx == 0.0 && dy != 0.0);
+                assert_eq!(spec.has_edge(1, w), right, "{what}: worker {w}, +x ulp");
+                let below = dy < 0.0 || (dy == 0.0 && dx != 0.0);
+                assert_eq!(spec.has_edge(2, w), below, "{what}: worker {w}, −y ulp");
+            }
+
+            let mut cache = PeriodGraphCache::new(&grid);
+            let arrivals: Vec<(u32, WorkerInput)> = (0u32..).zip(workers).collect();
+            cache.apply(&arrivals, &[]);
+            assert_eq!(
+                cache.build_graph_capped(&tasks, k),
+                capped,
+                "{what}: cache vs the scratch oracle"
+            );
+
+            let world = GroundTruth {
+                grid,
+                demands: vec![Demand::paper_normal(2.5, 1.0); grid.num_cells()],
+                periods: vec![PeriodData {
+                    tasks: ground_tasks.to_vec(),
+                    workers: ground_workers,
+                }],
+                match_policy: MatchPolicy::Consume,
+            };
+            let options = SimOptions {
+                calibrate: false,
+                max_edges_per_task: k,
+                ..SimOptions::default()
+            };
+            let batch = Simulation::new(world.clone(), StrategyKind::Maps)
+                .with_options(options)
+                .run();
+            for shards in [1, 4] {
+                let served =
+                    maps::service::replay_with_options(&world, StrategyKind::Maps, shards, options);
+                assert_eq!(
+                    served.deterministic_bits(),
+                    batch.deterministic_bits(),
+                    "{what}: {shards}-shard service vs the batch loop"
+                );
+            }
+        }
+    }
 }
