@@ -386,7 +386,7 @@ mod tests {
 
     fn run<S: PricingStrategy>(s: &mut S, grid: &GridSpec, r: usize, w: usize) -> f64 {
         let (tasks, workers) = input_with_counts(grid, r, w);
-        let graph = build_period_graph(grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid,
             tasks: &tasks,
@@ -402,7 +402,7 @@ mod tests {
         let mut s = BasePStrategy::paper_default(grid.num_cells());
         s.set_base_price(2.25);
         let (tasks, workers) = input_with_counts(&grid, 3, 1);
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,

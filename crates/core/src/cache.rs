@@ -1,14 +1,13 @@
-//! Reusable per-period graph construction: the incremental counterpart
-//! of [`crate::builder`].
+//! Reusable per-period graph construction: the path that ships, checked
+//! against the scan of [`crate::builder`].
 //!
 //! The paper's 500k×500k scalability claim rests on per-period work
 //! being proportional to *churn* — the workers arriving, expiring or
 //! relocating between periods — not to the standing pool.
-//! [`crate::build_period_graph_capped`] rebuilds the full spatial index
-//! from scratch every period; [`PeriodGraphCache`] instead owns a
-//! [`DynamicBucketIndex`] over the live workers and mutates it by churn,
-//! so a period with `c` worker events costs `O(c · log bucket)` index
-//! maintenance plus the output-sensitive query work.
+//! [`PeriodGraphCache`] owns a [`DynamicBucketIndex`] over the live
+//! workers and mutates it by churn, so a period with `c` worker events
+//! costs `O(c · log bucket)` index maintenance plus the output-sensitive
+//! query work.
 //!
 //! ## State is sized by who is live
 //!
@@ -20,25 +19,23 @@
 //! lane itself. The spatial index files each worker's range radius next
 //! to its id, so the capped query's range check reads a value the
 //! bucket scan has already streamed past; that payload orders by id, so
-//! bucket order, the `(distance, id)` order and the oracle argument
-//! below are what they were with bare ids.
+//! the `(distance, id)` order and the oracle argument below are what
+//! they were with bare ids.
 //!
-//! ## Determinism contract (the scratch-rebuild oracle)
+//! ## Determinism contract (the scan oracle)
 //!
 //! [`PeriodGraphCache::apply`] followed by
 //! [`PeriodGraphCache::build_graph_capped`] — the cache's one build
 //! entry; the edge cap `k` is its parameter, and `usize::MAX` asks for
 //! every in-range edge through the same code — is **bit-identical** to
-//! [`crate::build_period_graph_capped`] called on the *materialized live
-//! set*: the live workers listed in ascending id order. The from-scratch
-//! builder is retained as the oracle (per the workspace's standing
-//! bit-determinism invariant) and the equivalence is enforced by unit
-//! tests here plus the cross-crate proptest churn oracle
-//! (`incremental_graph_matches_scratch_rebuild`). The identity holds
-//! because capped queries use the total `(distance, id)` order, which is
-//! independent of either index's bucket grid — the dynamic index
-//! re-buckets itself as the live count moves, so the cache's grid and a
-//! fresh build's generally differ.
+//! [`crate::build_period_graph_capped`] — Definition 5(ii) as a double
+//! loop, sorted and cut; it shares no code with the index — called on
+//! the *materialized live set*: the live workers in ascending id order.
+//! Enforced by unit tests here plus the cross-crate proptest churn
+//! oracle (`incremental_graph_matches_scratch_rebuild`). The identity
+//! holds because both sides keep exactly the pairs `in_range` keeps
+//! and order them by the total `(distance, id)` key, which no bucket
+//! grid can influence — the index re-buckets itself as the pool moves.
 
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
@@ -59,7 +56,17 @@ fn ranged(id: u32, worker: &WorkerInput) -> Ranged {
     Ranged { id, radius }
 }
 
-/// The capped query's per-candidate range check.
+/// The range constraint, in its one spelling: `fl(√d²) ≤ a_w`, what
+/// `Point::euclidean(..) <= radius` computes in the scan. The index
+/// prefilters on `d² ≤ fl(r²)` for its query radius `r`; queried with
+/// `r = a_max.next_up()` that prefilter drops no pair this predicate
+/// keeps, for floats `d²` and `a_w ≤ a_max`: `fl(√d²) ≤ a_w ≤ a_max`
+/// puts the real `√d²` below `next_up(a_max)` (rounding is monotone),
+/// so `d² < next_up(a_max)²` exactly, so `d² ≤ fl(next_up(a_max)²)` (a
+/// float below a real is at most that real rounded) — `a_max = 0.0` and
+/// `f64::MAX` (→ `∞`) included. A worker's reach is therefore a
+/// function of that worker alone, never of who else is live and widens
+/// the query; every graph build queries with that radius.
 fn in_range(distance: f64, worker: Ranged) -> bool {
     distance <= f64::from_bits(worker.radius)
 }
@@ -98,8 +105,7 @@ impl MaxRadius {
         }
     }
 
-    /// The maximum over `live` — the capped oracle's
-    /// `fold(0.0, f64::max)` over the materialized worker list.
+    /// The maximum over `live`: `fold(0.0, f64::max)` of their radii.
     fn get(&mut self, live: &[WorkerInput]) -> f64 {
         if self.dirty {
             *self = Self::default();
@@ -114,7 +120,6 @@ impl MaxRadius {
 /// [`BipartiteGraphBuilder`]); see the module docs for the contract.
 #[derive(Debug, Clone)]
 pub struct PeriodGraphCache {
-    grid: GridSpec,
     index: DynamicBucketIndex<Ranged>,
     /// Live ids, ascending; `live_inputs` is its parallel lane.
     live_ids: Vec<u32>,
@@ -136,12 +141,11 @@ pub struct PeriodGraphCache {
 }
 
 impl PeriodGraphCache {
-    /// An empty cache over the pricing `grid`. The spatial index starts
-    /// as a single bucket and sizes itself to the live count before the
+    /// An empty cache over `grid`'s region. The spatial index starts as
+    /// a single bucket and sizes itself to the live count before the
     /// first batch goes in.
     pub fn new(grid: &GridSpec) -> Self {
         Self {
-            grid: *grid,
             index: DynamicBucketIndex::with_expected_len(grid.region(), 0),
             live_ids: Vec::new(),
             live_inputs: Vec::new(),
@@ -152,11 +156,6 @@ impl PeriodGraphCache {
             query: Vec::new(),
             edge_arena: Vec::new(),
         }
-    }
-
-    /// The pricing grid this cache builds graphs for.
-    pub fn grid(&self) -> &GridSpec {
-        &self.grid
     }
 
     /// Number of live workers.
@@ -294,18 +293,19 @@ impl PeriodGraphCache {
         self.index.insert_bulk(&self.batch);
     }
 
-    /// The maximum live worker radius (`0.0` when empty) — the capped
-    /// oracle's `fold(0.0, f64::max)` over the materialized worker list.
-    /// Public so a *sharded* deployment (one cache per shard) can reduce
-    /// the shards' maxima into the global query radius.
+    /// The maximum live worker radius (`0.0` when empty). Public so a
+    /// *sharded* deployment (one cache per shard) can reduce the shards'
+    /// maxima into the global query radius (its `next_up()`: see the
+    /// private `in_range`).
     pub fn max_live_radius(&mut self) -> f64 {
         self.max_radius.get(&self.live_inputs)
     }
 
-    /// The `k` nearest live workers within `radius` of `origin` under
-    /// the total `(distance, id)` order, honouring each worker's own
-    /// range constraint — one task's worth of the capped build —
-    /// appended to `out` (a shard flattens a tick's lists into one).
+    /// The `k` nearest live workers within `radius` of `origin` — the
+    /// global maximum live radius, one ulp up — under the total
+    /// `(distance, id)` order, honouring each worker's own range
+    /// constraint: one task's worth of the capped build, appended to
+    /// `out` (a shard flattens a tick's lists into one).
     ///
     /// Because the order is total and grid-independent, the union of
     /// per-shard candidate lists re-sorted by `(distance, id)` and
@@ -328,7 +328,8 @@ impl PeriodGraphCache {
     /// `k` nearest in-range workers under the `(distance, id)` order —
     /// every in-range worker once `k` reaches the live count.
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        let max_radius = self.max_live_radius();
+        // One ulp up: the index's disc is a prefilter, `in_range` decides.
+        let radius = self.max_live_radius().next_up();
         let mut builder = BipartiteGraphBuilder::with_arena(
             tasks.len(),
             self.live_ids.len(),
@@ -337,7 +338,7 @@ impl PeriodGraphCache {
         );
         for (t_idx, task) in tasks.iter().enumerate() {
             self.index
-                .k_nearest_within_into(task.origin, max_radius, k, in_range, &mut self.query);
+                .k_nearest_within_into(task.origin, radius, k, in_range, &mut self.query);
             for &(_, w) in &self.query {
                 let dense = self
                     .live_ids
@@ -439,13 +440,13 @@ mod tests {
                 let tasks = random_tasks(&grid, &mut rng, n_tasks);
                 cache.apply(&arrivals, &departures);
                 let incremental = cache.build_graph_capped(&tasks, k);
-                let scratch = build_period_graph_capped(&grid, &tasks, &mirror.workers(), k);
+                let scratch = build_period_graph_capped(&tasks, &mirror.workers(), k);
                 assert_eq!(
                     incremental, scratch,
                     "seed {seed} k {k} period {period}: capped graph diverged"
                 );
                 let full = cache.build_graph_capped(&tasks, usize::MAX);
-                let full_oracle = build_period_graph(&grid, &tasks, &mirror.workers());
+                let full_oracle = build_period_graph(&tasks, &mirror.workers());
                 assert_eq!(
                     full, full_oracle,
                     "seed {seed} k {k} period {period}: full graph diverged"
@@ -497,7 +498,7 @@ mod tests {
     #[test]
     fn max_radius_tracks_removals() {
         // Regression shape: the k-nearest query radius must shrink when
-        // the widest worker departs, exactly as the oracle's fold does.
+        // the widest worker departs.
         let grid = grid();
         let near = WorkerInput::new(&grid, Point::new(10.0, 10.0), 3.0);
         let wide = WorkerInput::new(&grid, Point::new(90.0, 90.0), 80.0);
@@ -515,7 +516,7 @@ mod tests {
         let oracle = {
             let mut out = Vec::new();
             cache.fill_worker_inputs(&mut out);
-            build_period_graph_capped(cache.grid(), &tasks, &out, 2)
+            build_period_graph_capped(&tasks, &out, 2)
         };
         assert_eq!(g, oracle);
         assert_eq!(g.neighbors(0), &[2], "only the new near worker reaches");
@@ -589,18 +590,17 @@ mod tests {
         }
         let max = workers.iter().map(|w| w.radius).fold(0.0, f64::max);
         assert_eq!(cache.max_live_radius(), max, "{what}: max radius");
-        let grid = *cache.grid();
-        let tasks = random_tasks(&grid, &mut XorShift(0x7A5C), 9);
+        let tasks = random_tasks(&grid(), &mut XorShift(0x7A5C), 9);
         for k in [1, 2, 64] {
             assert_eq!(
                 cache.build_graph_capped(&tasks, k),
-                build_period_graph_capped(&grid, &tasks, &workers, k),
+                build_period_graph_capped(&tasks, &workers, k),
                 "{what}: capped graph, k {k}"
             );
         }
         assert_eq!(
             cache.build_graph_capped(&tasks, usize::MAX),
-            build_period_graph(&grid, &tasks, &workers),
+            build_period_graph(&tasks, &workers),
             "{what}: complete graph"
         );
     }
@@ -719,7 +719,7 @@ mod tests {
         for k in [1, 8] {
             assert_eq!(
                 cache.build_graph_capped(&tasks, k),
-                build_period_graph_capped(&grid(), &tasks, &workers, k)
+                build_period_graph_capped(&tasks, &workers, k)
             );
         }
         apply_and_check(&mut cache, &mut mirror, &[], &[4_000_000_000], "it leaves");

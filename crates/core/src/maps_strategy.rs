@@ -601,7 +601,7 @@ mod tests {
     #[test]
     fn example5_final_prices() {
         let (grid, tasks, workers, mut maps) = running_example_strategy();
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -623,7 +623,7 @@ mod tests {
         // (both rules coincide at demand-limited maximizers).
         let (grid, tasks, workers, mut maps) = running_example_strategy();
         maps.cfg.delta_rule = DeltaRule::ScaledShorthand;
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -638,7 +638,7 @@ mod tests {
     #[test]
     fn no_workers_prices_at_base() {
         let (grid, tasks, _, mut maps) = running_example_strategy();
-        let graph = build_period_graph(&grid, &tasks, &[]);
+        let graph = build_period_graph(&tasks, &[]);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -655,7 +655,7 @@ mod tests {
     #[test]
     fn no_tasks_prices_at_base() {
         let (grid, _, workers, mut maps) = running_example_strategy();
-        let graph = build_period_graph(&grid, &[], &workers);
+        let graph = build_period_graph(&[], &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &[],
@@ -671,7 +671,7 @@ mod tests {
     #[test]
     fn prices_always_within_window() {
         let (grid, tasks, workers, mut maps) = running_example_strategy();
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -754,7 +754,7 @@ mod tests {
                 .observe_batch(idx, n, (s * n as f64) as u64);
         }
         maps.set_base_price(2.0);
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -769,7 +769,7 @@ mod tests {
     fn smoothing_pulls_neighbor_prices_together() {
         let (grid, tasks, workers, mut maps) = running_example_strategy();
         maps.cfg.smoothing = Some(0.5);
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -786,7 +786,7 @@ mod tests {
     #[test]
     fn deterministic_given_same_inputs() {
         let (grid, tasks, workers, mut maps) = running_example_strategy();
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
@@ -889,7 +889,7 @@ mod tests {
         tasks: &[TaskInput],
         workers: &[WorkerInput],
     ) {
-        let graph = build_period_graph(grid, tasks, workers);
+        let graph = build_period_graph(tasks, workers);
         let input = PeriodInput {
             grid,
             tasks,
@@ -998,7 +998,7 @@ mod tests {
                     WorkerInput::new(&grid, Point::new(x, y), 12.0)
                 })
                 .collect();
-            let graph = build_period_graph(&grid, &tasks, &workers);
+            let graph = build_period_graph(&tasks, &workers);
             let input = PeriodInput {
                 grid: &grid,
                 tasks: &tasks,

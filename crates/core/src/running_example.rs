@@ -49,7 +49,7 @@ impl RunningExample {
             WorkerInput::new(&grid, Point::new(7.0, 5.0), 2.5), // w2
             WorkerInput::new(&grid, Point::new(5.0, 3.0), 2.5), // w3, grid 7
         ];
-        let graph = build_period_graph(&grid, &tasks, &workers);
+        let graph = build_period_graph(&tasks, &workers);
         Self {
             grid,
             tasks,

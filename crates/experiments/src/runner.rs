@@ -149,12 +149,18 @@ fn run_cell(
     }
     let mut outcome = if let Some(journal) = journal {
         let config = journal.cell_config(spec, x, kind, seed);
-        if journal.recover && config.journal_path().exists() {
-            maps_service::replay_recovered(&truth, kind, shards, sim, &config)
-                .unwrap_or_else(|e| panic!("cell recovery failed: {e}"))
-        } else {
-            maps_service::replay_journaled(&truth, kind, shards, sim, &config)
-                .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
+        let recovered = (journal.recover && config.journal_path().exists())
+            .then(|| maps_service::replay_recovered(&truth, kind, shards, sim, &config));
+        match recovered {
+            Some(Ok(outcome)) => outcome,
+            // No journal, or one whose writer died before its baseline
+            // checkpoint: nothing durable, and a cell is a pure function
+            // of its coordinates — run it from the start.
+            None | Some(Err(maps_service::RecoveryError::NoCheckpoint)) => {
+                maps_service::replay_journaled(&truth, kind, shards, sim, &config)
+                    .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
+            }
+            Some(Err(e)) => panic!("cell recovery failed: {e}"),
         }
     } else if options.producers >= 1 {
         maps_service::replay_ingested(&truth, kind, shards, options.producers, sim)
@@ -439,6 +445,23 @@ mod tests {
             rows_canon(&recovered),
             batch,
             "recovered rows diverged from the batch loop"
+        );
+        // A cell that died between creating its journal and writing the
+        // baseline checkpoint left only the journal file: `--recover`
+        // runs that cell from the start (it used to panic, every time).
+        let killed = recover.cell_config(&spec, spec.xs[0], StrategyKind::ALL[0], 0);
+        for entry in std::fs::read_dir(&killed.dir).unwrap() {
+            let path = entry.unwrap().path();
+            if path != killed.journal_path() {
+                std::fs::remove_file(path).unwrap();
+            }
+        }
+        assert_eq!(std::fs::read_dir(&killed.dir).unwrap().count(), 1);
+        let restarted = run_panel(&spec, base, Some(&recover));
+        assert_eq!(
+            rows_canon(&restarted),
+            batch,
+            "rows of a cell restarted from a checkpoint-less journal diverged"
         );
         // The journaled cell is driven by the one loop, so it reads
         // `track_memory` like every other cell (the column was `-`).

@@ -14,7 +14,7 @@ use maps_simulator::{
     ChurnSink, GroundTask, GroundWorker, LifecycleTable, MatchPolicy, Outcome, PeriodEngine,
     PeriodStep,
 };
-use maps_spatial::{GridSpec, Point, ShardMap};
+use maps_spatial::{GridSpec, Point};
 use rayon::prelude::*;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -312,14 +312,14 @@ impl Shard {
 
     /// Answers every task's k-nearest query against this shard's index
     /// into the reused flat buffers.
-    fn collect_candidates(&mut self, tasks: &[TaskInput], max_radius: f64, k: usize) {
+    fn collect_candidates(&mut self, tasks: &[TaskInput], radius: f64, k: usize) {
         self.candidates.clear();
         self.candidate_starts.clear();
         self.candidate_starts.reserve(tasks.len() + 1);
         self.candidate_starts.push(0);
         for task in tasks {
             self.cache
-                .k_nearest_candidates_into(task.origin, max_radius, k, &mut self.candidates);
+                .k_nearest_candidates_into(task.origin, radius, k, &mut self.candidates);
             self.candidate_starts.push(self.candidates.len() as u32);
         }
     }
@@ -339,7 +339,6 @@ impl Shard {
 /// goes through the same two methods, so routing exists once.
 #[derive(Debug)]
 struct ShardLanes {
-    router: ShardMap,
     shards: Vec<Shard>,
     /// The shard each worker last arrived in, indexed by admission id
     /// (`0` for ids that never entered a live set).
@@ -370,9 +369,11 @@ impl ShardLanes {
 
 impl ChurnSink for ShardLanes {
     fn arrive(&mut self, id: u32, input: WorkerInput) {
-        // Routed by the location it arrives at: a relocation release can
-        // migrate the worker to another shard's cells.
-        let shard = self.router.shard_of(input.cell);
+        // Routed by the location it arrives at, round-robin over the
+        // cell index (pure in `(cell, shards)`; a hotspot's cells spread
+        // across shards): a relocation release can migrate the worker to
+        // another shard's cells.
+        let shard = input.cell.index() % self.shards.len();
         self.shards[shard].arrivals.push((id, input));
         if self.routes.len() <= id as usize {
             // Ids skipped below never entered a live set (zero-duration
@@ -477,13 +478,14 @@ impl PeriodEngine for ShardSet {
         );
         // Every task takes its k nearest in-range workers under the
         // total (distance, id) order. Each shard answers from its own
-        // index with the *global* max radius into reused flat buffers,
+        // index with the *global* max radius — one ulp up, so the index's
+        // disc is a prefilter and each worker's own range decides (argued
+        // at `in_range` in `maps_core::cache`) — into reused flat buffers,
         // already in that order; the first k of their merge are exactly
-        // the one-index query (the order is total and
-        // layout-independent).
+        // the one-index query (the order is total, layout-independent).
         let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
         par_shards(&mut self.lanes.shards, t, |_, shard| {
-            shard.collect_candidates(tasks, max_radius, k)
+            shard.collect_candidates(tasks, max_radius.next_up(), k)
         })?;
         let live_ids = &self.live_ids;
         let shards = &self.lanes.shards;
@@ -605,7 +607,6 @@ impl ShardedService {
                 grid,
                 table: LifecycleTable::new(grid, None),
                 lanes: ShardLanes {
-                    router: ShardMap::new(config.shards),
                     shards,
                     routes: Vec::new(),
                 },
@@ -1034,9 +1035,6 @@ impl ShardedService {
                 w.push(speed.to_bits());
             }
         }
-        let name = &self.step.outcome().strategy;
-        w.push(name.len() as u64);
-        w.extend(name.bytes().map(u64::from));
         w.push(u64::from(self.period));
         // -- lifecycle records --
         table.save_records(&mut w);
@@ -1082,7 +1080,8 @@ impl ShardedService {
     /// Restores state written by [`ShardedService::checkpoint_words`]
     /// into this freshly constructed service. The service must have
     /// been built with the same grid, edge cap, match policy and
-    /// strategy as the checkpointed one (validated against the header);
+    /// strategy as the checkpointed one (validated against the header,
+    /// the strategy by the name in the run state);
     /// shard count may differ freely. Every word is outside input:
     /// counts go through [`StateWords::take_len`], and a value that
     /// would trip an assertion of the cache is a [`StateError::Mismatch`].
@@ -1106,11 +1105,6 @@ impl ShardedService {
         };
         if !policy_ok {
             return Err(Mismatch("checkpoint match-policy mismatch"));
-        }
-        let name_len = r.take_len(1)?;
-        let name = r.take_slice(name_len)?.iter().copied();
-        if !name.eq(self.step.outcome().strategy.bytes().map(u64::from)) {
-            return Err(Mismatch("checkpoint strategy mismatch"));
         }
         self.period = r.take()? as u32;
         // -- lifecycle records --
@@ -1611,9 +1605,9 @@ mod tests {
             }
             assert!(want.len() > 4 * 10, "{shards} shards: live set too small");
             let words = svc.checkpoint_words();
-            // Header (five words around the strategy name, the period),
-            // then the records section: a count and two words each.
-            let records = 5 + words[4] as usize + 1;
+            // Header (four words and the period), then the records
+            // section: a count and two words each.
+            let records = 5;
             let live = records + 1 + 2 * words[records] as usize;
             assert_eq!(words[live..live + want.len()], want, "{shards} shards");
         }

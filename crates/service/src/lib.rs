@@ -16,7 +16,7 @@
 //!                              │                                │
 //!                    ┌─────────▼──────────┐                    │
 //!                    │ deterministic cell │                    │
-//!                    │ router (ShardMap)  │                    │
+//!                    │ router: cell % n   │                    │
 //!                    └┬────────┬─────────┬┘                    │
 //!                ┌────▼──┐ ┌───▼───┐ ┌───▼───┐                 │
 //!                │shard 0│ │shard 1│ │shard n│  ◄──────────────┘
@@ -30,9 +30,9 @@
 //!                     └────────────────┘
 //! ```
 //!
-//! Each shard owns the disjoint set of grid cells the
-//! [`maps_spatial::ShardMap`] assigns it and carries its own
-//! [`maps_core::PeriodGraphCache`] (dynamic spatial index + graph
+//! Each shard owns the grid cells with `cell.index() % shards` equal to
+//! its index (round-robin: a hotspot's cells spread across shards) and
+//! carries its own [`maps_core::PeriodGraphCache`] (spatial index + graph
 //! arena) over the workers currently located in its cells. Between
 //! ticks, events only *stage* state — arrivals in the shared
 //! [`maps_simulator::LifecycleTable`]'s window, where a departure in

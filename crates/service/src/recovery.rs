@@ -90,9 +90,9 @@ pub enum RecoveryError {
     /// records out of the order a journal is written in.
     Journal(JournalError),
     /// No checkpoint in the journal directory decodes — nothing to
-    /// anchor replay on (the baseline checkpoint is written when the
-    /// journal is attached, so this means the directory was tampered
-    /// with or never initialized).
+    /// anchor replay on. The baseline checkpoint is written right after
+    /// the journal file is created, so the writer died in between
+    /// (nothing durable yet: start over) or the directory was tampered with.
     NoCheckpoint,
     /// The newest decodable checkpoint does not structurally match the
     /// service being recovered into (different grid, strategy, …), or

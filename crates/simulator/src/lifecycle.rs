@@ -26,7 +26,7 @@
 //!                                       (dynamic index, id-stable)
 //!                                                      ▼
 //!                               bipartite graph, bit-identical to the
-//!                               from-scratch build on the live set
+//!                               scan (Definition 5(ii)) of the live set
 //! ```
 //!
 //! **The window buffer.** Admission ids are consecutive, so the table

@@ -2,6 +2,7 @@
 //! of the paper (Revenue, Time(secs), Memory(MB)) plus conservation
 //! counters used by the integration tests.
 
+use maps_core::{StateError, StateWords};
 use maps_telemetry::LatencyTelemetry;
 
 /// Numerically stable streaming mean/variance (Welford's online
@@ -255,6 +256,43 @@ impl Outcome {
         latency.extend_words(&mut out);
         out
     }
+
+    /// Decodes what [`Outcome::deterministic_bits`] encodes — the form a
+    /// checkpoint carries the accumulator in; the excluded columns
+    /// restart at zero. A struct literal evaluates its fields as written
+    /// (the encoder's order) and is exhaustive, so a new `Outcome` field
+    /// fails to compile here as it does there. Every word is outside
+    /// input: counts go through [`StateWords::take_len`], a name that is
+    /// not text is a [`StateError::Mismatch`].
+    pub fn from_deterministic_bits(r: &mut StateWords<'_>) -> Result<Outcome, StateError> {
+        let name_len = r.take_len(1)?;
+        let name = r.take_slice(name_len)?;
+        let name: Option<Vec<u8>> = name.iter().map(|&w| u8::try_from(w).ok()).collect();
+        let strategy = name.and_then(|bytes| String::from_utf8(bytes).ok());
+        Ok(Outcome {
+            strategy: strategy.ok_or(StateError::Mismatch("checkpoint strategy name corrupt"))?,
+            total_revenue: r.take_f64()?,
+            issued_tasks: r.take()?,
+            accepted_tasks: r.take()?,
+            matched_tasks: r.take()?,
+            revenue_per_period: {
+                let periods = r.take_len(1)?;
+                let revenues = r.take_slice(periods)?.iter().map(|&w| f64::from_bits(w));
+                revenues.collect()
+            },
+            mean_posted_price: r.take_f64()?,
+            posted_price_std: r.take_f64()?,
+            matched_distance: r.take_f64()?,
+            rejected_events: r.take()?,
+            suppressed_duplicates: r.take()?,
+            latency: LatencyTelemetry::from_words(r.take_slice(LatencyTelemetry::WORDS)?)
+                .ok_or(StateError::Mismatch("checkpoint latency telemetry corrupt"))?,
+            pricing_secs: 0.0,
+            clearing_secs: 0.0,
+            calibration_secs: 0.0,
+            peak_memory_mib: None,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -368,6 +406,40 @@ mod tests {
             mutate(&mut timed);
             assert_eq!(base.deterministic_bits(), timed.deterministic_bits());
         }
+    }
+
+    /// The decoder beside the encoder: every deterministic field comes
+    /// back, the excluded ones restart at zero, and the cursor stops at
+    /// the encoding's end.
+    #[test]
+    fn deterministic_bits_round_trip() {
+        let base = outcome();
+        let mut words = base.deterministic_bits();
+        words.push(0xE0F);
+        let r = &mut StateWords::new(&words);
+        let decoded = Outcome::from_deterministic_bits(r).unwrap();
+        assert_eq!(r.remaining(), 1, "stops where the encoding ends");
+        let untimed = Outcome {
+            pricing_secs: 0.0,
+            clearing_secs: 0.0,
+            calibration_secs: 0.0,
+            peak_memory_mib: None,
+            ..base.clone()
+        };
+        assert_eq!(decoded, untimed);
+        assert_eq!(decoded.deterministic_bits(), base.deterministic_bits());
+        // Hostile words are typed errors: a name word that is no byte, a
+        // period count beyond the words present, a histogram whose total
+        // disagrees with its buckets, a truncated stream.
+        let bits = base.deterministic_bits();
+        let periods_at = 1 + base.strategy.len() + 4;
+        for (at, word) in [(1, 0x100), (periods_at, u64::MAX), (bits.len() - 1, 7)] {
+            let mut bad = bits.clone();
+            bad[at] = word;
+            assert!(Outcome::from_deterministic_bits(&mut StateWords::new(&bad)).is_err());
+        }
+        let short = &bits[..bits.len() - 1];
+        assert!(Outcome::from_deterministic_bits(&mut StateWords::new(short)).is_err());
     }
 
     #[test]

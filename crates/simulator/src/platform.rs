@@ -27,7 +27,6 @@ use maps_core::{
 };
 use maps_matching::{BipartiteGraph, MatchScratch};
 use maps_spatial::{GridSpec, Point};
-use maps_telemetry::LatencyTelemetry;
 use std::convert::Infallible;
 use std::time::Instant;
 
@@ -289,23 +288,12 @@ impl PeriodStep {
         Ok(())
     }
 
-    /// Appends the run state to a checkpoint word stream (floats as
-    /// IEEE-754 bits): the outcome accumulator — without the wall-clock
-    /// columns, which are excluded from `deterministic_bits` and restart
-    /// at zero — the price moments and the strategy's learning state.
+    /// Appends the run state to a checkpoint word stream: the outcome
+    /// accumulator as [`Outcome::deterministic_bits`] (so without the
+    /// wall-clock columns, which restart at zero), the price moments and
+    /// the strategy's learning state.
     pub fn save(&self, w: &mut Vec<u64>) {
-        w.push(self.outcome.total_revenue.to_bits());
-        w.push(self.outcome.issued_tasks);
-        w.push(self.outcome.accepted_tasks);
-        w.push(self.outcome.matched_tasks);
-        w.push(self.outcome.revenue_per_period.len() as u64);
-        w.extend(self.outcome.revenue_per_period.iter().map(|r| r.to_bits()));
-        w.push(self.outcome.mean_posted_price.to_bits());
-        w.push(self.outcome.posted_price_std.to_bits());
-        w.push(self.outcome.matched_distance.to_bits());
-        w.push(self.outcome.rejected_events);
-        w.push(self.outcome.suppressed_duplicates);
-        self.outcome.latency.extend_words(w);
+        w.extend(self.outcome.deterministic_bits());
         let (count, mean_bits, m2_bits) = self.price_moments.to_raw();
         w.extend([count, mean_bits, m2_bits]);
         let len_at = w.len();
@@ -315,24 +303,15 @@ impl PeriodStep {
     }
 
     /// Restores what [`PeriodStep::save`] wrote into a step built around
-    /// an identically configured strategy. The run state is the last
-    /// section of a checkpoint: trailing words are an error.
+    /// an identically configured strategy (its name is checked). The run
+    /// state is the last section of a checkpoint: trailing words are an
+    /// error.
     pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.outcome.total_revenue = r.take_f64()?;
-        self.outcome.issued_tasks = r.take()?;
-        self.outcome.accepted_tasks = r.take()?;
-        self.outcome.matched_tasks = r.take()?;
-        let n_periods = r.take_len(1)?;
-        let revenues = r.take_slice(n_periods)?.iter().map(|&w| f64::from_bits(w));
-        self.outcome.revenue_per_period = revenues.collect();
-        self.outcome.mean_posted_price = r.take_f64()?;
-        self.outcome.posted_price_std = r.take_f64()?;
-        self.outcome.matched_distance = r.take_f64()?;
-        self.outcome.rejected_events = r.take()?;
-        self.outcome.suppressed_duplicates = r.take()?;
-        let latency = r.take_slice(LatencyTelemetry::WORDS)?;
-        self.outcome.latency = LatencyTelemetry::from_words(latency)
-            .ok_or(StateError::Mismatch("checkpoint latency telemetry corrupt"))?;
+        let outcome = Outcome::from_deterministic_bits(r)?;
+        if outcome.strategy != self.outcome.strategy {
+            return Err(StateError::Mismatch("checkpoint strategy mismatch"));
+        }
+        self.outcome = outcome;
         let (count, mean_bits, m2_bits) = (r.take()?, r.take()?, r.take()?);
         self.price_moments = RunningMoments::from_raw(count, mean_bits, m2_bits);
         if r.take_len(1)? != r.remaining() {
@@ -502,12 +481,7 @@ mod tests {
             tasks: &[TaskInput],
             k: usize,
         ) -> Result<BipartiteGraph, Infallible> {
-            Ok(build_period_graph_capped(
-                &self.grid,
-                tasks,
-                &self.worker_inputs,
-                k,
-            ))
+            Ok(build_period_graph_capped(tasks, &self.worker_inputs, k))
         }
 
         fn worker_inputs(&self) -> &[WorkerInput] {

@@ -1,26 +1,24 @@
-//! Incremental bucket index for churn-driven workloads.
+//! The bucket index: a mutable point set answering disc and capped
+//! k-nearest queries.
 //!
-//! [`crate::BucketIndex`] is rebuilt from scratch every time period, which
-//! makes per-period cost proportional to the standing point set. In the
-//! paper's 500k-worker scalability setting the set barely changes between
-//! periods (a few percent of workers arrive, expire or relocate), so the
-//! rebuild dominates. [`DynamicBucketIndex`] keeps the same bucketed
-//! layout mutable: `insert` / `remove` cost one binary search plus a
-//! slot shift in a single bucket, turning per-period index maintenance
-//! into `O(churn · log bucket)`. Each bucket stores its
+//! In the paper's 500k-worker scalability setting the worker set barely
+//! changes between periods (a few percent arrive, expire or relocate),
+//! so a per-period rebuild would dominate. [`DynamicBucketIndex`] keeps
+//! its bucketed layout mutable: `insert` / `remove` cost one binary
+//! search plus a slot shift in a single bucket, turning per-period index
+//! maintenance into `O(churn · log bucket)`. Each bucket stores its
 //! points struct-of-arrays (`xs` / `ys` / `payloads` lanes) so the
 //! capped k-nearest distance loop runs over contiguous `f64` slices.
 //!
-//! ## Stable iteration order
+//! ## Answers are functions of the point set
 //!
-//! Each bucket keeps its slots **sorted by payload**. A fresh
-//! [`crate::BucketIndex::build_with_grid`] over the same live set listed
-//! in ascending payload order buckets points with a stable counting sort,
-//! so its per-cell order is also ascending payload — both stores answer
-//! disc queries through the same shared core in the same order, making
-//! their results bit-identical. `k_nearest_within` additionally orders by
-//! the total `(distance, payload)` key, so capped queries agree between
-//! *differently sized* grids — which is what the next section leans on.
+//! `k_nearest_within` orders by the total `(distance, payload)` key and
+//! a disc query reports a set, so no answer depends on the grid the
+//! points are bucketed by, on insertion order or on how a bulk operation
+//! grouped its work — that one order is the whole grid-independence
+//! argument, and what the next section leans on. Each bucket keeps its
+//! slots **sorted by payload**, for `remove`'s binary search and the
+//! bulk operations' merges.
 //!
 //! ## The grid follows the live count
 //!
@@ -29,29 +27,26 @@
 //! live *now*, not how many the creator expected or how many ever passed
 //! through. The index therefore re-buckets itself: whenever a mutation
 //! would leave `len` outside the band `[cells / 4, 4 · cells]` it moves
-//! every live point onto the grid the static index would pick for that
-//! count (`√n × √n`, clamped to ≤ 256 per side). One regrid costs
-//! `O(live · log live + buckets)`; the band is 16× wide and a regrid
+//! every live point onto the `√n × √n` grid for that count (clamped to
+//! ≤ 256 per side). One regrid costs `O(live · log live + buckets)`;
+//! the band is 16× wide and a regrid
 //! lands `cells ≈ len` in its middle, so at least `~¾ · len` mutations
 //! separate two regrids and a run that grows to `N` points regrids
 //! `O(log N)` times — amortised `O(log live)` per churn event, next to
 //! the binary search every event pays anyway. The grid handed to
 //! [`DynamicBucketIndex::new`] / sized by
 //! [`DynamicBucketIndex::with_expected_len`] is thus only where the
-//! index *starts*.
-//!
-//! A regrid changes no answer: buckets stay payload-sorted (so
-//! `for_each_within_disc` keeps equalling a fresh static build on
-//! [`DynamicBucketIndex::grid`], the *current* grid), and
-//! `k_nearest_within` is a pure function of the point set.
+//! index *starts*. A regrid changes no answer (previous section);
+//! `tests/regrid_oracle.rs` checks every query against a scan of the
+//! live list after every mutation.
 
 use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
-use crate::index::{for_each_within_disc_impl, k_nearest_within_impl, sqrt_side, BucketStore};
+use crate::index::{for_each_within_disc_impl, k_nearest_within_into_impl, sqrt_side};
 
 /// One cell's live points in struct-of-arrays layout: coordinates in
 /// dense `f64` lanes separate from the payloads, kept sorted by payload.
-/// The split is what lets the shared query cores run their distance
+/// The split is what lets the query cores run their distance
 /// arithmetic over contiguous `f64` slices (SIMD-friendly) instead of
 /// striding over `(Point, T)` tuples.
 #[derive(Debug, Clone)]
@@ -83,8 +78,7 @@ pub struct DynamicBucketIndex<T> {
     buckets: Vec<CellSoA<T>>,
     len: usize,
     /// Number of live points outside the grid region (disables the
-    /// ring-search early termination while non-zero, exactly like the
-    /// static index's `any_outside` flag).
+    /// ring-search early termination while non-zero).
     outside: usize,
     /// `(cell, payload, point)` scratch of the bulk operations and of a
     /// regrid, reused so steady-state churn application allocates
@@ -107,9 +101,9 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     }
 
     /// An empty index over `region`, initially at the bucket resolution
-    /// the static index would pick for `expected_len` points (`√n × √n`,
-    /// clamped to ≤ 256 per side). `expected_len` is an initial hint;
-    /// the index follows the live count from the first mutation on.
+    /// for `expected_len` points (`√n × √n`, clamped to ≤ 256 per side).
+    /// `expected_len` is an initial hint; the index follows the live
+    /// count from the first mutation on.
     pub fn with_expected_len(region: Rect, expected_len: usize) -> Self {
         let side = sqrt_side(expected_len);
         Self::new(GridSpec::new(region, side, side))
@@ -118,6 +112,18 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// The *current* bucketing grid — it changes when the index regrids.
     pub fn grid(&self) -> &GridSpec {
         &self.grid
+    }
+
+    /// Whether any live point lies outside the grid region.
+    pub(crate) fn any_outside(&self) -> bool {
+        self.outside > 0
+    }
+
+    /// The points bucketed into `cell` as parallel `(xs, ys, payloads)`
+    /// slices of equal length, ascending by payload.
+    pub(crate) fn cell_slices(&self, cell: usize) -> (&[f64], &[f64], &[T]) {
+        let bucket = &self.buckets[cell];
+        (&bucket.xs, &bucket.ys, &bucket.payloads)
     }
 
     /// Number of live points.
@@ -314,25 +320,17 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         }
     }
 
-    /// Calls `f(point, payload)` for every live point within the closed
-    /// disc of `radius` around `center`, in the same order as a fresh
-    /// [`crate::BucketIndex`] built over the live set in ascending
-    /// payload order.
-    pub fn for_each_within_disc(&self, center: Point, radius: f64, f: impl FnMut(Point, T)) {
-        for_each_within_disc_impl(self, center, radius, f);
-    }
-
-    /// Collects all payloads within the closed disc around `center`.
+    /// Collects the payloads of all live points within the closed disc
+    /// of `radius` around `center` (`d² ≤ fl(radius²)`), in no
+    /// particular order: the set is a function of the live points, the
+    /// order follows the current grid.
     pub fn within_disc(&self, center: Point, radius: f64) -> Vec<T> {
         let mut out = Vec::new();
-        self.for_each_within_disc(center, radius, |_, t| out.push(t));
+        for_each_within_disc_impl(self, center, radius, |_, t| out.push(t));
         out
     }
 
-    /// The `k` nearest qualifying points within `radius` of `center`
-    /// under the total `(distance, payload)` order — identical results
-    /// to [`crate::BucketIndex::k_nearest_within`] on the same live set,
-    /// whatever grid either index uses.
+    /// [`DynamicBucketIndex::k_nearest_within_into`] into a fresh vector.
     pub fn k_nearest_within(
         &self,
         center: Point,
@@ -340,13 +338,27 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         k: usize,
         accept: impl FnMut(f64, T) -> bool,
     ) -> Vec<(f64, T)> {
-        k_nearest_within_impl(self, center, radius, k, accept)
+        let mut out = Vec::new();
+        self.k_nearest_within_into(center, radius, k, accept, &mut out);
+        out
     }
 
-    /// [`DynamicBucketIndex::k_nearest_within`] writing into a
-    /// caller-supplied buffer (cleared first) — same results, no
-    /// per-query allocation, for hot loops issuing many queries per
-    /// period (the sharded service's capped graph build).
+    /// The `k` nearest qualifying points within the closed disc of
+    /// `radius` around `center`, ascending by `(distance, payload)`,
+    /// written into `out` (cleared first; no per-query allocation once
+    /// warm). `accept(distance, payload)` lets the caller impose extra
+    /// constraints (a per-worker range limit); it must be a pure
+    /// predicate — pruned candidates never reach it.
+    ///
+    /// Equal distances are broken by the smaller payload, so the result
+    /// is a pure function of the *point set* (module docs). Buckets are
+    /// visited in concentric Chebyshev rings around the centre cell and
+    /// the search stops as soon as the next ring cannot contain anything
+    /// closer than the current `k`-th candidate — with densely packed
+    /// points this touches `O(k)` entries instead of the whole disc. The
+    /// ring lower bound needs every live point inside the region
+    /// (outside points are clamped into boundary buckets); while any is
+    /// outside, the query scans the whole disc instead.
     pub fn k_nearest_within_into(
         &self,
         center: Point,
@@ -355,7 +367,7 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         accept: impl FnMut(f64, T) -> bool,
         out: &mut Vec<(f64, T)>,
     ) {
-        crate::index::k_nearest_within_into_impl(self, center, radius, k, accept, out);
+        k_nearest_within_into_impl(self, center, radius, k, accept, out);
     }
 }
 
@@ -407,68 +419,89 @@ fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]
     }
 }
 
-impl<T: Copy> BucketStore<T> for DynamicBucketIndex<T> {
-    fn grid(&self) -> &GridSpec {
-        &self.grid
-    }
-
-    fn any_outside(&self) -> bool {
-        self.outside > 0
-    }
-
-    fn cell_slices(&self, cell: usize) -> (&[f64], &[f64], &[T]) {
-        let bucket = &self.buckets[cell];
-        (&bucket.xs, &bucket.ys, &bucket.payloads)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::index::BucketIndex;
 
     use maps_testkit::XorShift;
 
-    /// Fresh static index over `live` (ascending payload) on `grid`.
-    fn rebuild(grid: GridSpec, live: &[(Point, u32)]) -> BucketIndex<u32> {
-        let mut sorted = live.to_vec();
-        sorted.sort_by_key(|&(_, t)| t);
-        BucketIndex::build_with_grid(grid, &sorted)
+    /// The definition every k-nearest answer is held to, as bits: scan
+    /// `live`, keep what the closed disc (`d² ≤ fl(r²)`) and `accept`
+    /// keep, sort by `(distance, payload)`, cut to `k`.
+    fn scan_k_nearest(
+        live: &[(Point, u32)],
+        (c, r): (Point, f64),
+        k: usize,
+        accept: impl Fn(f64, u32) -> bool,
+    ) -> Vec<(u64, u32)> {
+        let mut all: Vec<(f64, u32)> = live
+            .iter()
+            .filter(|(p, _)| p.euclidean_sq(c) <= r * r)
+            .map(|&(p, t)| (p.euclidean(c), t))
+            .filter(|&(d, t)| accept(d, t))
+            .collect();
+        all.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        all.truncate(k);
+        bits(&all)
     }
 
-    fn disc_trace(
-        q: impl Fn(Point, f64, &mut dyn FnMut(Point, u32)),
-        c: Point,
-        r: f64,
-    ) -> Vec<(u64, u64, u32)> {
-        let mut out = Vec::new();
-        q(c, r, &mut |p, t| {
-            out.push((p.x.to_bits(), p.y.to_bits(), t))
-        });
-        out
+    fn bits(v: &[(f64, u32)]) -> Vec<(u64, u32)> {
+        v.iter().map(|&(d, t)| (d.to_bits(), t)).collect()
     }
 
-    /// Random insert/remove/relocate churn: every query result (order
-    /// included) must equal a fresh static rebuild of the live set on
-    /// the index's current grid (`tests/regrid_oracle.rs` drives the
-    /// same comparison across regrids, bulk ops included).
+    /// The closed disc by scan, as a sorted id set.
+    fn scan_disc(live: &[(Point, u32)], q: (Point, f64)) -> Vec<u32> {
+        let all = scan_k_nearest(live, q, usize::MAX, |_, _| true);
+        let mut ids: Vec<u32> = all.into_iter().map(|(_, t)| t).collect();
+        ids.sort_unstable();
+        ids
+    }
+
+    fn sorted_disc(idx: &DynamicBucketIndex<u32>, (c, r): (Point, f64)) -> Vec<u32> {
+        let mut ids = idx.within_disc(c, r);
+        ids.sort_unstable();
+        ids
+    }
+
+    fn index_of(items: &[(Point, u32)], side: f64) -> DynamicBucketIndex<u32> {
+        let mut idx = DynamicBucketIndex::with_expected_len(Rect::square(side), items.len());
+        idx.insert_bulk(items);
+        idx
+    }
+
+    /// Random insert/remove/relocate churn: every disc (as an id set)
+    /// and every filtered k-nearest answer (bit for bit) must equal the
+    /// scan of the live list — through the whole-disc fallback while
+    /// strays are live, through the ring search once they have left
+    /// (`tests/regrid_oracle.rs` drives the same comparison across
+    /// regrids, bulk ops included).
     #[test]
     fn queries_match_fresh_rebuild_under_churn() {
         let mut dynamic = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 9));
         let mut live: Vec<(Point, u32)> = Vec::new();
         let mut rng = XorShift(0x5EED);
         let mut next_id = 0u32;
-        for step in 0..400 {
+        let (mut fallback_checks, mut ring_checks) = (0, 0);
+        for step in 0..800 {
+            let strays = step < 400;
+            if step == 400 {
+                let region = Rect::square(100.0);
+                let (inside, outside): (Vec<_>, Vec<_>) =
+                    live.iter().partition(|&&(p, _)| region.contains(p));
+                assert_eq!(dynamic.remove_bulk(&outside), outside.len());
+                live = inside;
+            }
             let op = rng.next_u64() % 4;
             if op == 0 || live.len() < 4 {
-                // ~8% of points land outside the region to exercise the
-                // clamped-bucket bookkeeping.
-                let scale = if rng.next_u64().is_multiple_of(12) {
-                    130.0
-                } else {
-                    100.0
-                };
-                let p = Point::new(rng.next_f64() * scale - 10.0, rng.next_f64() * scale - 10.0);
+                // The first half's points land outside the region now and
+                // then, to exercise the clamped-bucket bookkeeping.
+                let far = strays && rng.next_u64().is_multiple_of(12);
+                let scale = if far { 130.0 } else { 100.0 };
+                let shift = if strays { 10.0 } else { 0.0 };
+                let p = Point::new(
+                    rng.next_f64() * scale - shift,
+                    rng.next_f64() * scale - shift,
+                );
                 dynamic.insert(p, next_id);
                 live.push((p, next_id));
                 next_id += 1;
@@ -488,27 +521,31 @@ mod tests {
                 continue;
             }
             assert_eq!(dynamic.len(), live.len());
-            let fresh = rebuild(*dynamic.grid(), &live);
+            if dynamic.any_outside() {
+                fallback_checks += 1;
+            } else {
+                ring_checks += 1;
+            }
             let c = Point::new(rng.next_f64() * 110.0 - 5.0, rng.next_f64() * 110.0 - 5.0);
-            let r = rng.next_f64() * 40.0;
+            let q = (c, rng.next_f64() * 40.0);
             assert_eq!(
-                disc_trace(|c, r, f| dynamic.for_each_within_disc(c, r, f), c, r),
-                disc_trace(|c, r, f| fresh.for_each_within_disc(c, r, f), c, r),
-                "disc trace diverged at step {step}"
+                sorted_disc(&dynamic, q),
+                scan_disc(&live, q),
+                "disc diverged at step {step}"
             );
             let k = 1 + (rng.next_u64() as usize) % 8;
-            let got = dynamic.k_nearest_within(c, r, k, |_, t| t % 3 != 0);
-            let want = fresh.k_nearest_within(c, r, k, |_, t| t % 3 != 0);
-            assert_eq!(got.len(), want.len(), "k-nearest count at step {step}");
-            for (g, w) in got.iter().zip(&want) {
-                assert_eq!(g.0.to_bits(), w.0.to_bits(), "distance bits at step {step}");
-                assert_eq!(g.1, w.1, "payload at step {step}");
-            }
+            let accept = |_: f64, t: u32| !t.is_multiple_of(3);
+            assert_eq!(
+                bits(&dynamic.k_nearest_within(q.0, q.1, k, accept)),
+                scan_k_nearest(&live, q, k, accept),
+                "k-nearest diverged at step {step}"
+            );
         }
+        assert!(fallback_checks >= 20 && ring_checks >= 20);
     }
 
     /// The `(distance, payload)` order makes k-nearest independent of
-    /// the bucketing grid, including between dynamic and static stores.
+    /// the bucketing grid.
     #[test]
     fn k_nearest_is_grid_independent_under_ties() {
         // Four points exactly equidistant from the query centre.
@@ -525,19 +562,119 @@ mod tests {
             for &(p, t) in &items {
                 dynamic.insert(p, t);
             }
-            let fresh = BucketIndex::build_with_grid(grid, &items);
             let c = Point::new(5.0, 5.0);
             assert_eq!(
                 ids(dynamic.k_nearest_within(c, 5.0, 2, |_, _| true)),
                 vec![0, 1],
                 "side {side}"
             );
+        }
+    }
+
+    #[test]
+    fn empty_index() {
+        let idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(10.0), 0);
+        assert!(idx.is_empty());
+        assert_eq!(idx.within_disc(Point::new(5.0, 5.0), 100.0), vec![]);
+        let nearest = idx.k_nearest_within(Point::new(5.0, 5.0), 100.0, 3, |_, _| true);
+        assert!(nearest.is_empty());
+    }
+
+    #[test]
+    fn single_point() {
+        let idx = index_of(&[(Point::new(3.0, 3.0), 7)], 10.0);
+        assert_eq!(idx.len(), 1);
+        assert_eq!(idx.within_disc(Point::new(3.0, 4.0), 1.0), vec![7]);
+        assert_eq!(idx.within_disc(Point::new(3.0, 4.5), 1.0), vec![]);
+    }
+
+    #[test]
+    fn discs_match_the_scan_on_a_lattice() {
+        let mut items = Vec::new();
+        for i in 0..20 {
+            for j in 0..20 {
+                items.push((
+                    Point::new(i as f64 * 0.5, j as f64 * 0.5),
+                    items.len() as u32,
+                ));
+            }
+        }
+        let idx = index_of(&items, 10.0);
+        assert_eq!(idx.grid().nx(), 20);
+        for q in [
+            (Point::new(5.0, 5.0), 2.5),
+            (Point::new(0.0, 0.0), 1.0),
+            (Point::new(9.9, 9.9), 3.0),
+            (Point::new(5.0, 5.0), 0.0),
+            (Point::new(-2.0, 5.0), 4.0), // centre outside the region
+        ] {
+            assert_eq!(sorted_disc(&idx, q), scan_disc(&items, q), "query {q:?}");
+            // Uncapped k-nearest is the same set, in distance order.
+            let nearest = idx.k_nearest_within(q.0, q.1, usize::MAX, |_, _| true);
             assert_eq!(
-                ids(fresh.k_nearest_within(c, 5.0, 2, |_, _| true)),
-                vec![0, 1],
-                "static side {side}"
+                bits(&nearest),
+                scan_k_nearest(&items, q, usize::MAX, |_, _| true),
+                "query {q:?}"
             );
         }
+        assert_eq!(scan_disc(&items, (Point::new(5.0, 5.0), 0.0)).len(), 1);
+    }
+
+    #[test]
+    fn points_outside_region_are_still_found() {
+        // Clamped bucketing must not lose points that lie outside the
+        // nominal region (workers can drift out when relocating).
+        let idx = index_of(
+            &[(Point::new(12.0, 12.0), 1), (Point::new(5.0, 5.0), 2)],
+            10.0,
+        );
+        assert_eq!(idx.within_disc(Point::new(12.0, 12.0), 0.5), vec![1]);
+        // and a big disc finds both
+        assert_eq!(sorted_disc(&idx, (Point::new(8.0, 8.0), 10.0)), vec![1, 2]);
+    }
+
+    /// The ring search on 500 in-region points — early termination
+    /// live, rings cut by the k-th candidate, by the radius and by the
+    /// region's edge — against the scan, bit for bit, unfiltered and
+    /// with a rejecting `accept`.
+    #[test]
+    fn k_nearest_matches_the_scan() {
+        let mut rng = XorShift(0xABCD);
+        let items: Vec<(Point, u32)> = (0..500)
+            .map(|i| {
+                (
+                    Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0),
+                    i,
+                )
+            })
+            .collect();
+        let idx = index_of(&items, 100.0);
+        assert!(!idx.any_outside(), "the ring search must be what answers");
+        let mut answered = 0;
+        for (c, r, k) in [
+            (Point::new(50.0, 50.0), 20.0, 8usize),
+            (Point::new(0.0, 0.0), 15.0, 5),
+            (Point::new(99.0, 3.0), 50.0, 1),
+            (Point::new(50.0, 50.0), 5.0, 100), // fewer than k in range
+            (Point::new(50.0, 50.0), 0.0, 3),
+            (Point::new(-20.0, 120.0), 60.0, 6), // centre outside the region
+            (Point::new(37.0, 81.0), 150.0, 64), // radius beyond every ring
+            (items[17].0, 0.0, 2),               // radius 0 on a stored point
+        ] {
+            for accept in [
+                |_: f64, _: u32| true,
+                |d: f64, t: u32| t % 4 != 1 && d > 0.5,
+            ] {
+                let got = bits(&idx.k_nearest_within(c, r, k, accept));
+                assert_eq!(
+                    got,
+                    scan_k_nearest(&items, (c, r), k, accept),
+                    "c={c:?} r={r} k={k}"
+                );
+                answered += got.len();
+            }
+        }
+        assert!(answered > 150, "fixture must have in-range points");
     }
 
     #[test]
@@ -649,17 +786,12 @@ mod tests {
         dynamic.k_nearest_within_into(c, r, 0, |_, _| true, &mut buf);
         assert!(buf.is_empty());
         // Every k >= the live-set size yields the identical full
-        // in-radius answer (fresh-rebuild order), bit for bit.
-        let fresh = rebuild(grid, &live);
-        let all = fresh.k_nearest_within(c, r, live.len(), |_, _| true);
+        // in-radius answer (the scan's order), bit for bit.
+        let all = scan_k_nearest(&live, (c, r), usize::MAX, |_, _| true);
         assert!(!all.is_empty(), "fixture must have in-radius points");
         for k in [live.len(), live.len() + 1, usize::MAX] {
             let got = dynamic.k_nearest_within(c, r, k, |_, _| true);
-            assert_eq!(got.len(), all.len(), "k={k}");
-            for (g, w) in got.iter().zip(&all) {
-                assert_eq!(g.0.to_bits(), w.0.to_bits(), "k={k}");
-                assert_eq!(g.1, w.1, "k={k}");
-            }
+            assert_eq!(bits(&got), all, "k={k}");
         }
     }
 

@@ -1,4 +1,4 @@
-//! Planar geometry primitives: points, rectangles, circles and distances.
+//! Planar geometry primitives: points, rectangles and distances.
 //!
 //! Everything operates on `f64` coordinates in an arbitrary planar unit
 //! (the paper uses an abstract `100 × 100` square for synthetic workloads
@@ -158,38 +158,6 @@ impl Rect {
     }
 }
 
-/// A circle, used for the worker range constraint of Definition 4:
-/// worker `w` can serve task `r` iff `ori_r` lies within the circle centred
-/// at `l_w` with radius `a_w`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Circle {
-    /// Centre of the circle (the worker's location `l_w`).
-    pub center: Point,
-    /// Radius (the worker's reachability radius `a_w`).
-    pub radius: f64,
-}
-
-impl Circle {
-    /// Creates a circle.
-    ///
-    /// # Panics
-    /// Panics on a negative or non-finite radius.
-    pub fn new(center: Point, radius: f64) -> Self {
-        assert!(
-            radius.is_finite() && radius >= 0.0,
-            "circle radius must be finite and non-negative, got {radius}"
-        );
-        Self { center, radius }
-    }
-
-    /// Whether `p` is inside or on the circle (the paper's constraint is
-    /// "located within the circle", which we read as the closed disc).
-    #[inline]
-    pub fn contains(&self, p: Point) -> bool {
-        self.center.euclidean_sq(p) <= self.radius * self.radius
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,23 +223,6 @@ mod tests {
     #[should_panic(expected = "rect min must be <= max")]
     fn rect_rejects_inverted_corners() {
         let _ = Rect::new(Point::new(1.0, 0.0), Point::new(0.0, 1.0));
-    }
-
-    #[test]
-    fn circle_contains_closed_disc() {
-        // The running example: worker range radius 2.5.
-        let w1 = Circle::new(Point::new(3.0, 5.0), 2.5);
-        assert!(w1.contains(Point::new(5.0, 5.0))); // r1 at distance 2
-        assert!(w1.contains(Point::new(2.0, 6.0))); // r3 at distance sqrt(2)
-        assert!(w1.contains(Point::new(1.0, 5.0))); // r2 at distance 2
-        assert!(w1.contains(Point::new(5.5, 5.0))); // exactly on the boundary
-        assert!(!w1.contains(Point::new(5.6, 5.0)));
-    }
-
-    #[test]
-    #[should_panic(expected = "circle radius")]
-    fn circle_rejects_negative_radius() {
-        let _ = Circle::new(Point::ORIGIN, -1.0);
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! Spatial substrate for the MAPS reproduction (Tong et al., SIGMOD 2018):
 //! planar geometry, rectangular grid partitioning of the region of interest
-//! (Definition 1 in the paper), and a bucketed spatial index used to build
-//! the task–worker bipartite graph under the range constraint
+//! (Definition 1 in the paper), and one bucketed spatial index —
+//! [`DynamicBucketIndex`], mutated by churn and queried per task — used to
+//! build the task–worker bipartite graph under the range constraint
 //! (Definition 4) in output-sensitive time.
 //!
 //! The paper works on a `100 × 100` square for synthetic data and a
@@ -31,11 +32,8 @@
 pub mod dynamic;
 pub mod geom;
 pub mod grid;
-pub mod index;
-pub mod shard;
+mod index;
 
 pub use dynamic::DynamicBucketIndex;
-pub use geom::{Circle, DistanceMetric, Point, Rect};
+pub use geom::{DistanceMetric, Point, Rect};
 pub use grid::{CellId, GridSpec};
-pub use index::BucketIndex;
-pub use shard::ShardMap;

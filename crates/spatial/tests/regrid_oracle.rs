@@ -2,16 +2,17 @@
 //! as its live count moves, and no query may notice.
 //!
 //! A [`Harness`] drives the index next to a plain list of the live
-//! points and, **after every step**, checks that
+//! points and, **after every step**, checks against a scan of that list
+//! — the definition, which has no grid to share a bug with — that
 //!
-//! * every `for_each_within_disc` trace (order included) equals a fresh
-//!   [`BucketIndex::build_with_grid`] on the index's *current* grid over
-//!   the live set in ascending payload order — one of the discs covers
-//!   the whole region and its surroundings, so this is also "payload
-//!   order inside every bucket survived the regrid";
-//! * every `k_nearest_within` equals, bit for bit, the answer of a
-//!   static index on a *different, fixed* grid — capped queries are a
-//!   function of the point set, whatever grid either side is on;
+//! * every `within_disc` equals, as a sorted id set, the points with
+//!   `d² ≤ fl(r²)` — one of the discs covers the whole region and its
+//!   surroundings, so this is also "no bucket lost or doubled a point
+//!   in the regrid";
+//! * every `k_nearest_within`, under a rejecting `accept`, equals bit
+//!   for bit the same filter sorted by `(distance, payload)` and cut to
+//!   `k` — through the ring search, and through the whole-disc fallback
+//!   while a point outside the region is live;
 //! * regrids stay amortised: few of them, moving few points per
 //!   mutation.
 //!
@@ -19,7 +20,7 @@
 //! bucket-order bug fails here, attributed, and not as a
 //! `deterministic_bits` mismatch three crates up.
 
-use maps_spatial::{BucketIndex, DynamicBucketIndex, GridSpec, Point, Rect};
+use maps_spatial::{DynamicBucketIndex, GridSpec, Point, Rect};
 use maps_testkit::XorShift;
 use proptest::prelude::*;
 
@@ -169,22 +170,29 @@ impl Harness {
             "{len} points on {cells} buckets, step {}",
             self.steps
         );
-        let mut sorted = self.live.clone();
-        sorted.sort_unstable_by_key(|&(_, id)| id);
-        let same_grid = BucketIndex::build_with_grid(self.grid, &sorted);
-        // Not square, so never a grid the √n rule lands on.
-        let other_grid =
-            BucketIndex::build_with_grid(GridSpec::new(Rect::square(REGION), 7, 5), &sorted);
         let everything = (Point::new(50.0, 50.0), 200.0);
         let somewhere = (self.point(true), self.rng.next_f64() * 40.0);
+        let k = 1 + (self.rng.next_u64() as usize) % 12;
         for (c, r) in [everything, somewhere] {
-            let mut got = Vec::new();
-            self.dynamic
-                .for_each_within_disc(c, r, |p, id| got.push((p.x.to_bits(), p.y.to_bits(), id)));
-            let mut want = Vec::new();
-            same_grid
-                .for_each_within_disc(c, r, |p, id| want.push((p.x.to_bits(), p.y.to_bits(), id)));
-            assert_eq!(got, want, "disc trace, step {}", self.steps);
+            let in_disc = |&&(p, _): &&(Point, u32)| p.euclidean_sq(c) <= r * r;
+            let mut got = self.dynamic.within_disc(c, r);
+            got.sort_unstable();
+            let mut want: Vec<u32> = self.live.iter().filter(in_disc).map(|e| e.1).collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "disc, step {}", self.steps);
+
+            let accept = |_: f64, id: u32| !id.is_multiple_of(5);
+            let got = self.dynamic.k_nearest_within(c, r, k, accept);
+            let mut want: Vec<(f64, u32)> = (self.live.iter().filter(in_disc))
+                .map(|&(p, id)| (p.euclidean(c), id))
+                .filter(|&(d, id)| accept(d, id))
+                .collect();
+            want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+            want.truncate(k);
+            let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
+                v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+            };
+            assert_eq!(bits(&got), bits(&want), "k-nearest, step {}", self.steps);
         }
         assert_eq!(
             self.dynamic.within_disc(everything.0, everything.1).len(),
@@ -192,16 +200,6 @@ impl Harness {
             "the covering disc must see every bucket, step {}",
             self.steps
         );
-        let k = 1 + (self.rng.next_u64() as usize) % 12;
-        for (c, r) in [everything, somewhere] {
-            let accept = |_: f64, id: u32| !id.is_multiple_of(5);
-            let got = self.dynamic.k_nearest_within(c, r, k, accept);
-            let want = other_grid.k_nearest_within(c, r, k, accept);
-            let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
-                v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
-            };
-            assert_eq!(bits(&got), bits(&want), "k-nearest, step {}", self.steps);
-        }
     }
 }
 

@@ -47,6 +47,12 @@ fn main() {
 
     let mut sums = vec![0.0f64; cells];
     let mut counts = vec![0u32; cells];
+    // The graph path that ships: one persistent cache, mutated by each
+    // period's arrivals (nobody leaves in this trace) and asked for the
+    // period's capped graph. Ids are admission order, which is also the
+    // order of the cache's worker list.
+    let mut cache = maps::core::PeriodGraphCache::new(&grid);
+    let mut next_id = 0u32;
     for t in 0..30 {
         let tasks: Vec<maps::core::TaskInput> = world.periods[t]
             .tasks
@@ -57,20 +63,25 @@ fn main() {
                 cell: gt.cell,
             })
             .collect();
-        let workers: Vec<maps::core::WorkerInput> = world.periods[..=t]
+        let arrivals: Vec<(u32, maps::core::WorkerInput)> = world.periods[t]
+            .workers
             .iter()
-            .flat_map(|p| &p.workers)
-            .map(|w| maps::core::WorkerInput {
-                location: w.location,
-                radius: w.radius,
-                cell: grid.cell_of(w.location),
+            .zip(next_id..)
+            .map(|(w, id)| {
+                (
+                    id,
+                    maps::core::WorkerInput::new(&grid, w.location, w.radius),
+                )
             })
             .collect();
-        let graph = maps::core::build_period_graph_capped(&grid, &tasks, &workers, 64);
+        next_id += arrivals.len() as u32;
+        cache.apply(&arrivals, &[]);
+        let graph = cache.build_graph_capped(&tasks, 64);
+        let workers = cache.live_inputs();
         let input = maps::core::PeriodInput {
             grid: &grid,
             tasks: &tasks,
-            workers: &workers,
+            workers,
             graph: &graph,
         };
         let schedule = maps.price_period(&input);

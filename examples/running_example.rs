@@ -95,7 +95,7 @@ fn main() {
         }
     }
     maps.set_base_price(2.0);
-    let graph = build_period_graph(&ex.grid, &ex.tasks, &ex.workers);
+    let graph = build_period_graph(&ex.tasks, &ex.workers);
     let input = PeriodInput {
         grid: &ex.grid,
         tasks: &ex.tasks,

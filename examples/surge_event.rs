@@ -10,7 +10,7 @@
 //! ```
 
 use maps::core::{
-    build_period_graph_capped, MapsStrategy, PeriodInput, PricingStrategy, TaskInput, WorkerInput,
+    MapsStrategy, PeriodGraphCache, PeriodInput, PricingStrategy, TaskInput, WorkerInput,
 };
 use maps::market::Demand;
 use maps::market::DemandDistribution;
@@ -122,11 +122,20 @@ fn main() {
     println!();
     println!("MAPS price trajectory (stadium grid vs calm grid):");
     println!("  {:<8}{:>10}{:>10}", "period", "stadium", "calm");
-    let mut active: Vec<(Point, u32)> = Vec::new(); // (location, busy_until)
+    // The graph path that ships: one persistent cache takes each
+    // period's arriving drivers (this trace keeps every driver
+    // available) and builds the period's capped graph.
+    let mut cache = PeriodGraphCache::new(&grid);
+    let mut next_id = 0u32;
     for t in 0..T {
-        for w in &world.periods[t].workers {
-            active.push((w.location, t as u32));
-        }
+        let arrivals: Vec<(u32, WorkerInput)> = world.periods[t]
+            .workers
+            .iter()
+            .zip(next_id..)
+            .map(|(w, id)| (id, WorkerInput::new(&grid, w.location, w.radius)))
+            .collect();
+        next_id += arrivals.len() as u32;
+        cache.apply(&arrivals, &[]);
         let tasks: Vec<TaskInput> = world.periods[t]
             .tasks
             .iter()
@@ -136,20 +145,12 @@ fn main() {
                 cell: gt.cell,
             })
             .collect();
-        let workers: Vec<WorkerInput> = active
-            .iter()
-            .filter(|(_, busy)| *busy <= t as u32)
-            .map(|(loc, _)| WorkerInput {
-                location: *loc,
-                radius: 12.0,
-                cell: grid.cell_of(*loc),
-            })
-            .collect();
-        let graph = build_period_graph_capped(&grid, &tasks, &workers, 64);
+        let graph = cache.build_graph_capped(&tasks, 64);
+        let workers = cache.live_inputs();
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,
-            workers: &workers,
+            workers,
             graph: &graph,
         };
         let schedule = maps.price_period(&input);

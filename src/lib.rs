@@ -56,5 +56,5 @@ pub mod prelude {
     pub use maps_market::prelude::*;
     pub use maps_matching::prelude::*;
     pub use maps_simulator::prelude::*;
-    pub use maps_spatial::{BucketIndex, CellId, GridSpec, Point, Rect};
+    pub use maps_spatial::{CellId, GridSpec, Point, Rect};
 }

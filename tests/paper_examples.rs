@@ -65,7 +65,7 @@ fn example5_maps_prices_via_public_api() {
         }
     }
     maps.set_base_price(2.0);
-    let graph = build_period_graph(&ex.grid, &ex.tasks, &ex.workers);
+    let graph = build_period_graph(&ex.tasks, &ex.workers);
     let schedule = maps.price_period(&PeriodInput {
         grid: &ex.grid,
         tasks: &ex.tasks,

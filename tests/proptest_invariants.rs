@@ -10,8 +10,8 @@ use maps::core::prelude::*;
 use maps::market::{Demand, DemandDistribution, PriceLadder, UcbStats};
 use maps::matching::prelude::*;
 use maps::prelude::{
-    GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData, SimOptions, Simulation,
-    SyntheticConfig,
+    GroundTask, GroundTruth, GroundWorker, MatchPolicy, Outcome, PeriodData, SimOptions,
+    Simulation, SyntheticConfig,
 };
 use maps::service::{IngestConfig, IngestService, ServiceConfig, ServiceEvent, ShardedService};
 use maps::spatial::{CellId, GridSpec, Point, Rect};
@@ -130,7 +130,7 @@ proptest! {
                 .iter()
                 .map(|w| WorkerInput::new(&grid, w.location, w.radius))
                 .collect();
-            let graph = build_period_graph(&grid, &tasks, &workers);
+            let graph = build_period_graph(&tasks, &workers);
             let schedule = strategy.price_period(&PeriodInput {
                 grid: &grid,
                 tasks: &tasks,
@@ -196,16 +196,16 @@ proptest! {
 
     /// PR-3 oracle: the incremental `PeriodGraphCache` replayed over a
     /// random arrival/departure/relocation churn script is bit-identical
-    /// to the retained from-scratch builders on the materialized live
-    /// set, every period — `apply`, then the capped build on odd periods
+    /// to the scan builders (Definition 5(ii), no index) on the
+    /// materialized live set, every period — `apply`, then the capped build on odd periods
     /// and the complete one on even periods — under the 1/2/3/8-thread
     /// `assert_deterministic` harness. A relocation is written the way
     /// the lifecycle table performs it: the same id in the departures
     /// and the arrivals of one `apply`. Scripts start with 1–200 workers
     /// and include out-of-region relocations (the clamped-bucket path);
     /// a third of the periods surge the live set 16× or thin it to a
-    /// sixteenth, so the cache's spatial index regrids mid-script while
-    /// the oracle's fresh build sizes itself by its own rule. Half the
+    /// sixteenth, so the cache's spatial index regrids mid-script under
+    /// an oracle that has no grid at all. Half the
     /// scripts (odd seeds) draw every worker's radius from three values (zero among
     /// them) instead of a continuum: the capped query's per-worker range
     /// check — read from the index lane, against a query radius many
@@ -304,12 +304,12 @@ proptest! {
                 let (incremental, scratch) = if period % 2 == 1 {
                     (
                         cache.build_graph_capped(&tasks, k),
-                        build_period_graph_capped(&grid, &tasks, &workers, k),
+                        build_period_graph_capped(&tasks, &workers, k),
                     )
                 } else {
                     (
                         cache.build_graph_capped(&tasks, usize::MAX),
-                        build_period_graph(&grid, &tasks, &workers),
+                        build_period_graph(&tasks, &workers),
                     )
                 };
                 graph_canon(&incremental, &mut incremental_bits);
@@ -944,8 +944,86 @@ fn generated_valuations_match_declared_demand() {
     assert!(checked >= 10, "only {checked} cells had enough samples");
 }
 
+/// One pool on every path: the edge set must be identical from the
+/// spec ([`build_period_graph`], Definition 5(ii)) cut to each task's `k`
+/// nearest by `(distance, id)`, from the capped scan
+/// [`build_period_graph_capped`] and from [`PeriodGraphCache`] after
+/// `apply`; and the one-period world over the same pool must replay
+/// through the sharded service, at 1 and 4 shards, to the batch
+/// simulator's bits. Returns the spec graph and the batch outcome for
+/// the caller's own, index-free statements about them.
+fn agree_on_every_path(
+    what: &str,
+    grid: GridSpec,
+    ground_tasks: &[GroundTask],
+    ground_workers: Vec<GroundWorker>,
+    k: usize,
+) -> (BipartiteGraph, Outcome) {
+    let tasks: Vec<TaskInput> = ground_tasks
+        .iter()
+        .map(|t| TaskInput::new(&grid, t.origin, t.distance))
+        .collect();
+    let workers: Vec<WorkerInput> = ground_workers
+        .iter()
+        .map(|w| WorkerInput::new(&grid, w.location, w.radius))
+        .collect();
+
+    let spec = build_period_graph(&tasks, &workers);
+    let capped = build_period_graph_capped(&tasks, &workers, k);
+    for (t, task) in tasks.iter().enumerate() {
+        let mut nearest: Vec<(f64, u32)> = spec
+            .neighbors(t)
+            .iter()
+            .map(|&w| (task.origin.euclidean(workers[w as usize].location), w))
+            .collect();
+        nearest.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        nearest.truncate(k);
+        let mut cut: Vec<u32> = nearest.iter().map(|&(_, w)| w).collect();
+        cut.sort_unstable();
+        assert_eq!(capped.neighbors(t), cut, "{what}: task {t} vs the spec");
+    }
+
+    let mut cache = PeriodGraphCache::new(&grid);
+    let arrivals: Vec<(u32, WorkerInput)> = (0u32..).zip(workers).collect();
+    cache.apply(&arrivals, &[]);
+    assert_eq!(
+        cache.build_graph_capped(&tasks, k),
+        capped,
+        "{what}: cache vs the scratch oracle"
+    );
+
+    let world = GroundTruth {
+        grid,
+        demands: vec![Demand::paper_normal(2.5, 1.0); grid.num_cells()],
+        periods: vec![PeriodData {
+            tasks: ground_tasks.to_vec(),
+            workers: ground_workers,
+        }],
+        match_policy: MatchPolicy::Consume,
+    };
+    let options = SimOptions {
+        calibrate: false,
+        max_edges_per_task: k,
+        ..SimOptions::default()
+    };
+    let batch = Simulation::new(world.clone(), StrategyKind::Maps)
+        .with_options(options)
+        .run();
+    for shards in [1, 4] {
+        let served =
+            maps::service::replay_with_options(&world, StrategyKind::Maps, shards, options);
+        assert_eq!(
+            served.deterministic_bits(),
+            batch.deterministic_bits(),
+            "{what}: {shards}-shard service vs the batch loop"
+        );
+    }
+    (spec, batch)
+}
+
 /// The cap boundary and the closed disc, on every path (table-driven,
-/// no randomness). Pools of `k − 1`, `k`, `k + 1` and `2k` workers for
+/// no randomness; the paths are [`agree_on_every_path`]'s). Pools of
+/// `k − 1`, `k`, `k + 1` and `2k` workers for
 /// `k ∈ {1, 3, 64}` sit on Pythagorean lattice offsets around one
 /// centre with the hypotenuse as their radius — so the task *at* the
 /// centre is exactly at range of every one of them, in ties of up to
@@ -955,13 +1033,13 @@ fn generated_valuations_match_declared_demand() {
 /// moved away from, inside the ones it moved toward, off the
 /// zero-radius ones) and on a worker's own location.
 ///
-/// The edge set must be identical from the spec
-/// ([`build_period_graph`], Definition 5(ii)) cut to each task's `k`
-/// nearest by `(distance, id)`, from the scratch oracle
-/// [`build_period_graph_capped`] and from [`PeriodGraphCache`] after
-/// `apply`; and the one-period world over the same pool must replay
-/// through the sharded service, at 1 and 4 shards, to the batch
-/// simulator's bits.
+/// Then the range constraint where its spellings used to part: a worker
+/// of radius `fl(√13)` and a task at offset (2, 3), so
+/// `Point::euclidean` equals the radius exactly while `fl(radius²)` is
+/// below 13. The edge exists — alone, beside a wider worker, beside one
+/// of radius `f64::MAX` — on every path: whether a worker reaches a
+/// task is a function of that worker alone. (The k-NN paths used to
+/// report this edge only once a wider worker widened the query.)
 #[test]
 fn cap_boundary_and_closed_disc_agree_on_every_path() {
     const TRIPLES: [(f64, f64, f64); 10] = [
@@ -1006,10 +1084,6 @@ fn cap_boundary_and_closed_disc_agree_on_every_path() {
         task_at(Point::new(centre.x, centre.y.next_down())),
         task_at(Point::new(centre.x - 3.0, centre.y + 4.0)),
     ];
-    let tasks: Vec<TaskInput> = ground_tasks
-        .iter()
-        .map(|t| TaskInput::new(&grid, t.origin, t.distance))
-        .collect();
     for k in [1usize, 3, 64] {
         for n in [k - 1, k, k + 1, 2 * k] {
             // Worker `id` takes lattice slot `37·id mod 128` (a
@@ -1024,26 +1098,8 @@ fn cap_boundary_and_closed_disc_agree_on_every_path() {
                     duration: u32::MAX,
                 })
                 .collect();
-            let workers: Vec<WorkerInput> = ground_workers
-                .iter()
-                .map(|w| WorkerInput::new(&grid, w.location, w.radius))
-                .collect();
             let what = format!("k {k}, {n} workers");
-
-            let spec = build_period_graph(&grid, &tasks, &workers);
-            let capped = build_period_graph_capped(&grid, &tasks, &workers, k);
-            for (t, task) in tasks.iter().enumerate() {
-                let mut nearest: Vec<(f64, u32)> = spec
-                    .neighbors(t)
-                    .iter()
-                    .map(|&w| (task.origin.euclidean(workers[w as usize].location), w))
-                    .collect();
-                nearest.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                nearest.truncate(k);
-                let mut cut: Vec<u32> = nearest.iter().map(|&(_, w)| w).collect();
-                cut.sort_unstable();
-                assert_eq!(capped.neighbors(t), cut, "{what}: task {t} vs the spec");
-            }
+            let (spec, _) = agree_on_every_path(&what, grid, &ground_tasks, ground_workers, k);
             // The closed disc, stated without an index: the centre is at
             // range of everyone; one ulp toward +x is outside whoever
             // sits at −x (and off the zero-radius workers), one ulp
@@ -1055,42 +1111,72 @@ fn cap_boundary_and_closed_disc_agree_on_every_path() {
                 let below = dy < 0.0 || (dy == 0.0 && dx != 0.0);
                 assert_eq!(spec.has_edge(2, w), below, "{what}: worker {w}, −y ulp");
             }
+        }
+    }
 
-            let mut cache = PeriodGraphCache::new(&grid);
-            let arrivals: Vec<(u32, WorkerInput)> = (0u32..).zip(workers).collect();
-            cache.apply(&arrivals, &[]);
+    let reach = 13f64.sqrt();
+    assert!(reach * reach < 13.0, "fl(a_w²) sits below d² = 13");
+    let worker = |x: f64, y: f64, radius: f64| GroundWorker {
+        location: Point::new(x, y),
+        radius,
+        duration: u32::MAX,
+    };
+    // Valuations above any posted price: every task accepts, so the
+    // batch loop's matched count is the spec graph's maximum matching.
+    let eager = |x: f64, y: f64| GroundTask {
+        valuation: 1e9,
+        ..task_at(Point::new(x, y))
+    };
+    let exact = worker(10.0, 10.0, reach);
+    let at_range = eager(12.0, 13.0);
+    assert_eq!(at_range.origin.euclidean(exact.location), reach);
+    let far = eager(80.0, 20.0);
+    let ulp_off = eager(12f64.next_up(), 13.0);
+    // (label, workers, tasks, the spec's edges, its maximum matching)
+    type Row<'a> = (
+        &'a str,
+        Vec<GroundWorker>,
+        Vec<GroundTask>,
+        &'a [(usize, usize)],
+        u64,
+    );
+    let rows: [Row<'_>; 4] = [
+        ("alone", vec![exact], vec![at_range], &[(0, 0)], 1),
+        (
+            "beside a wider worker",
+            vec![exact, worker(90.0, 90.0, 20.0)],
+            vec![at_range],
+            &[(0, 0)],
+            1,
+        ),
+        (
+            // The wide worker reaches everything; only `far` needs it,
+            // so both tasks are served iff `exact` reaches `at_range`.
+            "beside a worker of radius f64::MAX",
+            vec![exact, worker(90.0, 90.0, f64::MAX)],
+            vec![at_range, far],
+            &[(0, 0), (0, 1), (1, 1)],
+            2,
+        ),
+        (
+            "radius 0.0 on a coincident point",
+            vec![worker(12.0, 13.0, 0.0)],
+            vec![at_range, ulp_off],
+            &[(0, 0)],
+            1,
+        ),
+    ];
+    for (label, workers, tasks, edges, matched) in rows {
+        // Uncapped, then with a cap that cuts `at_range` to its nearest.
+        for k in [64usize, 1] {
+            let what = format!("fl(√13) {label}, k {k}");
+            let (spec, batch) = agree_on_every_path(&what, grid, &tasks, workers.clone(), k);
+            assert_eq!(spec.edges().collect::<Vec<_>>(), edges, "{what}: the spec");
+            assert_eq!(batch.accepted_tasks, tasks.len() as u64, "{what}");
             assert_eq!(
-                cache.build_graph_capped(&tasks, k),
-                capped,
-                "{what}: cache vs the scratch oracle"
+                batch.matched_tasks, matched,
+                "{what}: served by the batch loop"
             );
-
-            let world = GroundTruth {
-                grid,
-                demands: vec![Demand::paper_normal(2.5, 1.0); grid.num_cells()],
-                periods: vec![PeriodData {
-                    tasks: ground_tasks.to_vec(),
-                    workers: ground_workers,
-                }],
-                match_policy: MatchPolicy::Consume,
-            };
-            let options = SimOptions {
-                calibrate: false,
-                max_edges_per_task: k,
-                ..SimOptions::default()
-            };
-            let batch = Simulation::new(world.clone(), StrategyKind::Maps)
-                .with_options(options)
-                .run();
-            for shards in [1, 4] {
-                let served =
-                    maps::service::replay_with_options(&world, StrategyKind::Maps, shards, options);
-                assert_eq!(
-                    served.deterministic_bits(),
-                    batch.deterministic_bits(),
-                    "{what}: {shards}-shard service vs the batch loop"
-                );
-            }
         }
     }
 }
