@@ -127,11 +127,6 @@ impl LFunction {
         self.prefix[n.min(self.dists_desc.len())]
     }
 
-    /// The `i`-th largest distance (0-based).
-    pub fn nth_distance(&self, i: usize) -> f64 {
-        self.dists_desc[i]
-    }
-
     /// Exact `L^g(n, p)` of Eq. (1) for a *known* acceptance ratio `s`.
     pub fn value(&self, n: usize, p: f64, s: f64) -> f64 {
         (self.total_mass() * p * s).min(self.supply_mass(n) * p)
@@ -251,7 +246,6 @@ mod tests {
         assert!((l.supply_mass(2) - 2.3).abs() < 1e-12);
         assert!((l.supply_mass(3) - 3.0).abs() < 1e-12);
         assert!((l.supply_mass(99) - 3.0).abs() < 1e-12, "saturates");
-        assert_eq!(l.nth_distance(0), 1.3);
     }
 
     #[test]

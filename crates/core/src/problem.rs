@@ -112,15 +112,6 @@ impl PriceSchedule {
     pub fn price(&self, cell: CellId) -> f64 {
         self.prices[cell.index()]
     }
-
-    /// The task-level weights `d_r · p_r` for a set of tasks under this
-    /// schedule (the bipartite edge weights of Definition 5).
-    pub fn task_weights(&self, tasks: &[TaskInput]) -> Vec<f64> {
-        tasks
-            .iter()
-            .map(|t| t.distance * self.price(t.cell))
-            .collect()
-    }
 }
 
 /// A requester's observed decision, fed back to learning strategies after
@@ -357,7 +348,7 @@ mod tests {
     }
 
     #[test]
-    fn schedule_prices_and_weights() {
+    fn schedule_prices_by_cell() {
         let g = grid();
         let mut s = PriceSchedule::uniform(g.num_cells(), 2.0);
         s.prices[8] = 3.0; // grid 9
@@ -367,9 +358,6 @@ mod tests {
         ];
         assert_eq!(s.price(tasks[0].cell), 3.0);
         assert_eq!(s.price(tasks[1].cell), 2.0);
-        let w = s.task_weights(&tasks);
-        assert!((w[0] - 2.1).abs() < 1e-12);
-        assert!((w[1] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl ChangeDetector {
         }
     }
 
-    /// Window length `m`.
-    pub fn window(&self) -> u64 {
-        self.window
-    }
-
     /// Feeds one observation for ladder position `idx`; returns `true`
     /// when the just-completed window deviates significantly from the
     /// previous one (the caller should then reset its estimator for that
@@ -63,55 +58,6 @@ impl ChangeDetector {
         self.prev_ratio[idx] = Some(ratio);
         self.cur_tested[idx] = 0;
         self.cur_accepted[idx] = 0;
-        flagged
-    }
-
-    /// Feeds a batch; returns `true` if any completed window flagged.
-    ///
-    /// Acceptances are spread evenly across the batch (Bresenham-style:
-    /// observation `i` accepts iff `⌊(i+1)·accepted/tested⌋` exceeds
-    /// `⌊i·accepted/tested⌋`), and the tumbling-window statistics only
-    /// depend on per-window *counts* — so instead of replaying `tested`
-    /// individual observations, each completed window is credited with
-    /// its exact acceptance count in one step. This costs `O(windows)`
-    /// rather than `O(tested)`, and the rank products are taken in
-    /// `u128`: the previous `u64` arithmetic overflowed once
-    /// `tested · accepted` crossed 2⁶⁴ (batches in the billions),
-    /// silently corrupting the accept pattern.
-    pub fn observe_batch(&mut self, idx: usize, tested: u64, accepted: u64) -> bool {
-        assert!(accepted <= tested, "accepted {accepted} > tested {tested}");
-        if tested == 0 {
-            return false;
-        }
-        // Number of accepts among batch observations `[0, upto)`:
-        // a telescoping sum of the Bresenham indicator above.
-        let accepts_before =
-            |upto: u64| -> u64 { ((upto as u128 * accepted as u128) / tested as u128) as u64 };
-        let mut flagged = false;
-        let mut consumed = 0u64;
-        while consumed < tested {
-            let room = self.window - self.cur_tested[idx];
-            let take = room.min(tested - consumed);
-            let acc = accepts_before(consumed + take) - accepts_before(consumed);
-            self.cur_tested[idx] += take;
-            self.cur_accepted[idx] += acc;
-            consumed += take;
-            if self.cur_tested[idx] < self.window {
-                break; // partial window left open for the next batch
-            }
-            // Window complete: same deviation test as `observe`.
-            let m = self.window as f64;
-            let acc = self.cur_accepted[idx] as f64;
-            let ratio = acc / m;
-            if let Some(s_prev) = self.prev_ratio[idx] {
-                let expected = m * s_prev;
-                let band = 2.0 * (m * s_prev * (1.0 - s_prev)).sqrt();
-                flagged |= (acc - expected).abs() > band;
-            }
-            self.prev_ratio[idx] = Some(ratio);
-            self.cur_tested[idx] = 0;
-            self.cur_accepted[idx] = 0;
-        }
         flagged
     }
 
@@ -247,83 +193,24 @@ mod tests {
     }
 
     #[test]
-    fn batch_observation_equivalent_counts() {
-        // A batch with the same per-window acceptance count behaves like
-        // the sequential feed for flagging purposes.
-        let mut det = ChangeDetector::new(1, 10);
-        // Baseline window: Ŝ=0.9.
-        assert!(!det.observe_batch(0, 10, 9));
-        // Next window with 1/10 accepted: |1 − 9| = 8 > 2√(10·0.9·0.1)=1.9.
-        assert!(det.observe_batch(0, 10, 1));
-    }
-
-    #[test]
     fn per_price_isolation() {
+        // One full window of 10 at `idx`, `accepted` of them accepting.
+        let window = |det: &mut ChangeDetector, idx, accepted| {
+            (0..10).fold(false, |flag, i| flag | det.observe(idx, i < accepted))
+        };
         let mut det = ChangeDetector::new(2, 10);
-        assert!(!det.observe_batch(0, 10, 9));
+        // Baseline window: Ŝ=0.9.
+        assert!(!window(&mut det, 0, 9));
         // Price 1 never saw a baseline; its windows can't flag.
-        assert!(!det.observe_batch(1, 10, 0));
-        // Price 0 shifts → flags, price 1 stays calm.
-        assert!(det.observe_batch(0, 10, 1));
+        assert!(!window(&mut det, 1, 0));
+        // Price 0 shifts (|1 − 9| = 8 > 2√(10·0.9·0.1) = 1.9) → flags,
+        // price 1 stays calm.
+        assert!(window(&mut det, 0, 1));
     }
 
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn rejects_zero_window() {
         let _ = ChangeDetector::new(1, 0);
-    }
-
-    /// The batched path must be exactly equivalent to feeding the
-    /// Bresenham accept pattern one observation at a time — same flags,
-    /// same detector state — including batches that straddle window
-    /// boundaries and leave partial windows open.
-    #[test]
-    fn observe_batch_equals_sequential_feed() {
-        let mut rng = SmallRng::seed_from_u64(99);
-        for window in [1u64, 3, 10, 64] {
-            let mut batched = ChangeDetector::new(2, window);
-            let mut sequential = ChangeDetector::new(2, window);
-            for round in 0..200u64 {
-                let idx = (round % 2) as usize;
-                let tested = rng.gen::<u64>() % (3 * window + 2);
-                let accepted = if tested == 0 {
-                    0
-                } else {
-                    rng.gen::<u64>() % (tested + 1)
-                };
-                let got = batched.observe_batch(idx, tested, accepted);
-                let mut want = false;
-                for i in 0..tested {
-                    let accept_now = (i * accepted) / tested != ((i + 1) * accepted) / tested;
-                    want |= sequential.observe(idx, accept_now);
-                }
-                assert_eq!(
-                    got, want,
-                    "window {window} round {round}: flag diverged ({tested}/{accepted})"
-                );
-                assert_eq!(batched, sequential, "window {window} round {round}");
-            }
-        }
-    }
-
-    /// Overflow regression: with `tested · accepted` past 2⁶⁴ the old
-    /// `u64` Bresenham products wrapped (panicking in debug, silently
-    /// corrupting the accept pattern in release). In exact arithmetic a
-    /// constant-ratio stream deviates by at most one acceptance per
-    /// window — far inside the two-sigma band — so none of these
-    /// billion-observation batches may flag.
-    #[test]
-    fn observe_batch_large_counts_do_not_overflow() {
-        let window = 1u64 << 31;
-        let mut det = ChangeDetector::new(1, window);
-        // 3 windows' worth in one batch at ratio 2/3: i·accepted reaches
-        // ≈ 2.8·10¹⁹ > u64::MAX, the old arithmetic's failure regime.
-        let tested = 3 * window;
-        let accepted = 1u64 << 32;
-        assert!(!det.observe_batch(0, tested, accepted), "baseline flagged");
-        // Same ratio again (two more windows): still no flag.
-        assert!(!det.observe_batch(0, 2 * window, (accepted / 3) * 2));
-        // A genuine shift at the same scale is still caught.
-        assert!(det.observe_batch(0, window, window / 4));
     }
 }

@@ -123,13 +123,6 @@ impl UcbStats {
         self.accepted[idx] = 0;
     }
 
-    /// Resets everything (used when the whole grid's demand shifted).
-    pub fn reset_all(&mut self) {
-        self.n.fill(0);
-        self.accepted.fill(0);
-        self.n_total = 0;
-    }
-
     /// `N`: total observations in the grid.
     pub fn n_total(&self) -> u64 {
         self.n_total
@@ -291,7 +284,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_price_and_all() {
+    fn reset_price_clears_one_position() {
         let mut u = UcbStats::new(2);
         u.observe_batch(0, 10, 8);
         u.observe_batch(1, 20, 10);
@@ -299,9 +292,7 @@ mod tests {
         assert_eq!(u.n_at(0), 0);
         assert_eq!(u.n_total(), 20);
         assert_eq!(u.s_hat(0), 0.0);
-        u.reset_all();
-        assert_eq!(u.n_total(), 0);
-        assert_eq!(u.s_hat(1), 0.0);
+        assert_eq!(u.s_hat(1), 0.5);
     }
 
     #[test]

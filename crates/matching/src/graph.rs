@@ -133,12 +133,6 @@ impl<'a> MaskedGraph<'a> {
         self.keep
     }
 
-    /// Whether left vertex `l` participates.
-    #[inline]
-    pub fn is_kept(&self, l: usize) -> bool {
-        self.keep[l]
-    }
-
     /// Number of left vertices of the *underlying* graph (indices are
     /// not renumbered; masked-out vertices are isolated).
     #[inline]
@@ -150,11 +144,6 @@ impl<'a> MaskedGraph<'a> {
     #[inline]
     pub fn n_right(&self) -> usize {
         self.graph.n_right()
-    }
-
-    /// Number of participating left vertices.
-    pub fn n_kept(&self) -> usize {
-        self.keep.iter().filter(|&&k| k).count()
     }
 
     /// Indices of the participating left vertices, ascending.
@@ -392,7 +381,7 @@ mod tests {
         let keep = [true, false, true];
         let view = g.masked(&keep);
         let (sub, old_of_new) = g.filter_left(&keep);
-        assert_eq!(view.n_kept(), sub.n_left());
+        assert_eq!(view.kept_left().count(), sub.n_left());
         assert_eq!(view.n_right(), sub.n_right());
         assert_eq!(view.n_edges(), sub.n_edges());
         assert_eq!(view.kept_left().collect::<Vec<_>>(), vec![0, 2]);
@@ -402,7 +391,6 @@ mod tests {
         assert_eq!(view.neighbors(1), &[] as &[u32]);
         assert!(view.has_edge(2, 1));
         assert!(!view.has_edge(1, 0), "masked-out vertex has no edges");
-        assert!(view.is_kept(0) && !view.is_kept(1));
         assert_eq!(view.n_left(), 3, "indices are not renumbered");
     }
 

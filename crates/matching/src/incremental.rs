@@ -10,8 +10,7 @@
 //! Since PR 1 the search state lives in a [`MatchScratch`], the shared
 //! zero-allocation kernel workspace: the DFS, the epoch-stamped visited
 //! marks and the packed match arrays are one implementation reused by
-//! the batch kernels, and [`IncrementalMatching::reuse`] lets callers
-//! re-seat an existing matching on a fresh graph without reallocating.
+//! the batch kernels.
 
 use crate::graph::BipartiteGraph;
 use crate::scratch::MatchScratch;
@@ -31,23 +30,6 @@ impl<'g> IncrementalMatching<'g> {
         let mut core = MatchScratch::with_capacity(graph.n_left(), graph.n_right());
         core.reset(graph.n_left(), graph.n_right());
         Self { graph, core }
-    }
-
-    /// Starts from the empty matching inside a recycled scratch: no
-    /// allocation happens if `scratch` has already served a graph at
-    /// least this large.
-    pub fn with_scratch(graph: &'g BipartiteGraph, mut scratch: MatchScratch) -> Self {
-        scratch.reset(graph.n_left(), graph.n_right());
-        Self {
-            graph,
-            core: scratch,
-        }
-    }
-
-    /// Re-seats this matcher on a new graph, clearing the matching but
-    /// keeping every buffer.
-    pub fn reuse<'h>(self, graph: &'h BipartiteGraph) -> IncrementalMatching<'h> {
-        IncrementalMatching::with_scratch(graph, self.core)
     }
 
     /// The graph this matching lives on.
@@ -87,12 +69,6 @@ impl<'g> IncrementalMatching<'g> {
     /// whether an augmenting path from `l` exists right now.
     pub fn can_augment(&mut self, l: usize) -> bool {
         self.core.can_augment(self.graph, l)
-    }
-
-    /// Removes the assignment of left vertex `l` (if any), freeing its
-    /// worker. Used by simulators when a task is cancelled.
-    pub fn unmatch_left(&mut self, l: usize) {
-        self.core.unmatch_left(l);
     }
 
     /// A snapshot of the current assignment.
@@ -164,20 +140,6 @@ mod tests {
     }
 
     #[test]
-    fn unmatch_frees_worker() {
-        let g = BipartiteGraphBuilder::new(2, 1)
-            .with_edges([(0, 0), (1, 0)])
-            .build();
-        let mut m = IncrementalMatching::new(&g);
-        assert!(m.try_augment(0));
-        assert!(!m.can_augment(1));
-        m.unmatch_left(0);
-        assert_eq!(m.cardinality(), 0);
-        assert!(m.try_augment(1));
-        assert_eq!(m.matched_left(0), Some(1));
-    }
-
-    #[test]
     fn running_example_supply_distribution() {
         // Example 5's trace: grid 9 = {r1(=0), r2(=1)}, grid 11 = {r3(=2)}.
         // After w1 is assigned to r1, no augmenting path exists for r2,
@@ -199,21 +161,5 @@ mod tests {
         let mut m = IncrementalMatching::new(&g);
         assert!(m.try_augment(0));
         let _ = m.try_augment(0);
-    }
-
-    #[test]
-    fn reuse_carries_buffers_not_state() {
-        let g1 = chain_graph();
-        let mut m = IncrementalMatching::new(&g1);
-        assert!(m.try_augment(0));
-        assert!(m.try_augment(1));
-        let g2 = BipartiteGraphBuilder::new(2, 2)
-            .with_edges([(0, 1), (1, 0)])
-            .build();
-        let mut m = m.reuse(&g2);
-        assert_eq!(m.cardinality(), 0, "reuse clears the matching");
-        assert!(m.try_augment(0));
-        assert!(m.try_augment(1));
-        assert!(m.to_matching().is_valid(&g2));
     }
 }

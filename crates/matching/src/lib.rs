@@ -85,16 +85,6 @@ impl Matching {
         self.pairs.iter().filter(|p| p.is_some()).count()
     }
 
-    /// Total weight under per-left-vertex weights (the paper's
-    /// `Σ d_r · p_r` over matched tasks).
-    pub fn total_left_weight(&self, weights: &[f64]) -> f64 {
-        self.pairs
-            .iter()
-            .zip(weights)
-            .filter_map(|(p, &w)| p.map(|_| w))
-            .sum()
-    }
-
     /// Checks the matching is valid for `graph`: edges exist and no right
     /// vertex is used twice. Used pervasively by tests.
     pub fn is_valid(&self, graph: &BipartiteGraph) -> bool {
@@ -128,7 +118,6 @@ mod tests {
         m.pairs[2] = Some(1);
         assert_eq!(m.cardinality(), 2);
         assert!(m.is_valid(&g));
-        assert!((m.total_left_weight(&[1.5, 2.0, 3.0]) - 4.5).abs() < 1e-12);
         // duplicate right vertex → invalid
         m.pairs[1] = Some(0);
         assert!(!m.is_valid(&g));

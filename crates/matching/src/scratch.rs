@@ -162,15 +162,6 @@ impl MatchScratch {
         self.dfs(graph, l, false)
     }
 
-    /// Clears the assignment of left vertex `l`, if any.
-    pub(crate) fn unmatch_left(&mut self, l: usize) {
-        let r = self.match_left[l];
-        if r != NONE {
-            self.match_left[l] = NONE;
-            self.match_right[r as usize] = NONE;
-        }
-    }
-
     /// Current assignment of left vertex `l` (valid after a solve).
     #[inline]
     pub fn matched_right(&self, l: usize) -> Option<u32> {

@@ -543,10 +543,6 @@ pub struct ShardedService {
     /// delivered); suppressed resends count into the outcome's
     /// `suppressed_duplicates` and are not re-journaled.
     watermarks: Vec<Option<(u64, u64)>>,
-    /// Sequence counter for the serial [`ShardedService::try_push`]
-    /// path (producer 0), reset at each tick so serial stamps mirror
-    /// the ingest layer's per-epoch numbering.
-    serial_seq: u64,
     /// Attached write-ahead journal, if any.
     journal: Option<JournalState>,
     /// Set once a shard closure panicked: the typed-error analogue of a
@@ -618,7 +614,6 @@ impl ShardedService {
             pending_tasks: Vec::new(),
             period: 0,
             watermarks: Vec::new(),
-            serial_seq: 0,
             journal: None,
             poisoned: None,
             shard_fault: None,
@@ -680,24 +675,21 @@ impl ShardedService {
     /// [`ServiceError::Poisoned`] and [`ServiceError::Journal`] are
     /// fatal: the service refuses all further events until recovered.
     ///
-    /// Events are stamped `(producer 0, epoch = current period, seq)`
-    /// with a per-period serial counter, mirroring the ingest layer's
-    /// numbering, so a journaled serial stream recovers exactly like a
-    /// multi-producer one.
+    /// Events are stamped `(producer 0, epoch = current period, seq)`,
+    /// `seq` one past lane 0's watermark — the ingest layer's numbering,
+    /// so a journaled serial stream recovers exactly like a
+    /// multi-producer one, and a serial push after an ingest session or
+    /// a recovery continues the lane instead of colliding with (and
+    /// being suppressed by) what it already holds. The slot is
+    /// consumed even when admission rejects the event (the watermark
+    /// advances first): the stamp identifies the *delivery*, and a
+    /// rejected delivery must not be re-deliverable.
     pub fn try_push(&mut self, event: ServiceEvent) -> Result<(), ServiceError> {
-        match event {
-            ServiceEvent::PeriodTick => {
-                self.push_stamped(TICK_PRODUCER, u64::from(self.period), 0, event)
-            }
-            event => {
-                let seq = self.serial_seq;
-                // The slot is consumed even when admission rejects the
-                // event: the stamp identifies the *delivery*, and a
-                // rejected delivery must not be re-deliverable.
-                self.serial_seq += 1;
-                self.push_stamped(0, u64::from(self.period), seq, event)
-            }
-        }
+        let (producer, seq) = match event {
+            ServiceEvent::PeriodTick => (TICK_PRODUCER, 0),
+            _ => (0, self.next_seq(0)),
+        };
+        self.push_stamped(producer, u64::from(self.period), seq, event)
     }
 
     /// Ingests one event carrying explicit `(producer, epoch, seq)`
@@ -835,7 +827,6 @@ impl ShardedService {
             self.poisoned = Some(panic.clone());
             return Err(ServiceError::Poisoned(panic));
         }
-        self.serial_seq = 0;
         if let Some(journal) = &self.journal {
             if self.period.is_multiple_of(journal.checkpoint_every) {
                 self.write_checkpoint()?;
@@ -872,19 +863,14 @@ impl ShardedService {
     /// Attaches `writer` as is. After recovery the file already holds
     /// the durable prefix (torn tail truncated by the caller via
     /// [`JournalWriter::open_append`]); appending continues from there,
-    /// and serial [`ShardedService::try_push`] resumes stamping past what
-    /// it holds for lane 0 instead of colliding with (and being
-    /// suppressed by) its own pre-crash sends.
+    /// and every lane — serial [`ShardedService::try_push`] included —
+    /// resumes stamping past its recovered watermark.
     pub(crate) fn resume_journal(&mut self, writer: JournalWriter, config: &JournalConfig) {
         self.journal = Some(JournalState {
             writer,
             dir: config.dir.clone(),
             checkpoint_every: config.checkpoint_every.max(1),
         });
-        self.serial_seq = match self.watermark(0) {
-            Some((epoch, seq)) if epoch == u64::from(self.period) => seq + 1,
-            _ => 0,
-        };
     }
 
     /// Writes `checkpoint_<period>.bin` durably (temp + fsync + rename).
@@ -929,6 +915,17 @@ impl ShardedService {
     /// producer must resume after. `None` for a lane that never sent.
     pub fn watermark(&self, producer: u32) -> Option<(u64, u64)> {
         self.watermarks.get(producer as usize).copied().flatten()
+    }
+
+    /// The `seq` the next fresh event on `producer`'s lane carries — the
+    /// one statement of the rule serial pushes, the ingest sequencer and
+    /// post-recovery replay all stamp by: one past the lane's watermark
+    /// if that sits in the epoch being served, else the epoch's first.
+    pub(crate) fn next_seq(&self, producer: u32) -> u64 {
+        match self.watermark(producer) {
+            Some((epoch, seq)) if epoch == u64::from(self.period) => seq + 1,
+            _ => 0,
+        }
     }
 
     /// Every lane's [`ShardedService::watermark`] as `(producer, epoch,
@@ -1066,12 +1063,11 @@ impl ShardedService {
         }
         // -- timed schedule --
         table.save_schedule(&mut w);
-        // -- producer watermarks + serial counter --
+        // -- producer watermarks --
         w.push(self.watermarks.len() as u64);
         for mark in &self.watermarks {
             w.extend(mark.map_or([0; 3], |(epoch, seq)| [1, epoch, seq]));
         }
-        w.push(self.serial_seq);
         // -- outcome accumulator, price moments, strategy state --
         self.step.save(&mut w);
         w
@@ -1144,7 +1140,7 @@ impl ShardedService {
         }
         // -- timed schedule --
         table.load_schedule(r)?;
-        // -- watermarks + serial counter --
+        // -- watermarks --
         self.watermarks.clear();
         for _ in 0..r.take_len(3)? {
             let flag = r.take()?;
@@ -1152,7 +1148,6 @@ impl ShardedService {
             let seq = r.take()?;
             self.watermarks.push((flag == 1).then_some((epoch, seq)));
         }
-        self.serial_seq = r.take()?;
         // -- outcome accumulator, price moments, strategy state --
         self.step.load(r)
     }

@@ -973,11 +973,9 @@ impl IngestService {
             for (producer, queue) in self.queues.iter().enumerate() {
                 // A recovered service already holds a watermark inside
                 // this epoch; a reconnected producer resuming exactly
-                // after its ack is gap-free relative to *it*, not to 0.
-                let mut expected_seq = match service.watermark(producer as u32) {
-                    Some((e, s)) if e == epoch => s + 1,
-                    _ => 0,
-                };
+                // after its ack is gap-free relative to *it*, not to 0
+                // (`epoch` is the period the service is serving).
+                let mut expected_seq = service.next_seq(producer as u32);
                 loop {
                     // Runs are admitted zero-copy out of ring memory:
                     // the callback borrows the claimed slots, and the
@@ -1169,8 +1167,8 @@ mod tests {
     use super::*;
     use crate::engine::{ServiceConfig, ShardedService};
     use maps_core::StrategyKind;
-    use maps_simulator::{GroundWorker, MatchPolicy};
-    use maps_spatial::{GridSpec, Point, Rect};
+    use maps_simulator::{GroundTask, GroundWorker, MatchPolicy};
+    use maps_spatial::{CellId, GridSpec, Point, Rect};
 
     fn service(shards: usize) -> ShardedService {
         ShardedService::new(
@@ -1262,6 +1260,49 @@ mod tests {
         assert_eq!(svc.periods_served(), 0);
         assert_eq!(svc.admitted_workers(), 1, "event delivered, churn staged");
         assert_eq!(svc.live_workers(), 0, "no tick: never applied");
+    }
+
+    /// Regression: after a session that leaves its epoch open (the
+    /// scenario above), a serial `try_push` continues lane 0 one past
+    /// the watermark the sequencer left there — stamped `(0, 0, 0)`
+    /// again it would be suppressed as a duplicate of the ingested
+    /// arrival while returning `Ok(())`.
+    #[test]
+    fn serial_push_after_an_open_ingest_session_is_admitted() {
+        let arrive = |x| ServiceEvent::WorkerArrive { worker: worker(x) };
+        let task = ServiceEvent::TaskRequest {
+            task: GroundTask {
+                origin: Point::new(1.5, 1.0),
+                destination: Point::new(3.0, 1.0),
+                distance: 1.5,
+                valuation: 10.0,
+                cell: CellId(0),
+            },
+        };
+        let (ingest, mut producers) = IngestService::new(IngestConfig {
+            producers: 1,
+            queue_capacity: 4,
+        });
+        let mut p0 = producers.pop().unwrap();
+        p0.send(arrive(1.0));
+        p0.close();
+        let mut mixed = service(1);
+        assert_eq!(ingest.sequence(&mut mixed).unwrap(), 0);
+        for event in [arrive(2.0), task, ServiceEvent::PeriodTick] {
+            mixed.try_push(event).unwrap();
+        }
+        assert_eq!(mixed.admitted_workers(), 2);
+        assert_eq!(mixed.suppressed_duplicates(), 0);
+        assert_eq!(mixed.watermark(0), Some((0, 2)));
+
+        let mut serial = service(1);
+        for event in [arrive(1.0), arrive(2.0), task, ServiceEvent::PeriodTick] {
+            serial.try_push(event).unwrap();
+        }
+        assert_eq!(
+            mixed.into_outcome().deterministic_bits(),
+            serial.into_outcome().deterministic_bits()
+        );
     }
 
     /// A dead sequencer (dropped, or its thread panicked) must turn a

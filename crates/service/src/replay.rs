@@ -110,10 +110,7 @@ pub fn replay_recovered(
         crate::recovery::recover(truth.grid, truth.match_policy, kind, config, journal)?;
     let mut service = recovered.service;
     let served = service.periods_served() as usize;
-    let resume = match service.watermark(0) {
-        Some((epoch, seq)) if epoch == served as u64 => seq as usize + 1,
-        _ => 0,
-    };
+    let resume = service.next_seq(0) as usize;
     drive(&mut service, truth, served, resume).map_err(crate::recovery::RecoveryError::Replay)?;
     Ok(service.into_outcome())
 }

@@ -22,6 +22,7 @@
 //!   0.5 km/period (30 km/h), so they serve multiple tasks — the paper's
 //!   long-duration worker model.
 
+use crate::synthetic::gaussian;
 use crate::truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};
 use maps_market::Demand;
 use maps_market::DemandDistribution;
@@ -248,12 +249,6 @@ fn sample_trip(rng: &mut impl Rng, origin: Point, region: Rect) -> (Point, f64) 
         distance = 0.1; // clipped into a corner; keep trips non-degenerate
     }
     (dest, distance)
-}
-
-fn gaussian(rng: &mut impl Rng) -> f64 {
-    let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-    let u2: f64 = rng.gen();
-    (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
 #[cfg(test)]

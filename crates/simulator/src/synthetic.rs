@@ -303,7 +303,6 @@ fn sample_gaussian_point(rng: &mut impl Rng, mean: f64, sigma: f64, region: Rect
     Point::new(mean + sigma * gaussian(rng), mean + sigma * gaussian(rng)).clamped(region)
 }
 
-/// Standard normal via Box–Muller (no `rand_distr` in the offline set).
 /// A smooth offset field over the region: an `(N+1)²` lattice of
 /// uniform offsets in `[−1, 1]`, bilinearly interpolated. The field is a
 /// property of the *world* (seeded once), not of the pricing grid.
@@ -347,7 +346,10 @@ impl OffsetField {
     }
 }
 
-fn gaussian(rng: &mut impl Rng) -> f64 {
+/// Standard normal via Box–Muller (no `rand_distr` in the offline set):
+/// two uniform draws per sample, the sine twin discarded — the draw
+/// order every seeded world depends on.
+pub(crate) fn gaussian(rng: &mut impl Rng) -> f64 {
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen();
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

@@ -1,24 +1,24 @@
-//! The bucket index: a mutable point set answering disc and capped
-//! k-nearest queries.
+//! The bucket index: a mutable point set answering capped k-nearest
+//! queries.
 //!
 //! In the paper's 500k-worker scalability setting the worker set barely
 //! changes between periods (a few percent arrive, expire or relocate),
 //! so a per-period rebuild would dominate. [`DynamicBucketIndex`] keeps
-//! its bucketed layout mutable: `insert` / `remove` cost one binary
-//! search plus a slot shift in a single bucket, turning per-period index
-//! maintenance into `O(churn · log bucket)`. Each bucket stores its
-//! points struct-of-arrays (`xs` / `ys` / `payloads` lanes) so the
-//! capped k-nearest distance loop runs over contiguous `f64` slices.
+//! its bucketed layout mutable: a batch of arrivals or departures costs
+//! one sort of the batch plus one pass over each bucket it touches, so
+//! per-period index maintenance follows the churn, not the live count.
+//! Each bucket stores its points struct-of-arrays (`xs` / `ys` /
+//! `payloads` lanes) so the capped k-nearest distance loop runs over
+//! contiguous `f64` slices.
 //!
 //! ## Answers are functions of the point set
 //!
-//! `k_nearest_within` orders by the total `(distance, payload)` key and
-//! a disc query reports a set, so no answer depends on the grid the
-//! points are bucketed by, on insertion order or on how a bulk operation
-//! grouped its work — that one order is the whole grid-independence
-//! argument, and what the next section leans on. Each bucket keeps its
-//! slots **sorted by payload**, for `remove`'s binary search and the
-//! bulk operations' merges.
+//! `k_nearest_within` orders by the total `(distance, payload)` key, so
+//! no answer depends on the grid the points are bucketed by, on
+//! insertion order or on how a batch grouped its work — that one order
+//! is the whole grid-independence argument, and what the next section
+//! leans on. Each bucket keeps its slots **sorted by payload**, which is
+//! what lets a batch merge in or compact out in one pass.
 //!
 //! ## The grid follows the live count
 //!
@@ -33,7 +33,7 @@
 //! lands `cells ≈ len` in its middle, so at least `~¾ · len` mutations
 //! separate two regrids and a run that grows to `N` points regrids
 //! `O(log N)` times — amortised `O(log live)` per churn event, next to
-//! the binary search every event pays anyway. The grid handed to
+//! the batch sort every event pays anyway. The grid handed to
 //! [`DynamicBucketIndex::new`] / sized by
 //! [`DynamicBucketIndex::with_expected_len`] is thus only where the
 //! index *starts*. A regrid changes no answer (previous section);
@@ -42,7 +42,7 @@
 
 use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
-use crate::index::{for_each_within_disc_impl, k_nearest_within_into_impl, sqrt_side};
+use crate::index::{k_nearest_within_into_impl, sqrt_side};
 
 /// One cell's live points in struct-of-arrays layout: coordinates in
 /// dense `f64` lanes separate from the payloads, kept sorted by payload.
@@ -77,9 +77,6 @@ pub struct DynamicBucketIndex<T> {
     /// `buckets[c]` holds the live points of cell `c`, sorted by payload.
     buckets: Vec<CellSoA<T>>,
     len: usize,
-    /// Number of live points outside the grid region (disables the
-    /// ring-search early termination while non-zero).
-    outside: usize,
     /// `(cell, payload, point)` scratch of the bulk operations and of a
     /// regrid, reused so steady-state churn application allocates
     /// nothing.
@@ -95,7 +92,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
             grid,
             buckets: empty_buckets(grid.num_cells()),
             len: 0,
-            outside: 0,
             tagged: Vec::new(),
         }
     }
@@ -112,11 +108,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// The *current* bucketing grid — it changes when the index regrids.
     pub fn grid(&self) -> &GridSpec {
         &self.grid
-    }
-
-    /// Whether any live point lies outside the grid region.
-    pub(crate) fn any_outside(&self) -> bool {
-        self.outside > 0
     }
 
     /// The points bucketed into `cell` as parallel `(xs, ys, payloads)`
@@ -136,98 +127,51 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         self.len == 0
     }
 
-    /// Inserts a point.
+    /// Inserts a point: [`DynamicBucketIndex::insert_bulk`] of a batch
+    /// of one.
     ///
     /// # Panics
     /// Panics if `payload` is already live in the same bucket.
     pub fn insert(&mut self, p: Point, payload: T) {
-        self.fit_grid(self.len + 1);
-        let bucket = &mut self.buckets[self.grid.cell_of(p).index()];
-        match bucket.payloads.binary_search(&payload) {
-            Ok(_) => panic!("duplicate payload inserted into dynamic index"),
-            Err(pos) => {
-                bucket.xs.insert(pos, p.x);
-                bucket.ys.insert(pos, p.y);
-                bucket.payloads.insert(pos, payload);
-            }
-        }
-        self.len += 1;
-        if !self.grid.region().contains(p) {
-            self.outside += 1;
-        }
+        self.insert_bulk(&[(p, payload)]);
     }
 
-    /// Removes the point previously inserted at `p` with `payload`.
-    /// Returns whether it was present (callers enforcing a stricter
-    /// contract can treat `false` as a bug). `p` must be the inserted
-    /// point exactly: a live payload offered with any other point is a
-    /// miss whatever the current grid — a coarse grid that happens to
-    /// file both points in one bucket does not turn it into a hit.
+    /// Removes the point previously inserted at `p` with `payload`:
+    /// [`DynamicBucketIndex::remove_bulk`] of a batch of one. Returns
+    /// whether it was present (callers enforcing a stricter contract
+    /// can treat `false` as a bug).
     pub fn remove(&mut self, p: Point, payload: T) -> bool {
-        let bucket = &mut self.buckets[self.grid.cell_of(p).index()];
-        match bucket.payloads.binary_search(&payload) {
-            Ok(pos) if bucket.xs[pos] == p.x && bucket.ys[pos] == p.y => {
-                bucket.xs.remove(pos);
-                bucket.ys.remove(pos);
-                bucket.payloads.remove(pos);
-                self.len -= 1;
-                if !self.grid.region().contains(p) {
-                    self.outside -= 1;
-                }
-                self.fit_grid(self.len);
-                true
-            }
-            _ => false,
-        }
+        self.remove_bulk(&[(p, payload)]) == 1
     }
 
     /// Inserts a batch of points with **one merge pass per touched
-    /// bucket** instead of one `O(bucket)` lane shift per point. The
-    /// resulting buckets are identical to inserting the items one by
-    /// one (sorted by payload), so queries stay bit-identical — this is
-    /// purely the churn-application fast path: a period applying `a`
-    /// arrivals into a bucket of `b` points moves `O(a + b)` slots
-    /// instead of `O(a · b)`.
+    /// bucket** — the one insertion path: a period applying `a` arrivals
+    /// into a bucket of `b` points moves `O(a + b)` slots, not
+    /// `O(a · b)`.
     ///
     /// # Panics
     /// Panics if any payload is already live in the same bucket (or
     /// duplicated within `items` into the same bucket).
     pub fn insert_bulk(&mut self, items: &[(Point, T)]) {
-        if items.len() <= 1 {
-            if let Some(&(p, t)) = items.first() {
-                self.insert(p, t);
-            }
-            return;
-        }
         // Regrid for the size the batch leaves behind *before* it goes
         // in, so the arrivals are bucketed once.
         self.fit_grid(self.len + items.len());
         self.tag(items);
         self.for_each_tagged_group(merge_group);
         self.len += items.len();
-        let region = self.grid.region();
-        self.outside += items.iter().filter(|&&(p, _)| !region.contains(p)).count();
     }
 
     /// Removes a batch of points with **one compaction pass per touched
-    /// bucket** instead of one `O(bucket)` lane shift per point —
-    /// the departure-side twin of [`DynamicBucketIndex::insert_bulk`].
-    /// Each `(point, payload)` pair must match how the point was
-    /// inserted, exactly as for [`DynamicBucketIndex::remove`]; a pair
-    /// that does not is a miss. Returns how many were found and
-    /// removed; callers enforcing a stricter contract can compare
-    /// against `items.len()`.
+    /// bucket** — the one removal path. Each `(point, payload)` pair
+    /// must name the inserted point exactly: a live payload offered
+    /// with any other point is a miss whatever the current grid — a
+    /// coarse grid that happens to file both points in one bucket does
+    /// not turn it into a hit. Returns how many were found and removed;
+    /// callers enforcing a stricter contract can compare against
+    /// `items.len()`.
     pub fn remove_bulk(&mut self, items: &[(Point, T)]) -> usize {
-        if items.len() <= 1 {
-            return match items.first() {
-                Some(&(p, t)) => usize::from(self.remove(p, t)),
-                None => 0,
-            };
-        }
         self.tag(items);
-        let region = self.grid.region();
         let mut removed = 0usize;
-        let mut removed_outside = 0usize;
         self.for_each_tagged_group(|bucket, group| {
             // Two-pointer compaction: both the bucket lanes and the
             // group are payload-sorted, so one forward pass keeps every
@@ -244,7 +188,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
                         && p.y == bucket.ys[read]
                     {
                         removed += 1;
-                        removed_outside += usize::from(!region.contains(p));
                         g += 1;
                         continue;
                     }
@@ -259,7 +202,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
             bucket.payloads.truncate(write);
         });
         self.len -= removed;
-        self.outside -= removed_outside;
         // Regrid *after* the batch left, so only survivors move.
         self.fit_grid(self.len);
         removed
@@ -320,16 +262,6 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         }
     }
 
-    /// Collects the payloads of all live points within the closed disc
-    /// of `radius` around `center` (`d² ≤ fl(radius²)`), in no
-    /// particular order: the set is a function of the live points, the
-    /// order follows the current grid.
-    pub fn within_disc(&self, center: Point, radius: f64) -> Vec<T> {
-        let mut out = Vec::new();
-        for_each_within_disc_impl(self, center, radius, |_, t| out.push(t));
-        out
-    }
-
     /// [`DynamicBucketIndex::k_nearest_within_into`] into a fresh vector.
     pub fn k_nearest_within(
         &self,
@@ -344,21 +276,22 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     }
 
     /// The `k` nearest qualifying points within the closed disc of
-    /// `radius` around `center`, ascending by `(distance, payload)`,
-    /// written into `out` (cleared first; no per-query allocation once
-    /// warm). `accept(distance, payload)` lets the caller impose extra
-    /// constraints (a per-worker range limit); it must be a pure
-    /// predicate — pruned candidates never reach it.
+    /// `radius` around `center` (`d² ≤ fl(radius²)`), ascending by
+    /// `(distance, payload)`, written into `out` (cleared first; no
+    /// per-query allocation once warm). `accept(distance, payload)` lets
+    /// the caller impose extra constraints (a per-worker range limit);
+    /// it must be a pure predicate — pruned candidates never reach it.
+    /// The cap is a parameter, not a mode: `k = usize::MAX` is the
+    /// whole disc.
     ///
     /// Equal distances are broken by the smaller payload, so the result
     /// is a pure function of the *point set* (module docs). Buckets are
     /// visited in concentric Chebyshev rings around the centre cell and
     /// the search stops as soon as the next ring cannot contain anything
     /// closer than the current `k`-th candidate — with densely packed
-    /// points this touches `O(k)` entries instead of the whole disc. The
-    /// ring lower bound needs every live point inside the region
-    /// (outside points are clamped into boundary buckets); while any is
-    /// outside, the query scans the whole disc instead.
+    /// points this touches `O(k)` entries instead of the whole disc.
+    /// Points outside the region are filed in its boundary buckets and
+    /// found by the same search, from centres inside or out.
     pub fn k_nearest_within_into(
         &self,
         center: Point,
@@ -380,7 +313,7 @@ fn empty_buckets<T>(cells: usize) -> Vec<CellSoA<T>> {
 /// by `n` and one backwards merge writes every slot exactly once —
 /// `O(old + n)` moves total, against `O(n · old)` for `n` one-at-a-time
 /// sorted inserts. Panics on any payload collision (within the group or
-/// against the bucket), matching [`DynamicBucketIndex::insert`].
+/// against the bucket).
 fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]) {
     for pair in group.windows(2) {
         assert!(
@@ -457,8 +390,11 @@ mod tests {
         ids
     }
 
+    /// The closed disc by the index — the k-nearest query with no cap —
+    /// as a sorted id set.
     fn sorted_disc(idx: &DynamicBucketIndex<u32>, (c, r): (Point, f64)) -> Vec<u32> {
-        let mut ids = idx.within_disc(c, r);
+        let all = idx.k_nearest_within(c, r, usize::MAX, |_, _| true);
+        let mut ids: Vec<u32> = all.into_iter().map(|(_, t)| t).collect();
         ids.sort_unstable();
         ids
     }
@@ -471,21 +407,20 @@ mod tests {
 
     /// Random insert/remove/relocate churn: every disc (as an id set)
     /// and every filtered k-nearest answer (bit for bit) must equal the
-    /// scan of the live list — through the whole-disc fallback while
-    /// strays are live, through the ring search once they have left
-    /// (`tests/regrid_oracle.rs` drives the same comparison across
-    /// regrids, bulk ops included).
+    /// scan of the live list — while strays outside the region are
+    /// live, and once they have left (`tests/regrid_oracle.rs` drives
+    /// the same comparison across regrids, bulk ops included).
     #[test]
     fn queries_match_fresh_rebuild_under_churn() {
         let mut dynamic = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 9));
         let mut live: Vec<(Point, u32)> = Vec::new();
         let mut rng = XorShift(0x5EED);
         let mut next_id = 0u32;
-        let (mut fallback_checks, mut ring_checks) = (0, 0);
+        let (mut stray_checks, mut strayless_checks) = (0, 0);
+        let region = Rect::square(100.0);
         for step in 0..800 {
             let strays = step < 400;
             if step == 400 {
-                let region = Rect::square(100.0);
                 let (inside, outside): (Vec<_>, Vec<_>) =
                     live.iter().partition(|&&(p, _)| region.contains(p));
                 assert_eq!(dynamic.remove_bulk(&outside), outside.len());
@@ -521,10 +456,10 @@ mod tests {
                 continue;
             }
             assert_eq!(dynamic.len(), live.len());
-            if dynamic.any_outside() {
-                fallback_checks += 1;
+            if live.iter().any(|&(p, _)| !region.contains(p)) {
+                stray_checks += 1;
             } else {
-                ring_checks += 1;
+                strayless_checks += 1;
             }
             let c = Point::new(rng.next_f64() * 110.0 - 5.0, rng.next_f64() * 110.0 - 5.0);
             let q = (c, rng.next_f64() * 40.0);
@@ -541,7 +476,80 @@ mod tests {
                 "k-nearest diverged at step {step}"
             );
         }
-        assert!(fallback_checks >= 20 && ring_checks >= 20);
+        assert!(stray_checks >= 20 && strayless_checks >= 20);
+    }
+
+    /// The hostile input admission lets through: any finite location.
+    /// 400 seeded worlds of 1–600 points on offset, non-square regions
+    /// and rectangular grids, coordinates free or snapped to a lattice
+    /// (ties, points on cell edges) and up to 50 region sides outside;
+    /// 60 queries per world from centres inside and far out, radii from
+    /// 0 to 100 sides, `k` from 1 to uncapped, with and without a
+    /// rejecting filter — each bit-identical to the scan. The ring bound
+    /// is what this pins (`index.rs`, at `ring_lb`): nearly every query
+    /// runs with a point outside the region live.
+    #[test]
+    fn strays_far_outside_keep_every_query_exact() {
+        let mut rng = XorShift(0x0057_4A59);
+        let (mut queries, mut with_stray) = (0, 0);
+        for world in 0..400 {
+            let side = 10.0 + (rng.next_u64() % 201) as f64;
+            let min = Point::new(rng.next_f64() * 200.0 - 100.0, rng.next_f64() * 50.0);
+            let max = Point::new(min.x + side, min.y + side * (0.5 + rng.next_f64()));
+            let region = Rect::new(min, max);
+            let pitch = (world % 3 == 0).then_some(side / 8.0);
+            // A coordinate as an offset from `min`: in the region, just
+            // around it, or up to 50 sides off on either side.
+            let offset = |rng: &mut XorShift| {
+                let u = rng.next_f64();
+                let x = match rng.next_u64() % 8 {
+                    0 => (u * 101.0 - 50.0) * side,
+                    1 => (u * 3.0 - 1.0) * side,
+                    _ => u * side,
+                };
+                pitch.map_or(x, |pitch| (x / pitch).round() * pitch)
+            };
+            let n = 1 + (rng.next_u64() as usize) % 600;
+            let items: Vec<(Point, u32)> = (0..n as u32)
+                .map(|id| {
+                    (
+                        Point::new(min.x + offset(&mut rng), min.y + offset(&mut rng)),
+                        id,
+                    )
+                })
+                .collect();
+            let (nx, ny) = (1 + rng.next_u64() % 24, 1 + rng.next_u64() % 24);
+            let mut idx = DynamicBucketIndex::new(GridSpec::new(region, nx as u32, ny as u32));
+            idx.insert_bulk(&items);
+            let stray = items.iter().any(|&(p, _)| !region.contains(p));
+            for _ in 0..60 {
+                let c = match rng.next_u64() % 4 {
+                    0 => items[(rng.next_u64() as usize) % n].0,
+                    _ => Point::new(min.x + offset(&mut rng), min.y + offset(&mut rng)),
+                };
+                let r = match rng.next_u64() % 6 {
+                    0 => 0.0,
+                    1 => rng.next_f64() * 100.0 * side,
+                    _ => rng.next_f64() * side,
+                };
+                let k = [1, 3, 64, usize::MAX][(rng.next_u64() % 4) as usize];
+                let accept = if rng.next_u64().is_multiple_of(2) {
+                    |_: f64, _: u32| true
+                } else {
+                    |d: f64, t: u32| !t.is_multiple_of(3) && d > 0.25
+                };
+                assert_eq!(
+                    bits(&idx.k_nearest_within(c, r, k, accept)),
+                    scan_k_nearest(&items, (c, r), k, accept),
+                    "world {world}: c={c:?} r={r} k={k} on {:?}",
+                    idx.grid()
+                );
+                queries += 1;
+                with_stray += usize::from(stray);
+            }
+        }
+        assert_eq!(queries, 24_000);
+        assert!(with_stray >= 23_000, "{with_stray} queries beside a stray");
     }
 
     /// The `(distance, payload)` order makes k-nearest independent of
@@ -575,7 +583,7 @@ mod tests {
     fn empty_index() {
         let idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(10.0), 0);
         assert!(idx.is_empty());
-        assert_eq!(idx.within_disc(Point::new(5.0, 5.0), 100.0), vec![]);
+        assert_eq!(sorted_disc(&idx, (Point::new(5.0, 5.0), 100.0)), vec![]);
         let nearest = idx.k_nearest_within(Point::new(5.0, 5.0), 100.0, 3, |_, _| true);
         assert!(nearest.is_empty());
     }
@@ -584,8 +592,8 @@ mod tests {
     fn single_point() {
         let idx = index_of(&[(Point::new(3.0, 3.0), 7)], 10.0);
         assert_eq!(idx.len(), 1);
-        assert_eq!(idx.within_disc(Point::new(3.0, 4.0), 1.0), vec![7]);
-        assert_eq!(idx.within_disc(Point::new(3.0, 4.5), 1.0), vec![]);
+        assert_eq!(sorted_disc(&idx, (Point::new(3.0, 4.0), 1.0)), vec![7]);
+        assert_eq!(sorted_disc(&idx, (Point::new(3.0, 4.5), 1.0)), vec![]);
     }
 
     #[test]
@@ -628,7 +636,7 @@ mod tests {
             &[(Point::new(12.0, 12.0), 1), (Point::new(5.0, 5.0), 2)],
             10.0,
         );
-        assert_eq!(idx.within_disc(Point::new(12.0, 12.0), 0.5), vec![1]);
+        assert_eq!(sorted_disc(&idx, (Point::new(12.0, 12.0), 0.5)), vec![1]);
         // and a big disc finds both
         assert_eq!(sorted_disc(&idx, (Point::new(8.0, 8.0), 10.0)), vec![1, 2]);
     }
@@ -649,7 +657,6 @@ mod tests {
             })
             .collect();
         let idx = index_of(&items, 100.0);
-        assert!(!idx.any_outside(), "the ring search must be what answers");
         let mut answered = 0;
         for (c, r, k) in [
             (Point::new(50.0, 50.0), 20.0, 8usize),
@@ -693,9 +700,8 @@ mod tests {
     /// A live payload offered with a point it was not inserted at is a
     /// miss for `remove` and `remove_bulk` alike — in another bucket (a
     /// populated 8×8 grid), in the same bucket, and from outside the
-    /// region (which must not touch the `outside` count either). This is
-    /// the miss `PeriodGraphCache::apply` turns into its "live worker
-    /// missing from the spatial index" fault.
+    /// region. This is the miss `PeriodGraphCache::apply` turns into its
+    /// "live worker missing from the spatial index" fault.
     #[test]
     fn remove_with_wrong_point_is_a_miss() {
         let mut idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(80.0), 64);
@@ -719,9 +725,7 @@ mod tests {
             2
         );
         assert_eq!(idx.len(), 62);
-        assert!(!idx.any_outside());
-        let mut left = idx.within_disc(Point::new(40.0, 40.0), 100.0);
-        left.sort_unstable();
+        let left = sorted_disc(&idx, (Point::new(40.0, 40.0), 100.0));
         let want: Vec<u32> = (0..64).filter(|i| ![7, 9].contains(i)).collect();
         assert_eq!(left, want);
         // Down at a handful of points the grid is 1×1 and every wrong
@@ -759,10 +763,9 @@ mod tests {
             .map(|(_, t)| t)
             .collect();
         assert_eq!(got, vec![0, 1]);
-        // Removing the outside point re-enables ring termination; results
-        // stay exact either way.
+        // With the outside point gone the results stay exact.
         assert!(idx.remove(Point::new(12.0, 12.0), 0));
-        assert_eq!(idx.within_disc(Point::new(9.0, 9.0), 0.5), vec![1]);
+        assert_eq!(sorted_disc(&idx, (Point::new(9.0, 9.0), 0.5)), vec![1]);
     }
 
     /// Degenerate cap values: `k = 0` returns nothing, and any `k` at or

@@ -147,15 +147,6 @@ impl Rect {
     pub fn contains(&self, p: Point) -> bool {
         p.x >= self.min.x && p.x <= self.max.x && p.y >= self.min.y && p.y <= self.max.y
     }
-
-    /// Smallest distance from `p` to the rectangle (0 if inside).
-    /// Used to prune grid buckets during radius queries.
-    #[inline]
-    pub fn distance_to_point(&self, p: Point) -> f64 {
-        let dx = (self.min.x - p.x).max(0.0).max(p.x - self.max.x);
-        let dy = (self.min.y - p.y).max(0.0).max(p.y - self.max.y);
-        (dx * dx + dy * dy).sqrt()
-    }
 }
 
 #[cfg(test)]
@@ -209,14 +200,6 @@ mod tests {
         assert!((r.height() - 6.0).abs() < 1e-12);
         assert!((r.area() - 18.0).abs() < 1e-12);
         assert_eq!(r.center(), Point::new(2.5, 5.0));
-    }
-
-    #[test]
-    fn rect_distance_to_point() {
-        let r = Rect::square(2.0);
-        assert_eq!(r.distance_to_point(Point::new(1.0, 1.0)), 0.0);
-        assert!((r.distance_to_point(Point::new(5.0, 1.0)) - 3.0).abs() < 1e-12);
-        assert!((r.distance_to_point(Point::new(5.0, 6.0)) - 5.0).abs() < 1e-12);
     }
 
     #[test]

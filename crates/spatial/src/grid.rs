@@ -179,25 +179,6 @@ impl GridSpec {
                 (x >= 0 && x < nx && y >= 0 && y < ny).then(|| CellId((y * nx + x) as u32))
             })
     }
-
-    /// All cells whose rectangle intersects the disc `(center, radius)`.
-    /// This is the bucket-pruning primitive behind radius queries.
-    pub fn cells_intersecting_disc(&self, center: Point, radius: f64) -> Vec<CellId> {
-        let lo = Point::new(center.x - radius, center.y - radius).clamped(self.region);
-        let hi = Point::new(center.x + radius, center.y + radius).clamped(self.region);
-        let (cx0, cy0) = self.cell_coords(lo);
-        let (cx1, cy1) = self.cell_coords(hi);
-        let mut out = Vec::with_capacity(((cx1 - cx0 + 1) * (cy1 - cy0 + 1)) as usize);
-        for cy in cy0..=cy1 {
-            for cx in cx0..=cx1 {
-                let id = CellId(cy * self.nx + cx);
-                if self.cell_rect(id).distance_to_point(center) <= radius {
-                    out.push(id);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -274,33 +255,6 @@ mod tests {
         for c in [1u32, 3, 5, 7] {
             assert!(n4.contains(&c));
         }
-    }
-
-    #[test]
-    fn cells_intersecting_disc_covers_disc() {
-        let g = GridSpec::square(Rect::square(8.0), 4);
-        // Disc centred in the middle of grid 7 (cell (2,1)) with radius 2.5
-        // must include the cell itself and the direct neighbours.
-        let hits = g.cells_intersecting_disc(Point::new(5.0, 3.0), 2.5);
-        let self_cell = g.cell_of(Point::new(5.0, 3.0));
-        assert!(hits.contains(&self_cell));
-        for n in g.neighbors4(self_cell) {
-            assert!(hits.contains(&n), "missing neighbour {n:?}");
-        }
-        // A tiny disc far from a cell must prune it.
-        let hits_small = g.cells_intersecting_disc(Point::new(1.0, 1.0), 0.5);
-        assert_eq!(hits_small, vec![g.cell_of(Point::new(1.0, 1.0))]);
-    }
-
-    #[test]
-    fn disc_prunes_diagonal_corner_cells() {
-        let g = GridSpec::square(Rect::square(8.0), 4);
-        // Radius just over the cell half-diagonal from a cell centre cannot
-        // reach the diagonally-opposite cell's nearest corner region.
-        let hits = g.cells_intersecting_disc(Point::new(1.0, 1.0), 1.05);
-        // cell (0,0) + right and top neighbours only; diagonal (1,1) cell's
-        // nearest point is (2,2), at distance sqrt(2) ≈ 1.414 > 1.05.
-        assert_eq!(hits.len(), 3);
     }
 
     #[test]

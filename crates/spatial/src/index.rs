@@ -1,54 +1,25 @@
-//! The query cores of [`DynamicBucketIndex`]: closed-disc enumeration and
-//! the capped k-nearest ring search.
+//! The query core of [`DynamicBucketIndex`]: the capped k-nearest ring
+//! search. There is one, and every query takes it.
 //!
 //! Building the probabilistic bipartite graph `B^t` (Definition 5) needs,
 //! for every task, the workers whose range reaches its origin. A scan is
 //! `O(|R|·|W|)` per period — infeasible at the paper's `|R| = |W| =
 //! 500 000` — so points are bucketed by the cell of an internal
-//! [`crate::GridSpec`] and the cores touch only the cells a query can
-//! reach. A bucket is struct-of-arrays: coordinates live in dense `f64`
-//! slices separate from the payloads, so the distance loops compile to
-//! straight-line arithmetic over contiguous lanes (no `(Point, T)`
-//! stride) and autovectorize.
+//! [`crate::GridSpec`] (struct-of-arrays, so the distance loop runs over
+//! contiguous `f64` lanes) and the core visits cells in rings around the
+//! query's, stopping at the first ring that can hold nothing it still
+//! needs. The ring bound holds for points and centres outside the region
+//! too (argued once, at `ring_lb`), so whether a query stops early never
+//! depends on who else is live; a closed disc is this query with no cap
+//! (`k = usize::MAX`), not a second algorithm.
 //!
-//! There is no second index to agree with: the tests hold these cores to
+//! There is no second index to agree with: the tests hold this core to
 //! the definition — a scan of the live list, filtered, sorted by
 //! `(distance, payload)` and cut to `k` — bit for bit (`dynamic.rs`'
 //! tests, `tests/regrid_oracle.rs`).
 
 use crate::dynamic::DynamicBucketIndex;
 use crate::geom::Point;
-
-/// Calls `f(point, payload)` for every stored point within the closed
-/// disc of `radius` around `center`.
-///
-/// Points are bucketed by their *clamped* position. Clamping is a
-/// contraction (1-Lipschitz), so every point within `radius` of `center`
-/// has a clamped position within `radius` of the clamped centre —
-/// pruning on the clamped disc is therefore sound even for points (or
-/// centres) outside the region.
-pub(crate) fn for_each_within_disc_impl<T: Copy + Ord>(
-    store: &DynamicBucketIndex<T>,
-    center: Point,
-    radius: f64,
-    mut f: impl FnMut(Point, T),
-) {
-    let r2 = radius * radius;
-    let grid = store.grid();
-    let bucket_center = center.clamped(grid.region());
-    for cell in grid.cells_intersecting_disc(bucket_center, radius) {
-        let (xs, ys, ts) = store.cell_slices(cell.index());
-        // Same float sequence as `Point::euclidean_sq(p, center)`, over
-        // SoA lanes.
-        for i in 0..xs.len() {
-            let dx = xs[i] - center.x;
-            let dy = ys[i] - center.y;
-            if dx * dx + dy * dy <= r2 {
-                f(Point::new(xs[i], ys[i]), ts[i]);
-            }
-        }
-    }
-}
 
 /// The `k` nearest qualifying points within `radius` of `center` under
 /// the total order `(distance, payload)`, into `best` (cleared first) —
@@ -72,24 +43,11 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
     // Degenerate caps (k near usize::MAX, i.e. "uncapped") must not
     // overflow or over-reserve; growth past the hint is amortized anyway.
     best.reserve(k.saturating_add(1).min(1024));
-    if store.any_outside() {
-        for_each_within_disc_impl(store, center, radius, |p, t| {
-            let d = p.euclidean(center);
-            if prune(d, k, best) {
-                return;
-            }
-            if accept(d, t) {
-                push(d, t, k, best);
-            }
-        });
-        return;
-    }
     let (cx, cy) = grid.cell_coords(center.clamped(grid.region()));
     let (cx, cy) = (cx as i64, cy as i64);
-    let nx = grid.nx() as i64;
-    let ny = grid.ny() as i64;
+    let (nx, ny) = (grid.nx() as i64, grid.ny() as i64);
     let min_side = grid.cell_width().min(grid.cell_height());
-    let max_ring = (grid.nx().max(grid.ny())) as i64;
+    let max_ring = nx.max(ny);
     let r2 = radius * radius;
     let mut visit = |x: i64, y: i64, best: &mut Vec<(f64, T)>| {
         if x < 0 || x >= nx || y < 0 || y >= ny {
@@ -99,10 +57,14 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
         scan_cell(store.cell_slices(cell), center, r2, k, &mut accept, best);
     };
     for ring in 0..=max_ring {
-        // Nothing in ring `d` can be closer than (d-1)·min_side. The
-        // break is strict, so rings that could still hold an equal
-        // distance (smaller payload) are always visited — required for
-        // the (distance, payload) order to be exact.
+        // Nothing filed in ring `d` is closer than (d−1)·min_side,
+        // inside the region or out: points are filed, and rings counted,
+        // by clamped position, and clamping onto a box is 1-Lipschitz
+        // per axis, so on the axis `i` that puts `p` in ring `d`,
+        // dist(p, c) ≥ |p_i − c_i| ≥ |clamp(p)_i − clamp(c)_i| ≥
+        // (d−1)·min_side; `max_ring` reaches every cell. The break is
+        // strict: a ring that could still hold an equal distance (smaller
+        // payload) is visited, so the (distance, payload) order is exact.
         let ring_lb = ((ring - 1).max(0) as f64) * min_side;
         let kth = best.last().map(|&(d, _)| d);
         if ring_lb > radius || (best.len() == k && kth.is_some_and(|d| ring_lb > d)) {
@@ -125,9 +87,7 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
 
 /// One cell of the ring search: distance arithmetic over the SoA lanes,
 /// then the prune → accept → ordered-insert tail for in-radius hits.
-/// Generic over `accept` (monomorphized, so the predicate inlines into
-/// the loop — this used to go through `&mut dyn FnMut`, one indirect
-/// call per candidate).
+/// Generic over `accept`, so the predicate inlines into the loop.
 #[inline]
 fn scan_cell<T: Copy + Ord>(
     (xs, ys, ts): (&[f64], &[f64], &[T]),

@@ -1,11 +1,11 @@
 //! # maps-spatial
 //!
 //! Spatial substrate for the MAPS reproduction (Tong et al., SIGMOD 2018):
-//! planar geometry, rectangular grid partitioning of the region of interest
-//! (Definition 1 in the paper), and one bucketed spatial index —
-//! [`DynamicBucketIndex`], mutated by churn and queried per task — used to
-//! build the task–worker bipartite graph under the range constraint
-//! (Definition 4) in output-sensitive time.
+//! planar geometry, the grid partitioning of the region of interest
+//! (Definition 1), and one bucketed spatial index — [`DynamicBucketIndex`]:
+//! one batch mutation path and one query, the capped k-nearest ring search,
+//! exact outside the region too — used to build the task–worker bipartite
+//! graph under the range constraint (Definition 4) in output-sensitive time.
 //!
 //! The paper works on a `100 × 100` square for synthetic data and a
 //! longitude/latitude rectangle mapped to kilometres for the Beijing data;

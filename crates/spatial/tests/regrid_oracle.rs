@@ -5,14 +5,16 @@
 //! points and, **after every step**, checks against a scan of that list
 //! — the definition, which has no grid to share a bug with — that
 //!
-//! * every `within_disc` equals, as a sorted id set, the points with
-//!   `d² ≤ fl(r²)` — one of the discs covers the whole region and its
-//!   surroundings, so this is also "no bucket lost or doubled a point
-//!   in the regrid";
+//! * every disc — the k-nearest query with no cap — equals, as a
+//!   sorted id set, the points with `d² ≤ fl(r²)` — one of the discs
+//!   covers the whole region and its surroundings, so this is also "no
+//!   bucket lost or doubled a point in the regrid";
 //! * every `k_nearest_within`, under a rejecting `accept`, equals bit
 //!   for bit the same filter sorted by `(distance, payload)` and cut to
-//!   `k` — through the ring search, and through the whole-disc fallback
-//!   while a point outside the region is live;
+//!   `k` — by the one ring search, with points outside the region live
+//!   or not;
+//! * the single-item `insert` / `remove` the scripts call are batches
+//!   of one, so the batch-of-one path is checked after every mutation;
 //! * regrids stay amortised: few of them, moving few points per
 //!   mutation.
 //!
@@ -123,8 +125,8 @@ impl Harness {
         self.check();
     }
 
-    /// Removes every out-of-region point, so the ring-search path (off
-    /// while any point is outside) gets its share of the run.
+    /// Removes every out-of-region point, so the all-inside state gets
+    /// its share of the run.
     fn remove_strays(&mut self) {
         let region = Rect::square(REGION);
         let (inside, strays): (Vec<_>, Vec<_>) =
@@ -147,6 +149,12 @@ impl Harness {
             self.mutations += 2;
             self.check();
         }
+    }
+
+    /// The closed disc by the index: the k-nearest query with no cap.
+    fn disc(&self, c: Point, r: f64) -> Vec<u32> {
+        let all = self.dynamic.k_nearest_within(c, r, usize::MAX, |_, _| true);
+        all.into_iter().map(|(_, id)| id).collect()
     }
 
     /// The per-step oracle (see the file docs).
@@ -175,7 +183,7 @@ impl Harness {
         let k = 1 + (self.rng.next_u64() as usize) % 12;
         for (c, r) in [everything, somewhere] {
             let in_disc = |&&(p, _): &&(Point, u32)| p.euclidean_sq(c) <= r * r;
-            let mut got = self.dynamic.within_disc(c, r);
+            let mut got = self.disc(c, r);
             got.sort_unstable();
             let mut want: Vec<u32> = self.live.iter().filter(in_disc).map(|e| e.1).collect();
             want.sort_unstable();
@@ -195,7 +203,7 @@ impl Harness {
             assert_eq!(bits(&got), bits(&want), "k-nearest, step {}", self.steps);
         }
         assert_eq!(
-            self.dynamic.within_disc(everything.0, everything.1).len(),
+            self.disc(everything.0, everything.1).len(),
             self.live.len(),
             "the covering disc must see every bucket, step {}",
             self.steps

@@ -1040,6 +1040,14 @@ fn agree_on_every_path(
 /// of radius `f64::MAX` — on every path: whether a worker reaches a
 /// task is a function of that worker alone. (The k-NN paths used to
 /// report this edge only once a wider worker widened the query.)
+///
+/// Then points outside the region, which admission lets through (any
+/// finite location) and the index files in its boundary buckets: a
+/// worker beyond a corner whose radius reaches in, a task origin outside
+/// with workers inside, both outside on opposite sides, a zero-radius
+/// worker outside on a coincident task — each beside 36 short-range
+/// workers inside, so the index has rings to cut. Same edges on every
+/// path, with and without a cap.
 #[test]
 fn cap_boundary_and_closed_disc_agree_on_every_path() {
     const TRIPLES: [(f64, f64, f64); 10] = [
@@ -1166,17 +1174,69 @@ fn cap_boundary_and_closed_disc_agree_on_every_path() {
             1,
         ),
     ];
-    for (label, workers, tasks, edges, matched) in rows {
-        // Uncapped, then with a cap that cuts `at_range` to its nearest.
-        for k in [64usize, 1] {
-            let what = format!("fl(√13) {label}, k {k}");
-            let (spec, batch) = agree_on_every_path(&what, grid, &tasks, workers.clone(), k);
-            assert_eq!(spec.edges().collect::<Vec<_>>(), edges, "{what}: the spec");
-            assert_eq!(batch.accepted_tasks, tasks.len() as u64, "{what}");
-            assert_eq!(
-                batch.matched_tasks, matched,
-                "{what}: served by the batch loop"
-            );
+    // A 6 × 6 lattice of radius-1 workers that reach none of the tasks
+    // below: company that gives the index a 7 × 7 grid.
+    let beside_crowd = |strays: &[GroundWorker]| -> Vec<GroundWorker> {
+        let crowd = (0..36).map(|i| {
+            worker(
+                10.0 + 15.0 * (i % 6) as f64,
+                10.0 + 15.0 * (i / 6) as f64,
+                1.0,
+            )
+        });
+        strays.iter().copied().chain(crowd).collect()
+    };
+    let outside_rows: [Row<'_>; 4] = [
+        (
+            // (3, 4) is at 10 from (−3, −4) — exactly the first
+            // worker's range, one ulp beyond the third's — and at 15
+            // from the second.
+            "a worker beyond a corner reaching in",
+            beside_crowd(&[
+                worker(-3.0, -4.0, 10.0),
+                worker(-6.0, -8.0, 20.0),
+                worker(-3.0, -4.0, 10f64.next_down()),
+            ]),
+            vec![eager(3.0, 4.0)],
+            &[(0, 0), (0, 1)],
+            1,
+        ),
+        (
+            "a task origin outside, workers inside",
+            beside_crowd(&[worker(98.0, 50.0, 7.0), worker(90.0, 50.0, 10.0)]),
+            vec![eager(105.0, 50.0)],
+            &[(0, 0)],
+            1,
+        ),
+        (
+            "both outside, on opposite sides",
+            beside_crowd(&[worker(-10.0, 50.0, 100.0), worker(-10.0, 50.0, 120.0)]),
+            vec![eager(110.0, 50.0)],
+            &[(0, 1)],
+            1,
+        ),
+        (
+            "radius 0.0 outside on a coincident task",
+            beside_crowd(&[worker(-5.0, -5.0, 0.0)]),
+            vec![eager(-5.0, -5.0), eager((-5f64).next_up(), -5.0)],
+            &[(0, 0)],
+            1,
+        ),
+    ];
+    let families = [("fl(√13)", rows), ("outside the region:", outside_rows)];
+    for (family, rows) in families {
+        for (label, workers, tasks, edges, matched) in rows {
+            // Uncapped, then with a cap that cuts each task to its nearest.
+            for k in [64usize, 1] {
+                let what = format!("{family} {label}, k {k}");
+                let (spec, batch) = agree_on_every_path(&what, grid, &tasks, workers.clone(), k);
+                assert_eq!(spec.edges().collect::<Vec<_>>(), edges, "{what}: the spec");
+                assert_eq!(batch.accepted_tasks, tasks.len() as u64, "{what}");
+                assert_eq!(
+                    batch.matched_tasks, matched,
+                    "{what}: served by the batch loop"
+                );
+            }
         }
     }
 }
