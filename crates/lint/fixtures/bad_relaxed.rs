@@ -1,7 +1,7 @@
-//! Known-bad fixture: a bare `Ordering::Relaxed` in a lock-free
+//! Known-bad fixture: a bare `Ordering::Relaxed` in an atomic
 //! protocol file with no `// ordering:` justification. Every Relaxed
-//! in the SPSC ring must say *why* the weaker ordering is sound, or
-//! the next refactor silently breaks the happens-before chain.
+//! there must say *why* the weaker ordering is sound, or the next
+//! refactor silently breaks the happens-before chain.
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 struct Cursor {

@@ -14,8 +14,7 @@
 //! | `det-collections` | no `HashMap`/`HashSet` iteration in modules that feed `Outcome::deterministic_bits` |
 //! | `det-wallclock` | `Instant::now`/`SystemTime` only in the bench/timing allow-list |
 //! | `det-rng` | no ambient randomness (`thread_rng`, entropy seeds) outside `maps-testkit` |
-//! | `atomic-ordering` | every `Ordering::Relaxed`/`fence` in the lock-free protocol files carries a `// ordering:` justification; Release stores pair with Acquire loads |
-//! | `sync-facade` | the lock-free protocol files import atomics/`Mutex`/`Condvar` through the crate's sync facade, never `std::sync` directly — so the shipping code is what `maps-model` checks |
+//! | `atomic-ordering` | every `Ordering::Relaxed`/`fence` in the atomic protocol file (`alloc.rs`) carries a `// ordering:` justification; Release stores pair with Acquire loads |
 //! | `unsafe-safety` | every `unsafe` block/fn/impl has an immediately-preceding `// SAFETY:` comment |
 //! | `float-total-order` | no bare `partial_cmp(…).unwrap()` / float `sort_by` in deterministic modules |
 //!
@@ -265,13 +264,13 @@ pub const FIXTURES: &[Fixture] = &[
     },
     Fixture {
         name: "bad_relaxed.rs",
-        path: "crates/service/src/ingest.rs",
+        path: "crates/simulator/src/alloc.rs",
         expect_rule: "atomic-ordering",
         source: include_str!("../fixtures/bad_relaxed.rs"),
     },
     Fixture {
         name: "bad_unpaired_release.rs",
-        path: "crates/service/src/ingest.rs",
+        path: "crates/simulator/src/alloc.rs",
         expect_rule: "atomic-ordering",
         source: include_str!("../fixtures/bad_unpaired_release.rs"),
     },
@@ -292,12 +291,6 @@ pub const FIXTURES: &[Fixture] = &[
         path: "crates/telemetry/src/bad_waiver.rs",
         expect_rule: "waiver",
         source: include_str!("../fixtures/bad_waiver.rs"),
-    },
-    Fixture {
-        name: "bad_sync_facade.rs",
-        path: "crates/service/src/ingest.rs",
-        expect_rule: "sync-facade",
-        source: include_str!("../fixtures/bad_sync_facade.rs"),
     },
     Fixture {
         name: "bad_stale_waiver.rs",
@@ -413,47 +406,6 @@ fn g() {}
         let rules: Vec<&str> = analysis.violations.iter().map(|v| v.rule).collect();
         assert!(rules.contains(&"det-wallclock"));
         assert!(rules.contains(&"waiver"));
-    }
-
-    /// `sync-facade` is scoped to the atomic protocol files: a direct
-    /// `std::sync` primitive is a violation there, fine elsewhere, and
-    /// non-primitive items (`Arc`) are always allowed.
-    #[test]
-    fn sync_facade_scoping() {
-        let src = "\
-use std::sync::Arc;
-use std::sync::{Mutex, Condvar};
-fn f() { std::sync::atomic::fence(std::sync::atomic::Ordering::SeqCst); }
-";
-        let analysis = analyze("crates/service/src/ingest.rs", src);
-        let lines: Vec<u32> = analysis
-            .violations
-            .iter()
-            .filter(|v| v.rule == "sync-facade")
-            .map(|v| v.line)
-            .collect();
-        // (`Mutex` and `Condvar` both fire on line 2, but findings
-        // collapse to one per rule+line.)
-        assert_eq!(lines, vec![2, 3], "{:?}", analysis.violations);
-
-        let elsewhere = analyze("crates/service/src/engine.rs", src);
-        assert!(
-            !elsewhere.violations.iter().any(|v| v.rule == "sync-facade"),
-            "sync-facade must only apply to the protocol files"
-        );
-
-        let gated = "\
-#[cfg(test)]
-mod tests {
-    use std::sync::Mutex;
-}
-";
-        assert!(
-            analyze("crates/service/src/ingest.rs", gated)
-                .violations
-                .is_empty(),
-            "test regions drive the ring; they are not part of its protocol"
-        );
     }
 
     /// A well-formed waiver that no longer suppresses anything is

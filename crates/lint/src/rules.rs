@@ -1,4 +1,4 @@
-//! The seven repo-specific rules and the waiver machinery.
+//! The six repo-specific rules and the waiver machinery.
 //!
 //! Each rule encodes one clause of the ROADMAP's standing invariants as
 //! a token-pattern check (see the crate docs for the rule table). Rules
@@ -12,8 +12,8 @@
 //!   `crates/bench/`, testkit and lint, the tools that *measure* the
 //!   system rather than being part of it. `det-wallclock` applies
 //!   everywhere else.
-//! * **Atomic protocol files** — the files implementing lock-free
-//!   protocols (`service/src/ingest.rs`, `simulator/src/alloc.rs`).
+//! * **Atomic protocol files** — the files whose correctness rests on
+//!   hand-chosen memory orderings (`simulator/src/alloc.rs`).
 //!   `atomic-ordering` applies there.
 //! * Test code (`#[cfg(test)]`/`#[test]` regions, `tests/`, `examples/`,
 //!   `benches/`) is exempt from the determinism rules — a test may time
@@ -30,7 +30,6 @@ pub const RULES: &[&str] = &[
     "det-wallclock",
     "det-rng",
     "atomic-ordering",
-    "sync-facade",
     "unsafe-safety",
     "float-total-order",
 ];
@@ -84,10 +83,7 @@ const WALLCLOCK_ALLOWED: &[&str] = &["crates/bench/", "crates/testkit/", "crates
 
 const RNG_ALLOWED: &[&str] = &["crates/testkit/"];
 
-const ATOMIC_PROTOCOL_FILES: &[&str] = &[
-    "crates/service/src/ingest.rs",
-    "crates/simulator/src/alloc.rs",
-];
+const ATOMIC_PROTOCOL_FILES: &[&str] = &["crates/simulator/src/alloc.rs"];
 
 /// Map/set methods whose visit order is the hash order.
 const ITER_METHODS: &[&str] = &[
@@ -142,7 +138,6 @@ pub fn analyze(path: &str, src: &str) -> FileAnalysis {
     rule_unsafe_safety(&code, &comments, &mut raw);
     if is_atomic_protocol_file(path) {
         rule_atomic_ordering(&code, &comments, &in_test, &mut raw);
-        rule_sync_facade(&code, &in_test, &mut raw);
     }
     if !wallclock_allowed(path) {
         rule_det_wallclock(&code, &in_test, &mut raw);
@@ -296,7 +291,7 @@ fn rule_unsafe_safety(code: &[&Token], comments: &[&Token], out: &mut Vec<Violat
     }
 }
 
-/// `atomic-ordering`: in the lock-free protocol files, (a) every
+/// `atomic-ordering`: in the atomic protocol files, (a) every
 /// `Ordering::Relaxed` access and every `fence(…)` carries an adjacent
 /// `// ordering:` justification, and (b) a `Release` store of a field
 /// must be paired with an `Acquire` (or `SeqCst`) load of the same
@@ -354,7 +349,7 @@ fn rule_atomic_ordering(
             continue;
         }
         // Receiver: `field.load(…)`, `self.field.load(…)`, or the
-        // CachePadded shape `self.field.0.load(…)`.
+        // newtype-wrapped shape `self.field.0.load(…)`.
         if i < 2 || code[i - 1].text != "." {
             continue;
         }
@@ -430,61 +425,6 @@ fn rule_atomic_ordering(
                      the acquire pairs with nothing"
                 ),
             });
-        }
-    }
-}
-
-/// `sync-facade`: the lock-free protocol files must take their
-/// synchronization primitives from the crate's sync facade
-/// (`crate::sync` in `maps-service`), never from `std::sync` directly —
-/// the facade is what lets the *shipping* ring code compile against the
-/// `maps-model` tracked types and be exhaustively model-checked. A
-/// direct `std::sync::atomic` path (or `std::sync::{Mutex, MutexGuard,
-/// Condvar}`) in these files is code the model checker silently cannot
-/// see. `Arc`, `OnceLock`, `mpsc` and the other non-protocol items stay
-/// allowed; test regions are exempt (tests drive the ring, they are not
-/// part of its protocol).
-fn rule_sync_facade(code: &[&Token], in_test: &dyn Fn(u32) -> bool, out: &mut Vec<Violation>) {
-    const TRACKED: &[&str] = &["atomic", "Mutex", "MutexGuard", "Condvar"];
-    let flag = |t: &Token, out: &mut Vec<Violation>| {
-        out.push(Violation {
-            rule: "sync-facade",
-            line: t.line,
-            message: format!(
-                "direct `std::sync::{}` in a model-checked protocol file — import it \
-                 through the crate's sync facade so maps-model can track it",
-                t.text
-            ),
-        });
-    };
-    for i in 0..code.len() {
-        if in_test(code[i].line) || !path_match(code, i, &["std", ":", ":", "sync", ":", ":"]) {
-            continue;
-        }
-        let Some(next) = code.get(i + 6) else {
-            continue;
-        };
-        if next.kind == TokenKind::Ident && TRACKED.contains(&next.text.as_str()) {
-            flag(next, out);
-        } else if next.text == "{" {
-            // `use std::sync::{…}` — flag every tracked item in the
-            // brace list (depth-aware: `atomic::{…}` nests).
-            let mut depth = 0i32;
-            for t in &code[i + 6..] {
-                match t.text.as_str() {
-                    "{" => depth += 1,
-                    "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ if t.kind == TokenKind::Ident && TRACKED.contains(&t.text.as_str()) => {
-                        flag(t, out);
-                    }
-                    _ => {}
-                }
-            }
         }
     }
 }

@@ -122,6 +122,40 @@ impl std::fmt::Display for ShardPanic {
 
 impl std::error::Error for ShardPanic {}
 
+/// A producer lane handed the ingest sequencer coordinates that do not
+/// continue it: an epoch other than the one being served, or a `seq`
+/// above the lane's next one (a gap). A producer's stamps are its own
+/// word — after [`AbandonedLane::reconnect`](crate::ingest::AbandonedLane::reconnect)
+/// they are caller input — so the sequencer refuses them **before** the
+/// run or marker that carries them is journaled or admitted: the
+/// service is not poisoned and holds the stream up to the refusal.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StampError {
+    /// The lane that delivered the stamp.
+    pub producer: u32,
+    /// The epoch stamped on the refused run or epoch-end marker.
+    pub epoch: u64,
+    /// The `seq` stamped on its first slot.
+    pub seq: u64,
+    /// The epoch the service was serving.
+    pub serving_epoch: u64,
+    /// The highest `seq` the lane could have delivered without a gap.
+    pub next_seq: u64,
+}
+
+impl std::fmt::Display for StampError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "producer {} delivered (epoch {}, seq {}) while epoch {} was being served \
+             and the lane stood at seq {}",
+            self.producer, self.epoch, self.seq, self.serving_epoch, self.next_seq
+        )
+    }
+}
+
+impl std::error::Error for StampError {}
+
 /// Why [`ShardedService::try_push`] (or the stamped/journaled admission
 /// paths) refused an event. All variants are `?`-able
 /// ([`std::error::Error`] + [`std::fmt::Display`]).
@@ -136,6 +170,9 @@ pub enum ServiceError {
     /// The write-ahead journal failed (I/O); without durability the
     /// event cannot be admitted under the recovery contract.
     Journal(JournalError),
+    /// The ingest sequencer refused a lane's coordinates (see
+    /// [`StampError`]); sequencing stopped, the service is intact.
+    Stamp(StampError),
 }
 
 impl std::fmt::Display for ServiceError {
@@ -144,6 +181,7 @@ impl std::fmt::Display for ServiceError {
             ServiceError::Rejected(r) => write!(f, "event rejected: {r}"),
             ServiceError::Poisoned(p) => write!(f, "service poisoned: {p}"),
             ServiceError::Journal(e) => write!(f, "journal failure: {e}"),
+            ServiceError::Stamp(e) => write!(f, "lane out of order: {e}"),
         }
     }
 }
@@ -154,6 +192,7 @@ impl std::error::Error for ServiceError {
             ServiceError::Rejected(r) => Some(r),
             ServiceError::Poisoned(p) => Some(p),
             ServiceError::Journal(e) => Some(e),
+            ServiceError::Stamp(e) => Some(e),
         }
     }
 }

@@ -10,7 +10,7 @@
 //!
 //! ```text
 //!   client threads (N producers)                 sequencer thread
-//!   ┌────────────┐  bounded lock-free SPSC ring
+//!   ┌────────────┐  bounded queue, one per producer
 //!   │ producer 0 │──[e₀₀ e₀₁ … ‖ epoch-end]──┐
 //!   ├────────────┤                           │   merge under the total
 //!   │ producer 1 │──[e₁₀ … ‖ epoch-end]──────┼─► (epoch, producer, seq)
@@ -22,16 +22,15 @@
 //! ```
 //!
 //! Each [`IngressProducer`] appends its events to its **own** bounded
-//! queue (a lock-free single-producer/single-consumer ring — see
-//! `Queue` — so producers never contend with each other, only with
-//! backpressure from their own lane). Ring slots carry **bare events,
-//! no stamps**: the `(epoch, seq)` coordinates of every slot are
-//! implicit in its position, mirrored by producer-side and
-//! consumer-side counters that advance in lock-step (an at-least-once
-//! reconnect, the one legal discontinuity, posts an out-of-band
-//! `Rebase` record). A producer's [`ServiceEvent::PeriodTick`] does
-//! *not* tick the market: it closes the producer's current **epoch**
-//! (it *is* the in-band epoch-end marker).
+//! queue (`Lane`: a mutex, a deque and two condvars — producers never
+//! contend with each other, only with the sequencer draining their own
+//! lane). Every slot carries its **explicit `(epoch, seq)` stamp**, so
+//! the sequencer checks the coordinates it is handed instead of
+//! assuming them, and an at-least-once reconnect is nothing more than a
+//! handle whose next stamp differs from its last. A producer's
+//! [`ServiceEvent::PeriodTick`] does *not* tick the market: it closes
+//! the producer's current **epoch** (it *is* the in-band epoch-end
+//! marker).
 //! The sequencer drains every producer's epoch-`e` segment — in
 //! producer-id order, each segment already in seq order — into the
 //! [`ShardedService`], and only then fires the real global tick. The
@@ -66,22 +65,12 @@
 //! back* (e.g. a test harness serializing sends) must size queues to
 //! the held-back volume, or it can deadlock against the barrier.
 
-use crate::engine::{ServiceError, ServiceEvent, ShardedService};
+use crate::engine::{ServiceError, ServiceEvent, ShardedService, StampError};
 use crate::journal::TICK_PRODUCER;
-// All synchronization primitives come through the `crate::sync` facade
-// (enforced by the `sync-facade` maps-lint rule): std re-exports in
-// normal builds, maps-model tracked types under the `maps_model`
-// feature, so the shipping ring code below is exactly what the model
-// checker explores.
-use crate::sync::{
-    fence, spin_limit, thread_yield, yield_limit, AtomicBool, AtomicU64, Cell, Condvar, Instant,
-    Mutex, MutexGuard, Ordering, SlotTracker,
-};
 use maps_simulator::PeriodData;
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::Arc;
-use std::time::Duration;
+use std::collections::VecDeque;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
 /// Configuration of the ingestion front-end.
 #[derive(Debug, Clone, Copy)]
@@ -104,591 +93,163 @@ impl Default for IngestConfig {
     }
 }
 
-/// An out-of-band coordinate record: the slot at ring position `pos`
-/// (and everything after it, until the next record) carries explicit
-/// `(epoch, seq)` coordinates instead of the consumer's implicit
-/// count. Posted only by [`AbandonedLane::reconnect`] — an
-/// at-least-once reconnect may rewind `seq` or jump `epoch`, the one
-/// discontinuity the lock-step stamping arithmetic cannot see in-band.
+/// One queued event with the coordinates its producer stamped on it.
+/// A [`ServiceEvent::PeriodTick`] slot is the epoch-end marker of the
+/// epoch it is stamped with.
 #[derive(Debug, Clone, Copy)]
-struct Rebase {
-    pos: u64,
+struct Slot {
     epoch: u64,
     seq: u64,
+    event: ServiceEvent,
 }
 
-/// What one bounded drain of a lane yielded.
-enum Chunk {
-    /// Drained up to (and consumed) the epoch-`e` end marker.
-    Marker(u64),
-    /// Drained some events; the epoch is still open.
-    Progress,
-    /// The producer closed its handle; the lane is empty forever.
-    Closed,
+/// The stamps of the first slot one [`Lane::dequeue`] took.
+#[derive(Debug, Clone, Copy)]
+struct Head {
+    epoch: u64,
+    seq: u64,
+    /// The take ended with the marker that closes `epoch`.
+    marker: bool,
 }
 
-/// Pads and aligns a value to 128 bytes (two x86 cache lines — adjacent
-/// line prefetchers pull pairs) so the producer-owned and consumer-owned
-/// ring cursors never false-share.
-#[repr(align(128))]
-#[derive(Debug, Default)]
-struct CachePadded<T>(T);
-
-/// The consumer's private cursor state (one padded group, touched by no
-/// other thread): its snapshot of `tail` plus the implicit stamp
-/// counters that mirror the producer's — `epoch` advances at each
-/// consumed epoch-end marker, `next_seq` at each event, and a
-/// [`Rebase`] record overwrites both at a reconnect discontinuity.
-#[derive(Debug, Default)]
-struct ReaderState {
-    tail_cache: Cell<u64>,
-    epoch: Cell<u64>,
-    next_seq: Cell<u64>,
-}
-
-/// One producer's bounded lane: a **lock-free SPSC ring**.
-///
-/// Layout: a power-of-two slot buffer indexed by monotonically
-/// increasing `head`/`tail` cursors (`pos & mask` is the physical
-/// index). The logical capacity is *not* rounded up — `tail - head <
-/// capacity` is the backpressure bound, exactly the configured slot
-/// count.
-///
-/// Ordering protocol (the per-lane FIFO the sequencing contract needs):
-///
-/// * The producer writes slots, then publishes them with **one
-///   `Release` store of `tail`** per batch; the consumer's `Acquire`
-///   load of `tail` therefore observes fully-written slots — for the
-///   whole batch, at the cost of a single fence.
-/// * The consumer reads slots, then frees them with **one `Release`
-///   store of `head`** per drain; the producer's `Acquire` load of
-///   `head` proves the reads finished before it overwrites.
-/// * Each side caches the other's cursor (`head_cache` /
-///   `reader.tail_cache`, plain [`Cell`]s private to their side) so the
-///   fast path touches no shared cache line at all until the cached
-///   view runs out.
-/// * Slots are **bare [`ServiceEvent`]s** — no per-slot stamps. Both
-///   sides count `(epoch, seq)` in lock-step ([`ServiceEvent::PeriodTick`]
-///   slots are the epoch-end markers), so the consumer can hand whole
-///   runs to admission **zero-copy, straight out of ring memory**.
-///   Reconnect discontinuities travel as out-of-band [`Rebase`] records;
-///   a record is posted (under its own mutex) *before* the slot it
-///   describes is written, so the release store of `tail` that publishes
-///   the slot also publishes the record's visibility counter.
-///
-/// Blocking is a spin → yield → park slow path. Parking uses a shared
-/// `park` mutex + per-side condvars and `*_parked` flags: a waiter sets
-/// its flag and re-checks state *while holding the mutex* before
-/// waiting; a waker publishes state, then `SeqCst`-fences and checks
-/// the flag — if set, it locks the (same) mutex before notifying. The
-/// fence pairing guarantees the waker either sees the flag or the
-/// waiter's re-check sees the new state; the lock-before-notify closes
-/// the window between the waiter's re-check and its wait. Shutdown
-/// paths (`close`, `close_consumer`) notify unconditionally.
-struct Queue {
-    /// Logical slot capacity — the backpressure bound.
-    capacity: u64,
-    /// `buf.len() - 1`; `buf.len()` is `capacity.next_power_of_two()`.
-    mask: u64,
-    buf: Box<[UnsafeCell<MaybeUninit<ServiceEvent>>]>,
-    /// Producer cursor: next position to write (monotonic).
-    tail: CachePadded<AtomicU64>,
-    /// Consumer cursor: next position to read (monotonic).
-    head: CachePadded<AtomicU64>,
-    /// Producer-private lower bound of `head`.
-    head_cache: CachePadded<Cell<u64>>,
-    /// Consumer-private cursors (tail snapshot + implicit stamps).
-    reader: CachePadded<ReaderState>,
-    /// Reconnect coordinate records, keyed by ring position (posted in
-    /// position order by the producer, drained in order by the
-    /// consumer).
-    rebases: Mutex<std::collections::VecDeque<Rebase>>,
-    /// Number of not-yet-consumed [`Rebase`] records: the consumer's
-    /// hot path checks this counter and skips the mutex while it is 0.
-    rebase_pending: AtomicU64,
+#[derive(Debug)]
+struct LaneState {
+    slots: VecDeque<Slot>,
     /// The producer closed its handle: no more slots will arrive.
-    closed: AtomicBool,
-    /// The sequencer is gone (dropped, or its thread panicked): slots
-    /// will never drain again, so producers must fail fast instead of
-    /// blocking forever on a full ring.
-    consumer_gone: AtomicBool,
-    park: Mutex<()>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    producer_parked: AtomicBool,
-    consumer_parked: AtomicBool,
-    /// Race-tracking for the raw slot buffer under the model checker
-    /// (`maps_model` feature); a zero-sized no-op in shipping builds.
-    /// The slots themselves must stay bare `UnsafeCell<MaybeUninit<_>>`
-    /// for the zero-copy `from_raw_parts` borrow in
-    /// [`Queue::pop_epoch_run`], so the model cannot wrap them — the
-    /// producer records each slot write and the consumer each slot
-    /// claim, and the model race-checks those records instead.
-    slots: SlotTracker,
-}
-
-// SAFETY: the `UnsafeCell` slots are transferred between the two sides
-// by the release/acquire cursor protocol above, the `rebases` deque is
-// mutex-protected, and the `Cell` state is role-private —
-// `head_cache`/`tail` are touched only by producer-side methods,
-// reachable only through the single `IngressProducer` handle
-// (`&mut self`/owned, so one thread at a time; cross-thread handoffs of
-// the handle synchronize like any `Send` move), and `reader`/`head`
-// only by consumer-side methods, reachable only through the owning
-// `IngestService` sequencer.
-unsafe impl Send for Queue {}
-// SAFETY: shared references expose only the atomics, the mutexes, and
-// the role-private `Cell`s; the `Send` justification above covers why
-// each `Cell` is reached from at most one thread at a time.
-unsafe impl Sync for Queue {}
-
-/// A racy diagnostic snapshot of the ring's cursors and lifecycle
-/// flags, taken by [`Queue::debug_snapshot`] for `Debug` formatting.
-/// The four loads are independent and can each be stale — `head` may
-/// even appear ahead of `tail` if the cursors move mid-snapshot — so
-/// the values must only ever feed diagnostics, never control flow.
-struct QueueSnapshot {
-    head: u64,
-    tail: u64,
     closed: bool,
+    /// The sequencer is gone (dropped, or its thread panicked): slots
+    /// will never drain again, so the producer must fail fast instead
+    /// of blocking forever on a full lane.
     consumer_gone: bool,
 }
 
-impl Queue {
-    /// See [`QueueSnapshot`]: the one place the ring reads its shared
-    /// state without synchronization, quarantined so every other load
-    /// in this file participates in the ordering protocol.
-    fn debug_snapshot(&self) -> QueueSnapshot {
-        QueueSnapshot {
-            head: self.head.0.load(Ordering::Relaxed), // ordering: racy Debug-only snapshot
-            tail: self.tail.0.load(Ordering::Relaxed), // ordering: racy Debug-only snapshot
-            closed: self.closed.load(Ordering::Relaxed), // ordering: racy Debug-only snapshot
-            consumer_gone: self.consumer_gone.load(Ordering::Relaxed), // ordering: see QueueSnapshot
-        }
-    }
+/// Unreachable: no caller code ever runs under a lane's lock.
+const POISONED: &str = "ingest lane mutex poisoned";
+
+/// One producer's bounded lane: at most `capacity` slots between one
+/// [`IngressProducer`] and the sequencer. All of its state sits behind
+/// one mutex; every change is made under it and followed by a notify,
+/// and every wait re-checks its condition under it, so no wakeup is
+/// lost.
+#[derive(Debug)]
+struct Lane {
+    capacity: usize,
+    state: Mutex<LaneState>,
+    not_empty: Condvar,
+    not_full: Condvar,
 }
 
-impl std::fmt::Debug for Queue {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let snap = self.debug_snapshot();
-        f.debug_struct("Queue")
-            .field("capacity", &self.capacity)
-            .field("head", &snap.head)
-            .field("tail", &snap.tail)
-            .field("closed", &snap.closed)
-            .field("consumer_gone", &snap.consumer_gone)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Queue {
+impl Lane {
     fn new(capacity: usize) -> Self {
-        let physical = capacity.next_power_of_two();
         Self {
-            capacity: capacity as u64,
-            mask: physical as u64 - 1,
-            buf: (0..physical)
-                .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-                .collect(),
-            tail: CachePadded(AtomicU64::new(0)),
-            head: CachePadded(AtomicU64::new(0)),
-            head_cache: CachePadded(Cell::new(0)),
-            reader: CachePadded(ReaderState::default()),
-            rebases: Mutex::new(std::collections::VecDeque::new()),
-            rebase_pending: AtomicU64::new(0),
-            closed: AtomicBool::new(false),
-            consumer_gone: AtomicBool::new(false),
-            park: Mutex::new(()),
+            capacity,
+            state: Mutex::new(LaneState {
+                slots: VecDeque::with_capacity(capacity),
+                closed: false,
+                consumer_gone: false,
+            }),
             not_empty: Condvar::new(),
             not_full: Condvar::new(),
-            producer_parked: AtomicBool::new(false),
-            consumer_parked: AtomicBool::new(false),
-            slots: SlotTracker::new(physical),
         }
     }
 
-    /// Raw pointer to the slot at ring position `pos`.
-    #[inline]
-    fn slot_ptr(&self, pos: u64) -> *mut ServiceEvent {
-        // SAFETY: callers hold the position per the cursor protocol.
-        unsafe { (*self.buf[(pos & self.mask) as usize].get()).as_mut_ptr() }
+    fn lock(&self) -> MutexGuard<'_, LaneState> {
+        self.state.lock().expect(POISONED)
     }
 
-    fn park_lock(&self) -> MutexGuard<'_, ()> {
-        // Never poisoned: no user code runs under this lock.
-        self.park.lock().expect("ingest park mutex poisoned")
-    }
-
-    /// Wakes the consumer if it is parked on an empty ring. Callers
-    /// publish `tail` (or `closed`) first; see the type-level ordering
-    /// notes for why fence + flag + lock-before-notify cannot miss.
-    fn wake_consumer(&self) {
-        // ordering: the SeqCst fence orders our tail/closed publish
-        // before the flag read below, pairing with the consumer's
-        // flag-store → fence → cursor-re-check sequence — one side
-        // always sees the other, so a parked consumer cannot be missed.
-        fence(Ordering::SeqCst);
-        // ordering: the fence above provides the ordering; the load
-        // itself needs none.
-        if self.consumer_parked.load(Ordering::Relaxed) {
-            drop(self.park_lock());
-            self.not_empty.notify_all();
-        }
-    }
-
-    /// Wakes the producer if it is parked on a full ring. Callers
-    /// publish `head` (or `consumer_gone`) first.
-    fn wake_producer(&self) {
-        // ordering: as in `wake_consumer` — fence pairs with the
-        // producer's flag-store → fence → cursor-re-check before parking.
-        fence(Ordering::SeqCst);
-        // ordering: the fence above provides the ordering; the load
-        // itself needs none.
-        if self.producer_parked.load(Ordering::Relaxed) {
-            drop(self.park_lock());
-            self.not_full.notify_all();
-        }
-    }
-
-    /// Producer side: waits until at least one slot is writable at
-    /// `tail`, returning how many are. Fails fast with
+    /// Producer side — the one enqueue: appends `batch` in order,
+    /// blocking while the lane is at capacity. Fails fast with
     /// [`SendError::Disconnected`] when the sequencer is gone — even
-    /// with ring room, the slot could never be consumed — and with
-    /// [`SendError::Timeout`] past `deadline` (`None` waits forever).
-    #[inline]
-    fn wait_space(&self, tail: u64, deadline: Option<Instant>) -> Result<u64, SendError> {
-        // ordering: monotonic one-way flag, checked again with SeqCst
-        // on the slow path before parking; a stale read here only costs
-        // one extra loop iteration.
-        if self.consumer_gone.load(Ordering::Relaxed) {
-            return Err(SendError::Disconnected);
-        }
-        let cached = self.head_cache.0.get();
-        if tail - cached < self.capacity {
-            return Ok(self.capacity - (tail - cached));
-        }
-        let head = self.head.0.load(Ordering::Acquire);
-        self.head_cache.0.set(head);
-        if tail - head < self.capacity {
-            return Ok(self.capacity - (tail - head));
-        }
-        self.wait_space_slow(tail, deadline)
-    }
-
-    #[cold]
-    fn wait_space_slow(&self, tail: u64, deadline: Option<Instant>) -> Result<u64, SendError> {
-        let mut tries = 0u32;
+    /// with room, the slots could never be consumed — and with
+    /// [`SendError::Timeout`] once the lane has stayed full past
+    /// `deadline` (`None` waits forever). Room is taken without looking
+    /// at the clock, so a timed-out batch of one enqueued nothing.
+    fn enqueue(&self, mut batch: &[Slot], deadline: Option<Instant>) -> Result<(), SendError> {
+        let mut state = self.lock();
         loop {
-            if self.consumer_gone.load(Ordering::SeqCst) {
+            if state.consumer_gone {
                 return Err(SendError::Disconnected);
             }
-            let head = self.head.0.load(Ordering::Acquire);
-            if tail - head < self.capacity {
-                self.head_cache.0.set(head);
-                return Ok(self.capacity - (tail - head));
+            let room = (self.capacity - state.slots.len()).min(batch.len());
+            if room > 0 {
+                state.slots.extend(&batch[..room]);
+                batch = &batch[room..];
+                self.not_empty.notify_one();
             }
-            if let Some(d) = deadline {
-                // lint-allow(det-wallclock): backpressure timeout on the producer thread, outside the deterministic pipeline
-                if Instant::now() >= d {
-                    return Err(SendError::Timeout);
-                }
+            if batch.is_empty() {
+                return Ok(());
             }
-            tries += 1;
-            let spins = spin_limit();
-            if tries <= spins {
-                std::hint::spin_loop();
-            } else if tries <= spins + yield_limit() {
-                thread_yield();
-            } else {
-                let guard = self.park_lock();
-                self.producer_parked.store(true, Ordering::SeqCst);
-                // ordering: fence pairs with the waker's fence — either
-                // this re-check sees the new head/flag, or the waker
-                // sees our parked flag and takes the lock to notify.
-                fence(Ordering::SeqCst);
-                let head = self.head.0.load(Ordering::SeqCst);
-                if tail - head < self.capacity || self.consumer_gone.load(Ordering::SeqCst) {
-                    self.producer_parked.store(false, Ordering::SeqCst);
-                    continue; // drop the guard; re-check at the top
-                }
-                match deadline {
-                    None => {
-                        let _guard = self
-                            .not_full
-                            .wait(guard)
-                            .expect("ingest park mutex poisoned");
+            state = match deadline {
+                None => self.not_full.wait(state).expect(POISONED),
+                Some(deadline) => {
+                    // lint-allow(det-wallclock): converts the caller's backpressure deadline into a wait timeout on the producer thread; never observed by replay
+                    let left = deadline.saturating_duration_since(Instant::now());
+                    if left.is_zero() {
+                        return Err(SendError::Timeout);
                     }
-                    Some(d) => {
-                        // lint-allow(det-wallclock): converts the caller deadline into a park timeout; never observed by replay
-                        let now = Instant::now();
-                        let Some(remaining) =
-                            d.checked_duration_since(now).filter(|r| !r.is_zero())
-                        else {
-                            self.producer_parked.store(false, Ordering::SeqCst);
-                            return Err(SendError::Timeout);
-                        };
-                        let _guard = self
-                            .not_full
-                            .wait_timeout(guard, remaining)
-                            .expect("ingest park mutex poisoned")
-                            .0;
-                    }
+                    self.not_full.wait_timeout(state, left).expect(POISONED).0
                 }
-                self.producer_parked.store(false, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Appends one event, blocking while the ring is at capacity, then
-    /// publishes it with a release store of `tail`.
-    ///
-    /// # Panics
-    /// Panics when the sequencer is gone: the slot could never be
-    /// consumed, and blocking would hang the producer thread forever —
-    /// turning a reducer panic into a silent process hang instead of a
-    /// visible failure.
-    fn push(&self, event: ServiceEvent) {
-        if self.push_deadline_opt(event, None).is_err() {
-            panic!("ingestion sequencer is gone (dropped or panicked); cannot send");
-        }
-    }
-
-    /// Bounded-wait variant of [`Queue::push`]: waits for ring space at
-    /// most until `deadline`, and reports a dead sequencer as a typed
-    /// error instead of panicking — the building block supervision
-    /// loops need for retry/backoff admission.
-    fn push_deadline(&self, event: ServiceEvent, deadline: Instant) -> Result<(), SendError> {
-        self.push_deadline_opt(event, Some(deadline))
-    }
-
-    fn push_deadline_opt(
-        &self,
-        event: ServiceEvent,
-        deadline: Option<Instant>,
-    ) -> Result<(), SendError> {
-        // ordering: `tail` is producer-owned — this thread is its only
-        // writer, so the load cannot be stale.
-        let tail = self.tail.0.load(Ordering::Relaxed);
-        self.wait_space(tail, deadline)?;
-        self.slots.write((tail & self.mask) as usize);
-        // SAFETY: `wait_space` proved `tail` is writable; SPSC makes
-        // this thread the only writer.
-        unsafe { self.slot_ptr(tail).write(event) };
-        self.tail.0.store(tail + 1, Ordering::Release);
-        self.wake_consumer();
-        Ok(())
-    }
-
-    /// Appends every event the iterator yields, constructing each one
-    /// **directly in its ring slot** and publishing each acquired
-    /// window of ring space with a **single** release store of `tail`
-    /// (the batched-publish fast path: one fence per window, not per
-    /// event, and no intermediate buffer at all).
-    ///
-    /// # Panics
-    /// Like [`Queue::push`], when the sequencer is gone.
-    fn push_iter(&self, mut events: impl Iterator<Item = ServiceEvent>) {
-        let mut item = events.next();
-        while item.is_some() {
-            // ordering: `tail` is producer-owned; only this thread
-            // stores it.
-            let tail = self.tail.0.load(Ordering::Relaxed);
-            let Ok(free) = self.wait_space(tail, None) else {
-                panic!("ingestion sequencer is gone (dropped or panicked); cannot send");
             };
-            let mut wrote = 0u64;
-            while wrote < free {
-                let Some(event) = item.take() else { break };
-                self.slots.write(((tail + wrote) & self.mask) as usize);
-                // SAFETY: positions `tail..tail + free` are writable.
-                unsafe { self.slot_ptr(tail + wrote).write(event) };
-                wrote += 1;
-                item = events.next();
-            }
-            self.tail.0.store(tail + wrote, Ordering::Release);
-            self.wake_consumer();
         }
     }
 
-    /// Producer side: records that the slot about to be written at the
-    /// current `tail` (and everything after it) carries the explicit
-    /// coordinates `(epoch, seq)` — see [`Rebase`]. Must be called
-    /// *before* that slot is written: the release store of `tail` that
-    /// publishes the slot then also makes the record visible to any
-    /// consumer that can reach its position.
-    fn post_rebase(&self, epoch: u64, seq: u64) {
-        // ordering: `tail` is producer-owned; only this thread stores it.
-        let pos = self.tail.0.load(Ordering::Relaxed);
-        self.rebases
-            .lock()
-            .expect("ingest rebase mutex poisoned")
-            .push_back(Rebase { pos, epoch, seq });
-        // ordering: the counter is only a fast-path hint — the deque
-        // itself is mutex-protected, and a consumer that reads a stale
-        // zero revisits on the next drain after the release store of
-        // `tail` publishes the slot the rebase names.
-        self.rebase_pending.fetch_add(1, Ordering::Relaxed);
-    }
-
-    fn close(&self) {
-        self.closed.store(true, Ordering::SeqCst);
-        // Shutdown is rare: skip the parked-flag check and notify
-        // unconditionally (lock first — see the type-level notes).
-        drop(self.park_lock());
-        self.not_empty.notify_all();
-    }
-
-    /// Marks the consumer side dead and wakes any producer blocked on
-    /// backpressure so it can fail fast (see [`Queue::push`]).
-    fn close_consumer(&self) {
-        self.consumer_gone.store(true, Ordering::SeqCst);
-        drop(self.park_lock());
-        self.not_full.notify_all();
-    }
-
-    /// Consumer side: waits until the ring is non-empty (returning the
-    /// published `tail`, claiming everything visible with one acquire
-    /// load) or closed-and-drained (`None`).
-    fn wait_events(&self, head: u64) -> Option<u64> {
-        let cached = self.reader.0.tail_cache.get();
-        if cached != head {
-            return Some(cached);
-        }
-        let mut tries = 0u32;
-        loop {
-            let tail = self.tail.0.load(Ordering::Acquire);
-            if tail != head {
-                self.reader.0.tail_cache.set(tail);
-                return Some(tail);
+    /// Consumer side — the one dequeue: blocks while the lane is empty
+    /// and open, then takes the longest run of events that share the
+    /// first slot's epoch and continue its seq without a gap, copied
+    /// into `run` (cleared first) — and with it the epoch-end marker, if
+    /// that is the slot continuing the run, so draining a queued epoch
+    /// wakes its producer once, not twice. A reconnect's discontinuity
+    /// therefore starts a new take with its own stamps, and slots behind
+    /// a marker wait for the global tick. `None` once the lane is closed
+    /// and drained.
+    fn dequeue(&self, run: &mut Vec<ServiceEvent>) -> Option<Head> {
+        run.clear();
+        let mut state = self.lock();
+        let first = loop {
+            if let Some(&first) = state.slots.front() {
+                break first;
             }
-            if self.closed.load(Ordering::SeqCst) {
-                // The producer publishes its final slots before setting
-                // `closed`: one more acquire re-read settles it.
-                let tail = self.tail.0.load(Ordering::Acquire);
-                if tail == head {
-                    return None;
-                }
-                self.reader.0.tail_cache.set(tail);
-                return Some(tail);
+            if state.closed {
+                return None;
             }
-            tries += 1;
-            let spins = spin_limit();
-            if tries <= spins {
-                std::hint::spin_loop();
-            } else if tries <= spins + yield_limit() {
-                thread_yield();
-            } else {
-                let guard = self.park_lock();
-                self.consumer_parked.store(true, Ordering::SeqCst);
-                // ordering: fence pairs with the waker's fence — either
-                // this re-check sees the new tail/closed, or the waker
-                // sees our parked flag and takes the lock to notify.
-                fence(Ordering::SeqCst);
-                if self.tail.0.load(Ordering::SeqCst) != head || self.closed.load(Ordering::SeqCst)
-                {
-                    self.consumer_parked.store(false, Ordering::SeqCst);
-                    continue; // drop the guard; re-check at the top
-                }
-                let _guard = self
-                    .not_empty
-                    .wait(guard)
-                    .expect("ingest park mutex poisoned");
-                self.consumer_parked.store(false, Ordering::SeqCst);
-            }
-        }
-    }
-
-    /// Drains everything already published — claimed under a single
-    /// acquire load, freed under a single release store of `head` —
-    /// handing `admit` whole `(epoch, first_seq, events)` runs
-    /// **zero-copy, straight out of ring memory**: the slices borrow
-    /// the slot buffer, which is sound because the producer cannot
-    /// reuse those slots until `head` advances, and `head` only
-    /// advances after `admit` returns. Stamps are implicit (the reader
-    /// counters mirror the producer's arithmetic; [`Rebase`] records
-    /// patch reconnect discontinuities), so runs split only at epoch-end
-    /// markers, rebase positions and the physical wrap boundary. Stops
-    /// after consuming an epoch-end marker — later slots belong to the
-    /// next epoch and must wait for the global tick. Blocks only while
-    /// the lane is empty and open.
-    ///
-    /// A fatal error from `admit` aborts the drain without freeing the
-    /// claimed slots — the sequencer is about to die and drop the
-    /// consumer side, which is what unblocks the producer.
-    fn pop_epoch_run(
-        &self,
-        mut admit: impl FnMut(u64, u64, &[ServiceEvent]) -> Result<(), ServiceError>,
-    ) -> Result<Chunk, ServiceError> {
-        // ordering: `head` is consumer-owned — this thread is its only
-        // writer, so the load cannot be stale.
-        let head = self.head.0.load(Ordering::Relaxed);
-        let Some(tail) = self.wait_events(head) else {
-            return Ok(Chunk::Closed);
+            state = self.not_empty.wait(state).expect(POISONED);
         };
-        let reader = &self.reader.0;
-        let mut pos = head;
-        let mut outcome = Chunk::Progress;
-        while pos < tail {
-            // Reconnects are rare: the pending counter keeps the mutex
-            // off the hot path entirely.
-            let mut next_rebase = None;
-            // ordering: hint only — any rebase relevant to `pos` was
-            // posted before the release store of `tail` that published
-            // `pos`, so the acquire load that claimed this batch also
-            // made the incremented counter visible.
-            if self.rebase_pending.load(Ordering::Relaxed) > 0 {
-                let mut rebases = self.rebases.lock().expect("ingest rebase mutex poisoned");
-                while rebases.front().is_some_and(|r| r.pos == pos) {
-                    let r = rebases.pop_front().expect("front was checked");
-                    // ordering: decrement under the deque mutex; the
-                    // counter is a fast-path hint, not a synchronizer.
-                    self.rebase_pending.fetch_sub(1, Ordering::Relaxed);
-                    reader.epoch.set(r.epoch);
-                    reader.next_seq.set(r.seq);
-                }
-                next_rebase = rebases.front().map(|r| r.pos).filter(|&p| p < tail);
-            }
-            // One physically contiguous, rebase-free segment.
-            let wrap = (pos & !self.mask) + self.mask + 1;
-            let seg_end = tail.min(wrap).min(next_rebase.unwrap_or(u64::MAX));
-            let len = (seg_end - pos) as usize;
-            let lo = (pos & self.mask) as usize;
-            self.slots.read_range(lo, lo + len);
-            // SAFETY: `pos..seg_end` was published by the producer's
-            // release store of `tail` (slots initialized), stays claimed
-            // until the release store of `head` below, and does not
-            // cross the wrap boundary (physically contiguous); SPSC
-            // makes this thread the only reader. The cast is sound:
-            // `UnsafeCell<MaybeUninit<T>>` has the layout of `T`.
-            let events: &[ServiceEvent] = unsafe {
-                std::slice::from_raw_parts(
-                    self.buf[(pos & self.mask) as usize]
-                        .get()
-                        .cast::<ServiceEvent>(),
-                    len,
-                )
-            };
-            let marker = events
-                .iter()
-                .position(|e| matches!(e, ServiceEvent::PeriodTick));
-            let run_len = marker.unwrap_or(len);
-            if run_len > 0 {
-                let first_seq = reader.next_seq.get();
-                admit(reader.epoch.get(), first_seq, &events[..run_len])?;
-                reader.next_seq.set(first_seq + run_len as u64);
-                pos += run_len as u64;
-            }
-            if marker.is_some() {
-                pos += 1; // consume the epoch-end marker
-                outcome = Chunk::Marker(reader.epoch.get());
-                reader.epoch.set(reader.epoch.get() + 1);
-                reader.next_seq.set(0);
-                break;
-            }
+        let is_marker = |slot: &Slot| matches!(slot.event, ServiceEvent::PeriodTick);
+        // Wrapping: a reconnect may stamp anything, and judging stamps
+        // is the sequencer's job; this only has to not overflow.
+        let continues = |slot: &Slot, at: usize| {
+            slot.epoch == first.epoch && slot.seq == first.seq.wrapping_add(at as u64)
+        };
+        let slots = state.slots.iter().enumerate();
+        let len = slots
+            .take_while(|&(at, slot)| !is_marker(slot) && continues(slot, at))
+            .count();
+        run.extend(state.slots.drain(..len).map(|slot| slot.event));
+        let next = state.slots.front();
+        let marker = next.is_some_and(|slot| is_marker(slot) && continues(slot, len));
+        if marker {
+            state.slots.pop_front();
         }
-        self.head.0.store(pos, Ordering::Release);
-        self.wake_producer();
-        Ok(outcome)
+        drop(state);
+        self.not_full.notify_one();
+        Some(Head {
+            epoch: first.epoch,
+            seq: first.seq,
+            marker,
+        })
+    }
+
+    /// The producer is done: wakes a sequencer blocked on the empty lane.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.not_empty.notify_one();
+    }
+
+    /// The sequencer is gone: wakes a producer blocked on backpressure
+    /// so it can fail fast.
+    fn close_consumer(&self) {
+        self.lock().consumer_gone = true;
+        self.not_full.notify_one();
     }
 }
 
@@ -717,21 +278,24 @@ impl std::error::Error for SendError {}
 
 /// A client-side admission handle: one of the N concurrent front doors.
 ///
-/// Events sent through a producer are stamped `(producer, seq)` and
-/// merged by the sequencer under the total `(epoch, producer, seq)`
+/// Events sent through a producer are stamped `(producer, epoch, seq)`
+/// and merged by the sequencer under the total `(epoch, producer, seq)`
 /// order — so *what* the outcome is depends only on what each producer
 /// sent, never on how the producer threads interleaved. Dropping the
 /// handle closes the lane; the sequencer finishes once every lane is
 /// closed and drained.
 #[derive(Debug)]
 pub struct IngressProducer {
-    queue: Arc<Queue>,
+    /// `None` only once [`IngressProducer::abandon`] has taken it, so
+    /// the drop that follows closes nothing.
+    lane: Option<Arc<Lane>>,
     id: u32,
+    /// The stamp the next event sent will carry.
     epoch: u64,
     seq: u64,
-    /// A reconnect happened and its coordinates have not been posted
-    /// yet: the next enqueue must [`Queue::post_rebase`] first.
-    pending_rebase: bool,
+    /// Stamped slots on their way into the lane (reused; never longer
+    /// than the lane's capacity).
+    batch: Vec<Slot>,
 }
 
 impl IngressProducer {
@@ -746,63 +310,34 @@ impl IngressProducer {
     /// market tick: it closes this producer's current epoch (equivalent
     /// to [`IngressProducer::end_epoch`]); the sequencer fires the one
     /// global tick only after **every** producer has closed the epoch.
+    ///
+    /// # Panics
+    /// Panics when the sequencer is gone (dropped or panicked): the
+    /// event could never be consumed, and blocking would turn a reducer
+    /// panic into a silent hang of the producer thread.
     pub fn send(&mut self, event: ServiceEvent) {
-        self.flush_rebase();
-        self.queue.push(event);
-        self.advance(&event);
+        self.send_iter(std::iter::once(event));
     }
 
-    /// Sends every event an iterator yields with zero-copy amortized
-    /// publication: items are constructed **directly into ring slots**
-    /// and each acquired window is published with one release store
-    /// (`Queue::push_iter`) instead of one fence per event.
-    /// [`ServiceEvent::PeriodTick`]s inside the stream close epochs
-    /// exactly like [`IngressProducer::send`]. Semantically identical
-    /// to sending every event individually — just cheaper.
+    /// Sends every event an iterator yields, taking the lane's lock
+    /// once per batch of up to `queue_capacity` events instead of once
+    /// per event. [`ServiceEvent::PeriodTick`]s inside the stream close
+    /// epochs exactly like [`IngressProducer::send`]. Semantically
+    /// identical to sending every event individually — just cheaper.
     ///
     /// # Panics
     /// Like [`IngressProducer::send`]: panics when the sequencer is
     /// gone.
     pub fn send_iter(&mut self, events: impl IntoIterator<Item = ServiceEvent>) {
-        self.flush_rebase();
-        let epoch = Cell::new(self.epoch);
-        let seq = Cell::new(self.seq);
-        self.queue
-            .push_iter(events.into_iter().inspect(|event| match event {
-                ServiceEvent::PeriodTick => {
-                    epoch.set(epoch.get() + 1);
-                    seq.set(0);
-                }
-                _ => seq.set(seq.get() + 1),
-            }));
-        self.epoch = epoch.get();
-        self.seq = seq.get();
+        if self.enqueue(events.into_iter(), None).is_err() {
+            panic!("ingestion sequencer is gone (dropped or panicked); cannot send");
+        }
     }
 
     /// Closes this producer's current epoch: its contribution to the
     /// next tick's barrier. Subsequent sends belong to the next epoch.
     pub fn end_epoch(&mut self) {
         self.send(ServiceEvent::PeriodTick);
-    }
-
-    /// Advances the producer-side stamp counters past a sent event,
-    /// mirroring the consumer's arithmetic exactly.
-    fn advance(&mut self, event: &ServiceEvent) {
-        match event {
-            ServiceEvent::PeriodTick => {
-                self.epoch += 1;
-                self.seq = 0;
-            }
-            _ => self.seq += 1,
-        }
-    }
-
-    /// Posts the coordinates of a not-yet-announced reconnect, if any,
-    /// immediately before the slot they describe is written.
-    fn flush_rebase(&mut self) {
-        if std::mem::take(&mut self.pending_rebase) {
-            self.queue.post_rebase(self.epoch, self.seq);
-        }
     }
 
     /// Closes the lane (also happens on drop). Events sent before the
@@ -812,21 +347,45 @@ impl IngressProducer {
     pub fn close(self) {}
 
     /// Bounded-wait send: like [`IngressProducer::send`] but waits for
-    /// ring space at most `timeout` and reports a dead sequencer as
+    /// lane space at most `timeout` and reports a dead sequencer as
     /// [`SendError::Disconnected`] instead of panicking. On any error
     /// the producer's counters are untouched (`seq` only advances on a
     /// successful enqueue), so the caller can back off and retry the
     /// same event without corrupting the stream.
     pub fn try_send(&mut self, event: ServiceEvent, timeout: Duration) -> Result<(), SendError> {
-        // Posting the rebase before a send that may time out is safe:
-        // the record names the position the next *successful* enqueue
-        // will occupy, whatever kind of slot that turns out to be.
-        self.flush_rebase();
         // lint-allow(det-wallclock): caller-facing timeout for backpressure; never enters the event stream
         let deadline = Instant::now() + timeout;
-        self.queue.push_deadline(event, deadline)?;
-        self.advance(&event);
-        Ok(())
+        self.enqueue(std::iter::once(event), Some(deadline))
+    }
+
+    /// The one send path: stamps events into the handle's own batch —
+    /// the caller's iterator runs here, never under the lane's lock —
+    /// and hands each batch to [`Lane::enqueue`]. The stamp counters
+    /// move only past a batch the lane took whole.
+    fn enqueue(
+        &mut self,
+        mut events: impl Iterator<Item = ServiceEvent>,
+        deadline: Option<Instant>,
+    ) -> Result<(), SendError> {
+        let lane = self.lane.as_deref().expect("abandon consumes the handle");
+        let (mut epoch, mut seq) = (self.epoch, self.seq);
+        loop {
+            self.batch.clear();
+            let stamped = events.by_ref().take(lane.capacity).map(|event| {
+                let slot = Slot { epoch, seq, event };
+                (epoch, seq) = match event {
+                    ServiceEvent::PeriodTick => (epoch.wrapping_add(1), 0),
+                    _ => (epoch, seq.wrapping_add(1)),
+                };
+                slot
+            });
+            self.batch.extend(stamped);
+            if self.batch.is_empty() {
+                return Ok(());
+            }
+            lane.enqueue(&self.batch, deadline)?;
+            (self.epoch, self.seq) = (epoch, seq);
+        }
     }
 
     /// Simulates a producer crash: consumes the handle **without**
@@ -834,14 +393,10 @@ impl IngressProducer {
     /// barrier waits — exactly a wedged client — until a supervisor
     /// [`AbandonedLane::reconnect`]s and finishes (or re-drives) the
     /// epoch. Testkit `FaultPlan` uses this for seeded producer kills.
-    pub fn abandon(self) -> AbandonedLane {
-        let this = std::mem::ManuallyDrop::new(self);
+    pub fn abandon(mut self) -> AbandonedLane {
         AbandonedLane {
-            // SAFETY: `this` is ManuallyDrop and never used again, so
-            // the Arc is moved out exactly once and Drop (which would
-            // close the lane) never runs.
-            queue: unsafe { std::ptr::read(&this.queue) },
-            id: this.id,
+            lane: self.lane.take().expect("abandon consumes the handle"),
+            id: self.id,
         }
     }
 }
@@ -850,7 +405,7 @@ impl IngressProducer {
 /// reconnect ([`IngressProducer::abandon`]).
 #[derive(Debug)]
 pub struct AbandonedLane {
-    queue: Arc<Queue>,
+    lane: Arc<Lane>,
     id: u32,
 }
 
@@ -864,25 +419,27 @@ impl AbandonedLane {
     /// reconnect path. `epoch`/`seq` name the **next** event to send —
     /// resuming at the last acked `(epoch, seq + 1)` replays nothing;
     /// resuming earlier re-sends events the service's per-producer
-    /// watermark suppresses idempotently (at-least-once delivery). The
-    /// coordinates travel to the sequencer as an out-of-band `Rebase`
-    /// record posted just before the reconnected producer's first
-    /// enqueue — the one discontinuity the ring's implicit stamping
-    /// cannot carry in-band.
+    /// watermark suppresses idempotently (at-least-once delivery).
+    /// The coordinates are caller input and the sequencer checks them:
+    /// an epoch other than the one being served, or a `seq` that skips
+    /// past the lane's next one, stops sequencing with
+    /// [`ServiceError::Stamp`] before anything is admitted.
     pub fn reconnect(self, epoch: u64, seq: u64) -> IngressProducer {
         IngressProducer {
-            queue: self.queue,
+            lane: Some(self.lane),
             id: self.id,
             epoch,
             seq,
-            pending_rebase: true,
+            batch: Vec::new(),
         }
     }
 }
 
 impl Drop for IngressProducer {
     fn drop(&mut self) {
-        self.queue.close();
+        if let Some(lane) = &self.lane {
+            lane.close();
+        }
     }
 }
 
@@ -896,13 +453,13 @@ impl Drop for IngressProducer {
 /// hanging forever on backpressure no one will ever drain.
 #[derive(Debug)]
 pub struct IngestService {
-    queues: Vec<Arc<Queue>>,
+    lanes: Vec<Arc<Lane>>,
 }
 
 impl Drop for IngestService {
     fn drop(&mut self) {
-        for queue in &self.queues {
-            queue.close_consumer();
+        for lane in &self.lanes {
+            lane.close_consumer();
         }
     }
 }
@@ -916,21 +473,20 @@ impl IngestService {
     pub fn new(config: IngestConfig) -> (Self, Vec<IngressProducer>) {
         assert!(config.producers >= 1, "need at least one producer");
         assert!(config.queue_capacity >= 1, "queues need at least one slot");
-        let queues: Vec<Arc<Queue>> = (0..config.producers)
-            .map(|_| Arc::new(Queue::new(config.queue_capacity)))
+        let lanes: Vec<Arc<Lane>> = (0..config.producers)
+            .map(|_| Arc::new(Lane::new(config.queue_capacity)))
             .collect();
-        let producers = queues
-            .iter()
-            .enumerate()
-            .map(|(id, queue)| IngressProducer {
-                queue: Arc::clone(queue),
-                id: id as u32,
+        let producers = (0u32..)
+            .zip(&lanes)
+            .map(|(id, lane)| IngressProducer {
+                lane: Some(Arc::clone(lane)),
+                id,
                 epoch: 0,
                 seq: 0,
-                pending_rebase: false,
+                batch: Vec::new(),
             })
             .collect();
-        (Self { queues }, producers)
+        (Self { lanes }, producers)
     }
 
     /// Runs the sequencer on the calling thread until every producer
@@ -946,7 +502,11 @@ impl IngestService {
     /// # Errors
     /// [`ServiceError::Poisoned`] / [`ServiceError::Journal`] from the
     /// reducer stop sequencing immediately (the service is left in its
-    /// failed state for journal recovery). Per-event *rejections* are
+    /// failed state for journal recovery). So does
+    /// [`ServiceError::Stamp`] — a lane handed over coordinates that do
+    /// not continue it — but *before* the offending run or marker is
+    /// journaled or admitted: the service is not poisoned and holds
+    /// exactly the stream up to the refusal. Per-event *rejections* are
     /// not errors: the reducer counts them and the stream keeps going.
     pub fn sequence(self, service: &mut ShardedService) -> Result<u64, ServiceError> {
         self.sequence_with(service, |_, _| {})
@@ -963,6 +523,9 @@ impl IngestService {
     ) -> Result<u64, ServiceError> {
         let first_epoch = u64::from(service.periods_served());
         let mut epoch = first_epoch;
+        // One run at a time, copied out of its lane so admission runs
+        // with the lane unlocked.
+        let mut run = Vec::new();
         loop {
             // Did any producer close this epoch with a marker (rather
             // than by closing its lane)? Only markers vote for a tick:
@@ -970,44 +533,37 @@ impl IngestService {
             // leaves that churn staged, exactly like serial `push`
             // without a final `PeriodTick`.
             let mut epoch_open = false;
-            for (producer, queue) in self.queues.iter().enumerate() {
+            for (producer, lane) in (0u32..).zip(&self.lanes) {
                 // A recovered service already holds a watermark inside
                 // this epoch; a reconnected producer resuming exactly
                 // after its ack is gap-free relative to *it*, not to 0
                 // (`epoch` is the period the service is serving).
-                let mut expected_seq = service.next_seq(producer as u32);
-                loop {
-                    // Runs are admitted zero-copy out of ring memory:
-                    // the callback borrows the claimed slots, and the
-                    // ring frees them only after it returns.
-                    let outcome = queue.pop_epoch_run(|run_epoch, first_seq, events| {
-                        debug_assert_eq!(
-                            run_epoch, epoch,
-                            "producer {producer} leaked an event across its epoch marker"
-                        );
-                        // `<=` (not `==`): a reconnected producer may
-                        // re-send acked events (at-least-once); the
-                        // service's watermark suppresses them. Fresh
-                        // events must still arrive gap-free in order —
-                        // within a run the ring's implicit stamping
-                        // guarantees consecutive seqs.
-                        debug_assert!(
-                            first_seq <= expected_seq,
-                            "producer {producer} events arrived with a seq gap"
-                        );
-                        expected_seq = expected_seq.max(first_seq + events.len() as u64);
-                        // Only fatal faults come back: the run counts
-                        // its own rejections.
-                        service.push_stamped_run(producer as u32, run_epoch, first_seq, events)
-                    })?;
-                    match outcome {
-                        Chunk::Marker(e) => {
-                            debug_assert_eq!(e, epoch, "epoch markers out of order");
-                            epoch_open = true;
-                            break;
-                        }
-                        Chunk::Progress => continue,
-                        Chunk::Closed => break,
+                let mut next_seq = service.next_seq(producer);
+                while let Some(head) = lane.dequeue(&mut run) {
+                    // The stamps are the producer's word (a reconnect's
+                    // are caller input): they must name the epoch being
+                    // served and continue the lane. `>` (not `!=`): a
+                    // reconnected producer may re-send acked events
+                    // (at-least-once); the service's watermark
+                    // suppresses them. Fresh events must still arrive
+                    // gap-free — within a take `dequeue` guarantees
+                    // consecutive seqs.
+                    if head.epoch != epoch || head.seq > next_seq {
+                        return Err(ServiceError::Stamp(StampError {
+                            producer,
+                            epoch: head.epoch,
+                            seq: head.seq,
+                            serving_epoch: epoch,
+                            next_seq,
+                        }));
+                    }
+                    next_seq = next_seq.max(head.seq + run.len() as u64);
+                    // Only fatal faults come back: the run counts its
+                    // own rejections.
+                    service.push_stamped_run(producer, epoch, head.seq, &run)?;
+                    if head.marker {
+                        epoch_open = true;
+                        break;
                     }
                 }
             }
@@ -1510,7 +1066,11 @@ mod tests {
         assert_eq!(clean, resent, "resend perturbed the outcome");
     }
 
-    // ---- ring unit tests (PR 7): the Queue in isolation ----------------
+    // ---- the lane in isolation: a handle on one side, `dequeue` on the other
+
+    fn arrive(x: f64) -> ServiceEvent {
+        ServiceEvent::WorkerArrive { worker: worker(x) }
+    }
 
     /// The x-coordinate a test event was built with (events carry no
     /// `PartialEq`; the coordinate is the identity).
@@ -1521,218 +1081,290 @@ mod tests {
         }
     }
 
-    /// Drains everything currently poppable, returning each admitted
-    /// run as `(epoch, first_seq, xs)`.
-    fn drain_runs(queue: &Queue) -> Vec<(u64, u64, Vec<f64>)> {
+    fn one_lane(queue_capacity: usize) -> (IngestService, IngressProducer) {
+        let (ingest, mut producers) = IngestService::new(IngestConfig {
+            producers: 1,
+            queue_capacity,
+        });
+        (ingest, producers.pop().unwrap())
+    }
+
+    /// One `dequeue`: `(epoch, seq)` of its head, the run's xs, and
+    /// whether it ended with the epoch's marker.
+    fn pop(ingest: &IngestService) -> Option<(u64, u64, Vec<f64>, bool)> {
+        let mut run = Vec::new();
+        let head = ingest.lanes[0].dequeue(&mut run)?;
+        let xs = run.iter().map(x_of).collect();
+        Some((head.epoch, head.seq, xs, head.marker))
+    }
+
+    /// Everything queued right now, one `dequeue` at a time (an empty
+    /// open lane would block, so look first).
+    fn drain_runs(ingest: &IngestService) -> Vec<(u64, u64, Vec<f64>, bool)> {
         let mut runs = Vec::new();
-        loop {
-            let outcome = queue
-                .pop_epoch_run(|epoch, first_seq, events| {
-                    runs.push((epoch, first_seq, events.iter().map(x_of).collect()));
-                    Ok(())
-                })
-                .expect("admit never fails here");
-            match outcome {
-                Chunk::Closed => break,
-                Chunk::Marker(_) | Chunk::Progress => {
-                    // Only keep draining while something is published;
-                    // otherwise pop would block on the open lane.
-                    if queue.tail.0.load(Ordering::Acquire) == queue.head.0.load(Ordering::Relaxed)
-                    {
-                        break;
-                    }
-                }
-            }
+        while !ingest.lanes[0].lock().slots.is_empty() {
+            runs.extend(pop(ingest));
         }
         runs
     }
 
-    /// Wraparound: a ring smaller than the stream must reuse slots
-    /// without reordering, losing, or corrupting events, and the
-    /// implicit `(epoch, seq)` coordinates must advance in lock-step
-    /// across the physical boundary.
+    const QUICK: Duration = Duration::from_millis(2);
+
+    /// A stream many times the capacity crosses the lane without
+    /// reordering, losing or restamping anything, whatever mix of run
+    /// lengths the drains see.
     #[test]
-    fn ring_wraparound_preserves_order_and_coordinates() {
-        let queue = Queue::new(4);
+    fn lane_preserves_order_and_stamps_over_many_capacities() {
+        let (ingest, mut p0) = one_lane(4);
         let mut sent = Vec::new();
         let mut got = Vec::new();
-        let mut x = 0.0f64;
-        for round in 0..5 {
-            // Alternate run lengths so the wrap point drifts through
-            // every slot over the rounds.
+        for round in 0..40u32 {
             for _ in 0..=(round % 4) {
-                queue.push(ServiceEvent::WorkerArrive { worker: worker(x) });
+                let x = sent.len() as f64;
+                p0.send(arrive(x));
                 sent.push(x);
-                x += 1.0;
             }
-            for (_, _, xs) in drain_runs(&queue) {
+            for (epoch, first_seq, xs, marker) in drain_runs(&ingest) {
+                assert_eq!((epoch, marker), (0, false));
+                assert_eq!(first_seq, got.len() as u64, "seq is the stream position");
                 got.extend(xs);
             }
         }
-        assert_eq!(got, sent, "wraparound reordered or lost events");
-        assert!(
-            queue.tail.0.load(Ordering::Relaxed) > queue.capacity,
-            "the test never actually wrapped"
-        );
+        assert_eq!(got, sent);
+        assert!(sent.len() > 20 * ingest.lanes[0].capacity);
     }
 
-    /// A published window that crosses the physical wrap boundary is
-    /// handed to `admit` as two contiguous runs with continuous
-    /// sequence numbers (the zero-copy slices cannot straddle the
-    /// buffer end).
+    /// The bound is the configured slot count exactly (markers occupy a
+    /// slot too), a timed-out send enqueues nothing and leaves `seq`
+    /// alone, and one drain reopens exactly the slots it took.
     #[test]
-    fn wrap_boundary_splits_runs_with_continuous_seqs() {
-        let queue = Queue::new(4);
-        for i in 0..3 {
-            queue.push(ServiceEvent::WorkerArrive {
-                worker: worker(i as f64),
-            });
-        }
-        assert_eq!(drain_runs(&queue).len(), 1, "no wrap yet: one run");
-        // Positions 3..7 span the wrap at 4: one batched publish, two
-        // segments on the consumer side.
-        queue.push_iter((3..7).map(|i| ServiceEvent::WorkerArrive {
-            worker: worker(i as f64),
-        }));
-        let runs = drain_runs(&queue);
-        assert_eq!(
-            runs,
-            vec![(0, 3, vec![3.0]), (0, 4, vec![4.0, 5.0, 6.0]),],
-            "wrap split misplaced the seam or broke seq continuity"
-        );
-    }
-
-    /// Full/empty boundary transitions: `wait_space` counts free slots
-    /// against the *logical* capacity (which may be below the physical
-    /// power-of-two buffer), a full ring times out a bounded push, and
-    /// draining exactly one event reopens exactly one slot.
-    #[test]
-    fn full_and_empty_boundaries_respect_logical_capacity() {
+    fn capacity_bound_is_exact_and_a_drain_reopens_what_it_took() {
         for capacity in [1usize, 2, 3] {
-            let queue = Queue::new(capacity);
-            assert_eq!(queue.wait_space(0, None), Ok(capacity as u64));
-            let quick = || Instant::now() + Duration::from_millis(2);
+            let (ingest, mut p0) = one_lane(capacity);
             for i in 0..capacity {
-                queue
-                    .push_deadline(
-                        ServiceEvent::WorkerArrive {
-                            worker: worker(i as f64),
-                        },
-                        quick(),
-                    )
-                    .expect("ring not full yet");
+                assert_eq!(p0.try_send(arrive(i as f64), QUICK), Ok(()));
             }
             assert_eq!(
-                queue.push_deadline(
-                    ServiceEvent::WorkerArrive {
-                        worker: worker(99.0)
-                    },
-                    quick(),
-                ),
+                p0.try_send(arrive(99.0), QUICK),
                 Err(SendError::Timeout),
-                "capacity {capacity}: logical bound not enforced"
+                "capacity {capacity}: bound not enforced"
             );
-            // Drain one: exactly one slot reopens.
-            let mut seen = 0usize;
-            queue
-                .pop_epoch_run(|_, _, events| {
-                    seen = events.len();
-                    Ok(())
-                })
-                .expect("admit never fails");
-            assert_eq!(seen, capacity, "drain claims everything published");
-            assert_eq!(
-                queue.wait_space(queue.tail.0.load(Ordering::Relaxed), None),
-                Ok(capacity as u64),
-                "freed slots not visible to the producer"
-            );
+            assert_eq!((p0.epoch, p0.seq), (0, capacity as u64));
+            let (_, _, xs, _) = pop(&ingest).unwrap();
+            assert_eq!(xs.len(), capacity, "one drain takes the whole run");
+            // A marker, then events up to the bound again.
+            assert_eq!(p0.try_send(ServiceEvent::PeriodTick, QUICK), Ok(()));
+            for i in 1..capacity {
+                assert_eq!(p0.try_send(arrive(i as f64), QUICK), Ok(()));
+            }
+            assert_eq!(p0.try_send(arrive(99.0), QUICK), Err(SendError::Timeout));
+            // The marker closes a run already taken, so it leaves alone:
+            // exactly one slot reopens.
+            assert_eq!(pop(&ingest), Some((0, capacity as u64, vec![], true)));
+            assert_eq!(p0.try_send(arrive(7.0), QUICK), Ok(()));
+            assert_eq!(p0.try_send(arrive(99.0), QUICK), Err(SendError::Timeout));
+            assert_eq!(ingest.lanes[0].lock().slots.len(), capacity);
         }
     }
 
-    /// Batched publication: `push_iter` publishes each acquired window
-    /// with a single release store, so the consumer sees the whole
-    /// window at once — one `admit` run, not one per event.
+    /// One `send_iter` batch that fits the lane arrives as one run, not
+    /// one per event.
     #[test]
-    fn batched_publish_is_visible_as_one_run() {
-        let queue = Queue::new(16);
-        queue.push_iter((0..5).map(|i| ServiceEvent::WorkerArrive {
-            worker: worker(i as f64),
-        }));
-        let runs = drain_runs(&queue);
-        assert_eq!(runs.len(), 1, "one window, one run: {runs:?}");
-        assert_eq!(runs[0], (0, 0, vec![0.0, 1.0, 2.0, 3.0, 4.0]));
-    }
-
-    /// The capacity-1 degenerate ring: every push rendezvouses with a
-    /// pop, epoch markers still close epochs, and the coordinate
-    /// arithmetic stays in lock-step.
-    #[test]
-    fn capacity_one_ring_rendezvous() {
-        let queue = Queue::new(1);
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(1.0),
-        });
+    fn one_batch_arrives_as_one_run() {
+        let (ingest, mut p0) = one_lane(16);
+        p0.send_iter((0..5).map(|i| arrive(f64::from(i))));
         assert_eq!(
-            queue.push_deadline(
-                ServiceEvent::WorkerArrive {
-                    worker: worker(2.0)
-                },
-                Instant::now() + Duration::from_millis(2),
-            ),
-            Err(SendError::Timeout),
-            "second slot must not exist"
-        );
-        assert_eq!(drain_runs(&queue), vec![(0, 0, vec![1.0])]);
-        queue.push(ServiceEvent::PeriodTick);
-        let outcome = queue.pop_epoch_run(|_, _, _| panic!("marker-only drain admits nothing"));
-        assert!(matches!(outcome, Ok(Chunk::Marker(0))));
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(3.0),
-        });
-        assert_eq!(
-            drain_runs(&queue),
-            vec![(1, 0, vec![3.0])],
-            "epoch advanced and seq reset after the marker"
+            drain_runs(&ingest),
+            vec![(0, 0, vec![0.0, 1.0, 2.0, 3.0, 4.0], false)]
         );
     }
 
-    /// A [`Rebase`] record posted before its slot is written retargets
-    /// the consumer's implicit coordinates at exactly that position.
+    /// A marker leaves with the run it closes — or alone, when that run
+    /// is already gone — never with what follows it, and the next event
+    /// reads `(epoch + 1, 0)`; at capacity 1 too, where every send meets
+    /// a drain.
     #[test]
-    fn rebase_record_retargets_reader_coordinates() {
-        let queue = Queue::new(8);
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(1.0),
-        });
-        // Reconnect discontinuity: the next slot carries (epoch 4, seq 7).
-        queue.post_rebase(4, 7);
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(2.0),
-        });
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(3.0),
-        });
-        let runs = drain_runs(&queue);
+    fn marker_closes_its_run_and_the_next_event_opens_the_epoch() {
+        let (ingest, mut p0) = one_lane(1);
+        p0.send(arrive(1.0));
+        assert_eq!(pop(&ingest), Some((0, 0, vec![1.0], false)));
+        p0.end_epoch();
+        assert_eq!(pop(&ingest), Some((0, 1, vec![], true)));
+        p0.send(arrive(3.0));
+        assert_eq!(pop(&ingest), Some((1, 0, vec![3.0], false)));
+
+        let (ingest, mut p0) = one_lane(8);
+        p0.send_iter([arrive(1.0), ServiceEvent::PeriodTick, arrive(2.0)]);
+        p0.end_epoch();
+        p0.end_epoch();
         assert_eq!(
-            runs,
-            vec![(0, 0, vec![1.0]), (4, 7, vec![2.0, 3.0])],
-            "rebase must split the run and retarget (epoch, seq)"
+            drain_runs(&ingest),
+            vec![
+                (0, 0, vec![1.0], true),
+                (1, 0, vec![2.0], true),
+                (2, 0, vec![], true)
+            ]
         );
-        assert_eq!(queue.rebase_pending.load(Ordering::Relaxed), 0);
     }
 
-    /// Closing an empty ring drains to `Closed`; closing with staged
-    /// events hands them over first.
+    /// A reconnect's stamps are just the next slot's: the run splits at
+    /// the discontinuity and the second half carries the new coordinates.
+    #[test]
+    fn reconnect_stamps_split_the_run_at_the_discontinuity() {
+        let (ingest, mut p0) = one_lane(8);
+        p0.send(arrive(1.0));
+        let mut p0 = p0.abandon().reconnect(4, 7);
+        p0.send(arrive(2.0));
+        p0.send(arrive(3.0));
+        assert_eq!(
+            drain_runs(&ingest),
+            vec![(0, 0, vec![1.0], false), (4, 7, vec![2.0, 3.0], false)]
+        );
+        // A marker that does not continue the run is not taken with it.
+        p0.send(arrive(4.0));
+        let mut p0 = p0.abandon().reconnect(4, 12);
+        p0.end_epoch();
+        assert_eq!(
+            drain_runs(&ingest),
+            vec![(4, 9, vec![4.0], false), (4, 12, vec![], true)]
+        );
+    }
+
+    /// Closing with queued events hands them over first; then, and on
+    /// an empty lane at once, `dequeue` reports closed.
     #[test]
     fn close_drains_then_reports_closed() {
-        let queue = Queue::new(4);
-        queue.push(ServiceEvent::WorkerArrive {
-            worker: worker(5.0),
-        });
-        queue.close();
-        assert_eq!(drain_runs(&queue), vec![(0, 0, vec![5.0])]);
-        let outcome = queue.pop_epoch_run(|_, _, _| panic!("nothing left to admit"));
-        assert!(matches!(outcome, Ok(Chunk::Closed)));
+        let (ingest, mut p0) = one_lane(4);
+        p0.send(arrive(5.0));
+        p0.close();
+        assert_eq!(pop(&ingest), Some((0, 0, vec![5.0], false)));
+        assert_eq!(pop(&ingest), None);
+        assert_eq!(pop(&ingest), None);
+    }
+
+    // ---- a reconnect's coordinates are caller input --------------------
+
+    fn journaled(tag: &str) -> (ShardedService, crate::journal::JournalConfig) {
+        let cfg = crate::journal::JournalConfig::new(crate::test_dir(tag), 1);
+        let mut svc = service(1);
+        svc.attach_journal(&cfg).unwrap();
+        (svc, cfg)
+    }
+
+    /// Sequences `ingest` into a journaled service, expects the typed
+    /// refusal, and checks that the directory recovers to exactly the
+    /// `accepted` arrivals — nothing of the refused run was journaled.
+    fn assert_refused(tag: &str, ingest: IngestService, accepted: &[f64]) -> StampError {
+        let (mut svc, cfg) = journaled(tag);
+        let err = ingest.sequence(&mut svc).expect_err("mis-stamped lane");
+        let ServiceError::Stamp(stamp) = err else {
+            panic!("wrong error: {err}");
+        };
+        assert!(svc.poisoned_by().is_none(), "a refusal poisons nothing");
+        assert_eq!(svc.admitted_workers(), accepted.len());
+        assert_eq!(svc.periods_served(), 0);
+        let last_seq = accepted.len().checked_sub(1).map(|seq| (0, seq as u64));
+        assert_eq!(svc.watermark(0), last_seq);
+        drop(svc);
+
+        let recovered = crate::recovery::recover(
+            GridSpec::square(Rect::square(10.0), 2),
+            MatchPolicy::Consume,
+            StrategyKind::BaseP,
+            ServiceConfig::default(),
+            &cfg,
+        )
+        .expect("the directory holds the stream up to the refusal");
+        assert_eq!(recovered.service.watermark(0), last_seq);
+        let mut serial = service(1);
+        for &x in accepted {
+            serial.try_push(arrive(x)).unwrap();
+        }
+        assert_eq!(
+            recovered.service.into_outcome().deterministic_bits(),
+            serial.into_outcome().deterministic_bits()
+        );
+        stamp
+    }
+
+    /// Regression: `reconnect(5, 0)` while the service serves epoch 0
+    /// used to be admitted in release builds — records stamped epoch 5
+    /// and 6 fsynced, `Ok(2)`, a directory `recover` refuses — and to
+    /// trip a `debug_assert` in debug builds.
+    #[test]
+    fn reconnect_into_a_future_epoch_is_refused_before_it_is_journaled() {
+        let (ingest, mut p0) = one_lane(16);
+        p0.send(arrive(1.0));
+        let mut p0 = p0.abandon().reconnect(5, 0);
+        p0.send(arrive(2.0));
+        p0.end_epoch();
+        p0.send(arrive(3.0));
+        p0.end_epoch();
+        p0.close();
+        let stamp = assert_refused("stamp_epoch", ingest, &[1.0]);
+        let expected = StampError {
+            producer: 0,
+            epoch: 5,
+            seq: 0,
+            serving_epoch: 0,
+            next_seq: 1,
+        };
+        assert_eq!(stamp, expected);
+    }
+
+    /// Regression: `reconnect(0, 7)` after two sends skips seqs 2–6; the
+    /// events behind the gap would have been admitted above a watermark
+    /// that later suppresses the real 2–6 as duplicates.
+    #[test]
+    fn reconnect_past_a_seq_gap_is_refused_before_it_is_journaled() {
+        let (ingest, mut p0) = one_lane(16);
+        p0.send(arrive(1.0));
+        p0.send(arrive(2.0));
+        let mut p0 = p0.abandon().reconnect(0, 7);
+        p0.send(arrive(3.0));
+        p0.end_epoch();
+        p0.close();
+        let stamp = assert_refused("stamp_gap", ingest, &[1.0, 2.0]);
+        let expected = StampError {
+            producer: 0,
+            epoch: 0,
+            seq: 7,
+            serving_epoch: 0,
+            next_seq: 2,
+        };
+        assert_eq!(stamp, expected);
+    }
+
+    /// Stamps at the end of the coordinate space wrap on the producer's
+    /// side instead of overflowing, and are refused like any other.
+    #[test]
+    fn reconnect_at_the_largest_coordinates_is_refused_not_a_panic() {
+        let (ingest, p0) = one_lane(8);
+        let mut p0 = p0.abandon().reconnect(u64::MAX, u64::MAX);
+        p0.send_iter([
+            arrive(1.0),
+            arrive(2.0),
+            ServiceEvent::PeriodTick,
+            arrive(3.0),
+        ]);
+        p0.close();
+        let err = ingest.sequence(&mut service(1)).expect_err("mis-stamped");
+        assert!(matches!(err, ServiceError::Stamp(s) if s.epoch == u64::MAX));
+    }
+
+    /// A marker is held to the same rule: closing an epoch at a seq the
+    /// lane never reached is a gap too.
+    #[test]
+    fn marker_past_a_seq_gap_is_refused() {
+        let (ingest, mut p0) = one_lane(4);
+        p0.send(arrive(1.0));
+        let mut p0 = p0.abandon().reconnect(0, 3);
+        p0.end_epoch();
+        p0.close();
+        let mut svc = service(1);
+        let err = ingest.sequence(&mut svc).expect_err("marker behind a gap");
+        assert!(matches!(err, ServiceError::Stamp(s) if (s.seq, s.next_seq) == (3, 1)));
+        assert_eq!(svc.periods_served(), 0, "no tick fired");
     }
 
     /// A capacity-1 queue forces maximal backpressure; the stream must
@@ -1756,356 +1388,5 @@ mod tests {
         assert_eq!(epochs, 20);
         assert_eq!(svc.periods_served(), 20);
         assert_eq!(svc.admitted_workers(), 20);
-    }
-}
-
-/// Model-checked ring scenarios (`cargo test -p maps-service --features
-/// maps_model`): the **shipping** `Queue` above, compiled against
-/// `maps-model`'s tracked sync types through the `crate::sync` facade,
-/// explored at every interleaving the C11 memory model allows. The
-/// small configurations (capacity 1 and 2, one producer + the root
-/// consumer) are explored exhaustively; the larger wrap-boundary batch
-/// uses seeded bounded exploration with a pinned schedule count. The
-/// `seeded_*` tests are the known-bad gallery: they re-introduce the
-/// pre-PR-7 unfenced wake and a `Relaxed`-published tail in miniature
-/// and MUST fail the exploration — if one ever stops being detected,
-/// the checker has rotted and CI exits 1.
-#[cfg(all(test, feature = "maps_model"))]
-mod model_tests {
-    use super::*;
-    use maps_model::{explore, thread, Builder, FailureKind};
-
-    fn ev(id: u32) -> ServiceEvent {
-        ServiceEvent::WorkerDepart { id }
-    }
-
-    fn depart_id(e: &ServiceEvent) -> u32 {
-        match e {
-            ServiceEvent::WorkerDepart { id } => *id,
-            other => panic!("unexpected event in ring: {other:?}"),
-        }
-    }
-
-    /// Drains the queue until the producer closes it, returning every
-    /// admitted `(epoch, first_seq, ids)` run.
-    fn drain(q: &Queue) -> Vec<(u64, u64, Vec<u32>)> {
-        let mut got = Vec::new();
-        loop {
-            let chunk = q
-                .pop_epoch_run(|epoch, seq, evs| {
-                    got.push((epoch, seq, evs.iter().map(depart_id).collect()));
-                    Ok(())
-                })
-                .expect("admit never fails in model scenarios");
-            if matches!(chunk, Chunk::Closed) {
-                break;
-            }
-        }
-        got
-    }
-
-    /// Flattens runs into per-event `(epoch, seq, id)` stamps.
-    fn flatten(runs: &[(u64, u64, Vec<u32>)]) -> Vec<(u64, u64, u32)> {
-        runs.iter()
-            .flat_map(|(e, s, ids)| {
-                ids.iter()
-                    .enumerate()
-                    .map(move |(i, id)| (*e, s + i as u64, *id))
-            })
-            .collect()
-    }
-
-    /// Capacity-1 push/pop, fully exhaustive: every interleaving of one
-    /// push + close against the draining consumer, with no preemption
-    /// bound and no schedule sampling (~27k distinct executions after
-    /// sleep-set pruning). This covers the empty-ring consumer park and
-    /// the close/wake handshake at the smallest ring size.
-    #[test]
-    fn model_push_pop_capacity_1() {
-        maps_model::check(|| {
-            let q = Arc::new(Queue::new(1));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push(ev(1));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(flatten(&runs), vec![(0, 0, 1)]);
-        });
-    }
-
-    /// Capacity-2 push/pop, fully exhaustive (same budget as the
-    /// capacity-1 scenario): the logical capacity rides a larger
-    /// physical buffer, so the mask arithmetic and the publish window
-    /// differ from capacity 1 even for a single event.
-    #[test]
-    fn model_push_pop_capacity_2() {
-        maps_model::check(|| {
-            let q = Arc::new(Queue::new(2));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push(ev(1));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(flatten(&runs), vec![(0, 0, 1)]);
-        });
-    }
-
-    /// Capacity-2 ring with an in-band epoch-end marker: the consumer
-    /// must advance its epoch counter at the marker and stamp the next
-    /// event `(epoch 1, seq 0)`. Three pushes exceed the exhaustive
-    /// budget, so this runs every schedule with up to 3 forced
-    /// preemptions (~1.1k executions) — the CHESS-style bound that
-    /// catches any bug needing three or fewer context switches.
-    #[test]
-    fn model_epoch_marker_stamps_next_event() {
-        Builder::new().preemption_bound(3).check(|| {
-            let q = Arc::new(Queue::new(2));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push(ev(1));
-                q2.push(ServiceEvent::PeriodTick);
-                q2.push(ev(2));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(flatten(&runs), vec![(0, 0, 1), (1, 0, 2)]);
-        });
-    }
-
-    /// The full producer-park / consumer-wake rendezvous: two pushes
-    /// through a capacity-1 ring force the producer to park on the full
-    /// ring while the consumer parks on the empty one, so both SeqCst
-    /// fence handshakes are crossed in every schedule with up to 4
-    /// forced preemptions (~6.4k executions). A lost wakeup on either
-    /// side surfaces as a model deadlock because frozen model time
-    /// never fires the backpressure timeout.
-    #[test]
-    fn model_park_wake_rendezvous() {
-        Builder::new().preemption_bound(4).check(|| {
-            let q = Arc::new(Queue::new(1));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push(ev(7));
-                q2.push(ev(8));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(flatten(&runs), vec![(0, 0, 7), (0, 1, 8)]);
-        });
-    }
-
-    /// Close racing a parked (or about-to-park) consumer, fully
-    /// exhaustive: the consumer must always observe the close, in every
-    /// interleaving.
-    #[test]
-    fn model_close_vs_park() {
-        maps_model::check(|| {
-            let q = Arc::new(Queue::new(1));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert!(runs.is_empty());
-        });
-    }
-
-    /// An out-of-band rebase record between two pushes: the consumer
-    /// must stamp the slot after the record with the record's explicit
-    /// coordinates, not its implicit count. Three ring writes, so this
-    /// uses the 3-preemption bound like the marker scenario.
-    #[test]
-    fn model_rebase_record() {
-        Builder::new().preemption_bound(3).check(|| {
-            let q = Arc::new(Queue::new(2));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push(ev(1));
-                q2.post_rebase(7, 3);
-                q2.push(ev(2));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(flatten(&runs), vec![(0, 0, 1), (7, 3, 2)]);
-        });
-    }
-
-    /// `try_send` racing consumer death on a full ring, fully
-    /// exhaustive: the producer must always fail fast with
-    /// `Disconnected` — never hang parked (model time is frozen, so a
-    /// hang cannot hide behind the timeout), and never report
-    /// `Timeout`.
-    #[test]
-    fn model_try_send_vs_consumer_death() {
-        maps_model::check(|| {
-            let q = Arc::new(Queue::new(1));
-            q.push(ev(1)); // fill the ring; nothing will ever drain it
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.close_consumer();
-            });
-            let r = q.push_deadline(ev(2), Instant::now() + Duration::from_millis(5));
-            t.join().unwrap();
-            assert_eq!(r, Err(SendError::Disconnected));
-        });
-    }
-
-    /// Wrap-boundary batched publication: capacity 3 rides a physical
-    /// 4-slot buffer, so a 6-event batch wraps; each acquired window is
-    /// published with a single release store. Largest state space of
-    /// the suite, so this uses seeded bounded exploration with a pinned
-    /// schedule count instead of exhaustive DFS.
-    #[test]
-    fn model_wrap_boundary_batched_publish() {
-        Builder::new().bounded(0x5EED, 400).check(|| {
-            let q = Arc::new(Queue::new(3));
-            let q2 = Arc::clone(&q);
-            let t = thread::spawn(move || {
-                q2.push_iter((1..=6).map(ev));
-                q2.close();
-            });
-            let runs = drain(&q);
-            t.join().unwrap();
-            assert_eq!(
-                flatten(&runs),
-                (1..=6u32)
-                    .map(|i| (0, u64::from(i) - 1, i))
-                    .collect::<Vec<_>>()
-            );
-        });
-    }
-
-    // ------------------------------------------------------------------
-    // The known-bad gallery: seeded bugs the checker MUST report.
-    // ------------------------------------------------------------------
-
-    /// The pre-PR-7 bug in miniature: the waker publishes state and
-    /// checks the parked flag **without** the SeqCst fence in between.
-    /// Both relaxed accesses can then miss each other and the waiter
-    /// sleeps forever — the checker must report the deadlock.
-    #[test]
-    fn seeded_unfenced_wake_is_detected() {
-        let report = explore(|| {
-            let state = Arc::new((
-                Mutex::new(()),
-                Condvar::new(),
-                AtomicU64::new(0),      // published
-                AtomicBool::new(false), // parked
-            ));
-            let s2 = Arc::clone(&state);
-            let t = thread::spawn(move || {
-                let (park, cv, published, parked) = &*s2;
-                published.store(1, Ordering::Relaxed);
-                // BUG (pre-PR-7): no fence(Ordering::SeqCst) here, so
-                // this load can miss the waiter's parked flag...
-                if parked.load(Ordering::Relaxed) {
-                    drop(park.lock().expect("park mutex"));
-                    cv.notify_all();
-                }
-            });
-            let (park, cv, published, parked) = &*state;
-            let guard = park.lock().expect("park mutex");
-            parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            // ...while this re-check missed the waker's publish.
-            if published.load(Ordering::SeqCst) == 0 {
-                let _g = cv.wait(guard).expect("park mutex");
-            } else {
-                drop(guard);
-            }
-            parked.store(false, Ordering::SeqCst);
-            t.join().unwrap();
-        });
-        let failure = report
-            .failure
-            .expect("the unfenced wake must be detected — checker self-test");
-        assert_eq!(failure.kind, FailureKind::Deadlock, "{failure:?}");
-    }
-
-    /// The same handshake with PR 7's fence restored: no interleaving
-    /// loses the wakeup (the positive control for the seed above).
-    #[test]
-    fn pr7_fenced_wake_has_no_lost_wakeup() {
-        maps_model::check(|| {
-            let state = Arc::new((
-                Mutex::new(()),
-                Condvar::new(),
-                AtomicU64::new(0),
-                AtomicBool::new(false),
-            ));
-            let s2 = Arc::clone(&state);
-            let t = thread::spawn(move || {
-                let (park, cv, published, parked) = &*s2;
-                published.store(1, Ordering::Relaxed);
-                fence(Ordering::SeqCst); // the PR 7 fix
-                if parked.load(Ordering::Relaxed) {
-                    drop(park.lock().expect("park mutex"));
-                    cv.notify_all();
-                }
-            });
-            let (park, cv, published, parked) = &*state;
-            let guard = park.lock().expect("park mutex");
-            parked.store(true, Ordering::SeqCst);
-            fence(Ordering::SeqCst);
-            if published.load(Ordering::SeqCst) == 0 {
-                let _g = cv.wait(guard).expect("park mutex");
-            } else {
-                drop(guard);
-            }
-            parked.store(false, Ordering::SeqCst);
-            t.join().unwrap();
-        });
-    }
-
-    /// A deliberately `Relaxed`-published tail: the consumer's acquire
-    /// load then synchronizes with nothing, so its zero-copy claim of
-    /// the slot races the producer's write — the checker must report
-    /// the data race.
-    #[test]
-    fn seeded_relaxed_tail_publish_is_detected() {
-        let report = explore(|| {
-            let tail = Arc::new(AtomicU64::new(0));
-            let slots = Arc::new(SlotTracker::new(1));
-            let (t2, s2) = (Arc::clone(&tail), Arc::clone(&slots));
-            let t = thread::spawn(move || {
-                s2.write(0); // fill the slot
-                t2.store(1, Ordering::Relaxed); // BUG: must be Release
-            });
-            if tail.load(Ordering::Acquire) == 1 {
-                slots.read_range(0, 1); // zero-copy claim
-            }
-            t.join().unwrap();
-        });
-        let failure = report
-            .failure
-            .expect("the relaxed tail publish must be detected — checker self-test");
-        assert_eq!(failure.kind, FailureKind::DataRace, "{failure:?}");
-    }
-
-    /// The shipping publication protocol (release tail store) passes
-    /// the same scenario (the positive control for the seed above).
-    #[test]
-    fn release_tail_publish_has_no_race() {
-        maps_model::check(|| {
-            let tail = Arc::new(AtomicU64::new(0));
-            let slots = Arc::new(SlotTracker::new(1));
-            let (t2, s2) = (Arc::clone(&tail), Arc::clone(&slots));
-            let t = thread::spawn(move || {
-                s2.write(0);
-                t2.store(1, Ordering::Release);
-            });
-            if tail.load(Ordering::Acquire) == 1 {
-                slots.read_range(0, 1);
-            }
-            t.join().unwrap();
-        });
     }
 }

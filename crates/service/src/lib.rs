@@ -70,17 +70,17 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![warn(missing_debug_implementations)]
-#![deny(unsafe_op_in_unsafe_fn)]
+#![forbid(unsafe_code)]
 
 pub mod engine;
 pub mod ingest;
 pub mod journal;
 pub mod recovery;
 pub mod replay;
-pub(crate) mod sync;
 
 pub use engine::{
     EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardPanic, ShardedService,
+    StampError,
 };
 pub use ingest::{
     AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError, SequencerHandle,
@@ -99,6 +99,7 @@ pub use replay::{
 pub mod prelude {
     pub use crate::engine::{
         EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardPanic, ShardedService,
+        StampError,
     };
     pub use crate::ingest::{
         AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError, SequencerHandle,
@@ -121,9 +122,9 @@ pub mod prelude {
 /// checkpoint tests. Each call creates a fresh directory.
 #[cfg(test)]
 pub(crate) fn test_dir(tag: &str) -> std::path::PathBuf {
-    use std::sync::atomic::{AtomicU64, Ordering};
-    static COUNTER: AtomicU64 = AtomicU64::new(0);
-    let n = COUNTER.fetch_add(1, Ordering::Relaxed);
+    static COUNTER: std::sync::Mutex<u64> = std::sync::Mutex::new(0);
+    let mut n = COUNTER.lock().expect("test_dir counter poisoned");
+    *n += 1;
     let dir = std::env::temp_dir().join(format!("maps_service_{tag}_{}_{n}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create test dir");
     dir

@@ -166,9 +166,8 @@ pub fn replay_ingested(
                 let p = handle.id() as usize;
                 // Stream each period's chunk off the borrowed ground
                 // truth (events are `Copy`), per period as one
-                // `send_iter` call: events are constructed directly in
-                // ring slots and published window-by-window with one
-                // release store each — no intermediate buffer.
+                // `send_iter` call: one lock of the lane per batch
+                // instead of one per event.
                 for period in &truth.periods {
                     let bounds = chunk_bounds(period.workers.len() + period.tasks.len(), producers);
                     let chunk = bounds[p + 1] - bounds[p];

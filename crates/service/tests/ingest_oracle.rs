@@ -193,9 +193,9 @@ fn ingest_oracle_across_queue_capacities() {
         for plan in [
             InterleavePlan::Free,
             InterleavePlan::Staggered(capacity as u64),
-            // Stutter's seeded sleeps drive both sides of every lane
-            // past their spin/yield budgets onto the condvar, so this
-            // sweep also exercises the ring's park/wake slow paths.
+            // Stutter's seeded sleeps leave both sides of every lane
+            // waiting on their condvars, so this sweep also exercises
+            // the full-lane and empty-lane waits.
             InterleavePlan::Stutter(capacity as u64),
         ] {
             let (ingested_final, ingested_epochs) =
@@ -207,6 +207,87 @@ fn ingest_oracle_across_queue_capacities() {
             assert_eq!(
                 ingested_final, serial_final,
                 "capacity {capacity} ({plan:?})"
+            );
+        }
+    }
+}
+
+/// Every way into a lane, mixed: each producer walks its script with a
+/// seeded choice per step between `send`, a `send_iter` batch of 1–5
+/// events and `try_send` with a 0–50 µs timeout retried on `Timeout` —
+/// at capacities where almost every enqueue meets a full lane. The
+/// outcome must not notice which door an event came through.
+#[test]
+fn ingest_oracle_across_mixed_send_paths() {
+    use maps_service::SendError;
+    use maps_testkit::XorShift;
+    use std::time::Duration;
+
+    let world = world();
+    let options = options();
+    let kind = StrategyKind::Maps;
+    let (serial_final, serial_epochs) = serial_epoch_bits(&world, kind, 2, options);
+    for producers in [2usize, 4] {
+        for queue_capacity in [1usize, 2, 3] {
+            let mut service = service_for(&world, kind, 2, options);
+            let (ingest, handles) = IngestService::new(IngestConfig {
+                producers,
+                queue_capacity,
+            });
+            let mut epoch_bits = Vec::new();
+            std::thread::scope(|scope| {
+                for mut handle in handles {
+                    let world = &world;
+                    scope.spawn(move || {
+                        let p = handle.id() as usize;
+                        let mut rng = XorShift(0x5EED ^ ((queue_capacity << 8) | p) as u64);
+                        for period in &world.periods {
+                            let n = period.workers.len() + period.tasks.len();
+                            let bounds = chunk_bounds(n, producers);
+                            let mut events = period_events(period)
+                                .skip(bounds[p])
+                                .take(bounds[p + 1] - bounds[p])
+                                .chain([ServiceEvent::PeriodTick])
+                                .peekable();
+                            while let Some(&event) = events.peek() {
+                                match rng.next_u64() % 3 {
+                                    0 => {
+                                        handle.send(event);
+                                        events.next();
+                                    }
+                                    1 => {
+                                        let batch = 1 + (rng.next_u64() % 5) as usize;
+                                        handle.send_iter(events.by_ref().take(batch));
+                                    }
+                                    _ => {
+                                        let timeout = Duration::from_micros(rng.next_u64() % 51);
+                                        match handle.try_send(event, timeout) {
+                                            Ok(()) => drop(events.next()),
+                                            Err(SendError::Timeout) => {} // retried next step
+                                            Err(SendError::Disconnected) => {
+                                                panic!("the sequencer outlives its producers")
+                                            }
+                                        }
+                                    }
+                                }
+                            }
+                        }
+                    });
+                }
+                ingest
+                    .sequence_with(&mut service, |_, live| {
+                        epoch_bits.push(live.outcome_snapshot().deterministic_bits());
+                    })
+                    .expect("oracle streams contain no fatal faults");
+            });
+            assert_eq!(
+                epoch_bits, serial_epochs,
+                "{producers} producers at capacity {queue_capacity} diverged mid-stream"
+            );
+            assert_eq!(
+                service.into_outcome().deterministic_bits(),
+                serial_final,
+                "{producers} producers at capacity {queue_capacity}"
             );
         }
     }

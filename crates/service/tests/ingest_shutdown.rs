@@ -1,17 +1,18 @@
-//! PR-7 shutdown-interleaving suite for the lock-free ingestion ring,
-//! pinned at the nastiest configuration: `queue_capacity = 1`, where
-//! every send rendezvouses with a pop and every shutdown race has a
-//! party parked on the condvar.
+//! Shutdown-interleaving suite for the ingestion lanes, pinned at the
+//! nastiest configuration: `queue_capacity = 1`, where every send
+//! meets a drain and every shutdown race has a party waiting on a
+//! condvar. With all lane state behind one mutex this sweep, not a
+//! model checker, is what covers lost wakeups and shutdown liveness.
 //!
 //! The contract under test: **no interleaving of producer sends,
 //! sequencer progress, and either side's shutdown may hang a thread.**
 //! A producer blocked on backpressure when the sequencer dies must
 //! fail fast (panic from `send`, `Disconnected` from `try_send`); a
-//! sequencer parked on an empty lane when the producer closes must
+//! sequencer waiting on an empty lane when the producer closes must
 //! drain and return; an abandoned lane must hold the epoch barrier
 //! until reconnect and then complete. Each scenario is swept across
-//! timing offsets so the racing side is caught spinning, yielding,
-//! and parked.
+//! timing offsets so the racing side is caught before it takes the
+//! lane's lock, between its check and its wait, and asleep.
 
 use maps_service::{
     IngestConfig, IngestService, SendError, ServiceConfig, ServiceEvent, ShardedService,
@@ -44,11 +45,10 @@ fn arrive(x: f64) -> ServiceEvent {
     ServiceEvent::WorkerArrive { worker: worker(x) }
 }
 
-/// A producer parked on a full capacity-1 ring when the sequencer is
+/// A producer waiting on a full capacity-1 lane when the sequencer is
 /// dropped must wake and panic out of `send` — never sleep forever on
 /// a condvar nobody will signal. Swept across drop delays so the
-/// producer is caught at every stage of the spin → yield → park slow
-/// path.
+/// producer is caught before, during and after it goes to sleep.
 #[test]
 fn dropping_the_sequencer_unblocks_a_blocked_send() {
     for delay_us in [0u64, 50, 200, 1_000, 5_000, 20_000] {
@@ -57,7 +57,7 @@ fn dropping_the_sequencer_unblocks_a_blocked_send() {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        p0.send(arrive(1.0)); // ring now full
+        p0.send(arrive(1.0)); // lane now full
         let blocked = std::thread::spawn(move || {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 p0.send(arrive(2.0)); // blocks: nobody drains
@@ -75,7 +75,7 @@ fn dropping_the_sequencer_unblocks_a_blocked_send() {
 
 /// Same race through the typed path: a `try_send` racing the
 /// sequencer's death must report `Disconnected` once the consumer is
-/// gone — even though the ring is still full, which would otherwise
+/// gone — even though the lane is still full, which would otherwise
 /// read as `Timeout`.
 #[test]
 fn try_send_on_a_full_ring_reports_disconnect_after_drop() {
@@ -98,8 +98,8 @@ fn try_send_on_a_full_ring_reports_disconnect_after_drop() {
     );
 }
 
-/// A sequencer parked on an empty capacity-1 lane when the producer
-/// closes must wake, drain nothing, and return — the close-vs-park
+/// A sequencer waiting on an empty capacity-1 lane when the producer
+/// closes must wake, drain nothing, and return — the close-vs-wait
 /// race on the consumer condvar. Swept across close delays.
 #[test]
 fn producer_close_wakes_a_parked_sequencer() {
@@ -119,7 +119,7 @@ fn producer_close_wakes_a_parked_sequencer() {
 }
 
 /// The same race with one staged event: the close lands while the
-/// sequencer may be mid-pop, parked, or not yet started — the event
+/// sequencer may be mid-pop, asleep, or not yet started — the event
 /// must be admitted (staged, no tick) in every interleaving.
 #[test]
 fn close_with_staged_event_is_drained_in_every_interleaving() {
@@ -140,7 +140,7 @@ fn close_with_staged_event_is_drained_in_every_interleaving() {
 }
 
 /// A sequencer that panics mid-stream (a strategy bomb on the first
-/// tick) while the producer is pumping a capacity-1 ring: the
+/// tick) while the producer is pumping a capacity-1 lane: the
 /// producer's in-flight blocked send must panic out — the unwind of
 /// the sequencer thread drops the consumer side, and that drop is
 /// what unblocks the lane. The producer thread must always terminate.
@@ -178,7 +178,7 @@ fn sequencer_panic_mid_stream_fails_the_blocked_producer() {
     let pump = std::thread::spawn(move || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             // The tick detonates the bomb; some later send must hit the
-            // dead lane (possibly while parked on backpressure).
+            // dead lane (possibly while asleep on backpressure).
             p0.send(ServiceEvent::PeriodTick);
             for i in 0..1_000 {
                 p0.send(arrive(i as f64));
@@ -195,12 +195,12 @@ fn sequencer_panic_mid_stream_fails_the_blocked_producer() {
 }
 
 /// Abandon-then-reconnect at capacity 1: the abandoned lane holds the
-/// epoch barrier (the sequencer parks on the open lane and must not
+/// epoch barrier (the sequencer waits on the open lane and must not
 /// tick past it), so the second producer's pump wedges on
 /// backpressure behind it — a whole pipeline stalled on one crashed
-/// client. Reconnecting must unwedge everything: the reconnect posts
-/// a rebase record into a single-slot ring, the smallest place it has
-/// to work.
+/// client. Reconnecting must unwedge everything: the resumed handle's
+/// first slot carries the reconnect's stamps through a single-slot
+/// lane, the smallest place they have to work.
 #[test]
 fn abandon_holds_the_barrier_then_reconnect_completes_at_capacity_one() {
     let (ingest, mut producers) = IngestService::new(IngestConfig {

@@ -16,21 +16,7 @@
 //! itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use sync::{AtomicUsize, Ordering};
-
-/// This file's sync facade (the `sync-facade` lint rule requires one in
-/// every lock-free protocol file). Unlike `maps-service`'s facade this
-/// one is *always* the real `std` types, never the `maps-model` tracked
-/// ones: the global allocator runs under every allocation in the
-/// process, including the model checker's own scheduler bookkeeping, so
-/// routing its counters through the checker would recurse into the
-/// runtime being modeled. The counters are single-location diagnostic
-/// RMWs with no cross-location publication to check — exactly the shape
-/// exhaustive interleaving adds nothing to.
-mod sync {
-    // lint-allow(sync-facade): the allocator cannot be model-tracked — tracking allocates, which re-enters the allocator
-    pub use std::sync::atomic::{AtomicUsize, Ordering};
-}
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 static CURRENT: AtomicUsize = AtomicUsize::new(0);
 static PEAK: AtomicUsize = AtomicUsize::new(0);

@@ -240,10 +240,10 @@ pub enum InterleavePlan {
     /// it is safe at **any** queue capacity.
     Staggered(u64),
     /// Deterministically seeded occasional *sleeps*: roughly one step
-    /// in sixteen parks the producer for 100–500µs — long enough to
-    /// drive every other party past its spin/yield budget onto the
-    /// condvar, so the queue's park/wake slow paths (not just the
-    /// lock-free fast paths) get exercised. Like
+    /// in sixteen parks the producer for 100–500µs — long enough for
+    /// every other party to run out of work and go to sleep on its
+    /// condvar, so the lanes' full and empty waits (not just the
+    /// uncontended lock) get exercised. Like
     /// [`InterleavePlan::Staggered`] it never blocks a producer on
     /// another, so it is safe at **any** queue capacity.
     Stutter(u64),
