@@ -166,11 +166,7 @@ mod tests {
         let want = bp
             .ladder()
             .ascending()
-            .max_by(|a, b| {
-                (a.1 * d.survival(a.1))
-                    .partial_cmp(&(b.1 * d.survival(b.1)))
-                    .unwrap()
-            })
+            .max_by(|a, b| (a.1 * d.survival(a.1)).total_cmp(&(b.1 * d.survival(b.1))))
             .unwrap();
         for &(idx, p) in &result.per_grid {
             assert_eq!(idx, want.0);

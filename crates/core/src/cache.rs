@@ -46,6 +46,11 @@ use maps_spatial::{DynamicBucketIndex, GridSpec, Point};
 /// applies). Ids are unique among live workers, so the derived order
 /// *is* the id order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    reason = "derived `PartialOrd` calls `partial_cmp` on integer fields; `allow` because `derive` copies it onto its impls and does not copy `expect`"
+)]
 struct Ranged {
     id: u32,
     radius: u64,

@@ -306,7 +306,10 @@ pub fn run_figure(figure: &str, args: &CliArgs) {
             "running {}/{} ({}, scale {:?}, seeds {})…",
             spec.figure, spec.panel, spec.paper_ref, options.scale, options.num_seeds
         );
-        // lint-allow(det-wallclock): progress reporting for the operator, never enters result rows
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "progress reporting for the operator, never enters result rows"
+        )]
         let start = std::time::Instant::now();
         let rows = run_panel(&spec, options, args.journal_options().as_ref());
         eprintln!("  done in {:.1}s", start.elapsed().as_secs_f64());

@@ -51,7 +51,6 @@ pub struct PanelSpec {
     /// The sweep values.
     pub xs: Vec<f64>,
     /// Builds the ground-truth world for a sweep value and seed.
-    #[allow(clippy::type_complexity)]
     pub build: Arc<dyn Fn(f64, Scale, u64) -> GroundTruth + Send + Sync>,
 }
 

@@ -17,8 +17,8 @@
 //! * [`demand`] — the [`DemandDistribution`] trait and the paper's
 //!   distribution families (truncated Normal — Table 3's default,
 //!   truncated Exponential — Appendix D, Uniform), all MHR.
-//! * [`myerson`] — continuous (golden-section) and ladder-restricted
-//!   Myerson reserve price solvers.
+//! * [`myerson`] — the continuous (golden-section) Myerson reserve
+//!   price solver.
 //! * [`ladder`] — the geometric candidate price set
 //!   `p_min·(1+α)^i ∩ [p_min, p_max]` shared by Algorithms 1 and 3.
 //! * [`estimator`] — the Hoeffding frequency estimator of Algorithm 1
@@ -42,7 +42,7 @@ pub use change::ChangeDetector;
 pub use demand::{Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform};
 pub use estimator::{FreqEstimator, UcbStats};
 pub use ladder::PriceLadder;
-pub use myerson::{myerson_reserve_continuous, myerson_reserve_on_ladder};
+pub use myerson::myerson_reserve_continuous;
 
 /// Commonly used items.
 pub mod prelude {
@@ -52,5 +52,5 @@ pub mod prelude {
     };
     pub use crate::estimator::{FreqEstimator, UcbStats};
     pub use crate::ladder::PriceLadder;
-    pub use crate::myerson::{myerson_reserve_continuous, myerson_reserve_on_ladder};
+    pub use crate::myerson::myerson_reserve_continuous;
 }

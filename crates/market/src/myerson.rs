@@ -7,14 +7,9 @@
 //!
 //! * [`myerson_reserve_continuous`] — golden-section search on a closed
 //!   interval, exploiting unimodality (the oracle used by tests and by
-//!   ground-truth experiment reporting);
-//! * [`myerson_reserve_on_ladder`] — the discrete argmax over a candidate
-//!   [`PriceLadder`] with ties broken towards the smaller price, matching
-//!   Algorithm 1 line 9 ("Ties are broken by choosing the smaller price,
-//!   since it usually represents a higher acceptance ratio").
+//!   ground-truth experiment reporting).
 
 use crate::demand::DemandDistribution;
-use crate::ladder::PriceLadder;
 
 /// Golden-section maximization of `p·S(p)` over `[lo, hi]`.
 ///
@@ -57,31 +52,11 @@ pub fn myerson_reserve_continuous<D: DemandDistribution + ?Sized>(
     (p, f(p))
 }
 
-/// Discrete argmax of `p·S(p)` over the ladder's candidates, ties broken
-/// towards the smaller price. Returns `(index, price, value)`.
-pub fn myerson_reserve_on_ladder<D: DemandDistribution + ?Sized>(
-    demand: &D,
-    ladder: &PriceLadder,
-) -> (usize, f64, f64) {
-    let mut best = (
-        0usize,
-        ladder.price(0),
-        demand.revenue_curve(ladder.price(0)),
-    );
-    for (i, p) in ladder.ascending().skip(1) {
-        let v = demand.revenue_curve(p);
-        // Strictly greater: equal values keep the earlier (smaller) price.
-        if v > best.2 {
-            best = (i, p, v);
-        }
-    }
-    best
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::demand::{Demand, DemandDistribution, Uniform};
+    use crate::demand::{Demand, Uniform};
+    use crate::ladder::PriceLadder;
 
     #[test]
     fn uniform_reserve_price_closed_form() {
@@ -117,7 +92,11 @@ mod tests {
         let d = Demand::paper_normal(2.0, 1.0);
         let ladder = PriceLadder::paper_default();
         let (p_cont, v_cont) = myerson_reserve_continuous(&d, 1.0, 5.0, 1e-9);
-        let (_, p_ladder, v_ladder) = myerson_reserve_on_ladder(&d, &ladder);
+        let (p_ladder, v_ladder) = ladder
+            .ascending()
+            .map(|(_, p)| (p, d.revenue_curve(p)))
+            .max_by(|a, b| a.1.total_cmp(&b.1))
+            .unwrap();
         // Theorem 3: ladder value within (1−α) of the continuous optimum.
         assert!(v_ladder >= (1.0 - ladder.alpha()) * v_cont);
         // And the chosen rung brackets the continuous optimum.
@@ -126,32 +105,6 @@ mod tests {
                 && p_cont <= p_ladder * (1.0 + ladder.alpha()) + 1e-9,
             "p_ladder={p_ladder} p_cont={p_cont}"
         );
-    }
-
-    #[test]
-    fn ladder_ties_break_to_smaller_price() {
-        // A flat revenue curve (S(p) = c/p is not MHR, so craft a
-        // piecewise demand where two rungs tie): use Uniform[1,5] and a
-        // two-rung ladder symmetric around 2.5 ⇒ p(5−p) equal at 2 & 3.
-        struct Sym;
-        impl DemandDistribution for Sym {
-            fn cdf(&self, p: f64) -> f64 {
-                ((p - 1.0) / 4.0).clamp(0.0, 1.0)
-            }
-            fn pdf(&self, _p: f64) -> f64 {
-                0.25
-            }
-            fn support(&self) -> (f64, f64) {
-                (1.0, 5.0)
-            }
-            fn sample(&self, _rng: &mut dyn rand::RngCore) -> f64 {
-                unreachable!("not sampled in this test")
-            }
-        }
-        // Build a ladder containing both 2 and 3: pmin=2, α=0.5 → {2, 3}.
-        let ladder = PriceLadder::new(2.0, 3.0, 0.5);
-        let (i, p, _) = myerson_reserve_on_ladder(&Sym, &ladder);
-        assert_eq!((i, p), (0, 2.0), "tie must go to the smaller price");
     }
 
     #[test]

@@ -106,7 +106,7 @@ pub fn max_weight_matching_dense(
 
     let mut pairs = vec![None; n_left];
     let mut total = 0.0;
-    #[allow(clippy::needless_range_loop)] // 1-based classic formulation
+    #[expect(clippy::needless_range_loop, reason = "1-based classic formulation")]
     for j in 1..=m {
         let i = p[j];
         if i == 0 {

@@ -1141,7 +1141,8 @@ impl ShardedService {
         if !policy_ok {
             return Err(Mismatch("checkpoint match-policy mismatch"));
         }
-        self.period = r.take()? as u32;
+        self.period =
+            u32::try_from(r.take()?).map_err(|_| Mismatch("checkpoint period out of range"))?;
         // -- lifecycle records --
         table.load_records(r)?;
         let admitted = table.admitted();
@@ -1461,6 +1462,7 @@ mod tests {
     #[test]
     fn high_churn_same_window_cancellation_is_linear() {
         let n: u32 = 50_000;
+        #[expect(clippy::disallowed_methods, reason = "a test may time itself")]
         let start = Instant::now();
         let mut svc = service(2, MatchPolicy::Consume);
         for i in 0..n {
@@ -1661,6 +1663,13 @@ mod tests {
         assert!(other_strategy.restore(&words).is_err());
         let mut truncated = service(2, MatchPolicy::Consume);
         assert!(truncated.restore(&words[..words.len() - 1]).is_err());
+        // The period is the fifth word: 2³² + e must not restore as e.
+        let mut lying_period = words.clone();
+        lying_period[4] += 1 << 32;
+        assert_eq!(
+            service(2, MatchPolicy::Consume).restore(&lying_period),
+            Err(StateError::Mismatch("checkpoint period out of range"))
+        );
     }
 
     /// The k-way candidate merge against what it replaced: concatenate

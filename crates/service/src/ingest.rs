@@ -182,7 +182,10 @@ impl Lane {
             state = match deadline {
                 None => self.not_full.wait(state).expect(POISONED),
                 Some(deadline) => {
-                    // lint-allow(det-wallclock): converts the caller's backpressure deadline into a wait timeout on the producer thread; never observed by replay
+                    #[expect(
+                        clippy::disallowed_methods,
+                        reason = "converts the caller's backpressure deadline into a wait timeout on the producer thread; never observed by replay"
+                    )]
                     let left = deadline.saturating_duration_since(Instant::now());
                     if left.is_zero() {
                         return Err(SendError::Timeout);
@@ -353,7 +356,10 @@ impl IngressProducer {
     /// successful enqueue), so the caller can back off and retry the
     /// same event without corrupting the stream.
     pub fn try_send(&mut self, event: ServiceEvent, timeout: Duration) -> Result<(), SendError> {
-        // lint-allow(det-wallclock): caller-facing timeout for backpressure; never enters the event stream
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "caller-facing timeout for backpressure; never enters the event stream"
+        )]
         let deadline = Instant::now() + timeout;
         self.enqueue(std::iter::once(event), Some(deadline))
     }

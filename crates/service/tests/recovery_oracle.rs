@@ -36,7 +36,6 @@ use maps_testkit::{
     DEFAULT_THREAD_COUNTS,
 };
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 fn world() -> GroundTruth {
     SyntheticConfig::paper_default()
@@ -80,7 +79,9 @@ fn batch_bits(world: &GroundTruth, kind: StrategyKind) -> Vec<u64> {
 
 /// A unique scratch dir per invocation (integration tests cannot reach
 /// the crate-private helper).
+#[expect(clippy::disallowed_types, reason = "a test may count with an atomic")]
 fn fresh_dir(tag: &str) -> PathBuf {
+    use std::sync::atomic::{AtomicU64, Ordering};
     static COUNTER: AtomicU64 = AtomicU64::new(0);
     let n = COUNTER.fetch_add(1, Ordering::Relaxed);
     let dir = std::env::temp_dir().join(format!(
@@ -232,7 +233,7 @@ fn crash_at_every_epoch_boundary_capped_ucb() {
 /// per-producer acks; every lane reconnects and the stream finishes
 /// through the real multi-producer sequencer. Returns
 /// `(final_bits, suppressed_duplicates)`.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments, reason = "one sweep axis per argument")]
 fn producer_kill_bits(
     world: &GroundTruth,
     kind: StrategyKind,

@@ -16,10 +16,18 @@
 //! itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{self, Ordering};
 
-static CURRENT: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "ordering: Relaxed at every access — a standalone diagnostic counter; its RMWs are atomic regardless of ordering and no other memory is published through it"
+)]
+static CURRENT: atomic::AtomicUsize = atomic::AtomicUsize::new(0);
+#[expect(
+    clippy::disallowed_types,
+    reason = "ordering: Relaxed at every access — a racy-max high-water mark; only the counter's value matters, never its order relative to other memory"
+)]
+static PEAK: atomic::AtomicUsize = atomic::AtomicUsize::new(0);
 
 /// A byte-counting wrapper around the system allocator.
 #[derive(Debug, Default)]
@@ -81,36 +89,36 @@ fn sub(size: usize) {
 
 // SAFETY: defers all allocation to `System`, only adjusting counters.
 unsafe impl GlobalAlloc for TrackingAllocator {
-    // SAFETY: caller upholds the `GlobalAlloc::alloc` contract
-    // (non-zero-sized `layout`); we forward it to `System` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc(layout);
+        // SAFETY: caller upholds the `GlobalAlloc::alloc` contract
+        // (non-zero-sized `layout`); we forward it to `System` unchanged.
+        let ptr = unsafe { System.alloc(layout) };
         if !ptr.is_null() {
             add(layout.size());
         }
         ptr
     }
 
-    // SAFETY: caller guarantees `ptr` came from this allocator with
-    // this `layout`; `System` sees exactly the pair it handed out.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
+        // SAFETY: caller guarantees `ptr` came from this allocator with
+        // this `layout`; `System` sees exactly the pair it handed out.
+        unsafe { System.dealloc(ptr, layout) };
         sub(layout.size());
     }
 
-    // SAFETY: same contract as `alloc`, forwarded to `System`.
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = System.alloc_zeroed(layout);
+        // SAFETY: same contract as `alloc`, forwarded to `System`.
+        let ptr = unsafe { System.alloc_zeroed(layout) };
         if !ptr.is_null() {
             add(layout.size());
         }
         ptr
     }
 
-    // SAFETY: caller guarantees `ptr`/`layout` match a live allocation
-    // and `new_size` is non-zero; forwarded to `System` unchanged.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new_ptr = System.realloc(ptr, layout, new_size);
+        // SAFETY: caller guarantees `ptr`/`layout` match a live allocation
+        // and `new_size` is non-zero; forwarded to `System` unchanged.
+        let new_ptr = unsafe { System.realloc(ptr, layout, new_size) };
         if !new_ptr.is_null() {
             sub(layout.size());
             add(new_size);

@@ -53,7 +53,10 @@ pub struct PeriodSettlement {
 /// The matched pairs stay readable through `clearing` for the caller's
 /// lifecycle step (task indices are the original period indices — the
 /// masked kernel does not renumber).
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the parts of a period, passed as an independent reference loop holds them"
+)]
 pub fn settle_period(
     tasks: &[crate::truth::GroundTask],
     task_inputs: &[TaskInput],
@@ -83,7 +86,10 @@ pub fn settle_period(
         });
     }
     let accepted = keep.iter().filter(|&&k| k).count() as u64;
-    // lint-allow(det-wallclock): clearing_secs is timing telemetry, excluded from deterministic_bits
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "clearing_secs is timing telemetry, excluded from deterministic_bits"
+    )]
     let start = Instant::now();
     let revenue = graph.masked(keep).max_weight_value(weights, clearing);
     PeriodSettlement {
@@ -188,7 +194,10 @@ impl PeriodStep {
     /// Runs the strategy's one-off Algorithm-1 calibration against
     /// `probe` (before the first period).
     pub fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        // lint-allow(det-wallclock): calibration_secs is timing telemetry, excluded from deterministic_bits
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "calibration_secs is timing telemetry, excluded from deterministic_bits"
+        )]
         let start = Instant::now();
         self.strategy.calibrate(probe);
         self.outcome.calibration_secs += start.elapsed().as_secs_f64();
@@ -245,7 +254,10 @@ impl PeriodStep {
             graph: &graph,
         };
 
-        // lint-allow(det-wallclock): pricing_secs is timing telemetry, excluded from deterministic_bits
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "pricing_secs is timing telemetry, excluded from deterministic_bits"
+        )]
         let start = Instant::now();
         let schedule = self.strategy.price_period(&input);
         self.outcome.pricing_secs += start.elapsed().as_secs_f64();

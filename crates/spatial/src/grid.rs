@@ -10,6 +10,11 @@ use crate::geom::{Point, Rect};
 /// Identifier of one grid cell (a local market). 0-based, row-major from
 /// the bottom-left, matching the paper's Fig. 1c numbering minus one.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::allow_attributes,
+    reason = "derived `PartialOrd` calls `partial_cmp` on integer fields; `allow` because `derive` copies it onto its impls and does not copy `expect`"
+)]
 pub struct CellId(pub u32);
 
 impl CellId {

@@ -486,6 +486,27 @@ impl FaultPlan {
     }
 }
 
+/// Known-bad code for the two `clippy.toml` bans that no live waiver in
+/// the tree exercises; compiled under `cargo clippy --all-targets`,
+/// never run. A ban that rots into a no-op leaves its expectation
+/// unfulfilled, which `-D warnings` turns into an error at this line.
+#[cfg(test)]
+mod lint_canary {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "canary: no other code names `HashMap`, so nothing else would notice the ban gone"
+    )]
+    type _HashOrdered = std::collections::HashMap<u32, f64>;
+
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "canary: `partial_cmp` on floats; the only other callers are two integer derives"
+    )]
+    fn _float_order(a: f64, b: f64) -> Option<std::cmp::Ordering> {
+        a.partial_cmp(&b)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

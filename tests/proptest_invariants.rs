@@ -755,6 +755,7 @@ proptest! {
     /// the word should have been, so the property is only that recovery
     /// returns — `Ok` or typed `Err` — without panicking.
     #[test]
+    #[expect(clippy::disallowed_types, reason = "a test may count with an atomic")]
     fn recovery_survives_hostile_bytes(
         world in (0u64..1_000, 4usize..=8, proptest::bool::weighted(0.5)),
         hit in (0usize..3, 0usize..6, 0u64..u64::MAX),
