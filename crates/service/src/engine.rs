@@ -1672,6 +1672,39 @@ mod tests {
         );
     }
 
+    /// So must the words the lifecycle table holds as `u32`: a record's
+    /// expiry, a schedule time key, and a scheduled id — which,
+    /// truncated, would pass its own range check.
+    #[test]
+    fn checkpoint_lifecycle_words_past_u32_are_rejected() {
+        let mut svc = service(2, MatchPolicy::Consume);
+        svc.push(ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, 3),
+        });
+        svc.push(ServiceEvent::PeriodTick);
+        let words = svc.checkpoint_words();
+        // Header, one record (count, expiry, status), one live worker
+        // (count, four words), no staged departure (count), then the
+        // schedule: count, `t, entries, tag, id`.
+        let (records, schedule) = (5, 5 + 3 + 5 + 1);
+        assert_eq!((words[records], words[schedule]), (1, 1));
+        assert_eq!(words[schedule + 1], words[records + 1], "expires at `t`");
+        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+        for (at, what) in [
+            (records + 1, "checkpoint expiry out of range"),
+            (schedule + 1, "checkpoint schedule time out of range"),
+            (schedule + 4, "checkpoint schedule id out of range"),
+        ] {
+            let mut lying = words.clone();
+            lying[at] += 1 << 32;
+            assert_eq!(
+                service(2, MatchPolicy::Consume).restore(&lying),
+                Err(StateError::Mismatch(what)),
+                "word {at}"
+            );
+        }
+    }
+
     /// The k-way candidate merge against what it replaced: concatenate
     /// the runs, sort by `(distance, id)`, truncate to `k`.
     fn assert_merge_equals_sort_and_truncate(runs: &[&[(f64, u32)]], k: usize) {

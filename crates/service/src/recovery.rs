@@ -560,9 +560,8 @@ mod tests {
 
     /// Recovers from a directory whose newest checkpoint had one word
     /// replaced — re-encoded, so its frame hash is valid and only the
-    /// content lies. `pick` gets the decoded words and returns the
-    /// index to overwrite with `u64::MAX`.
-    fn recover_with_lying_word(tag: &str, pick: impl Fn(&[u64]) -> usize) -> RecoveryError {
+    /// content lies. `lie` gets the decoded words and rewrites one.
+    fn recover_with_lying_word(tag: &str, lie: impl Fn(&mut [u64])) -> RecoveryError {
         let dir = crate::test_dir(tag);
         let (mut svc, cfg) = journaled_service(&dir);
         svc.push(ServiceEvent::WorkerArrive {
@@ -573,8 +572,7 @@ mod tests {
         let newest = *list_checkpoints(&dir).unwrap().last().unwrap();
         let path = checkpoint_path(&dir, newest);
         let mut words = decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
-        let at = pick(&words);
-        words[at] = u64::MAX;
+        lie(&mut words);
         let lying = crate::journal::encode_checkpoint(&words).unwrap();
         std::fs::write(&path, lying).unwrap();
         let err = recover(
@@ -584,24 +582,77 @@ mod tests {
             config(2),
             &cfg,
         )
-        .expect_err("a lying count must not restore");
+        .expect_err("a lying word must not restore");
         let _ = std::fs::remove_dir_all(&dir);
         err
     }
 
-    /// Index of the record-count word: the header is five words around
-    /// the strategy name, then the period.
-    fn record_count_index(words: &[u64]) -> usize {
-        5 + words[4] as usize + 1
+    /// Index of the record-count word: right after the five header
+    /// words, the period last.
+    const RECORD_COUNT: usize = 5;
+
+    /// Index of the schedule-count word, for the one worker
+    /// `recover_with_lying_word` admits: walk the sections between the
+    /// records and the schedule — two words per record, four per live
+    /// worker, one per staged departure, each behind its count.
+    fn schedule_count_index(words: &[u64]) -> usize {
+        let mut at = RECORD_COUNT;
+        at += 1 + 2 * words[at] as usize;
+        at += 1 + 4 * words[at] as usize;
+        at += 1 + words[at] as usize;
+        assert_eq!(words[at], 1, "one scheduled period: the worker's expiry");
+        at
     }
 
     #[test]
     fn lying_record_count_is_a_typed_error() {
-        let err = recover_with_lying_word("recover_lying_records", record_count_index);
+        let err = recover_with_lying_word("recover_lying_records", |words| {
+            words[RECORD_COUNT] = u64::MAX;
+        });
         assert!(
             matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),
             "{err}"
         );
+    }
+
+    /// Words the table holds as `u32`: `2³² + v` hashes correctly and
+    /// must not load as `v` — the record's expiry, the schedule's time
+    /// key, and the scheduled id (truncated, it would pass its own
+    /// range check).
+    #[test]
+    fn words_past_u32_are_typed_errors() {
+        type Pick = fn(&[u64]) -> usize;
+        // After the schedule count: `t, entries, tag, id`.
+        let rows: [(&str, Pick, &str); 3] = [
+            (
+                "recover_lying_expiry",
+                |_| RECORD_COUNT + 1,
+                "checkpoint expiry out of range",
+            ),
+            (
+                "recover_lying_time",
+                |words| schedule_count_index(words) + 1,
+                "checkpoint schedule time out of range",
+            ),
+            (
+                "recover_lying_id",
+                |words| schedule_count_index(words) + 4,
+                "checkpoint schedule id out of range",
+            ),
+        ];
+        for (tag, pick, what) in rows {
+            let err = recover_with_lying_word(tag, |words| words[pick(words)] += 1 << 32);
+            assert!(
+                matches!(
+                    err,
+                    RecoveryError::Checkpoint {
+                        epoch: 1,
+                        reason: StateError::Mismatch(found),
+                    } if found == what
+                ),
+                "{tag}: {err}"
+            );
+        }
     }
 
     /// The frame's own length lying: a header-only file claiming 4 GiB
@@ -640,15 +691,7 @@ mod tests {
     #[test]
     fn lying_schedule_count_is_a_typed_error() {
         let err = recover_with_lying_word("recover_lying_schedule", |words| {
-            // Walk the sections between the records and the schedule:
-            // two words per record, four per live worker, one per
-            // staged departure, each behind its count.
-            let mut at = record_count_index(words);
-            at += 1 + 2 * words[at] as usize;
-            at += 1 + 4 * words[at] as usize;
-            at += 1 + words[at] as usize;
-            assert_eq!(words[at], 1, "one scheduled period: the worker's expiry");
-            at + 2 // its entry count
+            words[schedule_count_index(words) + 2] = u64::MAX; // its entry count
         });
         assert!(
             matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),

@@ -294,7 +294,7 @@ impl LifecycleTable {
         self.window.clear();
         self.records.reserve(n_records);
         for _ in 0..n_records {
-            let expires_at = r.take()? as u32;
+            let expires_at = take_u32(r, "checkpoint expiry out of range")?;
             let status = match r.take()? {
                 0 => Status::Available,
                 1 => Status::Busy,
@@ -336,12 +336,12 @@ impl LifecycleTable {
     pub fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         self.schedule.clear();
         for _ in 0..r.take_len(2)? {
-            let t = r.take()? as u32;
+            let t = take_u32(r, "checkpoint schedule time out of range")?;
             let n_entries = r.take_len(2)?;
             let mut entries = Vec::with_capacity(n_entries);
             for _ in 0..n_entries {
                 let tag = r.take()?;
-                let id = r.take()? as u32;
+                let id = take_u32(r, "checkpoint schedule id out of range")?;
                 if id as usize >= self.records.len() {
                     return Err(StateError::Mismatch("checkpoint schedule id out of range"));
                 }
@@ -362,6 +362,11 @@ impl LifecycleTable {
         }
         Ok(())
     }
+}
+
+/// The next checkpoint word as a `u32`: `2³² + v` is a lie, not `v`.
+fn take_u32(r: &mut StateWords<'_>, what: &'static str) -> Result<u32, StateError> {
+    u32::try_from(r.take()?).map_err(|_| StateError::Mismatch(what))
 }
 
 /// Churn staged between two graph builds of a single cache.

@@ -7,9 +7,16 @@
 //! its bucketed layout mutable: a batch of arrivals or departures costs
 //! one sort of the batch plus one pass over each bucket it touches, so
 //! per-period index maintenance follows the churn, not the live count.
-//! Each bucket stores its points struct-of-arrays (`xs` / `ys` /
-//! `payloads` lanes) so the capped k-nearest distance loop runs over
-//! contiguous `f64` slices.
+//!
+//! ## A bucket is one lane
+//!
+//! Each bucket is a single `Vec` of `(point, payload)` slots. The
+//! `√n × √n` rule below keeps a bucket at a handful of points (1–7 on
+//! the service's pools), so there is no run of coordinates long enough
+//! for separate `x` / `y` lanes to vectorise; what a query pays per
+//! visited bucket is the header it reads (24 B for one `Vec`) and the
+//! pointer it chases (one), and what a mutation pays is one allocation
+//! and one lane to merge or compact.
 //!
 //! ## Answers are functions of the point set
 //!
@@ -44,28 +51,6 @@ use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
 use crate::index::{k_nearest_within_into_impl, sqrt_side};
 
-/// One cell's live points in struct-of-arrays layout: coordinates in
-/// dense `f64` lanes separate from the payloads, kept sorted by payload.
-/// The split is what lets the query cores run their distance
-/// arithmetic over contiguous `f64` slices (SIMD-friendly) instead of
-/// striding over `(Point, T)` tuples.
-#[derive(Debug, Clone)]
-struct CellSoA<T> {
-    xs: Vec<f64>,
-    ys: Vec<f64>,
-    payloads: Vec<T>,
-}
-
-impl<T> CellSoA<T> {
-    const fn new() -> Self {
-        Self {
-            xs: Vec::new(),
-            ys: Vec::new(),
-            payloads: Vec::new(),
-        }
-    }
-}
-
 /// A mutable bucket index over a changing set of points.
 ///
 /// Payloads must be unique while live (they identify the point for
@@ -75,7 +60,7 @@ impl<T> CellSoA<T> {
 pub struct DynamicBucketIndex<T> {
     grid: GridSpec,
     /// `buckets[c]` holds the live points of cell `c`, sorted by payload.
-    buckets: Vec<CellSoA<T>>,
+    buckets: Vec<Vec<(Point, T)>>,
     len: usize,
     /// `(cell, payload, point)` scratch of the bulk operations and of a
     /// regrid, reused so steady-state churn application allocates
@@ -110,11 +95,9 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         &self.grid
     }
 
-    /// The points bucketed into `cell` as parallel `(xs, ys, payloads)`
-    /// slices of equal length, ascending by payload.
-    pub(crate) fn cell_slices(&self, cell: usize) -> (&[f64], &[f64], &[T]) {
-        let bucket = &self.buckets[cell];
-        (&bucket.xs, &bucket.ys, &bucket.payloads)
+    /// The points bucketed into `cell`, ascending by payload.
+    pub(crate) fn cell_slots(&self, cell: usize) -> &[(Point, T)] {
+        &self.buckets[cell]
     }
 
     /// Number of live points.
@@ -173,33 +156,22 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         self.tag(items);
         let mut removed = 0usize;
         self.for_each_tagged_group(|bucket, group| {
-            // Two-pointer compaction: both the bucket lanes and the
-            // group are payload-sorted, so one forward pass keeps every
-            // survivor in order.
-            let mut write = 0usize;
+            // Two-pointer compaction: both the bucket and the group are
+            // payload-sorted, so one forward pass keeps every survivor
+            // in order.
+            let before = bucket.len();
             let mut g = 0usize;
-            for read in 0..bucket.payloads.len() {
-                while g < group.len() && group[g].1 < bucket.payloads[read] {
+            bucket.retain(|&slot| {
+                while g < group.len() && group[g].1 < slot.1 {
                     g += 1;
                 }
-                if let Some(&(_, payload, p)) = group.get(g) {
-                    if payload == bucket.payloads[read]
-                        && p.x == bucket.xs[read]
-                        && p.y == bucket.ys[read]
-                    {
-                        removed += 1;
-                        g += 1;
-                        continue;
-                    }
-                }
-                bucket.xs[write] = bucket.xs[read];
-                bucket.ys[write] = bucket.ys[read];
-                bucket.payloads[write] = bucket.payloads[read];
-                write += 1;
-            }
-            bucket.xs.truncate(write);
-            bucket.ys.truncate(write);
-            bucket.payloads.truncate(write);
+                let hit = group
+                    .get(g)
+                    .is_some_and(|&(_, payload, p)| (p, payload) == slot);
+                g += usize::from(hit);
+                !hit
+            });
+            removed += before - bucket.len();
         });
         self.len -= removed;
         // Regrid *after* the batch left, so only survivors move.
@@ -228,12 +200,9 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// every bucket is rebuilt, not assumed.
     fn regrid(&mut self, grid: GridSpec) {
         self.tagged.clear();
-        for bucket in &self.buckets {
-            for ((&x, &y), &payload) in bucket.xs.iter().zip(&bucket.ys).zip(&bucket.payloads) {
-                let p = Point::new(x, y);
-                self.tagged
-                    .push((grid.cell_of(p).index() as u32, payload, p));
-            }
+        for &(p, payload) in self.buckets.iter().flatten() {
+            self.tagged
+                .push((grid.cell_of(p).index() as u32, payload, p));
         }
         self.grid = grid;
         self.buckets = empty_buckets(grid.num_cells());
@@ -254,7 +223,10 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// Sorts the scratch by `(cell, payload)` — each cell's group is
     /// then a payload-sorted run — and hands every run to `f` together
     /// with its bucket.
-    fn for_each_tagged_group(&mut self, mut f: impl FnMut(&mut CellSoA<T>, &[(u32, T, Point)])) {
+    fn for_each_tagged_group(
+        &mut self,
+        mut f: impl FnMut(&mut Vec<(Point, T)>, &[(u32, T, Point)]),
+    ) {
         self.tagged
             .sort_unstable_by_key(|&(cell, payload, _)| (cell, payload));
         for group in self.tagged.chunk_by(|a, b| a.0 == b.0) {
@@ -280,7 +252,8 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// `(distance, payload)`, written into `out` (cleared first; no
     /// per-query allocation once warm). `accept(distance, payload)` lets
     /// the caller impose extra constraints (a per-worker range limit);
-    /// it must be a pure predicate — pruned candidates never reach it.
+    /// it must be a pure predicate: which candidates reach it, and in
+    /// what order, is not part of the contract.
     /// The cap is a parameter, not a mode: `k = usize::MAX` is the
     /// whole disc.
     ///
@@ -304,49 +277,42 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     }
 }
 
-fn empty_buckets<T>(cells: usize) -> Vec<CellSoA<T>> {
-    std::iter::repeat_with(CellSoA::new).take(cells).collect()
+fn empty_buckets<T>(cells: usize) -> Vec<Vec<(Point, T)>> {
+    std::iter::repeat_with(Vec::new).take(cells).collect()
 }
 
 /// Back-merges one payload-sorted group of `(cell, payload, point)`
-/// entries into a bucket whose lanes are payload-sorted: the lanes grow
-/// by `n` and one backwards merge writes every slot exactly once —
-/// `O(old + n)` moves total, against `O(n · old)` for `n` one-at-a-time
-/// sorted inserts. Panics on any payload collision (within the group or
-/// against the bucket).
-fn merge_group<T: Copy + Ord>(bucket: &mut CellSoA<T>, group: &[(u32, T, Point)]) {
+/// entries into a payload-sorted bucket: the bucket grows by `n` and one
+/// backwards merge writes every slot exactly once — `O(old + n)` moves
+/// total, against `O(n · old)` for `n` one-at-a-time sorted inserts.
+/// Panics on any payload collision (within the group or against the
+/// bucket).
+fn merge_group<T: Copy + Ord>(bucket: &mut Vec<(Point, T)>, group: &[(u32, T, Point)]) {
     for pair in group.windows(2) {
         assert!(
             pair[0].1 != pair[1].1,
             "duplicate payload inserted into dynamic index"
         );
     }
-    let old = bucket.payloads.len();
-    let n = group.len();
-    bucket.xs.resize(old + n, 0.0);
-    bucket.ys.resize(old + n, 0.0);
-    bucket.payloads.extend(group.iter().map(|g| g.1));
-    let mut wp = old + n;
+    let old = bucket.len();
+    bucket.extend(group.iter().map(|&(_, payload, p)| (p, payload)));
+    let mut wp = bucket.len();
     let mut ro = old;
-    let mut rn = n;
+    let mut rn = group.len();
     while rn > 0 {
         let (_, payload, p) = group[rn - 1];
         if ro > 0 {
             assert!(
-                bucket.payloads[ro - 1] != payload,
+                bucket[ro - 1].1 != payload,
                 "duplicate payload inserted into dynamic index"
             );
         }
         wp -= 1;
-        if ro > 0 && bucket.payloads[ro - 1] > payload {
-            bucket.xs[wp] = bucket.xs[ro - 1];
-            bucket.ys[wp] = bucket.ys[ro - 1];
-            bucket.payloads[wp] = bucket.payloads[ro - 1];
+        if ro > 0 && bucket[ro - 1].1 > payload {
+            bucket[wp] = bucket[ro - 1];
             ro -= 1;
         } else {
-            bucket.xs[wp] = p.x;
-            bucket.ys[wp] = p.y;
-            bucket.payloads[wp] = payload;
+            bucket[wp] = (p, payload);
             rn -= 1;
         }
     }
@@ -403,6 +369,128 @@ mod tests {
         let mut idx = DynamicBucketIndex::with_expected_len(Rect::square(side), items.len());
         idx.insert_bulk(items);
         idx
+    }
+
+    /// The per-ring cut (`index.rs`: gather, `select_nth`, sort once)
+    /// against the scan, bit for bit, where a cut has to decide: on a
+    /// 21 × 21 unit lattice with scrambled ids, 12 points share distance
+    /// 5 from the centre ((±5, 0), (0, ±5), (±3, ±4), (±4, ±3)) behind 69
+    /// closer ones, in different buckets and on different rings, so any
+    /// `k` in 70..=80 cuts inside the tie and payload alone decides; `k`
+    /// around the live count; an `accept` that leaves fewer than `k`;
+    /// radii whose square rounds. Every row on three grids, from a
+    /// centre inside, on the corner and outside, and `accept` checks it
+    /// is only ever offered `d ≤ radius`.
+    #[test]
+    fn the_cut_matches_the_scan() {
+        let lattice: Vec<(Point, u32)> = (0..441u32)
+            .map(|i| (Point::new((i % 21) as f64, (i / 21) as f64), i * 100 % 441))
+            .collect();
+        let mut rng = XorShift(0xC07);
+        let cloud: Vec<(Point, u32)> = (0..300)
+            .map(|i| (Point::new(rng.next_f64() * 20.0, rng.next_f64() * 20.0), i))
+            .collect();
+        let centres = [
+            Point::new(10.0, 10.0),
+            Point::new(0.0, 0.0),
+            Point::new(-3.0, 25.0),
+        ];
+        type Accept = fn(f64, u32) -> bool;
+        let check = |name: &str, items: &[(Point, u32)], r: f64, ks: &[usize], accept: Accept| {
+            for side in [11u32, 21, 34] {
+                let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(20.0), side));
+                idx.insert_bulk(items);
+                assert_eq!(idx.grid().nx(), side, "inside the regrid band");
+                for (c, &k) in centres.iter().flat_map(|c| ks.iter().map(move |k| (*c, k))) {
+                    let offered = |d: f64, t: u32| {
+                        assert!(d <= r, "{name}: accept offered {d} beyond {r}");
+                        accept(d, t)
+                    };
+                    assert_eq!(
+                        bits(&idx.k_nearest_within(c, r, k, offered)),
+                        scan_k_nearest(items, (c, r), k, accept),
+                        "{name}: side {side}, c={c:?}, k={k}"
+                    );
+                }
+            }
+        };
+        let all: Accept = |_, _| true;
+        let tenth: Accept = |_, t| t.is_multiple_of(10);
+        let ties: Vec<usize> = (1..=13).chain(68..=83).collect();
+        let n = cloud.len();
+        check("ties at the k-th", &lattice, 30.0, &ties, all);
+        check(
+            "ties at the radius",
+            &lattice,
+            5.0,
+            &[12, 70, 75, 81, 82],
+            all,
+        );
+        check(
+            "k around n",
+            &cloud,
+            30.0,
+            &[1, n - 1, n, n + 1, usize::MAX],
+            all,
+        );
+        check(
+            "accept leaves fewer than k",
+            &cloud,
+            30.0,
+            &[29, 30, 31, 64],
+            tenth,
+        );
+        check("fewer than k, tied", &lattice, 5.0, &[8, 9, 64], tenth);
+        check(
+            "the radius' square rounds",
+            &lattice,
+            13f64.sqrt(),
+            &[1, 36, 37, 38],
+            all,
+        );
+        // The tie, spelled out once: at k = 75 the six smallest of the
+        // twelve ids at distance 5 survive.
+        let mut tied: Vec<u32> = lattice
+            .iter()
+            .filter(|(p, _)| p.euclidean(centres[0]) == 5.0)
+            .map(|&(_, t)| t)
+            .collect();
+        tied.sort_unstable();
+        assert_eq!(tied.len(), 12);
+        let got = index_of(&lattice, 20.0).k_nearest_within(centres[0], 30.0, 75, all);
+        let kept: Vec<u32> = got[69..].iter().map(|&(_, t)| t).collect();
+        assert_eq!(kept, tied[..6]);
+    }
+
+    /// The query's scratch is bounded by the cap, not by what it walks
+    /// through: 10⁴ queries across one bucket of 400 points — each cut
+    /// mid-bucket, every tenth held to the scan — leave the reused
+    /// output buffer at no more than `2k` plus that bucket.
+    #[test]
+    fn scratch_stays_within_two_k_and_a_bucket() {
+        let mut rng = XorShift(0x5C2A7C4);
+        let items: Vec<(Point, u32)> = (0..600)
+            .map(|i| {
+                let span = if i < 400 { 0.5 } else { 20.0 };
+                let p = Point::new(rng.next_f64() * span, rng.next_f64() * span);
+                (p, i)
+            })
+            .collect();
+        let idx = index_of(&items, 20.0);
+        let dense = idx.buckets.iter().map(Vec::len).max().unwrap();
+        assert!(dense >= 400, "the cluster shares one bucket: {dense}");
+        let k = 8;
+        let mut out = Vec::new();
+        for i in 0..10_000 {
+            let c = Point::new(rng.next_f64() * 2.0, rng.next_f64() * 2.0);
+            let r = rng.next_f64() * 4.0;
+            idx.k_nearest_within_into(c, r, k, |_, _| true, &mut out);
+            if i % 10 == 0 {
+                let want = scan_k_nearest(&items, (c, r), k, |_, _| true);
+                assert_eq!(bits(&out), want, "c={c:?} r={r}");
+            }
+        }
+        assert!(out.capacity() <= 2 * k + dense, "{}", out.capacity());
     }
 
     /// Random insert/remove/relocate churn: every disc (as an id set)

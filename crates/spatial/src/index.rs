@@ -5,18 +5,43 @@
 //! for every task, the workers whose range reaches its origin. A scan is
 //! `O(|R|·|W|)` per period — infeasible at the paper's `|R| = |W| =
 //! 500 000` — so points are bucketed by the cell of an internal
-//! [`crate::GridSpec`] (struct-of-arrays, so the distance loop runs over
-//! contiguous `f64` lanes) and the core visits cells in rings around the
+//! [`crate::GridSpec`] and the core visits cells in rings around the
 //! query's, stopping at the first ring that can hold nothing it still
 //! needs. The ring bound holds for points and centres outside the region
 //! too (argued once, at `ring_lb`), so whether a query stops early never
 //! depends on who else is live; a closed disc is this query with no cap
 //! (`k = usize::MAX`), not a second algorithm.
 //!
+//! ## Gather, cut, sort once
+//!
+//! The search keeps no order while it runs. A candidate that is in
+//! radius, at or under the current `bound` and accepted is *appended*;
+//! whenever a ring ends with `k` or more gathered (or the scratch
+//! reaches `2k` inside one), one `select_nth_unstable_by` under the
+//! `(distance, payload)` order keeps the `k` smallest and sets `bound`
+//! to the k-th distance; one sort at the end restores the ascending
+//! contract. Each candidate is moved `O(1)` times on average, against a
+//! binary search plus an `O(k)` shift per candidate for an ordered
+//! insert, and the scratch never exceeds `2k` entries. The bound lags
+//! an ordered insert's — it tightens per cut, not per candidate — so a
+//! few more candidates reach `accept`; that is the trade.
+//!
+//! It is exact because the order is total, so the `k` smallest of a set
+//! are unique and can be found in any grouping: a candidate leaves only
+//! (i) at a cut, with `k` gathered entries before it in the order, (ii)
+//! at the `bound` check, *strictly* farther than the k-th of `k` entries
+//! gathered earlier, or (iii) with an unvisited ring, every point of
+//! which is strictly farther than that same k-th. In each case `k` points
+//! of the query's own candidate set precede it, so it is not among the
+//! `k` smallest. An equal distance is never dropped by (ii) or (iii); it
+//! goes through a cut, where the payload decides.
+//!
 //! There is no second index to agree with: the tests hold this core to
 //! the definition — a scan of the live list, filtered, sorted by
 //! `(distance, payload)` and cut to `k` — bit for bit (`dynamic.rs`'
 //! tests, `tests/regrid_oracle.rs`).
+
+use std::cmp::Ordering;
 
 use crate::dynamic::DynamicBucketIndex;
 use crate::geom::Point;
@@ -40,21 +65,37 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
         return;
     }
     let grid = store.grid();
-    // Degenerate caps (k near usize::MAX, i.e. "uncapped") must not
-    // overflow or over-reserve; growth past the hint is amortized anyway.
-    best.reserve(k.saturating_add(1).min(1024));
+    // The scratch never holds more than `2k` entries (`visit` cuts
+    // there, mid-bucket if need be); an uncapped query (`k` near
+    // `usize::MAX`) never cuts and grows to its answer, amortized.
+    let cut_at = k.saturating_mul(2);
+    best.reserve(cut_at.min(1024));
     let (cx, cy) = grid.cell_coords(center.clamped(grid.region()));
     let (cx, cy) = (cx as i64, cy as i64);
     let (nx, ny) = (grid.nx() as i64, grid.ny() as i64);
     let min_side = grid.cell_width().min(grid.cell_height());
     let max_ring = nx.max(ny);
     let r2 = radius * radius;
-    let mut visit = |x: i64, y: i64, best: &mut Vec<(f64, T)>| {
+    // The k-th distance of the last cut; nothing is cut before `k`
+    // candidates are in, and until then nothing is too far.
+    let mut bound = f64::INFINITY;
+    let mut visit = |x: i64, y: i64, best: &mut Vec<(f64, T)>, bound: &mut f64| {
         if x < 0 || x >= nx || y < 0 || y >= ny {
             return;
         }
-        let cell = (y * nx + x) as usize;
-        scan_cell(store.cell_slices(cell), center, r2, k, &mut accept, best);
+        for &(p, payload) in store.cell_slots((y * nx + x) as usize) {
+            let d2 = p.euclidean_sq(center);
+            if d2 <= r2 {
+                // `Point::euclidean`, bit for bit.
+                let d = d2.sqrt();
+                if d <= *bound && accept(d, payload) {
+                    best.push((d, payload));
+                    if best.len() == cut_at {
+                        *bound = cut(best, k);
+                    }
+                }
+            }
+        }
     };
     for ring in 0..=max_ring {
         // Nothing filed in ring `d` is closer than (d−1)·min_side,
@@ -66,80 +107,44 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
         // strict: a ring that could still hold an equal distance (smaller
         // payload) is visited, so the (distance, payload) order is exact.
         let ring_lb = ((ring - 1).max(0) as f64) * min_side;
-        let kth = best.last().map(|&(d, _)| d);
-        if ring_lb > radius || (best.len() == k && kth.is_some_and(|d| ring_lb > d)) {
+        if ring_lb > radius || ring_lb > bound {
             break;
         }
         if ring == 0 {
-            visit(cx, cy, best);
+            visit(cx, cy, best, &mut bound);
         } else {
             for dx in -ring..=ring {
-                visit(cx + dx, cy - ring, best);
-                visit(cx + dx, cy + ring, best);
+                visit(cx + dx, cy - ring, best, &mut bound);
+                visit(cx + dx, cy + ring, best, &mut bound);
             }
             for dy in (-ring + 1)..ring {
-                visit(cx - ring, cy + dy, best);
-                visit(cx + ring, cy + dy, best);
+                visit(cx - ring, cy + dy, best, &mut bound);
+                visit(cx + ring, cy + dy, best, &mut bound);
             }
         }
-    }
-}
-
-/// One cell of the ring search: distance arithmetic over the SoA lanes,
-/// then the prune → accept → ordered-insert tail for in-radius hits.
-/// Generic over `accept`, so the predicate inlines into the loop.
-#[inline]
-fn scan_cell<T: Copy + Ord>(
-    (xs, ys, ts): (&[f64], &[f64], &[T]),
-    center: Point,
-    r2: f64,
-    k: usize,
-    accept: &mut impl FnMut(f64, T) -> bool,
-    best: &mut Vec<(f64, T)>,
-) {
-    // Same float sequence as `Point::euclidean_sq(p, center)` followed
-    // by `.sqrt()` (= `Point::euclidean`), over SoA lanes: the pure
-    // distance arithmetic vectorizes and only in-radius hits fall
-    // through to the ordered insert.
-    for i in 0..xs.len() {
-        let dx = xs[i] - center.x;
-        let dy = ys[i] - center.y;
-        let d2 = dx * dx + dy * dy;
-        if d2 <= r2 {
-            let d = d2.sqrt();
-            if prune(d, k, best) {
-                continue;
-            }
-            if accept(d, ts[i]) {
-                push(d, ts[i], k, best);
-            }
+        if best.len() >= k {
+            bound = cut(best, k);
         }
     }
+    // Every visited ring ended at `≤ k` entries: what is left is the
+    // answer, in gather order.
+    best.sort_unstable_by(by_distance_then_payload);
 }
 
-/// Whether a candidate at distance `d` can be discarded without
-/// consulting `accept`: once `best` holds `k` entries, anything
-/// *strictly* farther than the current k-th cannot enter the result
-/// under the `(distance, payload)` total order. Equal-distance
-/// candidates still go through the insert (a smaller payload displaces
-/// the k-th), and `accept` must be a pure predicate of `(d, payload)` —
-/// the ring early-termination already skips it for whole pruned rings,
-/// so its call pattern was never part of the contract.
-#[inline]
-fn prune<T: Copy>(d: f64, k: usize, best: &[(f64, T)]) -> bool {
-    best.len() == k && best.last().is_some_and(|&(kd, _)| d > kd)
+/// The `(distance, payload)` total order. Distances here are square
+/// roots of in-radius `d²` — never NaN, never `-0.0` — so `total_cmp`
+/// is `<` on them.
+fn by_distance_then_payload<T: Ord>(a: &(f64, T), b: &(f64, T)) -> Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }
 
-/// Keeps `best` sorted ascending by (distance, payload) and capped at
-/// k entries; inserting every non-pruned candidate yields the k
-/// smallest under the total order regardless of visit order.
-#[inline]
-fn push<T: Copy + Ord>(d: f64, t: T, k: usize, best: &mut Vec<(f64, T)>) {
-    let pos = best.partition_point(|&(bd, bt)| bd < d || (bd == d && bt <= t));
-    best.insert(pos, (d, t));
-    if best.len() > k {
-        best.pop();
-    }
+/// Keeps the `k` smallest of `best` (which holds at least `k`), in no
+/// particular order, and returns the k-th distance — the new bound.
+fn cut<T: Copy + Ord>(best: &mut Vec<(f64, T)>, k: usize) -> f64 {
+    let (_, kth, _) = best.select_nth_unstable_by(k - 1, by_distance_then_payload);
+    let bound = kth.0;
+    best.truncate(k);
+    bound
 }
 
 /// The bucket-grid side the index sizes itself by: `√n × √n` buckets
