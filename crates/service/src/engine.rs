@@ -854,12 +854,8 @@ impl ShardedService {
     fn close_period(&mut self) -> Result<(), ServiceError> {
         let t = self.period;
         if let Some(journal) = &mut self.journal {
-            journal.writer.append(&JournalRecord {
-                producer: TICK_PRODUCER,
-                epoch: u64::from(t),
-                seq: 0,
-                event: ServiceEvent::PeriodTick,
-            })?;
+            let barrier = JournalRecord::barrier(u64::from(t));
+            journal.writer.append(&barrier)?;
             journal.writer.sync()?;
         }
         if let Err(panic) = self.run_tick() {
@@ -1054,10 +1050,24 @@ impl ShardedService {
         let ShardSet {
             grid, table, lanes, ..
         } = &self.engine;
-        // Dominated by the per-record and per-live-worker sections;
-        // reserving up front avoids growth copies on ~MB snapshots.
+        // -- outcome accumulator, price moments, strategy state: the
+        //    last section, and the one whose length only writing it
+        //    tells — so it is written first, aside. Then every section
+        //    is counted and the words (megabytes on a long run) are
+        //    reserved once, exactly: no growth copy, and no doubled
+        //    capacity held while the file is encoded from them. --
+        let mut run_state = Vec::new();
+        self.step.save(&mut run_state);
         let live_total: usize = lanes.shards.iter().map(|s| s.cache.live_count()).sum();
-        let mut w = Vec::with_capacity(64 + table.admitted() * 2 + live_total * 4);
+        let staged: usize = lanes.shards.iter().map(|s| s.departures.len()).sum();
+        // Six header words; the live, staged and watermark counts.
+        let mut w = Vec::with_capacity(
+            (6 + table.saved_words())
+                + (1 + 4 * live_total)
+                + (1 + staged)
+                + (1 + 3 * self.watermarks.len())
+                + run_state.len(),
+        );
         // -- validation header --
         w.push(grid.num_cells() as u64);
         w.push(self.k as u64);
@@ -1072,6 +1082,10 @@ impl ShardedService {
             }
         }
         w.push(u64::from(self.period));
+        // -- where the journal stood: recovery reads it from here on
+        //    (0, never a journal offset, with none attached) --
+        let journal = self.journal.as_ref();
+        w.push(journal.map_or(0, |journal| journal.writer.end_offset()));
         // -- lifecycle records --
         table.save_records(&mut w);
         // -- live workers, global ascending id order --
@@ -1088,13 +1102,7 @@ impl ShardedService {
             self.pending_tasks.is_empty() && lanes.shards.iter().all(|s| s.arrivals.is_empty()),
             "checkpoint off an epoch boundary"
         );
-        w.push(
-            lanes
-                .shards
-                .iter()
-                .map(|s| s.departures.len())
-                .sum::<usize>() as u64,
-        );
+        w.push(staged as u64);
         for shard in &lanes.shards {
             for &id in &shard.departures {
                 w.push(u64::from(id));
@@ -1107,8 +1115,7 @@ impl ShardedService {
         for mark in &self.watermarks {
             w.extend(mark.map_or([0; 3], |(epoch, seq)| [1, epoch, seq]));
         }
-        // -- outcome accumulator, price moments, strategy state --
-        self.step.save(&mut w);
+        w.extend(run_state);
         w
     }
 
@@ -1120,7 +1127,9 @@ impl ShardedService {
     /// shard count may differ freely. Every word is outside input:
     /// counts go through [`StateWords::take_len`], and a value that
     /// would trip an assertion of the cache is a [`StateError::Mismatch`].
-    pub(crate) fn restore(&mut self, words: &[u64]) -> Result<(), StateError> {
+    /// Returns the header's journal offset, which only the journal can
+    /// check ([`crate::journal::read_journal_from`]).
+    pub(crate) fn restore(&mut self, words: &[u64]) -> Result<u64, StateError> {
         use StateError::Mismatch;
         let r = &mut StateWords::new(words);
         let ShardSet {
@@ -1143,6 +1152,7 @@ impl ShardedService {
         }
         self.period =
             u32::try_from(r.take()?).map_err(|_| Mismatch("checkpoint period out of range"))?;
+        let journal_offset = r.take()?;
         // -- lifecycle records --
         table.load_records(r)?;
         let admitted = table.admitted();
@@ -1189,7 +1199,56 @@ impl ShardedService {
             self.watermarks.push((flag == 1).then_some((epoch, seq)));
         }
         // -- outcome accumulator, price moments, strategy state --
-        self.step.load(r)
+        self.step.load(r)?;
+        Ok(journal_offset)
+    }
+}
+
+/// Where the sections of [`ShardedService::checkpoint_words`] start,
+/// found by walking their counts the way [`ShardedService::restore`]
+/// does. The layout tests of this crate aim their lies through it, so a
+/// new header word or section moves them all at once instead of
+/// silently retargeting a hard-coded index.
+#[cfg(test)]
+#[derive(Debug)]
+pub(crate) struct CheckpointLayout {
+    pub(crate) period: usize,
+    pub(crate) journal_offset: usize,
+    /// The record count; the status lane's word count follows it.
+    pub(crate) record_count: usize,
+    /// First word of the status lane.
+    pub(crate) status_lane: usize,
+    /// First `expires_at`: one per record that is not `Gone`.
+    pub(crate) expiries: usize,
+    /// The live count, then `id, x, y, radius` per live worker.
+    pub(crate) live_count: usize,
+    /// The schedule's period count, then per period `t, entries` and
+    /// per entry `tag, id` (a release: three more).
+    pub(crate) schedule_count: usize,
+}
+
+#[cfg(test)]
+impl CheckpointLayout {
+    pub(crate) fn of(words: &[u64]) -> Self {
+        // Grid, edge cap, match policy and speed; then the period.
+        let period = 4;
+        let record_count = period + 2;
+        let status_lane = record_count + 2;
+        let expiries = status_lane + words[record_count + 1] as usize;
+        let kept = (0..words[record_count] as usize)
+            .filter(|id| words[status_lane + id / 32] >> (2 * (id % 32)) & 3 != 2)
+            .count();
+        let live_count = expiries + kept;
+        let departure_count = live_count + 1 + 4 * words[live_count] as usize;
+        Self {
+            period,
+            journal_offset: period + 1,
+            record_count,
+            status_lane,
+            expiries,
+            live_count,
+            schedule_count: departure_count + 1 + words[departure_count] as usize,
+        }
     }
 }
 
@@ -1641,10 +1700,7 @@ mod tests {
             }
             assert!(want.len() > 4 * 10, "{shards} shards: live set too small");
             let words = svc.checkpoint_words();
-            // Header (four words and the period), then the records
-            // section: a count and two words each.
-            let records = 5;
-            let live = records + 1 + 2 * words[records] as usize;
+            let live = CheckpointLayout::of(&words).live_count;
             assert_eq!(words[live..live + want.len()], want, "{shards} shards");
         }
     }
@@ -1663,9 +1719,9 @@ mod tests {
         assert!(other_strategy.restore(&words).is_err());
         let mut truncated = service(2, MatchPolicy::Consume);
         assert!(truncated.restore(&words[..words.len() - 1]).is_err());
-        // The period is the fifth word: 2³² + e must not restore as e.
+        // 2³² + e must not restore as period e.
         let mut lying_period = words.clone();
-        lying_period[4] += 1 << 32;
+        lying_period[CheckpointLayout::of(&words).period] += 1 << 32;
         assert_eq!(
             service(2, MatchPolicy::Consume).restore(&lying_period),
             Err(StateError::Mismatch("checkpoint period out of range"))
@@ -1683,17 +1739,20 @@ mod tests {
         });
         svc.push(ServiceEvent::PeriodTick);
         let words = svc.checkpoint_words();
-        // Header, one record (count, expiry, status), one live worker
-        // (count, four words), no staged departure (count), then the
-        // schedule: count, `t, entries, tag, id`.
-        let (records, schedule) = (5, 5 + 3 + 5 + 1);
-        assert_eq!((words[records], words[schedule]), (1, 1));
-        assert_eq!(words[schedule + 1], words[records + 1], "expires at `t`");
+        let CheckpointLayout {
+            record_count,
+            expiries,
+            schedule_count,
+            ..
+        } = CheckpointLayout::of(&words);
+        // One record, one scheduled period: `t, entries, tag, id`.
+        assert_eq!((words[record_count], words[schedule_count]), (1, 1));
+        assert_eq!(words[schedule_count + 1], words[expiries], "expires at `t`");
         assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
         for (at, what) in [
-            (records + 1, "checkpoint expiry out of range"),
-            (schedule + 1, "checkpoint schedule time out of range"),
-            (schedule + 4, "checkpoint schedule id out of range"),
+            (expiries, "checkpoint expiry out of range"),
+            (schedule_count + 1, "checkpoint schedule time out of range"),
+            (schedule_count + 4, "checkpoint schedule id out of range"),
         ] {
             let mut lying = words.clone();
             lying[at] += 1 << 32;
@@ -1701,6 +1760,134 @@ mod tests {
                 service(2, MatchPolicy::Consume).restore(&lying),
                 Err(StateError::Mismatch(what)),
                 "word {at}"
+            );
+        }
+    }
+
+    /// The record section is outside input word by word: a record count
+    /// that is not its lane's, a lane count the stream cannot hold
+    /// (nothing is ever sized by either), the unused status code, bits
+    /// set past the last record, and a status that makes the expiries
+    /// one too few or one too many for the stream behind them.
+    #[test]
+    fn checkpoint_status_lane_lies_are_rejected() {
+        use StateError::{Mismatch, Truncated};
+        let mut svc = service(2, MatchPolicy::Consume);
+        for duration in [3, 0, 3] {
+            svc.push(ServiceEvent::WorkerArrive {
+                worker: worker(1.0, 1.0, duration),
+            });
+        }
+        svc.push(ServiceEvent::PeriodTick);
+        let words = svc.checkpoint_words();
+        let layout = CheckpointLayout::of(&words);
+        let (count, lane) = (layout.record_count, layout.status_lane);
+        // Available, gone (it never lived), available: codes 0, 2, 0.
+        assert_eq!(
+            (words[count], words[count + 1], words[lane]),
+            (3, 1, 2 << 2)
+        );
+        assert_eq!(layout.live_count - layout.expiries, 2, "two expiries");
+        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+
+        const NOT_ITS_LANES: StateError =
+            Mismatch("checkpoint record count is not its status lane's");
+        type Lie = fn(&mut [u64], usize);
+        let rows: [(&str, Lie, usize, StateError); 11] = [
+            ("no records", |w, at| w[at] = 0, count, NOT_ITS_LANES),
+            ("a lane more", |w, at| w[at] = 33, count, NOT_ITS_LANES),
+            (
+                "u32::MAX records",
+                |w, at| w[at] = u64::from(u32::MAX),
+                count,
+                NOT_ITS_LANES,
+            ),
+            (
+                "u64::MAX records",
+                |w, at| w[at] = u64::MAX,
+                count,
+                NOT_ITS_LANES,
+            ),
+            ("no lane", |w, at| w[at] = 0, count + 1, NOT_ITS_LANES),
+            (
+                "u32::MAX lane words",
+                |w, at| w[at] = u64::from(u32::MAX),
+                count + 1,
+                Truncated,
+            ),
+            (
+                "u64::MAX lane words",
+                |w, at| w[at] = u64::MAX,
+                count + 1,
+                Truncated,
+            ),
+            (
+                "status code 3",
+                |w, at| w[at] |= 3,
+                lane,
+                Mismatch("checkpoint has invalid worker status"),
+            ),
+            (
+                "a bit past the count",
+                |w, at| w[at] |= 1 << 6,
+                lane,
+                Mismatch("checkpoint status lane has bits past its count"),
+            ),
+            // Record 1 available: the live count is read as its expiry
+            // and every section behind it is one word off.
+            (
+                "one expiry too few",
+                |w, at| w[at] &= !(3 << 2),
+                lane,
+                Truncated,
+            ),
+            // Record 2 gone: its expiry is read as the live count, the
+            // live count as the first live id.
+            (
+                "one expiry too many",
+                |w, at| w[at] |= 2 << 4,
+                lane,
+                Mismatch("checkpoint live worker invalid"),
+            ),
+        ];
+        for (row, lie, at, what) in rows {
+            let mut lying = words.clone();
+            lie(&mut lying, at);
+            let restored = service(2, MatchPolicy::Consume).restore(&lying);
+            assert_eq!(restored, Err(what), "{row}");
+        }
+    }
+
+    /// The words are reserved once, at their exact count: the schedule,
+    /// the watermarks and the run state used to land past a reservation
+    /// that counted only records and live workers, and the `Vec` doubled
+    /// — megabytes of spare capacity on a long run, held while the file
+    /// is encoded.
+    #[test]
+    fn checkpoint_words_are_reserved_exactly() {
+        for policy in [MatchPolicy::Consume, MatchPolicy::Relocate { speed: 0.5 }] {
+            let mut svc = service(3, policy);
+            for t in 0..6u32 {
+                for i in 0..40 {
+                    let (x, y) = (f64::from(i % 9) + 0.5, f64::from(i / 9) + 0.5);
+                    svc.push(ServiceEvent::WorkerArrive {
+                        worker: worker(x, y, 2 + (t + i) % 5),
+                    });
+                }
+                svc.push(ServiceEvent::TaskRequest {
+                    task: task(1.5 + f64::from(t), 1.0),
+                });
+                svc.push(ServiceEvent::WorkerDepart { id: 40 * t });
+                svc.push(ServiceEvent::PeriodTick);
+            }
+            let words = svc.checkpoint_words();
+            let schedule = CheckpointLayout::of(&words).schedule_count;
+            assert!(words[schedule] >= 4, "a schedule of several periods");
+            assert!(
+                words.capacity() <= words.len() + words.len() / 8,
+                "{} words in a buffer of {} ({policy:?})",
+                words.len(),
+                words.capacity()
             );
         }
     }

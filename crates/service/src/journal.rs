@@ -19,14 +19,24 @@
 //! frame      := len:u32 hash:u64 payload      (little-endian)
 //!               len = payload bytes; hash = fnv1a64(payload)
 //! journal    := b"MAPSWAL2" frame*            one frame per record
-//! checkpoint := b"MAPSCKP2" frame             exactly one: the file
+//! checkpoint := b"MAPSCKP3" frame             exactly one: the file
 //!                                             ends where it does
 //! record     := producer:u32 epoch:u64 seq:u64 tag:u8 fields
 //!   tag 0 WorkerArrive  fields = x:u64 y:u64 radius:u64 duration:u32
 //!   tag 1 WorkerDepart  fields = id:u32
 //!   tag 2 TaskRequest   fields = ox oy dx dy dist val (6×u64) cell:u32
-//!   tag 3 PeriodTick    fields = ∅
-//! state      := the engine's checkpoint words, 8 bytes each
+//!   tag 3 PeriodTick    fields = ∅            a 33-byte frame
+//! state      := the engine's checkpoint words, 8 bytes each:
+//!   header     grid cells, edge cap, match policy (2), period,
+//!              journal offset
+//!   records    count n, lane words ⌈n/32⌉, the status lane (2 bits a
+//!              record: 0 available, 1 busy, 2 gone), then `expires_at`
+//!              of each record that is not gone, in id order
+//!   live       count, then id x y radius each
+//!   departures count, then the staged ids
+//!   schedule   count, then per period t, entries, (tag id [x y r])*
+//!   watermarks count, then flag epoch seq each
+//!   run state  outcome, price moments, strategy state
 //! ```
 //!
 //! Floats are stored as `to_bits` words, so even NaN-carrying events
@@ -35,8 +45,17 @@
 //! `unframe` are the only writer and reader of the framing, and
 //! `unframe` is the only place a length read from disk meets the bytes
 //! present: a journal frame may claim at most `MAX_PAYLOAD` bytes, a
-//! checkpoint frame must end where its file does. The previous layout's
-//! magics (`MAPSWAL1` / `MAPSCKP1`) are [`JournalError::BadMagic`].
+//! checkpoint frame must end where its file does. Earlier layouts'
+//! magics (`MAPSWAL1`, `MAPSCKP1`, `MAPSCKP2`) are
+//! [`JournalError::BadMagic`].
+//!
+//! A checkpoint is sized by the journal's tail and by who is live: the
+//! **journal offset** is the journal's length when the checkpoint was
+//! cut — right behind the barrier of the epoch before it, or right
+//! behind the magic for the baseline a fresh journal starts with — and
+//! recovery reads the journal from there on; a worker that left keeps
+//! its two bits in the **status lane** (ids are positions) and nothing
+//! else.
 //!
 //! ## What the hash promises
 //!
@@ -52,7 +71,7 @@
 //! (`StateWords::take_len`) and of tail replay's two order checks
 //! ([`crate::recovery`]), not of the frame.
 //!
-//! ## Torn tails
+//! ## Torn tails, and what is never read
 //!
 //! A crash can leave a partial frame at the end of the journal.
 //! Decoding treats the first invalid frame (short header, short
@@ -63,6 +82,17 @@
 //! streams through encode → truncate-at-every-byte → decode to pin this
 //! down. A checkpoint that does not unframe is skipped for the next
 //! older one — the journal covers the extra replay distance.
+//!
+//! Recovery decodes from the restored checkpoint's offset, so that is
+//! where a torn tail can start. Of the bytes before it only the magic
+//! and the 33-byte frame ending at the offset are read — the frame must
+//! be the hash-valid barrier of the epoch before the checkpoint, which
+//! is what was last journaled when it was cut — so a garbled byte in an
+//! epoch some checkpoint already covers costs nothing (it used to end
+//! decoding there and cut every later, fsynced epoch off the file). An
+//! offset that is outside the file or not on that barrier is a lying
+//! checkpoint word, not a tear: [`JournalError::Corrupt`], with the file
+//! left as it was. [`read_journal`] still decodes a whole file.
 //!
 //! ## One run per directory
 //!
@@ -75,13 +105,13 @@ use crate::engine::ServiceEvent;
 use maps_simulator::{GroundTask, GroundWorker};
 use maps_spatial::{CellId, Point};
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Seek, SeekFrom, Write};
+use std::io::{BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File header of an event journal.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"MAPSWAL2";
 /// File header of a checkpoint.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP2";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP3";
 /// Journal file name inside a journal directory.
 pub const JOURNAL_FILE: &str = "journal.bin";
 /// The pseudo-producer id stamped on `PeriodTick` barrier records (a
@@ -132,6 +162,20 @@ pub struct JournalRecord {
     pub seq: u64,
     /// The event itself (journaled *before* admission validation).
     pub event: ServiceEvent,
+}
+
+impl JournalRecord {
+    /// The barrier that closes `epoch`: the one record on the
+    /// [`TICK_PRODUCER`] lane, journaled (and fsynced) before the tick
+    /// runs.
+    pub(crate) fn barrier(epoch: u64) -> Self {
+        Self {
+            producer: TICK_PRODUCER,
+            epoch,
+            seq: 0,
+            event: ServiceEvent::PeriodTick,
+        }
+    }
 }
 
 /// What the end of a decoded journal looked like.
@@ -382,6 +426,8 @@ pub fn decode_records(bytes: &[u8]) -> (Vec<JournalRecord>, Tail) {
 pub struct JournalWriter {
     file: BufWriter<File>,
     scratch: Vec<u8>,
+    /// Length of the file once everything appended is flushed.
+    end: u64,
 }
 
 impl JournalWriter {
@@ -389,7 +435,7 @@ impl JournalWriter {
     pub fn create(path: &Path) -> Result<Self, JournalError> {
         let mut file = File::create(path)?;
         file.write_all(JOURNAL_MAGIC)?;
-        Ok(Self::appending_to(file))
+        Ok(Self::appending_to(file, JOURNAL_MAGIC.len() as u64))
     }
 
     /// Reopens an existing journal for appending, first truncating it
@@ -399,18 +445,27 @@ impl JournalWriter {
         let mut file = OpenOptions::new().read(true).write(true).open(path)?;
         file.set_len(valid_len)?;
         file.seek(SeekFrom::End(0))?;
-        Ok(Self::appending_to(file))
+        Ok(Self::appending_to(file, valid_len))
     }
 
-    /// A writer appending at `file`'s current position.
-    fn appending_to(file: File) -> Self {
+    /// A writer appending at `file`'s current position, its end, `end`
+    /// bytes in.
+    fn appending_to(file: File, end: u64) -> Self {
         Self {
             // 256 KiB buffer: an epoch's worth of frames usually fits,
             // so the barrier flush is one or two write syscalls instead
             // of hundreds through the default 8 KiB buffer.
             file: BufWriter::with_capacity(256 * 1024, file),
             scratch: Vec::new(),
+            end,
         }
+    }
+
+    /// Absolute offset one past the last record appended: where the
+    /// next frame will start. A checkpoint cut right after an epoch's
+    /// barrier names this as where its journal tail begins.
+    pub(crate) fn end_offset(&self) -> u64 {
+        self.end
     }
 
     /// Buffers one record (durable only after [`JournalWriter::sync`]).
@@ -418,6 +473,7 @@ impl JournalWriter {
         self.scratch.clear();
         encode_record(record, &mut self.scratch);
         self.file.write_all(&self.scratch)?;
+        self.end += self.scratch.len() as u64;
         Ok(())
     }
 
@@ -429,10 +485,11 @@ impl JournalWriter {
     }
 }
 
-/// A fully decoded journal file.
+/// A decoded journal file, or the tail of one.
 #[derive(Debug)]
 pub struct JournalContents {
-    /// Every record of the durable prefix, in journal (= total) order.
+    /// Every record of the durable prefix from where reading started,
+    /// in journal (= total) order.
     pub records: Vec<JournalRecord>,
     /// Whether the file ended clean or torn.
     pub tail: Tail,
@@ -441,16 +498,62 @@ pub struct JournalContents {
     pub valid_len: u64,
 }
 
-/// Reads and decodes a journal file, classifying its tail.
+/// Reads and decodes a whole journal file, classifying its tail.
 pub fn read_journal(path: &Path) -> Result<JournalContents, JournalError> {
-    let bytes = std::fs::read(path)?;
-    let body = bytes
-        .strip_prefix(JOURNAL_MAGIC)
-        .ok_or(JournalError::BadMagic)?;
-    let (records, mut tail) = decode_records(body);
-    let mut valid_len = bytes.len() as u64;
+    read_journal_from(path, JOURNAL_MAGIC.len() as u64, 0)
+}
+
+/// Reads and decodes a journal from `offset` on — what the checkpoint
+/// of `epoch` recorded as the journal's length when it was cut. Of the
+/// bytes before `offset` only the magic and the one frame ending there
+/// are read: that frame must be the hash-valid barrier of `epoch − 1`,
+/// the last thing journaled before that checkpoint (a checkpoint cut
+/// when the journal was created sits right after the magic, behind no
+/// barrier, whatever its epoch). An `offset` anywhere else is a lying
+/// word, not a torn tail: [`JournalError::Corrupt`], and nothing is
+/// decoded that a caller could truncate the file by.
+pub(crate) fn read_journal_from(
+    path: &Path,
+    offset: u64,
+    epoch: u64,
+) -> Result<JournalContents, JournalError> {
+    const NOT_ITS_BARRIER: JournalError =
+        JournalError::Corrupt("checkpoint's journal offset is not on its epoch's barrier");
+    let mut file = File::open(path)?;
+    let first_frame = JOURNAL_MAGIC.len() as u64;
+    let mut magic = Vec::with_capacity(JOURNAL_MAGIC.len());
+    (&mut file).take(first_frame).read_to_end(&mut magic)?;
+    if magic != JOURNAL_MAGIC {
+        return Err(JournalError::BadMagic);
+    }
+    if !(first_frame..=file.metadata()?.len()).contains(&offset) {
+        return Err(JournalError::Corrupt(
+            "checkpoint's journal offset is outside the journal",
+        ));
+    }
+    if offset > first_frame {
+        // The encoding is canonical, so the barrier is there, whole and
+        // hash-valid, exactly when its bytes are.
+        let mut barrier = Vec::new();
+        let closed = epoch.checked_sub(1).ok_or(NOT_ITS_BARRIER)?;
+        encode_record(&JournalRecord::barrier(closed), &mut barrier);
+        let barrier_at = (offset.checked_sub(barrier.len() as u64))
+            .filter(|at| *at >= first_frame)
+            .ok_or(NOT_ITS_BARRIER)?;
+        file.seek(SeekFrom::Start(barrier_at))?;
+        let mut found = vec![0u8; barrier.len()];
+        file.read_exact(&mut found)?;
+        if found != barrier {
+            return Err(NOT_ITS_BARRIER);
+        }
+    }
+    // Either way the file now stands at `offset`.
+    let mut bytes = Vec::new();
+    file.read_to_end(&mut bytes)?;
+    let (records, mut tail) = decode_records(&bytes);
+    let mut valid_len = offset + bytes.len() as u64;
     if let Tail::Torn { valid_len: at, .. } = &mut tail {
-        *at += JOURNAL_MAGIC.len() as u64;
+        *at += offset;
         valid_len = *at;
     }
     Ok(JournalContents {

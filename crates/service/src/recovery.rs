@@ -9,17 +9,32 @@
 //!   serialized durably (temp file + fsync + atomic rename) right after
 //!   the tick closes.
 //!
-//! [`recover`] therefore reconstructs the exact pre-crash service:
-//! restore the newest checkpoint that decodes (hash-checked; a torn
-//! checkpoint silently falls back to the previous one — the journal
-//! covers the gap), then re-drive the journal records whose epoch is at
-//! or past the checkpoint through the ordinary
-//! [`ShardedService::push_stamped`] path. Because the journal holds
-//! events *pre-validation* and ticks as explicit barrier records,
-//! replay re-counts rejections and re-runs the deterministic reducer,
-//! so the recovered [`maps_simulator::Outcome::deterministic_bits`]
-//! equals an uninterrupted run's — at any shard / thread count, which
-//! the `recovery_oracle` crash-at-every-epoch sweep enforces.
+//! [`recover`] therefore reconstructs the exact pre-crash service, in
+//! time and memory that follow the journal's *tail* and the *live* set,
+//! not the run's history. First the newest checkpoint that decodes is
+//! restored (hash-checked; a torn checkpoint silently falls back to the
+//! previous one — the journal covers the gap). Its header names the
+//! journal's length when it was cut; the journal is opened, its magic
+//! checked, and decoded from that offset on — nothing before it is read
+//! but the one frame ending there — and those records are re-driven
+//! through the ordinary [`ShardedService::push_stamped`] path. Because
+//! the journal holds events *pre-validation* and ticks as explicit
+//! barrier records, replay re-counts rejections and re-runs the
+//! deterministic reducer, so the recovered
+//! [`maps_simulator::Outcome::deterministic_bits`] equals an
+//! uninterrupted run's — at any shard / thread count, which the
+//! `recovery_oracle` crash-at-every-epoch sweep enforces.
+//!
+//! The offset is a checkpoint word, so it is outside input like every
+//! other: before a byte of the tail is decoded, the frame ending at it
+//! must be the hash-valid [`ServiceEvent::PeriodTick`] barrier of the
+//! epoch before the checkpoint (a checkpoint cut when its journal was
+//! created sits right behind the magic and has none). An offset outside
+//! the file or off that barrier is a typed [`JournalError::Corrupt`]
+//! returned *before* anything is classified as a torn tail — a lying
+//! offset can fail recovery, it cannot make recovery truncate the file.
+//! An offset on the right barrier of the wrong journal is caught by the
+//! checks below, like any other frame out of place.
 //!
 //! Tail replay trusts no frame merely because it hashes: a record is
 //! replayed only inside the epoch being served and only above its
@@ -44,8 +59,8 @@ use maps_spatial::GridSpec;
 
 use crate::engine::{ServiceConfig, ServiceError, ShardedService};
 use crate::journal::{
-    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal, remove_checkpoint_files,
-    JournalConfig, JournalError, JournalWriter, Tail, TICK_PRODUCER,
+    checkpoint_path, decode_checkpoint, list_checkpoints, read_journal_from,
+    remove_checkpoint_files, JournalConfig, JournalError, JournalWriter, Tail, TICK_PRODUCER,
 };
 
 #[cfg(doc)]
@@ -188,22 +203,20 @@ pub fn recover_with_strategy(
     journal_cfg: &JournalConfig,
 ) -> Result<Recovered, RecoveryError> {
     let journal_path = journal_cfg.journal_path();
-    let contents = read_journal(&journal_path)?;
+    // A missing journal is reported as that, whatever else is there.
+    std::fs::metadata(&journal_path).map_err(JournalError::Io)?;
 
     let mut service = ShardedService::with_strategy(grid, match_policy, strategy, config);
-    let cp_epoch = restore_newest_checkpoint(&mut service, &journal_cfg.dir)?;
+    let (cp_epoch, offset) = restore_newest_checkpoint(&mut service, &journal_cfg.dir)?;
+    let contents = read_journal_from(&journal_path, offset, cp_epoch)?;
 
-    // Re-drive the tail: every record stamped at or past the checkpoint
-    // epoch. (Events of epoch `e` are stamped while `period == e`; the
-    // checkpoint named `e + 1` is written after tick `e` closes, so the
-    // `>=` filter selects exactly the post-checkpoint suffix.) The
+    // Re-drive the tail: everything journaled after the checkpoint was
+    // cut. (The checkpoint named `e + 1` is written right after tick
+    // `e`'s barrier, so its offset is where epoch `e + 1` starts.) The
     // journal is detached during replay — re-driven events must not be
     // re-appended.
     let mut epochs_replayed = 0u32;
     for rec in &contents.records {
-        if rec.epoch < cp_epoch {
-            continue;
-        }
         if rec.epoch != u64::from(service.periods_served()) {
             return Err(JournalError::Corrupt("record outside the epoch being replayed").into());
         }
@@ -239,7 +252,8 @@ pub fn recover_with_strategy(
 }
 
 /// Restores the newest checkpoint that decodes *and* structurally
-/// matches, returning its epoch. A checkpoint file that does not
+/// matches, returning its epoch and the journal offset in its header
+/// (unchecked: only the journal can). A checkpoint file that does not
 /// unframe (torn, garbled) falls back to the next older one — the
 /// journal covers the extra replay distance. A checkpoint that decodes
 /// but describes a different service, or another epoch than its file
@@ -248,7 +262,7 @@ pub fn recover_with_strategy(
 fn restore_newest_checkpoint(
     service: &mut ShardedService,
     dir: &Path,
-) -> Result<u64, RecoveryError> {
+) -> Result<(u64, u64), RecoveryError> {
     let epochs = list_checkpoints(dir)?;
     for &epoch in epochs.iter().rev() {
         // Unreadable, torn or garbled: fall back to an older one.
@@ -258,9 +272,9 @@ fn restore_newest_checkpoint(
         let Ok(words) = decode_checkpoint(&bytes) else {
             continue;
         };
-        let restored = service.restore(&words).and_then(|()| {
+        let restored = service.restore(&words).and_then(|offset| {
             let named = u64::from(service.periods_served()) == epoch;
-            named.then_some(epoch).ok_or(StateError::Mismatch(
+            named.then_some((epoch, offset)).ok_or(StateError::Mismatch(
                 "checkpoint period is not its file name's",
             ))
         });
@@ -272,8 +286,8 @@ fn restore_newest_checkpoint(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::ServiceEvent;
-    use crate::journal::JOURNAL_FILE;
+    use crate::engine::{CheckpointLayout, ServiceEvent};
+    use crate::journal::{encode_checkpoint, read_journal, JOURNAL_FILE};
     use maps_simulator::{GroundWorker, MatchPolicy};
     use maps_spatial::{Point, Rect};
 
@@ -558,9 +572,11 @@ mod tests {
         );
     }
 
-    /// Recovers from a directory whose newest checkpoint had one word
-    /// replaced — re-encoded, so its frame hash is valid and only the
-    /// content lies. `lie` gets the decoded words and rewrites one.
+    /// Recovers from a directory whose newest checkpoint — of epoch 2,
+    /// one worker admitted in epoch 0 and still available — had one word
+    /// replaced and was re-encoded, so its frame hash is valid and only
+    /// the content lies. `lie` gets the decoded words and rewrites one.
+    /// Whatever the lie, the journal is left byte for byte as it was.
     fn recover_with_lying_word(tag: &str, lie: impl Fn(&mut [u64])) -> RecoveryError {
         let dir = crate::test_dir(tag);
         let (mut svc, cfg) = journaled_service(&dir);
@@ -568,13 +584,15 @@ mod tests {
             worker: worker(1.0),
         });
         svc.push(ServiceEvent::PeriodTick);
+        svc.push(ServiceEvent::PeriodTick);
         drop(svc);
         let newest = *list_checkpoints(&dir).unwrap().last().unwrap();
+        assert_eq!(newest, 2);
         let path = checkpoint_path(&dir, newest);
         let mut words = decode_checkpoint(&std::fs::read(&path).unwrap()).unwrap();
         lie(&mut words);
-        let lying = crate::journal::encode_checkpoint(&words).unwrap();
-        std::fs::write(&path, lying).unwrap();
+        std::fs::write(&path, encode_checkpoint(&words).unwrap()).unwrap();
+        let journal = std::fs::read(cfg.journal_path()).unwrap();
         let err = recover(
             grid(),
             MatchPolicy::Consume,
@@ -583,34 +601,18 @@ mod tests {
             &cfg,
         )
         .expect_err("a lying word must not restore");
+        assert_eq!(std::fs::read(cfg.journal_path()).unwrap(), journal, "{tag}");
         let _ = std::fs::remove_dir_all(&dir);
         err
-    }
-
-    /// Index of the record-count word: right after the five header
-    /// words, the period last.
-    const RECORD_COUNT: usize = 5;
-
-    /// Index of the schedule-count word, for the one worker
-    /// `recover_with_lying_word` admits: walk the sections between the
-    /// records and the schedule — two words per record, four per live
-    /// worker, one per staged departure, each behind its count.
-    fn schedule_count_index(words: &[u64]) -> usize {
-        let mut at = RECORD_COUNT;
-        at += 1 + 2 * words[at] as usize;
-        at += 1 + 4 * words[at] as usize;
-        at += 1 + words[at] as usize;
-        assert_eq!(words[at], 1, "one scheduled period: the worker's expiry");
-        at
     }
 
     #[test]
     fn lying_record_count_is_a_typed_error() {
         let err = recover_with_lying_word("recover_lying_records", |words| {
-            words[RECORD_COUNT] = u64::MAX;
+            words[CheckpointLayout::of(words).record_count] = u64::MAX;
         });
         assert!(
-            matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),
+            matches!(err, RecoveryError::Checkpoint { epoch: 2, .. }),
             "{err}"
         );
     }
@@ -621,38 +623,147 @@ mod tests {
     /// range check).
     #[test]
     fn words_past_u32_are_typed_errors() {
-        type Pick = fn(&[u64]) -> usize;
+        type Pick = fn(&CheckpointLayout) -> usize;
         // After the schedule count: `t, entries, tag, id`.
         let rows: [(&str, Pick, &str); 3] = [
             (
                 "recover_lying_expiry",
-                |_| RECORD_COUNT + 1,
+                |layout| layout.expiries,
                 "checkpoint expiry out of range",
             ),
             (
                 "recover_lying_time",
-                |words| schedule_count_index(words) + 1,
+                |layout| layout.schedule_count + 1,
                 "checkpoint schedule time out of range",
             ),
             (
                 "recover_lying_id",
-                |words| schedule_count_index(words) + 4,
+                |layout| layout.schedule_count + 4,
                 "checkpoint schedule id out of range",
             ),
         ];
         for (tag, pick, what) in rows {
-            let err = recover_with_lying_word(tag, |words| words[pick(words)] += 1 << 32);
+            let err = recover_with_lying_word(tag, |words| {
+                words[pick(&CheckpointLayout::of(words))] += 1 << 32;
+            });
             assert!(
                 matches!(
                     err,
                     RecoveryError::Checkpoint {
-                        epoch: 1,
+                        epoch: 2,
                         reason: StateError::Mismatch(found),
                     } if found == what
                 ),
                 "{tag}: {err}"
             );
         }
+    }
+
+    /// The checkpoint's journal offset is a word like any other: one
+    /// that is not where its checkpoint was cut is a typed error before
+    /// a byte of the tail is decoded — so before anything could be taken
+    /// for a torn tail and cut off. The true offset here is the file's
+    /// length, 33 bytes (the epoch-1 barrier) past the epoch-0 barrier.
+    #[test]
+    fn lying_journal_offset_is_a_typed_error() {
+        const OUTSIDE: &str = "checkpoint's journal offset is outside the journal";
+        const OFF_BARRIER: &str = "checkpoint's journal offset is not on its epoch's barrier";
+        type Lie = fn(u64) -> u64;
+        let rows: [(&str, Lie, &str); 9] = [
+            ("recover_offset_0", |_| 0, OUTSIDE),
+            ("recover_offset_7", |_| 7, OUTSIDE),
+            ("recover_offset_past_end", |end| end + 1, OUTSIDE),
+            ("recover_offset_max", |_| u64::MAX, OUTSIDE),
+            ("recover_offset_in_frame", |end| end - 10, OFF_BARRIER),
+            ("recover_offset_in_first_frame", |_| 40, OFF_BARRIER),
+            // A barrier, of epoch 0: checkpoint 1's offset, not 2's.
+            ("recover_offset_older_barrier", |end| end - 33, OFF_BARRIER),
+            // A frame boundary that is no barrier.
+            ("recover_offset_after_arrival", |end| end - 66, OFF_BARRIER),
+            // Where a journal attached at period 2 would have started,
+            // so no barrier to check — but this one starts with epoch 0.
+            (
+                "recover_offset_baseline",
+                |_| 8,
+                "record outside the epoch being replayed",
+            ),
+        ];
+        for (tag, lie, what) in rows {
+            let err = recover_with_lying_word(tag, |words| {
+                let at = CheckpointLayout::of(words).journal_offset;
+                assert_eq!(words[at], 8 + 61 + 33 + 33, "arrival, barrier, barrier");
+                words[at] = lie(words[at]);
+            });
+            assert!(
+                matches!(err, RecoveryError::Journal(JournalError::Corrupt(found)) if found == what),
+                "{tag}: {err}"
+            );
+        }
+    }
+
+    /// One garbled byte in a frame *older than the newest checkpoint*
+    /// used to end decoding there: the file was cut at it and every
+    /// fsynced, hash-valid epoch after the checkpoint was discarded.
+    /// Nothing before the checkpoint's offset is read now but the magic
+    /// and the barrier that ends there — shown by zeroing the rest.
+    #[test]
+    fn bytes_before_the_checkpoint_offset_are_never_read() {
+        type Garble = fn(&mut [u8], usize);
+        let rows: [(&str, Garble); 3] = [
+            ("recover_prefix_untouched", |_, _| {}),
+            // Frames are arrival (61 B), barrier (33 B), …: a byte in
+            // the payload of epoch 1's arrival.
+            ("recover_prefix_bit_flip", |journal, _| {
+                journal[8 + 61 + 33 + 20] ^= 0x10;
+            }),
+            ("recover_prefix_zeroed", |journal, offset| {
+                journal[8..offset - 33].fill(0);
+            }),
+        ];
+        let recovered = rows.map(|(tag, garble)| {
+            let dir = crate::test_dir(tag);
+            let cfg = JournalConfig::new(&dir, 2);
+            let mut svc =
+                ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config(2));
+            svc.attach_journal(&cfg).unwrap();
+            for period in 0..7 {
+                svc.push(ServiceEvent::WorkerArrive {
+                    worker: worker(1.0 + f64::from(period)),
+                });
+                svc.push(ServiceEvent::PeriodTick);
+            }
+            drop(svc);
+            assert_eq!(list_checkpoints(&dir).unwrap(), [0, 2, 4, 6]);
+            let words = decode_checkpoint(&std::fs::read(checkpoint_path(&dir, 6)).unwrap());
+            let words = words.unwrap();
+            let offset = words[CheckpointLayout::of(&words).journal_offset] as usize;
+            let mut journal = std::fs::read(cfg.journal_path()).unwrap();
+            assert_eq!((offset, journal.len()), (8 + 6 * 94, 8 + 7 * 94));
+            garble(&mut journal, offset);
+            std::fs::write(cfg.journal_path(), &journal).unwrap();
+
+            let recovered = recover(
+                grid(),
+                MatchPolicy::Consume,
+                StrategyKind::Sdr,
+                config(2),
+                &cfg,
+            )
+            .unwrap_or_else(|e| panic!("{tag}: {e}"));
+            let after = std::fs::read(cfg.journal_path()).unwrap();
+            assert_eq!(after, journal, "{tag}: recovery rewrote the journal");
+            let _ = std::fs::remove_dir_all(&dir);
+            (
+                recovered.epochs_replayed,
+                recovered.tail,
+                recovered.acks,
+                recovered.service.into_outcome().deterministic_bits(),
+            )
+        });
+        assert_eq!(recovered[0].0, 1, "epoch 6, past checkpoint 6");
+        assert_eq!(recovered[0].1, Tail::Clean);
+        assert_eq!(recovered[1], recovered[0], "bit flipped in epoch 1");
+        assert_eq!(recovered[2], recovered[0], "prefix zeroed");
     }
 
     /// The frame's own length lying: a header-only file claiming 4 GiB
@@ -691,10 +802,10 @@ mod tests {
     #[test]
     fn lying_schedule_count_is_a_typed_error() {
         let err = recover_with_lying_word("recover_lying_schedule", |words| {
-            words[schedule_count_index(words) + 2] = u64::MAX; // its entry count
+            words[CheckpointLayout::of(words).schedule_count + 2] = u64::MAX; // its entry count
         });
         assert!(
-            matches!(err, RecoveryError::Checkpoint { epoch: 1, .. }),
+            matches!(err, RecoveryError::Checkpoint { epoch: 2, .. }),
             "{err}"
         );
     }

@@ -72,18 +72,22 @@ pub trait ChurnSink {
     fn depart(&mut self, id: u32);
 }
 
-/// Where a worker currently is in its lifecycle.
+/// Where a worker currently is in its lifecycle. The discriminants are
+/// the two-bit codes of a checkpoint's status lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// In the live set (spatial index) — can be matched.
-    Available,
+    Available = 0,
     /// Matched under the relocate policy; re-enters at its scheduled
     /// release.
-    Busy,
+    Busy = 1,
     /// Left permanently (consumed, expired, departed, or released past
     /// its window).
-    Gone,
+    Gone = 2,
 }
+
+/// Two-bit status codes in one word of a checkpoint's status lane.
+const STATUSES_PER_WORD: usize = 32;
 
 #[derive(Debug, Clone, Copy)]
 struct Record {
@@ -271,39 +275,78 @@ impl LifecycleTable {
         }
     }
 
-    /// Appends the per-worker records to a checkpoint word stream. The
-    /// open window is not part of it: checkpoints are cut right after a
-    /// period closed, before anything is admitted into the next.
+    /// Appends the per-worker records to a checkpoint word stream: the
+    /// record count, a status lane — two bits a record, 32 to a word,
+    /// behind its own word count — then the `expires_at` of every record
+    /// that is not `Gone`, in id order. A `Gone` record's expiry is never
+    /// read again ([`LifecycleTable::fire`] tests a release's status
+    /// before its expiry, [`LifecycleTable::dispatch`] names a live
+    /// worker), so a worker that left costs a checkpoint its two bits.
+    /// The open window is not part of it: checkpoints are cut right
+    /// after a period closed, before anything is admitted into the next.
     pub fn save_records(&self, w: &mut Vec<u64>) {
         debug_assert!(self.window.is_empty(), "checkpoint off a period boundary");
         w.push(self.records.len() as u64);
-        for r in &self.records {
-            w.push(u64::from(r.expires_at));
-            w.push(match r.status {
-                Status::Available => 0,
-                Status::Busy => 1,
-                Status::Gone => 2,
-            });
-        }
+        w.push(self.records.len().div_ceil(STATUSES_PER_WORD) as u64);
+        w.extend(self.records.chunks(STATUSES_PER_WORD).map(|chunk| {
+            let codes = chunk.iter().map(|r| r.status as u64);
+            codes.rev().fold(0, |lane, code| lane << 2 | code)
+        }));
+        let kept = self.records.iter().filter(|r| r.status != Status::Gone);
+        w.extend(kept.map(|r| u64::from(r.expires_at)));
     }
 
-    /// Restores what [`LifecycleTable::save_records`] wrote.
+    /// Restores what [`LifecycleTable::save_records`] wrote. The lane's
+    /// word count is the bounded one ([`StateWords::take_len`]) and the
+    /// record count must be one that lane holds, so neither sizes
+    /// anything the stream does not back.
     pub fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
-        let n_records = r.take_len(2)?;
+        use StateError::Mismatch;
+        let n_records = usize::try_from(r.take()?).map_err(|_| StateError::Truncated)?;
+        let lane = r.take_len(1)?;
+        if n_records.div_ceil(STATUSES_PER_WORD) != lane {
+            return Err(Mismatch("checkpoint record count is not its status lane's"));
+        }
+        let lane = r.take_slice(lane)?;
+        let spare = 2 * (n_records % STATUSES_PER_WORD);
+        if spare != 0 && lane[lane.len() - 1] >> spare != 0 {
+            return Err(Mismatch("checkpoint status lane has bits past its count"));
+        }
         self.records.clear();
         self.window.clear();
         self.records.reserve(n_records);
-        for _ in 0..n_records {
-            let expires_at = take_u32(r, "checkpoint expiry out of range")?;
-            let status = match r.take()? {
+        for id in 0..n_records {
+            let code = lane[id / STATUSES_PER_WORD] >> (2 * (id % STATUSES_PER_WORD));
+            let status = match code & 3 {
                 0 => Status::Available,
                 1 => Status::Busy,
                 2 => Status::Gone,
-                _ => return Err(StateError::Mismatch("checkpoint has invalid worker status")),
+                _ => return Err(Mismatch("checkpoint has invalid worker status")),
+            };
+            // Never read while `Gone`, and `Gone` is final: any value does.
+            let expires_at = match status {
+                Status::Gone => 0,
+                _ => take_u32(r, "checkpoint expiry out of range")?,
             };
             self.records.push(Record { expires_at, status });
         }
         Ok(())
+    }
+
+    /// The number of words [`LifecycleTable::save_records`] and
+    /// [`LifecycleTable::save_schedule`] append for the table as it
+    /// stands: what a caller reserves for them.
+    pub fn saved_words(&self) -> usize {
+        let ids = self.records.len();
+        let gone = self.records.iter().filter(|r| r.status == Status::Gone);
+        let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + (ids - gone.count());
+        let entry_words = |e: &Timed| match e {
+            Timed::Expire(_) => 2,
+            Timed::Release(..) => 5,
+        };
+        let periods = self.schedule.values();
+        let schedule = periods.map(|entries| 2 + entries.iter().map(entry_words).sum::<usize>());
+        records + 1 + schedule.sum::<usize>()
     }
 
     /// Appends the timed schedule to a checkpoint word stream (floats as
@@ -764,6 +807,7 @@ mod tests {
         let mut words = Vec::new();
         table.save_records(&mut words);
         table.save_schedule(&mut words);
+        assert_eq!(table.saved_words(), words.len());
 
         let mut restored = LifecycleTable::new(grid(), None);
         let mut r = StateWords::new(&words);
