@@ -229,29 +229,6 @@ mod tests {
     }
 
     #[test]
-    fn theorem3_against_continuous_optimum() {
-        // p_m·S(p_m) ≥ (1−α)·p*·S(p*) for the continuous optimum p*.
-        use maps_market::myerson_reserve_continuous;
-        for demand in [
-            Demand::paper_normal(2.0, 1.0),
-            Demand::paper_normal(3.0, 1.5),
-            Demand::paper_exponential(1.0),
-        ] {
-            let bp = BasePricing::paper_default();
-            let mut probe = TruthProbe::new(vec![demand; 4], 11);
-            let r = bp.learn(4, &mut probe);
-            let (_, v_star) = myerson_reserve_continuous(&demand, 1.0, 5.0, 1e-9);
-            for &(_, p_m) in &r.per_grid {
-                let v = p_m * demand.survival(p_m);
-                assert!(
-                    v >= (1.0 - bp.ladder().alpha()) * v_star - bp.epsilon(),
-                    "{demand:?}: {v} < (1-α)·{v_star}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn probe_budget_matches_schedule() {
         // The number of issued probes must be exactly G · Σ_p h(p).
         let bp = BasePricing::paper_default();

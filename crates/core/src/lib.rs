@@ -13,8 +13,8 @@
 //! *expected total revenue* — the expectation over requesters' random
 //! accept/reject decisions of the maximum-weight bipartite matching
 //! between accepting tasks and workers — is maximized. The problem is
-//! NP-hard ([`hardness`] contains the executable 3-SAT reduction of
-//! Theorem 1).
+//! NP-hard (Theorem 1); the executable 3-SAT reduction is test code, in
+//! the root `tests/hardness.rs`.
 //!
 //! ## Strategies (Sec. 3–5)
 //!
@@ -37,7 +37,6 @@ pub mod baselines;
 pub mod builder;
 pub mod cache;
 pub mod evaluate;
-pub mod hardness;
 pub mod lfunc;
 pub mod maps_strategy;
 pub mod problem;
@@ -57,21 +56,4 @@ pub use problem::{
     DemandProbe, Observation, PeriodInput, PriceSchedule, PricingStrategy, StateError, StateWords,
     StrategyKind, TaskInput, WorkerInput,
 };
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::base::{BasePriceResult, BasePricing};
-    pub use crate::baselines::{
-        paper_default_strategy, BasePStrategy, CappedUcbStrategy, SdeStrategy, SdrStrategy,
-    };
-    pub use crate::builder::{build_period_graph, build_period_graph_capped};
-    pub use crate::cache::PeriodGraphCache;
-    pub use crate::evaluate::monte_carlo_expected_revenue;
-    pub use crate::lfunc::{ApproxKind, DeltaRule, LFunction};
-    pub use crate::maps_strategy::{MapsConfig, MapsStrategy};
-    pub use crate::problem::{
-        DemandProbe, Observation, PeriodInput, PriceSchedule, PricingStrategy, StateError,
-        StateWords, StrategyKind, TaskInput, WorkerInput,
-    };
-    pub use crate::running_example::RunningExample;
-}
+pub use running_example::RunningExample;

@@ -161,10 +161,15 @@ mod tests {
 
     #[test]
     fn example1_claims() {
-        use maps_matching::max_cardinality_matching;
+        use maps_matching::IncrementalMatching;
         let ex = RunningExample::new();
-        // "at most two tasks can be served"
-        assert_eq!(max_cardinality_matching(&ex.graph).cardinality(), 2);
+        // "at most two tasks can be served": Kuhn, one augmentation
+        // attempt per task from the empty matching.
+        let mut kuhn = IncrementalMatching::new(&ex.graph);
+        let served = (0..ex.graph.n_left())
+            .filter(|&l| kuhn.try_augment(l))
+            .count();
+        assert_eq!(served, 2);
         // the uniform Myerson price over Table 1 would be 2
         // (argmax p·S(p): 0.9, 1.6, 1.5), but it is NOT optimal here.
         let uniform2 = [2.0, 2.0, 2.0];

@@ -8,7 +8,10 @@
 //! *acceptance ratio* `S^g(p) = Pr[v_r > p] = 1 − F^g(p)` (Definition 3).
 //! Base pricing assumes `F^g` has a **monotone hazard rate** (MHR), which
 //! makes the revenue curve `p·S(p)` unimodal with the Myerson reserve
-//! price as unique maximizer (Sec. 3.1.1).
+//! price as unique maximizer (Sec. 3.1.1). What ships is the argmax of
+//! `p·Ŝ(p)` over a [`PriceLadder`] (Algorithm 1, in `maps-core`); the
+//! continuous golden-section solver that checks it (Theorem 3, Fact 2)
+//! is test code in the root `tests/theory.rs`.
 //!
 //! This crate provides:
 //!
@@ -17,8 +20,6 @@
 //! * [`demand`] — the [`DemandDistribution`] trait and the paper's
 //!   distribution families (truncated Normal — Table 3's default,
 //!   truncated Exponential — Appendix D, Uniform), all MHR.
-//! * [`myerson`] — the continuous (golden-section) Myerson reserve
-//!   price solver.
 //! * [`ladder`] — the geometric candidate price set
 //!   `p_min·(1+α)^i ∩ [p_min, p_max]` shared by Algorithms 1 and 3.
 //! * [`estimator`] — the Hoeffding frequency estimator of Algorithm 1
@@ -35,22 +36,9 @@ pub mod change;
 pub mod demand;
 pub mod estimator;
 pub mod ladder;
-pub mod myerson;
 pub mod special;
 
 pub use change::ChangeDetector;
 pub use demand::{Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform};
 pub use estimator::{FreqEstimator, UcbStats};
 pub use ladder::PriceLadder;
-pub use myerson::myerson_reserve_continuous;
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::change::ChangeDetector;
-    pub use crate::demand::{
-        Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform,
-    };
-    pub use crate::estimator::{FreqEstimator, UcbStats};
-    pub use crate::ladder::PriceLadder;
-    pub use crate::myerson::myerson_reserve_continuous;
-}

@@ -1,11 +1,15 @@
-//! Kuhn–Munkres (Hungarian) maximum-weight bipartite matching.
+//! Kuhn–Munkres (Hungarian) maximum-weight bipartite matching — the one
+//! reference of this crate's matching kernels, compiled only where its
+//! tests run.
 //!
-//! This is the exact oracle for the paper's `U(B^t)` (Definition 5): given
-//! the instantiated bipartite graph of accepting tasks, the total revenue
-//! is the weight of the maximum-weight matching. The simulator uses the
-//! faster left-weight greedy matcher ([`crate::greedy_weight`]); this dense
-//! `O(n³)` implementation exists to verify it (property tests) and to
-//! support general edge weights (e.g. worker-dependent surge extensions).
+//! The paper's `U(B^t)` (Definition 5) is the weight of a maximum-weight
+//! matching of the instantiated graph of accepting tasks. The shipping
+//! left-weight kernel ([`crate::greedy_weight`]) is checked against this
+//! dense `O(n³)` solver with weight `d_r · p_r` on every edge of task
+//! `r`; at unit weights its value is the maximum cardinality, which is
+//! what Kuhn's augmenting paths ([`crate::IncrementalMatching`]) are
+//! checked against. No shipping path calls it: the paper's edge weights
+//! never depend on the worker.
 //!
 //! Implementation: Jonker–Volgenant-style shortest augmenting paths with
 //! dual potentials on a padded square cost matrix.
@@ -22,7 +26,7 @@ use crate::Matching;
 /// # Panics
 /// Panics if any provided weight is negative or non-finite (revenue
 /// weights `d_r · p_r` are non-negative by construction).
-pub fn max_weight_matching_dense(
+pub(crate) fn max_weight_matching_dense(
     n_left: usize,
     n_right: usize,
     weight: impl Fn(usize, usize) -> Option<f64>,
@@ -126,7 +130,9 @@ pub fn max_weight_matching_dense(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::graph::BipartiteGraphBuilder;
+    use crate::graph::{BipartiteGraph, BipartiteGraphBuilder};
+    use crate::{max_weight_matching_left_weights, IncrementalMatching};
+    use proptest::prelude::*;
 
     fn dense(weights: &[&[Option<f64>]]) -> (Matching, f64) {
         let n_left = weights.len();
@@ -222,12 +228,142 @@ mod tests {
             [Some(9.0), Some(4.0), Some(4.0)],
         ];
         let (m, total) = max_weight_matching_dense(3, 3, |l, r| w[l][r]);
-        // Optimum: (0,?)… enumerate: best is 4 + 8 + 9 = 21 via (0,1),(1,1)x —
-        // check all 6 permutations: 7+8+4=19, 7+5+4=16, 4+6+4=14, 4+5+9=18,
-        // 3+6+4=13, 3+8+9=20 → wait recompute: perms of columns for rows
-        // (0,1,2): [0,1,2]=7+8+4=19, [0,2,1]=7+5+4=16, [1,0,2]=4+6+4=14,
-        // [1,2,0]=4+5+9=18, [2,0,1]=3+6+4=13, [2,1,0]=3+8+9=20. Max = 20.
+        // Columns for rows (0,1,2): [0,1,2]=7+8+4=19, [0,2,1]=7+5+4=16,
+        // [1,0,2]=4+6+4=14, [1,2,0]=4+5+9=18, [2,0,1]=3+6+4=13,
+        // [2,1,0]=3+8+9=20. Max = 20.
         assert!((total - 20.0).abs() < 1e-12, "got {total}");
         assert_eq!(m.pairs, vec![Some(2), Some(1), Some(0)]);
+    }
+
+    /// Maximum cardinality two ways, which must agree: Hungarian at unit
+    /// weights (the reference) and Kuhn — one augmentation attempt per
+    /// left vertex of an [`IncrementalMatching`] started empty (the
+    /// shipping primitive). Returns `(reference, kuhn)`, after checking
+    /// both matchings against `g`.
+    fn cardinalities(g: &BipartiteGraph) -> (usize, usize) {
+        let unit = |l: usize, r: usize| g.has_edge(l, r).then_some(1.0);
+        let (reference, weight) = max_weight_matching_dense(g.n_left(), g.n_right(), unit);
+        assert!(reference.is_valid(g));
+        assert_eq!(weight, reference.cardinality() as f64);
+        let mut kuhn = IncrementalMatching::new(g);
+        let augmented = (0..g.n_left()).filter(|&l| kuhn.try_augment(l)).count();
+        assert!(kuhn.to_matching().is_valid(g));
+        assert_eq!(kuhn.cardinality(), augmented);
+        (reference.cardinality(), augmented)
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = BipartiteGraphBuilder::new(0, 0).build();
+        assert_eq!(cardinalities(&g), (0, 0));
+        let g = BipartiteGraphBuilder::new(3, 2).build();
+        assert_eq!(cardinalities(&g), (0, 0));
+    }
+
+    #[test]
+    fn perfect_matching_on_cycle() {
+        // C6 as bipartite: l_i - r_i and l_i - r_{i+1 mod 3}.
+        let g = BipartiteGraphBuilder::new(3, 3)
+            .with_edges([(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])
+            .build();
+        assert_eq!(cardinalities(&g), (3, 3));
+    }
+
+    #[test]
+    fn running_example_max_two() {
+        // Paper, Example 1: "at most two tasks can be served".
+        let g = BipartiteGraphBuilder::new(3, 3)
+            .with_edges([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])
+            .build();
+        assert_eq!(cardinalities(&g), (2, 2));
+    }
+
+    #[test]
+    fn needs_augmenting_through_alternating_path() {
+        // Crown graph where greedy first-fit would get stuck at 2.
+        let g = BipartiteGraphBuilder::new(3, 3)
+            .with_edges([(0, 0), (1, 0), (1, 1), (2, 1), (2, 2), (0, 2)])
+            .build();
+        assert_eq!(cardinalities(&g), (3, 3));
+    }
+
+    #[test]
+    fn agrees_with_kuhn_on_pseudorandom_graphs() {
+        // Deterministic xorshift so the test is reproducible without rand.
+        let mut state = 0x2545F4914F6CDD1Du64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..30 {
+            let n_left = 1 + (next() % 12) as usize;
+            let n_right = 1 + (next() % 12) as usize;
+            let mut b = BipartiteGraphBuilder::new(n_left, n_right);
+            for l in 0..n_left {
+                for r in 0..n_right {
+                    if next() % 4 == 0 {
+                        b.add_edge(l, r);
+                    }
+                }
+            }
+            let (reference, kuhn) = cardinalities(&b.build());
+            assert_eq!(reference, kuhn, "trial {trial}");
+        }
+    }
+
+    /// Strategy generating a random bipartite graph with ≤ 10×10 vertices.
+    fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
+        (1usize..10, 1usize..10).prop_flat_map(|(n_left, n_right)| {
+            proptest::collection::vec(proptest::bool::weighted(0.3), n_left * n_right).prop_map(
+                move |mask| {
+                    let mut b = BipartiteGraphBuilder::new(n_left, n_right);
+                    for l in 0..n_left {
+                        for r in 0..n_right {
+                            if mask[l * n_right + r] {
+                                b.add_edge(l, r);
+                            }
+                        }
+                    }
+                    b.build()
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Greedy transversal-matroid matching is exactly optimal: it
+        /// matches the Hungarian reference's weight on every random
+        /// instance.
+        #[test]
+        fn greedy_matches_hungarian(graph in arb_graph(), seed in 0u64..1000) {
+            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let weights: Vec<f64> = (0..graph.n_left())
+                .map(|_| (next() % 1000) as f64 / 100.0)
+                .collect();
+            let (mg, wg) = max_weight_matching_left_weights(&graph, &weights);
+            prop_assert!(mg.is_valid(&graph));
+            let (_, wh) = max_weight_matching_dense(graph.n_left(), graph.n_right(), |l, r| {
+                graph.has_edge(l, r).then_some(weights[l])
+            });
+            prop_assert!((wg - wh).abs() < 1e-9, "greedy {} vs hungarian {}", wg, wh);
+        }
+
+        /// Repeated Kuhn augmentation reaches the maximum cardinality:
+        /// the Hungarian reference's value at unit weights.
+        #[test]
+        fn kuhn_reaches_hungarian_cardinality(graph in arb_graph()) {
+            let (reference, kuhn) = cardinalities(&graph);
+            prop_assert_eq!(reference, kuhn);
+        }
     }
 }

@@ -12,10 +12,9 @@
 //! * [`BipartiteGraph`] — compact CSR adjacency container.
 //! * [`IncrementalMatching`] — Kuhn-style single augmenting paths over a
 //!   mutable pre-matching `M′`; this is the primitive behind Algorithm 2's
-//!   lines 10 and 16 ("find an augmenting path for r ∈ R^tg").
-//! * [`hopcroft_karp`] — maximum-cardinality matching in `O(E·√V)`.
-//! * [`hungarian`] — exact maximum-weight bipartite matching (Kuhn–Munkres),
-//!   the verification oracle for `U(B^t)` of Definition 5.
+//!   lines 10 and 16 ("find an augmenting path for r ∈ R^tg"). One
+//!   augmentation attempt per left vertex from the empty matching is
+//!   Kuhn's maximum-cardinality algorithm.
 //! * [`greedy_weight`] — exact maximum-weight matching in the special case
 //!   where weights live on the *left* vertices (as in the paper: the weight
 //!   `d_r·p_r` does not depend on the worker). The matchable task subsets
@@ -29,37 +28,27 @@
 //!   workspace behind every matching kernel, and the
 //!   [`graph::MaskedGraph`] view that replaces `filter_left` copies in
 //!   hot loops.
+//!
+//! The one reference both kernels are checked against — Kuhn–Munkres
+//! (Hungarian) maximum-weight matching with general edge weights, at
+//! unit weights a maximum-cardinality oracle — is the `hungarian`
+//! module, compiled only under `cfg(test)`: this crate's tests reach
+//! it, shipping builds do not.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod graph;
 pub mod greedy_weight;
-pub mod hopcroft_karp;
-pub mod hungarian;
 pub mod incremental;
 pub mod possible_worlds;
 pub mod scratch;
 
 pub use graph::{BipartiteGraph, BipartiteGraphBuilder, MaskedGraph};
 pub use greedy_weight::max_weight_matching_left_weights;
-pub use hopcroft_karp::max_cardinality_matching;
-pub use hungarian::max_weight_matching_dense;
 pub use incremental::IncrementalMatching;
 pub use possible_worlds::{expected_total_revenue_exact, PossibleWorlds};
 pub use scratch::{sort_by_weight_desc, MatchScratch};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::graph::{BipartiteGraph, BipartiteGraphBuilder, MaskedGraph};
-    pub use crate::greedy_weight::max_weight_matching_left_weights;
-    pub use crate::hopcroft_karp::max_cardinality_matching;
-    pub use crate::hungarian::max_weight_matching_dense;
-    pub use crate::incremental::IncrementalMatching;
-    pub use crate::possible_worlds::{expected_total_revenue_exact, PossibleWorlds};
-    pub use crate::scratch::{sort_by_weight_desc, MatchScratch};
-    pub use crate::Matching;
-}
 
 /// A matching stated as `left -> right` assignments.
 ///
@@ -101,6 +90,9 @@ impl Matching {
         true
     }
 }
+
+#[cfg(test)]
+mod hungarian;
 
 #[cfg(test)]
 mod tests {

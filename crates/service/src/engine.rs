@@ -16,6 +16,9 @@ use maps_simulator::{
 };
 use maps_spatial::{GridSpec, Point};
 use rayon::prelude::*;
+use std::any::Any;
+use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
@@ -209,8 +212,12 @@ impl From<JournalError> for ServiceError {
     }
 }
 
-/// Renders a caught panic payload for [`ShardPanic::message`].
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a caught panic payload (`&str` and `String` verbatim) for
+/// [`ShardPanic::message`] and
+/// [`SequencerPanic::message`](crate::SequencerPanic::message): boxed
+/// as `catch_unwind` hands it over, or borrowed as `&dyn Any` — not as
+/// `&Box`, which is an `Any` itself and would downcast to neither.
+pub(crate) fn panic_message(payload: impl Deref<Target = dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = payload.downcast_ref::<String>() {
@@ -580,8 +587,10 @@ pub struct ShardedService {
     /// event: the idempotence filter for at-least-once producer resends
     /// after a reconnect. Rejected events advance it too (they *were*
     /// delivered); suppressed resends count into the outcome's
-    /// `suppressed_duplicates` and are not re-journaled.
-    watermarks: Vec<Option<(u64, u64)>>,
+    /// `suppressed_duplicates` and are not re-journaled. Keyed by
+    /// producer, so it is sized by the lanes that sent, never by the
+    /// largest id a caller names.
+    watermarks: BTreeMap<u32, (u64, u64)>,
     /// Attached write-ahead journal, if any.
     journal: Option<JournalState>,
     /// Set once a shard closure panicked: the typed-error analogue of a
@@ -652,7 +661,7 @@ impl ShardedService {
             },
             pending_tasks: Vec::new(),
             period: 0,
-            watermarks: Vec::new(),
+            watermarks: BTreeMap::new(),
             journal: None,
             poisoned: None,
             shard_fault: None,
@@ -813,15 +822,11 @@ impl ShardedService {
         seq: u64,
         event: ServiceEvent,
     ) -> Result<(), ServiceError> {
-        let lane = producer as usize;
-        if self.watermarks.len() <= lane {
-            self.watermarks.resize(lane + 1, None);
-        }
-        if self.watermarks[lane] >= Some((epoch, seq)) {
+        if self.watermark(producer) >= Some((epoch, seq)) {
             self.step.outcome_mut().suppressed_duplicates += 1;
             return Ok(());
         }
-        self.watermarks[lane] = Some((epoch, seq));
+        self.watermarks.insert(producer, (epoch, seq));
         // Journaled **before** validation, so recovery re-counts
         // rejections deterministically.
         if let Some(journal) = &mut self.journal {
@@ -949,7 +954,7 @@ impl ShardedService {
     /// past) on `producer`'s lane — the coordinate an at-least-once
     /// producer must resume after. `None` for a lane that never sent.
     pub fn watermark(&self, producer: u32) -> Option<(u64, u64)> {
-        self.watermarks.get(producer as usize).copied().flatten()
+        self.watermarks.get(&producer).copied()
     }
 
     /// The `seq` the next fresh event on `producer`'s lane carries — the
@@ -964,10 +969,10 @@ impl ShardedService {
     }
 
     /// Every lane's [`ShardedService::watermark`] as `(producer, epoch,
-    /// seq)`, ascending by producer; lanes that never sent are skipped.
+    /// seq)`, ascending by producer; lanes that never sent have none.
     pub(crate) fn watermarks(&self) -> impl Iterator<Item = (u32, u64, u64)> + '_ {
-        let lanes = (0u32..).zip(&self.watermarks);
-        lanes.filter_map(|(producer, mark)| mark.map(|(epoch, seq)| (producer, epoch, seq)))
+        let lanes = self.watermarks.iter();
+        lanes.map(|(&producer, &(epoch, seq))| (producer, epoch, seq))
     }
 
     /// Borrowing snapshot of the outcome accumulated so far — **O(1)**,
@@ -1110,10 +1115,10 @@ impl ShardedService {
         }
         // -- timed schedule --
         table.save_schedule(&mut w);
-        // -- producer watermarks --
+        // -- producer watermarks, ascending by producer --
         w.push(self.watermarks.len() as u64);
-        for mark in &self.watermarks {
-            w.extend(mark.map_or([0; 3], |(epoch, seq)| [1, epoch, seq]));
+        for (producer, epoch, seq) in self.watermarks() {
+            w.extend([u64::from(producer), epoch, seq]);
         }
         w.extend(run_state);
         w
@@ -1190,13 +1195,18 @@ impl ShardedService {
         }
         // -- timed schedule --
         table.load_schedule(r)?;
-        // -- watermarks --
+        // -- watermarks: producers strictly ascending, none the tick's --
         self.watermarks.clear();
         for _ in 0..r.take_len(3)? {
-            let flag = r.take()?;
-            let epoch = r.take()?;
-            let seq = r.take()?;
-            self.watermarks.push((flag == 1).then_some((epoch, seq)));
+            let (producer, epoch, seq) = (r.take()?, r.take()?, r.take()?);
+            let last = self.watermarks.last_key_value().map(|(&p, _)| p);
+            let producer = u32::try_from(producer)
+                .ok()
+                .filter(|&p| p != TICK_PRODUCER && Some(p) > last)
+                .ok_or(Mismatch(
+                    "checkpoint watermark producer is not a lane above the last",
+                ))?;
+            self.watermarks.insert(producer, (epoch, seq));
         }
         // -- outcome accumulator, price moments, strategy state --
         self.step.load(r)?;
@@ -1225,6 +1235,8 @@ pub(crate) struct CheckpointLayout {
     /// The schedule's period count, then per period `t, entries` and
     /// per entry `tag, id` (a release: three more).
     pub(crate) schedule_count: usize,
+    /// The watermark count, then `producer, epoch, seq` per lane.
+    pub(crate) watermarks: usize,
 }
 
 #[cfg(test)]
@@ -1240,6 +1252,15 @@ impl CheckpointLayout {
             .count();
         let live_count = expiries + kept;
         let departure_count = live_count + 1 + 4 * words[live_count] as usize;
+        let schedule_count = departure_count + 1 + words[departure_count] as usize;
+        let mut watermarks = schedule_count + 1;
+        for _ in 0..words[schedule_count] {
+            let entries = words[watermarks + 1];
+            watermarks += 2;
+            for _ in 0..entries {
+                watermarks += if words[watermarks] == 1 { 5 } else { 2 };
+            }
+        }
         Self {
             period,
             journal_offset: period + 1,
@@ -1247,7 +1268,8 @@ impl CheckpointLayout {
             status_lane,
             expiries,
             live_count,
-            schedule_count: departure_count + 1 + words[departure_count] as usize,
+            schedule_count,
+            watermarks,
         }
     }
 }
@@ -1622,6 +1644,40 @@ mod tests {
         assert_eq!(svc.admitted_workers(), 4);
     }
 
+    /// A producer id is a key, not a size: lane 4·10⁹ used to resize the
+    /// watermark table to 4·10⁹ + 1 entries (≈ 96 GiB) and kill the
+    /// process in the allocator. It costs one entry, in memory and in a
+    /// checkpoint, like lanes 0 and 7 with 1–6 silent.
+    #[test]
+    fn a_producer_id_costs_one_watermark_not_a_table() {
+        const FAR: u32 = 4_000_000_000;
+        let arrive = ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, u32::MAX),
+        };
+        let mut svc = service(2, MatchPolicy::Consume);
+        svc.push_stamped(FAR, 0, 5, arrive).unwrap();
+        assert_eq!(svc.watermark(FAR), Some((0, 5)));
+        svc.push_stamped(FAR, 0, 5, arrive).unwrap();
+        assert_eq!(svc.suppressed_duplicates(), 1, "a resend on that lane");
+        svc.push_stamped(0, 0, 0, arrive).unwrap();
+        svc.push_stamped(7, 0, 3, arrive).unwrap();
+        svc.push(ServiceEvent::PeriodTick);
+        assert_eq!(svc.admitted_workers(), 3);
+
+        let words = svc.checkpoint_words();
+        let at = CheckpointLayout::of(&words).watermarks;
+        let far = u64::from(FAR);
+        let section = [3, 0, 0, 0, 7, 0, 3, far, 0, 5];
+        assert_eq!(words[at..at + section.len()], section);
+        let mut restored = service(3, MatchPolicy::Consume);
+        restored.restore(&words).unwrap();
+        for lane in (0..=8).chain([FAR - 1, FAR, FAR + 1]) {
+            assert_eq!(restored.watermark(lane), svc.watermark(lane), "lane {lane}");
+        }
+        assert_eq!(restored.next_seq(7), 0, "epoch 1 starts every lane at 0");
+        assert_eq!(restored.checkpoint_words(), words);
+    }
+
     /// Checkpoint words must capture the *complete* post-tick state: a
     /// restored service continues bit-identically to the original —
     /// including staged matched-pair departures, the timed schedule,
@@ -1855,6 +1911,42 @@ mod tests {
             lie(&mut lying, at);
             let restored = service(2, MatchPolicy::Consume).restore(&lying);
             assert_eq!(restored, Err(what), "{row}");
+        }
+    }
+
+    /// The watermark section names its producers: strictly ascending
+    /// lanes, none of them the tick's pseudo-producer, each a `u32`.
+    #[test]
+    fn checkpoint_watermark_lies_are_rejected() {
+        let mut svc = service(2, MatchPolicy::Consume);
+        for producer in [0, 3, 7] {
+            let worker = worker(1.0, 1.0, u32::MAX);
+            let arrive = ServiceEvent::WorkerArrive { worker };
+            svc.push_stamped(producer, 0, 0, arrive).unwrap();
+        }
+        svc.push(ServiceEvent::PeriodTick);
+        let words = svc.checkpoint_words();
+        let at = CheckpointLayout::of(&words).watermarks;
+        // Three lanes: `producer, epoch, seq` at +1, +4 and +7.
+        assert_eq!([words[at], words[at + 1], words[at + 4]], [3, 0, 3]);
+        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+
+        const NOT_A_LANE: StateError =
+            StateError::Mismatch("checkpoint watermark producer is not a lane above the last");
+        type Lie = fn(&mut [u64], usize);
+        let rows: [(&str, Lie); 4] = [
+            ("descending", |w, at| w.swap(at + 1, at + 4)),
+            ("duplicate", |w, at| w[at + 4] = w[at + 1]),
+            ("TICK_PRODUCER", |w, at| {
+                w[at + 7] = u64::from(TICK_PRODUCER);
+            }),
+            ("past u32", |w, at| w[at + 7] += 1 << 32),
+        ];
+        for (row, lie) in rows {
+            let mut lying = words.clone();
+            lie(&mut lying, at);
+            let restored = service(2, MatchPolicy::Consume).restore(&lying);
+            assert_eq!(restored, Err(NOT_A_LANE), "{row}");
         }
     }
 

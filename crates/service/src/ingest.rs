@@ -65,7 +65,7 @@
 //! back* (e.g. a test harness serializing sends) must size queues to
 //! the held-back volume, or it can deadlock against the barrier.
 
-use crate::engine::{ServiceError, ServiceEvent, ShardedService, StampError};
+use crate::engine::{panic_message, ServiceError, ServiceEvent, ShardedService, StampError};
 use crate::journal::TICK_PRODUCER;
 use maps_simulator::PeriodData;
 use std::collections::VecDeque;
@@ -614,15 +614,7 @@ impl SequencerPanic {
     /// panic payloads verbatim).
     pub fn message(&self) -> String {
         match &self.cause {
-            SequencerCause::Panicked(payload) => {
-                if let Some(s) = payload.downcast_ref::<&str>() {
-                    (*s).to_string()
-                } else if let Some(s) = payload.downcast_ref::<String>() {
-                    s.clone()
-                } else {
-                    "sequencer thread panicked with a non-string payload".to_string()
-                }
-            }
+            SequencerCause::Panicked(payload) => panic_message(&**payload),
             SequencerCause::Failed(e) => e.to_string(),
         }
     }

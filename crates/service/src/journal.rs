@@ -19,7 +19,7 @@
 //! frame      := len:u32 hash:u64 payload      (little-endian)
 //!               len = payload bytes; hash = fnv1a64(payload)
 //! journal    := b"MAPSWAL2" frame*            one frame per record
-//! checkpoint := b"MAPSCKP3" frame             exactly one: the file
+//! checkpoint := b"MAPSCKP4" frame             exactly one: the file
 //!                                             ends where it does
 //! record     := producer:u32 epoch:u64 seq:u64 tag:u8 fields
 //!   tag 0 WorkerArrive  fields = x:u64 y:u64 radius:u64 duration:u32
@@ -35,7 +35,9 @@
 //!   live       count, then id x y radius each
 //!   departures count, then the staged ids
 //!   schedule   count, then per period t, entries, (tag id [x y r])*
-//!   watermarks count, then flag epoch seq each
+//!   watermarks count, then producer epoch seq each — one per lane
+//!              that sent, producers strictly ascending, never
+//!              TICK_PRODUCER
 //!   run state  outcome, price moments, strategy state
 //! ```
 //!
@@ -46,7 +48,7 @@
 //! `unframe` is the only place a length read from disk meets the bytes
 //! present: a journal frame may claim at most `MAX_PAYLOAD` bytes, a
 //! checkpoint frame must end where its file does. Earlier layouts'
-//! magics (`MAPSWAL1`, `MAPSCKP1`, `MAPSCKP2`) are
+//! magics (`MAPSWAL1`, `MAPSCKP1`, `MAPSCKP2`, `MAPSCKP3`) are
 //! [`JournalError::BadMagic`].
 //!
 //! A checkpoint is sized by the journal's tail and by who is live: the
@@ -111,7 +113,7 @@ use std::path::{Path, PathBuf};
 /// File header of an event journal.
 pub const JOURNAL_MAGIC: &[u8; 8] = b"MAPSWAL2";
 /// File header of a checkpoint.
-pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP3";
+pub const CHECKPOINT_MAGIC: &[u8; 8] = b"MAPSCKP4";
 /// Journal file name inside a journal directory.
 pub const JOURNAL_FILE: &str = "journal.bin";
 /// The pseudo-producer id stamped on `PeriodTick` barrier records (a
@@ -829,6 +831,15 @@ mod tests {
             decode_checkpoint(&bytes[..7]),
             Err(JournalError::BadMagic)
         ));
+        // Earlier layouts are refused by their magic, not misread.
+        for old in [b"MAPSCKP2", b"MAPSCKP3"] {
+            let mut stale = bytes.clone();
+            stale[..8].copy_from_slice(old);
+            assert!(matches!(
+                decode_checkpoint(&stale),
+                Err(JournalError::BadMagic)
+            ));
+        }
     }
 
     #[test]

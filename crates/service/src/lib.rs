@@ -95,29 +95,6 @@ pub use replay::{
     replay_with_options,
 };
 
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::engine::{
-        EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardPanic, ShardedService,
-        StampError,
-    };
-    pub use crate::ingest::{
-        AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError, SequencerHandle,
-        SequencerPanic,
-    };
-    pub use crate::journal::{
-        read_journal, JournalConfig, JournalError, JournalRecord, JournalWriter, Tail,
-        TICK_PRODUCER,
-    };
-    pub use crate::recovery::{
-        recover, recover_with_strategy, ProducerAck, Recovered, RecoveryError,
-    };
-    pub use crate::replay::{
-        replay, replay_ingested, replay_journaled, replay_recovered, replay_service,
-        replay_with_options,
-    };
-}
-
 /// A unique scratch directory under the system temp dir for journal and
 /// checkpoint tests. Each call creates a fresh directory.
 #[cfg(test)]

@@ -810,6 +810,48 @@ mod tests {
         );
     }
 
+    /// Lanes 0 and 7 with 1–6 silent, and lane 4·10⁹, through a
+    /// checkpoint and a journal tail: recovery's acks name exactly the
+    /// lanes that sent. A hash-valid tail record on lane 4·10⁹ used to
+    /// size the watermark table by its id (≈ 96 GiB) during replay.
+    #[test]
+    fn acks_name_the_lanes_that_sent() {
+        const FAR: u32 = 4_000_000_000;
+        let dir = crate::test_dir("recover_sparse_lanes");
+        let (mut svc, cfg) = journaled_service(&dir);
+        let arrive = ServiceEvent::WorkerArrive {
+            worker: worker(1.0),
+        };
+        svc.push_stamped(0, 0, 0, arrive).unwrap();
+        svc.push_stamped(7, 0, 2, arrive).unwrap();
+        svc.push(ServiceEvent::PeriodTick);
+        // Past checkpoint 1: replayed from the journal.
+        svc.push_stamped(7, 1, 0, arrive).unwrap();
+        svc.push_stamped(FAR, 1, 9, arrive).unwrap();
+        let uninterrupted: Vec<_> = (0..=8).chain([FAR]).map(|p| svc.watermark(p)).collect();
+        drop(svc);
+
+        let recovered = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(2),
+            &cfg,
+        )
+        .unwrap();
+        let ack = |producer, epoch, seq| ProducerAck {
+            producer,
+            epoch,
+            seq,
+        };
+        assert_eq!(recovered.acks, [ack(0, 0, 0), ack(7, 1, 0), ack(FAR, 1, 9)]);
+        let svc = recovered.service;
+        let watermarks: Vec<_> = (0..=8).chain([FAR]).map(|p| svc.watermark(p)).collect();
+        assert_eq!(watermarks, uninterrupted);
+        assert_eq!(svc.admitted_workers(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn torn_tail_is_truncated_and_appending_resumes() {
         let dir = crate::test_dir("recover_torn");

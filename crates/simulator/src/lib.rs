@@ -46,13 +46,3 @@ pub use platform::{
 pub use probe::GroundTruthProbe;
 pub use synthetic::{DemandKind, DemandShift, SyntheticConfig};
 pub use truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};
-
-/// Commonly used items.
-pub mod prelude {
-    pub use crate::beijing::{BeijingConfig, BeijingWindow};
-    pub use crate::metrics::{Outcome, RunningMoments};
-    pub use crate::platform::{settle_period, PeriodSettlement, SimOptions, Simulation};
-    pub use crate::probe::GroundTruthProbe;
-    pub use crate::synthetic::{DemandKind, DemandShift, SyntheticConfig};
-    pub use crate::truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};
-}

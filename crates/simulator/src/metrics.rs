@@ -120,10 +120,15 @@ pub struct Outcome {
     pub posted_price_std: f64,
     /// Total travel distance of served tasks (`Σ d_r` over matches).
     pub matched_distance: f64,
-    /// Events the service's front door rejected (unknown worker ids,
-    /// duplicate arrivals, …). `0` for the batch simulator, which never
-    /// constructs invalid events. Deterministic: a pure function of the
-    /// admitted event stream, so it participates in the replay contract.
+    /// Events the service's admission validation refused — a non-finite
+    /// worker location or task endpoint, a NaN, infinite or negative
+    /// worker radius, a task distance that is not finite and positive, a
+    /// non-finite valuation: the five `EventRejection` variants of
+    /// `maps-service`. An unknown or repeated departure id is a no-op,
+    /// not a rejection. `0` for the
+    /// batch simulator, which never constructs invalid events.
+    /// Deterministic: a pure function of the admitted event stream, so
+    /// it participates in the replay contract.
     pub rejected_events: u64,
     /// Re-sent events dropped by the per-producer `(epoch, seq)`
     /// watermark during at-least-once recovery handoff. `0` for the

@@ -5,9 +5,12 @@
 //! cargo run --example running_example
 //! ```
 
-use maps::core::prelude::*;
+use maps::core::{
+    build_period_graph, monte_carlo_expected_revenue, MapsConfig, MapsStrategy, PeriodInput,
+    PricingStrategy, RunningExample,
+};
 use maps::market::PriceLadder;
-use maps::matching::{expected_total_revenue_exact, max_cardinality_matching};
+use maps::matching::{expected_total_revenue_exact, IncrementalMatching};
 
 fn main() {
     let ex = RunningExample::new();
@@ -43,10 +46,12 @@ fn main() {
             .collect();
         println!("  r{} — {{{}}}", l + 1, nbrs.join(", "));
     }
-    println!(
-        "  maximum matching cardinality: {} (\"at most two tasks can be served\")",
-        max_cardinality_matching(&ex.graph).cardinality()
-    );
+    // Kuhn: one augmentation attempt per task from the empty matching.
+    let mut kuhn = IncrementalMatching::new(&ex.graph);
+    let served = (0..ex.graph.n_left())
+        .filter(|&l| kuhn.try_augment(l))
+        .count();
+    println!("  maximum matching cardinality: {served} (\"at most two tasks can be served\")");
 
     println!();
     println!("Example 3 — expected total revenue at prices (3, 3, 2)");

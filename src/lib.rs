@@ -11,7 +11,7 @@
 //! * [`spatial`] — geometry, grid partitioning (Definition 1), spatial index.
 //! * [`matching`] — bipartite graphs, maximum(-weight) matching,
 //!   possible-world enumeration (Definitions 5–6).
-//! * [`market`] — MHR demand distributions, Myerson reserve prices,
+//! * [`market`] — MHR demand distributions, the geometric price ladder,
 //!   acceptance-ratio estimators (sampling + UCB) and change detection.
 //! * [`core`] — the GDP problem and the pricing strategies:
 //!   `BasePricing` (Algorithm 1), `Maps` (Algorithms 2–3) and the
@@ -50,11 +50,13 @@ pub use maps_simulator as simulator;
 pub use maps_spatial as spatial;
 pub use maps_telemetry as telemetry;
 
-/// Convenience re-exports of the most commonly used items.
+/// The batch pipeline in one import: the root exports of `core`,
+/// `market`, `matching`, `simulator` and `spatial`, by glob — each
+/// crate root is the one list of what that crate exports.
 pub mod prelude {
-    pub use maps_core::prelude::*;
-    pub use maps_market::prelude::*;
-    pub use maps_matching::prelude::*;
-    pub use maps_simulator::prelude::*;
-    pub use maps_spatial::{CellId, GridSpec, Point, Rect};
+    pub use maps_core::*;
+    pub use maps_market::*;
+    pub use maps_matching::*;
+    pub use maps_simulator::*;
+    pub use maps_spatial::*;
 }

@@ -1,11 +1,13 @@
 //! Integration tests anchoring the whole stack to the paper's worked
-//! examples (Examples 1–5, Table 1, Theorem 1), through the public
-//! umbrella API only.
+//! examples (Examples 1–5, Table 1), through the public umbrella API
+//! only. Theorem 1's reduction is test code of its own, in
+//! `hardness.rs`.
 
-use maps::core::hardness::{reduce, Formula, Literal};
-use maps::core::prelude::*;
+use maps::core::{
+    build_period_graph, MapsConfig, MapsStrategy, PeriodInput, PricingStrategy, RunningExample,
+};
 use maps::market::{FreqEstimator, PriceLadder};
-use maps::matching::prelude::*;
+use maps::matching::{expected_total_revenue_exact, IncrementalMatching, PossibleWorlds};
 
 #[test]
 fn example1_graph_and_matching_claims() {
@@ -15,8 +17,14 @@ fn example1_graph_and_matching_claims() {
     assert_eq!(ex.tasks[1].cell.paper_number(), 9);
     assert_eq!(ex.tasks[2].cell.paper_number(), 11);
     assert_eq!(ex.workers[2].cell.paper_number(), 7);
-    // "at most two tasks can be served and at most one of r1 and r2"
-    let m = max_cardinality_matching(&ex.graph);
+    // "at most two tasks can be served and at most one of r1 and r2":
+    // Kuhn, one augmentation attempt per task from the empty matching.
+    let mut kuhn = IncrementalMatching::new(&ex.graph);
+    for l in 0..ex.graph.n_left() {
+        kuhn.try_augment(l);
+    }
+    let m = kuhn.to_matching();
+    assert!(m.is_valid(&ex.graph));
     assert_eq!(m.cardinality(), 2);
     let both_r1_r2 = m.pairs[0].is_some() && m.pairs[1].is_some();
     assert!(!both_r1_r2);
@@ -86,30 +94,6 @@ fn example5_maps_prices_via_public_api() {
         &RunningExample::accept_probs(task_prices),
     );
     assert!((e - RunningExample::OPTIMAL_EXPECTED_REVENUE).abs() < 1e-9);
-}
-
-#[test]
-fn theorem1_reduction_roundtrip() {
-    // Satisfiable ⇒ revenue m; unsatisfiable ⇒ strictly below m.
-    let sat = Formula::new(
-        2,
-        vec![
-            [Literal::pos(0), Literal::neg(1), Literal::pos(1)],
-            [Literal::neg(0), Literal::pos(1), Literal::pos(1)],
-        ],
-    );
-    assert!(sat.brute_force_satisfiable().is_some());
-    assert!(reduce(&sat).max_revenue_reaches_m());
-
-    let unsat = Formula::new(
-        1,
-        vec![
-            [Literal::pos(0), Literal::pos(0), Literal::pos(0)],
-            [Literal::neg(0), Literal::neg(0), Literal::neg(0)],
-        ],
-    );
-    assert!(unsat.brute_force_satisfiable().is_none());
-    assert!(!reduce(&unsat).max_revenue_reaches_m());
 }
 
 #[test]

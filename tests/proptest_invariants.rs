@@ -6,15 +6,8 @@
 //! scalars, length/element-minimized vectors) instead of whatever
 //! large instance the generator first hit.
 
-use maps::core::prelude::*;
-use maps::market::{Demand, DemandDistribution, PriceLadder, UcbStats};
-use maps::matching::prelude::*;
-use maps::prelude::{
-    GroundTask, GroundTruth, GroundWorker, MatchPolicy, Outcome, PeriodData, SimOptions,
-    Simulation, SyntheticConfig,
-};
+use maps::prelude::*;
 use maps::service::{IngestConfig, IngestService, ServiceConfig, ServiceEvent, ShardedService};
-use maps::spatial::{CellId, GridSpec, Point, Rect};
 use maps_testkit::{InterleavePlan, Interleaver};
 use proptest::prelude::*;
 
@@ -39,43 +32,6 @@ fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Greedy transversal-matroid matching is exactly optimal: it matches
-    /// the Hungarian oracle's weight on every random instance.
-    #[test]
-    fn greedy_matches_hungarian(graph in arb_graph(), seed in 0u64..1000) {
-        let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        let weights: Vec<f64> = (0..graph.n_left())
-            .map(|_| (next() % 1000) as f64 / 100.0)
-            .collect();
-        let (mg, wg) = max_weight_matching_left_weights(&graph, &weights);
-        prop_assert!(mg.is_valid(&graph));
-        let (_, wh) = max_weight_matching_dense(graph.n_left(), graph.n_right(), |l, r| {
-            graph.has_edge(l, r).then_some(weights[l])
-        });
-        prop_assert!((wg - wh).abs() < 1e-9, "greedy {} vs hungarian {}", wg, wh);
-    }
-
-    /// Hopcroft–Karp reaches the same cardinality as repeated Kuhn
-    /// augmentation.
-    #[test]
-    fn hopcroft_karp_equals_kuhn(graph in arb_graph()) {
-        let hk = max_cardinality_matching(&graph).cardinality();
-        let mut inc = IncrementalMatching::new(&graph);
-        let mut kuhn = 0;
-        for l in 0..graph.n_left() {
-            if inc.try_augment(l) {
-                kuhn += 1;
-            }
-        }
-        prop_assert_eq!(hk, kuhn);
-    }
 
     /// Possible-world probabilities always form a distribution and the
     /// Monte-Carlo estimator agrees with exact enumeration.

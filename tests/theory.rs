@@ -1,12 +1,185 @@
 //! Executable checks of the paper's theoretical claims on concrete
 //! instances: Theorem 4's `ALG ≥ OPT/(e·G)` bound for base pricing,
 //! Lemma 9's diminishing increments (on the concave hull), Theorem 8's
-//! submodularity of the supply-set function, and the MHR fact
-//! `S(p_m) ≥ 1/e` the Theorem-4 proof leans on (Fact 2).
+//! submodularity of the supply-set function, the MHR fact
+//! `S(p_m) ≥ 1/e` the Theorem-4 proof leans on (Fact 2), and Theorem 3's
+//! `(1 − α)` ladder guarantee — the last two against the continuous
+//! Myerson reserve of Sec. 3.1.1, whose solver lives here, beside the
+//! only tests that call it.
 
-use maps::core::prelude::*;
-use maps::market::{myerson_reserve_continuous, Demand, DemandDistribution, PriceLadder, UcbStats};
+use maps::core::{BasePricing, DemandProbe, LFunction, RunningExample};
+use maps::market::{Demand, DemandDistribution, PriceLadder, UcbStats, Uniform};
 use maps::matching::expected_total_revenue_exact;
+use maps::spatial::CellId;
+use rand::rngs::SmallRng;
+use rand::{Rng, SeedableRng};
+
+/// The Myerson reserve price `p_m = argmax_p p·S(p)` by golden-section
+/// maximization of the revenue curve over `[lo, hi]`.
+///
+/// With sufficient supply the optimal unit price for a grid maximizes
+/// `p·S(p)`; under MHR demand that curve is unimodal, which is what the
+/// search needs. Returns `(p_m, p_m·S(p_m))` to absolute `p`-tolerance
+/// `tol`.
+///
+/// # Panics
+/// Panics if the interval is empty or `tol` is non-positive.
+fn myerson_reserve_continuous<D: DemandDistribution + ?Sized>(
+    demand: &D,
+    lo: f64,
+    hi: f64,
+    tol: f64,
+) -> (f64, f64) {
+    assert!(lo <= hi, "empty interval [{lo}, {hi}]");
+    assert!(tol > 0.0, "tolerance must be positive");
+    const INV_PHI: f64 = 0.618_033_988_749_894_8; // 1/φ
+
+    let f = |p: f64| demand.revenue_curve(p);
+    let (mut a, mut b) = (lo, hi);
+    let mut c = b - (b - a) * INV_PHI;
+    let mut d = a + (b - a) * INV_PHI;
+    let (mut fc, mut fd) = (f(c), f(d));
+    while (b - a) > tol {
+        if fc >= fd {
+            b = d;
+            d = c;
+            fd = fc;
+            c = b - (b - a) * INV_PHI;
+            fc = f(c);
+        } else {
+            a = c;
+            c = d;
+            fc = fd;
+            d = a + (b - a) * INV_PHI;
+            fd = f(d);
+        }
+    }
+    let p = 0.5 * (a + b);
+    (p, f(p))
+}
+
+#[test]
+fn uniform_reserve_price_closed_form() {
+    // For U[0,1]: p·S(p) = p(1−p), maximized at 1/2.
+    let d = Uniform::new(0.0, 1.0);
+    let (p, v) = myerson_reserve_continuous(&d, 0.0, 1.0, 1e-9);
+    assert!((p - 0.5).abs() < 1e-6, "got {p}");
+    assert!((v - 0.25).abs() < 1e-9);
+}
+
+#[test]
+fn uniform_on_1_5_closed_form() {
+    // U[1,5]: p·S(p) = p(5−p)/4 on [1,5], maximized at p = 2.5 with
+    // value 2.5·2.5/4 = 1.5625.
+    let d = Uniform::new(1.0, 5.0);
+    let (p, v) = myerson_reserve_continuous(&d, 1.0, 5.0, 1e-9);
+    assert!((p - 2.5).abs() < 1e-6);
+    assert!((v - 1.5625).abs() < 1e-9);
+}
+
+#[test]
+fn search_interval_clamps_maximizer() {
+    // If the optimum (2.5) lies outside [1,2], the search must return
+    // the boundary (Sec. 3.2 Remarks: return p_min/p_max when the
+    // reserve price falls outside the window).
+    let d = Uniform::new(1.0, 5.0);
+    let (p, _) = myerson_reserve_continuous(&d, 1.0, 2.0, 1e-9);
+    assert!((p - 2.0).abs() < 1e-6);
+}
+
+#[test]
+fn normal_reserve_matches_ladder_up_to_step() {
+    let d = Demand::paper_normal(2.0, 1.0);
+    let ladder = PriceLadder::paper_default();
+    let (p_cont, v_cont) = myerson_reserve_continuous(&d, 1.0, 5.0, 1e-9);
+    let (p_ladder, v_ladder) = ladder
+        .ascending()
+        .map(|(_, p)| (p, d.revenue_curve(p)))
+        .max_by(|a, b| a.1.total_cmp(&b.1))
+        .unwrap();
+    // Theorem 3: ladder value within (1−α) of the continuous optimum.
+    assert!(v_ladder >= (1.0 - ladder.alpha()) * v_cont);
+    // And the chosen rung brackets the continuous optimum.
+    assert!(
+        p_ladder <= p_cont * (1.0 + ladder.alpha()) + 1e-9
+            && p_cont <= p_ladder * (1.0 + ladder.alpha()) + 1e-9,
+        "p_ladder={p_ladder} p_cont={p_cont}"
+    );
+}
+
+#[test]
+fn exponential_reserve_is_interior() {
+    let d = Demand::paper_exponential(1.0);
+    let (p, v) = myerson_reserve_continuous(&d, 1.0, 5.0, 1e-9);
+    assert!(p > 1.0 && p < 5.0);
+    assert!(v > 0.0);
+    // Value at the reserve must dominate endpoints.
+    assert!(v + 1e-9 >= d.revenue_curve(1.0));
+    assert!(v + 1e-9 >= d.revenue_curve(5.0));
+}
+
+#[test]
+fn continuous_beats_every_ladder_rung() {
+    for d in [
+        Demand::paper_normal(2.0, 1.0),
+        Demand::paper_normal(1.5, 0.5),
+        Demand::paper_exponential(0.75),
+    ] {
+        let ladder = PriceLadder::paper_default();
+        let (_, v_cont) = myerson_reserve_continuous(&d, 1.0, 5.0, 1e-10);
+        for (_, p) in ladder.ascending() {
+            assert!(v_cont + 1e-9 >= d.revenue_curve(p), "{d:?} at {p}");
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "empty interval")]
+fn rejects_empty_interval() {
+    let d = Uniform::new(0.0, 1.0);
+    let _ = myerson_reserve_continuous(&d, 1.0, 0.5, 1e-6);
+}
+
+/// Probe backed by ground-truth demand distributions, one per grid:
+/// each of the `n` requesters accepts with probability `S(price)`.
+struct TruthProbe {
+    demands: Vec<Demand>,
+    rng: SmallRng,
+}
+
+impl DemandProbe for TruthProbe {
+    fn probe(&mut self, cell: CellId, price: f64, n: u64) -> u64 {
+        let s = self.demands[cell.index()].survival(price);
+        (0..n).filter(|_| self.rng.gen::<f64>() < s).count() as u64
+    }
+}
+
+/// Theorem 3: the rung Algorithm 1 learns per grid earns
+/// `p_m·S(p_m) ≥ (1−α)·p*·S(p*)` for the continuous optimum `p*`, up to
+/// the estimator's `ε`.
+#[test]
+fn theorem3_against_continuous_optimum() {
+    for demand in [
+        Demand::paper_normal(2.0, 1.0),
+        Demand::paper_normal(3.0, 1.5),
+        Demand::paper_exponential(1.0),
+    ] {
+        let bp = BasePricing::paper_default();
+        let mut probe = TruthProbe {
+            demands: vec![demand; 4],
+            rng: SmallRng::seed_from_u64(11),
+        };
+        let r = bp.learn(4, &mut probe);
+        let (_, v_star) = myerson_reserve_continuous(&demand, 1.0, 5.0, 1e-9);
+        for &(_, p_m) in &r.per_grid {
+            let v = p_m * demand.survival(p_m);
+            assert!(
+                v >= (1.0 - bp.ladder().alpha()) * v_star - bp.epsilon(),
+                "{demand:?}: {v} < (1-α)·{v_star}"
+            );
+        }
+    }
+}
 
 /// Fact 2 (Appendix B.3): for MHR demand, the survival probability at the
 /// Myerson reserve price is at least 1/e.
