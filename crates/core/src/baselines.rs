@@ -342,7 +342,7 @@ impl PricingStrategy for CappedUcbStrategy {
 
 /// Builds the paper-default instance of `kind` for a `num_cells`-cell
 /// grid — the one factory shared by every driver (the batch simulator
-/// and the sharded online service), so the two can never drift apart in
+/// and the online service), so the two can never drift apart in
 /// strategy parameterization.
 pub fn paper_default_strategy(
     kind: crate::problem::StrategyKind,

@@ -298,35 +298,10 @@ impl PeriodGraphCache {
         self.index.insert_bulk(&self.batch);
     }
 
-    /// The maximum live worker radius (`0.0` when empty). Public so a
-    /// *sharded* deployment (one cache per shard) can reduce the shards'
-    /// maxima into the global query radius (its `next_up()`: see the
-    /// private `in_range`).
-    pub fn max_live_radius(&mut self) -> f64 {
+    /// The maximum live worker radius (`0.0` when empty); every graph
+    /// build queries one ulp above it (see `in_range`).
+    fn max_live_radius(&mut self) -> f64 {
         self.max_radius.get(&self.live_inputs)
-    }
-
-    /// The `k` nearest live workers within `radius` of `origin` — the
-    /// global maximum live radius, one ulp up — under the total
-    /// `(distance, id)` order, honouring each worker's own range
-    /// constraint: one task's worth of the capped build, appended to
-    /// `out` (a shard flattens a tick's lists into one).
-    ///
-    /// Because the order is total and grid-independent, the union of
-    /// per-shard candidate lists re-sorted by `(distance, id)` and
-    /// truncated to `k` equals the same query against one cache holding
-    /// every worker: this is the decomposition the sharded service's
-    /// cross-shard matching rests on.
-    pub fn k_nearest_candidates_into(
-        &mut self,
-        origin: Point,
-        radius: f64,
-        k: usize,
-        out: &mut Vec<(f64, u32)>,
-    ) {
-        self.index
-            .k_nearest_within_into(origin, radius, k, in_range, &mut self.query);
-        out.extend(self.query.iter().map(|&(distance, w)| (distance, w.id)));
     }
 
     /// Builds the graph of the current live set (no churn): each task's
@@ -525,48 +500,6 @@ mod tests {
         };
         assert_eq!(g, oracle);
         assert_eq!(g.neighbors(0), &[2], "only the new near worker reaches");
-    }
-
-    /// The shard decomposition contract: splitting the live set across
-    /// two caches, merging their per-task candidate lists by
-    /// `(distance, id)` and truncating to `k` reproduces the single
-    /// cache's query exactly.
-    #[test]
-    fn sharded_queries_merge_to_the_whole() {
-        let grid = grid();
-        let mut rng = XorShift(0x5AD);
-        let mut whole = PeriodGraphCache::new(&grid);
-        let mut even = PeriodGraphCache::new(&grid);
-        let mut odd = PeriodGraphCache::new(&grid);
-        let all: Vec<(u32, WorkerInput)> = (0..40)
-            .map(|id| (id, random_worker(&grid, &mut rng)))
-            .collect();
-        let (evens, odds): (Vec<_>, Vec<_>) = all.iter().partition(|&&(id, _)| id % 2 == 0);
-        whole.apply(&all, &[]);
-        even.apply(&evens, &[]);
-        odd.apply(&odds, &[]);
-        let radius = even.max_live_radius().max(odd.max_live_radius());
-        assert_eq!(radius.to_bits(), whole.max_live_radius().to_bits());
-        let tasks = random_tasks(&grid, &mut rng, 12);
-        let candidates = |cache: &mut PeriodGraphCache, origin: Point, k: usize| {
-            let mut out = Vec::new();
-            cache.k_nearest_candidates_into(origin, radius, k, &mut out);
-            out
-        };
-        for k in [1usize, 3, 8] {
-            for task in &tasks {
-                let mut merged = candidates(&mut even, task.origin, k);
-                merged.extend(candidates(&mut odd, task.origin, k));
-                merged.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                merged.truncate(k);
-                let direct = candidates(&mut whole, task.origin, k);
-                assert_eq!(merged.len(), direct.len(), "k {k}");
-                for (m, d) in merged.iter().zip(&direct) {
-                    assert_eq!(m.0.to_bits(), d.0.to_bits(), "k {k}");
-                    assert_eq!(m.1, d.1, "k {k}");
-                }
-            }
-        }
     }
 
     /// Applies `arrivals` / `departures` to `cache` and to the `mirror`

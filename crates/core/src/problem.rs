@@ -215,7 +215,7 @@ impl<'a> StateWords<'a> {
 /// The interface shared by MAPS and all baselines.
 ///
 /// `Send` is a supertrait so a boxed strategy — and therefore a whole
-/// engine owning one (the batch `Simulation`, the sharded service) —
+/// engine owning one (the batch `Simulation`, the online service) —
 /// can be moved onto a worker thread (the ingestion front-end runs the
 /// service on a dedicated sequencer thread). Strategies are plain data
 /// plus RNG state, so this costs implementations nothing.

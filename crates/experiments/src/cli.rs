@@ -28,11 +28,13 @@ pub struct CliArgs {
     /// (default 64; a huge value keeps every in-range edge — through
     /// the same k-nearest build, there is no uncapped one).
     pub max_edges: usize,
-    /// `--shards N`: route every simulation through the grid-sharded
-    /// online service (`maps-service`) with N ≥ 1 shards instead of the
-    /// in-process batch loop. Revenue/count columns are bit-identical
-    /// to the batch path at any N (the shard-count-invariance
-    /// contract); `0` (the default) keeps the batch simulator.
+    /// `--shards N`: route every simulation through the online service
+    /// (`maps-service`) instead of the in-process batch loop; `0` (the
+    /// default) keeps the batch simulator. N ≥ 1 is ignored (the service
+    /// serves from one index) and kept for source compatibility until
+    /// ROADMAP item 14 deletes the flag. Revenue/count columns are
+    /// bit-identical to the batch path (the service-equals-batch
+    /// contract).
     pub shards: usize,
     /// `--producers N`: stream service replays through the bounded
     /// multi-producer ingestion front-end with N ≥ 1 producer threads
@@ -57,7 +59,7 @@ pub struct CliArgs {
     /// (task wait / queue depth / worker pool log2-histogram quantiles)
     /// after each panel's metric tables. The numbers are part of
     /// `Outcome::deterministic_bits`, so the dump is diffable across
-    /// shard/thread/producer configurations.
+    /// thread/producer configurations.
     pub telemetry: bool,
 }
 
@@ -183,7 +185,7 @@ impl CliArgs {
         if parsed.producers > 0 && parsed.shards == 0 {
             return Err(
                 "--producers requires --shards N (the ingestion front-end feeds the \
-                 sharded service)"
+                 online service)"
                     .to_string()
                     .into(),
             );
@@ -257,9 +259,9 @@ fn usage(bin: &str) -> ! {
          --seeds N           average over N >= 1 seeds (default 1)\n\
          --max-edges K       per-task edge cap of the period graph (default 64;\n\
                              a huge K keeps every in-range edge, same build)\n\
-         --shards N          drive runs through the sharded online service\n\
-                             (N >= 1 shards; rows bit-identical to the batch\n\
-                             loop at any N — omit for the in-process loop)\n\
+         --shards N          drive runs through the online service (N >= 1,\n\
+                             ignored: one index; rows bit-identical to the\n\
+                             batch loop — omit for the in-process loop)\n\
          --producers N       stream service replays through the bounded\n\
                              multi-producer ingestion front-end (N >= 1\n\
                              producer threads, requires --shards; rows\n\
@@ -275,7 +277,7 @@ fn usage(bin: &str) -> ! {
                              (recovery equals uninterrupted)\n\
          --telemetry         print the deterministic event-time latency dump\n\
                              (task wait / queue depth / worker pool quantiles)\n\
-                             after each panel — diffable across shard/thread/\n\
+                             after each panel — diffable across thread/\n\
                              producer configurations"
     );
     std::process::exit(2)
@@ -397,7 +399,7 @@ mod tests {
             .contains("--max-edges"));
     }
 
-    /// `--producers` is the ingestion front-end of the sharded service:
+    /// `--producers` is the ingestion front-end of the online service:
     /// 0 producers is meaningless, and without `--shards` there is no
     /// service to feed — both are parse errors, not silent fallbacks.
     #[test]
@@ -413,7 +415,7 @@ mod tests {
         assert_eq!(parse(&[]).unwrap().producers, 0, "serial push by default");
     }
 
-    /// `--journal` is the durability layer of the sharded service:
+    /// `--journal` is the durability layer of the online service:
     /// without `--shards` there is no service replay to journal, the
     /// multi-producer front-end path is not journaled, journaled cells
     /// run serially, and `--recover` without a journal directory has

@@ -10,7 +10,7 @@ use std::path::Path;
 /// three histograms an [`maps_simulator::Outcome`] carries. These are
 /// derived from `Outcome::latency` (merged over seeds), so — unlike
 /// the wall-clock columns — two runs of the same cell always export
-/// the same numbers at any shard/thread/producer count.
+/// the same numbers at any thread/producer count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// `(count, p50, p99, p999)` of the admission→priced task wait.
@@ -226,7 +226,7 @@ pub fn print_metric_tables(rows: &[Row]) {
 /// Prints the `--telemetry` dump for a panel: one line per row with the
 /// event-time latency quantiles. Everything here is deterministic (the
 /// histograms ride in `Outcome::deterministic_bits`), so this output is
-/// diffable across shard/thread/producer configurations.
+/// diffable across thread/producer configurations.
 pub fn print_telemetry(rows: &[Row]) {
     println!("-- event-time latency telemetry (deterministic) --");
     println!(

@@ -40,23 +40,23 @@ pub struct RunOptions {
     /// Per-task edge cap of the period graph builder, forwarded to
     /// [`SimOptions::max_edges_per_task`].
     pub max_edges_per_task: usize,
-    /// With `shards ≥ 1`, replay every run through the grid-sharded
-    /// online service (`maps-service`) with that many shards instead of
-    /// the in-process batch loop; `0` (default) keeps the batch
-    /// simulator. Schedule-independent row columns are bit-identical
-    /// either way and at any shard count — the service's
-    /// shard-count-invariance contract, enforced by
-    /// `sharded_service_rows_match_batch_rows` below.
+    /// With `shards ≥ 1`, replay every run through the online service
+    /// (`maps-service`) instead of the in-process batch loop; `0`
+    /// (default) keeps the batch simulator. The count itself is ignored
+    /// (the service serves from one index) and goes with ROADMAP item
+    /// 14. Schedule-independent row columns are bit-identical either
+    /// way — the service-equals-batch contract, enforced by
+    /// `service_rows_match_batch_rows` below.
     pub shards: usize,
     /// With `producers ≥ 1`, stream every service replay through the
     /// bounded multi-producer ingestion front-end
     /// (`maps_service::replay_ingested`) with that many producer
     /// threads; `0` (default) uses the synchronous serial `push` path.
-    /// Only meaningful together with the service path: when
-    /// `producers ≥ 1` and `shards` is 0, a single-shard service is
-    /// used. Row columns are bit-identical either way and at any
-    /// producer count — the ingestion interleaving-invariance contract,
-    /// enforced by `ingested_rows_match_batch_rows` below.
+    /// Only meaningful together with the service path, which
+    /// `producers ≥ 1` selects whatever `shards` says. Row columns are
+    /// bit-identical either way and at any producer count — the
+    /// ingestion interleaving-invariance contract, enforced by
+    /// `ingested_rows_match_batch_rows` below.
     pub producers: usize,
 }
 
@@ -125,7 +125,7 @@ impl JournalOptions {
     }
 }
 
-/// Runs one simulation cell — through the batch loop, the sharded
+/// Runs one simulation cell — through the batch loop, the online
 /// service, the ingestion front-end or, with `journal`, the journaled
 /// (or recovered) serial service replay — with peak-memory accounting
 /// on a serial run that asks for it. Rows are bit-identical whichever
@@ -140,7 +140,7 @@ fn run_cell(
     seed: u64,
 ) -> Outcome {
     let truth = (spec.build)(x, options.scale, seed);
-    let (shards, sim) = (options.shards.max(1), options.sim_options());
+    let sim = options.sim_options();
     // The peak is process-wide: cells running side by side would read
     // each other's.
     let track = options.track_memory && !options.parallel;
@@ -150,22 +150,22 @@ fn run_cell(
     let mut outcome = if let Some(journal) = journal {
         let config = journal.cell_config(spec, x, kind, seed);
         let recovered = (journal.recover && config.journal_path().exists())
-            .then(|| maps_service::replay_recovered(&truth, kind, shards, sim, &config));
+            .then(|| maps_service::replay_recovered(&truth, kind, 1, sim, &config));
         match recovered {
             Some(Ok(outcome)) => outcome,
             // No journal, or one whose writer died before its baseline
             // checkpoint: nothing durable, and a cell is a pure function
             // of its coordinates — run it from the start.
             None | Some(Err(maps_service::RecoveryError::NoCheckpoint)) => {
-                maps_service::replay_journaled(&truth, kind, shards, sim, &config)
+                maps_service::replay_journaled(&truth, kind, 1, sim, &config)
                     .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
             }
             Some(Err(e)) => panic!("cell recovery failed: {e}"),
         }
     } else if options.producers >= 1 {
-        maps_service::replay_ingested(&truth, kind, shards, options.producers, sim)
+        maps_service::replay_ingested(&truth, kind, 1, options.producers, sim)
     } else if options.shards >= 1 {
-        maps_service::replay_with_options(&truth, kind, shards, sim)
+        maps_service::replay_with_options(&truth, kind, 1, sim)
     } else {
         Simulation::new(truth, kind).with_options(sim).run()
     };
@@ -213,7 +213,7 @@ fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome])
 
 /// Runs a whole panel: every sweep value × the five strategies, each
 /// cell's service replay journaled when `journal` is given (the service
-/// path with one shard if `options.shards` is 0).
+/// path even if `options.shards` is 0).
 pub fn run_panel(
     spec: &PanelSpec,
     options: RunOptions,
@@ -340,12 +340,12 @@ mod tests {
         }
     }
 
-    /// Routing a panel through the sharded online service must leave
-    /// every schedule-independent row column bitwise unchanged, at any
-    /// shard count — the service's shard-count-invariance contract
-    /// observed at the experiment-harness level.
+    /// Routing a panel through the online service must leave every
+    /// schedule-independent row column bitwise unchanged — the
+    /// service-equals-batch contract observed at the experiment-harness
+    /// level.
     #[test]
-    fn sharded_service_rows_match_batch_rows() {
+    fn service_rows_match_batch_rows() {
         let spec = tiny_panel();
         let base = RunOptions {
             scale: Scale::Quick,
@@ -355,14 +355,12 @@ mod tests {
             ..RunOptions::default()
         };
         let batch = rows_canon(&run_panel(&spec, base, None));
-        for shards in [1usize, 4] {
-            let service_rows = run_panel(&spec, RunOptions { shards, ..base }, None);
-            assert_eq!(
-                rows_canon(&service_rows),
-                batch,
-                "{shards}-shard service rows diverged from the batch loop"
-            );
-        }
+        let service_rows = run_panel(&spec, RunOptions { shards: 1, ..base }, None);
+        assert_eq!(
+            rows_canon(&service_rows),
+            batch,
+            "service rows diverged from the batch loop"
+        );
     }
 
     /// Streaming a panel through the multi-producer ingestion front-end
@@ -381,20 +379,12 @@ mod tests {
             ..RunOptions::default()
         };
         let batch = rows_canon(&run_panel(&spec, base, None));
-        for (producers, shards) in [(1usize, 2usize), (3, 0), (4, 4)] {
-            let ingested_rows = run_panel(
-                &spec,
-                RunOptions {
-                    producers,
-                    shards,
-                    ..base
-                },
-                None,
-            );
+        for producers in [1usize, 3, 4] {
+            let ingested_rows = run_panel(&spec, RunOptions { producers, ..base }, None);
             assert_eq!(
                 rows_canon(&ingested_rows),
                 batch,
-                "{producers}-producer/{shards}-shard ingested rows diverged from the batch loop"
+                "{producers}-producer ingested rows diverged from the batch loop"
             );
         }
     }
@@ -412,7 +402,7 @@ mod tests {
             num_seeds: 2,
             parallel: false,
             track_memory: false,
-            shards: 2,
+            shards: 1,
             ..RunOptions::default()
         };
         let batch = rows_canon(&run_panel(

@@ -1,21 +1,20 @@
-//! The sharded service engine: event ingestion, per-shard state, and
-//! the deterministic tick reducer.
+//! The service engine: event admission, the journal hooks, and the
+//! tick — the batch engine's [`WorkerLifecycle`] driven by
+//! [`PeriodStep::run`].
 //!
 //! See the crate docs for the architecture picture. The inline comments
 //! here focus on the invariants each step must preserve for the
 //! replay-equals-batch contract (`replay` module) to hold bitwise.
 
 use maps_core::{
-    paper_default_strategy, PeriodGraphCache, PricingStrategy, StateError, StateWords,
-    StrategyKind, TaskInput, WorkerInput,
+    paper_default_strategy, PricingStrategy, StateError, StateWords, StrategyKind, TaskInput,
+    WorkerInput,
 };
-use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
+use maps_matching::BipartiteGraph;
 use maps_simulator::{
-    ChurnSink, GroundTask, GroundWorker, LifecycleTable, MatchPolicy, Outcome, PeriodEngine,
-    PeriodStep,
+    GroundTask, GroundWorker, MatchPolicy, Outcome, PeriodEngine, PeriodStep, WorkerLifecycle,
 };
 use maps_spatial::{GridSpec, Point};
-use rayon::prelude::*;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::ops::Deref;
@@ -62,7 +61,8 @@ pub enum ServiceEvent {
 /// ([`ServiceEvent::validate`]).
 ///
 /// Every variant is a *client* data error: the event references
-/// geometry or economics the market cannot represent. The service drops
+/// geometry or economics the market cannot represent, or a grid cell
+/// the task is not in. The service drops
 /// such events (counting them in
 /// [`ShardedService::rejected_events`]) rather than panicking — one bad
 /// client event must not take the stream down — and rather than
@@ -81,6 +81,9 @@ pub enum EventRejection {
     InvalidTaskDistance,
     /// Task valuation is NaN or infinite.
     NonFiniteTaskValuation,
+    /// Task `cell` is not the grid cell of its origin (out of range
+    /// included): pricing indexes per-cell state by it.
+    TaskCellMismatch,
 }
 
 impl std::fmt::Display for EventRejection {
@@ -91,39 +94,34 @@ impl std::fmt::Display for EventRejection {
             EventRejection::NonFiniteTaskEndpoint => "non-finite task origin/destination",
             EventRejection::InvalidTaskDistance => "invalid task travel distance",
             EventRejection::NonFiniteTaskValuation => "non-finite task valuation",
+            EventRejection::TaskCellMismatch => "task cell is not its origin's",
         })
     }
 }
 
 impl std::error::Error for EventRejection {}
 
-/// A panic caught inside one shard's parallel tick work
-/// ([`catch_unwind`] isolation). The service is **poisoned** afterwards:
-/// shard state may be mid-mutation, so every further push returns
-/// [`ServiceError::Poisoned`] instead of risking silent corruption —
-/// the typed-error analogue of a crashed process, recoverable through
-/// the journal ([`crate::recovery`]).
+/// A panic caught inside the tick's own work — `fire`, churn apply and
+/// the graph build, under one [`catch_unwind`]. The service is
+/// **poisoned** afterwards: its lifecycle may be mid-mutation, so every
+/// further push returns [`ServiceError::Poisoned`] instead of risking
+/// silent corruption — the typed-error analogue of a crashed process,
+/// recoverable through the journal ([`crate::recovery`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardPanic {
-    /// Index of the shard whose closure panicked.
-    pub shard: usize,
+pub struct TickPanic {
     /// Period whose tick was poisoned.
     pub period: u32,
     /// Stringified panic payload (`&str`/`String` payloads verbatim).
     pub message: String,
 }
 
-impl std::fmt::Display for ShardPanic {
+impl std::fmt::Display for TickPanic {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "shard {} panicked during tick {}: {}",
-            self.shard, self.period, self.message
-        )
+        write!(f, "tick {} panicked: {}", self.period, self.message)
     }
 }
 
-impl std::error::Error for ShardPanic {}
+impl std::error::Error for TickPanic {}
 
 /// A producer lane handed the ingest sequencer coordinates that do not
 /// continue it: an epoch other than the one being served, or a `seq`
@@ -167,9 +165,9 @@ pub enum ServiceError {
     /// Admission validation refused the event (client data error; the
     /// stream keeps flowing).
     Rejected(EventRejection),
-    /// A shard panicked during an earlier (or this) tick; the service
-    /// is poisoned and must be recovered from its journal.
-    Poisoned(ShardPanic),
+    /// The tick's work panicked during an earlier (or this) tick; the
+    /// service is poisoned and must be recovered from its journal.
+    Poisoned(TickPanic),
     /// The write-ahead journal failed (I/O); without durability the
     /// event cannot be admitted under the recovery contract.
     Journal(JournalError),
@@ -213,7 +211,7 @@ impl From<JournalError> for ServiceError {
 }
 
 /// Renders a caught panic payload (`&str` and `String` verbatim) for
-/// [`ShardPanic::message`] and
+/// [`TickPanic::message`] and
 /// [`SequencerPanic::message`](crate::SequencerPanic::message): boxed
 /// as `catch_unwind` hands it over, or borrowed as `&dyn Any` — not as
 /// `&Box`, which is an `Any` itself and would downcast to neither.
@@ -227,39 +225,14 @@ pub(crate) fn panic_message(payload: impl Deref<Target = dyn Any + Send>) -> Str
     }
 }
 
-/// Runs `work` over every shard in parallel under [`catch_unwind`]
-/// isolation, returning the per-shard outputs in shard-id order or the
-/// first (lowest-shard-id) typed [`ShardPanic`]. All per-shard parallel
-/// phases of the tick go through here so *no* shard closure can tear
-/// down the sequencer thread with a raw unwind.
-fn par_shards<T: Send>(
-    shards: &mut [Shard],
-    period: u32,
-    work: impl Fn(usize, &mut Shard) -> T + Sync,
-) -> Result<Vec<T>, ShardPanic> {
-    let mut indexed: Vec<(usize, &mut Shard)> = shards.iter_mut().enumerate().collect();
-    let results: Vec<Result<T, ShardPanic>> = indexed
-        .par_iter_mut()
-        .map(|entry| {
-            let i = entry.0;
-            let shard: &mut Shard = entry.1;
-            catch_unwind(AssertUnwindSafe(|| work(i, shard))).map_err(|payload| ShardPanic {
-                shard: i,
-                period,
-                message: panic_message(payload),
-            })
-        })
-        .collect();
-    results.into_iter().collect()
-}
-
 impl ServiceEvent {
     /// Admission-time validation: checks that the event's geometry and
-    /// economics are representable before any state is touched.
+    /// economics are representable, and that a task's cell is its
+    /// origin's on `grid`, before any state is touched.
     ///
     /// `WorkerDepart` and `PeriodTick` are always valid (a stale or
     /// unknown departure id is a semantic no-op, not a data error).
-    pub fn validate(&self) -> Result<(), EventRejection> {
+    pub fn validate(&self, grid: &GridSpec) -> Result<(), EventRejection> {
         let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
         match self {
             ServiceEvent::WorkerArrive { worker } => {
@@ -281,6 +254,10 @@ impl ServiceEvent {
                 if !task.valuation.is_finite() {
                     return Err(EventRejection::NonFiniteTaskValuation);
                 }
+                // What `GroundTruth::validate` refuses on the batch path.
+                if task.cell != grid.cell_of(task.origin) {
+                    return Err(EventRejection::TaskCellMismatch);
+                }
                 Ok(())
             }
             ServiceEvent::WorkerDepart { .. } | ServiceEvent::PeriodTick => Ok(()),
@@ -291,14 +268,15 @@ impl ServiceEvent {
 /// Configuration of a [`ShardedService`].
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
-    /// Number of shards (≥ 1). Any value yields bit-identical outcomes;
-    /// it only controls how the per-tick spatial work is partitioned.
+    /// Ignored: the service serves from one spatial index, the batch
+    /// engine's. Kept for source compatibility, removed with ROADMAP
+    /// 1(d)/6(b).
     pub shards: usize,
     /// Per-task edge cap of the period graph (the batch simulator's
     /// [`maps_simulator::SimOptions::max_edges_per_task`]).
     pub max_edges_per_task: usize,
-    /// Ignored: every shard's state is sized by who is live in it. Kept
-    /// for source compatibility, removed with ROADMAP 6(b).
+    /// Ignored: the service's state is sized by who is live. Kept for
+    /// source compatibility, removed with ROADMAP 6(b).
     pub expected_workers: usize,
 }
 
@@ -306,276 +284,84 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         let sim = maps_simulator::SimOptions::default();
         Self {
-            shards: 4,
+            shards: 1,
             max_edges_per_task: sim.max_edges_per_task,
             expected_workers: 1024,
         }
     }
 }
 
-/// One shard: the spatial state for its cells plus the churn staged
-/// since the last tick — two plain vectors, the shape of the batch
-/// engine's staging. All mutation between ticks is staging; the cache
-/// is only touched inside the tick's parallel phases, which also fill
-/// the per-tick scratch buffers below (reused across the stream, so the
-/// hot path stops allocating once warm).
+/// The service's [`PeriodEngine`]: the batch engine's
+/// [`WorkerLifecycle`], as is, with the tick's own work — `fire`, churn
+/// apply and the graph build — run under one [`catch_unwind`], so a
+/// panic there (an index bug, an injected fault) surfaces as a typed
+/// [`TickPanic`] instead of tearing down the sequencer thread. Pricing,
+/// clearing and the matched pairs' lifecycle run outside it, in
+/// [`PeriodStep::run`].
 #[derive(Debug)]
-struct Shard {
-    cache: PeriodGraphCache,
-    /// Arrivals routed here since the last tick: the closing window's
-    /// surviving admissions and this tick's relocation releases. The
-    /// [`LifecycleTable`] cancels a same-window arrival before it gets
-    /// this far, so every entry is applied.
-    arrivals: Vec<(u32, WorkerInput)>,
-    /// Departures of workers this shard's cache holds.
-    departures: Vec<u32>,
-    /// This tick's candidate lists, flattened;
-    /// `candidate_starts[t]..candidate_starts[t+1]` indexes task `t`'s.
-    candidates: Vec<(f64, u32)>,
-    candidate_starts: Vec<u32>,
+struct TickEngine {
+    lifecycle: WorkerLifecycle,
+    /// Deterministic fault injection: the period whose tick work panics
+    /// (testkit `FaultPlan`).
+    fault: Option<u32>,
 }
 
-impl Shard {
-    fn new(cache: PeriodGraphCache) -> Self {
-        Self {
-            cache,
-            arrivals: Vec::new(),
-            departures: Vec::new(),
-            candidates: Vec::new(),
-            candidate_starts: Vec::new(),
-        }
-    }
+impl PeriodEngine for TickEngine {
+    type Error = TickPanic;
 
-    /// Applies the staged churn and reports `(live_count, max_radius)`
-    /// for the global reduction. Pure per-shard work: safe to run on
-    /// any thread.
-    fn apply_staged(&mut self) -> (usize, f64) {
-        self.cache.apply(&self.arrivals, &self.departures);
-        self.arrivals.clear();
-        self.departures.clear();
-        (self.cache.live_count(), self.cache.max_live_radius())
-    }
-
-    /// Answers every task's k-nearest query against this shard's index
-    /// into the reused flat buffers.
-    fn collect_candidates(&mut self, tasks: &[TaskInput], radius: f64, k: usize) {
-        self.candidates.clear();
-        self.candidate_starts.clear();
-        self.candidate_starts.reserve(tasks.len() + 1);
-        self.candidate_starts.push(0);
-        for task in tasks {
-            self.cache
-                .k_nearest_candidates_into(task.origin, radius, k, &mut self.candidates);
-            self.candidate_starts.push(self.candidates.len() as u32);
-        }
-    }
-
-    /// This tick's candidates for task `t_idx` (after
-    /// [`Shard::collect_candidates`]), sorted by `(distance, id)`.
-    fn task_candidates(&self, t_idx: usize) -> &[(f64, u32)] {
-        let lo = self.candidate_starts[t_idx] as usize;
-        let hi = self.candidate_starts[t_idx + 1] as usize;
-        &self.candidates[lo..hi]
-    }
-}
-
-/// The cell-routed shards: where the lifecycle table's churn lands.
-/// As a [`ChurnSink`] it is two pushes — the table has already settled
-/// which arrivals and departures are real — and checkpoint restore
-/// goes through the same two methods, so routing exists once.
-#[derive(Debug)]
-struct ShardLanes {
-    shards: Vec<Shard>,
-    /// The shard each worker last arrived in, indexed by admission id
-    /// (`0` for ids that never entered a live set).
-    routes: Vec<u32>,
-}
-
-impl ShardLanes {
-    /// Calls `f(id, worker)` for every live worker in global ascending
-    /// id order — identical to the batch engine's single live list,
-    /// because ids are global admission order regardless of shard. The
-    /// shards' live lanes are ascending and mutually disjoint, so this
-    /// is one k-way merge of their id lanes with a cursor per shard
-    /// into the parallel input lane: no lookup by id.
-    fn for_each_live(&self, mut f: impl FnMut(u32, &WorkerInput)) {
-        let mut runs: Vec<&[u32]> = self.shards.iter().map(|s| s.cache.live_ids()).collect();
-        let mut cursors = vec![0usize; self.shards.len()];
-        merge_runs(
-            &mut runs,
-            |a, b| a < b,
-            usize::MAX,
-            |shard, id| {
-                f(id, &self.shards[shard].cache.live_inputs()[cursors[shard]]);
-                cursors[shard] += 1;
-            },
-        );
-    }
-}
-
-impl ChurnSink for ShardLanes {
-    fn arrive(&mut self, id: u32, input: WorkerInput) {
-        // Routed by the location it arrives at, round-robin over the
-        // cell index (pure in `(cell, shards)`; a hotspot's cells spread
-        // across shards): a relocation release can migrate the worker to
-        // another shard's cells.
-        let shard = input.cell.index() % self.shards.len();
-        self.shards[shard].arrivals.push((id, input));
-        if self.routes.len() <= id as usize {
-            // Ids skipped below never entered a live set (zero-duration
-            // or same-window-cancelled admissions).
-            self.routes.resize(id as usize + 1, 0);
-        }
-        self.routes[id as usize] = shard as u32;
-    }
-
-    fn depart(&mut self, id: u32) {
-        self.shards[self.routes[id as usize] as usize]
-            .departures
-            .push(id);
-    }
-}
-
-/// The service's [`PeriodEngine`]: the shared lifecycle table over
-/// cell-routed shards, plus the reducer that merges the shards' live
-/// sets and candidates into one period graph.
-#[derive(Debug)]
-struct ShardSet {
-    grid: GridSpec,
-    table: LifecycleTable,
-    lanes: ShardLanes,
-    /// The shards' post-churn `(live, max_radius)` of the current tick.
-    stats: Vec<(usize, f64)>,
-    // ---- tick scratch, reused across the stream ----
-    live_ids: Vec<u32>,
-    worker_inputs: Vec<WorkerInput>,
-    /// Recycled edge arena threaded through every graph build.
-    edge_arena: Vec<(u32, u32)>,
-}
-
-/// The total `(distance, id)` order of k-nearest candidates.
-fn candidate_precedes(a: &(f64, u32), b: &(f64, u32)) -> bool {
-    a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).is_lt()
-}
-
-/// K-way merge for the reducer: `runs` are individually ascending under
-/// `precedes`; calls `emit(run, item)` for the `limit` smallest items of
-/// their union, ascending, consuming the runs' emitted prefixes. Every
-/// caller's keys are unique across runs (a worker id lives in one
-/// shard), so no tie-break between runs is needed — equal heads would
-/// go to the lower run. Linear in the number of runs per item: shard
-/// counts are small and the candidate merge stops after `k` items, where
-/// sorting the concatenation paid for all `shards · k`.
-fn merge_runs<T: Copy>(
-    runs: &mut [&[T]],
-    precedes: impl Fn(&T, &T) -> bool,
-    limit: usize,
-    mut emit: impl FnMut(usize, T),
-) {
-    for _ in 0..limit {
-        let mut first: Option<(usize, T)> = None;
-        for (run, items) in runs.iter().enumerate() {
-            if let Some(&head) = items.first() {
-                if first.is_none_or(|(_, best)| precedes(&head, &best)) {
-                    first = Some((run, head));
-                }
-            }
-        }
-        let Some((run, item)) = first else { return };
-        runs[run] = &runs[run][1..];
-        emit(run, item);
-    }
-}
-
-impl PeriodEngine for ShardSet {
-    type Error = ShardPanic;
-
-    /// Builds the period's capped bipartite graph from the per-shard
-    /// caches (after the tick's churn phase), bit-identical to the
-    /// batch builder on the merged live set. Per-shard query work is
-    /// panic-isolated like the churn phase.
+    /// Closes the admission window, fires period `t`'s transitions,
+    /// applies the staged churn and builds the capped graph: the batch
+    /// engine's period, step for step.
     fn build_graph(
         &mut self,
         t: u32,
         tasks: &[TaskInput],
         k: usize,
-    ) -> Result<BipartiteGraph, ShardPanic> {
-        let live_total: usize = self.stats.iter().map(|s| s.0).sum();
-        let ShardSet {
-            lanes,
-            live_ids,
-            worker_inputs,
-            ..
-        } = self;
-        live_ids.clear();
-        live_ids.reserve(live_total);
-        worker_inputs.clear();
-        worker_inputs.reserve(live_total);
-        lanes.for_each_live(|id, input| {
-            live_ids.push(id);
-            worker_inputs.push(*input);
-        });
-
-        let mut builder = BipartiteGraphBuilder::with_arena(
-            tasks.len(),
-            live_total,
-            tasks.len() * k.min(live_total),
-            std::mem::take(&mut self.edge_arena),
-        );
-        // Every task takes its k nearest in-range workers under the
-        // total (distance, id) order. Each shard answers from its own
-        // index with the *global* max radius — one ulp up, so the index's
-        // disc is a prefilter and each worker's own range decides (argued
-        // at `in_range` in `maps_core::cache`) — into reused flat buffers,
-        // already in that order; the first k of their merge are exactly
-        // the one-index query (the order is total, layout-independent).
-        let max_radius = self.stats.iter().map(|s| s.1).fold(0.0f64, f64::max);
-        par_shards(&mut self.lanes.shards, t, |_, shard| {
-            shard.collect_candidates(tasks, max_radius.next_up(), k)
-        })?;
-        let live_ids = &self.live_ids;
-        let shards = &self.lanes.shards;
-        let mut runs: Vec<&[(f64, u32)]> = Vec::with_capacity(shards.len());
-        for t_idx in 0..tasks.len() {
-            runs.clear();
-            runs.extend(shards.iter().map(|shard| shard.task_candidates(t_idx)));
-            merge_runs(&mut runs, candidate_precedes, k, |_, (_, id)| {
-                let dense = live_ids.binary_search(&id).expect("candidate is live");
-                builder.add_edge(t_idx, dense);
-            });
-        }
-        let (graph, arena) = builder.build_recycling();
-        self.edge_arena = arena;
-        Ok(graph)
+    ) -> Result<BipartiteGraph, TickPanic> {
+        let fault = self.fault.take_if(|period| *period == t).is_some();
+        let lifecycle = &mut self.lifecycle;
+        catch_unwind(AssertUnwindSafe(|| {
+            lifecycle.fire(t);
+            if fault {
+                panic!("injected tick fault");
+            }
+            lifecycle.build_graph_capped(tasks, k)
+        }))
+        .map_err(|payload| TickPanic {
+            period: t,
+            message: panic_message(payload),
+        })
     }
 
     fn worker_inputs(&self) -> &[WorkerInput] {
-        &self.worker_inputs
+        self.lifecycle.worker_inputs()
     }
 
     fn consume_matched(&mut self, dense: usize) {
-        self.table.consume(self.live_ids[dense], &mut self.lanes);
+        self.lifecycle.consume_matched(dense);
     }
 
     fn dispatch_matched(&mut self, t: u32, dense: usize, destination: Point, travel: u32) {
-        let (id, radius) = (self.live_ids[dense], self.worker_inputs[dense].radius);
-        self.table
-            .dispatch(t, id, radius, destination, travel, &mut self.lanes);
+        self.lifecycle
+            .dispatch_matched(t, dense, destination, travel);
     }
 }
 
-/// The grid-sharded online pricing engine.
+/// The online pricing engine: one [`WorkerLifecycle`] — the batch
+/// engine, as is — fed by an event stream, plus the journal. (The name
+/// is kept for source compatibility; there are no shards.)
 ///
 /// Feed it [`ServiceEvent`]s via [`ShardedService::push`]; read the
 /// accumulated [`Outcome`] any time via
 /// [`ShardedService::outcome_snapshot`] (or consume it with
 /// [`ShardedService::into_outcome`]).
 pub struct ShardedService {
+    grid: GridSpec,
     match_policy: MatchPolicy,
     k: usize,
     /// Strategy, outcome accumulator and the shared per-period body.
     step: PeriodStep,
-    engine: ShardSet,
+    engine: TickEngine,
     /// Tasks submitted since the last tick, in stream order (the order
     /// pricing feedback and price moments are fed in — load-bearing for
     /// bit-identity with the batch loop).
@@ -593,12 +379,9 @@ pub struct ShardedService {
     watermarks: BTreeMap<u32, (u64, u64)>,
     /// Attached write-ahead journal, if any.
     journal: Option<JournalState>,
-    /// Set once a shard closure panicked: the typed-error analogue of a
+    /// Set once the tick's work panicked: the typed-error analogue of a
     /// crash. Every later push fails with this until recovery.
-    poisoned: Option<ShardPanic>,
-    /// Deterministic fault injection: `(shard, period)` at which the
-    /// shard's next parallel closure panics (testkit `FaultPlan`).
-    shard_fault: Option<(u32, u32)>,
+    poisoned: Option<TickPanic>,
 }
 
 /// The engine's view of an attached journal.
@@ -612,9 +395,6 @@ struct JournalState {
 impl ShardedService {
     /// A service for one of the five paper strategies with paper-default
     /// parameters (same factory as the batch simulator).
-    ///
-    /// # Panics
-    /// Panics if `config.shards` is 0.
     pub fn new(
         grid: GridSpec,
         match_policy: MatchPolicy,
@@ -630,41 +410,26 @@ impl ShardedService {
     }
 
     /// A service around a custom strategy instance.
-    ///
-    /// # Panics
-    /// Panics if `config.shards` is 0.
     pub fn with_strategy(
         grid: GridSpec,
         match_policy: MatchPolicy,
         strategy: Box<dyn PricingStrategy>,
         config: ServiceConfig,
     ) -> Self {
-        assert!(config.shards >= 1, "ServiceConfig::shards must be >= 1");
-        let shards = (0..config.shards)
-            .map(|_| Shard::new(PeriodGraphCache::new(&grid)))
-            .collect();
         Self {
+            grid,
             match_policy,
             k: config.max_edges_per_task,
             step: PeriodStep::new(strategy),
-            engine: ShardSet {
-                grid,
-                table: LifecycleTable::new(grid, None),
-                lanes: ShardLanes {
-                    shards,
-                    routes: Vec::new(),
-                },
-                stats: Vec::new(),
-                live_ids: Vec::new(),
-                worker_inputs: Vec::new(),
-                edge_arena: Vec::new(),
+            engine: TickEngine {
+                lifecycle: WorkerLifecycle::open_ended(&grid),
+                fault: None,
             },
             pending_tasks: Vec::new(),
             period: 0,
             watermarks: BTreeMap::new(),
             journal: None,
             poisoned: None,
-            shard_fault: None,
         }
     }
 
@@ -674,11 +439,6 @@ impl ShardedService {
         self.step.calibrate(probe);
     }
 
-    /// Number of shards.
-    pub fn num_shards(&self) -> usize {
-        self.engine.lanes.shards.len()
-    }
-
     /// Periods closed so far.
     pub fn periods_served(&self) -> u32 {
         self.period
@@ -686,14 +446,13 @@ impl ShardedService {
 
     /// Workers admitted over the service's lifetime.
     pub fn admitted_workers(&self) -> usize {
-        self.engine.table.admitted()
+        self.engine.lifecycle.admitted()
     }
 
-    /// Workers currently in the live (matchable) set, summed over
-    /// shards. Staged churn applies at the next tick.
+    /// Workers currently in the live (matchable) set. Staged churn
+    /// applies at the next tick.
     pub fn live_workers(&self) -> usize {
-        let shards = &self.engine.lanes.shards;
-        shards.iter().map(|s| s.cache.live_count()).sum()
+        self.engine.lifecycle.live_count()
     }
 
     /// Ingests one event, dropping it (and counting it in
@@ -837,15 +596,14 @@ impl ShardedService {
                 event,
             })?;
         }
-        if let Err(rejection) = event.validate() {
+        if let Err(rejection) = event.validate(&self.grid) {
             self.step.outcome_mut().rejected_events += 1;
             return Err(rejection.into());
         }
+        let lifecycle = &mut self.engine.lifecycle;
         match event {
-            ServiceEvent::WorkerArrive { worker } => self.engine.table.admit(self.period, &worker),
-            ServiceEvent::WorkerDepart { id } => {
-                self.engine.table.depart(id, &mut self.engine.lanes)
-            }
+            ServiceEvent::WorkerArrive { worker } => lifecycle.admit(self.period, &worker),
+            ServiceEvent::WorkerDepart { id } => lifecycle.depart(id),
             ServiceEvent::TaskRequest { task } => self.pending_tasks.push(task),
             ServiceEvent::PeriodTick => unreachable!("ticks close via close_period"),
         }
@@ -890,7 +648,7 @@ impl ShardedService {
     /// silently lose it (staged departures are one, and stay legal).
     /// I/O failures as [`JournalError::Io`].
     pub fn attach_journal(&mut self, config: &JournalConfig) -> Result<(), ServiceError> {
-        if !(self.engine.table.window_is_empty() && self.pending_tasks.is_empty()) {
+        if !(self.engine.lifecycle.window_is_empty() && self.pending_tasks.is_empty()) {
             return Err(JournalError::NotAtEpochBoundary.into());
         }
         std::fs::create_dir_all(&config.dir).map_err(JournalError::Io)?;
@@ -923,17 +681,17 @@ impl ShardedService {
         Ok(())
     }
 
-    /// Arms a deterministic shard panic: the shard's parallel closure
-    /// for the given period panics, exercising the `catch_unwind`
+    /// Arms a deterministic tick panic: the tick closing `period` panics
+    /// inside its isolated work, exercising the `catch_unwind`
     /// poisoning path. Testkit `FaultPlan` hook — not a public API
     /// commitment.
     #[doc(hidden)]
-    pub fn inject_shard_fault(&mut self, shard: u32, period: u32) {
-        self.shard_fault = Some((shard, period));
+    pub fn inject_tick_fault(&mut self, period: u32) {
+        self.engine.fault = Some(period);
     }
 
-    /// The shard panic that poisoned this service, if any.
-    pub fn poisoned_by(&self) -> Option<&ShardPanic> {
+    /// The tick panic that poisoned this service, if any.
+    pub fn poisoned_by(&self) -> Option<&TickPanic> {
         self.poisoned.as_ref()
     }
 
@@ -991,45 +749,23 @@ impl ShardedService {
         self.step.into_outcome()
     }
 
-    /// Closes the current period: the deterministic reduce step.
-    ///
-    /// Per-shard parallel closures run under [`catch_unwind`], so a
-    /// panicking shard (index bug, poisoned cache, injected fault)
-    /// surfaces as a typed [`ShardPanic`] instead of tearing down the
-    /// sequencer thread or hanging producers; the caller poisons the
-    /// service. The *strategy*'s own panics are deliberately **not**
-    /// caught here — a strategy is caller-supplied code, and its panic
-    /// propagates like any callback's (see `SequencerHandle::join`).
-    fn run_tick(&mut self) -> Result<(), ShardPanic> {
+    /// Closes the current period: `fire`, churn apply and the graph
+    /// build (isolated, see [`TickEngine`]), then pricing, clearing and
+    /// the matched pairs' lifecycle — [`PeriodStep::run`], the batch
+    /// loop's own period. A panic in the isolated part comes back as a
+    /// [`TickPanic`] and the caller poisons the service. The
+    /// *strategy*'s own panics are deliberately **not** caught — a
+    /// strategy is caller-supplied code, and its panic propagates like
+    /// any callback's (see `SequencerHandle::join`).
+    fn run_tick(&mut self) -> Result<(), TickPanic> {
         let t = self.period;
-        // Scheduled lifecycle transitions stage their churn, the shards
-        // apply everything staged since the last tick, then the period
-        // is served exactly like a batch period.
-        let engine = &mut self.engine;
-        engine.table.fire(t, &mut engine.lanes);
-        let fault = match self.shard_fault {
-            Some((shard, period)) if period == t => {
-                self.shard_fault = None;
-                Some(shard)
-            }
-            _ => None,
-        };
-        // The parallel shard phase: every shard applies its staged churn
-        // and reports its live count and radius (shard-id order).
-        engine.stats = par_shards(&mut engine.lanes.shards, t, |i, shard| {
-            if fault == Some(i as u32) {
-                panic!("injected shard fault");
-            }
-            shard.apply_staged()
-        })?;
-        let grid = engine.grid;
         self.step.run(
             t,
-            &grid,
+            &self.grid,
             &self.pending_tasks,
             self.match_policy,
             self.k,
-            engine,
+            &mut self.engine,
         )?;
         self.pending_tasks.clear();
         self.period = t + 1;
@@ -1041,20 +777,16 @@ impl ShardedService {
     /// Serializes the complete post-tick state as a flat word stream
     /// (floats as IEEE-754 bits). Taken at epoch boundaries only —
     /// right after a tick, or where [`ShardedService::attach_journal`]
-    /// checked — when the table's admission window, the pending tasks
-    /// and the shards' staged *arrivals* are empty; staged departures
-    /// (the closing tick's matched pairs) and everything else the next
-    /// tick reads are captured. The layout is private to this crate —
-    /// [`crate::recovery`] is the reader.
-    ///
-    /// Shard-count agnosticism: per-worker shard assignment is **not**
-    /// persisted; live workers and staged departures are re-routed
-    /// through the restoring service's own router, so a checkpoint
-    /// taken at 4 shards restores bit-identically into 1/2/8 shards.
+    /// checked — when the admission window and the pending tasks are
+    /// empty; staged departures (the closing tick's matched pairs) and
+    /// everything else the next tick reads are captured. The layout is
+    /// private to this crate — [`crate::recovery`] is the reader.
     pub(crate) fn checkpoint_words(&self) -> Vec<u64> {
-        let ShardSet {
-            grid, table, lanes, ..
-        } = &self.engine;
+        debug_assert!(
+            self.pending_tasks.is_empty(),
+            "checkpoint off an epoch boundary"
+        );
+        let lifecycle = &self.engine.lifecycle;
         // -- outcome accumulator, price moments, strategy state: the
         //    last section, and the one whose length only writing it
         //    tells — so it is written first, aside. Then every section
@@ -1063,18 +795,12 @@ impl ShardedService {
         //    capacity held while the file is encoded from them. --
         let mut run_state = Vec::new();
         self.step.save(&mut run_state);
-        let live_total: usize = lanes.shards.iter().map(|s| s.cache.live_count()).sum();
-        let staged: usize = lanes.shards.iter().map(|s| s.departures.len()).sum();
-        // Six header words; the live, staged and watermark counts.
+        // Six header words; the watermark count.
         let mut w = Vec::with_capacity(
-            (6 + table.saved_words())
-                + (1 + 4 * live_total)
-                + (1 + staged)
-                + (1 + 3 * self.watermarks.len())
-                + run_state.len(),
+            6 + lifecycle.saved_words() + (1 + 3 * self.watermarks.len()) + run_state.len(),
         );
         // -- validation header --
-        w.push(grid.num_cells() as u64);
+        w.push(self.grid.num_cells() as u64);
         w.push(self.k as u64);
         match self.match_policy {
             MatchPolicy::Consume => {
@@ -1091,30 +817,9 @@ impl ShardedService {
         //    (0, never a journal offset, with none attached) --
         let journal = self.journal.as_ref();
         w.push(journal.map_or(0, |journal| journal.writer.end_offset()));
-        // -- lifecycle records --
-        table.save_records(&mut w);
-        // -- live workers, global ascending id order --
-        w.push(live_total as u64);
-        lanes.for_each_live(|id, input| {
-            w.push(u64::from(id));
-            w.push(input.location.x.to_bits());
-            w.push(input.location.y.to_bits());
-            w.push(input.radius.to_bits());
-        });
-        // -- staged churn (arrivals empty at a boundary; departures =
-        //    the closing tick's matched pairs) --
-        debug_assert!(
-            self.pending_tasks.is_empty() && lanes.shards.iter().all(|s| s.arrivals.is_empty()),
-            "checkpoint off an epoch boundary"
-        );
-        w.push(staged as u64);
-        for shard in &lanes.shards {
-            for &id in &shard.departures {
-                w.push(u64::from(id));
-            }
-        }
-        // -- timed schedule --
-        table.save_schedule(&mut w);
+        // -- lifecycle records, live workers (ascending id), staged
+        //    departures, timed schedule --
+        lifecycle.save(&mut w);
         // -- producer watermarks, ascending by producer --
         w.push(self.watermarks.len() as u64);
         for (producer, epoch, seq) in self.watermarks() {
@@ -1128,20 +833,17 @@ impl ShardedService {
     /// into this freshly constructed service. The service must have
     /// been built with the same grid, edge cap, match policy and
     /// strategy as the checkpointed one (validated against the header,
-    /// the strategy by the name in the run state);
-    /// shard count may differ freely. Every word is outside input:
-    /// counts go through [`StateWords::take_len`], and a value that
-    /// would trip an assertion of the cache is a [`StateError::Mismatch`].
-    /// Returns the header's journal offset, which only the journal can
-    /// check ([`crate::journal::read_journal_from`]).
+    /// the strategy by the name in the run state). Every word is outside
+    /// input: counts go through [`StateWords::take_len`], and a value
+    /// that would trip an assertion of the cache is a
+    /// [`StateError::Mismatch`]. Returns the header's journal offset,
+    /// which only the journal can check
+    /// ([`crate::journal::read_journal_from`]).
     pub(crate) fn restore(&mut self, words: &[u64]) -> Result<u64, StateError> {
         use StateError::Mismatch;
         let r = &mut StateWords::new(words);
-        let ShardSet {
-            grid, table, lanes, ..
-        } = &mut self.engine;
         // -- validation header --
-        if r.take()? != grid.num_cells() as u64 {
+        if r.take()? != self.grid.num_cells() as u64 {
             return Err(Mismatch("checkpoint grid size mismatch"));
         }
         if r.take()? != self.k as u64 {
@@ -1158,43 +860,9 @@ impl ShardedService {
         self.period =
             u32::try_from(r.take()?).map_err(|_| Mismatch("checkpoint period out of range"))?;
         let journal_offset = r.take()?;
-        // -- lifecycle records --
-        table.load_records(r)?;
-        let admitted = table.admitted();
-        lanes.routes.clear();
-        lanes.routes.resize(admitted, 0);
-        // -- live workers: arrive through the sink, which re-routes them
-        //    by cell into this service's shards, then one batch apply
-        //    per shard (the PR 3 cache contract makes query behavior
-        //    depend only on the live *set*, so this equals the original
-        //    build) --
-        let mut next_id = 0;
-        for _ in 0..r.take_len(4)? {
-            let id = r.take()?;
-            let (x, y, radius) = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
-            // Ascending ids below the admission count, finite geometry:
-            // what the cache asserts of every arrival.
-            let sound = x.is_finite() && y.is_finite() && radius.is_finite() && radius >= 0.0;
-            if !(sound && (next_id..admitted as u64).contains(&id)) {
-                return Err(Mismatch("checkpoint live worker invalid"));
-            }
-            next_id = id + 1;
-            lanes.arrive(id as u32, WorkerInput::new(grid, Point::new(x, y), radius));
-        }
-        for shard in &mut lanes.shards {
-            shard.apply_staged();
-        }
-        // -- staged departures: depart through the sink, which routes
-        //    them to where the live workers just went --
-        for _ in 0..r.take_len(1)? {
-            let id = r.take()?;
-            if id >= admitted as u64 {
-                return Err(Mismatch("checkpoint departure id out of range"));
-            }
-            lanes.depart(id as u32);
-        }
-        // -- timed schedule --
-        table.load_schedule(r)?;
+        // -- lifecycle records, live workers, staged departures, timed
+        //    schedule --
+        self.engine.lifecycle.load(r)?;
         // -- watermarks: producers strictly ascending, none the tick's --
         self.watermarks.clear();
         for _ in 0..r.take_len(3)? {
@@ -1278,7 +946,6 @@ impl std::fmt::Debug for ShardedService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardedService")
             .field("strategy", &self.step.outcome().strategy)
-            .field("shards", &self.num_shards())
             .field("period", &self.period)
             .field("admitted", &self.admitted_workers())
             .field("live", &self.live_workers())
@@ -1289,18 +956,11 @@ impl std::fmt::Debug for ShardedService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use maps_spatial::{Point, Rect};
+    use maps_spatial::{CellId, Point, Rect};
     use std::time::Instant;
 
     fn grid() -> GridSpec {
         GridSpec::square(Rect::square(10.0), 2)
-    }
-
-    fn config(shards: usize) -> ServiceConfig {
-        ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        }
     }
 
     fn worker(x: f64, y: f64, duration: u32) -> GroundWorker {
@@ -1323,41 +983,18 @@ mod tests {
         }
     }
 
-    fn service(shards: usize, policy: MatchPolicy) -> ShardedService {
-        ShardedService::new(grid(), policy, StrategyKind::BaseP, config(shards))
-    }
-
-    /// The merged live set the way it was built before the run-cursor
-    /// walk: collect every shard's ids, sort, then look each worker up
-    /// through the route table.
-    fn live_by_sort_and_route_lookup(lanes: &ShardLanes) -> (Vec<u32>, Vec<WorkerInput>) {
-        let mut ids: Vec<u32> = lanes
-            .shards
-            .iter()
-            .flat_map(|s| s.cache.live_ids().iter().copied())
-            .collect();
-        ids.sort_unstable();
-        let routed = |id: u32| &lanes.shards[lanes.routes[id as usize] as usize].cache;
-        let inputs = ids
-            .iter()
-            .map(|&id| {
-                *routed(id)
-                    .worker(id)
-                    .expect("live id is in its owning shard")
-            })
-            .collect();
-        (ids, inputs)
+    fn service(policy: MatchPolicy) -> ShardedService {
+        ShardedService::new(
+            grid(),
+            policy,
+            StrategyKind::BaseP,
+            ServiceConfig::default(),
+        )
     }
 
     #[test]
-    #[should_panic(expected = "ServiceConfig::shards must be >= 1")]
-    fn zero_shards_panics_naming_the_field() {
-        service(0, MatchPolicy::Consume);
-    }
-
-    #[test]
-    fn arrivals_route_by_cell_and_expire_on_schedule() {
-        let mut svc = service(2, MatchPolicy::Consume);
+    fn arrivals_expire_on_schedule() {
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, 2),
         });
@@ -1367,9 +1004,6 @@ mod tests {
         svc.push(ServiceEvent::PeriodTick);
         assert_eq!(svc.live_workers(), 2);
         assert_eq!(svc.admitted_workers(), 2);
-        // Different cells on a 2-shard router: one worker per shard.
-        assert_eq!(svc.engine.lanes.shards[0].cache.live_count(), 1);
-        assert_eq!(svc.engine.lanes.shards[1].cache.live_count(), 1);
         svc.push(ServiceEvent::PeriodTick);
         assert_eq!(svc.live_workers(), 2, "duration 2 spans periods 0–1");
         svc.push(ServiceEvent::PeriodTick);
@@ -1378,7 +1012,7 @@ mod tests {
 
     #[test]
     fn zero_duration_arrival_takes_an_id_but_never_lives() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, 0),
         });
@@ -1392,7 +1026,7 @@ mod tests {
 
     #[test]
     fn depart_before_first_tick_cancels_the_staged_arrival() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         });
@@ -1410,7 +1044,7 @@ mod tests {
 
     #[test]
     fn explicit_departure_after_ticks_leaves_at_next_tick() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         });
@@ -1424,7 +1058,7 @@ mod tests {
 
     #[test]
     fn matched_consume_worker_is_gone_next_period() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         });
@@ -1441,11 +1075,11 @@ mod tests {
     }
 
     #[test]
-    fn relocation_migrates_worker_to_its_new_shard() {
-        // Task destination (9,9) lies in cell 3 (shard 1 of 2); the
-        // worker starts at (1,1), cell 0 (shard 0). distance 1 at speed
-        // 1 → busy 1 period, back in period 1... released at period 1.
-        let mut svc = service(2, MatchPolicy::Relocate { speed: 1.0 });
+    fn relocation_releases_worker_at_its_destination() {
+        // The worker starts at (1,1), cell 0; the task's destination
+        // (9,9) lies in cell 3. Distance 1 at speed 1 → busy 1 period,
+        // released at period 1.
+        let mut svc = service(MatchPolicy::Relocate { speed: 1.0 });
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         });
@@ -1456,20 +1090,9 @@ mod tests {
         assert_eq!(svc.outcome_snapshot().matched_tasks, 1);
         svc.push(ServiceEvent::PeriodTick); // release fires at period 1
         assert_eq!(svc.live_workers(), 1);
-        assert_eq!(
-            svc.engine.lanes.shards[0].cache.live_count(),
-            0,
-            "left shard 0"
-        );
-        assert_eq!(
-            svc.engine.lanes.shards[1].cache.live_count(),
-            1,
-            "entered shard 1"
-        );
-        assert_eq!(
-            svc.engine.lanes.shards[1].cache.worker(0).unwrap().location,
-            Point::new(9.0, 9.0)
-        );
+        let released = svc.engine.worker_inputs()[0];
+        assert_eq!(released.location, Point::new(9.0, 9.0));
+        assert_eq!(released.cell, grid().cell_of(Point::new(9.0, 9.0)));
     }
 
     /// Non-finite geometry/economics is refused at admission — before
@@ -1479,7 +1102,7 @@ mod tests {
     /// even panic the tick reducer (`TaskInput::new`).
     #[test]
     fn non_finite_events_are_rejected_at_admission() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         let rejection = |result: Result<(), ServiceError>| match result {
             Err(ServiceError::Rejected(r)) => r,
             other => panic!("expected a rejection, got {other:?}"),
@@ -1534,6 +1157,36 @@ mod tests {
         assert_eq!(svc.admitted_workers(), 1);
     }
 
+    /// A task's cell is caller input (`CellId` is a public tuple struct)
+    /// and pricing indexes per-cell state by it: a cell past the grid
+    /// used to panic the next tick out of `try_push`, and a wrong one
+    /// in range was priced and observed in the cell it named. Both are
+    /// refused at admission, as `GroundTruth::validate` refuses them on
+    /// the batch path, and the tick runs.
+    #[test]
+    fn task_cell_mismatch_is_rejected_and_the_tick_runs() {
+        let config = ServiceConfig::default();
+        let mut svc = ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Maps, config);
+        svc.push(ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, u32::MAX),
+        });
+        for cell in [CellId(4_000_000), CellId(3)] {
+            let mut t = task(1.0, 1.0);
+            assert_eq!(t.cell, CellId(0), "(1, 1) lies in cell 0");
+            t.cell = cell;
+            assert!(matches!(
+                svc.try_push(ServiceEvent::TaskRequest { task: t }),
+                Err(ServiceError::Rejected(EventRejection::TaskCellMismatch))
+            ));
+        }
+        assert_eq!(svc.rejected_events(), 2);
+        assert!(svc.pending_tasks.is_empty(), "nothing staged");
+        svc.try_push(ServiceEvent::PeriodTick)
+            .expect("the tick runs");
+        assert_eq!(svc.outcome_snapshot().issued_tasks, 0);
+        assert_eq!((svc.periods_served(), svc.live_workers()), (1, 1));
+    }
+
     /// Regression for the O(n²) same-window cancellation: departing a
     /// staged arrival used to `position()`-scan the whole staging
     /// buffer. Arriving n workers and departing them newest-first put
@@ -1545,7 +1198,7 @@ mod tests {
         let n: u32 = 50_000;
         #[expect(clippy::disallowed_methods, reason = "a test may time itself")]
         let start = Instant::now();
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         for i in 0..n {
             svc.push(ServiceEvent::WorkerArrive {
                 worker: worker(1.0 + (i % 8) as f64, 1.0, u32::MAX),
@@ -1573,7 +1226,7 @@ mod tests {
     /// after each one, and `into_outcome` hands back the same final value.
     #[test]
     fn snapshot_borrow_matches_cloned_outcome() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         for i in 0..3u32 {
             let owned = svc.outcome_snapshot().clone();
             svc.push(ServiceEvent::WorkerArrive {
@@ -1592,13 +1245,13 @@ mod tests {
         assert_eq!(svc.into_outcome().deterministic_bits(), bits);
     }
 
-    /// An injected shard panic must surface as a typed
+    /// An injected tick panic must surface as a typed
     /// [`ServiceError::Poisoned`] from the tick — and poison every
     /// subsequent push — rather than unwinding through the caller.
     #[test]
-    fn injected_shard_panic_poisons_with_typed_error() {
-        let mut svc = service(2, MatchPolicy::Consume);
-        svc.inject_shard_fault(1, 0);
+    fn injected_tick_panic_poisons_with_typed_error() {
+        let mut svc = service(MatchPolicy::Consume);
+        svc.inject_tick_fault(0);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(9.0, 9.0, u32::MAX),
         });
@@ -1606,9 +1259,8 @@ mod tests {
         let ServiceError::Poisoned(panic) = err else {
             panic!("expected Poisoned, got {err:?}");
         };
-        assert_eq!(panic.shard, 1);
         assert_eq!(panic.period, 0);
-        assert_eq!(panic.message, "injected shard fault");
+        assert_eq!(panic.message, "injected tick fault");
         assert_eq!(svc.poisoned_by(), Some(&panic));
         // Poisoned services refuse everything, loudly.
         assert!(matches!(
@@ -1623,7 +1275,7 @@ mod tests {
     /// watermark are suppressed idempotently and audited.
     #[test]
     fn duplicate_resends_are_suppressed_by_watermark() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         let arrive = ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         };
@@ -1654,7 +1306,7 @@ mod tests {
         let arrive = ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         };
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push_stamped(FAR, 0, 5, arrive).unwrap();
         assert_eq!(svc.watermark(FAR), Some((0, 5)));
         svc.push_stamped(FAR, 0, 5, arrive).unwrap();
@@ -1669,7 +1321,7 @@ mod tests {
         let far = u64::from(FAR);
         let section = [3, 0, 0, 0, 7, 0, 3, far, 0, 5];
         assert_eq!(words[at..at + section.len()], section);
-        let mut restored = service(3, MatchPolicy::Consume);
+        let mut restored = service(MatchPolicy::Consume);
         restored.restore(&words).unwrap();
         for lane in (0..=8).chain([FAR - 1, FAR, FAR + 1]) {
             assert_eq!(restored.watermark(lane), svc.watermark(lane), "lane {lane}");
@@ -1681,8 +1333,7 @@ mod tests {
     /// Checkpoint words must capture the *complete* post-tick state: a
     /// restored service continues bit-identically to the original —
     /// including staged matched-pair departures, the timed schedule,
-    /// busy relocations and learned strategy state — even when restored
-    /// into a different shard count.
+    /// busy relocations and learned strategy state.
     #[test]
     fn checkpoint_words_restore_bit_identically() {
         let drive = |svc: &mut ShardedService, from: u32, to: u32| {
@@ -1703,83 +1354,80 @@ mod tests {
             }
         };
         for policy in [MatchPolicy::Consume, MatchPolicy::Relocate { speed: 0.5 }] {
-            let mut reference = service(2, policy);
+            let mut reference = service(policy);
             drive(&mut reference, 0, 4);
             let words = reference.checkpoint_words();
             drive(&mut reference, 4, 8);
             let expected = reference.into_outcome().deterministic_bits();
-            for shards in [1usize, 2, 4] {
-                let mut restored = service(shards, policy);
-                restored.restore(&words).unwrap();
-                assert_eq!(restored.periods_served(), 4);
-                drive(&mut restored, 4, 8);
-                assert_eq!(
-                    restored.into_outcome().deterministic_bits(),
-                    expected,
-                    "restore into {shards} shards diverged ({policy:?})"
-                );
-            }
+            let mut restored = service(policy);
+            restored.restore(&words).unwrap();
+            assert_eq!(restored.periods_served(), 4);
+            drive(&mut restored, 4, 8);
+            assert_eq!(
+                restored.into_outcome().deterministic_bits(),
+                expected,
+                "restore diverged ({policy:?})"
+            );
         }
     }
 
-    /// The checkpoint's live section keeps the layout it always had —
-    /// a count, then `id, x, y, radius` per live worker in global
-    /// ascending id order — now written by the run-cursor walk: compared
-    /// word for word with the walk it replaced (collect every shard's
-    /// ids, sort, look each worker up through the route table), at
-    /// several shard counts, with relocated workers back under old ids.
+    /// The checkpoint's live section keeps the layout it always had — a
+    /// count, then `id, x, y, radius` per live worker in ascending id
+    /// order — with relocated workers back under their old ids.
     #[test]
     fn checkpoint_live_section_keeps_its_layout() {
         let mut rng = maps_testkit::XorShift(0xC4EC);
-        for shards in [1usize, 3, 4] {
-            let mut svc = service(shards, MatchPolicy::Relocate { speed: 3.0 });
-            for _ in 0..10 {
-                for _ in 0..7 {
-                    let (x, y) = (rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    let mut worker = worker(x, y, 3 + (rng.next_u64() % 5) as u32);
-                    worker.radius = 1.0 + rng.next_f64() * 4.0;
-                    svc.push(ServiceEvent::WorkerArrive { worker });
-                }
-                for _ in 0..3 {
-                    let mut task = task(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    task.destination = Point::new(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    task.distance = 1.0 + rng.next_f64() * 6.0;
-                    svc.push(ServiceEvent::TaskRequest { task });
-                }
-                svc.push(ServiceEvent::PeriodTick);
+        let mut svc = service(MatchPolicy::Relocate { speed: 3.0 });
+        for _ in 0..10 {
+            for _ in 0..7 {
+                let (x, y) = (rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                let mut worker = worker(x, y, 3 + (rng.next_u64() % 5) as u32);
+                worker.radius = 1.0 + rng.next_f64() * 4.0;
+                svc.push(ServiceEvent::WorkerArrive { worker });
             }
-            let (ids, inputs) = live_by_sort_and_route_lookup(&svc.engine.lanes);
-            let mut want = vec![ids.len() as u64];
-            for (id, input) in ids.into_iter().zip(inputs) {
-                let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
-                want.extend([u64::from(id), x, y, input.radius.to_bits()]);
+            for _ in 0..3 {
+                let mut task = task(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                task.destination = Point::new(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
+                task.distance = 1.0 + rng.next_f64() * 6.0;
+                svc.push(ServiceEvent::TaskRequest { task });
             }
-            assert!(want.len() > 4 * 10, "{shards} shards: live set too small");
-            let words = svc.checkpoint_words();
-            let live = CheckpointLayout::of(&words).live_count;
-            assert_eq!(words[live..live + want.len()], want, "{shards} shards");
+            svc.push(ServiceEvent::PeriodTick);
         }
+        let lifecycle = &svc.engine.lifecycle;
+        let mut want = vec![lifecycle.live_count() as u64];
+        for (dense, input) in lifecycle.worker_inputs().iter().enumerate() {
+            let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
+            let id = lifecycle.id_of_dense(dense);
+            want.extend([u64::from(id), x, y, input.radius.to_bits()]);
+        }
+        assert!(want.len() > 4 * 10, "live set too small");
+        let ids: Vec<u64> = want[1..].iter().step_by(4).copied().collect();
+        assert!(ids.is_sorted(), "ascending ids");
+        let words = svc.checkpoint_words();
+        let live = CheckpointLayout::of(&words).live_count;
+        assert_eq!(words[live..live + want.len()], want);
     }
 
     /// The validation header refuses checkpoints from a differently
     /// configured service instead of restoring garbage.
     #[test]
     fn checkpoint_header_mismatches_are_rejected() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::PeriodTick);
         let words = svc.checkpoint_words();
-        let mut other_policy = service(2, MatchPolicy::Relocate { speed: 1.0 });
+        let mut other_policy = service(MatchPolicy::Relocate { speed: 1.0 });
         assert!(other_policy.restore(&words).is_err());
+        let config = ServiceConfig::default();
         let mut other_strategy =
-            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Maps, config(2));
+            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Maps, config);
         assert!(other_strategy.restore(&words).is_err());
-        let mut truncated = service(2, MatchPolicy::Consume);
+        let mut truncated = service(MatchPolicy::Consume);
         assert!(truncated.restore(&words[..words.len() - 1]).is_err());
         // 2³² + e must not restore as period e.
         let mut lying_period = words.clone();
         lying_period[CheckpointLayout::of(&words).period] += 1 << 32;
         assert_eq!(
-            service(2, MatchPolicy::Consume).restore(&lying_period),
+            service(MatchPolicy::Consume).restore(&lying_period),
             Err(StateError::Mismatch("checkpoint period out of range"))
         );
     }
@@ -1789,7 +1437,7 @@ mod tests {
     /// truncated, would pass its own range check.
     #[test]
     fn checkpoint_lifecycle_words_past_u32_are_rejected() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, 3),
         });
@@ -1804,7 +1452,7 @@ mod tests {
         // One record, one scheduled period: `t, entries, tag, id`.
         assert_eq!((words[record_count], words[schedule_count]), (1, 1));
         assert_eq!(words[schedule_count + 1], words[expiries], "expires at `t`");
-        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+        assert!(service(MatchPolicy::Consume).restore(&words).is_ok());
         for (at, what) in [
             (expiries, "checkpoint expiry out of range"),
             (schedule_count + 1, "checkpoint schedule time out of range"),
@@ -1813,7 +1461,7 @@ mod tests {
             let mut lying = words.clone();
             lying[at] += 1 << 32;
             assert_eq!(
-                service(2, MatchPolicy::Consume).restore(&lying),
+                service(MatchPolicy::Consume).restore(&lying),
                 Err(StateError::Mismatch(what)),
                 "word {at}"
             );
@@ -1828,7 +1476,7 @@ mod tests {
     #[test]
     fn checkpoint_status_lane_lies_are_rejected() {
         use StateError::{Mismatch, Truncated};
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         for duration in [3, 0, 3] {
             svc.push(ServiceEvent::WorkerArrive {
                 worker: worker(1.0, 1.0, duration),
@@ -1844,7 +1492,7 @@ mod tests {
             (3, 1, 2 << 2)
         );
         assert_eq!(layout.live_count - layout.expiries, 2, "two expiries");
-        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+        assert!(service(MatchPolicy::Consume).restore(&words).is_ok());
 
         const NOT_ITS_LANES: StateError =
             Mismatch("checkpoint record count is not its status lane's");
@@ -1909,7 +1557,7 @@ mod tests {
         for (row, lie, at, what) in rows {
             let mut lying = words.clone();
             lie(&mut lying, at);
-            let restored = service(2, MatchPolicy::Consume).restore(&lying);
+            let restored = service(MatchPolicy::Consume).restore(&lying);
             assert_eq!(restored, Err(what), "{row}");
         }
     }
@@ -1918,7 +1566,7 @@ mod tests {
     /// lanes, none of them the tick's pseudo-producer, each a `u32`.
     #[test]
     fn checkpoint_watermark_lies_are_rejected() {
-        let mut svc = service(2, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         for producer in [0, 3, 7] {
             let worker = worker(1.0, 1.0, u32::MAX);
             let arrive = ServiceEvent::WorkerArrive { worker };
@@ -1929,7 +1577,7 @@ mod tests {
         let at = CheckpointLayout::of(&words).watermarks;
         // Three lanes: `producer, epoch, seq` at +1, +4 and +7.
         assert_eq!([words[at], words[at + 1], words[at + 4]], [3, 0, 3]);
-        assert!(service(2, MatchPolicy::Consume).restore(&words).is_ok());
+        assert!(service(MatchPolicy::Consume).restore(&words).is_ok());
 
         const NOT_A_LANE: StateError =
             StateError::Mismatch("checkpoint watermark producer is not a lane above the last");
@@ -1945,7 +1593,7 @@ mod tests {
         for (row, lie) in rows {
             let mut lying = words.clone();
             lie(&mut lying, at);
-            let restored = service(2, MatchPolicy::Consume).restore(&lying);
+            let restored = service(MatchPolicy::Consume).restore(&lying);
             assert_eq!(restored, Err(NOT_A_LANE), "{row}");
         }
     }
@@ -1958,7 +1606,7 @@ mod tests {
     #[test]
     fn checkpoint_words_are_reserved_exactly() {
         for policy in [MatchPolicy::Consume, MatchPolicy::Relocate { speed: 0.5 }] {
-            let mut svc = service(3, policy);
+            let mut svc = service(policy);
             for t in 0..6u32 {
                 for i in 0..40 {
                     let (x, y) = (f64::from(i % 9) + 0.5, f64::from(i / 9) + 0.5);
@@ -1984,122 +1632,9 @@ mod tests {
         }
     }
 
-    /// The k-way candidate merge against what it replaced: concatenate
-    /// the runs, sort by `(distance, id)`, truncate to `k`.
-    fn assert_merge_equals_sort_and_truncate(runs: &[&[(f64, u32)]], k: usize) {
-        let mut want: Vec<(f64, u32)> = runs.concat();
-        want.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        want.truncate(k);
-        let mut got = Vec::new();
-        let mut cursors = runs.to_vec();
-        merge_runs(&mut cursors, candidate_precedes, k, |run, item| {
-            assert!(runs[run].contains(&item), "emitted from the run it names");
-            got.push(item);
-        });
-        let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
-            v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
-        };
-        assert_eq!(bits(&got), bits(&want), "k = {k}, runs = {runs:?}");
-        let consumed: usize = runs
-            .iter()
-            .zip(&cursors)
-            .map(|(r, c)| r.len() - c.len())
-            .sum();
-        assert_eq!(consumed, got.len(), "cursors advance by what was emitted");
-    }
-
-    #[test]
-    fn candidate_merge_equals_sort_and_truncate() {
-        // Equal distances with different ids split across shards: the id
-        // decides, within a run and between runs.
-        let ties: [&[(f64, u32)]; 3] = [
-            &[(1.0, 4), (2.0, 1), (2.0, 9)],
-            &[(1.0, 2), (2.0, 0), (2.0, 7), (3.0, 3)],
-            &[(0.5, 8), (2.0, 5)],
-        ];
-        // Shards with fewer than k candidates, or none at all.
-        let sparse: [&[(f64, u32)]; 4] = [&[], &[(0.25, 6)], &[], &[(0.25, 2), (4.0, 0)]];
-        // -0.0 sorts before 0.0 under total_cmp: the merge must agree
-        // with the sort on that too.
-        let zeros: [&[(f64, u32)]; 2] = [&[(-0.0, 3), (0.0, 1)], &[(0.0, 0), (1.0, 2)]];
-        let one: [&[(f64, u32)]; 1] = [&[(1.0, 1), (1.0, 2), (5.0, 0)]];
-        let none: [&[(f64, u32)]; 0] = [];
-        for runs in [&ties[..], &sparse[..], &zeros[..], &one[..], &none[..]] {
-            // 0, below, at and beyond the size of the union.
-            for k in [0, 1, 2, 3, 5, 9, 10, usize::MAX] {
-                assert_merge_equals_sort_and_truncate(runs, k);
-            }
-        }
-        // Seeded runs at the service's shape: 8 shards × up to k = 64
-        // sorted candidates, distances drawn from few values so ties are
-        // the rule.
-        let mut rng = maps_testkit::XorShift(0x4B1D);
-        for _ in 0..50 {
-            let mut runs: Vec<Vec<(f64, u32)>> = vec![Vec::new(); 8];
-            for id in 0..(rng.next_u64() % 300) as u32 {
-                let distance = (rng.next_u64() % 16) as f64 / 4.0;
-                runs[(rng.next_u64() % 8) as usize].push((distance, id));
-            }
-            for run in &mut runs {
-                run.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-                run.truncate(64);
-            }
-            let runs: Vec<&[(f64, u32)]> = runs.iter().map(Vec::as_slice).collect();
-            assert_merge_equals_sort_and_truncate(&runs, 64);
-        }
-    }
-
-    /// The reducer's one-pass live list and `worker_inputs` against the
-    /// two passes they replaced — collect and sort every shard's live
-    /// ids, then look each worker up through the route table — on a
-    /// stream whose relocated workers re-enter under their old ids, in
-    /// whichever shard owns the destination.
-    #[test]
-    fn one_pass_live_merge_equals_sort_and_route_lookup() {
-        let mut rng = maps_testkit::XorShift(0x11FE);
-        for shards in [1usize, 2, 3, 4] {
-            let mut svc = service(shards, MatchPolicy::Relocate { speed: 3.0 });
-            let mut reentries = 0;
-            let mut previous: Vec<u32> = Vec::new();
-            for t in 0..12u32 {
-                let admitted_before = svc.admitted_workers() as u32;
-                for _ in 0..6 {
-                    let (x, y) = (rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    svc.push(ServiceEvent::WorkerArrive {
-                        worker: worker(x, y, 2 + (rng.next_u64() % 6) as u32),
-                    });
-                }
-                for _ in 0..3 {
-                    let mut task = task(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    task.destination = Point::new(rng.next_f64() * 10.0, rng.next_f64() * 10.0);
-                    task.distance = 1.0 + rng.next_f64() * 6.0;
-                    svc.push(ServiceEvent::TaskRequest { task });
-                }
-                svc.push(ServiceEvent::PeriodTick);
-                // The tick's matches are staged departures now, so the
-                // caches still hold exactly the set the graph was built
-                // over.
-                let (want_ids, want_inputs) = live_by_sort_and_route_lookup(&svc.engine.lanes);
-                assert_eq!(svc.engine.live_ids, want_ids, "{shards} shards, tick {t}");
-                assert_eq!(
-                    svc.engine.worker_inputs, want_inputs,
-                    "{shards} shards, tick {t}"
-                );
-                // Live now, admitted in an earlier period, yet absent
-                // from the previous tick's list: back from a relocation.
-                reentries += want_ids
-                    .iter()
-                    .filter(|&&id| id < admitted_before && previous.binary_search(&id).is_err())
-                    .count();
-                previous = want_ids;
-            }
-            assert!(reentries > 0, "{shards} shards: no worker ever re-entered");
-        }
-    }
-
     #[test]
     fn outcome_snapshot_is_cumulative_and_consistent() {
-        let mut svc = service(4, MatchPolicy::Consume);
+        let mut svc = service(MatchPolicy::Consume);
         for i in 0..6u32 {
             svc.push(ServiceEvent::WorkerArrive {
                 worker: worker(1.0 + i as f64, 1.0, u32::MAX),

@@ -47,7 +47,7 @@
 //! capacities — yields an outcome **bit-identical** to serial
 //! [`ShardedService::push`], and therefore (by the PR 4 contract) to
 //! [`Simulation::run`](maps_simulator::Simulation::run). Enforced by
-//! the `ingest_oracle` test sweep (producers × shards × strategies ×
+//! the `ingest_oracle` test sweep (producers × strategies ×
 //! forced interleavings × queue capacities), the root proptest
 //! `ingested_stream_matches_serial_push` (random producer partitions,
 //! schedule perturbation, per-epoch outcome checks); `maps_benchmark`'s
@@ -724,15 +724,12 @@ mod tests {
     use maps_simulator::{GroundTask, GroundWorker, MatchPolicy};
     use maps_spatial::{CellId, GridSpec, Point, Rect};
 
-    fn service(shards: usize) -> ShardedService {
+    fn service() -> ShardedService {
         ShardedService::new(
             GridSpec::square(Rect::square(10.0), 2),
             MatchPolicy::Consume,
             StrategyKind::BaseP,
-            ServiceConfig {
-                shards,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
         )
     }
 
@@ -778,7 +775,7 @@ mod tests {
         p0.send(ServiceEvent::PeriodTick);
         p0.close();
         let sequencer = std::thread::spawn(move || {
-            let mut svc = service(2);
+            let mut svc = service();
             let epochs = ingest.sequence(&mut svc).unwrap();
             (svc.periods_served(), epochs)
         });
@@ -808,7 +805,7 @@ mod tests {
             worker: worker(1.0),
         });
         p0.close();
-        let mut svc = service(1);
+        let mut svc = service();
         let epochs = ingest.sequence(&mut svc).unwrap();
         assert_eq!(epochs, 0);
         assert_eq!(svc.periods_served(), 0);
@@ -840,7 +837,7 @@ mod tests {
         let mut p0 = producers.pop().unwrap();
         p0.send(arrive(1.0));
         p0.close();
-        let mut mixed = service(1);
+        let mut mixed = service();
         assert_eq!(ingest.sequence(&mut mixed).unwrap(), 0);
         for event in [arrive(2.0), task, ServiceEvent::PeriodTick] {
             mixed.try_push(event).unwrap();
@@ -849,7 +846,7 @@ mod tests {
         assert_eq!(mixed.suppressed_duplicates(), 0);
         assert_eq!(mixed.watermark(0), Some((0, 2)));
 
-        let mut serial = service(1);
+        let mut serial = service();
         for event in [arrive(1.0), arrive(2.0), task, ServiceEvent::PeriodTick] {
             serial.try_push(event).unwrap();
         }
@@ -906,10 +903,7 @@ mod tests {
             GridSpec::square(Rect::square(10.0), 2),
             MatchPolicy::Consume,
             Box::new(Bomb),
-            ServiceConfig {
-                shards: 2,
-                ..ServiceConfig::default()
-            },
+            ServiceConfig::default(),
         );
         let (ingest, mut producers) = IngestService::new(IngestConfig {
             producers: 1,
@@ -959,7 +953,7 @@ mod tests {
         assert_eq!(p0.try_send(e, short), Err(SendError::Timeout));
         // The timed-out event was not enqueued and seq did not advance:
         // retrying after the sequencer drains keeps the stream gapless.
-        let mut svc = service(1);
+        let mut svc = service();
         let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|e| (svc, e)));
         let retry_deadline = Duration::from_secs(30);
         assert_eq!(p0.try_send(e, retry_deadline), Ok(()));
@@ -1020,7 +1014,7 @@ mod tests {
             p1.send(ServiceEvent::PeriodTick);
             p1.close();
             let sequencer = std::thread::spawn(move || {
-                let mut svc = service(2);
+                let mut svc = service();
                 ingest.sequence(&mut svc).map(|e| (svc, e))
             });
             // The barrier must hold: p0's epoch is still open.
@@ -1244,7 +1238,7 @@ mod tests {
 
     fn journaled(tag: &str) -> (ShardedService, crate::journal::JournalConfig) {
         let cfg = crate::journal::JournalConfig::new(crate::test_dir(tag), 1);
-        let mut svc = service(1);
+        let mut svc = service();
         svc.attach_journal(&cfg).unwrap();
         (svc, cfg)
     }
@@ -1274,7 +1268,7 @@ mod tests {
         )
         .expect("the directory holds the stream up to the refusal");
         assert_eq!(recovered.service.watermark(0), last_seq);
-        let mut serial = service(1);
+        let mut serial = service();
         for &x in accepted {
             serial.try_push(arrive(x)).unwrap();
         }
@@ -1346,7 +1340,7 @@ mod tests {
             arrive(3.0),
         ]);
         p0.close();
-        let err = ingest.sequence(&mut service(1)).expect_err("mis-stamped");
+        let err = ingest.sequence(&mut service()).expect_err("mis-stamped");
         assert!(matches!(err, ServiceError::Stamp(s) if s.epoch == u64::MAX));
     }
 
@@ -1359,7 +1353,7 @@ mod tests {
         let mut p0 = p0.abandon().reconnect(0, 3);
         p0.end_epoch();
         p0.close();
-        let mut svc = service(1);
+        let mut svc = service();
         let err = ingest.sequence(&mut svc).expect_err("marker behind a gap");
         assert!(matches!(err, ServiceError::Stamp(s) if (s.seq, s.next_seq) == (3, 1)));
         assert_eq!(svc.periods_served(), 0, "no tick fired");
@@ -1374,7 +1368,7 @@ mod tests {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(service(2));
+        let sequencer = ingest.spawn(service());
         for i in 0..20 {
             p0.send(ServiceEvent::WorkerArrive {
                 worker: worker(1.0 + (i % 8) as f64),

@@ -22,7 +22,7 @@
 //! barrier records, replay re-counts rejections and re-runs the
 //! deterministic reducer, so the recovered
 //! [`maps_simulator::Outcome::deterministic_bits`] equals an
-//! uninterrupted run's — at any shard / thread count, which the
+//! uninterrupted run's — at any thread count, which the
 //! `recovery_oracle` crash-at-every-epoch sweep enforces.
 //!
 //! The offset is a checkpoint word, so it is outside input like every
@@ -118,7 +118,7 @@ pub enum RecoveryError {
         /// What did not match.
         reason: StateError,
     },
-    /// Replaying the journal tail hit a fatal service error (a shard
+    /// Replaying the journal tail hit a fatal service error (a tick
     /// panic — a rejection is *not* fatal and is re-counted silently).
     Replay(ServiceError),
 }
@@ -157,15 +157,10 @@ impl From<JournalError> for RecoveryError {
 }
 
 /// Recovers a service running one of the paper strategies from the
-/// journal directory in `journal_cfg`. `grid`, `match_policy` and
-/// `kind` must describe the crashed service (they are cross-checked
-/// against the checkpoint header); `config` — including the shard
-/// count — may differ freely: recovery re-routes restored workers
-/// through the new shard map, and the shard-count-invariance contract
-/// keeps the outcome bits identical.
-///
-/// # Panics
-/// Panics if `config.shards` is 0, like [`ShardedService::new`].
+/// journal directory in `journal_cfg`. `grid`, `match_policy`, `kind`
+/// and `config.max_edges_per_task` must describe the crashed service
+/// (they are cross-checked against the checkpoint header); the
+/// ignored fields of `config` may differ.
 pub fn recover(
     grid: GridSpec,
     match_policy: MatchPolicy,
@@ -191,10 +186,6 @@ pub fn recover(
 /// directory are deleted: each is what a crash between creating a
 /// checkpoint's temp file and renaming it into place leaves behind, and
 /// nothing else ever reads or removes one.
-///
-/// # Panics
-/// Panics if `config.shards` is 0, like
-/// [`ShardedService::with_strategy`].
 pub fn recover_with_strategy(
     grid: GridSpec,
     match_policy: MatchPolicy,
@@ -303,17 +294,14 @@ mod tests {
         }
     }
 
-    fn config(shards: usize) -> ServiceConfig {
-        ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        }
+    fn config() -> ServiceConfig {
+        ServiceConfig::default()
     }
 
     fn journaled_service(dir: &std::path::Path) -> (ShardedService, JournalConfig) {
         let cfg = JournalConfig::new(dir, 1);
         let mut svc =
-            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config(2));
+            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config());
         svc.attach_journal(&cfg).unwrap();
         (svc, cfg)
     }
@@ -326,7 +314,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(1),
+            config(),
             &cfg,
         )
         .expect_err("nothing to recover");
@@ -345,7 +333,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(1),
+            config(),
             &cfg,
         )
         .expect_err("no checkpoints left");
@@ -376,7 +364,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(4),
+            config(),
             &cfg,
         )
         .unwrap();
@@ -387,20 +375,6 @@ mod tests {
         assert_eq!(
             recovered.service.into_outcome().deterministic_bits(),
             uninterrupted
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "ServiceConfig::shards must be >= 1")]
-    fn recovering_into_zero_shards_panics_naming_the_field() {
-        let dir = crate::test_dir("recover_zero_shards");
-        let (_svc, cfg) = journaled_service(&dir);
-        let _ = recover(
-            grid(),
-            MatchPolicy::Consume,
-            StrategyKind::Sdr,
-            config(0),
-            &cfg,
         );
     }
 
@@ -427,7 +401,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .unwrap();
@@ -480,7 +454,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .unwrap();
@@ -505,7 +479,7 @@ mod tests {
         let dir = crate::test_dir("attach_mid_window");
         let cfg = JournalConfig::new(&dir, 1);
         let fresh =
-            || ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config(2));
+            || ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config());
         let task = maps_simulator::GroundTask {
             origin: Point::new(1.0, 1.0),
             destination: Point::new(2.0, 2.0),
@@ -542,7 +516,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .unwrap()
@@ -551,6 +525,75 @@ mod tests {
         recovered.push(ServiceEvent::PeriodTick);
         assert_eq!(recovered.live_workers(), 0);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A task whose cell is not its origin's is journaled before it is
+    /// refused, like every rejection, so recovery re-refuses it: a
+    /// crash with such tasks on both sides of the newest checkpoint
+    /// finishes with the uninterrupted bits and the same rejection
+    /// count.
+    #[test]
+    fn task_cell_mismatch_recovers_to_the_uninterrupted_bits() {
+        let task = |cell: u32| ServiceEvent::TaskRequest {
+            task: maps_simulator::GroundTask {
+                origin: Point::new(1.0, 1.0),
+                destination: Point::new(2.0, 2.0),
+                distance: 1.5,
+                valuation: 4.5,
+                cell: maps_spatial::CellId(cell),
+            },
+        };
+        let arrive = |x| ServiceEvent::WorkerArrive { worker: worker(x) };
+        let tick = ServiceEvent::PeriodTick;
+        let stream = [
+            arrive(1.0),
+            task(0),
+            task(3),
+            tick,
+            arrive(2.0),
+            task(3),
+            tick,
+            task(4_000_000),
+            arrive(3.0),
+            task(0),
+            tick,
+        ];
+        // Epoch 2 open, checkpoint 2 behind it: the out-of-grid task is
+        // in the replayed tail, the two before it in the checkpoint.
+        let crash_at = 9;
+        let run = |dir: &std::path::Path, crash: Option<usize>| {
+            let cfg = JournalConfig::new(dir, 2);
+            let kind = StrategyKind::Maps;
+            let mut svc = ShardedService::new(grid(), MatchPolicy::Consume, kind, config());
+            svc.attach_journal(&cfg).unwrap();
+            let cut = crash.unwrap_or(stream.len());
+            for &event in &stream[..cut] {
+                let _ = svc.try_push(event);
+            }
+            if crash.is_some() {
+                drop(svc);
+                let recovered = recover(grid(), MatchPolicy::Consume, kind, config(), &cfg);
+                svc = recovered.unwrap().service;
+                assert_eq!(svc.rejected_events(), 3, "re-refused on replay");
+                for &event in &stream[cut..] {
+                    let _ = svc.try_push(event);
+                }
+            }
+            (
+                svc.rejected_events(),
+                svc.into_outcome().deterministic_bits(),
+            )
+        };
+        let dirs = [
+            crate::test_dir("cell_mismatch_whole"),
+            crate::test_dir("cell_mismatch_crash"),
+        ];
+        let uninterrupted = run(&dirs[0], None);
+        assert_eq!(uninterrupted.0, 3);
+        assert_eq!(run(&dirs[1], Some(crash_at)), uninterrupted);
+        for dir in dirs {
+            let _ = std::fs::remove_dir_all(dir);
+        }
     }
 
     #[test]
@@ -562,7 +605,7 @@ mod tests {
             other_grid,
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(1),
+            config(),
             &cfg,
         )
         .expect_err("grid mismatch must not replay");
@@ -597,7 +640,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .expect_err("a lying word must not restore");
@@ -724,7 +767,7 @@ mod tests {
             let dir = crate::test_dir(tag);
             let cfg = JournalConfig::new(&dir, 2);
             let mut svc =
-                ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config(2));
+                ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config());
             svc.attach_journal(&cfg).unwrap();
             for period in 0..7 {
                 svc.push(ServiceEvent::WorkerArrive {
@@ -746,7 +789,7 @@ mod tests {
                 grid(),
                 MatchPolicy::Consume,
                 StrategyKind::Sdr,
-                config(2),
+                config(),
                 &cfg,
             )
             .unwrap_or_else(|e| panic!("{tag}: {e}"));
@@ -790,7 +833,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .expect("falls back to the baseline checkpoint");
@@ -835,7 +878,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .unwrap();
@@ -878,7 +921,7 @@ mod tests {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::Sdr,
-            config(2),
+            config(),
             &cfg,
         )
         .unwrap();

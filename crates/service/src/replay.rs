@@ -1,14 +1,18 @@
-//! Replay driver: feeds a prebuilt [`GroundTruth`] through the sharded
-//! service as an event stream.
+//! Replay driver: feeds a prebuilt [`GroundTruth`] through the service
+//! as an event stream.
 //!
 //! This is both the migration path (anything that can run the batch
 //! simulator can run the service) and the **oracle harness**: the
 //! resulting [`Outcome`] must be bit-identical to
 //! [`Simulation::run`](maps_simulator::Simulation::run) — every field
 //! except the wall-clock timing columns, compared via
-//! [`Outcome::deterministic_bits`] — at any shard count and any rayon
-//! thread count. The shard-sweep test (`tests/replay_oracle.rs`) and
-//! the root proptest churn stream enforce exactly that.
+//! [`Outcome::deterministic_bits`] — at any rayon thread count. The
+//! thread-sweep test (`tests/replay_oracle.rs`) and the root proptest
+//! churn stream enforce exactly that.
+//!
+//! Every helper still takes a `shards` count: it is ignored (the
+//! service serves from one index) and kept for source compatibility,
+//! removed with ROADMAP 1(d)/6(b).
 
 use crate::engine::{ServiceConfig, ServiceError, ServiceEvent, ShardedService};
 use crate::ingest::{chunk_bounds, period_events, IngestConfig, IngestService};
@@ -16,8 +20,8 @@ use crate::journal::JournalConfig;
 use maps_core::StrategyKind;
 use maps_simulator::{GroundTruth, GroundTruthProbe, Outcome, SimOptions};
 
-/// Replays `truth` through a `shards`-way service with paper-default
-/// strategy parameters and [`SimOptions::default`].
+/// Replays `truth` through the service with paper-default strategy
+/// parameters and [`SimOptions::default`] (`shards` is ignored).
 pub fn replay(truth: &GroundTruth, kind: StrategyKind, shards: usize) -> Outcome {
     replay_with_options(truth, kind, shards, SimOptions::default())
 }
@@ -52,7 +56,7 @@ fn drive(
 /// `options.max_edges_per_task` is the per-task edge cap.
 ///
 /// # Panics
-/// Panics if a shard panics mid-replay (the service is poisoned).
+/// Panics if a tick panics mid-replay (the service is poisoned).
 pub fn replay_with_options(
     truth: &GroundTruth,
     kind: StrategyKind,
@@ -146,8 +150,7 @@ pub fn replay_service(
 /// By the interleaving-invariance contract the outcome is
 /// **bit-identical** to the serial [`replay_with_options`] — and hence
 /// to [`Simulation::run`](maps_simulator::Simulation::run) — at any
-/// producer count, any queue capacity, any shard count and any rayon
-/// thread count.
+/// producer count, any queue capacity and any rayon thread count.
 pub fn replay_ingested(
     truth: &GroundTruth,
     kind: StrategyKind,
@@ -188,8 +191,8 @@ mod tests {
     use super::*;
     use maps_simulator::{Simulation, SyntheticConfig};
 
-    /// Smoke-level slice of the tentpole oracle (the full shard × thread
-    /// × strategy sweep lives in `tests/replay_oracle.rs`).
+    /// Smoke-level slice of the tentpole oracle (the full thread ×
+    /// strategy sweep lives in `tests/replay_oracle.rs`).
     #[test]
     fn replay_matches_simulation_on_a_small_world() {
         let world = SyntheticConfig::paper_default()
@@ -201,14 +204,12 @@ mod tests {
         let batch = Simulation::new(world.clone(), StrategyKind::Maps)
             .run()
             .deterministic_bits();
-        for shards in [1usize, 3, 7] {
-            let online = replay(&world, StrategyKind::Maps, shards);
-            assert_eq!(
-                online.deterministic_bits(),
-                batch,
-                "{shards}-shard replay diverged from the batch simulator"
-            );
-        }
+        let online = replay(&world, StrategyKind::Maps, 1);
+        assert_eq!(
+            online.deterministic_bits(),
+            batch,
+            "replay diverged from the batch simulator"
+        );
     }
 
     /// A journaled replay is write-path-only (bits match the unjournaled
@@ -228,11 +229,11 @@ mod tests {
         };
         let dir = crate::test_dir("replay_recovered");
         let journal = JournalConfig::new(&dir, 2);
-        let plain = replay_with_options(&world, StrategyKind::Maps, 2, options);
-        let journaled = replay_journaled(&world, StrategyKind::Maps, 2, options, &journal)
+        let plain = replay_with_options(&world, StrategyKind::Maps, 1, options);
+        let journaled = replay_journaled(&world, StrategyKind::Maps, 1, options, &journal)
             .expect("journaled replay");
         assert_eq!(journaled.deterministic_bits(), plain.deterministic_bits());
-        let resumed = replay_recovered(&world, StrategyKind::Maps, 3, options, &journal)
+        let resumed = replay_recovered(&world, StrategyKind::Maps, 1, options, &journal)
             .expect("recovery from a complete journal");
         assert_eq!(resumed.deterministic_bits(), plain.deterministic_bits());
         let _ = std::fs::remove_dir_all(&dir);
@@ -253,7 +254,7 @@ mod tests {
         let batch = Simulation::new(world.clone(), StrategyKind::CappedUcb)
             .with_options(options)
             .run();
-        let online = replay_with_options(&world, StrategyKind::CappedUcb, 2, options);
+        let online = replay_with_options(&world, StrategyKind::CappedUcb, 1, options);
         assert_eq!(online.deterministic_bits(), batch.deterministic_bits());
         assert_eq!(online.calibration_secs, 0.0);
     }

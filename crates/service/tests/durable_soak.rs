@@ -33,13 +33,6 @@ fn grid() -> GridSpec {
     GridSpec::square(Rect::square(100.0), 10)
 }
 
-fn config() -> ServiceConfig {
-    ServiceConfig {
-        shards: 2,
-        ..ServiceConfig::default()
-    }
-}
-
 fn point(rng: &mut XorShift) -> Point {
     Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0)
 }
@@ -85,8 +78,12 @@ fn recovery_and_checkpoints_follow_the_tail_and_the_live_set() {
     let _ = std::fs::remove_dir_all(&dir);
     let journal = JournalConfig::new(&dir, CADENCE);
     let mut rng = XorShift(0xD07A_B1E5);
-    let mut service =
-        ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::BaseP, config());
+    let mut service = ShardedService::new(
+        grid(),
+        MatchPolicy::Consume,
+        StrategyKind::BaseP,
+        ServiceConfig::default(),
+    );
     service.attach_journal(&journal).expect("attach");
 
     let mut recoveries = Vec::new();
@@ -107,7 +104,7 @@ fn recovery_and_checkpoints_follow_the_tail_and_the_live_set() {
             grid(),
             MatchPolicy::Consume,
             StrategyKind::BaseP,
-            config(),
+            ServiceConfig::default(),
             &journal,
         )
         .expect("recover");
@@ -149,15 +146,14 @@ fn recovery_and_checkpoints_follow_the_tail_and_the_live_set() {
             "checkpoint of {checkpoint_bytes} B for {live} live of {admitted} ids (bound {bound})"
         );
     }
-    // The recovered service keeps `LifecycleTable::records` (8 B an id)
-    // and `ShardLanes::routes` (4 B an id) — ROADMAP 4(b) and item 2 —
-    // each restored at its exact size and then at most doubled by the
-    // replayed window's first push; the status lane adds half a byte an
-    // id while the file and its words are both in memory. Nothing else
-    // may grow with the ids, and nothing with the journal: the 340
-    // epochs in between are 60 B of file and 88 B of decoded record for
-    // every event.
-    let bound = first.peak + 25 * between + 64 * 1024;
+    // The recovered service keeps the lifecycle's per-id records (8 B
+    // an id, ROADMAP 4(b)), restored at their exact size and then at
+    // most doubled by the replayed window's first push; the status lane
+    // adds half a byte an id while the file and its words are both in
+    // memory — 16.1 B an id measured. Nothing else may grow with the
+    // ids, and nothing with the journal: the 340 epochs in between are
+    // 60 B of file and 88 B of decoded record for every event.
+    let bound = first.peak + 17 * between + 64 * 1024;
     assert!(
         second.peak <= bound,
         "recover peaked at {} B after {} ids, {} B after {} (bound {bound})",

@@ -7,7 +7,6 @@
 //! after **every epoch** (not just at the end), across
 //!
 //! * producer counts 1/2/4/8 ([`maps_testkit::DEFAULT_PRODUCER_COUNTS`]),
-//! * shard counts 1/2/4/8 ([`maps_testkit::DEFAULT_SHARD_COUNTS`]),
 //! * two strategies (MAPS — the one with its own rayon fan-out — and
 //!   CappedUCB, a learning baseline),
 //! * at least three *forced* interleavings per configuration
@@ -22,7 +21,7 @@ use maps_core::StrategyKind;
 use maps_service::ingest::{chunk_bounds, period_events, IngestConfig, IngestService};
 use maps_service::{ServiceConfig, ServiceEvent, ShardedService};
 use maps_simulator::{GroundTruth, GroundTruthProbe, SimOptions, Simulation, SyntheticConfig};
-use maps_testkit::{InterleavePlan, Interleaver, DEFAULT_PRODUCER_COUNTS, DEFAULT_SHARD_COUNTS};
+use maps_testkit::{InterleavePlan, Interleaver, DEFAULT_PRODUCER_COUNTS};
 
 fn world() -> GroundTruth {
     SyntheticConfig::paper_default()
@@ -40,16 +39,10 @@ fn options() -> SimOptions {
     }
 }
 
-fn service_for(
-    world: &GroundTruth,
-    kind: StrategyKind,
-    shards: usize,
-    options: SimOptions,
-) -> ShardedService {
+fn service_for(world: &GroundTruth, kind: StrategyKind, options: SimOptions) -> ShardedService {
     let config = ServiceConfig {
-        shards,
         max_edges_per_task: options.max_edges_per_task,
-        expected_workers: world.total_workers().max(1),
+        ..ServiceConfig::default()
     };
     let mut service = ShardedService::new(world.grid, world.match_policy, kind, config);
     if options.calibrate {
@@ -63,10 +56,9 @@ fn service_for(
 fn serial_epoch_bits(
     world: &GroundTruth,
     kind: StrategyKind,
-    shards: usize,
     options: SimOptions,
 ) -> (Vec<u64>, Vec<Vec<u64>>) {
-    let mut service = service_for(world, kind, shards, options);
+    let mut service = service_for(world, kind, options);
     let mut epochs = Vec::new();
     for period in &world.periods {
         for event in period_events(period) {
@@ -86,13 +78,12 @@ fn serial_epoch_bits(
 fn ingested_epoch_bits(
     world: &GroundTruth,
     kind: StrategyKind,
-    shards: usize,
     producers: usize,
     queue_capacity: usize,
     plan: InterleavePlan,
     options: SimOptions,
 ) -> (Vec<u64>, Vec<Vec<u64>>) {
-    let mut service = service_for(world, kind, shards, options);
+    let mut service = service_for(world, kind, options);
     let mut scripts: Vec<Vec<Vec<ServiceEvent>>> = vec![Vec::new(); producers];
     for period in &world.periods {
         let events: Vec<_> = period_events(period).collect();
@@ -130,7 +121,7 @@ fn ingested_epoch_bits(
     (service.into_outcome().deterministic_bits(), epoch_bits)
 }
 
-/// The tentpole sweep: producers × shards × strategies × three forced
+/// The tentpole sweep: producers × strategies × three forced
 /// interleavings, every epoch checked against serial push and the
 /// final outcome additionally against the batch simulator.
 #[test]
@@ -146,36 +137,32 @@ fn ingest_oracle() {
             .with_options(options)
             .run()
             .deterministic_bits();
-        for shards in DEFAULT_SHARD_COUNTS {
-            let (serial_final, serial_epochs) =
-                maps_testkit::assert_deterministic_across(&[1, 3], || {
-                    serial_epoch_bits(&world, kind, shards, options)
-                });
-            assert_eq!(
-                serial_final, batch,
-                "{kind}: serial push diverged from the batch simulator"
-            );
-            for producers in DEFAULT_PRODUCER_COUNTS {
-                for plan in [
-                    InterleavePlan::RoundRobin,
-                    InterleavePlan::ReverseBatches,
-                    InterleavePlan::Staggered(
-                        0xA11CE ^ (((producers as u64) << 8) | shards as u64),
-                    ),
-                ] {
-                    let (ingested_final, ingested_epochs) =
-                        ingested_epoch_bits(&world, kind, shards, producers, ample, plan, options);
-                    assert_eq!(
-                        ingested_epochs, serial_epochs,
-                        "{kind}: {producers}-producer/{shards}-shard replay under {plan:?} \
-                         diverged from serial push mid-stream"
-                    );
-                    assert_eq!(
-                        ingested_final, batch,
-                        "{kind}: {producers}-producer/{shards}-shard replay under {plan:?} \
-                         diverged from the batch simulator"
-                    );
-                }
+        let (serial_final, serial_epochs) =
+            maps_testkit::assert_deterministic_across(&[1, 3], || {
+                serial_epoch_bits(&world, kind, options)
+            });
+        assert_eq!(
+            serial_final, batch,
+            "{kind}: serial push diverged from the batch simulator"
+        );
+        for producers in DEFAULT_PRODUCER_COUNTS {
+            for plan in [
+                InterleavePlan::RoundRobin,
+                InterleavePlan::ReverseBatches,
+                InterleavePlan::Staggered(0xA11CE ^ ((producers as u64) << 8)),
+            ] {
+                let (ingested_final, ingested_epochs) =
+                    ingested_epoch_bits(&world, kind, producers, ample, plan, options);
+                assert_eq!(
+                    ingested_epochs, serial_epochs,
+                    "{kind}: {producers}-producer replay under {plan:?} \
+                     diverged from serial push mid-stream"
+                );
+                assert_eq!(
+                    ingested_final, batch,
+                    "{kind}: {producers}-producer replay under {plan:?} \
+                     diverged from the batch simulator"
+                );
             }
         }
     }
@@ -188,7 +175,7 @@ fn ingest_oracle_across_queue_capacities() {
     let world = world();
     let options = options();
     let kind = StrategyKind::Maps;
-    let (serial_final, serial_epochs) = serial_epoch_bits(&world, kind, 2, options);
+    let (serial_final, serial_epochs) = serial_epoch_bits(&world, kind, options);
     for capacity in [1usize, 2, 7, 4096] {
         for plan in [
             InterleavePlan::Free,
@@ -199,7 +186,7 @@ fn ingest_oracle_across_queue_capacities() {
             InterleavePlan::Stutter(capacity as u64),
         ] {
             let (ingested_final, ingested_epochs) =
-                ingested_epoch_bits(&world, kind, 2, 4, capacity, plan, options);
+                ingested_epoch_bits(&world, kind, 4, capacity, plan, options);
             assert_eq!(
                 ingested_epochs, serial_epochs,
                 "capacity {capacity} under {plan:?} diverged mid-stream"
@@ -226,10 +213,10 @@ fn ingest_oracle_across_mixed_send_paths() {
     let world = world();
     let options = options();
     let kind = StrategyKind::Maps;
-    let (serial_final, serial_epochs) = serial_epoch_bits(&world, kind, 2, options);
+    let (serial_final, serial_epochs) = serial_epoch_bits(&world, kind, options);
     for producers in [2usize, 4] {
         for queue_capacity in [1usize, 2, 3] {
-            let mut service = service_for(&world, kind, 2, options);
+            let mut service = service_for(&world, kind, options);
             let (ingest, handles) = IngestService::new(IngestConfig {
                 producers,
                 queue_capacity,
@@ -301,9 +288,9 @@ fn replay_ingested_matches_replay_with_default_options() {
     let world = world();
     let options = SimOptions::default();
     let kind = StrategyKind::Maps;
-    let serial = maps_service::replay_with_options(&world, kind, 4, options);
+    let serial = maps_service::replay_with_options(&world, kind, 1, options);
     for producers in DEFAULT_PRODUCER_COUNTS {
-        let ingested = maps_service::replay_ingested(&world, kind, 4, producers, options);
+        let ingested = maps_service::replay_ingested(&world, kind, 1, producers, options);
         assert_eq!(
             ingested.deterministic_bits(),
             serial.deterministic_bits(),

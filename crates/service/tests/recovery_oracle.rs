@@ -7,17 +7,15 @@
 //! one that never crashed. This file enforces that across the
 //! [`maps_testkit::FaultPlan`] fault kinds:
 //!
-//! * **crash at every epoch boundary** — shard counts 1/2/4/8
-//!   ([`DEFAULT_SHARD_COUNTS`]), recovering into a *different* shard
-//!   count than the crash happened at, under the 1/2/3/8 rayon thread
-//!   sweep ([`DEFAULT_THREAD_COUNTS`]);
+//! * **crash at every epoch boundary** — under the 1/2/3/8 rayon
+//!   thread sweep ([`DEFAULT_THREAD_COUNTS`]);
 //! * **producer kill mid-epoch** at every epoch — producer counts
 //!   1/2/4/8 ([`DEFAULT_PRODUCER_COUNTS`]), supervisor reconnect at the
 //!   recovered acks, both exact-resume and at-least-once resend (the
 //!   watermark suppresses the duplicates);
 //! * **torn final journal record** — seeded truncations, recovery drops
 //!   the invalid frame and the producer re-sends from its ack;
-//! * **shard panic / sequencer death** — a poisoned tick surfaces as a
+//! * **tick panic / sequencer death** — a poisoned tick surfaces as a
 //!   typed error (serially and through `SequencerHandle::join`), then
 //!   the journal recovers the service to the bit-identical stream.
 //!
@@ -32,8 +30,7 @@ use maps_service::{
 };
 use maps_simulator::{GroundTruth, SimOptions, Simulation, SyntheticConfig};
 use maps_testkit::{
-    assert_deterministic_across, Fault, FaultPlan, DEFAULT_PRODUCER_COUNTS, DEFAULT_SHARD_COUNTS,
-    DEFAULT_THREAD_COUNTS,
+    assert_deterministic_across, Fault, FaultPlan, DEFAULT_PRODUCER_COUNTS, DEFAULT_THREAD_COUNTS,
 };
 use std::path::PathBuf;
 
@@ -53,21 +50,15 @@ fn options() -> SimOptions {
     }
 }
 
-fn config_for(world: &GroundTruth, shards: usize) -> ServiceConfig {
+fn config() -> ServiceConfig {
     ServiceConfig {
-        shards,
         max_edges_per_task: options().max_edges_per_task,
-        expected_workers: world.total_workers().max(1),
+        ..ServiceConfig::default()
     }
 }
 
-fn service_for(world: &GroundTruth, kind: StrategyKind, shards: usize) -> ShardedService {
-    ShardedService::new(
-        world.grid,
-        world.match_policy,
-        kind,
-        config_for(world, shards),
-    )
+fn service_for(world: &GroundTruth, kind: StrategyKind) -> ShardedService {
+    ShardedService::new(world.grid, world.match_policy, kind, config())
 }
 
 fn batch_bits(world: &GroundTruth, kind: StrategyKind) -> Vec<u64> {
@@ -113,19 +104,17 @@ fn finish_serially(svc: &mut ShardedService, world: &GroundTruth) {
 }
 
 /// Journaled serial run crashed right after `crash_epoch`'s barrier
-/// tick, recovered into `shards_after` shards, finished, compared
-/// against nothing — the caller owns the comparison.
+/// tick, recovered, finished, compared against nothing — the caller
+/// owns the comparison.
 fn boundary_crash_bits(
     world: &GroundTruth,
     kind: StrategyKind,
-    shards_before: usize,
-    shards_after: usize,
     crash_epoch: usize,
     checkpoint_every: u32,
 ) -> Vec<u64> {
     let dir = fresh_dir("boundary");
     let cfg = JournalConfig::new(&dir, checkpoint_every);
-    let mut svc = service_for(world, kind, shards_before);
+    let mut svc = service_for(world, kind);
     svc.attach_journal(&cfg).expect("attach journal");
     for period in &world.periods[..=crash_epoch] {
         for event in period_events(period) {
@@ -135,14 +124,8 @@ fn boundary_crash_bits(
     }
     drop(svc); // the crash: all state gone, only the journal dir remains
 
-    let recovered = recover(
-        world.grid,
-        world.match_policy,
-        kind,
-        config_for(world, shards_after),
-        &cfg,
-    )
-    .expect("boundary recovery");
+    let recovered =
+        recover(world.grid, world.match_policy, kind, config(), &cfg).expect("boundary recovery");
     assert_eq!(
         recovered.service.periods_served() as usize,
         crash_epoch + 1,
@@ -159,8 +142,7 @@ fn boundary_crash_bits(
     svc.into_outcome().deterministic_bits()
 }
 
-/// The tentpole sweep, part 1: crash at **every** epoch boundary, at
-/// every shard count (recovering into a *different* shard count), under
+/// The tentpole sweep, part 1: crash at **every** epoch boundary, under
 /// the rayon thread sweep. A checkpoint cadence of 3 makes some crash
 /// points recover straight off a checkpoint and others replay a
 /// multi-epoch journal tail past an older one.
@@ -174,7 +156,7 @@ fn crash_at_every_epoch_boundary_recovers_bit_identically() {
     let journaled = replay_journaled(
         &world,
         kind,
-        2,
+        1,
         options(),
         &JournalConfig::new(&journal_dir, 2),
     )
@@ -182,46 +164,31 @@ fn crash_at_every_epoch_boundary_recovers_bit_identically() {
     assert_eq!(journaled.deterministic_bits(), batch);
     let _ = std::fs::remove_dir_all(&journal_dir);
 
-    for (si, &shards_before) in DEFAULT_SHARD_COUNTS.iter().enumerate() {
-        let shards_after = DEFAULT_SHARD_COUNTS[(si + 1) % DEFAULT_SHARD_COUNTS.len()];
-        for crash_epoch in 0..world.num_periods() {
-            // Full 1/2/3/8 thread sweep on one diagonal per shard count,
-            // a 1/3-thread slice elsewhere (cost control; every thread
-            // count still meets every shard count and every epoch).
-            let threads: &[usize] = if crash_epoch % DEFAULT_SHARD_COUNTS.len() == si {
-                &DEFAULT_THREAD_COUNTS
-            } else {
-                &[1, 3]
-            };
-            let bits = assert_deterministic_across(threads, || {
-                boundary_crash_bits(&world, kind, shards_before, shards_after, crash_epoch, 3)
-            });
-            assert_eq!(
-                bits, batch,
-                "crash after epoch {crash_epoch} ({shards_before}→{shards_after} shards) \
-                 diverged from the uninterrupted run"
-            );
-        }
+    for crash_epoch in 0..world.num_periods() {
+        let bits = assert_deterministic_across(&DEFAULT_THREAD_COUNTS, || {
+            boundary_crash_bits(&world, kind, crash_epoch, 3)
+        });
+        assert_eq!(
+            bits, batch,
+            "crash after epoch {crash_epoch} diverged from the uninterrupted run"
+        );
     }
 }
 
-/// Part 1b: the second strategy of the CI sweep (CappedUCB) over a
-/// shard slice.
+/// Part 1b: the second strategy of the CI sweep (CappedUCB).
 #[test]
 fn crash_at_every_epoch_boundary_capped_ucb() {
     let world = world();
     let kind = StrategyKind::CappedUcb;
     let batch = batch_bits(&world, kind);
-    for &(shards_before, shards_after) in &[(1usize, 4usize), (4, 1)] {
-        for crash_epoch in 0..world.num_periods() {
-            let bits = assert_deterministic_across(&[1, 3], || {
-                boundary_crash_bits(&world, kind, shards_before, shards_after, crash_epoch, 2)
-            });
-            assert_eq!(
-                bits, batch,
-                "CappedUCB crash after epoch {crash_epoch} diverged"
-            );
-        }
+    for crash_epoch in 0..world.num_periods() {
+        let bits = assert_deterministic_across(&[1, 3], || {
+            boundary_crash_bits(&world, kind, crash_epoch, 2)
+        });
+        assert_eq!(
+            bits, batch,
+            "CappedUCB crash after epoch {crash_epoch} diverged"
+        );
     }
 }
 
@@ -233,11 +200,9 @@ fn crash_at_every_epoch_boundary_capped_ucb() {
 /// per-producer acks; every lane reconnects and the stream finishes
 /// through the real multi-producer sequencer. Returns
 /// `(final_bits, suppressed_duplicates)`.
-#[expect(clippy::too_many_arguments, reason = "one sweep axis per argument")]
 fn producer_kill_bits(
     world: &GroundTruth,
     kind: StrategyKind,
-    shards: usize,
     producers: usize,
     victim: usize,
     crash_epoch: usize,
@@ -246,7 +211,7 @@ fn producer_kill_bits(
 ) -> (Vec<u64>, u64) {
     let dir = fresh_dir("kill");
     let cfg = JournalConfig::new(&dir, 2);
-    let mut svc = service_for(world, kind, shards);
+    let mut svc = service_for(world, kind);
     svc.attach_journal(&cfg).expect("attach journal");
     for period in &world.periods[..crash_epoch] {
         for event in period_events(period) {
@@ -276,14 +241,8 @@ fn producer_kill_bits(
     }
     drop(svc); // the crash, mid-epoch this time
 
-    let recovered = recover(
-        world.grid,
-        world.match_policy,
-        kind,
-        config_for(world, shards),
-        &cfg,
-    )
-    .expect("mid-epoch recovery");
+    let recovered =
+        recover(world.grid, world.match_policy, kind, config(), &cfg).expect("mid-epoch recovery");
     assert_eq!(recovered.service.periods_served() as usize, crash_epoch);
     // The victim's ack names exactly what it got through pre-crash.
     if delivered[victim] > 0 {
@@ -361,9 +320,8 @@ fn producer_kill_mid_epoch_recovers_at_every_epoch() {
     let world = world();
     let kind = StrategyKind::Maps;
     let batch = batch_bits(&world, kind);
-    let mut plan = FaultPlan::new(0xF00D, 8, 8, world.num_periods() as u32);
-    for (pi, &producers) in DEFAULT_PRODUCER_COUNTS.iter().enumerate() {
-        let shards = DEFAULT_SHARD_COUNTS[(pi + 1) % DEFAULT_SHARD_COUNTS.len()];
+    let mut plan = FaultPlan::new(0xF00D, 8, world.num_periods() as u32);
+    for producers in DEFAULT_PRODUCER_COUNTS {
         for crash_epoch in 0..world.num_periods() {
             let (victim, events_sent) = loop {
                 if let Fault::ProducerKill {
@@ -382,7 +340,6 @@ fn producer_kill_mid_epoch_recovers_at_every_epoch() {
                 producer_kill_bits(
                     &world,
                     kind,
-                    shards,
                     producers,
                     victim,
                     crash_epoch,
@@ -400,7 +357,6 @@ fn producer_kill_mid_epoch_recovers_at_every_epoch() {
             let (mut resent, suppressed) = producer_kill_bits(
                 &world,
                 kind,
-                shards,
                 producers,
                 victim,
                 crash_epoch,
@@ -437,7 +393,7 @@ fn torn_final_record_truncates_and_recovers() {
     let world = world();
     let kind = StrategyKind::Maps;
     let batch = batch_bits(&world, kind);
-    let mut plan = FaultPlan::new(0xBEEF, 1, 8, world.num_periods() as u32);
+    let mut plan = FaultPlan::new(0xBEEF, 1, world.num_periods() as u32);
     let mut torn_cases = 0;
     while torn_cases < 5 {
         let Fault::TornTail { epoch, bytes } = plan.next_fault() else {
@@ -447,7 +403,7 @@ fn torn_final_record_truncates_and_recovers() {
         let (crash_epoch, bytes) = (epoch as usize, bytes as u64);
         let dir = fresh_dir("torn");
         let cfg = JournalConfig::new(&dir, 2);
-        let mut svc = service_for(&world, kind, 2);
+        let mut svc = service_for(&world, kind);
         svc.attach_journal(&cfg).expect("attach journal");
         for period in &world.periods[..crash_epoch] {
             for event in period_events(period) {
@@ -470,14 +426,8 @@ fn torn_final_record_truncates_and_recovers() {
             .set_len(len - bytes)
             .expect("tear the tail");
 
-        let recovered = recover(
-            world.grid,
-            world.match_policy,
-            kind,
-            config_for(&world, 4),
-            &cfg,
-        )
-        .expect("torn-tail recovery");
+        let recovered = recover(world.grid, world.match_policy, kind, config(), &cfg)
+            .expect("torn-tail recovery");
         assert!(
             matches!(recovered.tail, Tail::Torn { dropped, .. } if dropped > 0),
             "a mid-frame truncation must classify as torn"
@@ -494,29 +444,29 @@ fn torn_final_record_truncates_and_recovers() {
     }
 }
 
-/// Shard panic: the injected fault poisons the service with a typed
+/// Tick panic: the injected fault poisons the service with a typed
 /// error (serial path), and the journal — whose barrier record was
 /// durable *before* the tick ran — recovers the epoch deterministically.
 #[test]
-fn shard_panic_poisons_then_recovers() {
+fn tick_panic_poisons_then_recovers() {
     let world = world();
     let kind = StrategyKind::CappedUcb;
     let batch = batch_bits(&world, kind);
-    let mut plan = FaultPlan::new(0xCAFE, 4, 2, world.num_periods() as u32);
-    let Fault::ShardPanic { shard, epoch } = (0..4)
+    let mut plan = FaultPlan::new(0xCAFE, 4, world.num_periods() as u32);
+    let Fault::TickPanic { epoch } = (0..4)
         .map(|_| plan.next_fault())
-        .find(|f| matches!(f, Fault::ShardPanic { .. }))
+        .find(|f| matches!(f, Fault::TickPanic { .. }))
         .expect("plan cycles through every fault kind")
     else {
         unreachable!()
     };
-    let (shard, crash_epoch) = (shard as usize % 2, epoch as usize);
+    let crash_epoch = epoch as usize;
 
-    let dir = fresh_dir("shard_panic");
+    let dir = fresh_dir("tick_panic");
     let cfg = JournalConfig::new(&dir, 2);
-    let mut svc = service_for(&world, kind, 2);
+    let mut svc = service_for(&world, kind);
     svc.attach_journal(&cfg).expect("attach journal");
-    svc.inject_shard_fault(shard as u32, crash_epoch as u32);
+    svc.inject_tick_fault(epoch);
     let mut poisoned = None;
     'stream: for period in &world.periods {
         for event in period_events(period) {
@@ -531,21 +481,14 @@ fn shard_panic_poisons_then_recovers() {
         }
     }
     let Some(ServiceError::Poisoned(panic)) = poisoned else {
-        panic!("injected shard fault must poison the tick");
+        panic!("injected tick fault must poison the tick");
     };
-    assert_eq!(panic.shard, shard);
     assert_eq!(panic.period as usize, crash_epoch);
     assert_eq!(svc.poisoned_by(), Some(&panic));
     drop(svc);
 
-    let recovered = recover(
-        world.grid,
-        world.match_policy,
-        kind,
-        config_for(&world, 2),
-        &cfg,
-    )
-    .expect("post-poison recovery");
+    let recovered = recover(world.grid, world.match_policy, kind, config(), &cfg)
+        .expect("post-poison recovery");
     // The poisoned epoch's barrier was journaled before the tick ran,
     // so replay re-runs (and this time completes) it.
     assert_eq!(recovered.service.periods_served() as usize, crash_epoch + 1);
@@ -564,21 +507,20 @@ fn sequencer_death_surfaces_typed_error_and_recovers() {
     let world = world();
     let kind = StrategyKind::Maps;
     let batch = batch_bits(&world, kind);
-    let mut plan = FaultPlan::new(0xD00D, 2, 2, world.num_periods() as u32);
-    let Fault::ShardPanic { shard, epoch } = (0..4)
+    let mut plan = FaultPlan::new(0xD00D, 2, world.num_periods() as u32);
+    let Fault::TickPanic { epoch: crash_epoch } = (0..4)
         .map(|_| plan.next_fault())
-        .find(|f| matches!(f, Fault::ShardPanic { .. }))
+        .find(|f| matches!(f, Fault::TickPanic { .. }))
         .expect("plan cycles through every fault kind")
     else {
         unreachable!()
     };
-    let (shard, crash_epoch) = (shard % 2, epoch);
 
     let dir = fresh_dir("seq_death");
     let cfg = JournalConfig::new(&dir, 2);
-    let mut svc = service_for(&world, kind, 2);
+    let mut svc = service_for(&world, kind);
     svc.attach_journal(&cfg).expect("attach journal");
-    svc.inject_shard_fault(shard, crash_epoch);
+    svc.inject_tick_fault(crash_epoch);
 
     let producers = 2usize;
     let (ingest, handles) = IngestService::new(IngestConfig {
@@ -619,21 +561,12 @@ fn sequencer_death_surfaces_typed_error_and_recovers() {
         .join()
         .expect_err("poisoned tick kills the sequencer");
     match death.service_error() {
-        Some(ServiceError::Poisoned(panic)) => {
-            assert_eq!(panic.shard as u32, shard);
-            assert_eq!(panic.period, crash_epoch);
-        }
-        other => panic!("expected a typed shard poisoning, got {other:?}"),
+        Some(ServiceError::Poisoned(panic)) => assert_eq!(panic.period, crash_epoch),
+        other => panic!("expected a typed tick poisoning, got {other:?}"),
     }
 
-    let recovered = recover(
-        world.grid,
-        world.match_policy,
-        kind,
-        config_for(&world, 2),
-        &cfg,
-    )
-    .expect("post-death recovery");
+    let recovered =
+        recover(world.grid, world.match_policy, kind, config(), &cfg).expect("post-death recovery");
     let mut svc = recovered.service;
     finish_serially(&mut svc, &world);
     assert_eq!(svc.suppressed_duplicates(), 0);

@@ -1,22 +1,19 @@
 //! The standing invariants across a regrid.
 //!
-//! Every shard's spatial index re-buckets itself when its live count
+//! The service's spatial index re-buckets itself when its live count
 //! leaves a 16×-wide band (`maps_spatial::dynamic`). The worlds of the
-//! other oracles hold a near-constant pool, so their indexes settle on
+//! other oracles hold a near-constant pool, so their index settles on
 //! one grid early; this world's pool **surges 50× and collapses
-//! again**, so every shard regrids up and down mid-stream, and:
+//! again**, so the index regrids up and down mid-stream, and:
 //!
-//! * replay through the sharded service must still equal
-//!   `Simulation::run` bit for bit at 1/2/4/8 shards × 1/2/3/8 threads ×
-//!   Consume/Relocate (the `service_replay_matches_simulation` shape) —
-//!   at each shard count the per-shard populations, hence the grids and
-//!   the moments they change, differ;
+//! * replay through the service must still equal `Simulation::run` bit
+//!   for bit at 1/2/3/8 threads × Consume/Relocate (the
+//!   `service_replay_matches_simulation` shape);
 //! * a crash + `recover` on either side of a regrid must finish
 //!   bit-identical to the run that never crashed. The recovered service
-//!   rebuilds each cache with **one batch `apply`** of the checkpointed
+//!   rebuilds its cache with **one batch `apply`** of the checkpointed
 //!   live set — one regrid straight to the final size — i.e. a
-//!   different grid history than the uninterrupted run's, into a
-//!   different shard count.
+//!   different grid history than the uninterrupted run's.
 
 use maps_core::StrategyKind;
 use maps_service::ingest::period_events;
@@ -27,7 +24,7 @@ use maps_service::{
 use maps_simulator::{
     GroundTruth, GroundWorker, MatchPolicy, PeriodData, SimOptions, Simulation, SyntheticConfig,
 };
-use maps_testkit::{assert_deterministic_across, DEFAULT_SHARD_COUNTS, DEFAULT_THREAD_COUNTS};
+use maps_testkit::{assert_deterministic_across, DEFAULT_THREAD_COUNTS};
 
 const PERIODS: usize = 12;
 const POOL: usize = 32;
@@ -120,15 +117,13 @@ fn regridding_replay_matches_simulation() {
                 .with_options(options)
                 .run()
                 .deterministic_bits();
-            for shards in DEFAULT_SHARD_COUNTS {
-                let online = replay_with_options(&world, StrategyKind::Maps, shards, options);
-                assert_eq!(
-                    online.deterministic_bits(),
-                    canon,
-                    "{:?}: {shards}-shard replay diverged from the batch simulator",
-                    world.match_policy
-                );
-            }
+            let online = replay_with_options(&world, StrategyKind::Maps, 1, options);
+            assert_eq!(
+                online.deterministic_bits(),
+                canon,
+                "{:?}: replay diverged from the batch simulator",
+                world.match_policy
+            );
             canon
         });
     }
@@ -141,10 +136,9 @@ fn crash_on_either_side_of_a_regrid_recovers_bit_identically() {
         calibrate: false,
         ..SimOptions::default()
     };
-    let config = |world: &GroundTruth, shards: usize| ServiceConfig {
-        shards,
+    let config = ServiceConfig {
         max_edges_per_task: options.max_edges_per_task,
-        expected_workers: world.total_workers(),
+        ..ServiceConfig::default()
     };
     for world in worlds() {
         let uninterrupted = Simulation::new(world.clone(), kind)
@@ -156,36 +150,22 @@ fn crash_on_either_side_of_a_regrid_recovers_bit_identically() {
         // every epoch covers recoveries straight off each of them and
         // journal tails that replay the surge or the collapse.
         for crash_epoch in 0..PERIODS {
-            let si = crash_epoch % DEFAULT_SHARD_COUNTS.len();
-            let shards_before = DEFAULT_SHARD_COUNTS[si];
-            let shards_after = DEFAULT_SHARD_COUNTS[(si + 1) % DEFAULT_SHARD_COUNTS.len()];
             let dir = std::env::temp_dir().join(format!(
-                "maps_regrid_oracle_{}_{crash_epoch}_{shards_before}",
+                "maps_regrid_oracle_{}_{crash_epoch}",
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&dir);
             let journal = JournalConfig::new(&dir, 3);
-            let mut service = ShardedService::new(
-                world.grid,
-                world.match_policy,
-                kind,
-                config(&world, shards_before),
-            );
+            let mut service = ShardedService::new(world.grid, world.match_policy, kind, config);
             service.attach_journal(&journal).expect("attach journal");
             for period in &world.periods[..=crash_epoch] {
                 push_period(&mut service, period);
             }
             drop(service); // the crash
 
-            let mut service = recover(
-                world.grid,
-                world.match_policy,
-                kind,
-                config(&world, shards_after),
-                &journal,
-            )
-            .expect("recovery")
-            .service;
+            let mut service = recover(world.grid, world.match_policy, kind, config, &journal)
+                .expect("recovery")
+                .service;
             assert_eq!(service.periods_served() as usize, crash_epoch + 1);
             for period in &world.periods[crash_epoch + 1..] {
                 push_period(&mut service, period);
@@ -194,7 +174,7 @@ fn crash_on_either_side_of_a_regrid_recovers_bit_identically() {
             assert_eq!(
                 service.into_outcome().deterministic_bits(),
                 uninterrupted,
-                "{:?}: crash after epoch {crash_epoch} ({shards_before}→{shards_after} shards)",
+                "{:?}: crash after epoch {crash_epoch}",
                 world.match_policy
             );
         }

@@ -1,11 +1,9 @@
-//! The tentpole acceptance oracle: `service_replay_matches_simulation`.
+//! The service-equals-batch oracle: `service_replay_matches_simulation`.
 //!
-//! Replaying a `GroundTruth` through the sharded online service must
-//! reproduce `Simulation::run` **bit for bit** (every outcome field
-//! except the wall-clock timing columns, via
-//! `Outcome::deterministic_bits`) across
+//! Replaying a `GroundTruth` through the online service must reproduce
+//! `Simulation::run` **bit for bit** (every outcome field except the
+//! wall-clock timing columns, via `Outcome::deterministic_bits`) across
 //!
-//! * shard counts 1/2/4/8 ([`maps_testkit::DEFAULT_SHARD_COUNTS`]),
 //! * all five `StrategyKind`s,
 //! * both lifecycle policies (synthetic Consume, synthetic Relocate and
 //!   a Beijing-like Relocate window with finite worker durations),
@@ -18,7 +16,6 @@ use maps_service::replay_with_options;
 use maps_simulator::{
     BeijingConfig, GroundTruth, MatchPolicy, Outcome, SimOptions, Simulation, SyntheticConfig,
 };
-use maps_testkit::DEFAULT_SHARD_COUNTS;
 
 fn worlds() -> Vec<(&'static str, GroundTruth)> {
     let relocate = SyntheticConfig {
@@ -46,22 +43,20 @@ fn worlds() -> Vec<(&'static str, GroundTruth)> {
     ]
 }
 
-/// One full comparison: batch baseline vs the whole shard sweep, under
-/// the current rayon pool. Returns the canon so the thread harness can
+/// One full comparison: batch baseline vs the service, under the
+/// current rayon pool. Returns the canon so the thread harness can
 /// additionally assert thread-count invariance.
 fn sweep_canon(world: &GroundTruth, kind: StrategyKind, options: SimOptions) -> Vec<u64> {
     let batch: Outcome = Simulation::new(world.clone(), kind)
         .with_options(options)
         .run();
     let canon = batch.deterministic_bits();
-    for shards in DEFAULT_SHARD_COUNTS {
-        let online = replay_with_options(world, kind, shards, options);
-        assert_eq!(
-            online.deterministic_bits(),
-            canon,
-            "{kind}: {shards}-shard replay diverged from the batch simulator"
-        );
-    }
+    let online = replay_with_options(world, kind, 1, options);
+    assert_eq!(
+        online.deterministic_bits(),
+        canon,
+        "{kind}: replay diverged from the batch simulator"
+    );
     canon
 }
 
@@ -85,9 +80,9 @@ fn service_replay_matches_simulation() {
     }
 }
 
-/// The cap interacts with sharding (per-shard top-k merge vs one-index
-/// query): sweep a few k values including a cap no pool reaches
-/// (k ≥ live set: every in-range edge, through the same merge) and k = 1.
+/// The edge cap through the service: a few k values including a cap no
+/// pool reaches (k ≥ live set: every in-range edge, through the same
+/// query) and k = 1.
 #[test]
 fn service_replay_matches_simulation_across_edge_caps() {
     let world = SyntheticConfig {

@@ -1,7 +1,7 @@
 //! `ServiceConfig::expected_workers` is inert: whatever it says, the
 //! service is built small and replays to the same bits. (It used to size
-//! every shard's bucket grid at construction — `usize::MAX` meant 4 ×
-//! 65 536 empty bucket headers, 18.9 MB, thrown away by the first tick.)
+//! the bucket grid at construction — `usize::MAX` meant 65 536 empty
+//! bucket headers an index, thrown away by the first tick.)
 
 use maps_core::StrategyKind;
 use maps_service::ingest::period_events;
@@ -32,9 +32,9 @@ fn expected_workers_changes_neither_bits_nor_footprint() {
     assert!(batch.matched_tasks > 0, "world too sparse to test");
     for expected_workers in [0, 1, usize::MAX] {
         let config = ServiceConfig {
-            shards: 4,
             max_edges_per_task: options.max_edges_per_task,
             expected_workers,
+            ..ServiceConfig::default()
         };
         let before = TrackingAllocator::current_bytes();
         let mut service = ShardedService::new(world.grid, world.match_policy, kind, config);

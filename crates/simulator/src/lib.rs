@@ -18,8 +18,9 @@
 //!   private valuations → maximum-weight market clearing → feedback to
 //!   the strategy → worker lifecycle.
 //! * [`lifecycle`] — the worker state machine (arrive/expire/
-//!   busy-release/depart events) and the batch engine feeding its churn
-//!   into a [`maps_core::PeriodGraphCache`].
+//!   busy-release/depart events) feeding its churn into one
+//!   [`maps_core::PeriodGraphCache`]: the period engine of the batch
+//!   loop and of the online service alike.
 //! * [`probe`] — the ground-truth [`maps_core::DemandProbe`] used by the
 //!   Algorithm-1 calibration phase.
 //! * [`metrics`] — revenue / time / memory accounting (Figs. 6–8, 10).
@@ -38,7 +39,7 @@ pub mod synthetic;
 pub mod truth;
 
 pub use beijing::{BeijingConfig, BeijingWindow};
-pub use lifecycle::{ChurnSink, LifecycleTable, WorkerLifecycle};
+pub use lifecycle::WorkerLifecycle;
 pub use metrics::{Outcome, RunningMoments};
 pub use platform::{
     settle_period, PeriodEngine, PeriodSettlement, PeriodStep, SimOptions, Simulation,

@@ -4,22 +4,23 @@
 //! busy → release**, **expire**, **depart**) are scheduled when they
 //! become known, and a period only touches the events that fire in it
 //! plus that period's arrivals — `O(churn)`, never `O(all workers ever
-//! seen)`. The state machine exists once, in [`LifecycleTable`]; it owns
-//! no spatial state and instead *emits* the resulting churn into a
-//! [`ChurnSink`]:
-//!
-//! * [`WorkerLifecycle`] (the batch engine) stages the churn for one
-//!   [`PeriodGraphCache`];
-//! * the sharded online service routes it by grid cell into per-shard
-//!   caches.
+//! seen)`. The state machine exists once, in the private
+//! `LifecycleTable`; it owns no spatial state and stages the resulting
+//! churn for the one [`PeriodGraphCache`] of a [`WorkerLifecycle`].
+//! Both engines are a [`WorkerLifecycle`]: the batch `Simulation` admits
+//! a period's arrivals and fires through
+//! [`WorkerLifecycle::begin_period`]; the online service admits and
+//! departs per event ([`WorkerLifecycle::admit`],
+//! [`WorkerLifecycle::depart`]) and fires at its tick
+//! ([`WorkerLifecycle::fire`]).
 //!
 //! Per-period event flow:
 //!
 //! ```text
 //! admit ─► window buffer ─(fire: survivors)─┐
 //!   depart of a same-window id marks the    │
-//!   record `Gone` and emits nothing         │
-//! expiries (events) ────────────────────────┼─► ChurnSink::{arrive, depart}
+//!   record `Gone` and stages nothing        │
+//! expiries (events) ────────────────────────┼─► staged arrivals / departures
 //! busy releases (events) ───────────────────┤          │
 //! depart of an earlier id, consume, ────────┘          ▼
 //! dispatch                              PeriodGraphCache::apply
@@ -31,21 +32,18 @@
 //!
 //! **The window buffer.** Admission ids are consecutive, so the table
 //! keeps the admissions since the last `fire` in a vector whose entry
-//! `i` is worker `base + i`, and hands them to the sink only when the
-//! window closes. A worker departing in the window it arrived in is
-//! cancelled by marking its record — the id *is* the cancel token, so
-//! there is no handle to go stale — and a sink never sees a departure
-//! for a worker it was not told had arrived. (`consume` and `dispatch`
-//! name workers of a built graph, never a window id.) Both engines get
-//! this from the one table, so they agree on it bit for bit.
+//! `i` is worker `base + i`, and stages them only when the window
+//! closes. A worker departing in the window it arrived in is cancelled
+//! by marking its record — the id *is* the cancel token, so there is no
+//! handle to go stale — and the cache never sees a departure for a
+//! worker it was not told had arrived. (`consume` and `dispatch` name
+//! workers of a built graph, never a window id.)
 //!
-//! **Arrival order into a sink is free.** A window's admissions reach
-//! the sink ahead of the period's busy releases, and a cancelled one
-//! leaves a gap in the id sequence. [`PeriodGraphCache::apply`] is
-//! arrival-order-independent (it sorts each side's ids before merging
-//! them into its live lanes, and the index's bulk insert sorts its
-//! batch), so sinks may regroup arrivals — by shard, say — without
-//! moving a bit.
+//! **Arrival order is free.** A window's admissions are staged ahead of
+//! the period's busy releases, and a cancelled one leaves a gap in the
+//! id sequence. [`PeriodGraphCache::apply`] is arrival-order-independent
+//! (it sorts each side's ids before merging them into its live lanes,
+//! and the index's bulk insert sorts its batch).
 //!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
 //! stream), and a busy worker re-enters under its *original* id, so the
@@ -60,17 +58,6 @@ use maps_matching::BipartiteGraph;
 use maps_spatial::{GridSpec, Point};
 use std::collections::BTreeMap;
 use std::convert::Infallible;
-
-/// Where the live-set changes a [`LifecycleTable`] transition causes go:
-/// one cache's staging buffers (batch) or cell-routed shards (service).
-pub trait ChurnSink {
-    /// Worker `id` enters the live set at `input` (a fresh admission, or
-    /// a relocated worker re-entering under its original id).
-    fn arrive(&mut self, id: u32, input: WorkerInput);
-    /// Worker `id` leaves. Its `arrive` always came first: the table
-    /// cancels a same-window admission itself.
-    fn depart(&mut self, id: u32);
-}
 
 /// Where a worker currently is in its lifecycle. The discriminants are
 /// the two-bit codes of a checkpoint's status lane.
@@ -107,10 +94,10 @@ enum Timed {
 }
 
 /// The worker state machine: per-worker records plus the schedule of
-/// timed transitions. Every transition reports its effect on the live
-/// set through the [`ChurnSink`] it is handed.
+/// timed transitions. Every transition stages its effect on the live
+/// set in the [`StagedChurn`] it is handed.
 #[derive(Debug)]
-pub struct LifecycleTable {
+struct LifecycleTable {
     grid: GridSpec,
     /// Per-worker state, indexed by id (admission order).
     records: Vec<Record>,
@@ -123,14 +110,13 @@ pub struct LifecycleTable {
     /// unobservable and never scheduled; `None` for an open-ended stream.
     horizon: Option<u32>,
     /// Admissions since the last [`LifecycleTable::fire`], not yet
-    /// handed to a sink: entry `i` is worker `records.len() -
-    /// window.len() + i`.
+    /// staged: entry `i` is worker `records.len() - window.len() + i`.
     window: Vec<WorkerInput>,
 }
 
 impl LifecycleTable {
     /// An empty table over `grid`; see [`LifecycleTable`] for `horizon`.
-    pub fn new(grid: GridSpec, horizon: Option<u32>) -> Self {
+    fn new(grid: GridSpec, horizon: Option<u32>) -> Self {
         Self {
             grid,
             records: Vec::new(),
@@ -141,14 +127,8 @@ impl LifecycleTable {
     }
 
     /// Total workers ever admitted (the next admission id).
-    pub fn admitted(&self) -> usize {
+    fn admitted(&self) -> usize {
         self.records.len()
-    }
-
-    /// Whether nothing was admitted since the last
-    /// [`LifecycleTable::fire`]: where a checkpoint can be cut.
-    pub fn window_is_empty(&self) -> bool {
-        self.window.is_empty()
     }
 
     fn observable(&self, period: u32) -> bool {
@@ -163,10 +143,10 @@ impl LifecycleTable {
         }
     }
 
-    /// Admits `worker` in period `t` under the next id. The arrival
-    /// reaches a sink at the next [`LifecycleTable::fire`], unless the
-    /// worker departs first.
-    pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
+    /// Admits `worker` in period `t` under the next id. The arrival is
+    /// staged at the next [`LifecycleTable::fire`], unless the worker
+    /// departs first.
+    fn admit(&mut self, t: u32, worker: &GroundWorker) {
         let id = self.records.len() as u32;
         let expires_at = t.saturating_add(worker.duration);
         // A worker whose window is already over (duration 0 — rejected
@@ -197,30 +177,30 @@ impl LifecycleTable {
     /// ids never admitted: an online stream can carry duplicate or stale
     /// departures, and one bad client event must not take the service
     /// down. A busy worker's pending release is dropped when it fires.
-    pub fn depart(&mut self, id: u32, sink: &mut impl ChurnSink) {
+    fn depart(&mut self, id: u32, staged: &mut StagedChurn) {
         let window_base = self.records.len() - self.window.len();
         let Some(record) = self.records.get_mut(id as usize) else {
             return;
         };
-        // A worker admitted in this window has not reached the sink:
-        // marking the record is the whole cancellation.
+        // A worker admitted in this window was never staged: marking the
+        // record is the whole cancellation.
         if record.status == Status::Available && (id as usize) < window_base {
-            sink.depart(id);
+            staged.departures.push(id);
         }
         record.status = Status::Gone;
     }
 
-    /// Closes the window — hands its surviving admissions to `sink` —
-    /// then fires the transitions scheduled for period `t`. Call once
-    /// per period, in order, before the period's graph is built.
-    pub fn fire(&mut self, t: u32, sink: &mut impl ChurnSink) {
+    /// Closes the window — stages its surviving admissions — then fires
+    /// the transitions scheduled for period `t`. Call once per period,
+    /// in order, before the period's graph is built.
+    fn fire(&mut self, t: u32, staged: &mut StagedChurn) {
         let window_base = self.records.len() - self.window.len();
         let admitted = self.records[window_base..]
             .iter()
             .zip(self.window.drain(..));
         for (id, (record, input)) in (window_base as u32..).zip(admitted) {
             if record.status == Status::Available {
-                sink.arrive(id, input);
+                staged.arrivals.push((id, input));
             }
         }
         let Some(events) = self.schedule.remove(&t) else {
@@ -228,12 +208,12 @@ impl LifecycleTable {
         };
         for event in events {
             match event {
-                Timed::Expire(id) => self.depart(id, sink),
+                Timed::Expire(id) => self.depart(id, staged),
                 Timed::Release(id, input) => {
                     let record = &mut self.records[id as usize];
                     if record.status == Status::Busy && t < record.expires_at {
                         record.status = Status::Available;
-                        sink.arrive(id, input);
+                        staged.arrivals.push((id, input));
                     } else {
                         record.status = Status::Gone;
                     }
@@ -243,26 +223,26 @@ impl LifecycleTable {
     }
 
     /// A matched worker leaves permanently (`MatchPolicy::Consume`).
-    pub fn consume(&mut self, id: u32, sink: &mut impl ChurnSink) {
+    fn consume(&mut self, id: u32, staged: &mut StagedChurn) {
         self.records[id as usize].status = Status::Gone;
-        sink.depart(id);
+        staged.departures.push(id);
     }
 
     /// A worker of range `radius` matched in period `t` travels to
     /// `destination` for `travel ≥ 1` periods (`MatchPolicy::Relocate`),
     /// re-entering at `t + travel` under the same id — or leaving for
     /// good when that lands on or past its expiry or the horizon.
-    pub fn dispatch(
+    fn dispatch(
         &mut self,
         t: u32,
         id: u32,
         radius: f64,
         destination: Point,
         travel: u32,
-        sink: &mut impl ChurnSink,
+        staged: &mut StagedChurn,
     ) {
         debug_assert!(travel >= 1, "relocation travel takes at least one period");
-        sink.depart(id);
+        staged.departures.push(id);
         let busy_until = t.saturating_add(travel);
         let release = Timed::Release(id, self.input_at(destination, radius));
         let returns = self.observable(busy_until);
@@ -284,7 +264,7 @@ impl LifecycleTable {
     /// worker), so a worker that left costs a checkpoint its two bits.
     /// The open window is not part of it: checkpoints are cut right
     /// after a period closed, before anything is admitted into the next.
-    pub fn save_records(&self, w: &mut Vec<u64>) {
+    fn save_records(&self, w: &mut Vec<u64>) {
         debug_assert!(self.window.is_empty(), "checkpoint off a period boundary");
         w.push(self.records.len() as u64);
         w.push(self.records.len().div_ceil(STATUSES_PER_WORD) as u64);
@@ -300,7 +280,7 @@ impl LifecycleTable {
     /// word count is the bounded one ([`StateWords::take_len`]) and the
     /// record count must be one that lane holds, so neither sizes
     /// anything the stream does not back.
-    pub fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+    fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         use StateError::Mismatch;
         let n_records = usize::try_from(r.take()?).map_err(|_| StateError::Truncated)?;
         let lane = r.take_len(1)?;
@@ -336,7 +316,7 @@ impl LifecycleTable {
     /// The number of words [`LifecycleTable::save_records`] and
     /// [`LifecycleTable::save_schedule`] append for the table as it
     /// stands: what a caller reserves for them.
-    pub fn saved_words(&self) -> usize {
+    fn saved_words(&self) -> usize {
         let ids = self.records.len();
         let gone = self.records.iter().filter(|r| r.status == Status::Gone);
         let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + (ids - gone.count());
@@ -351,7 +331,7 @@ impl LifecycleTable {
 
     /// Appends the timed schedule to a checkpoint word stream (floats as
     /// IEEE-754 bits).
-    pub fn save_schedule(&self, w: &mut Vec<u64>) {
+    fn save_schedule(&self, w: &mut Vec<u64>) {
         w.push(self.schedule.len() as u64);
         for (&t, entries) in &self.schedule {
             w.push(u64::from(t));
@@ -376,7 +356,7 @@ impl LifecycleTable {
 
     /// Restores what [`LifecycleTable::save_schedule`] wrote (after
     /// [`LifecycleTable::load_records`]: entries must name known ids).
-    pub fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+    fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         self.schedule.clear();
         for _ in 0..r.take_len(2)? {
             let t = take_u32(r, "checkpoint schedule time out of range")?;
@@ -412,25 +392,19 @@ fn take_u32(r: &mut StateWords<'_>, what: &'static str) -> Result<u32, StateErro
     u32::try_from(r.take()?).map_err(|_| StateError::Mismatch(what))
 }
 
-/// Churn staged between two graph builds of a single cache.
+/// Churn staged between two graph builds of the cache.
 #[derive(Debug, Default)]
+#[cfg_attr(test, derive(PartialEq))]
 struct StagedChurn {
     arrivals: Vec<(u32, WorkerInput)>,
     departures: Vec<u32>,
 }
 
-impl ChurnSink for StagedChurn {
-    fn arrive(&mut self, id: u32, input: WorkerInput) {
-        self.arrivals.push((id, input));
-    }
-
-    fn depart(&mut self, id: u32) {
-        self.departures.push(id);
-    }
-}
-
-/// The batch period engine: a [`LifecycleTable`] whose churn feeds one
+/// The period engine: a lifecycle table whose churn feeds one
 /// [`PeriodGraphCache`], so the spatial index is mutated, never rebuilt.
+/// The batch `Simulation` runs one over a bounded horizon
+/// ([`WorkerLifecycle::new`]); the online service runs one over an event
+/// stream ([`WorkerLifecycle::open_ended`]).
 #[derive(Debug)]
 pub struct WorkerLifecycle {
     cache: PeriodGraphCache,
@@ -440,26 +414,63 @@ pub struct WorkerLifecycle {
 }
 
 impl WorkerLifecycle {
-    /// An empty lifecycle over `grid` for a `horizon`-period run.
+    /// An empty lifecycle over `grid` for a `horizon`-period run:
+    /// transitions at or past the horizon are never scheduled.
     /// `_expected_workers` is ignored (the cache sizes itself by who is
     /// live); kept for source compatibility, removed with ROADMAP 6(b).
     pub fn new(grid: &GridSpec, horizon: usize, _expected_workers: usize) -> Self {
+        Self::with_horizon(grid, Some(horizon as u32))
+    }
+
+    /// An empty lifecycle over `grid` for a stream with no last period:
+    /// every transition is scheduled (a `u32::MAX` expiry is one entry
+    /// that never fires).
+    pub fn open_ended(grid: &GridSpec) -> Self {
+        Self::with_horizon(grid, None)
+    }
+
+    fn with_horizon(grid: &GridSpec, horizon: Option<u32>) -> Self {
         Self {
             cache: PeriodGraphCache::new(grid),
-            table: LifecycleTable::new(*grid, Some(horizon as u32)),
+            table: LifecycleTable::new(*grid, horizon),
             staged: StagedChurn::default(),
         }
     }
 
-    /// Starts period `t`: admits this period's arrivals and fires the
-    /// period's scheduled events, staging the resulting churn. Call
-    /// once per period, in order, followed by
-    /// [`WorkerLifecycle::build_graph_capped`].
+    /// Admits `worker` in period `t` under the next id (the admission
+    /// order). It is staged at the next [`WorkerLifecycle::fire`],
+    /// unless it departs first.
+    pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
+        self.table.admit(t, worker);
+    }
+
+    /// Worker `id` leaves the live set at the next build. A departure in
+    /// the window the worker arrived in cancels the arrival; a no-op for
+    /// workers already gone and for ids never admitted.
+    pub fn depart(&mut self, id: u32) {
+        self.table.depart(id, &mut self.staged);
+    }
+
+    /// Closes the admission window and fires the transitions scheduled
+    /// for period `t`, staging the resulting churn. Call once per
+    /// period, in order, before [`WorkerLifecycle::build_graph_capped`].
+    pub fn fire(&mut self, t: u32) {
+        self.table.fire(t, &mut self.staged);
+    }
+
+    /// Starts period `t`: [`WorkerLifecycle::admit`]s this period's
+    /// arrivals, then [`WorkerLifecycle::fire`]s.
     pub fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
         for worker in arrivals {
-            self.table.admit(t, worker);
+            self.admit(t, worker);
         }
-        self.table.fire(t, &mut self.staged);
+        self.fire(t);
+    }
+
+    /// Whether nothing was admitted since the last
+    /// [`WorkerLifecycle::fire`]: where a checkpoint can be cut.
+    pub fn window_is_empty(&self) -> bool {
+        self.table.window.is_empty()
     }
 
     /// Applies the staged churn and builds the period's capped graph
@@ -513,6 +524,73 @@ impl WorkerLifecycle {
             .radius;
         self.table
             .dispatch(t, id, radius, destination, travel, &mut self.staged);
+    }
+
+    /// Appends the worker side of a checkpoint to a word stream: the
+    /// lifecycle records, the live workers (a count, then `id, x, y,
+    /// radius` each in ascending id order, floats as IEEE-754 bits), the
+    /// staged departures (a count, then the ids — the closing period's
+    /// matched pairs and departures of earlier arrivals), then the timed
+    /// schedule. Cut at a period boundary only — after a build, before
+    /// anything is admitted into the next window — so no arrival is
+    /// staged.
+    pub fn save(&self, w: &mut Vec<u64>) {
+        debug_assert!(
+            self.staged.arrivals.is_empty(),
+            "checkpoint off a period boundary"
+        );
+        self.table.save_records(w);
+        w.push(self.cache.live_count() as u64);
+        for (&id, input) in self.cache.live_ids().iter().zip(self.cache.live_inputs()) {
+            let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
+            w.extend([u64::from(id), x, y, input.radius.to_bits()]);
+        }
+        w.push(self.staged.departures.len() as u64);
+        w.extend(self.staged.departures.iter().map(|&id| u64::from(id)));
+        self.table.save_schedule(w);
+    }
+
+    /// The number of words [`WorkerLifecycle::save`] appends for the
+    /// lifecycle as it stands: what a caller reserves for them.
+    pub fn saved_words(&self) -> usize {
+        let live = 1 + 4 * self.cache.live_count();
+        self.table.saved_words() + live + 1 + self.staged.departures.len()
+    }
+
+    /// Restores what [`WorkerLifecycle::save`] wrote into a freshly
+    /// constructed lifecycle over the same grid. Every word is outside
+    /// input: counts are bounded by the words behind them, live ids must
+    /// ascend below the admission count with finite geometry (what the
+    /// cache asserts of every arrival), and a departure must name an
+    /// admitted id. The live set goes into the cache as one batch, whose
+    /// queries depend only on the set, so this equals the build that
+    /// wrote it.
+    pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        use StateError::Mismatch;
+        self.table.load_records(r)?;
+        let admitted = self.table.admitted() as u64;
+        let mut next_id = 0;
+        for _ in 0..r.take_len(4)? {
+            let id = r.take()?;
+            let (x, y, radius) = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
+            let sound = x.is_finite() && y.is_finite() && radius.is_finite() && radius >= 0.0;
+            if !(sound && (next_id..admitted).contains(&id)) {
+                return Err(Mismatch("checkpoint live worker invalid"));
+            }
+            next_id = id + 1;
+            let input = self.table.input_at(Point::new(x, y), radius);
+            self.staged.arrivals.push((id as u32, input));
+        }
+        self.cache.apply(&self.staged.arrivals, &[]);
+        self.staged.arrivals.clear();
+        for _ in 0..r.take_len(1)? {
+            let id = r.take()?;
+            if id >= admitted {
+                return Err(Mismatch("checkpoint departure id out of range"));
+            }
+            self.staged.departures.push(id as u32);
+        }
+        self.table.load_schedule(r)
     }
 }
 
@@ -678,51 +756,39 @@ mod tests {
         }
     }
 
-    /// Records what a table transition emitted.
-    #[derive(Debug, Default, PartialEq)]
-    struct Emitted {
-        arrived: Vec<u32>,
-        departed: Vec<u32>,
-    }
-
-    impl ChurnSink for Emitted {
-        fn arrive(&mut self, id: u32, _input: WorkerInput) {
-            self.arrived.push(id);
-        }
-
-        fn depart(&mut self, id: u32) {
-            self.departed.push(id);
-        }
+    /// The ids a table transition staged as arrivals.
+    fn arrived(staged: &StagedChurn) -> Vec<u32> {
+        staged.arrivals.iter().map(|&(id, _)| id).collect()
     }
 
     /// An open-ended table (the service's shape) with one worker
     /// admitted in period 0, its window closed and its arrival already
-    /// drained from the sink.
-    fn table_with_one_worker(duration: u32) -> (LifecycleTable, Emitted) {
+    /// taken out of the staging.
+    fn table_with_one_worker(duration: u32) -> (LifecycleTable, StagedChurn) {
         let mut table = LifecycleTable::new(grid(), None);
-        let mut sink = Emitted::default();
+        let mut sink = StagedChurn::default();
         table.admit(0, &worker(1.0, duration));
         assert_eq!(
             sink,
-            Emitted::default(),
-            "nothing reaches a sink before fire"
+            StagedChurn::default(),
+            "nothing is staged before fire"
         );
         table.fire(0, &mut sink);
-        assert_eq!(sink.arrived, [0]);
-        (table, Emitted::default())
+        assert_eq!(arrived(&sink), [0]);
+        (table, StagedChurn::default())
     }
 
     #[test]
     fn departing_an_available_worker_emits_one_departure() {
         let (mut table, mut sink) = table_with_one_worker(3);
         table.depart(0, &mut sink);
-        assert_eq!(sink.departed, [0]);
+        assert_eq!(sink.departures, [0]);
         // Departing again is a no-op, and so is the expiry that was
         // scheduled at admission.
         table.depart(0, &mut sink);
         table.fire(3, &mut sink);
-        assert_eq!(sink.departed, [0]);
-        assert!(sink.arrived.is_empty());
+        assert_eq!(sink.departures, [0]);
+        assert!(sink.arrivals.is_empty());
     }
 
     #[test]
@@ -730,16 +796,16 @@ mod tests {
         let (mut table, mut sink) = table_with_one_worker(u32::MAX);
         table.dispatch(0, 0, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
         assert_eq!(
-            sink.departed,
+            sink.departures,
             [0],
             "dispatch takes the worker off the live set"
         );
-        // Busy workers are in no live set: nothing to emit.
+        // Busy workers are in no live set: nothing to stage.
         table.depart(0, &mut sink);
-        assert_eq!(sink.departed, [0]);
+        assert_eq!(sink.departures, [0]);
         table.fire(2, &mut sink);
         assert!(
-            sink.arrived.is_empty(),
+            sink.arrivals.is_empty(),
             "the release of a departed worker fired"
         );
     }
@@ -748,7 +814,7 @@ mod tests {
     fn departing_an_unknown_id_is_ignored() {
         let (mut table, mut sink) = table_with_one_worker(u32::MAX);
         table.depart(42, &mut sink);
-        assert_eq!(sink, Emitted::default());
+        assert_eq!(sink, StagedChurn::default());
         assert_eq!(table.admitted(), 1);
     }
 
@@ -766,14 +832,18 @@ mod tests {
         // Again, and an id the table has not issued yet: both no-ops.
         table.depart(2, &mut sink);
         table.depart(5, &mut sink);
-        assert_eq!(sink, Emitted::default(), "the window emits nothing itself");
+        assert_eq!(
+            sink,
+            StagedChurn::default(),
+            "the window stages nothing itself"
+        );
         table.fire(1, &mut sink);
-        assert_eq!(sink.arrived, [1, 4]);
-        assert!(sink.departed.is_empty());
+        assert_eq!(arrived(&sink), [1, 4]);
+        assert!(sink.departures.is_empty());
         // The cancelled worker's expiry (none: u32::MAX) and the
         // survivor's fire as usual in later periods.
         table.fire(3, &mut sink);
-        assert_eq!(sink.departed, [4]);
+        assert_eq!(sink.departures, [4]);
         assert_eq!(table.admitted(), 5);
     }
 
@@ -785,10 +855,10 @@ mod tests {
         table.admit(1, &worker(2.0, u32::MAX)); // id 1, open window
         table.depart(0, &mut sink);
         table.depart(0, &mut sink);
-        assert_eq!(sink.departed, [0]);
+        assert_eq!(sink.departures, [0]);
         table.fire(1, &mut sink);
-        assert_eq!(sink.arrived, [1]);
-        assert_eq!(sink.departed, [0]);
+        assert_eq!(arrived(&sink), [1]);
+        assert_eq!(sink.departures, [0]);
     }
 
     /// The two checkpoint sections restore a table that continues
@@ -797,12 +867,12 @@ mod tests {
     #[test]
     fn saved_records_and_schedule_restore_the_same_transitions() {
         let mut table = LifecycleTable::new(grid(), None);
-        let mut sink = Emitted::default();
+        let mut sink = StagedChurn::default();
         table.admit(0, &worker(1.0, 4));
         table.admit(0, &worker(2.0, u32::MAX));
         table.admit(0, &worker(3.0, 0));
         table.fire(0, &mut sink);
-        assert_eq!(sink.arrived, [0, 1]);
+        assert_eq!(arrived(&sink), [0, 1]);
         table.dispatch(0, 1, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
         let mut words = Vec::new();
         table.save_records(&mut words);
@@ -821,12 +891,12 @@ mod tests {
         assert_eq!(resaved, words);
 
         for t in 1..6 {
-            let (mut a, mut b) = (Emitted::default(), Emitted::default());
+            let (mut a, mut b) = (StagedChurn::default(), StagedChurn::default());
             table.fire(t, &mut a);
             restored.fire(t, &mut b);
             assert_eq!(a, b, "period {t}");
-            assert_eq!(a.arrived, if t == 2 { vec![1] } else { vec![] });
-            assert_eq!(a.departed, if t == 4 { vec![0] } else { vec![] });
+            assert_eq!(arrived(&a), if t == 2 { vec![1] } else { vec![] });
+            assert_eq!(a.departures, if t == 4 { vec![0] } else { vec![] });
         }
         // A truncated stream is an error, not a panic.
         let mut short = LifecycleTable::new(grid(), None);

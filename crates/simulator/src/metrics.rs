@@ -17,7 +17,7 @@ use maps_telemetry::LatencyTelemetry;
 /// whose updates never subtract two large near-equal numbers.
 ///
 /// Every consumer that must stay bit-identical (the sequential platform
-/// loop and the sharded service's tick reducer) pushes prices through
+/// loop and the online service's tick) pushes prices through
 /// this one type in the same order, so the floating-point op sequence —
 /// and therefore the bit pattern of the resulting statistics — is
 /// shared by construction.
@@ -139,8 +139,7 @@ pub struct Outcome {
     /// columns these are pure functions of the admitted event stream —
     /// measured in canonical-replay-order positions, not seconds — so
     /// they participate in `deterministic_bits` and must agree bitwise
-    /// across every engine, shard count, thread count and producer
-    /// interleaving.
+    /// across every engine, thread count and producer interleaving.
     pub latency: LatencyTelemetry,
 }
 
@@ -204,8 +203,8 @@ impl Outcome {
     /// `clearing_secs`, `calibration_secs`), which legitimately vary
     /// with thread count and machine load, and `peak_memory_mib`, which
     /// reflects the allocator schedule of whichever engine produced the
-    /// outcome (the batch and `--shards` paths are bit-identical in
-    /// *results* while allocating very differently).
+    /// outcome (the batch and the service paths are bit-identical in
+    /// *results* while allocating differently).
     ///
     /// This is the equality the workspace's replay/determinism oracles
     /// compare: two outcomes with equal `deterministic_bits` agree

@@ -13,7 +13,7 @@
 //!
 //! Steps 1–5 exist once, as [`PeriodStep::run`]: the batch
 //! [`Simulation`] calls it in a loop over a [`WorkerLifecycle`], the
-//! sharded online service calls it from its tick over its shard set.
+//! online service calls it from its tick over the same engine.
 //! Their float-op sequences — and therefore their bit-level outcomes —
 //! agree by construction rather than by mirrored code.
 
@@ -130,12 +130,11 @@ impl Default for SimOptions {
 /// What [`PeriodStep::run`] needs from the worker side of a period: the
 /// graph over the currently available workers, and the lifecycle
 /// transitions of the ones that got matched. Implemented by
-/// [`WorkerLifecycle`] (one spatial index) and by the online service's
-/// shard set (cell-routed indexes, merged under the total
-/// `(distance, id)` order).
+/// [`WorkerLifecycle`] (one spatial index), which the online service
+/// wraps to isolate its tick's panics.
 pub trait PeriodEngine {
     /// Why a graph build can fail ([`Infallible`] for the batch engine;
-    /// the shard set reports a panicking shard).
+    /// the service reports a panicking tick).
     type Error;
     /// Builds period `t`'s capped bipartite graph over the available
     /// workers — every transition reported so far applied — and leaves
@@ -243,7 +242,7 @@ impl PeriodStep {
         self.outcome.issued_tasks += tasks.len() as u64;
         // Event-time telemetry: queued tasks and live workers at pricing
         // time are pure functions of the event stream, so the histograms
-        // are bit-identical across engines, shard and thread counts.
+        // are bit-identical across engines and thread counts.
         self.outcome
             .latency
             .record_period(tasks.len() as u64, engine.worker_inputs().len() as u64);

@@ -51,7 +51,7 @@ use crate::geom::Point;
 /// the contract is [`DynamicBucketIndex::k_nearest_within_into`]'s.
 /// Because the order is total, the result is a function of the point
 /// set: bucket layout and visit order cannot show in it, so a regrid
-/// changes no answer and per-shard answers merge to the whole.
+/// changes no answer.
 pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
     store: &DynamicBucketIndex<T>,
     center: Point,

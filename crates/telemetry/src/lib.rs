@@ -3,15 +3,15 @@
 //! Deterministic, allocation-free latency telemetry for the MAPS
 //! pipeline: fixed-bucket **log2 histograms** whose state is a pure
 //! function of the admitted event stream — never of wall-clock time,
-//! thread count, shard count, or producer interleaving.
+//! thread count or producer interleaving.
 //!
 //! Production latency telemetry is usually wall-clock based and
 //! therefore excluded from replay contracts (like `pricing_secs` in
 //! `maps_simulator::Outcome`). The histograms here instead measure
 //! latency in **event-time ticks**: positions in the canonical replay
 //! order (`[workers…, tasks…, PeriodTick]` per period). That makes the
-//! counters bit-identical between the batch simulator, the sharded
-//! service at any shard/thread count, and every ingestion interleaving
+//! counters bit-identical between the batch simulator, the online
+//! service at any thread count, and every ingestion interleaving
 //! — so they *can* ride inside `Outcome::deterministic_bits` and get
 //! the same replay/recovery oracle coverage as revenue itself.
 //!
@@ -93,8 +93,8 @@ impl Log2Histogram {
         &self.counts
     }
 
-    /// Folds `other` into `self` bucket-wise. Merging per-shard
-    /// histograms in any order yields the same state (addition is
+    /// Folds `other` into `self` bucket-wise. Merging histograms in
+    /// any order yields the same state (addition is
     /// commutative on `u64` counts).
     pub fn merge(&mut self, other: &Log2Histogram) {
         for (mine, theirs) in self.counts.iter_mut().zip(other.counts.iter()) {
@@ -191,8 +191,8 @@ impl Log2Histogram {
 /// (positions in the canonical replay order), never wall-clock.
 ///
 /// All three are pure functions of per-period quantities that every
-/// engine — batch scan, batch incremental, the sharded tick reducer at
-/// any shard/thread count, and every ingestion interleaving — computes
+/// engine — batch scan, batch incremental, the service's tick at any
+/// thread count, and every ingestion interleaving — computes
 /// identically under the existing replay contract, which is what
 /// licenses their inclusion in `deterministic_bits`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]

@@ -28,13 +28,6 @@ use std::fmt::Debug;
 /// 1-CPU host still reorders chunk scheduling).
 pub const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
-/// Shard counts the sharded-service replay oracle sweeps (PR 4's
-/// shard-count-invariance contract): the single-shard degenerate case,
-/// powers of two up to more shards than most test grids have non-empty
-/// cells. Service outcomes must be bit-identical across all of them
-/// *and* to the batch simulator.
-pub const DEFAULT_SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
 /// Deterministic xorshift64 for test fixtures and churn scripts — one
 /// shared generator so fixture distributions cannot silently diverge
 /// between crates (no `rand` dependency needed in test hot paths).
@@ -386,9 +379,9 @@ impl Interleaver {
 ///
 /// The plan is pure data: it names *where* a crash-recovery test should
 /// inject its fault (which producer dies, after how many events, which
-/// journal bytes tear, which shard panics), and the test maps that onto
+/// journal bytes tear, which tick panics), and the test maps that onto
 /// the service's public hooks (`IngressProducer::abandon`, truncating
-/// the journal file, `ShardedService::inject_shard_fault`, a panicking
+/// the journal file, `ShardedService::inject_tick_fault`, a panicking
 /// strategy wrapper). Keeping the plan seeded and service-agnostic
 /// means every CI run exercises the same fault schedule bit-for-bit —
 /// a failing seed is a reproducible bug report, not a flake.
@@ -421,19 +414,17 @@ pub enum Fault {
         /// Trailing bytes chopped off the journal file.
         bytes: u32,
     },
-    /// Shard `shard` panics inside the parallel tick closing `epoch`,
+    /// The tick closing `epoch` panics inside its isolated work,
     /// poisoning the service (typed error), which is then recovered
     /// from the journal.
-    ShardPanic {
-        /// Shard whose closure panics.
-        shard: u32,
+    TickPanic {
         /// Epoch whose tick is poisoned.
         epoch: u32,
     },
 }
 
 /// Seeded generator of [`Fault`] scenarios over a fixed topology
-/// (`producers` lanes × `shards` shards × `epochs` periods).
+/// (`producers` lanes × `epochs` periods).
 ///
 /// Draws cycle through the four fault kinds so any non-trivial draw
 /// count covers every kind, while the victims/offsets walk a
@@ -442,21 +433,19 @@ pub enum Fault {
 pub struct FaultPlan {
     rng: XorShift,
     producers: u32,
-    shards: u32,
     epochs: u32,
     draws: u32,
 }
 
 impl FaultPlan {
-    /// A plan for the given topology. `producers`, `shards` and
-    /// `epochs` must all be ≥ 1.
-    pub fn new(seed: u64, producers: u32, shards: u32, epochs: u32) -> Self {
-        assert!(producers >= 1 && shards >= 1 && epochs >= 1);
+    /// A plan for the given topology. `producers` and `epochs` must
+    /// both be ≥ 1.
+    pub fn new(seed: u64, producers: u32, epochs: u32) -> Self {
+        assert!(producers >= 1 && epochs >= 1);
         Self {
             // Avoid the all-zero xorshift fixed point.
             rng: XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             producers,
-            shards,
             epochs,
             draws: 0,
         }
@@ -478,10 +467,7 @@ impl FaultPlan {
                 epoch,
                 bytes: 1 + (self.rng.next_u64() % 16) as u32,
             },
-            _ => Fault::ShardPanic {
-                shard: (self.rng.next_u64() % u64::from(self.shards)) as u32,
-                epoch,
-            },
+            _ => Fault::TickPanic { epoch },
         }
     }
 }
@@ -633,7 +619,7 @@ mod tests {
     #[test]
     fn fault_plan_is_deterministic_and_covers_every_kind() {
         let draw = |seed: u64| {
-            let mut plan = FaultPlan::new(seed, 4, 8, 8);
+            let mut plan = FaultPlan::new(seed, 4, 8);
             (0..8).map(|_| plan.next_fault()).collect::<Vec<_>>()
         };
         assert_eq!(draw(42), draw(42), "same seed, same schedule");
@@ -646,7 +632,7 @@ mod tests {
             .iter()
             .any(|f| matches!(f, Fault::SequencerDeath { .. })));
         assert!(faults.iter().any(|f| matches!(f, Fault::TornTail { .. })));
-        assert!(faults.iter().any(|f| matches!(f, Fault::ShardPanic { .. })));
+        assert!(faults.iter().any(|f| matches!(f, Fault::TickPanic { .. })));
         for f in &faults {
             match *f {
                 Fault::ProducerKill {
@@ -660,7 +646,7 @@ mod tests {
                 Fault::TornTail { epoch, bytes } => {
                     assert!(epoch < 8 && (1..=16).contains(&bytes));
                 }
-                Fault::ShardPanic { shard, epoch } => assert!(shard < 8 && epoch < 8),
+                Fault::TickPanic { epoch } => assert!(epoch < 8),
             }
         }
     }

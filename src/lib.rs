@@ -19,10 +19,10 @@
 //! * [`simulator`] — synthetic (Table 3) and Beijing-like (Table 4)
 //!   workload generators plus the per-period platform simulator used by
 //!   the experiment harness.
-//! * [`service`] — the grid-sharded **online** pricing service: ingests
+//! * [`service`] — the **online** pricing service: ingests
 //!   worker/task/tick event streams and serves posted prices
-//!   continuously, with replay bit-identical to the batch simulator at
-//!   any shard count.
+//!   continuously from the batch engine, with replay bit-identical to
+//!   the batch simulator.
 //! * [`telemetry`] — O(1) fixed-bucket log2 latency histograms: pure
 //!   deterministic counters (event-time, never wall-clock) that ride
 //!   inside `Outcome::deterministic_bits`.

@@ -283,16 +283,14 @@ proptest! {
     /// subset is departed in the very window it arrived in, which the
     /// ground truth writes as `duration: 0` — takes an id, never
     /// lives), task requests and period ticks — driven through the
-    /// sharded online service must leave the service's outcome equal,
-    /// every tick, to the batch simulator run over the equivalent
-    /// ground-truth prefix (`Outcome::deterministic_bits`, so
-    /// bit-level). Shard count is drawn 1..=8; both lifecycle policies
-    /// are exercised.
+    /// online service must leave the service's outcome equal, every
+    /// tick, to the batch simulator run over the equivalent ground-truth
+    /// prefix (`Outcome::deterministic_bits`, so bit-level). Both
+    /// lifecycle policies are exercised.
     #[test]
     fn service_churn_stream_matches_batch_oracle_every_tick(
         seed in 0u64..2_000,
         periods in 1usize..=6,
-        shards in 1usize..=8,
     ) {
         let grid = GridSpec::square(Rect::square(50.0), 3);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -361,12 +359,7 @@ proptest! {
         }
         let demands = vec![Demand::paper_normal(2.5, 1.0); grid.num_cells()];
         let options = SimOptions { calibrate: false, ..SimOptions::default() };
-        let mut service = ShardedService::new(
-            grid,
-            match_policy,
-            kind,
-            ServiceConfig { shards, ..ServiceConfig::default() },
-        );
+        let mut service = ShardedService::new(grid, match_policy, kind, ServiceConfig::default());
         // Explicit departures scheduled for the tick each worker's true
         // window ends at, pushed in the inter-tick window before it.
         let mut departs: Vec<(u32, u32)> = Vec::new(); // (period, id)
@@ -418,9 +411,8 @@ proptest! {
             prop_assert_eq!(
                 service.outcome_snapshot().deterministic_bits(),
                 batch.deterministic_bits(),
-                "tick {}: {}-shard service state diverged from the batch oracle ({})",
+                "tick {}: service state diverged from the batch oracle ({})",
                 t,
-                shards,
                 kind
             );
         }
@@ -443,7 +435,6 @@ proptest! {
         seed in 0u64..2_000,
         periods in 1usize..=5,
         producers in 1usize..=4,
-        shards in 1usize..=4,
     ) {
         let grid = GridSpec::square(Rect::square(50.0), 3);
         let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
@@ -533,14 +524,8 @@ proptest! {
                 bounds
             })
             .collect();
-        let make_service = || {
-            ShardedService::new(
-                grid,
-                match_policy,
-                kind,
-                ServiceConfig { shards, ..ServiceConfig::default() },
-            )
-        };
+        let make_service =
+            || ShardedService::new(grid, match_policy, kind, ServiceConfig::default());
         let (serial_bits, serial_rejected) = maps_testkit::assert_deterministic(|| {
             let mut service = make_service();
             let mut bits = Vec::new();
@@ -584,11 +569,10 @@ proptest! {
             prop_assert_eq!(
                 &bits,
                 &serial_bits,
-                "{}-producer stream (capacity {}, {:?}, {} shards, {}) diverged from serial push",
+                "{}-producer stream (capacity {}, {:?}, {}) diverged from serial push",
                 producers,
                 capacity,
                 plan,
-                shards,
                 kind
             );
             prop_assert_eq!(service.rejected_events(), serial_rejected);
@@ -739,7 +723,7 @@ proptest! {
         let world = cfg.build(seed);
         let options = SimOptions::default();
         let uninterrupted =
-            replay_with_options(&world, StrategyKind::Maps, 2, options).deterministic_bits();
+            replay_with_options(&world, StrategyKind::Maps, 1, options).deterministic_bits();
         // The crashed run: the first 3, 5 or 7 periods, so the journal's
         // last epoch is past every checkpoint and recovery replays it.
         let mut crashed = world.clone();
@@ -750,7 +734,7 @@ proptest! {
             CASE.fetch_add(1, Ordering::Relaxed)
         ));
         let journal = JournalConfig::new(&dir, 2);
-        replay_journaled(&crashed, StrategyKind::Maps, 2, options, &journal)
+        replay_journaled(&crashed, StrategyKind::Maps, 1, options, &journal)
             .expect("journaled run");
 
         let checkpoints = list_checkpoints(&dir).unwrap(); // 0, 2, …
@@ -813,7 +797,7 @@ proptest! {
         std::fs::write(&path, &bytes).unwrap();
 
         let recovered = std::panic::catch_unwind(|| {
-            replay_recovered(&world, StrategyKind::Maps, 2, options, &journal)
+            replay_recovered(&world, StrategyKind::Maps, 1, options, &journal)
         });
         let _ = std::fs::remove_dir_all(&dir);
         prop_assert!(recovered.is_ok(), "recovery panicked");
@@ -906,8 +890,7 @@ fn generated_valuations_match_declared_demand() {
 /// nearest by `(distance, id)`, from the capped scan
 /// [`build_period_graph_capped`] and from [`PeriodGraphCache`] after
 /// `apply`; and the one-period world over the same pool must replay
-/// through the sharded service, at 1 and 4 shards, to the batch
-/// simulator's bits. Returns the spec graph and the batch outcome for
+/// through the service to the batch simulator's bits. Returns the spec graph and the batch outcome for
 /// the caller's own, index-free statements about them.
 fn agree_on_every_path(
     what: &str,
@@ -966,15 +949,12 @@ fn agree_on_every_path(
     let batch = Simulation::new(world.clone(), StrategyKind::Maps)
         .with_options(options)
         .run();
-    for shards in [1, 4] {
-        let served =
-            maps::service::replay_with_options(&world, StrategyKind::Maps, shards, options);
-        assert_eq!(
-            served.deterministic_bits(),
-            batch.deterministic_bits(),
-            "{what}: {shards}-shard service vs the batch loop"
-        );
-    }
+    let served = maps::service::replay_with_options(&world, StrategyKind::Maps, 1, options);
+    assert_eq!(
+        served.deterministic_bits(),
+        batch.deterministic_bits(),
+        "{what}: service vs the batch loop"
+    );
     (spec, batch)
 }
 
