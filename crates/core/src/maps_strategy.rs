@@ -17,7 +17,7 @@
 //! Lemma 9 (per-grid `Δ` is non-increasing) makes the lazy heap sound and
 //! Theorem 8 gives the `(1−1/e)` guarantee for the resulting supply plan.
 //!
-//! ## Deviations from the pseudocode (documented in DESIGN.md)
+//! ## Deviations from the pseudocode
 //!
 //! * The first `G` heap pops with `Δ = ∞` in Algorithm 2 only exist to
 //!   bootstrap the per-grid candidates; we push the first real candidate

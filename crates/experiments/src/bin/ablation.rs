@@ -1,4 +1,4 @@
-//! Ablation study over MAPS design choices (DESIGN.md experiment A1):
+//! Ablation study over MAPS design choices:
 //!
 //! * `DeltaRule::LDifference` (default) vs the pseudocode's
 //!   `ScaledShorthand` heap keys;
@@ -6,8 +6,8 @@
 //! * change detection off (default on stationary demand) vs on;
 //! * spatial smoothing β ∈ {0, 0.3};
 //! * Eq. (1) vs Appendix C.6's `L̃` approximation;
-//! * plateau lookahead on (default) vs the literal Δ=0 stop
-//!   (DESIGN.md §4.10);
+//! * plateau lookahead on (default) vs the literal Δ=0 stop (the
+//!   concave-hull correction argued at `MapsConfig::plateau_lookahead`);
 //! * and BaseP as the reference floor.
 //!
 //! Run on the Table-3 default world (`--quick` shrinks it).

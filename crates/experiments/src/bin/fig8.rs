@@ -1,4 +1,4 @@
-//! Regenerates the paper's Fig8 panels (see DESIGN.md experiment index).
+//! Regenerates the paper's Fig. 8 panels (`maps_experiments::panels`).
 
 use maps_experiments::cli::{run_figure, CliArgs};
 use maps_simulator::alloc::TrackingAllocator;

@@ -4,11 +4,12 @@
 //! MAPS paper (Figs. 6–8, Fig. 10) is encoded as a [`PanelSpec`] — a
 //! swept parameter, a world builder, and the five compared strategies —
 //! and regenerated by the `fig6` / `fig7` / `fig8` / `fig10` binaries.
-//! `run_all` executes everything and emits the tables recorded in
-//! `EXPERIMENTS.md`; `ablation` measures MAPS design-choice variants.
+//! `run_all` executes every panel; `ablation` measures MAPS
+//! design-choice variants. Every cell runs the per-period batch loop,
+//! `maps_simulator::Simulation::run`.
 //!
-//! Output: paper-style text tables on stdout plus JSON-lines rows under
-//! `results/` for machine consumption.
+//! Output: paper-style text tables on stdout plus one JSON-lines file
+//! per panel under `results/` for machine consumption.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -21,4 +22,4 @@ pub mod runner;
 pub use cli::{CliArgs, CliError};
 pub use panels::{all_panels, panel_by_name, PanelSpec, Scale};
 pub use report::{print_metric_tables, write_jsonl, Row};
-pub use runner::{run_panel, JournalOptions, RunOptions};
+pub use runner::{run_panel, RunOptions};

@@ -10,7 +10,7 @@ use std::path::Path;
 /// three histograms an [`maps_simulator::Outcome`] carries. These are
 /// derived from `Outcome::latency` (merged over seeds), so — unlike
 /// the wall-clock columns — two runs of the same cell always export
-/// the same numbers at any thread/producer count.
+/// the same numbers at any thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LatencySummary {
     /// `(count, p50, p99, p999)` of the admission→priced task wait.
@@ -226,7 +226,7 @@ pub fn print_metric_tables(rows: &[Row]) {
 /// Prints the `--telemetry` dump for a panel: one line per row with the
 /// event-time latency quantiles. Everything here is deterministic (the
 /// histograms ride in `Outcome::deterministic_bits`), so this output is
-/// diffable across thread/producer configurations.
+/// diffable across thread counts.
 pub fn print_telemetry(rows: &[Row]) {
     println!("-- event-time latency telemetry (deterministic) --");
     println!(
@@ -258,17 +258,13 @@ pub fn print_telemetry(rows: &[Row]) {
     }
 }
 
-/// Appends rows as JSON lines to `path` (creates parent dirs).
+/// Writes rows as JSON lines to `path`, replacing whatever a previous
+/// run left there: one run, one file (creates parent dirs).
 pub fn write_jsonl(rows: &[Row], path: &Path) -> std::io::Result<()> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    let mut file = std::io::BufWriter::new(
-        std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)?,
-    );
+    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
     for row in rows {
         serde_json::to_writer(&mut file, row)?;
         file.write_all(b"\n")?;
@@ -343,5 +339,23 @@ mod tests {
             .collect();
         assert_eq!(parsed, rows);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A second run of a panel replaces the first run's rows: appending
+    /// left two rows per `(x, strategy)`, from whichever scales ran.
+    #[test]
+    fn jsonl_rewrite_keeps_only_the_last_run() {
+        let dir = std::env::temp_dir().join(format!("maps_jsonl_rewrite_{}", std::process::id()));
+        let path = dir.join("fig6_w.jsonl");
+        write_jsonl(&[row("MAPS", 50.0, 1.0), row("SDR", 50.0, 2.0)], &path).unwrap();
+        let second = vec![row("MAPS", 1250.0, 3.0)];
+        write_jsonl(&second, &path).unwrap();
+        let text = std::fs::read_to_string(&path).unwrap();
+        let parsed: Vec<Row> = text
+            .lines()
+            .map(|l| serde_json::from_str(l).unwrap())
+            .collect();
+        assert_eq!(parsed, second);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }

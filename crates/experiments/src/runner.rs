@@ -1,7 +1,6 @@
-//! Sweep execution: runs every (x, strategy) cell of a panel, optionally
-//! in parallel, and aggregates seeds into [`Row`]s. [`run_panel`] is the
-//! one cell loop; how a cell is driven (batch, service, ingested,
-//! journaled) is `run_cell`'s choice.
+//! Sweep execution: runs every (x, strategy) cell of a panel through
+//! [`Simulation::run`], the per-period batch loop the paper evaluates,
+//! optionally in parallel, and aggregates seeds into [`Row`]s.
 //!
 //! ## Determinism contract (PR 2)
 //!
@@ -40,24 +39,6 @@ pub struct RunOptions {
     /// Per-task edge cap of the period graph builder, forwarded to
     /// [`SimOptions::max_edges_per_task`].
     pub max_edges_per_task: usize,
-    /// With `shards ≥ 1`, replay every run through the online service
-    /// (`maps-service`) instead of the in-process batch loop; `0`
-    /// (default) keeps the batch simulator. The count itself is ignored
-    /// (the service serves from one index) and goes with ROADMAP item
-    /// 14. Schedule-independent row columns are bit-identical either
-    /// way — the service-equals-batch contract, enforced by
-    /// `service_rows_match_batch_rows` below.
-    pub shards: usize,
-    /// With `producers ≥ 1`, stream every service replay through the
-    /// bounded multi-producer ingestion front-end
-    /// (`maps_service::replay_ingested`) with that many producer
-    /// threads; `0` (default) uses the synchronous serial `push` path.
-    /// Only meaningful together with the service path, which
-    /// `producers ≥ 1` selects whatever `shards` says. Row columns are
-    /// bit-identical either way and at any producer count — the
-    /// ingestion interleaving-invariance contract, enforced by
-    /// `ingested_rows_match_batch_rows` below.
-    pub producers: usize,
 }
 
 impl Default for RunOptions {
@@ -69,8 +50,6 @@ impl Default for RunOptions {
             parallel: false,
             track_memory: true,
             max_edges_per_task: sim.max_edges_per_task,
-            shards: 0,
-            producers: 0,
         }
     }
 }
@@ -85,90 +64,25 @@ impl RunOptions {
     }
 }
 
-/// Durability options for [`run_panel`]: every cell's service replay
-/// writes a write-ahead journal (and epoch checkpoints) into its own
-/// subdirectory of `dir`, and `recover` resumes cells whose journal
-/// already exists from a previous — possibly crashed — run instead of
-/// recomputing them from scratch.
-#[derive(Debug, Clone)]
-pub struct JournalOptions {
-    /// Root directory; each `(panel, x, strategy, seed)` cell journals
-    /// into its own deterministic subdirectory.
-    pub dir: std::path::PathBuf,
-    /// Recover cells with an existing journal (latest checkpoint +
-    /// journal-tail replay + remainder of the stream) instead of
-    /// replaying them from scratch. By the recovery-equals-uninterrupted
-    /// contract the rows are bit-identical either way.
-    pub recover: bool,
-    /// Checkpoint cadence in epochs, forwarded to
-    /// [`maps_service::JournalConfig`].
-    pub checkpoint_every: u32,
-}
-
-impl JournalOptions {
-    /// The journal directory of one cell.
-    fn cell_config(
-        &self,
-        spec: &PanelSpec,
-        x: f64,
-        kind: StrategyKind,
-        seed: u64,
-    ) -> maps_service::JournalConfig {
-        let slug = format!(
-            "{}_{}_x{}_{}_s{seed}",
-            spec.figure,
-            spec.panel,
-            x.to_bits(),
-            kind.name()
-        );
-        maps_service::JournalConfig::new(self.dir.join(slug), self.checkpoint_every)
-    }
-}
-
-/// Runs one simulation cell — through the batch loop, the online
-/// service, the ingestion front-end or, with `journal`, the journaled
-/// (or recovered) serial service replay — with peak-memory accounting
-/// on a serial run that asks for it. Rows are bit-identical whichever
-/// way the cell is driven: the journal is write-path-only, and a
-/// recovered cell replays to the same outcome as an uninterrupted one.
+/// Runs one simulation cell through the batch loop, with peak-memory
+/// accounting on a serial run that asks for it.
 fn run_cell(
     spec: &PanelSpec,
     x: f64,
     kind: StrategyKind,
     options: RunOptions,
-    journal: Option<&JournalOptions>,
     seed: u64,
 ) -> Outcome {
     let truth = (spec.build)(x, options.scale, seed);
-    let sim = options.sim_options();
     // The peak is process-wide: cells running side by side would read
     // each other's.
     let track = options.track_memory && !options.parallel;
     if track {
         TrackingAllocator::reset_peak();
     }
-    let mut outcome = if let Some(journal) = journal {
-        let config = journal.cell_config(spec, x, kind, seed);
-        let recovered = (journal.recover && config.journal_path().exists())
-            .then(|| maps_service::replay_recovered(&truth, kind, 1, sim, &config));
-        match recovered {
-            Some(Ok(outcome)) => outcome,
-            // No journal, or one whose writer died before its baseline
-            // checkpoint: nothing durable, and a cell is a pure function
-            // of its coordinates — run it from the start.
-            None | Some(Err(maps_service::RecoveryError::NoCheckpoint)) => {
-                maps_service::replay_journaled(&truth, kind, 1, sim, &config)
-                    .unwrap_or_else(|e| panic!("cell journaling failed: {e}"))
-            }
-            Some(Err(e)) => panic!("cell recovery failed: {e}"),
-        }
-    } else if options.producers >= 1 {
-        maps_service::replay_ingested(&truth, kind, 1, options.producers, sim)
-    } else if options.shards >= 1 {
-        maps_service::replay_with_options(&truth, kind, 1, sim)
-    } else {
-        Simulation::new(truth, kind).with_options(sim).run()
-    };
+    let mut outcome = Simulation::new(truth, kind)
+        .with_options(options.sim_options())
+        .run();
     if track {
         outcome.peak_memory_mib = Some(TrackingAllocator::peak_mib());
     }
@@ -211,14 +125,8 @@ fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome])
     }
 }
 
-/// Runs a whole panel: every sweep value × the five strategies, each
-/// cell's service replay journaled when `journal` is given (the service
-/// path even if `options.shards` is 0).
-pub fn run_panel(
-    spec: &PanelSpec,
-    options: RunOptions,
-    journal: Option<&JournalOptions>,
-) -> Vec<Row> {
+/// Runs a whole panel: every sweep value × the five strategies.
+pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
     let cells: Vec<(f64, StrategyKind)> = spec
         .xs
         .iter()
@@ -237,7 +145,7 @@ pub fn run_panel(
             .par_iter()
             .map(|&(c, seed)| {
                 let (x, kind) = cells[c];
-                run_cell(spec, x, kind, options, journal, seed)
+                run_cell(spec, x, kind, options, seed)
             })
             .collect();
         cells
@@ -253,7 +161,7 @@ pub fn run_panel(
             .iter()
             .map(|&(x, kind)| {
                 let outcomes: Vec<Outcome> = (0..seeds)
-                    .map(|seed| run_cell(spec, x, kind, options, journal, seed))
+                    .map(|seed| run_cell(spec, x, kind, options, seed))
                     .collect();
                 aggregate(spec, x, kind, &outcomes)
             })
@@ -323,14 +231,13 @@ mod tests {
                 ..RunOptions::default()
             };
             let parallel =
-                maps_testkit::assert_deterministic(|| rows_canon(&run_panel(&spec, options, None)));
+                maps_testkit::assert_deterministic(|| rows_canon(&run_panel(&spec, options)));
             let serial = run_panel(
                 &spec,
                 RunOptions {
                     parallel: false,
                     ..options
                 },
-                None,
             );
             assert_eq!(
                 parallel,
@@ -338,130 +245,6 @@ mod tests {
                 "num_seeds {num_seeds}: parallel rows diverged from the serial path"
             );
         }
-    }
-
-    /// Routing a panel through the online service must leave every
-    /// schedule-independent row column bitwise unchanged — the
-    /// service-equals-batch contract observed at the experiment-harness
-    /// level.
-    #[test]
-    fn service_rows_match_batch_rows() {
-        let spec = tiny_panel();
-        let base = RunOptions {
-            scale: Scale::Quick,
-            num_seeds: 2,
-            parallel: true,
-            track_memory: false,
-            ..RunOptions::default()
-        };
-        let batch = rows_canon(&run_panel(&spec, base, None));
-        let service_rows = run_panel(&spec, RunOptions { shards: 1, ..base }, None);
-        assert_eq!(
-            rows_canon(&service_rows),
-            batch,
-            "service rows diverged from the batch loop"
-        );
-    }
-
-    /// Streaming a panel through the multi-producer ingestion front-end
-    /// must leave every schedule-independent row column bitwise
-    /// unchanged, at any producer count — the ingestion
-    /// interleaving-invariance contract observed at the
-    /// experiment-harness level.
-    #[test]
-    fn ingested_rows_match_batch_rows() {
-        let spec = tiny_panel();
-        let base = RunOptions {
-            scale: Scale::Quick,
-            num_seeds: 2,
-            parallel: true,
-            track_memory: false,
-            ..RunOptions::default()
-        };
-        let batch = rows_canon(&run_panel(&spec, base, None));
-        for producers in [1usize, 3, 4] {
-            let ingested_rows = run_panel(&spec, RunOptions { producers, ..base }, None);
-            assert_eq!(
-                rows_canon(&ingested_rows),
-                batch,
-                "{producers}-producer ingested rows diverged from the batch loop"
-            );
-        }
-    }
-
-    /// Journaling a panel's service replays must leave every
-    /// schedule-independent row column bitwise unchanged (the journal is
-    /// write-path-only), and `--recover` over the completed journals
-    /// must reproduce the same rows again — recovery equals
-    /// uninterrupted, observed at the experiment-harness level.
-    #[test]
-    fn journaled_rows_match_batch_rows_and_recovery_reproduces_them() {
-        let spec = tiny_panel();
-        let base = RunOptions {
-            scale: Scale::Quick,
-            num_seeds: 2,
-            parallel: false,
-            track_memory: false,
-            shards: 1,
-            ..RunOptions::default()
-        };
-        let batch = rows_canon(&run_panel(
-            &spec,
-            RunOptions {
-                shards: 0,
-                parallel: true,
-                ..base
-            },
-            None,
-        ));
-        let journal = JournalOptions {
-            dir: std::env::temp_dir()
-                .join(format!("maps_experiments_journal_{}", std::process::id())),
-            recover: false,
-            checkpoint_every: 2,
-        };
-        let journaled = run_panel(&spec, base, Some(&journal));
-        assert_eq!(
-            rows_canon(&journaled),
-            batch,
-            "journaled rows diverged from the batch loop"
-        );
-        let recover = JournalOptions {
-            recover: true,
-            ..journal.clone()
-        };
-        let recovered = run_panel(&spec, base, Some(&recover));
-        assert_eq!(
-            rows_canon(&recovered),
-            batch,
-            "recovered rows diverged from the batch loop"
-        );
-        // A cell that died between creating its journal and writing the
-        // baseline checkpoint left only the journal file: `--recover`
-        // runs that cell from the start (it used to panic, every time).
-        let killed = recover.cell_config(&spec, spec.xs[0], StrategyKind::ALL[0], 0);
-        for entry in std::fs::read_dir(&killed.dir).unwrap() {
-            let path = entry.unwrap().path();
-            if path != killed.journal_path() {
-                std::fs::remove_file(path).unwrap();
-            }
-        }
-        assert_eq!(std::fs::read_dir(&killed.dir).unwrap().count(), 1);
-        let restarted = run_panel(&spec, base, Some(&recover));
-        assert_eq!(
-            rows_canon(&restarted),
-            batch,
-            "rows of a cell restarted from a checkpoint-less journal diverged"
-        );
-        // The journaled cell is driven by the one loop, so it reads
-        // `track_memory` like every other cell (the column was `-`).
-        let tracked = RunOptions {
-            track_memory: true,
-            ..base
-        };
-        let rows = run_panel(&spec, tracked, Some(&recover));
-        assert!(rows.iter().all(|r| r.memory_mib.is_some()));
-        let _ = std::fs::remove_dir_all(&journal.dir);
     }
 
     #[test]
@@ -476,7 +259,6 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
-            None,
         );
         assert_eq!(rows.len(), 5 * 5);
         for row in &rows {
@@ -507,7 +289,6 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
-            None,
         );
         let three = run_panel(
             &spec,
@@ -518,7 +299,6 @@ mod tests {
                 track_memory: false,
                 ..RunOptions::default()
             },
-            None,
         );
         // Same shape, (almost surely) different values.
         assert_eq!(one.len(), three.len());

@@ -211,10 +211,9 @@ impl From<JournalError> for ServiceError {
 }
 
 /// Renders a caught panic payload (`&str` and `String` verbatim) for
-/// [`TickPanic::message`] and
-/// [`SequencerPanic::message`](crate::SequencerPanic::message): boxed
-/// as `catch_unwind` hands it over, or borrowed as `&dyn Any` — not as
-/// `&Box`, which is an `Any` itself and would downcast to neither.
+/// [`TickPanic::message`]: boxed as `catch_unwind` hands it over, or
+/// borrowed as `&dyn Any` — not as `&Box`, which is an `Any` itself and
+/// would downcast to neither.
 pub(crate) fn panic_message(payload: impl Deref<Target = dyn Any + Send>) -> String {
     if let Some(s) = payload.downcast_ref::<&str>() {
         (*s).to_string()
@@ -756,7 +755,7 @@ impl ShardedService {
     /// [`TickPanic`] and the caller poisons the service. The
     /// *strategy*'s own panics are deliberately **not** caught — a
     /// strategy is caller-supplied code, and its panic propagates like
-    /// any callback's (see `SequencerHandle::join`).
+    /// any callback's.
     fn run_tick(&mut self) -> Result<(), TickPanic> {
         let t = self.period;
         self.step.run(

@@ -65,7 +65,7 @@
 //! back* (e.g. a test harness serializing sends) must size queues to
 //! the held-back volume, or it can deadlock against the barrier.
 
-use crate::engine::{panic_message, ServiceError, ServiceEvent, ShardedService, StampError};
+use crate::engine::{ServiceError, ServiceEvent, ShardedService, StampError};
 use crate::journal::TICK_PRODUCER;
 use maps_simulator::PeriodData;
 use std::collections::VecDeque;
@@ -581,114 +581,6 @@ impl IngestService {
             epoch += 1;
         }
     }
-
-    /// Moves `service` onto a dedicated sequencer thread (the online
-    /// deployment shape: producers are client threads, the sequencer
-    /// runs in the background). Join the returned handle to get the
-    /// service back once every producer has closed.
-    pub fn spawn(self, service: ShardedService) -> SequencerHandle {
-        let handle = std::thread::spawn(move || {
-            let mut service = service;
-            let epochs = self.sequence(&mut service)?;
-            Ok((service, epochs))
-        });
-        SequencerHandle { handle }
-    }
-}
-
-/// Why a background sequencer died ([`SequencerHandle::join`]): either
-/// its thread panicked (e.g. a panicking strategy unwound through the
-/// reducer — the panic payload is preserved verbatim) or the reducer
-/// returned a fatal [`ServiceError`].
-pub struct SequencerPanic {
-    cause: SequencerCause,
-}
-
-enum SequencerCause {
-    Panicked(Box<dyn std::any::Any + Send + 'static>),
-    Failed(ServiceError),
-}
-
-impl SequencerPanic {
-    /// Human-readable description of the failure (`&str`/`String`
-    /// panic payloads verbatim).
-    pub fn message(&self) -> String {
-        match &self.cause {
-            SequencerCause::Panicked(payload) => panic_message(&**payload),
-            SequencerCause::Failed(e) => e.to_string(),
-        }
-    }
-
-    /// The fatal [`ServiceError`], when the reducer failed typed-ly
-    /// (as opposed to an unwinding panic).
-    pub fn service_error(&self) -> Option<&ServiceError> {
-        match &self.cause {
-            SequencerCause::Failed(e) => Some(e),
-            SequencerCause::Panicked(_) => None,
-        }
-    }
-
-    /// The original panic payload, when the thread unwound.
-    pub fn into_panic_payload(self) -> Option<Box<dyn std::any::Any + Send + 'static>> {
-        match self.cause {
-            SequencerCause::Panicked(payload) => Some(payload),
-            SequencerCause::Failed(_) => None,
-        }
-    }
-}
-
-impl std::fmt::Debug for SequencerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SequencerPanic")
-            .field("message", &self.message())
-            .finish()
-    }
-}
-
-impl std::fmt::Display for SequencerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "sequencer died: {}", self.message())
-    }
-}
-
-impl std::error::Error for SequencerPanic {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        self.service_error()
-            .map(|e| e as &(dyn std::error::Error + 'static))
-    }
-}
-
-/// Join handle of a background sequencer ([`IngestService::spawn`]).
-#[derive(Debug)]
-pub struct SequencerHandle {
-    handle: std::thread::JoinHandle<Result<(ShardedService, u64), ServiceError>>,
-}
-
-impl SequencerHandle {
-    /// Waits for every producer to close and returns the driven service
-    /// together with the number of epochs fired.
-    ///
-    /// A sequencer-thread death — an unwinding panic (say, from a
-    /// panicking strategy) or a fatal reducer error — surfaces as a
-    /// typed [`SequencerPanic`] with the payload preserved, never an
-    /// abort or a hang ([`IngestService`]'s drop already woke blocked
-    /// producers when the thread unwound).
-    pub fn join(self) -> Result<(ShardedService, u64), SequencerPanic> {
-        match self.handle.join() {
-            Ok(Ok(result)) => Ok(result),
-            Ok(Err(e)) => Err(SequencerPanic {
-                cause: SequencerCause::Failed(e),
-            }),
-            Err(payload) => Err(SequencerPanic {
-                cause: SequencerCause::Panicked(payload),
-            }),
-        }
-    }
-
-    /// Whether the sequencer thread has finished (without blocking).
-    pub fn is_finished(&self) -> bool {
-        self.handle.is_finished()
-    }
 }
 
 /// The serial event stream of one ground-truth period: worker arrivals
@@ -879,12 +771,12 @@ mod tests {
         drop(p0);
     }
 
-    /// Satellite regression: a panic in the background sequencer thread
-    /// (here: a strategy that panics on its first `price_period`) must
-    /// surface from `join` as a typed `Err` with the payload preserved
-    /// — never a silent abort, a swallowed unwind, or a hang.
+    /// A panic in the sequencer thread (here: a strategy that panics on
+    /// its first `price_period`) must reach that thread's `join` with
+    /// the payload preserved — never a silent abort, a swallowed unwind,
+    /// or a hang.
     #[test]
-    fn sequencer_panic_surfaces_as_typed_error_with_payload() {
+    fn sequencer_panic_reaches_join_with_its_payload() {
         struct Bomb;
         impl maps_core::PricingStrategy for Bomb {
             fn name(&self) -> &'static str {
@@ -899,7 +791,7 @@ mod tests {
             }
             fn observe(&mut self, _feedback: &[maps_core::Observation]) {}
         }
-        let svc = ShardedService::with_strategy(
+        let mut svc = ShardedService::with_strategy(
             GridSpec::square(Rect::square(10.0), 2),
             MatchPolicy::Consume,
             Box::new(Bomb),
@@ -910,7 +802,7 @@ mod tests {
             queue_capacity: 8,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(svc);
+        let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|n| (svc, n)));
         p0.send(ServiceEvent::WorkerArrive {
             worker: worker(1.0),
         });
@@ -918,15 +810,9 @@ mod tests {
         // The tick detonates the strategy; the lane may already be dead
         // by the time we close, so tolerate the fail-fast panic path.
         let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || p0.close()));
-        let err = sequencer
+        let payload = sequencer
             .join()
-            .expect_err("sequencer must report the panic");
-        assert!(
-            err.message().contains("strategy exploded on purpose"),
-            "payload lost: {err:?}"
-        );
-        assert!(err.service_error().is_none(), "this was an unwind");
-        let payload = err.into_panic_payload().expect("panic payload preserved");
+            .expect_err("the strategy's panic unwinds the sequencer");
         assert_eq!(
             payload.downcast_ref::<&str>(),
             Some(&"strategy exploded on purpose")
@@ -954,7 +840,7 @@ mod tests {
         // The timed-out event was not enqueued and seq did not advance:
         // retrying after the sequencer drains keeps the stream gapless.
         let mut svc = service();
-        let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|e| (svc, e)));
+        let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|n| (svc, n)));
         let retry_deadline = Duration::from_secs(30);
         assert_eq!(p0.try_send(e, retry_deadline), Ok(()));
         assert_eq!(
@@ -1362,13 +1248,14 @@ mod tests {
     /// A capacity-1 queue forces maximal backpressure; the stream must
     /// still complete and agree with serial push.
     #[test]
-    fn capacity_one_round_trips_through_spawned_sequencer() {
+    fn capacity_one_round_trips_through_a_sequencer_thread() {
         let (ingest, mut producers) = IngestService::new(IngestConfig {
             producers: 1,
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(service());
+        let mut svc = service();
+        let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|n| (svc, n)));
         for i in 0..20 {
             p0.send(ServiceEvent::WorkerArrive {
                 worker: worker(1.0 + (i % 8) as f64),
@@ -1376,7 +1263,7 @@ mod tests {
             p0.send(ServiceEvent::PeriodTick);
         }
         p0.close();
-        let (svc, epochs) = sequencer.join().unwrap();
+        let (svc, epochs) = sequencer.join().unwrap().unwrap();
         assert_eq!(epochs, 20);
         assert_eq!(svc.periods_served(), 20);
         assert_eq!(svc.admitted_workers(), 20);

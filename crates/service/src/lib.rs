@@ -68,18 +68,12 @@ pub use engine::{
     EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardedService, StampError,
     TickPanic,
 };
-pub use ingest::{
-    AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError, SequencerHandle,
-    SequencerPanic,
-};
+pub use ingest::{AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError};
 pub use journal::{
     read_journal, JournalConfig, JournalError, JournalRecord, JournalWriter, Tail, TICK_PRODUCER,
 };
-pub use recovery::{recover, recover_with_strategy, ProducerAck, Recovered, RecoveryError};
-pub use replay::{
-    replay, replay_ingested, replay_journaled, replay_recovered, replay_service,
-    replay_with_options,
-};
+pub use recovery::{recover, recover_with_strategy, Recovered, RecoveryError};
+pub use replay::{replay, replay_journaled, replay_recovered, replay_service, replay_with_options};
 
 /// A unique scratch directory under the system temp dir for journal and
 /// checkpoint tests. Each call creates a fresh directory.

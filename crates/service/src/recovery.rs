@@ -46,10 +46,10 @@
 //!
 //! A torn final frame (the crash hit mid-`write`) is detected by the
 //! per-frame hash, truncated, and reported as [`Tail::Torn`]; the
-//! returned [`ProducerAck`] watermarks tell a supervisor exactly which
-//! `(epoch, seq)` each producer must resend from — resends at or below
-//! the watermark are suppressed idempotently, so at-least-once producer
-//! retry is safe.
+//! recovered service's [`ShardedService::watermark`]s tell a supervisor
+//! exactly which `(epoch, seq)` each producer must resend from —
+//! resends at or below the watermark are suppressed idempotently, so
+//! at-least-once producer retry is safe.
 
 use std::path::Path;
 
@@ -66,21 +66,6 @@ use crate::journal::{
 #[cfg(doc)]
 use crate::engine::ServiceEvent;
 
-/// The highest `(epoch, seq)` the journal holds for one producer lane:
-/// the resume point a supervisor hands to
-/// [`crate::ingest::AbandonedLane::reconnect`] (the *next* event is
-/// `seq + 1` within `epoch`, or `(epoch', 0)` for a later epoch —
-/// resending at or below the ack is harmless either way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProducerAck {
-    /// Producer lane index.
-    pub producer: u32,
-    /// Epoch of the last durable event from this producer.
-    pub epoch: u64,
-    /// Sequence number of the last durable event from this producer.
-    pub seq: u64,
-}
-
 /// A successfully recovered service plus what recovery learned.
 #[derive(Debug)]
 pub struct Recovered {
@@ -93,9 +78,6 @@ pub struct Recovered {
     /// Whether the journal ended clean or with a torn (now truncated)
     /// final frame.
     pub tail: Tail,
-    /// Per-producer durable watermarks, ascending by producer id: the
-    /// recovered service's own [`ShardedService::watermark`]s.
-    pub acks: Vec<ProducerAck>,
 }
 
 /// Why recovery failed.
@@ -227,18 +209,10 @@ pub fn recover_with_strategy(
     service.resume_journal(writer, journal_cfg);
     remove_checkpoint_files(&journal_cfg.dir, &[".tmp"])?;
 
-    let acks = service.watermarks();
-    let acks = acks.map(|(producer, epoch, seq)| ProducerAck {
-        producer,
-        epoch,
-        seq,
-    });
-    let acks = acks.collect();
     Ok(Recovered {
         service,
         epochs_replayed,
         tail: contents.tail,
-        acks,
     })
 }
 
@@ -799,7 +773,7 @@ mod tests {
             (
                 recovered.epochs_replayed,
                 recovered.tail,
-                recovered.acks,
+                recovered.service.watermark(0),
                 recovered.service.into_outcome().deterministic_bits(),
             )
         });
@@ -854,11 +828,12 @@ mod tests {
     }
 
     /// Lanes 0 and 7 with 1–6 silent, and lane 4·10⁹, through a
-    /// checkpoint and a journal tail: recovery's acks name exactly the
-    /// lanes that sent. A hash-valid tail record on lane 4·10⁹ used to
-    /// size the watermark table by its id (≈ 96 GiB) during replay.
+    /// checkpoint and a journal tail: the recovered watermarks name
+    /// exactly the lanes that sent. A hash-valid tail record on lane
+    /// 4·10⁹ used to size the watermark table by its id (≈ 96 GiB)
+    /// during replay.
     #[test]
-    fn acks_name_the_lanes_that_sent() {
+    fn watermarks_name_the_lanes_that_sent() {
         const FAR: u32 = 4_000_000_000;
         let dir = crate::test_dir("recover_sparse_lanes");
         let (mut svc, cfg) = journaled_service(&dir);
@@ -871,7 +846,13 @@ mod tests {
         // Past checkpoint 1: replayed from the journal.
         svc.push_stamped(7, 1, 0, arrive).unwrap();
         svc.push_stamped(FAR, 1, 9, arrive).unwrap();
-        let uninterrupted: Vec<_> = (0..=8).chain([FAR]).map(|p| svc.watermark(p)).collect();
+        let lanes = || (0..=8).chain([FAR]);
+        let uninterrupted: Vec<_> = lanes().map(|p| svc.watermark(p)).collect();
+        let mut sent = [None; 10];
+        sent[0] = Some((0, 0));
+        sent[7] = Some((1, 0));
+        sent[9] = Some((1, 9)); // lane FAR
+        assert_eq!(uninterrupted, sent);
         drop(svc);
 
         let recovered = recover(
@@ -882,14 +863,8 @@ mod tests {
             &cfg,
         )
         .unwrap();
-        let ack = |producer, epoch, seq| ProducerAck {
-            producer,
-            epoch,
-            seq,
-        };
-        assert_eq!(recovered.acks, [ack(0, 0, 0), ack(7, 1, 0), ack(FAR, 1, 9)]);
         let svc = recovered.service;
-        let watermarks: Vec<_> = (0..=8).chain([FAR]).map(|p| svc.watermark(p)).collect();
+        let watermarks: Vec<_> = lanes().map(|p| svc.watermark(p)).collect();
         assert_eq!(watermarks, uninterrupted);
         assert_eq!(svc.admitted_workers(), 4);
         let _ = std::fs::remove_dir_all(&dir);
@@ -930,14 +905,7 @@ mod tests {
         // torn off, so only the first arrival survives.
         assert_eq!(recovered.service.periods_served(), 1);
         assert_eq!(recovered.service.admitted_workers(), 1);
-        assert_eq!(
-            recovered.acks,
-            vec![ProducerAck {
-                producer: 0,
-                epoch: 0,
-                seq: 0,
-            }]
-        );
+        assert_eq!(recovered.service.watermark(0), Some((0, 0)));
         // The truncated journal accepts appends again.
         let mut svc = recovered.service;
         svc.push(ServiceEvent::WorkerArrive {

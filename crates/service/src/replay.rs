@@ -15,7 +15,7 @@
 //! removed with ROADMAP 1(d)/6(b).
 
 use crate::engine::{ServiceConfig, ServiceError, ServiceEvent, ShardedService};
-use crate::ingest::{chunk_bounds, period_events, IngestConfig, IngestService};
+use crate::ingest::period_events;
 use crate::journal::JournalConfig;
 use maps_core::StrategyKind;
 use maps_simulator::{GroundTruth, GroundTruthProbe, Outcome, SimOptions};
@@ -119,8 +119,9 @@ pub fn replay_recovered(
     Ok(service.into_outcome())
 }
 
-/// A calibrated service sized for replaying `truth` (shared by the
-/// serial and the multi-producer replay drivers).
+/// A calibrated service sized for replaying `truth`: the replay drivers
+/// above start from it, and so does a caller that feeds the service
+/// another way (through [`crate::ingest`], say).
 pub fn replay_service(
     truth: &GroundTruth,
     kind: StrategyKind,
@@ -138,52 +139,6 @@ pub fn replay_service(
         service.calibrate(&mut probe);
     }
     service
-}
-
-/// [`replay_with_options`] through the multi-producer ingestion
-/// front-end ([`crate::ingest`]): each period's serial event list is
-/// split into `producers` contiguous chunks, every chunk is streamed by
-/// its own producer thread (each closing the epoch when its chunk is
-/// done), and the sequencer merges the lanes under the canonical
-/// `(epoch, producer, seq)` order.
-///
-/// By the interleaving-invariance contract the outcome is
-/// **bit-identical** to the serial [`replay_with_options`] — and hence
-/// to [`Simulation::run`](maps_simulator::Simulation::run) — at any
-/// producer count, any queue capacity and any rayon thread count.
-pub fn replay_ingested(
-    truth: &GroundTruth,
-    kind: StrategyKind,
-    shards: usize,
-    producers: usize,
-    options: SimOptions,
-) -> Outcome {
-    let mut service = replay_service(truth, kind, shards, options);
-    let (ingest, handles) = IngestService::new(IngestConfig {
-        producers,
-        ..IngestConfig::default()
-    });
-    std::thread::scope(|scope| {
-        for mut handle in handles {
-            scope.spawn(move || {
-                let p = handle.id() as usize;
-                // Stream each period's chunk off the borrowed ground
-                // truth (events are `Copy`), per period as one
-                // `send_iter` call: one lock of the lane per batch
-                // instead of one per event.
-                for period in &truth.periods {
-                    let bounds = chunk_bounds(period.workers.len() + period.tasks.len(), producers);
-                    let chunk = bounds[p + 1] - bounds[p];
-                    handle.send_iter(period_events(period).skip(bounds[p]).take(chunk));
-                    handle.end_epoch();
-                }
-            });
-        }
-        ingest
-            .sequence(&mut service)
-            .expect("replay streams contain no fatal faults");
-    });
-    service.into_outcome()
 }
 
 #[cfg(test)]

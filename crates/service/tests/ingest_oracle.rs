@@ -20,7 +20,7 @@
 use maps_core::StrategyKind;
 use maps_service::ingest::{chunk_bounds, period_events, IngestConfig, IngestService};
 use maps_service::{ServiceConfig, ServiceEvent, ShardedService};
-use maps_simulator::{GroundTruth, GroundTruthProbe, SimOptions, Simulation, SyntheticConfig};
+use maps_simulator::{GroundTruth, SimOptions, Simulation, SyntheticConfig};
 use maps_testkit::{InterleavePlan, Interleaver, DEFAULT_PRODUCER_COUNTS};
 
 fn world() -> GroundTruth {
@@ -34,7 +34,7 @@ fn world() -> GroundTruth {
 
 fn options() -> SimOptions {
     SimOptions {
-        calibrate: false, // calibration parity is covered by the default-options test below
+        calibrate: false, // calibration runs before the stream; `replay_oracle` covers it
         ..SimOptions::default()
     }
 }
@@ -44,12 +44,7 @@ fn service_for(world: &GroundTruth, kind: StrategyKind, options: SimOptions) -> 
         max_edges_per_task: options.max_edges_per_task,
         ..ServiceConfig::default()
     };
-    let mut service = ShardedService::new(world.grid, world.match_policy, kind, config);
-    if options.calibrate {
-        let mut probe = GroundTruthProbe::new(&world.demands, options.probe_seed);
-        service.calibrate(&mut probe);
-    }
-    service
+    ShardedService::new(world.grid, world.match_policy, kind, config)
 }
 
 /// Serial-push baseline: `(final_bits, per_epoch_bits)`.
@@ -277,24 +272,5 @@ fn ingest_oracle_across_mixed_send_paths() {
                 "{producers} producers at capacity {queue_capacity}"
             );
         }
-    }
-}
-
-/// Calibration (Algorithm 1) happens before the stream starts; the
-/// default-options path must agree end to end as well, and the public
-/// `replay_ingested` driver must match the serial `replay`.
-#[test]
-fn replay_ingested_matches_replay_with_default_options() {
-    let world = world();
-    let options = SimOptions::default();
-    let kind = StrategyKind::Maps;
-    let serial = maps_service::replay_with_options(&world, kind, 1, options);
-    for producers in DEFAULT_PRODUCER_COUNTS {
-        let ingested = maps_service::replay_ingested(&world, kind, 1, producers, options);
-        assert_eq!(
-            ingested.deterministic_bits(),
-            serial.deterministic_bits(),
-            "{producers}-producer replay_ingested diverged from serial replay"
-        );
     }
 }

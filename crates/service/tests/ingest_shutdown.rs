@@ -15,10 +15,12 @@
 //! lane's lock, between its check and its wait, and asleep.
 
 use maps_service::{
-    IngestConfig, IngestService, SendError, ServiceConfig, ServiceEvent, ShardedService,
+    IngestConfig, IngestService, SendError, ServiceConfig, ServiceError, ServiceEvent,
+    ShardedService,
 };
 use maps_simulator::{GroundWorker, MatchPolicy};
 use maps_spatial::{GridSpec, Point, Rect};
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 fn service(shards: usize) -> ShardedService {
@@ -43,6 +45,14 @@ fn worker(x: f64) -> GroundWorker {
 
 fn arrive(x: f64) -> ServiceEvent {
     ServiceEvent::WorkerArrive { worker: worker(x) }
+}
+
+/// The sequencer on its own thread; `join` hands the service back.
+fn spawn_sequencer(
+    ingest: IngestService,
+    mut svc: ShardedService,
+) -> JoinHandle<Result<(ShardedService, u64), ServiceError>> {
+    std::thread::spawn(move || ingest.sequence(&mut svc).map(|n| (svc, n)))
 }
 
 /// A producer waiting on a full capacity-1 lane when the sequencer is
@@ -109,10 +119,13 @@ fn producer_close_wakes_a_parked_sequencer() {
             queue_capacity: 1,
         });
         let p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(service(1));
+        let sequencer = spawn_sequencer(ingest, service(1));
         std::thread::sleep(Duration::from_micros(delay_us));
         p0.close();
-        let (svc, epochs) = sequencer.join().expect("sequencer must return cleanly");
+        let (svc, epochs) = sequencer
+            .join()
+            .unwrap()
+            .expect("sequencer must return cleanly");
         assert_eq!(epochs, 0, "delay {delay_us}µs");
         assert_eq!(svc.periods_served(), 0);
     }
@@ -129,11 +142,14 @@ fn close_with_staged_event_is_drained_in_every_interleaving() {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(service(1));
+        let sequencer = spawn_sequencer(ingest, service(1));
         std::thread::sleep(Duration::from_micros(delay_us));
         p0.send(arrive(1.0));
         p0.close();
-        let (svc, epochs) = sequencer.join().expect("sequencer must return cleanly");
+        let (svc, epochs) = sequencer
+            .join()
+            .unwrap()
+            .expect("sequencer must return cleanly");
         assert_eq!(epochs, 0);
         assert_eq!(svc.admitted_workers(), 1, "delay {delay_us}µs: event lost");
     }
@@ -174,7 +190,7 @@ fn sequencer_panic_mid_stream_fails_the_blocked_producer() {
         queue_capacity: 1,
     });
     let mut p0 = producers.pop().unwrap();
-    let sequencer = ingest.spawn(svc);
+    let sequencer = spawn_sequencer(ingest, svc);
     let pump = std::thread::spawn(move || {
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
             // The tick detonates the bomb; some later send must hit the
@@ -185,8 +201,8 @@ fn sequencer_panic_mid_stream_fails_the_blocked_producer() {
             }
         }))
     });
-    let err = sequencer.join().expect_err("the bomb must surface");
-    assert!(err.message().contains("bomb: first tick"));
+    let payload = sequencer.join().expect_err("the bomb must surface");
+    assert_eq!(payload.downcast_ref::<&str>(), Some(&"bomb: first tick"));
     let pumped = pump.join().expect("producer thread must terminate");
     assert!(
         pumped.is_err(),
@@ -211,7 +227,7 @@ fn abandon_holds_the_barrier_then_reconnect_completes_at_capacity_one() {
     let mut p0 = producers.pop().unwrap();
     p0.send(arrive(1.0));
     let lane = p0.abandon();
-    let sequencer = ingest.spawn(service(2));
+    let sequencer = spawn_sequencer(ingest, service(2));
     // The sequencer drains lanes in producer order, so while p0's
     // abandoned lane is open, p1's 1-slot lane backs up after one
     // event — pump it from its own thread.
@@ -234,7 +250,10 @@ fn abandon_holds_the_barrier_then_reconnect_completes_at_capacity_one() {
     p0.close();
     pump.join()
         .expect("pump thread must unwedge after reconnect");
-    let (svc, epochs) = sequencer.join().expect("reconnect completes the stream");
+    let (svc, epochs) = sequencer
+        .join()
+        .unwrap()
+        .expect("reconnect completes the stream");
     assert_eq!(epochs, 1);
     assert_eq!(svc.admitted_workers(), 10);
     assert_eq!(svc.periods_served(), 1);
@@ -251,12 +270,12 @@ fn close_races_drain_without_losing_events() {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = ingest.spawn(service(1));
+        let sequencer = spawn_sequencer(ingest, service(1));
         for i in 0..k {
             p0.send(arrive(i as f64));
         }
         p0.close();
-        let (svc, epochs) = sequencer.join().expect("clean drain");
+        let (svc, epochs) = sequencer.join().unwrap().expect("clean drain");
         assert_eq!(epochs, 0);
         assert_eq!(svc.admitted_workers(), k, "k = {k}: event lost");
     }

@@ -11,13 +11,13 @@
 //!   thread sweep ([`DEFAULT_THREAD_COUNTS`]);
 //! * **producer kill mid-epoch** at every epoch — producer counts
 //!   1/2/4/8 ([`DEFAULT_PRODUCER_COUNTS`]), supervisor reconnect at the
-//!   recovered acks, both exact-resume and at-least-once resend (the
-//!   watermark suppresses the duplicates);
+//!   recovered watermarks, both exact-resume and at-least-once resend
+//!   (the watermark suppresses the duplicates);
 //! * **torn final journal record** — seeded truncations, recovery drops
 //!   the invalid frame and the producer re-sends from its ack;
 //! * **tick panic / sequencer death** — a poisoned tick surfaces as a
-//!   typed error (serially and through `SequencerHandle::join`), then
-//!   the journal recovers the service to the bit-identical stream.
+//!   typed error (serially and out of the sequencer thread's `join`),
+//!   then the journal recovers the service to the bit-identical stream.
 //!
 //! CI runs this file as the fail-fast fault-injection step.
 
@@ -197,7 +197,7 @@ fn crash_at_every_epoch_boundary_capped_ucb() {
 /// later producers were still queued behind the victim's lane (the
 /// sequencer merges lanes in producer-id order, so that is exactly the
 /// durable prefix a real mid-epoch crash leaves). Recovery hands back
-/// per-producer acks; every lane reconnects and the stream finishes
+/// per-producer watermarks; every lane reconnects and the stream finishes
 /// through the real multi-producer sequencer. Returns
 /// `(final_bits, suppressed_duplicates)`.
 fn producer_kill_bits(
@@ -244,16 +244,11 @@ fn producer_kill_bits(
     let recovered =
         recover(world.grid, world.match_policy, kind, config(), &cfg).expect("mid-epoch recovery");
     assert_eq!(recovered.service.periods_served() as usize, crash_epoch);
-    // The victim's ack names exactly what it got through pre-crash.
+    // The victim's watermark names exactly what it got through pre-crash.
     if delivered[victim] > 0 {
-        let ack = recovered
-            .acks
-            .iter()
-            .find(|a| a.producer == victim as u32)
-            .expect("victim has durable events, so it has an ack");
         assert_eq!(
-            (ack.epoch, ack.seq),
-            (crash_epoch as u64, delivered[victim] as u64 - 1)
+            recovered.service.watermark(victim as u32),
+            Some((crash_epoch as u64, delivered[victim] as u64 - 1))
         );
     }
 
@@ -498,8 +493,8 @@ fn tick_panic_poisons_then_recovers() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Sequencer death: the same poisoned tick, but through the spawned
-/// background sequencer — `join` surfaces the typed error, producers
+/// Sequencer death: the same poisoned tick, but on a background
+/// sequencer thread — its `join` hands back the typed error, producers
 /// see a typed disconnect from `try_send` instead of hanging, and the
 /// journal recovers the stream.
 #[test]
@@ -527,7 +522,7 @@ fn sequencer_death_surfaces_typed_error_and_recovers() {
         producers,
         queue_capacity: 64,
     });
-    let sequencer = ingest.spawn(svc);
+    let sequencer = std::thread::spawn(move || ingest.sequence(&mut svc).map(|n| (svc, n)));
     std::thread::scope(|scope| {
         for mut lane in handles {
             let world = &world;
@@ -559,9 +554,10 @@ fn sequencer_death_surfaces_typed_error_and_recovers() {
     });
     let death = sequencer
         .join()
+        .expect("a poisoned tick is an error, not an unwind")
         .expect_err("poisoned tick kills the sequencer");
-    match death.service_error() {
-        Some(ServiceError::Poisoned(panic)) => assert_eq!(panic.period, crash_epoch),
+    match death {
+        ServiceError::Poisoned(panic) => assert_eq!(panic.period, crash_epoch),
         other => panic!("expected a typed tick poisoning, got {other:?}"),
     }
 

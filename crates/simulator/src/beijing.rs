@@ -7,7 +7,7 @@
 //! one-minute periods, and worker duration `δ_w ∈ {5,10,15,20,25}`.
 //!
 //! We cannot ship the proprietary logs, so this module synthesizes a
-//! workload with the same *shape* (DESIGN.md §5):
+//! workload with the same *shape*:
 //!
 //! * identical aggregate counts (`|W| = 28210, |R| = 113372` rush;
 //!   `|W| = 19006, |R| = 55659` night), grid geometry (we work in km:

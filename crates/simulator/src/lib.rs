@@ -12,7 +12,7 @@
 //! * [`beijing`] — the Table-4 substitute: a Beijing-like taxi workload
 //!   with hotspot mixtures, the paper's exact task/worker counts, a
 //!   10×8 grid, 3 km worker range and configurable worker duration
-//!   `δ_w` (see DESIGN.md §5 for the substitution rationale).
+//!   `δ_w` (its module doc gives the substitution rationale).
 //! * [`platform`] — the per-period step shared by the batch loop and
 //!   the online service: price → requesters accept/reject against their
 //!   private valuations → maximum-weight market clearing → feedback to

@@ -14,7 +14,7 @@
 //! temporal μ = 0.5, spatial mean = 0.5, demand μ = 2.0, demand σ = 1.0,
 //! `T = 400`, `G = 10×10`, `a_w = 10`.
 //!
-//! Two under-specified details are resolved as follows (see DESIGN.md):
+//! Two under-specified details are resolved as follows:
 //! the paper varies only the means, so both std-deviations are fixed
 //! (temporal σ = 0.2·T, spatial σ = 15); and "a normal distribution with
 //! its mean varying from 1 to 3 … w.r.t. the mean of g" is realized as a
@@ -125,8 +125,7 @@ impl SyntheticConfig {
             // Workers are full-time (Sec. 2.1: "most workers … perform
             // multiple tasks for a long time"): after a trip of d units at
             // 2 units/period they become available again at the
-            // destination (the paper leaves worker kinematics open; see
-            // DESIGN.md §4.8).
+            // destination (the paper leaves worker kinematics open).
             match_policy: MatchPolicy::Relocate { speed: 2.0 },
             worker_duration: u32::MAX,
             metric: DistanceMetric::Euclidean,

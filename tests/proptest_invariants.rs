@@ -1,5 +1,5 @@
-//! Cross-crate property-based tests (proptest): the structural
-//! invariants DESIGN.md §7 commits to, on randomized instances.
+//! Cross-crate property-based tests (proptest): the paper's structural
+//! invariants and ROADMAP's Standing invariants, on randomized instances.
 //!
 //! Since PR 2 the vendored proptest **shrinks** failures: a failing
 //! invariant here is re-reported as a minimal case (binary-searched

@@ -244,7 +244,8 @@ fn theorem4_base_price_bound_on_running_example() {
     assert!(alg > 0.9 * opt / 1.05);
 }
 
-/// Lemma 9 (with the concave-hull correction of DESIGN.md §4.10): the
+/// Lemma 9 (with the concave-hull correction argued at
+/// `MapsConfig::plateau_lookahead`): the
 /// per-grid marginal gains MAPS consumes from the heap are non-increasing
 /// along each grid's admission sequence.
 #[test]
