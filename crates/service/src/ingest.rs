@@ -47,10 +47,9 @@
 //! capacities — yields an outcome **bit-identical** to serial
 //! [`ShardedService::push`], and therefore (by the PR 4 contract) to
 //! [`Simulation::run`](maps_simulator::Simulation::run). Enforced by
-//! the `ingest_oracle` test sweep (producers × strategies ×
-//! forced interleavings × queue capacities), the root proptest
-//! `ingested_stream_matches_serial_push` (random producer partitions,
-//! schedule perturbation, per-epoch outcome checks); `maps_benchmark`'s
+//! the seeded explorer, `tests/explorer.rs` (producer partitions ×
+//! strategies × forced interleavings × lane capacities × send paths,
+//! checked after every epoch); `maps_benchmark`'s
 //! `fanin` workload prices the front-end against serial push
 //! (`ingest.vs_serial`).
 //!
@@ -750,7 +749,7 @@ mod tests {
 
     /// A dead sequencer (dropped, or its thread panicked) must turn a
     /// producer's next send into a visible panic, not an eternal block
-    /// on backpressure no one will drain — even when the ring still has
+    /// on backpressure no one will drain — even when the lane still has
     /// room (the slot could never be consumed either way).
     #[test]
     fn producer_send_panics_when_sequencer_is_gone() {
@@ -766,7 +765,7 @@ mod tests {
             });
         }));
         assert!(result.is_err(), "send should fail fast, not block");
-        // The handle is still droppable afterwards (the ring was not
+        // The handle is still droppable afterwards (the lane was not
         // poisoned by the in-lock panic path).
         drop(p0);
     }
@@ -835,7 +834,7 @@ mod tests {
         let short = Duration::from_millis(5);
         assert_eq!(p0.try_send(e, short), Ok(()));
         assert_eq!(p0.try_send(e, short), Ok(()));
-        // Ring full, no sequencer draining: bounded wait, then timeout.
+        // Lane full, no sequencer draining: bounded wait, then timeout.
         assert_eq!(p0.try_send(e, short), Err(SendError::Timeout));
         // The timed-out event was not enqueued and seq did not advance:
         // retrying after the sequencer drains keeps the stream gapless.
@@ -921,24 +920,18 @@ mod tests {
             p0.close();
             let (svc, epochs) = sequencer.join().unwrap().unwrap();
             assert_eq!(epochs, 1);
-            (
-                svc.suppressed_duplicates(),
-                svc.into_outcome().deterministic_bits(),
-            )
+            svc.into_outcome()
         };
-        let (clean_suppressed, clean_bits) = run(false);
-        let (resend_suppressed, resend_bits) = run(true);
-        assert_eq!(clean_suppressed, 0);
-        assert_eq!(resend_suppressed, 1, "the resend was suppressed");
+        let (clean, resent) = (run(false), run(true));
+        assert_eq!(clean.suppressed_duplicates, 0);
+        assert_eq!(resent.suppressed_duplicates, 1, "the resend was suppressed");
         // The duplicate-suppression counter itself participates in the
-        // bits, so compare the rest: zero it out in place.
-        // suppressed_duplicates sits just before the latency telemetry
-        // words at the tail of the encoding.
-        let idx = clean_bits.len() - 1 - maps_telemetry::LatencyTelemetry::WORDS;
-        let mut clean = clean_bits.clone();
-        let mut resent = resend_bits.clone();
-        assert_eq!(clean[idx], 0);
-        assert_eq!(resent[idx], 1);
+        // bits, so compare the rest: zero its word, found by its label.
+        let labels = clean.deterministic_labels();
+        let idx = labels.iter().position(|l| l == "suppressed_duplicates");
+        let idx = idx.expect("the counter has a word");
+        let (mut clean, mut resent) = (clean.deterministic_bits(), resent.deterministic_bits());
+        assert_eq!((clean[idx], resent[idx]), (0, 1));
         clean[idx] = 0;
         resent[idx] = 0;
         assert_eq!(clean, resent, "resend perturbed the outcome");

@@ -22,8 +22,8 @@
 //! barrier records, replay re-counts rejections and re-runs the
 //! deterministic reducer, so the recovered
 //! [`maps_simulator::Outcome::deterministic_bits`] equals an
-//! uninterrupted run's — at any thread count, which the
-//! `recovery_oracle` crash-at-every-epoch sweep enforces.
+//! uninterrupted run's — at any thread count, which the seeded explorer
+//! (`tests/explorer.rs`) enforces at every crash point it draws.
 //!
 //! The offset is a checkpoint word, so it is outside input like every
 //! other: before a byte of the tail is decoded, the frame ending at it
@@ -41,8 +41,8 @@
 //! lane's watermark — the order a journal is written in (suppressed
 //! resends are never journaled). A duplicated, reordered or missing
 //! frame breaks one of the two and is a typed [`JournalError::Corrupt`],
-//! never a silently different outcome (root proptest
-//! `recovery_survives_hostile_bytes`).
+//! never a silently different outcome (the explorer's corruption
+//! points).
 //!
 //! A torn final frame (the crash hit mid-`write`) is detected by the
 //! per-frame hash, truncated, and reported as [`Tail::Torn`]; the

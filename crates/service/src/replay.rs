@@ -7,8 +7,7 @@
 //! [`Simulation::run`](maps_simulator::Simulation::run) — every field
 //! except the wall-clock timing columns, compared via
 //! [`Outcome::deterministic_bits`] — at any rayon thread count. The
-//! thread-sweep test (`tests/replay_oracle.rs`) and the root proptest
-//! churn stream enforce exactly that.
+//! seeded explorer (`tests/explorer.rs`) enforces exactly that.
 //!
 //! Every helper still takes a `shards` count: it is ignored (the
 //! service serves from one index) and kept for source compatibility,
@@ -146,8 +145,8 @@ mod tests {
     use super::*;
     use maps_simulator::{Simulation, SyntheticConfig};
 
-    /// Smoke-level slice of the tentpole oracle (the full thread ×
-    /// strategy sweep lives in `tests/replay_oracle.rs`).
+    /// Smoke-level slice of the seeded explorer's check (the full
+    /// thread × strategy sweep lives in `tests/explorer.rs`).
     #[test]
     fn replay_matches_simulation_on_a_small_world() {
         let world = SyntheticConfig::paper_default()

@@ -1,0 +1,687 @@
+//! The seeded explorer: one `u64` seed draws a whole case of the service
+//! stack (workload, strategy, match policy, calibration, edge cap, rayon
+//! threads, producer partition, `Interleaver` plan, lane capacity, send
+//! paths, journal cadence, and a `FaultPlan` crash point with, in half
+//! the draws, a corruption of the files it left), and one check runs it
+//! against serial `push`, which runs against `Simulation::run`. A failure
+//! names the seed, the case and the first divergent label, then shrinks
+//! by halving the stream. CI runs seeds `0..BUDGET` and
+//! `explorer_corpus.txt`, one regression seed per line.
+
+use maps_core::StrategyKind;
+use maps_service::ingest::{chunk_bounds, period_events};
+use maps_service::journal::*;
+use maps_service::{
+    recover, replay_service, IngestConfig, IngestService, IngressProducer, JournalConfig,
+    SendError, ServiceConfig, ServiceError, ServiceEvent, ShardedService, TICK_PRODUCER,
+};
+use maps_simulator::*;
+use maps_spatial::Point;
+use maps_testkit::*;
+use std::collections::{BTreeMap, BTreeSet};
+use std::env::temp_dir;
+use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::path::{Path, PathBuf};
+use std::time::Duration;
+use ServiceError::{Journal, Poisoned};
+
+/// Seeds `0..BUDGET` run in CI. A seed's low digits enumerate strategy ×
+/// match policy × thread count, so any 40 consecutive seeds cover that
+/// grid; the rest of a case comes from the seed's hash.
+const BUDGET: u64 = 140;
+
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Workload {
+    Synthetic,
+    Beijing,
+    Swing,
+    Churn,
+}
+
+#[derive(Debug, Clone)]
+struct Case {
+    seed: u64,
+    workload: Workload,
+    /// Epochs streamed: a prefix of the workload's world.
+    periods: usize,
+    kind: StrategyKind,
+    policy: MatchPolicy,
+    options: SimOptions,
+    threads: usize,
+    producers: usize,
+    plan: InterleavePlan,
+    capacity: usize,
+    /// The journal's checkpoint cadence, if the stack journals.
+    cadence: Option<u32>,
+    fault: Option<Fault>,
+}
+
+/// Splitmix64's finalizer, so that neighbouring seeds draw unrelated
+/// cases.
+fn mix(seed: u64) -> XorShift {
+    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    XorShift((z ^ (z >> 31)) | 1)
+}
+
+fn draw(seed: u64) -> Case {
+    use InterleavePlan::*;
+    use Workload::*;
+    let mut rng = mix(seed);
+    let mut pick = |n: usize| rng.below(n as u64) as usize;
+    let workload = [Churn, Churn, Synthetic, Synthetic, Beijing, Swing][pick(6)];
+    let periods = match workload {
+        Churn => 1 + pick(6),
+        Synthetic => 2 + pick(7),
+        Beijing => 6 + pick(10),
+        Swing => SWING_PERIODS,
+    };
+    let (stagger, stutter) = (Staggered(seed), Stutter(seed));
+    let plan = [Free, stagger, stutter, RoundRobin, ReverseBatches][pick(5)];
+    // Blocking plans hold producers back, so a lane must hold a whole
+    // stream (the `Interleaver` deadlock caveat; no stream reaches 4096).
+    let blocking = matches!(plan, RoundRobin | ReverseBatches);
+    let capacity = [1, 2, 3, 7, 4096][if blocking { 4 } else { pick(5) }];
+    let options = SimOptions {
+        calibrate: pick(3) == 0,
+        max_edges_per_task: [1, 3, 16, 64, 10_000][pick(5)],
+        ..SimOptions::default()
+    };
+    let cadence = (pick(4) != 0).then(|| 1 + pick(4) as u32);
+    let fault = (cadence.is_some() && pick(4) != 0)
+        .then(|| FaultPlan::new(seed, 8, periods as u32).next_fault());
+    // A serial caller's events all travel on lane 0.
+    let serial = fault.is_some_and(|f| f.crash == Crash::TickPanic);
+    Case {
+        seed,
+        workload,
+        periods,
+        kind: StrategyKind::ALL[(seed % 5) as usize],
+        policy: [MatchPolicy::Consume, MatchPolicy::Relocate { speed: 2.0 }]
+            [(seed / 5 % 2) as usize],
+        options,
+        threads: DEFAULT_THREAD_COUNTS[(seed / 10 % 4) as usize],
+        producers: if serial { 1 } else { 1 + pick(8) },
+        plan,
+        capacity,
+        cadence,
+        fault,
+    }
+}
+
+struct World {
+    case: Case,
+    truth: GroundTruth,
+    epochs: Vec<Vec<ServiceEvent>>,
+    /// Lane `p` sends `epochs[e][parts[e][p]..parts[e][p + 1]]`.
+    parts: Vec<Vec<usize>>,
+    /// Serial push's outcome after each epoch.
+    serial: Vec<Outcome>,
+}
+
+fn world(case: &Case) -> World {
+    let mut rng = mix(!case.seed);
+    let (mut truth, epochs) = match case.workload {
+        Workload::Churn => churn(&mut rng, case.periods, false),
+        Workload::Swing => churn(&mut rng, case.periods, true),
+        workload => {
+            let mut truth = match workload {
+                Workload::Beijing => BeijingConfig::rush_hour(10)
+                    .with_scale(0.01)
+                    .build(case.seed),
+                _ => SyntheticConfig {
+                    num_workers: 60,
+                    num_tasks: 240,
+                    periods: 8,
+                    grid_side: 4,
+                    worker_duration: [3, u32::MAX][rng.below(2) as usize],
+                    ..SyntheticConfig::paper_default()
+                }
+                .build(case.seed),
+            };
+            truth.periods.truncate(case.periods);
+            let epochs = truth.periods.iter().map(|p| period_events(p).collect());
+            let epochs = epochs.collect();
+            (truth, epochs)
+        }
+    };
+    truth.match_policy = case.policy;
+    // Half the epochs split evenly, half at random cuts (a lane may sit
+    // an epoch out).
+    let mut parts = Vec::new();
+    for events in &epochs {
+        let mut bounds = chunk_bounds(events.len(), case.producers);
+        if rng.below(2) == 0 {
+            for b in &mut bounds[1..case.producers] {
+                *b = rng.below(events.len() as u64 + 1) as usize;
+            }
+            bounds.sort_unstable();
+        }
+        parts.push(bounds);
+    }
+    let serial = serial(case, &truth, &epochs);
+    World {
+        case: case.clone(),
+        truth,
+        epochs,
+        parts,
+        serial,
+    }
+}
+
+fn share(w: &World, epoch: usize, lane: usize) -> &[ServiceEvent] {
+    let bounds = &w.parts[epoch];
+    &w.epochs[epoch][bounds[lane]..bounds[lane + 1]]
+}
+
+fn uniform(rng: &mut XorShift) -> Point {
+    let mut coordinate = || rng.below(5_000) as f64 / 100.0;
+    Point::new(coordinate(), coordinate())
+}
+
+/// Kanoria's i.i.d. uniform arrivals (PAPERS.md) on a 50 × 50 region,
+/// streamed with what a ground truth cannot say: workers streamed
+/// immortal and departed by an explicit event when their window ends,
+/// or departed in the window they arrive in (the truth's `duration: 0`;
+/// even ids right behind their arrival, odd ones after the tasks),
+/// departures of ids gone or never admitted, and NaN events admission
+/// must refuse before they take an id. The `swing` world adds `SURGE`
+/// workers at period `SURGE_AT` and 30 tasks a period: the live set
+/// swings more than 16× up and down, so the index regrids both ways.
+fn churn(rng: &mut XorShift, periods: usize, swing: bool) -> (GroundTruth, Vec<Vec<ServiceEvent>>) {
+    let mut truth = SyntheticConfig {
+        num_workers: 1,
+        num_tasks: 1,
+        periods: 1,
+        grid_side: 3,
+        region_side: 50.0,
+        ..SyntheticConfig::paper_default()
+    }
+    .build(rng.next_u64());
+    truth.periods.clear();
+    let mut epochs = Vec::new();
+    let (mut next_id, mut departs, mut gone) = (0, BTreeMap::new(), Vec::new());
+    let depart = |id| ServiceEvent::WorkerDepart { id };
+    for t in 0..periods {
+        let (mut data, mut late) = (PeriodData::default(), Vec::new());
+        let due: Vec<u32> = departs.remove(&t).unwrap_or_default();
+        gone.extend(&due);
+        let mut events: Vec<_> = due.into_iter().map(depart).collect();
+        let surge = swing && t == SURGE_AT;
+        for _ in 0..rng.below(5) + if surge { SURGE } else { 0 } {
+            let mut worker = GroundWorker {
+                location: uniform(rng),
+                radius: 2.0 + rng.below(1_500) as f64 / 100.0,
+                duration: [u32::MAX, 1, 2, 3][rng.below(4) as usize],
+            };
+            if surge {
+                worker.duration = SURGE_DURATION;
+            }
+            if rng.below(16) == 0 {
+                worker.radius = f64::NAN;
+                events.push(ServiceEvent::WorkerArrive { worker });
+                continue;
+            }
+            let (id, mut streamed, mut lived) = (next_id, worker, worker);
+            next_id += 1;
+            match rng.below(4) {
+                0 => lived.duration = 0,
+                1 if worker.duration != u32::MAX => {
+                    streamed.duration = u32::MAX;
+                    let at = t + worker.duration as usize;
+                    departs.entry(at).or_insert_with(Vec::new).push(id);
+                }
+                _ => {}
+            }
+            events.push(ServiceEvent::WorkerArrive { worker: streamed });
+            if lived.duration == 0 {
+                gone.push(id);
+                [&mut events, &mut late][id as usize % 2].push(depart(id));
+            }
+            data.workers.push(lived);
+        }
+        for _ in 0..if swing { 30 } else { rng.below(8) } {
+            let origin = uniform(rng);
+            let mut task = GroundTask {
+                origin,
+                destination: uniform(rng),
+                distance: 0.5 + rng.below(300) as f64 / 100.0,
+                valuation: 1.0 + rng.below(400) as f64 / 100.0,
+                cell: truth.grid.cell_of(origin),
+            };
+            if rng.below(12) == 0 {
+                task.origin = Point::new(f64::NAN, 1.0);
+            } else {
+                data.tasks.push(task);
+            }
+            events.push(ServiceEvent::TaskRequest { task });
+        }
+        events.append(&mut late);
+        if rng.below(3) == 0 {
+            // A departed id, or one never admitted.
+            let stale = gone.get(rng.below(gone.len() as u64 + 1) as usize);
+            events.push(depart(stale.copied().unwrap_or(u32::MAX)));
+        }
+        truth.periods.push(data);
+        epochs.push(events);
+    }
+    (truth, epochs)
+}
+
+const SWING_PERIODS: usize = 12;
+const SURGE: u64 = 1600;
+const SURGE_AT: usize = 4;
+const SURGE_DURATION: u32 = 3; // live in periods 4, 5 and 6
+
+fn labelled(outcome: &Outcome) -> Labelled {
+    let (words, labels) = (outcome.deterministic_bits(), outcome.deterministic_labels());
+    Labelled { words, labels }
+}
+
+/// Serial `push` at one thread: the outcome after every epoch.
+fn serial(case: &Case, truth: &GroundTruth, epochs: &[Vec<ServiceEvent>]) -> Vec<Outcome> {
+    with_threads(1, || {
+        let mut svc = replay_service(truth, case.kind, 1, case.options);
+        let mut live = Vec::new();
+        let outcomes = (epochs.iter())
+            .map(|events| {
+                let tick = [&ServiceEvent::PeriodTick];
+                events.iter().chain(tick).for_each(|&e| svc.push(e));
+                live.push(svc.live_workers());
+                svc.outcome_snapshot().clone()
+            })
+            .collect();
+        if case.workload == Workload::Swing && live.len() == SWING_PERIODS {
+            let after = SURGE_AT + SURGE_DURATION as usize;
+            let quiet = live[..SURGE_AT].iter().chain(&live[after..]).max();
+            assert!(live[SURGE_AT] > 16 * quiet.unwrap(), "no swing: {live:?}");
+        }
+        outcomes
+    })
+}
+
+/// Serial push equals `Simulation::run` on the ground-truth prefix, at
+/// every power-of-two epoch count and at the end, the events admission
+/// refused counted on top. Calibration does not look at the prefix and
+/// costs more than the stream, so a calibrated case compares at the end
+/// only.
+fn check_batch(w: &World) {
+    let (n, options) = (w.serial.len(), w.case.options);
+    let due = |t: usize| t + 1 == n || !options.calibrate && (t + 1).is_power_of_two();
+    for t in (0..n).filter(|&t| due(t)) {
+        let mut prefix = w.truth.clone();
+        prefix.periods.truncate(t + 1);
+        let run = Simulation::new(prefix, w.case.kind).with_options(options);
+        let mut batch = run.run();
+        batch.rejected_events = w.serial[t].rejected_events;
+        let what = format!("serial push vs Simulation::run after epoch {t}");
+        assert_words_eq(&labelled(&batch), &w.serial[t].deterministic_bits(), what);
+    }
+}
+
+/// The stack after `epoch` against serial push, with `resent`
+/// duplicates suppressed on top.
+fn check_epoch(w: &World, got: &Outcome, resent: u64, epoch: usize) {
+    let mut want = w.serial[epoch].clone();
+    want.suppressed_duplicates = resent;
+    let what = format!("stack vs serial push after epoch {epoch}");
+    assert_words_eq(&labelled(&want), &got.deterministic_bits(), what);
+}
+
+/// One ingest session over `span`: lane `p` reconnects at
+/// `(span.start, seqs[p])` and sends its share of each epoch, closed by
+/// its marker. Every tick must leave serial push's outcome, `resent`
+/// duplicates suppressed on top.
+fn session(
+    w: &World,
+    svc: &mut ShardedService,
+    span: Range<usize>,
+    seqs: &[u64],
+    resent: u64,
+) -> Result<(), ServiceError> {
+    let (case, producers, queue_capacity) = (&w.case, w.case.producers, w.case.capacity);
+    let (ingest, handles) = IngestService::new(IngestConfig {
+        producers,
+        queue_capacity,
+    });
+    let interleaver = Interleaver::new(producers, case.plan);
+    let dies = case.fault.is_some_and(|f| f.crash == Crash::SequencerDeath);
+    std::thread::scope(|scope| {
+        for (p, handle) in handles.into_iter().enumerate() {
+            let mut lane = handle.abandon().reconnect(span.start as u64, seqs[p]);
+            let mut stream = Vec::new();
+            for e in span.clone() {
+                let from = if e == span.start { seqs[p] as usize } else { 0 };
+                stream.extend_from_slice(&share(w, e, p)[from..]);
+                stream.push(ServiceEvent::PeriodTick);
+            }
+            let (interleaver, rng) = (&interleaver, mix(case.seed ^ p as u64));
+            scope.spawn(move || {
+                let sent = catch_unwind(AssertUnwindSafe(|| {
+                    produce(&mut lane, &stream, rng, dies, |f| interleaver.step(p, f))
+                }));
+                interleaver.finished(p);
+                sent.unwrap_or_else(|panic| resume_unwind(panic));
+            });
+        }
+        let sequenced = ingest.sequence_with(svc, |epoch, live| {
+            check_epoch(w, live.outcome_snapshot(), resent, epoch as usize);
+        });
+        sequenced.map(drop)
+    })
+}
+
+/// One producer's stream, one seeded send path per step: a `send_iter`
+/// batch of 1–5 events (`send` is a batch of one) or `try_send` with a
+/// 0–50 µs timeout (only `try_send` when the sequencer is meant to die).
+/// Stops at a typed disconnect.
+fn produce(
+    lane: &mut IngressProducer,
+    mut rest: &[ServiceEvent],
+    mut rng: XorShift,
+    dies: bool,
+    step: impl Fn(&mut dyn FnMut() -> Option<usize>) -> Option<usize>,
+) {
+    while let Some(&event) = rest.first() {
+        let (batch, draw) = (!dies && rng.below(2) == 0, rng.next_u64());
+        let sent = step(&mut || {
+            if batch {
+                let batch = (1 + draw as usize % 5).min(rest.len());
+                lane.send_iter(rest[..batch].iter().copied());
+                return Some(batch);
+            }
+            match lane.try_send(event, Duration::from_micros(draw % 51)) {
+                Ok(()) => Some(1),
+                Err(SendError::Timeout) => Some(0),
+                Err(SendError::Disconnected) => None,
+            }
+        });
+        let Some(sent) = sent else { return };
+        rest = &rest[sent..];
+    }
+}
+
+/// Applies `c` to the directory a crash left; `false` if the draw found
+/// nothing to mutate.
+fn corrupt(dir: &Path, c: Corruption) -> bool {
+    let checkpoints = list_checkpoints(dir).expect("list checkpoints");
+    // A lying word is only ever read in the newest checkpoint.
+    let lying = c.mutation == Mutation::LyingCheckpointWord;
+    let file = if lying { 1 } else { c.file as usize };
+    let path = match checkpoints.len().checked_sub(file) {
+        _ if file == 0 => dir.join(JOURNAL_FILE),
+        Some(i) => checkpoint_path(dir, checkpoints[i]),
+        None => return false,
+    };
+    let mut bytes = std::fs::read(&path).expect("read the file");
+    // Frame `f` is `bounds[f]..bounds[f + 1]`: an 8-byte magic, then
+    // `len:u32 hash:u64 payload` frames to the end of the file.
+    let mut bounds = vec![8];
+    while let Some(len) = bytes[bounds[bounds.len() - 1]..].first_chunk() {
+        bounds.push(bounds[bounds.len() - 1] + 12 + u32::from_le_bytes(*len) as usize);
+    }
+    assert_eq!(bounds.last(), Some(&bytes.len()), "whole frames");
+    let frames = bounds.len() - 1;
+    let pick = |n: usize| (c.at % n.max(1) as u64) as usize;
+    match c.mutation {
+        Mutation::DuplicateFrame | Mutation::LyingLength if frames == 0 => return false,
+        Mutation::BitFlip => {
+            let bit = pick(bytes.len() * 8);
+            bytes[bit / 8] ^= 1 << (bit % 8);
+        }
+        // Even values tear 1–16 bytes off the end: a torn final write.
+        Mutation::Truncate if c.value.is_multiple_of(2) => {
+            bytes.truncate(bytes.len() - 1 - pick(16).min(bytes.len() - 9));
+        }
+        Mutation::Truncate => bytes.truncate(pick(bytes.len())),
+        Mutation::DuplicateFrame => {
+            let f = pick(frames);
+            let frame = bytes[bounds[f]..bounds[f + 1]].to_vec();
+            bytes.splice(bounds[f + 1]..bounds[f + 1], frame);
+        }
+        Mutation::SwapFrames => {
+            // Excluded draw: two frames of *different* lanes inside one
+            // epoch still pass recovery's two order checks, and a total
+            // order check would refuse a legitimate serial push after a
+            // multi-producer session (ROADMAP 4(f)). Only same-lane,
+            // cross-epoch or tick pairs are swapped.
+            // (A checkpoint is one frame: nothing to swap.)
+            let records = decode_records(&bytes[8..]).0;
+            let cross_lane = |f: usize| match (records.get(f), records.get(f + 1)) {
+                (Some(a), Some(b)) => {
+                    let lanes = [a.producer, b.producer];
+                    a.epoch == b.epoch && lanes[0] != lanes[1] && !lanes.contains(&TICK_PRODUCER)
+                }
+                _ => false,
+            };
+            let pairs = frames.saturating_sub(1);
+            let mut swappable = (0..pairs).map(|i| (pick(pairs) + i) % pairs);
+            let Some(f) = swappable.find(|&f| !cross_lane(f)) else {
+                return false;
+            };
+            bytes[bounds[f]..bounds[f + 2]].rotate_left(bounds[f + 1] - bounds[f]);
+        }
+        Mutation::LyingLength => {
+            let f = bounds[pick(frames)];
+            bytes[f..f + 4].copy_from_slice(&(c.value as u32).to_le_bytes());
+        }
+        Mutation::LyingCheckpointWord => {
+            // An edge pattern or a value of any magnitude, re-framed: a
+            // valid hash on lying content.
+            let floats = [f64::NAN, f64::INFINITY, -1.0, -0.0].map(f64::to_bits);
+            let edges = [[0, 1, !0, 0xFFFF_FFFF], floats].concat();
+            let shape = (c.value % 72) as usize;
+            let lie = edges.get(shape).map_or(c.value >> (shape % 64), |&e| e);
+            let mut words = decode_checkpoint(&bytes).expect("an intact checkpoint");
+            let word = pick(words.len());
+            words[word] = lie;
+            bytes = encode_checkpoint(&words).expect("re-frame");
+        }
+    }
+    std::fs::write(&path, &bytes).expect("write the file back");
+    true
+}
+
+/// The journal directory of the case running on this thread.
+fn scratch() -> PathBuf {
+    let thread = std::thread::current().id();
+    temp_dir().join(format!("maps_explorer_{}_{thread:?}", std::process::id()))
+}
+
+/// Epochs as one serial stream, each closed by its tick.
+fn ticked(epochs: &[Vec<ServiceEvent>]) -> impl Iterator<Item = ServiceEvent> + '_ {
+    let tick = [ServiceEvent::PeriodTick];
+    (epochs.iter()).flat_map(move |events| events.iter().copied().chain(tick))
+}
+
+/// Whether a push failed for good; a rejection is part of the stream.
+fn fatal(pushed: &Result<(), ServiceError>) -> bool {
+    matches!(pushed, Err(Poisoned(_) | Journal(_)))
+}
+
+fn check_stack(w: &World) {
+    let (case, n) = (&w.case, w.epochs.len());
+    let mut svc = replay_service(&w.truth, case.kind, 1, case.options);
+    let journal = case.cadence.map(|n| JournalConfig::new(scratch(), n));
+    if let Some(journal) = &journal {
+        svc.attach_journal(journal).expect("attach the journal");
+    }
+    let zeros = vec![0; case.producers];
+    let Some(fault) = case.fault else {
+        session(w, &mut svc, 0..n, &zeros, 0).expect("sequencing");
+        return;
+    };
+    let e = fault.epoch as usize;
+    let mut victim = None; // the killed lane
+    match fault.crash {
+        Crash::EpochBoundary => session(w, &mut svc, 0..e + 1, &zeros, 0).expect("sequencing"),
+        // The durable prefix the merge order leaves: lanes before the
+        // victim whole, the victim's first events, nothing after it.
+        Crash::ProducerKill {
+            producer,
+            events_sent,
+            ..
+        } => {
+            session(w, &mut svc, 0..e, &zeros, 0).expect("sequencing");
+            let v = producer as usize % case.producers;
+            let sent = share(w, e, v).len().min(events_sent as usize);
+            let shares = (0..v).map(|p| share(w, e, p));
+            for (p, share) in (0..).zip(shares.chain([&share(w, e, v)[..sent]])) {
+                for (seq, &event) in (0..).zip(share) {
+                    let pushed = svc.push_stamped(p, e as u64, seq, event);
+                    assert!(!fatal(&pushed), "{pushed:?}");
+                }
+            }
+            victim = Some(v);
+        }
+        // The poisoned tick fails typed, under a serial caller or the
+        // sequencer, and stops the run.
+        Crash::TickPanic | Crash::SequencerDeath => {
+            svc.inject_tick_fault(e as u32);
+            let died = if fault.crash == Crash::TickPanic {
+                let mut pushed = ticked(&w.epochs).map(|event| svc.try_push(event));
+                pushed.find(fatal).unwrap_or(Ok(()))
+            } else {
+                session(w, &mut svc, 0..n, &zeros, 0)
+            };
+            let poisoned = matches!(&died, Err(Poisoned(p)) if p.period as usize == e);
+            assert!(poisoned, "{died:?}");
+        }
+    }
+    if fault.flushed {
+        drop(svc);
+    } else {
+        std::mem::forget(svc); // a killed process loses its buffered writes
+    }
+    let journal = journal.as_ref().expect("a crash needs a journal");
+    // The mutation recovery meets, if the draw found something to mutate.
+    let damage = (fault.corruption).filter(|&c| corrupt(&journal.dir, c));
+    let damage = damage.map(|c| c.mutation);
+    let config = ServiceConfig {
+        max_edges_per_task: case.options.max_edges_per_task,
+        ..ServiceConfig::default()
+    };
+    let (grid, policy) = (w.truth.grid, w.truth.match_policy);
+    let mut svc = match recover(grid, policy, case.kind, config, journal) {
+        Ok(recovered) => recovered.service,
+        Err(_) if damage.is_some() => return,
+        Err(err) => panic!("recovery failed: {err}"),
+    };
+    let served = svc.periods_served() as usize;
+    if damage == Some(Mutation::LyingCheckpointWord) {
+        // A lying word may leave any state: a serial finish only has to
+        // return.
+        let rest = w.epochs.get(served..).unwrap_or_default();
+        ticked(rest).find(|&event| fatal(&svc.try_push(event)));
+        return;
+    }
+    assert!(served <= e + 1, "recovered past the crash: epoch {served}");
+    if damage.is_none() {
+        let at = if victim.is_some() { e } else { e + 1 };
+        assert_eq!(served, at, "recovered to the wrong epoch");
+    }
+    // Every lane resumes one past its watermark in the epoch served.
+    let next = |p| match svc.watermark(p) {
+        Some((epoch, seq)) if epoch == served as u64 => seq + 1,
+        _ => 0,
+    };
+    let mut seqs: Vec<u64> = (0..case.producers as u32).map(next).collect();
+    // On an epoch boundary the recovered outcome is serial push's.
+    if served > 0 && seqs.iter().all(|&seq| seq == 0) {
+        check_epoch(w, svc.outcome_snapshot(), 0, served - 1);
+    }
+    // At-least-once: the victim re-sends its whole share, and the
+    // watermark suppresses what was durable.
+    let resend = matches!(fault.crash, Crash::ProducerKill { resend: true, .. });
+    let resent = (victim.filter(|_| resend)).map_or(0, |v| std::mem::take(&mut seqs[v]));
+    session(w, &mut svc, served..n, &seqs, resent).expect("sequencing");
+}
+
+/// Whether the case passes; the panic hook prints what failed.
+fn passes(case: &Case) -> bool {
+    let checked = catch_unwind(AssertUnwindSafe(|| {
+        let w = world(case);
+        with_threads(case.threads, || {
+            check_batch(&w);
+            check_stack(&w);
+        });
+    }));
+    let _ = std::fs::remove_dir_all(scratch());
+    checked.is_ok()
+}
+
+/// Runs the case `seed` draws; on failure, halves its stream while it
+/// still fails, then panics with the seed and the drawn and shrunk cases
+/// (the first divergent label is in the panic messages above).
+fn explore(seed: u64) {
+    let case = draw(seed);
+    if passes(&case) {
+        return;
+    }
+    let mut small = case.clone();
+    while small.periods > 1 {
+        let mut half = small.clone();
+        half.periods /= 2;
+        if let Some(fault) = &mut half.fault {
+            fault.epoch = fault.epoch.min(half.periods as u32 - 1);
+        }
+        if passes(&half) {
+            break;
+        }
+        small = half;
+    }
+    panic!("explorer seed {seed:#x} failed\n  drawn: {case:?}\n  shrunk: {small:?}");
+}
+
+#[test]
+fn seed_budget() {
+    (0..BUDGET).for_each(explore);
+}
+
+#[test]
+fn seed_corpus() {
+    for line in include_str!("explorer_corpus.txt").lines() {
+        let seed = line.split('#').next().unwrap_or_default().trim();
+        if !seed.is_empty() {
+            explore(u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("a hex seed"));
+        }
+    }
+}
+
+/// The budget's draws, enumerated without running them.
+#[test]
+fn budget_covers_every_axis() {
+    use Crash::*;
+    let cases: Vec<Case> = (0..BUDGET).map(draw).collect();
+    let has = |what: &str, f: &dyn Fn(&Case) -> bool| assert!(cases.iter().any(f), "no {what}");
+    let grid = |c: &Case| format!("{} × {:?} × {} threads", c.kind, c.policy, c.threads);
+    let grid: BTreeSet<_> = cases.iter().map(grid).collect();
+    assert_eq!(grid.len(), 5 * 2 * 4, "strategy × policy × threads");
+    for p in [1, 2, 4, 8] {
+        has(&format!("{p} producers"), &|c| c.producers == p);
+    }
+    let crash = |c: &Case| c.fault.map(|f| f.crash);
+    for kind in [EpochBoundary, TickPanic, SequencerDeath] {
+        has(&format!("{kind:?}"), &|c| crash(c) == Some(kind));
+    }
+    let mutation = |c: &Case| c.fault.and_then(|f| f.corruption).map(|x| x.mutation);
+    for m in MUTATIONS {
+        has(&format!("{m:?}"), &|c| mutation(c) == Some(m));
+    }
+    let multi = |c: &Case| c.producers > 1;
+    has("multi-producer + crash + corruption", &|c| {
+        multi(c) && mutation(c).is_some()
+    });
+    // A resend of durable events: the watermark must suppress them all.
+    let resent = |f: Fault| match f.crash {
+        ProducerKill { events_sent, .. } => events_sent > 0,
+        _ => false,
+    };
+    let resend = |f: Fault| matches!(f.crash, ProducerKill { resend: true, .. });
+    let durable = |f: Fault| f.flushed && f.corruption.is_none() && resend(f) && resent(f);
+    has("reconnect after recover, at-least-once", &|c| {
+        multi(c) && c.fault.is_some_and(durable)
+    });
+}

@@ -23,15 +23,12 @@ use maps_spatial::{GridSpec, Point, Rect};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-fn service(shards: usize) -> ShardedService {
+fn service() -> ShardedService {
     ShardedService::new(
         GridSpec::square(Rect::square(10.0), 2),
         MatchPolicy::Consume,
         maps_core::StrategyKind::BaseP,
-        ServiceConfig {
-            shards,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     )
 }
 
@@ -88,7 +85,7 @@ fn dropping_the_sequencer_unblocks_a_blocked_send() {
 /// gone — even though the lane is still full, which would otherwise
 /// read as `Timeout`.
 #[test]
-fn try_send_on_a_full_ring_reports_disconnect_after_drop() {
+fn try_send_on_a_full_lane_reports_disconnect_after_drop() {
     let (ingest, mut producers) = IngestService::new(IngestConfig {
         producers: 1,
         queue_capacity: 1,
@@ -98,13 +95,13 @@ fn try_send_on_a_full_ring_reports_disconnect_after_drop() {
     assert_eq!(
         p0.try_send(arrive(2.0), Duration::from_millis(2)),
         Err(SendError::Timeout),
-        "full ring with a live sequencer is backpressure"
+        "full lane with a live sequencer is backpressure"
     );
     drop(ingest);
     assert_eq!(
         p0.try_send(arrive(2.0), Duration::from_secs(3600)),
         Err(SendError::Disconnected),
-        "full ring with a dead sequencer must not wait out the deadline"
+        "full lane with a dead sequencer must not wait out the deadline"
     );
 }
 
@@ -119,7 +116,7 @@ fn producer_close_wakes_a_parked_sequencer() {
             queue_capacity: 1,
         });
         let p0 = producers.pop().unwrap();
-        let sequencer = spawn_sequencer(ingest, service(1));
+        let sequencer = spawn_sequencer(ingest, service());
         std::thread::sleep(Duration::from_micros(delay_us));
         p0.close();
         let (svc, epochs) = sequencer
@@ -142,7 +139,7 @@ fn close_with_staged_event_is_drained_in_every_interleaving() {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = spawn_sequencer(ingest, service(1));
+        let sequencer = spawn_sequencer(ingest, service());
         std::thread::sleep(Duration::from_micros(delay_us));
         p0.send(arrive(1.0));
         p0.close();
@@ -180,10 +177,7 @@ fn sequencer_panic_mid_stream_fails_the_blocked_producer() {
         GridSpec::square(Rect::square(10.0), 2),
         MatchPolicy::Consume,
         Box::new(Bomb),
-        ServiceConfig {
-            shards: 1,
-            ..ServiceConfig::default()
-        },
+        ServiceConfig::default(),
     );
     let (ingest, mut producers) = IngestService::new(IngestConfig {
         producers: 1,
@@ -227,7 +221,7 @@ fn abandon_holds_the_barrier_then_reconnect_completes_at_capacity_one() {
     let mut p0 = producers.pop().unwrap();
     p0.send(arrive(1.0));
     let lane = p0.abandon();
-    let sequencer = spawn_sequencer(ingest, service(2));
+    let sequencer = spawn_sequencer(ingest, service());
     // The sequencer drains lanes in producer order, so while p0's
     // abandoned lane is open, p1's 1-slot lane backs up after one
     // event — pump it from its own thread.
@@ -270,7 +264,7 @@ fn close_races_drain_without_losing_events() {
             queue_capacity: 1,
         });
         let mut p0 = producers.pop().unwrap();
-        let sequencer = spawn_sequencer(ingest, service(1));
+        let sequencer = spawn_sequencer(ingest, service());
         for i in 0..k {
             p0.send(arrive(i as f64));
         }

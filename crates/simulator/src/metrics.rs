@@ -3,7 +3,7 @@
 //! counters used by the integration tests.
 
 use maps_core::{StateError, StateWords};
-use maps_telemetry::LatencyTelemetry;
+use maps_telemetry::{LatencyTelemetry, Log2Histogram};
 
 /// Numerically stable streaming mean/variance (Welford's online
 /// algorithm).
@@ -261,6 +261,43 @@ impl Outcome {
         out
     }
 
+    /// One label per word of [`Outcome::deterministic_bits`], in its
+    /// order: the field's name, with the index inside a list
+    /// (`revenue_per_period[3]`) or a histogram (`latency.task_wait[7]`).
+    /// An oracle names the first differing label instead of printing two
+    /// word lists. The encoder above stays as it is (checkpoints carry
+    /// its words); `deterministic_bits_cover_every_replay_field` pins the
+    /// two lists to each other.
+    pub fn deterministic_labels(&self) -> Vec<String> {
+        let indexed =
+            |name: &str, n: usize| (0..n).map(|i| format!("{name}[{i}]")).collect::<Vec<_>>();
+        let mut out = vec!["strategy.len".to_string()];
+        out.extend(indexed("strategy", self.strategy.len()));
+        let counters = [
+            "total_revenue",
+            "issued_tasks",
+            "accepted_tasks",
+            "matched_tasks",
+        ];
+        out.extend(counters.map(String::from));
+        out.push("revenue_per_period.len".into());
+        out.extend(indexed("revenue_per_period", self.revenue_per_period.len()));
+        let tail = [
+            "mean_posted_price",
+            "posted_price_std",
+            "matched_distance",
+            "rejected_events",
+            "suppressed_duplicates",
+        ];
+        out.extend(tail.map(String::from));
+        for histogram in ["task_wait", "queue_depth", "worker_pool"] {
+            let buckets = Log2Histogram::WORDS - 1;
+            out.extend(indexed(&format!("latency.{histogram}"), buckets));
+            out.push(format!("latency.{histogram}.total"));
+        }
+        out
+    }
+
     /// Decodes what [`Outcome::deterministic_bits`] encodes — the form a
     /// checkpoint carries the accumulator in; the excluded columns
     /// restart at zero. A struct literal evaluates its fields as written
@@ -371,27 +408,37 @@ mod tests {
     fn deterministic_bits_cover_every_replay_field() {
         let base = outcome();
         assert_eq!(base.deterministic_bits(), base.deterministic_bits());
-        // Every schedule-independent field participates…
-        for mutate in [
-            |o: &mut Outcome| o.strategy = "SDE".into(),
-            |o: &mut Outcome| o.total_revenue += 1e-9,
-            |o: &mut Outcome| o.issued_tasks += 1,
-            |o: &mut Outcome| o.accepted_tasks += 1,
-            |o: &mut Outcome| o.matched_tasks += 1,
-            |o: &mut Outcome| o.revenue_per_period.push(0.0),
-            |o: &mut Outcome| o.revenue_per_period[0] = -o.revenue_per_period[0],
-            |o: &mut Outcome| o.mean_posted_price = -o.mean_posted_price,
-            |o: &mut Outcome| o.posted_price_std += f64::EPSILON,
-            |o: &mut Outcome| o.matched_distance += 1.0,
-            |o: &mut Outcome| o.rejected_events += 1,
-            |o: &mut Outcome| o.suppressed_duplicates += 1,
-            |o: &mut Outcome| o.latency.record_period(1, 1),
-            |o: &mut Outcome| o.latency.queue_depth.record(7),
-            |o: &mut Outcome| o.latency.worker_pool.record(7),
-        ] {
+        // Every schedule-independent field participates, and the first
+        // word it moves carries its label.
+        type Mutation = (&'static str, fn(&mut Outcome));
+        let mutations: [Mutation; 15] = [
+            ("strategy.len", |o| o.strategy = "SDE".into()),
+            ("total_revenue", |o| o.total_revenue += 1e-9),
+            ("issued_tasks", |o| o.issued_tasks += 1),
+            ("accepted_tasks", |o| o.accepted_tasks += 1),
+            ("matched_tasks", |o| o.matched_tasks += 1),
+            ("revenue_per_period.len", |o| o.revenue_per_period.push(0.0)),
+            ("revenue_per_period[1]", |o| o.revenue_per_period[1] *= -1.0),
+            ("mean_posted_price", |o| o.mean_posted_price *= -1.0),
+            ("posted_price_std", |o| o.posted_price_std += f64::EPSILON),
+            ("matched_distance", |o| o.matched_distance += 1.0),
+            ("rejected_events", |o| o.rejected_events += 1),
+            ("suppressed_duplicates", |o| o.suppressed_duplicates += 1),
+            ("latency.task_wait[1]", |o| o.latency.record_period(1, 1)),
+            ("latency.queue_depth[3]", |o| {
+                o.latency.queue_depth.record(7)
+            }),
+            ("latency.worker_pool[3]", |o| {
+                o.latency.worker_pool.record(7)
+            }),
+        ];
+        for (label, mutate) in mutations {
             let mut changed = base.clone();
             mutate(&mut changed);
-            assert_ne!(base.deterministic_bits(), changed.deterministic_bits());
+            let (a, b) = (base.deterministic_bits(), changed.deterministic_bits());
+            let first = (0..).find(|&i| a.get(i) != b.get(i)).unwrap();
+            assert_eq!(changed.deterministic_labels()[first], label);
+            assert_eq!(changed.deterministic_labels().len(), b.len(), "{label}");
         }
         // …while exactly four fields are excluded by design — the same
         // four discarded with `_` in the exhaustive destructuring inside

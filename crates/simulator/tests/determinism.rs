@@ -6,17 +6,23 @@
 
 use maps_core::StrategyKind;
 use maps_simulator::{Simulation, SyntheticConfig};
+use maps_testkit::Labelled;
 
 /// Canonical bit pattern of an outcome, excluding the wall-clock
-/// columns (legitimately thread- and load-dependent).
-fn outcome_canon(strategy: StrategyKind, seed: u64) -> Vec<u64> {
+/// columns (legitimately thread- and load-dependent), labelled so a
+/// divergence names its field.
+fn outcome_canon(strategy: StrategyKind, seed: u64) -> Labelled {
     let world = SyntheticConfig::paper_default()
         .with_num_workers(40)
         .with_num_tasks(150)
         .with_periods(6)
         .with_grid_side(4)
         .build(seed);
-    Simulation::new(world, strategy).run().deterministic_bits()
+    let outcome = Simulation::new(world, strategy).run();
+    Labelled {
+        words: outcome.deterministic_bits(),
+        labels: outcome.deterministic_labels(),
+    }
 }
 
 #[test]

@@ -14,14 +14,17 @@
 //! * [`assert_deterministic`] / [`assert_deterministic_across`] — run a
 //!   closure under rayon pools of 1/2/3/8 threads (or a caller-chosen
 //!   set) and assert that every run's bit pattern equals the 1-thread
-//!   baseline.
+//!   baseline. A divergence is reported as the first differing word,
+//!   named by its label when the value is [`Labelled`].
+//!
+//! Beside them: the [`Interleaver`] that forces producer schedules and
+//! the seeded [`FaultPlan`] of crash and corruption points, which the
+//! service's seeded explorer draws from.
 //!
 //! Used by `maps-core` (pricing + Monte-Carlo), `maps-experiments`
 //! (seed-parallel runner) and `maps-simulator` (whole-simulation runs).
 
 #![warn(missing_docs)]
-
-use std::fmt::Debug;
 
 /// Thread counts exercised by [`assert_deterministic`]: the serial
 /// baseline, both parities, and an oversubscribed pool (8 threads on a
@@ -47,6 +50,11 @@ impl XorShift {
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
     }
+
+    /// A draw from `0..n` (by remainder; `n > 0`).
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.next_u64() % n
+    }
 }
 
 /// Canonical bit-level encoding of a value, for exact comparison of
@@ -64,6 +72,58 @@ pub trait BitPattern {
         let mut out = Vec::new();
         self.bit_pattern(&mut out);
         out
+    }
+
+    /// What word `i` of the encoding holds, for a failure message;
+    /// [`Labelled`] names it, everything else by position.
+    fn word_label(&self, i: usize) -> String {
+        format!("word {i}")
+    }
+}
+
+/// Words with one label each — `Outcome::deterministic_bits` beside
+/// `Outcome::deterministic_labels` — so that a failing assertion names
+/// the first differing field instead of printing two word lists.
+/// Encodes as its words alone.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Labelled {
+    /// The encoding.
+    pub words: Vec<u64>,
+    /// One label per word.
+    pub labels: Vec<String>,
+}
+
+impl BitPattern for Labelled {
+    fn bit_pattern(&self, out: &mut Vec<u64>) {
+        out.extend_from_slice(&self.words);
+    }
+
+    fn word_label(&self, i: usize) -> String {
+        self.labels
+            .get(i)
+            .cloned()
+            .unwrap_or_else(|| format!("word {i}"))
+    }
+}
+
+/// Where `got` first differs from `want`'s encoding, as
+/// `"label: want → got"` (a word past the end of one list reads `-`), or
+/// `None` when the two are equal.
+pub fn first_difference(want: &impl BitPattern, got: &[u64]) -> Option<String> {
+    let bits = want.bits();
+    let i = (0..bits.len().max(got.len())).find(|&i| bits.get(i) != got.get(i))?;
+    let word = |w: &[u64]| w.get(i).map_or("-".into(), |v| format!("{v:#x}"));
+    let label = want.word_label(i);
+    Some(format!("{label}: {} → {}", word(&bits), word(got)))
+}
+
+/// Asserts `got` is `want`'s encoding, naming the first differing label.
+///
+/// # Panics
+/// With `what` and [`first_difference`]'s description when they differ.
+pub fn assert_words_eq(want: &Labelled, got: &[u64], what: impl std::fmt::Display) {
+    if let Some(diff) = first_difference(want, got) {
+        panic!("{what}: first divergent word {diff}");
     }
 }
 
@@ -177,26 +237,23 @@ pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
 /// (e.g. compare the parallel family against a sequential oracle).
 ///
 /// # Panics
-/// Panics with both values' `Debug` rendering when any run diverges,
-/// or when `counts` is empty.
+/// Panics naming the first divergent word ([`first_difference`]) when
+/// any run diverges, or when `counts` is empty.
 pub fn assert_deterministic_across<T, F>(counts: &[usize], f: F) -> T
 where
-    T: BitPattern + Debug,
+    T: BitPattern,
     F: Fn() -> T,
 {
     assert!(!counts.is_empty(), "need at least one thread count");
     let baseline = with_threads(counts[0], &f);
-    let expect = baseline.bits();
     for &threads in &counts[1..] {
-        let got = with_threads(threads, &f);
-        assert_eq!(
-            expect,
-            got.bits(),
-            "result diverged at {threads} threads (baseline {} threads):\n\
-             baseline: {baseline:?}\n\
-             at {threads} threads: {got:?}",
-            counts[0],
-        );
+        let got = with_threads(threads, &f).bits();
+        if let Some(diff) = first_difference(&baseline, &got) {
+            panic!(
+                "result diverged at {threads} threads (baseline {} threads): {diff}",
+                counts[0]
+            );
+        }
     }
     baseline
 }
@@ -205,18 +262,11 @@ where
 /// thread counts [`DEFAULT_THREAD_COUNTS`] (1/2/3/8).
 pub fn assert_deterministic<T, F>(f: F) -> T
 where
-    T: BitPattern + Debug,
+    T: BitPattern,
     F: Fn() -> T,
 {
     assert_deterministic_across(&DEFAULT_THREAD_COUNTS, f)
 }
-
-/// Producer counts the ingestion interleaving oracle sweeps (PR 5's
-/// interleaving-invariance contract): the single-producer degenerate
-/// case and powers of two up to an oversubscribed producer set.
-/// Multi-producer replay outcomes must be bit-identical across all of
-/// them *and* to serial `push` (hence to the batch simulator).
-pub const DEFAULT_PRODUCER_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// How an [`Interleaver`] shapes the relative schedule of N producer
 /// threads. The point of the ingestion contract is that the *outcome*
@@ -375,66 +425,100 @@ impl Interleaver {
     }
 }
 
-/// One deterministic fault scenario drawn from a [`FaultPlan`].
-///
-/// The plan is pure data: it names *where* a crash-recovery test should
-/// inject its fault (which producer dies, after how many events, which
-/// journal bytes tear, which tick panics), and the test maps that onto
-/// the service's public hooks (`IngressProducer::abandon`, truncating
-/// the journal file, `ShardedService::inject_tick_fault`, a panicking
-/// strategy wrapper). Keeping the plan seeded and service-agnostic
-/// means every CI run exercises the same fault schedule bit-for-bit —
-/// a failing seed is a reproducible bug report, not a flake.
+/// Where a run dies: the crash point of a [`Fault`], in its epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fault {
-    /// Producer `producer` dies mid-epoch `epoch` after sending
-    /// `events_sent` of its events for that epoch (so it never votes
-    /// for the epoch barrier). A supervisor later reconnects the lane
-    /// at the service's acked watermark.
+pub enum Crash {
+    /// Everything dies right after the tick closing the epoch.
+    EpochBoundary,
+    /// Producer `producer` dies mid-epoch after `events_sent` of its
+    /// events; the lanes merged before it had delivered their whole
+    /// share, the ones after it nothing. A supervisor then reconnects
+    /// every lane at its recovered watermark — the victim, when
+    /// `resend`, from the start of its share (at-least-once delivery).
     ProducerKill {
         /// Lane of the victim.
         producer: u32,
-        /// Epoch the victim dies in.
-        epoch: u32,
-        /// Events of that epoch the victim managed to send first.
+        /// Events of the epoch the victim got out first.
         events_sent: u32,
+        /// Whether the victim re-sends what it had already sent.
+        resend: bool,
     },
-    /// The sequencer/service process dies right after epoch `epoch`'s
-    /// barrier tick becomes durable — the crash-at-epoch-boundary case.
-    SequencerDeath {
-        /// Last epoch whose tick completed before the crash.
-        epoch: u32,
-    },
-    /// The crash tears the final journal frame: `bytes` trailing bytes
-    /// of the file are lost (never a whole frame — the point is an
-    /// *invalid* trailing frame that recovery must truncate).
-    TornTail {
-        /// Epoch in whose tail the torn write happens.
-        epoch: u32,
-        /// Trailing bytes chopped off the journal file.
-        bytes: u32,
-    },
-    /// The tick closing `epoch` panics inside its isolated work,
-    /// poisoning the service (typed error), which is then recovered
-    /// from the journal.
-    TickPanic {
-        /// Epoch whose tick is poisoned.
-        epoch: u32,
-    },
+    /// The tick closing the epoch panics under a serial caller: a typed
+    /// error out of `try_push`, then recovery.
+    TickPanic,
+    /// The tick closing the epoch panics under the multi-producer
+    /// sequencer: a typed error out of the sequencer, a disconnect for
+    /// every producer, then recovery.
+    SequencerDeath,
 }
 
-/// Seeded generator of [`Fault`] scenarios over a fixed topology
-/// (`producers` lanes × `epochs` periods).
-///
-/// Draws cycle through the four fault kinds so any non-trivial draw
-/// count covers every kind, while the victims/offsets walk a
-/// deterministic [`XorShift`] stream.
+/// What a corruption point does to the bytes of one file.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// One bit flipped.
+    BitFlip,
+    /// The file cut short.
+    Truncate,
+    /// One frame written twice.
+    DuplicateFrame,
+    /// Two adjacent frames written in each other's place.
+    SwapFrames,
+    /// A frame's length field overwritten.
+    LyingLength,
+    /// One checkpoint word overwritten and the frame re-hashed: valid
+    /// framing, lying content.
+    LyingCheckpointWord,
+}
+
+/// The six [`Mutation`]s, in declaration order.
+pub const MUTATIONS: [Mutation; 6] = [
+    Mutation::BitFlip,
+    Mutation::Truncate,
+    Mutation::DuplicateFrame,
+    Mutation::SwapFrames,
+    Mutation::LyingLength,
+    Mutation::LyingCheckpointWord,
+];
+
+/// One mutation of one file a crash left behind.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Corruption {
+    /// `0` is the journal, `n` the `n`-th newest checkpoint (1 or 2).
+    pub file: u32,
+    /// What happens to the bytes.
+    pub mutation: Mutation,
+    /// Seeded position; the test reduces it modulo the bits, bytes or
+    /// frames the file holds.
+    pub at: u64,
+    /// Seeded value: a length, a checkpoint word, a shape.
+    pub value: u64,
+}
+
+/// One deterministic fault scenario drawn from a [`FaultPlan`]: a crash
+/// point, and the corruption recovery then finds (if any). Pure data: a
+/// test maps it onto the service's public hooks, so a failing seed is a
+/// reproducible bug report, not a flake.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Fault {
+    /// The epoch the run dies in.
+    pub epoch: u32,
+    /// Where in it the run dies.
+    pub crash: Crash,
+    /// Whether the process's buffered journal writes reached the file
+    /// before it died (a killed process loses them).
+    pub flushed: bool,
+    /// The damage recovery finds, if any.
+    pub corruption: Option<Corruption>,
+}
+
+/// Seeded generator of [`Fault`]s over a fixed topology (`producers`
+/// lanes × `epochs` periods): every field is drawn from one
+/// [`XorShift`] stream, and half the draws carry a corruption.
 #[derive(Debug, Clone)]
 pub struct FaultPlan {
     rng: XorShift,
     producers: u32,
     epochs: u32,
-    draws: u32,
 }
 
 impl FaultPlan {
@@ -447,27 +531,35 @@ impl FaultPlan {
             rng: XorShift(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1),
             producers,
             epochs,
-            draws: 0,
         }
     }
 
     /// Draws the next fault scenario.
     pub fn next_fault(&mut self) -> Fault {
-        let kind = self.draws % 4;
-        self.draws += 1;
-        let epoch = (self.rng.next_u64() % u64::from(self.epochs)) as u32;
-        match kind {
-            0 => Fault::ProducerKill {
-                producer: (self.rng.next_u64() % u64::from(self.producers)) as u32,
-                epoch,
-                events_sent: (self.rng.next_u64() % 4) as u32,
+        let rng = &mut self.rng;
+        let epoch = rng.below(u64::from(self.epochs)) as u32;
+        let crash = match rng.below(4) {
+            0 => Crash::EpochBoundary,
+            1 => Crash::ProducerKill {
+                producer: rng.below(u64::from(self.producers)) as u32,
+                events_sent: rng.below(6) as u32,
+                resend: rng.below(2) == 0,
             },
-            1 => Fault::SequencerDeath { epoch },
-            2 => Fault::TornTail {
-                epoch,
-                bytes: 1 + (self.rng.next_u64() % 16) as u32,
-            },
-            _ => Fault::TickPanic { epoch },
+            2 => Crash::TickPanic,
+            _ => Crash::SequencerDeath,
+        };
+        let flushed = rng.below(2) == 0;
+        let corruption = (rng.below(2) == 0).then(|| Corruption {
+            file: rng.below(3) as u32,
+            mutation: MUTATIONS[rng.below(6) as usize],
+            at: rng.next_u64(),
+            value: rng.next_u64(),
+        });
+        Fault {
+            epoch,
+            crash,
+            flushed,
+            corruption,
         }
     }
 }
@@ -533,6 +625,19 @@ mod tests {
             parts.iter().sum::<f64>()
         });
         assert!(result > 0.0);
+    }
+
+    #[test]
+    fn a_divergence_names_its_label() {
+        let want = Labelled {
+            words: vec![1, 2, 3],
+            labels: ["a", "b", "c"].map(String::from).to_vec(),
+        };
+        let diff = |got: &[u64]| first_difference(&want, got);
+        assert_eq!(diff(&[1, 2, 4]).unwrap(), "c: 0x3 → 0x4");
+        assert_eq!(diff(&[1, 2]).unwrap(), "c: 0x3 → -");
+        assert_eq!(diff(&[1, 2, 3, 9]).unwrap(), "word 3: - → 0x9");
+        assert_eq!(diff(&[1, 2, 3]), None);
     }
 
     #[test]
@@ -617,37 +722,22 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_is_deterministic_and_covers_every_kind() {
+    /// Coverage of every crash and mutation kind is asserted on the
+    /// draws the service's explorer actually makes
+    /// (`budget_covers_every_axis`).
+    fn fault_plan_is_deterministic_and_in_range() {
         let draw = |seed: u64| {
             let mut plan = FaultPlan::new(seed, 4, 8);
-            (0..8).map(|_| plan.next_fault()).collect::<Vec<_>>()
+            (0..64).map(|_| plan.next_fault()).collect::<Vec<_>>()
         };
         assert_eq!(draw(42), draw(42), "same seed, same schedule");
         assert_ne!(draw(42), draw(43), "different seeds differ");
-        let faults = draw(7);
-        assert!(faults
-            .iter()
-            .any(|f| matches!(f, Fault::ProducerKill { .. })));
-        assert!(faults
-            .iter()
-            .any(|f| matches!(f, Fault::SequencerDeath { .. })));
-        assert!(faults.iter().any(|f| matches!(f, Fault::TornTail { .. })));
-        assert!(faults.iter().any(|f| matches!(f, Fault::TickPanic { .. })));
-        for f in &faults {
-            match *f {
-                Fault::ProducerKill {
-                    producer,
-                    epoch,
-                    events_sent,
-                } => {
-                    assert!(producer < 4 && epoch < 8 && events_sent < 4);
-                }
-                Fault::SequencerDeath { epoch } => assert!(epoch < 8),
-                Fault::TornTail { epoch, bytes } => {
-                    assert!(epoch < 8 && (1..=16).contains(&bytes));
-                }
-                Fault::TickPanic { epoch } => assert!(epoch < 8),
+        for f in &draw(7) {
+            assert!(f.epoch < 8);
+            if let Crash::ProducerKill { producer, .. } = f.crash {
+                assert!(producer < 4);
             }
+            assert!(f.corruption.is_none_or(|c| c.file < 3));
         }
     }
 

@@ -7,8 +7,7 @@
 //! large instance the generator first hit.
 
 use maps::prelude::*;
-use maps::service::{IngestConfig, IngestService, ServiceConfig, ServiceEvent, ShardedService};
-use maps_testkit::{InterleavePlan, Interleaver};
+use maps::service::ServiceEvent;
 use proptest::prelude::*;
 
 /// Strategy generating a random bipartite graph with ≤ 10×10 vertices.
@@ -277,308 +276,6 @@ proptest! {
         prop_assert_eq!(incremental, scratch, "incremental build diverged from the oracle");
     }
 
-    /// PR-4 oracle: a random event stream — worker arrivals with random
-    /// durations, *explicit* `WorkerDepart` events (for a random subset
-    /// the service is told `u32::MAX` and departed externally; another
-    /// subset is departed in the very window it arrived in, which the
-    /// ground truth writes as `duration: 0` — takes an id, never
-    /// lives), task requests and period ticks — driven through the
-    /// online service must leave the service's outcome equal, every
-    /// tick, to the batch simulator run over the equivalent ground-truth
-    /// prefix (`Outcome::deterministic_bits`, so bit-level). Both
-    /// lifecycle policies are exercised.
-    #[test]
-    fn service_churn_stream_matches_batch_oracle_every_tick(
-        seed in 0u64..2_000,
-        periods in 1usize..=6,
-    ) {
-        let grid = GridSpec::square(Rect::square(50.0), 3);
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        let match_policy = if next() % 2 == 0 {
-            MatchPolicy::Consume
-        } else {
-            MatchPolicy::Relocate { speed: 1.0 }
-        };
-        let kind = StrategyKind::ALL[(next() % 5) as usize];
-        // Script the world: per period, arrivals (with true durations)
-        // and tasks. `external[id]` marks workers the service will see
-        // as immortal but departed by an explicit event at expiry;
-        // `cancelled[id]` holds the duration the service is told for a
-        // worker it is then told to depart before the window's tick —
-        // the ground truth gives that worker no lifetime at all.
-        let mut world_periods: Vec<PeriodData> = Vec::new();
-        let mut external: Vec<bool> = Vec::new();
-        let mut cancelled: Vec<Option<u32>> = Vec::new();
-        for _ in 0..periods {
-            let mut data = PeriodData::default();
-            for _ in 0..next() % 5 {
-                let mut duration = match next() % 4 {
-                    0 => u32::MAX,
-                    d => d as u32, // 1..=3
-                };
-                if next() % 4 == 0 {
-                    cancelled.push(Some(duration));
-                    external.push(false);
-                    duration = 0;
-                } else {
-                    cancelled.push(None);
-                    external.push(duration != u32::MAX && next() % 2 == 0);
-                }
-                data.workers.push(GroundWorker {
-                    location: Point::new(
-                        (next() % 5_000) as f64 / 100.0,
-                        (next() % 5_000) as f64 / 100.0,
-                    ),
-                    radius: 2.0 + (next() % 1_500) as f64 / 100.0,
-                    duration,
-                });
-            }
-            for _ in 0..next() % 8 {
-                let origin = Point::new(
-                    (next() % 5_000) as f64 / 100.0,
-                    (next() % 5_000) as f64 / 100.0,
-                );
-                data.tasks.push(GroundTask {
-                    origin,
-                    destination: Point::new(
-                        (next() % 5_000) as f64 / 100.0,
-                        (next() % 5_000) as f64 / 100.0,
-                    ),
-                    distance: 0.5 + (next() % 300) as f64 / 100.0,
-                    valuation: 1.0 + (next() % 400) as f64 / 100.0,
-                    cell: grid.cell_of(origin),
-                });
-            }
-            world_periods.push(data);
-        }
-        let demands = vec![Demand::paper_normal(2.5, 1.0); grid.num_cells()];
-        let options = SimOptions { calibrate: false, ..SimOptions::default() };
-        let mut service = ShardedService::new(grid, match_policy, kind, ServiceConfig::default());
-        // Explicit departures scheduled for the tick each worker's true
-        // window ends at, pushed in the inter-tick window before it.
-        let mut departs: Vec<(u32, u32)> = Vec::new(); // (period, id)
-        let mut next_id = 0u32;
-        for (t, data) in world_periods.iter().enumerate() {
-            for &(fire, id) in departs.iter().filter(|&&(fire, _)| fire == t as u32) {
-                let _ = fire;
-                service.push(ServiceEvent::WorkerDepart { id });
-            }
-            // Same-window departures: even ids right behind their own
-            // arrival, odd ids after everything else of the window, so
-            // live arrivals sit on both sides of a cancelled one.
-            let mut late_cancels: Vec<u32> = Vec::new();
-            for &w in &data.workers {
-                let id = next_id;
-                next_id += 1;
-                let mut streamed = w;
-                if external[id as usize] {
-                    departs.push((t as u32 + w.duration, id));
-                    streamed.duration = u32::MAX;
-                }
-                if let Some(told) = cancelled[id as usize] {
-                    streamed.duration = told;
-                }
-                service.push(ServiceEvent::WorkerArrive { worker: streamed });
-                if cancelled[id as usize].is_some() {
-                    if id.is_multiple_of(2) {
-                        service.push(ServiceEvent::WorkerDepart { id });
-                    } else {
-                        late_cancels.push(id);
-                    }
-                }
-            }
-            for &task in &data.tasks {
-                service.push(ServiceEvent::TaskRequest { task });
-            }
-            for id in late_cancels {
-                service.push(ServiceEvent::WorkerDepart { id });
-            }
-            service.push(ServiceEvent::PeriodTick);
-            // The batch oracle over the equivalent ground-truth prefix.
-            let prefix = GroundTruth {
-                grid,
-                demands: demands.clone(),
-                periods: world_periods[..=t].to_vec(),
-                match_policy,
-            };
-            let batch = Simulation::new(prefix, kind).with_options(options).run();
-            prop_assert_eq!(
-                service.outcome_snapshot().deterministic_bits(),
-                batch.deterministic_bits(),
-                "tick {}: service state diverged from the batch oracle ({})",
-                t,
-                kind
-            );
-        }
-    }
-
-    /// PR-5 oracle: **interleaving invariance** of the multi-producer
-    /// ingestion front-end. A random event script — arrivals (some with
-    /// finite durations, some invalid with NaN radii), explicit
-    /// departures (including stale/bogus ids), task requests (some with
-    /// NaN geometry the service must reject) — is split across 1–4
-    /// producers by a *random* contiguous partition per epoch and
-    /// streamed through bounded queues of random capacity under both a
-    /// free and a seeded yield-perturbed schedule. After **every**
-    /// epoch barrier the service must be bit-identical to serial `push`
-    /// of the same canonical `(epoch, producer, seq)` order — with the
-    /// serial baseline itself swept across the 1/2/3/8-thread harness —
-    /// and the admission-rejection counters must agree too.
-    #[test]
-    fn ingested_stream_matches_serial_push(
-        seed in 0u64..2_000,
-        periods in 1usize..=5,
-        producers in 1usize..=4,
-    ) {
-        let grid = GridSpec::square(Rect::square(50.0), 3);
-        let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-        let mut next = move || {
-            s ^= s << 13;
-            s ^= s >> 7;
-            s ^= s << 17;
-            s
-        };
-        // The vendored proptest caps strategy tuples at four inputs, so
-        // the queue capacity rides on the seed stream instead.
-        let capacity = 1 + (next() % 8) as usize;
-        let match_policy = if next() % 2 == 0 {
-            MatchPolicy::Consume
-        } else {
-            MatchPolicy::Relocate { speed: 1.0 }
-        };
-        let kind = StrategyKind::ALL[(next() % 5) as usize];
-        // The canonical per-epoch event scripts (the serial push order).
-        let mut admitted = 0u64; // ids issued so far (valid arrivals only)
-        let mut epochs: Vec<Vec<ServiceEvent>> = Vec::new();
-        for _ in 0..periods {
-            let mut events = Vec::new();
-            for _ in 0..next() % 7 {
-                match next() % 8 {
-                    0..=3 => {
-                        let mut worker = GroundWorker {
-                            location: Point::new(
-                                (next() % 5_000) as f64 / 100.0,
-                                (next() % 5_000) as f64 / 100.0,
-                            ),
-                            radius: 2.0 + (next() % 1_500) as f64 / 100.0,
-                            duration: match next() % 5 {
-                                0 => u32::MAX,
-                                d => d as u32, // 1..=4
-                            },
-                        };
-                        if next() % 16 == 0 {
-                            worker.radius = f64::NAN; // must be rejected
-                        } else {
-                            admitted += 1;
-                        }
-                        events.push(ServiceEvent::WorkerArrive { worker });
-                    }
-                    4..=5 => {
-                        let origin = Point::new(
-                            (next() % 5_000) as f64 / 100.0,
-                            (next() % 5_000) as f64 / 100.0,
-                        );
-                        let mut task = GroundTask {
-                            origin,
-                            destination: Point::new(
-                                (next() % 5_000) as f64 / 100.0,
-                                (next() % 5_000) as f64 / 100.0,
-                            ),
-                            distance: 0.5 + (next() % 300) as f64 / 100.0,
-                            valuation: 1.0 + (next() % 400) as f64 / 100.0,
-                            cell: grid.cell_of(origin),
-                        };
-                        if next() % 12 == 0 {
-                            task.origin = Point::new(f64::NAN, 1.0); // rejected
-                        }
-                        events.push(ServiceEvent::TaskRequest { task });
-                    }
-                    _ => {
-                        // Sometimes a live id, sometimes stale/bogus —
-                        // both must be handled identically either way.
-                        let id = (next() % (admitted + 2)) as u32;
-                        events.push(ServiceEvent::WorkerDepart { id });
-                    }
-                }
-            }
-            epochs.push(events);
-        }
-        // Random contiguous partition of each epoch across producers
-        // (sorted random boundaries; 0 and len are always present, so
-        // chunks may be empty — a producer can sit an epoch out).
-        let partitions: Vec<Vec<usize>> = epochs
-            .iter()
-            .map(|events| {
-                let mut bounds = vec![0usize; producers + 1];
-                bounds[producers] = events.len();
-                for b in bounds[1..producers].iter_mut() {
-                    *b = (next() as usize) % (events.len() + 1);
-                }
-                bounds.sort_unstable();
-                bounds
-            })
-            .collect();
-        let make_service =
-            || ShardedService::new(grid, match_policy, kind, ServiceConfig::default());
-        let (serial_bits, serial_rejected) = maps_testkit::assert_deterministic(|| {
-            let mut service = make_service();
-            let mut bits = Vec::new();
-            for events in &epochs {
-                for &event in events {
-                    service.push(event);
-                }
-                service.push(ServiceEvent::PeriodTick);
-                bits.push(service.outcome_snapshot().deterministic_bits());
-            }
-            (bits, service.rejected_events())
-        });
-        for plan in [InterleavePlan::Free, InterleavePlan::Staggered(seed)] {
-            let mut service = make_service();
-            let (ingest, handles) = IngestService::new(IngestConfig {
-                producers,
-                queue_capacity: capacity,
-            });
-            let interleaver = Interleaver::new(producers, plan);
-            let mut bits = Vec::new();
-            std::thread::scope(|scope| {
-                for mut handle in handles {
-                    let (interleaver, epochs, partitions) = (&interleaver, &epochs, &partitions);
-                    scope.spawn(move || {
-                        let p = handle.id() as usize;
-                        for (events, bounds) in epochs.iter().zip(partitions) {
-                            for &event in &events[bounds[p]..bounds[p + 1]] {
-                                interleaver.step(p, || handle.send(event));
-                            }
-                            interleaver.step(p, || handle.end_epoch());
-                        }
-                        interleaver.finished(p);
-                    });
-                }
-                ingest
-                    .sequence_with(&mut service, |_, live| {
-                        bits.push(live.outcome_snapshot().deterministic_bits());
-                    })
-                    .expect("proptest streams contain no fatal faults");
-            });
-            prop_assert_eq!(
-                &bits,
-                &serial_bits,
-                "{}-producer stream (capacity {}, {:?}, {}) diverged from serial push",
-                producers,
-                capacity,
-                plan,
-                kind
-            );
-            prop_assert_eq!(service.rejected_events(), serial_rejected);
-        }
-    }
-
     /// PR-6 oracle: the write-ahead journal's frame encoding is a
     /// bijection on arbitrary record streams — producers (including the
     /// tick pseudo-producer), epochs, sequence numbers, and every event
@@ -676,137 +373,6 @@ proptest! {
                     cut
                 );
             }
-        }
-    }
-
-    /// ROADMAP 5(c): hostile bytes anywhere in a journal directory. A
-    /// small journaled MAPS run (checkpoint every 2 epochs) crashed one
-    /// epoch past its newest checkpoint, then one seeded mutation of
-    /// `journal.bin`, the newest checkpoint or the one before it, then
-    /// `replay_recovered` over the whole 4–8-epoch world.
-    ///
-    /// Mutations 0–4 break the *framing* — flip a bit, truncate at a
-    /// byte, duplicate a frame, swap two adjacent frames, overwrite a
-    /// frame's `len` — and recovery must return a typed error or finish
-    /// bit-identical to the uninterrupted run: never a panic, never a
-    /// silently different outcome. Mutation 5 overwrites one checkpoint
-    /// *word* and re-frames it (valid hash, lying content: an edge
-    /// pattern or a value of any magnitude); no decoder can know what
-    /// the word should have been, so the property is only that recovery
-    /// returns — `Ok` or typed `Err` — without panicking.
-    #[test]
-    #[expect(clippy::disallowed_types, reason = "a test may count with an atomic")]
-    fn recovery_survives_hostile_bytes(
-        world in (0u64..1_000, 4usize..=8, proptest::bool::weighted(0.5)),
-        hit in (0usize..3, 0usize..6, 0u64..u64::MAX),
-        lie in (0u64..u64::MAX, 0usize..72),
-    ) {
-        use maps::service::journal::{
-            checkpoint_path, decode_checkpoint, encode_checkpoint, list_checkpoints, JOURNAL_FILE,
-        };
-        use maps::service::{
-            replay_journaled, replay_recovered, replay_with_options, JournalConfig,
-        };
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static CASE: AtomicU64 = AtomicU64::new(0);
-
-        let ((seed, epochs, relocate), (target, mutation, at), (value, shape)) = (world, hit, lie);
-        let mut cfg = SyntheticConfig::paper_default()
-            .with_num_workers(40)
-            .with_num_tasks(120)
-            .with_periods(epochs)
-            .with_grid_side(3);
-        cfg.worker_duration = 3; // expiries in every checkpoint's schedule
-        if !relocate {
-            cfg.match_policy = MatchPolicy::Consume;
-        }
-        let world = cfg.build(seed);
-        let options = SimOptions::default();
-        let uninterrupted =
-            replay_with_options(&world, StrategyKind::Maps, 1, options).deterministic_bits();
-        // The crashed run: the first 3, 5 or 7 periods, so the journal's
-        // last epoch is past every checkpoint and recovery replays it.
-        let mut crashed = world.clone();
-        crashed.periods.truncate((epochs - 1) | 1);
-        let dir = std::env::temp_dir().join(format!(
-            "maps_hostile_bytes_{}_{}",
-            std::process::id(),
-            CASE.fetch_add(1, Ordering::Relaxed)
-        ));
-        let journal = JournalConfig::new(&dir, 2);
-        replay_journaled(&crashed, StrategyKind::Maps, 1, options, &journal)
-            .expect("journaled run");
-
-        let checkpoints = list_checkpoints(&dir).unwrap(); // 0, 2, …
-        // (A lying word is only ever read in the newest checkpoint.)
-        let path = match if mutation == 5 { 1 } else { target } {
-            0 => dir.join(JOURNAL_FILE),
-            back => checkpoint_path(&dir, checkpoints[checkpoints.len() - back]),
-        };
-        let mut bytes = std::fs::read(&path).unwrap();
-        // Frame `f` is `bounds[f]..bounds[f + 1]`: an 8-byte magic, then
-        // `len:u32 hash:u64 payload` frames to the end of the file.
-        let mut bounds = vec![8usize];
-        while let Some(len) = bytes.get(bounds[bounds.len() - 1]..).and_then(|b| b.first_chunk()) {
-            bounds.push(bounds[bounds.len() - 1] + 12 + u32::from_le_bytes(*len) as usize);
-        }
-        prop_assert_eq!(bounds[bounds.len() - 1], bytes.len(), "the run left whole frames");
-        let pick = |n: usize| (at % n as u64) as usize;
-        match mutation {
-            0 => {
-                let bit = pick(bytes.len() * 8);
-                bytes[bit / 8] ^= 1 << (bit % 8);
-            }
-            1 => bytes.truncate(pick(bytes.len())),
-            2 => {
-                let f = pick(bounds.len() - 1);
-                let frame = bytes[bounds[f]..bounds[f + 1]].to_vec();
-                bytes.splice(bounds[f + 1]..bounds[f + 1], frame);
-            }
-            // (A checkpoint is one frame: nothing to swap, and the
-            // untouched directory must recover like any other.)
-            3 if bounds.len() > 2 => {
-                let f = pick(bounds.len() - 2);
-                bytes[bounds[f]..bounds[f + 2]].rotate_left(bounds[f + 1] - bounds[f]);
-            }
-            4 => {
-                let f = pick(bounds.len() - 1);
-                bytes[bounds[f]..bounds[f] + 4].copy_from_slice(&(value as u32).to_le_bytes());
-            }
-            5 => {
-                let edges = [
-                    0,
-                    1,
-                    u64::MAX,
-                    u64::from(u32::MAX),
-                    f64::NAN.to_bits(),
-                    f64::INFINITY.to_bits(),
-                    (-1.0f64).to_bits(),
-                    (-0.0f64).to_bits(),
-                ];
-                let mut words = decode_checkpoint(&bytes).unwrap();
-                let word = pick(words.len());
-                words[word] = match edges.get(shape) {
-                    Some(&edge) => edge,
-                    None => value >> (shape - edges.len()),
-                };
-                bytes = encode_checkpoint(&words).unwrap();
-            }
-            _ => {}
-        }
-        std::fs::write(&path, &bytes).unwrap();
-
-        let recovered = std::panic::catch_unwind(|| {
-            replay_recovered(&world, StrategyKind::Maps, 1, options, &journal)
-        });
-        let _ = std::fs::remove_dir_all(&dir);
-        prop_assert!(recovered.is_ok(), "recovery panicked");
-        if let (Ok(Ok(outcome)), 0..=4) = (recovered, mutation) {
-            prop_assert_eq!(
-                outcome.deterministic_bits(),
-                uninterrupted,
-                "recovery returned Ok on a silently different outcome"
-            );
         }
     }
 
