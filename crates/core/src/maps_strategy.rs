@@ -30,20 +30,19 @@
 //!   the approximation value, only burn a worker inside the throw-away
 //!   pre-matching.
 //!
-//! ## Parallel per-grid table builds (PR 2)
+//! ## Per-grid maximizer tables
 //!
 //! Step 2 precomputes each grid's maximizer table `max_p L̂(n, p)` for
-//! `n = 1..=min(|R^tg|, |W| + 1)` and fans the per-grid builds out over
-//! rayon. Grids are independent, every table entry is a pure function
-//! of `(L^g, Ŝ^g, ladder)`, and the per-cell results are collected in
-//! cell order, so the schedule is **bit-identical** at any thread count
-//! to the sequential reference, which builds no table and computes the
-//! same maximizers on demand inside the heap loop. That reference
-//! lives in this module's tests, which pin the two together on fixed
-//! and random panels, on the plateau worst case and under proptest, at
-//! 1/2/3/8 threads. The table also removes the per-pop
-//! plateau-lookahead rescans, an `O(n² · |ladder|)` worst case on
-//! plateau-heavy grids.
+//! `n = 1..=min(|R^tg|, |W| + 1)`, grid after grid in cell order on the
+//! calling thread: a period's builds cost tens of microseconds, less
+//! than spawning and joining a thread. Every table entry is a pure
+//! function of `(L^g, Ŝ^g, ladder)`, so the schedule is
+//! **bit-identical** to the table-less reference, which computes the
+//! same maximizers on demand inside the heap loop. That reference lives
+//! in this module's tests, which pin the two together on fixed and
+//! random panels, on the plateau worst case and under proptest. The
+//! table removes the per-pop plateau-lookahead rescans, an
+//! `O(n² · |ladder|)` worst case on plateau-heavy grids.
 
 use crate::base::BasePricing;
 use crate::lfunc::{ApproxKind, DeltaRule, LFunction, Maximizer};
@@ -53,7 +52,6 @@ use crate::problem::{
 use crate::smoothing::smooth_prices;
 use maps_market::{ChangeDetector, PriceLadder, UcbStats};
 use maps_matching::IncrementalMatching;
-use rayon::prelude::*;
 use std::collections::BinaryHeap;
 
 /// Tunables for [`MapsStrategy`].
@@ -238,9 +236,9 @@ impl MapsStrategy {
     /// decreasing distance, derives the demand/supply curves and the
     /// Algorithm-3 maximizer table for supply levels
     /// `1..=min(|R^tg|, table_depth)`. Pure in `(cell, list)` given
-    /// frozen statistics, which is what makes the rayon fan-out in
+    /// frozen statistics, which is what makes the table path of
     /// [`PricingStrategy::price_period`] bit-identical to the
-    /// sequential reference.
+    /// table-less reference (`table_depth = 0`).
     ///
     /// The depth cap keeps worker-scarce periods cheap: a grid can
     /// never admit more than `|W|` workers, so the heap only ever reads
@@ -474,19 +472,15 @@ impl PricingStrategy for MapsStrategy {
     }
 
     fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
-        let cell_tasks = self.group_tasks(input);
         // A grid can never admit more workers than exist, so the heap
         // reads levels ≤ |W| + 1; deeper lookahead levels fall back to
-        // on-demand computation inside `maximizer_at`. Grids are
-        // independent and the build is pure per grid, so the rayon
-        // fan-out with index-ordered collect is bit-identical to the
-        // sequential reference.
+        // on-demand computation inside `maximizer_at`.
         let table_depth = input.workers.len().saturating_add(1);
-        let states = (0..cell_tasks.len())
-            .into_par_iter()
-            .map(|cell| {
-                self.build_cell_state(cell, cell_tasks[cell].clone(), input.tasks, table_depth)
-            })
+        let states = self
+            .group_tasks(input)
+            .into_iter()
+            .enumerate()
+            .map(|(cell, list)| self.build_cell_state(cell, list, input.tasks, table_depth))
             .collect();
         self.distribute_supply(input, states)
     }
@@ -553,10 +547,10 @@ mod tests {
     use maps_spatial::{GridSpec, Point, Rect};
 
     impl MapsStrategy {
-        /// The sequential reference for [`PricingStrategy::price_period`]:
-        /// no rayon and no maximizer table, so every supply level the
-        /// heap reads is computed on demand by [`Self::maximizer_at`].
-        fn price_period_sequential(&self, input: &PeriodInput<'_>) -> PriceSchedule {
+        /// The table-less reference for [`PricingStrategy::price_period`]:
+        /// no maximizer table, so every supply level the heap reads is
+        /// computed on demand by [`Self::maximizer_at`].
+        fn price_period_tableless(&self, input: &PeriodInput<'_>) -> PriceSchedule {
             let states = self
                 .group_tasks(input)
                 .into_iter()
@@ -800,8 +794,8 @@ mod tests {
 
     /// A many-grid pseudorandom period: `side²` grids over the 100×100
     /// region with clustered tasks/workers and tie-heavy distances, the
-    /// shape where the parallel table path and the sequential heap path
-    /// could plausibly diverge.
+    /// shape where the table path and the table-less heap path could
+    /// plausibly diverge.
     fn random_period(
         side: u32,
         n_tasks: usize,
@@ -880,10 +874,9 @@ mod tests {
         maps
     }
 
-    /// Asserts the table-driven `price_period` of `maps` is
-    /// bit-identical at 1/2/3/8 threads, and to the sequential
-    /// reference.
-    fn assert_matches_sequential_reference(
+    /// Asserts the table-driven `price_period` of `maps` prices every
+    /// grid bit for bit like the table-less reference.
+    fn assert_matches_tableless_reference(
         maps: &MapsStrategy,
         grid: &GridSpec,
         tasks: &[TaskInput],
@@ -896,49 +889,57 @@ mod tests {
             workers,
             graph: &graph,
         };
-        let reference = maps.price_period_sequential(&input);
-        let prices =
-            maps_testkit::assert_deterministic(|| maps.clone().price_period(&input).prices);
+        let reference = maps.price_period_tableless(&input);
+        let prices = maps.clone().price_period(&input).prices;
         assert_eq!(
             maps_testkit::BitPattern::bits(&prices),
             maps_testkit::BitPattern::bits(&reference.prices),
-            "table path diverged from the sequential reference"
+            "table path diverged from the table-less reference"
         );
     }
 
-    /// PR-2 acceptance: the parallel table-driven `price_period` is
-    /// bit-identical to the sequential on-demand reference.
+    /// The depth-capped tables price like the table-less reference on
+    /// fixed panels: the running example, three tie-heavy 8 × 8
+    /// periods, and the benchmark's period shape — a 10 × 10 grid with
+    /// 25 and with 250 tasks over 5 000 workers, where every table ends
+    /// at its grid's task count, far inside the `|W| + 1` cap.
     #[test]
-    fn parallel_tables_match_sequential_oracle() {
+    fn tables_match_the_tableless_reference() {
         let (grid, tasks, workers, maps) = running_example_strategy();
-        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+        assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
         for seed in [3u64, 17, 99] {
             let (grid, tasks, workers) = random_period(8, 400, 250, seed);
             let maps = seeded_maps(grid.num_cells(), seed);
-            assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+            assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
+        }
+        for n_tasks in [25, 250] {
+            let (grid, tasks, workers) = random_period(10, n_tasks, 5_000, 0xB0B);
+            let maps = seeded_maps(grid.num_cells(), 0xB0B);
+            assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
         }
     }
 
-    /// PR-2 acceptance: the parallel `price_period` is bit-identical to
-    /// itself (and to the sequential oracle) at 1/2/3/8 threads.
+    /// A denser panel than the fixed ones — about eight tasks and five
+    /// workers a grid on an 8 × 8 grid — prices like the table-less
+    /// reference.
     #[test]
-    fn price_period_bitwise_deterministic_across_threads() {
+    fn dense_period_matches_the_tableless_reference() {
         let (grid, tasks, workers) = random_period(8, 500, 300, 0xA11CE);
         let maps = seeded_maps(grid.num_cells(), 0xA11CE);
-        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+        assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
     }
 
     /// The plateau worst case (see [`plateau_maps`]), where almost every
     /// admission runs the full lookahead: with abundant supply the table
     /// covers every level the heap reads; on a worker-scarce period the
     /// table stops at `|W| + 1` and the lookahead reads past it into
-    /// `maximizer_at`'s on-demand fallback. Both must price like the
-    /// reference.
+    /// `maximizer_at`'s on-demand fallback. Both price like the
+    /// table-less reference.
     #[test]
-    fn plateau_worst_case_matches_sequential_reference() {
+    fn plateau_worst_case_matches_the_tableless_reference() {
         let (grid, tasks, workers) = random_period(8, 1000, 1250, 11);
         let maps = plateau_maps(grid.num_cells());
-        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+        assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
 
         // Every worker reaches every task, so all 40 are admitted and
         // each grid's supply climbs well onto the plateau.
@@ -956,20 +957,19 @@ mod tests {
             workers.len() + 1 < deepest_grid,
             "the table must be shallower than a grid's supply curve"
         );
-        assert_matches_sequential_reference(&maps, &grid, &tasks, &workers);
+        assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
     }
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
 
-        /// PR-2 oracle: the table-driven `price_period` is bit-identical
-        /// to the sequential reference on randomized panels — 1–64
-        /// grids, tie-heavy distance ladders (multiples of 0.5) and
-        /// coarse acceptance ratios (eighths, maximizing cross-grid Δ
-        /// ties), including zero-worker and zero-task edge panels — at
-        /// 1/2/3-thread pools.
+        /// The table-driven `price_period` is bit-identical to the
+        /// table-less reference on randomized panels — 1–64 grids,
+        /// tie-heavy distance ladders (multiples of 0.5) and coarse
+        /// acceptance ratios (eighths, maximizing cross-grid Δ ties),
+        /// including zero-worker and zero-task edge panels.
         #[test]
-        fn parallel_pricing_matches_sequential_reference(
+        fn table_pricing_matches_the_tableless_reference(
             side in 1u32..=8,
             n_tasks in 0usize..=80,
             n_workers in 0usize..=50,
@@ -1006,17 +1006,15 @@ mod tests {
                 graph: &graph,
             };
             let maps = seeded_maps(grid.num_cells(), seed);
-            let sequential = maps.price_period_sequential(&input).prices;
-            let parallel = maps_testkit::assert_deterministic_across(&[1, 2, 3], || {
-                maps.clone().price_period(&input).prices
-            });
-            for (cell, (sp, pp)) in sequential.iter().zip(&parallel).enumerate() {
+            let reference = maps.price_period_tableless(&input).prices;
+            let table = maps.clone().price_period(&input).prices;
+            for (cell, (rp, tp)) in reference.iter().zip(&table).enumerate() {
                 proptest::prop_assert!(
-                    sp.to_bits() == pp.to_bits(),
-                    "cell {}: sequential {} vs parallel {}",
+                    rp.to_bits() == tp.to_bits(),
+                    "cell {}: table-less {} vs table {}",
                     cell,
-                    sp,
-                    pp
+                    rp,
+                    tp
                 );
             }
         }

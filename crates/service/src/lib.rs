@@ -20,9 +20,9 @@
 //!     │  one PeriodGraphCache (index) │  apply, k-NN graph build
 //!     └──────────────┬───────────────┘
 //!            ┌───────▼────────┐   PeriodStep::run — the batch loop's
-//!            │ price · clear  │   own period: price (per-grid fan-out),
-//!            │ · lifecycle    │   accept, clear, matched pairs' churn,
-//!            └────────────────┘   observe
+//!            │ price · clear  │   own period: price, accept, clear,
+//!            │ · lifecycle    │   matched pairs' churn, observe
+//!            └────────────────┘
 //! ```
 //!
 //! The service *is* the batch engine: one
@@ -37,9 +37,8 @@
 //! scheduled transitions, applies the staged churn and builds the k-NN
 //! graph — under one `catch_unwind`, so a panic there poisons the
 //! service with a typed [`TickPanic`] — then runs
-//! [`maps_simulator::PeriodStep::run`], the batch loop's period. The
-//! only parallel call of a tick is the pricing strategy's own per-grid
-//! fan-out.
+//! [`maps_simulator::PeriodStep::run`], the batch loop's period. A tick
+//! runs on the thread that delivers it and spawns none.
 //!
 //! ## The service is the batch engine
 //!

@@ -1,8 +1,9 @@
 //! End-to-end determinism: a whole simulation (calibration probing,
-//! per-period MAPS pricing with its rayon table fan-out, acceptance
-//! sampling, market clearing) must produce bit-identical outcomes at
-//! any thread count. This is the integration-level counterpart of the
-//! kernel-level checks in `maps-core`.
+//! per-period pricing, acceptance sampling, market clearing) must
+//! produce bit-identical outcomes at any rayon thread count. No stage of
+//! `Simulation::run` makes a parallel call today, so this sweep is the
+//! guard that keeps it so: a stage that starts fanning out must stay
+//! bit-identical here, whichever strategy it serves.
 
 use maps_core::StrategyKind;
 use maps_simulator::{Simulation, SyntheticConfig};

@@ -2,8 +2,9 @@
 //!
 //! Cross-crate test support for the workspace's determinism contract:
 //! every rayon-parallel kernel (Monte-Carlo revenue estimation, the
-//! per-grid MAPS pricing tables, the seed-parallel experiment runner)
-//! must produce **bit-identical** output at any thread count.
+//! seed-parallel experiment runner) must produce **bit-identical**
+//! output at any thread count, and so must every path that calls none
+//! (whole simulations, the service).
 //!
 //! The harness has two halves:
 //!
@@ -21,7 +22,7 @@
 //! the seeded [`FaultPlan`] of crash and corruption points, which the
 //! service's seeded explorer draws from.
 //!
-//! Used by `maps-core` (pricing + Monte-Carlo), `maps-experiments`
+//! Used by `maps-core` (Monte-Carlo), `maps-experiments`
 //! (seed-parallel runner) and `maps-simulator` (whole-simulation runs).
 
 #![warn(missing_docs)]
