@@ -13,14 +13,14 @@
 //!
 //! Nothing here is indexed by worker id — a stream's ids only grow, so
 //! a slot per id *ever seen* outgrows the live set without bound. The
-//! live set is two parallel lanes in ascending id order (`live_ids[j]`
-//! and `live_inputs[j]` describe the graph's right-side vertex `j`): a
-//! lookup by id is a binary search, the materialized worker list is the
-//! lane itself. The spatial index files each worker's range radius next
-//! to its id, so the capped query's range check reads a value the
-//! bucket scan has already streamed past; that payload orders by id, so
-//! the `(distance, id)` order and the oracle argument below are what
-//! they were with bare ids.
+//! live set is three id-ascending lanes (`live_ids`, `live_inputs`,
+//! `live_slots`; entry `j` is right-side vertex `j`). A *slot* is a
+//! `u32` a worker holds while live, recycled through a free list, so it
+//! and `rank` stay below the peak live count. The index files slot and
+//! range radius next to the id: the range check reads what the bucket
+//! scan streamed past, and an edge reads its vertex as `rank[slot]`
+//! (refreshed per build, `O(live)` like `apply`'s compaction), not by a
+//! binary search. A row is its task's ranks, sorted as `u32`s.
 //!
 //! ## Determinism contract (the scan oracle)
 //!
@@ -34,17 +34,23 @@
 //! Enforced by unit tests here plus the cross-crate proptest churn
 //! oracle (`incremental_graph_matches_scratch_rebuild`). The identity
 //! holds because both sides keep exactly the pairs `in_range` keeps
-//! and order them by the total `(distance, id)` key, which no bucket
-//! grid can influence — the index re-buckets itself as the pool moves.
+//! and cut them by the total `(distance, id)` key, which no bucket grid
+//! can influence — the index re-buckets itself as the pool moves. Then
+//! `rank[slot]` is the lane position, and ids are unique, so each
+//! sorted row is strictly ascending: the row the scan freezes. Slots
+//! never show (see `Ranged`), though their values depend on history.
 
 use crate::problem::{TaskInput, WorkerInput};
-use maps_matching::{BipartiteGraph, BipartiteGraphBuilder};
+use maps_matching::BipartiteGraph;
 use maps_spatial::{DynamicBucketIndex, GridSpec, Point};
 
-/// What the spatial index stores per live worker: its id and the range
-/// radius the capped query checks (as `f64::to_bits`, so the derive
-/// applies). Ids are unique among live workers, so the derived order
-/// *is* the id order.
+/// What the spatial index stores per live worker: its id, its slot and
+/// the range radius the capped query checks (as `f64::to_bits`, so the
+/// derive applies). Ids are unique among live workers, so the derived
+/// order *is* the id order. A slot depends on history (recovery builds
+/// from one batch what a run reached by churn), so it decides no
+/// comparison, is never saved, and a build reads it only to find the
+/// lane position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[allow(
     clippy::disallowed_methods,
@@ -53,12 +59,13 @@ use maps_spatial::{DynamicBucketIndex, GridSpec, Point};
 )]
 struct Ranged {
     id: u32,
+    slot: u32,
     radius: u64,
 }
 
-fn ranged(id: u32, worker: &WorkerInput) -> Ranged {
+fn ranged(id: u32, slot: u32, worker: &WorkerInput) -> Ranged {
     let radius = worker.radius.to_bits();
-    Ranged { id, radius }
+    Ranged { id, slot, radius }
 }
 
 /// The range constraint, in its one spelling: `fl(√d²) ≤ a_w`, what
@@ -120,15 +127,19 @@ impl MaxRadius {
     }
 }
 
-/// Incremental per-period task–worker graph builder: the live lanes, the
-/// dynamic spatial index over them and the edge arena (via
-/// [`BipartiteGraphBuilder`]); see the module docs for the contract.
+/// Incremental per-period task–worker graph builder: the live lanes and
+/// the dynamic spatial index over them; see the module docs for the
+/// contract.
 #[derive(Debug, Clone)]
 pub struct PeriodGraphCache {
     index: DynamicBucketIndex<Ranged>,
-    /// Live ids, ascending; `live_inputs` is its parallel lane.
+    /// Live ids, ascending, and their parallel lanes.
     live_ids: Vec<u32>,
     live_inputs: Vec<WorkerInput>,
+    live_slots: Vec<u32>,
+    /// Lane position by slot as of the last build, one per slot handed out.
+    rank: Vec<u32>,
+    free_slots: Vec<u32>,
     max_radius: MaxRadius,
     /// Scratch: one `apply`'s departure ids, sorted.
     sorted_ids: Vec<u32>,
@@ -139,10 +150,6 @@ pub struct PeriodGraphCache {
     batch: Vec<(Point, Ranged)>,
     /// Per-query scratch of the k-nearest queries.
     query: Vec<(f64, Ranged)>,
-    /// Recycled edge arena threaded through every
-    /// [`BipartiteGraphBuilder`] this cache creates, so per-period graph
-    /// construction stops allocating edge storage once warm.
-    edge_arena: Vec<(u32, u32)>,
 }
 
 impl PeriodGraphCache {
@@ -154,12 +161,14 @@ impl PeriodGraphCache {
             index: DynamicBucketIndex::with_expected_len(grid.region(), 0),
             live_ids: Vec::new(),
             live_inputs: Vec::new(),
+            live_slots: Vec::new(),
+            rank: Vec::new(),
+            free_slots: Vec::new(),
             max_radius: MaxRadius::default(),
             sorted_ids: Vec::new(),
             arrival_order: Vec::new(),
             batch: Vec::new(),
             query: Vec::new(),
-            edge_arena: Vec::new(),
         }
     }
 
@@ -241,16 +250,20 @@ impl PeriodGraphCache {
             );
             self.live_ids.copy_within(read..at, write);
             self.live_inputs.copy_within(read..at, write);
+            self.live_slots.copy_within(read..at, write);
             write += at - read;
             read = at + 1;
-            let w = &self.live_inputs[at];
+            let (w, slot) = (&self.live_inputs[at], self.live_slots[at]);
             self.max_radius.depart(w.radius);
-            self.batch.push((w.location, ranged(id, w)));
+            self.free_slots.push(slot);
+            self.batch.push((w.location, ranged(id, slot, w)));
         }
         self.live_ids.copy_within(read.., write);
         self.live_inputs.copy_within(read.., write);
+        self.live_slots.copy_within(read.., write);
         self.live_ids.truncate(write + len - read);
         self.live_inputs.truncate(write + len - read);
+        self.live_slots.truncate(write + len - read);
         assert_eq!(
             self.index.remove_bulk(&self.batch),
             self.batch.len(),
@@ -269,7 +282,9 @@ impl PeriodGraphCache {
                 w.radius
             );
             self.max_radius.arrive(w.radius);
-            self.batch.push((w.location, ranged(id, &w)));
+            let slot = self.free_slots.pop().unwrap_or(self.rank.len() as u32);
+            self.rank.resize(self.rank.len().max(slot as usize + 1), 0);
+            self.batch.push((w.location, ranged(id, slot, &w)));
             self.arrival_order.push((id, at));
         }
         self.arrival_order.sort();
@@ -278,6 +293,7 @@ impl PeriodGraphCache {
         let mut write = read + arrivals.len();
         self.live_ids.extend(arrivals.iter().map(|a| a.0));
         self.live_inputs.extend(arrivals.iter().map(|a| a.1));
+        self.live_slots.extend(self.batch.iter().map(|b| b.1.slot));
         for (below, &(id, from)) in self.arrival_order.iter().enumerate().rev() {
             let mut at = read;
             while at > 0 && self.live_ids[at - 1] > id {
@@ -291,9 +307,11 @@ impl PeriodGraphCache {
             write -= read - at + 1;
             self.live_ids.copy_within(at..read, write + 1);
             self.live_inputs.copy_within(at..read, write + 1);
+            self.live_slots.copy_within(at..read, write + 1);
             read = at;
             self.live_ids[write] = id;
             self.live_inputs[write] = arrivals[from as usize].1;
+            self.live_slots[write] = self.batch[from as usize].1.slot;
         }
         self.index.insert_bulk(&self.batch);
     }
@@ -310,26 +328,23 @@ impl PeriodGraphCache {
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
         // One ulp up: the index's disc is a prefilter, `in_range` decides.
         let radius = self.max_live_radius().next_up();
-        let mut builder = BipartiteGraphBuilder::with_arena(
-            tasks.len(),
-            self.live_ids.len(),
-            tasks.len() * k.min(self.live_ids.len()),
-            std::mem::take(&mut self.edge_arena),
-        );
-        for (t_idx, task) in tasks.iter().enumerate() {
-            self.index
-                .k_nearest_within_into(task.origin, radius, k, in_range, &mut self.query);
-            for &(_, w) in &self.query {
-                let dense = self
-                    .live_ids
-                    .binary_search(&w.id)
-                    .expect("queried id is live");
-                builder.add_edge(t_idx, dense);
+        if !tasks.is_empty() {
+            for (position, &slot) in (0u32..).zip(&self.live_slots) {
+                self.rank[slot as usize] = position;
             }
         }
-        let (graph, arena) = builder.build_recycling();
-        self.edge_arena = arena;
-        graph
+        let mut starts = Vec::with_capacity(tasks.len() + 1);
+        starts.push(0);
+        let mut adj = Vec::new();
+        for task in tasks {
+            self.index
+                .k_nearest_within_into(task.origin, radius, k, in_range, &mut self.query);
+            let row = adj.len();
+            adj.extend(self.query.iter().map(|&(_, w)| self.rank[w.slot as usize]));
+            adj[row..].sort_unstable();
+            starts.push(adj.len() as u32);
+        }
+        BipartiteGraph::from_sorted_rows(self.live_ids.len(), starts, adj)
     }
 }
 
@@ -724,6 +739,112 @@ mod tests {
                 .expect("string panic payload");
             assert!(text.contains(message), "{what}: panicked with {text:?}");
         }
+    }
+
+    /// Slots are history, and history must not show: one cache churns
+    /// (relocations listed on both sides, departed ids coming back,
+    /// freed slots handed to newcomers), the other is rebuilt each
+    /// period from one batch of the same live set, as recovery builds
+    /// it. Lanes and graphs agree every period although the two hold
+    /// different slots.
+    #[test]
+    fn slots_never_show_in_lanes_or_graphs() {
+        let grid = grid();
+        let mut rng = XorShift(0x510_7ED);
+        let mut churned = PeriodGraphCache::new(&grid);
+        let mut mirror: BTreeMap<u32, WorkerInput> = BTreeMap::new();
+        let mut departed: Vec<u32> = Vec::new();
+        let (mut next_id, mut slots_differed) = (0u32, 0);
+        for period in 0..40 {
+            let (mut departures, mut arrivals, mut gone) = (Vec::new(), Vec::new(), Vec::new());
+            for (&id, w) in &mut mirror {
+                match rng.next_u64() % 8 {
+                    0 => gone.push(id),
+                    1 => {
+                        // A relocation: the same id on both sides.
+                        *w = random_worker(&grid, &mut rng);
+                        departures.push(id);
+                        arrivals.push((id, *w));
+                    }
+                    _ => {}
+                }
+            }
+            for id in gone {
+                mirror.remove(&id);
+                departures.push(id);
+                departed.push(id);
+            }
+            // A departed id comes back now and then, under a new location.
+            if period % 3 == 2 && !departed.is_empty() {
+                let id = departed.swap_remove((rng.next_u64() % departed.len() as u64) as usize);
+                let w = random_worker(&grid, &mut rng);
+                mirror.insert(id, w);
+                arrivals.push((id, w));
+            }
+            for _ in 0..(rng.next_u64() % 12) {
+                let w = random_worker(&grid, &mut rng);
+                mirror.insert(next_id, w);
+                arrivals.push((next_id, w));
+                next_id += 1;
+            }
+            churned.apply(&arrivals, &departures);
+            let mut batch = PeriodGraphCache::new(&grid);
+            let live: Vec<(u32, WorkerInput)> = mirror.iter().map(|(&id, &w)| (id, w)).collect();
+            batch.apply(&live, &[]);
+            assert_eq!(churned.live_ids(), batch.live_ids(), "period {period}");
+            assert_eq!(
+                churned.live_inputs(),
+                batch.live_inputs(),
+                "period {period}"
+            );
+            slots_differed += usize::from(churned.live_slots != batch.live_slots);
+            let tasks = random_tasks(&grid, &mut rng, 15);
+            for k in [1, 3, 8, usize::MAX] {
+                assert_eq!(
+                    churned.build_graph_capped(&tasks, k),
+                    batch.build_graph_capped(&tasks, k),
+                    "period {period}, k {k}"
+                );
+            }
+        }
+        assert!(slots_differed > 30, "the histories hand out the same slots");
+    }
+
+    /// Slots are live-sized: over 4 000 periods of constant churn, with
+    /// ids running to hundreds of times the live count, the slot and rank
+    /// tables never outgrow the peak live count, and every slot handed
+    /// out is either held or free. A slot per id ever seen fails here.
+    #[test]
+    fn slots_stay_within_the_peak_live_count() {
+        let grid = grid();
+        let mut rng = XorShift(0x5107_512E);
+        let mut cache = PeriodGraphCache::new(&grid);
+        let (mut next_id, mut peak) = (0u32, 0);
+        let mut live: Vec<u32> = Vec::new();
+        for t in 0..4_000 {
+            let leaving = live.len().saturating_sub(60).min(10 + (t % 7));
+            let departures: Vec<u32> = live.drain(..leaving).collect();
+            let arrivals: Vec<(u32, WorkerInput)> = (0..5 + (rng.next_u64() % 10) as u32)
+                .map(|i| (next_id + i, random_worker(&grid, &mut rng)))
+                .collect();
+            next_id += arrivals.len() as u32;
+            live.extend(arrivals.iter().map(|a| a.0));
+            cache.apply(&arrivals, &departures);
+            peak = peak.max(cache.live_count());
+            if t % 10 == 0 {
+                let _ = cache.build_graph_capped(&random_tasks(&grid, &mut rng, 2), 4);
+            }
+            assert!(
+                cache.rank.len() <= peak,
+                "period {t}: {} slots",
+                cache.rank.len()
+            );
+            assert_eq!(
+                cache.live_slots.len() + cache.free_slots.len(),
+                cache.rank.len()
+            );
+        }
+        assert!(next_id as usize > 100 * peak, "ids {next_id}, peak {peak}");
     }
 
     #[test]

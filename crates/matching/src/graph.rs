@@ -16,6 +16,33 @@ pub struct BipartiteGraph {
 }
 
 impl BipartiteGraph {
+    /// The graph whose left vertex `l` has the neighbours
+    /// `adj[starts[l]..starts[l + 1]]`, for a caller that writes each row
+    /// sorted: equal to what [`BipartiteGraphBuilder::build`] freezes from
+    /// the same edges, with no edge list to sort.
+    ///
+    /// # Panics
+    /// Panics unless `starts` climbs from 0 to `adj.len()` and each row
+    /// is strictly ascending and below `n_right`.
+    pub fn from_sorted_rows(n_right: usize, starts: Vec<u32>, adj: Vec<u32>) -> Self {
+        assert_eq!(starts.first(), Some(&0), "rows must start at offset 0");
+        let end = starts.last().map(|&end| end as usize);
+        assert_eq!(end, Some(adj.len()), "rows must end at adj.len()");
+        for bounds in starts.windows(2) {
+            let row = adj.get(bounds[0] as usize..bounds[1] as usize);
+            let row = row.expect("row offsets must not decrease");
+            assert!(row.is_sorted_by(|a, b| a < b), "row not strictly ascending");
+            let in_range = row.last().is_none_or(|&r| (r as usize) < n_right);
+            assert!(in_range, "right vertex out of range");
+        }
+        Self {
+            n_left: starts.len() - 1,
+            n_right,
+            starts,
+            adj,
+        }
+    }
+
     /// Number of left (task) vertices.
     #[inline]
     pub fn n_left(&self) -> usize {
@@ -46,8 +73,8 @@ impl BipartiteGraph {
         (self.starts[l + 1] - self.starts[l]) as usize
     }
 
-    /// Whether the edge `(l, r)` exists. Neighbour lists are sorted by the
-    /// builder, so this is a binary search.
+    /// Whether the edge `(l, r)` exists. Neighbour lists are sorted, so
+    /// this is a binary search.
     pub fn has_edge(&self, l: usize, r: usize) -> bool {
         l < self.n_left && self.neighbors(l).binary_search(&(r as u32)).is_ok()
     }
@@ -208,35 +235,6 @@ impl BipartiteGraphBuilder {
         }
     }
 
-    /// Pre-allocates for an expected number of edges.
-    pub fn with_capacity(n_left: usize, n_right: usize, edges: usize) -> Self {
-        Self {
-            n_left,
-            n_right,
-            edges: Vec::with_capacity(edges),
-        }
-    }
-
-    /// Starts a builder over a recycled edge arena (cleared, then grown
-    /// to at least `capacity`): repeated per-period graph construction
-    /// (the `maps-core` graph cache's main loop) reuses one allocation
-    /// instead of paying `with_capacity` every period. Recover the arena
-    /// with [`BipartiteGraphBuilder::build_recycling`].
-    pub fn with_arena(
-        n_left: usize,
-        n_right: usize,
-        capacity: usize,
-        mut arena: Vec<(u32, u32)>,
-    ) -> Self {
-        arena.clear();
-        arena.reserve(capacity);
-        Self {
-            n_left,
-            n_right,
-            edges: arena,
-        }
-    }
-
     /// Adds one edge.
     ///
     /// # Panics
@@ -256,22 +254,11 @@ impl BipartiteGraphBuilder {
         self
     }
 
-    /// Number of edges added so far.
-    pub fn n_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Freezes into a [`BipartiteGraph`]. Duplicate edges are collapsed;
     /// neighbour lists come out sorted (required by `has_edge`).
-    pub fn build(self) -> BipartiteGraph {
-        self.build_recycling().0
-    }
-
-    /// [`BipartiteGraphBuilder::build`], additionally handing the edge
-    /// arena back for reuse via
-    /// [`BipartiteGraphBuilder::with_arena`].
-    pub fn build_recycling(mut self) -> (BipartiteGraph, Vec<(u32, u32)>) {
-        // Counting-sort by left vertex, then sort+dedup each row.
+    pub fn build(mut self) -> BipartiteGraph {
+        // One sort by `(left, right)` puts every row in place, ascending;
+        // dedup, then row offsets are the per-row counts, summed.
         self.edges.sort_unstable();
         self.edges.dedup();
         let mut starts = vec![0u32; self.n_left + 1];
@@ -282,15 +269,12 @@ impl BipartiteGraphBuilder {
             starts[l + 1] += starts[l];
         }
         let adj = self.edges.iter().map(|&(_, r)| r).collect();
-        (
-            BipartiteGraph {
-                n_left: self.n_left,
-                n_right: self.n_right,
-                starts,
-                adj,
-            },
-            self.edges,
-        )
+        BipartiteGraph {
+            n_left: self.n_left,
+            n_right: self.n_right,
+            starts,
+            adj,
+        }
     }
 }
 
@@ -361,6 +345,68 @@ mod tests {
     #[should_panic(expected = "out of range")]
     fn builder_rejects_bad_right() {
         BipartiteGraphBuilder::new(1, 1).add_edge(0, 1);
+    }
+
+    /// Sorted rows of a seeded edge list, frozen without a sort, are the
+    /// graph the builder freezes from the raw list: rows deduplicated
+    /// and ascending, empty rows and an empty graph included.
+    #[test]
+    fn sorted_rows_equal_the_builder() {
+        let mut state = 0x5EED_0C5Bu64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound) as usize
+        };
+        for seed in 0..200 {
+            let (n_left, n_right) = (next(9), 1 + next(9));
+            let edges: Vec<(usize, usize)> = (0..next(40))
+                .filter(|_| n_left > 0)
+                .map(|_| (next(n_left as u64), next(n_right as u64)))
+                .collect();
+            let built = BipartiteGraphBuilder::new(n_left, n_right)
+                .with_edges(edges.iter().copied())
+                .build();
+            let (mut starts, mut adj) = (vec![0u32], Vec::new());
+            for l in 0..n_left {
+                let mut row: Vec<u32> = edges
+                    .iter()
+                    .filter(|e| e.0 == l)
+                    .map(|e| e.1 as u32)
+                    .collect();
+                row.sort_unstable();
+                row.dedup();
+                adj.extend(row);
+                starts.push(adj.len() as u32);
+            }
+            let rows = BipartiteGraph::from_sorted_rows(n_right, starts, adj);
+            assert_eq!(rows, built, "seed {seed}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn sorted_rows_reject_a_descending_row() {
+        BipartiteGraph::from_sorted_rows(3, vec![0, 1, 3], vec![0, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "not strictly ascending")]
+    fn sorted_rows_reject_a_repeated_right_vertex() {
+        BipartiteGraph::from_sorted_rows(3, vec![0, 2], vec![1, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn sorted_rows_reject_a_right_vertex_past_n_right() {
+        BipartiteGraph::from_sorted_rows(3, vec![0, 2, 2], vec![0, 3]);
+    }
+
+    #[test]
+    #[should_panic(expected = "must end at adj.len()")]
+    fn sorted_rows_reject_offsets_short_of_adj() {
+        BipartiteGraph::from_sorted_rows(3, vec![0, 1, 2], vec![0, 1, 2]);
     }
 
     #[test]

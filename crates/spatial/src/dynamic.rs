@@ -21,8 +21,8 @@
 //! ## Answers are functions of the point set
 //!
 //! `k_nearest_within` orders by the total `(distance, payload)` key, so
-//! no answer depends on the grid the points are bucketed by, on
-//! insertion order or on how a batch grouped its work — that one order
+//! no answer depends, as a set, on the grid the points are bucketed by,
+//! on insertion order or on how a batch grouped its work — that one order
 //! is the whole grid-independence argument, and what the next section
 //! leans on. Each bucket keeps its slots **sorted by payload**, which is
 //! what lets a batch merge in or compact out in one pass.
@@ -49,7 +49,7 @@
 
 use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
-use crate::index::{k_nearest_within_into_impl, sqrt_side};
+use crate::index::{by_distance_then_payload, k_nearest_within_into_impl, sqrt_side};
 
 /// A mutable bucket index over a changing set of points.
 ///
@@ -234,7 +234,7 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         }
     }
 
-    /// [`DynamicBucketIndex::k_nearest_within_into`] into a fresh vector.
+    /// [`DynamicBucketIndex::k_nearest_within_into`], sorted ascending.
     pub fn k_nearest_within(
         &self,
         center: Point,
@@ -244,27 +244,28 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     ) -> Vec<(f64, T)> {
         let mut out = Vec::new();
         self.k_nearest_within_into(center, radius, k, accept, &mut out);
+        out.sort_unstable_by(by_distance_then_payload);
         out
     }
 
     /// The `k` nearest qualifying points within the closed disc of
-    /// `radius` around `center` (`d² ≤ fl(radius²)`), ascending by
-    /// `(distance, payload)`, written into `out` (cleared first; no
-    /// per-query allocation once warm). `accept(distance, payload)` lets
-    /// the caller impose extra constraints (a per-worker range limit);
-    /// it must be a pure predicate: which candidates reach it, and in
-    /// what order, is not part of the contract.
-    /// The cap is a parameter, not a mode: `k = usize::MAX` is the
-    /// whole disc.
+    /// `radius` around `center` (`d² ≤ fl(radius²)`) under the
+    /// `(distance, payload)` order, written into `out` (cleared first; no
+    /// per-query allocation once warm) as a set, in **no particular
+    /// order**. `accept(distance, payload)` lets the caller impose extra
+    /// constraints (a per-worker range limit); it must be a pure
+    /// predicate: which candidates reach it, and in what order, is not
+    /// part of the contract. The cap is a parameter, not a mode:
+    /// `k = usize::MAX` is the whole disc.
     ///
     /// Equal distances are broken by the smaller payload, so the result
-    /// is a pure function of the *point set* (module docs). Buckets are
-    /// visited in concentric Chebyshev rings around the centre cell and
-    /// the search stops as soon as the next ring cannot contain anything
-    /// closer than the current `k`-th candidate — with densely packed
-    /// points this touches `O(k)` entries instead of the whole disc.
-    /// Points outside the region are filed in its boundary buckets and
-    /// found by the same search, from centres inside or out.
+    /// set is a pure function of the *point set* (module docs). Buckets
+    /// are visited in concentric Chebyshev rings around the centre cell
+    /// and the search stops as soon as the next ring cannot contain
+    /// anything closer than the current `k`-th candidate — with densely
+    /// packed points this touches `O(k)` entries instead of the whole
+    /// disc. Points outside the region are filed in its boundary buckets
+    /// and found by the same search, from centres inside or out.
     pub fn k_nearest_within_into(
         &self,
         center: Point,
@@ -348,6 +349,15 @@ mod tests {
         v.iter().map(|&(d, t)| (d.to_bits(), t)).collect()
     }
 
+    /// [`bits`] of an answer in any order, ascending: the bits of a
+    /// non-negative distance order as the distance does, so this is the
+    /// `(distance, payload)` order `k_nearest_within` returns.
+    fn sorted_bits(v: &[(f64, u32)]) -> Vec<(u64, u32)> {
+        let mut b = bits(v);
+        b.sort_unstable();
+        b
+    }
+
     /// The closed disc by scan, as a sorted id set.
     fn scan_disc(live: &[(Point, u32)], q: (Point, f64)) -> Vec<u32> {
         let all = scan_k_nearest(live, q, usize::MAX, |_, _| true);
@@ -371,8 +381,10 @@ mod tests {
         idx
     }
 
-    /// The per-ring cut (`index.rs`: gather, `select_nth`, sort once)
-    /// against the scan, bit for bit, where a cut has to decide: on a
+    /// The per-ring cut (`index.rs`: gather, `select_nth`, no sort until
+    /// asked) against the scan, bit for bit through `k_nearest_within`
+    /// and as a set through `k_nearest_within_into`, where a cut has to
+    /// decide: on a
     /// 21 × 21 unit lattice with scrambled ids, 12 points share distance
     /// 5 from the centre ((±5, 0), (0, ±5), (±3, ±4), (±4, ±3)) behind 69
     /// closer ones, in different buckets and on different rings, so any
@@ -401,15 +413,23 @@ mod tests {
                 let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(20.0), side));
                 idx.insert_bulk(items);
                 assert_eq!(idx.grid().nx(), side, "inside the regrid band");
+                let mut out = Vec::new();
                 for (c, &k) in centres.iter().flat_map(|c| ks.iter().map(move |k| (*c, k))) {
                     let offered = |d: f64, t: u32| {
                         assert!(d <= r, "{name}: accept offered {d} beyond {r}");
                         accept(d, t)
                     };
+                    let want = scan_k_nearest(items, (c, r), k, accept);
                     assert_eq!(
                         bits(&idx.k_nearest_within(c, r, k, offered)),
-                        scan_k_nearest(items, (c, r), k, accept),
+                        want,
                         "{name}: side {side}, c={c:?}, k={k}"
+                    );
+                    idx.k_nearest_within_into(c, r, k, offered, &mut out);
+                    assert_eq!(
+                        sorted_bits(&out),
+                        want,
+                        "{name}: side {side}, c={c:?}, k={k}, unsorted form"
                     );
                 }
             }
@@ -457,9 +477,13 @@ mod tests {
             .collect();
         tied.sort_unstable();
         assert_eq!(tied.len(), 12);
-        let got = index_of(&lattice, 20.0).k_nearest_within(centres[0], 30.0, 75, all);
+        let idx = index_of(&lattice, 20.0);
+        let got = idx.k_nearest_within(centres[0], 30.0, 75, all);
         let kept: Vec<u32> = got[69..].iter().map(|&(_, t)| t).collect();
         assert_eq!(kept, tied[..6]);
+        let mut out = Vec::new();
+        idx.k_nearest_within_into(centres[0], 30.0, 75, all, &mut out);
+        assert_eq!(sorted_bits(&out), bits(&got), "the tie, unsorted form");
     }
 
     /// The query's scratch is bounded by the cap, not by what it walks
@@ -487,7 +511,7 @@ mod tests {
             idx.k_nearest_within_into(c, r, k, |_, _| true, &mut out);
             if i % 10 == 0 {
                 let want = scan_k_nearest(&items, (c, r), k, |_, _| true);
-                assert_eq!(bits(&out), want, "c={c:?} r={r}");
+                assert_eq!(sorted_bits(&out), want, "c={c:?} r={r}");
             }
         }
         assert!(out.capacity() <= 2 * k + dense, "{}", out.capacity());

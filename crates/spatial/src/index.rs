@@ -12,15 +12,17 @@
 //! depends on who else is live; a closed disc is this query with no cap
 //! (`k = usize::MAX`), not a second algorithm.
 //!
-//! ## Gather, cut, sort once
+//! ## Gather, cut, sort only when asked
 //!
 //! The search keeps no order while it runs. A candidate that is in
 //! radius, at or under the current `bound` and accepted is *appended*;
 //! whenever a ring ends with `k` or more gathered (or the scratch
 //! reaches `2k` inside one), one `select_nth_unstable_by` under the
 //! `(distance, payload)` order keeps the `k` smallest and sets `bound`
-//! to the k-th distance; one sort at the end restores the ascending
-//! contract. Each candidate is moved `O(1)` times on average, against a
+//! to the k-th distance. What is left is the exact answer as a set:
+//! [`DynamicBucketIndex::k_nearest_within_into`] returns it unsorted
+//! (the graph cache re-keys it by lane position), `k_nearest_within`
+//! sorts it. Each candidate is moved `O(1)` times on average, against a
 //! binary search plus an `O(k)` shift per candidate for an ordered
 //! insert, and the scratch never exceeds `2k` entries. The bound lags
 //! an ordered insert's — it tightens per cut, not per candidate — so a
@@ -38,8 +40,8 @@
 //!
 //! There is no second index to agree with: the tests hold this core to
 //! the definition — a scan of the live list, filtered, sorted by
-//! `(distance, payload)` and cut to `k` — bit for bit (`dynamic.rs`'
-//! tests, `tests/regrid_oracle.rs`).
+//! `(distance, payload)` and cut to `k` — bit for bit, and the unsorted
+//! form as a set (`dynamic.rs`' tests, `tests/regrid_oracle.rs`).
 
 use std::cmp::Ordering;
 
@@ -47,11 +49,11 @@ use crate::dynamic::DynamicBucketIndex;
 use crate::geom::Point;
 
 /// The `k` nearest qualifying points within `radius` of `center` under
-/// the total order `(distance, payload)`, into `best` (cleared first) —
-/// the contract is [`DynamicBucketIndex::k_nearest_within_into`]'s.
-/// Because the order is total, the result is a function of the point
-/// set: bucket layout and visit order cannot show in it, so a regrid
-/// changes no answer.
+/// the total order `(distance, payload)`, into `best` (cleared first) in
+/// no particular order — the contract is
+/// [`DynamicBucketIndex::k_nearest_within_into`]'s. Because the order is
+/// total, the result set is a function of the point set: bucket layout
+/// and visit order cannot show in it, so a regrid changes no answer.
 pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
     store: &DynamicBucketIndex<T>,
     center: Point,
@@ -126,15 +128,13 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
             bound = cut(best, k);
         }
     }
-    // Every visited ring ended at `≤ k` entries: what is left is the
-    // answer, in gather order.
-    best.sort_unstable_by(by_distance_then_payload);
+    // Every visited ring ended at `≤ k` entries: what is left is the set.
 }
 
 /// The `(distance, payload)` total order. Distances here are square
 /// roots of in-radius `d²` — never NaN, never `-0.0` — so `total_cmp`
 /// is `<` on them.
-fn by_distance_then_payload<T: Ord>(a: &(f64, T), b: &(f64, T)) -> Ordering {
+pub(crate) fn by_distance_then_payload<T: Ord>(a: &(f64, T), b: &(f64, T)) -> Ordering {
     a.0.total_cmp(&b.0).then_with(|| a.1.cmp(&b.1))
 }
 
