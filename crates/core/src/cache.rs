@@ -6,8 +6,7 @@
 //! relocating between periods — not to the standing pool.
 //! [`PeriodGraphCache`] owns a [`DynamicBucketIndex`] over the live
 //! workers and mutates it by churn, so a period with `c` worker events
-//! costs `O(c · log bucket)` index maintenance plus the output-sensitive
-//! query work.
+//! costs `O(c)` index maintenance plus the output-sensitive query work.
 //!
 //! ## State is sized by who is live
 //!
@@ -17,8 +16,9 @@
 //! `live_slots`; entry `j` is right-side vertex `j`). A *slot* is a
 //! `u32` a worker holds while live, recycled through a free list, so it
 //! and `rank` stay below the peak live count. The index files slot and
-//! range radius next to the id: the range check reads what the bucket
-//! scan streamed past, and an edge reads its vertex as `rank[slot]`
+//! range radius next to the id: the index finds a departing worker's
+//! bucket entry by its slot, the range check reads what the bucket scan
+//! streamed past, and an edge reads its vertex as `rank[slot]`
 //! (refreshed per build, `O(live)` like `apply`'s compaction), not by a
 //! binary search. A row is its task's ranks, sorted as `u32`s.
 //!
@@ -42,15 +42,15 @@
 
 use crate::problem::{TaskInput, WorkerInput};
 use maps_matching::BipartiteGraph;
-use maps_spatial::{DynamicBucketIndex, GridSpec, Point};
+use maps_spatial::{DynamicBucketIndex, GridSpec, Point, Slotted};
 
 /// What the spatial index stores per live worker: its id, its slot and
 /// the range radius the capped query checks (as `f64::to_bits`, so the
 /// derive applies). Ids are unique among live workers, so the derived
 /// order *is* the id order. A slot depends on history (recovery builds
 /// from one batch what a run reached by churn), so it decides no
-/// comparison, is never saved, and a build reads it only to find the
-/// lane position.
+/// comparison and is never saved: the index reads it to find the
+/// worker's bucket entry, a build to find the lane position.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[allow(
     clippy::disallowed_methods,
@@ -61,6 +61,14 @@ struct Ranged {
     id: u32,
     slot: u32,
     radius: u64,
+}
+
+/// The index's position table is addressed by the free-listed slot, so
+/// it stays live-sized too.
+impl Slotted for Ranged {
+    fn slot(&self) -> usize {
+        self.slot as usize
+    }
 }
 
 fn ranged(id: u32, slot: u32, worker: &WorkerInput) -> Ranged {
@@ -223,8 +231,8 @@ impl PeriodGraphCache {
     /// block. A non-live departure, an already-live arrival and a
     /// duplicate on either side show up as sorted neighbours and panic.
     ///
-    /// The index goes through its bulk paths (one pass per touched
-    /// bucket; contents identical to the one-at-a-time ops).
+    /// The index files each departure and arrival in `O(1)`, found or
+    /// placed by its slot (one regrid check per side).
     pub fn apply(&mut self, arrivals: &[(u32, WorkerInput)], departures: &[u32]) {
         self.depart(departures);
         self.arrive(arrivals);

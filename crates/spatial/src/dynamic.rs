@@ -4,28 +4,40 @@
 //! In the paper's 500k-worker scalability setting the worker set barely
 //! changes between periods (a few percent arrive, expire or relocate),
 //! so a per-period rebuild would dominate. [`DynamicBucketIndex`] keeps
-//! its bucketed layout mutable: a batch of arrivals or departures costs
-//! one sort of the batch plus one pass over each bucket it touches, so
-//! per-period index maintenance follows the churn, not the live count.
+//! its bucketed layout mutable: an arrival or a departure costs `O(1)` —
+//! a push or a `swap_remove` on the one bucket it touches, found through
+//! a table by slot — so per-period index maintenance follows the churn,
+//! not the live count.
 //!
 //! ## A bucket is one lane
 //!
-//! Each bucket is a single `Vec` of `(point, payload)` slots. The
-//! `√n × √n` rule below keeps a bucket at a handful of points (1–7 on
-//! the service's pools), so there is no run of coordinates long enough
-//! for separate `x` / `y` lanes to vectorise; what a query pays per
-//! visited bucket is the header it reads (24 B for one `Vec`) and the
-//! pointer it chases (one), and what a mutation pays is one allocation
-//! and one lane to merge or compact.
+//! Each bucket is a single `Vec` of `(point, payload)` entries, in no
+//! particular order. The `√n × √n` rule below keeps a bucket at a
+//! handful of points (1–7 on the service's pools), so there is no run of
+//! coordinates long enough for separate `x` / `y` lanes to vectorise;
+//! what a query pays per visited bucket is the header it reads (24 B for
+//! one `Vec`) and the pointer it chases (one), and what a mutation pays
+//! is a push, or a `swap_remove` and the repointing of the one entry it
+//! moved — no merge, no compaction.
+//!
+//! ## Payloads name dense slots
+//!
+//! A payload names a slot ([`Slotted`]), unique among live payloads.
+//! The index keeps one `(cell, position)` entry per slot, up to the
+//! largest slot ever inserted, so slots must be dense: below the peak
+//! live count, or near it (a `u32` payload is its own slot; the graph
+//! cache recycles its slots through a free list). `remove` finds a point
+//! through that table instead of searching for it, and `insert` refuses
+//! a slot that is already live, whichever bucket holds it.
 //!
 //! ## Answers are functions of the point set
 //!
 //! `k_nearest_within` orders by the total `(distance, payload)` key, so
 //! no answer depends, as a set, on the grid the points are bucketed by,
-//! on insertion order or on how a batch grouped its work — that one order
-//! is the whole grid-independence argument, and what the next section
-//! leans on. Each bucket keeps its slots **sorted by payload**, which is
-//! what lets a batch merge in or compact out in one pass.
+//! on insertion order or on the order inside a bucket — which is
+//! history, since a `swap_remove` moves a bucket's last entry into the
+//! gap. That one order is the whole grid- and history-independence
+//! argument, and what the next section leans on.
 //!
 //! ## The grid follows the live count
 //!
@@ -35,13 +47,11 @@
 //! through. The index therefore re-buckets itself: whenever a mutation
 //! would leave `len` outside the band `[cells / 4, 4 · cells]` it moves
 //! every live point onto the `√n × √n` grid for that count (clamped to
-//! ≤ 256 per side). One regrid costs `O(live · log live + buckets)`;
-//! the band is 16× wide and a regrid
-//! lands `cells ≈ len` in its middle, so at least `~¾ · len` mutations
-//! separate two regrids and a run that grows to `N` points regrids
-//! `O(log N)` times — amortised `O(log live)` per churn event, next to
-//! the batch sort every event pays anyway. The grid handed to
-//! [`DynamicBucketIndex::new`] / sized by
+//! ≤ 256 per side). One regrid costs `O(live + buckets)`; the band is
+//! 16× wide and a regrid lands `cells ≈ len` in its middle, so at least
+//! `~¾ · len` mutations separate two regrids and a run that grows to `N`
+//! points regrids `O(log N)` times — amortised `O(1)` per churn event.
+//! The grid handed to [`DynamicBucketIndex::new`] / sized by
 //! [`DynamicBucketIndex::with_expected_len`] is thus only where the
 //! index *starts*. A regrid changes no answer (previous section);
 //! `tests/regrid_oracle.rs` checks every query against a scan of the
@@ -51,24 +61,47 @@ use crate::geom::{Point, Rect};
 use crate::grid::GridSpec;
 use crate::index::{by_distance_then_payload, k_nearest_within_into_impl, sqrt_side};
 
+/// What the index files next to each point: a payload whose order
+/// breaks distance ties, and which names a **slot** — a small index,
+/// unique among live payloads, into the index's position table (module
+/// docs). The table grows to the largest slot inserted, so slots should
+/// be dense.
+pub trait Slotted: Copy + Ord {
+    /// The slot this payload names.
+    fn slot(&self) -> usize;
+}
+
+/// A `u32` payload is its own slot: dense ids index densely.
+impl Slotted for u32 {
+    fn slot(&self) -> usize {
+        *self as usize
+    }
+}
+
+/// `(cell, position)` of a slot no live payload names.
+const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
+
 /// A mutable bucket index over a changing set of points.
 ///
-/// Payloads must be unique while live (they identify the point for
-/// `remove`); the index panics on a duplicate insert into the same
-/// bucket, the cheapest detectable violation.
+/// Payloads must be unique while live (their slot finds the point for
+/// `remove`); a second insert of a live slot panics, whichever bucket
+/// either lands in. The order of a bucket's entries depends on history
+/// (which entry a `swap_remove` moved into which gap), and no answer
+/// reads it: the query keeps the exact `k`-smallest set under the total
+/// `(distance, payload)` key (`index.rs`), `k_nearest_within` sorts its
+/// output, and the graph cache sorts each row by rank.
 #[derive(Debug, Clone)]
 pub struct DynamicBucketIndex<T> {
     grid: GridSpec,
-    /// `buckets[c]` holds the live points of cell `c`, sorted by payload.
+    /// `buckets[c]` holds the live points of cell `c`, in no order.
     buckets: Vec<Vec<(Point, T)>>,
+    /// `(cell, position in its bucket)` by slot, [`VACANT`] where no
+    /// live payload names the slot.
+    at: Vec<(u32, u32)>,
     len: usize,
-    /// `(cell, payload, point)` scratch of the bulk operations and of a
-    /// regrid, reused so steady-state churn application allocates
-    /// nothing.
-    tagged: Vec<(u32, T, Point)>,
 }
 
-impl<T: Copy + Ord> DynamicBucketIndex<T> {
+impl<T: Slotted> DynamicBucketIndex<T> {
     /// An empty index over `grid.region()`, initially bucketed by
     /// `grid`. Only a starting point: the index re-buckets itself to
     /// follow the live count (see the module docs).
@@ -76,8 +109,8 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         Self {
             grid,
             buckets: empty_buckets(grid.num_cells()),
+            at: Vec::new(),
             len: 0,
-            tagged: Vec::new(),
         }
     }
 
@@ -95,8 +128,8 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         &self.grid
     }
 
-    /// The points bucketed into `cell`, ascending by payload.
-    pub(crate) fn cell_slots(&self, cell: usize) -> &[(Point, T)] {
+    /// The points bucketed into `cell`, in no particular order.
+    pub(crate) fn bucket(&self, cell: usize) -> &[(Point, T)] {
         &self.buckets[cell]
     }
 
@@ -114,7 +147,7 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
     /// of one.
     ///
     /// # Panics
-    /// Panics if `payload` is already live in the same bucket.
+    /// Panics if `payload`'s slot is already live.
     pub fn insert(&mut self, p: Point, payload: T) {
         self.insert_bulk(&[(p, payload)]);
     }
@@ -127,56 +160,66 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         self.remove_bulk(&[(p, payload)]) == 1
     }
 
-    /// Inserts a batch of points with **one merge pass per touched
-    /// bucket** — the one insertion path: a period applying `a` arrivals
-    /// into a bucket of `b` points moves `O(a + b)` slots, not
-    /// `O(a · b)`.
+    /// Inserts a batch of points — the one insertion path: one regrid
+    /// check for the batch, then a push per point.
     ///
     /// # Panics
-    /// Panics if any payload is already live in the same bucket (or
-    /// duplicated within `items` into the same bucket).
+    /// Panics if any payload's slot is already live (or named twice in
+    /// `items`), in whatever bucket.
     pub fn insert_bulk(&mut self, items: &[(Point, T)]) {
         // Regrid for the size the batch leaves behind *before* it goes
-        // in, so the arrivals are bucketed once.
+        // in, so the arrivals are filed once.
         self.fit_grid(self.len + items.len());
-        self.tag(items);
-        self.for_each_tagged_group(merge_group);
-        self.len += items.len();
+        for &(p, payload) in items {
+            let slot = payload.slot();
+            if slot >= self.at.len() {
+                self.at.resize(slot + 1, VACANT);
+            }
+            assert!(
+                self.at[slot] == VACANT,
+                "duplicate payload inserted into dynamic index"
+            );
+            self.file(p, payload);
+            self.len += 1;
+        }
     }
 
-    /// Removes a batch of points with **one compaction pass per touched
-    /// bucket** — the one removal path. Each `(point, payload)` pair
-    /// must name the inserted point exactly: a live payload offered
-    /// with any other point is a miss whatever the current grid — a
-    /// coarse grid that happens to file both points in one bucket does
-    /// not turn it into a hit. Returns how many were found and removed;
-    /// callers enforcing a stricter contract can compare against
-    /// `items.len()`.
+    /// Removes a batch of points — the one removal path: a
+    /// `swap_remove` per point, then one regrid check for the batch.
+    /// Each `(point, payload)` pair must name the inserted point
+    /// exactly: a live payload offered with any other point is a miss.
+    /// Returns how many were found and removed; callers enforcing a
+    /// stricter contract can compare against `items.len()`.
     pub fn remove_bulk(&mut self, items: &[(Point, T)]) -> usize {
-        self.tag(items);
-        let mut removed = 0usize;
-        self.for_each_tagged_group(|bucket, group| {
-            // Two-pointer compaction: both the bucket and the group are
-            // payload-sorted, so one forward pass keeps every survivor
-            // in order.
-            let before = bucket.len();
-            let mut g = 0usize;
-            bucket.retain(|&slot| {
-                while g < group.len() && group[g].1 < slot.1 {
-                    g += 1;
-                }
-                let hit = group
-                    .get(g)
-                    .is_some_and(|&(_, payload, p)| (p, payload) == slot);
-                g += usize::from(hit);
-                !hit
-            });
-            removed += before - bucket.len();
-        });
-        self.len -= removed;
+        let before = self.len;
+        for &(p, payload) in items {
+            let slot = payload.slot();
+            let Some(&(cell, position)) = self.at.get(slot).filter(|&&at| at != VACANT) else {
+                continue;
+            };
+            let bucket = &mut self.buckets[cell as usize];
+            if bucket[position as usize] != (p, payload) {
+                continue;
+            }
+            bucket.swap_remove(position as usize);
+            if let Some(&(_, moved)) = bucket.get(position as usize) {
+                self.at[moved.slot()] = (cell, position);
+            }
+            self.at[slot] = VACANT;
+            self.len -= 1;
+        }
         // Regrid *after* the batch left, so only survivors move.
         self.fit_grid(self.len);
-        removed
+        before - self.len
+    }
+
+    /// Pushes `(p, payload)` onto the bucket of `p`'s cell and records
+    /// where in the position table.
+    fn file(&mut self, p: Point, payload: T) {
+        let cell = self.grid.cell_of(p).index();
+        let bucket = &mut self.buckets[cell];
+        self.at[payload.slot()] = (cell as u32, bucket.len() as u32);
+        bucket.push((p, payload));
     }
 
     /// Re-buckets for `len` live points if that count lies outside the
@@ -194,43 +237,13 @@ impl<T: Copy + Ord> DynamicBucketIndex<T> {
         }
     }
 
-    /// Moves every live point onto `grid`: one pass tags each point with
-    /// its new cell, then the bulk-insert merge files the `(cell,
-    /// payload)`-sorted runs into fresh buckets — payload order inside
-    /// every bucket is rebuilt, not assumed.
+    /// Moves every live point onto `grid`, refiling each in one pass:
+    /// `O(live + buckets)`.
     fn regrid(&mut self, grid: GridSpec) {
-        self.tagged.clear();
-        for &(p, payload) in self.buckets.iter().flatten() {
-            self.tagged
-                .push((grid.cell_of(p).index() as u32, payload, p));
-        }
+        let old = std::mem::replace(&mut self.buckets, empty_buckets(grid.num_cells()));
         self.grid = grid;
-        self.buckets = empty_buckets(grid.num_cells());
-        self.for_each_tagged_group(merge_group);
-    }
-
-    /// Fills the scratch with `items` tagged by their cell.
-    fn tag(&mut self, items: &[(Point, T)]) {
-        self.tagged.clear();
-        let grid = &self.grid;
-        self.tagged.extend(
-            items
-                .iter()
-                .map(|&(p, t)| (grid.cell_of(p).index() as u32, t, p)),
-        );
-    }
-
-    /// Sorts the scratch by `(cell, payload)` — each cell's group is
-    /// then a payload-sorted run — and hands every run to `f` together
-    /// with its bucket.
-    fn for_each_tagged_group(
-        &mut self,
-        mut f: impl FnMut(&mut Vec<(Point, T)>, &[(u32, T, Point)]),
-    ) {
-        self.tagged
-            .sort_unstable_by_key(|&(cell, payload, _)| (cell, payload));
-        for group in self.tagged.chunk_by(|a, b| a.0 == b.0) {
-            f(&mut self.buckets[group[0].0 as usize], group);
+        for &(p, payload) in old.iter().flatten() {
+            self.file(p, payload);
         }
     }
 
@@ -282,48 +295,30 @@ fn empty_buckets<T>(cells: usize) -> Vec<Vec<(Point, T)>> {
     std::iter::repeat_with(Vec::new).take(cells).collect()
 }
 
-/// Back-merges one payload-sorted group of `(cell, payload, point)`
-/// entries into a payload-sorted bucket: the bucket grows by `n` and one
-/// backwards merge writes every slot exactly once — `O(old + n)` moves
-/// total, against `O(n · old)` for `n` one-at-a-time sorted inserts.
-/// Panics on any payload collision (within the group or against the
-/// bucket).
-fn merge_group<T: Copy + Ord>(bucket: &mut Vec<(Point, T)>, group: &[(u32, T, Point)]) {
-    for pair in group.windows(2) {
-        assert!(
-            pair[0].1 != pair[1].1,
-            "duplicate payload inserted into dynamic index"
-        );
-    }
-    let old = bucket.len();
-    bucket.extend(group.iter().map(|&(_, payload, p)| (p, payload)));
-    let mut wp = bucket.len();
-    let mut ro = old;
-    let mut rn = group.len();
-    while rn > 0 {
-        let (_, payload, p) = group[rn - 1];
-        if ro > 0 {
-            assert!(
-                bucket[ro - 1].1 != payload,
-                "duplicate payload inserted into dynamic index"
-            );
-        }
-        wp -= 1;
-        if ro > 0 && bucket[ro - 1].1 > payload {
-            bucket[wp] = bucket[ro - 1];
-            ro -= 1;
-        } else {
-            bucket[wp] = (p, payload);
-            rn -= 1;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     use maps_testkit::XorShift;
+
+    impl<T: Slotted> DynamicBucketIndex<T> {
+        /// The position table against the buckets: every live payload sits
+        /// where `at[slot]` says, every other slot is vacant, and `len`
+        /// counts the buckets' entries.
+        fn check_positions(&self) {
+            let mut filed = 0;
+            for (cell, bucket) in self.buckets.iter().enumerate() {
+                for (position, &(_, payload)) in bucket.iter().enumerate() {
+                    let want = (cell as u32, position as u32);
+                    assert_eq!(self.at[payload.slot()], want, "slot {}", payload.slot());
+                }
+                filed += bucket.len();
+            }
+            assert_eq!(filed, self.len, "len against the buckets");
+            let taken = self.at.iter().filter(|&&at| at != VACANT).count();
+            assert_eq!(taken, self.len, "a slot no live payload names is taken");
+        }
+    }
 
     /// The definition every k-nearest answer is held to, as bits: scan
     /// `live`, keep what the closed disc (`d² ≤ fl(r²)`) and `accept`
@@ -564,6 +559,7 @@ mod tests {
                 dynamic.insert(to, id);
                 live[mover].0 = to;
             }
+            dynamic.check_positions();
             if step % 13 != 0 {
                 continue;
             }
@@ -861,6 +857,200 @@ mod tests {
         let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(10.0), 2));
         idx.insert(Point::new(1.0, 1.0), 7u32);
         idx.insert(Point::new(1.5, 1.5), 7u32);
+    }
+
+    /// A live payload offered again into a far bucket of a populated
+    /// 8×8 grid: its slot is taken, so the insert panics instead of
+    /// every later query answering the payload twice.
+    #[test]
+    #[should_panic(expected = "duplicate payload")]
+    fn duplicate_insert_in_another_bucket_panics() {
+        let mut idx = DynamicBucketIndex::<u32>::with_expected_len(Rect::square(80.0), 64);
+        let at = |i: u32| Point::new((i % 8) as f64 * 10.0 + 5.0, (i / 8) as f64 * 10.0 + 5.0);
+        let items: Vec<_> = (0..64).map(|i| (at(i), i)).collect();
+        idx.insert_bulk(&items);
+        assert_eq!((idx.grid().nx(), at(0)), (8, Point::new(5.0, 5.0)));
+        idx.insert(Point::new(75.0, 75.0), 0);
+    }
+
+    /// The position table under same-bucket churn: 2 000 points on one
+    /// spot and a ring of 64 around it share a bucket, leave in seeded
+    /// order (each `swap_remove` repointing whichever entry it moved),
+    /// come back in shuffled batches and relocate, across regrids down
+    /// to 1×1 and back. After every mutation the table matches the
+    /// buckets, and every few the k-nearest answers — ties at the spot
+    /// decided by payload alone — equal the scan bit for bit.
+    #[test]
+    fn positions_hold_under_same_bucket_churn() {
+        let spot = Point::new(37.3, 61.9);
+        let mut rng = XorShift(0xC0_10CA7E);
+        let mut items: Vec<(Point, u32)> = (0..2_000).map(|i| (spot, i)).collect();
+        items.extend((0..64u32).map(|i| {
+            let a = f64::from(i) * std::f64::consts::TAU / 64.0;
+            (
+                Point::new(spot.x + 1e-3 * a.cos(), spot.y + 1e-3 * a.sin()),
+                2_000 + i,
+            )
+        }));
+        items.extend((0..100).map(|i| {
+            let p = Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0);
+            (p, 2_064 + i)
+        }));
+        let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 1));
+        idx.insert_bulk(&items);
+        let dense = idx.buckets.iter().map(Vec::len).max().unwrap();
+        assert!(
+            dense >= 2_064,
+            "the spot and its ring share a bucket: {dense}"
+        );
+        let mut live = items.clone();
+        let mut grids = vec![idx.grid().nx()];
+        let (mut mutations, mut checked) = (0usize, 0);
+        let mut check =
+            |idx: &DynamicBucketIndex<u32>, live: &[(Point, u32)], rng: &mut XorShift| {
+                idx.check_positions();
+                assert_eq!(idx.len(), live.len());
+                if grids.last() != Some(&idx.grid().nx()) {
+                    grids.push(idx.grid().nx());
+                }
+                mutations += 1;
+                if !mutations.is_multiple_of(25) {
+                    return;
+                }
+                let c = if rng.next_u64().is_multiple_of(2) {
+                    spot
+                } else {
+                    Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0)
+                };
+                let r = [0.0, 1e-3, 0.5, 150.0][(rng.next_u64() % 4) as usize];
+                for k in [1, 7, 64, 1_500, usize::MAX] {
+                    for accept in [|_: f64, _: u32| true, |_: f64, t: u32| t % 3 != 1] {
+                        assert_eq!(
+                            bits(&idx.k_nearest_within(c, r, k, accept)),
+                            scan_k_nearest(live, (c, r), k, accept),
+                            "c={c:?} r={r} k={k} after {mutations} mutations"
+                        );
+                    }
+                }
+                checked += 1;
+            };
+        // Out in seeded order, one at a time.
+        while !live.is_empty() {
+            let (p, id) = live.swap_remove((rng.next_u64() as usize) % live.len());
+            assert!(idx.remove(p, id), "live point {id} not found");
+            check(&idx, &live, &mut rng);
+        }
+        // Back in shuffled batches of up to 97.
+        let mut back = items.clone();
+        while !back.is_empty() {
+            let n = (1 + (rng.next_u64() as usize) % 97).min(back.len());
+            let batch: Vec<_> = (0..n)
+                .map(|_| back.swap_remove((rng.next_u64() as usize) % back.len()))
+                .collect();
+            idx.insert_bulk(&batch);
+            live.extend_from_slice(&batch);
+            check(&idx, &live, &mut rng);
+        }
+        // Relocations: off the spot, onto it, and within it.
+        for _ in 0..1_500 {
+            let mover = (rng.next_u64() as usize) % live.len();
+            let (from, id) = live[mover];
+            let to = match rng.next_u64() % 3 {
+                0 => spot,
+                1 => Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0),
+                _ => from,
+            };
+            assert!(idx.remove(from, id));
+            idx.insert(to, id);
+            live[mover].0 = to;
+            check(&idx, &live, &mut rng);
+        }
+        assert!(checked >= 140, "{checked} query rounds");
+        assert!(grids.len() >= 5 && grids.contains(&1), "regrids: {grids:?}");
+    }
+
+    /// History does not show: one index takes the final point set as a
+    /// single `insert_bulk`, the other reaches it through seeded churn —
+    /// scrambled batches, relocations, 3 000 extra points in and out —
+    /// across several regrids. On the same grid their buckets hold the
+    /// same points in different orders, and every disc, capped query and
+    /// query under a rejecting `accept` answers bit for bit alike.
+    #[test]
+    fn history_never_shows_in_answers() {
+        let mut rng = XorShift(0x0415_70E1);
+        let point = |rng: &mut XorShift| Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0);
+        let mut churned = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 3));
+        let mut live: Vec<(Point, u32)> = (0..600).map(|i| (point(&mut rng), i)).collect();
+        let mut grids = vec![churned.grid().nx()];
+        let mut note = |idx: &DynamicBucketIndex<u32>| {
+            if grids.last() != Some(&idx.grid().nx()) {
+                grids.push(idx.grid().nx());
+            }
+        };
+        for chunk in live.chunks(37).rev() {
+            churned.insert_bulk(chunk);
+            note(&churned);
+        }
+        for round in 0..3u32 {
+            let extra: Vec<(Point, u32)> = (0..1_000)
+                .map(|i| (point(&mut rng), 600 + 1_000 * round + i))
+                .collect();
+            churned.insert_bulk(&extra);
+            note(&churned);
+            for _ in 0..300 {
+                let mover = (rng.next_u64() as usize) % live.len();
+                let (from, id) = live[mover];
+                live[mover].0 = point(&mut rng);
+                assert!(churned.remove(from, id));
+                churned.insert(live[mover].0, id);
+            }
+            let mut leaving = extra;
+            while !leaving.is_empty() {
+                let n = (1 + (rng.next_u64() as usize) % 300).min(leaving.len());
+                let at = (rng.next_u64() as usize) % (leaving.len() - n + 1);
+                let batch: Vec<_> = leaving.drain(at..at + n).collect();
+                assert_eq!(churned.remove_bulk(&batch), n);
+                note(&churned);
+            }
+        }
+        assert!(grids.len() >= 4, "regrids: {grids:?}");
+        churned.check_positions();
+        live.sort_unstable_by_key(|&(_, id)| id);
+        let mut batch = DynamicBucketIndex::new(*churned.grid());
+        batch.insert_bulk(&live);
+        assert_eq!(batch.grid(), churned.grid(), "both on one grid");
+        let sorted = |b: &Vec<(Point, u32)>| {
+            let mut b = b.clone();
+            b.sort_unstable_by_key(|&(_, id)| id);
+            b
+        };
+        let (mut same_set, mut reordered) = (true, 0);
+        for (a, b) in batch.buckets.iter().zip(&churned.buckets) {
+            same_set &= sorted(a) == sorted(b);
+            reordered += usize::from(a != b);
+        }
+        assert!(same_set, "the two hold one point set, bucket by bucket");
+        assert!(
+            reordered >= 20,
+            "bucket orders differ in {reordered} buckets"
+        );
+        let mut out = Vec::new();
+        for _ in 0..400 {
+            let c = Point::new(rng.next_f64() * 120.0 - 10.0, rng.next_f64() * 120.0 - 10.0);
+            let r = rng.next_f64() * 30.0;
+            for k in [1, 5, 64, usize::MAX] {
+                for accept in [
+                    |_: f64, _: u32| true,
+                    |d: f64, t: u32| t % 4 != 1 && d > 0.5,
+                ] {
+                    let want = bits(&batch.k_nearest_within(c, r, k, accept));
+                    let got = churned.k_nearest_within(c, r, k, accept);
+                    assert_eq!(bits(&got), want, "c={c:?} r={r} k={k}");
+                    churned.k_nearest_within_into(c, r, k, accept, &mut out);
+                    assert_eq!(sorted_bits(&out), want, "c={c:?} r={r} k={k}, unsorted");
+                }
+            }
+        }
     }
 
     #[test]

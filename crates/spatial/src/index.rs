@@ -45,16 +45,17 @@
 
 use std::cmp::Ordering;
 
-use crate::dynamic::DynamicBucketIndex;
+use crate::dynamic::{DynamicBucketIndex, Slotted};
 use crate::geom::Point;
 
 /// The `k` nearest qualifying points within `radius` of `center` under
 /// the total order `(distance, payload)`, into `best` (cleared first) in
 /// no particular order — the contract is
 /// [`DynamicBucketIndex::k_nearest_within_into`]'s. Because the order is
-/// total, the result set is a function of the point set: bucket layout
-/// and visit order cannot show in it, so a regrid changes no answer.
-pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
+/// total, the result set is a function of the point set: bucket layout,
+/// the order inside a bucket and visit order cannot show in it, so
+/// neither a regrid nor the mutation history changes an answer.
+pub(crate) fn k_nearest_within_into_impl<T: Slotted>(
     store: &DynamicBucketIndex<T>,
     center: Point,
     radius: f64,
@@ -85,7 +86,7 @@ pub(crate) fn k_nearest_within_into_impl<T: Copy + Ord>(
         if x < 0 || x >= nx || y < 0 || y >= ny {
             return;
         }
-        for &(p, payload) in store.cell_slots((y * nx + x) as usize) {
+        for &(p, payload) in store.bucket((y * nx + x) as usize) {
             let d2 = p.euclidean_sq(center);
             if d2 <= r2 {
                 // `Point::euclidean`, bit for bit.

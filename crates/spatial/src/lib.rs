@@ -34,6 +34,6 @@ pub mod geom;
 pub mod grid;
 mod index;
 
-pub use dynamic::DynamicBucketIndex;
+pub use dynamic::{DynamicBucketIndex, Slotted};
 pub use geom::{DistanceMetric, Point, Rect};
 pub use grid::{CellId, GridSpec};

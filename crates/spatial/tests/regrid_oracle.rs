@@ -19,7 +19,7 @@
 //!   mutation.
 //!
 //! CI runs this file as its own step before the workspace sweep, so a
-//! bucket-order bug fails here, attributed, and not as a
+//! bucket or position-table bug fails here, attributed, and not as a
 //! `deterministic_bits` mismatch three crates up.
 
 use maps_spatial::{DynamicBucketIndex, GridSpec, Point, Rect};
