@@ -85,10 +85,11 @@ pub struct PeriodInput<'a> {
     pub grid: &'a GridSpec,
     /// Issued tasks `R^t`.
     pub tasks: &'a [TaskInput],
-    /// Available workers `W^t`.
+    /// Available workers `W^t`, in no particular order.
     pub workers: &'a [WorkerInput],
-    /// The bipartite graph under the range constraint
-    /// (`tasks × workers`, edge iff `|ori_r − l_w| ≤ a_w`).
+    /// The bipartite graph under the range constraint (edge iff
+    /// `|ori_r − l_w| ≤ a_w`). Its right side may hold only the workers
+    /// some task reaches, so a vertex is no index into `workers`.
     pub graph: &'a BipartiteGraph,
 }
 

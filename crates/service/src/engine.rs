@@ -1394,14 +1394,20 @@ mod tests {
         }
         let lifecycle = &svc.engine.lifecycle;
         let mut want = vec![lifecycle.live_count() as u64];
-        for (dense, input) in lifecycle.worker_inputs().iter().enumerate() {
+        for (id, input) in lifecycle.live_workers() {
             let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
-            let id = lifecycle.id_of_dense(dense);
             want.extend([u64::from(id), x, y, input.radius.to_bits()]);
         }
         assert!(want.len() > 4 * 10, "live set too small");
         let ids: Vec<u64> = want[1..].iter().step_by(4).copied().collect();
         assert!(ids.is_sorted(), "ascending ids");
+        // The section holds the dense view's workers, reordered by id.
+        let bits = |w: &WorkerInput| [w.location.x, w.location.y, w.radius].map(f64::to_bits);
+        let mut saved: Vec<[u64; 3]> = want[1..].chunks(4).map(|e| [e[1], e[2], e[3]]).collect();
+        let mut dense: Vec<[u64; 3]> = lifecycle.worker_inputs().iter().map(bits).collect();
+        saved.sort_unstable();
+        dense.sort_unstable();
+        assert_eq!(saved, dense, "the live section is the dense view");
         let words = svc.checkpoint_words();
         let live = CheckpointLayout::of(&words).live_count;
         assert_eq!(words[live..live + want.len()], want);

@@ -41,15 +41,17 @@
 //!
 //! **Arrival order is free.** A window's admissions are staged ahead of
 //! the period's busy releases, and a cancelled one leaves a gap in the
-//! id sequence. [`PeriodGraphCache::apply`] is arrival-order-independent
-//! (it sorts each side's ids before merging them into its live lanes,
-//! and the index's bulk insert sorts its batch).
+//! id sequence. [`PeriodGraphCache::apply`] pushes each arrival onto its
+//! dense, unordered live view and hands it a slot, which the worker's
+//! record keeps beside its status: a build reads each departure's slot
+//! back from the record `fire` or the match just touched.
 //!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
-//! stream), and a busy worker re-enters under its *original* id, so the
-//! materialized live set is always ordered exactly like the test-only
-//! rescan reference's available list — which is what makes the engine
-//! bit-identical to it (`incremental_run_matches_scan_oracle`).
+//! stream), and a busy worker re-enters under its *original* id. A
+//! graph numbers the workers it reaches in ascending id, as the
+//! test-only rescan reference numbers its available list — which is
+//! what makes the engine bit-identical to it
+//! (`incremental_run_matches_scan_oracle`).
 
 use crate::platform::PeriodEngine;
 use crate::truth::GroundWorker;
@@ -76,12 +78,46 @@ enum Status {
 /// Two-bit status codes in one word of a checkpoint's status lane.
 const STATUSES_PER_WORD: usize = 32;
 
+/// A record's slot while its worker holds none in the cache. A
+/// lifecycle holds fewer than 2³⁰ live workers, so no slot reaches it.
+const NO_SLOT: u32 = (1 << 30) - 1;
+
+/// One worker's lifecycle state: the only per-id-ever state of the
+/// engine, 8 bytes per admitted id.
 #[derive(Debug, Clone, Copy)]
 struct Record {
     /// First period in which the worker no longer exists (`t <
     /// expires_at` ⇔ within the availability window).
     expires_at: u32,
-    status: Status,
+    /// The [`Status`] code in the low two bits; above them the slot the
+    /// worker holds in the cache — `NO_SLOT` while it holds none. A
+    /// staged departure keeps its slot until the next build applies it.
+    state: u32,
+}
+
+const _: () = assert!(size_of::<Record>() == 8, "a record costs 8 bytes");
+
+impl Record {
+    fn new(expires_at: u32, status: Status) -> Self {
+        let state = NO_SLOT << 2 | status as u32;
+        Self { expires_at, state }
+    }
+
+    fn status(self) -> Status {
+        [Status::Available, Status::Busy, Status::Gone][(self.state & 3) as usize]
+    }
+
+    fn set_status(&mut self, status: Status) {
+        self.state = self.state & !3 | status as u32;
+    }
+
+    fn slot(self) -> u32 {
+        self.state >> 2
+    }
+
+    fn set_slot(&mut self, slot: u32) {
+        self.state = slot << 2 | self.state & 3;
+    }
 }
 
 /// A scheduled lifecycle transition, fired at the start of its period.
@@ -154,14 +190,12 @@ impl LifecycleTable {
         // streams can carry it) still consumes an id so later ids keep
         // their positions, yet never enters the live set.
         let lives = expires_at > t;
-        self.records.push(Record {
-            expires_at,
-            status: if lives {
-                Status::Available
-            } else {
-                Status::Gone
-            },
-        });
+        let status = if lives {
+            Status::Available
+        } else {
+            Status::Gone
+        };
+        self.records.push(Record::new(expires_at, status));
         self.window
             .push(self.input_at(worker.location, worker.radius));
         if lives && self.observable(expires_at) {
@@ -184,10 +218,10 @@ impl LifecycleTable {
         };
         // A worker admitted in this window was never staged: marking the
         // record is the whole cancellation.
-        if record.status == Status::Available && (id as usize) < window_base {
+        if record.status() == Status::Available && (id as usize) < window_base {
             staged.departures.push(id);
         }
-        record.status = Status::Gone;
+        record.set_status(Status::Gone);
     }
 
     /// Closes the window — stages its surviving admissions — then fires
@@ -199,7 +233,7 @@ impl LifecycleTable {
             .iter()
             .zip(self.window.drain(..));
         for (id, (record, input)) in (window_base as u32..).zip(admitted) {
-            if record.status == Status::Available {
+            if record.status() == Status::Available {
                 staged.arrivals.push((id, input));
             }
         }
@@ -211,11 +245,11 @@ impl LifecycleTable {
                 Timed::Expire(id) => self.depart(id, staged),
                 Timed::Release(id, input) => {
                     let record = &mut self.records[id as usize];
-                    if record.status == Status::Busy && t < record.expires_at {
-                        record.status = Status::Available;
+                    if record.status() == Status::Busy && t < record.expires_at {
+                        record.set_status(Status::Available);
                         staged.arrivals.push((id, input));
                     } else {
-                        record.status = Status::Gone;
+                        record.set_status(Status::Gone);
                     }
                 }
             }
@@ -224,7 +258,7 @@ impl LifecycleTable {
 
     /// A matched worker leaves permanently (`MatchPolicy::Consume`).
     fn consume(&mut self, id: u32, staged: &mut StagedChurn) {
-        self.records[id as usize].status = Status::Gone;
+        self.records[id as usize].set_status(Status::Gone);
         staged.departures.push(id);
     }
 
@@ -248,10 +282,10 @@ impl LifecycleTable {
         let returns = self.observable(busy_until);
         let record = &mut self.records[id as usize];
         if returns && busy_until < record.expires_at {
-            record.status = Status::Busy;
+            record.set_status(Status::Busy);
             self.schedule.entry(busy_until).or_default().push(release);
         } else {
-            record.status = Status::Gone;
+            record.set_status(Status::Gone);
         }
     }
 
@@ -269,10 +303,10 @@ impl LifecycleTable {
         w.push(self.records.len() as u64);
         w.push(self.records.len().div_ceil(STATUSES_PER_WORD) as u64);
         w.extend(self.records.chunks(STATUSES_PER_WORD).map(|chunk| {
-            let codes = chunk.iter().map(|r| r.status as u64);
+            let codes = chunk.iter().map(|r| r.status() as u64);
             codes.rev().fold(0, |lane, code| lane << 2 | code)
         }));
-        let kept = self.records.iter().filter(|r| r.status != Status::Gone);
+        let kept = self.records.iter().filter(|r| r.status() != Status::Gone);
         w.extend(kept.map(|r| u64::from(r.expires_at)));
     }
 
@@ -308,7 +342,7 @@ impl LifecycleTable {
                 Status::Gone => 0,
                 _ => take_u32(r, "checkpoint expiry out of range")?,
             };
-            self.records.push(Record { expires_at, status });
+            self.records.push(Record::new(expires_at, status));
         }
         Ok(())
     }
@@ -318,7 +352,7 @@ impl LifecycleTable {
     /// stands: what a caller reserves for them.
     fn saved_words(&self) -> usize {
         let ids = self.records.len();
-        let gone = self.records.iter().filter(|r| r.status == Status::Gone);
+        let gone = self.records.iter().filter(|r| r.status() == Status::Gone);
         let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + (ids - gone.count());
         let entry_words = |e: &Timed| match e {
             Timed::Expire(_) => 2,
@@ -411,6 +445,8 @@ pub struct WorkerLifecycle {
     table: LifecycleTable,
     /// Applied by the next [`WorkerLifecycle::build_graph_capped`].
     staged: StagedChurn,
+    /// Scratch: the staged departures with the slots their records held.
+    departing: Vec<(u32, u32)>,
 }
 
 impl WorkerLifecycle {
@@ -434,6 +470,7 @@ impl WorkerLifecycle {
             cache: PeriodGraphCache::new(grid),
             table: LifecycleTable::new(*grid, horizon),
             staged: StagedChurn::default(),
+            departing: Vec::new(),
         }
     }
 
@@ -476,17 +513,56 @@ impl WorkerLifecycle {
     /// Applies the staged churn and builds the period's capped graph
     /// through the cache (`k = max_edges_per_task`).
     pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        self.cache
-            .apply(&self.staged.arrivals, &self.staged.departures);
-        self.staged.arrivals.clear();
-        self.staged.departures.clear();
+        self.apply_staged();
         self.cache.build_graph_capped(tasks, k)
     }
 
-    /// Materializes the live worker list (ascending id — the graph's
-    /// right-side order) into `out`.
+    /// Applies the staged churn to the cache: each departure by the slot
+    /// its record holds, which the record then lets go of; each
+    /// arrival's slot written into its record, where a slot already held
+    /// means a live id arriving again.
+    fn apply_staged(&mut self) {
+        let records = &mut self.table.records;
+        self.departing.clear();
+        self.departing
+            .extend(self.staged.departures.drain(..).map(|id| {
+                let record = &mut records[id as usize];
+                let slot = record.slot();
+                record.set_slot(NO_SLOT);
+                (id, slot)
+            }));
+        let handed = self.cache.apply(&self.staged.arrivals, &self.departing);
+        for (&(id, _), &slot) in self.staged.arrivals.iter().zip(handed) {
+            let record = &mut records[id as usize];
+            let held = record.slot() != NO_SLOT;
+            assert!(!held, "arrival of an already-live worker id {id}");
+            assert!(
+                slot < NO_SLOT,
+                "a lifecycle holds fewer than 2^30 live workers"
+            );
+            record.set_slot(slot);
+        }
+        self.staged.arrivals.clear();
+    }
+
+    /// Copies the live worker list — dense, in no particular order —
+    /// into `out`.
     pub fn fill_worker_inputs(&self, out: &mut Vec<WorkerInput>) {
-        self.cache.fill_worker_inputs(out);
+        out.clear();
+        out.extend_from_slice(self.cache.worker_inputs());
+    }
+
+    /// The workers in the cache, ascending id, found through the records
+    /// that hold a slot: `O(ids)`, like a checkpoint's records. At a
+    /// period boundary that is the available workers plus the staged
+    /// departures.
+    pub fn live_workers(&self) -> impl Iterator<Item = (u32, &WorkerInput)> + '_ {
+        let held = (0u32..).zip(&self.table.records);
+        held.filter(|(_, record)| record.slot() != NO_SLOT)
+            .map(|(id, record)| {
+                let worker = self.cache.worker(id, record.slot());
+                (id, worker.expect("a record's slot is held in the cache"))
+            })
     }
 
     /// Number of workers currently in the live set (staged churn from
@@ -500,10 +576,9 @@ impl WorkerLifecycle {
         self.table.admitted()
     }
 
-    /// The id of the `dense`-th right-side vertex of the last built
-    /// graph.
+    /// The id of right-side vertex `dense` of the last built graph.
     pub fn id_of_dense(&self, dense: usize) -> u32 {
-        self.cache.live_ids()[dense]
+        self.cache.right_id(dense)
     }
 
     /// A matched worker leaves permanently (`MatchPolicy::Consume`).
@@ -517,9 +592,9 @@ impl WorkerLifecycle {
     /// under the same id — or leaving for good when that lands past its
     /// expiry or the horizon.
     pub fn dispatch(&mut self, t: u32, id: u32, destination: Point, travel: u32) {
-        let radius = self
-            .cache
-            .worker(id)
+        let record = self.table.records.get(id as usize);
+        let radius = record
+            .and_then(|record| self.cache.worker(id, record.slot()))
             .expect("dispatched worker is live")
             .radius;
         self.table
@@ -528,12 +603,12 @@ impl WorkerLifecycle {
 
     /// Appends the worker side of a checkpoint to a word stream: the
     /// lifecycle records, the live workers (a count, then `id, x, y,
-    /// radius` each in ascending id order, floats as IEEE-754 bits), the
-    /// staged departures (a count, then the ids — the closing period's
-    /// matched pairs and departures of earlier arrivals), then the timed
-    /// schedule. Cut at a period boundary only — after a build, before
-    /// anything is admitted into the next window — so no arrival is
-    /// staged.
+    /// radius` each in ascending id order, floats as IEEE-754 bits —
+    /// [`WorkerLifecycle::live_workers`]), the staged departures (a
+    /// count, then the ids — the closing period's matched pairs and
+    /// departures of earlier arrivals), then the timed schedule. Cut at a
+    /// period boundary only — after a build, before anything is admitted
+    /// into the next window — so no arrival is staged.
     pub fn save(&self, w: &mut Vec<u64>) {
         debug_assert!(
             self.staged.arrivals.is_empty(),
@@ -541,7 +616,7 @@ impl WorkerLifecycle {
         );
         self.table.save_records(w);
         w.push(self.cache.live_count() as u64);
-        for (&id, input) in self.cache.live_ids().iter().zip(self.cache.live_inputs()) {
+        for (id, input) in self.live_workers() {
             let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
             w.extend([u64::from(id), x, y, input.radius.to_bits()]);
         }
@@ -564,7 +639,7 @@ impl WorkerLifecycle {
     /// cache asserts of every arrival), and a departure must name an
     /// admitted id. The live set goes into the cache as one batch, whose
     /// queries depend only on the set, so this equals the build that
-    /// wrote it.
+    /// wrote it; the slots it is handed go into the records.
     pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         use StateError::Mismatch;
         self.table.load_records(r)?;
@@ -581,8 +656,7 @@ impl WorkerLifecycle {
             let input = self.table.input_at(Point::new(x, y), radius);
             self.staged.arrivals.push((id as u32, input));
         }
-        self.cache.apply(&self.staged.arrivals, &[]);
-        self.staged.arrivals.clear();
+        self.apply_staged();
         for _ in 0..r.take_len(1)? {
             let id = r.take()?;
             if id >= admitted {
@@ -607,7 +681,7 @@ impl PeriodEngine for WorkerLifecycle {
     }
 
     fn worker_inputs(&self) -> &[WorkerInput] {
-        self.cache.live_inputs()
+        self.cache.worker_inputs()
     }
 
     fn consume_matched(&mut self, dense: usize) {
@@ -671,7 +745,7 @@ mod tests {
         let _ = engine.build_graph_capped(&[], 4);
         assert_eq!(engine.live_count(), 1);
         assert_eq!(engine.admitted(), 2, "dead arrival still takes an id");
-        assert_eq!(engine.id_of_dense(0), 1, "live worker keeps scan id");
+        assert_eq!(live_ids(&engine), [1], "live worker keeps scan id");
         for t in 1..4 {
             engine.begin_period(t, &[]);
             let _ = engine.build_graph_capped(&[], 4);
@@ -679,20 +753,35 @@ mod tests {
         }
     }
 
+    /// The ids of the workers in the cache, ascending, read through the
+    /// records.
+    fn live_ids(engine: &WorkerLifecycle) -> Vec<u32> {
+        engine.live_workers().map(|(id, _)| id).collect()
+    }
+
+    /// A task at `x` on the workers' row: it reaches every worker within
+    /// their radius 3 of it.
+    fn task_at(x: f64) -> [TaskInput; 1] {
+        [TaskInput::new(&grid(), Point::new(x, 5.0), 1.0)]
+    }
+
     #[test]
     fn consume_departs_at_next_build() {
         let grid = grid();
         let mut engine = WorkerLifecycle::new(&grid, 4, 4);
         engine.begin_period(0, &[worker(1.0, u32::MAX), worker(2.0, u32::MAX)]);
-        let _ = engine.build_graph_capped(&[], 4);
+        let graph = engine.build_graph_capped(&task_at(1.0), 4);
+        assert_eq!(graph.n_right(), 2);
         assert_eq!(engine.live_count(), 2);
         engine.consume(engine.id_of_dense(0));
         // Still live until the next period's build applies the churn.
         assert_eq!(engine.live_count(), 2);
+        assert_eq!(live_ids(&engine), [0, 1]);
         engine.begin_period(1, &[]);
-        let _ = engine.build_graph_capped(&[], 4);
+        let _ = engine.build_graph_capped(&task_at(1.0), 4);
         assert_eq!(engine.live_count(), 1);
-        assert_eq!(engine.id_of_dense(0), 1);
+        assert_eq!(live_ids(&engine), [1]);
+        assert_eq!(engine.id_of_dense(0), 1, "the graph numbers who it reaches");
     }
 
     #[test]
@@ -708,11 +797,12 @@ mod tests {
         engine.begin_period(2, &[]);
         let _ = engine.build_graph_capped(&[], 4);
         assert_eq!(engine.live_count(), 2);
-        let mut out = Vec::new();
-        engine.fill_worker_inputs(&mut out);
-        assert_eq!(out[0].location, Point::new(9.0, 9.0), "id 0 relocated");
-        assert_eq!(out[0].cell, grid.cell_of(Point::new(9.0, 9.0)));
-        assert_eq!(out[1].location, Point::new(2.0, 5.0));
+        let live: Vec<(u32, WorkerInput)> = engine.live_workers().map(|(id, w)| (id, *w)).collect();
+        assert_eq!(live[0].0, 0);
+        assert_eq!(live[0].1.location, Point::new(9.0, 9.0), "id 0 relocated");
+        assert_eq!(live[0].1.cell, grid.cell_of(Point::new(9.0, 9.0)));
+        assert_eq!(live[1].0, 1);
+        assert_eq!(live[1].1.location, Point::new(2.0, 5.0));
     }
 
     #[test]
@@ -753,6 +843,40 @@ mod tests {
             engine.begin_period(t, &[]);
             let _ = engine.build_graph_capped(&[], 4);
             assert_eq!(engine.live_count(), 0, "period {t}");
+        }
+    }
+
+    /// A live id arriving again is caught at its record when the build
+    /// writes the arrival's slot back — inside one batch or against the
+    /// live set, with a departure beside it or not.
+    #[test]
+    fn already_live_arrival_panics_at_its_record() {
+        let input = |x: f64| WorkerInput::new(&grid(), Point::new(x, 5.0), 3.0);
+        let cases: [(&str, &[u32], &[u32], u32); 4] = [
+            ("duplicate inside arrivals", &[3, 2, 3], &[], 3),
+            ("adjacent duplicate arrivals", &[3, 3], &[], 3),
+            ("arrival of a live id", &[3, 1], &[], 1),
+            ("live id arrives while another leaves", &[1], &[0], 1),
+        ];
+        for (what, arrivals, departures, id) in cases {
+            // Ids 0 and 1 live; 2 and 3 admitted dead, so never held a slot.
+            let mut engine = WorkerLifecycle::open_ended(&grid());
+            let live = [worker(1.0, u32::MAX), worker(2.0, u32::MAX)];
+            engine.begin_period(0, &[live[0], live[1], worker(3.0, 0), worker(4.0, 0)]);
+            let _ = engine.build_graph_capped(&[], 4);
+            engine.staged.arrivals = arrivals.iter().map(|&id| (id, input(id.into()))).collect();
+            engine.staged.departures = departures.to_vec();
+            let panic = std::panic::catch_unwind(move || {
+                let _ = engine.build_graph_capped(&[], 4);
+            })
+            .expect_err(what);
+            let text = panic
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| panic.downcast_ref::<&str>().copied())
+                .expect("string panic payload");
+            let message = format!("arrival of an already-live worker id {id}");
+            assert!(text.contains(&message), "{what}: panicked with {text:?}");
         }
     }
 

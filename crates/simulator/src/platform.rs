@@ -146,7 +146,9 @@ pub trait PeriodEngine {
         tasks: &[TaskInput],
         k: usize,
     ) -> Result<BipartiteGraph, Self::Error>;
-    /// The available workers, in the graph's right-side order.
+    /// The available workers, dense and in no particular order: a
+    /// strategy reads their number and per-cell counts, and a graph's
+    /// right side names only the workers its tasks reach.
     fn worker_inputs(&self) -> &[WorkerInput];
     /// Right-side vertex `dense` was matched and leaves permanently.
     fn consume_matched(&mut self, dense: usize);

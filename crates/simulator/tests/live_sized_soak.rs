@@ -15,6 +15,7 @@ use maps_simulator::alloc::TrackingAllocator;
 use maps_simulator::{GroundWorker, WorkerLifecycle};
 use maps_spatial::{GridSpec, Point, Rect};
 use maps_testkit::XorShift;
+use std::collections::BTreeMap;
 use std::sync::Mutex;
 
 #[global_allocator]
@@ -52,7 +53,10 @@ fn cache_heap_is_flat_over_two_million_ids() {
     let baseline = TrackingAllocator::current_bytes();
     let mut cache = PeriodGraphCache::new(&grid);
     let mut arrivals: Vec<(u32, WorkerInput)> = Vec::new();
-    let mut departures: Vec<u32> = Vec::new();
+    let mut departures: Vec<(u32, u32)> = Vec::new();
+    // The slot each live worker was handed, as the lifecycle's records
+    // keep it: live-sized.
+    let mut slots: BTreeMap<u32, u32> = BTreeMap::new();
     let mut early = 0;
     for t in 0..PERIODS {
         arrivals.clear();
@@ -62,21 +66,24 @@ fn cache_heap_is_flat_over_two_million_ids() {
             let radius = 2.0 + rng.next_f64() * 10.0;
             (id, WorkerInput::new(&grid, point(&mut rng), radius))
         }));
+        let mut depart = |id| departures.push((id, slots.remove(&id).unwrap()));
         if t >= DURATION {
             let gone = (t - DURATION) * PER_PERIOD;
-            departures.extend(gone..gone + PER_PERIOD);
+            (gone..gone + PER_PERIOD).for_each(&mut depart);
         }
         if t % 3 == 2 {
             // A worker from the middle of the live range moves: the
             // same id on both sides, behind the window's admissions.
             let id = (t - 1) * PER_PERIOD + 7;
             let to = WorkerInput::new(&grid, point(&mut rng), 5.0);
-            departures.push(id);
+            depart(id);
             arrivals.push((id, to));
         }
-        cache.apply(&arrivals, &departures);
-        let graph = cache.build_graph_capped(&tasks(&grid, &mut rng), K);
-        assert_eq!(graph.n_right(), cache.live_count());
+        let handed = cache.apply(&arrivals, &departures);
+        slots.extend(arrivals.iter().map(|a| a.0).zip(handed.iter().copied()));
+        let tasks = tasks(&grid, &mut rng);
+        let graph = cache.build_graph_capped(&tasks, K);
+        assert!(graph.n_right() <= tasks.len() * K);
         drop(graph);
         if t + 1 == EARLY {
             early = TrackingAllocator::current_bytes() - baseline;
@@ -84,7 +91,8 @@ fn cache_heap_is_flat_over_two_million_ids() {
     }
     let late = TrackingAllocator::current_bytes() - baseline;
     assert_eq!(cache.live_count(), (DURATION * PER_PERIOD) as usize);
-    assert!(*cache.live_ids().last().unwrap() > 1_999_000);
+    let (&last, &slot) = slots.last_key_value().unwrap();
+    assert!(last > 1_999_000 && cache.worker(last, slot).is_some());
     // Not 1.0: every bucket lane keeps its high-water capacity, and at
     // one point per bucket on average the step from 4 slots to 8 is still
     // being taken after period 500 (the next one, to 16, takes nine
@@ -113,15 +121,16 @@ fn lifecycle_heap_grows_only_by_its_records() {
             duration: DURATION,
         }));
         engine.begin_period(t, &window);
-        let graph = engine.build_graph_capped(&tasks(&grid, &mut rng), K);
-        assert_eq!(graph.n_right(), engine.live_count());
-        drop(graph);
-        if t % 3 == 2 {
+        let tasks = tasks(&grid, &mut rng);
+        let graph = engine.build_graph_capped(&tasks, K);
+        assert!(graph.n_right() <= tasks.len() * K);
+        if t % 3 == 2 && graph.n_right() > 0 {
             // Matched under the relocate policy: away for two periods,
             // back under its own id.
-            let id = engine.id_of_dense(engine.live_count() / 2);
+            let id = engine.id_of_dense(graph.n_right() / 2);
             engine.dispatch(t, id, point(&mut rng), 2);
         }
+        drop(graph);
         if t + 1 == EARLY {
             early = TrackingAllocator::current_bytes() - baseline;
             admitted_early = engine.admitted();

@@ -49,8 +49,8 @@ fn main() {
     let mut counts = vec![0u32; cells];
     // The graph path that ships: one persistent cache, mutated by each
     // period's arrivals (nobody leaves in this trace) and asked for the
-    // period's capped graph. Ids are admission order, which is also the
-    // order of the cache's worker list.
+    // period's capped graph. Ids are admission order; a graph numbers
+    // the workers its tasks reach in that order.
     let mut cache = maps::core::PeriodGraphCache::new(&grid);
     let mut next_id = 0u32;
     for t in 0..30 {
@@ -77,7 +77,7 @@ fn main() {
         next_id += arrivals.len() as u32;
         cache.apply(&arrivals, &[]);
         let graph = cache.build_graph_capped(&tasks, 64);
-        let workers = cache.live_inputs();
+        let workers = cache.worker_inputs();
         let input = maps::core::PeriodInput {
             grid: &grid,
             tasks: &tasks,

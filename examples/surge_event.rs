@@ -146,7 +146,7 @@ fn main() {
             })
             .collect();
         let graph = cache.build_graph_capped(&tasks, 64);
-        let workers = cache.live_inputs();
+        let workers = cache.worker_inputs();
         let input = PeriodInput {
             grid: &grid,
             tasks: &tasks,

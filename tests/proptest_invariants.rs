@@ -9,6 +9,46 @@
 use maps::prelude::*;
 use maps::service::ServiceEvent;
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// `graph`'s rows as the ids they name, each in stored order; `id_of`
+/// maps a right-side vertex to its id.
+fn rows_by_id(graph: &BipartiteGraph, id_of: impl Fn(usize) -> u32) -> Vec<Vec<u32>> {
+    (0..graph.n_left())
+        .map(|l| {
+            graph
+                .neighbors(l)
+                .iter()
+                .map(|&r| id_of(r as usize))
+                .collect()
+        })
+        .collect()
+}
+
+/// A graph as ids, what a cache build and the scan of the id-ordered
+/// live set agree on although they number their right sides apart: the
+/// rows (`rows_by_id`), then the right side as ids. The cache's right
+/// side is [`PeriodGraphCache::right_id`] of its vertices; the scan's
+/// is passed as `None` and stands for the ids its rows name, distinct
+/// and ascending — the right side a cache build must have.
+fn canon_by_id(rows: &[Vec<u32>], right: Option<Vec<u32>>, out: &mut Vec<u64>) {
+    out.push(rows.len() as u64);
+    for row in rows {
+        out.push(row.len() as u64);
+        out.extend(row.iter().map(|&id| u64::from(id)));
+    }
+    let touched = || rows.iter().flatten().copied().collect::<BTreeSet<_>>();
+    let right = right.unwrap_or_else(|| touched().into_iter().collect());
+    out.push(right.len() as u64);
+    out.extend(right.iter().map(|&id| u64::from(id)));
+}
+
+/// The cache's last build, `graph`, through [`canon_by_id`].
+fn canon_cache(cache: &PeriodGraphCache, graph: &BipartiteGraph, out: &mut Vec<u64>) {
+    let rows = rows_by_id(graph, |r| cache.right_id(r));
+    let right = (0..graph.n_right()).map(|r| cache.right_id(r)).collect();
+    canon_by_id(&rows, Some(right), out);
+}
 
 /// Strategy generating a random bipartite graph with ≤ 10×10 vertices.
 fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
@@ -150,11 +190,13 @@ proptest! {
     }
 
     /// PR-3 oracle: the incremental `PeriodGraphCache` replayed over a
-    /// random arrival/departure/relocation churn script is bit-identical
-    /// to the scan builders (Definition 5(ii), no index) on the
-    /// materialized live set, every period — `apply`, then the capped build on odd periods
-    /// and the complete one on even periods — under the 1/2/3/8-thread
-    /// `assert_deterministic` harness. A relocation is written the way
+    /// random arrival/departure/relocation churn script keeps the edge
+    /// set of the scan builders (Definition 5(ii), no index) on the live
+    /// workers in ascending id, every period — `apply`, then the capped
+    /// build on odd periods and the complete one on even periods — under
+    /// the 1/2/3/8-thread `assert_deterministic` harness: per task the
+    /// ids of its row, in order, bit for bit, and a right side of
+    /// exactly the distinct ids the rows name, ascending. A relocation is written the way
     /// the lifecycle table performs it: the same id in the departures
     /// and the arrivals of one `apply`. Scripts start with 1–200 workers
     /// and include out-of-region relocations (the clamped-bucket path);
@@ -174,15 +216,6 @@ proptest! {
         k in 1usize..=24,
     ) {
         let three_radii = seed % 2 == 1;
-        fn graph_canon(g: &BipartiteGraph, out: &mut Vec<u64>) {
-            out.push(g.n_left() as u64);
-            out.push(g.n_right() as u64);
-            for l in 0..g.n_left() {
-                let ns = g.neighbors(l);
-                out.push(ns.len() as u64);
-                out.extend(ns.iter().map(|&r| r as u64));
-            }
-        }
         let grid = GridSpec::square(Rect::square(100.0), 5);
         // Replays the whole script from scratch on each invocation, so
         // the thread-sweep harness sees a pure function.
@@ -204,6 +237,9 @@ proptest! {
             };
             let mut cache = PeriodGraphCache::new(&grid);
             let mut live: Vec<(u32, WorkerInput)> = Vec::new(); // ascending id
+            // The slot `apply` handed each live worker, as the
+            // lifecycle's records keep it.
+            let mut slots: BTreeMap<u32, u32> = BTreeMap::new();
             let mut next_id = 0u32;
             let mut incremental_bits = Vec::new();
             let mut scratch_bits = Vec::new();
@@ -254,7 +290,11 @@ proptest! {
                         TaskInput::new(&grid, origin, distance)
                     })
                     .collect();
-                cache.apply(&arrivals, &departures);
+                let departing: Vec<(u32, u32)> =
+                    departures.iter().map(|&id| (id, slots.remove(&id).unwrap())).collect();
+                let handed = cache.apply(&arrivals, &departing);
+                slots.extend(arrivals.iter().map(|a| a.0).zip(handed.iter().copied()));
+                let ids: Vec<u32> = live.iter().map(|&(id, _)| id).collect();
                 let workers: Vec<WorkerInput> = live.iter().map(|&(_, w)| w).collect();
                 let (incremental, scratch) = if period % 2 == 1 {
                     (
@@ -267,8 +307,8 @@ proptest! {
                         build_period_graph(&tasks, &workers),
                     )
                 };
-                graph_canon(&incremental, &mut incremental_bits);
-                graph_canon(&scratch, &mut scratch_bits);
+                canon_cache(&cache, &incremental, &mut incremental_bits);
+                canon_by_id(&rows_by_id(&scratch, |r| ids[r]), None, &mut scratch_bits);
             }
             (incremental_bits, scratch_bits)
         };
@@ -455,7 +495,8 @@ fn generated_valuations_match_declared_demand() {
 /// spec ([`build_period_graph`], Definition 5(ii)) cut to each task's `k`
 /// nearest by `(distance, id)`, from the capped scan
 /// [`build_period_graph_capped`] and from [`PeriodGraphCache`] after
-/// `apply`; and the one-period world over the same pool must replay
+/// `apply` — row for row as ids, its right side the ids the rows name
+/// ([`canon_by_id`]); and the one-period world over the same pool must replay
 /// through the service to the batch simulator's bits. Returns the spec graph and the batch outcome for
 /// the caller's own, index-free statements about them.
 fn agree_on_every_path(
@@ -491,12 +532,12 @@ fn agree_on_every_path(
 
     let mut cache = PeriodGraphCache::new(&grid);
     let arrivals: Vec<(u32, WorkerInput)> = (0u32..).zip(workers).collect();
-    cache.apply(&arrivals, &[]);
-    assert_eq!(
-        cache.build_graph_capped(&tasks, k),
-        capped,
-        "{what}: cache vs the scratch oracle"
-    );
+    let _ = cache.apply(&arrivals, &[]);
+    let (mut built, mut scanned) = (Vec::new(), Vec::new());
+    let graph = cache.build_graph_capped(&tasks, k);
+    canon_cache(&cache, &graph, &mut built);
+    canon_by_id(&rows_by_id(&capped, |r| r as u32), None, &mut scanned);
+    assert_eq!(built, scanned, "{what}: cache vs the scratch oracle");
 
     let world = GroundTruth {
         grid,
