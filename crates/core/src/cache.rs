@@ -35,7 +35,7 @@
 //! the live workers in ascending id: each row names
 //! ([`PeriodGraphCache::right_id`]) the scan row's ids in its order,
 //! and the right side is the distinct ids the rows name, ascending.
-//! Enforced by unit tests here plus the cross-crate proptest churn
+//! Enforced by unit tests here plus the cross-crate seeded churn
 //! oracle (`incremental_graph_matches_scratch_rebuild`). Both sides
 //! keep exactly the pairs `in_range` keeps and cut them by the total
 //! `(distance, id)` key, which no bucket grid can influence — the index

@@ -40,9 +40,10 @@
 //! **bit-identical** to the table-less reference, which computes the
 //! same maximizers on demand inside the heap loop. That reference lives
 //! in this module's tests, which pin the two together on fixed and
-//! random panels, on the plateau worst case and under proptest. The
-//! table removes the per-pop plateau-lookahead rescans, an
-//! `O(n² · |ladder|)` worst case on plateau-heavy grids.
+//! random panels, on the plateau worst case and on 64 seeded panels
+//! (`maps_testkit::explore`). The table removes the per-pop
+//! plateau-lookahead rescans, an `O(n² · |ladder|)` worst case on
+//! plateau-heavy grids.
 
 use crate::base::BasePricing;
 use crate::lfunc::{ApproxKind, DeltaRule, LFunction, Maximizer};
@@ -545,6 +546,7 @@ mod tests {
     use crate::builder::build_period_graph;
     use crate::problem::{TaskInput, WorkerInput};
     use maps_spatial::{GridSpec, Point, Rect};
+    use maps_testkit::{explore, XorShift};
 
     impl MapsStrategy {
         /// The table-less reference for [`PricingStrategy::price_period`]:
@@ -960,63 +962,59 @@ mod tests {
         assert_matches_tableless_reference(&maps, &grid, &tasks, &workers);
     }
 
-    proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
-
-        /// The table-driven `price_period` is bit-identical to the
-        /// table-less reference on randomized panels — 1–64 grids,
-        /// tie-heavy distance ladders (multiples of 0.5) and coarse
-        /// acceptance ratios (eighths, maximizing cross-grid Δ ties),
-        /// including zero-worker and zero-task edge panels.
-        #[test]
-        fn table_pricing_matches_the_tableless_reference(
-            side in 1u32..=8,
-            n_tasks in 0usize..=80,
-            n_workers in 0usize..=50,
-            seed in 0u64..1000,
-        ) {
-            let grid = GridSpec::square(Rect::square(100.0), side);
-            let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            let tasks: Vec<TaskInput> = (0..n_tasks)
-                .map(|_| {
-                    let x = (next() % 10_000) as f64 / 100.0;
-                    let y = (next() % 10_000) as f64 / 100.0;
-                    let d = 0.5 * (1 + next() % 6) as f64;
-                    TaskInput::new(&grid, Point::new(x, y), d)
-                })
-                .collect();
-            let workers: Vec<WorkerInput> = (0..n_workers)
-                .map(|_| {
-                    let x = (next() % 10_000) as f64 / 100.0;
-                    let y = (next() % 10_000) as f64 / 100.0;
-                    WorkerInput::new(&grid, Point::new(x, y), 12.0)
-                })
-                .collect();
-            let graph = build_period_graph(&tasks, &workers);
-            let input = PeriodInput {
-                grid: &grid,
-                tasks: &tasks,
-                workers: &workers,
-                graph: &graph,
-            };
-            let maps = seeded_maps(grid.num_cells(), seed);
-            let reference = maps.price_period_tableless(&input).prices;
-            let table = maps.clone().price_period(&input).prices;
-            for (cell, (rp, tp)) in reference.iter().zip(&table).enumerate() {
-                proptest::prop_assert!(
-                    rp.to_bits() == tp.to_bits(),
-                    "cell {}: table-less {} vs table {}",
-                    cell,
-                    rp,
-                    tp
-                );
-            }
-        }
+    /// The table-driven `price_period` is bit-identical to the
+    /// table-less reference on randomized panels — 1–64 grids,
+    /// tie-heavy distance ladders (multiples of 0.5) and coarse
+    /// acceptance ratios (eighths, maximizing cross-grid Δ ties),
+    /// including zero-worker and zero-task edge panels.
+    #[test]
+    fn table_pricing_matches_the_tableless_reference() {
+        // (grid side, tasks, workers, panel seed)
+        let draw = |seed| {
+            let mut rng = XorShift::seeded(seed);
+            let side = 1 + rng.below(8) as u32;
+            let (n_tasks, n_workers) = (rng.below(81) as usize, rng.below(51) as usize);
+            (side, n_tasks, n_workers, rng.below(1000))
+        };
+        explore(
+            0..64,
+            draw,
+            |_| None,
+            |&(side, n_tasks, n_workers, seed)| {
+                let grid = GridSpec::square(Rect::square(100.0), side);
+                let mut rng = XorShift::seeded(seed);
+                let tasks: Vec<TaskInput> = (0..n_tasks)
+                    .map(|_| {
+                        let x = rng.below(10_000) as f64 / 100.0;
+                        let y = rng.below(10_000) as f64 / 100.0;
+                        let d = 0.5 * (1 + rng.below(6)) as f64;
+                        TaskInput::new(&grid, Point::new(x, y), d)
+                    })
+                    .collect();
+                let workers: Vec<WorkerInput> = (0..n_workers)
+                    .map(|_| {
+                        let x = rng.below(10_000) as f64 / 100.0;
+                        let y = rng.below(10_000) as f64 / 100.0;
+                        WorkerInput::new(&grid, Point::new(x, y), 12.0)
+                    })
+                    .collect();
+                let graph = build_period_graph(&tasks, &workers);
+                let input = PeriodInput {
+                    grid: &grid,
+                    tasks: &tasks,
+                    workers: &workers,
+                    graph: &graph,
+                };
+                let maps = seeded_maps(grid.num_cells(), seed);
+                let reference = maps.price_period_tableless(&input).prices;
+                let table = maps.clone().price_period(&input).prices;
+                for (cell, (rp, tp)) in reference.iter().zip(&table).enumerate() {
+                    assert!(
+                        rp.to_bits() == tp.to_bits(),
+                        "cell {cell}: table-less {rp} vs table {tp}"
+                    );
+                }
+            },
+        );
     }
 }

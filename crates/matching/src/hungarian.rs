@@ -132,7 +132,7 @@ mod tests {
     use super::*;
     use crate::graph::{BipartiteGraph, BipartiteGraphBuilder};
     use crate::{max_weight_matching_left_weights, IncrementalMatching};
-    use proptest::prelude::*;
+    use maps_testkit::{explore, XorShift};
 
     fn dense(weights: &[&[Option<f64>]]) -> (Matching, f64) {
         let n_left = weights.len();
@@ -289,21 +289,14 @@ mod tests {
 
     #[test]
     fn agrees_with_kuhn_on_pseudorandom_graphs() {
-        // Deterministic xorshift so the test is reproducible without rand.
-        let mut state = 0x2545F4914F6CDD1Du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut rng = XorShift(0x2545F4914F6CDD1D);
         for trial in 0..30 {
-            let n_left = 1 + (next() % 12) as usize;
-            let n_right = 1 + (next() % 12) as usize;
+            let n_left = 1 + rng.below(12) as usize;
+            let n_right = 1 + rng.below(12) as usize;
             let mut b = BipartiteGraphBuilder::new(n_left, n_right);
             for l in 0..n_left {
                 for r in 0..n_right {
-                    if next() % 4 == 0 {
+                    if rng.below(4) == 0 {
                         b.add_edge(l, r);
                     }
                 }
@@ -313,57 +306,60 @@ mod tests {
         }
     }
 
-    /// Strategy generating a random bipartite graph with ≤ 10×10 vertices.
-    fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
-        (1usize..10, 1usize..10).prop_flat_map(|(n_left, n_right)| {
-            proptest::collection::vec(proptest::bool::weighted(0.3), n_left * n_right).prop_map(
-                move |mask| {
-                    let mut b = BipartiteGraphBuilder::new(n_left, n_right);
-                    for l in 0..n_left {
-                        for r in 0..n_right {
-                            if mask[l * n_right + r] {
-                                b.add_edge(l, r);
-                            }
-                        }
-                    }
-                    b.build()
-                },
-            )
-        })
+    /// A random bipartite graph of 1–9 vertices a side, each edge
+    /// present with probability 0.3.
+    fn arb_graph(rng: &mut XorShift) -> BipartiteGraph {
+        let (n_left, n_right) = (1 + rng.below(9) as usize, 1 + rng.below(9) as usize);
+        let mut b = BipartiteGraphBuilder::new(n_left, n_right);
+        for l in 0..n_left {
+            for r in 0..n_right {
+                if rng.next_f64() < 0.3 {
+                    b.add_edge(l, r);
+                }
+            }
+        }
+        b.build()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
+    /// `graph` on the first half of its left side; `None` at one vertex.
+    fn halve_left(graph: &BipartiteGraph) -> Option<BipartiteGraph> {
+        let n = graph.n_left();
+        let keep: Vec<bool> = (0..n).map(|l| l < n / 2).collect();
+        (n > 1).then(|| graph.filter_left(&keep).0)
+    }
 
-        /// Greedy transversal-matroid matching is exactly optimal: it
-        /// matches the Hungarian reference's weight on every random
-        /// instance.
-        #[test]
-        fn greedy_matches_hungarian(graph in arb_graph(), seed in 0u64..1000) {
-            let mut state = seed.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-            let mut next = move || {
-                state ^= state << 13;
-                state ^= state >> 7;
-                state ^= state << 17;
-                state
-            };
+    /// Greedy transversal-matroid matching is exactly optimal: it
+    /// matches the Hungarian reference's weight on every random
+    /// instance.
+    #[test]
+    fn greedy_matches_hungarian() {
+        let draw = |seed| {
+            let mut rng = XorShift::seeded(seed);
+            (arb_graph(&mut rng), rng.below(1000))
+        };
+        let halve = |(graph, seed): &(BipartiteGraph, u64)| Some((halve_left(graph)?, *seed));
+        explore(0..64, draw, halve, |(graph, seed)| {
+            let mut rng = XorShift::seeded(*seed);
             let weights: Vec<f64> = (0..graph.n_left())
-                .map(|_| (next() % 1000) as f64 / 100.0)
+                .map(|_| rng.below(1000) as f64 / 100.0)
                 .collect();
-            let (mg, wg) = max_weight_matching_left_weights(&graph, &weights);
-            prop_assert!(mg.is_valid(&graph));
+            let (mg, wg) = max_weight_matching_left_weights(graph, &weights);
+            assert!(mg.is_valid(graph));
             let (_, wh) = max_weight_matching_dense(graph.n_left(), graph.n_right(), |l, r| {
                 graph.has_edge(l, r).then_some(weights[l])
             });
-            prop_assert!((wg - wh).abs() < 1e-9, "greedy {} vs hungarian {}", wg, wh);
-        }
+            assert!((wg - wh).abs() < 1e-9, "greedy {wg} vs hungarian {wh}");
+        });
+    }
 
-        /// Repeated Kuhn augmentation reaches the maximum cardinality:
-        /// the Hungarian reference's value at unit weights.
-        #[test]
-        fn kuhn_reaches_hungarian_cardinality(graph in arb_graph()) {
-            let (reference, kuhn) = cardinalities(&graph);
-            prop_assert_eq!(reference, kuhn);
-        }
+    /// Repeated Kuhn augmentation reaches the maximum cardinality:
+    /// the Hungarian reference's value at unit weights.
+    #[test]
+    fn kuhn_reaches_hungarian_cardinality() {
+        let draw = |seed| arb_graph(&mut XorShift::seeded(seed));
+        explore(0..64, draw, halve_left, |graph| {
+            let (reference, kuhn) = cardinalities(graph);
+            assert_eq!(reference, kuhn);
+        });
     }
 }

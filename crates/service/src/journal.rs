@@ -80,9 +80,10 @@
 //! payload, hash mismatch, or undecodable payload) as the torn tail:
 //! everything before it is the durable prefix, everything after is
 //! dropped and the file is truncated at the prefix on recovery
-//! ([`Tail::Torn`]). The root proptest round-trips arbitrary event
-//! streams through encode → truncate-at-every-byte → decode to pin this
-//! down. A checkpoint that does not unframe is skipped for the next
+//! ([`Tail::Torn`]). The root property
+//! `journal_frames_roundtrip_and_survive_truncation` pins this down on
+//! 64 seeded streams of arbitrary events: each is encoded, decoded
+//! whole, then cut at one seeded byte offset and decoded again. A checkpoint that does not unframe is skipped for the next
 //! older one — the journal covers the extra replay distance.
 //!
 //! Recovery decodes from the restored checkpoint's offset, so that is

@@ -5,8 +5,8 @@
 //! the draws, a corruption of the files it left), and one check runs it
 //! against serial `push`, which runs against `Simulation::run`. A failure
 //! names the seed, the case and the first divergent label, then shrinks
-//! by halving the stream. CI runs seeds `0..BUDGET` and
-//! `explorer_corpus.txt`, one regression seed per line.
+//! by halving the stream (`maps_testkit::explore`). CI runs seeds
+//! `0..BUDGET` and `explorer_corpus.txt`, one regression seed per line.
 
 use maps_core::StrategyKind;
 use maps_service::ingest::{chunk_bounds, period_events};
@@ -57,19 +57,10 @@ struct Case {
     fault: Option<Fault>,
 }
 
-/// Splitmix64's finalizer, so that neighbouring seeds draw unrelated
-/// cases.
-fn mix(seed: u64) -> XorShift {
-    let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    XorShift((z ^ (z >> 31)) | 1)
-}
-
 fn draw(seed: u64) -> Case {
     use InterleavePlan::*;
     use Workload::*;
-    let mut rng = mix(seed);
+    let mut rng = XorShift::seeded(seed);
     let mut pick = |n: usize| rng.below(n as u64) as usize;
     let workload = [Churn, Churn, Synthetic, Synthetic, Beijing, Swing][pick(6)];
     let periods = match workload {
@@ -122,7 +113,7 @@ struct World {
 }
 
 fn world(case: &Case) -> World {
-    let mut rng = mix(!case.seed);
+    let mut rng = XorShift::seeded(!case.seed);
     let (mut truth, epochs) = match case.workload {
         Workload::Churn => churn(&mut rng, case.periods, false),
         Workload::Swing => churn(&mut rng, case.periods, true),
@@ -357,7 +348,7 @@ fn session(
                 stream.extend_from_slice(&share(w, e, p)[from..]);
                 stream.push(ServiceEvent::PeriodTick);
             }
-            let (interleaver, rng) = (&interleaver, mix(case.seed ^ p as u64));
+            let (interleaver, rng) = (&interleaver, XorShift::seeded(case.seed ^ p as u64));
             scope.spawn(move || {
                 let sent = catch_unwind(AssertUnwindSafe(|| {
                     produce(&mut lane, &stream, rng, dies, |f| interleaver.step(p, f))
@@ -599,8 +590,9 @@ fn check_stack(w: &World) {
     session(w, &mut svc, served..n, &seqs, resent).expect("sequencing");
 }
 
-/// Whether the case passes; the panic hook prints what failed.
-fn passes(case: &Case) -> bool {
+/// Runs the case against serial push; the scratch directory goes
+/// whatever the outcome.
+fn check(case: &Case) {
     let checked = catch_unwind(AssertUnwindSafe(|| {
         let w = world(case);
         with_threads(case.threads, || {
@@ -609,45 +601,39 @@ fn passes(case: &Case) -> bool {
         });
     }));
     let _ = std::fs::remove_dir_all(scratch());
-    checked.is_ok()
+    if let Err(panic) = checked {
+        resume_unwind(panic);
+    }
 }
 
-/// Runs the case `seed` draws; on failure, halves its stream while it
-/// still fails, then panics with the seed and the drawn and shrunk cases
-/// (the first divergent label is in the panic messages above).
-fn explore(seed: u64) {
-    let case = draw(seed);
-    if passes(&case) {
-        return;
-    }
-    let mut small = case.clone();
-    while small.periods > 1 {
-        let mut half = small.clone();
+/// The case on the first half of its stream, its crash kept inside it;
+/// `None` once a single epoch is left.
+fn halve_periods(case: &Case) -> Option<Case> {
+    (case.periods > 1).then(|| {
+        let mut half = case.clone();
         half.periods /= 2;
         if let Some(fault) = &mut half.fault {
             fault.epoch = fault.epoch.min(half.periods as u32 - 1);
         }
-        if passes(&half) {
-            break;
-        }
-        small = half;
-    }
-    panic!("explorer seed {seed:#x} failed\n  drawn: {case:?}\n  shrunk: {small:?}");
+        half
+    })
 }
 
 #[test]
 fn seed_budget() {
-    (0..BUDGET).for_each(explore);
+    explore(0..BUDGET, draw, halve_periods, check);
 }
 
 #[test]
 fn seed_corpus() {
-    for line in include_str!("explorer_corpus.txt").lines() {
-        let seed = line.split('#').next().unwrap_or_default().trim();
-        if !seed.is_empty() {
-            explore(u64::from_str_radix(seed.trim_start_matches("0x"), 16).expect("a hex seed"));
-        }
-    }
+    let seeds = include_str!("explorer_corpus.txt")
+        .lines()
+        .filter_map(|line| {
+            let seed = line.split('#').next().unwrap_or_default().trim();
+            let hex = seed.trim_start_matches("0x");
+            (!seed.is_empty()).then(|| u64::from_str_radix(hex, 16).expect("a hex seed"))
+        });
+    explore(seeds, draw, halve_periods, check);
 }
 
 /// The budget's draws, enumerated without running them.

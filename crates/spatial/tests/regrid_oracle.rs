@@ -23,8 +23,7 @@
 //! `deterministic_bits` mismatch three crates up.
 
 use maps_spatial::{DynamicBucketIndex, GridSpec, Point, Rect};
-use maps_testkit::XorShift;
-use proptest::prelude::*;
+use maps_testkit::{explore, XorShift};
 
 const REGION: f64 = 100.0;
 
@@ -302,22 +301,32 @@ fn oscillating_across_a_band_edge_regrids_once() {
     assert_eq!(h.grid.nx(), 17, "√257 rounded up");
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+/// A drawn script: the harness seed, the initial grid side, then
+/// `(op, n)` steps.
+type Script = (u64, u32, Vec<(u8, usize)>);
 
-    /// Random scripts of bulk and one-at-a-time inserts, removes and
-    /// relocations — a failing script shrinks to a short one. The
-    /// initial grid is drawn too, so a script starts inside, above or
-    /// below its band.
-    #[test]
-    fn regrids_are_invisible_to_queries(
-        seed in 0u64..1_000_000,
-        initial_side in 1u32..40,
-        script in proptest::collection::vec((0u8..7, 1usize..300), 1..40),
-    ) {
-        let grid = GridSpec::square(Rect::square(REGION), initial_side);
-        let mut h = Harness::new(DynamicBucketIndex::new(grid), seed);
-        for (op, n) in script {
+/// Random scripts of bulk and one-at-a-time inserts, removes and
+/// relocations — a failing script is halved to a short one. The initial
+/// grid is drawn too, so a script starts inside, above or below its
+/// band.
+#[test]
+fn regrids_are_invisible_to_queries() {
+    let draw = |seed| -> Script {
+        let mut rng = XorShift::seeded(seed);
+        let (seed, initial_side) = (rng.below(1_000_000), 1 + rng.below(39) as u32);
+        let steps = 1 + rng.below(39);
+        let script = (0..steps)
+            .map(|_| (rng.below(7) as u8, 1 + rng.below(299) as usize))
+            .collect();
+        (seed, initial_side, script)
+    };
+    let halve = |(seed, side, script): &Script| {
+        (script.len() > 1).then(|| (*seed, *side, script[..script.len() / 2].to_vec()))
+    };
+    explore(0..48, draw, halve, |(seed, initial_side, script)| {
+        let grid = GridSpec::square(Rect::square(REGION), *initial_side);
+        let mut h = Harness::new(DynamicBucketIndex::new(grid), *seed);
+        for &(op, n) in script {
             match op {
                 0 => h.insert_each(n.min(12), 9),
                 1 | 2 => h.insert_bulk(n, 48),
@@ -332,11 +341,11 @@ proptest! {
                 _ => h.remove_strays(),
             }
         }
-        prop_assert!(
+        assert!(
             h.moved <= 2 * h.mutations,
             "regrids moved {} points over {} mutations",
             h.moved,
             h.mutations
         );
-    }
+    });
 }

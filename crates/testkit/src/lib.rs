@@ -18,12 +18,22 @@
 //!   baseline. A divergence is reported as the first differing word,
 //!   named by its label when the value is [`Labelled`].
 //!
-//! Beside them: the [`Interleaver`] that forces producer schedules and
-//! the seeded [`FaultPlan`] of crash and corruption points, which the
-//! service's seeded explorer draws from.
+//! Beside them, the workspace's one randomized-test loop and what its
+//! cases draw from:
 //!
-//! Used by `maps-core` (Monte-Carlo), `maps-experiments`
-//! (seed-parallel runner) and `maps-simulator` (whole-simulation runs).
+//! * [`explore`] — one `u64` seed draws a case, one check runs it, and
+//!   a failing case is halved while it still fails; the panic names the
+//!   seed, the drawn case and the shrunk one, so a failure is re-run by
+//!   its seed. [`XorShift::seeded`] turns a seed into a stream.
+//! * the [`Interleaver`] that forces producer schedules and the seeded
+//!   [`FaultPlan`] of crash and corruption points, which the service's
+//!   seeded explorer draws from.
+//!
+//! Used by `maps-core` (Monte-Carlo, the pricing-table property),
+//! `maps-matching` (the kernels against Kuhn–Munkres), `maps-spatial`
+//! (the regrid oracle), `maps-experiments` (seed-parallel runner),
+//! `maps-simulator` (whole-simulation runs), `maps-service` (the seeded
+//! explorer and the soaks) and the root package's `tests/properties.rs`.
 
 #![warn(missing_docs)]
 
@@ -39,6 +49,16 @@ pub const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 pub struct XorShift(pub u64);
 
 impl XorShift {
+    /// The stream a `seed` names: splitmix64's finalizer, so that
+    /// neighbouring seeds start unrelated streams, and `| 1`, so that no
+    /// seed starts at the all-zero fixed point.
+    pub fn seeded(seed: u64) -> Self {
+        let mut z = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        Self((z ^ (z >> 31)) | 1)
+    }
+
     /// Next raw value.
     pub fn next_u64(&mut self) -> u64 {
         self.0 ^= self.0 << 13;
@@ -55,6 +75,38 @@ impl XorShift {
     /// A draw from `0..n` (by remainder; `n > 0`).
     pub fn below(&mut self, n: u64) -> u64 {
         self.next_u64() % n
+    }
+}
+
+/// Runs `check` on the case `draw(seed)` for every seed. On a failure
+/// it replaces the case with `halve(case)` while the halved case still
+/// fails, then panics with the seed, the drawn case and the shrunk one.
+///
+/// A check fails by panicking — an `assert!` or any other `panic!` — and
+/// the panic hook prints each failing run's own message above the
+/// loop's. `halve` returns `None` when a case has nothing left to halve,
+/// so a case with no list in it reports its seed and itself.
+///
+/// # Panics
+/// On the first seed whose case fails `check`.
+pub fn explore<C: Clone + std::fmt::Debug>(
+    seeds: impl IntoIterator<Item = u64>,
+    draw: impl Fn(u64) -> C,
+    halve: impl Fn(&C) -> Option<C>,
+    check: impl Fn(&C),
+) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let fails = |case: &C| catch_unwind(AssertUnwindSafe(|| check(case))).is_err();
+    for seed in seeds {
+        let case = draw(seed);
+        if !fails(&case) {
+            continue;
+        }
+        let mut small = case.clone();
+        while let Some(half) = halve(&small).filter(|half| fails(half)) {
+            small = half;
+        }
+        panic!("seed {seed:#x} failed\n  drawn: {case:?}\n  shrunk: {small:?}");
     }
 }
 
@@ -359,7 +411,7 @@ impl Interleaver {
                 turn: 0,
                 finished: vec![false; producers],
                 rngs: (0..producers)
-                    .map(|i| XorShift(seed.wrapping_mul(0x9E3779B97F4A7C15) ^ (i as u64 + 1)))
+                    .map(|i| XorShift::seeded(seed.wrapping_add(i as u64)))
                     .collect(),
             }),
             cv: std::sync::Condvar::new(),
@@ -740,6 +792,135 @@ mod tests {
             }
             assert!(f.corruption.is_none_or(|c| c.file < 3));
         }
+    }
+
+    #[test]
+    fn a_stream_never_starts_at_zero() {
+        // `0xf1de83e19937733d` is the inverse of the golden-ratio
+        // multiplier: an unmixed `seed · C ^ 1` would be zero here.
+        for plan in [
+            InterleavePlan::Staggered(0xf1de_83e1_9937_733d),
+            InterleavePlan::Stutter(0xf1de_83e1_9937_733d),
+        ] {
+            let interleaver = Interleaver::new(2, plan);
+            let mut state = interleaver.state.lock().unwrap();
+            assert_ne!(state.rngs[0].next_u64(), 0, "{plan:?}");
+        }
+    }
+
+    /// Halves a list: its first half, while it has two entries or more.
+    #[expect(
+        clippy::ptr_arg,
+        reason = "`explore` hands `halve` a `&C`, here `&Vec<u64>`"
+    )]
+    fn halve_list(list: &Vec<u64>) -> Option<Vec<u64>> {
+        (list.len() > 1).then(|| list[..list.len() / 2].to_vec())
+    }
+
+    /// The message [`explore`] panics with, or `None` when every case
+    /// passes.
+    fn explore_message<C: Clone + std::fmt::Debug>(
+        seeds: std::ops::Range<u64>,
+        draw: impl Fn(u64) -> C,
+        halve: impl Fn(&C) -> Option<C>,
+        check: impl Fn(&C),
+    ) -> Option<String> {
+        let run = std::panic::AssertUnwindSafe(|| explore(seeds, draw, halve, check));
+        let payload = std::panic::catch_unwind(run).err()?;
+        Some(*payload.downcast::<String>().expect("a formatted message"))
+    }
+
+    #[test]
+    fn a_seed_redraws_its_case() {
+        let draw = |seed: u64| {
+            let mut rng = XorShift::seeded(seed);
+            (0..rng.below(9))
+                .map(|_| rng.next_u64())
+                .collect::<Vec<_>>()
+        };
+        let seen = || {
+            let cases = std::cell::RefCell::new(Vec::new());
+            explore(0..16, draw, halve_list, |case| {
+                cases.borrow_mut().push(case.clone())
+            });
+            cases.into_inner()
+        };
+        assert_eq!(seen(), seen());
+        assert_eq!(seen(), (0..16).map(draw).collect::<Vec<_>>());
+        let failing = || explore_message(0..16, draw, halve_list, |case| assert!(case.len() < 5));
+        assert_eq!(failing(), failing());
+    }
+
+    #[test]
+    fn a_failure_names_its_seed_and_both_cases() {
+        let message = explore_message(
+            0..10,
+            |seed| vec![seed; seed as usize],
+            halve_list,
+            |case| assert!(case.len() < 7, "too long"),
+        );
+        let message = message.expect("seed 7 fails");
+        assert!(message.starts_with("seed 0x7 failed"), "{message}");
+        assert!(
+            message.contains("drawn: [7, 7, 7, 7, 7, 7, 7]"),
+            "{message}"
+        );
+        // Its half, three long, passes: the shrunk case is the drawn one.
+        assert!(
+            message.contains("shrunk: [7, 7, 7, 7, 7, 7, 7]"),
+            "{message}"
+        );
+        assert_eq!(
+            explore_message(0..7, |s| vec![s; s as usize], halve_list, |_| ()),
+            None
+        );
+    }
+
+    #[test]
+    fn halving_stops_at_the_smallest_failing_case() {
+        // 96 → 48 → 24 → 12 → 6 fail; 3 passes.
+        let message = explore_message(
+            0..1,
+            |_| (0..96).collect::<Vec<u64>>(),
+            halve_list,
+            |case| assert!(case.len() <= 5),
+        );
+        let message = message.expect("the drawn case fails");
+        assert!(message.ends_with("shrunk: [0, 1, 2, 3, 4, 5]"), "{message}");
+    }
+
+    #[test]
+    fn a_panic_in_check_is_caught_and_shrunk() {
+        let message = explore_message(
+            0..1,
+            |_| vec![1u64; 40],
+            halve_list,
+            |case| {
+                if case.len() > 5 {
+                    panic!("boom at {}", case.len());
+                }
+            },
+        );
+        let message = message.expect("the drawn case panics");
+        assert!(
+            message.ends_with("shrunk: [1, 1, 1, 1, 1, 1, 1, 1, 1, 1]"),
+            "{message}"
+        );
+    }
+
+    #[test]
+    fn a_case_with_nothing_to_halve_is_its_own_shrink() {
+        let message = explore_message(
+            0..100,
+            |seed| (seed, seed * 3),
+            |_| None,
+            |&(seed, _)| assert!(seed < 42),
+        );
+        let message = message.expect("seed 42 fails");
+        assert_eq!(
+            message,
+            "seed 0x2a failed\n  drawn: (42, 126)\n  shrunk: (42, 126)"
+        );
     }
 
     #[test]

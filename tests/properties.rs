@@ -1,14 +1,15 @@
-//! Cross-crate property-based tests (proptest): the paper's structural
-//! invariants and ROADMAP's Standing invariants, on randomized instances.
+//! Cross-crate properties: the paper's structural invariants and
+//! ROADMAP's Standing invariants, on seeded random instances.
 //!
-//! Since PR 2 the vendored proptest **shrinks** failures: a failing
-//! invariant here is re-reported as a minimal case (binary-searched
-//! scalars, length/element-minimized vectors) instead of whatever
-//! large instance the generator first hit.
+//! Each property runs [`maps_testkit::explore`] over seeds `0..64`: a
+//! seed draws a case, the check asserts the invariant, and a failing
+//! case that holds a list (a graph's left side, a churn script's
+//! periods, a journal's records) is halved while it still fails. The
+//! panic names the seed, the drawn case and the shrunk one.
 
 use maps::prelude::*;
 use maps::service::ServiceEvent;
-use proptest::prelude::*;
+use maps_testkit::{explore, XorShift};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// `graph`'s rows as the ids they name, each in stored order; `id_of`
@@ -50,122 +51,180 @@ fn canon_cache(cache: &PeriodGraphCache, graph: &BipartiteGraph, out: &mut Vec<u
     canon_by_id(&rows, Some(right), out);
 }
 
-/// Strategy generating a random bipartite graph with ≤ 10×10 vertices.
-fn arb_graph() -> impl Strategy<Value = BipartiteGraph> {
-    (1usize..10, 1usize..10).prop_flat_map(|(n_left, n_right)| {
-        proptest::collection::vec(proptest::bool::weighted(0.3), n_left * n_right).prop_map(
-            move |mask| {
-                let mut b = BipartiteGraphBuilder::new(n_left, n_right);
-                for l in 0..n_left {
-                    for r in 0..n_right {
-                        if mask[l * n_right + r] {
-                            b.add_edge(l, r);
-                        }
-                    }
-                }
-                b.build()
-            },
-        )
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Possible-world probabilities always form a distribution and the
-    /// Monte-Carlo estimator agrees with exact enumeration.
-    #[test]
-    fn possible_worlds_are_a_distribution(
-        graph in arb_graph(),
-        probs_raw in proptest::collection::vec(0.0f64..=1.0, 10),
-        seed in 0u64..100,
-    ) {
-        let n = graph.n_left();
-        let probs: Vec<f64> = probs_raw.iter().take(n).copied().collect();
-        prop_assume!(probs.len() == n);
-        let weights: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let pw = PossibleWorlds::new(&graph, &weights, &probs);
-        let total: f64 = pw.worlds().map(|w| w.probability).sum();
-        prop_assert!((total - 1.0).abs() < 1e-9);
-        let exact = pw.expected_revenue();
-        let mc = monte_carlo_expected_revenue(&graph, &weights, &probs, 4000, seed);
-        // MC error scales with total weight; keep a generous band.
-        let band = 0.1 * weights.iter().sum::<f64>().max(1.0);
-        prop_assert!((mc - exact).abs() < band, "mc {} exact {}", mc, exact);
-    }
-
-    /// Every strategy posts prices within [p_min, p_max] on random worlds.
-    #[test]
-    fn prices_stay_in_window(seed in 0u64..50, workers in 5usize..60, tasks in 5usize..120) {
-        let world = SyntheticConfig::paper_default()
-            .with_num_workers(workers)
-            .with_num_tasks(tasks)
-            .with_periods(8)
-            .with_grid_side(4)
-            .build(seed);
-        let grid = world.grid;
-        for kind in StrategyKind::ALL {
-            // Reach inside one period manually to inspect the schedule.
-            let mut strategy: Box<dyn PricingStrategy> = match kind {
-                StrategyKind::Maps => Box::new(MapsStrategy::paper_default(grid.num_cells())),
-                StrategyKind::BaseP => Box::new(BasePStrategy::paper_default(grid.num_cells())),
-                StrategyKind::Sdr => Box::new(SdrStrategy::paper_default(grid.num_cells())),
-                StrategyKind::Sde => Box::new(SdeStrategy::paper_default(grid.num_cells())),
-                StrategyKind::CappedUcb => {
-                    Box::new(CappedUcbStrategy::paper_default(grid.num_cells()))
-                }
-            };
-            let tasks: Vec<TaskInput> = world.periods[0]
-                .tasks
-                .iter()
-                .map(|t| TaskInput { origin: t.origin, distance: t.distance, cell: t.cell })
-                .collect();
-            let workers: Vec<WorkerInput> = world.periods[0]
-                .workers
-                .iter()
-                .map(|w| WorkerInput::new(&grid, w.location, w.radius))
-                .collect();
-            let graph = build_period_graph(&tasks, &workers);
-            let schedule = strategy.price_period(&PeriodInput {
-                grid: &grid,
-                tasks: &tasks,
-                workers: &workers,
-                graph: &graph,
-            });
-            for &p in &schedule.prices {
-                prop_assert!((1.0..=5.0).contains(&p), "{}: price {}", kind, p);
+/// A random bipartite graph of 1–9 vertices a side, each edge present
+/// with probability 0.3.
+fn arb_graph(rng: &mut XorShift) -> BipartiteGraph {
+    let (n_left, n_right) = (1 + rng.below(9) as usize, 1 + rng.below(9) as usize);
+    let mut b = BipartiteGraphBuilder::new(n_left, n_right);
+    for l in 0..n_left {
+        for r in 0..n_right {
+            if rng.next_f64() < 0.3 {
+                b.add_edge(l, r);
             }
         }
     }
+    b.build()
+}
 
-    /// Simulator conservation: matched ≤ accepted ≤ issued, and with the
-    /// Consume policy matched ≤ |W|.
-    #[test]
-    fn simulation_conservation(seed in 0u64..30) {
-        let mut cfg = SyntheticConfig::paper_default()
-            .with_num_workers(40)
-            .with_num_tasks(200)
-            .with_periods(10)
-            .with_grid_side(4);
-        cfg.match_policy = MatchPolicy::Consume;
-        let world = cfg.build(seed);
-        let outcome = Simulation::new(world, StrategyKind::Maps)
-            .with_options(SimOptions { calibrate: false, ..SimOptions::default() })
-            .run();
-        prop_assert!(outcome.is_consistent());
-        prop_assert!(outcome.matched_tasks <= 40);
-    }
+/// `graph` on the first half of its left side; `None` at one vertex.
+fn halve_left(graph: &BipartiteGraph) -> Option<BipartiteGraph> {
+    let n = graph.n_left();
+    let keep: Vec<bool> = (0..n).map(|l| l < n / 2).collect();
+    (n > 1).then(|| graph.filter_left(&keep).0)
+}
 
-    /// The Algorithm-3 maximizer never exceeds the exact L value taken at
-    /// its own choice, and L is monotone in supply (after lookahead this
-    /// is what Δ ≥ 0 rests on).
-    #[test]
-    fn lfunction_maximizer_consistency(
-        dists in proptest::collection::vec(0.1f64..10.0, 1..12),
-        s_hats in proptest::collection::vec(0.0f64..=1.0, 4),
-        n in 0usize..14,
-    ) {
-        let lf = LFunction::new(dists);
+/// The first half of `list`, while it has two entries or more.
+fn halve_list<T: Clone>(list: &[T]) -> Option<Vec<T>> {
+    (list.len() > 1).then(|| list[..list.len() / 2].to_vec())
+}
+
+/// A draw from `lo..hi`.
+fn uniform(rng: &mut XorShift, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * rng.next_f64()
+}
+
+/// The seeds every property runs.
+const CASES: std::ops::Range<u64> = 0..64;
+
+/// Possible-world probabilities always form a distribution and the
+/// Monte-Carlo estimator agrees with exact enumeration.
+#[test]
+fn possible_worlds_are_a_distribution() {
+    // (graph, ten acceptance probabilities, Monte-Carlo seed)
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        let graph = arb_graph(&mut rng);
+        let probs_raw: Vec<f64> = (0..10).map(|_| rng.next_f64()).collect();
+        (graph, probs_raw, rng.below(100))
+    };
+    let halve = |(graph, probs_raw, seed): &(BipartiteGraph, Vec<f64>, u64)| {
+        Some((halve_left(graph)?, probs_raw.clone(), *seed))
+    };
+    explore(CASES, draw, halve, |(graph, probs_raw, seed)| {
+        // At most 9 left vertices, so every one has its probability.
+        let n = graph.n_left();
+        let probs = &probs_raw[..n];
+        let weights: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+        let pw = PossibleWorlds::new(graph, &weights, probs);
+        let total: f64 = pw.worlds().map(|w| w.probability).sum();
+        assert!((total - 1.0).abs() < 1e-9);
+        let exact = pw.expected_revenue();
+        let mc = monte_carlo_expected_revenue(graph, &weights, probs, 4000, *seed);
+        // MC error scales with total weight; keep a generous band.
+        let band = 0.1 * weights.iter().sum::<f64>().max(1.0);
+        assert!((mc - exact).abs() < band, "mc {mc} exact {exact}");
+    });
+}
+
+/// Every strategy posts prices within [p_min, p_max] on random worlds.
+#[test]
+fn prices_stay_in_window() {
+    // (world seed, workers, tasks)
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        let world_seed = rng.below(50);
+        let workers = 5 + rng.below(55) as usize;
+        (world_seed, workers, 5 + rng.below(115) as usize)
+    };
+    explore(
+        CASES,
+        draw,
+        |_| None,
+        |&(seed, workers, tasks)| {
+            let world = SyntheticConfig::paper_default()
+                .with_num_workers(workers)
+                .with_num_tasks(tasks)
+                .with_periods(8)
+                .with_grid_side(4)
+                .build(seed);
+            let grid = world.grid;
+            for kind in StrategyKind::ALL {
+                // Reach inside one period manually to inspect the schedule.
+                let mut strategy: Box<dyn PricingStrategy> = match kind {
+                    StrategyKind::Maps => Box::new(MapsStrategy::paper_default(grid.num_cells())),
+                    StrategyKind::BaseP => Box::new(BasePStrategy::paper_default(grid.num_cells())),
+                    StrategyKind::Sdr => Box::new(SdrStrategy::paper_default(grid.num_cells())),
+                    StrategyKind::Sde => Box::new(SdeStrategy::paper_default(grid.num_cells())),
+                    StrategyKind::CappedUcb => {
+                        Box::new(CappedUcbStrategy::paper_default(grid.num_cells()))
+                    }
+                };
+                let tasks: Vec<TaskInput> = world.periods[0]
+                    .tasks
+                    .iter()
+                    .map(|t| TaskInput {
+                        origin: t.origin,
+                        distance: t.distance,
+                        cell: t.cell,
+                    })
+                    .collect();
+                let workers: Vec<WorkerInput> = world.periods[0]
+                    .workers
+                    .iter()
+                    .map(|w| WorkerInput::new(&grid, w.location, w.radius))
+                    .collect();
+                let graph = build_period_graph(&tasks, &workers);
+                let schedule = strategy.price_period(&PeriodInput {
+                    grid: &grid,
+                    tasks: &tasks,
+                    workers: &workers,
+                    graph: &graph,
+                });
+                for &p in &schedule.prices {
+                    assert!((1.0..=5.0).contains(&p), "{kind}: price {p}");
+                }
+            }
+        },
+    );
+}
+
+/// Simulator conservation: matched ≤ accepted ≤ issued, and with the
+/// Consume policy matched ≤ |W|.
+#[test]
+fn simulation_conservation() {
+    let draw = |seed| XorShift::seeded(seed).below(30);
+    explore(
+        CASES,
+        draw,
+        |_| None,
+        |&seed| {
+            let mut cfg = SyntheticConfig::paper_default()
+                .with_num_workers(40)
+                .with_num_tasks(200)
+                .with_periods(10)
+                .with_grid_side(4);
+            cfg.match_policy = MatchPolicy::Consume;
+            let world = cfg.build(seed);
+            let outcome = Simulation::new(world, StrategyKind::Maps)
+                .with_options(SimOptions {
+                    calibrate: false,
+                    ..SimOptions::default()
+                })
+                .run();
+            assert!(outcome.is_consistent());
+            assert!(outcome.matched_tasks <= 40);
+        },
+    );
+}
+
+/// The Algorithm-3 maximizer never exceeds the exact L value taken at
+/// its own choice, and L is monotone in supply (after lookahead this
+/// is what Δ ≥ 0 rests on).
+#[test]
+fn lfunction_maximizer_consistency() {
+    // (1–11 distances, four acceptance ratios, supply)
+    type Case = (Vec<f64>, Vec<f64>, usize);
+    let draw = |seed| -> Case {
+        let mut rng = XorShift::seeded(seed);
+        let len = 1 + rng.below(11);
+        let dists = (0..len).map(|_| uniform(&mut rng, 0.1, 10.0)).collect();
+        let s_hats = (0..4).map(|_| rng.next_f64()).collect();
+        (dists, s_hats, rng.below(14) as usize)
+    };
+    let halve = |(dists, s_hats, n): &Case| Some((halve_list(dists)?, s_hats.clone(), *n));
+    explore(CASES, draw, halve, |(dists, s_hats, n)| {
+        let n = *n;
+        let lf = LFunction::new(dists.clone());
         let ladder = PriceLadder::paper_default();
         let mut stats = UcbStats::new(ladder.len());
         for (idx, s) in s_hats.iter().enumerate() {
@@ -174,168 +233,215 @@ proptest! {
         if let Some(m) = lf.maximize(n, &stats, &ladder, false) {
             // l_hat equals the true L at the chosen price and supply.
             let expect = lf.value(n, m.price, stats.s_hat(m.price_idx));
-            prop_assert!((m.l_hat - expect).abs() < 1e-9);
+            assert!((m.l_hat - expect).abs() < 1e-9);
             // And no other rung has a larger plain-mean L (no-UCB mode
             // maximizes exactly this).
             for (idx, p) in ladder.ascending() {
                 let v = lf.value(n, p, stats.s_hat(idx));
-                prop_assert!(v <= m.l_hat + 1e-9, "rung {} beats maximizer", p);
+                assert!(v <= m.l_hat + 1e-9, "rung {p} beats maximizer");
             }
         }
         // Monotone in n for every rung.
         for (idx, p) in ladder.ascending() {
             let s = stats.s_hat(idx);
-            prop_assert!(lf.value(n, p, s) <= lf.value(n + 1, p, s) + 1e-12);
+            assert!(lf.value(n, p, s) <= lf.value(n + 1, p, s) + 1e-12);
         }
-    }
+    });
+}
 
-    /// PR-3 oracle: the incremental `PeriodGraphCache` replayed over a
-    /// random arrival/departure/relocation churn script keeps the edge
-    /// set of the scan builders (Definition 5(ii), no index) on the live
-    /// workers in ascending id, every period — `apply`, then the capped
-    /// build on odd periods and the complete one on even periods — under
-    /// the 1/2/3/8-thread `assert_deterministic` harness: per task the
-    /// ids of its row, in order, bit for bit, and a right side of
-    /// exactly the distinct ids the rows name, ascending. A relocation is written the way
-    /// the lifecycle table performs it: the same id in the departures
-    /// and the arrivals of one `apply`. Scripts start with 1–200 workers
-    /// and include out-of-region relocations (the clamped-bucket path);
-    /// a third of the periods surge the live set 16× or thin it to a
-    /// sixteenth, so the cache's spatial index regrids mid-script under
-    /// an oracle that has no grid at all. Half the
-    /// scripts (odd seeds) draw every worker's radius from three values (zero among
-    /// them) instead of a continuum: the capped query's per-worker range
-    /// check — read from the index lane, against a query radius many
-    /// workers tie for — then rejects most candidates, and the
-    /// max-radius tracker's tie count is what decides a rescan.
-    #[test]
-    fn incremental_graph_matches_scratch_rebuild(
-        seed in 0u64..10_000,
-        initial in 1usize..=200,
-        periods in 1usize..=6,
-        k in 1usize..=24,
-    ) {
-        let three_radii = seed % 2 == 1;
-        let grid = GridSpec::square(Rect::square(100.0), 5);
-        // Replays the whole script from scratch on each invocation, so
-        // the thread-sweep harness sees a pure function.
-        let replay = || {
-            let mut s = seed.wrapping_mul(0x9E3779B97F4A7C15) | 1;
-            let mut next = move || {
-                s ^= s << 13;
-                s ^= s >> 7;
-                s ^= s << 17;
-                s
-            };
-            let point = |next: &mut dyn FnMut() -> u64| {
-                // ~6% of points land outside the region.
-                let scale = if next().is_multiple_of(16) { 120.0 } else { 100.0 };
-                Point::new(
-                    (next() % 10_000) as f64 / 10_000.0 * scale - 5.0,
-                    (next() % 10_000) as f64 / 10_000.0 * scale - 5.0,
-                )
-            };
-            let mut cache = PeriodGraphCache::new(&grid);
-            let mut live: Vec<(u32, WorkerInput)> = Vec::new(); // ascending id
-            // The slot `apply` handed each live worker, as the
-            // lifecycle's records keep it.
-            let mut slots: BTreeMap<u32, u32> = BTreeMap::new();
-            let mut next_id = 0u32;
-            let mut incremental_bits = Vec::new();
-            let mut scratch_bits = Vec::new();
-            for period in 0..periods {
-                let mut departures = Vec::new();
-                // 0 = surge, 1 = collapse, otherwise ordinary churn.
-                let swing = if period > 0 { next() % 6 } else { 2 };
-                if period > 0 {
-                    live.retain(|&(id, _)| {
-                        let stays = if swing == 1 { next() % 16 == 0 } else { next() % 5 != 0 };
-                        if !stays {
-                            departures.push(id);
-                        }
-                        stays
-                    });
-                }
-                let mut arrivals = Vec::new();
-                for entry in live.iter_mut() {
-                    if next() % 6 == 0 {
-                        let to = point(&mut next);
-                        entry.1.location = to;
-                        entry.1.cell = grid.cell_of(to);
-                        departures.push(entry.0);
-                        arrivals.push(*entry);
-                    }
-                }
-                let n_arrivals = match (period, swing) {
-                    (0, _) => initial as u64,
-                    (_, 0) => (16 * live.len() as u64 + 17).min(4_000),
-                    _ => next() % 20,
-                };
-                for _ in 0..n_arrivals {
-                    let location = point(&mut next);
-                    let radius = if three_radii {
-                        [0.0, 4.5, 19.0][(next() % 3) as usize]
+/// A churn script: its seed, the initial workers, the periods and the
+/// edge cap `k`.
+#[derive(Debug, Clone)]
+struct Churn {
+    seed: u64,
+    initial: usize,
+    periods: usize,
+    k: usize,
+}
+
+/// The churn oracle: the incremental `PeriodGraphCache` replayed over a
+/// random arrival/departure/relocation churn script keeps the edge
+/// set of the scan builders (Definition 5(ii), no index) on the live
+/// workers in ascending id, every period — `apply`, then the capped
+/// build on odd periods and the complete one on even periods — under
+/// the 1/2/3/8-thread `assert_deterministic` harness: per task the
+/// ids of its row, in order, bit for bit, and a right side of
+/// exactly the distinct ids the rows name, ascending. A relocation is
+/// written the way the lifecycle table performs it: the same id in the
+/// departures and the arrivals of one `apply`. Scripts start with
+/// 1–200 workers and include out-of-region relocations (the
+/// clamped-bucket path); a third of the periods surge the live set 16×
+/// or thin it to a sixteenth, so the cache's spatial index regrids
+/// mid-script under an oracle that has no grid at all. Half the
+/// scripts (odd seeds) draw every worker's radius from three values
+/// (zero among them) instead of a continuum: the capped query's
+/// per-worker range check — read from the index lane, against a query
+/// radius many workers tie for — then rejects most candidates, and the
+/// max-radius tracker's tie count is what decides a rescan. A failing
+/// script is halved to its first periods.
+#[test]
+fn incremental_graph_matches_scratch_rebuild() {
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        Churn {
+            seed: rng.below(10_000),
+            initial: 1 + rng.below(200) as usize,
+            periods: 1 + rng.below(6) as usize,
+            k: 1 + rng.below(24) as usize,
+        }
+    };
+    let halve = |case: &Churn| {
+        (case.periods > 1).then_some(Churn {
+            periods: case.periods / 2,
+            ..*case
+        })
+    };
+    explore(
+        CASES,
+        draw,
+        halve,
+        |&Churn {
+             seed,
+             initial,
+             periods,
+             k,
+         }| {
+            let three_radii = seed % 2 == 1;
+            let grid = GridSpec::square(Rect::square(100.0), 5);
+            // Replays the whole script from scratch on each invocation, so
+            // the thread-sweep harness sees a pure function.
+            let replay = || {
+                let mut rng = XorShift::seeded(seed);
+                let point = |rng: &mut XorShift| {
+                    // ~6% of points land outside the region.
+                    let scale = if rng.next_u64().is_multiple_of(16) {
+                        120.0
                     } else {
-                        (next() % 2_000) as f64 / 100.0
+                        100.0
                     };
-                    let fresh = (next_id, WorkerInput::new(&grid, location, radius));
-                    next_id += 1;
-                    live.push(fresh);
-                    arrivals.push(fresh);
-                }
-                let tasks: Vec<TaskInput> = (0..next() % 20)
-                    .map(|_| {
-                        let origin = point(&mut next);
-                        let distance = 0.5 + (next() % 300) as f64 / 100.0;
-                        TaskInput::new(&grid, origin, distance)
-                    })
-                    .collect();
-                let departing: Vec<(u32, u32)> =
-                    departures.iter().map(|&id| (id, slots.remove(&id).unwrap())).collect();
-                let handed = cache.apply(&arrivals, &departing);
-                slots.extend(arrivals.iter().map(|a| a.0).zip(handed.iter().copied()));
-                let ids: Vec<u32> = live.iter().map(|&(id, _)| id).collect();
-                let workers: Vec<WorkerInput> = live.iter().map(|&(_, w)| w).collect();
-                let (incremental, scratch) = if period % 2 == 1 {
-                    (
-                        cache.build_graph_capped(&tasks, k),
-                        build_period_graph_capped(&tasks, &workers, k),
-                    )
-                } else {
-                    (
-                        cache.build_graph_capped(&tasks, usize::MAX),
-                        build_period_graph(&tasks, &workers),
+                    Point::new(
+                        rng.below(10_000) as f64 / 10_000.0 * scale - 5.0,
+                        rng.below(10_000) as f64 / 10_000.0 * scale - 5.0,
                     )
                 };
-                canon_cache(&cache, &incremental, &mut incremental_bits);
-                canon_by_id(&rows_by_id(&scratch, |r| ids[r]), None, &mut scratch_bits);
-            }
-            (incremental_bits, scratch_bits)
-        };
-        let (incremental, scratch) = maps_testkit::assert_deterministic(replay);
-        prop_assert_eq!(incremental, scratch, "incremental build diverged from the oracle");
-    }
+                let mut cache = PeriodGraphCache::new(&grid);
+                let mut live: Vec<(u32, WorkerInput)> = Vec::new(); // ascending id
+                                                                    // The slot `apply` handed each live worker, as the
+                                                                    // lifecycle's records keep it.
+                let mut slots: BTreeMap<u32, u32> = BTreeMap::new();
+                let mut next_id = 0u32;
+                let mut incremental_bits = Vec::new();
+                let mut scratch_bits = Vec::new();
+                for period in 0..periods {
+                    let mut departures = Vec::new();
+                    // 0 = surge, 1 = collapse, otherwise ordinary churn.
+                    let swing = if period > 0 { rng.below(6) } else { 2 };
+                    if period > 0 {
+                        live.retain(|&(id, _)| {
+                            let stays = if swing == 1 {
+                                rng.below(16) == 0
+                            } else {
+                                rng.below(5) != 0
+                            };
+                            if !stays {
+                                departures.push(id);
+                            }
+                            stays
+                        });
+                    }
+                    let mut arrivals = Vec::new();
+                    for entry in live.iter_mut() {
+                        if rng.below(6) == 0 {
+                            let to = point(&mut rng);
+                            entry.1.location = to;
+                            entry.1.cell = grid.cell_of(to);
+                            departures.push(entry.0);
+                            arrivals.push(*entry);
+                        }
+                    }
+                    let n_arrivals = match (period, swing) {
+                        (0, _) => initial as u64,
+                        (_, 0) => (16 * live.len() as u64 + 17).min(4_000),
+                        _ => rng.below(20),
+                    };
+                    for _ in 0..n_arrivals {
+                        let location = point(&mut rng);
+                        let radius = if three_radii {
+                            [0.0, 4.5, 19.0][rng.below(3) as usize]
+                        } else {
+                            rng.below(2_000) as f64 / 100.0
+                        };
+                        let fresh = (next_id, WorkerInput::new(&grid, location, radius));
+                        next_id += 1;
+                        live.push(fresh);
+                        arrivals.push(fresh);
+                    }
+                    let tasks: Vec<TaskInput> = (0..rng.below(20))
+                        .map(|_| {
+                            let origin = point(&mut rng);
+                            let distance = 0.5 + rng.below(300) as f64 / 100.0;
+                            TaskInput::new(&grid, origin, distance)
+                        })
+                        .collect();
+                    let departing: Vec<(u32, u32)> = departures
+                        .iter()
+                        .map(|&id| (id, slots.remove(&id).unwrap()))
+                        .collect();
+                    let handed = cache.apply(&arrivals, &departing);
+                    slots.extend(arrivals.iter().map(|a| a.0).zip(handed.iter().copied()));
+                    let ids: Vec<u32> = live.iter().map(|&(id, _)| id).collect();
+                    let workers: Vec<WorkerInput> = live.iter().map(|&(_, w)| w).collect();
+                    let (incremental, scratch) = if period % 2 == 1 {
+                        (
+                            cache.build_graph_capped(&tasks, k),
+                            build_period_graph_capped(&tasks, &workers, k),
+                        )
+                    } else {
+                        (
+                            cache.build_graph_capped(&tasks, usize::MAX),
+                            build_period_graph(&tasks, &workers),
+                        )
+                    };
+                    canon_cache(&cache, &incremental, &mut incremental_bits);
+                    canon_by_id(&rows_by_id(&scratch, |r| ids[r]), None, &mut scratch_bits);
+                }
+                (incremental_bits, scratch_bits)
+            };
+            let (incremental, scratch) = maps_testkit::assert_deterministic(replay);
+            assert_eq!(
+                incremental, scratch,
+                "incremental build diverged from the oracle"
+            );
+        },
+    );
+}
 
-    /// PR-6 oracle: the write-ahead journal's frame encoding is a
-    /// bijection on arbitrary record streams — producers (including the
-    /// tick pseudo-producer), epochs, sequence numbers, and every event
-    /// kind with *arbitrary-bit-pattern* float payloads (NaN, ±∞,
-    /// subnormals: invalid events are journaled before admission
-    /// validation, so they must round-trip bit-exactly) — and decoding
-    /// any truncation of the byte stream yields exactly the
-    /// fully-framed prefix with the tail correctly classified as
-    /// `Clean` (cut on a frame boundary) or `Torn` at the boundary.
-    /// Failures shrink to a minimal record list.
-    #[test]
-    fn journal_frames_roundtrip_and_survive_truncation(
-        raw in proptest::collection::vec(
-            (0u64..4, 0u64..u64::MAX, 0u64..u64::MAX, 0u64..u64::MAX),
-            0usize..32,
-        ),
-        cut_seed in 0u64..u64::MAX,
-    ) {
-        use maps::service::journal::{decode_records, encode_record};
-        use maps::service::{JournalRecord, Tail, TICK_PRODUCER};
+/// The journal oracle: the write-ahead journal's frame encoding is a
+/// bijection on arbitrary record streams — producers (including the
+/// tick pseudo-producer), epochs, sequence numbers, and every event
+/// kind with *arbitrary-bit-pattern* float payloads (NaN, ±∞,
+/// subnormals: invalid events are journaled before admission
+/// validation, so they must round-trip bit-exactly) — and decoding the
+/// byte stream cut at one seeded offset per case yields exactly the
+/// fully-framed prefix with the tail correctly classified as `Clean`
+/// (cut on a frame boundary) or `Torn` at the boundary. Failures are
+/// halved to a short record list.
+#[test]
+fn journal_frames_roundtrip_and_survive_truncation() {
+    use maps::service::journal::{decode_records, encode_record};
+    use maps::service::{JournalRecord, Tail, TICK_PRODUCER};
+    // (0–31 raw records `(kind, a, b, c)`, the cut's seed)
+    type Case = (Vec<(u64, u64, u64, u64)>, u64);
+    let draw = |seed| -> Case {
+        let mut rng = XorShift::seeded(seed);
+        let len = rng.below(32);
+        let raw = (0..len)
+            .map(|_| (rng.below(4), rng.next_u64(), rng.next_u64(), rng.next_u64()))
+            .collect();
+        (raw, rng.next_u64())
+    };
+    let halve = |(raw, cut_seed): &Case| Some((halve_list(raw)?, *cut_seed));
+    explore(CASES, draw, halve, |(raw, cut_seed)| {
         let records: Vec<JournalRecord> = raw
             .iter()
             .enumerate()
@@ -364,7 +470,11 @@ proptest! {
                     _ => ServiceEvent::PeriodTick,
                 };
                 JournalRecord {
-                    producer: if kind == 3 { TICK_PRODUCER } else { (a % 5) as u32 },
+                    producer: if kind == 3 {
+                        TICK_PRODUCER
+                    } else {
+                        (a % 5) as u32
+                    },
                     epoch: b % 1_000,
                     seq: i as u64,
                     event,
@@ -389,70 +499,95 @@ proptest! {
         // are fixed-width, so byte equality is record equality, NaN
         // payloads included).
         let (decoded, tail) = decode_records(&buf);
-        prop_assert_eq!(tail, Tail::Clean);
-        prop_assert_eq!(decoded.len(), records.len());
-        prop_assert_eq!(&encode_all(&decoded), &buf, "decode is not the inverse of encode");
-        // Any truncation: exactly the fully-framed prefix survives.
+        assert_eq!(tail, Tail::Clean);
+        assert_eq!(decoded.len(), records.len());
+        assert_eq!(
+            encode_all(&decoded),
+            buf,
+            "decode is not the inverse of encode"
+        );
+        // A seeded cut: exactly the fully-framed prefix survives.
         if !buf.is_empty() {
-            let cut = (cut_seed as usize) % buf.len();
+            let cut = (*cut_seed as usize) % buf.len();
             let full = boundaries.iter().filter(|&&b| b <= cut).count() - 1;
             let valid = boundaries[full];
             let (prefix, tail) = decode_records(&buf[..cut]);
-            prop_assert_eq!(prefix.len(), full, "cut {} kept a partial frame", cut);
-            prop_assert_eq!(&encode_all(&prefix)[..], &buf[..valid]);
+            assert_eq!(prefix.len(), full, "cut {cut} kept a partial frame");
+            assert_eq!(&encode_all(&prefix)[..], &buf[..valid]);
             if cut == valid {
-                prop_assert_eq!(tail, Tail::Clean);
+                assert_eq!(tail, Tail::Clean);
             } else {
-                prop_assert_eq!(
-                    tail,
-                    Tail::Torn {
-                        valid_len: valid as u64,
-                        dropped: (cut - valid) as u64,
-                    },
-                    "cut {} misclassified the torn tail",
-                    cut
-                );
+                let torn = Tail::Torn {
+                    valid_len: valid as u64,
+                    dropped: (cut - valid) as u64,
+                };
+                assert_eq!(tail, torn, "cut {cut} misclassified the torn tail");
             }
         }
-    }
-
-    /// Demand distributions: survival is monotone non-increasing and
-    /// sampling stays within the window.
-    #[test]
-    fn demand_survival_monotone(mu in 1.0f64..3.5, sigma in 0.3f64..2.5, seed in 0u64..50) {
-        let d = Demand::paper_normal(mu, sigma);
-        let mut prev = f64::INFINITY;
-        for i in 0..=40 {
-            let p = 1.0 + 4.0 * i as f64 / 40.0;
-            let s = d.survival(p);
-            prop_assert!(s <= prev + 1e-12);
-            prop_assert!((0.0..=1.0).contains(&s));
-            prev = s;
-        }
-        use rand::SeedableRng;
-        let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
-        for _ in 0..50 {
-            let v = d.sample(&mut rng);
-            prop_assert!((1.0..=5.0).contains(&v));
-        }
-    }
-
-    /// Grid round-trip: every cell's centre maps back to the cell, and
-    /// every point maps into a cell whose rect contains it.
-    #[test]
-    fn grid_roundtrip(nx in 1u32..30, ny in 1u32..30, x in 0.0f64..100.0, y in 0.0f64..100.0) {
-        let grid = GridSpec::new(Rect::square(100.0), nx, ny);
-        {
-            let cell = grid.cell_of(Point::new(x, y));
-            prop_assert!(grid.cell_rect(cell).contains(Point::new(x, y)));
-        }
-        for cell in grid.cells().take(16) {
-            prop_assert_eq!(grid.cell_of(grid.cell_center(cell)), cell);
-        }
-    }
+    });
 }
 
-/// Non-proptest statistical check: valuations are drawn from a smooth
+/// Demand distributions: survival is monotone non-increasing and
+/// sampling stays within the window.
+#[test]
+fn demand_survival_monotone() {
+    // (mu, sigma, sampling seed)
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        let mu = uniform(&mut rng, 1.0, 3.5);
+        (mu, uniform(&mut rng, 0.3, 2.5), rng.below(50))
+    };
+    explore(
+        CASES,
+        draw,
+        |_| None,
+        |&(mu, sigma, seed)| {
+            let d = Demand::paper_normal(mu, sigma);
+            let mut prev = f64::INFINITY;
+            for i in 0..=40 {
+                let p = 1.0 + 4.0 * i as f64 / 40.0;
+                let s = d.survival(p);
+                assert!(s <= prev + 1e-12);
+                assert!((0.0..=1.0).contains(&s));
+                prev = s;
+            }
+            use rand::SeedableRng;
+            let mut rng = rand::rngs::SmallRng::seed_from_u64(seed);
+            for _ in 0..50 {
+                let v = d.sample(&mut rng);
+                assert!((1.0..=5.0).contains(&v));
+            }
+        },
+    );
+}
+
+/// Grid round-trip: every cell's centre maps back to the cell, and
+/// every point maps into a cell whose rect contains it.
+#[test]
+fn grid_roundtrip() {
+    // (nx, ny, x, y)
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        let (nx, ny) = (1 + rng.below(29) as u32, 1 + rng.below(29) as u32);
+        let x = uniform(&mut rng, 0.0, 100.0);
+        (nx, ny, x, uniform(&mut rng, 0.0, 100.0))
+    };
+    explore(
+        CASES,
+        draw,
+        |_| None,
+        |&(nx, ny, x, y)| {
+            let grid = GridSpec::new(Rect::square(100.0), nx, ny);
+            let cell = grid.cell_of(Point::new(x, y));
+            assert!(grid.cell_rect(cell).contains(Point::new(x, y)));
+            for cell in grid.cells().take(16) {
+                assert_eq!(grid.cell_of(grid.cell_center(cell)), cell);
+            }
+        },
+    );
+}
+
+/// A fixed-seed statistical check: valuations are drawn from a smooth
 /// spatial field while `GroundTruth::demands` holds each cell's
 /// cell-centre aggregate (the probe's view). On a grid finer than the
 /// field's correlation length the two must agree closely per cell.
