@@ -317,6 +317,23 @@ impl MapsStrategy {
         None
     }
 
+    /// Lines 9–10: admits one worker by applying the augmenting path of
+    /// the next task that has one, advancing `state.cursor` past it and
+    /// past the dead tasks before it. One search per task: a failed
+    /// [`IncrementalMatching::try_augment`] leaves the matching as it
+    /// was, so searching with it is searching first with `can_augment`.
+    fn augment_next(matching: &mut IncrementalMatching<'_>, state: &mut CellState) -> bool {
+        while state.cursor < state.tasks_desc.len() {
+            let t = state.tasks_desc[state.cursor] as usize;
+            state.cursor += 1;
+            // Already matched is only possible for admitted heads.
+            if matching.matched_right(t).is_none() && matching.try_augment(t) {
+                return true;
+            }
+        }
+        false
+    }
+
     /// Lines 16–21: proposes the next candidate for `cell` (or a Δ=0
     /// finalizer when no further supply can be admitted).
     fn push_next(
@@ -422,31 +439,25 @@ impl MapsStrategy {
                 continue;
             }
             // Lines 9–10: admit one worker via an augmenting path —
-            // re-verified because the path may have been consumed since
-            // this entry was inserted.
-            match Self::next_augmentable(&mut matching, &mut state) {
-                Some(task) => {
-                    let ok = matching.try_augment(task as usize);
-                    debug_assert!(ok, "can_augment just succeeded");
-                    state.cursor += 1;
-                    state.n += 1;
-                    state.cur_l = entry.l_hat;
-                    state.cur_rev = entry.revenue_hat;
-                    state.cur_price = entry.price;
-                    state.cur_price_idx = entry.price_idx;
-                    self.push_next(entry.cell, &mut state, &mut matching, &mut heap);
-                }
-                None => {
-                    // Stale promise: finalize at the current supply level.
-                    heap.push(Entry {
-                        delta: 0.0,
-                        cell: entry.cell,
-                        price_idx: state.cur_price_idx,
-                        price: state.cur_price,
-                        l_hat: state.cur_l,
-                        revenue_hat: state.cur_rev,
-                    });
-                }
+            // searched again because the path may have been consumed
+            // since this entry was inserted.
+            if Self::augment_next(&mut matching, &mut state) {
+                state.n += 1;
+                state.cur_l = entry.l_hat;
+                state.cur_rev = entry.revenue_hat;
+                state.cur_price = entry.price;
+                state.cur_price_idx = entry.price_idx;
+                self.push_next(entry.cell, &mut state, &mut matching, &mut heap);
+            } else {
+                // Stale promise: finalize at the current supply level.
+                heap.push(Entry {
+                    delta: 0.0,
+                    cell: entry.cell,
+                    price_idx: state.cur_price_idx,
+                    price: state.cur_price,
+                    l_hat: state.cur_l,
+                    revenue_hat: state.cur_rev,
+                });
             }
             states[cell] = Some(state);
         }

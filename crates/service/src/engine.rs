@@ -57,18 +57,22 @@ pub enum ServiceEvent {
     PeriodTick,
 }
 
-/// Why the service refused to admit an event
-/// ([`ServiceEvent::validate`]).
+/// Why the service refused to admit an event.
 ///
-/// Every variant is a *client* data error: the event references
-/// geometry or economics the market cannot represent, or a grid cell
-/// the task is not in. The service drops
-/// such events (counting them in
+/// All but the last two variants are *client* data errors
+/// ([`ServiceEvent::validate`]): the event references geometry or
+/// economics the market cannot represent, or a grid cell the task is
+/// not in. The last two are the service's stated limits: a `u32`
+/// counter the event would have to advance past its last value. The
+/// service drops such events (counting them in
 /// [`ShardedService::rejected_events`]) rather than panicking — one bad
 /// client event must not take the stream down — and rather than
 /// admitting them: a NaN coordinate, for instance, has no grid cell
 /// (`Grid::cell_of` would silently file it under a boundary cell) and
-/// would corrupt per-cell pricing state invisibly.
+/// would corrupt per-cell pricing state invisibly, and a wrapped
+/// counter would reuse an id or suppress every later event as a
+/// duplicate. Every refusal is decided after the event is journaled,
+/// from state the stream built, so replay refuses the same events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventRejection {
     /// Worker location has a non-finite coordinate.
@@ -84,6 +88,12 @@ pub enum EventRejection {
     /// Task `cell` is not the grid cell of its origin (out of range
     /// included): pricing indexes per-cell state by it.
     TaskCellMismatch,
+    /// A worker arrival after all 2³² admission ids were handed out.
+    WorkerIdsExhausted,
+    /// A tick of period `u32::MAX`: the period counter cannot advance
+    /// past it, so that period is never closed and later events join
+    /// it.
+    PeriodsExhausted,
 }
 
 impl std::fmt::Display for EventRejection {
@@ -95,6 +105,8 @@ impl std::fmt::Display for EventRejection {
             EventRejection::InvalidTaskDistance => "invalid task travel distance",
             EventRejection::NonFiniteTaskValuation => "non-finite task valuation",
             EventRejection::TaskCellMismatch => "task cell is not its origin's",
+            EventRejection::WorkerIdsExhausted => "all 2^32 worker ids are taken",
+            EventRejection::PeriodsExhausted => "period u32::MAX cannot be closed",
         })
     }
 }
@@ -596,11 +608,13 @@ impl ShardedService {
             })?;
         }
         if let Err(rejection) = event.validate(&self.grid) {
-            self.step.outcome_mut().rejected_events += 1;
-            return Err(rejection.into());
+            return Err(self.reject(rejection));
         }
         let lifecycle = &mut self.engine.lifecycle;
         match event {
+            ServiceEvent::WorkerArrive { .. } if lifecycle.next_id().is_none() => {
+                return Err(self.reject(EventRejection::WorkerIdsExhausted));
+            }
             ServiceEvent::WorkerArrive { worker } => lifecycle.admit(self.period, &worker),
             ServiceEvent::WorkerDepart { id } => lifecycle.depart(id),
             ServiceEvent::TaskRequest { task } => self.pending_tasks.push(task),
@@ -609,16 +623,27 @@ impl ShardedService {
         Ok(())
     }
 
+    /// Counts a refused event and hands back its error.
+    fn reject(&mut self, rejection: EventRejection) -> ServiceError {
+        self.step.outcome_mut().rejected_events += 1;
+        rejection.into()
+    }
+
     /// Closes the current period: journals the epoch barrier (making
     /// the whole epoch durable — flush + fsync — *before* the reducer
     /// mutates state, the write-ahead ordering), runs the tick, and
-    /// writes an epoch checkpoint on the configured cadence.
+    /// writes an epoch checkpoint on the configured cadence. The tick of
+    /// period `u32::MAX` is journaled, then refused
+    /// ([`EventRejection::PeriodsExhausted`]).
     fn close_period(&mut self) -> Result<(), ServiceError> {
         let t = self.period;
         if let Some(journal) = &mut self.journal {
             let barrier = JournalRecord::barrier(u64::from(t));
             journal.writer.append(&barrier)?;
             journal.writer.sync()?;
+        }
+        if t == u32::MAX {
+            return Err(self.reject(EventRejection::PeriodsExhausted));
         }
         if let Err(panic) = self.run_tick() {
             self.poisoned = Some(panic.clone());
@@ -1184,6 +1209,61 @@ mod tests {
             .expect("the tick runs");
         assert_eq!(svc.outcome_snapshot().issued_tasks, 0);
         assert_eq!((svc.periods_served(), svc.live_workers()), (1, 1));
+    }
+
+    /// The period counter is a `u32`: the tick of period `u32::MAX` is
+    /// refused rather than wrapping the counter to 0, where every later
+    /// event's `(epoch, seq)` would sit below its lane's watermark and be
+    /// suppressed as a duplicate. The period stays open and keeps
+    /// admitting. The refused tick is journaled, so recovery replays the
+    /// same refusals to the same state. The counter is set, not counted
+    /// up, before the journal is attached.
+    #[test]
+    fn the_tick_of_period_u32_max_is_refused_and_replays_refused() {
+        let dir = crate::test_dir("period_limit");
+        let journal = JournalConfig::new(&dir, 1);
+        let mut svc = service(MatchPolicy::Consume);
+        svc.period = u32::MAX - 1;
+        svc.attach_journal(&journal).unwrap();
+        let arrive = |x| ServiceEvent::WorkerArrive {
+            worker: worker(x, 1.0, u32::MAX),
+        };
+        svc.push(arrive(1.0));
+        svc.try_push(ServiceEvent::PeriodTick)
+            .expect("the tick of period u32::MAX - 1 closes it");
+        assert_eq!(svc.periods_served(), u32::MAX);
+        for x in [2.0, 3.0] {
+            svc.push(arrive(x));
+            assert!(matches!(
+                svc.try_push(ServiceEvent::PeriodTick),
+                Err(ServiceError::Rejected(EventRejection::PeriodsExhausted))
+            ));
+        }
+        // The open window holds the two workers admitted since.
+        let state = |svc: &ShardedService| {
+            let sizes = (svc.admitted_workers(), svc.live_workers());
+            (
+                svc.periods_served(),
+                svc.watermark(0),
+                svc.rejected_events(),
+                sizes,
+            )
+        };
+        let stands = (u32::MAX, Some((u64::from(u32::MAX), 1)), 2, (3, 1));
+        assert_eq!(state(&svc), stands, "not wrapped to 0");
+        drop(svc);
+
+        let recovered = crate::recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::BaseP,
+            ServiceConfig::default(),
+            &journal,
+        )
+        .unwrap();
+        assert_eq!(recovered.epochs_replayed, 2, "two refused ticks");
+        assert_eq!(state(&recovered.service), stands);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Regression for the O(n²) same-window cancellation: departing a

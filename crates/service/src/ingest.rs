@@ -512,7 +512,11 @@ impl IngestService {
     /// not continue it — but *before* the offending run or marker is
     /// journaled or admitted: the service is not poisoned and holds
     /// exactly the stream up to the refusal. Per-event *rejections* are
-    /// not errors: the reducer counts them and the stream keeps going.
+    /// not errors: the reducer counts them and the stream keeps going —
+    /// but for the tick of period `u32::MAX`, refused as
+    /// [`EventRejection::PeriodsExhausted`](crate::EventRejection::PeriodsExhausted):
+    /// that epoch cannot close, so sequencing stops there with the
+    /// rejection, the refused tick journaled and counted.
     pub fn sequence(self, service: &mut ShardedService) -> Result<u64, ServiceError> {
         self.sequence_with(service, |_, _| {})
     }

@@ -146,14 +146,14 @@ fn recovery_and_checkpoints_follow_the_tail_and_the_live_set() {
             "checkpoint of {checkpoint_bytes} B for {live} live of {admitted} ids (bound {bound})"
         );
     }
-    // The recovered service keeps the lifecycle's per-id records (8 B
-    // an id, ROADMAP 4(b)), restored at their exact size and then at
-    // most doubled by the replayed window's first push; the status lane
-    // adds half a byte an id while the file and its words are both in
-    // memory — 16.1 B an id measured. Nothing else may grow with the
-    // ids, and nothing with the journal: the 340 epochs in between are
-    // 60 B of file and 88 B of decoded record for every event.
-    let bound = first.peak + 17 * between + 64 * 1024;
+    // The recovered service restores only the pages of records that a
+    // live worker holds, and a page table of 8 B per 1 024 ids. What
+    // grows with the ids is the status lane while the file and its
+    // words are both in memory: half a byte an id, a quarter in each.
+    // Nothing else may grow with the ids, and nothing with the journal:
+    // the 340 epochs in between are 60 B of file and 88 B of decoded
+    // record for every event.
+    let bound = first.peak + between + 64 * 1024;
     assert!(
         second.peak <= bound,
         "recover peaked at {} B after {} ids, {} B after {} (bound {bound})",

@@ -46,6 +46,18 @@
 //! record keeps beside its status: a build reads each departure's slot
 //! back from the record `fire` or the match just touched.
 //!
+//! **Records cost who is live.** Ids are never reused, so a stream's id
+//! space grows without end while its live pool does not. The records
+//! live in pages of 1 024 ids, and a page is freed once every id on it
+//! is admitted and none of its records is held: not `Gone`, or still
+//! holding the slot a staged departure gives back at the next build. A
+//! freed page reads as `Gone` records. What grows per id is the page
+//! table, 8 B per 1 024 ids. Ids stay admission-ordered, so the
+//! `(distance, id)` order and every oracle are untouched. A `base_id`
+//! below which every record is dead would free nothing on its own: a
+//! standing pool admitted first with duration `u32::MAX` holds the
+//! lowest ids for the whole stream.
+//!
 //! Worker ids are the admission order (`0, 1, 2, …` across the whole
 //! stream), and a busy worker re-enters under its *original* id. A
 //! graph numbers the workers it reaches in ascending id, as the
@@ -82,8 +94,10 @@ const STATUSES_PER_WORD: usize = 32;
 /// lifecycle holds fewer than 2³⁰ live workers, so no slot reaches it.
 const NO_SLOT: u32 = (1 << 30) - 1;
 
-/// One worker's lifecycle state: the only per-id-ever state of the
-/// engine, 8 bytes per admitted id.
+/// One worker's lifecycle state, 8 bytes. Records live in pages of
+/// [`PAGE`] ids ([`Records`]), and a page is freed with the last record
+/// on it that is held, so they cost memory by who is live, not by who
+/// was ever admitted.
 #[derive(Debug, Clone, Copy)]
 struct Record {
     /// First period in which the worker no longer exists (`t <
@@ -98,7 +112,11 @@ struct Record {
 const _: () = assert!(size_of::<Record>() == 8, "a record costs 8 bytes");
 
 impl Record {
-    fn new(expires_at: u32, status: Status) -> Self {
+    /// What every record of a freed page reads as. A `Gone` record's
+    /// expiry is never read again (see [`LifecycleTable::save_records`]).
+    const GONE: Record = Record::new(0, Status::Gone);
+
+    const fn new(expires_at: u32, status: Status) -> Self {
         let state = NO_SLOT << 2 | status as u32;
         Self { expires_at, state }
     }
@@ -118,6 +136,159 @@ impl Record {
     fn set_slot(&mut self, slot: u32) {
         self.state = slot << 2 | self.state & 3;
     }
+
+    /// Whether the record is still needed: its worker has not left, or
+    /// it still holds the slot a staged departure gives back at the
+    /// next build. Only [`Record::GONE`]'s state is neither.
+    fn held(self) -> bool {
+        self.state != Record::GONE.state
+    }
+}
+
+/// Ids a page of records covers: 8 KiB of records, and 32 words of a
+/// checkpoint's status lane.
+const PAGE: usize = 1024;
+
+const _: () = assert!(
+    PAGE.is_multiple_of(STATUSES_PER_WORD),
+    "a page is whole lane words"
+);
+
+/// A status-lane word of 32 `Gone` codes (`0b10` each): what a freed
+/// page writes.
+const GONE_LANE_WORD: u64 = 0xAAAA_AAAA_AAAA_AAAA;
+
+/// [`PAGE`] consecutive records and how many of them are held
+/// ([`Record::held`]).
+#[derive(Debug)]
+struct Page {
+    records: [Record; PAGE],
+    held: u32,
+}
+
+impl Page {
+    fn empty() -> Box<Self> {
+        Box::new(Self {
+            records: [Record::GONE; PAGE],
+            held: 0,
+        })
+    }
+}
+
+/// The per-worker records, indexed by id (admission order), in pages of
+/// [`PAGE`] ids. A page is freed once every id on it is admitted and
+/// none of its records is held; a freed page reads as `Gone` records.
+/// The page table costs 8 B per [`PAGE`] ids, and each page that holds
+/// a record 8 KiB.
+#[derive(Debug, Default)]
+struct Records {
+    /// Page `p` covers ids `p · PAGE ..`; `None` once freed. The last
+    /// page is the open one admissions append to, and is never freed
+    /// while it has room.
+    pages: Vec<Option<Box<Page>>>,
+    /// Ids admitted: the next id.
+    len: usize,
+    /// The page freed last, kept to open the next one with: a stream
+    /// frees pages about as often as it opens them, and each reuse
+    /// spares an allocation and 8 KiB of writes. Its records are stale,
+    /// and so are the open page's past `len`: neither is ever read.
+    spare: Option<Box<Page>>,
+}
+
+impl Records {
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Admits the next id's record: a push onto the open page.
+    fn push(&mut self, record: Record) {
+        let at = self.len % PAGE;
+        if at == 0 {
+            let mut page = self.spare.take().unwrap_or_else(Page::empty);
+            page.held = 0;
+            self.pages.push(Some(page));
+        }
+        let open = self.pages.last_mut().expect("a page was just opened");
+        let page = open.as_deref_mut().expect("the open page is never freed");
+        page.records[at] = record;
+        page.held += u32::from(record.held());
+        self.len += 1;
+        if at == PAGE - 1 && page.held == 0 {
+            self.spare = open.take();
+        }
+    }
+
+    /// Record `id` (`Gone` on a freed page), `None` for an id never
+    /// admitted.
+    fn get(&self, id: u32) -> Option<Record> {
+        let id = id as usize;
+        (id < self.len).then(|| match &self.pages[id / PAGE] {
+            Some(page) => page.records[id % PAGE],
+            None => Record::GONE,
+        })
+    }
+
+    /// Updates record `id` in place, then frees its page if that let go
+    /// of the page's last held record. `None`, and `f` is not run, for
+    /// an id never admitted or on a freed page (a `Gone` record that
+    /// holds no slot).
+    fn update<R>(&mut self, id: u32, f: impl FnOnce(&mut Record) -> R) -> Option<R> {
+        let id = id as usize;
+        if id >= self.len {
+            return None;
+        }
+        let entry = &mut self.pages[id / PAGE];
+        let page = entry.as_deref_mut()?;
+        let record = &mut page.records[id % PAGE];
+        let was = record.held();
+        let out = f(record);
+        if record.held() != was {
+            if was {
+                page.held -= 1;
+                if page.held == 0 && id / PAGE < self.len / PAGE {
+                    self.spare = entry.take();
+                }
+            } else {
+                page.held += 1;
+            }
+        }
+        Some(out)
+    }
+
+    /// Allocates the page of admitted id `id` again if it was freed, its
+    /// records `Gone` (not the stale spare): a checkpoint's live worker
+    /// may be one whose staged departure still holds its slot.
+    fn reopen(&mut self, id: u32) {
+        debug_assert!((id as usize) < self.len, "reopen of an id never admitted");
+        self.pages[id as usize / PAGE].get_or_insert_with(Page::empty);
+    }
+
+    /// Every page with its first id and its admitted records; `None`
+    /// for a freed page.
+    fn pages(&self) -> impl Iterator<Item = (usize, Option<&[Record]>)> + '_ {
+        let first_ids = (0..self.len).step_by(PAGE);
+        first_ids.zip(&self.pages).map(|(first, page)| {
+            let n = (self.len - first).min(PAGE);
+            (first, page.as_deref().map(|page| &page.records[..n]))
+        })
+    }
+
+    /// The admitted records on allocated pages, with their ids (counted
+    /// in `usize`: the last id is `u32::MAX`).
+    fn allocated(&self) -> impl Iterator<Item = (u32, Record)> + '_ {
+        let pages = self
+            .pages()
+            .filter_map(|(first, page)| Some((first, page?)));
+        let records = pages.flat_map(|(first, records)| (first..).zip(records.iter().copied()));
+        records.map(|(id, record)| (id as u32, record))
+    }
+}
+
+/// The status-lane word of up to 32 records: two bits a record, the
+/// first in the lowest.
+fn lane_word(chunk: &[Record]) -> u64 {
+    let codes = chunk.iter().map(|r| r.status() as u64);
+    codes.rev().fold(0, |lane, code| lane << 2 | code)
 }
 
 /// A scheduled lifecycle transition, fired at the start of its period.
@@ -136,15 +307,16 @@ enum Timed {
 struct LifecycleTable {
     grid: GridSpec,
     /// Per-worker state, indexed by id (admission order).
-    records: Vec<Record>,
-    /// Scheduled expiries/releases, keyed by the period they fire in. A
-    /// map (not per-period buckets) because a stream has no last period:
-    /// a `u32::MAX` expiry must be schedulable without allocating 2³²
-    /// buckets — it simply never fires.
+    records: Records,
+    /// Scheduled expiries/releases, keyed by the period they fire in: a
+    /// map, not per-period buckets, so a far expiry allocates nothing
+    /// for the periods before it.
     schedule: BTreeMap<u32, Vec<Timed>>,
-    /// Number of periods of a bounded run. Transitions at or past it are
-    /// unobservable and never scheduled; `None` for an open-ended stream.
-    horizon: Option<u32>,
+    /// Number of periods of a bounded run; `u32::MAX` for an open-ended
+    /// stream, whose tick closing period `u32::MAX` is refused (the
+    /// counter would wrap). Transitions at or past it are unobservable
+    /// and never scheduled — for a stream, every `u32::MAX` expiry.
+    horizon: u32,
     /// Admissions since the last [`LifecycleTable::fire`], not yet
     /// staged: entry `i` is worker `records.len() - window.len() + i`.
     window: Vec<WorkerInput>,
@@ -152,10 +324,10 @@ struct LifecycleTable {
 
 impl LifecycleTable {
     /// An empty table over `grid`; see [`LifecycleTable`] for `horizon`.
-    fn new(grid: GridSpec, horizon: Option<u32>) -> Self {
+    fn new(grid: GridSpec, horizon: u32) -> Self {
         Self {
             grid,
-            records: Vec::new(),
+            records: Records::default(),
             schedule: BTreeMap::new(),
             horizon,
             window: Vec::new(),
@@ -167,8 +339,13 @@ impl LifecycleTable {
         self.records.len()
     }
 
+    /// The id the next admission takes; `None` once all 2³² are taken.
+    fn next_id(&self) -> Option<u32> {
+        u32::try_from(self.records.len()).ok()
+    }
+
     fn observable(&self, period: u32) -> bool {
-        self.horizon.is_none_or(|horizon| period < horizon)
+        period < self.horizon
     }
 
     fn input_at(&self, location: Point, radius: f64) -> WorkerInput {
@@ -181,9 +358,10 @@ impl LifecycleTable {
 
     /// Admits `worker` in period `t` under the next id. The arrival is
     /// staged at the next [`LifecycleTable::fire`], unless the worker
-    /// departs first.
+    /// departs first. Panics once the ids are exhausted
+    /// ([`LifecycleTable::next_id`]).
     fn admit(&mut self, t: u32, worker: &GroundWorker) {
-        let id = self.records.len() as u32;
+        let id = self.next_id().expect("all 2^32 worker ids are taken");
         let expires_at = t.saturating_add(worker.duration);
         // A worker whose window is already over (duration 0 — rejected
         // by `GroundTruth::validate`, but hand-built worlds and event
@@ -213,15 +391,14 @@ impl LifecycleTable {
     /// down. A busy worker's pending release is dropped when it fires.
     fn depart(&mut self, id: u32, staged: &mut StagedChurn) {
         let window_base = self.records.len() - self.window.len();
-        let Some(record) = self.records.get_mut(id as usize) else {
-            return;
-        };
-        // A worker admitted in this window was never staged: marking the
-        // record is the whole cancellation.
-        if record.status() == Status::Available && (id as usize) < window_base {
-            staged.departures.push(id);
-        }
-        record.set_status(Status::Gone);
+        self.records.update(id, |record| {
+            // A worker admitted in this window was never staged: marking
+            // the record is the whole cancellation.
+            if record.status() == Status::Available && (id as usize) < window_base {
+                staged.departures.push(id);
+            }
+            record.set_status(Status::Gone);
+        });
     }
 
     /// Closes the window — stages its surviving admissions — then fires
@@ -229,11 +406,10 @@ impl LifecycleTable {
     /// in order, before the period's graph is built.
     fn fire(&mut self, t: u32, staged: &mut StagedChurn) {
         let window_base = self.records.len() - self.window.len();
-        let admitted = self.records[window_base..]
-            .iter()
-            .zip(self.window.drain(..));
-        for (id, (record, input)) in (window_base as u32..).zip(admitted) {
-            if record.status() == Status::Available {
+        for (id, input) in (window_base..).zip(self.window.drain(..)) {
+            // Counted in `usize`: the last id is `u32::MAX`.
+            let id = id as u32;
+            if self.records.get(id).map(Record::status) == Some(Status::Available) {
                 staged.arrivals.push((id, input));
             }
         }
@@ -244,13 +420,14 @@ impl LifecycleTable {
             match event {
                 Timed::Expire(id) => self.depart(id, staged),
                 Timed::Release(id, input) => {
-                    let record = &mut self.records[id as usize];
-                    if record.status() == Status::Busy && t < record.expires_at {
-                        record.set_status(Status::Available);
-                        staged.arrivals.push((id, input));
-                    } else {
-                        record.set_status(Status::Gone);
-                    }
+                    self.records.update(id, |record| {
+                        if record.status() == Status::Busy && t < record.expires_at {
+                            record.set_status(Status::Available);
+                            staged.arrivals.push((id, input));
+                        } else {
+                            record.set_status(Status::Gone);
+                        }
+                    });
                 }
             }
         }
@@ -258,7 +435,8 @@ impl LifecycleTable {
 
     /// A matched worker leaves permanently (`MatchPolicy::Consume`).
     fn consume(&mut self, id: u32, staged: &mut StagedChurn) {
-        self.records[id as usize].set_status(Status::Gone);
+        let consumed = self.records.update(id, |r| r.set_status(Status::Gone));
+        consumed.expect("a consumed worker holds its record");
         staged.departures.push(id);
     }
 
@@ -280,12 +458,13 @@ impl LifecycleTable {
         let busy_until = t.saturating_add(travel);
         let release = Timed::Release(id, self.input_at(destination, radius));
         let returns = self.observable(busy_until);
-        let record = &mut self.records[id as usize];
-        if returns && busy_until < record.expires_at {
-            record.set_status(Status::Busy);
+        let busy = self.records.update(id, |record| {
+            let busy = returns && busy_until < record.expires_at;
+            record.set_status(if busy { Status::Busy } else { Status::Gone });
+            busy
+        });
+        if busy.expect("a dispatched worker holds its record") {
             self.schedule.entry(busy_until).or_default().push(release);
-        } else {
-            record.set_status(Status::Gone);
         }
     }
 
@@ -298,22 +477,28 @@ impl LifecycleTable {
     /// worker), so a worker that left costs a checkpoint its two bits.
     /// The open window is not part of it: checkpoints are cut right
     /// after a period closed, before anything is admitted into the next.
+    /// A freed page writes the `Gone` codes it reads as.
     fn save_records(&self, w: &mut Vec<u64>) {
         debug_assert!(self.window.is_empty(), "checkpoint off a period boundary");
         w.push(self.records.len() as u64);
         w.push(self.records.len().div_ceil(STATUSES_PER_WORD) as u64);
-        w.extend(self.records.chunks(STATUSES_PER_WORD).map(|chunk| {
-            let codes = chunk.iter().map(|r| r.status() as u64);
-            codes.rev().fold(0, |lane, code| lane << 2 | code)
-        }));
-        let kept = self.records.iter().filter(|r| r.status() != Status::Gone);
+        for (_, page) in self.records.pages() {
+            match page {
+                Some(records) => w.extend(records.chunks(STATUSES_PER_WORD).map(lane_word)),
+                None => w.extend([GONE_LANE_WORD; PAGE / STATUSES_PER_WORD]),
+            }
+        }
+        let kept = self.records.allocated().map(|(_, r)| r);
+        let kept = kept.filter(|r| r.status() != Status::Gone);
         w.extend(kept.map(|r| u64::from(r.expires_at)));
     }
 
     /// Restores what [`LifecycleTable::save_records`] wrote. The lane's
     /// word count is the bounded one ([`StateWords::take_len`]) and the
     /// record count must be one that lane holds, so neither sizes
-    /// anything the stream does not back.
+    /// anything the stream does not back. A full page whose records are
+    /// all `Gone` stays freed: only pages that hold a record are
+    /// allocated, and the open last page.
     fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         use StateError::Mismatch;
         let n_records = usize::try_from(r.take()?).map_err(|_| StateError::Truncated)?;
@@ -326,24 +511,41 @@ impl LifecycleTable {
         if spare != 0 && lane[lane.len() - 1] >> spare != 0 {
             return Err(Mismatch("checkpoint status lane has bits past its count"));
         }
-        self.records.clear();
         self.window.clear();
-        self.records.reserve(n_records);
-        for id in 0..n_records {
-            let code = lane[id / STATUSES_PER_WORD] >> (2 * (id % STATUSES_PER_WORD));
-            let status = match code & 3 {
-                0 => Status::Available,
-                1 => Status::Busy,
-                2 => Status::Gone,
-                _ => return Err(Mismatch("checkpoint has invalid worker status")),
-            };
-            // Never read while `Gone`, and `Gone` is final: any value does.
-            let expires_at = match status {
-                Status::Gone => 0,
-                _ => take_u32(r, "checkpoint expiry out of range")?,
-            };
-            self.records.push(Record::new(expires_at, status));
+        let mut records = Records {
+            pages: Vec::with_capacity(n_records.div_ceil(PAGE)),
+            len: n_records,
+            spare: None,
+        };
+        for (first, words) in (0..)
+            .step_by(PAGE)
+            .zip(lane.chunks(PAGE / STATUSES_PER_WORD))
+        {
+            let n = (n_records - first).min(PAGE);
+            if n == PAGE && words.iter().all(|&word| word == GONE_LANE_WORD) {
+                records.pages.push(None);
+                continue;
+            }
+            let mut page = Page::empty();
+            for at in 0..n {
+                let code = words[at / STATUSES_PER_WORD] >> (2 * (at % STATUSES_PER_WORD));
+                let status = match code & 3 {
+                    0 => Status::Available,
+                    1 => Status::Busy,
+                    2 => Status::Gone,
+                    _ => return Err(Mismatch("checkpoint has invalid worker status")),
+                };
+                // Never read while `Gone`, and `Gone` is final: any value does.
+                let expires_at = match status {
+                    Status::Gone => 0,
+                    _ => take_u32(r, "checkpoint expiry out of range")?,
+                };
+                page.records[at] = Record::new(expires_at, status);
+                page.held += u32::from(status != Status::Gone);
+            }
+            records.pages.push(Some(page));
         }
+        self.records = records;
         Ok(())
     }
 
@@ -352,8 +554,9 @@ impl LifecycleTable {
     /// stands: what a caller reserves for them.
     fn saved_words(&self) -> usize {
         let ids = self.records.len();
-        let gone = self.records.iter().filter(|r| r.status() == Status::Gone);
-        let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + (ids - gone.count());
+        let allocated = self.records.allocated();
+        let kept = allocated.filter(|(_, r)| r.status() != Status::Gone);
+        let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + kept.count();
         let entry_words = |e: &Timed| match e {
             Timed::Expire(_) => 2,
             Timed::Release(..) => 5,
@@ -455,17 +658,19 @@ impl WorkerLifecycle {
     /// `_expected_workers` is ignored (the cache sizes itself by who is
     /// live); kept for source compatibility, removed with ROADMAP 6(b).
     pub fn new(grid: &GridSpec, horizon: usize, _expected_workers: usize) -> Self {
-        Self::with_horizon(grid, Some(horizon as u32))
+        Self::with_horizon(grid, u32::try_from(horizon).unwrap_or(u32::MAX))
     }
 
-    /// An empty lifecycle over `grid` for a stream with no last period:
-    /// every transition is scheduled (a `u32::MAX` expiry is one entry
-    /// that never fires).
+    /// An empty lifecycle over `grid` for a stream with no last period
+    /// but the one its `u32` counter cannot close: every transition
+    /// before period `u32::MAX` is scheduled, and one at it — the expiry
+    /// of every worker admitted with duration `u32::MAX` — never fires,
+    /// so it is not scheduled either.
     pub fn open_ended(grid: &GridSpec) -> Self {
-        Self::with_horizon(grid, None)
+        Self::with_horizon(grid, u32::MAX)
     }
 
-    fn with_horizon(grid: &GridSpec, horizon: Option<u32>) -> Self {
+    fn with_horizon(grid: &GridSpec, horizon: u32) -> Self {
         Self {
             cache: PeriodGraphCache::new(grid),
             table: LifecycleTable::new(*grid, horizon),
@@ -477,8 +682,18 @@ impl WorkerLifecycle {
     /// Admits `worker` in period `t` under the next id (the admission
     /// order). It is staged at the next [`WorkerLifecycle::fire`],
     /// unless it departs first.
+    ///
+    /// # Panics
+    /// Panics once all 2³² ids are taken ([`WorkerLifecycle::next_id`]
+    /// is `None`), rather than reuse one.
     pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
         self.table.admit(t, worker);
+    }
+
+    /// The id the next [`WorkerLifecycle::admit`] hands out; `None` once
+    /// all 2³² ids are taken.
+    pub fn next_id(&self) -> Option<u32> {
+        self.table.next_id()
     }
 
     /// Worker `id` leaves the live set at the next build. A departure in
@@ -521,26 +736,33 @@ impl WorkerLifecycle {
     /// its record holds, which the record then lets go of; each
     /// arrival's slot written into its record, where a slot already held
     /// means a live id arriving again.
+    ///
+    /// A departure lets go of the last record its page holds here, if
+    /// any: a staged departure keeps its record's page until then.
     fn apply_staged(&mut self) {
         let records = &mut self.table.records;
         self.departing.clear();
         self.departing
             .extend(self.staged.departures.drain(..).map(|id| {
-                let record = &mut records[id as usize];
-                let slot = record.slot();
-                record.set_slot(NO_SLOT);
-                (id, slot)
+                let slot = records.update(id, |record| {
+                    let slot = record.slot();
+                    record.set_slot(NO_SLOT);
+                    slot
+                });
+                (id, slot.unwrap_or(NO_SLOT))
             }));
         let handed = self.cache.apply(&self.staged.arrivals, &self.departing);
         for (&(id, _), &slot) in self.staged.arrivals.iter().zip(handed) {
-            let record = &mut records[id as usize];
-            let held = record.slot() != NO_SLOT;
-            assert!(!held, "arrival of an already-live worker id {id}");
             assert!(
                 slot < NO_SLOT,
                 "a lifecycle holds fewer than 2^30 live workers"
             );
-            record.set_slot(slot);
+            let arrived = records.update(id, |record| {
+                let held = record.slot() != NO_SLOT;
+                assert!(!held, "arrival of an already-live worker id {id}");
+                record.set_slot(slot);
+            });
+            arrived.expect("an arriving worker's record is held");
         }
         self.staged.arrivals.clear();
     }
@@ -553,11 +775,12 @@ impl WorkerLifecycle {
     }
 
     /// The workers in the cache, ascending id, found through the records
-    /// that hold a slot: `O(ids)`, like a checkpoint's records. At a
-    /// period boundary that is the available workers plus the staged
-    /// departures.
+    /// that hold a slot: one page-table entry per 1 024 ids, and the
+    /// records of the pages still allocated, which the live workers
+    /// hold. At a period boundary that is the available workers plus the
+    /// staged departures.
     pub fn live_workers(&self) -> impl Iterator<Item = (u32, &WorkerInput)> + '_ {
-        let held = (0u32..).zip(&self.table.records);
+        let held = self.table.records.allocated();
         held.filter(|(_, record)| record.slot() != NO_SLOT)
             .map(|(id, record)| {
                 let worker = self.cache.worker(id, record.slot());
@@ -592,7 +815,7 @@ impl WorkerLifecycle {
     /// under the same id — or leaving for good when that lands past its
     /// expiry or the horizon.
     pub fn dispatch(&mut self, t: u32, id: u32, destination: Point, travel: u32) {
-        let record = self.table.records.get(id as usize);
+        let record = self.table.records.get(id);
         let radius = record
             .and_then(|record| self.cache.worker(id, record.slot()))
             .expect("dispatched worker is live")
@@ -639,7 +862,9 @@ impl WorkerLifecycle {
     /// cache asserts of every arrival), and a departure must name an
     /// admitted id. The live set goes into the cache as one batch, whose
     /// queries depend only on the set, so this equals the build that
-    /// wrote it; the slots it is handed go into the records.
+    /// wrote it; the slots it is handed go into the records — a live
+    /// worker whose record reads `Gone` (a staged departure) on a page
+    /// the records section left freed gets that page back.
     pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         use StateError::Mismatch;
         self.table.load_records(r)?;
@@ -654,6 +879,7 @@ impl WorkerLifecycle {
             }
             next_id = id + 1;
             let input = self.table.input_at(Point::new(x, y), radius);
+            self.table.records.reopen(id as u32);
             self.staged.arrivals.push((id as u32, input));
         }
         self.apply_staged();
@@ -870,14 +1096,19 @@ mod tests {
                 let _ = engine.build_graph_capped(&[], 4);
             })
             .expect_err(what);
-            let text = panic
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| panic.downcast_ref::<&str>().copied())
-                .expect("string panic payload");
+            let text = panic_text(&panic);
             let message = format!("arrival of an already-live worker id {id}");
             assert!(text.contains(&message), "{what}: panicked with {text:?}");
         }
+    }
+
+    /// A caught panic's message.
+    fn panic_text(payload: &Box<dyn std::any::Any + Send>) -> &str {
+        payload
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| payload.downcast_ref::<&str>().copied())
+            .expect("string panic payload")
     }
 
     /// The ids a table transition staged as arrivals.
@@ -889,7 +1120,7 @@ mod tests {
     /// admitted in period 0, its window closed and its arrival already
     /// taken out of the staging.
     fn table_with_one_worker(duration: u32) -> (LifecycleTable, StagedChurn) {
-        let mut table = LifecycleTable::new(grid(), None);
+        let mut table = LifecycleTable::new(grid(), u32::MAX);
         let mut sink = StagedChurn::default();
         table.admit(0, &worker(1.0, duration));
         assert_eq!(
@@ -986,11 +1217,12 @@ mod tests {
     }
 
     /// The two checkpoint sections restore a table that continues
-    /// exactly like the one that wrote them, busy workers and a
-    /// never-firing `u32::MAX` expiry included.
+    /// exactly like the one that wrote them, busy workers included; a
+    /// `u32::MAX` expiry, which an open-ended table cannot fire, is not
+    /// scheduled at all.
     #[test]
     fn saved_records_and_schedule_restore_the_same_transitions() {
-        let mut table = LifecycleTable::new(grid(), None);
+        let mut table = LifecycleTable::new(grid(), u32::MAX);
         let mut sink = StagedChurn::default();
         table.admit(0, &worker(1.0, 4));
         table.admit(0, &worker(2.0, u32::MAX));
@@ -998,12 +1230,13 @@ mod tests {
         table.fire(0, &mut sink);
         assert_eq!(arrived(&sink), [0, 1]);
         table.dispatch(0, 1, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
+        assert_eq!(table.schedule.keys().collect::<Vec<_>>(), [&2, &4]);
         let mut words = Vec::new();
         table.save_records(&mut words);
         table.save_schedule(&mut words);
         assert_eq!(table.saved_words(), words.len());
 
-        let mut restored = LifecycleTable::new(grid(), None);
+        let mut restored = LifecycleTable::new(grid(), u32::MAX);
         let mut r = StateWords::new(&words);
         restored.load_records(&mut r).unwrap();
         restored.load_schedule(&mut r).unwrap();
@@ -1023,9 +1256,132 @@ mod tests {
             assert_eq!(a.departures, if t == 4 { vec![0] } else { vec![] });
         }
         // A truncated stream is an error, not a panic.
-        let mut short = LifecycleTable::new(grid(), None);
+        let mut short = LifecycleTable::new(grid(), u32::MAX);
         let mut r = StateWords::new(&words[..words.len() - 1]);
         short.load_records(&mut r).unwrap();
         assert_eq!(short.load_schedule(&mut r), Err(StateError::Truncated));
+    }
+
+    /// Worker `id`'s page of records is allocated.
+    fn page_held(engine: &WorkerLifecycle, id: u32) -> bool {
+        engine.table.records.pages[id as usize / PAGE].is_some()
+    }
+
+    fn saved(engine: &WorkerLifecycle) -> Vec<u64> {
+        let mut words = Vec::new();
+        engine.save(&mut words);
+        assert_eq!(words.len(), engine.saved_words());
+        words
+    }
+
+    /// A page is freed once its last record is let go of, and a record
+    /// that turned `Gone` still holds its slot until the next build
+    /// applies its staged departure: the page must outlive the `Gone`
+    /// transition, or the build finds no slot to give back. A full page
+    /// keeps one worker past the rest, which then leaves by `consume`
+    /// or by a dispatch past its expiry; its departure applies at the
+    /// next build — after a save and load before that build too — and
+    /// only that build frees the page.
+    #[test]
+    fn a_page_outlives_its_last_staged_departure() {
+        const LAST: u32 = 7;
+        for how in ["consumed", "dispatched past its expiry"] {
+            let mut engine = WorkerLifecycle::open_ended(&grid());
+            // A full page: every worker but `LAST` expires at period 1,
+            // `LAST` (at x = 9) at period 3.
+            let page: Vec<GroundWorker> = (0..PAGE as u32)
+                .map(|id| {
+                    if id == LAST {
+                        worker(9.0, 3)
+                    } else {
+                        worker(1.0, 1)
+                    }
+                })
+                .collect();
+            engine.begin_period(0, &page);
+            let _ = engine.build_graph_capped(&[], 4);
+            engine.begin_period(1, &[]);
+            let graph = engine.build_graph_capped(&task_at(9.0), 4);
+            assert_eq!(live_ids(&engine), [LAST], "{how}");
+            assert_eq!((graph.n_right(), engine.id_of_dense(0)), (1, LAST));
+            if how == "consumed" {
+                engine.consume(LAST);
+            } else {
+                engine.dispatch(1, LAST, Point::new(9.0, 9.0), 5);
+            }
+            assert!(
+                page_held(&engine, LAST),
+                "{how}: freed with a staged departure"
+            );
+
+            let words = saved(&engine);
+            let mut restored = WorkerLifecycle::open_ended(&grid());
+            restored.load(&mut StateWords::new(&words)).unwrap();
+            assert_eq!(
+                saved(&restored),
+                words,
+                "{how}: the restored state saves the same"
+            );
+            for engine in [&mut engine, &mut restored] {
+                assert!(
+                    page_held(engine, LAST),
+                    "{how}: the staged departure holds the page"
+                );
+                assert_eq!(live_ids(engine), [LAST], "{how}: live until the next build");
+                engine.begin_period(2, &[]);
+                let _ = engine.build_graph_capped(&task_at(9.0), 4);
+                assert_eq!(engine.live_count(), 0, "{how}: the departure applied");
+                assert!(live_ids(engine).is_empty());
+                assert!(!page_held(engine, LAST), "{how}: the page is freed with it");
+                // A freed page reads as `Gone` records: its expiries and
+                // departures are no-ops.
+                engine.depart(LAST);
+                engine.begin_period(3, &[]);
+                let _ = engine.build_graph_capped(&task_at(9.0), 4);
+                assert_eq!(engine.live_count(), 0, "{how}");
+            }
+            assert_eq!(saved(&restored), saved(&engine), "{how}");
+        }
+        // A freed page saves as the `Gone` records it reads as.
+        let gone = [Record::GONE; STATUSES_PER_WORD];
+        assert_eq!(lane_word(&gone), GONE_LANE_WORD);
+    }
+
+    /// Ids are `u32`s: the last admission takes id `u32::MAX` and lives
+    /// like any other, and the one after it is refused rather than
+    /// handed id 0 again. The counter is set, not counted up: to what
+    /// 2³² − 1 admissions leave when every page before the open one was
+    /// freed (a 32 MiB page table of freed pages).
+    #[test]
+    fn the_last_admission_id_is_u32_max_and_the_next_is_refused() {
+        let mut engine = WorkerLifecycle::open_ended(&grid());
+        let records = &mut engine.table.records;
+        records.len = u32::MAX as usize;
+        records
+            .pages
+            .resize_with(records.len.div_ceil(PAGE), || None);
+        *records.pages.last_mut().unwrap() = Some(Page::empty());
+        assert_eq!(engine.next_id(), Some(u32::MAX));
+
+        engine.begin_period(0, &[worker(1.0, 2)]);
+        let _ = engine.build_graph_capped(&[], 4);
+        assert_eq!(live_ids(&engine), [u32::MAX]);
+        assert_eq!((engine.admitted(), engine.next_id()), (1 << 32, None));
+        let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            engine.admit(1, &worker(2.0, 2));
+        }))
+        .expect_err("the 2^32-nd id is not reused");
+        let text = panic_text(&refused);
+        assert!(text.contains("all 2^32 worker ids are taken"), "{text:?}");
+        assert_eq!(engine.admitted(), 1 << 32);
+
+        // The last worker expires on schedule, and its page — full now —
+        // is freed with it.
+        for t in 1..3 {
+            engine.begin_period(t, &[]);
+            let _ = engine.build_graph_capped(&[], 4);
+        }
+        assert_eq!(engine.live_count(), 0);
+        assert!(!page_held(&engine, u32::MAX));
     }
 }
