@@ -117,13 +117,13 @@ impl LFunction {
     }
 
     /// Total demand mass `C = Σ_{r∈R^tg} d_r`.
-    pub fn total_mass(&self) -> f64 {
+    fn total_mass(&self) -> f64 {
         *self.prefix.last().expect("prefix never empty")
     }
 
     /// Supply mass `D_n = Σ_{i=1..n} d_{r_i}` (top-`n` distances;
     /// `n` beyond `|R^tg|` saturates at `C`).
-    pub fn supply_mass(&self, n: usize) -> f64 {
+    fn supply_mass(&self, n: usize) -> f64 {
         self.prefix[n.min(self.dists_desc.len())]
     }
 
@@ -134,13 +134,13 @@ impl LFunction {
 
     /// Appendix C.6's alternative approximation
     /// `L̃(n, p) = Σ_{i=1}^{min(⌈|R|·s⌉, n)} d_{r_i} · p · s`.
-    pub fn value_tilde(&self, n: usize, p: f64, s: f64) -> f64 {
+    fn value_tilde(&self, n: usize, p: f64, s: f64) -> f64 {
         let expected_acceptors = (self.num_tasks() as f64 * s).ceil() as usize;
         self.supply_mass(expected_acceptors.min(n)) * p * s
     }
 
     /// Dispatch between [`Self::value`] and [`Self::value_tilde`].
-    pub fn value_kind(&self, kind: ApproxKind, n: usize, p: f64, s: f64) -> f64 {
+    fn value_kind(&self, kind: ApproxKind, n: usize, p: f64, s: f64) -> f64 {
         match kind {
             ApproxKind::MinCurves => self.value(n, p, s),
             ApproxKind::TruncatedExpectation => self.value_tilde(n, p, s),

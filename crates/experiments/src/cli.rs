@@ -14,7 +14,8 @@ pub struct CliArgs {
     pub panel: Option<String>,
     /// `--quick`: ~20× smaller datasets.
     pub quick: bool,
-    /// `--parallel`: rayon over cells (disables memory tracking).
+    /// `--parallel`: run the (cell × seed) jobs in parallel (disables
+    /// memory tracking).
     pub parallel: bool,
     /// `--seeds N`: average over N ≥ 1 seeds (default 1). `--seeds 0`
     /// is rejected at parse time — it used to be accepted here and then

@@ -2,16 +2,19 @@
 //! [`Simulation::run`], the per-period batch loop the paper evaluates,
 //! optionally in parallel, and aggregates seeds into [`Row`]s.
 //!
-//! ## Determinism contract (PR 2)
+//! ## Determinism contract
 //!
-//! Parallel mode fans out over the full `(cell × seed)` job grid — not
-//! just cells — so `num_seeds`-fold averaging parallelizes too. Every
-//! job is seeded by its own `(x, strategy, seed)` coordinates (never by
-//! anything schedule-dependent), jobs are collected in job order, and
-//! each cell's seeds are aggregated sequentially in seed order. Rows are
-//! therefore **bit-identical** to the serial path (modulo the serial-only
-//! memory/timing columns) at any rayon thread count — enforced by
-//! `seed_parallel_rows_bitwise_deterministic` below.
+//! [`run_panel`] is the workspace's one parallel call. Both modes walk
+//! the same `(cell × seed)` job grid, so `num_seeds`-fold averaging
+//! parallelizes too; `parallel` only chooses whether the jobs are
+//! mapped with `par_iter` or `iter`. Every job is seeded by its own
+//! `(x, strategy, seed)` coordinates (never by anything
+//! schedule-dependent), jobs are collected in job order, and each
+//! cell's seeds are aggregated in seed order. Rows are therefore
+//! **bit-identical** to the serial mode (modulo the serial-only
+//! memory/timing columns) at any thread count — enforced by
+//! `seed_parallel_rows_bitwise_deterministic` below. Root `clippy.toml`
+//! bans `par_iter` everywhere else.
 
 use crate::panels::{PanelSpec, Scale};
 use crate::report::Row;
@@ -28,9 +31,9 @@ pub struct RunOptions {
     /// Seeds to average over (the paper reports single runs; averaging
     /// over ≥1 seeds reduces Monte-Carlo noise in the tables).
     pub num_seeds: u64,
-    /// Run cells in parallel with rayon. Wall-clock timings and peak-
-    /// memory figures are only meaningful in serial mode; parallel mode
-    /// is for fast revenue-shape iteration.
+    /// Run the `(cell × seed)` jobs in parallel. Wall-clock timings and
+    /// peak-memory figures are only meaningful in serial mode; parallel
+    /// mode is for fast revenue-shape iteration.
     pub parallel: bool,
     /// Measure peak heap via the tracking allocator (requires the binary
     /// to install [`TrackingAllocator`] as the global allocator, and
@@ -133,40 +136,32 @@ pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
         .flat_map(|&x| StrategyKind::ALL.into_iter().map(move |k| (x, k)))
         .collect();
     let seeds = options.num_seeds.max(1);
-    if options.parallel {
-        // Seed-parallel fan-out over the (cell × seed) job grid. Each
-        // job is a pure function of its coordinates, `collect` preserves
-        // job order, and the per-cell aggregation below walks seeds in
-        // seed order — so the rows are bit-identical at any thread count.
-        let jobs: Vec<(usize, u64)> = (0..cells.len())
-            .flat_map(|c| (0..seeds).map(move |s| (c, s)))
-            .collect();
-        let outcomes: Vec<Outcome> = jobs
-            .par_iter()
-            .map(|&(c, seed)| {
-                let (x, kind) = cells[c];
-                run_cell(spec, x, kind, options, seed)
-            })
-            .collect();
-        cells
-            .iter()
-            .enumerate()
-            .map(|(c, &(x, kind))| {
-                let block = &outcomes[c * seeds as usize..(c + 1) * seeds as usize];
-                aggregate(spec, x, kind, block)
-            })
-            .collect()
+    let jobs: Vec<(usize, u64)> = (0..cells.len())
+        .flat_map(|c| (0..seeds).map(move |s| (c, s)))
+        .collect();
+    let job = |&(c, seed): &(usize, u64)| {
+        let (x, kind) = cells[c];
+        run_cell(spec, x, kind, options, seed)
+    };
+    // Serial mode runs a cell's jobs as the cell is aggregated, so a
+    // peak-memory reading holds the cell's earlier seeds, not every
+    // outcome of the panel.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one parallel call: each job is a pure function of its coordinates and `collect` keeps job order"
+    )]
+    let mut outcomes: Box<dyn Iterator<Item = Outcome> + '_> = if options.parallel {
+        Box::new(jobs.par_iter().map(job).collect::<Vec<_>>().into_iter())
     } else {
-        cells
-            .iter()
-            .map(|&(x, kind)| {
-                let outcomes: Vec<Outcome> = (0..seeds)
-                    .map(|seed| run_cell(spec, x, kind, options, seed))
-                    .collect();
-                aggregate(spec, x, kind, &outcomes)
-            })
-            .collect()
-    }
+        Box::new(jobs.iter().map(job))
+    };
+    (cells.iter())
+        .map(|&(x, kind)| {
+            let mut block = Vec::with_capacity(seeds as usize);
+            block.extend(outcomes.by_ref().take(seeds as usize));
+            aggregate(spec, x, kind, &block)
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -177,8 +172,8 @@ mod tests {
     use maps_testkit::BitPattern;
     use std::sync::Arc;
 
-    /// A deliberately tiny two-x panel so the thread-sweep regression
-    /// tests stay fast even at `num_seeds = 8`.
+    /// A deliberately tiny two-x panel so the thread sweep below stays
+    /// fast even at `num_seeds = 8`.
     fn tiny_panel() -> PanelSpec {
         PanelSpec {
             figure: "test",
@@ -216,9 +211,8 @@ mod tests {
         out
     }
 
-    /// PR-2 acceptance: seed-parallel rows are bit-identical across
-    /// 1/2/3/8-thread pools for `num_seeds ∈ {1, 3, 8}`, and match the
-    /// serial path.
+    /// Seed-parallel rows under 1/2/3/8-thread pools equal the serial
+    /// mode's, bit for bit, for `num_seeds ∈ {1, 3, 8}`.
     #[test]
     fn seed_parallel_rows_bitwise_deterministic() {
         let spec = tiny_panel();
@@ -226,24 +220,26 @@ mod tests {
             let options = RunOptions {
                 scale: Scale::Quick,
                 num_seeds,
-                parallel: true,
+                parallel: false,
                 track_memory: false,
                 ..RunOptions::default()
             };
-            let parallel =
-                maps_testkit::assert_deterministic(|| rows_canon(&run_panel(&spec, options)));
-            let serial = run_panel(
-                &spec,
-                RunOptions {
-                    parallel: false,
-                    ..options
-                },
-            );
-            assert_eq!(
-                parallel,
-                rows_canon(&serial),
-                "num_seeds {num_seeds}: parallel rows diverged from the serial path"
-            );
+            let serial = rows_canon(&run_panel(&spec, options));
+            let parallel = RunOptions {
+                parallel: true,
+                ..options
+            };
+            for threads in [1, 2, 3, 8] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .expect("thread pool builds");
+                let rows = rows_canon(&pool.install(|| run_panel(&spec, parallel)));
+                assert_eq!(
+                    rows, serial,
+                    "num_seeds {num_seeds}, {threads} threads: parallel rows diverged from the serial mode"
+                );
+            }
         }
     }
 

@@ -124,7 +124,8 @@ impl UcbStats {
     }
 
     /// `N`: total observations in the grid.
-    pub fn n_total(&self) -> u64 {
+    #[cfg(test)]
+    fn n_total(&self) -> u64 {
         self.n_total
     }
 

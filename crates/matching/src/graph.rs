@@ -69,7 +69,7 @@ impl BipartiteGraph {
 
     /// Degree of left vertex `l`.
     #[inline]
-    pub fn degree(&self, l: usize) -> usize {
+    fn degree(&self, l: usize) -> usize {
         (self.starts[l + 1] - self.starts[l]) as usize
     }
 
@@ -174,7 +174,7 @@ impl<'a> MaskedGraph<'a> {
     }
 
     /// Indices of the participating left vertices, ascending.
-    pub fn kept_left(&self) -> impl Iterator<Item = usize> + 'a {
+    fn kept_left(&self) -> impl Iterator<Item = usize> + 'a {
         self.keep
             .iter()
             .enumerate()

@@ -44,9 +44,8 @@
 //!
 //! Replaying any `GroundTruth` through the service ([`replay()`]) yields
 //! an [`maps_simulator::Outcome`] **bit-identical** to
-//! [`maps_simulator::Simulation::run`] at any rayon thread count
-//! (enforced across 1/2/3/8 threads by the seeded explorer,
-//! `tests/explorer.rs`). The proof is that there is nothing to
+//! [`maps_simulator::Simulation::run`] (enforced by the seeded
+//! explorer, `tests/explorer.rs`, after every epoch). The proof is that there is nothing to
 //! prove twice: worker ids are the global admission order, the
 //! lifecycle, the index and the period body are the batch loop's own
 //! code, and the event stream admits a period's workers and tasks in

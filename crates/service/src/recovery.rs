@@ -22,8 +22,8 @@
 //! barrier records, replay re-counts rejections and re-runs the
 //! deterministic reducer, so the recovered
 //! [`maps_simulator::Outcome::deterministic_bits`] equals an
-//! uninterrupted run's — at any thread count, which the seeded explorer
-//! (`tests/explorer.rs`) enforces at every crash point it draws.
+//! uninterrupted run's, which the seeded explorer (`tests/explorer.rs`)
+//! enforces at every crash point it draws.
 //!
 //! The offset is a checkpoint word, so it is outside input like every
 //! other: before a byte of the tail is decoded, the frame ending at it

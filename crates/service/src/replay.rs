@@ -6,8 +6,7 @@
 //! resulting [`Outcome`] must be bit-identical to
 //! [`Simulation::run`](maps_simulator::Simulation::run) — every field
 //! except the wall-clock timing columns, compared via
-//! [`Outcome::deterministic_bits`] — at any rayon thread count. The
-//! seeded explorer (`tests/explorer.rs`) enforces exactly that.
+//! [`Outcome::deterministic_bits`]. The seeded explorer (`tests/explorer.rs`) enforces exactly that.
 //!
 //! Every helper still takes a `shards` count: it is ignored (the
 //! service serves from one index) and kept for source compatibility,

@@ -1,7 +1,7 @@
 //! The seeded explorer: one `u64` seed draws a whole case of the service
-//! stack (workload, strategy, match policy, calibration, edge cap, rayon
-//! threads, producer partition, `Interleaver` plan, lane capacity, send
-//! paths, journal cadence, and a `FaultPlan` crash point with, in half
+//! stack (workload, strategy, match policy, calibration, edge cap,
+//! producer partition, `Interleaver` plan, lane capacity, send paths,
+//! journal cadence, and a `FaultPlan` crash point with, in half
 //! the draws, a corruption of the files it left), and one check runs it
 //! against serial `push`, which runs against `Simulation::run`. A failure
 //! names the seed, the case and the first divergent label, then shrinks
@@ -27,8 +27,8 @@ use std::time::Duration;
 use ServiceError::{Journal, Poisoned};
 
 /// Seeds `0..BUDGET` run in CI. A seed's low digits enumerate strategy ×
-/// match policy × thread count, so any 40 consecutive seeds cover that
-/// grid; the rest of a case comes from the seed's hash.
+/// match policy, so any 10 consecutive seeds cover that grid; the rest
+/// of a case comes from the seed's hash.
 const BUDGET: u64 = 140;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -48,7 +48,6 @@ struct Case {
     kind: StrategyKind,
     policy: MatchPolicy,
     options: SimOptions,
-    threads: usize,
     producers: usize,
     plan: InterleavePlan,
     capacity: usize,
@@ -93,7 +92,6 @@ fn draw(seed: u64) -> Case {
         policy: [MatchPolicy::Consume, MatchPolicy::Relocate { speed: 2.0 }]
             [(seed / 5 % 2) as usize],
         options,
-        threads: DEFAULT_THREAD_COUNTS[(seed / 10 % 4) as usize],
         producers: if serial { 1 } else { 1 + pick(8) },
         plan,
         capacity,
@@ -271,26 +269,24 @@ fn labelled(outcome: &Outcome) -> Labelled {
     Labelled { words, labels }
 }
 
-/// Serial `push` at one thread: the outcome after every epoch.
+/// Serial `push`: the outcome after every epoch.
 fn serial(case: &Case, truth: &GroundTruth, epochs: &[Vec<ServiceEvent>]) -> Vec<Outcome> {
-    with_threads(1, || {
-        let mut svc = replay_service(truth, case.kind, 1, case.options);
-        let mut live = Vec::new();
-        let outcomes = (epochs.iter())
-            .map(|events| {
-                let tick = [&ServiceEvent::PeriodTick];
-                events.iter().chain(tick).for_each(|&e| svc.push(e));
-                live.push(svc.live_workers());
-                svc.outcome_snapshot().clone()
-            })
-            .collect();
-        if case.workload == Workload::Swing && live.len() == SWING_PERIODS {
-            let after = SURGE_AT + SURGE_DURATION as usize;
-            let quiet = live[..SURGE_AT].iter().chain(&live[after..]).max();
-            assert!(live[SURGE_AT] > 16 * quiet.unwrap(), "no swing: {live:?}");
-        }
-        outcomes
-    })
+    let mut svc = replay_service(truth, case.kind, 1, case.options);
+    let mut live = Vec::new();
+    let outcomes = (epochs.iter())
+        .map(|events| {
+            let tick = [&ServiceEvent::PeriodTick];
+            events.iter().chain(tick).for_each(|&e| svc.push(e));
+            live.push(svc.live_workers());
+            svc.outcome_snapshot().clone()
+        })
+        .collect();
+    if case.workload == Workload::Swing && live.len() == SWING_PERIODS {
+        let after = SURGE_AT + SURGE_DURATION as usize;
+        let quiet = live[..SURGE_AT].iter().chain(&live[after..]).max();
+        assert!(live[SURGE_AT] > 16 * quiet.unwrap(), "no swing: {live:?}");
+    }
+    outcomes
 }
 
 /// Serial push equals `Simulation::run` on the ground-truth prefix, at
@@ -595,10 +591,8 @@ fn check_stack(w: &World) {
 fn check(case: &Case) {
     let checked = catch_unwind(AssertUnwindSafe(|| {
         let w = world(case);
-        with_threads(case.threads, || {
-            check_batch(&w);
-            check_stack(&w);
-        });
+        check_batch(&w);
+        check_stack(&w);
     }));
     let _ = std::fs::remove_dir_all(scratch());
     if let Err(panic) = checked {
@@ -642,9 +636,9 @@ fn budget_covers_every_axis() {
     use Crash::*;
     let cases: Vec<Case> = (0..BUDGET).map(draw).collect();
     let has = |what: &str, f: &dyn Fn(&Case) -> bool| assert!(cases.iter().any(f), "no {what}");
-    let grid = |c: &Case| format!("{} × {:?} × {} threads", c.kind, c.policy, c.threads);
+    let grid = |c: &Case| format!("{} × {:?}", c.kind, c.policy);
     let grid: BTreeSet<_> = cases.iter().map(grid).collect();
-    assert_eq!(grid.len(), 5 * 2 * 4, "strategy × policy × threads");
+    assert_eq!(grid.len(), 5 * 2, "strategy × policy");
     for p in [1, 2, 4, 8] {
         has(&format!("{p} producers"), &|c| c.producers == p);
     }

@@ -167,7 +167,8 @@ impl Outcome {
     }
 
     /// Fraction of issued tasks that accepted their price.
-    pub fn acceptance_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn acceptance_rate(&self) -> f64 {
         if self.issued_tasks == 0 {
             0.0
         } else {
@@ -176,7 +177,8 @@ impl Outcome {
     }
 
     /// Fraction of accepted tasks that were served.
-    pub fn service_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn service_rate(&self) -> f64 {
         if self.accepted_tasks == 0 {
             0.0
         } else {
@@ -190,7 +192,8 @@ impl Outcome {
     }
 
     /// Average revenue per served task (`0` when nothing matched).
-    pub fn revenue_per_match(&self) -> f64 {
+    #[cfg(test)]
+    fn revenue_per_match(&self) -> f64 {
         if self.matched_tasks == 0 {
             0.0
         } else {

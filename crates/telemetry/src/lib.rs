@@ -60,7 +60,7 @@ impl Log2Histogram {
 
     /// Bucket index for `value`: its significant-bit count.
     #[inline]
-    pub fn bucket_of(value: u64) -> usize {
+    fn bucket_of(value: u64) -> usize {
         (u64::BITS - value.leading_zeros()) as usize
     }
 
@@ -73,7 +73,7 @@ impl Log2Histogram {
 
     /// Records `n` identical observations at once.
     #[inline]
-    pub fn record_n(&mut self, value: u64, n: u64) {
+    fn record_n(&mut self, value: u64, n: u64) {
         self.counts[Self::bucket_of(value)] += n;
         self.total += n;
     }
@@ -106,7 +106,7 @@ impl Log2Histogram {
     /// Inclusive upper bound of bucket `b` (`0` for bucket 0,
     /// `2^b − 1` otherwise) — the histogram's representative value for
     /// observations in that bucket.
-    pub fn bucket_upper_bound(b: usize) -> u64 {
+    fn bucket_upper_bound(b: usize) -> u64 {
         if b == 0 {
             0
         } else if b >= 64 {
@@ -123,7 +123,7 @@ impl Log2Histogram {
     ///
     /// Integer-only on purpose: a float quantile rank could round
     /// differently across hosts; this cannot.
-    pub fn quantile_upper_bound(&self, numerator: u64, denominator: u64) -> u64 {
+    fn quantile_upper_bound(&self, numerator: u64, denominator: u64) -> u64 {
         assert!(denominator > 0, "quantile denominator must be positive");
         assert!(numerator <= denominator, "quantile above 1.0");
         if self.total == 0 {

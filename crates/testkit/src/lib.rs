@@ -1,22 +1,17 @@
 //! # maps-testkit
 //!
 //! Cross-crate test support for the workspace's determinism contract:
-//! every rayon-parallel kernel (Monte-Carlo revenue estimation, the
-//! seed-parallel experiment runner) must produce **bit-identical**
-//! output at any thread count, and so must every path that calls none
-//! (whole simulations, the service).
-//!
-//! The harness has two halves:
+//! a replay must return the same bits as the run it replays — the
+//! service as the batch engine, a recovered run as an uninterrupted
+//! one, any producer split as serial `push`.
 //!
 //! * [`BitPattern`] — a canonical bit-level encoding of a result value.
 //!   Floats are compared through [`f64::to_bits`], so `0.0 != -0.0` and
-//!   two NaNs with different payloads differ: if a parallel schedule
-//!   changes even the rounding of one float, the harness sees it.
-//! * [`assert_deterministic`] / [`assert_deterministic_across`] — run a
-//!   closure under rayon pools of 1/2/3/8 threads (or a caller-chosen
-//!   set) and assert that every run's bit pattern equals the 1-thread
-//!   baseline. A divergence is reported as the first differing word,
-//!   named by its label when the value is [`Labelled`].
+//!   two NaNs with different payloads differ: if a change moves even
+//!   the rounding of one float, the comparison sees it.
+//! * [`Labelled`] / [`first_difference`] / [`assert_words_eq`] — a
+//!   divergence is reported as the first differing word, named by its
+//!   label.
 //!
 //! Beside them, the workspace's one randomized-test loop and what its
 //! cases draw from:
@@ -29,18 +24,14 @@
 //!   [`FaultPlan`] of crash and corruption points, which the service's
 //!   seeded explorer draws from.
 //!
-//! Used by `maps-core` (Monte-Carlo, the pricing-table property),
+//! Used by `maps-core` (the graph cache, the pricing-table property),
 //! `maps-matching` (the kernels against Kuhn–Munkres), `maps-spatial`
-//! (the regrid oracle), `maps-experiments` (seed-parallel runner),
-//! `maps-simulator` (whole-simulation runs), `maps-service` (the seeded
-//! explorer and the soaks) and the root package's `tests/properties.rs`.
+//! (the regrid oracle), `maps-experiments` (the seed-parallel runner's
+//! rows), `maps-simulator` (the live-sized soak), `maps-service` (the
+//! seeded explorer and the soaks) and the root package's
+//! `tests/properties.rs`.
 
 #![warn(missing_docs)]
-
-/// Thread counts exercised by [`assert_deterministic`]: the serial
-/// baseline, both parities, and an oversubscribed pool (8 threads on a
-/// 1-CPU host still reorders chunk scheduling).
-pub const DEFAULT_THREAD_COUNTS: [usize; 4] = [1, 2, 3, 8];
 
 /// Deterministic xorshift64 for test fixtures and churn scripts — one
 /// shared generator so fixture distributions cannot silently diverge
@@ -272,54 +263,6 @@ impl_bitpattern_tuple!(A: 0);
 impl_bitpattern_tuple!(A: 0, B: 1);
 impl_bitpattern_tuple!(A: 0, B: 1, C: 2);
 impl_bitpattern_tuple!(A: 0, B: 1, C: 2, D: 3);
-
-/// Runs `f` inside a rayon pool of `threads` threads and returns its
-/// result. Convenience wrapper over `ThreadPoolBuilder… .install`.
-pub fn with_threads<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(threads)
-        .build()
-        .expect("thread pool builds")
-        .install(f)
-}
-
-/// Runs `f` once under each thread count in `counts` and asserts every
-/// result's [`BitPattern`] is identical to the first count's.
-///
-/// Returns the baseline result so callers can chain further checks
-/// (e.g. compare the parallel family against a sequential oracle).
-///
-/// # Panics
-/// Panics naming the first divergent word ([`first_difference`]) when
-/// any run diverges, or when `counts` is empty.
-pub fn assert_deterministic_across<T, F>(counts: &[usize], f: F) -> T
-where
-    T: BitPattern,
-    F: Fn() -> T,
-{
-    assert!(!counts.is_empty(), "need at least one thread count");
-    let baseline = with_threads(counts[0], &f);
-    for &threads in &counts[1..] {
-        let got = with_threads(threads, &f).bits();
-        if let Some(diff) = first_difference(&baseline, &got) {
-            panic!(
-                "result diverged at {threads} threads (baseline {} threads): {diff}",
-                counts[0]
-            );
-        }
-    }
-    baseline
-}
-
-/// [`assert_deterministic_across`] under the workspace's canonical
-/// thread counts [`DEFAULT_THREAD_COUNTS`] (1/2/3/8).
-pub fn assert_deterministic<T, F>(f: F) -> T
-where
-    T: BitPattern,
-    F: Fn() -> T,
-{
-    assert_deterministic_across(&DEFAULT_THREAD_COUNTS, f)
-}
 
 /// How an [`Interleaver`] shapes the relative schedule of N producer
 /// threads. The point of the ingestion contract is that the *outcome*
@@ -641,7 +584,6 @@ mod lint_canary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rayon::prelude::*;
 
     #[test]
     fn floats_compare_bitwise() {
@@ -668,19 +610,6 @@ mod tests {
     }
 
     #[test]
-    fn deterministic_parallel_sum_passes() {
-        // Ordered collect + sequential reduction: bit-stable by design.
-        let result = assert_deterministic(|| {
-            let parts: Vec<f64> = (0..1000usize)
-                .into_par_iter()
-                .map(|i| (i as f64).sqrt())
-                .collect();
-            parts.iter().sum::<f64>()
-        });
-        assert!(result > 0.0);
-    }
-
-    #[test]
     fn a_divergence_names_its_label() {
         let want = Labelled {
             words: vec![1, 2, 3],
@@ -691,17 +620,6 @@ mod tests {
         assert_eq!(diff(&[1, 2]).unwrap(), "c: 0x3 → -");
         assert_eq!(diff(&[1, 2, 3, 9]).unwrap(), "word 3: - → 0x9");
         assert_eq!(diff(&[1, 2, 3]), None);
-    }
-
-    #[test]
-    fn with_threads_overrides_pool_size() {
-        assert_eq!(with_threads(3, rayon::current_num_threads), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "diverged at")]
-    fn thread_dependent_result_is_caught() {
-        assert_deterministic(rayon::current_num_threads);
     }
 
     /// Runs `steps_per_producer` steps on each of `n` threads under

@@ -24,8 +24,8 @@ fn main() {
     );
     println!();
     println!(
-        "{:<12}{:>12}{:>10}{:>10}{:>10}{:>12}",
-        "strategy", "revenue", "issued", "accepted", "matched", "pricing(ms)"
+        "{:<12}{:>12}{:>10}{:>10}{:>10}",
+        "strategy", "revenue", "issued", "accepted", "matched"
     );
 
     let mut outcomes = Vec::new();
@@ -35,13 +35,12 @@ fn main() {
         let world = config.build(42);
         let outcome = Simulation::new(world, kind).run();
         println!(
-            "{:<12}{:>12.1}{:>10}{:>10}{:>10}{:>12.2}",
+            "{:<12}{:>12.1}{:>10}{:>10}{:>10}",
             outcome.strategy,
             outcome.total_revenue,
             outcome.issued_tasks,
             outcome.accepted_tasks,
             outcome.matched_tasks,
-            outcome.pricing_secs * 1e3,
         );
         outcomes.push(outcome);
     }

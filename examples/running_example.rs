@@ -61,7 +61,7 @@ fn main() {
     let expected = expected_total_revenue_exact(&ex.graph, &weights, &probs);
     println!("  E[U | prices (3,3,2)] = {expected:.4}  (paper prints 4.1)");
     // The sampling estimator for instances too large to enumerate:
-    // seeded, so these digits repeat at any thread count.
+    // seeded, so these digits repeat on every run.
     let estimate = monte_carlo_expected_revenue(&ex.graph, &weights, &probs, 40_000, 7);
     println!("  Monte-Carlo, 40000 sampled worlds (seed 7): {estimate:.4}");
 

@@ -263,9 +263,8 @@ struct Churn {
 /// random arrival/departure/relocation churn script keeps the edge
 /// set of the scan builders (Definition 5(ii), no index) on the live
 /// workers in ascending id, every period — `apply`, then the capped
-/// build on odd periods and the complete one on even periods — under
-/// the 1/2/3/8-thread `assert_deterministic` harness: per task the
-/// ids of its row, in order, bit for bit, and a right side of
+/// build on odd periods and the complete one on even periods: per task
+/// the ids of its row, in order, bit for bit, and a right side of
 /// exactly the distinct ids the rows name, ascending. A relocation is
 /// written the way the lifecycle table performs it: the same id in the
 /// departures and the arrivals of one `apply`. Scripts start with
@@ -308,9 +307,7 @@ fn incremental_graph_matches_scratch_rebuild() {
          }| {
             let three_radii = seed % 2 == 1;
             let grid = GridSpec::square(Rect::square(100.0), 5);
-            // Replays the whole script from scratch on each invocation, so
-            // the thread-sweep harness sees a pure function.
-            let replay = || {
+            let (incremental, scratch) = {
                 let mut rng = XorShift::seeded(seed);
                 let point = |rng: &mut XorShift| {
                     // ~6% of points land outside the region.
@@ -407,7 +404,6 @@ fn incremental_graph_matches_scratch_rebuild() {
                 }
                 (incremental_bits, scratch_bits)
             };
-            let (incremental, scratch) = maps_testkit::assert_deterministic(replay);
             assert_eq!(
                 incremental, scratch,
                 "incremental build diverged from the oracle"
