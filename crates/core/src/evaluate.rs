@@ -15,10 +15,13 @@
 //! accumulates sequentially in sample order, and the block sums are
 //! added in block order. The estimate is a function of
 //! `(instance, samples, seed)` alone; `monte_carlo_bits_are_pinned` in
-//! the tests holds its bits on one instance. Each sample runs through the
-//! zero-allocation masked kernel ([`MatchScratch`] with a `keep` mask
-//! over a precomputed weight order) instead of materializing a
-//! `filter_left` subgraph.
+//! the tests holds its bits on one instance.
+//!
+//! A sample draws one acceptance per task, in task order, and writes the
+//! world's weights: the task's `d_r · p_r` if it accepts, `0.0` if it
+//! rejects. It is solved by [`MatchScratch::max_weight_value_ordered`]
+//! over the weight order sorted once per call, which skips the zeros —
+//! no `filter_left` subgraph, no sort and no allocation per sample.
 
 use maps_matching::{sort_by_weight_desc, BipartiteGraph, MatchScratch};
 use rand::rngs::SmallRng;
@@ -27,45 +30,6 @@ use rand::{Rng, SeedableRng};
 /// Number of Monte-Carlo samples per seeding block; each block owns an
 /// independent RNG stream.
 const MC_BLOCK: u32 = 64;
-
-/// The estimator's workspace: acceptance mask, weight-sorted task
-/// order and the matching scratch. Binding sorts the weights once;
-/// sampling then runs allocation-free.
-#[derive(Debug)]
-struct McScratch {
-    keep: Vec<bool>,
-    order: Vec<u32>,
-    matching: MatchScratch,
-}
-
-impl McScratch {
-    /// A workspace bound to an instance: the mask sized, the weight
-    /// order computed.
-    fn bound(graph: &BipartiteGraph, weights: &[f64]) -> Self {
-        let mut order = Vec::new();
-        sort_by_weight_desc(weights, &mut order);
-        Self {
-            keep: vec![false; graph.n_left()],
-            order,
-            matching: MatchScratch::new(),
-        }
-    }
-
-    /// Draws one world from `rng` and returns its clearing revenue.
-    fn sample_once(
-        &mut self,
-        graph: &BipartiteGraph,
-        weights: &[f64],
-        accept_probs: &[f64],
-        rng: &mut SmallRng,
-    ) -> f64 {
-        for (k, &q) in self.keep.iter_mut().zip(accept_probs) {
-            *k = rng.gen::<f64>() < q;
-        }
-        self.matching
-            .max_weight_value_ordered(graph, weights, &self.order, Some(&self.keep))
-    }
-}
 
 /// The RNG for one seeding block: every `(seed, block)` pair owns an
 /// independent, reproducible stream.
@@ -96,7 +60,10 @@ pub fn monte_carlo_expected_revenue(
         "one probability per task"
     );
     assert!(samples > 0, "need at least one sample");
-    let mut scratch = McScratch::bound(graph, weights);
+    let mut order = Vec::new();
+    sort_by_weight_desc(weights, &mut order);
+    let mut world = vec![0.0; graph.n_left()];
+    let mut matching = MatchScratch::new();
     let mut total = 0.0;
     for block in 0..samples.div_ceil(MC_BLOCK) {
         // A block's samples are summed on their own, in sample order,
@@ -104,7 +71,10 @@ pub fn monte_carlo_expected_revenue(
         let mut rng = block_rng(seed, block);
         let mut acc = 0.0;
         for _ in 0..MC_BLOCK.min(samples - block * MC_BLOCK) {
-            acc += scratch.sample_once(graph, weights, accept_probs, &mut rng);
+            for ((w, &weight), &q) in world.iter_mut().zip(weights).zip(accept_probs) {
+                *w = if rng.gen::<f64>() < q { weight } else { 0.0 };
+            }
+            acc += matching.max_weight_value_ordered(graph, &world, &order);
         }
         total += acc;
     }

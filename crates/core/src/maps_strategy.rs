@@ -904,9 +904,10 @@ mod tests {
         };
         let reference = maps.price_period_tableless(&input);
         let prices = maps.clone().price_period(&input).prices;
+        let bits = |prices: &[f64]| prices.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(
-            maps_testkit::BitPattern::bits(&prices),
-            maps_testkit::BitPattern::bits(&reference.prices),
+            bits(&prices),
+            bits(&reference.prices),
             "table path diverged from the table-less reference"
         );
     }

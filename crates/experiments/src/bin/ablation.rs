@@ -97,20 +97,21 @@ fn main() {
         let mut secs = 0.0;
         let mut mem: f64 = 0.0;
         for &seed in &seeds {
-            let truth = cfg.build(seed);
-            let cells = truth.grid.num_cells();
-            let strategy = MapsStrategy::new(
-                cells,
-                maps_market::PriceLadder::paper_default(),
-                maps_cfg.clone(),
-            );
-            TrackingAllocator::reset_peak();
-            let out =
-                Simulation::with_strategy(truth, Box::new(strategy) as Box<dyn PricingStrategy>)
-                    .run();
+            let build = || {
+                let truth = cfg.build(seed);
+                let cells = truth.grid.num_cells();
+                let strategy = MapsStrategy::new(
+                    cells,
+                    maps_market::PriceLadder::paper_default(),
+                    maps_cfg.clone(),
+                );
+                (truth, Box::new(strategy) as Box<dyn PricingStrategy>)
+            };
+            let run = |(truth, strategy)| Simulation::with_strategy(truth, strategy).run();
+            let (out, mib) = TrackingAllocator::run_peak_mib(build, run);
             revenue += out.total_revenue;
             secs += out.pricing_secs;
-            mem = mem.max(TrackingAllocator::peak_mib());
+            mem = mem.max(mib);
         }
         let n = seeds.len() as f64;
         println!(

@@ -76,20 +76,21 @@ fn run_cell(
     options: RunOptions,
     seed: u64,
 ) -> Outcome {
-    let truth = (spec.build)(x, options.scale, seed);
+    let build = || (spec.build)(x, options.scale, seed);
+    let run = |truth| {
+        Simulation::new(truth, kind)
+            .with_options(options.sim_options())
+            .run()
+    };
     // The peak is process-wide: cells running side by side would read
     // each other's.
-    let track = options.track_memory && !options.parallel;
-    if track {
-        TrackingAllocator::reset_peak();
+    if options.track_memory && !options.parallel {
+        let (mut outcome, mib) = TrackingAllocator::run_peak_mib(build, run);
+        outcome.peak_memory_mib = Some(mib);
+        outcome
+    } else {
+        run(build())
     }
-    let mut outcome = Simulation::new(truth, kind)
-        .with_options(options.sim_options())
-        .run();
-    if track {
-        outcome.peak_memory_mib = Some(TrackingAllocator::peak_mib());
-    }
-    outcome
 }
 
 /// Averages several outcomes into one row.
@@ -169,7 +170,6 @@ mod tests {
     use super::*;
     use crate::panels::fig6_w;
     use maps_simulator::SyntheticConfig;
-    use maps_testkit::BitPattern;
     use std::sync::Arc;
 
     /// A deliberately tiny two-x panel so the thread sweep below stays
@@ -192,23 +192,19 @@ mod tests {
         }
     }
 
-    /// Canonical bit-level encoding of a row set (floats via `to_bits`).
-    fn rows_canon(rows: &[Row]) -> Vec<u64> {
-        let mut out = Vec::new();
-        for r in rows {
-            r.figure.bit_pattern(&mut out);
-            r.panel.bit_pattern(&mut out);
-            r.x.bit_pattern(&mut out);
-            r.strategy.bit_pattern(&mut out);
-            r.revenue.bit_pattern(&mut out);
-            r.memory_mib.bit_pattern(&mut out);
-            r.issued.bit_pattern(&mut out);
-            r.accepted.bit_pattern(&mut out);
-            r.matched.bit_pattern(&mut out);
-            // pricing/clearing/calibration secs are wall-clock readings,
-            // legitimately thread- and load-dependent: excluded.
-        }
-        out
+    /// A row set as comparable values, every float as its bits (so a
+    /// moved rounding or a `-0.0` shows).
+    fn rows_canon(rows: &[Row]) -> Vec<(String, Option<u64>, [u64; 5])> {
+        // pricing/clearing/calibration secs are wall-clock readings,
+        // legitimately thread- and load-dependent: excluded.
+        (rows.iter())
+            .map(|r| {
+                let name = format!("{}/{}/{}", r.figure, r.panel, r.strategy);
+                let memory = r.memory_mib.map(f64::to_bits);
+                let floats = [r.x, r.revenue, r.issued, r.accepted, r.matched];
+                (name, memory, floats.map(f64::to_bits))
+            })
+            .collect()
     }
 
     /// Seed-parallel rows under 1/2/3/8-thread pools equal the serial

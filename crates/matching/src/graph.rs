@@ -67,12 +67,6 @@ impl BipartiteGraph {
         &self.adj[self.starts[l] as usize..self.starts[l + 1] as usize]
     }
 
-    /// Degree of left vertex `l`.
-    #[inline]
-    fn degree(&self, l: usize) -> usize {
-        (self.starts[l + 1] - self.starts[l]) as usize
-    }
-
     /// Whether the edge `(l, r)` exists. Neighbour lists are sorted, so
     /// this is a binary search.
     pub fn has_edge(&self, l: usize, r: usize) -> bool {
@@ -84,28 +78,15 @@ impl BipartiteGraph {
         (0..self.n_left).flat_map(move |l| self.neighbors(l).iter().map(move |&r| (l, r as usize)))
     }
 
-    /// A zero-copy view of the induced subgraph keeping only the left
-    /// vertices for which `keep[l]` is true. Left indices are **not**
-    /// renumbered — they stay meaningful against the original graph's
-    /// weight arrays — which is what lets the evaluation hot loops
-    /// (possible worlds, Monte-Carlo sampling, market clearing) avoid
-    /// the per-world copy that [`Self::filter_left`] performs.
-    ///
-    /// # Panics
-    /// Panics if `keep.len() != self.n_left()`.
-    pub fn masked<'a>(&'a self, keep: &'a [bool]) -> MaskedGraph<'a> {
-        assert_eq!(keep.len(), self.n_left, "mask length mismatch");
-        MaskedGraph { graph: self, keep }
-    }
-
     /// An induced subgraph keeping only the left vertices for which
     /// `keep_left` is true. Right vertices are preserved (same indices);
     /// kept left vertices are renumbered densely in order, and the mapping
     /// `new_left -> old_left` is returned alongside.
     ///
     /// Possible-world instantiation (Definition 5: `R′^t ⊆ R^t` are the
-    /// accepting tasks) is exactly this operation. Hot loops should
-    /// prefer the allocation-free [`Self::masked`] view.
+    /// accepting tasks) is exactly this operation. Hot loops write a
+    /// zero weight for each rejected task instead, which solves the same
+    /// world with no copy (see [`crate::scratch`]).
     pub fn filter_left(&self, keep_left: &[bool]) -> (BipartiteGraph, Vec<u32>) {
         assert_eq!(keep_left.len(), self.n_left, "mask length mismatch");
         let mut old_of_new = Vec::new();
@@ -128,92 +109,6 @@ impl BipartiteGraph {
             },
             old_of_new,
         )
-    }
-}
-
-/// A zero-copy masked view over a [`BipartiteGraph`], produced by
-/// [`BipartiteGraph::masked`].
-///
-/// Semantically equivalent to the subgraph `filter_left` materializes,
-/// except left vertices keep their original indices (masked-out
-/// vertices simply have no edges), so weight arrays of the full graph
-/// stay directly usable. [`MaskedGraph::max_weight_value`] solves the
-/// view through a reused [`crate::MatchScratch`] without copying
-/// anything — this is how the simulator clears each period's market.
-#[derive(Debug, Clone, Copy)]
-pub struct MaskedGraph<'a> {
-    graph: &'a BipartiteGraph,
-    keep: &'a [bool],
-}
-
-impl<'a> MaskedGraph<'a> {
-    /// The underlying full graph.
-    #[inline]
-    pub fn graph(&self) -> &'a BipartiteGraph {
-        self.graph
-    }
-
-    /// The participation mask (`keep[l]` ⇔ left vertex `l` is in the
-    /// subgraph).
-    #[inline]
-    pub fn keep(&self) -> &'a [bool] {
-        self.keep
-    }
-
-    /// Number of left vertices of the *underlying* graph (indices are
-    /// not renumbered; masked-out vertices are isolated).
-    #[inline]
-    pub fn n_left(&self) -> usize {
-        self.graph.n_left()
-    }
-
-    /// Number of right vertices.
-    #[inline]
-    pub fn n_right(&self) -> usize {
-        self.graph.n_right()
-    }
-
-    /// Indices of the participating left vertices, ascending.
-    fn kept_left(&self) -> impl Iterator<Item = usize> + 'a {
-        self.keep
-            .iter()
-            .enumerate()
-            .filter(|(_, &k)| k)
-            .map(|(l, _)| l)
-    }
-
-    /// Neighbours of left vertex `l`: the full adjacency when kept,
-    /// empty when masked out.
-    #[inline]
-    pub fn neighbors(&self, l: usize) -> &'a [u32] {
-        if self.keep[l] {
-            self.graph.neighbors(l)
-        } else {
-            &[]
-        }
-    }
-
-    /// Whether the edge `(l, r)` exists in the masked subgraph.
-    pub fn has_edge(&self, l: usize, r: usize) -> bool {
-        self.keep[l] && self.graph.has_edge(l, r)
-    }
-
-    /// Number of edges of the masked subgraph.
-    pub fn n_edges(&self) -> usize {
-        self.kept_left().map(|l| self.graph.degree(l)).sum()
-    }
-
-    /// Maximum-weight matching value of the masked subgraph under
-    /// left-sided `weights` (indexed by *original* left indices),
-    /// solved allocation-free into `scratch`. The assignment remains
-    /// readable through [`crate::MatchScratch::matched_pairs`] with
-    /// original indices until the next solve.
-    ///
-    /// # Panics
-    /// Panics if `weights.len() != self.n_left()` or any weight is
-    /// NaN.
-    pub fn max_weight_value(&self, weights: &[f64], scratch: &mut crate::MatchScratch) -> f64 {
-        scratch.max_weight_value_masked(self.graph, weights, self.keep)
     }
 }
 
@@ -299,7 +194,7 @@ mod tests {
         assert_eq!(g.n_edges(), 5);
         assert_eq!(g.neighbors(0), &[0]);
         assert_eq!(g.neighbors(2), &[0, 1, 2]);
-        assert_eq!(g.degree(1), 1);
+        assert_eq!(g.neighbors(1).len(), 1);
         assert!(g.has_edge(2, 1));
         assert!(!g.has_edge(0, 1));
         assert!(!g.has_edge(1, 2));
@@ -331,7 +226,7 @@ mod tests {
     fn isolated_vertices_allowed() {
         let g = BipartiteGraphBuilder::new(3, 3).build();
         assert_eq!(g.n_edges(), 0);
-        assert_eq!(g.degree(0), 0);
+        assert_eq!(g.neighbors(0).len(), 0);
         assert_eq!(g.neighbors(2), &[] as &[u32]);
     }
 
@@ -419,44 +314,6 @@ mod tests {
         assert_eq!(old, vec![0, 2]);
         assert_eq!(sub.neighbors(0), &[0]); // r1
         assert_eq!(sub.neighbors(1), &[0, 1, 2]); // r3
-    }
-
-    #[test]
-    fn masked_view_mirrors_filter_left() {
-        let g = running_example_graph();
-        let keep = [true, false, true];
-        let view = g.masked(&keep);
-        let (sub, old_of_new) = g.filter_left(&keep);
-        assert_eq!(view.kept_left().count(), sub.n_left());
-        assert_eq!(view.n_right(), sub.n_right());
-        assert_eq!(view.n_edges(), sub.n_edges());
-        assert_eq!(view.kept_left().collect::<Vec<_>>(), vec![0, 2]);
-        for (new_l, &old_l) in old_of_new.iter().enumerate() {
-            assert_eq!(view.neighbors(old_l as usize), sub.neighbors(new_l));
-        }
-        assert_eq!(view.neighbors(1), &[] as &[u32]);
-        assert!(view.has_edge(2, 1));
-        assert!(!view.has_edge(1, 0), "masked-out vertex has no edges");
-        assert_eq!(view.n_left(), 3, "indices are not renumbered");
-    }
-
-    #[test]
-    fn masked_view_solves_through_scratch() {
-        let g = running_example_graph();
-        let keep = [true, false, true];
-        let weights = [3.9, 2.1, 2.0];
-        let mut scratch = crate::MatchScratch::new();
-        let value = g.masked(&keep).max_weight_value(&weights, &mut scratch);
-        // r1 -> w1 and r3 -> w2/w3: both kept tasks matched.
-        assert!((value - 5.9).abs() < 1e-12);
-        assert!(scratch.matched_pairs().all(|(l, _)| keep[l]));
-    }
-
-    #[test]
-    #[should_panic(expected = "mask length mismatch")]
-    fn masked_rejects_bad_mask() {
-        let g = running_example_graph();
-        let _ = g.masked(&[true, false]);
     }
 
     #[test]

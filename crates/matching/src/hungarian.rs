@@ -4,12 +4,12 @@
 //!
 //! The paper's `U(B^t)` (Definition 5) is the weight of a maximum-weight
 //! matching of the instantiated graph of accepting tasks. The shipping
-//! left-weight kernel ([`crate::greedy_weight`]) is checked against this
-//! dense `O(n³)` solver with weight `d_r · p_r` on every edge of task
-//! `r`; at unit weights its value is the maximum cardinality, which is
-//! what Kuhn's augmenting paths ([`crate::IncrementalMatching`]) are
-//! checked against. No shipping path calls it: the paper's edge weights
-//! never depend on the worker.
+//! left-weight kernel ([`crate::MatchScratch::max_weight_value`]) is
+//! checked against this dense `O(n³)` solver with weight `d_r · p_r` on
+//! every edge of task `r`; at unit weights its value is the maximum
+//! cardinality, which is what Kuhn's augmenting paths
+//! ([`crate::IncrementalMatching`]) are checked against. No shipping path
+//! calls it: the paper's edge weights never depend on the worker.
 //!
 //! Implementation: Jonker–Volgenant-style shortest augmenting paths with
 //! dual potentials on a padded square cost matrix.
@@ -131,7 +131,7 @@ pub(crate) fn max_weight_matching_dense(
 mod tests {
     use super::*;
     use crate::graph::{BipartiteGraph, BipartiteGraphBuilder};
-    use crate::{max_weight_matching_left_weights, IncrementalMatching};
+    use crate::{IncrementalMatching, MatchScratch};
     use maps_testkit::{explore, XorShift};
 
     fn dense(weights: &[&[Option<f64>]]) -> (Matching, f64) {
@@ -343,8 +343,9 @@ mod tests {
             let weights: Vec<f64> = (0..graph.n_left())
                 .map(|_| rng.below(1000) as f64 / 100.0)
                 .collect();
-            let (mg, wg) = max_weight_matching_left_weights(graph, &weights);
-            assert!(mg.is_valid(graph));
+            let mut scratch = MatchScratch::new();
+            let wg = scratch.max_weight_value(graph, &weights);
+            assert!(scratch.to_matching().is_valid(graph));
             let (_, wh) = max_weight_matching_dense(graph.n_left(), graph.n_right(), |l, r| {
                 graph.has_edge(l, r).then_some(weights[l])
             });

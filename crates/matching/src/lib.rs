@@ -15,19 +15,18 @@
 //!   lines 10 and 16 ("find an augmenting path for r ∈ R^tg"). One
 //!   augmentation attempt per left vertex from the empty matching is
 //!   Kuhn's maximum-cardinality algorithm.
-//! * [`greedy_weight`] — exact maximum-weight matching in the special case
-//!   where weights live on the *left* vertices (as in the paper: the weight
-//!   `d_r·p_r` does not depend on the worker). The matchable task subsets
-//!   form a transversal matroid, so greedy-by-weight with augmenting paths
-//!   is optimal; this is what lets the simulator run the paper's
-//!   `|R| = |W| = 500 000` scalability experiment.
+//! * [`scratch`] — [`MatchScratch`], the reusable zero-allocation
+//!   workspace behind every matching kernel, and the one clearing
+//!   kernel: exact maximum-weight matching where weights live on the
+//!   *left* vertices (as in the paper: the weight `d_r·p_r` does not
+//!   depend on the worker). The matchable task subsets form a
+//!   transversal matroid, so greedy-by-weight with augmenting paths is
+//!   optimal; this is what lets the simulator run the paper's
+//!   `|R| = |W| = 500 000` scalability experiment. A task that takes no
+//!   part — a requester who rejects — is a task of weight zero.
 //! * [`possible_worlds`] — exact expected total revenue over the `2^|R|`
 //!   possible worlds of Definition 6, summed as the definition states
 //!   it (reproduces Example 3's expected revenue).
-//! * [`scratch`] — [`MatchScratch`], the reusable zero-allocation
-//!   workspace behind every matching kernel, and the
-//!   [`graph::MaskedGraph`] view that replaces `filter_left` copies in
-//!   hot loops.
 //!
 //! The one reference both kernels are checked against — Kuhn–Munkres
 //! (Hungarian) maximum-weight matching with general edge weights, at
@@ -39,13 +38,11 @@
 #![warn(rust_2018_idioms)]
 
 pub mod graph;
-pub mod greedy_weight;
 pub mod incremental;
 pub mod possible_worlds;
 pub mod scratch;
 
-pub use graph::{BipartiteGraph, BipartiteGraphBuilder, MaskedGraph};
-pub use greedy_weight::max_weight_matching_left_weights;
+pub use graph::{BipartiteGraph, BipartiteGraphBuilder};
 pub use incremental::IncrementalMatching;
 pub use possible_worlds::{expected_total_revenue_exact, PossibleWorlds};
 pub use scratch::{sort_by_weight_desc, MatchScratch};

@@ -21,7 +21,7 @@
 //! sum.
 
 use crate::graph::BipartiteGraph;
-use crate::greedy_weight::max_weight_matching_left_weights;
+use crate::scratch::MatchScratch;
 
 /// Maximum number of tasks for exact enumeration: `2^n` matching solves,
 /// ≈ 1 s at 20 tasks and doubling per task from there (module docs).
@@ -109,7 +109,7 @@ impl<'a> PossibleWorlds<'a> {
                 .iter()
                 .map(|&l| self.weights[l as usize])
                 .collect();
-            let (_, revenue) = max_weight_matching_left_weights(&sub, &sub_weights);
+            let revenue = MatchScratch::new().max_weight_value(&sub, &sub_weights);
             World {
                 mask,
                 probability,

@@ -1,32 +1,48 @@
-//! Reusable zero-allocation matching workspace.
+//! Reusable zero-allocation matching workspace, and the one clearing
+//! kernel: exact maximum-weight matching for left-sided weights.
+//!
+//! # Why greedy is exact
+//!
+//! In the paper every edge incident to task `r` carries the same weight
+//! `d_r · p_r` (Definition 5: "The weight of an edge (r, w) is d_r × p_r").
+//! The family of task subsets that can be simultaneously matched is the
+//! independence system of a **transversal matroid**, and maximizing a
+//! non-negative modular function over a matroid is solved exactly by the
+//! greedy algorithm: visit tasks in decreasing weight order and keep each
+//! task iff the matching can still be augmented. Complexity is
+//! `O(R log R + R · E)` worst case but near-linear on the sparse
+//! per-period graphs the simulator builds, which is what makes the
+//! paper's 500k × 500k scalability experiment (Fig. 8, column 2)
+//! feasible. The tests check it against the `#[cfg(test)]`
+//! Kuhn–Munkres reference.
+//!
+//! # A rejected task is a zero weight
+//!
+//! Only strictly positive weights take part: a task of weight `≤ 0`
+//! cannot raise the total, so the kernel skips it. A world of
+//! Definition 6 keeps only the accepting requesters, and a requester
+//! who rejects contributes exactly zero — so a caller solves a world by
+//! writing `0.0` for each rejected task, never by building
+//! [`BipartiteGraph::filter_left`]'s subgraph. The bits are those of the
+//! filtered solve: the greedy runs under the total order
+//! `(weight desc, index)`, and the accepting tasks keep their relative
+//! order whether the rejected ones are dropped from that order or skipped
+//! inside it, so the augmentation attempts, the matched pairs and the
+//! order of the additions to the total are the same.
+//!
+//! # Zero allocation
 //!
 //! The evaluation hot paths — Monte-Carlo revenue estimation,
-//! per-period market clearing — solve thousands to
-//! millions of maximum-weight matchings over graphs of identical (or
-//! shrinking) size. Allocating fresh match/visited/order buffers per
-//! solve dominates the runtime at small `n`. [`MatchScratch`] owns all
-//! of those buffers: after the first solve at a given size, subsequent
-//! solves perform **no heap allocation at all** (buffers only ever
-//! grow; `sort_unstable_by` is in-place).
-//!
-//! Two kernel families are provided:
-//!
-//! * [`MatchScratch::max_weight_value`] — greedy transversal-matroid
-//!   maximum-weight matching over a whole [`BipartiteGraph`] (exact for
-//!   the paper's left-sided weights, see `greedy_weight`).
-//! * [`MatchScratch::max_weight_value_masked`] /
-//!   [`MatchScratch::max_weight_value_ordered`] — the same matching
-//!   restricted to the left vertices selected by a `keep` mask,
-//!   *without* materializing the filtered subgraph the way
-//!   [`BipartiteGraph::filter_left`] does. The `_ordered` variant
-//!   additionally reuses a caller-provided weight-sorted order, which
-//!   removes the per-solve `O(R log R)` sort when the weights are
-//!   fixed and only the mask changes (Monte-Carlo).
-//!
-//! A masked solve never needs to consult the mask during augmentation:
-//! only kept vertices are used as augmentation sources, and every
-//! matched occupant reached mid-search was itself a kept source, so
-//! the search stays inside the kept subgraph by construction.
+//! per-period market clearing — solve thousands to millions of
+//! matchings over graphs of identical (or shrinking) size. Allocating
+//! fresh match/visited/order buffers per solve dominates the runtime at
+//! small `n`. [`MatchScratch`] owns all of those buffers: after the
+//! first solve at a given size, subsequent solves perform **no heap
+//! allocation at all** (buffers only ever grow; `sort_unstable_by` is
+//! in-place). [`MatchScratch::max_weight_value`] sorts, then solves;
+//! [`MatchScratch::max_weight_value_ordered`] solves over a
+//! caller-provided order, which removes the per-solve `O(R log R)` sort
+//! when the order is fixed and only the zeros move (Monte-Carlo).
 
 use crate::graph::BipartiteGraph;
 use crate::Matching;
@@ -206,11 +222,10 @@ impl MatchScratch {
         }
     }
 
-    /// Maximum-weight matching value of the whole graph under
-    /// left-sided `weights` (exact; see `greedy_weight` for why greedy
-    /// is optimal here). Sorting happens internally; reuse
-    /// [`Self::max_weight_value_ordered`] with a prebuilt order to
-    /// skip it.
+    /// Maximum-weight matching value under left-sided `weights`
+    /// (exact; see the [module docs](self)). Sorting happens
+    /// internally; reuse [`Self::max_weight_value_ordered`] with a
+    /// prebuilt order to skip it.
     ///
     /// # Panics
     /// Panics if `weights.len() != graph.n_left()` or any weight is
@@ -218,33 +233,16 @@ impl MatchScratch {
     pub fn max_weight_value(&mut self, graph: &BipartiteGraph, weights: &[f64]) -> f64 {
         let mut order = std::mem::take(&mut self.order);
         sort_by_weight_desc(weights, &mut order);
-        let total = self.max_weight_value_ordered(graph, weights, &order, None);
-        self.order = order;
-        total
-    }
-
-    /// Masked variant of [`Self::max_weight_value`]: only left
-    /// vertices with `keep[l] == true` participate. Equivalent to
-    /// matching over `graph.filter_left(keep)` but with no subgraph
-    /// materialization.
-    pub fn max_weight_value_masked(
-        &mut self,
-        graph: &BipartiteGraph,
-        weights: &[f64],
-        keep: &[bool],
-    ) -> f64 {
-        assert_eq!(keep.len(), graph.n_left(), "mask length mismatch");
-        let mut order = std::mem::take(&mut self.order);
-        sort_by_weight_desc(weights, &mut order);
-        let total = self.max_weight_value_ordered(graph, weights, &order, Some(keep));
+        let total = self.max_weight_value_ordered(graph, weights, &order);
         self.order = order;
         total
     }
 
     /// The fully amortized hot-path kernel: maximum-weight matching
-    /// value using a caller-provided `order` (left indices sorted by
-    /// strictly positive weight, descending, ties by index — see
-    /// [`sort_by_weight_desc`]) and an optional participation mask.
+    /// value over a caller-provided `order` of left indices, sorted by
+    /// weight descending with ties by index ([`sort_by_weight_desc`] of
+    /// these weights, or of weights they only zero out). A vertex whose
+    /// weight is `≤ 0` is skipped.
     ///
     /// With a prebuilt order this performs no sorting and no heap
     /// allocation (after buffer warm-up).
@@ -253,7 +251,6 @@ impl MatchScratch {
         graph: &BipartiteGraph,
         weights: &[f64],
         order: &[u32],
-        keep: Option<&[bool]>,
     ) -> f64 {
         assert_eq!(
             weights.len(),
@@ -262,26 +259,14 @@ impl MatchScratch {
         );
         self.begin(graph.n_left(), graph.n_right());
         let mut total = 0.0;
-        match keep {
-            None => {
-                for &l in order {
-                    self.bump_epoch();
-                    if self.dfs(graph, l as usize, true) {
-                        total += weights[l as usize];
-                    }
-                }
+        for &l in order {
+            let l = l as usize;
+            if weights[l] <= 0.0 {
+                continue;
             }
-            Some(keep) => {
-                assert_eq!(keep.len(), graph.n_left(), "mask length mismatch");
-                for &l in order {
-                    if !keep[l as usize] {
-                        continue;
-                    }
-                    self.bump_epoch();
-                    if self.dfs(graph, l as usize, true) {
-                        total += weights[l as usize];
-                    }
-                }
+            self.bump_epoch();
+            if self.dfs(graph, l, true) {
+                total += weights[l];
             }
         }
         total
@@ -313,86 +298,171 @@ pub fn sort_by_weight_desc(weights: &[f64], out: &mut Vec<u32>) {
 mod tests {
     use super::*;
     use crate::graph::BipartiteGraphBuilder;
-    use crate::greedy_weight::max_weight_matching_left_weights;
+    use crate::hungarian::max_weight_matching_dense;
+    use maps_testkit::{explore, XorShift};
 
-    fn xorshift(state: &mut u64) -> u64 {
-        *state ^= *state << 13;
-        *state ^= *state >> 7;
-        *state ^= *state << 17;
-        *state
+    /// One solve on a fresh scratch: the matching and its value.
+    fn solve(graph: &BipartiteGraph, weights: &[f64]) -> (Matching, f64) {
+        let mut scratch = MatchScratch::new();
+        let total = scratch.max_weight_value(graph, weights);
+        (scratch.to_matching(), total)
     }
 
-    fn random_instance(seed: u64) -> (BipartiteGraph, Vec<f64>, Vec<bool>) {
-        let mut s = seed | 1;
-        let n_left = 1 + (xorshift(&mut s) % 12) as usize;
-        let n_right = 1 + (xorshift(&mut s) % 12) as usize;
+    /// A world: 1–12 vertices a side, each edge present with probability
+    /// 1/3, weights in `{0, 0.5, …, 2.5}` (ties and zeros are common),
+    /// and who accepts.
+    type World = (BipartiteGraph, Vec<f64>, Vec<bool>);
+
+    fn arb_world(seed: u64) -> World {
+        let mut rng = XorShift::seeded(seed);
+        let (n_left, n_right) = (1 + rng.below(12) as usize, 1 + rng.below(12) as usize);
         let mut b = BipartiteGraphBuilder::new(n_left, n_right);
         for l in 0..n_left {
             for r in 0..n_right {
-                if xorshift(&mut s).is_multiple_of(3) {
+                if rng.below(3) == 0 {
                     b.add_edge(l, r);
                 }
             }
         }
-        let weights: Vec<f64> = (0..n_left)
-            .map(|_| (xorshift(&mut s) % 1000) as f64 / 100.0)
-            .collect();
-        let keep: Vec<bool> = (0..n_left)
-            .map(|_| xorshift(&mut s).is_multiple_of(2))
-            .collect();
+        let weights = (0..n_left).map(|_| rng.below(6) as f64 * 0.5).collect();
+        let keep = (0..n_left).map(|_| rng.below(2) == 0).collect();
         (b.build(), weights, keep)
     }
 
-    #[test]
-    fn whole_graph_matches_greedy_reference() {
-        let mut scratch = MatchScratch::new();
-        for seed in 0..60 {
-            let (g, w, _) = random_instance(seed);
-            let (reference, ref_total) = max_weight_matching_left_weights(&g, &w);
-            let total = scratch.max_weight_value(&g, &w);
-            assert!(
-                (total - ref_total).abs() < 1e-12,
-                "seed {seed}: scratch {total} vs reference {ref_total}"
-            );
-            let m = scratch.to_matching();
-            assert!(m.is_valid(&g), "seed {seed}");
-            assert_eq!(m, reference, "seed {seed}: identical tie-breaking");
-        }
+    /// The world on the first half of its left side; `None` at one vertex.
+    fn halve_world((graph, weights, keep): &World) -> Option<World> {
+        let n = graph.n_left();
+        let first: Vec<bool> = (0..n).map(|l| l < n / 2).collect();
+        (n > 1).then(|| {
+            let half = n / 2;
+            let sub = graph.filter_left(&first).0;
+            (sub, weights[..half].to_vec(), keep[..half].to_vec())
+        })
     }
 
     #[test]
-    fn masked_matches_filter_left() {
-        let mut scratch = MatchScratch::new();
-        for seed in 0..80 {
-            let (g, w, keep) = random_instance(seed);
-            let masked = scratch.max_weight_value_masked(&g, &w, &keep);
-            let (sub, old_of_new) = g.filter_left(&keep);
-            let sub_weights: Vec<f64> = old_of_new.iter().map(|&l| w[l as usize]).collect();
-            let (_, expected) = max_weight_matching_left_weights(&sub, &sub_weights);
-            assert!(
-                (masked - expected).abs() < 1e-12,
-                "seed {seed}: masked {masked} vs filter_left {expected}"
-            );
-            // The masked matching never uses a masked-out vertex.
-            for (l, _) in scratch.matched_pairs() {
-                assert!(keep[l], "seed {seed}: matched masked-out vertex {l}");
+    fn skips_non_positive_weights() {
+        let g = BipartiteGraphBuilder::new(2, 2)
+            .with_edges([(0, 0), (1, 1)])
+            .build();
+        let (m, w) = solve(&g, &[0.0, 5.0]);
+        assert_eq!(m.pairs, vec![None, Some(1)]);
+        assert!((w - 5.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn displaces_lighter_tasks() {
+        // One worker, heavier task arrives "later" in index order.
+        let g = BipartiteGraphBuilder::new(2, 1)
+            .with_edges([(0, 0), (1, 0)])
+            .build();
+        let (m, w) = solve(&g, &[1.0, 9.0]);
+        assert_eq!(m.pairs, vec![None, Some(0)]);
+        assert!((w - 9.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn augments_rather_than_displaces() {
+        // Both tasks can be served by routing the first through another
+        // worker; greedy must find total 3, not 2.
+        let g = BipartiteGraphBuilder::new(2, 2)
+            .with_edges([(0, 0), (0, 1), (1, 0)])
+            .build();
+        let (m, w) = solve(&g, &[1.0, 2.0]);
+        assert!((w - 3.0).abs() < 1e-12);
+        assert!(m.is_valid(&g));
+        assert_eq!(m.cardinality(), 2);
+    }
+
+    #[test]
+    fn running_example_revenue() {
+        // All three requesters accept prices (3,3,2): optimum 5.9 (Fig. 2,
+        // first possible world).
+        let g = BipartiteGraphBuilder::new(3, 3)
+            .with_edges([(0, 0), (1, 0), (2, 0), (2, 1), (2, 2)])
+            .build();
+        let (m, w) = solve(&g, &[3.9, 2.1, 2.0]);
+        assert!((w - 5.9).abs() < 1e-9);
+        assert!(m.is_valid(&g));
+    }
+
+    #[test]
+    fn matches_hungarian_on_pseudorandom_graphs() {
+        let mut state = 0x9E3779B97F4A7C15u64;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for trial in 0..40 {
+            let n_left = 1 + (next() % 10) as usize;
+            let n_right = 1 + (next() % 10) as usize;
+            let mut b = BipartiteGraphBuilder::new(n_left, n_right);
+            for l in 0..n_left {
+                for r in 0..n_right {
+                    if next() % 3 == 0 {
+                        b.add_edge(l, r);
+                    }
+                }
             }
-            assert!(scratch.to_matching().is_valid(&g));
+            let g = b.build();
+            let weights: Vec<f64> = (0..n_left)
+                .map(|_| (next() % 1000) as f64 / 100.0)
+                .collect();
+            let (mg, wg) = solve(&g, &weights);
+            let (_, wh) = max_weight_matching_dense(n_left, n_right, |l, r| {
+                g.has_edge(l, r).then_some(weights[l])
+            });
+            assert!(mg.is_valid(&g), "trial {trial}");
+            assert!(
+                (wg - wh).abs() < 1e-9,
+                "trial {trial}: greedy {wg} vs hungarian {wh}"
+            );
         }
+    }
+
+    /// Writing `0.0` for a rejected task solves the world `filter_left`
+    /// materializes, bit for bit: the same total and the same pairs
+    /// (under the original indices) — through the sorting kernel, and
+    /// through the ordered kernel over the order of the unzeroed
+    /// weights, as the Monte-Carlo estimator holds it.
+    #[test]
+    fn zero_weights_match_filter_left() {
+        explore(0..200, arb_world, halve_world, |(graph, weights, keep)| {
+            let (sub, old_of_new) = graph.filter_left(keep);
+            let sub_weights: Vec<f64> = old_of_new.iter().map(|&l| weights[l as usize]).collect();
+            let (filtered, want) = solve(&sub, &sub_weights);
+            let want_pairs: Vec<(usize, u32)> = (filtered.pairs.iter().enumerate())
+                .filter_map(|(new, r)| Some((old_of_new[new] as usize, (*r)?)))
+                .collect();
+            let zeroed: Vec<f64> = (weights.iter().zip(keep))
+                .map(|(&w, &k)| if k { w } else { 0.0 })
+                .collect();
+            let mut order = Vec::new();
+            sort_by_weight_desc(weights, &mut order);
+            let mut scratch = MatchScratch::new();
+            let check = |total: f64, scratch: &MatchScratch| {
+                assert_eq!(total.to_bits(), want.to_bits(), "{total} vs {want}");
+                assert_eq!(scratch.matched_pairs().collect::<Vec<_>>(), want_pairs);
+            };
+            check(scratch.max_weight_value(graph, &zeroed), &scratch);
+            check(
+                scratch.max_weight_value_ordered(graph, &zeroed, &order),
+                &scratch,
+            );
+        });
     }
 
     #[test]
     fn ordered_kernel_reuses_external_order() {
-        let (g, w, keep) = random_instance(1234);
+        let (g, w, _) = arb_world(1234);
         let mut order = Vec::new();
         sort_by_weight_desc(&w, &mut order);
         let mut scratch = MatchScratch::new();
-        let a = scratch.max_weight_value_ordered(&g, &w, &order, Some(&keep));
-        let b = scratch.max_weight_value_masked(&g, &w, &keep);
-        assert_eq!(a, b);
-        let c = scratch.max_weight_value_ordered(&g, &w, &order, None);
-        let d = scratch.max_weight_value(&g, &w);
-        assert_eq!(c, d);
+        let a = scratch.max_weight_value_ordered(&g, &w, &order);
+        let b = scratch.max_weight_value(&g, &w);
+        assert_eq!(a.to_bits(), b.to_bits());
     }
 
     #[test]
@@ -400,9 +470,10 @@ mod tests {
         let mut scratch = MatchScratch::new();
         // Big then small then big again: stale state must never leak.
         for &seed in &[7u64, 8, 9, 7, 8, 9] {
-            let (g, w, _) = random_instance(seed);
-            let (_, expected) = max_weight_matching_left_weights(&g, &w);
+            let (g, w, _) = arb_world(seed);
+            let (fresh, expected) = solve(&g, &w);
             assert_eq!(scratch.max_weight_value(&g, &w), expected);
+            assert_eq!(scratch.to_matching(), fresh);
         }
     }
 

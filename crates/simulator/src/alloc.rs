@@ -10,10 +10,12 @@
 //! static ALLOC: maps_simulator::alloc::TrackingAllocator = TrackingAllocator::new();
 //! ```
 //!
-//! and call [`TrackingAllocator::reset_peak`] before / [`TrackingAllocator::peak_bytes`]
-//! after each run. The counters are lock-free atomics; the overhead is a
-//! few nanoseconds per allocation, irrelevant next to the allocation
-//! itself.
+//! and measure each run with [`TrackingAllocator::run_peak_mib`], which
+//! reports the run's high-water mark above what was live before its
+//! world was built — so a reading does not depend on what the process
+//! holds beside the run (earlier rows, buffers, a job grid). The
+//! counters are lock-free atomics; the overhead is a few nanoseconds per
+//! allocation, irrelevant next to the allocation itself.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{self, Ordering};
@@ -52,16 +54,25 @@ impl TrackingAllocator {
         PEAK.load(Ordering::Relaxed)
     }
 
-    /// High-water mark in MiB.
-    pub fn peak_mib() -> f64 {
-        Self::peak_bytes() as f64 / (1024.0 * 1024.0)
-    }
-
     /// Resets the peak to the current level (call between experiments).
     pub fn reset_peak() {
         // ordering: called between experiments on a quiesced process;
         // the counters are diagnostics, not synchronization.
         PEAK.store(CURRENT.load(Ordering::Relaxed), Ordering::Relaxed);
+    }
+
+    /// Runs `run` on the world `build` returns, and reads the heap's
+    /// high-water mark during `run`, in MiB above the bytes live before
+    /// `build`: the world counts, `build`'s transient allocations and
+    /// everything the process held before do not. Meaningful only with
+    /// this allocator installed and nothing else allocating meanwhile.
+    pub fn run_peak_mib<W, T>(build: impl FnOnce() -> W, run: impl FnOnce(W) -> T) -> (T, f64) {
+        let baseline = Self::current_bytes();
+        let world = build();
+        Self::reset_peak();
+        let out = run(world);
+        let peak = Self::peak_bytes().saturating_sub(baseline);
+        (out, peak as f64 / (1024.0 * 1024.0))
     }
 }
 
@@ -170,6 +181,6 @@ mod tests {
             TrackingAllocator::peak_bytes(),
             TrackingAllocator::current_bytes()
         );
-        assert!(TrackingAllocator::peak_mib() < 1.0);
+        assert!(TrackingAllocator::peak_bytes() < 1 << 20);
     }
 }

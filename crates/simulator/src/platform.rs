@@ -46,13 +46,15 @@ pub struct PeriodSettlement {
 /// accepts iff their private valuation exceeds the posted price, the
 /// posted prices feed the Welford moments and the observation log in
 /// task order, and the market clears over the accepting subgraph
-/// through the masked zero-allocation kernel.
+/// through the zero-allocation kernel: `weights[i]` is `d_r · p_r` for
+/// a requester who accepts and `0.0` for one who rejects, which the
+/// kernel skips. `keep` records each decision.
 ///
 /// The accept/clear half of [`PeriodStep::run`], public so an
 /// independent reference loop can be assembled from the same parts.
 /// The matched pairs stay readable through `clearing` for the caller's
-/// lifecycle step (task indices are the original period indices — the
-/// masked kernel does not renumber).
+/// lifecycle step (task indices are the original period indices — a
+/// zero weight does not renumber).
 #[expect(
     clippy::too_many_arguments,
     reason = "the parts of a period, passed as an independent reference loop holds them"
@@ -77,7 +79,9 @@ pub fn settle_period(
         let price = schedule.price(input_task.cell);
         let accepted = task.valuation > price;
         keep[i] = accepted;
-        weights[i] = input_task.distance * price;
+        if accepted {
+            weights[i] = input_task.distance * price;
+        }
         price_moments.push(price);
         observations.push(Observation {
             cell: input_task.cell,
@@ -91,7 +95,7 @@ pub fn settle_period(
         reason = "clearing_secs is timing telemetry, excluded from deterministic_bits"
     )]
     let start = Instant::now();
-    let revenue = graph.masked(keep).max_weight_value(weights, clearing);
+    let revenue = clearing.max_weight_value(graph, weights);
     PeriodSettlement {
         revenue,
         accepted,
@@ -280,8 +284,9 @@ impl PeriodStep {
         self.outcome.revenue_per_period.push(settlement.revenue);
 
         // Worker lifecycle for matched pairs (task indices are the
-        // original period indices — the masked kernel does not
-        // renumber). The churn is staged for the next period's build.
+        // original period indices — a rejected task is a zero weight,
+        // not a renumbering). The churn is staged for the next period's
+        // build.
         for (l, dense) in self.clearing.matched_pairs() {
             self.outcome.matched_tasks += 1;
             let task = &tasks[l];

@@ -5,13 +5,10 @@
 //! service as the batch engine, a recovered run as an uninterrupted
 //! one, any producer split as serial `push`.
 //!
-//! * [`BitPattern`] — a canonical bit-level encoding of a result value.
-//!   Floats are compared through [`f64::to_bits`], so `0.0 != -0.0` and
-//!   two NaNs with different payloads differ: if a change moves even
-//!   the rounding of one float, the comparison sees it.
 //! * [`Labelled`] / [`first_difference`] / [`assert_words_eq`] — a
-//!   divergence is reported as the first differing word, named by its
-//!   label.
+//!   result as words (floats through [`f64::to_bits`], so `0.0 != -0.0`
+//!   and a moved rounding shows), and a divergence reported as the first
+//!   differing word, named by its label.
 //!
 //! Beside them, the workspace's one randomized-test loop and what its
 //! cases draw from:
@@ -101,67 +98,29 @@ pub fn explore<C: Clone + std::fmt::Debug>(
     }
 }
 
-/// Canonical bit-level encoding of a value, for exact comparison of
-/// results that contain floats.
-pub trait BitPattern {
-    /// Appends this value's canonical encoding to `out`.
-    ///
-    /// Implementations must be injective enough that two values with
-    /// equal encodings are observably identical (length prefixes guard
-    /// nested containers against concatenation ambiguity).
-    fn bit_pattern(&self, out: &mut Vec<u64>);
-
-    /// This value's canonical encoding as an owned vector.
-    fn bits(&self) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.bit_pattern(&mut out);
-        out
-    }
-
-    /// What word `i` of the encoding holds, for a failure message;
-    /// [`Labelled`] names it, everything else by position.
-    fn word_label(&self, i: usize) -> String {
-        format!("word {i}")
-    }
-}
-
 /// Words with one label each — `Outcome::deterministic_bits` beside
 /// `Outcome::deterministic_labels` — so that a failing assertion names
 /// the first differing field instead of printing two word lists.
-/// Encodes as its words alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Labelled {
-    /// The encoding.
+    /// The words.
     pub words: Vec<u64>,
     /// One label per word.
     pub labels: Vec<String>,
 }
 
-impl BitPattern for Labelled {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.extend_from_slice(&self.words);
-    }
-
-    fn word_label(&self, i: usize) -> String {
-        self.labels
-            .get(i)
-            .cloned()
-            .unwrap_or_else(|| format!("word {i}"))
-    }
-}
-
-/// Where `got` first differs from `want`'s encoding, as
+/// Where `got` first differs from `want`'s words, as
 /// `"label: want → got"` (a word past the end of one list reads `-`), or
 /// `None` when the two are equal.
-pub fn first_difference(want: &impl BitPattern, got: &[u64]) -> Option<String> {
-    let bits = want.bits();
-    let i = (0..bits.len().max(got.len())).find(|&i| bits.get(i) != got.get(i))?;
+pub fn first_difference(want: &Labelled, got: &[u64]) -> Option<String> {
+    let words = &want.words;
+    let i = (0..words.len().max(got.len())).find(|&i| words.get(i) != got.get(i))?;
     let word = |w: &[u64]| w.get(i).map_or("-".into(), |v| format!("{v:#x}"));
-    let label = want.word_label(i);
-    Some(format!("{label}: {} → {}", word(&bits), word(got)))
+    let label = (want.labels.get(i)).map_or(format!("word {i}"), String::clone);
+    Some(format!("{label}: {} → {}", word(words), word(got)))
 }
 
-/// Asserts `got` is `want`'s encoding, naming the first differing label.
+/// Asserts `got` is `want`'s words, naming the first differing label.
 ///
 /// # Panics
 /// With `what` and [`first_difference`]'s description when they differ.
@@ -170,99 +129,6 @@ pub fn assert_words_eq(want: &Labelled, got: &[u64], what: impl std::fmt::Displa
         panic!("{what}: first divergent word {diff}");
     }
 }
-
-impl BitPattern for f64 {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.push(self.to_bits());
-    }
-}
-
-impl BitPattern for f32 {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.push(self.to_bits() as u64);
-    }
-}
-
-macro_rules! impl_bitpattern_int {
-    ($($t:ty),*) => {$(
-        impl BitPattern for $t {
-            fn bit_pattern(&self, out: &mut Vec<u64>) {
-                out.push(*self as u64);
-            }
-        }
-    )*};
-}
-
-impl_bitpattern_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
-
-impl BitPattern for bool {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.push(*self as u64);
-    }
-}
-
-impl BitPattern for String {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        self.as_str().bit_pattern(out);
-    }
-}
-
-impl BitPattern for &str {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.push(self.len() as u64);
-        for b in self.bytes() {
-            out.push(b as u64);
-        }
-    }
-}
-
-impl<T: BitPattern> BitPattern for Option<T> {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        match self {
-            None => out.push(0),
-            Some(v) => {
-                out.push(1);
-                v.bit_pattern(out);
-            }
-        }
-    }
-}
-
-impl<T: BitPattern> BitPattern for Vec<T> {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        self.as_slice().bit_pattern(out);
-    }
-}
-
-impl<T: BitPattern> BitPattern for [T] {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        out.push(self.len() as u64);
-        for v in self {
-            v.bit_pattern(out);
-        }
-    }
-}
-
-impl<T: BitPattern + ?Sized> BitPattern for &T {
-    fn bit_pattern(&self, out: &mut Vec<u64>) {
-        (*self).bit_pattern(out);
-    }
-}
-
-macro_rules! impl_bitpattern_tuple {
-    ($($name:ident : $idx:tt),+) => {
-        impl<$($name: BitPattern),+> BitPattern for ($($name,)+) {
-            fn bit_pattern(&self, out: &mut Vec<u64>) {
-                $(self.$idx.bit_pattern(out);)+
-            }
-        }
-    };
-}
-
-impl_bitpattern_tuple!(A: 0);
-impl_bitpattern_tuple!(A: 0, B: 1);
-impl_bitpattern_tuple!(A: 0, B: 1, C: 2);
-impl_bitpattern_tuple!(A: 0, B: 1, C: 2, D: 3);
 
 /// How an [`Interleaver`] shapes the relative schedule of N producer
 /// threads. The point of the ingestion contract is that the *outcome*
@@ -584,30 +450,6 @@ mod lint_canary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn floats_compare_bitwise() {
-        assert_ne!(0.0f64.bits(), (-0.0f64).bits());
-        assert_eq!(1.5f64.bits(), 1.5f64.bits());
-        let quiet = f64::NAN;
-        assert_eq!(quiet.bits(), quiet.bits(), "same NaN payload is equal");
-    }
-
-    #[test]
-    fn containers_are_length_prefixed() {
-        // Without prefixes [[1],[2]] and [[1,2]] would collide.
-        let a: Vec<Vec<u64>> = vec![vec![1], vec![2]];
-        let b: Vec<Vec<u64>> = vec![vec![1, 2]];
-        assert_ne!(a.bits(), b.bits());
-        let s1 = ("ab", 1u32);
-        let s2 = ("a", 98u32); // 'b' == 98
-        assert_ne!(s1.bits(), s2.bits());
-    }
-
-    #[test]
-    fn option_disambiguates() {
-        assert_ne!(Some(0u64).bits(), None::<u64>.bits());
-    }
 
     #[test]
     fn a_divergence_names_its_label() {

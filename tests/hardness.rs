@@ -19,10 +19,11 @@
 //! The maximum total revenue is `m` iff the formula is satisfiable.
 //!
 //! Each price assignment is scored by the shipping clearing kernel,
-//! [`MaskedGraph::max_weight_value`](maps::matching::MaskedGraph::max_weight_value).
-//! Its greedy is exact when every edge of a requester weighs the same —
-//! here `d_r·p_r`, as in Definition 5 — and `maps-matching`'s
-//! `greedy_matches_hungarian` pins it against Kuhn–Munkres.
+//! [`MatchScratch::max_weight_value`], with weight `d_r·p_r` for a
+//! requester who accepts and `0` for one who rejects. Its greedy is
+//! exact when every edge of a requester weighs the same — as in
+//! Definition 5 — and `maps-matching`'s `greedy_matches_hungarian` pins
+//! it against Kuhn–Munkres.
 
 use maps::matching::{BipartiteGraph, BipartiteGraphBuilder, MatchScratch};
 
@@ -159,12 +160,16 @@ impl GdpHardnessInstance {
                 2.0
             }
         };
-        let accepts: Vec<bool> = (0..n).map(|r| price(r) <= self.valuations[r]).collect();
-        let weights: Vec<f64> = (0..n).map(|r| price(r) * self.distances[r]).collect();
-        let mut scratch = MatchScratch::new();
-        self.graph
-            .masked(&accepts)
-            .max_weight_value(&weights, &mut scratch)
+        let weight = |r: usize| {
+            let accepts = price(r) <= self.valuations[r];
+            if accepts {
+                price(r) * self.distances[r]
+            } else {
+                0.0
+            }
+        };
+        let weights: Vec<f64> = (0..n).map(weight).collect();
+        MatchScratch::new().max_weight_value(&self.graph, &weights)
     }
 
     /// The decision problem: does any price assignment reach revenue `m`?
