@@ -341,6 +341,14 @@ mod tests {
     }
 
     #[test]
+    fn empty() {
+        let g = BipartiteGraphBuilder::new(0, 0).build();
+        let (m, w) = solve(&g, &[]);
+        assert_eq!(m.cardinality(), 0);
+        assert_eq!(w, 0.0);
+    }
+
+    #[test]
     fn skips_non_positive_weights() {
         let g = BipartiteGraphBuilder::new(2, 2)
             .with_edges([(0, 0), (1, 1)])
