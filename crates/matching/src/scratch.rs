@@ -299,6 +299,7 @@ mod tests {
     use super::*;
     use crate::graph::BipartiteGraphBuilder;
     use crate::hungarian::max_weight_matching_dense;
+    use crate::IncrementalMatching;
     use maps_testkit::{explore, XorShift};
 
     /// One solve on a fresh scratch: the matching and its value.
@@ -460,6 +461,94 @@ mod tests {
                 &scratch,
             );
         });
+    }
+
+    /// `graph` with every row of degree above `k` cut to a seeded
+    /// `k`-subset of itself.
+    fn cap_rows(graph: &BipartiteGraph, k: usize, rng: &mut XorShift) -> BipartiteGraph {
+        let mut b = BipartiteGraphBuilder::new(graph.n_left(), graph.n_right());
+        for l in 0..graph.n_left() {
+            let mut row = graph.neighbors(l).to_vec();
+            // A partial Fisher–Yates shuffle: the first `k` are the subset.
+            for i in 0..row.len().min(k) {
+                let j = i + rng.below((row.len() - i) as u64) as usize;
+                row.swap(i, j);
+            }
+            row.truncate(k);
+            for r in row {
+                b.add_edge(l, r as usize);
+            }
+        }
+        b.build()
+    }
+
+    /// The edge-cap lemma: when every row the cap cuts keeps at least
+    /// |R| workers (here `k` from `n_left..=n_left + 2`), the capped
+    /// graph has the full graph's transversal matroid. So both kernels
+    /// return bit-equal totals and the same matched tasks — *which*
+    /// worker serves a task may differ — and adding the tasks one at a
+    /// time, in any order, succeeds at the same steps.
+    #[test]
+    fn a_cap_of_at_least_the_task_count_changes_no_answer() {
+        let cut = std::cell::Cell::new(0);
+        let draw = |seed| (arb_world(seed), seed);
+        let halve = |(world, seed): &(World, u64)| Some((halve_world(world)?, *seed));
+        explore(0..1000, draw, halve, |((graph, weights, _), seed)| {
+            let mut rng = XorShift::seeded(!seed);
+            let k = graph.n_left() + rng.below(3) as usize;
+            let capped = cap_rows(graph, k, &mut rng);
+            cut.set(cut.get() + usize::from(capped.n_edges() < graph.n_edges()));
+            let mut order = Vec::new();
+            sort_by_weight_desc(weights, &mut order);
+            let solve = |g: &BipartiteGraph, ordered: bool| {
+                let mut scratch = MatchScratch::new();
+                let total = match ordered {
+                    true => scratch.max_weight_value_ordered(g, weights, &order),
+                    false => scratch.max_weight_value(g, weights),
+                };
+                let tasks: Vec<usize> = scratch.matched_pairs().map(|(l, _)| l).collect();
+                (total.to_bits(), tasks)
+            };
+            for ordered in [false, true] {
+                assert_eq!(solve(graph, ordered), solve(&capped, ordered), "k = {k}");
+            }
+            let mut tasks: Vec<usize> = (0..graph.n_left()).collect();
+            for i in (1..tasks.len()).rev() {
+                tasks.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let (mut full, mut kept) = (
+                IncrementalMatching::new(graph),
+                IncrementalMatching::new(&capped),
+            );
+            for l in tasks {
+                assert_eq!(
+                    full.try_augment(l),
+                    kept.try_augment(l),
+                    "task {l}, k = {k}"
+                );
+            }
+        });
+        assert!(
+            cut.get() >= 100,
+            "the cap cut a row in {} of 1000 graphs",
+            cut.get()
+        );
+    }
+
+    /// The bound is not vacuous: with two tasks, a cap of one worker a
+    /// row (below |R| = 2) loses a task the full graph serves.
+    #[test]
+    fn a_cap_below_the_task_count_can_lower_the_total() {
+        // Task 0 reaches workers 0 and 1, task 1 only worker 0; the cap
+        // keeps worker 0 on task 0's row.
+        let full = BipartiteGraphBuilder::new(2, 2)
+            .with_edges([(0, 0), (0, 1), (1, 0)])
+            .build();
+        let capped = BipartiteGraphBuilder::new(2, 2)
+            .with_edges([(0, 0), (1, 0)])
+            .build();
+        assert_eq!(solve(&full, &[2.0, 1.0]).1, 3.0);
+        assert_eq!(solve(&capped, &[2.0, 1.0]).1, 2.0);
     }
 
     #[test]

@@ -46,12 +46,23 @@
 //! producers — under arbitrary thread interleavings and any queue
 //! capacities — yields an outcome **bit-identical** to serial
 //! [`ShardedService::push`], and therefore (by the PR 4 contract) to
-//! [`Simulation::run`](maps_simulator::Simulation::run). Enforced by
-//! the seeded explorer, `tests/explorer.rs` (producer partitions ×
-//! strategies × forced interleavings × lane capacities × send paths,
-//! checked after every epoch); `maps_benchmark`'s
-//! `fanin` workload prices the front-end against serial push
-//! (`ingest.vs_serial`).
+//! [`Simulation::run`](maps_simulator::Simulation::run).
+//!
+//! The sequencer's loop is [`merge`], a function with no lock and no
+//! thread: it pulls lanes in canonical order, so the only thing thread
+//! timing can change is where a lane's stream is cut into runs — what
+//! one take from a lane finds queued. Enforced in three places:
+//! - `merge` is a function of lane contents and cuts: the seeded
+//!   explorer, `tests/explorer.rs`, drives it over in-memory lanes cut
+//!   into seeded runs (producer partitions × strategies × run lengths
+//!   down to one event × crashes, checked after every epoch), and
+//!   enumerates every cut of a small epoch;
+//! - the lane's FIFO order and its cut rule under real threads: this
+//!   module's unit suite and `tests/ingest_shutdown.rs`, both at
+//!   capacity 1;
+//! - `maps_benchmark`'s `fanin` workload checks its bits on every pass
+//!   and prices the front-end against serial push
+//!   (`ingest.vs_serial`).
 //!
 //! ## Liveness
 //!
@@ -75,7 +86,9 @@ use std::time::{Duration, Instant};
 #[derive(Debug, Clone, Copy)]
 pub struct IngestConfig {
     /// Number of producer handles (≥ 1). Any value yields bit-identical
-    /// outcomes; it only controls how admission is parallelized.
+    /// outcomes. Admission runs on the sequencer whatever the count:
+    /// more producers add lanes (backpressure per client thread), not
+    /// admission throughput.
     pub producers: usize,
     /// Per-producer queue capacity in slots (≥ 1; epoch-end markers
     /// occupy a slot too). Any capacity yields bit-identical outcomes;
@@ -102,13 +115,18 @@ struct Slot {
     event: ServiceEvent,
 }
 
-/// The stamps of the first slot one [`Lane::dequeue`] took.
-#[derive(Debug, Clone, Copy)]
-struct Head {
-    epoch: u64,
-    seq: u64,
-    /// The take ended with the marker that closes `epoch`.
-    marker: bool,
+/// One run a lane hands [`merge`]: the stamps of its first slot, and
+/// whether it ends with the marker that closes `epoch`. Its events,
+/// possibly none, sit in the buffer `merge` lent for the take.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Run {
+    /// The epoch every event of the run is stamped with.
+    pub epoch: u64,
+    /// The first event's seq; the rest follow it without a gap (a
+    /// marker alone carries the seq it was stamped with).
+    pub seq: u64,
+    /// The run ends with the epoch-end marker of `epoch`.
+    pub marker: bool,
 }
 
 #[derive(Debug)]
@@ -197,15 +215,14 @@ impl Lane {
 
     /// Consumer side — the one dequeue: blocks while the lane is empty
     /// and open, then takes the longest run of events that share the
-    /// first slot's epoch and continue its seq without a gap, copied
-    /// into `run` (cleared first) — and with it the epoch-end marker, if
+    /// first slot's epoch and continue its seq without a gap, appended
+    /// to `run` — and with it the epoch-end marker, if
     /// that is the slot continuing the run, so draining a queued epoch
     /// wakes its producer once, not twice. A reconnect's discontinuity
     /// therefore starts a new take with its own stamps, and slots behind
     /// a marker wait for the global tick. `None` once the lane is closed
     /// and drained.
-    fn dequeue(&self, run: &mut Vec<ServiceEvent>) -> Option<Head> {
-        run.clear();
+    fn dequeue(&self, run: &mut Vec<ServiceEvent>) -> Option<Run> {
         let mut state = self.lock();
         let first = loop {
             if let Some(&first) = state.slots.front() {
@@ -234,7 +251,7 @@ impl Lane {
         }
         drop(state);
         self.not_full.notify_one();
-        Some(Head {
+        Some(Run {
             epoch: first.epoch,
             seq: first.seq,
             marker,
@@ -528,61 +545,93 @@ impl IngestService {
     pub fn sequence_with(
         self,
         service: &mut ShardedService,
-        mut on_tick: impl FnMut(u64, &ShardedService),
+        on_tick: impl FnMut(u64, &ShardedService),
     ) -> Result<u64, ServiceError> {
-        let first_epoch = u64::from(service.periods_served());
-        let mut epoch = first_epoch;
-        // One run at a time, copied out of its lane so admission runs
-        // with the lane unlocked.
-        let mut run = Vec::new();
-        loop {
-            // Did any producer close this epoch with a marker (rather
-            // than by closing its lane)? Only markers vote for a tick:
-            // a fully closed producer set with trailing unmarked events
-            // leaves that churn staged, exactly like serial `push`
-            // without a final `PeriodTick`.
-            let mut epoch_open = false;
-            for (producer, lane) in (0u32..).zip(&self.lanes) {
-                // A recovered service already holds a watermark inside
-                // this epoch; a reconnected producer resuming exactly
-                // after its ack is gap-free relative to *it*, not to 0
-                // (`epoch` is the period the service is serving).
-                let mut next_seq = service.next_seq(producer);
-                while let Some(head) = lane.dequeue(&mut run) {
-                    // The stamps are the producer's word (a reconnect's
-                    // are caller input): they must name the epoch being
-                    // served and continue the lane. `>` (not `!=`): a
-                    // reconnected producer may re-send acked events
-                    // (at-least-once); the service's watermark
-                    // suppresses them. Fresh events must still arrive
-                    // gap-free — within a take `dequeue` guarantees
-                    // consecutive seqs.
-                    if head.epoch != epoch || head.seq > next_seq {
-                        return Err(ServiceError::Stamp(StampError {
-                            producer,
-                            epoch: head.epoch,
-                            seq: head.seq,
-                            serving_epoch: epoch,
-                            next_seq,
-                        }));
-                    }
-                    next_seq = next_seq.max(head.seq + run.len() as u64);
-                    // Only fatal faults come back: the run counts its
-                    // own rejections.
-                    service.push_stamped_run(producer, epoch, head.seq, &run)?;
-                    if head.marker {
-                        epoch_open = true;
-                        break;
-                    }
+        let lanes = &self.lanes;
+        merge(
+            service,
+            lanes.len(),
+            |p, run| lanes[p].dequeue(run),
+            on_tick,
+        )
+    }
+}
+
+/// The sequencer's merge, with no lock, no thread and no buffer of its
+/// own: drives `service` from `producers` lanes under the total
+/// `(epoch, producer, seq)` order, firing one global `PeriodTick` per
+/// epoch barrier and calling `on_tick` right after it. Returns the
+/// number of epochs (ticks) fired.
+///
+/// `next_run(p, run)` hands over lane `p`'s next [`Run`], its events
+/// appended to `run` (handed over empty), or `None` once the lane is
+/// closed and drained. The merge pulls lanes in canonical order — lane
+/// `0` up to its marker, then lane `1`, … — so what it feeds the
+/// service is a function of what the lanes hold, and the only thing
+/// thread timing can move is where a lane's stream is cut into runs.
+/// [`IngestService::sequence_with`] is this over the blocking lanes; a
+/// test can hand it in-memory lanes cut any way it likes.
+///
+/// The epoch counter starts at the service's
+/// [`periods_served`](ShardedService::periods_served). The errors are
+/// [`IngestService::sequence`]'s.
+pub fn merge(
+    service: &mut ShardedService,
+    producers: usize,
+    mut next_run: impl FnMut(usize, &mut Vec<ServiceEvent>) -> Option<Run>,
+    mut on_tick: impl FnMut(u64, &ShardedService),
+) -> Result<u64, ServiceError> {
+    let first_epoch = u64::from(service.periods_served());
+    let mut epoch = first_epoch;
+    // One run at a time, handed to the service as the lane left it.
+    let mut run = Vec::new();
+    loop {
+        // Did any producer close this epoch with a marker (rather than
+        // by closing its lane)? Only markers vote for a tick: a fully
+        // closed producer set with trailing unmarked events leaves that
+        // churn staged, exactly like serial `push` without a final
+        // `PeriodTick`.
+        let mut epoch_open = false;
+        for (producer, p) in (0u32..).zip(0..producers) {
+            // A recovered service already holds a watermark inside this
+            // epoch; a reconnected producer resuming exactly after its
+            // ack is gap-free relative to *it*, not to 0 (`epoch` is the
+            // period the service is serving).
+            let mut next_seq = service.next_seq(producer);
+            while let Some(head) = next_run(p, &mut run) {
+                // The stamps are the producer's word (a reconnect's are
+                // caller input): they must name the epoch being served
+                // and continue the lane. `>` (not `!=`): a reconnected
+                // producer may re-send acked events (at-least-once); the
+                // service's watermark suppresses them. Fresh events must
+                // still arrive gap-free — within a run the lane
+                // guarantees consecutive seqs.
+                if head.epoch != epoch || head.seq > next_seq {
+                    return Err(ServiceError::Stamp(StampError {
+                        producer,
+                        epoch: head.epoch,
+                        seq: head.seq,
+                        serving_epoch: epoch,
+                        next_seq,
+                    }));
+                }
+                next_seq = next_seq.max(head.seq + run.len() as u64);
+                // Only fatal faults come back: the run counts its own
+                // rejections.
+                service.push_stamped_run(producer, epoch, head.seq, &run)?;
+                run.clear();
+                if head.marker {
+                    epoch_open = true;
+                    break;
                 }
             }
-            if !epoch_open {
-                return Ok(epoch - first_epoch);
-            }
-            service.push_stamped(TICK_PRODUCER, epoch, 0, ServiceEvent::PeriodTick)?;
-            on_tick(epoch, service);
-            epoch += 1;
         }
+        if !epoch_open {
+            return Ok(epoch - first_epoch);
+        }
+        service.push_stamped(TICK_PRODUCER, epoch, 0, ServiceEvent::PeriodTick)?;
+        on_tick(epoch, service);
+        epoch += 1;
     }
 }
 

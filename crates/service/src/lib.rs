@@ -42,8 +42,9 @@
 //!
 //! ## The service is the batch engine
 //!
-//! Replaying any `GroundTruth` through the service ([`replay()`]) yields
-//! an [`maps_simulator::Outcome`] **bit-identical** to
+//! Replaying any `GroundTruth` through the service
+//! ([`replay_with_options`]) yields an [`maps_simulator::Outcome`]
+//! **bit-identical** to
 //! [`maps_simulator::Simulation::run`] (enforced by the seeded
 //! explorer, `tests/explorer.rs`, after every epoch). The proof is that there is nothing to
 //! prove twice: worker ids are the global admission order, the
@@ -70,8 +71,8 @@ pub use ingest::{AbandonedLane, IngestConfig, IngestService, IngressProducer, Se
 pub use journal::{
     read_journal, JournalConfig, JournalError, JournalRecord, JournalWriter, Tail, TICK_PRODUCER,
 };
-pub use recovery::{recover, recover_with_strategy, Recovered, RecoveryError};
-pub use replay::{replay, replay_journaled, replay_recovered, replay_service, replay_with_options};
+pub use recovery::{recover, Recovered, RecoveryError};
+pub use replay::{replay_service, replay_with_options};
 
 /// A unique scratch directory under the system temp dir for journal and
 /// checkpoint tests. Each call creates a fresh directory.

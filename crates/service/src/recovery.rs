@@ -53,7 +53,7 @@
 
 use std::path::Path;
 
-use maps_core::{PricingStrategy, StateError, StrategyKind};
+use maps_core::{StateError, StrategyKind};
 use maps_simulator::MatchPolicy;
 use maps_spatial::GridSpec;
 
@@ -142,7 +142,13 @@ impl From<JournalError> for RecoveryError {
 /// journal directory in `journal_cfg`. `grid`, `match_policy`, `kind`
 /// and `config.max_edges_per_task` must describe the crashed service
 /// (they are cross-checked against the checkpoint header); the
-/// ignored fields of `config` may differ.
+/// ignored fields of `config` may differ. The strategy's own state
+/// comes from the checkpoint.
+///
+/// Once the service is restored, `checkpoint_*.tmp` files in the journal
+/// directory are deleted: each is what a crash between creating a
+/// checkpoint's temp file and renaming it into place leaves behind, and
+/// nothing else ever reads or removes one.
 pub fn recover(
     grid: GridSpec,
     match_policy: MatchPolicy,
@@ -150,36 +156,11 @@ pub fn recover(
     config: ServiceConfig,
     journal_cfg: &JournalConfig,
 ) -> Result<Recovered, RecoveryError> {
-    recover_with_strategy(
-        grid,
-        match_policy,
-        maps_core::paper_default_strategy(kind, grid.num_cells()),
-        config,
-        journal_cfg,
-    )
-}
-
-/// [`recover`] with a custom strategy instance. The strategy's own
-/// state is overwritten from the checkpoint (so a freshly constructed,
-/// uncalibrated instance is the right thing to pass); only its
-/// [`PricingStrategy::name`] must match the checkpointed one.
-///
-/// Once the service is restored, `checkpoint_*.tmp` files in the journal
-/// directory are deleted: each is what a crash between creating a
-/// checkpoint's temp file and renaming it into place leaves behind, and
-/// nothing else ever reads or removes one.
-pub fn recover_with_strategy(
-    grid: GridSpec,
-    match_policy: MatchPolicy,
-    strategy: Box<dyn PricingStrategy>,
-    config: ServiceConfig,
-    journal_cfg: &JournalConfig,
-) -> Result<Recovered, RecoveryError> {
     let journal_path = journal_cfg.journal_path();
     // A missing journal is reported as that, whatever else is there.
     std::fs::metadata(&journal_path).map_err(JournalError::Io)?;
 
-    let mut service = ShardedService::with_strategy(grid, match_policy, strategy, config);
+    let mut service = ShardedService::new(grid, match_policy, kind, config);
     let (cp_epoch, offset) = restore_newest_checkpoint(&mut service, &journal_cfg.dir)?;
     let contents = read_journal_from(&journal_path, offset, cp_epoch)?;
 

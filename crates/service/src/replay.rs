@@ -12,42 +12,14 @@
 //! service serves from one index) and kept for source compatibility,
 //! removed with ROADMAP 1(d)/6(b).
 
-use crate::engine::{ServiceConfig, ServiceError, ServiceEvent, ShardedService};
+use crate::engine::{ServiceConfig, ServiceEvent, ShardedService};
 use crate::ingest::period_events;
-use crate::journal::JournalConfig;
 use maps_core::StrategyKind;
 use maps_simulator::{GroundTruth, GroundTruthProbe, Outcome, SimOptions};
 
-/// Replays `truth` through the service with paper-default strategy
-/// parameters and [`SimOptions::default`] (`shards` is ignored).
-pub fn replay(truth: &GroundTruth, kind: StrategyKind, shards: usize) -> Outcome {
-    replay_with_options(truth, kind, shards, SimOptions::default())
-}
-
-/// The serial drive loop: pushes `truth` from event `first_event` of
-/// period `first_period` on, each period's events then its tick. A
-/// rejected event is counted by the service and the stream keeps
-/// flowing; only fatal faults come back.
-fn drive(
-    service: &mut ShardedService,
-    truth: &GroundTruth,
-    first_period: usize,
-    first_event: usize,
-) -> Result<(), ServiceError> {
-    for (i, period) in truth.periods.iter().enumerate().skip(first_period) {
-        let resume = if i == first_period { first_event } else { 0 };
-        let tick = std::iter::once(ServiceEvent::PeriodTick);
-        for event in period_events(period).skip(resume).chain(tick) {
-            match service.try_push(event) {
-                Ok(()) | Err(ServiceError::Rejected(_)) => {}
-                Err(fatal) => return Err(fatal),
-            }
-        }
-    }
-    Ok(())
-}
-
-/// [`replay`] with explicit batch-simulator options.
+/// Replays `truth` through the service: each period's events, then its
+/// tick. A rejected event is counted by the service and the stream
+/// keeps flowing.
 ///
 /// `options.calibrate` / `options.probe_seed` drive the same
 /// Algorithm-1 calibration the batch loop performs;
@@ -62,64 +34,19 @@ pub fn replay_with_options(
     options: SimOptions,
 ) -> Outcome {
     let mut service = replay_service(truth, kind, shards, options);
-    if let Err(e) = drive(&mut service, truth, 0, 0) {
-        panic!("replay on a failed service: {e}");
+    for period in &truth.periods {
+        let tick = std::iter::once(ServiceEvent::PeriodTick);
+        period_events(period)
+            .chain(tick)
+            .for_each(|e| service.push(e));
     }
     service.into_outcome()
 }
 
-/// [`replay_with_options`] with a write-ahead journal attached: every
-/// event is journaled before it mutates state and each epoch is made
-/// durable (flush + fsync) at its tick, with checkpoints on the
-/// configured cadence. The outcome is bit-identical to the unjournaled
-/// replay — the journal is write-path-only.
-pub fn replay_journaled(
-    truth: &GroundTruth,
-    kind: StrategyKind,
-    shards: usize,
-    options: SimOptions,
-    journal: &JournalConfig,
-) -> Result<Outcome, ServiceError> {
-    let mut service = replay_service(truth, kind, shards, options);
-    service.attach_journal(journal)?;
-    drive(&mut service, truth, 0, 0)?;
-    Ok(service.into_outcome())
-}
-
-/// Resumes a crashed [`replay_journaled`] run: recovers the service
-/// from the journal directory (latest checkpoint + journal-tail
-/// replay), then streams the not-yet-durable remainder of `truth` —
-/// from producer lane 0's recovered watermark within the current epoch,
-/// then every later period — and returns the finished outcome. By the
-/// recovery-equals-uninterrupted contract the result is bit-identical
-/// to the run that never crashed; on a journal that already covers the
-/// whole stream this replays to the same outcome without re-sending
-/// anything. The strategy state (including any pre-crash calibration)
-/// comes from the checkpoint, so `options.calibrate` is not consulted.
-pub fn replay_recovered(
-    truth: &GroundTruth,
-    kind: StrategyKind,
-    shards: usize,
-    options: SimOptions,
-    journal: &JournalConfig,
-) -> Result<Outcome, crate::recovery::RecoveryError> {
-    let config = ServiceConfig {
-        shards,
-        max_edges_per_task: options.max_edges_per_task,
-        expected_workers: truth.total_workers().max(1),
-    };
-    let recovered =
-        crate::recovery::recover(truth.grid, truth.match_policy, kind, config, journal)?;
-    let mut service = recovered.service;
-    let served = service.periods_served() as usize;
-    let resume = service.next_seq(0) as usize;
-    drive(&mut service, truth, served, resume).map_err(crate::recovery::RecoveryError::Replay)?;
-    Ok(service.into_outcome())
-}
-
-/// A calibrated service sized for replaying `truth`: the replay drivers
-/// above start from it, and so does a caller that feeds the service
-/// another way (through [`crate::ingest`], say).
+/// A calibrated service sized for replaying `truth`:
+/// [`replay_with_options`] starts from it, and so does a caller that
+/// feeds the service another way (through [`crate::ingest`], or with a
+/// journal attached, say).
 pub fn replay_service(
     truth: &GroundTruth,
     kind: StrategyKind,
@@ -142,10 +69,12 @@ pub fn replay_service(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::journal::JournalConfig;
+    use crate::recovery::recover;
     use maps_simulator::{Simulation, SyntheticConfig};
 
     /// Smoke-level slice of the seeded explorer's check (the full
-    /// thread × strategy sweep lives in `tests/explorer.rs`).
+    /// strategy × workload sweep lives in `tests/explorer.rs`).
     #[test]
     fn replay_matches_simulation_on_a_small_world() {
         let world = SyntheticConfig::paper_default()
@@ -157,7 +86,7 @@ mod tests {
         let batch = Simulation::new(world.clone(), StrategyKind::Maps)
             .run()
             .deterministic_bits();
-        let online = replay(&world, StrategyKind::Maps, 1);
+        let online = replay_with_options(&world, StrategyKind::Maps, 1, SimOptions::default());
         assert_eq!(
             online.deterministic_bits(),
             batch,
@@ -166,7 +95,7 @@ mod tests {
     }
 
     /// A journaled replay is write-path-only (bits match the unjournaled
-    /// run), and resuming from its complete journal replays to the same
+    /// run), and recovering its complete journal restores the same
     /// outcome without pushing anything new.
     #[test]
     fn journaled_replay_and_complete_recovery_match() {
@@ -183,11 +112,30 @@ mod tests {
         let dir = crate::test_dir("replay_recovered");
         let journal = JournalConfig::new(&dir, 2);
         let plain = replay_with_options(&world, StrategyKind::Maps, 1, options);
-        let journaled = replay_journaled(&world, StrategyKind::Maps, 1, options, &journal)
-            .expect("journaled replay");
+        let mut journaled = replay_service(&world, StrategyKind::Maps, 1, options);
+        journaled
+            .attach_journal(&journal)
+            .expect("attach the journal");
+        for period in &world.periods {
+            let tick = std::iter::once(ServiceEvent::PeriodTick);
+            period_events(period)
+                .chain(tick)
+                .for_each(|e| journaled.push(e));
+        }
+        let config = ServiceConfig {
+            max_edges_per_task: options.max_edges_per_task,
+            ..ServiceConfig::default()
+        };
+        let journaled = journaled.into_outcome();
         assert_eq!(journaled.deterministic_bits(), plain.deterministic_bits());
-        let resumed = replay_recovered(&world, StrategyKind::Maps, 1, options, &journal)
+        let (grid, policy) = (world.grid, world.match_policy);
+        let resumed = recover(grid, policy, StrategyKind::Maps, config, &journal)
             .expect("recovery from a complete journal");
+        assert_eq!(
+            resumed.service.periods_served() as usize,
+            world.periods.len()
+        );
+        let resumed = resumed.service.into_outcome();
         assert_eq!(resumed.deterministic_bits(), plain.deterministic_bits());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,29 +1,38 @@
 //! The seeded explorer: one `u64` seed draws a whole case of the service
 //! stack (workload, strategy, match policy, calibration, edge cap,
-//! producer partition, `Interleaver` plan, lane capacity, send paths,
-//! journal cadence, and a `FaultPlan` crash point with, in half
-//! the draws, a corruption of the files it left), and one check runs it
-//! against serial `push`, which runs against `Simulation::run`. A failure
-//! names the seed, the case and the first divergent label, then shrinks
-//! by halving the stream (`maps_testkit::explore`). CI runs seeds
+//! producer partition, the longest run a lane is cut into, journal
+//! cadence, and a `FaultPlan` crash point with, in half the draws, a
+//! corruption of the files it left), and one check runs it against
+//! serial `push`, which runs against `Simulation::run`. A failure names
+//! the seed, the case and the first divergent label, then shrinks by
+//! halving the stream (`maps_testkit::explore`). CI runs seeds
 //! `0..BUDGET` and `explorer_corpus.txt`, one regression seed per line.
+//!
+//! No thread runs here. Each lane is its share of the stream, stamped
+//! by the producer's rule and cut into seeded runs, and
+//! `ingest::merge` — the sequencer's own loop, with the blocking lanes
+//! taken out — merges the lanes; so a seed replays the same runs every
+//! time. Thread timing can only move where a lane is cut, and
+//! `every_cut_of_a_small_epoch` enumerates every cut of a small epoch.
+//! The lane itself, under real threads and at capacity 1, is the
+//! `ingest::` unit suite's and `tests/ingest_shutdown.rs`'s.
 
 use maps_core::StrategyKind;
-use maps_service::ingest::{chunk_bounds, period_events};
+use maps_service::ingest::{chunk_bounds, merge, period_events, Run};
 use maps_service::journal::*;
 use maps_service::{
-    recover, replay_service, IngestConfig, IngestService, IngressProducer, JournalConfig,
-    SendError, ServiceConfig, ServiceError, ServiceEvent, ShardedService, TICK_PRODUCER,
+    recover, replay_service, JournalConfig, ServiceConfig, ServiceError, ServiceEvent,
+    ShardedService, TICK_PRODUCER,
 };
 use maps_simulator::*;
-use maps_spatial::Point;
+use maps_spatial::{GridSpec, Point, Rect};
 use maps_testkit::*;
 use std::collections::{BTreeMap, BTreeSet};
 use std::env::temp_dir;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
+use std::sync::Mutex;
 use ServiceError::{Journal, Poisoned};
 
 /// Seeds `0..BUDGET` run in CI. A seed's low digits enumerate strategy ×
@@ -49,15 +58,14 @@ struct Case {
     policy: MatchPolicy,
     options: SimOptions,
     producers: usize,
-    plan: InterleavePlan,
-    capacity: usize,
+    /// The longest run a lane is cut into (`usize::MAX`: no bound).
+    max_run: usize,
     /// The journal's checkpoint cadence, if the stack journals.
     cadence: Option<u32>,
     fault: Option<Fault>,
 }
 
 fn draw(seed: u64) -> Case {
-    use InterleavePlan::*;
     use Workload::*;
     let mut rng = XorShift::seeded(seed);
     let mut pick = |n: usize| rng.below(n as u64) as usize;
@@ -68,12 +76,10 @@ fn draw(seed: u64) -> Case {
         Beijing => 6 + pick(10),
         Swing => SWING_PERIODS,
     };
-    let (stagger, stutter) = (Staggered(seed), Stutter(seed));
-    let plan = [Free, stagger, stutter, RoundRobin, ReverseBatches][pick(5)];
-    // Blocking plans hold producers back, so a lane must hold a whole
-    // stream (the `Interleaver` deadlock caveat; no stream reaches 4096).
-    let blocking = matches!(plan, RoundRobin | ReverseBatches);
-    let capacity = [1, 2, 3, 7, 4096][if blocking { 4 } else { pick(5) }];
+    // Two draws: two fifths of the cases cut runs of at most 1 or 2
+    // events, the rest draw the bound from all five.
+    let order = pick(5);
+    let max_run = [1, 2, 3, 7, usize::MAX][if order >= 3 { order - 3 } else { pick(5) }];
     let options = SimOptions {
         calibrate: pick(3) == 0,
         max_edges_per_task: [1, 3, 16, 64, 10_000][pick(5)],
@@ -93,8 +99,7 @@ fn draw(seed: u64) -> Case {
             [(seed / 5 % 2) as usize],
         options,
         producers: if serial { 1 } else { 1 + pick(8) },
-        plan,
-        capacity,
+        max_run,
         cadence,
         fault,
     }
@@ -317,10 +322,86 @@ fn check_epoch(w: &World, got: &Outcome, resent: u64, epoch: usize) {
     assert_words_eq(&labelled(&want), &got.deterministic_bits(), what);
 }
 
+/// A slot of a lane, with the stamps its producer gave it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    epoch: u64,
+    seq: u64,
+    event: ServiceEvent,
+}
+
+fn is_marker(slot: &Slot) -> bool {
+    matches!(slot.event, ServiceEvent::PeriodTick)
+}
+
+/// A lane's stream stamped by the producer's rule from `(epoch, seq)`:
+/// an event takes the next seq, and a marker takes the next seq and
+/// opens `epoch + 1` at seq 0. A reconnect is the stamp a lane starts
+/// from.
+fn stamp(mut epoch: u64, mut seq: u64, events: impl Iterator<Item = ServiceEvent>) -> Vec<Slot> {
+    let mut slots = Vec::new();
+    for event in events {
+        slots.push(Slot { epoch, seq, event });
+        (epoch, seq) = match event {
+            ServiceEvent::PeriodTick => (epoch + 1, 0),
+            _ => (epoch, seq + 1),
+        };
+    }
+    slots
+}
+
+/// The lengths, in slots, of `slots` cut into runs of seeded length
+/// `1..=max_run`. A run never spans a marker; a marker leaves with the
+/// run it ends or alone. Between two markers a lane's stamps run
+/// without a gap, so no run spans a stamp discontinuity either.
+fn cut(slots: &[Slot], max_run: usize, rng: &mut XorShift) -> Vec<usize> {
+    let (mut runs, mut at) = (Vec::new(), 0);
+    while at < slots.len() {
+        let events = slots[at..].iter().take_while(|s| !is_marker(s)).count();
+        let len = match events {
+            0 => 1,
+            _ => {
+                let len = (1 + rng.below(max_run as u64) as usize).min(events);
+                let marker = len == events && at + len < slots.len() && rng.below(2) == 0;
+                len + usize::from(marker)
+            }
+        };
+        runs.push(len);
+        at += len;
+    }
+    runs
+}
+
+/// `ingest::merge` over in-memory lanes: lane `p` is handed over in
+/// runs of `cuts[p][0]`, `cuts[p][1]`, … slots, a marker only ever
+/// ending one. Everything is queued up front, so a lane out of runs is
+/// a closed lane.
+fn merge_cut(
+    svc: &mut ShardedService,
+    lanes: &[Vec<Slot>],
+    cuts: &[Vec<usize>],
+    on_tick: impl FnMut(u64, &ShardedService),
+) -> Result<u64, ServiceError> {
+    // Per lane: runs taken, slots taken.
+    let mut taken = vec![(0, 0); lanes.len()];
+    let next_run = |p: usize, run: &mut Vec<ServiceEvent>| {
+        let (runs, at) = &mut taken[p];
+        let slots = &lanes[p][*at..][..*cuts[p].get(*runs)?];
+        (*runs, *at) = (*runs + 1, *at + slots.len());
+        let marker = is_marker(slots.last()?);
+        let events = &slots[..slots.len() - usize::from(marker)];
+        run.extend(events.iter().map(|slot| slot.event));
+        let (epoch, seq) = (slots[0].epoch, slots[0].seq);
+        Some(Run { epoch, seq, marker })
+    };
+    merge(svc, lanes.len(), next_run, on_tick)
+}
+
 /// One ingest session over `span`: lane `p` reconnects at
 /// `(span.start, seqs[p])` and sends its share of each epoch, closed by
-/// its marker. Every tick must leave serial push's outcome, `resent`
-/// duplicates suppressed on top.
+/// its marker, in seeded runs. Every tick must leave serial push's
+/// outcome, `resent` duplicates suppressed on top, and each epoch of
+/// `span` must fire.
 fn session(
     w: &World,
     svc: &mut ShardedService,
@@ -328,66 +409,29 @@ fn session(
     seqs: &[u64],
     resent: u64,
 ) -> Result<(), ServiceError> {
-    let (case, producers, queue_capacity) = (&w.case, w.case.producers, w.case.capacity);
-    let (ingest, handles) = IngestService::new(IngestConfig {
-        producers,
-        queue_capacity,
-    });
-    let interleaver = Interleaver::new(producers, case.plan);
-    let dies = case.fault.is_some_and(|f| f.crash == Crash::SequencerDeath);
-    std::thread::scope(|scope| {
-        for (p, handle) in handles.into_iter().enumerate() {
-            let mut lane = handle.abandon().reconnect(span.start as u64, seqs[p]);
-            let mut stream = Vec::new();
-            for e in span.clone() {
-                let from = if e == span.start { seqs[p] as usize } else { 0 };
-                stream.extend_from_slice(&share(w, e, p)[from..]);
-                stream.push(ServiceEvent::PeriodTick);
-            }
-            let (interleaver, rng) = (&interleaver, XorShift::seeded(case.seed ^ p as u64));
-            scope.spawn(move || {
-                let sent = catch_unwind(AssertUnwindSafe(|| {
-                    produce(&mut lane, &stream, rng, dies, |f| interleaver.step(p, f))
-                }));
-                interleaver.finished(p);
-                sent.unwrap_or_else(|panic| resume_unwind(panic));
-            });
-        }
-        let sequenced = ingest.sequence_with(svc, |epoch, live| {
-            check_epoch(w, live.outcome_snapshot(), resent, epoch as usize);
+    let case = &w.case;
+    let lane = |p: usize| {
+        let shares = span.clone().map(|e| {
+            let from = if e == span.start { seqs[p] as usize } else { 0 };
+            let tick = [ServiceEvent::PeriodTick];
+            share(w, e, p)[from..].iter().copied().chain(tick)
         });
-        sequenced.map(drop)
-    })
-}
-
-/// One producer's stream, one seeded send path per step: a `send_iter`
-/// batch of 1–5 events (`send` is a batch of one) or `try_send` with a
-/// 0–50 µs timeout (only `try_send` when the sequencer is meant to die).
-/// Stops at a typed disconnect.
-fn produce(
-    lane: &mut IngressProducer,
-    mut rest: &[ServiceEvent],
-    mut rng: XorShift,
-    dies: bool,
-    step: impl Fn(&mut dyn FnMut() -> Option<usize>) -> Option<usize>,
-) {
-    while let Some(&event) = rest.first() {
-        let (batch, draw) = (!dies && rng.below(2) == 0, rng.next_u64());
-        let sent = step(&mut || {
-            if batch {
-                let batch = (1 + draw as usize % 5).min(rest.len());
-                lane.send_iter(rest[..batch].iter().copied());
-                return Some(batch);
-            }
-            match lane.try_send(event, Duration::from_micros(draw % 51)) {
-                Ok(()) => Some(1),
-                Err(SendError::Timeout) => Some(0),
-                Err(SendError::Disconnected) => None,
-            }
-        });
-        let Some(sent) = sent else { return };
-        rest = &rest[sent..];
-    }
+        stamp(span.start as u64, seqs[p], shares.flatten())
+    };
+    let lanes: Vec<Vec<Slot>> = (0..case.producers).map(lane).collect();
+    let cut = |(p, slots): (usize, &Vec<Slot>)| {
+        cut(
+            slots,
+            case.max_run,
+            &mut XorShift::seeded(case.seed ^ p as u64),
+        )
+    };
+    let cuts: Vec<Vec<usize>> = lanes.iter().enumerate().map(cut).collect();
+    let epochs = merge_cut(svc, &lanes, &cuts, |epoch, live| {
+        check_epoch(w, live.outcome_snapshot(), resent, epoch as usize);
+    })?;
+    assert_eq!(epochs, span.len() as u64, "epochs fired");
+    Ok(())
 }
 
 /// Applies `c` to the directory a crash left; `false` if the draw found
@@ -471,10 +515,12 @@ fn corrupt(dir: &Path, c: Corruption) -> bool {
     true
 }
 
-/// The journal directory of the case running on this thread.
+/// A fresh journal directory for one run of a case.
 fn scratch() -> PathBuf {
-    let thread = std::thread::current().id();
-    temp_dir().join(format!("maps_explorer_{}_{thread:?}", std::process::id()))
+    static RUNS: Mutex<u64> = Mutex::new(0);
+    let mut run = RUNS.lock().expect("the run counter");
+    *run += 1;
+    temp_dir().join(format!("maps_explorer_{}_{run}", std::process::id()))
 }
 
 /// Epochs as one serial stream, each closed by its tick.
@@ -488,10 +534,10 @@ fn fatal(pushed: &Result<(), ServiceError>) -> bool {
     matches!(pushed, Err(Poisoned(_) | Journal(_)))
 }
 
-fn check_stack(w: &World) {
+fn check_stack(w: &World, dir: &Path) {
     let (case, n) = (&w.case, w.epochs.len());
     let mut svc = replay_service(&w.truth, case.kind, 1, case.options);
-    let journal = case.cadence.map(|n| JournalConfig::new(scratch(), n));
+    let journal = case.cadence.map(|n| JournalConfig::new(dir, n));
     if let Some(journal) = &journal {
         svc.attach_journal(journal).expect("attach the journal");
     }
@@ -523,8 +569,8 @@ fn check_stack(w: &World) {
             }
             victim = Some(v);
         }
-        // The poisoned tick fails typed, under a serial caller or the
-        // sequencer, and stops the run.
+        // The poisoned tick fails typed, under a serial caller or under
+        // `merge`, and stops the run.
         Crash::TickPanic | Crash::SequencerDeath => {
             svc.inject_tick_fault(e as u32);
             let died = if fault.crash == Crash::TickPanic {
@@ -589,12 +635,13 @@ fn check_stack(w: &World) {
 /// Runs the case against serial push; the scratch directory goes
 /// whatever the outcome.
 fn check(case: &Case) {
+    let dir = scratch();
     let checked = catch_unwind(AssertUnwindSafe(|| {
         let w = world(case);
         check_batch(&w);
-        check_stack(&w);
+        check_stack(&w, &dir);
     }));
-    let _ = std::fs::remove_dir_all(scratch());
+    let _ = std::fs::remove_dir_all(&dir);
     if let Err(panic) = checked {
         resume_unwind(panic);
     }
@@ -630,6 +677,105 @@ fn seed_corpus() {
     explore(seeds, draw, halve_periods, check);
 }
 
+/// Every cut of one small epoch: 9 events on 3 lanes, 3 each — with a
+/// departure in its arrival's window and a NaN arrival admission
+/// refuses — and each lane cut every way: 4 compositions of its 3
+/// events × its marker with the last run or alone, 8³ = 512 cases. A
+/// second epoch follows, each lane's share in one run. Every case must
+/// leave serial push's bits after each tick and fire both.
+#[test]
+fn every_cut_of_a_small_epoch() {
+    let grid = GridSpec::square(Rect::square(10.0), 2);
+    let arrive = |x: f64, radius: f64| ServiceEvent::WorkerArrive {
+        worker: GroundWorker {
+            location: Point::new(x, 2.0),
+            radius,
+            duration: u32::MAX,
+        },
+    };
+    let request = |x: f64, valuation: f64| {
+        let origin = Point::new(x, 2.5);
+        let task = GroundTask {
+            origin,
+            destination: Point::new(x + 1.0, 3.0),
+            distance: 1.5,
+            valuation,
+            cell: grid.cell_of(origin),
+        };
+        ServiceEvent::TaskRequest { task }
+    };
+    // Ids follow the canonical order: lane 0 admits 0 and 1, lane 1
+    // refuses its NaN arrival and departs 0 in the window it arrived in.
+    let shares = [
+        [
+            vec![arrive(1.0, 3.0), arrive(6.0, 3.0), request(1.5, 9.0)],
+            vec![request(6.5, 9.0), arrive(3.0, 4.0)],
+        ],
+        [
+            vec![
+                arrive(2.0, f64::NAN),
+                ServiceEvent::WorkerDepart { id: 0 },
+                request(6.0, 6.0),
+            ],
+            vec![request(2.5, 5.0)],
+        ],
+        [
+            vec![arrive(8.0, 3.0), request(8.5, 7.0), request(2.0, 8.0)],
+            vec![arrive(7.0, 3.0), request(7.5, 9.0), request(3.5, 8.0)],
+        ],
+    ];
+    let service = || {
+        let config = ServiceConfig::default();
+        ShardedService::new(grid, MatchPolicy::Consume, StrategyKind::Maps, config)
+    };
+    let mut serial = service();
+    let want: Vec<Labelled> = (0..2)
+        .map(|e| {
+            shares
+                .iter()
+                .for_each(|lane| lane[e].iter().for_each(|&x| serial.push(x)));
+            serial.push(ServiceEvent::PeriodTick);
+            labelled(serial.outcome_snapshot())
+        })
+        .collect();
+    let tick = || std::iter::once(ServiceEvent::PeriodTick);
+    let lanes: Vec<Vec<Slot>> = (shares.iter())
+        .map(|[first, second]| {
+            let first = first.iter().copied().chain(tick());
+            stamp(0, 0, first.chain(second.iter().copied()).chain(tick()))
+        })
+        .collect();
+    const COMPOSITIONS: [&[usize]; 4] = [&[3], &[2, 1], &[1, 2], &[1, 1, 1]];
+    // Cut `c` of lane `p`: a composition, the marker, then epoch 1 whole.
+    let lane_cut = |p: usize, c: usize| {
+        let mut runs = COMPOSITIONS[c / 2].to_vec();
+        match c % 2 {
+            0 => *runs.last_mut().expect("a run") += 1,
+            _ => runs.push(1),
+        }
+        runs.push(shares[p][1].len() + 1);
+        runs
+    };
+    let draw = |case: u64| -> Vec<Vec<usize>> {
+        (0..3)
+            .map(|p| lane_cut(p, (case >> (3 * p)) as usize % 8))
+            .collect()
+    };
+    explore(
+        0..512,
+        draw,
+        |_| None,
+        |cuts| {
+            let mut svc = service();
+            let epochs = merge_cut(&mut svc, &lanes, cuts, |epoch, live| {
+                let got = live.outcome_snapshot().deterministic_bits();
+                assert_words_eq(&want[epoch as usize], &got, format!("epoch {epoch}"));
+            });
+            assert_eq!(epochs.expect("sequencing"), 2);
+        },
+    );
+}
+
 /// The budget's draws, enumerated without running them.
 #[test]
 fn budget_covers_every_axis() {
@@ -653,6 +799,12 @@ fn budget_covers_every_axis() {
     let multi = |c: &Case| c.producers > 1;
     has("multi-producer + crash + corruption", &|c| {
         multi(c) && mutation(c).is_some()
+    });
+    for max_run in [1, 2, 3, 7, usize::MAX] {
+        has(&format!("runs of ≤ {max_run}"), &|c| c.max_run == max_run);
+    }
+    has("runs of one event, multi-producer + crash", &|c| {
+        c.max_run == 1 && multi(c) && c.fault.is_some()
     });
     // A resend of durable events: the watermark must suppress them all.
     let resent = |f: Fault| match f.crash {

@@ -17,9 +17,10 @@
 //!   a failing case is halved while it still fails; the panic names the
 //!   seed, the drawn case and the shrunk one, so a failure is re-run by
 //!   its seed. [`XorShift::seeded`] turns a seed into a stream.
-//! * the [`Interleaver`] that forces producer schedules and the seeded
-//!   [`FaultPlan`] of crash and corruption points, which the service's
-//!   seeded explorer draws from.
+//! * the seeded [`FaultPlan`] of crash and corruption points, which the
+//!   service's seeded explorer draws from. Producer schedules are not
+//!   among them: the explorer merges in-memory lanes on one thread, and
+//!   where a lane is cut into runs is part of its seeded case.
 //!
 //! Used by `maps-core` (the graph cache, the pricing-table property),
 //! `maps-matching` (the kernels against Kuhn–Munkres), `maps-spatial`
@@ -130,163 +131,6 @@ pub fn assert_words_eq(want: &Labelled, got: &[u64], what: impl std::fmt::Displa
     }
 }
 
-/// How an [`Interleaver`] shapes the relative schedule of N producer
-/// threads. The point of the ingestion contract is that the *outcome*
-/// is invariant under every one of these; the plans exist so tests can
-/// force schedules the OS would rarely produce on its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InterleavePlan {
-    /// No coordination: whatever the OS scheduler does.
-    Free,
-    /// Deterministically seeded per-step yield bursts: each step first
-    /// spins through a pseudo-random number of `yield_now` calls drawn
-    /// from a per-producer stream. Different seeds perturb the temporal
-    /// interleaving differently. Never blocks a producer on another, so
-    /// it is safe at **any** queue capacity.
-    Staggered(u64),
-    /// Deterministically seeded occasional *sleeps*: roughly one step
-    /// in sixteen parks the producer for 100–500µs — long enough for
-    /// every other party to run out of work and go to sleep on its
-    /// condvar, so the lanes' full and empty waits (not just the
-    /// uncontended lock) get exercised. Like
-    /// [`InterleavePlan::Staggered`] it never blocks a producer on
-    /// another, so it is safe at **any** queue capacity.
-    Stutter(u64),
-    /// Strict global round-robin: step k across all unfinished
-    /// producers is taken by the next producer in cyclic id order, one
-    /// step at a time.
-    RoundRobin,
-    /// Strictly descending producer batches: producer `i` runs only
-    /// after producers `i+1..n` have finished entirely — the maximal
-    /// inversion of the canonical merge order.
-    ReverseBatches,
-}
-
-/// Test harness forcing a specific cross-thread interleaving of
-/// producer "steps" (e.g. sends into a bounded ingestion queue).
-///
-/// Each of N producer threads wraps its unit of work in
-/// [`Interleaver::step`] and calls [`Interleaver::finished`] when done,
-/// so blocking plans can skip it. **Deadlock caveat**: the blocking
-/// plans ([`InterleavePlan::RoundRobin`], [`InterleavePlan::ReverseBatches`])
-/// hold producers back, so anything downstream consuming their output
-/// in a fixed order (like the ingestion sequencer draining bounded
-/// queues producer-by-producer) must have room to buffer the held-back
-/// volume — size queues accordingly. [`InterleavePlan::Free`],
-/// [`InterleavePlan::Staggered`] and [`InterleavePlan::Stutter`] never
-/// block and are safe at any capacity.
-#[derive(Debug)]
-pub struct Interleaver {
-    plan: InterleavePlan,
-    state: std::sync::Mutex<InterleaveState>,
-    cv: std::sync::Condvar,
-}
-
-#[derive(Debug)]
-struct InterleaveState {
-    /// Whose turn it is (`RoundRobin`).
-    turn: usize,
-    finished: Vec<bool>,
-    /// Per-producer yield-burst streams (`Staggered`).
-    rngs: Vec<XorShift>,
-}
-
-impl InterleaveState {
-    /// Advances `turn` to the next unfinished producer after `from`
-    /// (cyclically); leaves it in place when everyone is done.
-    fn advance_turn(&mut self, from: usize) {
-        let n = self.finished.len();
-        for offset in 1..=n {
-            let candidate = (from + offset) % n;
-            if !self.finished[candidate] {
-                self.turn = candidate;
-                return;
-            }
-        }
-    }
-}
-
-impl Interleaver {
-    /// A harness for `producers` threads under `plan`.
-    pub fn new(producers: usize, plan: InterleavePlan) -> Self {
-        assert!(producers >= 1, "need at least one producer");
-        let seed = match plan {
-            InterleavePlan::Staggered(seed) | InterleavePlan::Stutter(seed) => seed,
-            _ => 0,
-        };
-        Self {
-            plan,
-            state: std::sync::Mutex::new(InterleaveState {
-                turn: 0,
-                finished: vec![false; producers],
-                rngs: (0..producers)
-                    .map(|i| XorShift::seeded(seed.wrapping_add(i as u64)))
-                    .collect(),
-            }),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Runs one unit of `producer`'s work under the plan's schedule.
-    pub fn step<R>(&self, producer: usize, f: impl FnOnce() -> R) -> R {
-        match self.plan {
-            InterleavePlan::Free => f(),
-            InterleavePlan::Staggered(_) => {
-                let spins = {
-                    let mut state = self.state.lock().expect("interleaver poisoned");
-                    state.rngs[producer].next_u64() % 8
-                };
-                for _ in 0..spins {
-                    std::thread::yield_now();
-                }
-                f()
-            }
-            InterleavePlan::Stutter(_) => {
-                let draw = {
-                    let mut state = self.state.lock().expect("interleaver poisoned");
-                    state.rngs[producer].next_u64()
-                };
-                if draw % 16 == 0 {
-                    std::thread::sleep(std::time::Duration::from_micros(100 + draw % 400));
-                } else {
-                    std::thread::yield_now();
-                }
-                f()
-            }
-            InterleavePlan::RoundRobin => {
-                let mut state = self.state.lock().expect("interleaver poisoned");
-                while state.turn != producer {
-                    state = self.cv.wait(state).expect("interleaver poisoned");
-                }
-                let result = f();
-                state.advance_turn(producer);
-                drop(state);
-                self.cv.notify_all();
-                result
-            }
-            InterleavePlan::ReverseBatches => {
-                let mut state = self.state.lock().expect("interleaver poisoned");
-                while state.finished[producer + 1..].iter().any(|done| !done) {
-                    state = self.cv.wait(state).expect("interleaver poisoned");
-                }
-                drop(state);
-                f()
-            }
-        }
-    }
-
-    /// Marks `producer` done so blocking plans skip it from now on.
-    pub fn finished(&self, producer: usize) {
-        let mut state = self.state.lock().expect("interleaver poisoned");
-        state.finished[producer] = true;
-        if state.turn == producer {
-            state.advance_turn(producer);
-        }
-        drop(state);
-        self.cv.notify_all();
-    }
-}
-
 /// Where a run dies: the crash point of a [`Fault`], in its epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Crash {
@@ -309,8 +153,9 @@ pub enum Crash {
     /// error out of `try_push`, then recovery.
     TickPanic,
     /// The tick closing the epoch panics under the multi-producer
-    /// sequencer: a typed error out of the sequencer, a disconnect for
-    /// every producer, then recovery.
+    /// merge: a typed error out of the sequencer's loop, then recovery.
+    /// (What a producer blocked on that sequencer sees is the ingest
+    /// lane's own suite.)
     SequencerDeath,
 }
 
@@ -464,76 +309,6 @@ mod tests {
         assert_eq!(diff(&[1, 2, 3]), None);
     }
 
-    /// Runs `steps_per_producer` steps on each of `n` threads under
-    /// `plan`, recording the global step order as `(producer, step)`.
-    fn record_schedule(
-        n: usize,
-        steps_per_producer: usize,
-        plan: InterleavePlan,
-    ) -> Vec<(usize, usize)> {
-        let interleaver = Interleaver::new(n, plan);
-        let log = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for producer in 0..n {
-                let interleaver = &interleaver;
-                let log = &log;
-                scope.spawn(move || {
-                    for step in 0..steps_per_producer {
-                        interleaver.step(producer, || {
-                            log.lock().unwrap().push((producer, step));
-                        });
-                    }
-                    interleaver.finished(producer);
-                });
-            }
-        });
-        log.into_inner().unwrap()
-    }
-
-    #[test]
-    fn round_robin_serializes_in_cyclic_order() {
-        let order = record_schedule(3, 4, InterleavePlan::RoundRobin);
-        assert_eq!(order.len(), 12);
-        // Step k is taken by producer k mod 3, in its own step order.
-        for (k, &(producer, step)) in order.iter().enumerate() {
-            assert_eq!(producer, k % 3, "global step {k}");
-            assert_eq!(step, k / 3, "global step {k}");
-        }
-    }
-
-    #[test]
-    fn reverse_batches_run_descending() {
-        let order = record_schedule(3, 3, InterleavePlan::ReverseBatches);
-        let producers: Vec<usize> = order.iter().map(|&(p, _)| p).collect();
-        assert_eq!(producers, vec![2, 2, 2, 1, 1, 1, 0, 0, 0]);
-    }
-
-    #[test]
-    fn round_robin_skips_finished_producers() {
-        // Producer 1 takes fewer steps; the rotation must not stall on
-        // it once it is finished.
-        let interleaver = Interleaver::new(2, InterleavePlan::RoundRobin);
-        let log = std::sync::Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            let (il, log) = (&interleaver, &log);
-            scope.spawn(move || {
-                for step in 0..4 {
-                    il.step(0, || log.lock().unwrap().push((0usize, step)));
-                }
-                il.finished(0);
-            });
-            scope.spawn(move || {
-                il.step(1, || log.lock().unwrap().push((1usize, 0)));
-                il.finished(1);
-            });
-        });
-        let order = log.into_inner().unwrap();
-        assert_eq!(order.len(), 5);
-        assert_eq!(order[0], (0, 0));
-        assert_eq!(order[1], (1, 0));
-        assert_eq!(&order[2..], &[(0, 1), (0, 2), (0, 3)]);
-    }
-
     #[test]
     /// Coverage of every crash and mutation kind is asserted on the
     /// draws the service's explorer actually makes
@@ -558,14 +333,9 @@ mod tests {
     fn a_stream_never_starts_at_zero() {
         // `0xf1de83e19937733d` is the inverse of the golden-ratio
         // multiplier: an unmixed `seed · C ^ 1` would be zero here.
-        for plan in [
-            InterleavePlan::Staggered(0xf1de_83e1_9937_733d),
-            InterleavePlan::Stutter(0xf1de_83e1_9937_733d),
-        ] {
-            let interleaver = Interleaver::new(2, plan);
-            let mut state = interleaver.state.lock().unwrap();
-            assert_ne!(state.rngs[0].next_u64(), 0, "{plan:?}");
-        }
+        let mut rng = XorShift::seeded(0xf1de_83e1_9937_733d);
+        assert_ne!(rng.0, 0);
+        assert_ne!(rng.next_u64(), 0);
     }
 
     /// Halves a list: its first half, while it has two entries or more.
@@ -681,25 +451,5 @@ mod tests {
             message,
             "seed 0x2a failed\n  drawn: (42, 126)\n  shrunk: (42, 126)"
         );
-    }
-
-    #[test]
-    fn uncoordinated_plans_complete_without_blocking() {
-        for plan in [
-            InterleavePlan::Free,
-            InterleavePlan::Staggered(7),
-            InterleavePlan::Stutter(7),
-        ] {
-            let order = record_schedule(4, 5, plan);
-            assert_eq!(order.len(), 20, "{plan:?}");
-            for producer in 0..4 {
-                let steps: Vec<usize> = order
-                    .iter()
-                    .filter(|&&(p, _)| p == producer)
-                    .map(|&(_, s)| s)
-                    .collect();
-                assert_eq!(steps, vec![0, 1, 2, 3, 4], "{plan:?}");
-            }
-        }
     }
 }
