@@ -12,7 +12,8 @@ use maps_core::{
 };
 use maps_matching::BipartiteGraph;
 use maps_simulator::{
-    GroundTask, GroundWorker, MatchPolicy, Outcome, PeriodEngine, PeriodStep, WorkerLifecycle,
+    EventRejection, GroundTask, GroundWorker, MatchPolicy, Outcome, PeriodEngine, PeriodStep,
+    WorkerLifecycle,
 };
 use maps_spatial::{GridSpec, Point};
 use std::any::Any;
@@ -57,62 +58,6 @@ pub enum ServiceEvent {
     PeriodTick,
 }
 
-/// Why the service refused to admit an event.
-///
-/// All but the last two variants are *client* data errors
-/// ([`ServiceEvent::validate`]): the event references geometry or
-/// economics the market cannot represent, or a grid cell the task is
-/// not in. The last two are the service's stated limits: a `u32`
-/// counter the event would have to advance past its last value. The
-/// service drops such events (counting them in
-/// [`ShardedService::rejected_events`]) rather than panicking — one bad
-/// client event must not take the stream down — and rather than
-/// admitting them: a NaN coordinate, for instance, has no grid cell
-/// (`Grid::cell_of` would silently file it under a boundary cell) and
-/// would corrupt per-cell pricing state invisibly, and a wrapped
-/// counter would reuse an id or suppress every later event as a
-/// duplicate. Every refusal is decided after the event is journaled,
-/// from state the stream built, so replay refuses the same events.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EventRejection {
-    /// Worker location has a non-finite coordinate.
-    NonFiniteWorkerLocation,
-    /// Worker range radius is NaN, infinite or negative.
-    InvalidWorkerRadius,
-    /// Task origin or destination has a non-finite coordinate.
-    NonFiniteTaskEndpoint,
-    /// Task travel distance is NaN, infinite, zero or negative.
-    InvalidTaskDistance,
-    /// Task valuation is NaN or infinite.
-    NonFiniteTaskValuation,
-    /// Task `cell` is not the grid cell of its origin (out of range
-    /// included): pricing indexes per-cell state by it.
-    TaskCellMismatch,
-    /// A worker arrival after all 2³² admission ids were handed out.
-    WorkerIdsExhausted,
-    /// A tick of period `u32::MAX`: the period counter cannot advance
-    /// past it, so that period is never closed and later events join
-    /// it.
-    PeriodsExhausted,
-}
-
-impl std::fmt::Display for EventRejection {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            EventRejection::NonFiniteWorkerLocation => "non-finite worker location",
-            EventRejection::InvalidWorkerRadius => "invalid worker radius",
-            EventRejection::NonFiniteTaskEndpoint => "non-finite task origin/destination",
-            EventRejection::InvalidTaskDistance => "invalid task travel distance",
-            EventRejection::NonFiniteTaskValuation => "non-finite task valuation",
-            EventRejection::TaskCellMismatch => "task cell is not its origin's",
-            EventRejection::WorkerIdsExhausted => "all 2^32 worker ids are taken",
-            EventRejection::PeriodsExhausted => "period u32::MAX cannot be closed",
-        })
-    }
-}
-
-impl std::error::Error for EventRejection {}
-
 /// A panic caught inside the tick's own work — `fire`, churn apply and
 /// the graph build, under one [`catch_unwind`]. The service is
 /// **poisoned** afterwards: its lifecycle may be mid-mutation, so every
@@ -136,8 +81,12 @@ impl std::fmt::Display for TickPanic {
 impl std::error::Error for TickPanic {}
 
 /// A producer lane handed the ingest sequencer coordinates that do not
-/// continue it: an epoch other than the one being served, or a `seq`
-/// above the lane's next one (a gap). A producer's stamps are its own
+/// continue it: an epoch other than the one being served, a `seq`
+/// above the lane's next one (a gap), or a run whose seqs reach
+/// `u64::MAX`. A lane's seqs in an epoch are `0 .. u64::MAX`, so the seq
+/// after every event fits; a serial push that would take `u64::MAX` is
+/// refused the same way, reported with `seq` and `next_seq` both
+/// `u64::MAX`. A producer's stamps are its own
 /// word — after [`AbandonedLane::reconnect`](crate::ingest::AbandonedLane::reconnect)
 /// they are caller input — so the sequencer refuses them **before** the
 /// run or marker that carries them is journaled or admitted: the
@@ -237,40 +186,17 @@ pub(crate) fn panic_message(payload: impl Deref<Target = dyn Any + Send>) -> Str
 }
 
 impl ServiceEvent {
-    /// Admission-time validation: checks that the event's geometry and
-    /// economics are representable, and that a task's cell is its
-    /// origin's on `grid`, before any state is touched.
+    /// Admission-time validation, before any state is touched: an
+    /// arrival's worker and a request's task must pass their one
+    /// statement of the rules ([`GroundWorker::check`],
+    /// [`GroundTask::check`] on `grid`).
     ///
     /// `WorkerDepart` and `PeriodTick` are always valid (a stale or
     /// unknown departure id is a semantic no-op, not a data error).
     pub fn validate(&self, grid: &GridSpec) -> Result<(), EventRejection> {
-        let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
         match self {
-            ServiceEvent::WorkerArrive { worker } => {
-                if !finite(worker.location) {
-                    return Err(EventRejection::NonFiniteWorkerLocation);
-                }
-                if !(worker.radius.is_finite() && worker.radius >= 0.0) {
-                    return Err(EventRejection::InvalidWorkerRadius);
-                }
-                Ok(())
-            }
-            ServiceEvent::TaskRequest { task } => {
-                if !finite(task.origin) || !finite(task.destination) {
-                    return Err(EventRejection::NonFiniteTaskEndpoint);
-                }
-                if !(task.distance.is_finite() && task.distance > 0.0) {
-                    return Err(EventRejection::InvalidTaskDistance);
-                }
-                if !task.valuation.is_finite() {
-                    return Err(EventRejection::NonFiniteTaskValuation);
-                }
-                // What `GroundTruth::validate` refuses on the batch path.
-                if task.cell != grid.cell_of(task.origin) {
-                    return Err(EventRejection::TaskCellMismatch);
-                }
-                Ok(())
-            }
+            ServiceEvent::WorkerArrive { worker } => worker.check(),
+            ServiceEvent::TaskRequest { task } => task.check(grid),
             ServiceEvent::WorkerDepart { .. } | ServiceEvent::PeriodTick => Ok(()),
         }
     }
@@ -502,12 +428,24 @@ impl ShardedService {
     /// consumed even when admission rejects the event (the watermark
     /// advances first): the stamp identifies the *delivery*, and a
     /// rejected delivery must not be re-deliverable.
+    /// A push that would take seq `u64::MAX` is refused, unjournaled
+    /// and uncounted, as [`ServiceError::Stamp`] (see [`StampError`]).
     pub fn try_push(&mut self, event: ServiceEvent) -> Result<(), ServiceError> {
+        let epoch = u64::from(self.period);
         let (producer, seq) = match event {
             ServiceEvent::PeriodTick => (TICK_PRODUCER, 0),
             _ => (0, self.next_seq(0)),
         };
-        self.push_stamped(producer, u64::from(self.period), seq, event)
+        if seq == u64::MAX {
+            return Err(ServiceError::Stamp(StampError {
+                producer,
+                epoch,
+                seq,
+                serving_epoch: epoch,
+                next_seq: seq,
+            }));
+        }
+        self.push_stamped(producer, epoch, seq, event)
     }
 
     /// Ingests one event carrying explicit `(producer, epoch, seq)`
@@ -574,7 +512,9 @@ impl ShardedService {
             !events.iter().any(|e| matches!(e, ServiceEvent::PeriodTick)),
             "runs must not contain PeriodTick"
         );
-        for (seq, &event) in (first_seq..).zip(events) {
+        // `first_seq + events.len()` fits (`merge` refuses a run that
+        // would not), and the events lead the zip: the seqs stop there.
+        for (&event, seq) in events.iter().zip(first_seq..) {
             match self.admit_stamped(producer, epoch, seq, event) {
                 Ok(()) | Err(ServiceError::Rejected(_)) => {}
                 Err(fatal) => return Err(fatal),
@@ -743,9 +683,11 @@ impl ShardedService {
     /// one statement of the rule serial pushes, the ingest sequencer and
     /// post-recovery replay all stamp by: one past the lane's watermark
     /// if that sits in the epoch being served, else the epoch's first.
+    /// `u64::MAX`, the seq no event takes, once the lane's seqs for the
+    /// epoch are spent.
     pub(crate) fn next_seq(&self, producer: u32) -> u64 {
         match self.watermark(producer) {
-            Some((epoch, seq)) if epoch == u64::from(self.period) => seq + 1,
+            Some((epoch, seq)) if epoch == u64::from(self.period) => seq.saturating_add(1),
             _ => 0,
         }
     }
@@ -1209,6 +1151,56 @@ mod tests {
             .expect("the tick runs");
         assert_eq!(svc.outcome_snapshot().issued_tasks, 0);
         assert_eq!((svc.periods_served(), svc.live_workers()), (1, 1));
+    }
+
+    /// A lane's seqs in an epoch stop below `u64::MAX`. A serial push on
+    /// a lane at `u64::MAX` used to overflow `next_seq`: a panic in
+    /// debug, and in release a wrap to seq 0 that the watermark took for
+    /// a duplicate. It is refused before it is journaled or counted, the
+    /// service is not poisoned, and the next epoch's lane starts at 0.
+    #[test]
+    fn a_serial_push_past_the_last_seq_is_refused_not_wrapped() {
+        let dir = crate::test_dir("seq_limit");
+        let journal = JournalConfig::new(&dir, 1);
+        let mut svc = service(MatchPolicy::Consume);
+        svc.attach_journal(&journal).unwrap();
+        let arrive = ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, u32::MAX),
+        };
+        svc.push_stamped(0, 0, u64::MAX, arrive).unwrap();
+        let spent = StampError {
+            producer: 0,
+            epoch: 0,
+            seq: u64::MAX,
+            serving_epoch: 0,
+            next_seq: u64::MAX,
+        };
+        for _ in 0..2 {
+            let refused = svc.try_push(arrive);
+            assert!(matches!(refused, Err(ServiceError::Stamp(e)) if e == spent));
+        }
+        let counts = |svc: &ShardedService| {
+            let dropped = (svc.rejected_events(), svc.suppressed_duplicates());
+            (svc.admitted_workers(), dropped)
+        };
+        assert_eq!(counts(&svc), (1, (0, 0)), "nothing counted");
+        svc.try_push(ServiceEvent::PeriodTick)
+            .expect("not poisoned");
+        svc.try_push(arrive).expect("the next epoch starts at 0");
+        assert_eq!(svc.watermark(0), Some((1, 0)));
+        assert_eq!(counts(&svc), (2, (0, 0)));
+        svc.try_push(ServiceEvent::PeriodTick).unwrap();
+        let records = crate::read_journal(&journal.journal_path())
+            .unwrap()
+            .records;
+        let stamps: Vec<_> = records
+            .iter()
+            .map(|r| (r.producer, r.epoch, r.seq))
+            .collect();
+        let tick = TICK_PRODUCER;
+        let journaled = [(0, 0, u64::MAX), (tick, 0, 0), (0, 1, 0), (tick, 1, 0)];
+        assert_eq!(stamps, journaled, "nothing journaled");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// The period counter is a `u32`: the tick of period `u32::MAX` is

@@ -605,8 +605,11 @@ pub fn merge(
                 // producer may re-send acked events (at-least-once); the
                 // service's watermark suppresses them. Fresh events must
                 // still arrive gap-free — within a run the lane
-                // guarantees consecutive seqs.
-                if head.epoch != epoch || head.seq > next_seq {
+                // guarantees consecutive seqs — and end below `u64::MAX`,
+                // so the seq after the run fits.
+                let stamped = head.epoch == epoch && head.seq <= next_seq;
+                let end = head.seq.checked_add(run.len() as u64);
+                let Some(end) = end.filter(|_| stamped) else {
                     return Err(ServiceError::Stamp(StampError {
                         producer,
                         epoch: head.epoch,
@@ -614,8 +617,8 @@ pub fn merge(
                         serving_epoch: epoch,
                         next_seq,
                     }));
-                }
-                next_seq = next_seq.max(head.seq + run.len() as u64);
+                };
+                next_seq = next_seq.max(end);
                 // Only fatal faults come back: the run counts its own
                 // rejections.
                 service.push_stamped_run(producer, epoch, head.seq, &run)?;
@@ -1274,6 +1277,35 @@ mod tests {
         p0.close();
         let err = ingest.sequence(&mut service()).expect_err("mis-stamped");
         assert!(matches!(err, ServiceError::Stamp(s) if s.epoch == u64::MAX));
+    }
+
+    /// A lane's seqs in an epoch stop below `u64::MAX`: a run may end at
+    /// `u64::MAX - 1`, and one that would take `u64::MAX` is refused
+    /// before it is journaled. The merge used to overflow at the run's
+    /// end (a panic in debug), and in release the run's seqs wrapped to
+    /// 0, where the watermark took them for duplicates.
+    #[test]
+    fn a_run_past_the_last_seq_is_refused() {
+        for (sent, admitted) in [(1, 2), (2, 1)] {
+            let mut svc = service();
+            svc.push_stamped(0, 0, u64::MAX - 2, arrive(1.0)).unwrap();
+            let (ingest, p0) = one_lane(8);
+            let mut p0 = p0.abandon().reconnect(0, u64::MAX - 1);
+            p0.send_iter([arrive(2.0), arrive(3.0)].into_iter().take(sent));
+            p0.close();
+            let sequenced = ingest.sequence(&mut svc);
+            assert_eq!(svc.admitted_workers(), admitted, "{sent} sent");
+            assert!(svc.poisoned_by().is_none());
+            if sent == 1 {
+                assert_eq!(sequenced.unwrap(), 0, "no epoch closed");
+                assert_eq!(svc.watermark(0), Some((0, u64::MAX - 1)));
+                let serial = svc.try_push(arrive(4.0));
+                assert!(matches!(serial, Err(ServiceError::Stamp(s)) if s.seq == u64::MAX));
+            } else {
+                let refused = |s: &StampError| (s.seq, s.next_seq) == (u64::MAX - 1, u64::MAX - 1);
+                assert!(matches!(sequenced, Err(ServiceError::Stamp(s)) if refused(&s)));
+            }
+        }
     }
 
     /// A marker is held to the same rule: closing an epoch at a seq the

@@ -64,13 +64,13 @@ pub mod recovery;
 pub mod replay;
 
 pub use engine::{
-    EventRejection, ServiceConfig, ServiceError, ServiceEvent, ShardedService, StampError,
-    TickPanic,
+    ServiceConfig, ServiceError, ServiceEvent, ShardedService, StampError, TickPanic,
 };
 pub use ingest::{AbandonedLane, IngestConfig, IngestService, IngressProducer, SendError};
 pub use journal::{
     read_journal, JournalConfig, JournalError, JournalRecord, JournalWriter, Tail, TICK_PRODUCER,
 };
+pub use maps_simulator::EventRejection;
 pub use recovery::{recover, Recovered, RecoveryError};
 pub use replay::{replay_service, replay_with_options};
 

@@ -234,7 +234,7 @@ mod tests {
     use super::*;
     use crate::engine::{CheckpointLayout, ServiceEvent};
     use crate::journal::{encode_checkpoint, read_journal, JOURNAL_FILE};
-    use maps_simulator::{GroundWorker, MatchPolicy};
+    use maps_simulator::{GroundTask, GroundWorker, MatchPolicy};
     use maps_spatial::{Point, Rect};
 
     fn grid() -> GridSpec {
@@ -576,11 +576,27 @@ mod tests {
     /// the content lies. `lie` gets the decoded words and rewrites one.
     /// Whatever the lie, the journal is left byte for byte as it was.
     fn recover_with_lying_word(tag: &str, lie: impl Fn(&mut [u64])) -> RecoveryError {
+        recover_lying(tag, MatchPolicy::Consume, &[], lie)
+    }
+
+    /// [`recover_with_lying_word`] under `policy`, with `tasks` requested
+    /// in epoch 0 beside the worker.
+    fn recover_lying(
+        tag: &str,
+        policy: MatchPolicy,
+        tasks: &[GroundTask],
+        lie: impl Fn(&mut [u64]),
+    ) -> RecoveryError {
         let dir = crate::test_dir(tag);
-        let (mut svc, cfg) = journaled_service(&dir);
+        let cfg = JournalConfig::new(&dir, 1);
+        let mut svc = ShardedService::new(grid(), policy, StrategyKind::Sdr, config());
+        svc.attach_journal(&cfg).unwrap();
         svc.push(ServiceEvent::WorkerArrive {
             worker: worker(1.0),
         });
+        for &task in tasks {
+            svc.push(ServiceEvent::TaskRequest { task });
+        }
         svc.push(ServiceEvent::PeriodTick);
         svc.push(ServiceEvent::PeriodTick);
         drop(svc);
@@ -591,14 +607,8 @@ mod tests {
         lie(&mut words);
         std::fs::write(&path, encode_checkpoint(&words).unwrap()).unwrap();
         let journal = std::fs::read(cfg.journal_path()).unwrap();
-        let err = recover(
-            grid(),
-            MatchPolicy::Consume,
-            StrategyKind::Sdr,
-            config(),
-            &cfg,
-        )
-        .expect_err("a lying word must not restore");
+        let err = recover(grid(), policy, StrategyKind::Sdr, config(), &cfg)
+            .expect_err("a lying word must not restore");
         assert_eq!(std::fs::read(cfg.journal_path()).unwrap(), journal, "{tag}");
         let _ = std::fs::remove_dir_all(&dir);
         err
@@ -651,6 +661,48 @@ mod tests {
                         epoch: 2,
                         reason: StateError::Mismatch(found),
                     } if found == what
+                ),
+                "{tag}: {err}"
+            );
+        }
+    }
+
+    /// A scheduled release is held to what admission holds an arrival
+    /// to, like a live worker: a lying NaN radius used to restore and
+    /// poison the service at the release tick, a NaN location to release
+    /// a worker no query reaches. The worker, matched in epoch 0 and
+    /// travelling 2 periods at speed 0.5, is released at period 2: the
+    /// newest checkpoint's first scheduled period (its expiry at 4 is the
+    /// second), `t, entries, tag, id, x, y, radius`.
+    #[test]
+    fn lying_release_geometry_is_a_typed_error() {
+        let origin = Point::new(1.5, 1.0);
+        let task = GroundTask {
+            origin,
+            destination: Point::new(9.0, 9.0),
+            distance: 1.0,
+            valuation: 4.9,
+            cell: grid().cell_of(origin),
+        };
+        let relocate = MatchPolicy::Relocate { speed: 0.5 };
+        for (tag, at, lie) in [
+            ("recover_lying_release_x", 5, f64::NAN),
+            ("recover_lying_release_y", 6, f64::INFINITY),
+            ("recover_lying_release_radius", 7, f64::NAN),
+        ] {
+            let err = recover_lying(tag, relocate, &[task], |words| {
+                let schedule = CheckpointLayout::of(words).schedule_count;
+                let entry = &mut words[schedule..schedule + 8];
+                assert_eq!(entry[..5], [2, 2, 1, 1, 0], "worker 0's release first");
+                entry[at] = lie.to_bits();
+            });
+            assert!(
+                matches!(
+                    err,
+                    RecoveryError::Checkpoint {
+                        epoch: 2,
+                        reason: StateError::Mismatch("checkpoint release invalid"),
+                    }
                 ),
                 "{tag}: {err}"
             );

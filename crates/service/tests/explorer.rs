@@ -38,7 +38,7 @@ use ServiceError::{Journal, Poisoned};
 /// Seeds `0..BUDGET` run in CI. A seed's low digits enumerate strategy ×
 /// match policy, so any 10 consecutive seeds cover that grid; the rest
 /// of a case comes from the seed's hash.
-const BUDGET: u64 = 140;
+const BUDGET: u64 = 200;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Workload {
@@ -660,9 +660,16 @@ fn halve_periods(case: &Case) -> Option<Case> {
     })
 }
 
+/// The budget in two halves, one test each, so libtest runs them side
+/// by side: one test of every seed set the binary's wall time alone.
 #[test]
-fn seed_budget() {
-    explore(0..BUDGET, draw, halve_periods, check);
+fn seed_budget_lower_half() {
+    explore(0..BUDGET / 2, draw, halve_periods, check);
+}
+
+#[test]
+fn seed_budget_upper_half() {
+    explore(BUDGET / 2..BUDGET, draw, halve_periods, check);
 }
 
 #[test]

@@ -46,4 +46,4 @@ pub use platform::{
 };
 pub use probe::GroundTruthProbe;
 pub use synthetic::{DemandKind, DemandShift, SyntheticConfig};
-pub use truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};
+pub use truth::{EventRejection, GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};

@@ -4,11 +4,11 @@
 //! busy → release**, **expire**, **depart**) are scheduled when they
 //! become known, and a period only touches the events that fire in it
 //! plus that period's arrivals — `O(churn)`, never `O(all workers ever
-//! seen)`. The state machine exists once, in the private
-//! `LifecycleTable`; it owns no spatial state and stages the resulting
-//! churn for the one [`PeriodGraphCache`] of a [`WorkerLifecycle`].
-//! Both engines are a [`WorkerLifecycle`]: the batch `Simulation` admits
-//! a period's arrivals and fires through
+//! seen)`. The state machine is one type, [`WorkerLifecycle`]: its
+//! per-worker records, its schedule of timed transitions, and the one
+//! [`PeriodGraphCache`] every transition stages its churn for. Both
+//! engines are a [`WorkerLifecycle`]: the batch `Simulation` admits a
+//! period's arrivals and fires through
 //! [`WorkerLifecycle::begin_period`]; the online service admits and
 //! departs per event ([`WorkerLifecycle::admit`],
 //! [`WorkerLifecycle::depart`]) and fires at its tick
@@ -30,14 +30,14 @@
 //!                               scan (Definition 5(ii)) of the live set
 //! ```
 //!
-//! **The window buffer.** Admission ids are consecutive, so the table
-//! keeps the admissions since the last `fire` in a vector whose entry
-//! `i` is worker `base + i`, and stages them only when the window
-//! closes. A worker departing in the window it arrived in is cancelled
-//! by marking its record — the id *is* the cancel token, so there is no
-//! handle to go stale — and the cache never sees a departure for a
-//! worker it was not told had arrived. (`consume` and `dispatch` name
-//! workers of a built graph, never a window id.)
+//! **The window buffer.** Admission ids are consecutive, so the
+//! lifecycle keeps the admissions since the last `fire` in a vector
+//! whose entry `i` is worker `base + i`, and stages them only when the
+//! window closes. A worker departing in the window it arrived in is
+//! cancelled by marking its record — the id *is* the cancel token, so
+//! there is no handle to go stale — and the cache never sees a
+//! departure for a worker it was not told had arrived. (`consume` and
+//! `dispatch` name workers of a built graph, never a window id.)
 //!
 //! **Arrival order is free.** A window's admissions are staged ahead of
 //! the period's busy releases, and a cancelled one leaves a gap in the
@@ -113,7 +113,7 @@ const _: () = assert!(size_of::<Record>() == 8, "a record costs 8 bytes");
 
 impl Record {
     /// What every record of a freed page reads as. A `Gone` record's
-    /// expiry is never read again (see [`LifecycleTable::save_records`]).
+    /// expiry is never read again (see [`WorkerLifecycle::save`]).
     const GONE: Record = Record::new(0, Status::Gone);
 
     const fn new(expires_at: u32, status: Status) -> Self {
@@ -282,6 +282,12 @@ impl Records {
         let records = pages.flat_map(|(first, records)| (first..).zip(records.iter().copied()));
         records.map(|(id, record)| (id as u32, record))
     }
+
+    /// The records a checkpoint keeps an expiry for: those not `Gone`.
+    fn kept(&self) -> impl Iterator<Item = Record> + '_ {
+        let records = self.allocated().map(|(_, record)| record);
+        records.filter(|record| record.status() != Status::Gone)
+    }
 }
 
 /// The status-lane word of up to 32 records: two bits a record, the
@@ -300,12 +306,22 @@ enum Timed {
     Release(u32, WorkerInput),
 }
 
-/// The worker state machine: per-worker records plus the schedule of
-/// timed transitions. Every transition stages its effect on the live
-/// set in the [`StagedChurn`] it is handed.
+/// The next checkpoint word as a `u32`: `2³² + v` is a lie, not `v`.
+fn take_u32(r: &mut StateWords<'_>, what: &'static str) -> Result<u32, StateError> {
+    u32::try_from(r.take()?).map_err(|_| StateError::Mismatch(what))
+}
+
+/// The period engine: the worker state machine — per-worker records
+/// plus the schedule of timed transitions — whose every transition
+/// stages its churn for one [`PeriodGraphCache`], applied by the next
+/// build, so the spatial index is mutated, never rebuilt. The batch
+/// `Simulation` runs one over a bounded horizon
+/// ([`WorkerLifecycle::new`]); the online service one over an event
+/// stream ([`WorkerLifecycle::open_ended`]).
 #[derive(Debug)]
-struct LifecycleTable {
+pub struct WorkerLifecycle {
     grid: GridSpec,
+    cache: PeriodGraphCache,
     /// Per-worker state, indexed by id (admission order).
     records: Records,
     /// Scheduled expiries/releases, keyed by the period they fire in: a
@@ -317,50 +333,59 @@ struct LifecycleTable {
     /// counter would wrap). Transitions at or past it are unobservable
     /// and never scheduled — for a stream, every `u32::MAX` expiry.
     horizon: u32,
-    /// Admissions since the last [`LifecycleTable::fire`], not yet
+    /// Admissions since the last [`WorkerLifecycle::fire`], not yet
     /// staged: entry `i` is worker `records.len() - window.len() + i`.
     window: Vec<WorkerInput>,
+    /// Staged arrivals, applied by the next
+    /// [`WorkerLifecycle::build_graph_capped`].
+    arrivals: Vec<(u32, WorkerInput)>,
+    /// Staged departures, applied by the next build.
+    departures: Vec<u32>,
+    /// Scratch: the staged departures with the slots their records held.
+    departing: Vec<(u32, u32)>,
 }
 
-impl LifecycleTable {
-    /// An empty table over `grid`; see [`LifecycleTable`] for `horizon`.
-    fn new(grid: GridSpec, horizon: u32) -> Self {
+impl WorkerLifecycle {
+    /// An empty lifecycle over `grid` for a `horizon`-period run:
+    /// transitions at or past the horizon are never scheduled.
+    /// `_expected_workers` is ignored (the cache sizes itself by who is
+    /// live); kept for source compatibility, removed with ROADMAP 6(b).
+    pub fn new(grid: &GridSpec, horizon: usize, _expected_workers: usize) -> Self {
+        Self::with_horizon(grid, u32::try_from(horizon).unwrap_or(u32::MAX))
+    }
+
+    /// An empty lifecycle over `grid` for a stream with no last period
+    /// but the one its `u32` counter cannot close: every transition
+    /// before period `u32::MAX` is scheduled, and one at it — the expiry
+    /// of every worker admitted with duration `u32::MAX` — never fires,
+    /// so it is not scheduled either.
+    pub fn open_ended(grid: &GridSpec) -> Self {
+        Self::with_horizon(grid, u32::MAX)
+    }
+
+    fn with_horizon(grid: &GridSpec, horizon: u32) -> Self {
         Self {
-            grid,
+            grid: *grid,
+            cache: PeriodGraphCache::new(grid),
             records: Records::default(),
             schedule: BTreeMap::new(),
             horizon,
             window: Vec::new(),
+            arrivals: Vec::new(),
+            departures: Vec::new(),
+            departing: Vec::new(),
         }
     }
 
-    /// Total workers ever admitted (the next admission id).
-    fn admitted(&self) -> usize {
-        self.records.len()
-    }
-
-    /// The id the next admission takes; `None` once all 2³² are taken.
-    fn next_id(&self) -> Option<u32> {
-        u32::try_from(self.records.len()).ok()
-    }
-
-    fn observable(&self, period: u32) -> bool {
-        period < self.horizon
-    }
-
-    fn input_at(&self, location: Point, radius: f64) -> WorkerInput {
-        WorkerInput {
-            location,
-            radius,
-            cell: self.grid.cell_of(location),
-        }
-    }
-
-    /// Admits `worker` in period `t` under the next id. The arrival is
-    /// staged at the next [`LifecycleTable::fire`], unless the worker
-    /// departs first. Panics once the ids are exhausted
-    /// ([`LifecycleTable::next_id`]).
-    fn admit(&mut self, t: u32, worker: &GroundWorker) {
+    /// Admits `worker` in period `t` under the next id (the admission
+    /// order). It is staged at the next [`WorkerLifecycle::fire`],
+    /// unless it departs first.
+    ///
+    /// # Panics
+    /// Panics once all 2³² ids are taken ([`WorkerLifecycle::next_id`]
+    /// is `None`), rather than reuse one, and on a range
+    /// [`GroundWorker::check`] refuses, which the service checks first.
+    pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
         let id = self.next_id().expect("all 2^32 worker ids are taken");
         let expires_at = t.saturating_add(worker.duration);
         // A worker whose window is already over (duration 0 — rejected
@@ -374,9 +399,9 @@ impl LifecycleTable {
             Status::Gone
         };
         self.records.push(Record::new(expires_at, status));
-        self.window
-            .push(self.input_at(worker.location, worker.radius));
-        if lives && self.observable(expires_at) {
+        let input = WorkerInput::new(&self.grid, worker.location, worker.radius);
+        self.window.push(input);
+        if lives && expires_at < self.horizon {
             self.schedule
                 .entry(expires_at)
                 .or_default()
@@ -384,33 +409,42 @@ impl LifecycleTable {
         }
     }
 
-    /// Worker `id` leaves now: its expiry firing, or an explicit
-    /// departure ahead of it. A no-op for workers already gone and for
-    /// ids never admitted: an online stream can carry duplicate or stale
-    /// departures, and one bad client event must not take the service
-    /// down. A busy worker's pending release is dropped when it fires.
-    fn depart(&mut self, id: u32, staged: &mut StagedChurn) {
+    /// The id the next [`WorkerLifecycle::admit`] hands out; `None` once
+    /// all 2³² ids are taken.
+    pub fn next_id(&self) -> Option<u32> {
+        u32::try_from(self.records.len()).ok()
+    }
+
+    /// Worker `id` leaves the live set at the next build: its expiry
+    /// firing, or an explicit departure ahead of it. A departure in the
+    /// window the worker arrived in cancels the arrival. A no-op for
+    /// workers already gone and for ids never admitted: an online stream
+    /// can carry duplicate or stale departures, and one bad client event
+    /// must not take the service down. A busy worker's pending release
+    /// is dropped when it fires.
+    pub fn depart(&mut self, id: u32) {
         let window_base = self.records.len() - self.window.len();
         self.records.update(id, |record| {
             // A worker admitted in this window was never staged: marking
             // the record is the whole cancellation.
             if record.status() == Status::Available && (id as usize) < window_base {
-                staged.departures.push(id);
+                self.departures.push(id);
             }
             record.set_status(Status::Gone);
         });
     }
 
-    /// Closes the window — stages its surviving admissions — then fires
-    /// the transitions scheduled for period `t`. Call once per period,
-    /// in order, before the period's graph is built.
-    fn fire(&mut self, t: u32, staged: &mut StagedChurn) {
+    /// Closes the admission window — stages its surviving admissions —
+    /// then fires the transitions scheduled for period `t`, staging the
+    /// resulting churn. Call once per period, in order, before
+    /// [`WorkerLifecycle::build_graph_capped`].
+    pub fn fire(&mut self, t: u32) {
         let window_base = self.records.len() - self.window.len();
         for (id, input) in (window_base..).zip(self.window.drain(..)) {
             // Counted in `usize`: the last id is `u32::MAX`.
             let id = id as u32;
             if self.records.get(id).map(Record::status) == Some(Status::Available) {
-                staged.arrivals.push((id, input));
+                self.arrivals.push((id, input));
             }
         }
         let Some(events) = self.schedule.remove(&t) else {
@@ -418,12 +452,12 @@ impl LifecycleTable {
         };
         for event in events {
             match event {
-                Timed::Expire(id) => self.depart(id, staged),
+                Timed::Expire(id) => self.depart(id),
                 Timed::Release(id, input) => {
                     self.records.update(id, |record| {
                         if record.status() == Status::Busy && t < record.expires_at {
                             record.set_status(Status::Available);
-                            staged.arrivals.push((id, input));
+                            self.arrivals.push((id, input));
                         } else {
                             record.set_status(Status::Gone);
                         }
@@ -433,53 +467,157 @@ impl LifecycleTable {
         }
     }
 
-    /// A matched worker leaves permanently (`MatchPolicy::Consume`).
-    fn consume(&mut self, id: u32, staged: &mut StagedChurn) {
-        let consumed = self.records.update(id, |r| r.set_status(Status::Gone));
-        consumed.expect("a consumed worker holds its record");
-        staged.departures.push(id);
+    /// Starts period `t`: [`WorkerLifecycle::admit`]s this period's
+    /// arrivals, then [`WorkerLifecycle::fire`]s.
+    pub fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
+        for worker in arrivals {
+            self.admit(t, worker);
+        }
+        self.fire(t);
     }
 
-    /// A worker of range `radius` matched in period `t` travels to
-    /// `destination` for `travel ≥ 1` periods (`MatchPolicy::Relocate`),
-    /// re-entering at `t + travel` under the same id — or leaving for
-    /// good when that lands on or past its expiry or the horizon.
-    fn dispatch(
-        &mut self,
-        t: u32,
-        id: u32,
-        radius: f64,
-        destination: Point,
-        travel: u32,
-        staged: &mut StagedChurn,
-    ) {
+    /// Whether nothing was admitted since the last
+    /// [`WorkerLifecycle::fire`]: where a checkpoint can be cut.
+    pub fn window_is_empty(&self) -> bool {
+        self.window.is_empty()
+    }
+
+    /// Applies the staged churn and builds the period's capped graph
+    /// through the cache (`k = max_edges_per_task`).
+    pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
+        self.apply_staged();
+        self.cache.build_graph_capped(tasks, k)
+    }
+
+    /// Applies the staged churn to the cache: each departure by the slot
+    /// its record holds, which the record then lets go of; each
+    /// arrival's slot written into its record, where a slot already held
+    /// means a live id arriving again.
+    ///
+    /// A departure lets go of the last record its page holds here, if
+    /// any: a staged departure keeps its record's page until then.
+    fn apply_staged(&mut self) {
+        let records = &mut self.records;
+        self.departing.clear();
+        self.departing.extend(self.departures.drain(..).map(|id| {
+            let slot = records.update(id, |record| {
+                let slot = record.slot();
+                record.set_slot(NO_SLOT);
+                slot
+            });
+            (id, slot.unwrap_or(NO_SLOT))
+        }));
+        let handed = self.cache.apply(&self.arrivals, &self.departing);
+        for (&(id, _), &slot) in self.arrivals.iter().zip(handed) {
+            assert!(
+                slot < NO_SLOT,
+                "a lifecycle holds fewer than 2^30 live workers"
+            );
+            let arrived = records.update(id, |record| {
+                let held = record.slot() != NO_SLOT;
+                assert!(!held, "arrival of an already-live worker id {id}");
+                record.set_slot(slot);
+            });
+            arrived.expect("an arriving worker's record is held");
+        }
+        self.arrivals.clear();
+    }
+
+    /// Copies the live worker list — dense, in no particular order —
+    /// into `out`.
+    pub fn fill_worker_inputs(&self, out: &mut Vec<WorkerInput>) {
+        out.clear();
+        out.extend_from_slice(self.cache.worker_inputs());
+    }
+
+    /// The workers in the cache, ascending id, found through the records
+    /// that hold a slot: one page-table entry per 1 024 ids, and the
+    /// records of the pages still allocated, which the live workers
+    /// hold. At a period boundary that is the available workers plus the
+    /// staged departures.
+    pub fn live_workers(&self) -> impl Iterator<Item = (u32, &WorkerInput)> + '_ {
+        let held = self.records.allocated();
+        held.filter(|(_, record)| record.slot() != NO_SLOT)
+            .map(|(id, record)| {
+                let worker = self.cache.worker(id, record.slot());
+                (id, worker.expect("a record's slot is held in the cache"))
+            })
+    }
+
+    /// Number of workers currently in the live set (staged churn from
+    /// matches in the current period applies at the next build).
+    pub fn live_count(&self) -> usize {
+        self.cache.live_count()
+    }
+
+    /// Total workers ever admitted.
+    pub fn admitted(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The id of right-side vertex `dense` of the last built graph.
+    pub fn id_of_dense(&self, dense: usize) -> u32 {
+        self.cache.right_id(dense)
+    }
+
+    /// A matched worker leaves permanently (`MatchPolicy::Consume`).
+    /// Staged as a departure for the next period's build.
+    pub fn consume(&mut self, id: u32) {
+        let consumed = self.records.update(id, |r| r.set_status(Status::Gone));
+        consumed.expect("a consumed worker holds its record");
+        self.departures.push(id);
+    }
+
+    /// A matched worker travels to `destination` for `travel ≥ 1`
+    /// periods (`MatchPolicy::Relocate`), re-entering at `t + travel`
+    /// under the same id and range — or leaving for good when that lands
+    /// on or past its expiry or the horizon.
+    pub fn dispatch(&mut self, t: u32, id: u32, destination: Point, travel: u32) {
         debug_assert!(travel >= 1, "relocation travel takes at least one period");
-        staged.departures.push(id);
+        let record = self.records.get(id);
+        let radius = record
+            .and_then(|record| self.cache.worker(id, record.slot()))
+            .expect("dispatched worker is live")
+            .radius;
+        self.departures.push(id);
         let busy_until = t.saturating_add(travel);
-        let release = Timed::Release(id, self.input_at(destination, radius));
-        let returns = self.observable(busy_until);
+        let returns = busy_until < self.horizon;
         let busy = self.records.update(id, |record| {
             let busy = returns && busy_until < record.expires_at;
             record.set_status(if busy { Status::Busy } else { Status::Gone });
             busy
         });
         if busy.expect("a dispatched worker holds its record") {
-            self.schedule.entry(busy_until).or_default().push(release);
+            let release = WorkerInput::new(&self.grid, destination, radius);
+            let entries = self.schedule.entry(busy_until).or_default();
+            entries.push(Timed::Release(id, release));
         }
     }
 
-    /// Appends the per-worker records to a checkpoint word stream: the
-    /// record count, a status lane — two bits a record, 32 to a word,
-    /// behind its own word count — then the `expires_at` of every record
-    /// that is not `Gone`, in id order. A `Gone` record's expiry is never
-    /// read again ([`LifecycleTable::fire`] tests a release's status
-    /// before its expiry, [`LifecycleTable::dispatch`] names a live
-    /// worker), so a worker that left costs a checkpoint its two bits.
-    /// The open window is not part of it: checkpoints are cut right
-    /// after a period closed, before anything is admitted into the next.
-    /// A freed page writes the `Gone` codes it reads as.
-    fn save_records(&self, w: &mut Vec<u64>) {
-        debug_assert!(self.window.is_empty(), "checkpoint off a period boundary");
+    /// Appends the worker side of a checkpoint to a word stream, in four
+    /// sections (floats as IEEE-754 bits):
+    ///
+    /// 1. **Records:** the record count, a status lane — two bits a
+    ///    record, 32 to a word, behind its own word count; a freed page
+    ///    writes the `Gone` codes it reads as — then the `expires_at` of
+    ///    every record that is not `Gone`, in id order. A `Gone` record's
+    ///    expiry is never read again (`fire` tests a release's status
+    ///    before its expiry, `dispatch` names a live worker), so a worker
+    ///    that left costs a checkpoint its two bits.
+    /// 2. **Live workers:** a count, then `id, x, y, radius` each in
+    ///    ascending id order ([`WorkerLifecycle::live_workers`]).
+    /// 3. **Staged departures:** a count, then the ids — the closing
+    ///    period's matched pairs and departures of earlier arrivals.
+    /// 4. **Schedule:** a period count, then per period `t`, an entry
+    ///    count and per entry `0, id` (an expiry) or `1, id, x, y,
+    ///    radius` (a release).
+    ///
+    /// Cut at a period boundary only — after a build, before anything is
+    /// admitted into the next window — so no arrival is staged and the
+    /// window is not part of it.
+    pub fn save(&self, w: &mut Vec<u64>) {
+        let boundary = self.window.is_empty() && self.arrivals.is_empty();
+        debug_assert!(boundary, "checkpoint off a period boundary");
         w.push(self.records.len() as u64);
         w.push(self.records.len().div_ceil(STATUSES_PER_WORD) as u64);
         for (_, page) in self.records.pages() {
@@ -488,18 +626,58 @@ impl LifecycleTable {
                 None => w.extend([GONE_LANE_WORD; PAGE / STATUSES_PER_WORD]),
             }
         }
-        let kept = self.records.allocated().map(|(_, r)| r);
-        let kept = kept.filter(|r| r.status() != Status::Gone);
-        w.extend(kept.map(|r| u64::from(r.expires_at)));
+        w.extend(self.records.kept().map(|r| u64::from(r.expires_at)));
+        w.push(self.cache.live_count() as u64);
+        for (id, input) in self.live_workers() {
+            let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
+            w.extend([u64::from(id), x, y, input.radius.to_bits()]);
+        }
+        w.push(self.departures.len() as u64);
+        w.extend(self.departures.iter().map(|&id| u64::from(id)));
+        w.push(self.schedule.len() as u64);
+        for (&t, entries) in &self.schedule {
+            w.extend([u64::from(t), entries.len() as u64]);
+            for entry in entries {
+                match entry {
+                    Timed::Expire(id) => w.extend([0, u64::from(*id)]),
+                    Timed::Release(id, input) => {
+                        let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
+                        w.extend([1, u64::from(*id), x, y, input.radius.to_bits()]);
+                    }
+                }
+            }
+        }
     }
 
-    /// Restores what [`LifecycleTable::save_records`] wrote. The lane's
-    /// word count is the bounded one ([`StateWords::take_len`]) and the
-    /// record count must be one that lane holds, so neither sizes
-    /// anything the stream does not back. A full page whose records are
-    /// all `Gone` stays freed: only pages that hold a record are
-    /// allocated, and the open last page.
-    fn load_records(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+    /// The number of words [`WorkerLifecycle::save`] appends for the
+    /// lifecycle as it stands: what a caller reserves for them.
+    pub fn saved_words(&self) -> usize {
+        let lane = self.records.len().div_ceil(STATUSES_PER_WORD);
+        let records = 2 + lane + self.records.kept().count();
+        let live = 1 + 4 * self.cache.live_count();
+        let entry_words = |e: &Timed| match e {
+            Timed::Expire(_) => 2,
+            Timed::Release(..) => 5,
+        };
+        let periods = self.schedule.values();
+        let schedule = periods.map(|entries| 2 + entries.iter().map(entry_words).sum::<usize>());
+        records + live + 1 + self.departures.len() + 1 + schedule.sum::<usize>()
+    }
+
+    /// Restores what [`WorkerLifecycle::save`] wrote into a freshly
+    /// constructed lifecycle over the same grid. Every word is outside
+    /// input: counts are bounded by the words behind them
+    /// ([`StateWords::take_len`]), so none sizes anything the stream does
+    /// not back; the record count must be one its status lane holds; ids
+    /// must name admitted workers — live ones ascending — and a live
+    /// worker's or a release's geometry must be what admission accepts
+    /// of an arrival ([`GroundWorker::check`]). The live set goes into
+    /// the cache as one batch, whose queries depend only on the set, so
+    /// this equals the build that wrote it; the slots it is handed go
+    /// into the records. A full page whose records are all `Gone` stays
+    /// freed — but a live worker whose record reads `Gone` (a staged
+    /// departure) gets its page back.
+    pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
         use StateError::Mismatch;
         let n_records = usize::try_from(r.take()?).map_err(|_| StateError::Truncated)?;
         let lane = r.take_len(1)?;
@@ -546,54 +724,27 @@ impl LifecycleTable {
             records.pages.push(Some(page));
         }
         self.records = records;
-        Ok(())
-    }
-
-    /// The number of words [`LifecycleTable::save_records`] and
-    /// [`LifecycleTable::save_schedule`] append for the table as it
-    /// stands: what a caller reserves for them.
-    fn saved_words(&self) -> usize {
-        let ids = self.records.len();
-        let allocated = self.records.allocated();
-        let kept = allocated.filter(|(_, r)| r.status() != Status::Gone);
-        let records = 2 + ids.div_ceil(STATUSES_PER_WORD) + kept.count();
-        let entry_words = |e: &Timed| match e {
-            Timed::Expire(_) => 2,
-            Timed::Release(..) => 5,
-        };
-        let periods = self.schedule.values();
-        let schedule = periods.map(|entries| 2 + entries.iter().map(entry_words).sum::<usize>());
-        records + 1 + schedule.sum::<usize>()
-    }
-
-    /// Appends the timed schedule to a checkpoint word stream (floats as
-    /// IEEE-754 bits).
-    fn save_schedule(&self, w: &mut Vec<u64>) {
-        w.push(self.schedule.len() as u64);
-        for (&t, entries) in &self.schedule {
-            w.push(u64::from(t));
-            w.push(entries.len() as u64);
-            for e in entries {
-                match e {
-                    Timed::Expire(id) => {
-                        w.push(0);
-                        w.push(u64::from(*id));
-                    }
-                    Timed::Release(id, input) => {
-                        w.push(1);
-                        w.push(u64::from(*id));
-                        w.push(input.location.x.to_bits());
-                        w.push(input.location.y.to_bits());
-                        w.push(input.radius.to_bits());
-                    }
-                }
+        let admitted = self.records.len() as u64;
+        let mut next_id = 0;
+        for _ in 0..r.take_len(4)? {
+            const INVALID: &str = "checkpoint live worker invalid";
+            let id = r.take()?;
+            let input = self.take_input(r, INVALID)?;
+            if !(next_id..admitted).contains(&id) {
+                return Err(Mismatch(INVALID));
             }
+            next_id = id + 1;
+            self.records.reopen(id as u32);
+            self.arrivals.push((id as u32, input));
         }
-    }
-
-    /// Restores what [`LifecycleTable::save_schedule`] wrote (after
-    /// [`LifecycleTable::load_records`]: entries must name known ids).
-    fn load_schedule(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
+        self.apply_staged();
+        for _ in 0..r.take_len(1)? {
+            let id = r.take()?;
+            if id >= admitted {
+                return Err(Mismatch("checkpoint departure id out of range"));
+            }
+            self.departures.push(id as u32);
+        }
         self.schedule.clear();
         for _ in 0..r.take_len(2)? {
             let t = take_u32(r, "checkpoint schedule time out of range")?;
@@ -603,294 +754,37 @@ impl LifecycleTable {
                 let tag = r.take()?;
                 let id = take_u32(r, "checkpoint schedule id out of range")?;
                 if id as usize >= self.records.len() {
-                    return Err(StateError::Mismatch("checkpoint schedule id out of range"));
+                    return Err(Mismatch("checkpoint schedule id out of range"));
                 }
                 entries.push(match tag {
                     0 => Timed::Expire(id),
-                    1 => {
-                        let location = Point::new(r.take_f64()?, r.take_f64()?);
-                        Timed::Release(id, self.input_at(location, r.take_f64()?))
-                    }
-                    _ => {
-                        return Err(StateError::Mismatch(
-                            "checkpoint has invalid schedule entry",
-                        ))
-                    }
+                    1 => Timed::Release(id, self.take_input(r, "checkpoint release invalid")?),
+                    _ => return Err(Mismatch("checkpoint has invalid schedule entry")),
                 });
             }
             self.schedule.insert(t, entries);
         }
         Ok(())
     }
-}
 
-/// The next checkpoint word as a `u32`: `2³² + v` is a lie, not `v`.
-fn take_u32(r: &mut StateWords<'_>, what: &'static str) -> Result<u32, StateError> {
-    u32::try_from(r.take()?).map_err(|_| StateError::Mismatch(what))
-}
-
-/// Churn staged between two graph builds of the cache.
-#[derive(Debug, Default)]
-#[cfg_attr(test, derive(PartialEq))]
-struct StagedChurn {
-    arrivals: Vec<(u32, WorkerInput)>,
-    departures: Vec<u32>,
-}
-
-/// The period engine: a lifecycle table whose churn feeds one
-/// [`PeriodGraphCache`], so the spatial index is mutated, never rebuilt.
-/// The batch `Simulation` runs one over a bounded horizon
-/// ([`WorkerLifecycle::new`]); the online service runs one over an event
-/// stream ([`WorkerLifecycle::open_ended`]).
-#[derive(Debug)]
-pub struct WorkerLifecycle {
-    cache: PeriodGraphCache,
-    table: LifecycleTable,
-    /// Applied by the next [`WorkerLifecycle::build_graph_capped`].
-    staged: StagedChurn,
-    /// Scratch: the staged departures with the slots their records held.
-    departing: Vec<(u32, u32)>,
-}
-
-impl WorkerLifecycle {
-    /// An empty lifecycle over `grid` for a `horizon`-period run:
-    /// transitions at or past the horizon are never scheduled.
-    /// `_expected_workers` is ignored (the cache sizes itself by who is
-    /// live); kept for source compatibility, removed with ROADMAP 6(b).
-    pub fn new(grid: &GridSpec, horizon: usize, _expected_workers: usize) -> Self {
-        Self::with_horizon(grid, u32::try_from(horizon).unwrap_or(u32::MAX))
-    }
-
-    /// An empty lifecycle over `grid` for a stream with no last period
-    /// but the one its `u32` counter cannot close: every transition
-    /// before period `u32::MAX` is scheduled, and one at it — the expiry
-    /// of every worker admitted with duration `u32::MAX` — never fires,
-    /// so it is not scheduled either.
-    pub fn open_ended(grid: &GridSpec) -> Self {
-        Self::with_horizon(grid, u32::MAX)
-    }
-
-    fn with_horizon(grid: &GridSpec, horizon: u32) -> Self {
-        Self {
-            cache: PeriodGraphCache::new(grid),
-            table: LifecycleTable::new(*grid, horizon),
-            staged: StagedChurn::default(),
-            departing: Vec::new(),
-        }
-    }
-
-    /// Admits `worker` in period `t` under the next id (the admission
-    /// order). It is staged at the next [`WorkerLifecycle::fire`],
-    /// unless it departs first.
-    ///
-    /// # Panics
-    /// Panics once all 2³² ids are taken ([`WorkerLifecycle::next_id`]
-    /// is `None`), rather than reuse one.
-    pub fn admit(&mut self, t: u32, worker: &GroundWorker) {
-        self.table.admit(t, worker);
-    }
-
-    /// The id the next [`WorkerLifecycle::admit`] hands out; `None` once
-    /// all 2³² ids are taken.
-    pub fn next_id(&self) -> Option<u32> {
-        self.table.next_id()
-    }
-
-    /// Worker `id` leaves the live set at the next build. A departure in
-    /// the window the worker arrived in cancels the arrival; a no-op for
-    /// workers already gone and for ids never admitted.
-    pub fn depart(&mut self, id: u32) {
-        self.table.depart(id, &mut self.staged);
-    }
-
-    /// Closes the admission window and fires the transitions scheduled
-    /// for period `t`, staging the resulting churn. Call once per
-    /// period, in order, before [`WorkerLifecycle::build_graph_capped`].
-    pub fn fire(&mut self, t: u32) {
-        self.table.fire(t, &mut self.staged);
-    }
-
-    /// Starts period `t`: [`WorkerLifecycle::admit`]s this period's
-    /// arrivals, then [`WorkerLifecycle::fire`]s.
-    pub fn begin_period(&mut self, t: u32, arrivals: &[GroundWorker]) {
-        for worker in arrivals {
-            self.admit(t, worker);
-        }
-        self.fire(t);
-    }
-
-    /// Whether nothing was admitted since the last
-    /// [`WorkerLifecycle::fire`]: where a checkpoint can be cut.
-    pub fn window_is_empty(&self) -> bool {
-        self.table.window.is_empty()
-    }
-
-    /// Applies the staged churn and builds the period's capped graph
-    /// through the cache (`k = max_edges_per_task`).
-    pub fn build_graph_capped(&mut self, tasks: &[TaskInput], k: usize) -> BipartiteGraph {
-        self.apply_staged();
-        self.cache.build_graph_capped(tasks, k)
-    }
-
-    /// Applies the staged churn to the cache: each departure by the slot
-    /// its record holds, which the record then lets go of; each
-    /// arrival's slot written into its record, where a slot already held
-    /// means a live id arriving again.
-    ///
-    /// A departure lets go of the last record its page holds here, if
-    /// any: a staged departure keeps its record's page until then.
-    fn apply_staged(&mut self) {
-        let records = &mut self.table.records;
-        self.departing.clear();
-        self.departing
-            .extend(self.staged.departures.drain(..).map(|id| {
-                let slot = records.update(id, |record| {
-                    let slot = record.slot();
-                    record.set_slot(NO_SLOT);
-                    slot
-                });
-                (id, slot.unwrap_or(NO_SLOT))
-            }));
-        let handed = self.cache.apply(&self.staged.arrivals, &self.departing);
-        for (&(id, _), &slot) in self.staged.arrivals.iter().zip(handed) {
-            assert!(
-                slot < NO_SLOT,
-                "a lifecycle holds fewer than 2^30 live workers"
-            );
-            let arrived = records.update(id, |record| {
-                let held = record.slot() != NO_SLOT;
-                assert!(!held, "arrival of an already-live worker id {id}");
-                record.set_slot(slot);
-            });
-            arrived.expect("an arriving worker's record is held");
-        }
-        self.staged.arrivals.clear();
-    }
-
-    /// Copies the live worker list — dense, in no particular order —
-    /// into `out`.
-    pub fn fill_worker_inputs(&self, out: &mut Vec<WorkerInput>) {
-        out.clear();
-        out.extend_from_slice(self.cache.worker_inputs());
-    }
-
-    /// The workers in the cache, ascending id, found through the records
-    /// that hold a slot: one page-table entry per 1 024 ids, and the
-    /// records of the pages still allocated, which the live workers
-    /// hold. At a period boundary that is the available workers plus the
-    /// staged departures.
-    pub fn live_workers(&self) -> impl Iterator<Item = (u32, &WorkerInput)> + '_ {
-        let held = self.table.records.allocated();
-        held.filter(|(_, record)| record.slot() != NO_SLOT)
-            .map(|(id, record)| {
-                let worker = self.cache.worker(id, record.slot());
-                (id, worker.expect("a record's slot is held in the cache"))
-            })
-    }
-
-    /// Number of workers currently in the live set (staged churn from
-    /// matches in the current period applies at the next build).
-    pub fn live_count(&self) -> usize {
-        self.cache.live_count()
-    }
-
-    /// Total workers ever admitted.
-    pub fn admitted(&self) -> usize {
-        self.table.admitted()
-    }
-
-    /// The id of right-side vertex `dense` of the last built graph.
-    pub fn id_of_dense(&self, dense: usize) -> u32 {
-        self.cache.right_id(dense)
-    }
-
-    /// A matched worker leaves permanently (`MatchPolicy::Consume`).
-    /// Staged as a departure for the next period's build.
-    pub fn consume(&mut self, id: u32) {
-        self.table.consume(id, &mut self.staged);
-    }
-
-    /// A matched worker travels to `destination` for `travel ≥ 1`
-    /// periods (`MatchPolicy::Relocate`), re-entering at `t + travel`
-    /// under the same id — or leaving for good when that lands past its
-    /// expiry or the horizon.
-    pub fn dispatch(&mut self, t: u32, id: u32, destination: Point, travel: u32) {
-        let record = self.table.records.get(id);
-        let radius = record
-            .and_then(|record| self.cache.worker(id, record.slot()))
-            .expect("dispatched worker is live")
-            .radius;
-        self.table
-            .dispatch(t, id, radius, destination, travel, &mut self.staged);
-    }
-
-    /// Appends the worker side of a checkpoint to a word stream: the
-    /// lifecycle records, the live workers (a count, then `id, x, y,
-    /// radius` each in ascending id order, floats as IEEE-754 bits —
-    /// [`WorkerLifecycle::live_workers`]), the staged departures (a
-    /// count, then the ids — the closing period's matched pairs and
-    /// departures of earlier arrivals), then the timed schedule. Cut at a
-    /// period boundary only — after a build, before anything is admitted
-    /// into the next window — so no arrival is staged.
-    pub fn save(&self, w: &mut Vec<u64>) {
-        debug_assert!(
-            self.staged.arrivals.is_empty(),
-            "checkpoint off a period boundary"
-        );
-        self.table.save_records(w);
-        w.push(self.cache.live_count() as u64);
-        for (id, input) in self.live_workers() {
-            let (x, y) = (input.location.x.to_bits(), input.location.y.to_bits());
-            w.extend([u64::from(id), x, y, input.radius.to_bits()]);
-        }
-        w.push(self.staged.departures.len() as u64);
-        w.extend(self.staged.departures.iter().map(|&id| u64::from(id)));
-        self.table.save_schedule(w);
-    }
-
-    /// The number of words [`WorkerLifecycle::save`] appends for the
-    /// lifecycle as it stands: what a caller reserves for them.
-    pub fn saved_words(&self) -> usize {
-        let live = 1 + 4 * self.cache.live_count();
-        self.table.saved_words() + live + 1 + self.staged.departures.len()
-    }
-
-    /// Restores what [`WorkerLifecycle::save`] wrote into a freshly
-    /// constructed lifecycle over the same grid. Every word is outside
-    /// input: counts are bounded by the words behind them, live ids must
-    /// ascend below the admission count with finite geometry (what the
-    /// cache asserts of every arrival), and a departure must name an
-    /// admitted id. The live set goes into the cache as one batch, whose
-    /// queries depend only on the set, so this equals the build that
-    /// wrote it; the slots it is handed go into the records — a live
-    /// worker whose record reads `Gone` (a staged departure) on a page
-    /// the records section left freed gets that page back.
-    pub fn load(&mut self, r: &mut StateWords<'_>) -> Result<(), StateError> {
-        use StateError::Mismatch;
-        self.table.load_records(r)?;
-        let admitted = self.table.admitted() as u64;
-        let mut next_id = 0;
-        for _ in 0..r.take_len(4)? {
-            let id = r.take()?;
-            let (x, y, radius) = (r.take_f64()?, r.take_f64()?, r.take_f64()?);
-            let sound = x.is_finite() && y.is_finite() && radius.is_finite() && radius >= 0.0;
-            if !(sound && (next_id..admitted).contains(&id)) {
-                return Err(Mismatch("checkpoint live worker invalid"));
-            }
-            next_id = id + 1;
-            let input = self.table.input_at(Point::new(x, y), radius);
-            self.table.records.reopen(id as u32);
-            self.staged.arrivals.push((id as u32, input));
-        }
-        self.apply_staged();
-        for _ in 0..r.take_len(1)? {
-            let id = r.take()?;
-            if id >= admitted {
-                return Err(Mismatch("checkpoint departure id out of range"));
-            }
-            self.staged.departures.push(id as u32);
-        }
-        self.table.load_schedule(r)
+    /// The next three checkpoint words as a worker's location and range,
+    /// held to what admission holds an arriving worker to: a non-finite
+    /// location would be a live worker no query reaches, a NaN radius
+    /// would poison the tick that stages it.
+    fn take_input(
+        &self,
+        r: &mut StateWords<'_>,
+        what: &'static str,
+    ) -> Result<WorkerInput, StateError> {
+        let location = Point::new(r.take_f64()?, r.take_f64()?);
+        let radius = r.take_f64()?;
+        let worker = GroundWorker {
+            location,
+            radius,
+            duration: 0,
+        };
+        worker.check().map_err(|_| StateError::Mismatch(what))?;
+        Ok(WorkerInput::new(&self.grid, location, radius))
     }
 }
 
@@ -1090,8 +984,8 @@ mod tests {
             let live = [worker(1.0, u32::MAX), worker(2.0, u32::MAX)];
             engine.begin_period(0, &[live[0], live[1], worker(3.0, 0), worker(4.0, 0)]);
             let _ = engine.build_graph_capped(&[], 4);
-            engine.staged.arrivals = arrivals.iter().map(|&id| (id, input(id.into()))).collect();
-            engine.staged.departures = departures.to_vec();
+            engine.arrivals = arrivals.iter().map(|&id| (id, input(id.into()))).collect();
+            engine.departures = departures.to_vec();
             let panic = std::panic::catch_unwind(move || {
                 let _ = engine.build_graph_capped(&[], 4);
             })
@@ -1111,160 +1005,222 @@ mod tests {
             .expect("string panic payload")
     }
 
-    /// The ids a table transition staged as arrivals.
-    fn arrived(staged: &StagedChurn) -> Vec<u32> {
-        staged.arrivals.iter().map(|&(id, _)| id).collect()
+    /// The ids of the staged arrivals, and the staged departures.
+    fn staged(engine: &WorkerLifecycle) -> (Vec<u32>, Vec<u32>) {
+        let arrived = engine.arrivals.iter().map(|&(id, _)| id).collect();
+        (arrived, engine.departures.clone())
     }
 
-    /// An open-ended table (the service's shape) with one worker
-    /// admitted in period 0, its window closed and its arrival already
-    /// taken out of the staging.
-    fn table_with_one_worker(duration: u32) -> (LifecycleTable, StagedChurn) {
-        let mut table = LifecycleTable::new(grid(), u32::MAX);
-        let mut sink = StagedChurn::default();
-        table.admit(0, &worker(1.0, duration));
-        assert_eq!(
-            sink,
-            StagedChurn::default(),
-            "nothing is staged before fire"
-        );
-        table.fire(0, &mut sink);
-        assert_eq!(arrived(&sink), [0]);
-        (table, StagedChurn::default())
+    /// An open-ended lifecycle (the service's shape) with one worker
+    /// admitted in period 0, its window closed and its arrival applied
+    /// by a build, so nothing is staged.
+    fn with_one_worker(duration: u32) -> WorkerLifecycle {
+        let mut engine = WorkerLifecycle::open_ended(&grid());
+        engine.admit(0, &worker(1.0, duration));
+        assert_eq!(staged(&engine), (vec![], vec![]), "nothing before fire");
+        engine.fire(0);
+        assert_eq!(staged(&engine), (vec![0], vec![]));
+        let _ = engine.build_graph_capped(&[], 4);
+        assert_eq!(staged(&engine), (vec![], vec![]));
+        engine
     }
 
     #[test]
     fn departing_an_available_worker_emits_one_departure() {
-        let (mut table, mut sink) = table_with_one_worker(3);
-        table.depart(0, &mut sink);
-        assert_eq!(sink.departures, [0]);
+        let mut engine = with_one_worker(3);
+        engine.depart(0);
+        assert_eq!(engine.departures, [0]);
         // Departing again is a no-op, and so is the expiry that was
         // scheduled at admission.
-        table.depart(0, &mut sink);
-        table.fire(3, &mut sink);
-        assert_eq!(sink.departures, [0]);
-        assert!(sink.arrivals.is_empty());
+        engine.depart(0);
+        engine.fire(3);
+        assert_eq!(staged(&engine), (vec![], vec![0]));
     }
 
     #[test]
     fn departing_a_busy_worker_drops_its_release() {
-        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
-        table.dispatch(0, 0, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
+        let mut engine = with_one_worker(u32::MAX);
+        engine.dispatch(0, 0, Point::new(9.0, 9.0), 2);
         assert_eq!(
-            sink.departures,
+            engine.departures,
             [0],
             "dispatch takes the worker off the live set"
         );
         // Busy workers are in no live set: nothing to stage.
-        table.depart(0, &mut sink);
-        assert_eq!(sink.departures, [0]);
-        table.fire(2, &mut sink);
+        engine.depart(0);
+        assert_eq!(engine.departures, [0]);
+        engine.fire(2);
         assert!(
-            sink.arrivals.is_empty(),
+            engine.arrivals.is_empty(),
             "the release of a departed worker fired"
         );
     }
 
     #[test]
     fn departing_an_unknown_id_is_ignored() {
-        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
-        table.depart(42, &mut sink);
-        assert_eq!(sink, StagedChurn::default());
-        assert_eq!(table.admitted(), 1);
+        let mut engine = with_one_worker(u32::MAX);
+        engine.depart(42);
+        assert_eq!(staged(&engine), (vec![], vec![]));
+        assert_eq!(engine.admitted(), 1);
     }
 
-    /// Admit → depart inside one window never reaches the sink, and the
+    /// Admit → depart inside one window stages nothing, and the
     /// admissions on either side — a zero-duration one among them, which
     /// takes an id but never lives — keep their ids.
     #[test]
     fn same_window_departure_cancels_without_emitting() {
-        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
-        table.admit(1, &worker(2.0, u32::MAX)); // id 1
-        table.admit(1, &worker(3.0, u32::MAX)); // id 2, cancelled below
-        table.admit(1, &worker(4.0, 0)); // id 3
-        table.admit(1, &worker(5.0, 2)); // id 4
-        table.depart(2, &mut sink);
-        // Again, and an id the table has not issued yet: both no-ops.
-        table.depart(2, &mut sink);
-        table.depart(5, &mut sink);
+        let mut engine = with_one_worker(u32::MAX);
+        engine.admit(1, &worker(2.0, u32::MAX)); // id 1
+        engine.admit(1, &worker(3.0, u32::MAX)); // id 2, cancelled below
+        engine.admit(1, &worker(4.0, 0)); // id 3
+        engine.admit(1, &worker(5.0, 2)); // id 4
+        engine.depart(2);
+        // Again, and an id not issued yet: both no-ops.
+        engine.depart(2);
+        engine.depart(5);
         assert_eq!(
-            sink,
-            StagedChurn::default(),
+            staged(&engine),
+            (vec![], vec![]),
             "the window stages nothing itself"
         );
-        table.fire(1, &mut sink);
-        assert_eq!(arrived(&sink), [1, 4]);
-        assert!(sink.departures.is_empty());
+        engine.fire(1);
+        assert_eq!(staged(&engine), (vec![1, 4], vec![]));
         // The cancelled worker's expiry (none: u32::MAX) and the
         // survivor's fire as usual in later periods.
-        table.fire(3, &mut sink);
-        assert_eq!(sink.departures, [4]);
-        assert_eq!(table.admitted(), 5);
+        engine.fire(3);
+        assert_eq!(engine.departures, [4]);
+        assert_eq!(engine.admitted(), 5);
     }
 
     /// Once `fire` has closed the window an id arrived in, departing it
     /// emits exactly one departure — even with a new window open.
     #[test]
     fn previous_window_departure_still_emits() {
-        let (mut table, mut sink) = table_with_one_worker(u32::MAX);
-        table.admit(1, &worker(2.0, u32::MAX)); // id 1, open window
-        table.depart(0, &mut sink);
-        table.depart(0, &mut sink);
-        assert_eq!(sink.departures, [0]);
-        table.fire(1, &mut sink);
-        assert_eq!(arrived(&sink), [1]);
-        assert_eq!(sink.departures, [0]);
+        let mut engine = with_one_worker(u32::MAX);
+        engine.admit(1, &worker(2.0, u32::MAX)); // id 1, open window
+        engine.depart(0);
+        engine.depart(0);
+        assert_eq!(engine.departures, [0]);
+        engine.fire(1);
+        assert_eq!(staged(&engine), (vec![1], vec![0]));
     }
 
-    /// The two checkpoint sections restore a table that continues
-    /// exactly like the one that wrote them, busy workers included; a
-    /// `u32::MAX` expiry, which an open-ended table cannot fire, is not
-    /// scheduled at all.
+    /// A checkpoint restores a lifecycle that continues exactly like the
+    /// one that wrote it, busy workers included; a `u32::MAX` expiry,
+    /// which an open-ended lifecycle cannot fire, is not scheduled at
+    /// all.
     #[test]
     fn saved_records_and_schedule_restore_the_same_transitions() {
-        let mut table = LifecycleTable::new(grid(), u32::MAX);
-        let mut sink = StagedChurn::default();
-        table.admit(0, &worker(1.0, 4));
-        table.admit(0, &worker(2.0, u32::MAX));
-        table.admit(0, &worker(3.0, 0));
-        table.fire(0, &mut sink);
-        assert_eq!(arrived(&sink), [0, 1]);
-        table.dispatch(0, 1, 3.0, Point::new(9.0, 9.0), 2, &mut sink);
-        assert_eq!(table.schedule.keys().collect::<Vec<_>>(), [&2, &4]);
-        let mut words = Vec::new();
-        table.save_records(&mut words);
-        table.save_schedule(&mut words);
-        assert_eq!(table.saved_words(), words.len());
+        let mut engine = WorkerLifecycle::open_ended(&grid());
+        engine.admit(0, &worker(1.0, 4));
+        engine.admit(0, &worker(2.0, u32::MAX));
+        engine.admit(0, &worker(3.0, 0));
+        engine.fire(0);
+        assert_eq!(staged(&engine), (vec![0, 1], vec![]));
+        let _ = engine.build_graph_capped(&[], 4);
+        engine.dispatch(0, 1, Point::new(9.0, 9.0), 2);
+        assert_eq!(engine.schedule.keys().collect::<Vec<_>>(), [&2, &4]);
+        let words = saved(&engine);
 
-        let mut restored = LifecycleTable::new(grid(), u32::MAX);
+        let mut restored = WorkerLifecycle::open_ended(&grid());
         let mut r = StateWords::new(&words);
-        restored.load_records(&mut r).unwrap();
-        restored.load_schedule(&mut r).unwrap();
+        restored.load(&mut r).unwrap();
         assert_eq!(r.remaining(), 0);
         assert_eq!(restored.admitted(), 3);
-        let mut resaved = Vec::new();
-        restored.save_records(&mut resaved);
-        restored.save_schedule(&mut resaved);
-        assert_eq!(resaved, words);
+        assert_eq!(saved(&restored), words);
 
         for t in 1..6 {
-            let (mut a, mut b) = (StagedChurn::default(), StagedChurn::default());
-            table.fire(t, &mut a);
-            restored.fire(t, &mut b);
-            assert_eq!(a, b, "period {t}");
-            assert_eq!(arrived(&a), if t == 2 { vec![1] } else { vec![] });
-            assert_eq!(a.departures, if t == 4 { vec![0] } else { vec![] });
+            for engine in [&mut engine, &mut restored] {
+                let _ = engine.build_graph_capped(&[], 4);
+                engine.fire(t);
+            }
+            assert_eq!(engine.arrivals, restored.arrivals, "period {t}");
+            assert_eq!(staged(&engine), staged(&restored), "period {t}");
+            let arrived = if t == 2 { vec![1] } else { vec![] };
+            let departed = if t == 4 { vec![0] } else { vec![] };
+            assert_eq!(staged(&engine), (arrived, departed), "period {t}");
         }
         // A truncated stream is an error, not a panic.
-        let mut short = LifecycleTable::new(grid(), u32::MAX);
+        let mut short = WorkerLifecycle::open_ended(&grid());
         let mut r = StateWords::new(&words[..words.len() - 1]);
-        short.load_records(&mut r).unwrap();
-        assert_eq!(short.load_schedule(&mut r), Err(StateError::Truncated));
+        assert_eq!(short.load(&mut r), Err(StateError::Truncated));
+    }
+
+    /// The worker side of a checkpoint, word for word: a layout change
+    /// made alike in `save` and `load` round-trips, and only this sees
+    /// it. Worker 0 is available with an expiry, worker 1
+    /// busy with a release, worker 2 gone from the start (duration 0)
+    /// and worker 3 consumed, its departure staged.
+    #[test]
+    fn checkpoint_words_are_the_golden() {
+        let w = |x: f64, radius: f64, duration: u32| GroundWorker {
+            location: Point::new(x, 5.5),
+            radius,
+            duration,
+        };
+        let mut engine = WorkerLifecycle::new(&grid(), 10, 0);
+        let arrivals = [
+            w(1.25, 3.0, 5),
+            w(2.5, 2.5, u32::MAX),
+            w(3.75, 1.0, 0),
+            w(6.5, 2.0, 8),
+        ];
+        engine.begin_period(0, &arrivals);
+        let _ = engine.build_graph_capped(&[], 4);
+        engine.dispatch(0, 1, Point::new(8.5, 9.25), 3);
+        engine.consume(3);
+        #[rustfmt::skip]
+        const GOLDEN: [u64; 37] = [
+            // Records: 4 of them in one lane word (codes 0, 1, 2, 2),
+            // then the expiries of the two not gone.
+            4, 1, 0xa4, 5, 0xffff_ffff,
+            // Live workers 0, 1 and 3: `id, x, y, radius`.
+            3,
+            0, 0x3ff4_0000_0000_0000, 0x4016_0000_0000_0000, 0x4008_0000_0000_0000,
+            1, 0x4004_0000_0000_0000, 0x4016_0000_0000_0000, 0x4004_0000_0000_0000,
+            3, 0x401a_0000_0000_0000, 0x4016_0000_0000_0000, 0x4000_0000_0000_0000,
+            // Staged departures: the dispatched and the consumed worker.
+            2, 1, 3,
+            // Schedule: three periods. Worker 1's release at 3 (`1, id,
+            // x, y, radius`), worker 0's expiry at 5, worker 3's at 8.
+            3,
+            3, 1, 1, 1, 0x4021_0000_0000_0000, 0x4022_8000_0000_0000, 0x4004_0000_0000_0000,
+            5, 1, 0, 0,
+            8, 1, 0, 3,
+        ];
+        assert_eq!(saved(&engine), GOLDEN);
+        let mut restored = WorkerLifecycle::new(&grid(), 10, 0);
+        restored.load(&mut StateWords::new(&GOLDEN)).unwrap();
+        assert_eq!(saved(&restored), GOLDEN);
+    }
+
+    /// A release entry's geometry is held to what admission holds an
+    /// arrival to, like a live worker's: a NaN radius would poison the
+    /// release tick, a non-finite location would release a worker no
+    /// query reaches.
+    #[test]
+    fn a_release_with_invalid_geometry_is_refused() {
+        let mut engine = with_one_worker(u32::MAX);
+        engine.dispatch(0, 0, Point::new(9.0, 9.0), 2);
+        let words = saved(&engine);
+        // The last five words are the release entry `1, id, x, y, radius`.
+        let entry = words.len() - 5;
+        assert_eq!(words[entry..entry + 2], [1, 0]);
+        for (at, lie) in [(2, f64::NAN), (3, f64::INFINITY), (4, f64::NAN), (4, -1.0)] {
+            let mut lying = words.clone();
+            lying[entry + at] = lie.to_bits();
+            let mut restored = WorkerLifecycle::open_ended(&grid());
+            assert_eq!(
+                restored.load(&mut StateWords::new(&lying)),
+                Err(StateError::Mismatch("checkpoint release invalid")),
+                "word {at} = {lie}"
+            );
+        }
     }
 
     /// Worker `id`'s page of records is allocated.
     fn page_held(engine: &WorkerLifecycle, id: u32) -> bool {
-        engine.table.records.pages[id as usize / PAGE].is_some()
+        engine.records.pages[id as usize / PAGE].is_some()
     }
 
     fn saved(engine: &WorkerLifecycle) -> Vec<u64> {
@@ -1355,7 +1311,7 @@ mod tests {
     #[test]
     fn the_last_admission_id_is_u32_max_and_the_next_is_refused() {
         let mut engine = WorkerLifecycle::open_ended(&grid());
-        let records = &mut engine.table.records;
+        let records = &mut engine.records;
         records.len = u32::MAX as usize;
         records
             .pages

@@ -120,12 +120,10 @@ pub struct Outcome {
     pub posted_price_std: f64,
     /// Total travel distance of served tasks (`Σ d_r` over matches).
     pub matched_distance: f64,
-    /// Events the service's admission validation refused — a non-finite
-    /// worker location or task endpoint, a NaN, infinite or negative
-    /// worker radius, a task distance that is not finite and positive, a
-    /// non-finite valuation: the five `EventRejection` variants of
-    /// `maps-service`. An unknown or repeated departure id is a no-op,
-    /// not a rejection. `0` for the
+    /// Events the service's admission refused: every
+    /// [`EventRejection`](crate::EventRejection) — a worker or task its
+    /// check refuses, or an event past a stated limit. An unknown or
+    /// repeated departure id is a no-op, not a rejection. `0` for the
     /// batch simulator, which never constructs invalid events.
     /// Deterministic: a pure function of the admitted event stream, so
     /// it participates in the replay contract.

@@ -37,6 +37,97 @@ pub struct GroundWorker {
     pub duration: u32,
 }
 
+impl GroundTask {
+    /// Whether the market can represent the task: finite endpoints, a
+    /// finite positive distance, a finite valuation, and the `cell` of
+    /// its origin on `grid`. The service's admission and
+    /// [`GroundTruth::validate`] both hold tasks to this.
+    pub fn check(&self, grid: &GridSpec) -> Result<(), EventRejection> {
+        let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
+        if !finite(self.origin) || !finite(self.destination) {
+            return Err(EventRejection::NonFiniteTaskEndpoint);
+        }
+        if !(self.distance.is_finite() && self.distance > 0.0) {
+            return Err(EventRejection::InvalidTaskDistance);
+        }
+        if !self.valuation.is_finite() {
+            return Err(EventRejection::NonFiniteTaskValuation);
+        }
+        if self.cell != grid.cell_of(self.origin) {
+            return Err(EventRejection::TaskCellMismatch);
+        }
+        Ok(())
+    }
+}
+
+impl GroundWorker {
+    /// Whether the market can represent the worker: a finite location
+    /// and a finite, non-negative range (a zero `duration` only means it
+    /// never lives). The service's admission, a checkpoint's workers and
+    /// [`GroundTruth::validate`] are all held to this.
+    pub fn check(&self) -> Result<(), EventRejection> {
+        if !(self.location.x.is_finite() && self.location.y.is_finite()) {
+            return Err(EventRejection::NonFiniteWorkerLocation);
+        }
+        if !(self.radius.is_finite() && self.radius >= 0.0) {
+            return Err(EventRejection::InvalidWorkerRadius);
+        }
+        Ok(())
+    }
+}
+
+/// Why the online service refused to admit an event.
+///
+/// All but the last two variants are *client* data errors
+/// ([`GroundWorker::check`], [`GroundTask::check`]); the last two are
+/// the service's stated limits, a `u32` counter the event would advance
+/// past its last value. The service drops such events (counting them in
+/// [`Outcome::rejected_events`](crate::Outcome::rejected_events)) rather
+/// than panic or admit them: a NaN coordinate has no grid cell and would
+/// corrupt per-cell pricing invisibly, and a wrapped counter would reuse
+/// an id or suppress every later event as a duplicate. Every refusal is
+/// decided after the event is journaled, from state the stream built,
+/// so replay refuses the same events.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EventRejection {
+    /// Worker location has a non-finite coordinate.
+    NonFiniteWorkerLocation,
+    /// Worker range radius is NaN, infinite or negative.
+    InvalidWorkerRadius,
+    /// Task origin or destination has a non-finite coordinate.
+    NonFiniteTaskEndpoint,
+    /// Task travel distance is NaN, infinite, zero or negative.
+    InvalidTaskDistance,
+    /// Task valuation is NaN or infinite.
+    NonFiniteTaskValuation,
+    /// Task `cell` is not the grid cell of its origin (out of range
+    /// included): pricing indexes per-cell state by it.
+    TaskCellMismatch,
+    /// A worker arrival after all 2³² admission ids were handed out.
+    WorkerIdsExhausted,
+    /// A tick of period `u32::MAX`: the period counter cannot advance
+    /// past it, so that period is never closed and later events join
+    /// it.
+    PeriodsExhausted,
+}
+
+impl std::fmt::Display for EventRejection {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            EventRejection::NonFiniteWorkerLocation => "non-finite worker location",
+            EventRejection::InvalidWorkerRadius => "invalid worker radius",
+            EventRejection::NonFiniteTaskEndpoint => "non-finite task origin/destination",
+            EventRejection::InvalidTaskDistance => "invalid task travel distance",
+            EventRejection::NonFiniteTaskValuation => "non-finite task valuation",
+            EventRejection::TaskCellMismatch => "task cell is not its origin's",
+            EventRejection::WorkerIdsExhausted => "all 2^32 worker ids are taken",
+            EventRejection::PeriodsExhausted => "period u32::MAX cannot be closed",
+        })
+    }
+}
+
+impl std::error::Error for EventRejection {}
+
 /// Arrivals for one time period.
 #[derive(Debug, Clone, Default)]
 pub struct PeriodData {
@@ -91,9 +182,11 @@ impl GroundTruth {
         self.periods.iter().map(|p| p.workers.len()).sum()
     }
 
-    /// Validates internal consistency (used by generator tests):
-    /// cells match origins, distances are positive, valuations lie in
-    /// the demand support.
+    /// Validates internal consistency (used by generator tests): one
+    /// demand distribution per cell, every task and worker passing its
+    /// `check` ([`GroundTask::check`], [`GroundWorker::check`]), and no
+    /// worker with a zero duration. A refusal reads `period {t}:
+    /// {reason}`.
     pub fn validate(&self) -> Result<(), String> {
         if self.demands.len() != self.grid.num_cells() {
             return Err(format!(
@@ -102,37 +195,15 @@ impl GroundTruth {
                 self.demands.len()
             ));
         }
-        let finite = |p: Point| p.x.is_finite() && p.y.is_finite();
         for (t, period) in self.periods.iter().enumerate() {
+            let refused = |reason: &dyn std::fmt::Display| format!("period {t}: {reason}");
             for task in &period.tasks {
-                if !finite(task.origin) || !finite(task.destination) {
-                    return Err(format!(
-                        "period {t}: non-finite task endpoint {:?} -> {:?}",
-                        task.origin, task.destination
-                    ));
-                }
-                if self.grid.cell_of(task.origin) != task.cell {
-                    return Err(format!("period {t}: task cell mismatch"));
-                }
-                if !(task.distance.is_finite() && task.distance > 0.0) {
-                    return Err(format!("period {t}: bad distance {}", task.distance));
-                }
-                if !task.valuation.is_finite() {
-                    return Err(format!("period {t}: bad valuation {}", task.valuation));
-                }
+                task.check(&self.grid).map_err(|r| refused(&r))?;
             }
-            for w in &period.workers {
-                if !finite(w.location) {
-                    return Err(format!(
-                        "period {t}: non-finite worker location {:?}",
-                        w.location
-                    ));
-                }
-                if !(w.radius.is_finite() && w.radius >= 0.0) {
-                    return Err(format!("period {t}: bad radius {}", w.radius));
-                }
-                if w.duration == 0 {
-                    return Err(format!("period {t}: worker with zero duration"));
+            for worker in &period.workers {
+                worker.check().map_err(|r| refused(&r))?;
+                if worker.duration == 0 {
+                    return Err(refused(&"worker with zero duration"));
                 }
             }
         }
@@ -175,6 +246,12 @@ mod tests {
         }
     }
 
+    /// What `validate` reports when period 0 holds a task or worker
+    /// its check refuses for `reason`.
+    fn refused(reason: EventRejection) -> Result<(), String> {
+        Err(format!("period 0: {reason}"))
+    }
+
     #[test]
     fn counters() {
         let t = tiny_truth();
@@ -188,14 +265,14 @@ mod tests {
     fn validate_catches_cell_mismatch() {
         let mut t = tiny_truth();
         t.periods[0].tasks[0].cell = CellId(3);
-        assert!(t.validate().unwrap_err().contains("cell mismatch"));
+        assert_eq!(t.validate(), refused(EventRejection::TaskCellMismatch));
     }
 
     #[test]
     fn validate_catches_bad_distance() {
         let mut t = tiny_truth();
         t.periods[0].tasks[0].distance = 0.0;
-        assert!(t.validate().unwrap_err().contains("bad distance"));
+        assert_eq!(t.validate(), refused(EventRejection::InvalidTaskDistance));
     }
 
     /// A NaN-located worker or task endpoint would be silently filed
@@ -206,28 +283,36 @@ mod tests {
     fn validate_catches_non_finite_coordinates() {
         let mut t = tiny_truth();
         t.periods[0].workers[0].location = Point::new(f64::NAN, 2.0);
-        assert!(t.validate().unwrap_err().contains("worker location"));
+        assert_eq!(
+            t.validate(),
+            refused(EventRejection::NonFiniteWorkerLocation)
+        );
 
         let mut t = tiny_truth();
         t.periods[0].tasks[0].destination = Point::new(1.0, f64::INFINITY);
-        assert!(t.validate().unwrap_err().contains("task endpoint"));
+        assert_eq!(t.validate(), refused(EventRejection::NonFiniteTaskEndpoint));
 
         let mut t = tiny_truth();
         t.periods[0].workers[0].radius = f64::NAN;
-        assert!(t.validate().unwrap_err().contains("bad radius"));
+        assert_eq!(t.validate(), refused(EventRejection::InvalidWorkerRadius));
     }
 
     #[test]
     fn validate_catches_demand_count() {
         let mut t = tiny_truth();
         t.demands.pop();
-        assert!(t.validate().is_err());
+        let err = t.validate().unwrap_err();
+        assert!(
+            err.contains("expected 4 demand distributions, got 3"),
+            "{err}"
+        );
     }
 
     #[test]
     fn validate_catches_zero_duration() {
         let mut t = tiny_truth();
         t.periods[0].workers[0].duration = 0;
-        assert!(t.validate().unwrap_err().contains("zero duration"));
+        let zero = Err("period 0: worker with zero duration".to_string());
+        assert_eq!(t.validate(), zero);
     }
 }
