@@ -1,13 +1,17 @@
 //! The compared baseline strategies of Sec. 5.1.
 //!
-//! * [`BasePStrategy`] — Algorithm 1's base price `p_b` posted uniformly
-//!   in every grid ("assumes the unlimited supply and sets the same base
-//!   price p_b for all grids").
-//! * [`SdrStrategy`] — supply/demand **ratio**: `0.5·p_b·|R^tg|/|W^tg|`
-//!   when demand exceeds supply, `p_b` otherwise.
-//! * [`SdeStrategy`] — supply/demand **exponential**:
-//!   `p_b·(1 + 2·e^{|W^tg|−|R^tg|})` when demand exceeds supply, `p_b`
-//!   otherwise.
+//! * [`BasePStrategy`] — Algorithm 1's base price `p_b`, posted in every
+//!   grid whose tasks do not outnumber its workers. Where they do
+//!   (`|R^tg| > |W^tg|`), its [`Surge`] rule prices the grid:
+//!   - [`Surge::Flat`] keeps `p_b` (the paper's `BaseP`: it "assumes the
+//!     unlimited supply and sets the same base price p_b for all
+//!     grids");
+//!   - [`Surge::Ratio`], supply/demand **ratio** (`SDR`):
+//!     `0.5·p_b·|R^tg|/|W^tg|`;
+//!   - [`Surge::Exponential`], supply/demand **exponential** (`SDE`):
+//!     `p_b·(1 + 2·e^{|W^tg|−|R^tg|})`.
+//!
+//!   All three save only `p_b` in a checkpoint.
 //! * [`CappedUcbStrategy`] — the state-of-the-art single-market strategy
 //!   of Babaioff et al. \[9\], applied to each grid independently:
 //!   `argmax_p min(|R^tg|·p·S^g(p), |W^tg|·p)` — Eq. (1) with
@@ -41,8 +45,9 @@ pub(crate) fn load_ucb(
     })
 }
 
-/// Counts tasks and workers per grid cell — shared by SDR/SDE/CappedUCB,
-/// which all reason about the local head-counts `|R^tg|`, `|W^tg|`.
+/// Counts tasks and workers per grid cell — shared by the surge rules
+/// and CappedUCB, which reason about the local head-counts `|R^tg|`,
+/// `|W^tg|`.
 fn per_cell_counts(input: &PeriodInput<'_>) -> (Vec<u32>, Vec<u32>) {
     let g = input.grid.num_cells();
     let mut tasks = vec![0u32; g];
@@ -56,33 +61,41 @@ fn per_cell_counts(input: &PeriodInput<'_>) -> (Vec<u32>, Vec<u32>) {
     (tasks, workers)
 }
 
-/// Base pricing used as a flat strategy (the paper's `BaseP`).
+/// How [`BasePStrategy`] raises `p_b` in a grid whose tasks outnumber
+/// its workers (`|R^tg| > |W^tg|`); every other grid posts `p_b`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Surge {
+    /// Never: `p_b` in every grid (the paper's `BaseP`).
+    Flat,
+    /// `0.5·p_b·|R^tg|/|W^tg|` (`SDR`, with the coefficient the paper
+    /// tunes on its datasets).
+    Ratio,
+    /// `p_b·(1 + 2·e^{|W^tg|−|R^tg|})` (`SDE`).
+    Exponential,
+}
+
+/// Algorithm 1's base price `p_b`, raised by a [`Surge`] rule: the
+/// paper's `BaseP`, `SDR` or `SDE`.
 #[derive(Debug, Clone)]
 pub struct BasePStrategy {
     calibrator: BasePricing,
     num_cells: usize,
     base_price: f64,
+    surge: Surge,
 }
 
 impl BasePStrategy {
-    /// Creates `BaseP` over the given ladder and accuracy parameters.
-    pub fn new(num_cells: usize, ladder: PriceLadder, epsilon: f64, delta: f64) -> Self {
-        let mid = ladder.price(ladder.len() / 2);
+    /// Paper defaults (ladder (1,5,0.5), ε=0.2, δ=0.01). Until
+    /// [`PricingStrategy::calibrate`] runs, `p_b` is the ladder's middle
+    /// rung.
+    pub fn paper_default(num_cells: usize, surge: Surge) -> Self {
+        let ladder = PriceLadder::paper_default();
         Self {
-            calibrator: BasePricing::new(ladder, epsilon, delta),
+            base_price: ladder.price(ladder.len() / 2),
+            calibrator: BasePricing::new(ladder, 0.2, 0.01),
             num_cells,
-            base_price: mid,
+            surge,
         }
-    }
-
-    /// Paper defaults (ladder (1,5,0.5), ε=0.2, δ=0.01).
-    pub fn paper_default(num_cells: usize) -> Self {
-        Self::new(num_cells, PriceLadder::paper_default(), 0.2, 0.01)
-    }
-
-    /// The learned base price.
-    pub fn base_price(&self) -> f64 {
-        self.base_price
     }
 
     /// Overrides the base price (tests / pre-calibrated runs).
@@ -93,7 +106,11 @@ impl BasePStrategy {
 
 impl PricingStrategy for BasePStrategy {
     fn name(&self) -> &'static str {
-        "BaseP"
+        match self.surge {
+            Surge::Flat => "BaseP",
+            Surge::Ratio => "SDR",
+            Surge::Exponential => "SDE",
+        }
     }
 
     fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
@@ -101,7 +118,30 @@ impl PricingStrategy for BasePStrategy {
     }
 
     fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
-        PriceSchedule::uniform(input.grid.num_cells(), self.base_price)
+        let (pb, ladder) = (self.base_price, self.calibrator.ladder());
+        if self.surge == Surge::Flat {
+            // BaseP "assumes the unlimited supply": no head-counts.
+            return PriceSchedule::uniform(input.grid.num_cells(), pb);
+        }
+        let (tasks, workers) = per_cell_counts(input);
+        let prices = tasks
+            .iter()
+            .zip(&workers)
+            .map(|(&r, &w)| match self.surge {
+                // |W^tg| can be zero with tasks present; the paper leaves
+                // this case open — we divide by max(|W|,1) and rely on
+                // the window clamp.
+                Surge::Ratio if r > w => ladder.clamp(0.5 * pb * r as f64 / w.max(1) as f64),
+                // The exponent is negative here (w < r), so the boost
+                // lies in (p_b, 3·p_b) and decays as the imbalance grows
+                // — clamped regardless.
+                Surge::Exponential if r > w => {
+                    ladder.clamp(pb * (1.0 + 2.0 * ((w as f64) - (r as f64)).exp()))
+                }
+                _ => pb,
+            })
+            .collect();
+        PriceSchedule { prices }
     }
 
     fn save_state(&self, out: &mut Vec<u64>) {
@@ -111,138 +151,6 @@ impl PricingStrategy for BasePStrategy {
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
         self.base_price = state.take_f64()?;
         Ok(())
-    }
-}
-
-/// Supply/demand-ratio heuristic (`SDR`).
-#[derive(Debug, Clone)]
-pub struct SdrStrategy {
-    inner: BasePStrategy,
-    /// The empirically-tuned coefficient (the paper optimizes it on the
-    /// datasets and reports 0.5).
-    coefficient: f64,
-}
-
-impl SdrStrategy {
-    /// Creates SDR with the paper's coefficient 0.5.
-    pub fn new(num_cells: usize, ladder: PriceLadder, epsilon: f64, delta: f64) -> Self {
-        Self {
-            inner: BasePStrategy::new(num_cells, ladder, epsilon, delta),
-            coefficient: 0.5,
-        }
-    }
-
-    /// Paper defaults.
-    pub fn paper_default(num_cells: usize) -> Self {
-        Self::new(num_cells, PriceLadder::paper_default(), 0.2, 0.01)
-    }
-
-    /// Overrides the learned base price (tests).
-    pub fn set_base_price(&mut self, p: f64) {
-        self.inner.set_base_price(p);
-    }
-}
-
-impl PricingStrategy for SdrStrategy {
-    fn name(&self) -> &'static str {
-        "SDR"
-    }
-
-    fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        self.inner.calibrate(probe);
-    }
-
-    fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
-        let (tasks, workers) = per_cell_counts(input);
-        let pb = self.inner.base_price;
-        let ladder = self.inner.calibrator.ladder();
-        let prices = tasks
-            .iter()
-            .zip(&workers)
-            .map(|(&r, &w)| {
-                if r > w {
-                    // |W^tg| can be zero with tasks present; the paper
-                    // leaves this case open — we divide by max(|W|,1) and
-                    // rely on the window clamp.
-                    ladder.clamp(self.coefficient * pb * r as f64 / w.max(1) as f64)
-                } else {
-                    pb
-                }
-            })
-            .collect();
-        PriceSchedule { prices }
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        self.inner.save_state(out);
-    }
-
-    fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.inner.load_state(state)
-    }
-}
-
-/// Supply/demand-exponential heuristic (`SDE`).
-#[derive(Debug, Clone)]
-pub struct SdeStrategy {
-    inner: BasePStrategy,
-}
-
-impl SdeStrategy {
-    /// Creates SDE.
-    pub fn new(num_cells: usize, ladder: PriceLadder, epsilon: f64, delta: f64) -> Self {
-        Self {
-            inner: BasePStrategy::new(num_cells, ladder, epsilon, delta),
-        }
-    }
-
-    /// Paper defaults.
-    pub fn paper_default(num_cells: usize) -> Self {
-        Self::new(num_cells, PriceLadder::paper_default(), 0.2, 0.01)
-    }
-
-    /// Overrides the learned base price (tests).
-    pub fn set_base_price(&mut self, p: f64) {
-        self.inner.set_base_price(p);
-    }
-}
-
-impl PricingStrategy for SdeStrategy {
-    fn name(&self) -> &'static str {
-        "SDE"
-    }
-
-    fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        self.inner.calibrate(probe);
-    }
-
-    fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
-        let (tasks, workers) = per_cell_counts(input);
-        let pb = self.inner.base_price;
-        let ladder = self.inner.calibrator.ladder();
-        let prices = tasks
-            .iter()
-            .zip(&workers)
-            .map(|(&r, &w)| {
-                if r > w {
-                    // p_b · (1 + 2·e^{|W|−|R|}): the exponent is negative
-                    // here (w < r), so the boost lies in (p_b, 3·p_b) and
-                    // decays as the imbalance grows — clamped regardless.
-                    ladder.clamp(pb * (1.0 + 2.0 * ((w as f64) - (r as f64)).exp()))
-                } else {
-                    pb
-                }
-            })
-            .collect();
-        PriceSchedule { prices }
-    }
-
-    fn save_state(&self, out: &mut Vec<u64>) {
-        self.inner.save_state(out);
-    }
-
-    fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.inner.load_state(state)
     }
 }
 
@@ -263,15 +171,11 @@ pub struct CappedUcbStrategy {
 }
 
 impl CappedUcbStrategy {
-    /// Creates CappedUCB over the candidate ladder.
-    pub fn new(num_cells: usize, ladder: PriceLadder) -> Self {
-        let stats = vec![UcbStats::new(ladder.len()); num_cells];
-        Self { ladder, stats }
-    }
-
     /// Paper defaults (ladder (1, 5, α=0.5)).
     pub fn paper_default(num_cells: usize) -> Self {
-        Self::new(num_cells, PriceLadder::paper_default())
+        let ladder = PriceLadder::paper_default();
+        let stats = vec![UcbStats::new(ladder.len()); num_cells];
+        Self { ladder, stats }
     }
 
     /// Mutable statistics access (tests).
@@ -351,9 +255,9 @@ pub fn paper_default_strategy(
     use crate::problem::StrategyKind;
     match kind {
         StrategyKind::Maps => Box::new(crate::MapsStrategy::paper_default(num_cells)),
-        StrategyKind::BaseP => Box::new(BasePStrategy::paper_default(num_cells)),
-        StrategyKind::Sdr => Box::new(SdrStrategy::paper_default(num_cells)),
-        StrategyKind::Sde => Box::new(SdeStrategy::paper_default(num_cells)),
+        StrategyKind::BaseP => Box::new(BasePStrategy::paper_default(num_cells, Surge::Flat)),
+        StrategyKind::Sdr => Box::new(BasePStrategy::paper_default(num_cells, Surge::Ratio)),
+        StrategyKind::Sde => Box::new(BasePStrategy::paper_default(num_cells, Surge::Exponential)),
         StrategyKind::CappedUcb => Box::new(CappedUcbStrategy::paper_default(num_cells)),
     }
 }
@@ -399,7 +303,7 @@ mod tests {
     #[test]
     fn basep_is_flat() {
         let grid = GridSpec::square(Rect::square(10.0), 2);
-        let mut s = BasePStrategy::paper_default(grid.num_cells());
+        let mut s = BasePStrategy::paper_default(grid.num_cells(), Surge::Flat);
         s.set_base_price(2.25);
         let (tasks, workers) = input_with_counts(&grid, 3, 1);
         let graph = build_period_graph(&tasks, &workers);
@@ -417,7 +321,7 @@ mod tests {
     #[test]
     fn sdr_formula() {
         let grid = one_cell_grid();
-        let mut s = SdrStrategy::paper_default(1);
+        let mut s = BasePStrategy::paper_default(1, Surge::Ratio);
         s.set_base_price(2.0);
         // balanced or excess supply → base price
         assert_eq!(run(&mut s, &grid, 2, 2), 2.0);
@@ -435,7 +339,7 @@ mod tests {
     #[test]
     fn sde_formula() {
         let grid = one_cell_grid();
-        let mut s = SdeStrategy::paper_default(1);
+        let mut s = BasePStrategy::paper_default(1, Surge::Exponential);
         s.set_base_price(2.0);
         // no shortage → base price
         assert_eq!(run(&mut s, &grid, 2, 3), 2.0);
@@ -450,7 +354,7 @@ mod tests {
     #[test]
     fn sde_never_escapes_window() {
         let grid = one_cell_grid();
-        let mut s = SdeStrategy::paper_default(1);
+        let mut s = BasePStrategy::paper_default(1, Surge::Exponential);
         s.set_base_price(4.0);
         // boost factor < 3 ⇒ 12 > p_max=5 → clamp.
         let p = run(&mut s, &grid, 3, 2);
@@ -492,8 +396,8 @@ mod tests {
 
     #[test]
     fn names_match_paper_legends() {
-        assert_eq!(SdrStrategy::paper_default(1).name(), "SDR");
-        assert_eq!(SdeStrategy::paper_default(1).name(), "SDE");
-        assert_eq!(CappedUcbStrategy::paper_default(1).name(), "CappedUCB");
+        for kind in crate::problem::StrategyKind::ALL {
+            assert_eq!(paper_default_strategy(kind, 1).name(), kind.name());
+        }
     }
 }

@@ -20,10 +20,9 @@
 //!
 //! | Type | Paper reference |
 //! |------|-----------------|
-//! | [`BasePricing`] / [`BasePStrategy`] | Algorithm 1 — PAC estimation of per-grid Myerson prices, averaged into a global base price |
+//! | [`BasePricing`] | Algorithm 1 — PAC estimation of per-grid Myerson prices, averaged into a global base price `p_b` |
+//! | [`BasePStrategy`] | `p_b` in every grid, raised where tasks outnumber workers by its [`Surge`] rule: `Flat` (BaseP), `Ratio` (the supply/demand-ratio heuristic SDR) or `Exponential` (the supply/demand exponential heuristic SDE) |
 //! | [`MapsStrategy`] | Algorithms 2 + 3 — UCB demand learning, `L^g(n,p)` revenue approximation, greedy supply distribution with a lazy max-heap over marginal gains |
-//! | [`SdrStrategy`] | supply/demand-ratio heuristic |
-//! | [`SdeStrategy`] | supply/demand exponential heuristic |
 //! | [`CappedUcbStrategy`] | Babaioff et al. limited-supply posted pricing, per grid independently |
 //!
 //! All strategies implement [`PricingStrategy`] and are driven by the
@@ -44,9 +43,7 @@ pub mod running_example;
 pub mod smoothing;
 
 pub use base::{BasePriceResult, BasePricing};
-pub use baselines::{
-    paper_default_strategy, BasePStrategy, CappedUcbStrategy, SdeStrategy, SdrStrategy,
-};
+pub use baselines::{paper_default_strategy, BasePStrategy, CappedUcbStrategy, Surge};
 pub use builder::{build_period_graph, build_period_graph_capped};
 pub use cache::PeriodGraphCache;
 pub use evaluate::monte_carlo_expected_revenue;

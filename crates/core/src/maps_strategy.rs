@@ -155,12 +155,24 @@ struct CellState {
     /// Maximizer price at the current supply (starts at the base price).
     cur_price: f64,
     cur_price_idx: u32,
-    /// Whether the final price was already fixed by a Δ=0 pop.
-    finalized: bool,
     /// Precomputed `table[n-1] = maximize_kind(n)` for the supply
     /// levels the heap reads directly; levels past its end are computed
     /// on demand by [`MapsStrategy::maximizer_at`].
     table: Vec<Option<Maximizer>>,
+}
+
+impl CellState {
+    /// The Δ=0 entry that fixes `cell`'s price at its current supply.
+    fn finalizer(&self, cell: u32) -> Entry {
+        Entry {
+            delta: 0.0,
+            cell,
+            price_idx: self.cur_price_idx,
+            price: self.cur_price,
+            l_hat: self.cur_l,
+            revenue_hat: self.cur_rev,
+        }
+    }
 }
 
 /// The MAPS pricing strategy.
@@ -207,30 +219,16 @@ impl MapsStrategy {
         )
     }
 
-    /// The learned/base price `p_b` currently in use for empty grids.
-    pub fn base_price(&self) -> f64 {
-        self.base_price
-    }
-
     /// Overrides the base price (tests / resuming from a checkpoint).
     pub fn set_base_price(&mut self, p: f64) {
         self.base_price = self.ladder.clamp(p);
     }
 
-    /// Read access to a grid's UCB statistics.
-    pub fn stats(&self, cell: usize) -> &UcbStats {
-        &self.stats[cell]
-    }
-
-    /// Mutable access to a grid's UCB statistics (used by tests and by
-    /// checkpoint restoration; normal operation goes through `observe`).
+    /// Mutable access to a grid's UCB statistics (used to seed known
+    /// acceptance ratios, as the running example does; normal operation
+    /// goes through `observe`, a checkpoint through `load_state`).
     pub fn stats_mut(&mut self, cell: usize) -> &mut UcbStats {
         &mut self.stats[cell]
-    }
-
-    /// The candidate ladder.
-    pub fn ladder(&self) -> &PriceLadder {
-        &self.ladder
     }
 
     /// Builds one grid's working state: sorts its task indices by
@@ -277,7 +275,6 @@ impl MapsStrategy {
             cur_rev: 0.0,
             cur_price: self.base_price,
             cur_price_idx: self.ladder.nearest_index(self.base_price) as u32,
-            finalized: false,
             table,
         })
     }
@@ -343,16 +340,8 @@ impl MapsStrategy {
         matching: &mut IncrementalMatching<'_>,
         heap: &mut BinaryHeap<Entry>,
     ) {
-        let finalizer = Entry {
-            delta: 0.0,
-            cell,
-            price_idx: state.cur_price_idx,
-            price: state.cur_price,
-            l_hat: state.cur_l,
-            revenue_hat: state.cur_rev,
-        };
         if state.n >= state.lf.num_tasks() || Self::next_augmentable(matching, state).is_none() {
-            heap.push(finalizer);
+            heap.push(state.finalizer(cell));
             return;
         }
         let value_of = |m: &Maximizer| match self.cfg.delta_rule {
@@ -388,7 +377,7 @@ impl MapsStrategy {
                     revenue_hat: m.revenue_hat,
                 });
             }
-            None => heap.push(finalizer),
+            None => heap.push(state.finalizer(cell)),
         }
     }
 
@@ -416,50 +405,40 @@ impl MapsStrategy {
         let mut prices = vec![self.base_price; g];
         let mut matching = IncrementalMatching::new(input.graph);
         let mut heap: BinaryHeap<Entry> = BinaryHeap::with_capacity(g + 1);
-        for cell in 0..g as u32 {
-            if states[cell as usize].is_some() {
-                let mut state = states[cell as usize].take().unwrap();
-                self.push_next(cell, &mut state, &mut matching, &mut heap);
-                states[cell as usize] = Some(state);
+        // Every task-bearing cell holds exactly one heap entry until a
+        // Δ=0 pop fixes its price: `push_next` pushes one, a Δ>0 pop
+        // pushes one (its next candidate or its finalizer), a Δ=0 pop
+        // none. So a cell's price is fixed once, by its last pop.
+        for (cell, state) in (0..).zip(&mut states) {
+            if let Some(state) = state {
+                self.push_next(cell, state, &mut matching, &mut heap);
             }
         }
 
         while let Some(entry) = heap.pop() {
             let cell = entry.cell as usize;
-            let mut state = states[cell].take().expect("entry for a task-bearing cell");
-            if state.finalized {
-                states[cell] = Some(state);
-                continue;
-            }
+            let state = states[cell]
+                .as_mut()
+                .expect("entry for a task-bearing cell");
             if entry.delta <= 0.0 {
                 // Lines 11–14: final price, clamped into the window.
                 prices[cell] = self.ladder.clamp(entry.price);
-                state.finalized = true;
-                states[cell] = Some(state);
                 continue;
             }
             // Lines 9–10: admit one worker via an augmenting path —
             // searched again because the path may have been consumed
             // since this entry was inserted.
-            if Self::augment_next(&mut matching, &mut state) {
+            if Self::augment_next(&mut matching, state) {
                 state.n += 1;
                 state.cur_l = entry.l_hat;
                 state.cur_rev = entry.revenue_hat;
                 state.cur_price = entry.price;
                 state.cur_price_idx = entry.price_idx;
-                self.push_next(entry.cell, &mut state, &mut matching, &mut heap);
+                self.push_next(entry.cell, state, &mut matching, &mut heap);
             } else {
                 // Stale promise: finalize at the current supply level.
-                heap.push(Entry {
-                    delta: 0.0,
-                    cell: entry.cell,
-                    price_idx: state.cur_price_idx,
-                    price: state.cur_price,
-                    l_hat: state.cur_l,
-                    revenue_hat: state.cur_rev,
-                });
+                heap.push(state.finalizer(entry.cell));
             }
-            states[cell] = Some(state);
         }
 
         if let Some(beta) = self.cfg.smoothing {
@@ -694,13 +673,13 @@ mod tests {
     #[test]
     fn observe_updates_stats_and_nearest_rung() {
         let (_, _, _, mut maps) = running_example_strategy();
-        let before = maps.stats(8).n_at(2);
+        let before = maps.stats[8].n_at(2);
         maps.observe(&[Observation {
             cell: 8usize.into(),
             price: 2.9, // nearest rung is 3.0 (index 2)
             accepted: false,
         }]);
-        assert_eq!(maps.stats(8).n_at(2), before + 1);
+        assert_eq!(maps.stats[8].n_at(2), before + 1);
     }
 
     #[test]
@@ -725,7 +704,7 @@ mod tests {
             })
             .collect();
         maps.observe(&obs_accept);
-        assert_eq!(maps.stats(0).n_at(1), 50);
+        assert_eq!(maps.stats[0].n_at(1), 50);
         let obs_reject: Vec<Observation> = (0..50)
             .map(|_| Observation {
                 cell: 0usize.into(),
@@ -734,7 +713,7 @@ mod tests {
             })
             .collect();
         maps.observe(&obs_reject);
-        assert_eq!(maps.stats(0).n_at(1), 0, "stats reset after change flag");
+        assert_eq!(maps.stats[0].n_at(1), 0, "stats reset after change flag");
     }
 
     #[test]
@@ -849,7 +828,7 @@ mod tests {
         let mut maps = MapsStrategy::paper_default(num_cells);
         let mut s = seed | 1;
         for cell in 0..num_cells {
-            for idx in 0..maps.ladder().len() {
+            for idx in 0..maps.ladder.len() {
                 s ^= s << 13;
                 s ^= s >> 7;
                 s ^= s << 17;
@@ -872,7 +851,7 @@ mod tests {
         let mut maps = MapsStrategy::paper_default(num_cells);
         let n = 1_000_000u64;
         let ratios: Vec<f64> = maps
-            .ladder()
+            .ladder
             .prices()
             .iter()
             .enumerate()

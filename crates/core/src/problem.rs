@@ -217,9 +217,12 @@ impl<'a> StateWords<'a> {
 ///
 /// `Send` is a supertrait so a boxed strategy — and therefore a whole
 /// engine owning one (the batch `Simulation`, the online service) —
-/// can be moved onto a worker thread (the ingestion front-end runs the
-/// service on a dedicated sequencer thread). Strategies are plain data
-/// plus RNG state, so this costs implementations nothing.
+/// can be moved onto a thread of the caller's own. The ingest
+/// sequencer runs on whichever thread calls it, so `Send` is what lets
+/// a caller give the service a thread to itself (as the ingest tests
+/// do, moving it into a spawned thread that runs the sequencer).
+/// Strategies are plain data plus RNG state, so this costs
+/// implementations nothing.
 pub trait PricingStrategy: Send {
     /// Display name used in experiment tables ("MAPS", "BaseP", …).
     fn name(&self) -> &'static str;
@@ -303,21 +306,6 @@ impl std::fmt::Display for StrategyKind {
     }
 }
 
-impl std::str::FromStr for StrategyKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "maps" => Ok(StrategyKind::Maps),
-            "basep" | "base" => Ok(StrategyKind::BaseP),
-            "sdr" => Ok(StrategyKind::Sdr),
-            "sde" => Ok(StrategyKind::Sde),
-            "cappeducb" | "capped-ucb" | "capped" => Ok(StrategyKind::CappedUcb),
-            other => Err(format!("unknown strategy '{other}'")),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -362,12 +350,10 @@ mod tests {
     }
 
     #[test]
-    fn strategy_kind_roundtrip() {
+    fn strategy_kind_displays_its_name() {
         for k in StrategyKind::ALL {
-            let parsed: StrategyKind = k.name().parse().unwrap();
-            assert_eq!(parsed, k);
+            assert_eq!(k.to_string(), k.name());
         }
-        assert!("bogus".parse::<StrategyKind>().is_err());
         assert_eq!(StrategyKind::Maps.to_string(), "MAPS");
     }
 }

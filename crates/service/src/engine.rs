@@ -459,6 +459,15 @@ impl ShardedService {
     /// mechanism that makes at-least-once producer reconnects safe.
     /// Admitted events are journaled **before** validation, so recovery
     /// re-counts rejections deterministically.
+    ///
+    /// A stamp for an epoch other than the one being served
+    /// ([`ShardedService::periods_served`]), or a non-tick event on the
+    /// [`TICK_PRODUCER`] lane, is refused as [`ServiceError::Stamp`]
+    /// before anything is journaled, counted or watermarked, and the
+    /// service is not poisoned: admitted, the first would leave a
+    /// journal that recovery refuses and a watermark that suppresses the
+    /// lane's next fresh events, the second would close the period and
+    /// drop the event.
     pub fn push_stamped(
         &mut self,
         producer: u32,
@@ -469,14 +478,18 @@ impl ShardedService {
         if let Some(panic) = &self.poisoned {
             return Err(ServiceError::Poisoned(panic.clone()));
         }
-        if producer == TICK_PRODUCER {
-            debug_assert!(
-                matches!(event, ServiceEvent::PeriodTick),
-                "TICK_PRODUCER is reserved for PeriodTick records"
-            );
-            return self.close_period();
+        let tick = matches!(event, ServiceEvent::PeriodTick);
+        let serving_epoch = u64::from(self.period);
+        if epoch != serving_epoch || (producer == TICK_PRODUCER && !tick) {
+            return Err(ServiceError::Stamp(StampError {
+                producer,
+                epoch,
+                seq,
+                serving_epoch,
+                next_seq: self.next_seq(producer),
+            }));
         }
-        if matches!(event, ServiceEvent::PeriodTick) {
+        if tick {
             return self.close_period();
         }
         self.admit_stamped(producer, epoch, seq, event)
@@ -701,7 +714,7 @@ impl ShardedService {
 
     /// Borrowing snapshot of the outcome accumulated so far — **O(1)**,
     /// no allocation: the reducer keeps every field (price moments
-    /// included) finalized at each tick, so monitoring a live service
+    /// included) complete at each tick, so monitoring a live service
     /// mid-stream costs a borrow instead of cloning the O(periods)
     /// `revenue_per_period` series; [`ShardedService::into_outcome`]
     /// moves the final result out.
@@ -1203,6 +1216,65 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A stamp must name the epoch being served, and only a tick may
+    /// travel on [`TICK_PRODUCER`]. An arrival stamped for epoch 5 used
+    /// to be admitted: lane 0's watermark became `(5, 0)`, the next
+    /// serial push was suppressed as a duplicate, and recovery refused
+    /// the journal ("record outside the epoch being replayed"). Both
+    /// are refused before they are journaled, counted or watermarked;
+    /// the service is not poisoned, the next serial push is admitted,
+    /// and recovery returns the uninterrupted bits.
+    #[test]
+    fn a_stamp_outside_the_served_epoch_or_lane_is_refused() {
+        let dir = crate::test_dir("stamp_epoch");
+        let journal = JournalConfig::new(&dir, 1);
+        let mut svc = service(MatchPolicy::Consume);
+        svc.attach_journal(&journal).unwrap();
+        let arrive = ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, u32::MAX),
+        };
+        let refused = |producer, epoch| StampError {
+            producer,
+            epoch,
+            seq: 0,
+            serving_epoch: 0,
+            next_seq: 0,
+        };
+        for (producer, epoch) in [(0, 5), (TICK_PRODUCER, 0), (TICK_PRODUCER, 5)] {
+            let pushed = svc.push_stamped(producer, epoch, 0, arrive);
+            let want = refused(producer, epoch);
+            assert!(
+                matches!(pushed, Err(ServiceError::Stamp(e)) if e == want),
+                "{pushed:?}"
+            );
+        }
+        let tick = svc.push_stamped(TICK_PRODUCER, 1, 0, ServiceEvent::PeriodTick);
+        assert!(matches!(tick, Err(ServiceError::Stamp(e)) if e.epoch == 1));
+        assert_eq!(svc.watermark(0), None, "nothing watermarked");
+        assert_eq!((svc.rejected_events(), svc.suppressed_duplicates()), (0, 0));
+        assert_eq!(svc.periods_served(), 0, "no tick closed the period");
+        svc.try_push(arrive)
+            .expect("the next serial push is admitted");
+        svc.try_push(ServiceEvent::PeriodTick)
+            .expect("not poisoned");
+        assert_eq!((svc.admitted_workers(), svc.live_workers()), (1, 1));
+        let uninterrupted = svc.outcome_snapshot().deterministic_bits();
+        drop(svc);
+
+        let recovered = crate::recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::BaseP,
+            ServiceConfig::default(),
+            &journal,
+        )
+        .expect("the journal holds only admitted stamps");
+        let svc = recovered.service;
+        assert_eq!((svc.periods_served(), svc.live_workers()), (1, 1));
+        assert_eq!(svc.outcome_snapshot().deterministic_bits(), uninterrupted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// The period counter is a `u32`: the tick of period `u32::MAX` is
     /// refused rather than wrapping the counter to 0, where every later
     /// event's `(epoch, seq)` would sit below its lane's watermark and be
@@ -1293,7 +1365,7 @@ mod tests {
     }
 
     /// The O(1) snapshot view moves only at a tick (an owned copy taken
-    /// before a window's events still equals it mid-window), is finalized
+    /// before a window's events still equals it mid-window), is complete
     /// after each one, and `into_outcome` hands back the same final value.
     #[test]
     fn snapshot_borrow_matches_cloned_outcome() {
@@ -1310,7 +1382,7 @@ mod tests {
             svc.push(ServiceEvent::PeriodTick);
             let snapshot = svc.outcome_snapshot();
             assert_ne!(snapshot, &owned, "post-tick");
-            assert!(snapshot.mean_posted_price > 0.0, "moments are finalized");
+            assert!(snapshot.mean_posted_price > 0.0, "moments are complete");
         }
         let bits = svc.outcome_snapshot().deterministic_bits();
         assert_eq!(svc.into_outcome().deterministic_bits(), bits);

@@ -17,12 +17,12 @@
 //! The lane itself, under real threads and at capacity 1, is the
 //! `ingest::` unit suite's and `tests/ingest_shutdown.rs`'s.
 
-use maps_core::StrategyKind;
+use maps_core::{paper_default_strategy, PricingStrategy, StateWords, StrategyKind};
 use maps_service::ingest::{chunk_bounds, merge, period_events, Run};
 use maps_service::journal::*;
 use maps_service::{
-    recover, replay_service, JournalConfig, ServiceConfig, ServiceError, ServiceEvent,
-    ShardedService, TICK_PRODUCER,
+    recover, JournalConfig, ServiceConfig, ServiceError, ServiceEvent, ShardedService,
+    TICK_PRODUCER,
 };
 use maps_simulator::*;
 use maps_spatial::{GridSpec, Point, Rect};
@@ -38,7 +38,7 @@ use ServiceError::{Journal, Poisoned};
 /// Seeds `0..BUDGET` run in CI. A seed's low digits enumerate strategy ×
 /// match policy, so any 10 consecutive seeds cover that grid; the rest
 /// of a case comes from the seed's hash.
-const BUDGET: u64 = 200;
+const BUDGET: u64 = 380;
 
 #[derive(Debug, Clone, Copy, PartialEq)]
 enum Workload {
@@ -108,6 +108,9 @@ fn draw(seed: u64) -> Case {
 struct World {
     case: Case,
     truth: GroundTruth,
+    /// The case's strategy after its one calibration, as `save_state`
+    /// words (`None` for an uncalibrated case).
+    calibrated: Option<Vec<u64>>,
     epochs: Vec<Vec<ServiceEvent>>,
     /// Lane `p` sends `epochs[e][parts[e][p]..parts[e][p + 1]]`.
     parts: Vec<Vec<usize>>,
@@ -155,14 +158,46 @@ fn world(case: &Case) -> World {
         }
         parts.push(bounds);
     }
-    let serial = serial(case, &truth, &epochs);
-    World {
+    let calibrated = case.options.calibrate.then(|| {
+        let mut strategy = paper_default_strategy(case.kind, truth.grid.num_cells());
+        let seed = case.options.probe_seed;
+        strategy.calibrate(&mut GroundTruthProbe::new(&truth.demands, seed));
+        let mut words = Vec::new();
+        strategy.save_state(&mut words);
+        words
+    });
+    let mut w = World {
         case: case.clone(),
         truth,
+        calibrated,
         epochs,
         parts,
-        serial,
+        serial: Vec::new(),
+    };
+    w.serial = serial(&w);
+    w
+}
+
+/// A fresh instance of the case's strategy, holding the state of its
+/// one calibration: every driver starts from it uncalibrated, so a case
+/// runs Algorithm 1 once, not once per driver.
+fn strategy(w: &World) -> Box<dyn PricingStrategy> {
+    let mut strategy = paper_default_strategy(w.case.kind, w.truth.grid.num_cells());
+    if let Some(words) = &w.calibrated {
+        let state = &mut StateWords::new(words);
+        strategy.load_state(state).expect("the words it saved");
     }
+    strategy
+}
+
+/// A service sized for replaying the world, around [`strategy`].
+fn service(w: &World) -> ShardedService {
+    let config = ServiceConfig {
+        max_edges_per_task: w.case.options.max_edges_per_task,
+        expected_workers: w.truth.total_workers().max(1),
+        ..ServiceConfig::default()
+    };
+    ShardedService::with_strategy(w.truth.grid, w.truth.match_policy, strategy(w), config)
 }
 
 fn share(w: &World, epoch: usize, lane: usize) -> &[ServiceEvent] {
@@ -275,10 +310,10 @@ fn labelled(outcome: &Outcome) -> Labelled {
 }
 
 /// Serial `push`: the outcome after every epoch.
-fn serial(case: &Case, truth: &GroundTruth, epochs: &[Vec<ServiceEvent>]) -> Vec<Outcome> {
-    let mut svc = replay_service(truth, case.kind, 1, case.options);
+fn serial(w: &World) -> Vec<Outcome> {
+    let mut svc = service(w);
     let mut live = Vec::new();
-    let outcomes = (epochs.iter())
+    let outcomes = (w.epochs.iter())
         .map(|events| {
             let tick = [&ServiceEvent::PeriodTick];
             events.iter().chain(tick).for_each(|&e| svc.push(e));
@@ -286,7 +321,7 @@ fn serial(case: &Case, truth: &GroundTruth, epochs: &[Vec<ServiceEvent>]) -> Vec
             svc.outcome_snapshot().clone()
         })
         .collect();
-    if case.workload == Workload::Swing && live.len() == SWING_PERIODS {
+    if w.case.workload == Workload::Swing && live.len() == SWING_PERIODS {
         let after = SURGE_AT + SURGE_DURATION as usize;
         let quiet = live[..SURGE_AT].iter().chain(&live[after..]).max();
         assert!(live[SURGE_AT] > 16 * quiet.unwrap(), "no swing: {live:?}");
@@ -296,16 +331,19 @@ fn serial(case: &Case, truth: &GroundTruth, epochs: &[Vec<ServiceEvent>]) -> Vec
 
 /// Serial push equals `Simulation::run` on the ground-truth prefix, at
 /// every power-of-two epoch count and at the end, the events admission
-/// refused counted on top. Calibration does not look at the prefix and
-/// costs more than the stream, so a calibrated case compares at the end
-/// only.
+/// refused counted on top.
 fn check_batch(w: &World) {
-    let (n, options) = (w.serial.len(), w.case.options);
-    let due = |t: usize| t + 1 == n || !options.calibrate && (t + 1).is_power_of_two();
+    let n = w.serial.len();
+    let due = |t: usize| t + 1 == n || (t + 1).is_power_of_two();
     for t in (0..n).filter(|&t| due(t)) {
         let mut prefix = w.truth.clone();
         prefix.periods.truncate(t + 1);
-        let run = Simulation::new(prefix, w.case.kind).with_options(options);
+        // The calibration already ran, in `world`.
+        let options = SimOptions {
+            calibrate: false,
+            ..w.case.options
+        };
+        let run = Simulation::with_strategy(prefix, strategy(w)).with_options(options);
         let mut batch = run.run();
         batch.rejected_events = w.serial[t].rejected_events;
         let what = format!("serial push vs Simulation::run after epoch {t}");
@@ -536,7 +574,7 @@ fn fatal(pushed: &Result<(), ServiceError>) -> bool {
 
 fn check_stack(w: &World, dir: &Path) {
     let (case, n) = (&w.case, w.epochs.len());
-    let mut svc = replay_service(&w.truth, case.kind, 1, case.options);
+    let mut svc = service(w);
     let journal = case.cadence.map(|n| JournalConfig::new(dir, n));
     if let Some(journal) = &journal {
         svc.attach_journal(journal).expect("attach the journal");

@@ -213,6 +213,38 @@ impl Outcome {
     /// and matched distance (floats via [`f64::to_bits`], so even a
     /// one-ulp rounding difference is caught).
     ///
+    /// The words are those the private `walk_deterministic` hands over,
+    /// in its order.
+    pub fn deterministic_bits(&self) -> Vec<u64> {
+        let mut out = Vec::with_capacity(
+            18 + self.strategy.len() + self.revenue_per_period.len() + LatencyTelemetry::WORDS,
+        );
+        self.walk_deterministic(|_, _, word| out.push(word));
+        out
+    }
+
+    /// One label per word of [`Outcome::deterministic_bits`], in its
+    /// order: the field's name, with the index inside a list
+    /// (`revenue_per_period[3]`) or a histogram (`latency.task_wait[7]`).
+    /// An oracle names the first differing label instead of printing two
+    /// word lists.
+    pub fn deterministic_labels(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        self.walk_deterministic(|name, index, _| {
+            out.push(match index {
+                Some(i) => format!("{name}[{i}]"),
+                None => name.to_string(),
+            });
+        });
+        out
+    }
+
+    /// The one walk of the deterministic fields: hands `put` each word
+    /// of the encoding in order, with its field's name and, inside a
+    /// list or a histogram, its index. [`Outcome::deterministic_bits`]
+    /// keeps the words and [`Outcome::deterministic_labels`] formats the
+    /// names, so the two cannot disagree.
+    ///
     /// The body destructures `Outcome` *exhaustively* (no `..` rest
     /// pattern): adding a field to `Outcome` is a **compile error here**
     /// until the author decides whether the new field participates in
@@ -220,10 +252,7 @@ impl Outcome {
     /// group below. A hand-maintained field list would instead let a new
     /// field silently escape every replay and ingestion oracle in the
     /// workspace.
-    pub fn deterministic_bits(&self) -> Vec<u64> {
-        // Every schedule-independent field must be encoded; the four
-        // discarded bindings are the deliberate exclusions documented
-        // above (wall-clock timings + allocator-dependent peak memory).
+    fn walk_deterministic(&self, mut put: impl FnMut(&'static str, Option<usize>, u64)) {
         let Outcome {
             strategy,
             total_revenue,
@@ -242,61 +271,46 @@ impl Outcome {
             suppressed_duplicates,
             latency,
         } = self;
-        let mut out = Vec::with_capacity(
-            18 + strategy.len() + revenue_per_period.len() + LatencyTelemetry::WORDS,
-        );
-        out.push(strategy.len() as u64);
-        out.extend(strategy.bytes().map(u64::from));
-        out.push(total_revenue.to_bits());
-        out.push(*issued_tasks);
-        out.push(*accepted_tasks);
-        out.push(*matched_tasks);
-        out.push(revenue_per_period.len() as u64);
-        out.extend(revenue_per_period.iter().map(|r| r.to_bits()));
-        out.push(mean_posted_price.to_bits());
-        out.push(posted_price_std.to_bits());
-        out.push(matched_distance.to_bits());
-        out.push(*rejected_events);
-        out.push(*suppressed_duplicates);
-        latency.extend_words(&mut out);
-        out
-    }
-
-    /// One label per word of [`Outcome::deterministic_bits`], in its
-    /// order: the field's name, with the index inside a list
-    /// (`revenue_per_period[3]`) or a histogram (`latency.task_wait[7]`).
-    /// An oracle names the first differing label instead of printing two
-    /// word lists. The encoder above stays as it is (checkpoints carry
-    /// its words); `deterministic_bits_cover_every_replay_field` pins the
-    /// two lists to each other.
-    pub fn deterministic_labels(&self) -> Vec<String> {
-        let indexed =
-            |name: &str, n: usize| (0..n).map(|i| format!("{name}[{i}]")).collect::<Vec<_>>();
-        let mut out = vec!["strategy.len".to_string()];
-        out.extend(indexed("strategy", self.strategy.len()));
-        let counters = [
-            "total_revenue",
-            "issued_tasks",
-            "accepted_tasks",
-            "matched_tasks",
-        ];
-        out.extend(counters.map(String::from));
-        out.push("revenue_per_period.len".into());
-        out.extend(indexed("revenue_per_period", self.revenue_per_period.len()));
-        let tail = [
-            "mean_posted_price",
-            "posted_price_std",
-            "matched_distance",
-            "rejected_events",
-            "suppressed_duplicates",
-        ];
-        out.extend(tail.map(String::from));
-        for histogram in ["task_wait", "queue_depth", "worker_pool"] {
-            let buckets = Log2Histogram::WORDS - 1;
-            out.extend(indexed(&format!("latency.{histogram}"), buckets));
-            out.push(format!("latency.{histogram}.total"));
+        put("strategy.len", None, strategy.len() as u64);
+        for (i, byte) in strategy.bytes().enumerate() {
+            put("strategy", Some(i), u64::from(byte));
         }
-        out
+        put("total_revenue", None, total_revenue.to_bits());
+        put("issued_tasks", None, *issued_tasks);
+        put("accepted_tasks", None, *accepted_tasks);
+        put("matched_tasks", None, *matched_tasks);
+        put(
+            "revenue_per_period.len",
+            None,
+            revenue_per_period.len() as u64,
+        );
+        for (i, revenue) in revenue_per_period.iter().enumerate() {
+            put("revenue_per_period", Some(i), revenue.to_bits());
+        }
+        put("mean_posted_price", None, mean_posted_price.to_bits());
+        put("posted_price_std", None, posted_price_std.to_bits());
+        put("matched_distance", None, matched_distance.to_bits());
+        put("rejected_events", None, *rejected_events);
+        put("suppressed_duplicates", None, *suppressed_duplicates);
+        // The telemetry's own encoding: three histograms in field order,
+        // each its buckets then its total.
+        let mut words = Vec::with_capacity(LatencyTelemetry::WORDS);
+        latency.extend_words(&mut words);
+        let histograms = [
+            ("latency.task_wait", "latency.task_wait.total"),
+            ("latency.queue_depth", "latency.queue_depth.total"),
+            ("latency.worker_pool", "latency.worker_pool.total"),
+        ];
+        for ((name, total), words) in histograms
+            .into_iter()
+            .zip(words.chunks(Log2Histogram::WORDS))
+        {
+            let (&sum, buckets) = words.split_last().expect("a histogram ends in its total");
+            for (i, &count) in buckets.iter().enumerate() {
+                put(name, Some(i), count);
+            }
+            put(total, None, sum);
+        }
     }
 
     /// Decodes what [`Outcome::deterministic_bits`] encodes — the form a

@@ -166,7 +166,7 @@ pub trait PeriodEngine {
 /// one function that advances it by a period.
 pub struct PeriodStep {
     strategy: Box<dyn PricingStrategy>,
-    /// Kept fully finalized after every period (price moments included),
+    /// Kept complete after every period (price moments included),
     /// so observing a live run is a borrow.
     outcome: Outcome,
     /// Posted-price moments via Welford's algorithm (see

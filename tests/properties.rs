@@ -140,15 +140,7 @@ fn prices_stay_in_window() {
             let grid = world.grid;
             for kind in StrategyKind::ALL {
                 // Reach inside one period manually to inspect the schedule.
-                let mut strategy: Box<dyn PricingStrategy> = match kind {
-                    StrategyKind::Maps => Box::new(MapsStrategy::paper_default(grid.num_cells())),
-                    StrategyKind::BaseP => Box::new(BasePStrategy::paper_default(grid.num_cells())),
-                    StrategyKind::Sdr => Box::new(SdrStrategy::paper_default(grid.num_cells())),
-                    StrategyKind::Sde => Box::new(SdeStrategy::paper_default(grid.num_cells())),
-                    StrategyKind::CappedUcb => {
-                        Box::new(CappedUcbStrategy::paper_default(grid.num_cells()))
-                    }
-                };
+                let mut strategy = paper_default_strategy(kind, grid.num_cells());
                 let tasks: Vec<TaskInput> = world.periods[0]
                     .tasks
                     .iter()
