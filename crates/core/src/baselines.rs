@@ -45,6 +45,21 @@ pub(crate) fn load_ucb(
     })
 }
 
+/// Loads a checkpointed base price. The word is outside input: a value
+/// that is not a price in `ladder`'s window — NaN included — is refused
+/// rather than posted.
+pub(crate) fn load_base_price(
+    state: &mut StateWords<'_>,
+    ladder: &PriceLadder,
+) -> Result<f64, StateError> {
+    let p = state.take_f64()?;
+    if (ladder.p_min()..=ladder.p_max()).contains(&p) {
+        Ok(p)
+    } else {
+        Err(StateError::Mismatch("base price outside the price ladder"))
+    }
+}
+
 /// Counts tasks and workers per grid cell — shared by the surge rules
 /// and CappedUCB, which reason about the local head-counts `|R^tg|`,
 /// `|W^tg|`.
@@ -97,11 +112,6 @@ impl BasePStrategy {
             surge,
         }
     }
-
-    /// Overrides the base price (tests / pre-calibrated runs).
-    pub fn set_base_price(&mut self, p: f64) {
-        self.base_price = p;
-    }
 }
 
 impl PricingStrategy for BasePStrategy {
@@ -114,7 +124,8 @@ impl PricingStrategy for BasePStrategy {
     }
 
     fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        self.base_price = self.calibrator.learn(self.num_cells, probe).base_price;
+        let learned = self.calibrator.learn(self.num_cells, probe).base_price;
+        self.base_price = self.calibrator.ladder().clamp(learned);
     }
 
     fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
@@ -149,7 +160,7 @@ impl PricingStrategy for BasePStrategy {
     }
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.base_price = state.take_f64()?;
+        self.base_price = load_base_price(state, self.calibrator.ladder())?;
         Ok(())
     }
 }
@@ -176,11 +187,6 @@ impl CappedUcbStrategy {
         let ladder = PriceLadder::paper_default();
         let stats = vec![UcbStats::new(ladder.len()); num_cells];
         Self { ladder, stats }
-    }
-
-    /// Mutable statistics access (tests).
-    pub fn stats_mut(&mut self, cell: usize) -> &mut UcbStats {
-        &mut self.stats[cell]
     }
 }
 
@@ -304,7 +310,7 @@ mod tests {
     fn basep_is_flat() {
         let grid = GridSpec::square(Rect::square(10.0), 2);
         let mut s = BasePStrategy::paper_default(grid.num_cells(), Surge::Flat);
-        s.set_base_price(2.25);
+        s.base_price = 2.25;
         let (tasks, workers) = input_with_counts(&grid, 3, 1);
         let graph = build_period_graph(&tasks, &workers);
         let input = PeriodInput {
@@ -322,7 +328,7 @@ mod tests {
     fn sdr_formula() {
         let grid = one_cell_grid();
         let mut s = BasePStrategy::paper_default(1, Surge::Ratio);
-        s.set_base_price(2.0);
+        s.base_price = 2.0;
         // balanced or excess supply → base price
         assert_eq!(run(&mut s, &grid, 2, 2), 2.0);
         assert_eq!(run(&mut s, &grid, 1, 5), 2.0);
@@ -340,7 +346,7 @@ mod tests {
     fn sde_formula() {
         let grid = one_cell_grid();
         let mut s = BasePStrategy::paper_default(1, Surge::Exponential);
-        s.set_base_price(2.0);
+        s.base_price = 2.0;
         // no shortage → base price
         assert_eq!(run(&mut s, &grid, 2, 3), 2.0);
         // shortage of 1 → 2·(1+2e^{-1}) ≈ 3.47
@@ -355,7 +361,7 @@ mod tests {
     fn sde_never_escapes_window() {
         let grid = one_cell_grid();
         let mut s = BasePStrategy::paper_default(1, Surge::Exponential);
-        s.set_base_price(4.0);
+        s.base_price = 4.0;
         // boost factor < 3 ⇒ 12 > p_max=5 → clamp.
         let p = run(&mut s, &grid, 3, 2);
         assert!(p <= 5.0);
@@ -369,7 +375,7 @@ mod tests {
         let table = [0.95, 0.9, 0.6, 0.2];
         for (idx, sv) in table.iter().enumerate() {
             let n = 1_000_000u64;
-            s.stats_mut(0).observe_batch(idx, n, (sv * n as f64) as u64);
+            s.stats[0].observe_batch(idx, n, (sv * n as f64) as u64);
         }
         // Plenty of workers → demand-side argmax p·S(p):
         // {0.95, 1.35, 1.35, 0.675} → 1.5 or 2.25 (ties keep larger when
@@ -391,13 +397,26 @@ mod tests {
             price: 1.4, // nearest rung 1.5 (idx 1)
             accepted: true,
         }]);
-        assert_eq!(s.stats_mut(0).n_at(1), 1);
+        assert_eq!(s.stats[0].n_at(1), 1);
     }
 
     #[test]
     fn names_match_paper_legends() {
         for kind in crate::problem::StrategyKind::ALL {
             assert_eq!(paper_default_strategy(kind, 1).name(), kind.name());
+        }
+    }
+
+    /// As MAPS: a checkpointed base price off the ladder's window (NaN
+    /// included) is refused, where a flat BaseP would post it everywhere.
+    #[test]
+    fn basep_load_refuses_a_base_price_off_the_ladder() {
+        for p in [f64::NAN, f64::NEG_INFINITY, 0.5, 5.5] {
+            let words = [p.to_bits()];
+            let mut s = BasePStrategy::paper_default(4, Surge::Flat);
+            let loaded = s.load_state(&mut StateWords::new(&words));
+            let refused = StateError::Mismatch("base price outside the price ladder");
+            assert_eq!(loaded, Err(refused), "{p}");
         }
     }
 }

@@ -86,7 +86,7 @@ pub struct MapsConfig {
     /// best *amortized* gain over all reachable supply levels (the
     /// standard concave-hull correction), restoring convergence to the
     /// Myerson regime under abundant supply. Disable to reproduce the
-    /// pseudocode literally (ablation `A1`).
+    /// pseudocode literally (the ablation's "no plateau lookahead" row).
     pub plateau_lookahead: bool,
 }
 
@@ -510,7 +510,7 @@ impl PricingStrategy for MapsStrategy {
     }
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.base_price = state.take_f64()?;
+        self.base_price = crate::baselines::load_base_price(state, &self.ladder)?;
         crate::baselines::load_ucb(&mut self.stats, state)?;
         let has_change = state.take()?;
         match (&mut self.change, has_change) {
@@ -1007,5 +1007,19 @@ mod tests {
                 }
             },
         );
+    }
+
+    /// A checkpointed base price is outside input: one off the ladder's
+    /// window (NaN included) is refused, never posted in task-free grids.
+    #[test]
+    fn load_refuses_a_base_price_off_the_ladder() {
+        let mut words = Vec::new();
+        MapsStrategy::paper_default(4).save_state(&mut words);
+        for p in [f64::NAN, f64::INFINITY, 0.5, 5.5] {
+            words[0] = p.to_bits();
+            let loaded = MapsStrategy::paper_default(4).load_state(&mut StateWords::new(&words));
+            let refused = StateError::Mismatch("base price outside the price ladder");
+            assert_eq!(loaded, Err(refused), "{p}");
+        }
     }
 }

@@ -6,35 +6,32 @@ use crate::report::{print_metric_tables, print_telemetry, write_jsonl};
 use crate::runner::{run_panel, RunOptions};
 use std::path::PathBuf;
 
-/// Parsed command-line options for a figure binary.
+/// Parsed command-line options for a figure binary. Each flag that
+/// shapes the run writes the [`RunOptions`] field it sets:
+///
+/// * `--quick`: [`Scale::Quick`], ~20× smaller datasets;
+/// * `--parallel`: run the (cell × seed) jobs in parallel;
+/// * `--seeds N`: average over N ≥ 1 seeds (default 1; `--seeds 0` is
+///   refused at parse time rather than clamped inside the runner);
+/// * `--no-memory`: skip peak-heap tracking;
+/// * `--max-edges K`: per-task edge cap of the period graph builder
+///   (default 64; a huge value keeps every in-range edge — through the
+///   same k-nearest build, there is no uncapped one).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CliArgs {
     /// Restrict to one panel (e.g. `--panel w`); `None` = all panels of
     /// the figure.
     pub panel: Option<String>,
-    /// `--quick`: ~20× smaller datasets.
-    pub quick: bool,
-    /// `--parallel`: run the (cell × seed) jobs in parallel (disables
-    /// memory tracking).
-    pub parallel: bool,
-    /// `--seeds N`: average over N ≥ 1 seeds (default 1). `--seeds 0`
-    /// is rejected at parse time — it used to be accepted here and then
-    /// silently clamped to 1 deep inside the runner.
-    pub seeds: u64,
     /// `--out DIR`: JSONL output directory (default `results/`).
     pub out_dir: PathBuf,
-    /// `--no-memory`: skip peak-heap tracking.
-    pub no_memory: bool,
-    /// `--max-edges K`: per-task edge cap of the period graph builder
-    /// (default 64; a huge value keeps every in-range edge — through
-    /// the same k-nearest build, there is no uncapped one).
-    pub max_edges: usize,
     /// `--telemetry`: print the deterministic event-time latency dump
     /// (task wait / queue depth / worker pool log2-histogram quantiles)
     /// after each panel's metric tables. The numbers are part of
     /// `Outcome::deterministic_bits`, so the dump is diffable across
     /// thread counts.
     pub telemetry: bool,
+    /// How the panels run.
+    pub options: RunOptions,
 }
 
 /// Why [`CliArgs::try_parse`] refused an argument list.
@@ -80,16 +77,11 @@ impl CliArgs {
     /// [`CliArgs::parse`]). Flags that take a value error out when the
     /// value is missing or malformed instead of being silently ignored.
     pub fn try_parse(args: impl IntoIterator<Item = String>) -> Result<Self, CliError> {
-        let defaults = RunOptions::default();
         let mut parsed = CliArgs {
             panel: None,
-            quick: false,
-            parallel: false,
-            seeds: 1,
             out_dir: PathBuf::from("results"),
-            no_memory: false,
-            max_edges: defaults.max_edges_per_task,
             telemetry: false,
+            options: RunOptions::default(),
         };
         let mut it = args.into_iter();
         // A flag's value: present, non-flag-shaped, and parseable.
@@ -104,18 +96,18 @@ impl CliArgs {
         while let Some(a) = it.next() {
             match a.as_str() {
                 "--panel" => parsed.panel = Some(value_of("--panel", it.next())?),
-                "--quick" => parsed.quick = true,
-                "--parallel" => parsed.parallel = true,
-                "--no-memory" => parsed.no_memory = true,
+                "--quick" => parsed.options.scale = Scale::Quick,
+                "--parallel" => parsed.options.parallel = true,
+                "--no-memory" => parsed.options.track_memory = false,
                 "--max-edges" => {
-                    parsed.max_edges = value_of("--max-edges", it.next())?;
-                    if parsed.max_edges == 0 {
+                    parsed.options.max_edges_per_task = value_of("--max-edges", it.next())?;
+                    if parsed.options.max_edges_per_task == 0 {
                         return Err("--max-edges must be at least 1".to_string().into());
                     }
                 }
                 "--seeds" => {
-                    parsed.seeds = value_of("--seeds", it.next())?;
-                    if parsed.seeds == 0 {
+                    parsed.options.num_seeds = value_of("--seeds", it.next())?;
+                    if parsed.options.num_seeds == 0 {
                         return Err("--seeds must be at least 1 (0 would average over nothing)"
                             .to_string()
                             .into());
@@ -129,28 +121,13 @@ impl CliArgs {
         }
         Ok(parsed)
     }
-
-    /// The corresponding [`RunOptions`].
-    pub fn run_options(&self) -> RunOptions {
-        RunOptions {
-            scale: if self.quick {
-                Scale::Quick
-            } else {
-                Scale::Full
-            },
-            num_seeds: self.seeds,
-            parallel: self.parallel,
-            track_memory: !self.no_memory && !self.parallel,
-            max_edges_per_task: self.max_edges,
-        }
-    }
 }
 
 fn usage(bin: &str) -> ! {
     eprintln!(
         "usage: {bin} [--panel KEY] [--quick] [--parallel] [--seeds N] \
          [--out DIR] [--no-memory] [--max-edges K] [--telemetry]\n\
-         panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha\n\
+         panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha | maps\n\
          --seeds N           average over N >= 1 seeds (default 1)\n\
          --max-edges K       per-task edge cap of the period graph (default 64;\n\
                              a huge K keeps every in-range edge, same build)\n\
@@ -180,7 +157,7 @@ pub fn run_figure(figure: &str, args: &CliArgs) {
             .filter(|p| figure == "all" || p.figure == figure)
             .collect(),
     };
-    let options = args.run_options();
+    let options = args.options;
     for spec in panels {
         eprintln!(
             "running {}/{} ({}, scale {:?}, seeds {})…",
@@ -220,7 +197,8 @@ mod tests {
     #[test]
     fn defaults_parse_empty() {
         let args = parse(&[]).unwrap();
-        assert_eq!(args.seeds, 1);
+        assert_eq!(args.options, RunOptions::default());
+        assert_eq!(args.options.num_seeds, 1);
         assert!(args.panel.is_none());
     }
 
@@ -242,15 +220,19 @@ mod tests {
         ])
         .unwrap();
         assert_eq!(args.panel.as_deref(), Some("w"));
-        assert!(args.quick && args.parallel && args.no_memory);
-        assert_eq!(args.seeds, 3);
-        assert_eq!(args.max_edges, 16);
+        assert_eq!(args.out_dir, PathBuf::from("tmp"));
         assert!(args.telemetry);
         assert!(!parse(&[]).unwrap().telemetry, "dump is opt-in");
-        let options = args.run_options();
-        assert_eq!(options.num_seeds, 3);
-        assert_eq!(options.max_edges_per_task, 16);
-        assert!(!options.track_memory, "parallel disables memory tracking");
+        assert_eq!(
+            args.options,
+            RunOptions {
+                scale: Scale::Quick,
+                num_seeds: 3,
+                parallel: true,
+                track_memory: false,
+                max_edges_per_task: 16,
+            }
+        );
     }
 
     /// The satellite regression: `--seeds 0` used to parse fine and get

@@ -1,7 +1,13 @@
 //! Panel catalogue: one [`PanelSpec`] per swept x-axis of the paper's
-//! evaluation (Sec. 5.2). Default values are Table 3's bold entries; the
-//! exact sweep values match the paper's x-axes.
+//! evaluation (Sec. 5.2), plus the MAPS ablation ([`ablation`]). Default
+//! values are Table 3's bold entries; the exact sweep values match the
+//! paper's x-axes.
 
+use maps_core::{
+    paper_default_strategy, ApproxKind, DeltaRule, MapsConfig, MapsStrategy, PricingStrategy,
+    StrategyKind,
+};
+use maps_market::PriceLadder;
 use maps_simulator::{BeijingConfig, DemandKind, GroundTruth, SyntheticConfig};
 use std::sync::Arc;
 
@@ -38,7 +44,12 @@ impl Scale {
     }
 }
 
-/// One figure panel: a swept parameter and a world builder.
+/// Builds one compared strategy for a world of the given number of grid
+/// cells.
+pub type StrategyBuilder = Box<dyn Fn(usize) -> Box<dyn PricingStrategy> + Send + Sync>;
+
+/// One figure panel: a swept parameter, a world builder and the compared
+/// strategies.
 pub struct PanelSpec {
     /// Figure id, e.g. `"fig6"`.
     pub figure: &'static str,
@@ -52,6 +63,9 @@ pub struct PanelSpec {
     pub xs: Vec<f64>,
     /// Builds the ground-truth world for a sweep value and seed.
     pub build: Arc<dyn Fn(f64, Scale, u64) -> GroundTruth + Send + Sync>,
+    /// The compared strategies, each under its table label, in the
+    /// order the tables list them.
+    pub strategies: Vec<(&'static str, StrategyBuilder)>,
 }
 
 impl std::fmt::Debug for PanelSpec {
@@ -63,6 +77,17 @@ impl std::fmt::Debug for PanelSpec {
             .field("xs", &self.xs)
             .finish()
     }
+}
+
+/// The five strategies of the paper's legends (Sec. 5.1), built with
+/// paper defaults by [`paper_default_strategy`].
+pub fn paper_strategies() -> Vec<(&'static str, StrategyBuilder)> {
+    (StrategyKind::ALL.into_iter())
+        .map(|kind| {
+            let build: StrategyBuilder = Box::new(move |cells| paper_default_strategy(kind, cells));
+            (kind.name(), build)
+        })
+        .collect()
 }
 
 fn synthetic_panel(
@@ -87,6 +112,7 @@ fn synthetic_panel(
             apply(&mut cfg, x, scale);
             cfg.build(seed)
         }),
+        strategies: paper_strategies(),
     }
 }
 
@@ -180,6 +206,7 @@ pub fn fig7_t() -> PanelSpec {
             };
             cfg.build(seed)
         }),
+        strategies: paper_strategies(),
     }
 }
 
@@ -225,6 +252,7 @@ pub fn fig8_scale() -> PanelSpec {
             cfg.num_tasks = n;
             cfg.build(seed)
         }),
+        strategies: paper_strategies(),
     }
 }
 
@@ -248,6 +276,7 @@ pub fn fig8_beijing(window_rush: bool) -> PanelSpec {
             };
             cfg.with_scale(scale.beijing_scale()).build(seed)
         }),
+        strategies: paper_strategies(),
     }
 }
 
@@ -263,7 +292,67 @@ pub fn fig10_alpha() -> PanelSpec {
     )
 }
 
-/// All panels in paper order.
+/// MAPS with paper defaults but for what `vary` changes.
+fn maps_variant(
+    label: &'static str,
+    vary: impl FnOnce(&mut MapsConfig),
+) -> (&'static str, StrategyBuilder) {
+    let mut cfg = MapsConfig::default();
+    vary(&mut cfg);
+    let ladder = PriceLadder::paper_default();
+    let build: StrategyBuilder =
+        Box::new(move |cells| Box::new(MapsStrategy::new(cells, ladder.clone(), cfg.clone())));
+    (label, build)
+}
+
+/// The MAPS ablation: each design choice of Algorithm 3 and Sec. 4.2
+/// switched alone, on the Table-3 default world (`|W|` = 5000; Quick:
+/// 250 workers, 1000 tasks, 50 periods), with BaseP as the floor:
+///
+/// * `DeltaRule::LDifference` (default) vs the pseudocode's
+///   `ScaledShorthand` heap keys;
+/// * UCB optimism on vs off (plain sample means);
+/// * change detection off (default on stationary demand) vs on;
+/// * spatial smoothing β ∈ {0, 0.3};
+/// * Eq. (1) vs Appendix C.6's `L̃` approximation;
+/// * plateau lookahead on (default) vs the literal Δ=0 stop (the
+///   concave-hull correction argued at `MapsConfig::plateau_lookahead`).
+///
+/// The default variant is the paper's MAPS, so its row and BaseP's are
+/// `fig6_w`'s at `|W|` = 5000.
+pub fn ablation() -> PanelSpec {
+    let mut strategies = vec![
+        maps_variant("MAPS (default: L-diff, UCB)", |_| {}),
+        maps_variant("MAPS delta=shorthand", |c| {
+            c.delta_rule = DeltaRule::ScaledShorthand
+        }),
+        maps_variant("MAPS no-UCB (plain means)", |c| c.use_ucb = false),
+        maps_variant("MAPS change-detect w=200", |c| c.change_window = Some(200)),
+        maps_variant("MAPS smoothing beta=0.3", |c| c.smoothing = Some(0.3)),
+        maps_variant("MAPS approx=C.6 tilde", |c| {
+            c.approx = ApproxKind::TruncatedExpectation
+        }),
+        maps_variant("MAPS no plateau lookahead", |c| c.plateau_lookahead = false),
+    ];
+    strategies.extend(
+        paper_strategies()
+            .into_iter()
+            .filter(|(label, _)| *label == "BaseP"),
+    );
+    PanelSpec {
+        strategies,
+        ..synthetic_panel(
+            "ablation",
+            "maps",
+            "|W|",
+            "Alg. 3 and Sec. 4.2 design choices",
+            vec![5000.0],
+            |cfg, x, scale| cfg.num_workers = scale.shrink(x as usize),
+        )
+    }
+}
+
+/// All panels: the paper's in paper order, then the ablation.
 pub fn all_panels() -> Vec<PanelSpec> {
     vec![
         fig6_w(),
@@ -279,6 +368,7 @@ pub fn all_panels() -> Vec<PanelSpec> {
         fig8_beijing(true),
         fig8_beijing(false),
         fig10_alpha(),
+        ablation(),
     ]
 }
 
@@ -294,17 +384,22 @@ mod tests {
     #[test]
     fn catalogue_is_complete() {
         let panels = all_panels();
-        assert_eq!(panels.len(), 13);
+        assert_eq!(panels.len(), 14);
         let keys: Vec<_> = panels.iter().map(|p| p.panel).collect();
         for k in [
             "w", "r", "mu-t", "mean-s", "mu-v", "sigma-v", "t", "g", "aw", "scale", "beijing1",
-            "beijing2", "alpha",
+            "beijing2", "alpha", "maps",
         ] {
             assert!(keys.contains(&k), "missing panel {k}");
         }
-        for p in &panels {
+        let labels = |p: &PanelSpec| p.strategies.iter().map(|(l, _)| *l).collect::<Vec<_>>();
+        for p in panels.iter().filter(|p| p.figure != "ablation") {
             assert_eq!(p.xs.len(), 5, "{}: paper sweeps 5 values", p.panel);
+            assert_eq!(labels(p), ["MAPS", "BaseP", "SDR", "SDE", "CappedUCB"]);
         }
+        let ablation = ablation();
+        assert_eq!(ablation.xs, [5000.0]);
+        assert_eq!(labels(&ablation).len(), 8, "seven MAPS variants and BaseP");
     }
 
     #[test]

@@ -156,9 +156,6 @@ impl Deserialize for Row {
     }
 }
 
-/// The strategy ordering used by the paper's legends.
-pub const STRATEGY_ORDER: [&str; 5] = ["MAPS", "BaseP", "SDR", "SDE", "CappedUCB"];
-
 fn fmt_value(v: f64) -> String {
     if v == 0.0 {
         "0".to_string()
@@ -171,6 +168,22 @@ fn fmt_value(v: f64) -> String {
     }
 }
 
+/// The rows' strategies in the order they first appear, and the width
+/// of a label column that holds the longest (at least 10).
+fn strategy_labels(rows: &[Row]) -> (Vec<&str>, usize) {
+    let mut labels: Vec<&str> = Vec::new();
+    for row in rows {
+        if !labels.contains(&row.strategy.as_str()) {
+            labels.push(&row.strategy);
+        }
+    }
+    let width = labels
+        .iter()
+        .map(|l| l.chars().count())
+        .fold(10, usize::max);
+    (labels, width)
+}
+
 /// Renders one metric (revenue / time / memory) of a panel as a table of
 /// strategies × sweep values, mirroring a paper sub-figure.
 pub fn metric_table(rows: &[Row], metric: &str) -> String {
@@ -178,14 +191,15 @@ pub fn metric_table(rows: &[Row], metric: &str) -> String {
     xs.sort_by(f64::total_cmp);
     xs.dedup();
     let x_name = rows.first().map(|r| r.x_name.clone()).unwrap_or_default();
+    let (labels, width) = strategy_labels(rows);
     let mut out = String::new();
-    out.push_str(&format!("{:<10}", format!("{metric}\\{x_name}")));
+    out.push_str(&format!("{:<width$}", format!("{metric}\\{x_name}")));
     for &x in &xs {
         out.push_str(&format!("{:>14}", fmt_value(x)));
     }
     out.push('\n');
-    for strategy in STRATEGY_ORDER {
-        out.push_str(&format!("{strategy:<10}"));
+    for strategy in labels {
+        out.push_str(&format!("{strategy:<width$}"));
         for &x in &xs {
             let cell = rows
                 .iter()
@@ -228,9 +242,10 @@ pub fn print_metric_tables(rows: &[Row]) {
 /// histograms ride in `Outcome::deterministic_bits`), so this output is
 /// diffable across thread counts.
 pub fn print_telemetry(rows: &[Row]) {
+    let (_, width) = strategy_labels(rows);
     println!("-- event-time latency telemetry (deterministic) --");
     println!(
-        "{:<10} {:>10} {:>28} {:>28} {:>28}",
+        "{:<width$} {:>10} {:>28} {:>28} {:>28}",
         "strategy",
         "x",
         "task_wait p50/p99/p999",
@@ -240,7 +255,7 @@ pub fn print_telemetry(rows: &[Row]) {
     for row in rows {
         let Some(t) = &row.telemetry else {
             println!(
-                "{:<10} {:>10} (no telemetry recorded)",
+                "{:<width$} {:>10} (no telemetry recorded)",
                 row.strategy,
                 fmt_value(row.x)
             );
@@ -248,7 +263,7 @@ pub fn print_telemetry(rows: &[Row]) {
         };
         let fmt = |q: (u64, u64, u64, u64)| format!("{}/{}/{} (n={})", q.1, q.2, q.3, q.0);
         println!(
-            "{:<10} {:>10} {:>28} {:>28} {:>28}",
+            "{:<width$} {:>10} {:>28} {:>28} {:>28}",
             row.strategy,
             fmt_value(row.x),
             fmt(t.task_wait),
@@ -302,13 +317,35 @@ mod tests {
 
     #[test]
     fn table_contains_all_strategies_and_values() {
-        let rows = vec![row("MAPS", 1250.0, 123.0), row("BaseP", 1250.0, 456789.0)];
+        let rows = vec![
+            row("MAPS", 1250.0, 123.0),
+            row("BaseP", 1250.0, 456789.0),
+            row("BaseP", 2500.0, 7.0),
+        ];
         let t = metric_table(&rows, "revenue");
-        assert!(t.contains("MAPS"));
-        assert!(t.contains("CappedUCB")); // missing rows render as '-'
+        assert!(t.contains("MAPS") && t.contains("BaseP"));
+        assert!(!t.contains("CappedUCB"), "only the rows' strategies");
         assert!(t.contains("123.0"));
         assert!(t.contains("4.568e5"));
-        assert!(t.contains('-'));
+        // MAPS has no row at 2500: its cell renders as '-'.
+        assert!(t.lines().any(|l| l.starts_with("MAPS") && l.ends_with('-')));
+    }
+
+    /// Strategies are listed in the order the rows first name them, and
+    /// a label longer than 10 widens the label column of every line.
+    #[test]
+    fn labels_follow_the_rows_and_set_the_column_width() {
+        let long = "MAPS (default: L-diff, UCB)";
+        let rows = vec![
+            row(long, 5000.0, 1.0),
+            row("Custom", 5000.0, 2.0),
+            row(long, 7500.0, 3.0),
+        ];
+        let t = metric_table(&rows, "revenue");
+        let lines: Vec<&str> = t.lines().collect();
+        assert_eq!(lines.len(), 3);
+        assert!(lines[1].starts_with(long) && lines[2].starts_with("Custom"));
+        assert!(lines.iter().all(|l| l.len() == long.len() + 2 * 14), "{t}");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Sweep execution: runs every (x, strategy) cell of a panel through
 //! [`Simulation::run`], the per-period batch loop the paper evaluates,
-//! optionally in parallel, and aggregates seeds into [`Row`]s.
+//! optionally in parallel, and aggregates seeds into [`Row`]s. Every
+//! study — the paper's panels and the MAPS ablation — runs here.
 //!
 //! ## Determinism contract
 //!
@@ -16,15 +17,14 @@
 //! `seed_parallel_rows_bitwise_deterministic` below. Root `clippy.toml`
 //! bans `par_iter` everywhere else.
 
-use crate::panels::{PanelSpec, Scale};
+use crate::panels::{PanelSpec, Scale, StrategyBuilder};
 use crate::report::Row;
-use maps_core::StrategyKind;
 use maps_simulator::alloc::TrackingAllocator;
-use maps_simulator::{Outcome, SimOptions, Simulation};
+use maps_simulator::{GroundTruth, Outcome, SimOptions, Simulation};
 use rayon::prelude::*;
 
 /// Options controlling a panel run.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunOptions {
     /// Dataset scale.
     pub scale: Scale,
@@ -35,9 +35,9 @@ pub struct RunOptions {
     /// peak-memory figures are only meaningful in serial mode; parallel
     /// mode is for fast revenue-shape iteration.
     pub parallel: bool,
-    /// Measure peak heap via the tracking allocator (requires the binary
-    /// to install [`TrackingAllocator`] as the global allocator, and
-    /// implies serial execution).
+    /// Measure peak heap via the tracking allocator on a serial run
+    /// (requires the binary to install [`TrackingAllocator`] as the
+    /// global allocator).
     pub track_memory: bool,
     /// Per-task edge cap of the period graph builder, forwarded to
     /// [`SimOptions::max_edges_per_task`].
@@ -68,22 +68,24 @@ impl RunOptions {
 }
 
 /// Runs one simulation cell through the batch loop, with peak-memory
-/// accounting on a serial run that asks for it.
+/// accounting on a serial run that asks for it. The strategy is built
+/// inside the measured run, beside the engine it drives.
 fn run_cell(
     spec: &PanelSpec,
     x: f64,
-    kind: StrategyKind,
+    strategy: &StrategyBuilder,
     options: RunOptions,
     seed: u64,
 ) -> Outcome {
     let build = || (spec.build)(x, options.scale, seed);
-    let run = |truth| {
-        Simulation::new(truth, kind)
+    let run = |truth: GroundTruth| {
+        let strategy = strategy(truth.grid.num_cells());
+        Simulation::with_strategy(truth, strategy)
             .with_options(options.sim_options())
             .run()
     };
-    // The peak is process-wide: cells running side by side would read
-    // each other's.
+    // `parallel` disables memory tracking: the peak is process-wide, so
+    // cells running side by side would read each other's.
     if options.track_memory && !options.parallel {
         let (mut outcome, mib) = TrackingAllocator::run_peak_mib(build, run);
         outcome.peak_memory_mib = Some(mib);
@@ -94,7 +96,7 @@ fn run_cell(
 }
 
 /// Averages several outcomes into one row.
-fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome]) -> Row {
+fn aggregate(spec: &PanelSpec, x: f64, label: &str, outcomes: &[Outcome]) -> Row {
     let n = outcomes.len() as f64;
     let mean = |f: &dyn Fn(&Outcome) -> f64| outcomes.iter().map(f).sum::<f64>() / n;
     Row {
@@ -103,7 +105,7 @@ fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome])
         paper_ref: spec.paper_ref.to_string(),
         x_name: spec.x_name.to_string(),
         x,
-        strategy: kind.name().to_string(),
+        strategy: label.to_string(),
         revenue: mean(&|o| o.total_revenue),
         pricing_secs: mean(&|o| o.pricing_secs),
         clearing_secs: mean(&|o| o.clearing_secs),
@@ -129,20 +131,20 @@ fn aggregate(spec: &PanelSpec, x: f64, kind: StrategyKind, outcomes: &[Outcome])
     }
 }
 
-/// Runs a whole panel: every sweep value × the five strategies.
+/// Runs a whole panel: every sweep value × the panel's strategies.
 pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
-    let cells: Vec<(f64, StrategyKind)> = spec
+    let cells: Vec<(f64, usize)> = spec
         .xs
         .iter()
-        .flat_map(|&x| StrategyKind::ALL.into_iter().map(move |k| (x, k)))
+        .flat_map(|&x| (0..spec.strategies.len()).map(move |s| (x, s)))
         .collect();
     let seeds = options.num_seeds.max(1);
     let jobs: Vec<(usize, u64)> = (0..cells.len())
         .flat_map(|c| (0..seeds).map(move |s| (c, s)))
         .collect();
     let job = |&(c, seed): &(usize, u64)| {
-        let (x, kind) = cells[c];
-        run_cell(spec, x, kind, options, seed)
+        let (x, s) = cells[c];
+        run_cell(spec, x, &spec.strategies[s].1, options, seed)
     };
     // Serial mode runs a cell's jobs as the cell is aggregated, so a
     // peak-memory reading holds the cell's earlier seeds, not every
@@ -157,10 +159,10 @@ pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
         Box::new(jobs.iter().map(job))
     };
     (cells.iter())
-        .map(|&(x, kind)| {
+        .map(|&(x, s)| {
             let mut block = Vec::with_capacity(seeds as usize);
             block.extend(outcomes.by_ref().take(seeds as usize));
-            aggregate(spec, x, kind, &block)
+            aggregate(spec, x, spec.strategies[s].0, &block)
         })
         .collect()
 }
@@ -168,7 +170,7 @@ pub fn run_panel(spec: &PanelSpec, options: RunOptions) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::panels::fig6_w;
+    use crate::panels::{ablation, fig6_w, paper_strategies};
     use maps_simulator::SyntheticConfig;
     use std::sync::Arc;
 
@@ -189,6 +191,7 @@ mod tests {
                     .with_grid_side(3)
                     .build(seed)
             }),
+            strategies: paper_strategies(),
         }
     }
 
@@ -267,6 +270,35 @@ mod tests {
                 .collect();
             assert_eq!(strategies.len(), 5, "x={x}");
         }
+    }
+
+    /// A labelled constructor runs exactly what `StrategyKind` ran: the
+    /// ablation's default MAPS and its BaseP are `fig6_w`'s MAPS and
+    /// BaseP at |W| = 5000, bit for bit.
+    #[test]
+    fn ablation_default_and_basep_rows_are_fig6_w_rows() {
+        let options = RunOptions {
+            scale: Scale::Quick,
+            track_memory: false,
+            ..RunOptions::default()
+        };
+        let run = |mut spec: PanelSpec, labels: [&str; 2]| {
+            spec.xs = vec![5000.0];
+            spec.strategies.retain(|(label, _)| labels.contains(label));
+            run_panel(&spec, options)
+        };
+        let canon = |rows: &[Row]| -> Vec<_> {
+            (rows.iter())
+                .map(|r| {
+                    let floats = [r.x, r.revenue, r.issued, r.accepted, r.matched];
+                    (floats.map(f64::to_bits), r.telemetry)
+                })
+                .collect()
+        };
+        let ablation = run(ablation(), ["MAPS (default: L-diff, UCB)", "BaseP"]);
+        let fig6 = run(fig6_w(), ["MAPS", "BaseP"]);
+        assert_eq!(ablation.len(), 2);
+        assert_eq!(canon(&ablation), canon(&fig6));
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! holds one test because the tracking allocator it installs counts
 //! every thread of the test binary.
 
-use maps_experiments::{run_panel, PanelSpec, Row, RunOptions, Scale};
+use maps_experiments::{paper_strategies, run_panel, PanelSpec, Row, RunOptions, Scale};
 use maps_simulator::alloc::TrackingAllocator;
 use maps_simulator::SyntheticConfig;
 use std::sync::Arc;
@@ -28,6 +28,7 @@ fn tiny_panel() -> PanelSpec {
                 .with_grid_side(3)
                 .build(seed)
         }),
+        strategies: paper_strategies(),
     }
 }
 

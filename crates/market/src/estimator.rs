@@ -190,14 +190,23 @@ impl UcbStats {
     /// Restores state written by [`UcbStats::save_words`] from exactly
     /// its [`UcbStats::state_words`] words. Fails when the ladder length
     /// differs from this instance's (the snapshot must come from an
-    /// identically-configured learner).
+    /// identically-configured learner), and on counts no learner holds:
+    /// every mutator keeps `accepted(p) ≤ N(p)` and `N = Σ N(p)`.
     pub fn load_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
         let k = self.n.len();
         if words.len() != self.state_words() || words[0] != k as u64 {
             return Err("UcbStats ladder length mismatch");
         }
-        self.n.copy_from_slice(&words[1..1 + k]);
-        self.accepted.copy_from_slice(&words[1 + k..1 + 2 * k]);
+        let (n, accepted) = (&words[1..1 + k], &words[1 + k..1 + 2 * k]);
+        if accepted.iter().zip(n).any(|(a, n)| a > n) {
+            return Err("UcbStats accepted count above its probe count");
+        }
+        let sum = n.iter().try_fold(0u64, |sum, &n| sum.checked_add(n));
+        if sum != Some(words[1 + 2 * k]) {
+            return Err("UcbStats total is not the sum of its probe counts");
+        }
+        self.n.copy_from_slice(n);
+        self.accepted.copy_from_slice(accepted);
         self.n_total = words[1 + 2 * k];
         Ok(())
     }
@@ -346,5 +355,37 @@ mod tests {
             violations <= 1,
             "{violations} of 40 trials violated the bound"
         );
+    }
+
+    /// Saved words of a learner over two rungs that observed 10 probes,
+    /// 8 accepted, at rung 0: `[k, N(p0), N(p1), acc(p0), acc(p1), N]`.
+    fn saved_words() -> Vec<u64> {
+        let mut u = UcbStats::new(2);
+        u.observe_batch(0, 10, 8);
+        let mut words = Vec::new();
+        u.save_words(&mut words);
+        assert_eq!(words, [2, 10, 0, 8, 0, 10]);
+        words
+    }
+
+    #[test]
+    fn load_refuses_more_accepted_than_probed() {
+        let mut words = saved_words();
+        words[3] = 11;
+        assert_eq!(
+            UcbStats::new(2).load_words(&words),
+            Err("UcbStats accepted count above its probe count")
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_total_that_is_not_the_sum() {
+        let refused = Err("UcbStats total is not the sum of its probe counts");
+        let mut words = saved_words();
+        words[5] = 11;
+        assert_eq!(UcbStats::new(2).load_words(&words), refused);
+        // A sum that overflows is no sum either.
+        let words = [2, u64::MAX, 1, 0, 0, 0];
+        assert_eq!(UcbStats::new(2).load_words(&words), refused);
     }
 }
