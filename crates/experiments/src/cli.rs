@@ -124,18 +124,27 @@ impl CliArgs {
 }
 
 fn usage(bin: &str) -> ! {
-    eprintln!(
-        "usage: {bin} [--panel KEY] [--quick] [--parallel] [--seeds N] \
-         [--out DIR] [--no-memory] [--max-edges K] [--telemetry]\n\
-         panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha | maps\n\
-         --seeds N           average over N >= 1 seeds (default 1)\n\
-         --max-edges K       per-task edge cap of the period graph (default 64;\n\
-                             a huge K keeps every in-range edge, same build)\n\
-         --telemetry         print the deterministic event-time latency dump\n\
-                             (task wait / queue depth / worker pool quantiles)\n\
-                             after each panel — diffable across thread counts"
-    );
+    eprintln!("{}", usage_text(bin));
     std::process::exit(2)
+}
+
+/// The usage message, one line per entry: a flag's description
+/// continues on the next line at the column it starts in.
+fn usage_text(bin: &str) -> String {
+    [
+        &format!(
+            "usage: {bin} [--panel KEY] [--quick] [--parallel] [--seeds N] \
+             [--out DIR] [--no-memory] [--max-edges K] [--telemetry]"
+        ),
+        "panels: w r mu-t mean-s | mu-v sigma-v t g | aw scale beijing1 beijing2 | alpha | maps",
+        "--seeds N           average over N >= 1 seeds (default 1)",
+        "--max-edges K       per-task edge cap of the period graph (default 64;",
+        "                    a huge K keeps every in-range edge, same build)",
+        "--telemetry         print the deterministic event-time latency dump",
+        "                    (task wait / queue depth / worker pool quantiles)",
+        "                    after each panel — diffable across thread counts",
+    ]
+    .join("\n")
 }
 
 /// Shared main body: run the selected panels of one figure.
@@ -192,6 +201,25 @@ mod tests {
             CliError::HelpRequested => "HELP".to_string(),
             CliError::Invalid(message) => message,
         })
+    }
+
+    /// A description that runs onto a second line starts it in the
+    /// column the description starts in on the flag's line (a `\`
+    /// continuation inside one string literal used to strip those
+    /// lines' indentation, printing them at column 0).
+    #[test]
+    fn usage_continuation_lines_keep_their_indentation() {
+        let text = usage_text("fig6");
+        // Past a flag's name and its padding; all of a continuation line.
+        let description_column = |line: &str| {
+            let gap = line.find("  ").unwrap_or(0);
+            line.len() - line[gap..].trim_start().len()
+        };
+        for line in text.lines().skip(2) {
+            assert_eq!(description_column(line), 20, "{line:?}");
+        }
+        let continued = text.lines().filter(|line| line.starts_with(' '));
+        assert_eq!(continued.count(), 3, "{text}");
     }
 
     #[test]

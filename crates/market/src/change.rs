@@ -100,24 +100,38 @@ impl ChangeDetector {
     /// Restores state written by [`ChangeDetector::save_words`] from
     /// exactly its [`ChangeDetector::state_words`] words. Fails on a
     /// ladder-length mismatch (the snapshot must come from an
-    /// identically-configured detector).
+    /// identically-configured detector), and on a rung no detector
+    /// holds: a presence flag is 0 (ratio bits 0) or 1 (a ratio in
+    /// `[0, 1]`, never NaN), and an open window has
+    /// `accepted ≤ tested < window` — `observe` closes it at `window`.
     pub fn load_words(&mut self, words: &[u64]) -> Result<(), &'static str> {
         let k = self.prev_ratio.len();
         if words.len() != self.state_words() || words[0] != k as u64 {
             return Err("ChangeDetector ladder length mismatch");
         }
-        for (i, ratio) in self.prev_ratio.iter_mut().enumerate() {
-            let flag = words[1 + 2 * i];
-            let bits = words[2 + 2 * i];
-            *ratio = match flag {
-                0 => None,
-                _ => Some(f64::from_bits(bits)),
-            };
+        let (ratios, tallies) = words[1..].split_at(2 * k);
+        let (tested, accepted) = tallies.split_at(k);
+        let prev_ratio = ratios
+            .chunks_exact(2)
+            .map(|rung| match *rung {
+                [0, 0] => Ok(None),
+                [0, _] => Err("ChangeDetector absent ratio with ratio bits"),
+                [1, bits] => Some(f64::from_bits(bits))
+                    .filter(|r| (0.0..=1.0).contains(r))
+                    .map(Some)
+                    .ok_or("ChangeDetector ratio outside [0, 1]"),
+                _ => Err("ChangeDetector presence flag is not 0 or 1"),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        if accepted.iter().zip(tested).any(|(a, t)| a > t) {
+            return Err("ChangeDetector window accepted more than it tested");
         }
-        self.cur_tested
-            .copy_from_slice(&words[1 + 2 * k..1 + 3 * k]);
-        self.cur_accepted
-            .copy_from_slice(&words[1 + 3 * k..1 + 4 * k]);
+        if tested.iter().any(|&t| t >= self.window) {
+            return Err("ChangeDetector open window is already full");
+        }
+        self.prev_ratio = prev_ratio;
+        self.cur_tested.copy_from_slice(tested);
+        self.cur_accepted.copy_from_slice(accepted);
         Ok(())
     }
 }
@@ -206,6 +220,106 @@ mod tests {
         // Price 0 shifts (|1 − 9| = 8 > 2√(10·0.9·0.1) = 1.9) → flags,
         // price 1 stays calm.
         assert!(window(&mut det, 0, 1));
+    }
+
+    /// Saved words of a two-rung detector with window 10: rung 0 closed
+    /// one window at 8 of 10 and has tested 3, accepted 2 since; rung 1
+    /// never closed one. `[k, flag0, bits0, flag1, bits1, tested…,
+    /// accepted…]`.
+    fn saved_words() -> Vec<u64> {
+        let mut det = ChangeDetector::new(2, 10);
+        (0..13).for_each(|i| {
+            det.observe(0, !(8..=10).contains(&i));
+        });
+        let mut words = Vec::new();
+        det.save_words(&mut words);
+        assert_eq!(words, [2, 1, 0.8f64.to_bits(), 0, 0, 3, 0, 2, 0]);
+        words
+    }
+
+    /// Loads `words` into a fresh two-rung detector with window 10.
+    fn load(words: &[u64]) -> Result<(), &'static str> {
+        ChangeDetector::new(2, 10).load_words(words)
+    }
+
+    #[test]
+    fn load_refuses_a_flag_that_is_not_0_or_1() {
+        let mut words = saved_words();
+        words[1] = 2;
+        assert_eq!(
+            load(&words),
+            Err("ChangeDetector presence flag is not 0 or 1")
+        );
+    }
+
+    #[test]
+    fn load_refuses_ratio_bits_under_an_absent_flag() {
+        let mut words = saved_words();
+        words[4] = 0.5f64.to_bits();
+        assert_eq!(
+            load(&words),
+            Err("ChangeDetector absent ratio with ratio bits")
+        );
+    }
+
+    #[test]
+    fn load_refuses_a_ratio_that_is_nan_or_outside_the_unit_interval() {
+        for ratio in [f64::NAN, -0.25, 1.5, f64::INFINITY] {
+            let mut words = saved_words();
+            words[2] = ratio.to_bits();
+            assert_eq!(
+                load(&words),
+                Err("ChangeDetector ratio outside [0, 1]"),
+                "{ratio}"
+            );
+        }
+    }
+
+    #[test]
+    fn load_refuses_more_accepted_than_tested() {
+        let mut words = saved_words();
+        words[7] = 4;
+        assert_eq!(
+            load(&words),
+            Err("ChangeDetector window accepted more than it tested")
+        );
+    }
+
+    #[test]
+    fn load_refuses_an_open_window_that_is_already_full() {
+        let mut words = saved_words();
+        words[6] = 10;
+        assert_eq!(
+            load(&words),
+            Err("ChangeDetector open window is already full")
+        );
+    }
+
+    /// Every stream `load_words` accepts saves back to itself: over each
+    /// rung's flag, ratio and tallies at and around the bounds.
+    #[test]
+    fn save_of_load_is_the_identity_on_every_accepted_stream() {
+        let ratios = [0.0, -0.0, 0.5, 1.0, 1.5, f64::NAN].map(f64::to_bits);
+        let mut accepted_streams = 0;
+        for flag in 0..3 {
+            for bits in ratios {
+                for (tested, acc) in [(0, 0), (3, 2), (9, 9), (9, 10), (10, 0)] {
+                    let words = [2, flag, bits, 0, 0, tested, 0, acc, 0];
+                    let mut det = ChangeDetector::new(2, 10);
+                    if det.load_words(&words).is_err() {
+                        continue;
+                    }
+                    let mut saved = Vec::new();
+                    det.save_words(&mut saved);
+                    assert_eq!(saved, words);
+                    accepted_streams += 1;
+                }
+            }
+        }
+        // Flag 0 with bits 0 (0.0's), and flag 1 with the four ratios in
+        // [0, 1] (-0.0 compares equal to 0), times the three open windows
+        // that fit.
+        assert_eq!(accepted_streams, (1 + 4) * 3);
     }
 
     #[test]

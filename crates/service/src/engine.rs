@@ -80,17 +80,14 @@ impl std::fmt::Display for TickPanic {
 
 impl std::error::Error for TickPanic {}
 
-/// A producer lane handed the ingest sequencer coordinates that do not
-/// continue it: an epoch other than the one being served, a `seq`
-/// above the lane's next one (a gap), or a run whose seqs reach
-/// `u64::MAX`. A lane's seqs in an epoch are `0 .. u64::MAX`, so the seq
-/// after every event fits; a serial push that would take `u64::MAX` is
-/// refused the same way, reported with `seq` and `next_seq` both
-/// `u64::MAX`. A producer's stamps are its own
-/// word — after [`AbandonedLane::reconnect`](crate::ingest::AbandonedLane::reconnect)
-/// they are caller input — so the sequencer refuses them **before** the
-/// run or marker that carries them is journaled or admitted: the
-/// service is not poisoned and holds the stream up to the refusal.
+/// The service refused a stamp by its one rule (see
+/// [`ShardedService::push_stamped`]) before the event, run or tick that
+/// carries it was journaled, counted or watermarked: the service is not
+/// poisoned and holds the stream up to the refusal. A serial push that
+/// would take seq `u64::MAX` reports `seq` and `next_seq` both
+/// `u64::MAX`. After
+/// [`AbandonedLane::reconnect`](crate::ingest::AbandonedLane::reconnect)
+/// a producer's stamps are caller input.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StampError {
     /// The lane that delivered the stamp.
@@ -132,8 +129,8 @@ pub enum ServiceError {
     /// The write-ahead journal failed (I/O); without durability the
     /// event cannot be admitted under the recovery contract.
     Journal(JournalError),
-    /// The ingest sequencer refused a lane's coordinates (see
-    /// [`StampError`]); sequencing stopped, the service is intact.
+    /// The service refused the event's coordinates (see
+    /// [`StampError`]); nothing was admitted, the service is intact.
     Stamp(StampError),
 }
 
@@ -431,43 +428,31 @@ impl ShardedService {
     /// A push that would take seq `u64::MAX` is refused, unjournaled
     /// and uncounted, as [`ServiceError::Stamp`] (see [`StampError`]).
     pub fn try_push(&mut self, event: ServiceEvent) -> Result<(), ServiceError> {
-        let epoch = u64::from(self.period);
         let (producer, seq) = match event {
             ServiceEvent::PeriodTick => (TICK_PRODUCER, 0),
             _ => (0, self.next_seq(0)),
         };
-        if seq == u64::MAX {
-            return Err(ServiceError::Stamp(StampError {
-                producer,
-                epoch,
-                seq,
-                serving_epoch: epoch,
-                next_seq: seq,
-            }));
-        }
-        self.push_stamped(producer, epoch, seq, event)
+        self.push_stamped(producer, u64::from(self.period), seq, event)
     }
 
     /// Ingests one event carrying explicit `(producer, epoch, seq)`
-    /// coordinates (the ingest sequencer's entry point — serial callers
-    /// want [`ShardedService::try_push`]).
+    /// coordinates (recovery's replay — serial callers want
+    /// [`ShardedService::try_push`]).
     ///
-    /// Ordering contract: calls must arrive in the total
-    /// `(epoch, producer, seq)` order. Re-deliveries at or below the
-    /// producer's watermark are suppressed idempotently (counted in
-    /// [`maps_simulator::Outcome::suppressed_duplicates`]) — the
-    /// mechanism that makes at-least-once producer reconnects safe.
-    /// Admitted events are journaled **before** validation, so recovery
-    /// re-counts rejections deterministically.
-    ///
-    /// A stamp for an epoch other than the one being served
-    /// ([`ShardedService::periods_served`]), or a non-tick event on the
-    /// [`TICK_PRODUCER`] lane, is refused as [`ServiceError::Stamp`]
-    /// before anything is journaled, counted or watermarked, and the
-    /// service is not poisoned: admitted, the first would leave a
-    /// journal that recovery refuses and a watermark that suppresses the
-    /// lane's next fresh events, the second would close the period and
-    /// drop the event.
+    /// Ordering contract: stamps arrive in the total `(epoch, producer,
+    /// seq)` order, and every admission path is held to one rule before
+    /// anything is journaled, counted or watermarked. A poisoned service
+    /// takes nothing. A [`ServiceEvent::PeriodTick`] is exactly
+    /// `(TICK_PRODUCER, epoch being served, 0)`. Any other event travels
+    /// on any other lane, in the epoch being served
+    /// ([`ShardedService::periods_served`]), at a seq at or below its
+    /// lane's next one and below `u64::MAX`; anything else is
+    /// [`ServiceError::Stamp`]. A seq below the lane's next one is a
+    /// re-delivery, suppressed idempotently (counted in
+    /// [`maps_simulator::Outcome::suppressed_duplicates`]) — what makes
+    /// at-least-once producer reconnects safe. Admitted events are
+    /// journaled **before** validation, so recovery re-counts rejections
+    /// deterministically.
     pub fn push_stamped(
         &mut self,
         producer: u32,
@@ -475,41 +460,26 @@ impl ShardedService {
         seq: u64,
         event: ServiceEvent,
     ) -> Result<(), ServiceError> {
-        if let Some(panic) = &self.poisoned {
-            return Err(ServiceError::Poisoned(panic.clone()));
-        }
-        let tick = matches!(event, ServiceEvent::PeriodTick);
-        let serving_epoch = u64::from(self.period);
-        if epoch != serving_epoch || (producer == TICK_PRODUCER && !tick) {
-            return Err(ServiceError::Stamp(StampError {
-                producer,
-                epoch,
-                seq,
-                serving_epoch,
-                next_seq: self.next_seq(producer),
-            }));
-        }
-        if tick {
+        if matches!(event, ServiceEvent::PeriodTick) {
+            self.judge_stamp(producer, epoch, seq, None)?;
             return self.close_period();
         }
-        self.admit_stamped(producer, epoch, seq, event)
+        let next_seq = self.judge_stamp(producer, epoch, seq, Some(1))?;
+        self.admit_stamped(producer, epoch, seq, event, seq < next_seq)
     }
 
     /// Ingests a **contiguous run** of events from one producer:
     /// `events[k]` carries the coordinates `(producer, epoch,
     /// first_seq + k)` — the ingest sequencer's batched admission path.
-    /// Equivalent to [`ShardedService::push_stamped`] once per event
-    /// with the poisoned check and the tick dispatch hoisted out of the
-    /// loop, except that per-event *rejections* are counted in
-    /// [`ShardedService::rejected_events`] and the run keeps going.
-    ///
-    /// The same ordering contract as [`ShardedService::push_stamped`]
-    /// applies across runs, and runs must not contain
-    /// [`ServiceEvent::PeriodTick`] (ticks travel alone).
+    /// Equivalent to [`ShardedService::push_stamped`] once per event,
+    /// the stamp judged once for the run (an empty one too: a lane's
+    /// epoch-end marker), except that per-event *rejections* are counted
+    /// in [`ShardedService::rejected_events`] and the run keeps going.
+    /// Runs must not contain [`ServiceEvent::PeriodTick`].
     ///
     /// # Errors
-    /// Only fatal faults ([`ServiceError::Poisoned`] /
-    /// [`ServiceError::Journal`]).
+    /// [`ServiceError::Stamp`] before any event is admitted, and the
+    /// fatal faults ([`ServiceError::Poisoned`] / [`ServiceError::Journal`]).
     pub(crate) fn push_stamped_run(
         &mut self,
         producer: u32,
@@ -517,18 +487,15 @@ impl ShardedService {
         first_seq: u64,
         events: &[ServiceEvent],
     ) -> Result<(), ServiceError> {
-        if let Some(panic) = &self.poisoned {
-            return Err(ServiceError::Poisoned(panic.clone()));
-        }
-        debug_assert_ne!(producer, TICK_PRODUCER, "ticks travel via push_stamped");
+        let next_seq = self.judge_stamp(producer, epoch, first_seq, Some(events.len() as u64))?;
         debug_assert!(
             !events.iter().any(|e| matches!(e, ServiceEvent::PeriodTick)),
             "runs must not contain PeriodTick"
         );
-        // `first_seq + events.len()` fits (`merge` refuses a run that
-        // would not), and the events lead the zip: the seqs stop there.
+        // The judge saw `first_seq + events.len()` fit, and the events
+        // lead the zip: the seqs stop there.
         for (&event, seq) in events.iter().zip(first_seq..) {
-            match self.admit_stamped(producer, epoch, seq, event) {
+            match self.admit_stamped(producer, epoch, seq, event, seq < next_seq) {
                 Ok(()) | Err(ServiceError::Rejected(_)) => {}
                 Err(fatal) => return Err(fatal),
             }
@@ -536,16 +503,50 @@ impl ShardedService {
         Ok(())
     }
 
-    /// The one admission body: watermark compare → journal append →
-    /// validation + dispatch, for a non-tick event on a live service.
+    /// The one stamp rule (see [`ShardedService::push_stamped`]) for a
+    /// tick (`run` = `None`) or a run of `n ≥ 0` events (`Some(n)`); the
+    /// only place a [`StampError`] is built. Returns the lane's next seq:
+    /// the run's events below it are re-sends.
+    fn judge_stamp(
+        &self,
+        producer: u32,
+        epoch: u64,
+        seq: u64,
+        run: Option<u64>,
+    ) -> Result<u64, ServiceError> {
+        if let Some(panic) = &self.poisoned {
+            return Err(ServiceError::Poisoned(panic.clone()));
+        }
+        let serving_epoch = u64::from(self.period);
+        let next_seq = self.next_seq(producer);
+        let lane_ok = match run {
+            None => producer == TICK_PRODUCER && seq == 0,
+            Some(n) => producer != TICK_PRODUCER && seq <= next_seq && seq.checked_add(n).is_some(),
+        };
+        if epoch == serving_epoch && lane_ok {
+            return Ok(next_seq);
+        }
+        Err(ServiceError::Stamp(StampError {
+            producer,
+            epoch,
+            seq,
+            serving_epoch,
+            next_seq,
+        }))
+    }
+
+    /// The one admission body: re-send suppression → watermark →
+    /// journal append → validation + dispatch, for a non-tick event whose
+    /// stamp was judged.
     fn admit_stamped(
         &mut self,
         producer: u32,
         epoch: u64,
         seq: u64,
         event: ServiceEvent,
+        resent: bool,
     ) -> Result<(), ServiceError> {
-        if self.watermark(producer) >= Some((epoch, seq)) {
+        if resent {
             self.step.outcome_mut().suppressed_duplicates += 1;
             return Ok(());
         }
@@ -693,8 +694,8 @@ impl ShardedService {
     }
 
     /// The `seq` the next fresh event on `producer`'s lane carries — the
-    /// one statement of the rule serial pushes, the ingest sequencer and
-    /// post-recovery replay all stamp by: one past the lane's watermark
+    /// one statement of the rule serial pushes, the stamp rule and
+    /// recovery's replay all count by: one past the lane's watermark
     /// if that sits in the epoch being served, else the epoch's first.
     /// `u64::MAX`, the seq no event takes, once the lane's seqs for the
     /// epoch are spent.
@@ -842,10 +843,15 @@ impl ShardedService {
         // -- lifecycle records, live workers, staged departures, timed
         //    schedule --
         self.engine.lifecycle.load(r)?;
-        // -- watermarks: producers strictly ascending, none the tick's --
+        // -- watermarks: producers strictly ascending, none the tick's;
+        //    none past the period, where every later event of its lane
+        //    would be taken for a re-send --
         self.watermarks.clear();
         for _ in 0..r.take_len(3)? {
             let (producer, epoch, seq) = (r.take()?, r.take()?, r.take()?);
+            if epoch > u64::from(self.period) {
+                return Err(Mismatch("checkpoint watermark is past its period"));
+            }
             let last = self.watermarks.last_key_value().map(|(&p, _)| p);
             let producer = u32::try_from(producer)
                 .ok()
@@ -933,10 +939,25 @@ impl std::fmt::Debug for ShardedService {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use maps_spatial::{CellId, Point, Rect};
     use std::time::Instant;
+
+    /// Restores into `svc`, a service whose lanes never sent, its own
+    /// checkpoint with lane `producer` standing at `(epoch being served,
+    /// seq)`: how a test puts a lane near the end of its seqs without a
+    /// gap — the way recovery does, from a watermark word.
+    pub(crate) fn restore_lane_at(svc: &mut ShardedService, producer: u32, seq: u64) {
+        let mut words = svc.checkpoint_words();
+        let at = CheckpointLayout::of(&words).watermarks;
+        assert_eq!(words[at], 0, "a service whose lanes never sent");
+        words[at] = 1;
+        let lane = [u64::from(producer), u64::from(svc.period), seq];
+        words.splice(at + 1..at + 1, lane);
+        svc.restore(&words)
+            .expect("its own checkpoint, one lane added");
+    }
 
     fn grid() -> GridSpec {
         GridSpec::square(Rect::square(10.0), 2)
@@ -1167,20 +1188,23 @@ mod tests {
     }
 
     /// A lane's seqs in an epoch stop below `u64::MAX`. A serial push on
-    /// a lane at `u64::MAX` used to overflow `next_seq`: a panic in
-    /// debug, and in release a wrap to seq 0 that the watermark took for
-    /// a duplicate. It is refused before it is journaled or counted, the
-    /// service is not poisoned, and the next epoch's lane starts at 0.
+    /// a lane whose next seq is `u64::MAX` used to overflow `next_seq`:
+    /// a panic in debug, and in release a wrap to seq 0 that the
+    /// watermark took for a duplicate. It is refused before it is
+    /// journaled or counted, the service is not poisoned, and the next
+    /// epoch's lane starts at 0. The lane gets there without a gap, from
+    /// a restored watermark.
     #[test]
     fn a_serial_push_past_the_last_seq_is_refused_not_wrapped() {
         let dir = crate::test_dir("seq_limit");
         let journal = JournalConfig::new(&dir, 1);
         let mut svc = service(MatchPolicy::Consume);
+        restore_lane_at(&mut svc, 0, u64::MAX - 2);
         svc.attach_journal(&journal).unwrap();
         let arrive = ServiceEvent::WorkerArrive {
             worker: worker(1.0, 1.0, u32::MAX),
         };
-        svc.push_stamped(0, 0, u64::MAX, arrive).unwrap();
+        svc.push_stamped(0, 0, u64::MAX - 1, arrive).unwrap();
         let spent = StampError {
             producer: 0,
             epoch: 0,
@@ -1211,7 +1235,7 @@ mod tests {
             .map(|r| (r.producer, r.epoch, r.seq))
             .collect();
         let tick = TICK_PRODUCER;
-        let journaled = [(0, 0, u64::MAX), (tick, 0, 0), (0, 1, 0), (tick, 1, 0)];
+        let journaled = [(0, 0, u64::MAX - 1), (tick, 0, 0), (0, 1, 0), (tick, 1, 0)];
         assert_eq!(stamps, journaled, "nothing journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -1272,6 +1296,103 @@ mod tests {
         let svc = recovered.service;
         assert_eq!((svc.periods_served(), svc.live_workers()), (1, 1));
         assert_eq!(svc.outcome_snapshot().deterministic_bits(), uninterrupted);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// `push_stamped` holds a stamp to the rule `merge` holds a lane's
+    /// runs to: both go through the service's one judge. A seq gap and
+    /// `u64::MAX` on a fresh lane used to be admitted (the gap's missing
+    /// seqs would later be suppressed as duplicates), and a tick stamped
+    /// with seq 1 or on lane 0 closed the period. Each is refused with
+    /// the fields `merge` reports for the same stamp, before anything is
+    /// journaled, counted or watermarked.
+    #[test]
+    fn push_stamped_refuses_what_merge_refuses() {
+        const NEAR_END: u32 = 3;
+        let dir = crate::test_dir("stamp_rule");
+        let journal = JournalConfig::new(&dir, 1);
+        let fresh = || {
+            let mut svc = service(MatchPolicy::Consume);
+            restore_lane_at(&mut svc, NEAR_END, u64::MAX - 1);
+            svc
+        };
+        let mut svc = fresh();
+        svc.attach_journal(&journal).unwrap();
+        let arrive = ServiceEvent::WorkerArrive {
+            worker: worker(1.0, 1.0, u32::MAX),
+        };
+        let tick = ServiceEvent::PeriodTick;
+        let refused = |producer, seq, next_seq| StampError {
+            producer,
+            epoch: 0,
+            seq,
+            serving_epoch: 0,
+            next_seq,
+        };
+        let rows = [
+            ("a seq gap", 0, 2, arrive, refused(0, 2, 0)),
+            (
+                "u64::MAX on a fresh lane",
+                0,
+                u64::MAX,
+                arrive,
+                refused(0, u64::MAX, 0),
+            ),
+            (
+                "a run ending at u64::MAX",
+                NEAR_END,
+                u64::MAX,
+                arrive,
+                refused(NEAR_END, u64::MAX, u64::MAX),
+            ),
+            (
+                "a tick with seq 1",
+                TICK_PRODUCER,
+                1,
+                tick,
+                refused(TICK_PRODUCER, 1, 0),
+            ),
+            ("a tick on lane 0", 0, 0, tick, refused(0, 0, 0)),
+        ];
+        for (what, producer, seq, event, want) in rows {
+            let pushed = svc.push_stamped(producer, 0, seq, event);
+            assert!(
+                matches!(pushed, Err(ServiceError::Stamp(e)) if e == want),
+                "{what}: {pushed:?}"
+            );
+            if matches!(event, ServiceEvent::PeriodTick) {
+                continue; // a lane's marker never reaches the service as a tick
+            }
+            // `merge` over lanes whose only run is this one event.
+            let mut held = Some(crate::ingest::Run {
+                epoch: 0,
+                seq,
+                marker: false,
+            });
+            let lane = producer as usize;
+            let mut next_run = |p, run: &mut Vec<_>| {
+                let head = held.take_if(|_| p == lane)?;
+                run.push(event);
+                Some(head)
+            };
+            let merged = crate::ingest::merge(&mut fresh(), lane + 1, &mut next_run, |_, _| {});
+            assert!(
+                matches!(merged, Err(ServiceError::Stamp(e)) if e == want),
+                "{what}: merge says {merged:?}"
+            );
+        }
+        assert_eq!(svc.periods_served(), 0, "no tick closed the period");
+        let counts = (svc.rejected_events(), svc.suppressed_duplicates());
+        assert_eq!(
+            (svc.admitted_workers(), counts),
+            (0, (0, 0)),
+            "nothing counted"
+        );
+        let lanes = [0, NEAR_END, TICK_PRODUCER].map(|p| svc.watermark(p));
+        let stood = [None, Some((0, u64::MAX - 1)), None];
+        assert_eq!(lanes, stood, "nothing watermarked");
+        let journaled = crate::read_journal(&journal.journal_path()).unwrap();
+        assert!(journaled.records.is_empty(), "nothing journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1450,14 +1571,14 @@ mod tests {
             worker: worker(1.0, 1.0, u32::MAX),
         };
         let mut svc = service(MatchPolicy::Consume);
-        svc.push_stamped(FAR, 0, 5, arrive).unwrap();
+        svc.push_stamped_run(FAR, 0, 0, &[arrive; 6]).unwrap();
         assert_eq!(svc.watermark(FAR), Some((0, 5)));
         svc.push_stamped(FAR, 0, 5, arrive).unwrap();
         assert_eq!(svc.suppressed_duplicates(), 1, "a resend on that lane");
         svc.push_stamped(0, 0, 0, arrive).unwrap();
-        svc.push_stamped(7, 0, 3, arrive).unwrap();
+        svc.push_stamped_run(7, 0, 0, &[arrive; 4]).unwrap();
         svc.push(ServiceEvent::PeriodTick);
-        assert_eq!(svc.admitted_workers(), 3);
+        assert_eq!(svc.admitted_workers(), 11);
 
         let words = svc.checkpoint_words();
         let at = CheckpointLayout::of(&words).watermarks;

@@ -24,10 +24,12 @@
 //! Each [`IngressProducer`] appends its events to its **own** bounded
 //! queue (`Lane`: a mutex, a deque and two condvars — producers never
 //! contend with each other, only with the sequencer draining their own
-//! lane). Every slot carries its **explicit `(epoch, seq)` stamp**, so
-//! the sequencer checks the coordinates it is handed instead of
-//! assuming them, and an at-least-once reconnect is nothing more than a
-//! handle whose next stamp differs from its last. A producer's
+//! lane). Every slot carries its **explicit `(epoch, seq)` stamp**, and
+//! the sequencer hands each run to the service with the stamps it came
+//! with: the service judges them by its one rule
+//! ([`ShardedService::push_stamped`]) instead of the sequencer assuming
+//! them, so an at-least-once reconnect is nothing more than a handle
+//! whose next stamp differs from its last. A producer's
 //! [`ServiceEvent::PeriodTick`] does *not* tick the market: it closes
 //! the producer's current **epoch** (it *is* the in-band epoch-end
 //! marker).
@@ -75,7 +77,7 @@
 //! back* (e.g. a test harness serializing sends) must size queues to
 //! the held-back volume, or it can deadlock against the barrier.
 
-use crate::engine::{ServiceError, ServiceEvent, ShardedService, StampError};
+use crate::engine::{ServiceError, ServiceEvent, ShardedService};
 use crate::journal::TICK_PRODUCER;
 use maps_simulator::PeriodData;
 use std::collections::VecDeque;
@@ -442,7 +444,7 @@ impl AbandonedLane {
     /// resuming at the last acked `(epoch, seq + 1)` replays nothing;
     /// resuming earlier re-sends events the service's per-producer
     /// watermark suppresses idempotently (at-least-once delivery).
-    /// The coordinates are caller input and the sequencer checks them:
+    /// The coordinates are caller input and the service checks them:
     /// an epoch other than the one being served, or a `seq` that skips
     /// past the lane's next one, stops sequencing with
     /// [`ServiceError::Stamp`] before anything is admitted.
@@ -525,10 +527,11 @@ impl IngestService {
     /// [`ServiceError::Poisoned`] / [`ServiceError::Journal`] from the
     /// reducer stop sequencing immediately (the service is left in its
     /// failed state for journal recovery). So does
-    /// [`ServiceError::Stamp`] — a lane handed over coordinates that do
-    /// not continue it — but *before* the offending run or marker is
-    /// journaled or admitted: the service is not poisoned and holds
-    /// exactly the stream up to the refusal. Per-event *rejections* are
+    /// [`ServiceError::Stamp`] — the service refused a lane's
+    /// coordinates ([`ShardedService::push_stamped`]) — but *before*
+    /// the offending run or marker is journaled or admitted: the
+    /// service is not poisoned and holds exactly the stream up to the
+    /// refusal. Per-event *rejections* are
     /// not errors: the reducer counts them and the stream keeps going —
     /// but for the tick of period `u32::MAX`, refused as
     /// [`EventRejection::PeriodsExhausted`](crate::EventRejection::PeriodsExhausted):
@@ -593,35 +596,12 @@ pub fn merge(
         // `PeriodTick`.
         let mut epoch_open = false;
         for (producer, p) in (0u32..).zip(0..producers) {
-            // A recovered service already holds a watermark inside this
-            // epoch; a reconnected producer resuming exactly after its
-            // ack is gap-free relative to *it*, not to 0 (`epoch` is the
-            // period the service is serving).
-            let mut next_seq = service.next_seq(producer);
             while let Some(head) = next_run(p, &mut run) {
-                // The stamps are the producer's word (a reconnect's are
-                // caller input): they must name the epoch being served
-                // and continue the lane. `>` (not `!=`): a reconnected
-                // producer may re-send acked events (at-least-once); the
-                // service's watermark suppresses them. Fresh events must
-                // still arrive gap-free — within a run the lane
-                // guarantees consecutive seqs — and end below `u64::MAX`,
-                // so the seq after the run fits.
-                let stamped = head.epoch == epoch && head.seq <= next_seq;
-                let end = head.seq.checked_add(run.len() as u64);
-                let Some(end) = end.filter(|_| stamped) else {
-                    return Err(ServiceError::Stamp(StampError {
-                        producer,
-                        epoch: head.epoch,
-                        seq: head.seq,
-                        serving_epoch: epoch,
-                        next_seq,
-                    }));
-                };
-                next_seq = next_seq.max(end);
-                // Only fatal faults come back: the run counts its own
-                // rejections.
-                service.push_stamped_run(producer, epoch, head.seq, &run)?;
+                // The service judges the stamps (a reconnect's are
+                // caller input) before any event of the run is admitted;
+                // only a refusal or a fatal fault comes back — the run
+                // counts its own rejections.
+                service.push_stamped_run(producer, head.epoch, head.seq, &run)?;
                 run.clear();
                 if head.marker {
                     epoch_open = true;
@@ -666,7 +646,7 @@ pub fn chunk_bounds(n: usize, parts: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{ServiceConfig, ShardedService};
+    use crate::engine::{ServiceConfig, ShardedService, StampError};
     use maps_core::StrategyKind;
     use maps_simulator::{GroundTask, GroundWorker, MatchPolicy};
     use maps_spatial::{CellId, GridSpec, Point, Rect};
@@ -1283,11 +1263,13 @@ mod tests {
     /// `u64::MAX - 1`, and one that would take `u64::MAX` is refused
     /// before it is journaled. The merge used to overflow at the run's
     /// end (a panic in debug), and in release the run's seqs wrapped to
-    /// 0, where the watermark took them for duplicates.
+    /// 0, where the watermark took them for duplicates. The lane gets
+    /// near the end without a gap, from a restored watermark.
     #[test]
     fn a_run_past_the_last_seq_is_refused() {
         for (sent, admitted) in [(1, 2), (2, 1)] {
             let mut svc = service();
+            crate::engine::tests::restore_lane_at(&mut svc, 0, u64::MAX - 3);
             svc.push_stamped(0, 0, u64::MAX - 2, arrive(1.0)).unwrap();
             let (ingest, p0) = one_lane(8);
             let mut p0 = p0.abandon().reconnect(0, u64::MAX - 1);

@@ -37,7 +37,7 @@
 //!   schedule   count, then per period t, entries, (tag id [x y r])*
 //!   watermarks count, then producer epoch seq each — one per lane
 //!              that sent, producers strictly ascending, never
-//!              TICK_PRODUCER
+//!              TICK_PRODUCER, no epoch past the period
 //!   run state  outcome, price moments, strategy state
 //! ```
 //!
@@ -70,7 +70,7 @@
 //! in the top bits of two words can cancel), and an adversary simply
 //! re-hashes. Decided, not pending (ROADMAP 5(b)). Content that hashes
 //! but lies is the business of the bounded state decoders
-//! (`StateWords::take_len`) and of tail replay's two order checks
+//! (`StateWords::take_len`) and of the stamp rule tail replay applies
 //! ([`crate::recovery`]), not of the frame.
 //!
 //! ## Torn tails, and what is never read
@@ -84,7 +84,11 @@
 //! `journal_frames_roundtrip_and_survive_truncation` pins this down on
 //! 64 seeded streams of arbitrary events: each is encoded, decoded
 //! whole, then cut at one seeded byte offset and decoded again. A checkpoint that does not unframe is skipped for the next
-//! older one — the journal covers the extra replay distance.
+//! older one — the journal covers the extra replay distance. A frame
+//! that hashes and decodes is a record, whatever its stamp: one out of
+//! the journal's order (a non-tick event on [`TICK_PRODUCER`], a gap in
+//! its lane) is no tear, and recovery refuses it as
+//! [`JournalError::Corrupt`], leaving the file as it was.
 //!
 //! Recovery decodes from the restored checkpoint's offset, so that is
 //! where a torn tail can start. Of the bytes before it only the magic
@@ -358,10 +362,8 @@ pub fn encode_record(record: &JournalRecord, out: &mut Vec<u8>) {
     .expect("a record payload is under 100 bytes");
 }
 
-/// Decodes one frame payload (must consume it exactly). The reserved
-/// [`TICK_PRODUCER`] lane carries nothing but `PeriodTick` barriers —
-/// replay closes a period on it without looking at the event — so any
-/// other event stamped with it is undecodable.
+/// Decodes one frame payload (must consume it exactly) — the encoding
+/// only: whether its stamp belongs there is for recovery's replay.
 fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
     let mut c = Cursor(payload);
     let producer = c.u32()?;
@@ -388,9 +390,6 @@ fn decode_payload(payload: &[u8]) -> Option<JournalRecord> {
         3 => ServiceEvent::PeriodTick,
         _ => return None,
     };
-    if producer == TICK_PRODUCER && !matches!(event, ServiceEvent::PeriodTick) {
-        return None;
-    }
     c.0.is_empty().then_some(JournalRecord {
         producer,
         epoch,
@@ -754,34 +753,6 @@ mod tests {
         let (decoded, tail) = decode_records(&bytes);
         assert_eq!(decoded.len(), records.len() - 1);
         assert!(matches!(tail, Tail::Torn { .. }));
-    }
-
-    /// A frame that hashes correctly but stamps a non-tick event with
-    /// the reserved tick lane is a torn tail like any other undecodable
-    /// payload — replay must never close a period on it.
-    #[test]
-    fn non_tick_event_on_the_tick_lane_is_a_torn_tail() {
-        let records = sample_records();
-        let mut bytes = encode_all(&records);
-        let durable = bytes.len();
-        encode_record(
-            &JournalRecord {
-                producer: TICK_PRODUCER,
-                epoch: 1,
-                seq: 0,
-                event: ServiceEvent::WorkerDepart { id: 3 },
-            },
-            &mut bytes,
-        );
-        let (decoded, tail) = decode_records(&bytes);
-        assert_eq!(decoded.len(), records.len());
-        assert_eq!(
-            tail,
-            Tail::Torn {
-                valid_len: durable as u64,
-                dropped: (bytes.len() - durable) as u64,
-            }
-        );
     }
 
     #[test]

@@ -36,13 +36,16 @@
 //! An offset on the right barrier of the wrong journal is caught by the
 //! checks below, like any other frame out of place.
 //!
-//! Tail replay trusts no frame merely because it hashes: a record is
-//! replayed only inside the epoch being served and only above its
-//! lane's watermark — the order a journal is written in (suppressed
-//! resends are never journaled). A duplicated, reordered or missing
-//! frame breaks one of the two and is a typed [`JournalError::Corrupt`],
-//! never a silently different outcome (the explorer's corruption
-//! points).
+//! Tail replay trusts no frame merely because it hashes. Every record
+//! goes through the service's one stamp rule
+//! ([`ShardedService::push_stamped`]), and as a journal never holds a
+//! re-send (suppressed resends are never journaled), a record must be
+//! exactly its lane's next seq. A frame duplicated, moved to
+//! another epoch or lane, or missing with a later frame of its lane
+//! behind it is a typed [`JournalError::Corrupt`], never a silently
+//! different outcome, and the file is left as it was. The stamps cannot
+//! show a lane's *last* frames of an epoch dropped, nor two lanes'
+//! frames swapped inside an epoch (ROADMAP 4(f)).
 //!
 //! A torn final frame (the crash hit mid-`write`) is detected by the
 //! per-frame hash, truncated, and reported as [`Tail::Torn`]; the
@@ -170,19 +173,22 @@ pub fn recover(
     // journal is detached during replay — re-driven events must not be
     // re-appended.
     let mut epochs_replayed = 0u32;
+    let corrupt = |what| RecoveryError::Journal(JournalError::Corrupt(what));
     for rec in &contents.records {
-        if rec.epoch != u64::from(service.periods_served()) {
-            return Err(JournalError::Corrupt("record outside the epoch being replayed").into());
-        }
-        if rec.producer == TICK_PRODUCER {
-            epochs_replayed += 1;
-        } else if service.watermark(rec.producer) >= Some((rec.epoch, rec.seq)) {
-            return Err(JournalError::Corrupt("record at or below its lane's watermark").into());
+        // The service judges the stamp; a journal adds that it holds no
+        // re-send, so each record is its lane's next seq (a tick's is 0).
+        if rec.seq != service.next_seq(rec.producer) {
+            return Err(corrupt("record is not its lane's next seq"));
         }
         match service.push_stamped(rec.producer, rec.epoch, rec.seq, rec.event) {
             Ok(()) | Err(ServiceError::Rejected(_)) => {}
+            Err(ServiceError::Stamp(e)) if e.epoch != e.serving_epoch => {
+                return Err(corrupt("record outside the epoch being replayed"))
+            }
+            Err(ServiceError::Stamp(_)) => return Err(corrupt("record its lane cannot carry")),
             Err(fatal) => return Err(RecoveryError::Replay(fatal)),
         }
+        epochs_replayed += u32::from(rec.producer == TICK_PRODUCER);
     }
 
     // Truncate the torn tail (if any) and continue appending in place.
@@ -233,7 +239,9 @@ fn restore_newest_checkpoint(
 mod tests {
     use super::*;
     use crate::engine::{CheckpointLayout, ServiceEvent};
-    use crate::journal::{encode_checkpoint, read_journal, JOURNAL_FILE};
+    use crate::journal::{
+        encode_checkpoint, encode_record, read_journal, JournalRecord, JOURNAL_FILE, JOURNAL_MAGIC,
+    };
     use maps_simulator::{GroundTask, GroundWorker, MatchPolicy};
     use maps_spatial::{Point, Rect};
 
@@ -614,6 +622,26 @@ mod tests {
         err
     }
 
+    /// A lane is watermarked only by events of the epoch being served,
+    /// so a checkpoint cut at period 2 holds no watermark of epoch 3.
+    /// Restored, one made every later event of its lane a re-send: the
+    /// recovered service suppressed that lane's next pushes and went on
+    /// `Ok`. Refused here, it never reaches replay, whose next-seq
+    /// comparison would not see it.
+    #[test]
+    fn lying_watermark_epoch_is_a_typed_error() {
+        let err = recover_with_lying_word("recover_future_watermark", |words| {
+            let at = CheckpointLayout::of(words).watermarks;
+            assert_eq!(words[at..at + 4], [1, 0, 0, 0], "lane 0 at (0, 0)");
+            words[at + 2] = 3;
+        });
+        let past = StateError::Mismatch("checkpoint watermark is past its period");
+        assert!(
+            matches!(err, RecoveryError::Checkpoint { epoch: 2, ref reason } if *reason == past),
+            "{err}"
+        );
+    }
+
     #[test]
     fn lying_record_count_is_a_typed_error() {
         let err = recover_with_lying_word("recover_lying_records", |words| {
@@ -874,11 +902,11 @@ mod tests {
             worker: worker(1.0),
         };
         svc.push_stamped(0, 0, 0, arrive).unwrap();
-        svc.push_stamped(7, 0, 2, arrive).unwrap();
+        svc.push_stamped_run(7, 0, 0, &[arrive; 3]).unwrap();
         svc.push(ServiceEvent::PeriodTick);
         // Past checkpoint 1: replayed from the journal.
         svc.push_stamped(7, 1, 0, arrive).unwrap();
-        svc.push_stamped(FAR, 1, 9, arrive).unwrap();
+        svc.push_stamped_run(FAR, 1, 0, &[arrive; 10]).unwrap();
         let lanes = || (0..=8).chain([FAR]);
         let uninterrupted: Vec<_> = lanes().map(|p| svc.watermark(p)).collect();
         let mut sent = [None; 10];
@@ -899,7 +927,119 @@ mod tests {
         let svc = recovered.service;
         let watermarks: Vec<_> = lanes().map(|p| svc.watermark(p)).collect();
         assert_eq!(watermarks, uninterrupted);
-        assert_eq!(svc.admitted_workers(), 4);
+        assert_eq!(svc.admitted_workers(), 15);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Writes `records` as the whole journal of `cfg`, recovers, and
+    /// hands back the refusal after checking the file was left as
+    /// written.
+    fn recover_rewritten(cfg: &JournalConfig, records: &[JournalRecord]) -> RecoveryError {
+        let mut journal = JOURNAL_MAGIC.to_vec();
+        records.iter().for_each(|r| encode_record(r, &mut journal));
+        std::fs::write(cfg.journal_path(), &journal).unwrap();
+        let kind = StrategyKind::Sdr;
+        let err = recover(grid(), MatchPolicy::Consume, kind, config(), cfg)
+            .expect_err("a journal out of its own order must not recover");
+        let left = std::fs::read(cfg.journal_path()).unwrap();
+        assert!(left == journal, "the file is left as it was: {err}");
+        err
+    }
+
+    /// A hash-valid frame dropped from the journal, with a later frame
+    /// of its lane in the same epoch behind it, leaves a gap in that
+    /// lane's seqs. Replay used to admit the later frame above the
+    /// watermark and recover `Ok` to another stream's bits. Every such
+    /// drop is a typed `Corrupt` now, the file left as it was: epochs
+    /// 0–2 close, checkpoints sit at 0 and 2, epoch 3 is the open tail;
+    /// a drop before checkpoint 2 moves its offset off its barrier, a
+    /// drop after it is a gap. (A lane's last frame of an epoch has no
+    /// later one to show the gap: a stated limit, see the module docs.)
+    #[test]
+    fn a_dropped_frame_is_corrupt_not_another_stream() {
+        let dir = crate::test_dir("recover_dropped_frame");
+        let cfg = JournalConfig::new(&dir, 2);
+        let mut svc =
+            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config());
+        svc.attach_journal(&cfg).unwrap();
+        for epoch in 0..4u32 {
+            for (producer, x) in [(0, 1.0), (1, 5.0)] {
+                let events = [0.0, 1.0, 2.0].map(|dx| ServiceEvent::WorkerArrive {
+                    worker: worker(x + dx + 0.1 * f64::from(epoch)),
+                });
+                svc.push_stamped_run(producer, u64::from(epoch), 0, &events)
+                    .unwrap();
+            }
+            if epoch < 3 {
+                svc.push(ServiceEvent::PeriodTick);
+            }
+        }
+        drop(svc);
+        assert_eq!(list_checkpoints(&dir).unwrap(), [0, 2]);
+        let records = read_journal(&cfg.journal_path()).unwrap().records;
+        let intact = recover(
+            grid(),
+            MatchPolicy::Consume,
+            StrategyKind::Sdr,
+            config(),
+            &cfg,
+        );
+        assert_eq!(intact.unwrap().service.admitted_workers(), 24);
+        let mut dropped = 0;
+        for (i, rec) in records.iter().enumerate() {
+            let lane = |r: &JournalRecord| (r.producer, r.epoch) == (rec.producer, rec.epoch);
+            if rec.producer == TICK_PRODUCER || !records[i + 1..].iter().any(lane) {
+                continue;
+            }
+            let mut kept = records.clone();
+            kept.remove(i);
+            let err = recover_rewritten(&cfg, &kept);
+            assert!(
+                matches!(err, RecoveryError::Journal(JournalError::Corrupt(_))),
+                "frame {i}: {err}"
+            );
+            dropped += 1;
+        }
+        assert_eq!(dropped, 4 * 2 * 2, "two frames of each lane in each epoch");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A hash-valid `WorkerDepart` frame stamped on the tick lane, with
+    /// fsynced epochs behind it. The decoder used to refuse it, so
+    /// recovery took it for a torn tail: it truncated the journal there,
+    /// dropping every epoch after it, and returned `Ok` with
+    /// `Tail::Torn`. It decodes now, the service's stamp rule refuses
+    /// it, and recovery returns a typed `Corrupt` with the journal left
+    /// as it was.
+    #[test]
+    fn a_non_tick_event_on_the_tick_lane_is_corrupt_not_a_torn_tail() {
+        let dir = crate::test_dir("recover_tick_lane_lie");
+        let cfg = JournalConfig::new(&dir, 100);
+        let mut svc =
+            ShardedService::new(grid(), MatchPolicy::Consume, StrategyKind::Sdr, config());
+        svc.attach_journal(&cfg).unwrap();
+        for period in 0..3 {
+            svc.push(ServiceEvent::WorkerArrive {
+                worker: worker(1.0 + f64::from(period)),
+            });
+            svc.push(ServiceEvent::PeriodTick);
+        }
+        drop(svc);
+        let mut records = read_journal(&cfg.journal_path()).unwrap().records;
+        let lie = JournalRecord {
+            producer: TICK_PRODUCER,
+            epoch: 1,
+            seq: 0,
+            event: ServiceEvent::WorkerDepart { id: 0 },
+        };
+        // After epoch 1's arrival; epoch 1's barrier and epoch 2 follow.
+        records.insert(3, lie);
+        let err = recover_rewritten(&cfg, &records);
+        let what = "record its lane cannot carry";
+        assert!(
+            matches!(err, RecoveryError::Journal(JournalError::Corrupt(found)) if found == what),
+            "{err}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
