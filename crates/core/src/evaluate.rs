@@ -15,7 +15,7 @@
 //! accumulates sequentially in sample order, and the block sums are
 //! added in block order. The estimate is a function of
 //! `(instance, samples, seed)` alone; `monte_carlo_bits_are_pinned` in
-//! the tests holds its bits on one instance.
+//! the tests holds its bits on one instance against a golden file.
 //!
 //! A sample draws one acceptance per task, in task order, and writes the
 //! world's weights: the task's `d_r · p_r` if it accepts, `0.0` if it
@@ -85,6 +85,7 @@ pub fn monte_carlo_expected_revenue(
 mod tests {
     use super::*;
     use maps_matching::{expected_total_revenue_exact, BipartiteGraphBuilder};
+    use maps_testkit::{assert_golden, Labelled};
 
     fn running_example() -> BipartiteGraph {
         BipartiteGraphBuilder::new(3, 3)
@@ -113,8 +114,9 @@ mod tests {
     }
 
     /// The estimate's bits on a 40 × 25 xorshift instance, at sample
-    /// counts around the block size: a change to the seeding, the block
-    /// split or the summation order moves them.
+    /// counts around the block size, against
+    /// `tests/golden/monte_carlo_bits.txt`: a change to the seeding, the
+    /// block split or the summation order moves them.
     #[test]
     fn monte_carlo_bits_are_pinned() {
         let mut s = 99u64;
@@ -137,21 +139,16 @@ mod tests {
         let weights: Vec<f64> = (0..n_left).map(|_| (next() % 900) as f64 / 100.0).collect();
         let probs: Vec<f64> = (0..n_left).map(|_| (next() % 100) as f64 / 100.0).collect();
 
-        for (samples, seed, bits) in [
-            (1u32, 3u64, 0x405b_347a_e147_ae15u64), // 108.82000000000001
-            (63, 5, 0x4054_1dd3_76d1_06aa),         // 80.46603174603175
-            (64, 7, 0x4056_241e_b851_eb82),         // 88.56437499999996
-            (65, 11, 0x4054_a2b2_a60b_a868),        // 82.54215384615384
-            (1000, 13, 0x4054_e498_3515_8b81),      // 83.57178999999998
-        ] {
-            let got = monte_carlo_expected_revenue(&g, &weights, &probs, samples, seed);
-            assert_eq!(
-                got.to_bits(),
-                bits,
-                "samples {samples} seed {seed}: {got} vs {}",
-                f64::from_bits(bits)
-            );
-        }
+        let runs = [(1u32, 3u64), (63, 5), (64, 7), (65, 11), (1000, 13)];
+        let (labels, words) = runs
+            .into_iter()
+            .map(|(samples, seed)| {
+                let got = monte_carlo_expected_revenue(&g, &weights, &probs, samples, seed);
+                (format!("samples={samples}/seed={seed}"), got.to_bits())
+            })
+            .unzip();
+        let lines = Labelled { words, labels }.lines();
+        assert_golden(env!("CARGO_MANIFEST_DIR"), "monte_carlo_bits.txt", &lines);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Result rows, paper-style tables and JSON-lines output.
 
 use maps_telemetry::{LatencyTelemetry, Log2Histogram};
-use serde::{Deserialize, Serialize, Value};
+use serde::{Serialize, Value};
 use std::io::Write;
 use std::path::Path;
 
@@ -44,16 +44,6 @@ fn summary_object(q: (u64, u64, u64, u64)) -> Value {
     ])
 }
 
-fn summary_field(value: &Value, name: &str) -> Result<(u64, u64, u64, u64), serde::DeError> {
-    let inner: Value = serde::field(value, name)?;
-    Ok((
-        serde::field(&inner, "count")?,
-        serde::field(&inner, "p50")?,
-        serde::field(&inner, "p99")?,
-        serde::field(&inner, "p999")?,
-    ))
-}
-
 impl Serialize for LatencySummary {
     fn to_value(&self) -> Value {
         serde::object([
@@ -64,20 +54,10 @@ impl Serialize for LatencySummary {
     }
 }
 
-impl Deserialize for LatencySummary {
-    fn from_value(value: &Value) -> Result<Self, serde::DeError> {
-        Ok(LatencySummary {
-            task_wait: summary_field(value, "task_wait")?,
-            queue_depth: summary_field(value, "queue_depth")?,
-            worker_pool: summary_field(value, "worker_pool")?,
-        })
-    }
-}
-
 /// One aggregated experiment cell (a point in one of the paper's plots).
 ///
-/// `Serialize`/`Deserialize` are implemented by hand below: the
-/// offline vendored `serde` has no derive macro.
+/// `Serialize` is implemented by hand below: the offline vendored
+/// `serde` has no derive macro.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Figure id (`fig6` … `fig10`).
@@ -131,28 +111,6 @@ impl Serialize for Row {
             ("matched", self.matched.to_value()),
             ("telemetry", self.telemetry.to_value()),
         ])
-    }
-}
-
-impl Deserialize for Row {
-    fn from_value(value: &Value) -> Result<Self, serde::DeError> {
-        Ok(Row {
-            figure: serde::field(value, "figure")?,
-            panel: serde::field(value, "panel")?,
-            paper_ref: serde::field(value, "paper_ref")?,
-            x_name: serde::field(value, "x_name")?,
-            x: serde::field(value, "x")?,
-            strategy: serde::field(value, "strategy")?,
-            revenue: serde::field(value, "revenue")?,
-            pricing_secs: serde::field(value, "pricing_secs")?,
-            clearing_secs: serde::field(value, "clearing_secs")?,
-            calibration_secs: serde::field(value, "calibration_secs")?,
-            memory_mib: serde::field(value, "memory_mib")?,
-            issued: serde::field(value, "issued")?,
-            accepted: serde::field(value, "accepted")?,
-            matched: serde::field(value, "matched")?,
-            telemetry: serde::field(value, "telemetry")?,
-        })
     }
 }
 
@@ -362,20 +320,17 @@ mod tests {
         let _ = metric_table(&[row("MAPS", 1.0, 1.0)], "latency");
     }
 
+    /// One row's exact JSON line — field names, their order and the
+    /// number format — against `tests/golden/row.jsonl`.
     #[test]
     fn jsonl_roundtrip() {
-        let dir = std::env::temp_dir().join("maps_experiments_test");
+        let dir = std::env::temp_dir().join(format!("maps_jsonl_row_{}", std::process::id()));
         let path = dir.join("rows.jsonl");
-        let _ = std::fs::remove_file(&path);
-        let rows = vec![row("MAPS", 1250.0, 1.5), row("SDR", 2500.0, 2.5)];
-        write_jsonl(&rows, &path).unwrap();
+        write_jsonl(&[row("MAPS", 1250.0, 1.5)], &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed: Vec<Row> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(parsed, rows);
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
+        let lines: Vec<String> = text.lines().map(String::from).collect();
+        maps_testkit::assert_golden(env!("CARGO_MANIFEST_DIR"), "row.jsonl", &lines);
     }
 
     /// A second run of a panel replaces the first run's rows: appending
@@ -388,11 +343,10 @@ mod tests {
         let second = vec![row("MAPS", 1250.0, 3.0)];
         write_jsonl(&second, &path).unwrap();
         let text = std::fs::read_to_string(&path).unwrap();
-        let parsed: Vec<Row> = text
-            .lines()
-            .map(|l| serde_json::from_str(l).unwrap())
-            .collect();
-        assert_eq!(parsed, second);
         let _ = std::fs::remove_dir_all(&dir);
+        let want: String = (second.iter())
+            .map(|row| serde_json::to_string(row).unwrap() + "\n")
+            .collect();
+        assert_eq!(text, want);
     }
 }

@@ -27,7 +27,7 @@ pub struct IncrementalMatching<'g> {
 impl<'g> IncrementalMatching<'g> {
     /// Starts from the empty matching.
     pub fn new(graph: &'g BipartiteGraph) -> Self {
-        let mut core = MatchScratch::with_capacity(graph.n_left(), graph.n_right());
+        let mut core = MatchScratch::new();
         core.reset(graph.n_left(), graph.n_right());
         Self { graph, core }
     }

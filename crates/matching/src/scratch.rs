@@ -72,27 +72,11 @@ impl MatchScratch {
         Self::default()
     }
 
-    /// A scratch pre-sized for graphs up to `n_left × n_right`.
-    pub fn with_capacity(n_left: usize, n_right: usize) -> Self {
-        let mut s = Self::default();
-        s.match_left.reserve(n_left);
-        s.match_right.reserve(n_right);
-        s.visited_right.reserve(n_right);
-        s.order.reserve(n_left);
-        s
-    }
-
-    /// Clears the matching and prepares the buffers for a graph of the
-    /// given size without shrinking any allocation. Kernels call this
-    /// themselves; [`crate::IncrementalMatching`] calls it when
-    /// re-seating on a new graph.
-    pub fn reset(&mut self, n_left: usize, n_right: usize) {
-        self.begin(n_left, n_right);
-    }
-
     /// Prepares the buffers for a solve over an `n_left × n_right`
-    /// graph: sizes them and clears the active match region.
-    fn begin(&mut self, n_left: usize, n_right: usize) {
+    /// graph: sizes them and clears the active match region, without
+    /// shrinking any allocation. Kernels call this themselves;
+    /// [`crate::IncrementalMatching`] calls it when seating on a graph.
+    pub fn reset(&mut self, n_left: usize, n_right: usize) {
         self.match_left.clear();
         self.match_left.resize(n_left, NONE);
         self.match_right.clear();
@@ -257,7 +241,7 @@ impl MatchScratch {
             graph.n_left(),
             "one weight per left vertex required"
         );
-        self.begin(graph.n_left(), graph.n_right());
+        self.reset(graph.n_left(), graph.n_right());
         let mut total = 0.0;
         for &l in order {
             let l = l as usize;

@@ -817,6 +817,7 @@ impl PeriodEngine for WorkerLifecycle {
 mod tests {
     use super::*;
     use maps_spatial::{Point, Rect};
+    use maps_testkit::{assert_golden, Labelled};
 
     fn grid() -> GridSpec {
         GridSpec::square(Rect::square(10.0), 2)
@@ -1146,11 +1147,17 @@ mod tests {
         assert_eq!(short.load(&mut r), Err(StateError::Truncated));
     }
 
-    /// The worker side of a checkpoint, word for word: a layout change
-    /// made alike in `save` and `load` round-trips, and only this sees
-    /// it. Worker 0 is available with an expiry, worker 1
-    /// busy with a release, worker 2 gone from the start (duration 0)
-    /// and worker 3 consumed, its departure staged.
+    /// The worker side of a checkpoint, word for word, against
+    /// `tests/golden/checkpoint_words.txt`: a layout change made alike in
+    /// `save` and `load` round-trips, and only this sees it. Worker 0 is
+    /// available with an expiry, worker 1 busy with a release, worker 2
+    /// gone from the start (duration 0) and worker 3 consumed, its
+    /// departure staged. The words: the 4 records in one lane word
+    /// (codes 0, 1, 2, 2), then the expiries of the two not gone; live
+    /// workers 0, 1 and 3 as `id, x, y, radius`; the staged departures
+    /// (the dispatched and the consumed worker); the schedule's three
+    /// periods — worker 1's release at 3 (`1, id, x, y, radius`), worker
+    /// 0's expiry at 5, worker 3's at 8.
     #[test]
     fn checkpoint_words_are_the_golden() {
         let w = |x: f64, radius: f64, duration: u32| GroundWorker {
@@ -1169,29 +1176,16 @@ mod tests {
         let _ = engine.build_graph_capped(&[], 4);
         engine.dispatch(0, 1, Point::new(8.5, 9.25), 3);
         engine.consume(3);
-        #[rustfmt::skip]
-        const GOLDEN: [u64; 37] = [
-            // Records: 4 of them in one lane word (codes 0, 1, 2, 2),
-            // then the expiries of the two not gone.
-            4, 1, 0xa4, 5, 0xffff_ffff,
-            // Live workers 0, 1 and 3: `id, x, y, radius`.
-            3,
-            0, 0x3ff4_0000_0000_0000, 0x4016_0000_0000_0000, 0x4008_0000_0000_0000,
-            1, 0x4004_0000_0000_0000, 0x4016_0000_0000_0000, 0x4004_0000_0000_0000,
-            3, 0x401a_0000_0000_0000, 0x4016_0000_0000_0000, 0x4000_0000_0000_0000,
-            // Staged departures: the dispatched and the consumed worker.
-            2, 1, 3,
-            // Schedule: three periods. Worker 1's release at 3 (`1, id,
-            // x, y, radius`), worker 0's expiry at 5, worker 3's at 8.
-            3,
-            3, 1, 1, 1, 0x4021_0000_0000_0000, 0x4022_8000_0000_0000, 0x4004_0000_0000_0000,
-            5, 1, 0, 0,
-            8, 1, 0, 3,
-        ];
-        assert_eq!(saved(&engine), GOLDEN);
+        let words = saved(&engine);
+        let lines = Labelled {
+            words: words.clone(),
+            labels: Vec::new(),
+        }
+        .lines();
+        assert_golden(env!("CARGO_MANIFEST_DIR"), "checkpoint_words.txt", &lines);
         let mut restored = WorkerLifecycle::new(&grid(), 10, 0);
-        restored.load(&mut StateWords::new(&GOLDEN)).unwrap();
-        assert_eq!(saved(&restored), GOLDEN);
+        restored.load(&mut StateWords::new(&words)).unwrap();
+        assert_eq!(saved(&restored), words);
     }
 
     /// A release entry's geometry is held to what admission holds an

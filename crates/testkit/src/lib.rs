@@ -9,6 +9,11 @@
 //!   result as words (floats through [`f64::to_bits`], so `0.0 != -0.0`
 //!   and a moved rounding shows), and a divergence reported as the first
 //!   differing word, named by its label.
+//! * [`assert_golden`] — the one way an outcome is pinned: the lines a
+//!   test produces (labelled words, or JSON rows) against a committed
+//!   file under the calling crate's `tests/golden/`, with the same
+//!   first-difference report. It never writes into the checkout; a
+//!   mismatch prints the `cp` that blesses the produced lines.
 //!
 //! Beside them, the workspace's one randomized-test loop and what its
 //! cases draw from:
@@ -22,14 +27,17 @@
 //!   among them: the explorer merges in-memory lanes on one thread, and
 //!   where a lane is cut into runs is part of its seeded case.
 //!
-//! Used by `maps-core` (the graph cache, the pricing-table property),
-//! `maps-matching` (the kernels against Kuhn–Munkres), `maps-spatial`
-//! (the regrid oracle), `maps-experiments` (the seed-parallel runner's
-//! rows), `maps-simulator` (the live-sized soak), `maps-service` (the
-//! seeded explorer and the soaks) and the root package's
-//! `tests/properties.rs`.
+//! Used by `maps-core` (the graph cache, the pricing-table property,
+//! the Monte-Carlo golden), `maps-matching` (the kernels against
+//! Kuhn–Munkres), `maps-spatial` (the regrid oracle), `maps-experiments`
+//! (the JSON row golden), `maps-simulator` (the live-sized soak, the
+//! checkpoint golden), `maps-service` (the seeded explorer and the
+//! soaks) and the root package's `tests/properties.rs` and
+//! `tests/pipeline.rs` (the strategy golden).
 
 #![warn(missing_docs)]
+
+use std::path::Path;
 
 /// Deterministic xorshift64 for test fixtures and churn scripts — one
 /// shared generator so fixture distributions cannot silently diverge
@@ -110,25 +118,71 @@ pub struct Labelled {
     pub labels: Vec<String>,
 }
 
-/// Where `got` first differs from `want`'s words, as
-/// `"label: want → got"` (a word past the end of one list reads `-`), or
-/// `None` when the two are equal.
-pub fn first_difference(want: &Labelled, got: &[u64]) -> Option<String> {
-    let words = &want.words;
-    let i = (0..words.len().max(got.len())).find(|&i| words.get(i) != got.get(i))?;
-    let word = |w: &[u64]| w.get(i).map_or("-".into(), |v| format!("{v:#x}"));
-    let label = (want.labels.get(i)).map_or(format!("word {i}"), String::clone);
-    Some(format!("{label}: {} → {}", word(words), word(got)))
+impl Labelled {
+    /// One line per word, `label 0x…`: the form [`assert_golden`] reads
+    /// and [`first_difference`] compares. A word past the last label is
+    /// labelled `word[i]`.
+    pub fn lines(&self) -> Vec<String> {
+        let label = |i| (self.labels.get(i).cloned()).unwrap_or_else(|| format!("word[{i}]"));
+        let words = self.words.iter().enumerate();
+        words.map(|(i, w)| format!("{} {w:#x}", label(i))).collect()
+    }
+}
+
+/// Where `got` first differs from `want`, as `"line n: want → got"` (a
+/// line past the end of one list reads `-`), or `None` when the two are
+/// equal. A word's line starts with its label, so the description names
+/// the field.
+pub fn first_difference(want: &[String], got: &[String]) -> Option<String> {
+    let i = (0..want.len().max(got.len())).find(|&i| want.get(i) != got.get(i))?;
+    let line = |lines: &[String]| lines.get(i).cloned().unwrap_or_else(|| "-".into());
+    Some(format!("line {}: {} → {}", i + 1, line(want), line(got)))
 }
 
 /// Asserts `got` is `want`'s words, naming the first differing label.
 ///
 /// # Panics
 /// With `what` and [`first_difference`]'s description when they differ.
+#[track_caller]
 pub fn assert_words_eq(want: &Labelled, got: &[u64], what: impl std::fmt::Display) {
-    if let Some(diff) = first_difference(want, got) {
-        panic!("{what}: first divergent word {diff}");
+    if want.words != got {
+        let got = Labelled {
+            words: got.to_vec(),
+            labels: want.labels.clone(),
+        };
+        let diff = first_difference(&want.lines(), &got.lines()).expect("the words differ");
+        panic!("{what}: first divergent {diff}");
     }
+}
+
+/// Asserts `lines` are the golden file `tests/golden/<name>` of the
+/// crate at `crate_dir` — a test passes `env!("CARGO_MANIFEST_DIR")` —
+/// line for line. Words are [`Labelled::lines`]; a JSON row is one line.
+///
+/// Nothing here writes into the checkout. On a mismatch, or when the
+/// file is missing, the produced lines go to `<name>` in a per-process
+/// directory under [`std::env::temp_dir`], and the panic prints the
+/// `cp` that blesses them: a golden moves only by that copy, and the
+/// diff it leaves is reviewed like code.
+///
+/// # Panics
+/// When the file is missing or unreadable, or on the first line where
+/// `lines` differ from it, named by [`first_difference`].
+#[track_caller]
+pub fn assert_golden(crate_dir: &str, name: &str, lines: &[String]) {
+    let golden = Path::new(crate_dir).join("tests/golden").join(name);
+    let diff = match std::fs::read_to_string(&golden) {
+        Ok(text) => first_difference(&text.lines().map(String::from).collect::<Vec<_>>(), lines),
+        Err(e) => Some(format!("unreadable: {e}")),
+    };
+    let Some(diff) = diff else { return };
+    let dir = std::env::temp_dir().join(format!("maps-golden-{}", std::process::id()));
+    let produced = dir.join(name);
+    let text: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    let written = std::fs::create_dir_all(&dir).and_then(|()| std::fs::write(&produced, text));
+    written.unwrap_or_else(|e| panic!("cannot write {}: {e}", produced.display()));
+    let (golden, produced) = (golden.display(), produced.display());
+    panic!("golden {golden}: {diff}\n  to bless the produced lines: cp {produced} {golden}");
 }
 
 /// Where a run dies: the crash point of a [`Fault`], in its epoch.
@@ -295,18 +349,71 @@ mod lint_canary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::PathBuf;
+
+    /// The message `f` panics with, or `None` when it returns.
+    fn panic_message(f: impl FnOnce()) -> Option<String> {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).err()?;
+        Some(*payload.downcast::<String>().expect("a formatted message"))
+    }
+
+    /// This crate's golden `name` against `lines`: `None` when they are
+    /// equal, else the panic message, the produced file it names and
+    /// that file's text. The file is removed; no two tests fail on one
+    /// name, so none reads another's.
+    fn golden(name: &str, lines: &[String]) -> Option<(String, PathBuf, String)> {
+        let message = panic_message(|| assert_golden(env!("CARGO_MANIFEST_DIR"), name, lines))?;
+        let cp = message.split("cp ").nth(1).expect("the bless command");
+        let produced = PathBuf::from(cp.split(' ').next().unwrap());
+        let text = std::fs::read_to_string(&produced).unwrap();
+        std::fs::remove_file(&produced).unwrap();
+        Some((message, produced, text))
+    }
+
+    /// Lines labelled `a`, `b`, `c`: `tests/golden/words.txt` holds
+    /// `words(&[1, 2, 3])`.
+    fn words(words: &[u64]) -> Vec<String> {
+        let labels = ["a", "b", "c"].map(String::from).to_vec();
+        Labelled {
+            words: words.to_vec(),
+            labels,
+        }
+        .lines()
+    }
 
     #[test]
+    fn an_equal_golden_passes() {
+        assert!(golden("words.txt", &words(&[1, 2, 3])).is_none());
+    }
+
+    /// A changed line is named by its label; a list shorter or longer
+    /// than the file reads `-` on the side that has no line.
+    #[test]
     fn a_divergence_names_its_label() {
-        let want = Labelled {
-            words: vec![1, 2, 3],
-            labels: ["a", "b", "c"].map(String::from).to_vec(),
-        };
-        let diff = |got: &[u64]| first_difference(&want, got);
-        assert_eq!(diff(&[1, 2, 4]).unwrap(), "c: 0x3 → 0x4");
-        assert_eq!(diff(&[1, 2]).unwrap(), "c: 0x3 → -");
-        assert_eq!(diff(&[1, 2, 3, 9]).unwrap(), "word 3: - → 0x9");
-        assert_eq!(diff(&[1, 2, 3]), None);
+        for (got, want) in [
+            (&[1, 2, 4][..], "line 3: c 0x3 → c 0x4"),
+            (&[1, 2], "line 3: c 0x3 → -"),
+            (&[1, 2, 3, 9], "line 4: - → word[3] 0x9"),
+        ] {
+            let (message, ..) = golden("words.txt", &words(got)).expect(want);
+            assert!(message.contains(want), "{message}");
+        }
+    }
+
+    #[test]
+    fn a_missing_golden_fails_and_is_not_created() {
+        let (message, ..) = golden("absent.txt", &words(&[1])).expect("no such file");
+        assert!(message.contains("unreadable"), "{message}");
+        let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/absent.txt");
+        assert!(!path.exists());
+    }
+
+    #[test]
+    fn the_produced_lines_land_under_the_temp_directory() {
+        let rows = [r#"{"x":1}"#, r#"{"x":2}"#].map(String::from);
+        let (message, produced, text) = golden("rows.jsonl", &rows).expect("no such file");
+        assert!(produced.starts_with(std::env::temp_dir()), "{message}");
+        assert_eq!(text, "{\"x\":1}\n{\"x\":2}\n");
     }
 
     #[test]
@@ -355,9 +462,7 @@ mod tests {
         halve: impl Fn(&C) -> Option<C>,
         check: impl Fn(&C),
     ) -> Option<String> {
-        let run = std::panic::AssertUnwindSafe(|| explore(seeds, draw, halve, check));
-        let payload = std::panic::catch_unwind(run).err()?;
-        Some(*payload.downcast::<String>().expect("a formatted message"))
+        panic_message(|| explore(seeds, draw, halve, check))
     }
 
     #[test]
