@@ -7,6 +7,9 @@
 //! `p_m^g`, and return the arithmetic mean over grids as the **base
 //! price** `p_b`.
 //!
+//! The sampling accuracy is Example 4's `(ε, δ) = (0.2, 0.01)`, the one
+//! the paper runs: [`BasePricing::EPSILON`] and [`BasePricing::DELTA`].
+//!
 //! Guarantees reproduced in tests: Theorem 2 (with prob. `1−δ` the chosen
 //! rung is ε-optimal among candidates), Theorem 3 (`p_m·S(p_m) ≥
 //! (1−α)·p*·S(p*)` against the continuous optimum).
@@ -26,48 +29,32 @@ pub struct BasePriceResult {
     pub stats: Vec<FreqEstimator>,
 }
 
-/// Algorithm 1, parameterized by the sampling accuracy `(ε, δ)`.
+/// Algorithm 1 over one candidate ladder.
 #[derive(Debug, Clone)]
 pub struct BasePricing {
     ladder: PriceLadder,
-    epsilon: f64,
-    delta: f64,
 }
 
 impl BasePricing {
-    /// Creates the calibrator.
-    ///
-    /// # Panics
-    /// Panics unless `ε > 0` and `δ ∈ (0, 1)`.
-    pub fn new(ladder: PriceLadder, epsilon: f64, delta: f64) -> Self {
-        assert!(epsilon > 0.0, "epsilon must be positive");
-        assert!((0.0..1.0).contains(&delta) && delta > 0.0, "delta in (0,1)");
-        Self {
-            ladder,
-            epsilon,
-            delta,
-        }
+    /// Sampling half-width `ε` (Example 4).
+    pub const EPSILON: f64 = 0.2;
+
+    /// Failure probability `δ` (Example 4).
+    pub const DELTA: f64 = 0.01;
+
+    /// Creates the calibrator over `ladder`.
+    pub fn new(ladder: PriceLadder) -> Self {
+        Self { ladder }
     }
 
-    /// The paper's defaults: ladder (1, 5, α=0.5), ε = 0.2, δ = 0.01
-    /// (Example 4).
+    /// The paper's ladder (1, 5, α=0.5).
     pub fn paper_default() -> Self {
-        Self::new(PriceLadder::paper_default(), 0.2, 0.01)
+        Self::new(PriceLadder::paper_default())
     }
 
     /// The candidate ladder.
     pub fn ladder(&self) -> &PriceLadder {
         &self.ladder
-    }
-
-    /// Sampling half-width `ε`.
-    pub fn epsilon(&self) -> f64 {
-        self.epsilon
-    }
-
-    /// Failure probability `δ`.
-    pub fn delta(&self) -> f64 {
-        self.delta
     }
 
     /// Runs Algorithm 1 over `num_cells` grids against the probe oracle.
@@ -84,7 +71,7 @@ impl BasePricing {
             let mut freq = FreqEstimator::new(self.ladder.len());
             // Lines 4–8: probe every rung h(p) times.
             for (idx, p) in self.ladder.ascending() {
-                let h = FreqEstimator::required_samples(p, self.epsilon, self.delta, k);
+                let h = FreqEstimator::required_samples(p, Self::EPSILON, Self::DELTA, k);
                 let accepted = probe.probe(cell.into(), p, h);
                 assert!(
                     accepted <= h,
@@ -221,7 +208,7 @@ mod tests {
             let mut probe = TruthProbe::new(vec![Demand::paper_normal(2.0, 1.0)], seed);
             let r = bp.learn(1, &mut probe);
             let (_, p_m) = r.per_grid[0];
-            if p_m * d.survival(p_m) < best - bp.epsilon() {
+            if p_m * d.survival(p_m) < best - BasePricing::EPSILON {
                 failures += 1;
             }
         }
@@ -230,7 +217,10 @@ mod tests {
 
     #[test]
     fn probe_budget_matches_schedule() {
-        // The number of issued probes must be exactly G · Σ_p h(p).
+        // The number of issued probes must be exactly G · Σ_p h(p), at
+        // Example 4's (ε, δ) written out: the one check that pins the
+        // constants (the strategy golden's small world posts the same
+        // rungs at ε = 0.25).
         let bp = BasePricing::paper_default();
         let mut probe = TruthProbe::new(vec![Demand::paper_normal(2.0, 1.0); 3], 5);
         let _ = bp.learn(3, &mut probe);

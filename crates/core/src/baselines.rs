@@ -100,14 +100,14 @@ pub struct BasePStrategy {
 }
 
 impl BasePStrategy {
-    /// Paper defaults (ladder (1,5,0.5), ε=0.2, δ=0.01). Until
+    /// Paper defaults (ladder (1,5,0.5), Algorithm 1's `(ε, δ)`). Until
     /// [`PricingStrategy::calibrate`] runs, `p_b` is the ladder's middle
     /// rung.
     pub fn paper_default(num_cells: usize, surge: Surge) -> Self {
         let ladder = PriceLadder::paper_default();
         Self {
             base_price: ladder.price(ladder.len() / 2),
-            calibrator: BasePricing::new(ladder, 0.2, 0.01),
+            calibrator: BasePricing::new(ladder),
             num_cells,
             surge,
         }

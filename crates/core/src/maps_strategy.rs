@@ -58,10 +58,6 @@ use std::collections::BinaryHeap;
 /// Tunables for [`MapsStrategy`].
 #[derive(Debug, Clone)]
 pub struct MapsConfig {
-    /// Base-pricing sampling accuracy `ε` (Algorithm 1).
-    pub epsilon: f64,
-    /// Base-pricing failure probability `δ`.
-    pub delta: f64,
     /// How the heap key `Δ^g` is computed (see [`DeltaRule`]).
     pub delta_rule: DeltaRule,
     /// Whether Algorithm 3 adds the UCB confidence radius (disable for
@@ -93,8 +89,6 @@ pub struct MapsConfig {
 impl Default for MapsConfig {
     fn default() -> Self {
         Self {
-            epsilon: 0.2,
-            delta: 0.01,
             delta_rule: DeltaRule::LDifference,
             use_ucb: true,
             change_window: None,
@@ -454,7 +448,7 @@ impl PricingStrategy for MapsStrategy {
     }
 
     fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        let bp = BasePricing::new(self.ladder.clone(), self.cfg.epsilon, self.cfg.delta);
+        let bp = BasePricing::new(self.ladder.clone());
         let result = bp.learn(self.num_cells, probe);
         self.base_price = self.ladder.clamp(result.base_price);
         for (stats, freq) in self.stats.iter_mut().zip(&result.stats) {
@@ -533,8 +527,9 @@ impl PricingStrategy for MapsStrategy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::builder::build_period_graph;
+    use crate::builder::{build_period_graph, build_period_graph_capped};
     use crate::problem::{TaskInput, WorkerInput};
+    use maps_matching::BipartiteGraph;
     use maps_spatial::{GridSpec, Point, Rect};
     use maps_testkit::{explore, XorShift};
 
@@ -825,7 +820,12 @@ mod tests {
     /// MAPS over the paper ladder with coarse acceptance ratios
     /// (multiples of 1/8, maximizing ties) drawn from `seed`.
     fn seeded_maps(num_cells: usize, seed: u64) -> MapsStrategy {
-        let mut maps = MapsStrategy::paper_default(num_cells);
+        seeded_maps_with(num_cells, seed, MapsConfig::default())
+    }
+
+    /// [`seeded_maps`] under `cfg`.
+    fn seeded_maps_with(num_cells: usize, seed: u64, cfg: MapsConfig) -> MapsStrategy {
+        let mut maps = MapsStrategy::new(num_cells, PriceLadder::paper_default(), cfg);
         let mut s = seed | 1;
         for cell in 0..num_cells {
             for idx in 0..maps.ladder.len() {
@@ -1006,6 +1006,95 @@ mod tests {
                     );
                 }
             },
+        );
+    }
+
+    /// ROADMAP 25(a), the pricing half. When every row the cap cuts
+    /// keeps at least |R_t| workers, the capped graph has the full
+    /// graph's transversal matroid (the lemma at `scratch.rs`'s
+    /// `a_cap_of_at_least_the_task_count_changes_no_answer`), and MAPS
+    /// asks the graph only whether a task can join the matched set. So
+    /// `price_period` over `build_period_graph_capped` with `k ≥ |R_t|`
+    /// posts the full graph's prices bit for bit, with and without the
+    /// plateau lookahead. The periods put points on a 0.5-step lattice
+    /// (tied distances), stack workers on one spot and seed coarse UCB
+    /// statistics; the floor keeps the check from passing on draws the
+    /// cap never cuts.
+    #[test]
+    fn a_cap_of_at_least_the_task_count_changes_no_price() {
+        fn lattice(rng: &mut XorShift) -> Point {
+            Point::new(0.5 * rng.below(41) as f64, 0.5 * rng.below(41) as f64)
+        }
+        let cut = std::cell::Cell::new(0);
+        // (grid side, tasks, workers, k − |R_t|, period seed)
+        let draw = |seed| {
+            let mut rng = XorShift::seeded(seed);
+            let side = 1 + rng.below(4) as u32;
+            let (n_tasks, n_workers) = (1 + rng.below(12) as usize, rng.below(61) as usize);
+            (
+                side,
+                n_tasks,
+                n_workers,
+                rng.below(3) as usize,
+                rng.below(1000),
+            )
+        };
+        explore(
+            0..200,
+            draw,
+            |_| None,
+            |&(side, n_tasks, n_workers, slack, seed)| {
+                let grid = GridSpec::square(Rect::square(20.0), side);
+                let mut rng = XorShift::seeded(seed);
+                let tasks: Vec<TaskInput> = (0..n_tasks)
+                    .map(|_| {
+                        let d = 0.5 * (1 + rng.below(6)) as f64;
+                        TaskInput::new(&grid, lattice(&mut rng), d)
+                    })
+                    .collect();
+                let mut workers: Vec<WorkerInput> = Vec::with_capacity(n_workers);
+                for _ in 0..n_workers {
+                    // About a third of the workers share the previous
+                    // one's spot.
+                    let location = match workers.last() {
+                        Some(w) if rng.below(3) == 0 => w.location,
+                        _ => lattice(&mut rng),
+                    };
+                    let radius = 4.0 + 2.0 * rng.below(4) as f64;
+                    workers.push(WorkerInput::new(&grid, location, radius));
+                }
+                let k = n_tasks + slack;
+                let full = build_period_graph(&tasks, &workers);
+                let capped = build_period_graph_capped(&tasks, &workers, k);
+                cut.set(cut.get() + usize::from(capped.n_edges() < full.n_edges()));
+                for plateau_lookahead in [true, false] {
+                    let cfg = MapsConfig {
+                        plateau_lookahead,
+                        ..MapsConfig::default()
+                    };
+                    let maps = seeded_maps_with(grid.num_cells(), seed, cfg);
+                    let price = |graph: &BipartiteGraph| {
+                        let input = PeriodInput {
+                            grid: &grid,
+                            tasks: &tasks,
+                            workers: &workers,
+                            graph,
+                        };
+                        let prices = maps.clone().price_period(&input).prices;
+                        prices.iter().map(|p| p.to_bits()).collect::<Vec<_>>()
+                    };
+                    assert_eq!(
+                        price(&full),
+                        price(&capped),
+                        "k = {k}, plateau_lookahead = {plateau_lookahead}"
+                    );
+                }
+            },
+        );
+        assert!(
+            cut.get() >= 100,
+            "the cap cut a row in {} of 200 periods",
+            cut.get()
         );
     }
 

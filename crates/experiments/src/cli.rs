@@ -9,7 +9,8 @@ use std::path::PathBuf;
 /// Parsed command-line options for a figure binary. Each flag that
 /// shapes the run writes the [`RunOptions`] field it sets:
 ///
-/// * `--quick`: [`Scale::Quick`], ~20× smaller datasets;
+/// * `--quick`: [`Scale::Quick`]: `|W|` and `|R|` ÷ 20 (at least 50),
+///   `T` ÷ 8 (at least 25), `fig8_scale`'s sizes ÷ 100, Beijing at 2 %;
 /// * `--parallel`: run the (cell × seed) jobs in parallel;
 /// * `--seeds N`: average over N ≥ 1 seeds (default 1; `--seeds 0` is
 ///   refused at parse time rather than clamped inside the runner);

@@ -11,13 +11,17 @@ use maps_market::PriceLadder;
 use maps_simulator::{BeijingConfig, DemandKind, GroundTruth, SyntheticConfig};
 use std::sync::Arc;
 
-/// Experiment scale: `Full` reproduces the paper's sizes; `Quick` shrinks
-/// every dataset ~20× for smoke runs and CI.
+/// Experiment scale: `Full` reproduces the paper's sizes; `Quick` is a
+/// smaller run for smoke runs and CI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Paper-sized datasets.
     Full,
-    /// ~20× smaller datasets, same shapes.
+    /// Not one uniform factor: `|W|` and `|R|` are divided by 20 (at
+    /// least 50 each) and `T` by 8 (at least 25), so such a period holds
+    /// 0.4× the arrivals it holds at `Full`; `fig8_scale` divides its
+    /// `|W| = |R|` by 100 and keeps `T = 400`; the Beijing datasets run
+    /// at 2 %.
     Quick,
 }
 

@@ -18,8 +18,9 @@
 //! * [`special`] — erf / normal CDF / normal quantile implemented from
 //!   scratch (no external math crates).
 //! * [`demand`] — the [`DemandDistribution`] trait and the paper's
-//!   distribution families (truncated Normal — Table 3's default,
-//!   truncated Exponential — Appendix D, Uniform), all MHR.
+//!   distribution families, all MHR: truncated Normal (Table 3's
+//!   default) and truncated Exponential (Appendix D), the two a
+//!   [`Demand`] holds, and Uniform, the theory tests' distribution.
 //! * [`ladder`] — the geometric candidate price set
 //!   `p_min·(1+α)^i ∩ [p_min, p_max]` shared by Algorithms 1 and 3.
 //! * [`estimator`] — the Hoeffding frequency estimator of Algorithm 1

@@ -7,20 +7,19 @@ use maps_core::StrategyKind;
 use maps_service::ingest::period_events;
 use maps_service::{ServiceConfig, ServiceEvent, ShardedService};
 use maps_simulator::alloc::TrackingAllocator;
-use maps_simulator::{MatchPolicy, SimOptions, Simulation, SyntheticConfig};
+use maps_simulator::{SimOptions, Simulation, SyntheticConfig};
 
 #[global_allocator]
 static ALLOC: TrackingAllocator = TrackingAllocator::new();
 
 #[test]
 fn expected_workers_changes_neither_bits_nor_footprint() {
-    let mut config = SyntheticConfig::paper_default()
+    let world = SyntheticConfig::paper_default()
         .with_num_workers(120)
         .with_num_tasks(360)
         .with_periods(8)
-        .with_grid_side(4);
-    config.match_policy = MatchPolicy::Relocate { speed: 2.0 };
-    let world = config.build(31);
+        .with_grid_side(4)
+        .build(31);
     let kind = StrategyKind::Maps;
     let options = SimOptions {
         calibrate: false,

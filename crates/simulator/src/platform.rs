@@ -547,15 +547,16 @@ mod tests {
 
     #[test]
     fn consume_policy_bounds_matches_by_worker_count() {
-        let mut cfg = SyntheticConfig {
+        let mut world = SyntheticConfig {
             num_workers: 150,
             num_tasks: 600,
             periods: 25,
             grid_side: 4,
             ..SyntheticConfig::paper_default()
-        };
-        cfg.match_policy = MatchPolicy::Consume;
-        let outcome = Simulation::new(cfg.build(5), StrategyKind::BaseP).run();
+        }
+        .build(5);
+        world.match_policy = MatchPolicy::Consume;
+        let outcome = Simulation::new(world, StrategyKind::BaseP).run();
         assert!(outcome.matched_tasks <= 150);
     }
 
@@ -589,17 +590,18 @@ mod tests {
     /// with finite worker durations).
     #[test]
     fn incremental_run_matches_scan_oracle() {
-        let mut consume_cfg = SyntheticConfig {
+        let mut consume = SyntheticConfig {
             num_workers: 120,
             num_tasks: 500,
             periods: 20,
             grid_side: 4,
             ..SyntheticConfig::paper_default()
-        };
-        consume_cfg.match_policy = MatchPolicy::Consume;
+        }
+        .build(5);
+        consume.match_policy = MatchPolicy::Consume;
         let worlds = [
             small_world(3),
-            consume_cfg.build(5),
+            consume,
             crate::beijing::BeijingConfig::rush_hour(10)
                 .with_scale(0.01)
                 .build(2),

@@ -14,10 +14,14 @@
 //! temporal μ = 0.5, spatial mean = 0.5, demand μ = 2.0, demand σ = 1.0,
 //! `T = 400`, `G = 10×10`, `a_w = 10`.
 //!
-//! Two under-specified details are resolved as follows:
-//! the paper varies only the means, so both std-deviations are fixed
-//! (temporal σ = 0.2·T, spatial σ = 15); and "a normal distribution with
-//! its mean varying from 1 to 3 … w.r.t. the mean of g" is realized as a
+//! Table 3 varies only the means and leaves the std-deviations unstated.
+//! The values the generator holds fixed are named constants:
+//! `TEMPORAL_SIGMA` (σ = 0.2·T), `SPATIAL_SIGMA` (σ = 15) and
+//! `WORKER_SPATIAL_MEAN` (the region centre). `d_r` is the Euclidean
+//! distance from origin to destination.
+//!
+//! One more under-specified detail, "a normal distribution with its mean
+//! varying from 1 to 3 … w.r.t. the mean of g", is realized as a
 //! smooth G-independent offset field over the region (8×8 value-noise
 //! lattice, offsets in [−1, 1]) added to the global μ — at the default
 //! μ = 2 the local means span [1, 3]. The spatial demand heterogeneity
@@ -27,10 +31,22 @@
 
 use crate::truth::{GroundTask, GroundTruth, GroundWorker, MatchPolicy, PeriodData};
 use maps_market::{Demand, DemandDistribution};
-use maps_spatial::{DistanceMetric, GridSpec, Point, Rect};
+use maps_spatial::{GridSpec, Point, Rect};
 use rand::Rng;
 use rand_chacha::rand_core::SeedableRng;
 use rand_chacha::ChaCha12Rng;
+
+/// Std-dev of the task and worker temporal distributions as a fraction
+/// of `T` (Table 3 varies only their means).
+const TEMPORAL_SIGMA: f64 = 0.2;
+
+/// Std-dev of the task and worker spatial Gaussians, in region units
+/// (Table 3 varies only their means).
+const SPATIAL_SIGMA: f64 = 15.0;
+
+/// Mean of the worker spatial distribution as a fraction of the region
+/// side: the region centre (Table 3 sweeps only the task mean).
+const WORKER_SPATIAL_MEAN: f64 = 0.5;
 
 /// A mid-horizon market regime change: from period `⌈at_fraction·T⌉` on,
 /// new requesters draw valuations with the global mean shifted by
@@ -68,16 +84,9 @@ pub struct SyntheticConfig {
     pub num_tasks: usize,
     /// Mean of the task temporal distribution as a fraction of `T`.
     pub temporal_mu: f64,
-    /// Std-dev of the temporal distribution as a fraction of `T`.
-    pub temporal_sigma: f64,
     /// Mean of the task spatial distribution as a fraction of the region
     /// side (the x-axis of Fig. 6 column 4: 0.1 → (10,10)).
     pub task_spatial_mean: f64,
-    /// Mean of the worker spatial distribution (fixed at 0.5 in the
-    /// paper's sweeps).
-    pub worker_spatial_mean: f64,
-    /// Std-dev of both spatial Gaussians, in region units.
-    pub spatial_sigma: f64,
     /// Mean μ of the demand (valuation) distribution.
     pub demand_mu: f64,
     /// Std-dev σ of the demand distribution.
@@ -92,13 +101,8 @@ pub struct SyntheticConfig {
     pub worker_radius: f64,
     /// Region side length (100 in the paper).
     pub region_side: f64,
-    /// Worker lifecycle policy.
-    pub match_policy: MatchPolicy,
     /// Worker availability duration in periods (`u32::MAX` = unbounded).
     pub worker_duration: u32,
-    /// Travel-distance metric for `d_r` (the paper allows "Euclidean or
-    /// road-network distance"; Manhattan is the road-grid surrogate).
-    pub metric: DistanceMetric,
     /// Optional mid-horizon demand regime change (non-stationary
     /// extension; `None` = the paper's stationary experiments).
     pub demand_shift: Option<DemandShift>,
@@ -111,10 +115,7 @@ impl SyntheticConfig {
             num_workers: 5_000,
             num_tasks: 20_000,
             temporal_mu: 0.5,
-            temporal_sigma: 0.2,
             task_spatial_mean: 0.5,
-            worker_spatial_mean: 0.5,
-            spatial_sigma: 15.0,
             demand_mu: 2.0,
             demand_sigma: 1.0,
             demand_kind: DemandKind::Normal,
@@ -122,13 +123,7 @@ impl SyntheticConfig {
             grid_side: 10,
             worker_radius: 10.0,
             region_side: 100.0,
-            // Workers are full-time (Sec. 2.1: "most workers … perform
-            // multiple tasks for a long time"): after a trip of d units at
-            // 2 units/period they become available again at the
-            // destination (the paper leaves worker kinematics open).
-            match_policy: MatchPolicy::Relocate { speed: 2.0 },
             worker_duration: u32::MAX,
-            metric: DistanceMetric::Euclidean,
             demand_shift: None,
         }
     }
@@ -163,7 +158,10 @@ impl SyntheticConfig {
         self
     }
 
-    /// Builds the ground-truth world, deterministically from `seed`.
+    /// Builds the ground-truth world, deterministically from `seed`. Its
+    /// workers relocate to each trip's destination at 2 units a period
+    /// ([`MatchPolicy::Relocate`]); a caller that wants another policy
+    /// sets [`GroundTruth::match_policy`] on the result.
     pub fn build(&self, seed: u64) -> GroundTruth {
         assert!(self.periods > 0, "need at least one period");
         assert!(self.grid_side > 0, "need at least one grid cell");
@@ -214,20 +212,20 @@ impl SyntheticConfig {
             let t = sample_period(
                 &mut rng,
                 self.temporal_mu * t_max,
-                self.temporal_sigma * t_max,
+                TEMPORAL_SIGMA * t_max,
                 self.periods,
             );
             let origin = sample_gaussian_point(
                 &mut rng,
                 self.task_spatial_mean * self.region_side,
-                self.spatial_sigma,
+                SPATIAL_SIGMA,
                 region,
             );
             let destination = Point::new(
                 rng.gen_range(0.0..self.region_side),
                 rng.gen_range(0.0..self.region_side),
             );
-            let mut distance = origin.distance(destination, self.metric);
+            let mut distance = origin.euclidean(destination);
             if distance <= f64::EPSILON {
                 distance = 0.1; // degenerate same-point trip
             }
@@ -253,16 +251,11 @@ impl SyntheticConfig {
         // Workers: temporal mean fixed at T/2 ("The mean for the workers
         // is fixed at T/2").
         for _ in 0..self.num_workers {
-            let t = sample_period(
-                &mut rng,
-                0.5 * t_max,
-                self.temporal_sigma * t_max,
-                self.periods,
-            );
+            let t = sample_period(&mut rng, 0.5 * t_max, TEMPORAL_SIGMA * t_max, self.periods);
             let location = sample_gaussian_point(
                 &mut rng,
-                self.worker_spatial_mean * self.region_side,
-                self.spatial_sigma,
+                WORKER_SPATIAL_MEAN * self.region_side,
+                SPATIAL_SIGMA,
                 region,
             );
             periods[t].workers.push(GroundWorker {
@@ -276,7 +269,10 @@ impl SyntheticConfig {
             grid,
             demands,
             periods,
-            match_policy: self.match_policy,
+            // Workers are full-time (Sec. 2.1: "most workers … perform
+            // multiple tasks for a long time"); the paper leaves their
+            // kinematics open.
+            match_policy: MatchPolicy::Relocate { speed: 2.0 },
         };
         // Generator self-check (debug builds): everything downstream —
         // `Grid::cell_of`, the spatial indexes, the pricing ladders —
@@ -555,24 +551,6 @@ mod tests {
             (0.39..0.41).contains(&drop),
             "late-mean drop {drop} outside the pinned band (base {late_base}, shifted {late_shift})"
         );
-    }
-
-    #[test]
-    fn manhattan_metric_increases_distances() {
-        let euclid = small().build(31);
-        let manhattan = SyntheticConfig {
-            metric: DistanceMetric::Manhattan,
-            ..small()
-        }
-        .build(31);
-        let total = |t: &GroundTruth| -> f64 {
-            t.periods
-                .iter()
-                .flat_map(|p| p.tasks.iter().map(|t| t.distance))
-                .sum()
-        };
-        // L1 >= L2 pointwise, strictly for non-axis-aligned trips.
-        assert!(total(&manhattan) > total(&euclid) * 1.05);
     }
 
     #[test]

@@ -2,7 +2,8 @@
 //!
 //! Everything operates on `f64` coordinates in an arbitrary planar unit
 //! (the paper uses an abstract `100 × 100` square for synthetic workloads
-//! and kilometres for the Beijing datasets).
+//! and kilometres for the Beijing datasets). The one distance is the
+//! Euclidean one: it is the range constraint's and every figure's `d_r`.
 
 /// A point in the plane.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -41,23 +42,6 @@ impl Point {
         dx * dx + dy * dy
     }
 
-    /// Manhattan (`L1`) distance to `other`. The paper allows
-    /// "Euclidean or road-network distance" for the travel distance `d_r`;
-    /// Manhattan is the standard grid-road surrogate.
-    #[inline]
-    pub fn manhattan(self, other: Point) -> f64 {
-        (self.x - other.x).abs() + (self.y - other.y).abs()
-    }
-
-    /// Distance under the given metric.
-    #[inline]
-    pub fn distance(self, other: Point, metric: DistanceMetric) -> f64 {
-        match metric {
-            DistanceMetric::Euclidean => self.euclidean(other),
-            DistanceMetric::Manhattan => self.manhattan(other),
-        }
-    }
-
     /// Component-wise clamp of the point into `rect`.
     #[inline]
     pub fn clamped(self, rect: Rect) -> Point {
@@ -66,20 +50,6 @@ impl Point {
             self.y.clamp(rect.min.y, rect.max.y),
         )
     }
-}
-
-/// The travel-distance metric used for `d_r` and the range constraint.
-///
-/// The paper's definition of a task says the worker travels "a total
-/// distance `d_r` (e.g., Euclidean or road-network distance)". We support
-/// Euclidean and the Manhattan road-grid surrogate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DistanceMetric {
-    /// Straight-line `L2` distance (paper default in the running example).
-    #[default]
-    Euclidean,
-    /// `L1` distance, a surrogate for grid-like road networks.
-    Manhattan,
 }
 
 /// An axis-aligned rectangle `[min.x, max.x] × [min.y, max.y]`.
@@ -166,21 +136,6 @@ mod tests {
         let a = Point::new(1.5, -2.0);
         let b = Point::new(-3.0, 7.25);
         assert_eq!(a.euclidean(b), b.euclidean(a));
-    }
-
-    #[test]
-    fn manhattan_distance() {
-        let a = Point::new(1.0, 1.0);
-        let b = Point::new(4.0, -1.0);
-        assert!((a.manhattan(b) - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn metric_dispatch() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(1.0, 1.0);
-        assert!((a.distance(b, DistanceMetric::Euclidean) - 2f64.sqrt()).abs() < 1e-12);
-        assert!((a.distance(b, DistanceMetric::Manhattan) - 2.0).abs() < 1e-12);
     }
 
     #[test]

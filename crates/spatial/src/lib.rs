@@ -10,6 +10,9 @@
 //! The paper works on a `100 × 100` square for synthetic data and a
 //! longitude/latitude rectangle mapped to kilometres for the Beijing data;
 //! both are expressed here as a [`Rect`] partitioned by a [`GridSpec`].
+//! Every distance is Euclidean ([`Point::euclidean`] and its square): the
+//! range constraint, the index's ring search and each task's travel
+//! distance `d_r`.
 //!
 //! ## Quick example
 //!
@@ -35,5 +38,5 @@ pub mod grid;
 mod index;
 
 pub use dynamic::{DynamicBucketIndex, Slotted};
-pub use geom::{DistanceMetric, Point, Rect};
+pub use geom::{Point, Rect};
 pub use grid::{CellId, GridSpec};

@@ -6,8 +6,9 @@
 use maps::core::{
     build_period_graph, MapsConfig, MapsStrategy, PeriodInput, PricingStrategy, RunningExample,
 };
-use maps::market::{FreqEstimator, PriceLadder};
+use maps::market::{Demand, DemandDistribution, FreqEstimator, PriceLadder};
 use maps::matching::{expected_total_revenue_exact, IncrementalMatching, PossibleWorlds};
+use maps_testkit::{explore, XorShift};
 
 #[test]
 fn example1_graph_and_matching_claims() {
@@ -101,4 +102,47 @@ fn table1_monotone_acceptance() {
     // S(p) must be non-increasing (Definition 3).
     assert!(RunningExample::table1(1.0) > RunningExample::table1(2.0));
     assert!(RunningExample::table1(2.0) > RunningExample::table1(3.0));
+}
+
+/// Table 1's claim on random ladders (ROADMAP 6(a)(iii)). Along any
+/// `PriceLadder::new(p_min, p_max, α)`, both paper demand families, with
+/// random parameters, accept no more at a higher rung: `S(p_i)` is
+/// non-increasing in `i`. And a posted rung is observed under the rung
+/// it was posted from: `nearest_index(p_i) == i`.
+#[test]
+fn table1_monotone_acceptance_on_random_ladders() {
+    // (p_min, p_max, α, the normal family's (μ, σ), the exponential rate)
+    let draw = |seed| {
+        let mut rng = XorShift::seeded(seed);
+        let p_min = 0.5 + 2.5 * rng.next_f64();
+        let p_max = p_min * (1.0 + 8.0 * rng.next_f64());
+        let alpha = 0.05 + 1.45 * rng.next_f64();
+        let normal = (1.0 + 3.0 * rng.next_f64(), 0.2 + 2.3 * rng.next_f64());
+        (p_min, p_max, alpha, normal, 0.1 + 1.9 * rng.next_f64())
+    };
+    explore(
+        0..500,
+        draw,
+        |_| None,
+        |&(p_min, p_max, alpha, (mu, sigma), rate)| {
+            let ladder = PriceLadder::new(p_min, p_max, alpha);
+            for (i, p) in ladder.ascending() {
+                assert_eq!(ladder.nearest_index(p), i, "rung {i} posts {p}");
+            }
+            for demand in [
+                Demand::paper_normal(mu, sigma),
+                Demand::paper_exponential(rate),
+            ] {
+                for w in ladder.prices().windows(2) {
+                    let (lower, higher) = (demand.survival(w[0]), demand.survival(w[1]));
+                    assert!(
+                        higher <= lower,
+                        "{demand:?}: S({}) = {higher} > S({}) = {lower}",
+                        w[1],
+                        w[0]
+                    );
+                }
+            }
+        },
+    );
 }

@@ -180,13 +180,13 @@ fn simulation_conservation() {
         draw,
         |_| None,
         |&seed| {
-            let mut cfg = SyntheticConfig::paper_default()
+            let mut world = SyntheticConfig::paper_default()
                 .with_num_workers(40)
                 .with_num_tasks(200)
                 .with_periods(10)
-                .with_grid_side(4);
-            cfg.match_policy = MatchPolicy::Consume;
-            let world = cfg.build(seed);
+                .with_grid_side(4)
+                .build(seed);
+            world.match_policy = MatchPolicy::Consume;
             let outcome = Simulation::new(world, StrategyKind::Maps)
                 .with_options(SimOptions {
                     calibrate: false,

@@ -174,7 +174,7 @@ fn theorem3_against_continuous_optimum() {
         for &(_, p_m) in &r.per_grid {
             let v = p_m * demand.survival(p_m);
             assert!(
-                v >= (1.0 - bp.ladder().alpha()) * v_star - bp.epsilon(),
+                v >= (1.0 - bp.ladder().alpha()) * v_star - BasePricing::EPSILON,
                 "{demand:?}: {v} < (1-α)·{v_star}"
             );
         }
