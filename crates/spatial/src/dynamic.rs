@@ -15,10 +15,22 @@
 //! particular order. The `√n × √n` rule below keeps a bucket at a
 //! handful of points (1–7 on the service's pools), so there is no run of
 //! coordinates long enough for separate `x` / `y` lanes to vectorise;
-//! what a query pays per visited bucket is the header it reads (24 B for
-//! one `Vec`) and the pointer it chases (one), and what a mutation pays
-//! is a push, or a `swap_remove` and the repointing of the one entry it
-//! moved — no merge, no compaction.
+//! what a query pays per *occupied* bucket is the header it reads (24 B
+//! for one `Vec`) and the pointer it chases (one), and what a mutation
+//! pays is a push, or a `swap_remove` and the repointing of the one entry
+//! it moved — no merge, no compaction.
+//!
+//! An empty bucket costs a query one bit. Two occupancy bitmaps sit
+//! beside the buckets: by row (bit `x` of row `y` is set when bucket
+//! `(x, y)` holds a point) and its transpose by column (bit `y` of
+//! column `x`). Each side of a ring is a span of one row or one column,
+//! so the query reads it 64 buckets to a word and loads the header of
+//! set bits only — where matched workers have drained away from the
+//! demand, most of a ring is empty (on the benchmark's `rush`, 30 of
+//! the 246 buckets a task's rings cross hold a point). A mutation
+//! touches the bits only when a bucket turns occupied or empty, `O(1)`;
+//! a regrid rebuilds both. Together they are `ny·⌈nx/64⌉ + nx·⌈ny/64⌉`
+//! words: 16 KiB at the 256 × 256 clamp, 2 272 B on a 71 × 71 grid.
 //!
 //! ## Payloads name dense slots
 //!
@@ -81,6 +93,55 @@ impl Slotted for u32 {
 /// `(cell, position)` of a slot no live payload names.
 const VACANT: (u32, u32) = (u32::MAX, u32::MAX);
 
+/// One bit per bucket, in lines of `⌈bits / 64⌉` words: bit `i` of
+/// line `l` is word `l · stride + i / 64`, bit `i % 64`. Bits past the
+/// end of a line stay clear.
+#[derive(Debug, Clone)]
+pub(crate) struct Bitmap {
+    stride: usize,
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    fn new(lines: u32, bits: u32) -> Self {
+        let stride = (bits as usize).div_ceil(64);
+        Self {
+            stride,
+            words: vec![0; lines as usize * stride],
+        }
+    }
+
+    fn set(&mut self, line: usize, bit: usize) {
+        self.words[line * self.stride + bit / 64] |= 1 << (bit % 64);
+    }
+
+    fn clear(&mut self, line: usize, bit: usize) {
+        self.words[line * self.stride + bit / 64] &= !(1 << (bit % 64));
+    }
+
+    /// Calls `f` with each set bit of `line` in `lo..=hi`, ascending.
+    /// The caller keeps `lo ≤ hi` inside the line.
+    #[inline]
+    pub(crate) fn for_each_set(&self, line: usize, lo: usize, hi: usize, mut f: impl FnMut(usize)) {
+        let words = &self.words[line * self.stride..][..self.stride];
+        let (first, last) = (lo / 64, hi / 64);
+        for (w, &word) in words[first..=last].iter().enumerate() {
+            let w = first + w;
+            let mut word = word;
+            if w == first {
+                word &= u64::MAX << (lo % 64);
+            }
+            if w == last {
+                word &= u64::MAX >> (63 - hi % 64);
+            }
+            while word != 0 {
+                f(w * 64 + word.trailing_zeros() as usize);
+                word &= word - 1;
+            }
+        }
+    }
+}
+
 /// A mutable bucket index over a changing set of points.
 ///
 /// Payloads must be unique while live (their slot finds the point for
@@ -98,6 +159,10 @@ pub struct DynamicBucketIndex<T> {
     /// `(cell, position in its bucket)` by slot, [`VACANT`] where no
     /// live payload names the slot.
     at: Vec<(u32, u32)>,
+    /// Bit `x` of row `y` is set when bucket `(x, y)` is non-empty.
+    by_row: Bitmap,
+    /// `by_row` transposed: bit `y` of column `x`.
+    by_column: Bitmap,
     len: usize,
 }
 
@@ -110,6 +175,8 @@ impl<T: Slotted> DynamicBucketIndex<T> {
             grid,
             buckets: empty_buckets(grid.num_cells()),
             at: Vec::new(),
+            by_row: Bitmap::new(grid.ny(), grid.nx()),
+            by_column: Bitmap::new(grid.nx(), grid.ny()),
             len: 0,
         }
     }
@@ -131,6 +198,17 @@ impl<T: Slotted> DynamicBucketIndex<T> {
     /// The points bucketed into `cell`, in no particular order.
     pub(crate) fn bucket(&self, cell: usize) -> &[(Point, T)] {
         &self.buckets[cell]
+    }
+
+    /// Occupancy by row: bit `x` of line `y` is set when bucket
+    /// `(x, y)` holds a point.
+    pub(crate) fn by_row(&self) -> &Bitmap {
+        &self.by_row
+    }
+
+    /// Occupancy by column: bit `y` of line `x`.
+    pub(crate) fn by_column(&self) -> &Bitmap {
+        &self.by_column
     }
 
     /// Number of live points.
@@ -205,6 +283,12 @@ impl<T: Slotted> DynamicBucketIndex<T> {
             if let Some(&(_, moved)) = bucket.get(position as usize) {
                 self.at[moved.slot()] = (cell, position);
             }
+            if bucket.is_empty() {
+                let nx = self.grid.nx();
+                let (x, y) = ((cell % nx) as usize, (cell / nx) as usize);
+                self.by_row.clear(y, x);
+                self.by_column.clear(x, y);
+            }
             self.at[slot] = VACANT;
             self.len -= 1;
         }
@@ -213,11 +297,16 @@ impl<T: Slotted> DynamicBucketIndex<T> {
         before - self.len
     }
 
-    /// Pushes `(p, payload)` onto the bucket of `p`'s cell and records
-    /// where in the position table.
+    /// Pushes `(p, payload)` onto the bucket of `p`'s cell, records
+    /// where in the position table, and marks the bucket occupied.
     fn file(&mut self, p: Point, payload: T) {
-        let cell = self.grid.cell_of(p).index();
+        let (x, y) = self.grid.cell_coords(p);
+        let cell = (y * self.grid.nx() + x) as usize;
         let bucket = &mut self.buckets[cell];
+        if bucket.is_empty() {
+            self.by_row.set(y as usize, x as usize);
+            self.by_column.set(x as usize, y as usize);
+        }
         self.at[payload.slot()] = (cell as u32, bucket.len() as u32);
         bucket.push((p, payload));
     }
@@ -241,6 +330,8 @@ impl<T: Slotted> DynamicBucketIndex<T> {
     /// `O(live + buckets)`.
     fn regrid(&mut self, grid: GridSpec) {
         let old = std::mem::replace(&mut self.buckets, empty_buckets(grid.num_cells()));
+        self.by_row = Bitmap::new(grid.ny(), grid.nx());
+        self.by_column = Bitmap::new(grid.nx(), grid.ny());
         self.grid = grid;
         for &(p, payload) in old.iter().flatten() {
             self.file(p, payload);
@@ -277,8 +368,10 @@ impl<T: Slotted> DynamicBucketIndex<T> {
     /// and the search stops as soon as the next ring cannot contain
     /// anything closer than the current `k`-th candidate — with densely
     /// packed points this touches `O(k)` entries instead of the whole
-    /// disc. Points outside the region are filed in its boundary buckets
-    /// and found by the same search, from centres inside or out.
+    /// disc. Each side of a ring is read as a span of occupancy bits,
+    /// so an empty bucket costs a bit, not a visit. Points outside the
+    /// region are filed in its boundary buckets and found by the same
+    /// search, from centres inside or out.
     pub fn k_nearest_within_into(
         &self,
         center: Point,
@@ -317,6 +410,34 @@ mod tests {
             assert_eq!(filed, self.len, "len against the buckets");
             let taken = self.at.iter().filter(|&&at| at != VACANT).count();
             assert_eq!(taken, self.len, "a slot no live payload names is taken");
+            self.check_occupancy();
+        }
+
+        /// Both occupancy bitmaps against the buckets, cell for cell:
+        /// a bit is set exactly where its bucket holds a point, and no
+        /// bit past the end of a line is set.
+        fn check_occupancy(&self) {
+            let (nx, ny) = (self.grid.nx() as usize, self.grid.ny() as usize);
+            let ones = |map: &Bitmap, line: usize, len: usize| {
+                let mut set = Vec::new();
+                map.for_each_set(line, 0, map.stride * 64 - 1, |i| set.push(i));
+                assert!(set.iter().all(|&i| i < len), "a bit past the line: {set:?}");
+                set
+            };
+            for y in 0..ny {
+                let want: Vec<usize> = (0..nx)
+                    .filter(|&x| !self.buckets[y * nx + x].is_empty())
+                    .collect();
+                assert_eq!(ones(&self.by_row, y, nx), want, "row {y}");
+            }
+            for x in 0..nx {
+                let want: Vec<usize> = (0..ny)
+                    .filter(|&y| !self.buckets[y * nx + x].is_empty())
+                    .collect();
+                assert_eq!(ones(&self.by_column, x, ny), want, "column {x}");
+            }
+            assert_eq!(self.by_row.words.len(), ny * nx.div_ceil(64));
+            assert_eq!(self.by_column.words.len(), nx * ny.div_ceil(64));
         }
     }
 
@@ -374,6 +495,91 @@ mod tests {
         let mut idx = DynamicBucketIndex::with_expected_len(Rect::square(side), items.len());
         idx.insert_bulk(items);
         idx
+    }
+
+    /// The occupancy bitmaps follow every mutation path, cell for cell
+    /// (`check_occupancy` after each step): `insert` and `insert_bulk`
+    /// turning buckets occupied, `remove` and `remove_bulk` emptying
+    /// them, misses (a live payload offered at a wrong point, an absent
+    /// payload) that must leave every bit alone, and regrids both ways
+    /// across the band — from grids whose lines end inside a word (8,
+    /// 70) and on one (64) — and then a bucket of five points emptied
+    /// one `swap_remove` at a time, whose bits stay set until its last
+    /// entry leaves.
+    #[test]
+    fn occupancy_bits_follow_every_mutation() {
+        let mut rng = XorShift(0x0CC0_B175);
+        let point = |rng: &mut XorShift| Point::new(rng.next_f64() * 100.0, rng.next_f64() * 100.0);
+        for side in [8u32, 64, 70] {
+            let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), side));
+            idx.check_occupancy();
+            let cells = idx.grid().num_cells();
+            let next = (cells / 2) as u32;
+            let mut live: Vec<_> = (0..next).map(|id| (point(&mut rng), id)).collect();
+            idx.insert_bulk(&live);
+            idx.check_positions();
+            assert_eq!(idx.grid().nx(), side, "half the cells sit in the band");
+            let (mut next, mut grids) = (next, vec![side]);
+            for target in [5 * cells, cells / 8, 3] {
+                while live.len() != target {
+                    let n = 1 + (rng.next_u64() % 300) as usize;
+                    if live.len() < target {
+                        let n = n.min(target - live.len());
+                        let batch: Vec<_> = (next..next + n as u32)
+                            .map(|id| (point(&mut rng), id))
+                            .collect();
+                        next += n as u32;
+                        match batch[..] {
+                            [(p, id)] => idx.insert(p, id),
+                            _ => idx.insert_bulk(&batch),
+                        }
+                        live.extend_from_slice(&batch);
+                    } else {
+                        let n = n.min(live.len() - target);
+                        let batch: Vec<_> = (0..n)
+                            .map(|_| live.swap_remove((rng.next_u64() as usize) % live.len()))
+                            .collect();
+                        match batch[..] {
+                            [(p, id)] => assert!(idx.remove(p, id)),
+                            _ => assert_eq!(idx.remove_bulk(&batch), n),
+                        }
+                    }
+                    idx.check_positions();
+                    let (p, id) = live[(rng.next_u64() as usize) % live.len()];
+                    let bits = (idx.by_row.words.clone(), idx.by_column.words.clone());
+                    assert!(!idx.remove(Point::new(p.x + 0.5, p.y), id));
+                    assert!(!idx.remove(p, next));
+                    assert_eq!(idx.remove_bulk(&[(point(&mut rng), id)]), 0);
+                    assert_eq!(
+                        (idx.by_row.words.clone(), idx.by_column.words.clone()),
+                        bits,
+                        "a miss moved a bit"
+                    );
+                    if grids.last() != Some(&idx.grid().nx()) {
+                        grids.push(idx.grid().nx());
+                    }
+                }
+            }
+            assert!(
+                grids.len() >= 3 && grids[1] > side && grids[grids.len() - 1] < grids[1],
+                "a grow and a shrink regrid: {grids:?}"
+            );
+        }
+        let spot = Point::new(31.0, 77.0);
+        let stack: Vec<(Point, u32)> = (0..5).map(|i| (spot, i)).collect();
+        let mut idx = DynamicBucketIndex::new(GridSpec::square(Rect::square(100.0), 2));
+        idx.insert_bulk(&stack);
+        idx.insert(Point::new(80.0, 20.0), 5);
+        let (x, y) = idx.grid().cell_coords(spot);
+        for (left, &(p, id)) in stack.iter().enumerate().rev() {
+            assert!(idx.remove(p, id));
+            idx.check_positions();
+            assert_eq!(idx.grid().nx(), 2, "one point elsewhere holds the grid");
+            let mut row = Vec::new();
+            idx.by_row.for_each_set(y as usize, 0, 1, |x| row.push(x));
+            assert_eq!(row.contains(&(x as usize)), left > 0, "{left} left");
+        }
+        assert_eq!(idx.len(), 1);
     }
 
     /// The per-ring cut (`index.rs`: gather, `select_nth`, no sort until

@@ -12,6 +12,14 @@
 //! depends on who else is live; a closed disc is this query with no cap
 //! (`k = usize::MAX`), not a second algorithm.
 //!
+//! A ring is four spans — its bottom and top rows, corners included,
+//! then its left and right columns between them — and each span is read
+//! from the index's occupancy bitmaps (by row, and by column), so only
+//! the buckets that hold a point are visited. Which order a ring's
+//! buckets are visited in is not part of the answer (next section):
+//! skipping an empty one drops no candidate, and cuts fire only on a
+//! push or at the end of a ring.
+//!
 //! ## Gather, cut, sort only when asked
 //!
 //! The search keeps no order while it runs. A candidate that is in
@@ -82,11 +90,8 @@ pub(crate) fn k_nearest_within_into_impl<T: Slotted>(
     // The k-th distance of the last cut; nothing is cut before `k`
     // candidates are in, and until then nothing is too far.
     let mut bound = f64::INFINITY;
-    let mut visit = |x: i64, y: i64, best: &mut Vec<(f64, T)>, bound: &mut f64| {
-        if x < 0 || x >= nx || y < 0 || y >= ny {
-            return;
-        }
-        for &(p, payload) in store.bucket((y * nx + x) as usize) {
+    let mut visit = |x: usize, y: usize, best: &mut Vec<(f64, T)>, bound: &mut f64| {
+        for &(p, payload) in store.bucket(y * nx as usize + x) {
             let d2 = p.euclidean_sq(center);
             if d2 <= r2 {
                 // `Point::euclidean`, bit for bit.
@@ -99,6 +104,11 @@ pub(crate) fn k_nearest_within_into_impl<T: Slotted>(
                 }
             }
         }
+    };
+    // `lo..=hi` clamped to `0..n`, if anything is left of it.
+    let clamp = |lo: i64, hi: i64, n: i64| {
+        let (lo, hi) = (lo.max(0), hi.min(n - 1));
+        (lo <= hi).then_some((lo as usize, hi as usize))
     };
     for ring in 0..=max_ring {
         // Nothing filed in ring `d` is closer than (d−1)·min_side,
@@ -113,16 +123,29 @@ pub(crate) fn k_nearest_within_into_impl<T: Slotted>(
         if ring_lb > radius || ring_lb > bound {
             break;
         }
-        if ring == 0 {
-            visit(cx, cy, best, &mut bound);
-        } else {
-            for dx in -ring..=ring {
-                visit(cx + dx, cy - ring, best, &mut bound);
-                visit(cx + dx, cy + ring, best, &mut bound);
+        // The ring's bottom and top rows, corners included (one row at
+        // ring 0), then its left and right columns between them (none at
+        // ring 0); each side is a span of occupancy bits, and only a set
+        // bit costs a bucket visit.
+        let rows = 1 + usize::from(ring > 0);
+        if let Some((x0, x1)) = clamp(cx - ring, cx + ring, nx) {
+            for y in [cy - ring, cy + ring].into_iter().take(rows) {
+                if (0..ny).contains(&y) {
+                    let y = y as usize;
+                    store
+                        .by_row()
+                        .for_each_set(y, x0, x1, |x| visit(x, y, best, &mut bound));
+                }
             }
-            for dy in (-ring + 1)..ring {
-                visit(cx - ring, cy + dy, best, &mut bound);
-                visit(cx + ring, cy + dy, best, &mut bound);
+        }
+        if let Some((y0, y1)) = clamp(cy - ring + 1, cy + ring - 1, ny) {
+            for x in [cx - ring, cx + ring] {
+                if (0..nx).contains(&x) {
+                    let x = x as usize;
+                    store
+                        .by_column()
+                        .for_each_set(x, y0, y1, |y| visit(x, y, best, &mut bound));
+                }
             }
         }
         if best.len() >= k {

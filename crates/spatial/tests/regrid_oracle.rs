@@ -16,7 +16,10 @@
 //! * the single-item `insert` / `remove` the scripts call are batches
 //!   of one, so the batch-of-one path is checked after every mutation;
 //! * regrids stay amortised: few of them, moving few points per
-//!   mutation.
+//!   mutation;
+//! * on sparse grids whose sides straddle the 64-bucket words of the
+//!   occupancy bitmaps (63, 64, 65, 127, 128, 129, 256), points on the
+//!   lines at the word edges are found from centres inside and out.
 //!
 //! CI runs this file as its own step before the workspace sweep, so a
 //! bucket or position-table bug fails here, attributed, and not as a
@@ -307,13 +310,13 @@ type Script = (u64, u32, Vec<(u8, usize)>);
 
 /// Random scripts of bulk and one-at-a-time inserts, removes and
 /// relocations — a failing script is halved to a short one. The initial
-/// grid is drawn too, so a script starts inside, above or below its
-/// band.
+/// grid is drawn too (side 1–99, so lines of one occupancy word and of
+/// two), and a script starts inside, above or below its band.
 #[test]
 fn regrids_are_invisible_to_queries() {
     let draw = |seed| -> Script {
         let mut rng = XorShift::seeded(seed);
-        let (seed, initial_side) = (rng.below(1_000_000), 1 + rng.below(39) as u32);
+        let (seed, initial_side) = (rng.below(1_000_000), 1 + rng.below(99) as u32);
         let steps = 1 + rng.below(39);
         let script = (0..steps)
             .map(|_| (rng.below(7) as u8, 1 + rng.below(299) as usize))
@@ -348,4 +351,106 @@ fn regrids_are_invisible_to_queries() {
             h.mutations
         );
     });
+}
+
+/// The occupancy bits at their word boundaries, on sparse grids: for
+/// each side in 1, 63, 64, 65, 127, 128, 129 and 256, points fill only
+/// the buckets of columns and rows 0, 63, 64, 127, 128, 255 and the last
+/// (those the side has) — most buckets empty, enough points to hold the
+/// grid inside its band — an eighth of them on a cell's low edge and an
+/// eighth outside the region, filed in its boundary buckets. Discs and
+/// capped, filtered k-nearest queries from centres inside and outside
+/// the region must equal the scan bit for bit, before and after the
+/// buckets of line 63 (or 0) are emptied.
+#[test]
+fn sparse_grids_answer_exactly_at_word_boundaries() {
+    type Accept = fn(f64, u32) -> bool;
+    let bits = |v: &[(f64, u32)]| -> Vec<(u64, u32)> {
+        v.iter().map(|&(d, id)| (d.to_bits(), id)).collect()
+    };
+    let mut rng = XorShift(0xB17_5EA5);
+    let mut out = Vec::new();
+    for side in [1u32, 63, 64, 65, 127, 128, 129, 256] {
+        let grid = GridSpec::square(Rect::square(REGION), side);
+        let w = grid.cell_width();
+        let mut lines: Vec<u32> = [0, 63, 64, 127, 128, 255, side - 1]
+            .into_iter()
+            .filter(|&l| l < side)
+            .collect();
+        lines.dedup();
+        // Enough points that the grid still sits in its band (a quarter
+        // of the cells) once one line of `L` has been emptied.
+        let (cells, l) = (grid.num_cells(), lines.len());
+        let n = (cells * l / (3 * (l - 1).max(1))).max(3);
+        let mut live: Vec<(Point, u32)> = (0..n as u32)
+            .map(|id| {
+                let line = f64::from(lines[(rng.next_u64() as usize) % l]);
+                let across = match rng.next_u64() % 8 {
+                    0 => line * w,
+                    1 if line == 0.0 => -rng.next_f64() * 20.0,
+                    1 => REGION + rng.next_f64() * 20.0,
+                    _ => (line + rng.next_f64()) * w,
+                };
+                let along = rng.next_f64() * REGION;
+                let p = if id % 2 == 0 {
+                    Point::new(across, along)
+                } else {
+                    Point::new(along, across)
+                };
+                (p, id)
+            })
+            .collect();
+        let mut idx = DynamicBucketIndex::new(grid);
+        idx.insert_bulk(&live);
+        let occupied: std::collections::BTreeSet<_> =
+            live.iter().map(|&(p, _)| grid.cell_of(p)).collect();
+        assert!(
+            side == 1 || 8 * occupied.len() < cells,
+            "side {side}: mostly empty"
+        );
+        let line = lines[l.min(2) - 1];
+        for round in ["all lines", "line emptied"] {
+            assert_eq!(*idx.grid(), grid, "side {side}: the points hold the grid");
+            for _ in 0..30 {
+                let c = match rng.next_u64() % 3 {
+                    0 => Point::new(rng.next_f64() * 160.0 - 30.0, rng.next_f64() * 160.0 - 30.0),
+                    1 if !live.is_empty() => live[(rng.next_u64() as usize) % live.len()].0,
+                    _ => Point::new((f64::from(line) + 0.5) * w, rng.next_f64() * REGION),
+                };
+                let r =
+                    [0.0, w, 3.0 * w, rng.next_f64() * 30.0, 200.0][(rng.next_u64() % 5) as usize];
+                // The scan: the closed disc in `(distance, id)` order.
+                let mut disc: Vec<(f64, u32)> = (live.iter())
+                    .filter(|(p, _)| p.euclidean_sq(c) <= r * r)
+                    .map(|&(p, id)| (p.euclidean(c), id))
+                    .collect();
+                disc.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+                idx.k_nearest_within_into(c, r, usize::MAX, |_, _| true, &mut out);
+                let mut got: Vec<u32> = out.iter().map(|&(_, id)| id).collect();
+                let mut want: Vec<u32> = disc.iter().map(|&(_, id)| id).collect();
+                got.sort_unstable();
+                want.sort_unstable();
+                assert_eq!(got, want, "side {side}, {round}: disc c={c:?} r={r}");
+                let k = [1, 3, 64][(rng.next_u64() % 3) as usize];
+                let accepts: [Accept; 2] = [|_, _| true, |_, id| id % 3 != 1];
+                for accept in accepts {
+                    let want: Vec<(f64, u32)> = (disc.iter().copied())
+                        .filter(|&(d, id)| accept(d, id))
+                        .take(k)
+                        .collect();
+                    assert_eq!(
+                        bits(&idx.k_nearest_within(c, r, k, accept)),
+                        bits(&want),
+                        "side {side}, {round}: c={c:?} r={r} k={k}"
+                    );
+                }
+            }
+            let (gone, kept): (Vec<_>, Vec<_>) = (live.iter()).partition(|&&(p, _)| {
+                let (x, y) = grid.cell_coords(p);
+                x == line || y == line
+            });
+            assert_eq!(idx.remove_bulk(&gone), gone.len());
+            live = kept;
+        }
+    }
 }
