@@ -15,7 +15,7 @@
 //! (1−α)·p*·S(p*)` against the continuous optimum).
 
 use crate::problem::DemandProbe;
-use maps_market::{FreqEstimator, PriceLadder};
+use maps_market::{PriceLadder, UcbStats};
 
 /// Outcome of the base-pricing calibration phase.
 #[derive(Debug, Clone)]
@@ -24,9 +24,10 @@ pub struct BasePriceResult {
     pub per_grid: Vec<(usize, f64)>,
     /// The base price `p_b = Σ_g p_m^g / G`.
     pub base_price: f64,
-    /// The per-grid sampling statistics — MAPS and CappedUCB seed their
-    /// UCB learners from these (the paper's shared statistics `P`).
-    pub stats: Vec<FreqEstimator>,
+    /// The per-grid sampling statistics, the paper's shared statistics
+    /// `P`: MAPS keeps them as its UCB learners (BaseP, SDR and SDE keep
+    /// only `base_price`; CappedUCB never calibrates).
+    pub stats: Vec<UcbStats>,
 }
 
 /// Algorithm 1 over one candidate ladder.
@@ -41,6 +42,15 @@ impl BasePricing {
 
     /// Failure probability `δ` (Example 4).
     pub const DELTA: f64 = 0.01;
+
+    /// Algorithm 1 line 5: the number of probes for price `p`,
+    /// `h(p) = ⌈(2p²/ε²)·ln(2k/δ)⌉`.
+    ///
+    /// Example 4 of the paper: `p=1, ε=0.2, δ=0.01, k=4 → h = 335`.
+    pub fn required_samples(p: f64, epsilon: f64, delta: f64, k: usize) -> u64 {
+        assert!(p > 0.0 && epsilon > 0.0 && delta > 0.0 && k > 0);
+        ((2.0 * p * p / (epsilon * epsilon)) * (2.0 * k as f64 / delta).ln()).ceil() as u64
+    }
 
     /// Creates the calibrator over `ladder`.
     pub fn new(ladder: PriceLadder) -> Self {
@@ -68,22 +78,23 @@ impl BasePricing {
         let mut stats = Vec::with_capacity(num_cells);
         let mut sum = 0.0;
         for cell in 0..num_cells {
-            let mut freq = FreqEstimator::new(self.ladder.len());
+            let mut learned = UcbStats::new(self.ladder.len());
             // Lines 4–8: probe every rung h(p) times.
             for (idx, p) in self.ladder.ascending() {
-                let h = FreqEstimator::required_samples(p, Self::EPSILON, Self::DELTA, k);
+                let h = Self::required_samples(p, Self::EPSILON, Self::DELTA, k);
                 let accepted = probe.probe(cell.into(), p, h);
                 assert!(
                     accepted <= h,
                     "probe returned more acceptances than probes ({accepted} > {h})"
                 );
-                freq.record(idx, h, accepted);
+                learned.observe_batch(idx, h, accepted);
             }
-            // Line 9: argmax p·Ŝ(p), ties to the smaller price.
+            // Line 9: argmax p·Ŝ(p), ties to the smaller price (every
+            // rung holds h(p) ≥ 1 probes, so Ŝ(p) is a sample mean).
             let mut best_idx = 0usize;
             let mut best_val = f64::NEG_INFINITY;
             for (idx, p) in self.ladder.ascending() {
-                let v = p * freq.s_hat(idx).expect("all rungs probed");
+                let v = p * learned.s_hat(idx);
                 if v > best_val {
                     best_val = v;
                     best_idx = idx;
@@ -92,7 +103,7 @@ impl BasePricing {
             let p_m = self.ladder.price(best_idx);
             sum += p_m;
             per_grid.push((best_idx, p_m));
-            stats.push(freq);
+            stats.push(learned);
         }
         BasePriceResult {
             per_grid,
@@ -105,6 +116,9 @@ impl BasePricing {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baselines::{BasePStrategy, Surge};
+    use crate::maps_strategy::MapsStrategy;
+    use crate::problem::PricingStrategy;
     use maps_market::{Demand, DemandDistribution};
     use maps_spatial::CellId;
     use rand::rngs::SmallRng;
@@ -186,7 +200,7 @@ mod tests {
         assert_eq!(r.stats.len(), 2);
         for s in &r.stats {
             for idx in 0..bp.ladder().len() {
-                assert!(s.tested(idx) > 0);
+                assert!(s.n_at(idx) > 0);
             }
         }
     }
@@ -228,9 +242,85 @@ mod tests {
         let per_grid: u64 = bp
             .ladder()
             .ascending()
-            .map(|(_, p)| FreqEstimator::required_samples(p, 0.2, 0.01, k))
+            .map(|(_, p)| BasePricing::required_samples(p, 0.2, 0.01, k))
             .sum();
         assert_eq!(probe.probes_issued, 3 * per_grid);
+    }
+
+    fn saved_state(strategy: &dyn PricingStrategy) -> Vec<u64> {
+        let mut words = Vec::new();
+        strategy.save_state(&mut words);
+        words
+    }
+
+    /// The hand-over of Sec. 4.2.2: a strategy calibrated by a seeded
+    /// probe keeps exactly what Algorithm 1 learns from an identically
+    /// seeded one — MAPS its clamped base price and every grid's
+    /// statistics, BaseP, SDR and SDE their clamped base price alone.
+    #[test]
+    fn calibrate_keeps_what_algorithm_1_learned() {
+        let demands: Vec<Demand> = [(1.2, 0.4), (2.0, 1.0), (3.5, 0.4), (2.8, 2.0)]
+            .map(|(mu, sigma)| Demand::paper_normal(mu, sigma))
+            .to_vec();
+        let cells = demands.len();
+        let probe = || TruthProbe::new(demands.clone(), 17);
+        let bp = BasePricing::paper_default();
+        let learned = bp.learn(cells, &mut probe());
+        let base = bp.ladder().clamp(learned.base_price);
+        // Calibration must move the base price off the uncalibrated
+        // default (the middle rung) for the check below to see it.
+        assert_ne!(base, bp.ladder().price(bp.ladder().len() / 2));
+
+        let mut maps = MapsStrategy::paper_default(cells);
+        maps.calibrate(&mut probe());
+        let mut want = vec![base.to_bits(), cells as u64];
+        for stats in &learned.stats {
+            stats.save_words(&mut want);
+        }
+        want.push(0);
+        assert_eq!(saved_state(&maps), want);
+
+        for surge in [Surge::Flat, Surge::Ratio, Surge::Exponential] {
+            let mut strategy = BasePStrategy::paper_default(cells, surge);
+            strategy.calibrate(&mut probe());
+            assert_eq!(saved_state(&strategy), [base.to_bits()], "{surge:?}");
+        }
+    }
+
+    #[test]
+    fn example4_sample_size() {
+        // Paper Example 4: h(1) = 335 with ε=0.2, δ=0.01, k=4.
+        assert_eq!(BasePricing::required_samples(1.0, 0.2, 0.01, 4), 335);
+        // h grows quadratically with the price: ⌈4 · 334.23⌉ = 1337.
+        assert_eq!(BasePricing::required_samples(2.0, 0.2, 0.01, 4), 1337);
+    }
+
+    #[test]
+    fn hoeffding_schedule_achieves_epsilon() {
+        // Statistical test of Theorem 2's ingredient: with h(p) samples,
+        // |p·Ŝ − p·S| ≤ ε/2 with probability ≥ 1 − δ/k. Run 40 seeded
+        // trials and require no more than a small number of violations.
+        let demand = Demand::paper_normal(2.0, 1.0);
+        let (eps, delta, k) = (0.2, 0.01, 4usize);
+        let price = 2.25;
+        let s_true = demand.survival(price);
+        let h = BasePricing::required_samples(price, eps, delta, k);
+        let mut violations = 0;
+        for seed in 0..40u64 {
+            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut acc = 0u64;
+            for _ in 0..h {
+                acc += u64::from(rng.gen::<f64>() < s_true);
+            }
+            let s_hat = acc as f64 / h as f64;
+            if (price * s_hat - price * s_true).abs() > eps / 2.0 {
+                violations += 1;
+            }
+        }
+        assert!(
+            violations <= 1,
+            "{violations} of 40 trials violated the bound"
+        );
     }
 
     #[test]

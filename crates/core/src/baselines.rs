@@ -93,7 +93,7 @@ pub enum Surge {
 /// paper's `BaseP`, `SDR` or `SDE`.
 #[derive(Debug, Clone)]
 pub struct BasePStrategy {
-    calibrator: BasePricing,
+    ladder: PriceLadder,
     num_cells: usize,
     base_price: f64,
     surge: Surge,
@@ -107,7 +107,7 @@ impl BasePStrategy {
         let ladder = PriceLadder::paper_default();
         Self {
             base_price: ladder.price(ladder.len() / 2),
-            calibrator: BasePricing::new(ladder),
+            ladder,
             num_cells,
             surge,
         }
@@ -124,12 +124,12 @@ impl PricingStrategy for BasePStrategy {
     }
 
     fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        let learned = self.calibrator.learn(self.num_cells, probe).base_price;
-        self.base_price = self.calibrator.ladder().clamp(learned);
+        let result = BasePricing::new(self.ladder.clone()).learn(self.num_cells, probe);
+        self.base_price = self.ladder.clamp(result.base_price);
     }
 
     fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {
-        let (pb, ladder) = (self.base_price, self.calibrator.ladder());
+        let (pb, ladder) = (self.base_price, &self.ladder);
         if self.surge == Surge::Flat {
             // BaseP "assumes the unlimited supply": no head-counts.
             return PriceSchedule::uniform(input.grid.num_cells(), pb);
@@ -160,7 +160,7 @@ impl PricingStrategy for BasePStrategy {
     }
 
     fn load_state(&mut self, state: &mut StateWords<'_>) -> Result<(), StateError> {
-        self.base_price = load_base_price(state, self.calibrator.ladder())?;
+        self.base_price = load_base_price(state, &self.ladder)?;
         Ok(())
     }
 }

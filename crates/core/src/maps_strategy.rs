@@ -29,6 +29,12 @@
 //! * Admissions with `Δ = 0` are skipped: they cannot change any price or
 //!   the approximation value, only burn a worker inside the throw-away
 //!   pre-matching.
+//! * The plateau lookahead ([`MapsConfig::plateau_lookahead`], on by
+//!   default): where one more worker gains nothing (`Δ ≤ 1e-12`), the
+//!   heap key becomes the best *amortized* gain over every deeper supply
+//!   level instead of the pseudocode's stop at `Δ = 0`. Of these
+//!   deviations it is the one that moves revenue rows; whether it earns
+//!   more is not shown (see the field's doc).
 //!
 //! ## Per-grid maximizer tables
 //!
@@ -80,9 +86,11 @@ pub struct MapsConfig {
     /// a high intersection rung long before supply saturates demand.
     /// With lookahead enabled, a zero one-step gain is replaced by the
     /// best *amortized* gain over all reachable supply levels (the
-    /// standard concave-hull correction), restoring convergence to the
-    /// Myerson regime under abundant supply. Disable to reproduce the
-    /// pseudocode literally (the ablation's "no plateau lookahead" row).
+    /// standard concave-hull correction). No test or figure shows that
+    /// this earns more than the pseudocode: the ablation's "MAPS no
+    /// plateau lookahead" row runs the pseudocode literally (`false`)
+    /// beside the default, and ROADMAP item 31 decides whether the code
+    /// keeps the lookahead.
     pub plateau_lookahead: bool,
 }
 
@@ -448,12 +456,9 @@ impl PricingStrategy for MapsStrategy {
     }
 
     fn calibrate(&mut self, probe: &mut dyn DemandProbe) {
-        let bp = BasePricing::new(self.ladder.clone());
-        let result = bp.learn(self.num_cells, probe);
+        let result = BasePricing::new(self.ladder.clone()).learn(self.num_cells, probe);
         self.base_price = self.ladder.clamp(result.base_price);
-        for (stats, freq) in self.stats.iter_mut().zip(&result.stats) {
-            stats.seed_from(freq);
-        }
+        self.stats = result.stats;
     }
 
     fn price_period(&mut self, input: &PeriodInput<'_>) -> PriceSchedule {

@@ -89,7 +89,7 @@ pub struct Row {
     /// Average matched tasks.
     pub matched: f64,
     /// Event-time latency summary (merged over the cell's seeds).
-    pub telemetry: Option<LatencySummary>,
+    pub telemetry: LatencySummary,
 }
 
 impl Serialize for Row {
@@ -211,14 +211,7 @@ pub fn print_telemetry(rows: &[Row]) {
         "worker_pool p50/p99/p999"
     );
     for row in rows {
-        let Some(t) = &row.telemetry else {
-            println!(
-                "{:<width$} {:>10} (no telemetry recorded)",
-                row.strategy,
-                fmt_value(row.x)
-            );
-            continue;
-        };
+        let t = &row.telemetry;
         let fmt = |q: (u64, u64, u64, u64)| format!("{}/{}/{} (n={})", q.1, q.2, q.3, q.0);
         println!(
             "{:<width$} {:>10} {:>28} {:>28} {:>28}",
@@ -265,11 +258,11 @@ mod tests {
             issued: 100.0,
             accepted: 70.0,
             matched: 50.0,
-            telemetry: Some(LatencySummary {
+            telemetry: LatencySummary {
                 task_wait: (100, 63, 127, 127),
                 queue_depth: (10, 15, 15, 15),
                 worker_pool: (10, 255, 255, 255),
-            }),
+            },
         }
     }
 

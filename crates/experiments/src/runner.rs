@@ -126,7 +126,7 @@ fn aggregate(spec: &PanelSpec, x: f64, label: &str, outcomes: &[Outcome]) -> Row
             for o in outcomes {
                 merged.merge(&o.latency);
             }
-            Some(crate::report::LatencySummary::from(&merged))
+            crate::report::LatencySummary::from(&merged)
         },
     }
 }

@@ -1,78 +1,14 @@
-//! Acceptance-ratio estimators.
+//! The acceptance-ratio learner.
 //!
-//! Two learners, both keyed by ladder position so statistics flow from the
-//! base-pricing phase (Algorithm 1) into MAPS (Algorithm 3) unchanged:
-//!
-//! * [`FreqEstimator`] — plain frequency estimation with the Hoeffding
-//!   sample-size schedule `h(p) = ⌈(2p²/ε²)·ln(2k/δ)⌉` of Algorithm 1
-//!   line 5 (Theorem 2's PAC guarantee).
-//! * [`UcbStats`] — the upper-confidence-bound statistics of Sec. 4.2.2:
-//!   sample mean `Ŝ(p)` plus confidence radius `√(2·ln N / N(p))`, where
-//!   `N` counts all requesters seen in the grid and `N(p)` the times price
-//!   `p` was offered. The radius is **zero** when `N(p) = 0` — the paper
-//!   relies on the base-pricing phase for seeding rather than forced
-//!   exploration.
-
-/// Frequency (sample-mean) estimator for one grid's acceptance ratios.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FreqEstimator {
-    tested: Vec<u64>,
-    accepted: Vec<u64>,
-}
-
-impl FreqEstimator {
-    /// Creates an estimator over `n_prices` ladder positions.
-    pub fn new(n_prices: usize) -> Self {
-        Self {
-            tested: vec![0; n_prices],
-            accepted: vec![0; n_prices],
-        }
-    }
-
-    /// Algorithm 1 line 5: the number of probes for price `p`,
-    /// `h(p) = ⌈(2p²/ε²)·ln(2k/δ)⌉`.
-    ///
-    /// Example 4 of the paper: `p=1, ε=0.2, δ=0.01, k=4 → h = 335`.
-    pub fn required_samples(p: f64, epsilon: f64, delta: f64, k: usize) -> u64 {
-        assert!(p > 0.0 && epsilon > 0.0 && delta > 0.0 && k > 0);
-        ((2.0 * p * p / (epsilon * epsilon)) * (2.0 * k as f64 / delta).ln()).ceil() as u64
-    }
-
-    /// Records a batch of probes at ladder position `idx`.
-    ///
-    /// # Panics
-    /// Panics if `accepted > tested` or `idx` is out of range.
-    pub fn record(&mut self, idx: usize, tested: u64, accepted: u64) {
-        assert!(accepted <= tested, "accepted {accepted} > tested {tested}");
-        self.tested[idx] += tested;
-        self.accepted[idx] += accepted;
-    }
-
-    /// Number of probes so far at position `idx`.
-    pub fn tested(&self, idx: usize) -> u64 {
-        self.tested[idx]
-    }
-
-    /// Number of accepted probes so far at position `idx`.
-    pub fn accepted(&self, idx: usize) -> u64 {
-        self.accepted[idx]
-    }
-
-    /// Sample mean `Ŝ(p)` at position `idx`; `None` before any probe.
-    pub fn s_hat(&self, idx: usize) -> Option<f64> {
-        (self.tested[idx] > 0).then(|| self.accepted[idx] as f64 / self.tested[idx] as f64)
-    }
-
-    /// Number of ladder positions tracked.
-    pub fn len(&self) -> usize {
-        self.tested.len()
-    }
-
-    /// Whether no positions are tracked.
-    pub fn is_empty(&self) -> bool {
-        self.tested.is_empty()
-    }
-}
+//! [`UcbStats`] is the paper's shared statistics `P`, one per grid and
+//! keyed by ladder position: Algorithm 1 fills it with `h(p)` probes per
+//! rung (`BasePricing::learn` in `maps-core`), and MAPS (Algorithm 3)
+//! keeps that same value and goes on observing requesters into it. It
+//! holds the upper-confidence-bound statistics of Sec. 4.2.2: sample
+//! mean `Ŝ(p)` plus confidence radius `√(2·ln N / N(p))`, where `N`
+//! counts all requesters seen in the grid and `N(p)` the times price `p`
+//! was offered. The radius is **zero** when `N(p) = 0` — the paper relies
+//! on the base-pricing phase for seeding rather than forced exploration.
 
 /// UCB statistics for one grid (Sec. 4.2.2).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -95,17 +31,6 @@ impl UcbStats {
         }
     }
 
-    /// Seeds from a base-pricing estimator (the paper feeds Algorithm 1's
-    /// samples into MAPS through the shared statistics `P`).
-    pub fn seed_from(&mut self, freq: &FreqEstimator) {
-        assert_eq!(freq.len(), self.n.len(), "ladder size mismatch");
-        for i in 0..freq.len() {
-            self.n[i] += freq.tested[i];
-            self.accepted[i] += freq.accepted[i];
-            self.n_total += freq.tested[i];
-        }
-    }
-
     /// Records one requester's accept/reject decision at position `idx`.
     pub fn observe(&mut self, idx: usize, accepted: bool) {
         self.n[idx] += 1;
@@ -114,6 +39,9 @@ impl UcbStats {
     }
 
     /// Records a batch of decisions at position `idx`.
+    ///
+    /// # Panics
+    /// Panics if `accepted > tested` or `idx` is out of range.
     pub fn observe_batch(&mut self, idx: usize, tested: u64, accepted: u64) {
         assert!(accepted <= tested, "accepted {accepted} > tested {tested}");
         self.n[idx] += tested;
@@ -137,6 +65,11 @@ impl UcbStats {
     /// `N(p)` at position `idx`.
     pub fn n_at(&self, idx: usize) -> u64 {
         self.n[idx]
+    }
+
+    /// Accepted decisions at position `idx`.
+    pub fn accepted_at(&self, idx: usize) -> u64 {
+        self.accepted[idx]
     }
 
     /// Sample mean `Ŝ(p)`; 0 when unseen (pessimistic — the paper seeds
@@ -225,31 +158,21 @@ mod tests {
     use rand::{Rng, SeedableRng};
 
     #[test]
-    fn example4_sample_size() {
-        // Paper Example 4: h(1) = 335 with ε=0.2, δ=0.01, k=4.
-        assert_eq!(FreqEstimator::required_samples(1.0, 0.2, 0.01, 4), 335);
-        // h grows quadratically with the price: ⌈4 · 334.23⌉ = 1337.
-        let h2 = FreqEstimator::required_samples(2.0, 0.2, 0.01, 4);
-        assert_eq!(h2, 1337);
-    }
-
-    #[test]
-    fn freq_estimator_mean() {
-        let mut f = FreqEstimator::new(4);
-        assert_eq!(f.s_hat(0), None);
-        f.record(0, 335, 300);
-        assert!((f.s_hat(0).unwrap() - 0.8955223880597015).abs() < 1e-12);
-        f.record(0, 165, 150);
-        assert!((f.s_hat(0).unwrap() - 0.9).abs() < 1e-12);
-        assert_eq!(f.tested(0), 500);
-        assert_eq!(f.s_hat(1), None);
+    fn batch_mean() {
+        let mut u = UcbStats::new(4);
+        assert_eq!(u.s_hat(0), 0.0);
+        u.observe_batch(0, 335, 300);
+        assert!((u.s_hat(0) - 0.8955223880597015).abs() < 1e-12);
+        u.observe_batch(0, 165, 150);
+        assert!((u.s_hat(0) - 0.9).abs() < 1e-12);
+        assert_eq!((u.n_at(0), u.accepted_at(0), u.n_total()), (500, 450, 500));
+        assert_eq!((u.n_at(1), u.s_hat(1)), (0, 0.0));
     }
 
     #[test]
     #[should_panic(expected = "accepted")]
-    fn freq_rejects_inconsistent_batch() {
-        let mut f = FreqEstimator::new(1);
-        f.record(0, 3, 4);
+    fn rejects_inconsistent_batch() {
+        UcbStats::new(1).observe_batch(0, 3, 4);
     }
 
     #[test]
@@ -287,18 +210,6 @@ mod tests {
     }
 
     #[test]
-    fn seeding_from_base_pricing() {
-        let mut f = FreqEstimator::new(2);
-        f.record(0, 335, 300);
-        f.record(1, 500, 250);
-        let mut u = UcbStats::new(2);
-        u.seed_from(&f);
-        assert_eq!(u.n_total(), 835);
-        assert_eq!(u.n_at(0), 335);
-        assert!((u.s_hat(1) - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn reset_price_clears_one_position() {
         let mut u = UcbStats::new(2);
         u.observe_batch(0, 10, 8);
@@ -332,34 +243,6 @@ mod tests {
         );
         // And the UCB is optimistic.
         assert!(u.ucb(0) >= s_true);
-    }
-
-    #[test]
-    fn freq_hoeffding_schedule_achieves_epsilon() {
-        // Statistical test of Theorem 2's ingredient: with h(p) samples,
-        // |p·Ŝ − p·S| ≤ ε/2 with probability ≥ 1 − δ/k. Run 40 seeded
-        // trials and require no more than a small number of violations.
-        let demand = Demand::paper_normal(2.0, 1.0);
-        let (eps, delta, k) = (0.2, 0.01, 4usize);
-        let price = 2.25;
-        let s_true = demand.survival(price);
-        let h = FreqEstimator::required_samples(price, eps, delta, k);
-        let mut violations = 0;
-        for seed in 0..40u64 {
-            let mut rng = SmallRng::seed_from_u64(seed);
-            let mut acc = 0u64;
-            for _ in 0..h {
-                acc += u64::from(rng.gen::<f64>() < s_true);
-            }
-            let s_hat = acc as f64 / h as f64;
-            if (price * s_hat - price * s_true).abs() > eps / 2.0 {
-                violations += 1;
-            }
-        }
-        assert!(
-            violations <= 1,
-            "{violations} of 40 trials violated the bound"
-        );
     }
 
     /// Saved words of a learner over two rungs that observed 10 probes,

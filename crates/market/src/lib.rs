@@ -23,10 +23,10 @@
 //!   [`Demand`] holds, and Uniform, the theory tests' distribution.
 //! * [`ladder`] — the geometric candidate price set
 //!   `p_min·(1+α)^i ∩ [p_min, p_max]` shared by Algorithms 1 and 3.
-//! * [`estimator`] — the Hoeffding frequency estimator of Algorithm 1
-//!   (`h(p) = ⌈(2p²/ε²)·ln(2k/δ)⌉` samples per price) and the UCB
-//!   statistics of Sec. 4.2.2 (`Ŝ(p) + √(2·ln N / N(p))`, radius 0 for
-//!   unseen prices).
+//! * [`estimator`] — [`UcbStats`], the one acceptance-ratio learner:
+//!   Algorithm 1 fills it with its probes and Algorithm 3 keeps it, as
+//!   the UCB statistics of Sec. 4.2.2 (`Ŝ(p) + √(2·ln N / N(p))`,
+//!   radius 0 for unseen prices).
 //! * [`change`] — the statistically-significant-deviation change detector
 //!   (`m·Ŝ ± 2√(m·Ŝ(1−Ŝ))` windows) of Sec. 4.2.2.
 
@@ -43,5 +43,5 @@ pub use change::ChangeDetector;
 pub use demand::{
     AcceptanceCut, Demand, DemandDistribution, TruncatedExponential, TruncatedNormal, Uniform,
 };
-pub use estimator::{FreqEstimator, UcbStats};
+pub use estimator::UcbStats;
 pub use ladder::PriceLadder;

@@ -109,10 +109,10 @@ mod tests {
         };
         for (cell, (stats, &(rung, _))) in result.stats.iter().zip(&result.per_grid).enumerate() {
             for idx in 0..bp.ladder().len() {
-                pin(format!("cell{cell}/rung{idx}/tested"), stats.tested(idx));
+                pin(format!("cell{cell}/rung{idx}/tested"), stats.n_at(idx));
                 pin(
                     format!("cell{cell}/rung{idx}/accepted"),
-                    stats.accepted(idx),
+                    stats.accepted_at(idx),
                 );
             }
             pin(format!("cell{cell}/chosen"), rung as u64);

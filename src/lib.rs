@@ -12,7 +12,8 @@
 //! * [`matching`] — bipartite graphs, maximum(-weight) matching,
 //!   possible-world enumeration (Definitions 5–6).
 //! * [`market`] — MHR demand distributions, the geometric price ladder,
-//!   acceptance-ratio estimators (sampling + UCB) and change detection.
+//!   the acceptance-ratio learner (UCB statistics that Algorithm 1 fills
+//!   and Algorithm 3 keeps) and change detection.
 //! * [`core`] — the GDP problem and the pricing strategies:
 //!   `BasePricing` (Algorithm 1), `Maps` (Algorithms 2–3) and the
 //!   SDR / SDE / CappedUCB baselines.

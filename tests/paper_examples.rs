@@ -4,9 +4,10 @@
 //! `hardness.rs`.
 
 use maps::core::{
-    build_period_graph, MapsConfig, MapsStrategy, PeriodInput, PricingStrategy, RunningExample,
+    build_period_graph, BasePricing, MapsConfig, MapsStrategy, PeriodInput, PricingStrategy,
+    RunningExample,
 };
-use maps::market::{Demand, DemandDistribution, FreqEstimator, PriceLadder};
+use maps::market::{Demand, DemandDistribution, PriceLadder};
 use maps::matching::{expected_total_revenue_exact, IncrementalMatching, PossibleWorlds};
 use maps_testkit::{explore, XorShift};
 
@@ -51,7 +52,7 @@ fn example4_base_pricing_arithmetic() {
     let ladder = PriceLadder::paper_default();
     assert_eq!(ladder.k(), 4);
     assert_eq!(ladder.len(), 4);
-    assert_eq!(FreqEstimator::required_samples(1.0, 0.2, 0.01, 4), 335);
+    assert_eq!(BasePricing::required_samples(1.0, 0.2, 0.01, 4), 335);
     // The example's observed ratios 0.9, 0.85, 0.75, 0.4 make 2.25 the
     // argmax of p·Ŝ(p): 0.9, 1.275, 1.6875, 1.35.
     let s_hat = [0.9, 0.85, 0.75, 0.4];
